@@ -93,11 +93,18 @@ class DLRM:
             raise ValueError(
                 f"expected {self.config.n_tables} embedding inputs, got {len(emb_rows)}"
             )
-        z = np.stack(
-            [np.asarray(bottom_out, dtype=np.float64)]
-            + [np.asarray(rows, dtype=np.float64) for rows in emb_rows],
-            axis=1,
-        )
+        features = [np.asarray(bottom_out), *map(np.asarray, emb_rows)]
+        shapes = {f.shape for f in features}
+        if len(shapes) != 1 or features[0].ndim != 2:
+            raise ValueError(
+                f"interaction inputs must share one (batch, dim) shape, got {sorted(shapes)}"
+            )
+        # One float64 buffer; each (float32) feature is cast straight into
+        # its slot, so assignment must never be left to broadcast.
+        batch, dim = features[0].shape
+        z = np.empty((batch, len(features), dim))
+        for slot, feature in enumerate(features):
+            z[:, slot, :] = feature
         self._z_cache = z
         interacted = self.interaction.forward(z)
         return self.top_mlp.forward(interacted).ravel()

@@ -1,8 +1,10 @@
 """Embedding table with sparse gradient accumulation.
 
 Lookups return float32 rows — the wire format of DLRM all-to-all traffic
-and the input to the compressors.  Gradients are scattered back with
-``np.add.at`` so duplicate ids within a batch accumulate correctly (the
+and the input to the compressors.  Gradients are scattered back as a
+sorted segment reduce — stable argsort of the ids, ``np.add.reduceat`` over
+each run of equal ids, one fancy ``+=`` on the now-unique rows — so
+duplicate ids within a batch accumulate correctly, in batch order (the
 sparse-gradient semantics of a real embedding bag).
 """
 
@@ -49,6 +51,8 @@ class EmbeddingTable:
 
     def _check_indices(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices)
+        if indices.dtype.kind not in "iu":
+            raise TypeError(f"indices must have an integer dtype, got {indices.dtype}")
         if indices.ndim != 1:
             raise ValueError(f"indices must be 1-D, got shape {indices.shape}")
         if indices.size and (indices.min() < 0 or indices.max() >= self.cardinality):
@@ -75,7 +79,12 @@ class EmbeddingTable:
             raise ValueError(
                 f"grad_rows must be ({indices.size}, {self.dim}), got {grad_rows.shape}"
             )
-        np.add.at(self.weight.grad, indices, grad_rows)
+        if indices.size == 0:
+            return
+        order = np.argsort(indices, kind="stable")
+        sorted_ids = indices[order]
+        starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+        self.weight.grad[sorted_ids[starts]] += np.add.reduceat(grad_rows[order], starts, axis=0)
 
     def parameters(self) -> list[Parameter]:
         return [self.weight]

@@ -255,7 +255,7 @@ class HybridParallelTrainer:
             reconstructed = []
             for table_id in range(cfg.n_tables):
                 owner = self.sharding.owner_of(table_id)
-                index = self.sharding.tables_of(owner).index(table_id)
+                index = self.sharding.slot_of(table_id)
                 reconstructed.append(
                     np.concatenate(
                         [received[dst][owner][index] for dst in range(self.n_ranks)],

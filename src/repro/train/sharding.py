@@ -19,12 +19,19 @@ class ShardingPlan:
     def __post_init__(self) -> None:
         if self.n_ranks < 1:
             raise ValueError(f"n_ranks must be >= 1, got {self.n_ranks}")
+        by_rank: list[list[int]] = [[] for _ in range(self.n_ranks)]
+        slots = []  # each table's position within its owner's tuple
         for table_id, owner in enumerate(self.owners):
             if not 0 <= owner < self.n_ranks:
                 raise ValueError(
                     f"table {table_id} assigned to rank {owner}, "
                     f"out of range [0, {self.n_ranks})"
                 )
+            slots.append(len(by_rank[owner]))
+            by_rank[owner].append(table_id)
+        # Frozen dataclass: derived lookups go in through object.__setattr__.
+        object.__setattr__(self, "_tables_by_rank", tuple(map(tuple, by_rank)))
+        object.__setattr__(self, "_slots", tuple(slots))
 
     @property
     def n_tables(self) -> int:
@@ -34,7 +41,11 @@ class ShardingPlan:
         return self.owners[table_id]
 
     def tables_of(self, rank: int) -> tuple[int, ...]:
-        return tuple(t for t, owner in enumerate(self.owners) if owner == rank)
+        return self._tables_by_rank[rank] if 0 <= rank < self.n_ranks else ()
+
+    def slot_of(self, table_id: int) -> int:
+        """Position of ``table_id`` within ``tables_of(owner_of(table_id))``."""
+        return self._slots[table_id]
 
     @classmethod
     def round_robin(cls, n_tables: int, n_ranks: int) -> "ShardingPlan":

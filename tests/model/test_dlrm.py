@@ -88,6 +88,27 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward_interaction(bottom, [np.zeros((6, 4))])
 
+    def test_interaction_input_equals_stacked_features(self, tiny_config, tiny_batch):
+        """``z`` is filled slot by slot; ``np.stack`` of float64 casts is the oracle."""
+        dense, sparse, _ = tiny_batch
+        model = DLRM(tiny_config)
+        bottom = np.asfortranarray(model.forward_dense(dense))  # non-contiguous rows
+        rows = model.lookup_all(sparse)  # float32 wire format
+        model.forward_interaction(bottom, rows)
+        stacked = np.stack([np.asarray(f, dtype=np.float64) for f in [bottom, *rows]], axis=1)
+        assert model._z_cache.dtype == np.float64
+        np.testing.assert_array_equal(model._z_cache, stacked)
+
+    @pytest.mark.parametrize("bad_shape", [(1, 4), (4,), (6, 3), (5, 4)])
+    def test_forward_interaction_shape_validation(self, tiny_config, tiny_batch, bad_shape):
+        """A broadcastable ``(1, dim)`` / ``(dim,)`` input must not fill the batch silently."""
+        dense, sparse, _ = tiny_batch
+        model = DLRM(tiny_config)
+        rows = model.lookup_all(sparse)
+        rows[1] = np.zeros(bad_shape, dtype=np.float32)
+        with pytest.raises(ValueError):
+            model.forward_interaction(model.forward_dense(dense), rows)
+
 
 class TestBackward:
     def test_full_gradcheck_mlp_weight(self, tiny_config, tiny_batch):

@@ -107,6 +107,18 @@ class TestShardingPlan:
         assert plan.n_tables == 2
         assert {plan.owner_of(0), plan.owner_of(1)} <= set(range(8))
 
+    def test_precomputed_lookups_match_a_scan_of_owners(self):
+        plan = ShardingPlan(owners=(2, 0, 2, 5, 0, 2), n_ranks=8)
+        for rank in range(-1, 9):  # out-of-range ranks own nothing
+            scan = tuple(t for t, owner in enumerate(plan.owners) if owner == rank)
+            assert plan.tables_of(rank) == scan
+        for table_id in range(plan.n_tables):
+            owned = plan.tables_of(plan.owner_of(table_id))
+            assert owned[plan.slot_of(table_id)] == table_id
+        # The cached lookups are not fields: equality and hashing ignore them.
+        twin = ShardingPlan(owners=(2, 0, 2, 5, 0, 2), n_ranks=8)
+        assert plan == twin and hash(plan) == hash(twin)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ShardingPlan(owners=(0, 5), n_ranks=2)

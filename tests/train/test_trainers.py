@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.adaptive import AdaptiveController, OfflineAnalyzer, StepwiseDecay
-from repro.data import SyntheticClickDataset, make_uniform_spec
+from repro.data import CRITEO_KAGGLE, SyntheticClickDataset, make_uniform_spec, scaled_spec
 from repro.dist import ClusterSimulator, EventCategory
 from repro.model import DLRM, DLRMConfig
 from repro.train import (
@@ -31,6 +31,18 @@ def small_world():
         spec, embedding_dim=8, bottom_hidden=(16,), top_hidden=(16,), seed=12
     )
     return spec, dataset, config
+
+
+@pytest.fixture(scope="module")
+def bench_world():
+    """``bench_e2e``'s training world — the 26 Criteo-Kaggle-shaped tables
+    (cardinalities 3 … cap) and two-layer MLPs — at reduced size."""
+    spec = scaled_spec(CRITEO_KAGGLE, max_cardinality=300)
+    dataset = SyntheticClickDataset(spec, seed=100, teacher_scale=3.0)
+    config = DLRMConfig.from_dataset(
+        spec, embedding_dim=16, bottom_hidden=(32, 16), top_hidden=(32, 16), seed=101
+    )
+    return dataset, config
 
 
 def _make_plan(dataset, config, batch=128):
@@ -105,6 +117,21 @@ class TestHybridTrainer:
         hyb = HybridParallelTrainer(DLRM(config), dataset, sim, lr=0.2)
         rep = hyb.train(8, 64)
         np.testing.assert_allclose(h_ref.losses, rep.history.losses, rtol=1e-12)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    def test_benchmark_contract_bit_for_bit(self, bench_world, optimizer):
+        """What ``bench_e2e`` checks after ``train_baseline``'s timed region:
+        with ``pipeline=None`` the two trainers share every kernel, so losses
+        (and here parameters, under either optimizer) agree to the bit."""
+        dataset, config = bench_world
+        ref = ReferenceTrainer(DLRM(config), dataset, lr=0.2, optimizer=optimizer)
+        hyb = HybridParallelTrainer(
+            DLRM(config), dataset, ClusterSimulator(8), pipeline=None, lr=0.2, optimizer=optimizer
+        )
+        for iteration in range(4):
+            assert float(hyb.train_step(256, iteration)) == float(ref.train_step(256, iteration))
+        for ours, theirs in zip(hyb.model.parameters(), ref.model.parameters()):
+            np.testing.assert_array_equal(ours.data, theirs.data, err_msg=ours.name)
 
     def test_matches_reference_with_compression(self, small_world):
         """With the same controller, the hybrid run's losses equal the
