@@ -5,7 +5,7 @@ quantization + vector-based LZ or optimized Huffman, selected per table)
 plus from-scratch implementations of every baseline it compares against.
 """
 
-from repro.compression.base import CompressionResult, Compressor, parse_payload
+from repro.compression.base import Compressor, parse_payload
 from repro.compression.cache import EncoderPinCache, LruCache, TableCodebookCache
 from repro.compression.calibration import calibrate_profile
 from repro.compression.baselines import (
@@ -53,7 +53,6 @@ from repro.compression.vector_lz import VectorLZCompressor
 
 __all__ = [
     "Compressor",
-    "CompressionResult",
     "parse_payload",
     "HybridCompressor",
     "VectorLZCompressor",

@@ -19,7 +19,6 @@ metadata and the body.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -28,7 +27,6 @@ from repro.compression.serialization import pack_meta, unpack_meta
 
 __all__ = [
     "Compressor",
-    "CompressionResult",
     "frame_payload",
     "frame_parts",
     "parse_payload",
@@ -108,25 +106,6 @@ def parse_payload(payload: bytes | memoryview) -> tuple[dict[str, Any], memoryvi
     return header, view[pos:]
 
 
-@dataclass(frozen=True)
-class CompressionResult:
-    """Outcome of one compression call, with ratio accounting.
-
-    ``ratio`` is original bytes over compressed bytes (>1 means smaller).
-    """
-
-    payload: bytes
-    original_nbytes: int
-
-    @property
-    def compressed_nbytes(self) -> int:
-        return len(self.payload)
-
-    @property
-    def ratio(self) -> float:
-        return self.original_nbytes / max(1, len(self.payload))
-
-
 class Compressor(ABC):
     """Abstract base for batch-of-embedding-vector compressors.
 
@@ -191,6 +170,12 @@ class Compressor(ABC):
                 f"payload was produced by codec {header['codec']!r}, not {self.name!r};"
                 " use repro.compression.registry.decompress_any"
             )
+        return self._decode_frame(header, body)
+
+    def _decode_frame(self, header: dict[str, Any], body: memoryview) -> np.ndarray:
+        """Decode an already-parsed frame of this codec (no second header
+        parse: :func:`~repro.compression.registry.decompress_any` parses to
+        find the codec, then dispatches here)."""
         shape = tuple(int(s) for s in header["shape"])
         dtype = np.dtype(header["dtype"])
         array = self._decompress_body(header, body, shape, dtype)
@@ -215,12 +200,6 @@ class Compressor(ABC):
     ):
         """Keyed variant of :meth:`compress_into` (same lease contract)."""
         return self.compress_into(array, error_bound, pool=pool)
-
-    def compress_with_stats(self, array: np.ndarray, error_bound: float | None = None) -> CompressionResult:
-        """Compress and return payload together with ratio accounting."""
-        array = np.ascontiguousarray(array)
-        payload = self.compress(array, error_bound)
-        return CompressionResult(payload=payload, original_nbytes=array.nbytes)
 
     @abstractmethod
     def _compress_body(

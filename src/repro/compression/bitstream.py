@@ -20,6 +20,8 @@ __all__ = [
     "unpack_fixed",
     "bits_to_bytes",
     "pack_fixed",
+    "pack_fixed_segments",
+    "unpack_fixed_segments",
     "word_table",
     "padded_stream",
 ]
@@ -218,6 +220,20 @@ def pack_fixed(values: np.ndarray, width: int) -> tuple[np.ndarray, int]:
     return pack_codes(values, lengths)
 
 
+def _read_fixed(packed: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """``width``-bit big-endian values at arbitrary bit positions ``starts``.
+
+    Combines each run of bytes into one word per byte position, then a
+    single gather + shift extracts every value (a width<=57 value starting
+    mid-byte spans at most 8 bytes).
+    """
+    padded = padded_stream(packed, 8)
+    words, dtype, n_bytes = word_table(padded, width)
+    shift = (dtype(n_bytes * 8 - width) - (starts & 7).astype(dtype)).astype(dtype)
+    mask = dtype((1 << width) - 1)
+    return ((np.take(words, starts >> 3) >> shift) & mask).astype(np.uint64)
+
+
 def unpack_fixed(packed: np.ndarray, count: int, width: int, bit_offset: int = 0) -> np.ndarray:
     """Read ``count`` fixed-width unsigned integers starting at ``bit_offset``.
 
@@ -239,12 +255,87 @@ def unpack_fixed(packed: np.ndarray, count: int, width: int, bit_offset: int = 0
         first = bit_offset // 8
         return packed[first : first + count].astype(np.uint64)
     starts = bit_offset + np.arange(count, dtype=np.int64) * width
-    # Combine each run of bytes into one word per byte position, then a
-    # single gather + shift extracts every value (a width<=57 value
-    # starting mid-byte spans at most 8 bytes).
-    padded = padded_stream(packed, 8)
-    words, dtype, n_bytes = word_table(padded, width)
-    byte_start = starts >> 3
-    shift = (dtype(n_bytes * 8 - width) - (starts & 7).astype(dtype)).astype(dtype)
-    mask = dtype((1 << width) - 1)
-    return ((np.take(words, byte_start) >> shift) & mask).astype(np.uint64)
+    return _read_fixed(packed, starts, width)
+
+
+def pack_fixed_segments(
+    values: np.ndarray, width: int, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack consecutive runs of ``values``, each run starting on a byte boundary.
+
+    ``counts[s]`` values belong to run ``s``.  Returns ``(packed, bounds)``
+    with ``packed[bounds[s] : bounds[s + 1]]`` byte-identical to
+    ``pack_fixed(run_s, width)[0]`` — but all runs share one bit-matrix
+    pass (big-endian bytes -> ``unpackbits`` -> keep the low ``width``
+    columns -> ``packbits``) instead of one :func:`pack_codes` call each,
+    which is what pays on many short runs.
+    """
+    values = np.asarray(values, dtype=np.uint64).ravel()
+    counts = np.asarray(counts, dtype=np.int64)
+    if width < 0 or width > 57:
+        raise ValueError(f"width must be in [0, 57], got {width}")
+    if width == 0:
+        if values.size and values.max() > 0:
+            raise ValueError("width 0 requires all-zero values")
+        return np.zeros(0, dtype=np.uint8), np.zeros(counts.size + 1, dtype=np.int64)
+    if values.size and int(values.max()) >> width:
+        raise ValueError(f"value {values.max()} does not fit in {width} bits")
+    run_bits = counts * width
+    bounds = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum((run_bits + 7) >> 3, out=bounds[1:])
+    if width <= 8 and not (counts & 7).any():
+        # Whole groups of 8 values fill exactly ``width`` bytes: combine each
+        # group into one 64-bit word (disjoint bit ranges, so the weighted
+        # sum is their OR) and keep the word's low ``width`` big-endian bytes.
+        weights = np.uint64(1) << (np.arange(7, -1, -1, dtype=np.uint64) * np.uint64(width))
+        words = values.reshape(values.size // 8, 8) @ weights
+        group_bytes = words.astype(">u8").view(np.uint8).reshape(words.size, 8)[:, 8 - width :]
+        return np.ascontiguousarray(group_bytes).ravel(), bounds
+    # Big-endian bytes of the narrowest word holding ``width`` bits.
+    word = np.dtype(">u8" if width > 32 else ">u4" if width > 16 else ">u2" if width > 8 else "u1")
+    big_endian = values.astype(word).view(np.uint8).reshape(values.size, word.itemsize)
+    bits = np.unpackbits(big_endian, axis=1)[:, 8 * word.itemsize - width :]
+    if not (run_bits & 7).any():
+        return np.packbits(bits), bounds
+    # Unaligned runs: shift each run's bits past the pad bits of its
+    # predecessors (pad bits stay zero, as pack_fixed leaves them).
+    padded = np.zeros(int(bounds[-1]) * 8, dtype=np.uint8)
+    pad_shift = bounds[:-1] * 8 - (np.cumsum(run_bits) - run_bits)
+    padded[np.arange(bits.size) + np.repeat(pad_shift, run_bits)] = bits.ravel()
+    return np.packbits(padded), bounds
+
+
+def unpack_fixed_segments(segments, counts: np.ndarray, width: int) -> np.ndarray:
+    """Concatenation of ``unpack_fixed(segments[s], counts[s], width)`` over
+    all ``s``, read with one gather over the joined segments.
+
+    Inverse of :func:`pack_fixed_segments`; a segment holding fewer than
+    ``counts[s] * width`` bits raises the same "stream too short" error
+    :func:`unpack_fixed` raises for it.
+    """
+    if len(segments) == 1:  # nothing to join: the plain reader, minus the index math
+        return unpack_fixed(segments[0], int(counts[0]), width)
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    if width == 0:
+        return np.zeros(total, dtype=np.uint64)
+    if width < 0 or width > 57:
+        raise ValueError(f"width must be in [0, 57], got {width}")
+    sizes = np.array([segment.size for segment in segments], dtype=np.int64)
+    short = np.flatnonzero(counts * width > sizes * 8)
+    if short.size:
+        s = int(short[0])
+        raise ValueError(
+            f"stream too short: need {int(counts[s]) * width} bits, have {int(sizes[s]) * 8}"
+        )
+    if total == 0:
+        return np.zeros(0, dtype=np.uint64)
+    data = np.concatenate(segments)
+    segment_bit = (np.cumsum(sizes) - sizes) * 8
+    first_value = np.cumsum(counts) - counts
+    starts = np.repeat(segment_bit - first_value * width, counts)
+    starts += np.arange(total, dtype=np.int64) * width
+    if width == 8:
+        # Segments start byte-aligned, so every value is one whole byte.
+        return data[starts >> 3].astype(np.uint64)
+    return _read_fixed(data, starts, width)

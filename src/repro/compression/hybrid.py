@@ -188,12 +188,12 @@ class HybridCompressor(Compressor):
         return best
 
     def decompress(self, payload: bytes | memoryview) -> np.ndarray:
-        header, _body = parse_payload(payload)
+        header, body = parse_payload(payload)
         inner = header["codec"]
         if inner == self._lz.name:
-            result = self._lz.decompress(payload)
+            result = self._lz._decode_frame(header, body)
         elif inner == self._entropy.name:
-            result = self._entropy.decompress(payload)
+            result = self._entropy._decode_frame(header, body)
         else:
             raise ValueError(f"hybrid: unknown inner codec {inner!r}")
         if OBS.enabled:

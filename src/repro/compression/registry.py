@@ -45,6 +45,11 @@ _FACTORIES: dict[str, Callable[..., Compressor]] = {
 }
 
 
+#: one default-constructed decoder per codec name (decoding is stateless and
+#: driven by the payload header, so the instance is reusable)
+_DECODERS: dict[str, Compressor] = {}
+
+
 def register_compressor(name: str, factory: Callable[..., Compressor]) -> None:
     """Register a codec factory under ``name`` (error on collision)."""
     if name in _FACTORIES:
@@ -75,12 +80,16 @@ def decompress_any(payload: bytes | memoryview) -> np.ndarray:
     :func:`repro.compression.serialization.frame_with_checksum`); a
     checksummed payload is verified first, so a corrupted frame raises
     :class:`~repro.compression.serialization.CorruptPayloadError` instead
-    of decoding garbage.
+    of decoding garbage.  The header is parsed once: the codec it names
+    decodes from the parsed ``(header, body)``.
     """
     if has_checksum(payload):
         payload = verify_checksum_frame(payload)
-    header, _ = parse_payload(payload)
+    header, body = parse_payload(payload)
     codec = header["codec"]
-    if codec not in _FACTORIES:
-        raise KeyError(f"payload codec {codec!r} is not registered")
-    return _FACTORIES[codec]().decompress(payload)
+    decoder = _DECODERS.get(codec)
+    if decoder is None:
+        if codec not in _FACTORIES:
+            raise KeyError(f"payload codec {codec!r} is not registered")
+        decoder = _DECODERS[codec] = _FACTORIES[codec]()
+    return decoder._decode_frame(header, body)

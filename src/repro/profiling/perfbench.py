@@ -68,6 +68,7 @@ from repro.compression.serialization import (
 from repro.obs import runtime as obs_runtime
 from repro.obs.registry import MetricsRegistry
 from repro.compression.vector_lz import (
+    VectorLZCompressor,
     _reference_vector_lz_decode,
     vector_lz_decode,
     vector_lz_encode,
@@ -126,6 +127,10 @@ PARALLEL_WORKER_COUNTS = (1, 2, 4)
 #: slice count for the parallel_hybrid jobs — one exchange's worth of
 #: independent per-destination slices on an 8-rank fabric
 PARALLEL_JOB_SLICES = 8
+
+#: the vector_lz_batch rows' stack: (destination slices, local rows, dim)
+#: of one table in the headline 32-rank, batch-4096, dim-64 exchange
+STACK_SHAPE = (32, 128, 64)
 
 #: kernels whose committed speedups carry comfortable headroom over their
 #: seed references get a tighter regression gate than the default 3x —
@@ -521,6 +526,30 @@ def run_suite(
             _count_hop,
             interleave=True,
         )
+
+    # --- fused per-table stage ①/④: all destination slices of one table
+    # (32 ranks x 128 local rows x dim 64, the headline exchange) through
+    # the batched vector-LZ kernels in one pass.  Reference: the serial
+    # per-slice loop producing the same payloads, so the speedup column is
+    # what amortising NumPy's per-call overhead over the stack buys.  One
+    # row pair regardless of the shape sweep. ---
+    lz = VectorLZCompressor()
+    n_slices, local_rows, stack_dim = STACK_SHAPE
+    stack = make_lookup_batch(n_slices * local_rows, stack_dim, seed=seed).reshape(STACK_SHAPE)
+    stack_name = "x".join(map(str, STACK_SHAPE))
+    add(
+        "vector_lz_batch", "compress", stack_name, n_slices * local_rows, stack_dim, stack.nbytes,
+        lambda: lz.compress_stack(stack, error_bound),
+        lambda: [lz.compress(piece, error_bound) for piece in stack],
+        interleave=True,
+    )
+    stack_payloads = lz.compress_stack(stack, error_bound)
+    add(
+        "vector_lz_batch", "decompress", stack_name, n_slices * local_rows, stack_dim, stack.nbytes,
+        lambda: lz.decompress_stack(stack_payloads),
+        lambda: [decompress_any(payload) for payload in stack_payloads],
+        interleave=True,
+    )
 
     # --- critical-path analyzer: dependency-DAG reconstruction plus the
     # walk-back over a chunk-pipelined exchange timeline — the

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -116,19 +117,32 @@ class CompressionPipeline:
         codec_name = self.controller.compressor_name(table_id)
         error_bound = self.controller.error_bound(table_id, iteration)
         payload = self._codecs[codec_name].compress_keyed(table_id, rows, error_bound)
+        self._record_transfer(table_id, codec_name, error_bound, iteration, rows.nbytes, len(payload))
+        return payload
+
+    def _record_transfer(
+        self,
+        table_id: int,
+        codec_name: str,
+        error_bound: float,
+        iteration: int,
+        raw_nbytes: int,
+        compressed_nbytes: int,
+    ) -> None:
         self.stats.append(
             TransferStats(
                 iteration=iteration,
                 table_id=table_id,
                 codec=codec_name,
                 error_bound=error_bound,
-                original_nbytes=rows.nbytes,
-                compressed_nbytes=len(payload),
+                original_nbytes=raw_nbytes,
+                compressed_nbytes=compressed_nbytes,
             )
         )
         if OBS.enabled:
-            self._obs_transfer(table_id, codec_name, error_bound, iteration, rows.nbytes, len(payload))
-        return payload
+            self._obs_transfer(
+                table_id, codec_name, error_bound, iteration, raw_nbytes, compressed_nbytes
+            )
 
     def _obs_transfer(
         self,
@@ -178,16 +192,36 @@ class CompressionPipeline:
     ) -> list:
         """Stage ① over many independent ``(table_id, rows)`` slices.
 
-        Without an executor this is exactly a loop of
-        :meth:`compress_slice` (the seed's serial keyed path).  With one,
-        slices compress through the executor's stateless parallel path at
-        the autotuner's recommended parallelism — payload bytes are then
-        independent of worker count *and* of keyed cache state, so the
-        wire traffic is reproducible run to run.  Stats/obs accounting is
-        identical in either mode.
+        Without an executor, consecutive equal-shape slices of one
+        vector-LZ table — the 32 destination slices the trainer posts per
+        table — compress as one stack (:meth:`VectorLZCompressor.compress_stack`,
+        the wall-clock counterpart of the fused kernel ``fused_kernels``
+        prices); everything else goes slice by slice through
+        :meth:`compress_slice`.  Payload bytes and their order equal a plain
+        loop of :meth:`compress_slice`.  With an executor, slices compress
+        through its stateless parallel path at the autotuner's recommended
+        parallelism — payload bytes are then independent of worker count
+        *and* of keyed cache state, so the wire traffic is reproducible run
+        to run.  Stats/obs accounting is identical in every mode.
         """
         if self.executor is None:
-            return [self.compress_slice(t, rows, iteration) for t, rows in slices]
+            payloads: list = []
+            for (table_id, _, _), group in groupby(
+                slices, key=lambda s: (s[0], s[1].shape, s[1].dtype)
+            ):
+                rows = [r for _, r in group]
+                codec_name = self.controller.compressor_name(table_id)
+                if codec_name != "vector_lz" or len(rows) == 1 or rows[0].ndim != 2:
+                    payloads.extend(self.compress_slice(table_id, r, iteration) for r in rows)
+                    continue
+                error_bound = self.controller.error_bound(table_id, iteration)
+                stack_payloads = self._codecs[codec_name].compress_stack(np.stack(rows), error_bound)
+                for r, payload in zip(rows, stack_payloads):
+                    self._record_transfer(
+                        table_id, codec_name, error_bound, iteration, r.nbytes, len(payload)
+                    )
+                payloads.extend(stack_payloads)
+            return payloads
         from repro.compression.parallel import CompressJob
 
         jobs = []
@@ -200,20 +234,9 @@ class CompressionPipeline:
             routes.append((table_id, codec_name, error_bound))
         payloads = self.executor.compress_batch(jobs, parallelism=self._tuned_parallelism())
         for (table_id, codec_name, error_bound), job, payload in zip(routes, jobs, payloads):
-            self.stats.append(
-                TransferStats(
-                    iteration=iteration,
-                    table_id=table_id,
-                    codec=codec_name,
-                    error_bound=error_bound,
-                    original_nbytes=job.array.nbytes,
-                    compressed_nbytes=len(payload),
-                )
+            self._record_transfer(
+                table_id, codec_name, error_bound, iteration, job.array.nbytes, len(payload)
             )
-            if OBS.enabled:
-                self._obs_transfer(
-                    table_id, codec_name, error_bound, iteration, job.array.nbytes, len(payload)
-                )
         return payloads
 
     def decompress_slice(self, payload: bytes) -> np.ndarray:
@@ -230,18 +253,24 @@ class CompressionPipeline:
         exchange, as handed back by
         :meth:`~repro.dist.comm.Communicator.compressed_all_to_all`).
 
-        Decoding back to back keeps the Huffman peek-table and codebook
-        caches hot across payloads that share a table's codebook — one
-        cache fill amortizes over the exchange instead of per slice.  With
-        an executor attached, the batch decodes across its workers
-        (decompression is stateless, so results are identical).
+        A batch of equal-shape vector-LZ payloads (one table's slices)
+        decodes in one pass; otherwise decoding back to back keeps the
+        Huffman peek-table and codebook caches hot across payloads that
+        share a table's codebook — one cache fill amortizes over the
+        exchange instead of per slice.  With an executor attached, the
+        batch decodes across its workers (decompression is stateless, so
+        results are identical).
         """
         if self.executor is not None:
             arrays = self.executor.decompress_batch(
                 payloads, parallelism=self._tuned_parallelism()
             )
         else:
-            arrays = [decompress_any(payload) for payload in payloads]
+            arrays = None
+            if len(payloads) > 1:
+                arrays = self._codecs["vector_lz"].decompress_stack(payloads)
+            if arrays is None:
+                arrays = [decompress_any(payload) for payload in payloads]
         if OBS.enabled:
             OBS.registry.counter(
                 "pipeline_decompressed_bytes_total", "stage-④ output bytes"

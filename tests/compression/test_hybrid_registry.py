@@ -118,6 +118,33 @@ class TestRegistry:
         with pytest.raises(ValueError, match="produced by codec"):
             CuszLikeCompressor().decompress(payload)
 
+    def test_decompress_any_parses_once_with_one_decoder(self, gaussian_batch, monkeypatch):
+        """The header is parsed to find the codec and the same parse feeds
+        the decode, through one cached decoder instance per codec name."""
+        from repro.compression import base, hybrid, registry
+
+        calls = []
+
+        def counting_parse(payload):
+            calls.append(1)
+            return parse_payload(payload)
+
+        for module in (base, hybrid, registry):
+            monkeypatch.setattr(module, "parse_payload", counting_parse)
+        for name in available_compressors():
+            codec = get_compressor(name)
+            payload = codec.compress(gaussian_batch, 0.01)
+            del calls[:]
+            first = decompress_any(payload)
+            assert len(calls) == 1, name
+            inner = parse_payload(payload)[0]["codec"]
+            decoder = registry._DECODERS[inner]
+            np.testing.assert_array_equal(decompress_any(payload), first)
+            assert registry._DECODERS[inner] is decoder
+            del calls[:]
+            np.testing.assert_array_equal(codec.decompress(payload), first)
+            assert len(calls) == 1, name
+
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             decompress_any(b"\x00\x01\x02")

@@ -63,9 +63,9 @@ class TestRunSuite:
             assert record.seconds > 0
             assert record.throughput_mb_s > 0
         # Every shape-swept kernel carries the requested geometry; the
-        # one fabric-level row (critpath) carries its own.
+        # fabric-level rows (critpath, vector_lz_batch) carry their own.
         for record in tiny_records:
-            if record.codec == "critpath":
+            if record.codec in ("critpath", "vector_lz_batch"):
                 continue
             assert record.shape_name == "tiny"
             assert record.input_nbytes == 32 * 8 * 4
@@ -80,6 +80,16 @@ class TestRunSuite:
         assert row.shape_name == "fabric8x4"
         assert row.rows == 8 and row.dim == 4  # ranks x chunks
         assert row.input_nbytes > 0  # the chrome-trace JSON payload size
+
+    def test_batch_rows_present_once(self, tiny_records):
+        """The fused stage-①/④ rows ride along regardless of the shape
+        sweep, timed against the serial per-slice loop."""
+        rows = {r.op: r for r in tiny_records if r.codec == "vector_lz_batch"}
+        assert sorted(rows) == ["compress", "decompress"]
+        for row in rows.values():
+            assert row.shape_name == "32x128x64"
+            assert (row.rows, row.dim, row.input_nbytes) == (4096, 64, 4096 * 64 * 4)
+            assert row.reference_seconds is not None and row.speedup > 0
 
     def test_reference_ops_carry_speedup(self, tiny_records):
         with_ref = [r for r in tiny_records if r.reference_seconds is not None]

@@ -247,3 +247,72 @@ class TestHybridTrainer:
         report = trainer.train(2, 32)
         assert report.n_ranks == 1
         assert all(np.isfinite(report.history.losses))
+
+
+class TestBatchedExchangePin:
+    """The fused per-table stage ①/④ (``compress_stack`` / ``decompress_stack``
+    behind ``compress_slices`` / ``decompress_batch``) must be invisible:
+    same payload bytes, losses, parameters, stats and obs counters as the
+    per-slice loops it replaces."""
+
+    N_RANKS, BATCH, STEPS = 8, 256, 4
+
+    def _run(self, bench_world, per_slice: bool):
+        import hashlib
+        from dataclasses import replace
+
+        from repro.obs.runtime import capture
+
+        dataset, config = bench_world
+        plan = _make_plan(dataset, config)
+        # The offline analysis picks vector-LZ everywhere in this small
+        # world; pin two tables to Huffman so the per-slice keyed route
+        # (and its codebook cache) interleaves with the fused one.
+        tables = {
+            t: replace(table, compressor="entropy") if t in (3, 17) else table
+            for t, table in plan.tables.items()
+        }
+        plan = replace(plan, tables=tables)
+        pipe = CompressionPipeline(AdaptiveController(plan, StepwiseDecay(2.0, 2, n_steps=2)))
+        digests: list[str] = []
+        batched_compress = pipe.compress_slices
+
+        def compress_slices(slices, iteration):
+            if per_slice:
+                payloads = [pipe.compress_slice(t, rows, iteration) for t, rows in slices]
+            else:
+                payloads = batched_compress(slices, iteration)
+            digest = hashlib.sha256()
+            for payload in payloads:  # (table, dst) order of the exchange
+                digest.update(len(payload).to_bytes(8, "little"))
+                digest.update(payload)
+            digests.append(digest.hexdigest())
+            return payloads
+
+        pipe.compress_slices = compress_slices
+        if per_slice:
+            pipe.decompress_batch = lambda payloads: [pipe.decompress_slice(p) for p in payloads]
+        trainer = HybridParallelTrainer(
+            DLRM(config), dataset, ClusterSimulator(self.N_RANKS), pipeline=pipe, lr=0.2
+        )
+        with capture() as registry:
+            losses = [float(trainer.train_step(self.BATCH, it)) for it in range(self.STEPS)]
+        codecs = {pipe.controller.compressor_name(t) for t in range(config.n_tables)}
+        return trainer, pipe, losses, digests, registry.snapshot(), codecs
+
+    def test_batched_path_equals_per_slice_loops(self, bench_world):
+        fused, fused_pipe, fused_losses, fused_digests, fused_obs, codecs = self._run(
+            bench_world, per_slice=False
+        )
+        loop, loop_pipe, loop_losses, loop_digests, loop_obs, _ = self._run(
+            bench_world, per_slice=True
+        )
+        assert codecs == {"vector_lz", "entropy"}  # both routes exercised
+        assert fused_losses == loop_losses
+        for ours, theirs in zip(fused.model.parameters(), loop.model.parameters()):
+            np.testing.assert_array_equal(ours.data, theirs.data, err_msg=ours.name)
+        assert fused.forward_wire_bytes == loop.forward_wire_bytes
+        assert len(fused_digests) == self.STEPS and fused_digests == loop_digests
+        assert fused_pipe.stats == loop_pipe.stats
+        assert len(fused_pipe.stats) == self.STEPS * 26 * self.N_RANKS
+        assert fused_obs == loop_obs
