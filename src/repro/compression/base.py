@@ -132,34 +132,30 @@ class Compressor(ABC):
                 raise ValueError(f"{self.name}: requires a positive error_bound, got {error_bound!r}")
         return array
 
-    def compress(self, array: np.ndarray, error_bound: float | None = None) -> bytes:
-        """Compress a 2-D float batch into a self-describing payload."""
-        array = self._validate(array, error_bound)
-        meta, body = self._compress_body(array, error_bound)
-        return frame_payload(self.name, array.shape, array.dtype, meta, body)
+    def compress(self, array: np.ndarray, error_bound: float | None = None, *, key=None, pool=None):
+        """Compress a 2-D float batch into a self-describing payload.
 
-    def compress_into(self, array: np.ndarray, error_bound: float | None = None, *, pool):
-        """Compress into a pooled buffer; returns a live ``Lease``.
+        ``key`` is a stable per-stream identity (e.g. a table id): stateful
+        codecs reuse work across calls with the same key (cached codebooks,
+        pinned encoder choices), stateless codecs ignore it, and the bytes
+        stay self-describing either way.
 
-        Byte-identical to :meth:`compress` (``bytes(lease.view)`` equals the
-        plain payload) but the framed payload lands directly in a
-        :class:`~repro.compression.parallel.BitstreamPool` arena — after the
-        pool warms up, steady-state compression allocates no payload
-        ``bytes`` at all.  The caller owns the lease and must release it
-        when the payload is no longer needed.
+        ``pool`` (a :class:`~repro.compression.parallel.BitstreamPool`)
+        switches the return from ``bytes`` to a live ``Lease`` holding the
+        same bytes, framed directly into a pooled arena — once the pool is
+        warm, steady-state compression allocates no payload ``bytes``.  The
+        caller owns the lease and releases it when done with the payload.
         """
         array = self._validate(array, error_bound)
-        meta, body = self._compress_body(array, error_bound)
+        meta, body = self._compress_body(array, error_bound, key)
         parts = frame_parts(self.name, array.shape, array.dtype, meta, body)
-        total = sum(memoryview(p).nbytes for p in parts)
-        lease = pool.checkout(total)
+        if pool is None:
+            return b"".join(parts)
+        lease = pool.checkout(sum(len(part) for part in parts))
         pos = 0
-        for part in parts:
-            view = memoryview(part)
-            if view.ndim != 1 or view.format != "B":
-                view = view.cast("B")
-            lease.view[pos : pos + view.nbytes] = view
-            pos += view.nbytes
+        for part in parts:  # flat byte buffers (see _as_buffer)
+            lease.view[pos : pos + len(part)] = part
+            pos += len(part)
         return lease
 
     def decompress(self, payload: bytes | memoryview) -> np.ndarray:
@@ -183,30 +179,14 @@ class Compressor(ABC):
             raise AssertionError(f"{self.name}: decoded shape {array.shape} != {shape}")
         return array
 
-    def compress_keyed(
-        self, table_key: Any, array: np.ndarray, error_bound: float | None = None
-    ) -> bytes:
-        """Compress with a stable per-stream identity (e.g. a table id).
-
-        The key lets stateful codecs reuse work across iterations of the
-        same table (cached codebooks, pinned encoder choices).  The base
-        implementation ignores the key; payloads remain self-describing
-        either way, so :meth:`decompress` is unaffected.
-        """
-        return self.compress(array, error_bound)
-
-    def compress_keyed_into(
-        self, table_key: Any, array: np.ndarray, error_bound: float | None = None, *, pool
-    ):
-        """Keyed variant of :meth:`compress_into` (same lease contract)."""
-        return self.compress_into(array, error_bound, pool=pool)
-
     @abstractmethod
     def _compress_body(
-        self, array: np.ndarray, error_bound: float | None
+        self, array: np.ndarray, error_bound: float | None, key=None
     ) -> tuple[dict[str, Any], Any]:
         """Return ``(codec_meta, body)`` for a validated input.
 
+        ``key`` is :meth:`compress`'s per-stream identity (``None`` when the
+        caller gave none); only codecs that keep per-stream state read it.
         ``body`` is a single buffer (bytes/memoryview/contiguous ndarray)
         or a list of such parts; the framer joins parts with one copy.
         """

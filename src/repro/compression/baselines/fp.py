@@ -76,7 +76,7 @@ class Fp16Compressor(Compressor):
     lossy = True
     error_bounded = False
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None, key=None) -> tuple[dict[str, Any], bytes]:
         return {}, array.astype(np.float16)
 
     def _decompress_body(
@@ -92,7 +92,7 @@ class Fp8Compressor(Compressor):
     lossy = True
     error_bounded = False
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None, key=None) -> tuple[dict[str, Any], bytes]:
         return {}, float32_to_e4m3(array.astype(np.float32))
 
     def _decompress_body(

@@ -155,7 +155,7 @@ class FzGpuLikeCompressor(Compressor):
             raise ValueError(f"block_bytes must be >= 1, got {block_bytes}")
         self.block_bytes = int(block_bytes)
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None, key=None) -> tuple[dict[str, Any], bytes]:
         codes = quantize(array, float(error_bound))
         unsigned = zigzag_encode(codes.ravel())
         if unsigned.size and int(unsigned.max()) >= (1 << _PLANES):

@@ -317,7 +317,7 @@ class Lz4LikeCompressor(Compressor):
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = int(window)
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None, key=None) -> tuple[dict[str, Any], bytes]:
         raw = array.tobytes()
         return {"raw_size": len(raw), "window": self.window}, lz77_encode_bytes(raw, self.window)
 
@@ -340,7 +340,7 @@ class DeflateLikeCompressor(Compressor):
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = int(window)
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None, key=None) -> tuple[dict[str, Any], bytes]:
         raw = array.tobytes()
         lz_stream = lz77_encode_bytes(raw, self.window)
         encoded = huffman_encode(np.frombuffer(lz_stream, dtype=np.uint8), 256)

@@ -83,7 +83,7 @@ class ZfpLikeCompressor(Compressor):
             raise ValueError(f"rate must be in [2, 28] bits/value, got {rate}")
         self.rate = int(rate)
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None, key=None) -> tuple[dict[str, Any], bytes]:
         flat = array.astype(np.float64).ravel()
         if not np.isfinite(flat).all():
             raise ValueError("zfp_like: input contains NaN/inf")

@@ -7,7 +7,7 @@ concentrate into few bins, which canonical Huffman exploits directly —
 predictors turn identical vectors into distinct residuals and raise entropy).
 
 When constructed with a :class:`~repro.compression.cache.TableCodebookCache`
-and driven through :meth:`Compressor.compress_keyed`, the canonical codebook
+and called with ``compress(..., key=table_id)``, the canonical codebook
 built for a table is reused across iterations while it still covers the new
 batch's symbols and is within the cache's refresh window — skipping the
 Huffman tree construction on the training hot path.  Payloads always ship
@@ -48,7 +48,7 @@ class EntropyCompressor(Compressor):
         chunk-parallel GPU decompression.
     codebook_cache:
         Optional per-table codebook reuse across iterations; only active
-        for calls through :meth:`compress_keyed`.
+        for ``compress`` calls that pass ``key=``.
     """
 
     name = "entropy"
@@ -68,34 +68,15 @@ class EntropyCompressor(Compressor):
         self.max_code_length = int(max_code_length)
         self.chunk_symbols = int(chunk_symbols)
         self.codebook_cache = codebook_cache
-        self._active_key: Any = None
 
-    def compress_keyed(
-        self, table_key: Any, array: np.ndarray, error_bound: float | None = None
-    ) -> bytes:
-        self._active_key = table_key
-        try:
-            return self.compress(array, error_bound)
-        finally:
-            self._active_key = None
-
-    def compress_keyed_into(
-        self, table_key: Any, array: np.ndarray, error_bound: float | None = None, *, pool
-    ):
-        self._active_key = table_key
-        try:
-            return self.compress_into(array, error_bound, pool=pool)
-        finally:
-            self._active_key = None
-
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None, key=None) -> tuple[dict[str, Any], bytes]:
         batch = quantize_batch(array, float(error_bound))
         symbols = batch.codes.ravel()
         cache = self.codebook_cache
-        cacheable = cache is not None and self._active_key is not None and symbols.size > 0
+        cacheable = cache is not None and key is not None and symbols.size > 0
         encoded = None
         if cacheable:
-            entry = cache.lookup(self._active_key, symbols, batch.code_min)
+            entry = cache.lookup(key, symbols, batch.code_min)
             if entry is not None:
                 # lookup() already established coverage; skip re-validation.
                 encoded = huffman_encode_with_book(
@@ -119,7 +100,7 @@ class EntropyCompressor(Compressor):
                     # fresh encoder emits zero payload bits for them).
                     codes = np.zeros(encoded.code_lengths.size, dtype=np.uint64)
                     codes[used] = canonical_codes(encoded.code_lengths[used])
-                    cache.store(self._active_key, encoded.code_lengths, codes, batch.code_min)
+                    cache.store(key, encoded.code_lengths, codes, batch.code_min)
         meta = {
             "eb": batch.error_bound,
             "code_min": batch.code_min,

@@ -200,7 +200,7 @@ class QuantSumCompressor(HomomorphicCompressor):
     error_bounded = True
 
     def _compress_body(
-        self, array: np.ndarray, error_bound: float | None
+        self, array: np.ndarray, error_bound: float | None, key=None
     ) -> tuple[dict[str, Any], Any]:
         if array.size:
             peak = float(np.abs(array).max()) / (2.0 * float(error_bound))
@@ -300,7 +300,7 @@ class CountSumCompressor(HomomorphicCompressor):
     error_bounded = False
 
     def _compress_body(
-        self, array: np.ndarray, error_bound: float | None
+        self, array: np.ndarray, error_bound: float | None, key=None
     ) -> tuple[dict[str, Any], Any]:
         if array.size and not np.isfinite(array).all():
             raise ValueError(f"{self.name}: input contains NaN/inf")

@@ -13,7 +13,7 @@ optimized Huffman — chosen per embedding table.  Two selection modes:
 The payload embeds which encoder won, so decompression is self-contained.
 
 ``auto`` mode's try-both cost can be amortized on training hot loops: with
-``pin_refresh`` set and calls routed through :meth:`compress_keyed`, the
+``pin_refresh`` set and calls that pass ``key=table_id``, the
 winning leg for each table is *pinned* and replayed for ``pin_refresh``
 batches before the next try-both trial — per-table winners are extremely
 stable across iterations (Table V), so the trial cost is paid once per
@@ -69,114 +69,28 @@ class HybridCompressor(Compressor):
     def window(self) -> int:
         return self._lz.window
 
-    def compress_keyed(
-        self, table_key: Any, array: np.ndarray, error_bound: float | None = None
-    ) -> bytes:
-        """Compress with pinned-encoder replay and codebook-cache reuse.
+    def compress(self, array: np.ndarray, error_bound: float | None = None, *, key=None, pool=None):
+        """Compress with the selected (or, in ``auto`` mode, smaller) leg.
 
-        Without ``pin_refresh`` (or in a pinned ``encoder=`` mode) this
-        forwards the key so the entropy leg can reuse codebooks; in
-        ``auto`` mode with pinning it replays the table's last winner until
-        the pin ages out, then re-runs the try-both trial.
+        ``key`` reaches the entropy leg's codebook cache and, in ``auto``
+        mode with ``pin_refresh``, replays the table's last winner until the
+        pin ages out, then re-runs the try-both trial.  With ``pool`` the
+        single leg of a pinned mode or a replay — the steady state under
+        ``pin_refresh`` — lands in the lease with no intermediate payload;
+        a trial materializes both candidates anyway, so its winner is
+        copied in.
         """
-        if self.encoder == "lz":
-            return self._lz.compress(array, error_bound)
-        if self.encoder == "huffman":
-            return self._entropy.compress_keyed(table_key, array, error_bound)
-        if self.pins is None or table_key is None:
-            return self._compress_auto(table_key, array, error_bound)
-        pinned = self.pins.pinned(table_key)
-        if pinned is not None:
-            if OBS.enabled:
-                OBS.registry.counter(
-                    "hybrid_pin_replay_total", "pinned-encoder replays (trial skipped)"
-                ).inc(1, encoder=pinned)
-            if pinned == "lz":
-                return self._lz.compress(array, error_bound)
-            return self._entropy.compress_keyed(table_key, array, error_bound)
-        return self._trial_keyed(table_key, array, error_bound)
-
-    def _trial_keyed(
-        self, table_key: Any, array: np.ndarray, error_bound: float | None
-    ) -> bytes:
-        """Try-both trial round: compress with both legs, pin the winner."""
-        prior = self.pins.pins.get(table_key)
-        lz = self._lz.compress(array, error_bound)
-        huff = self._entropy.compress_keyed(table_key, array, error_bound)
-        winner = "lz" if len(lz) <= len(huff) else "huffman"
-        self.pins.record_winner(table_key, winner)
-        if OBS.enabled:
-            reg = OBS.registry
-            reg.counter(
-                "hybrid_pin_trial_total", "try-both encoder trials"
-            ).inc(1, encoder=winner)
-            if prior is not None and prior.winner != winner:
-                reg.counter(
-                    "hybrid_pin_switch_total",
-                    "trials whose winner differed from the expiring pin (codec churn)",
-                ).inc(1)
-        return lz if winner == "lz" else huff
-
-    def compress_into(self, array: np.ndarray, error_bound: float | None = None, *, pool):
-        """Pooled variant of :meth:`compress`.
-
-        Pinned ``encoder=`` modes assemble the winning leg's payload
-        directly into the lease; ``auto`` mode must materialize both
-        candidates anyway, so the winner is copied into the lease.
-        """
-        if self.encoder == "lz":
-            return self._lz.compress_into(array, error_bound, pool=pool)
-        if self.encoder == "huffman":
-            return self._entropy.compress_into(array, error_bound, pool=pool)
-        return pool.checkout_bytes(self.compress(array, error_bound))
-
-    def compress_keyed_into(
-        self, table_key: Any, array: np.ndarray, error_bound: float | None = None, *, pool
-    ):
-        """Pooled variant of :meth:`compress_keyed` (same pin semantics).
-
-        Pinned replays — the steady state under ``pin_refresh`` — land in
-        the lease with zero intermediate payload allocation; the rare
-        try-both trial rounds copy the winner in.
-        """
-        if self.encoder == "lz":
-            return self._lz.compress_into(array, error_bound, pool=pool)
-        if self.encoder == "huffman":
-            return self._entropy.compress_keyed_into(table_key, array, error_bound, pool=pool)
-        if self.pins is None or table_key is None:
-            return pool.checkout_bytes(self._compress_auto(table_key, array, error_bound))
-        pinned = self.pins.pinned(table_key)
-        if pinned is not None:
-            if OBS.enabled:
-                OBS.registry.counter(
-                    "hybrid_pin_replay_total", "pinned-encoder replays (trial skipped)"
-                ).inc(1, encoder=pinned)
-            if pinned == "lz":
-                return self._lz.compress_into(array, error_bound, pool=pool)
-            return self._entropy.compress_keyed_into(table_key, array, error_bound, pool=pool)
-        return pool.checkout_bytes(self._trial_keyed(table_key, array, error_bound))
-
-    def _compress_auto(
-        self, table_key: Any, array: np.ndarray, error_bound: float | None
-    ) -> bytes:
-        candidates = [
-            self._lz.compress(array, error_bound),
-            self._entropy.compress_keyed(table_key, array, error_bound),
-        ]
-        return min(candidates, key=len)
-
-    def compress(self, array: np.ndarray, error_bound: float | None = None) -> bytes:
-        array = np.ascontiguousarray(array)
-        if array.ndim != 2:
-            raise ValueError(f"hybrid: expected 2-D (batch, dim) array, got shape {array.shape}")
-        if error_bound is None or not error_bound > 0:
-            raise ValueError(f"hybrid: requires a positive error_bound, got {error_bound!r}")
-        candidates = []
-        if self.encoder in ("auto", "lz"):
-            candidates.append(self._lz.compress(array, error_bound))
-        if self.encoder in ("auto", "huffman"):
-            candidates.append(self._entropy.compress(array, error_bound))
-        best = min(candidates, key=len)
+        array = self._validate(array, error_bound)
+        pins = self.pins if key is not None else None  # un-keyed calls leave pins alone
+        leg = self._route(pins, key)
+        if leg == "lz":
+            out = self._lz.compress(array, error_bound, pool=pool)
+        elif leg == "huffman":
+            out = self._entropy.compress(array, error_bound, key=key, pool=pool)
+        else:
+            out = self._trial(array, error_bound, pins, key)
+            if pool is not None:
+                out = pool.checkout_bytes(out)
         if OBS.enabled:
             reg = OBS.registry
             reg.counter("hybrid_raw_bytes_total", "hybrid compress input bytes").inc(
@@ -184,8 +98,43 @@ class HybridCompressor(Compressor):
             )
             reg.counter(
                 "hybrid_compressed_bytes_total", "hybrid compress output bytes"
-            ).inc(len(best))
-        return best
+            ).inc(len(out))
+        return out
+
+    def _route(self, pins: EncoderPinCache | None, key) -> str:
+        """``encoder`` mode x pin state -> the leg to run: lz | huffman | trial."""
+        if self.encoder != "auto":
+            return self.encoder
+        pinned = pins.pinned(key) if pins is not None else None
+        if pinned is None:
+            return "trial"
+        if OBS.enabled:
+            OBS.registry.counter(
+                "hybrid_pin_replay_total", "pinned-encoder replays (trial skipped)"
+            ).inc(1, encoder=pinned)
+        return pinned
+
+    def _trial(
+        self, array: np.ndarray, error_bound: float | None, pins: EncoderPinCache | None, key
+    ) -> bytes:
+        """Try both legs, keep the smaller payload, pin the winner for ``key``."""
+        lz = self._lz.compress(array, error_bound)
+        huff = self._entropy.compress(array, error_bound, key=key)
+        winner = "lz" if len(lz) <= len(huff) else "huffman"
+        if pins is not None:
+            prior = pins.pins.get(key)
+            pins.record_winner(key, winner)
+            if OBS.enabled:
+                reg = OBS.registry
+                reg.counter(
+                    "hybrid_pin_trial_total", "try-both encoder trials"
+                ).inc(1, encoder=winner)
+                if prior is not None and prior.winner != winner:
+                    reg.counter(
+                        "hybrid_pin_switch_total",
+                        "trials whose winner differed from the expiring pin (codec churn)",
+                    ).inc(1)
+        return lz if winner == "lz" else huff
 
     def decompress(self, payload: bytes | memoryview) -> np.ndarray:
         header, body = parse_payload(payload)
@@ -204,7 +153,7 @@ class HybridCompressor(Compressor):
 
     # The public compress/decompress are overridden wholesale (the payload is
     # delegated to the winning sub-codec), so the body hooks are unused.
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None, key=None) -> tuple[dict[str, Any], bytes]:
         raise NotImplementedError("HybridCompressor delegates framing to its sub-codecs")
 
     def _decompress_body(

@@ -463,7 +463,7 @@ class VectorLZCompressor(Compressor):
             bodies.append((meta, [encoded.flags, encoded.offsets, encoded.literals]))
         return bodies
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], list]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None, key=None) -> tuple[dict[str, Any], list]:
         return self._encode_bodies(array[None], float(error_bound))[0]
 
     def compress_stack(self, stack: np.ndarray, error_bound: float | None = None) -> list[bytes]:

@@ -418,15 +418,15 @@ def run_suite(
         )
 
         # --- hybrid auto with pinned-encoder replay: the training hot
-        # loop's configuration (compress_keyed + pin_refresh) amortizes
+        # loop's configuration (key= + pin_refresh) amortizes
         # the try-both trial over the refresh window, so steady-state
         # calls run a single leg.  Reference: the per-call try-both auto
         # path, so the speedup is exactly what pinning buys. ---
         pinned = HybridCompressor(pin_refresh=PIN_REFRESH)
-        pinned.compress_keyed("bench", batch, error_bound)  # pin the winner
+        pinned.compress(batch, error_bound, key="bench")  # pin the winner
         add(
             "hybrid_pinned", "compress", shape_name, rows, dim, nbytes,
-            lambda: pinned.compress_keyed("bench", batch, error_bound),
+            lambda: pinned.compress(batch, error_bound, key="bench"),
             lambda: hybrid.compress(batch, error_bound),
         )
 
@@ -472,10 +472,11 @@ def run_suite(
             lambda: _reference_verify_checksum_frame(framed_payload),
             measure_alloc=True,
         )
-        hybrid.compress_into(batch, error_bound, pool=zero_pool).release()  # warm arena
+        hybrid.compress(batch, error_bound, pool=zero_pool).release()  # warm arena
+        # (label predates compress(pool=); kept so the bench trajectory stays one series)
         add(
             "zero_copy", "compress_into", shape_name, rows, dim, nbytes,
-            lambda: hybrid.compress_into(batch, error_bound, pool=zero_pool).release(),
+            lambda: hybrid.compress(batch, error_bound, pool=zero_pool).release(),
             lambda: hybrid.compress(batch, error_bound),
             measure_alloc=True,
         )

@@ -301,8 +301,8 @@ class DeltaPublisher:
                     np.subtract(current, self._published[table_id], out=delta)
                     codec_name = pipeline.controller.compressor_name(table_id)
                     bound = pipeline.controller.error_bound(table_id, iteration)
-                    lease = self._codec(codec_name).compress_keyed_into(
-                        table_id, delta, bound, pool=self._pool
+                    lease = self._codec(codec_name).compress(
+                        delta, bound, key=table_id, pool=self._pool
                     )
                     round_leases.append(lease)
                     payload = lease.view

@@ -126,7 +126,7 @@ class _CompressedTable:
         error_bound: float,
         rows_per_block: int,
         codec: Compressor,
-        pool: BitstreamPool | None = None,
+        pool: BitstreamPool,
     ):
         values = np.ascontiguousarray(values, dtype=np.float32)
         if values.ndim != 2:
@@ -145,35 +145,32 @@ class _CompressedTable:
         self.raw_nbytes = int(values.nbytes)
         self._pool = pool
         self._block_leases: list = []
-        self.blocks: list = []  # bytes, or pooled memoryviews when pool is set
+        self.blocks: list = []  # pooled memoryviews, one per row block
         self._recompress(values)
 
     def _recompress(self, values: np.ndarray) -> None:
         bound = self.error_bound if self.error_bound > 0 else None
-        # Every publication round replaces every block, so last round's
-        # arenas are dead — hand them back *first* and the new blocks land
-        # in the recycled memory instead of fresh allocations.
+        # Keyed by table so pin/codebook caches amortize per table.  Encode
+        # every new block before touching the old ones: a rejected table
+        # (NaN, an outlier past the quantizer's range) must leave the
+        # previous blocks serving.
+        leases: list = []
+        try:
+            for lo in range(0, self.cardinality, self.rows_per_block):
+                block = values[lo : lo + self.rows_per_block]
+                leases.append(
+                    self._codec.compress(block, bound, key=self.table_id, pool=self._pool)
+                )
+        except BaseException:
+            for lease in leases:
+                lease.release()
+            raise
+        # Last round's arenas go back only now, so they recycle one round
+        # later (round N+1 lands in round N-1's memory).
         for lease in self._block_leases:
             lease.release()
-        self._block_leases = []
-        blocks: list = []
-        for lo in range(0, self.cardinality, self.rows_per_block):
-            block = values[lo : lo + self.rows_per_block]
-            if self._pool is not None:
-                if bound is not None:
-                    # Keyed by table so pin/codebook caches amortize per table.
-                    lease = self._codec.compress_keyed_into(
-                        self.table_id, block, bound, pool=self._pool
-                    )
-                else:
-                    lease = self._codec.compress_into(block, bound, pool=self._pool)
-                self._block_leases.append(lease)
-                blocks.append(lease.view)
-            elif bound is not None:
-                blocks.append(self._codec.compress_keyed(self.table_id, block, bound))
-            else:
-                blocks.append(self._codec.compress(block, bound))
-        self.blocks = blocks
+        self._block_leases = leases
+        self.blocks = [lease.view for lease in leases]
 
     @property
     def n_blocks(self) -> int:

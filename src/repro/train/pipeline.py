@@ -116,7 +116,7 @@ class CompressionPipeline:
         """Compress one table's rows bound for one destination rank."""
         codec_name = self.controller.compressor_name(table_id)
         error_bound = self.controller.error_bound(table_id, iteration)
-        payload = self._codecs[codec_name].compress_keyed(table_id, rows, error_bound)
+        payload = self._codecs[codec_name].compress(rows, error_bound, key=table_id)
         self._record_transfer(table_id, codec_name, error_bound, iteration, rows.nbytes, len(payload))
         return payload
 

@@ -105,7 +105,7 @@ class TestEntropyCompressorCaching:
         base = rng.normal(0, 0.1, size=(64, 8)).astype(np.float32)
         for it in range(6):
             batch = base[rng.integers(0, 64, size=100)] + np.float32(1e-4 * it)
-            payload = codec.compress_keyed(5, batch, 0.01)
+            payload = codec.compress(batch, 0.01, key=5)
             rec = codec.decompress(payload)
             assert np.abs(batch - rec).max() <= 0.01 + 1e-6
         assert cache.hits > 0
@@ -122,8 +122,8 @@ class TestEntropyCompressorCaching:
         cache = TableCodebookCache(refresh_every=8)
         codec = EntropyCompressor(codebook_cache=cache)
         data = rng.normal(0, 0.1, (128, 16)).astype(np.float32)
-        first = codec.compress_keyed("t", data, 0.01)
-        second = codec.compress_keyed("t", data, 0.01)
+        first = codec.compress(data, 0.01, key="t")
+        second = codec.compress(data, 0.01, key="t")
         # Identical input + cached book: payloads identical, decode exact.
         assert first == second
         assert cache.hits == 1
@@ -143,8 +143,8 @@ class TestEntropyCompressorCaching:
         ).astype(np.float32)
         batch1 = np.concatenate([values, np.full((1, 16), -2.00, np.float32)])
         batch2 = np.concatenate([values, np.full((1, 16), -1.98, np.float32)])
-        codec.compress_keyed("t", batch1, 0.01)
-        cached_payload = codec.compress_keyed("t", batch2, 0.01)
+        codec.compress(batch1, 0.01, key="t")
+        cached_payload = codec.compress(batch2, 0.01, key="t")
         assert cache.shift_misses == 1
         # The keyed payload must not be inflated vs a fresh (uncached) encode.
         fresh_payload = fresh.compress(batch2, 0.01)
@@ -161,9 +161,9 @@ class TestEntropyCompressorCaching:
         # wide batch exercises the coverage check, not the shift check.
         floor = np.full((1, 8), -2.0, dtype=np.float32)
         narrow = np.concatenate([rng.normal(0, 0.01, (64, 8)).astype(np.float32), floor])
-        codec.compress_keyed("t", narrow, 0.001)
+        codec.compress(narrow, 0.001, key="t")
         wide = np.concatenate([rng.normal(0, 0.3, (64, 8)).astype(np.float32), floor])
-        payload = codec.compress_keyed("t", wide, 0.001)
+        payload = codec.compress(wide, 0.001, key="t")
         rec = codec.decompress(payload)
         assert np.abs(wide - rec).max() <= 0.001 + 1e-5
         assert cache.coverage_misses >= 1
@@ -178,13 +178,13 @@ class TestHybridPinning:
         rng = np.random.default_rng(4)
         codec = HybridCompressor(pin_refresh=4)
         data = self._lz_friendly(rng)
-        first = codec.compress_keyed(0, data, 0.01)
+        first = codec.compress(data, 0.01, key=0)
         assert codec.pins.trials == 1
         for _ in range(4):
-            codec.compress_keyed(0, data, 0.01)
+            codec.compress(data, 0.01, key=0)
         assert codec.pins.pinned_hits == 4
         # Window exhausted: the next call re-trials.
-        codec.compress_keyed(0, data, 0.01)
+        codec.compress(data, 0.01, key=0)
         assert codec.pins.trials == 2
         # Pinned payloads stay self-describing.
         rec = decompress_any(first)
@@ -195,14 +195,14 @@ class TestHybridPinning:
         pinned = HybridCompressor(pin_refresh=8)
         auto = HybridCompressor()
         data = self._lz_friendly(rng)
-        pinned.compress_keyed(0, data, 0.01)  # trial
-        assert pinned.compress_keyed(0, data, 0.01) == auto.compress(data, 0.01)
+        pinned.compress(data, 0.01, key=0)  # trial
+        assert pinned.compress(data, 0.01, key=0) == auto.compress(data, 0.01)
 
     def test_no_pinning_without_refresh_window(self):
         codec = HybridCompressor()
         assert codec.pins is None
         data = self._lz_friendly(np.random.default_rng(6))
-        payload = codec.compress_keyed(0, data, 0.01)
+        payload = codec.compress(data, 0.01, key=0)
         assert np.abs(data - decompress_any(payload)).max() <= 0.01 + 1e-6
 
     def test_pinned_encoder_modes_forward_key(self):
@@ -210,7 +210,7 @@ class TestHybridPinning:
         data = self._lz_friendly(rng)
         for mode in ("lz", "huffman"):
             codec = HybridCompressor(encoder=mode, pin_refresh=4)
-            payload = codec.compress_keyed(0, data, 0.01)
+            payload = codec.compress(data, 0.01, key=0)
             assert np.abs(data - decompress_any(payload)).max() <= 0.01 + 1e-6
             assert codec.pins.trials == 0  # pinned modes never trial
 

@@ -116,6 +116,35 @@ class TestUpdates:
         server.set_table(0, new)
         np.testing.assert_array_equal(server.table_array(0), new)
 
+    @pytest.mark.parametrize(
+        "codec,poison",
+        [("hybrid", np.nan), ("hybrid", 1e9), ("vector_lz", np.nan), ("entropy", 1e9)],
+    )
+    def test_rejected_set_table_keeps_serving_the_old_table(self, codec, poison):
+        """A table the quantizer rejects part-way (the poison sits in the
+        third of four blocks) must leave the previous blocks live: same
+        rows bit for bit, no released lease behind ``pull``, nothing leaked
+        from the pool."""
+        table = make_table()
+        server = EmbeddingShardServer({0: table}, 1e-2, codec, rows_per_block=64)
+        before = server.table_array(0)
+        live = server.pool.stats.live
+        bad = table.copy()
+        bad[150, 3] = poison
+        with pytest.raises(ValueError, match="quantize"):
+            server.set_table(0, bad)
+        np.testing.assert_array_equal(server.table_array(0), before)
+        ids = np.array([0, 70, 150, 199])
+        np.testing.assert_array_equal(server.lookup_rows(0, ids), before[ids])
+        assert server.pool.stats.live == live
+        # ...and the table still accepts the next good publication, with the
+        # arenas of the replaced round recycling.
+        server.set_table(0, table + 0.5)
+        server.set_table(0, table)
+        np.testing.assert_array_equal(server.table_array(0), before)
+        assert server.pool.stats.live == live
+        assert server.pool.stats.reuses > 0
+
     def test_set_table_shape_mismatch(self):
         server = EmbeddingShardServer({0: make_table()})
         with pytest.raises(ValueError, match="expected shape"):
