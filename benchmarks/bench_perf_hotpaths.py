@@ -53,7 +53,8 @@ def test_report(records):
 
 
 def test_every_kernel_covered_on_every_shape(records):
-    # Fabric-level rows (critpath, vector_lz_batch) carry their own geometry.
+    # Fabric-level rows (critpath, vector_lz_batch, shard_recompress) carry
+    # their own geometry.
     keys = {(r.codec, r.op) for r in records if r.shape_name in PAPER_SHAPES}
     expected = {
         ("quantizer", "quantize"),
@@ -88,6 +89,8 @@ def test_every_kernel_covered_on_every_shape(records):
         ("critpath", "extract"),
         ("vector_lz_batch", "compress"),
         ("vector_lz_batch", "decompress"),
+        ("shard_recompress", "churn0"),
+        ("shard_recompress", "churn100"),
     }
     for shape in PAPER_SHAPES:
         assert sum(r.shape_name == shape for r in records) == len(expected)
@@ -169,6 +172,17 @@ def test_hybrid_pinned_speedup(records):
     for shape in LARGE_SHAPES:
         s = by_key[("hybrid_pinned", "compress", shape)].speedup
         assert s is not None and s >= 1.0, f"hybrid_pinned [{shape}] speedup {s}"
+
+
+def test_shard_recompress_speedup(records):
+    """Incremental shard re-encode claim: against the per-block loop a
+    publication round used to run, an unchanged table (digests only) is
+    >= 5x cheaper and a fully changed one (digests + stacked encode) is
+    >= 1.5x cheaper — the floor the stacked route must clear to stay."""
+    by_key = _by_key(records)
+    for op, floor in (("churn0", 5.0), ("churn100", 1.5)):
+        s = by_key[("shard_recompress", op, "4000x32")].speedup
+        assert s is not None and s >= floor, f"shard_recompress.{op} speedup {s}"
 
 
 def test_obs_instrumentation_overhead_bounded(records):

@@ -393,6 +393,23 @@ def _series_label(name: str, key: LabelKey) -> str:
     return name + "{" + ",".join(f"{k}={v}" for k, v in key) + "}"
 
 
+def _shard_reencode_line(snapshot: RegistrySnapshot) -> str | None:
+    """How much of the shard tier's storage the publication rounds actually
+    re-encoded, summed over tables (``None`` when no ``set_table`` ran)."""
+    try:
+        reencoded, unchanged = (
+            sum(float(value) for _key, value in snapshot.family(name).series)
+            for name in ("shard_blocks_reencoded_total", "shard_blocks_unchanged_total")
+        )
+    except KeyError:
+        return None
+    offered = reencoded + unchanged
+    return (
+        f"shard re-encode: {reencoded:.0f} of {offered:.0f} row blocks re-encoded "
+        f"({100.0 * reencoded / max(1.0, offered):.1f}%), the rest unchanged"
+    )
+
+
 def run_report(
     source: RegistrySnapshot | MetricsRegistry,
     *,
@@ -456,12 +473,15 @@ def run_report(
                 title=f"{title} — histograms (exact-rank quantiles)",
             )
         )
+    reencode_line = _shard_reencode_line(snapshot)
     for tier_name, timeline in (timelines or {}).items():
-        sections.append(
-            breakdown_report(
-                timeline, title=f"{title} — {tier_name} time breakdown"
-            )
-        )
+        section = breakdown_report(timeline, title=f"{title} — {tier_name} time breakdown")
+        if tier_name == "publish" and reencode_line:
+            section += "\n" + reencode_line
+            reencode_line = None
+        sections.append(section)
+    if reencode_line:  # no publish timeline to sit under
+        sections.append(reencode_line)
     if critical_paths:
         from repro.obs.critpath import critical_path_report
 

@@ -25,6 +25,7 @@ CLI::
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import platform
 import time
@@ -131,6 +132,11 @@ PARALLEL_JOB_SLICES = 8
 #: the vector_lz_batch rows' stack: (destination slices, local rows, dim)
 #: of one table in the headline 32-rank, batch-4096, dim-64 exchange
 STACK_SHAPE = (32, 128, 64)
+
+#: the shard_recompress rows' table: (rows, dim) stored in 64-row blocks —
+#: 62 full blocks and a ragged 32-row tail
+SHARD_TABLE_SHAPE = (4000, 32)
+SHARD_ROWS_PER_BLOCK = 64
 
 #: kernels whose committed speedups carry comfortable headroom over their
 #: seed references get a tighter regression gate than the default 3x —
@@ -549,6 +555,45 @@ def run_suite(
         "vector_lz_batch", "decompress", stack_name, n_slices * local_rows, stack_dim, stack.nbytes,
         lambda: lz.decompress_stack(stack_payloads),
         lambda: [decompress_any(payload) for payload in stack_payloads],
+        interleave=True,
+    )
+
+    # --- incremental shard re-encode: one ``set_table`` of a vector-LZ
+    # table against the per-block loop that used to run every publication
+    # round.  churn0 re-publishes unchanged values (digest only, the
+    # common round); churn100 changes every block (digest + one stacked
+    # encode of the full-size blocks + the ragged tail).  One row pair
+    # regardless of the shape sweep. ---
+    from repro.serve.shard_server import EmbeddingShardServer
+
+    shard_rows, shard_dim = SHARD_TABLE_SHAPE
+    shard_values = make_lookup_batch(shard_rows, shard_dim, seed=seed)
+    shard = EmbeddingShardServer(
+        {0: shard_values}, error_bound, "vector_lz", rows_per_block=SHARD_ROWS_PER_BLOCK
+    )
+    loop_pool = BitstreamPool()
+
+    def _per_block_loop():
+        leases = [
+            lz.compress(shard_values[lo : lo + SHARD_ROWS_PER_BLOCK], error_bound, key=0, pool=loop_pool)
+            for lo in range(0, shard_rows, SHARD_ROWS_PER_BLOCK)
+        ]
+        for lease in leases:
+            lease.release()
+
+    # every call publishes the table the shard does not hold
+    churn = itertools.cycle([shard_values + np.float32(0.5), shard_values])
+    shard_name = f"{shard_rows}x{shard_dim}"
+    add(
+        "shard_recompress", "churn0", shard_name, shard_rows, shard_dim, shard_values.nbytes,
+        lambda: shard.set_table(0, shard_values),
+        _per_block_loop,
+        interleave=True,
+    )
+    add(
+        "shard_recompress", "churn100", shard_name, shard_rows, shard_dim, shard_values.nbytes,
+        lambda: shard.set_table(0, next(churn)),
+        _per_block_loop,
         interleave=True,
     )
 

@@ -231,7 +231,8 @@ class DeltaPublisher:
         # Pooled buffers for the per-round hot loop: delta payloads and
         # checksum envelopes land in recycled arenas (released at the end
         # of each round), and the delta itself is computed into a per-table
-        # scratch array — steady-state publication allocates nothing new.
+        # scratch array.  What a steady-state round still allocates is the
+        # new logical state, one ``published + decoded`` array per table.
         self._pool = BitstreamPool()
         self._delta_scratch: dict[int, np.ndarray] = {}
         # The serving tier's logical state: exactly what the shard servers
@@ -417,10 +418,11 @@ class DeltaPublisher:
         apply_seconds: list[float] = []
         if succeeded:
             # Apply: shard nodes recompress their tables from the exact new
-            # logical state; replicas drop the now-stale cached rows.  The
-            # recompression kernels dominate the apply window, so they are
-            # priced at the shard codec's compress throughput (plus the
-            # staging memcpy).
+            # logical state (only the row blocks that changed); replicas
+            # drop their cached rows for every published table.  The
+            # simulated apply window still prices a full-table recompress
+            # at the shard codec's compress throughput (plus the staging
+            # memcpy).
             gpu = sim.gpu
             for shard_rank, server in enumerate(self.servers):
                 seconds = 0.0

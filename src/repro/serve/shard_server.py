@@ -16,10 +16,20 @@ table carries its own bound (typically the
 via :meth:`EmbeddingShardServer.from_model`).  A bound of ``0`` stores the
 table losslessly (byte-LZ), so compressed lookups are bit-identical to the
 raw rows — the contract the serving tests pin.
+
+**Updates are incremental.**  :meth:`EmbeddingShardServer.set_table` takes
+the table's exact new values and re-encodes only the row blocks whose
+float32 bytes differ from what the block was last encoded from (one 16-byte
+digest per block is kept for the comparison).  A publication round whose
+delta quantised to zero — most rounds, by the same sparsity the delta codec
+exploits on the wire — therefore costs one hash pass, not a recompression
+of every block; and since each block is still encoded from exact values,
+storage error never compounds.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -29,6 +39,7 @@ from repro.compression.base import Compressor
 from repro.compression.cache import TableCodebookCache
 from repro.compression.parallel.pool import BitstreamPool
 from repro.compression.registry import decompress_any, get_compressor
+from repro.compression.vector_lz import VectorLZCompressor
 from repro.obs.runtime import OBS
 from repro.utils.validation import check_positive
 
@@ -48,18 +59,22 @@ DEFAULT_ROWS_PER_BLOCK = 64
 #: codec used when a table's error bound is 0 (lossless, bit-identical)
 LOSSLESS_CODEC = "lz4_like"
 
-#: pin/refresh windows for the serving-side hot-loop caches — every block
-#: of a table recompresses per publication round, so the windows comfortably
-#: cover one table's block count
+#: pin/refresh windows for the serving-side hot-loop caches — a build or a
+#: full-churn round recompresses every block of a table back to back, so the
+#: windows comfortably cover one table's block count
 SERVING_PIN_REFRESH = 64
 SERVING_CODEBOOK_REFRESH = 8
+
+#: per-block change-detection digest (blake2b-128 over the block's exact
+#: float32 bytes): a changed block goes unnoticed only on a 2**-128 collision
+DIGEST_BYTES = 16
 
 
 def serving_codec(name: str) -> Compressor:
     """A codec instance with its hot-loop caches enabled.
 
-    The serve tier compresses *keyed by table* in bulk (every block of a
-    table per recompression, every table delta per publication round), so
+    The serve tier compresses *keyed by table* in bulk (every changed block
+    of a table per recompression, every table delta per publication round), so
     the hybrid codec gets pinned-encoder replay and the entropy codec a
     per-table codebook cache — the same amortizations the training hot
     loop uses (and the ``hybrid_pinned`` perf rows measure at 3-5x).
@@ -67,7 +82,7 @@ def serving_codec(name: str) -> Compressor:
     if name == "hybrid":
         # Pin replay for the try-both trial *and* a codebook cache for the
         # entropy leg — tables whose pinned winner is Huffman recompress
-        # every block per publication round.
+        # their changed blocks every publication round.
         return get_compressor(
             name,
             pin_refresh=SERVING_PIN_REFRESH,
@@ -144,33 +159,76 @@ class _CompressedTable:
         self._codec = codec
         self.raw_nbytes = int(values.nbytes)
         self._pool = pool
-        self._block_leases: list = []
-        self.blocks: list = []  # pooled memoryviews, one per row block
+        n_blocks = -(-self.cardinality // self.rows_per_block)
+        self._block_leases: list = [None] * n_blocks
+        self.blocks: list = [None] * n_blocks  # pooled memoryviews, one per row block
+        #: blake2b-128 of the exact float32 bytes each block was last encoded from
+        self._digests: list = [None] * n_blocks
         self._recompress(values)
 
-    def _recompress(self, values: np.ndarray) -> None:
+    def _recompress(self, values: np.ndarray) -> int:
+        """Re-encode the row blocks whose exact bytes differ from what they
+        were last encoded from (every block on the first build); returns
+        how many that was.  All-or-nothing: a rejected table (NaN, an
+        outlier past the quantizer's range) leaves blocks *and* digests at
+        the previous state, so the old table keeps serving and an equal
+        re-publication of it is still recognised as unchanged."""
+        raw = values.reshape(-1).view(np.uint8)
+        block_nbytes = self.rows_per_block * self.dim * values.itemsize
+        digests = [
+            hashlib.blake2b(
+                raw[b * block_nbytes : (b + 1) * block_nbytes], digest_size=DIGEST_BYTES
+            ).digest()
+            for b in range(len(self.blocks))
+        ]
+        dirty = [b for b, digest in enumerate(digests) if digest != self._digests[b]]
+        for block_id, lease in self._encode_blocks(values, dirty).items():
+            # Only the replaced arenas go back to the pool (to recycle on a
+            # later round); an untouched block's pooled memory stays put.
+            if self._block_leases[block_id] is not None:
+                self._block_leases[block_id].release()
+            self._block_leases[block_id] = lease
+            self.blocks[block_id] = lease.view
+            self._digests[block_id] = digests[block_id]
+        return len(dirty)
+
+    def _encode_blocks(self, values: np.ndarray, block_ids: list[int]) -> dict:
+        """``{block_id: pooled lease}`` for the given row blocks of
+        ``values`` — either every block encodes or none is kept."""
         bound = self.error_bound if self.error_bound > 0 else None
-        # Keyed by table so pin/codebook caches amortize per table.  Encode
-        # every new block before touching the old ones: a rejected table
-        # (NaN, an outlier past the quantizer's range) must leave the
-        # previous blocks serving.
-        leases: list = []
+        step = self.rows_per_block
+        n_full = self.cardinality // step
+        # Vector-LZ is stateless and batches equal-shape inputs: the dirty
+        # full-size blocks go through one compress_stack pass (payloads
+        # byte-identical to the per-block calls).  The ragged tail block
+        # and the keyed codecs, whose pin/codebook caches age per call,
+        # take the per-block call below.
+        stacked = [b for b in block_ids if b < n_full]
+        if not isinstance(self._codec, VectorLZCompressor) or len(stacked) < 2:
+            stacked = []
+        leases: dict = {}
         try:
-            for lo in range(0, self.cardinality, self.rows_per_block):
-                block = values[lo : lo + self.rows_per_block]
-                leases.append(
-                    self._codec.compress(block, bound, key=self.table_id, pool=self._pool)
-                )
+            if stacked:
+                grid = values[: n_full * step].reshape(n_full, step, self.dim)
+                first, last = stacked[0], stacked[-1]
+                # a contiguous dirty run (first build, full churn) is a view
+                stack = grid[first : last + 1] if last - first + 1 == len(stacked) else grid[stacked]
+                for block_id, frame in zip(stacked, self._codec.compress_stack(stack, bound)):
+                    leases[block_id] = self._pool.checkout_bytes(frame)
+            for block_id in block_ids:
+                if block_id not in leases:
+                    # Keyed by table so pin/codebook caches amortize per table.
+                    leases[block_id] = self._codec.compress(
+                        values[block_id * step : (block_id + 1) * step],
+                        bound,
+                        key=self.table_id,
+                        pool=self._pool,
+                    )
         except BaseException:
-            for lease in leases:
+            for lease in leases.values():
                 lease.release()
             raise
-        # Last round's arenas go back only now, so they recycle one round
-        # later (round N+1 lands in round N-1's memory).
-        for lease in self._block_leases:
-            lease.release()
-        self._block_leases = leases
-        self.blocks = [lease.view for lease in leases]
+        return leases
 
     @property
     def n_blocks(self) -> int:
@@ -235,9 +293,10 @@ class EmbeddingShardServer:
         remote shard pull).
     pool:
         :class:`~repro.compression.parallel.pool.BitstreamPool` backing
-        the compressed block storage.  Every publication round recompresses
-        every owned block, so pooled arenas turn that per-round churn into
-        steady-state reuse.  Defaults to a private per-node pool.
+        the compressed block storage.  A publication round re-encodes the
+        blocks that changed and returns exactly the arenas it replaced, so
+        pooled arenas turn that churn into steady-state reuse.  Defaults to
+        a private per-node pool.
     """
 
     def __init__(
@@ -354,9 +413,26 @@ class EmbeddingShardServer:
     # -------------------------------------------------------------- updates
 
     def set_table(self, table_id: int, values: np.ndarray) -> int:
-        """Replace one table's contents (recompressing every block from the
-        given exact values — deltas must not compound storage error across
-        publications).  Returns the new compressed size."""
+        """Replace one table's contents with the given exact values.
+
+        "Recompress from exact values" means: every row block whose float32
+        bytes differ from what it was last encoded from is encoded afresh
+        from ``values`` (never decode-add-encode on the lossy storage, so
+        deltas cannot compound storage error across publications); a block
+        whose bytes are identical keeps its payload, which already encodes
+        exactly those bytes (a re-encode would reproduce it byte for byte
+        with the stateless codecs and within the bound, possibly through
+        the other encoder leg, with the keyed ones).  The comparison is
+        bitwise over a blake2b-128 digest per block — ``-0.0`` vs ``+0.0``
+        or a different NaN payload counts as a change, and a changed block
+        is missed only on a digest collision (probability 2**-128 per
+        comparison).
+
+        All-or-nothing: if any changed block is rejected (NaN, an outlier
+        past the quantizer's range) the table keeps serving its previous
+        blocks.  Only the replaced blocks' pool leases are released — an
+        untouched block's pooled memory is left alone.  Returns the new
+        compressed size."""
         table = self._table(table_id)
         values = np.ascontiguousarray(values, dtype=np.float32)
         if values.shape != (table.cardinality, table.dim):
@@ -364,7 +440,15 @@ class EmbeddingShardServer:
                 f"table {table_id}: expected shape {(table.cardinality, table.dim)}, "
                 f"got {values.shape}"
             )
-        table._recompress(values)
+        reencoded = table._recompress(values)
+        if OBS.enabled:
+            reg = OBS.registry
+            reg.counter(
+                "shard_blocks_reencoded_total", "row blocks re-encoded by set_table"
+            ).inc(reencoded, table=table.table_id)
+            reg.counter(
+                "shard_blocks_unchanged_total", "row blocks set_table left as they were"
+            ).inc(table.n_blocks - reencoded, table=table.table_id)
         return table.compressed_nbytes
 
     # ----------------------------------------------------------- accounting

@@ -233,3 +233,43 @@ class TestServeInstrumentation:
         )
         down = snap.histogram_data("publish_downtime_seconds", mode="compressed")
         assert down.count == 1
+
+    def test_shard_reencode_counters_match_the_encode_calls(self):
+        """``set_table`` counts what it re-encoded and what it skipped, per
+        table, and ``run_report`` sums them into its shard re-encode line."""
+        from repro.obs.exporters import run_report
+        from repro.serve import EmbeddingShardServer
+
+        rng = np.random.default_rng(5)
+        table = rng.normal(0.0, 0.1, size=(200, 8)).astype(np.float32)
+        server = EmbeddingShardServer(
+            {0: table, 3: table}, 1e-2, {0: "vector_lz", 3: "hybrid"}, rows_per_block=64
+        )
+        update = table.copy()
+        update[[5, 130]] += 0.25  # blocks 0 and 2 of 4
+        with capture() as reg:
+            checkouts = server.pool.stats.checkouts
+            server.set_table(0, update)
+            server.set_table(0, update)  # nothing left to do
+            server.set_table(3, update)
+            encodes = server.pool.stats.checkouts - checkouts  # one lease per block encode
+        snap = reg.snapshot()
+        assert snap.counter_value("shard_blocks_reencoded_total", table="0") == 2
+        assert snap.counter_value("shard_blocks_unchanged_total", table="0") == 2 + 4
+        assert snap.counter_value("shard_blocks_reencoded_total", table="3") == 2
+        assert snap.counter_value("shard_blocks_unchanged_total", table="3") == 2
+        assert encodes == 4
+        line = "shard re-encode: 4 of 12 row blocks re-encoded (33.3%)"
+        assert line in run_report(snap)
+        # with a publish timeline the line closes that tier's breakdown
+        from repro.dist.timeline import EventCategory, Timeline
+
+        tiers = {}
+        for tier in ("publish", "serve"):
+            tiers[tier] = Timeline()
+            tiers[tier].record(0, EventCategory.PUBLISH, 0.0, 1.0)
+        report = run_report(snap, timelines=tiers)
+        assert report.count(line) == 1
+        assert report.index("publish time breakdown") < report.index(line)
+        assert report.index(line) < report.index("serve time breakdown")
+

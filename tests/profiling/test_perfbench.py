@@ -63,9 +63,10 @@ class TestRunSuite:
             assert record.seconds > 0
             assert record.throughput_mb_s > 0
         # Every shape-swept kernel carries the requested geometry; the
-        # fabric-level rows (critpath, vector_lz_batch) carry their own.
+        # fabric-level rows (critpath, vector_lz_batch, shard_recompress)
+        # carry their own.
         for record in tiny_records:
-            if record.codec in ("critpath", "vector_lz_batch"):
+            if record.codec in ("critpath", "vector_lz_batch", "shard_recompress"):
                 continue
             assert record.shape_name == "tiny"
             assert record.input_nbytes == 32 * 8 * 4
@@ -89,6 +90,16 @@ class TestRunSuite:
         for row in rows.values():
             assert row.shape_name == "32x128x64"
             assert (row.rows, row.dim, row.input_nbytes) == (4096, 64, 4096 * 64 * 4)
+            assert row.reference_seconds is not None and row.speedup > 0
+
+    def test_shard_recompress_rows_present_once(self, tiny_records):
+        """The incremental re-encode rows ride along regardless of the
+        shape sweep, timed against the per-block loop."""
+        rows = {r.op: r for r in tiny_records if r.codec == "shard_recompress"}
+        assert sorted(rows) == ["churn0", "churn100"]
+        for row in rows.values():
+            assert row.shape_name == "4000x32"
+            assert (row.rows, row.dim, row.input_nbytes) == (4000, 32, 4000 * 32 * 4)
             assert row.reference_seconds is not None and row.speedup > 0
 
     def test_reference_ops_carry_speedup(self, tiny_records):

@@ -121,15 +121,16 @@ class TestUpdates:
         [("hybrid", np.nan), ("hybrid", 1e9), ("vector_lz", np.nan), ("entropy", 1e9)],
     )
     def test_rejected_set_table_keeps_serving_the_old_table(self, codec, poison):
-        """A table the quantizer rejects part-way (the poison sits in the
-        third of four blocks) must leave the previous blocks live: same
-        rows bit for bit, no released lease behind ``pull``, nothing leaked
-        from the pool."""
+        """A table the quantizer rejects part-way (every block changed, the
+        poison sits in the third of four) must leave the previous blocks
+        live: same rows bit for bit, no released lease behind ``pull``,
+        nothing leaked from the pool — and the previous digests, so the old
+        values still read as unchanged."""
         table = make_table()
         server = EmbeddingShardServer({0: table}, 1e-2, codec, rows_per_block=64)
         before = server.table_array(0)
         live = server.pool.stats.live
-        bad = table.copy()
+        bad = table + 0.25
         bad[150, 3] = poison
         with pytest.raises(ValueError, match="quantize"):
             server.set_table(0, bad)
@@ -137,6 +138,9 @@ class TestUpdates:
         ids = np.array([0, 70, 150, 199])
         np.testing.assert_array_equal(server.lookup_rows(0, ids), before[ids])
         assert server.pool.stats.live == live
+        checkouts = server.pool.stats.checkouts
+        server.set_table(0, table)
+        assert server.pool.stats.checkouts == checkouts  # nothing re-encoded
         # ...and the table still accepts the next good publication, with the
         # arenas of the replaced round recycling.
         server.set_table(0, table + 0.5)
