@@ -40,12 +40,30 @@ tests pin all of these laws.
 bottom-MLP backward kernels) between the compress and decode stages on
 the ``compute`` stream, so an exchange issued *before* that compute
 overlaps it cross-stage on the wire.
+
+The pipeline is scheduled in two halves.  A *builder*
+(``Communicator._build_pipeline``) computes every stage's starts and
+durations as ``(n_ranks, max_chunks)`` arrays — each stage advances all
+ranks one chunk at a time, with the same IEEE operations in the same
+order as charging the events one by one, so the ledger is bit-identical
+to that model (``tests/dist/test_ledger_golden.py`` pins it) — and a
+*charger* (``Communicator._charge_pipeline``) appends each stage through
+one ``Timeline.record_batch`` call and writes the stream clocks back.
+The charger's invariant: **stages are appended rank-major** (all of rank
+0's chunks, then rank 1's, …) although they are computed wave-major.
+``repro.obs.critpath`` detects a collective as a contiguous run of
+identical spans on distinct ranks; a wave-major ledger would put the
+equal-cost chunk-``j`` kernels of different ranks next to each other and
+be mis-read as barriers, changing every critical path.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,6 +88,58 @@ def payload_nbytes(payload: object) -> int:
     if isinstance(payload, (list, tuple)):
         return sum(payload_nbytes(part) for part in payload)
     raise TypeError(f"cannot size payload of type {type(payload).__name__}")
+
+
+#: C-level sizers for a homogeneous run of flat buffers (exact type match;
+#: anything else — subclasses, nested sequences, mixed runs — goes through
+#: :func:`payload_nbytes` part by part)
+_FLAT_SIZERS = {
+    bytes: len,
+    bytearray: len,
+    memoryview: attrgetter("nbytes"),
+    np.ndarray: attrgetter("nbytes"),
+}
+
+
+class _PayloadSizes(NamedTuple):
+    """One flat sizing pass over ``sendbufs``: every atomic part's wire
+    size in (src, dst, slice) order, and how the parts group into pairs."""
+
+    sizes: np.ndarray  # int64, one per atomic part
+    counts: np.ndarray  # int64 (n * n,): parts per ordered pair, src-major
+    sliced: np.ndarray  # bool (n * n,): the pair posted a *sequence* of slices
+    byte_matrix: np.ndarray  # int64 (n, n): bytes per ordered pair
+
+
+class _Stage(NamedTuple):
+    """One stage of a pipelined exchange as :meth:`Timeline.record_batch`
+    arguments, its events flattened rank-major."""
+
+    ranks: np.ndarray
+    category: str
+    starts: np.ndarray
+    durations: np.ndarray
+    stream: str
+    args: object
+    release_edges: list | None
+
+
+@dataclass
+class _PipelineSchedule:
+    """What :meth:`Communicator._build_pipeline` hands the charger: the
+    stages in ledger order and the two stream clocks after the last event
+    — plus, for the stall/hidden accounting, each rank's chunk count and
+    the per-chunk end times and *nominal* (as priced) seconds of the wire
+    events and of the compute-stream kernels, as ``(on, ends, seconds)``
+    per kernel kind with ``on`` marking the ranks that ran it."""
+
+    stages: list[_Stage]
+    compute_clock: np.ndarray
+    comm_clock: np.ndarray
+    chunks: np.ndarray
+    wire_ends: np.ndarray
+    wire_seconds: np.ndarray
+    compute_spans: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 class Communicator:
@@ -112,60 +182,55 @@ class Communicator:
             if len(row) != n:
                 raise ValueError(f"rank {src} posted {len(row)} buffers, expected {n}")
 
-    def _check_entries(
+    def _size_payloads(
         self,
         sendbufs: Sequence[Sequence[object]],
-        entries_per_pair: int | np.ndarray,
-    ) -> None:
-        """Posted payload batches must match the advertised metadata counts.
+        entries_per_pair: int | np.ndarray = 1,
+    ) -> _PayloadSizes:
+        """Size every posted buffer in one flat pass.
 
-        A sender whose ``sendbufs[src][dst]`` sequence disagrees with its
-        ``entries_per_pair[src, dst]`` metadata record count would make
-        the receiver mis-slice the batch — fail loudly with the rank and
-        both counts instead of a downstream KeyError/IndexError.
+        A *sequence* payload contributes one size per slice (slice
+        boundaries constrain chunking), a single indivisible buffer one
+        size (the wire may cut it anywhere).  The byte matrix — and, in
+        :meth:`_chunk_wire_fractions`, the chunk byte shares — are then
+        ``cumsum`` differences over that one vector.
+
+        Posted payload batches must match the advertised metadata counts:
+        a sender whose ``sendbufs[src][dst]`` sequence disagrees with its
+        ``entries_per_pair[src, dst]`` record count would make the
+        receiver mis-slice the batch — fail loudly with the rank and both
+        counts instead of a downstream KeyError/IndexError.
         """
-        if np.isscalar(entries_per_pair):
-            return
-        entries = np.asarray(entries_per_pair)
-        for src, row in enumerate(sendbufs):
-            for dst, entry in enumerate(row):
-                if not isinstance(entry, (list, tuple)):
-                    continue
-                expected = int(entries[src, dst])
-                if expected and len(entry) != expected:
-                    raise ValueError(
-                        f"rank {src} posted {len(entry)} payload(s) for rank "
-                        f"{dst} but advertised {expected} metadata "
-                        f"entr{'y' if expected == 1 else 'ies'}; senders must "
-                        "post exactly one payload per metadata record"
-                    )
-
-    def _byte_matrix(self, sendbufs: Sequence[Sequence[object]]) -> np.ndarray:
+        self._check_square(sendbufs)
         n = self.n_ranks
-        matrix = np.zeros((n, n), dtype=np.int64)
-        for src in range(n):
-            for dst in range(n):
-                matrix[src, dst] = payload_nbytes(sendbufs[src][dst])
-        return matrix
-
-    def _atomic_sizes(
-        self, sendbufs: Sequence[Sequence[object]]
-    ) -> list[list[list[int] | int]]:
-        """Per-(src, dst) payload sizes: a *sequence* payload yields the
-        list of its slices' sizes (slice boundaries constrain chunking), a
-        single indivisible buffer a bare int (the wire may cut it
-        anywhere).  One traversal serves both the byte matrix and the
-        chunk byte shares."""
-        n = self.n_ranks
-        return [
-            [
-                [payload_nbytes(part) for part in buf]
-                if isinstance(buf, (list, tuple))
-                else payload_nbytes(buf)
-                for buf in (sendbufs[src][dst] for dst in range(n))
-            ]
-            for src in range(n)
-        ]
+        pairs = list(chain.from_iterable(sendbufs))
+        sliced = np.fromiter(
+            map(isinstance, pairs, repeat((list, tuple))), dtype=bool, count=n * n
+        )
+        groups = [pair if is_seq else (pair,) for pair, is_seq in zip(pairs, sliced.tolist())]
+        counts = np.fromiter(map(len, groups), dtype=np.int64, count=n * n)
+        if not np.isscalar(entries_per_pair):
+            expected = np.asarray(entries_per_pair).astype(np.int64).ravel()
+            wrong = sliced & (expected != 0) & (counts != expected)
+            if wrong.any():
+                src, dst = divmod(int(np.argmax(wrong)), n)
+                want = int(expected[src * n + dst])
+                raise ValueError(
+                    f"rank {src} posted {counts[src * n + dst]} payload(s) for rank "
+                    f"{dst} but advertised {want} metadata "
+                    f"entr{'y' if want == 1 else 'ies'}; senders must "
+                    "post exactly one payload per metadata record"
+                )
+        parts = list(chain.from_iterable(groups))
+        kinds = set(map(type, parts))
+        sizer = _FLAT_SIZERS.get(kinds.pop()) if len(kinds) == 1 else None
+        sizes = np.fromiter(
+            map(sizer or payload_nbytes, parts), dtype=np.int64, count=len(parts)
+        )
+        running = np.concatenate(([0], np.cumsum(sizes)))
+        pair_ends = np.cumsum(counts)
+        byte_matrix = (running[pair_ends] - running[pair_ends - counts]).reshape(n, n)
+        return _PayloadSizes(sizes, counts, sliced, byte_matrix)
 
     # --------------------------------------------------------- all-to-all
 
@@ -181,14 +246,12 @@ class Communicator:
         full variable-size exchange is charged once to all ranks under
         ``category``.
         """
-        self._check_square(sendbufs)
-        n = self.n_ranks
-        matrix = self._byte_matrix(sendbufs)
+        matrix = self._size_payloads(sendbufs).byte_matrix
         seconds = self.simulator.network.all_to_all_time(matrix)
         self.simulator.collective(seconds, category)
         if OBS.enabled:
-            self._obs_stage("payload", seconds * n, self._wire_nbytes(matrix))
-        return [[sendbufs[src][dst] for src in range(n)] for dst in range(n)]
+            self._obs_stage("payload", seconds * self.n_ranks, self._wire_nbytes(matrix))
+        return [list(column) for column in zip(*sendbufs)]
 
     def all_to_all_bytes(
         self,
@@ -326,21 +389,13 @@ class Communicator:
         stream — the cross-stage overlap hook: an exchange issued before
         e.g. the bottom-MLP backward kernels hides its wire behind them.
         """
-        self._check_square(sendbufs)
-        self._check_entries(sendbufs, entries_per_pair)
         sim = self.simulator
         n = self.n_ranks
         meta_seconds, skip_metadata = self._metadata_seconds(
             metadata_bytes_per_entry, entries_per_pair
         )
-        atomic_sizes = self._atomic_sizes(sendbufs)
-        byte_matrix = np.array(
-            [
-                [sum(entry) if isinstance(entry, list) else entry for entry in row]
-                for row in atomic_sizes
-            ],
-            dtype=np.int64,
-        )
+        payload_sizes = self._size_payloads(sendbufs, entries_per_pair)
+        byte_matrix = payload_sizes.byte_matrix
         payload_seconds = sim.network.all_to_all_time(byte_matrix)
         compress = self._per_rank_seconds(compress_seconds, "compress_seconds")
         decompress = self._per_rank_seconds(decompress_seconds, "decompress_seconds")
@@ -385,21 +440,29 @@ class Communicator:
                 if overlap_compute is not None and overlap_compute[rank] > 0.0:
                     sim.compute(rank, overlap_compute[rank], overlap_compute_category)
         else:
-            self._overlapped_exchange(
-                meta_seconds,
-                payload_seconds,
-                compress,
-                decompress,
-                chunks,
-                wire_fractions=self._chunk_wire_fractions(atomic_sizes, chunks),
+            eid = self._exchange_counter
+            self._exchange_counter += 1
+            schedule = self._build_pipeline(
+                np.array([sim.sync(rank) for rank in range(n)]),
+                len(sim.timeline.events),
+                eid,
+                sim._check_seconds(meta_seconds),
+                sim._check_seconds(payload_seconds),
+                np.array(compress),
+                np.array(decompress),
+                np.array(chunks, dtype=np.int64),
+                payload_sizes,
                 skip_metadata=skip_metadata,
                 category=category,
                 compress_category=compress_category,
                 decompress_category=decompress_category,
-                overlap_compute=overlap_compute,
+                overlap_compute=None if overlap_compute is None else np.array(overlap_compute),
                 overlap_compute_category=overlap_compute_category,
             )
-        return [[sendbufs[src][dst] for src in range(n)] for dst in range(n)]
+            self._charge_pipeline(schedule)
+            if OBS.enabled:
+                self._obs_overlap_accounting(schedule)
+        return [list(column) for column in zip(*sendbufs)]
 
     def _per_rank_seconds(self, values, name: str) -> list[float]:
         if values is None:
@@ -407,14 +470,16 @@ class Communicator:
         values = [float(v) for v in values]
         if len(values) != self.n_ranks:
             raise ValueError(f"{name} must have one entry per rank, got {len(values)}")
-        if any(v < 0 for v in values):
-            raise ValueError(f"{name} entries must be >= 0")
+        if not all(0.0 <= v < math.inf for v in values):  # False for NaN too
+            raise ValueError(f"{name} entries must be finite and >= 0")
         return values
 
     def _chunk_wire_fractions(
-        self, atomic_sizes: list[list[list[int] | int]], chunks: list[int]
-    ) -> list[list[float]]:
-        """Per-rank per-chunk share of the payload collective's wire time.
+        self, payload_sizes: _PayloadSizes, chunks: np.ndarray
+    ) -> np.ndarray:
+        """Per-rank per-chunk share of the payload collective's wire time,
+        as an ``(n_ranks, max(chunks))`` array (zero past a rank's last
+        chunk).
 
         When a rank's row holds *sequences* of per-slice buffers (the
         trainer's per-table compressed payloads, which are self-describing
@@ -432,29 +497,30 @@ class Communicator:
         is unchanged for every layout.
         """
         n = self.n_ranks
-        fractions: list[list[float]] = []
-        for rank in range(n):
-            k = chunks[rank]
-            row = atomic_sizes[rank]
-            if not any(isinstance(entry, list) for entry in row):
-                fractions.append([1.0 / k] * k)
-                continue
-            parts: list[int] = []  # atomic wire sizes, destination order
-            for dst in range(n):
-                entry = row[dst]
-                sizes = entry if isinstance(entry, list) else [entry]
-                parts.extend(sizes if dst != rank else [0] * len(sizes))
-            total = sum(parts)
-            if total == 0 or len(parts) < k:
-                # Nothing on the wire, or buffers sliced finer than their
-                # atomic count: equal-byte chunks are the actual shares.
-                fractions.append([1.0 / k] * k)
-                continue
-            bounds = [math.ceil(j * len(parts) / k) for j in range(k + 1)]
-            fractions.append(
-                [sum(parts[bounds[j] : bounds[j + 1]]) / total for j in range(k)]
-            )
-        return fractions
+        sizes, counts, sliced, _ = payload_sizes
+        k = chunks[:, None]
+        steps = np.arange(int(chunks.max()) + 1)
+        equal = np.where(steps[:-1] < k, 1.0 / k, 0.0)
+        # Atomic wire sizes in destination order: self-destined parts ship
+        # nothing.  ``running`` is their prefix sum, so any contiguous
+        # group's bytes is a difference of two entries.
+        pair_of_part = np.repeat(np.arange(n * n), counts)
+        on_wire = np.where(pair_of_part // n == pair_of_part % n, 0, sizes)
+        running = np.concatenate(([0], np.cumsum(on_wire)))
+        row_ends = np.cumsum(counts)[n - 1 :: n]
+        n_parts = counts.reshape(n, n).sum(axis=1)
+        row_starts = row_ends - n_parts
+        total = running[row_ends] - running[row_starts]
+        # Equal-byte chunks are the actual shares when the row posts only
+        # indivisible buffers, puts nothing on the wire, or is sliced
+        # finer than its atomic count.
+        uneven = sliced.reshape(n, n).any(axis=1) & (total != 0) & (n_parts >= chunks)
+        bounds = np.ceil(np.minimum(steps, k) * n_parts[:, None] / k).astype(np.int64)
+        bounds += row_starts[:, None]
+        chunk_bytes = running[bounds[:, 1:]] - running[bounds[:, :-1]]
+        return np.where(
+            uneven[:, None], chunk_bytes / np.where(uneven, total, 1)[:, None], equal
+        )
 
     def _per_rank_chunks(self, chunks_per_rank) -> list[int]:
         if chunks_per_rank is None:
@@ -470,214 +536,245 @@ class Communicator:
             raise ValueError("chunks_per_rank entries must be >= 1")
         return chunks
 
-    def _overlapped_exchange(
+    def _schedule_stage(
         self,
+        stages: list[_Stage],
+        category: str,
+        stream: str,
+        clock: np.ndarray,
+        not_before: np.ndarray | None,
+        seconds: np.ndarray,
+        active: np.ndarray,
+        args: object = None,
+        release_edges: list | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Schedule one stage on one stream of every rank as ``K`` *waves*
+        and append it to ``stages``: wave ``j`` starts chunk ``j`` of
+        every rank where ``active[:, j]`` at ``max(clock, not_before[:,
+        j])`` for ``seconds[:, j]`` — exactly what ``K`` calls of
+        ``ClusterSimulator.stream_compute`` per rank do, because a rank's
+        chunk ``j`` depends on its own chunk ``j - 1`` (the stream clock)
+        and on earlier stages only, never on another rank's chunk of this
+        stage.  An attached ``FaultInjector`` bends every active event
+        through the same ``adjust_stream_event`` hook.  The stage's events
+        are the active ``(rank, chunk)`` entries flattened rank-major;
+        ``args`` / ``release_edges`` are given in that order.
+
+        Returns ``(ends, clock)``: ``ends[:, j]`` is the stream clock
+        after wave ``j`` (so an inactive chunk reports the time its rank
+        was already at), ``clock`` the final one.
+        """
+        injector = self.simulator.fault_injector
+        starts = np.zeros(seconds.shape)
+        durations = seconds.copy()
+        ends = np.empty(seconds.shape)
+        for j in range(seconds.shape[1]):
+            on = active[:, j]
+            start = clock if not_before is None else np.maximum(clock, not_before[:, j])
+            if injector is not None:
+                start = start.copy()
+                for rank in np.flatnonzero(on).tolist():
+                    start[rank], durations[rank, j] = injector.adjust_stream_event(
+                        rank, stream, float(start[rank]), float(durations[rank, j])
+                    )
+            clock = np.where(on, start + durations[:, j], clock)
+            starts[:, j] = start
+            ends[:, j] = clock
+        stages.append(
+            _Stage(
+                np.nonzero(active)[0],
+                category,
+                starts[active],
+                durations[active],
+                stream,
+                args,
+                release_edges,
+            )
+        )
+        return ends, clock
+
+    def _build_pipeline(
+        self,
+        starts: np.ndarray,
+        base: int,
+        eid: int,
         meta_seconds: float,
         payload_seconds: float,
-        compress: list[float],
-        decompress: list[float],
-        chunks: list[int],
+        compress: np.ndarray,
+        decompress: np.ndarray,
+        chunks: np.ndarray,
+        payload_sizes: _PayloadSizes,
         *,
-        wire_fractions: list[list[float]] | None = None,
         skip_metadata: bool,
         category: str,
         compress_category: str,
         decompress_category: str,
-        overlap_compute: list[float] | None = None,
-        overlap_compute_category: str = EventCategory.BOTTOM_MLP_BWD,
-    ) -> None:
-        """Charge the chunk-level pipelined exchange.
+        overlap_compute: np.ndarray | None,
+        overlap_compute_category: str,
+    ) -> _PipelineSchedule:
+        """Schedule the chunk-level pipelined exchange ``eid`` for ranks
+        whose streams are joined at ``starts``, as events that will land
+        at ledger index ``base`` onwards.  Pure — nothing is recorded and
+        no clock moves here; :meth:`_charge_pipeline` does that.
 
-        Per rank ``r`` with ``k = chunks[r]``: stage ① runs as ``k`` equal
-        chunk kernels on the ``compute`` stream; stage ③ runs as ``k``
-        chunk wire events on the ``comm`` stream — chunk ``j`` priced at
-        its ``wire_fractions[r][j]`` byte share of the collective (equal
-        shares when no fractions are given) and released when its compress
-        finished (the stream clock serializes the wire slots); stage ④
-        decodes chunk ``j`` once the slowest sender's matching chunk has
-        cleared the wire.  The metadata round goes out once every rank's
-        first chunk exists (the first sizes are known).
+        Per rank ``r`` with ``k = chunks[r]``: stage ① runs as ``k`` chunk
+        kernels on the ``compute`` stream; stage ③ runs as ``k`` chunk
+        wire events on the ``comm`` stream — chunk ``j`` priced at its
+        byte share of the collective (:meth:`_chunk_wire_fractions`) and
+        released when its compress finished (the stream clock serializes
+        the wire slots); stage ④ decodes chunk ``j`` once the slowest
+        sender's matching chunk has cleared the wire.  The metadata round
+        goes out once every rank's first chunk exists (the first sizes
+        are known).
+
+        Every stage is computed as ``(n_ranks, max_chunks)`` arrays with
+        the per-event model's arithmetic, IEEE operation for operation
+        (``max`` then ``+`` per chunk, in chunk order), so the ledger is
+        bit-identical to charging the events one at a time.
 
         Invariants the chunk-pipeline property tests pin: the makespan
         never exceeds the sequential layout's ``max(compress) + meta +
         payload + max(decompress)`` and equals it at one chunk — for any
-        ``wire_fractions`` (per-rank wire totals are conserved).  With
-        even splits the makespan is additionally monotone non-increasing
-        in the chunk count; honestly uneven byte shares can trade that
-        away for a front-loaded chunk.
+        byte shares (per-rank wire totals are conserved).  With even
+        splits the makespan is additionally monotone non-increasing in
+        the chunk count; honestly uneven byte shares can trade that away
+        for a front-loaded chunk.
         """
-        sim = self.simulator
+        wire_fractions = self._chunk_wire_fractions(payload_sizes, chunks)
         n = self.n_ranks
-        obs_on = OBS.enabled
-        eid = self._exchange_counter
-        self._exchange_counter += 1
-        starts = [sim.sync(rank) for rank in range(n)]
-        ledger = sim.timeline.events
+        ranks = np.arange(n)
+        live = np.arange(int(chunks.max())) < chunks[:, None]  # chunk j exists on rank r
+        every_rank = np.ones((n, 1), dtype=bool)
+        args_by_count = {
+            k: [{"exchange": eid, "chunk": j, "chunks": k} for j in range(k)]
+            for k in set(chunks.tolist())
+        }
+
+        def chunk_args(rank_on: np.ndarray | slice) -> list[dict]:
+            return list(
+                chain.from_iterable(args_by_count[k] for k in chunks[rank_on].tolist())
+            )
+
+        def ledger_indices(mask: np.ndarray, first: int) -> np.ndarray:
+            indices = np.zeros(mask.shape, dtype=np.int64)
+            indices[mask] = np.arange(first, first + np.count_nonzero(mask))
+            return indices
+
+        stages: list[_Stage] = []
 
         # Stage ①: k real compression chunk kernels per rank.  Each chunk
         # compresses the same slices its wire event ships, so chunk kernel
         # time follows the same byte shares (compressed bytes as the proxy
-        # for the slices' input volume); even split otherwise.  The ledger
-        # index of every chunk kernel is kept so the wire/decode events
-        # below can carry exact release edges.
-        comp_ends: list[list[float]] = []
-        comp_idx: list[list[int] | None] = []
-        for rank in range(n):
-            k = chunks[rank]
-            if compress[rank] > 0.0:
-                shares = (
-                    wire_fractions[rank] if wire_fractions is not None else [1.0 / k] * k
-                )
-                ends = []
-                idx = []
-                for j in range(k):
-                    ends.append(
-                        sim.stream_compute(
-                            rank,
-                            compress[rank] * shares[j],
-                            compress_category,
-                            COMPUTE_STREAM,
-                            args={"exchange": eid, "chunk": j, "chunks": k},
-                        )
-                    )
-                    idx.append(len(ledger) - 1)
-                comp_idx.append(idx)
-            else:
-                ends = [starts[rank]] * k
-                comp_idx.append(None)
-            comp_ends.append(ends)
+        # for the slices' input volume).  A rank that compresses for free
+        # records nothing and has every chunk ready at its start time.
+        comp_on = compress > 0.0
+        comp_mask = live & comp_on[:, None]
+        comp_seconds = compress[:, None] * wire_fractions
+        comp_ends, compute_clock = self._schedule_stage(
+            stages, compress_category, COMPUTE_STREAM, starts, None, comp_seconds,
+            comp_mask, chunk_args(comp_on),
+        )
+        compute_spans = [(comp_on, comp_ends, comp_seconds)]
+        comp_idx = ledger_indices(comp_mask, base)
+        next_idx = base + np.count_nonzero(comp_mask)
 
         # Stage ②: the size table goes out once every rank's first chunk
         # is compressed (identical spans on every comm stream).  Its
         # release edges are exactly those first chunks.
-        first_chunk_edges = [idx[0] for idx in comp_idx if idx is not None]
-        meta_release = max(comp_ends[rank][0] for rank in range(n))
-        meta_end = meta_release
-        meta_end_idx: int | None = None
+        first_chunk_edges = comp_idx[comp_on, 0].tolist() or None
+        meta_end = comp_ends[:, 0].max()
+        comm_clock = starts
+        wire_prefix = first_chunk_edges or []  # what releases every wire chunk
         if not skip_metadata:
-            for rank in range(n):
-                meta_end = sim.stream_compute(
-                    rank,
-                    meta_seconds,
-                    EventCategory.METADATA,
-                    COMM_STREAM,
-                    not_before=meta_release,
-                    args={"exchange": eid},
-                    release_edges=first_chunk_edges or None,
-                )
-                meta_end_idx = len(ledger) - 1
+            meta_ends, comm_clock = self._schedule_stage(
+                stages, EventCategory.METADATA, COMM_STREAM, comm_clock,
+                np.full((n, 1), meta_end), np.full((n, 1), meta_seconds), every_rank,
+                {"exchange": eid}, [first_chunk_edges] * n,
+            )
+            next_idx += n
+            meta_end = meta_ends[-1, 0]
+            wire_prefix = [next_idx - 1]  # the last rank's metadata event
 
         # Stage ③: per-rank injection-port pipeline — chunk j's wire
         # starts once its compress finished and the previous chunk's wire
         # slot freed (the comm stream clock enforces the latter).  Release
-        # edges: the chunk's own compress kernel plus the metadata round
-        # (or, with metadata skipped, the first chunks its release time
-        # was computed from).
-        wire_ends: list[list[float]] = []
-        wire_idx: list[list[int]] = []
-        for rank in range(n):
-            k = chunks[rank]
-            shares = (
-                wire_fractions[rank] if wire_fractions is not None else [1.0 / k] * k
-            )
-            ends = []
-            idx = []
-            for j in range(k):
-                edges = [] if meta_end_idx is None else [meta_end_idx]
-                if meta_end_idx is None:
-                    edges.extend(first_chunk_edges)
-                if comp_idx[rank] is not None:
-                    edges.append(comp_idx[rank][j])
-                ends.append(
-                    sim.stream_compute(
-                        rank,
-                        payload_seconds * shares[j],
-                        category,
-                        COMM_STREAM,
-                        not_before=max(meta_end, comp_ends[rank][j]),
-                        args={"exchange": eid, "chunk": j, "chunks": k},
-                        release_edges=edges or None,
-                    )
-                )
-                idx.append(len(ledger) - 1)
-            wire_ends.append(ends)
-            wire_idx.append(idx)
+        # edges: the metadata round (or, with metadata skipped, the first
+        # chunks its release time was computed from) plus the chunk's own
+        # compress kernel.
+        unkerneled = wire_prefix or None  # shared by every free-compress chunk
+        wire_edges: list[list[int] | None] = []
+        for rank, k in enumerate(chunks.tolist()):
+            if comp_on[rank]:
+                wire_edges.extend(wire_prefix + [own] for own in comp_idx[rank, :k].tolist())
+            else:
+                wire_edges.extend([unkerneled] * k)
+        wire_seconds = payload_seconds * wire_fractions
+        wire_ends, comm_clock = self._schedule_stage(
+            stages, category, COMM_STREAM, comm_clock, np.maximum(meta_end, comp_ends),
+            wire_seconds, live, chunk_args(slice(None)), wire_edges,
+        )
+        wire_idx = ledger_indices(live, next_idx)
 
         # Cross-stage hook: rank-local compute issued right after the
         # compression kernels, so the wire (and decode stalls) hide it.
-        oc_ends: list[float | None] = [None] * n
         if overlap_compute is not None:
-            for rank in range(n):
-                if overlap_compute[rank] > 0.0:
-                    oc_ends[rank] = sim.stream_compute(
-                        rank,
-                        overlap_compute[rank],
-                        overlap_compute_category,
-                        COMPUTE_STREAM,
-                    )
+            oc_on = overlap_compute > 0.0
+            oc_seconds = overlap_compute[:, None]
+            oc_ends, compute_clock = self._schedule_stage(
+                stages, overlap_compute_category, COMPUTE_STREAM, compute_clock, None,
+                oc_seconds, oc_on[:, None],
+            )
+            compute_spans.append((oc_on, oc_ends, oc_seconds))
 
         # Stage ④: decode of chunk j starts at its arrival — when the
         # slowest sender's fraction-matched chunk has cleared the wire.
         # Decode chunks split evenly: a receiver's chunk j holds slices
         # from *every* sender, and the sender-side byte shares don't
-        # determine the per-receiver split.
-        dec_intervals: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-        for rank in range(n):
-            k = chunks[rank]
-            if decompress[rank] > 0.0:
-                per_chunk = decompress[rank] / k
-                for j in range(k):
-                    matched = [
-                        min(
-                            math.ceil((j + 1) * chunks[src] / k) - 1,
-                            chunks[src] - 1,
-                        )
-                        for src in range(n)
-                    ]
-                    arrival = max(
-                        wire_ends[src][matched[src]] for src in range(n)
-                    )
-                    dec_end = sim.stream_compute(
-                        rank,
-                        per_chunk,
-                        decompress_category,
-                        COMPUTE_STREAM,
-                        not_before=arrival,
-                        args={"exchange": eid, "chunk": j, "chunks": k},
-                        release_edges=[
-                            wire_idx[src][matched[src]] for src in range(n)
-                        ],
-                    )
-                    if obs_on:
-                        dec_intervals[rank].append((dec_end - per_chunk, dec_end))
-        if obs_on:
-            self._obs_overlap_accounting(
-                payload_seconds,
-                compress,
-                overlap_compute,
-                chunks,
-                wire_fractions,
-                comp_ends,
-                wire_ends,
-                oc_ends,
-                dec_intervals,
-            )
+        # determine the per-receiver split.  Which sender chunk matches,
+        # hence the arrival time and the n release edges, depends only on
+        # (k, j) — computed once per distinct chunk count, not per rank.
+        dec_on = decompress > 0.0
+        arrivals = np.zeros(live.shape)
+        edges_by_count: dict[int, list[tuple[int, ...]]] = {}
+        for k in np.unique(chunks[dec_on]).tolist():
+            upto = np.arange(1, k + 1)[:, None]
+            matched = np.minimum(
+                np.ceil(upto * chunks / k).astype(np.int64) - 1, chunks - 1
+            )  # (k, n): sender src's chunk feeding receiver chunk j
+            arrivals[chunks == k, :k] = wire_ends[ranks, matched].max(axis=1)
+            edges_by_count[k] = [tuple(row) for row in wire_idx[ranks, matched].tolist()]
+        dec_seconds = np.broadcast_to((decompress / chunks)[:, None], live.shape)
+        dec_ends, compute_clock = self._schedule_stage(
+            stages, decompress_category, COMPUTE_STREAM, compute_clock, arrivals,
+            dec_seconds, live & dec_on[:, None], chunk_args(dec_on),
+            list(chain.from_iterable(edges_by_count[k] for k in chunks[dec_on].tolist())),
+        )
+        compute_spans.append((dec_on, dec_ends, dec_seconds))
+        return _PipelineSchedule(
+            stages, compute_clock, comm_clock, chunks, wire_ends, wire_seconds, compute_spans
+        )
+
+    def _charge_pipeline(self, schedule: _PipelineSchedule) -> None:
+        """Append a built schedule to the ledger, one ``record_batch`` per
+        stage, and write the stream clocks back.
+
+        Each stage is appended *rank-major* (rank 0's chunks, then rank
+        1's, …), the order the per-event model recorded them in — and the
+        one ``repro.obs.critpath`` relies on: it recognises a collective
+        as a contiguous run of identical spans on distinct ranks, so a
+        wave-major ledger (every rank's chunk 0, then every chunk 1) would
+        mis-read equal-cost chunk kernels as barriers.
+        """
+        sim = self.simulator
+        for stage in schedule.stages:
+            sim.timeline.record_batch(*stage)
+        sim._streams[COMPUTE_STREAM][:] = schedule.compute_clock.tolist()
+        sim._streams[COMM_STREAM][:] = schedule.comm_clock.tolist()
         # The exchange hands decoded data back at a device-wide barrier.
-        for rank in range(n):
+        for rank in range(self.n_ranks):
             sim.sync(rank)
 
-    def _obs_overlap_accounting(
-        self,
-        payload_seconds: float,
-        compress: list[float],
-        overlap_compute: list[float] | None,
-        chunks: list[int],
-        wire_fractions: list[list[float]] | None,
-        comp_ends: list[list[float]],
-        wire_ends: list[list[float]],
-        oc_ends: list[float | None],
-        dec_intervals: list[list[tuple[float, float]]],
-    ) -> None:
+    def _obs_overlap_accounting(self, schedule: _PipelineSchedule) -> None:
         """Per-exchange stall-vs-hidden wire accounting (obs-enabled only).
 
         ``stall`` is wire-port idle time between consecutive chunk events
@@ -688,30 +785,20 @@ class Communicator:
         """
         from repro.profiling.breakdown import _merge_intervals, _overlap_with_merged
 
+        def intervals(ends: np.ndarray, seconds: np.ndarray, rank: int, k: int):
+            return list(zip((ends - seconds)[rank, :k].tolist(), ends[rank, :k].tolist()))
+
         stall = 0.0
         hidden = 0.0
-        for rank in range(len(chunks)):
-            k = chunks[rank]
-            shares = (
-                wire_fractions[rank] if wire_fractions is not None else [1.0 / k] * k
-            )
-            wire_iv = [
-                (wire_ends[rank][j] - payload_seconds * shares[j], wire_ends[rank][j])
-                for j in range(k)
-            ]
+        for rank, k in enumerate(schedule.chunks.tolist()):
+            wire_iv = intervals(schedule.wire_ends, schedule.wire_seconds, rank, k)
             stall += sum(
                 max(0.0, wire_iv[j][0] - wire_iv[j - 1][1]) for j in range(1, k)
             )
-            compute_iv = list(dec_intervals[rank])
-            if compress[rank] > 0.0:
-                compute_iv.extend(
-                    (comp_ends[rank][j] - compress[rank] * shares[j], comp_ends[rank][j])
-                    for j in range(k)
-                )
-            if oc_ends[rank] is not None and overlap_compute is not None:
-                compute_iv.append(
-                    (oc_ends[rank] - overlap_compute[rank], oc_ends[rank])
-                )
+            compute_iv = []
+            for on, ends, seconds in schedule.compute_spans:
+                if on[rank]:
+                    compute_iv.extend(intervals(ends, seconds, rank, k))
             merged = _merge_intervals(compute_iv)
             hidden += sum(_overlap_with_merged(iv, merged) for iv in wire_iv)
         reg = OBS.registry

@@ -30,6 +30,7 @@ The default flat fabric is calibrated to the paper's evaluation setup: a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -258,16 +259,26 @@ class Topology:
             raise ValueError("byte matrix entries must be >= 0")
         if n <= 1:
             return 0.0
+        pairs, latency, bandwidth = self._shift_phases
+        phase_seconds = (latency + matrix.ravel()[pairs] / bandwidth).max(axis=1)
+        # Plain left-to-right float adds, phase 1 first: ``np.sum`` pairs
+        # its operands and builtin ``sum`` compensates since Python 3.12,
+        # and every priced second must stay bit-identical.
         total = 0.0
-        src = np.arange(n)
-        for k in range(1, n):
-            dst = (src + k) % n
-            pair_time = (
-                self.latency_matrix[src, dst]
-                + matrix[src, dst] / self.bandwidth_matrix[src, dst]
-            )
-            total += float(pair_time.max())
+        for seconds in phase_seconds.tolist():
+            total += seconds
         return total
+
+    @cached_property
+    def _shift_phases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``n - 1`` shift phases of :meth:`all_to_all_time` as one
+        gather: row ``k - 1`` holds, for every ``src``, the flat index of
+        the pair ``(src, (src + k) mod n)`` in a raveled ``n x n`` matrix,
+        and that pair's latency and bandwidth."""
+        n = self.n_ranks
+        src = np.arange(n)
+        pairs = src * n + (src + np.arange(1, n)[:, None]) % n
+        return pairs, self.latency_matrix.ravel()[pairs], self.bandwidth_matrix.ravel()[pairs]
 
     def ring_all_reduce_time(self, nbytes: float) -> float:
         """Flat ring all-reduce over the node-contiguous ring

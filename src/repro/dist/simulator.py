@@ -104,9 +104,12 @@ class ClusterSimulator:
         return max(self.clocks)
 
     def reset(self) -> None:
-        """Zero all clocks and start a fresh timeline."""
+        """Zero all clocks, start a fresh timeline and restart the
+        communicator's exchange numbering — the ledger that follows equals
+        a newly constructed simulator's."""
         self._streams = {stream: [0.0] * self.n_ranks for stream in self.STREAMS}
         self.timeline = Timeline()
+        self.comm._exchange_counter = 0
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.n_ranks:
@@ -195,8 +198,8 @@ class ClusterSimulator:
         start = self.barrier()
         if self.fault_injector is not None:
             start, seconds = self.fault_injector.adjust_collective(start, seconds)
-        for rank in range(self.n_ranks):
-            self.timeline.record(rank, category, start, seconds, stream=stream)
+        n = self.n_ranks
+        self.timeline.record_batch(range(n), category, [start] * n, [seconds] * n, stream)
         end = start + seconds
         for clocks in self._streams.values():
             clocks[:] = [end] * self.n_ranks

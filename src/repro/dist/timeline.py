@@ -16,6 +16,14 @@ annotation categories the observability layer records (trainer-step and
 serving-request spans, delta publications) on the dedicated
 ``OBS_STREAM`` lane, which time accounting ignores.
 
+Recording order is part of the ledger's meaning: a ledger index is a
+position in ``Timeline.events``, release edges name earlier positions,
+and :mod:`repro.obs.critpath` reads a contiguous run of identical spans
+on distinct ranks as one collective.  :meth:`Timeline.record_batch`
+appends many events in one validated call and keeps exactly the order it
+is given, so bulk producers (the communicator's chunk pipeline appends
+each stage rank-major) stay responsible for that order.
+
 Timelines also carry *counter samples* (:class:`CounterSample`) — named
 scalar tracks such as queue depth or bytes on wire — which export as
 chrome-trace ``"C"`` events and render as counter plots above the lanes.
@@ -24,11 +32,14 @@ chrome-trace ``"C"`` events and render as counter plots above the lanes.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "EventCategory",
@@ -140,8 +151,44 @@ class CounterSample:
     value: float
 
 
+def _check_event(rank: int, start: float, duration: float) -> None:
+    """The one validity rule for a ledger entry, shared by
+    :meth:`Timeline.record` and :meth:`Timeline.record_batch`: a
+    non-negative rank and finite, non-negative times (the chained
+    comparisons are False for NaN, which ``x < 0`` alone lets through)."""
+    if rank < 0:
+        raise ValueError(f"rank must be >= 0, got {rank!r}")
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
+    if not 0.0 <= start < math.inf:
+        raise ValueError(f"start must be finite and >= 0, got {start!r}")
+
+
+def _checked_edges(
+    release_edges: Sequence[int] | None, recorded: int
+) -> tuple[int, ...] | None:
+    """Deduplicate (first occurrence wins) one event's release edges and
+    check that each names one of the ``recorded`` events before it."""
+    if release_edges is None:
+        return None
+    edges = tuple(dict.fromkeys(int(i) for i in release_edges))
+    if not edges:
+        return None
+    if min(edges) < 0 or max(edges) >= recorded:
+        bad = next(i for i in edges if not 0 <= i < recorded)
+        raise ValueError(
+            f"release edge {bad} does not name an already-recorded "
+            f"event (ledger holds {recorded})"
+        )
+    return edges
+
+
 class Timeline:
-    """Append-only per-rank event ledger with category aggregation."""
+    """Append-only per-rank event ledger with category aggregation.
+
+    :attr:`events` is a plain ``list[TimelineEvent]`` in recording order;
+    a ledger index is a position in it.
+    """
 
     def __init__(self) -> None:
         self.events: list[TimelineEvent] = []
@@ -162,27 +209,13 @@ class Timeline:
     ) -> TimelineEvent:
         """Append one event and return it.
 
-        ``release_edges`` must name already-recorded events (indices into
-        :attr:`events` at call time) — dependency edges only ever point
-        backwards.
+        ``start`` and ``duration`` must be finite and ``>= 0`` (a NaN or
+        infinite time would silently poison :meth:`span` and every
+        critical-path walk).  ``release_edges`` must name already-recorded
+        events (indices into :attr:`events` at call time) — dependency
+        edges only ever point backwards.
         """
-        if rank < 0:
-            raise ValueError(f"rank must be >= 0, got {rank!r}")
-        if duration < 0:
-            raise ValueError(f"duration must be >= 0, got {duration!r}")
-        if start < 0:
-            raise ValueError(f"start must be >= 0, got {start!r}")
-        edges: tuple[int, ...] | None = None
-        if release_edges is not None:
-            edges = tuple(dict.fromkeys(int(i) for i in release_edges))
-            for i in edges:
-                if not 0 <= i < len(self.events):
-                    raise ValueError(
-                        f"release edge {i} does not name an already-recorded "
-                        f"event (ledger holds {len(self.events)})"
-                    )
-            if not edges:
-                edges = None
+        _check_event(rank, start, duration)
         event = TimelineEvent(
             rank=int(rank),
             category=category,
@@ -190,10 +223,92 @@ class Timeline:
             duration=float(duration),
             stream=str(stream),
             args=dict(args) if args else None,
-            release_edges=edges,
+            release_edges=_checked_edges(release_edges, len(self.events)),
         )
         self.events.append(event)
         return event
+
+    def record_batch(
+        self,
+        ranks: Sequence[int],
+        category: str,
+        starts: Sequence[float],
+        durations: Sequence[float],
+        stream: str = COMPUTE_STREAM,
+        args: Mapping[str, object] | Sequence[Mapping[str, object] | None] | None = None,
+        release_edges: Sequence[Sequence[int] | None] | None = None,
+    ) -> list[TimelineEvent]:
+        """Append one event per entry of ``ranks`` / ``starts`` /
+        ``durations``, in that order, and return them.
+
+        The ledger ends up exactly as after the equivalent sequence of
+        :meth:`record` calls with the shared ``category`` and ``stream``;
+        the batch is validated as a whole first, so an invalid entry
+        raises the same ``ValueError`` but leaves the ledger untouched.
+        ``args`` is one mapping for every event or one (or ``None``) per
+        event, copied either way.  ``release_edges`` gives one edge
+        sequence (or ``None``) per event; entry ``p`` may name any event
+        before ledger index ``len(events) + p``, earlier entries of the
+        batch included.  Passing the *same object* for several entries —
+        a metadata round released by one set of chunk kernels, the decode
+        chunks of every rank with one chunk count — validates and
+        deduplicates it once and stores one shared tuple.
+
+        Order is the caller's to keep: the exchange engine appends each
+        stage rank-major (see ``Communicator._charge_pipeline``) because
+        critical-path analysis reads contiguous identical spans on
+        distinct ranks as one collective.
+        """
+        rank_arr = np.asarray(ranks, dtype=np.int64)
+        start_arr = np.asarray(starts, dtype=np.float64)
+        duration_arr = np.asarray(durations, dtype=np.float64)
+        count = rank_arr.size
+        if rank_arr.ndim != 1 or start_arr.shape != (count,) or duration_arr.shape != (count,):
+            raise ValueError(
+                "ranks, starts and durations must be equal-length 1-D sequences, got "
+                f"shapes {rank_arr.shape}, {start_arr.shape}, {duration_arr.shape}"
+            )
+        valid = (
+            (rank_arr >= 0)
+            & np.isfinite(start_arr)
+            & (start_arr >= 0)
+            & np.isfinite(duration_arr)
+            & (duration_arr >= 0)
+        )
+        if not valid.all():
+            bad = int(np.argmin(valid))  # first offender, as record() would hit it
+            _check_event(rank_arr[bad], start_arr[bad], duration_arr[bad])
+        if args is None or isinstance(args, Mapping):
+            arg_list = [args] * count
+        else:
+            arg_list = list(args)
+        base = len(self.events)
+        if release_edges is None:
+            edge_list: list[tuple[int, ...] | None] = [None] * count
+        else:
+            checked: dict[int, tuple[int, ...] | None] = {}
+            edge_list = []
+            for position, edges in enumerate(release_edges):
+                key = id(edges)
+                if key not in checked:
+                    # First use is the tightest bound: later entries may
+                    # name strictly more of the ledger.
+                    checked[key] = _checked_edges(edges, base + position)
+                edge_list.append(checked[key])
+        if len(arg_list) != count or len(edge_list) != count:
+            raise ValueError(
+                f"args / release_edges must have one entry per event ({count}), "
+                f"got {len(arg_list)} / {len(edge_list)}"
+            )
+        stream = str(stream)
+        events = [
+            TimelineEvent(rank, category, start, duration, stream, dict(a) if a else None, edges)
+            for rank, start, duration, a, edges in zip(
+                rank_arr.tolist(), start_arr.tolist(), duration_arr.tolist(), arg_list, edge_list
+            )
+        ]
+        self.events.extend(events)
+        return events
 
     def record_counter(self, name: str, time: float, value: float) -> CounterSample:
         """Append one sample to the named counter track and return it."""

@@ -218,6 +218,31 @@ class TestClusterSimulator:
         assert sim.makespan() == 0.0
         assert len(sim.timeline) == 0
 
+    def test_reset_ledger_equals_fresh_simulator(self, sim):
+        """Regression: ``reset()`` left ``Communicator._exchange_counter``
+        running, so a reset simulator tagged its chunk events
+        ``exchange=1`` where a fresh one says ``exchange=0``."""
+
+        def exchange(target: ClusterSimulator) -> None:
+            bufs = [[[bytes(64 * (s + 1)), bytes(32 + d)] for d in range(4)] for s in range(4)]
+            target.comm.compressed_all_to_all(
+                bufs,
+                entries_per_pair=2,
+                overlap=True,
+                chunks_per_rank=3,
+                compress_seconds=[1e-4, 2e-4, 0.0, 3e-4],
+                decompress_seconds=[2e-4] * 4,
+            )
+
+        exchange(sim)
+        sim.reset()
+        exchange(sim)
+        fresh = ClusterSimulator(4)
+        exchange(fresh)
+        assert sim.timeline.events == fresh.timeline.events
+        assert {e.args["exchange"] for e in sim.timeline.events} == {0}
+        assert sim.clocks == fresh.clocks
+
     def test_owns_cost_models_and_communicator(self, sim):
         assert sim.gpu is not None
         assert sim.network is not None

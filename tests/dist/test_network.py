@@ -193,6 +193,41 @@ class TestTopology:
         # 3 phases at zero latency; only phase 1 moves bytes.
         assert topo.all_to_all_time(matrix) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "topo",
+        [
+            Topology.flat(7, LinkSpec(bandwidth=3e9, latency=1.3e-6)),
+            Topology.hierarchical(3, 4),
+            Topology.hierarchical(16, 8, NVLINK_LIKE, IB_HDR_LIKE.oversubscribed(4)),
+            Topology.hierarchical(1, 1),
+        ],
+        ids=["flat", "hierarchical", "oversubscribed", "single-rank"],
+    )
+    def test_all_to_all_equals_the_phase_loop_bit_for_bit(self, topo):
+        """The one-gather form prices every exchange to the last bit of
+        the definition: per shift phase the slowest pair, phases added
+        left to right."""
+        n = topo.n_ranks
+        rng = np.random.default_rng(n)
+        for matrix in (
+            rng.integers(0, 1 << 22, size=(n, n)),
+            rng.uniform(0.0, 1e7, size=(n, n)),
+            np.full((n, n), 64.0),
+            np.zeros((n, n)),
+            rng.uniform(0.0, 1e7, size=(n, n)).T,  # non-contiguous input
+        ):
+            total = 0.0
+            src = np.arange(n)
+            for k in range(1, n):
+                dst = (src + k) % n
+                pair_time = (
+                    topo.latency_matrix[src, dst]
+                    + np.asarray(matrix, dtype=np.float64)[src, dst]
+                    / topo.bandwidth_matrix[src, dst]
+                )
+                total += float(pair_time.max())
+            assert topo.all_to_all_time(matrix) == total
+
     def test_all_to_all_shape_and_sign_validation(self):
         topo = Topology.hierarchical(2, 2)
         with pytest.raises(ValueError, match="does not match"):

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dist import EventCategory, Timeline
 from repro.profiling.breakdown import CATEGORY_LABELS
@@ -89,6 +94,130 @@ class TestTimeline:
             tl.record(0, EventCategory.COMPRESS, -1.0, 1.0)
         with pytest.raises(ValueError):
             tl.record(0, EventCategory.COMPRESS, 0.0, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        """Regression: ``nan < 0`` is False, so ``record`` used to accept a
+        NaN (or infinite) start/duration and ``span()`` / the critical
+        path were silently poisoned for every direct caller."""
+        tl = Timeline()
+        with pytest.raises(ValueError, match="duration"):
+            tl.record(0, EventCategory.COMPRESS, 0.0, bad)
+        with pytest.raises(ValueError, match="start"):
+            tl.record(0, EventCategory.COMPRESS, bad, 1.0)
+        with pytest.raises(ValueError, match="duration"):
+            tl.record_batch([0, 1], EventCategory.COMPRESS, [0.0, 0.0], [1.0, bad])
+        with pytest.raises(ValueError, match="start"):
+            tl.record_batch([0, 1], EventCategory.COMPRESS, [bad, 0.0], [1.0, 1.0])
+        assert len(tl) == 0 and tl.span() == 0.0
+
+    def test_non_finite_chrome_trace_rejected(self):
+        trace = Timeline().to_chrome_trace()
+        trace["traceEvents"].append(
+            {"name": "compress", "ph": "X", "tid": 0, "ts": 0.0, "dur": math.nan}
+        )
+        with pytest.raises(ValueError, match="duration"):
+            Timeline.from_chrome_trace(trace)
+
+
+# One candidate event: (rank, start, duration, args, release edges).  The
+# strategies deliberately wander into every input ``record`` rejects.
+_TIMES = st.one_of(
+    st.floats(min_value=0.0, max_value=1e3),
+    st.sampled_from([-1.0, -0.0, math.nan, math.inf]),
+)
+_EVENTS = st.lists(
+    st.tuples(
+        st.integers(min_value=-1, max_value=5),
+        _TIMES,
+        _TIMES,
+        st.one_of(st.none(), st.just({}), st.dictionaries(st.sampled_from("abc"), st.integers())),
+        st.one_of(st.none(), st.lists(st.integers(min_value=-1, max_value=12), max_size=4)),
+    ),
+    max_size=8,
+)
+
+
+class TestRecordBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(prefix=st.integers(min_value=0, max_value=3), events=_EVENTS)
+    def test_equals_the_sequence_of_record_calls(self, prefix, events):
+        """Law: ``record_batch`` leaves the ledger a loop of ``record``
+        calls leaves, and raises ``ValueError`` on exactly the inputs that
+        loop raises on (negative/NaN/infinite start or duration, negative
+        rank, a release edge naming itself or a later event)."""
+        one_by_one, batched = Timeline(), Timeline()
+        for tl in (one_by_one, batched):
+            for rank in range(prefix):
+                tl.record(rank, EventCategory.EMB_LOOKUP, 0.0, 1.0)
+        failed = False
+        try:
+            for rank, start, duration, args, edges in events:
+                one_by_one.record(
+                    rank, EventCategory.COMPRESS, start, duration, "comm", args, edges
+                )
+        except ValueError:
+            failed = True
+        columns = list(zip(*events)) if events else [[], [], [], [], []]
+        if failed:
+            with pytest.raises(ValueError):
+                batched.record_batch(
+                    columns[0], EventCategory.COMPRESS, columns[1], columns[2], "comm",
+                    columns[3], columns[4],
+                )
+            assert len(batched) == prefix  # all or nothing
+        else:
+            returned = batched.record_batch(
+                columns[0], EventCategory.COMPRESS, columns[1], columns[2], "comm",
+                columns[3], columns[4],
+            )
+            assert batched.events == one_by_one.events
+            assert returned == batched.events[prefix:]
+            for event in returned:
+                assert type(event.rank) is int and type(event.start) is float
+                assert type(event.duration) is float
+                assert event.release_edges is None or all(
+                    type(i) is int for i in event.release_edges
+                )
+
+    def test_shared_edges_and_args(self):
+        """One edge object for many entries is validated against its first
+        use and stored once; one args mapping is copied per event."""
+        tl = Timeline()
+        tl.record(0, EventCategory.COMPRESS, 0.0, 1.0)
+        tl.record(1, EventCategory.COMPRESS, 0.0, 2.0)
+        edges = np.array([1, 0, 1])
+        args = {"exchange": 7}
+        events = tl.record_batch(
+            np.arange(3), EventCategory.METADATA, np.full(3, 2.0), np.full(3, 0.5),
+            "comm", args, [edges] * 3,
+        )
+        assert [e.release_edges for e in events] == [(1, 0)] * 3
+        assert events[0].release_edges is events[2].release_edges
+        assert all(e.args == args and e.args is not args for e in events)
+        assert events[0].args is not events[1].args
+
+    def test_edges_may_name_earlier_entries_of_the_batch(self):
+        tl = Timeline()
+        tl.record_batch([0, 0], EventCategory.COMPRESS, [0.0, 1.0], [1.0, 1.0],
+                        release_edges=[None, [0]])
+        assert tl.events[1].release_edges == (0,)
+        with pytest.raises(ValueError, match="release edge 3"):
+            tl.record_batch([0, 0], EventCategory.COMPRESS, [2.0, 3.0], [1.0, 1.0],
+                            release_edges=[[3], None])  # entry 0 would be index 2
+        assert len(tl) == 2
+
+    def test_length_mismatch_rejected(self):
+        tl = Timeline()
+        with pytest.raises(ValueError):
+            tl.record_batch([0, 1], EventCategory.COMPRESS, [0.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            tl.record_batch([0, 1], EventCategory.COMPRESS, [0.0, 0.0], [1.0, 1.0],
+                            args=[None])
+        with pytest.raises(ValueError):
+            tl.record_batch([0, 1], EventCategory.COMPRESS, [0.0, 0.0], [1.0, 1.0],
+                            release_edges=[None])
+        assert len(tl) == 0
 
 
 class TestChromeTrace:

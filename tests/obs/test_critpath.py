@@ -153,6 +153,33 @@ class TestIdleAttribution:
         assert result.by_category().get(IDLE_CATEGORY, 0.0) == 0.0
 
 
+class TestReleaseEdges:
+    def test_complete_ledger_keeps_every_recorded_edge(self):
+        """Without skipped annotation spans every recorded edge names an
+        earlier node, so the DAG's edges equal the ledger's."""
+        compress, decompress, sizes = _workload(4, seed=5)
+        sim = _run(NetworkModel(bandwidth=1e9, latency=1e-6),
+                   compress, decompress, sizes, 3)
+        dag = TimelineDag.from_timeline(sim.timeline)
+        edged = [i for i, e in enumerate(sim.timeline.events) if e.release_edges]
+        assert edged
+        for index in edged:
+            assert dag._nodes[index].explicit == sim.timeline.events[index].release_edges
+
+    def test_edges_naming_skipped_spans_are_dropped(self):
+        from repro.dist import COMM_STREAM
+        from repro.dist.timeline import OBS_STREAM
+
+        tl = Timeline()
+        tl.record(0, EventCategory.COMPRESS, 0.0, 1.0)
+        tl.record(0, EventCategory.TRAIN_STEP, 0.0, 2.0, stream=OBS_STREAM)
+        tl.record(0, EventCategory.ALLTOALL_FWD, 1.0, 1.0, stream=COMM_STREAM,
+                  release_edges=[1, 0])
+        dag = TimelineDag.from_timeline(tl)
+        assert dag._nodes[2].explicit == (0,)
+        assert [s.event_index for s in dag.critical_path().steps] == [0, 2]
+
+
 FIG12_CONFIGS = [
     # (ranks, chunks, seed) — the Fig.-12-like sweep configurations
     (4, 4, 12),
