@@ -28,13 +28,19 @@ block), ``metrics.prom``, ``obs_trace.json``, ``run_report.txt``, and
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs.registry import MetricsRegistry, RegistrySnapshot
 from repro.obs.runtime import capture, enable
 
-__all__ = ["ScenarioResult", "run_day_in_the_life"]
+__all__ = [
+    "ScenarioResult",
+    "build_day_world",
+    "run_day_in_the_life",
+    "write_artifacts",
+]
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,72 @@ class ScenarioResult:
     critical_paths: dict | None = None
     #: the run's SloHub (burn-rate monitors, already fed)
     slo: object | None = None
+
+
+def build_day_world(name: str, n_tables: int, cardinality: int, seed: int):
+    """One fresh, fully-seeded workload (twin runs of one seed match):
+    ``(dataset, config, trainer)`` with a 2-rank compressed hybrid-parallel
+    trainer whose adaptive plan was analyzed from the initial embeddings."""
+    from repro.adaptive import AdaptiveController, OfflineAnalyzer
+    from repro.data import SyntheticClickDataset, make_uniform_spec
+    from repro.dist import ClusterSimulator
+    from repro.model import DLRM, DLRMConfig
+    from repro.train import CompressionPipeline, HybridParallelTrainer
+
+    spec = make_uniform_spec(name, n_tables=n_tables, cardinality=cardinality, zipf_exponent=1.2)
+    dataset = SyntheticClickDataset(spec, seed=seed, teacher_scale=3.0)
+    config = DLRMConfig.from_dataset(spec, embedding_dim=8, seed=seed + 1)
+    model = DLRM(config)
+    batch = dataset.batch(128, batch_index=10_000_000)
+    samples = {j: model.lookup(j, batch.sparse[:, j]) for j in range(n_tables)}
+    plan = OfflineAnalyzer().analyze(samples)
+    trainer = HybridParallelTrainer(
+        model,
+        dataset,
+        ClusterSimulator(2),
+        pipeline=CompressionPipeline(AdaptiveController(plan)),
+        lr=0.2,
+        overlap=True,  # chunked overlapped exchanges -> chunk events + stall/hidden metrics
+        pipeline_chunks=4,
+    )
+    return dataset, config, trainer
+
+
+def write_artifacts(
+    out_dir: str | Path | None,
+    snapshot: RegistrySnapshot,
+    trace: dict,
+    report: str,
+    *,
+    trace_name: str,
+    reports: dict | None = None,
+    extra: dict[str, str] | None = None,
+) -> dict[str, Path]:
+    """Write one scenario run's artifacts under ``out_dir`` (nothing when
+    it is ``None``); returns the paths keyed by file name: ``metrics.json``
+    (schema-validated, with the ``reports`` block if given), ``metrics.prom``,
+    the chrome trace as ``trace_name``, ``run_report.txt``, and whatever
+    ``extra`` maps from file name to text."""
+    if out_dir is None:
+        return {}
+    from repro.obs.exporters import snapshot_to_json, to_prometheus
+    from repro.obs.schema import validate_snapshot_json
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    metrics_json = snapshot_to_json(snapshot, indent=2, reports=reports)
+    validate_snapshot_json(metrics_json)  # never ship an invalid artifact
+    texts = {
+        "metrics.json": metrics_json,
+        "metrics.prom": to_prometheus(snapshot),
+        trace_name: json.dumps(trace),
+        "run_report.txt": report + "\n",
+        **(extra or {}),
+    }
+    paths = {name: out / name for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text)
+    return paths
 
 
 def run_day_in_the_life(
@@ -76,24 +148,18 @@ def run_day_in_the_life(
     # Heavy imports stay local: repro.obs must be importable without
     # pulling the model/train/serve stack (the hot paths import obs, not
     # the other way around).
-    from repro.adaptive import AdaptiveController, OfflineAnalyzer
-    from repro.data import SyntheticClickDataset, make_uniform_spec
-    from repro.dist import ClusterSimulator
     from repro.dist.timeline import Timeline
-    from repro.model import DLRM, DLRMConfig
     from repro.obs.critpath import (
         extract_critical_path,
         highlight_trace_events,
         report_json_block,
     )
-    from repro.obs.exporters import run_report, snapshot_to_json, to_prometheus
-    from repro.obs.schema import validate_snapshot_json
+    from repro.obs.exporters import run_report
     from repro.obs.slo import SloHub, attach_hub, default_monitors
     from repro.obs.trace import unified_chrome_trace
     from repro.serve import build_serving_tier
     from repro.serve.loadgen import RequestLoadGenerator
     from repro.serve.simulator import ServingSimulator
-    from repro.train import CompressionPipeline, HybridParallelTrainer
 
     if n_iterations < 1:
         raise ValueError(f"n_iterations must be >= 1, got {n_iterations}")
@@ -104,21 +170,12 @@ def run_day_in_the_life(
         registry = enable(MetricsRegistry())
 
         # --- train: compressed hybrid-parallel steps on a 2-rank cluster
-        spec = make_uniform_spec(
-            "obs-day", n_tables=n_tables, cardinality=cardinality, zipf_exponent=1.2
-        )
-        dataset = SyntheticClickDataset(spec, seed=seed, teacher_scale=3.0)
-        config = DLRMConfig.from_dataset(spec, embedding_dim=8, seed=seed + 1)
-        model = DLRM(config)
-        batch = dataset.batch(128, batch_index=10_000_000)
-        samples = {j: model.lookup(j, batch.sparse[:, j]) for j in range(n_tables)}
-        plan = OfflineAnalyzer().analyze(samples)
-        pipeline = CompressionPipeline(AdaptiveController(plan))
+        dataset, config, trainer = build_day_world("obs-day", n_tables, cardinality, seed)
 
         # --- SLOs: the staleness bound is exactly what the adaptive plan
         # promises (worst per-table effective error bound at the publish
         # iteration); serve latency and step time get scenario budgets.
-        controller = pipeline.controller
+        controller = trainer.pipeline.controller
         staleness_bound = max(
             controller.error_bound(t, n_iterations - 1)
             for t in controller.table_ids()
@@ -133,15 +190,6 @@ def run_day_in_the_life(
             )
         )
 
-        trainer = HybridParallelTrainer(
-            model,
-            dataset,
-            ClusterSimulator(2),
-            pipeline=pipeline,
-            lr=0.2,
-            overlap=True,  # chunked overlapped exchanges -> chunk events + stall/hidden metrics
-            pipeline_chunks=4,
-        )
         for iteration in range(n_iterations):
             trainer.train_step(64, iteration=iteration)
         train_makespan = trainer.simulator.makespan()
@@ -171,10 +219,7 @@ def run_day_in_the_life(
         }
         # Lay the tiers out in wall-clock-ish order: publication begins
         # when training pauses; serving resumes behind the publication.
-        offsets = {
-            "publish": train_makespan,
-            "serve": train_makespan,
-        }
+        offsets = {"publish": train_makespan, "serve": train_makespan}
         trace = unified_chrome_trace(timelines, offsets=offsets)
         # --- critical path per tier, rendered as an extra highlight lane
         # on each tier's process in the unified trace
@@ -200,30 +245,16 @@ def run_day_in_the_life(
             title="Day in the life",
         )
 
-    paths: dict[str, Path] = {}
-    if out_dir is not None:
-        import json
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        reports_block = {
-            "critical_path": report_json_block(critical_paths),
-            "slo": slo_hub.to_json_dict(),
-        }
-        metrics_json = snapshot_to_json(snapshot, indent=2, reports=reports_block)
-        validate_snapshot_json(metrics_json)  # never ship an invalid artifact
-        paths["metrics.json"] = out / "metrics.json"
-        paths["metrics.json"].write_text(metrics_json)
-        paths["metrics.prom"] = out / "metrics.prom"
-        paths["metrics.prom"].write_text(to_prometheus(snapshot))
-        paths["obs_trace.json"] = out / "obs_trace.json"
-        paths["obs_trace.json"].write_text(json.dumps(trace))
-        paths["run_report.txt"] = out / "run_report.txt"
-        paths["run_report.txt"].write_text(report + "\n")
-        paths["critical_path.json"] = out / "critical_path.json"
-        paths["critical_path.json"].write_text(
-            json.dumps(report_json_block(critical_paths), indent=2) + "\n"
-        )
+    critical_path_block = report_json_block(critical_paths)
+    paths = write_artifacts(
+        out_dir,
+        snapshot,
+        trace,
+        report,
+        trace_name="obs_trace.json",
+        reports={"critical_path": critical_path_block, "slo": slo_hub.to_json_dict()},
+        extra={"critical_path.json": json.dumps(critical_path_block, indent=2) + "\n"},
+    )
 
     return ScenarioResult(
         snapshot=snapshot,

@@ -32,7 +32,14 @@ __all__ = ["GatherResult", "InferenceReplica"]
 
 @dataclass(frozen=True)
 class GatherResult:
-    """One request's embedding gather: rows + the cost of getting them."""
+    """One request's embedding gather: rows + the cost of getting them.
+
+    ``hits + misses`` is always the table count.  ``pulls`` / ``pull_ranks``
+    / ``fanout`` cover *delivered* pulls only; a missed row whose pull was
+    not delivered is in ``rows`` as its stale copy or as zeros and is
+    counted in ``stale_rows`` / ``degraded_rows`` (both 0 when everything
+    is delivered).
+    """
 
     rows: np.ndarray  # (n_tables, dim) float32
     hits: int
@@ -40,6 +47,8 @@ class GatherResult:
     pulls: tuple[ShardPull, ...] = ()
     #: shard rank each pull went to, aligned with ``pulls``
     pull_ranks: tuple[int, ...] = field(default=())
+    stale_rows: int = 0  # undelivered, answered from the stale store
+    degraded_rows: int = 0  # undelivered, answered as zeros
 
     @property
     def fanout(self) -> int:
@@ -75,10 +84,10 @@ class InferenceReplica:
         Keep rows evicted by :meth:`invalidate_tables` in a bounded
         *stale store* (same capacity as the cache) instead of dropping
         them.  When a shard pull cannot complete — crashed shard, severed
-        link, exhausted retries — the serving simulator falls back to the
-        stale copy and counts the response as *stale* (bounded-staleness:
-        the row is exactly what the tier served before the publication
-        that displaced it), rather than degrading to a zero row.
+        link, exhausted retries — :meth:`gather` answers with the stale
+        copy and counts the row as *stale* (bounded-staleness: the row is
+        exactly what the tier served before the publication that displaced
+        it), rather than degrading to a zero row.
     """
 
     def __init__(
@@ -169,28 +178,20 @@ class InferenceReplica:
 
     # -------------------------------------------------------------- lookups
 
-    def cache_lookup(self, table_id: int, row_id: int) -> np.ndarray | None:
-        """One table's cache probe, with hit/miss accounting (the
-        fault-aware serving path, which drives pulls itself)."""
-        row = self._cache_get((int(table_id), int(row_id)))
-        if row is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return row
-
-    def admit_row(self, table_id: int, row_id: int, row: np.ndarray) -> None:
-        """Admit one pulled row to the LRU (the fault-aware path admits
-        only rows whose pull actually completed)."""
-        self._cache_put((int(table_id), int(row_id)), row)
-
-    def gather(self, sparse: np.ndarray) -> GatherResult:
+    def gather(self, sparse: np.ndarray, deliver=None) -> GatherResult:
         """Gather one request's embedding rows (one id per table).
 
-        Cache hits are served locally; each missed table becomes one
-        row-granular pull from its owning shard node (the pull records
-        carry the shard rank so the simulator can price shared links),
-        and the pulled rows are inserted into the LRU.
+        The one gather, healthy or not.  Cache hits are served locally;
+        each missed table becomes one real row-granular pull from its
+        owning shard node, issued in table order (the pull always runs —
+        its byte sizes are what the caller prices — but its data is used
+        only if delivered).  ``deliver(shard_rank, pulls) -> bool`` is then
+        asked once per contacted shard, in ascending rank order, whether
+        that shard's pull group reached the replica; ``None`` means
+        everything is delivered.  Delivered rows are returned and admitted
+        to the LRU in table order; undelivered rows are answered from the
+        stale store if it holds them, otherwise as zeros, are never
+        admitted, and are counted (``stale_rows`` / ``degraded_rows``).
         """
         sparse = np.asarray(sparse, dtype=np.int64)
         if sparse.ndim != 1 or sparse.size != self.sharding.n_tables:
@@ -198,28 +199,42 @@ class InferenceReplica:
                 f"expected ({self.sharding.n_tables},) ids (one per table), "
                 f"got shape {sparse.shape}"
             )
-        n_tables = sparse.size
-        rows: list[np.ndarray | None] = [None] * n_tables
-        missing: list[tuple[int, int]] = []  # (table_id, row_id), one per table
+        rows: list[np.ndarray | None] = [None] * sparse.size
+        missing: list[tuple[tuple[int, int], int, ShardPull]] = []  # (cache key, shard, pull)
+        by_shard: dict[int, list[ShardPull]] = {}
         hits = 0
-        for table_id in range(n_tables):
-            row = self._cache_get((table_id, int(sparse[table_id])))
+        for table_id in range(sparse.size):
+            key = (table_id, int(sparse[table_id]))
+            row = self._cache_get(key)
             if row is not None:
                 rows[table_id] = row
                 hits += 1
-            else:
-                missing.append((table_id, int(sparse[table_id])))
+                continue
+            shard_rank = self.sharding.owner_of(table_id)
+            pull = self.servers[shard_rank].pull(table_id, sparse[table_id : table_id + 1])
+            missing.append((key, shard_rank, pull))
+            by_shard.setdefault(shard_rank, []).append(pull)
+        delivered = {
+            shard_rank: deliver is None or deliver(shard_rank, by_shard[shard_rank])
+            for shard_rank in sorted(by_shard)
+        }
         pulls: list[ShardPull] = []
         pull_ranks: list[int] = []
-        for table_id, row_id in missing:
-            shard_rank = self.sharding.owner_of(table_id)
-            pull = self.servers[shard_rank].pull(
-                table_id, np.array([row_id], dtype=np.int64)
-            )
-            pulls.append(pull)
-            pull_ranks.append(shard_rank)
-            rows[table_id] = pull.rows[0]
-            self._cache_put((table_id, row_id), pull.rows[0])
+        stale_rows = degraded_rows = 0
+        for key, shard_rank, pull in missing:
+            table_id = key[0]
+            if delivered[shard_rank]:
+                pulls.append(pull)
+                pull_ranks.append(shard_rank)
+                rows[table_id] = pull.rows[0]
+                self._cache_put(key, pull.rows[0])
+                continue
+            rows[table_id] = self.stale_lookup(*key)
+            if rows[table_id] is not None:
+                stale_rows += 1
+            else:  # partial fan-out: the row is zeros, and counted
+                rows[table_id] = np.zeros_like(pull.rows[0])
+                degraded_rows += 1
         misses = len(missing)
         self.hits += hits
         self.misses += misses
@@ -240,6 +255,8 @@ class InferenceReplica:
             misses=misses,
             pulls=tuple(pulls),
             pull_ranks=tuple(pull_ranks),
+            stale_rows=stale_rows,
+            degraded_rows=degraded_rows,
         )
 
     def __repr__(self) -> str:

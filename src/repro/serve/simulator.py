@@ -27,6 +27,7 @@ every miss across the inter-node link.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,14 +38,22 @@ from repro.dist.gpu import A100_LIKE, GpuModel
 from repro.dist.network import NetworkModel
 from repro.dist.timeline import EventCategory, Timeline
 from repro.faults.breaker import CircuitBreaker
+from repro.faults.plan import LinkState
+from repro.faults.retry import RetryPolicy
 from repro.model.config import DLRMConfig
 from repro.nn.interaction import DotInteraction
 from repro.obs.registry import Histogram
 from repro.obs.runtime import OBS
 from repro.serve.loadgen import Request
 from repro.serve.replica import InferenceReplica
+from repro.serve.shard_server import ShardPull
 
 __all__ = ["ServingReport", "ServingSimulator"]
+
+#: What a healthy run feeds the one request loop: an undisturbed link, and a
+#: single attempt that (nothing being able to fail) never times out.
+_HEALTHY_LINK = LinkState()
+_NULL_POLICY = RetryPolicy(max_attempts=1, timeout_seconds=math.inf)
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,13 @@ class ServingReport:
 class ServingSimulator:
     """Price an inference fleet: replicas + compressed shards on a fabric.
 
+    There is one request path: :meth:`run` prices every request with
+    :meth:`service_seconds`, whose per-shard attempt loop decides which of
+    the one :meth:`InferenceReplica.gather`'s pull groups are delivered.  A
+    healthy run is that loop with no injector and a single attempt that
+    cannot time out; the fault keywords below change the loop's inputs,
+    never which code runs.
+
     Parameters
     ----------
     replicas:
@@ -130,8 +146,8 @@ class ServingSimulator:
         :class:`~repro.faults.retry.RetryPolicy` for shard pulls — per
         pull-group timeout, capped exponential backoff, deterministic
         jitter, all elapsing on the request's service time.  Defaults to
-        a single attempt with a 50 ms timeout when only a fault injector
-        is given.
+        a single attempt: with a 50 ms timeout when a fault injector is
+        given, with none (nothing can fail) otherwise.
     hedge_delay:
         Optional hedged-pull delay: if a pull group's first attempt has
         not completed after this many seconds, a second identical pull is
@@ -178,14 +194,9 @@ class ServingSimulator:
         self.n_shards = first.sharding.n_ranks
         self.fault_injector = fault_injector
         self.hedge_delay = hedge_delay
-        if retry_policy is None and fault_injector is not None:
-            from repro.faults.retry import RetryPolicy
-
-            retry_policy = RetryPolicy(max_attempts=1)
+        if retry_policy is None:
+            retry_policy = _NULL_POLICY if fault_injector is None else RetryPolicy(max_attempts=1)
         self.retry_policy = retry_policy
-        #: fault-aware mode: per-pull timeouts/retries/breakers/fallbacks.
-        #: Off (both None) the pricing path is byte-identical to before.
-        self._faulty = retry_policy is not None
         self._breakers = tuple(
             CircuitBreaker(
                 failure_threshold=breaker_failure_threshold,
@@ -218,37 +229,103 @@ class ServingSimulator:
 
     # -------------------------------------------------------------- pricing
 
-    def _pull_wire_seconds(self, replica_index: int, shard_rank: int, nbytes: int) -> float:
-        """One shard pull's wire time, over the fabric's (shard -> replica)
-        link when a topology is present."""
+    def _pull_wire_seconds(
+        self, replica_index: int, shard_rank: int, nbytes: int, t: float
+    ) -> float | None:
+        """One shard pull's wire time starting at ``t``, over the fabric's
+        (shard -> replica) link when a topology is present; ``None`` when
+        the fault plan has the shard or its link down at ``t``.  The only
+        place the fault injector is consulted."""
+        src = self.n_replicas + shard_rank
+        state = _HEALTHY_LINK
+        if self.fault_injector is not None:
+            if self.fault_injector.shard_down(shard_rank, t):
+                return None
+            state = self.fault_injector.link_state(src, replica_index, t)
+            if not state.up:
+                return None
         topology = self.network.topology
         if topology is None:
-            return self.network.point_to_point_time(nbytes)
-        src = self.n_replicas + shard_rank
-        dst = replica_index
-        return float(
-            topology.latency_matrix[src, dst]
-            + nbytes / topology.bandwidth_matrix[src, dst]
-        )
+            latency, bandwidth = self.network.latency, self.network.bandwidth
+        else:
+            latency = topology.latency_matrix[src, replica_index]
+            bandwidth = topology.bandwidth_matrix[src, replica_index]
+        return float(latency + state.extra_latency + nbytes / (bandwidth * state.bandwidth_factor))
 
-    def service_seconds(self, replica_index: int, request: Request) -> tuple[float, "GatherStats"]:
-        """Price one request on one replica; returns (seconds, stats)."""
-        replica = self.replicas[replica_index]
-        result = replica.gather(request.sparse)
-        # Fan-out: pulls to *distinct* shard nodes travel concurrently,
-        # but pulls sharing one shard->replica link serialize on it (one
-        # message per table pull) — the wire cost is the busiest link.
-        # Decode kernels then serialize on the replica's device.
-        wire_per_shard: dict[int, float] = {}
+    def _group_wire(
+        self, replica_index: int, shard_rank: int, pulls: Sequence[ShardPull], t: float
+    ) -> float | None:
+        """Wire time of one shard's pull group starting at ``t`` (pulls on
+        one shard->replica link serialize); ``None`` if unreachable."""
+        total = 0.0
+        for pull in pulls:
+            wire = self._pull_wire_seconds(replica_index, shard_rank, pull.compressed_nbytes, t)
+            if wire is None:
+                return None
+            total += wire
+        return total
+
+    def service_seconds(
+        self, replica_index: int, request: Request, start: float = 0.0, request_index: int = 0
+    ) -> tuple[float, "GatherStats"]:
+        """Price one request on one replica; returns (seconds, stats).
+
+        Pull groups (one per contacted shard) fan out concurrently — the
+        wire cost is the busiest group — and decode kernels then serialize
+        on the replica's device.  Inside a group, failed attempts (timeout
+        charged), backoff waits and the eventual transfer elapse serially
+        from the request's ``start``; the fault plan and the shard's
+        breaker are evaluated at ``start + elapsed``.  A group that
+        exhausts its attempts — or is failed fast by an open breaker — is
+        not delivered, and :meth:`InferenceReplica.gather` answers its
+        tables stale or as zeros, counted.  A healthy request is this loop
+        with one attempt that succeeds.
+        """
+        policy = self.retry_policy
+        wire = 0.0
+        retries = timeouts = fast_fails = hedged = 0
+
+        def deliver(shard_rank: int, pulls: Sequence[ShardPull]) -> bool:
+            nonlocal wire, retries, timeouts, fast_fails, hedged
+            breaker = self._breakers[shard_rank]
+            elapsed = 0.0
+            delivered = False
+            for attempt in range(policy.max_attempts):
+                if not breaker.allows(start + elapsed):
+                    fast_fails += 1
+                    break
+                if attempt:
+                    retries += 1
+                    elapsed += policy.backoff_seconds(
+                        attempt, "pull", replica_index, request_index, shard_rank
+                    )
+                group = self._group_wire(replica_index, shard_rank, pulls, start + elapsed)
+                if group is not None and self.hedge_delay is not None and group > self.hedge_delay:
+                    # Hedge: a second identical pull starts hedge_delay
+                    # later; the request takes whichever finishes first.
+                    hedged += 1
+                    hedge = self._group_wire(
+                        replica_index, shard_rank, pulls, start + elapsed + self.hedge_delay
+                    )
+                    if hedge is not None:
+                        group = min(group, self.hedge_delay + hedge)
+                if group is not None and group <= policy.timeout_seconds:
+                    elapsed += group
+                    breaker.record_success(start + elapsed)
+                    delivered = True
+                    break
+                timeouts += 1
+                elapsed += policy.timeout_seconds
+                breaker.record_failure(start + elapsed)
+            wire = max(wire, elapsed)
+            return delivered
+
+        result = self.replicas[replica_index].gather(request.sparse, deliver)
         decode = 0.0
-        for pull, shard_rank in zip(result.pulls, result.pull_ranks):
-            wire_per_shard[shard_rank] = wire_per_shard.get(
-                shard_rank, 0.0
-            ) + self._pull_wire_seconds(replica_index, shard_rank, pull.compressed_nbytes)
+        for pull in result.pulls:
             decode += self.gpu.throughput_kernel_time(
                 pull.raw_nbytes, self.profile.for_codec(pull.codec).decompress
             )
-        wire = max(wire_per_shard.values(), default=0.0)
         seconds = wire + decode + self._inference_seconds
         return seconds, GatherStats(
             hits=result.hits,
@@ -257,164 +334,13 @@ class ServingSimulator:
             blocks=sum(p.blocks_touched for p in result.pulls),
             compressed_nbytes=result.pulled_compressed_nbytes,
             raw_nbytes=result.pulled_raw_nbytes,
-        )
-
-    # ----------------------------------------------------- fault-aware path
-
-    def _pull_wire_seconds_at(
-        self, replica_index: int, shard_rank: int, nbytes: int, t: float
-    ) -> float | None:
-        """One pull's wire time with the fault plan applied at time ``t``;
-        ``None`` when the shard or its link is unreachable."""
-        injector = self.fault_injector
-        if injector is None:
-            return self._pull_wire_seconds(replica_index, shard_rank, nbytes)
-        if injector.shard_down(shard_rank, t):
-            return None
-        src = self.n_replicas + shard_rank
-        state = injector.link_state(src, replica_index, t)
-        if not state.up:
-            return None
-        topology = self.network.topology
-        if topology is None:
-            base = self.network.point_to_point_time(nbytes)
-            return base / state.bandwidth_factor + state.extra_latency
-        return float(
-            topology.latency_matrix[src, replica_index]
-            + state.extra_latency
-            + nbytes / (topology.bandwidth_matrix[src, replica_index] * state.bandwidth_factor)
-        )
-
-    def _service_under_faults(
-        self, replica_index: int, request: Request, start: float, request_index: int
-    ) -> tuple[float, "GatherStats"]:
-        """Price one request with per-pull timeouts, retries, hedging, the
-        per-shard circuit breakers, and graceful fallbacks.
-
-        Pull groups (one per contacted shard) still fan out concurrently;
-        inside a group, failed attempts (timeout charged), backoff waits,
-        and the eventual transfer elapse serially on the request's clock.
-        A group that exhausts its attempts — or is failed fast by an open
-        breaker — degrades its tables: the stale store answers with the
-        bounded pre-publication copy if it holds the row, otherwise the
-        row is zeros (partial fan-out).  Both are counted, never silently
-        served as fresh.
-        """
-        replica = self.replicas[replica_index]
-        policy = self.retry_policy
-        sparse = np.asarray(request.sparse, dtype=np.int64)
-        n_tables = replica.sharding.n_tables
-        hits = 0
-        by_shard: dict[int, list[tuple[int, int]]] = {}
-        for table_id in range(n_tables):
-            row_id = int(sparse[table_id])
-            row = replica.cache_lookup(table_id, row_id)
-            if row is not None:
-                hits += 1
-            else:
-                by_shard.setdefault(replica.sharding.owner_of(table_id), []).append(
-                    (table_id, row_id)
-                )
-
-        decode = 0.0
-        group_elapsed: list[float] = []
-        blocks = compressed_nbytes = raw_nbytes = 0
-        fanout_ranks: set[int] = set()
-        stale_rows = degraded_rows = retries = timeouts = fast_fails = hedged = 0
-        for shard_rank in sorted(by_shard):
-            entries = by_shard[shard_rank]
-            # The real pulls (numerics + byte sizes); data is used — and
-            # admitted to the cache — only if an attempt completes.
-            pulled = [
-                replica.servers[shard_rank].pull(
-                    table_id, np.array([row_id], dtype=np.int64)
-                )
-                for table_id, row_id in entries
-            ]
-            group_nbytes = [p.compressed_nbytes for p in pulled]
-            breaker = self._breakers[shard_rank]
-            t = start
-            succeeded = False
-            for attempt in range(policy.max_attempts):
-                if not breaker.allows(t):
-                    fast_fails += 1
-                    break
-                if attempt:
-                    retries += 1
-                    t += policy.backoff_seconds(
-                        attempt, "pull", replica_index, request_index, shard_rank
-                    )
-                wire = self._group_wire(replica_index, shard_rank, group_nbytes, t)
-                if (
-                    wire is not None
-                    and self.hedge_delay is not None
-                    and wire > self.hedge_delay
-                ):
-                    # Hedge: a second identical pull starts hedge_delay
-                    # later; the request takes whichever finishes first.
-                    hedged += 1
-                    hedge_wire = self._group_wire(
-                        replica_index, shard_rank, group_nbytes, t + self.hedge_delay
-                    )
-                    if hedge_wire is not None:
-                        wire = min(wire, self.hedge_delay + hedge_wire)
-                if wire is None or wire > policy.timeout_seconds:
-                    timeouts += 1
-                    t += policy.timeout_seconds
-                    breaker.record_failure(t)
-                    continue
-                t += wire
-                breaker.record_success(t)
-                succeeded = True
-                break
-            group_elapsed.append(t - start)
-            if succeeded:
-                fanout_ranks.add(shard_rank)
-                for (table_id, row_id), pull in zip(entries, pulled):
-                    replica.admit_row(table_id, row_id, pull.rows[0])
-                    decode += self.gpu.throughput_kernel_time(
-                        pull.raw_nbytes, self.profile.for_codec(pull.codec).decompress
-                    )
-                    blocks += pull.blocks_touched
-                    compressed_nbytes += pull.compressed_nbytes
-                    raw_nbytes += pull.raw_nbytes
-            else:
-                for table_id, row_id in entries:
-                    if replica.stale_lookup(table_id, row_id) is not None:
-                        stale_rows += 1
-                    else:
-                        degraded_rows += 1
-
-        wire = max(group_elapsed, default=0.0)
-        seconds = wire + decode + self._inference_seconds
-        misses = sum(len(v) for v in by_shard.values())
-        return seconds, GatherStats(
-            hits=hits,
-            misses=misses,
-            fanout=len(fanout_ranks),
-            blocks=blocks,
-            compressed_nbytes=compressed_nbytes,
-            raw_nbytes=raw_nbytes,
-            stale_rows=stale_rows,
-            degraded_rows=degraded_rows,
+            stale_rows=result.stale_rows,
+            degraded_rows=result.degraded_rows,
             retries=retries,
             timeouts=timeouts,
             fast_fails=fast_fails,
             hedged=hedged,
         )
-
-    def _group_wire(
-        self, replica_index: int, shard_rank: int, nbytes_list: Sequence[int], t: float
-    ) -> float | None:
-        """Wire time of one shard's pull group starting at ``t`` (pulls on
-        one shard->replica link serialize); ``None`` if unreachable."""
-        total = 0.0
-        for nbytes in nbytes_list:
-            wire = self._pull_wire_seconds_at(replica_index, shard_rank, nbytes, t)
-            if wire is None:
-                return None
-            total += wire
-        return total
 
     # ------------------------------------------------------------------ run
 
@@ -478,12 +404,7 @@ class ServingSimulator:
         for i, request in enumerate(requests):
             replica_index = i % self.n_replicas
             start = max(request.arrival_seconds, free[replica_index])
-            if self._faulty:
-                seconds, stats = self._service_under_faults(
-                    replica_index, request, start, i
-                )
-            else:
-                seconds, stats = self.service_seconds(replica_index, request)
+            seconds, stats = self.service_seconds(replica_index, request, start, i)
             completion = start + seconds
             free[replica_index] = completion
             busy[replica_index] += seconds
@@ -628,7 +549,7 @@ class GatherStats:
     blocks: int
     compressed_nbytes: int
     raw_nbytes: int
-    #: fault-aware accounting (zeros on the healthy path)
+    #: zeros when every pull group is delivered at its first attempt
     stale_rows: int = 0
     degraded_rows: int = 0
     retries: int = 0

@@ -39,6 +39,31 @@ class TestInvariants:
         assert result.stale_rows + result.degraded_rows > 0
         assert result.compound_bound > 0.0
 
+    def test_both_fallbacks_fire(self, result):
+        """The warm-up traffic gives ``keep_stale`` rows to displace, so the
+        crash window is answered from the stale store where it can be and
+        as zeros elsewhere (it used to be 0 stale rows: empty caches at the
+        one successful publication)."""
+        assert result.stale_rows > 0
+        assert result.degraded_rows > 0
+        assert result.snapshot.counter_value("serve_stale_rows_total") == result.stale_rows
+        assert (
+            result.snapshot.counter_value("serve_degraded_rows_total")
+            == result.degraded_rows
+        )
+
+    def test_default_arguments_keep_the_parent_accounting(self):
+        """Recorded at ``16243c1`` (0 stale / 327 degraded there): the
+        publication invalidates every table, so the measured trace still
+        meets cold caches — only the stale/degraded split moved."""
+        default = run_day_in_the_life_under_faults()
+        assert default.stale_rows > 0
+        assert default.stale_rows + default.degraded_rows == 327
+        assert (default.impaired_requests, default.fresh_requests) == (109, 91)
+        assert default.healthy_train_makespan == 0.0005392657237192049
+        assert default.faulty_train_makespan == 0.0007165795443413493
+        assert default.staleness_after_last_success == 0.0054786354303359985
+
     def test_scenario_is_deterministic(self, result):
         twin = run_day_in_the_life_under_faults(n_iterations=4, n_requests=120)
         assert twin.faulty_train_makespan == result.faulty_train_makespan
@@ -56,6 +81,21 @@ class TestObservability:
         assert "checkpoints_taken_total" in names
         assert "checkpoint_restores_total" in names
         assert "serve_degraded_rows_total" in names
+        assert "serve_stale_rows_total" in names
+
+    def test_fault_configured_serving_counts_cache_hits_and_misses(self, result):
+        """The chaos serve run goes through the one ``gather``: every lookup
+        of every request served under OBS is a counted hit or miss (the
+        forked fault path emitted neither family)."""
+        snapshot = result.snapshot
+
+        def total(name):
+            return sum(snapshot.family(name).as_dict().values())
+
+        lookups = total("serve_cache_hits_total") + total("serve_cache_misses_total")
+        n_tables = 6
+        assert lookups == n_tables * snapshot.counter_value("serve_requests_total")
+        assert snapshot.counter_value("serve_requests_total") >= result.n_requests
 
     def test_trace_carries_fault_annotation_spans(self, result):
         fault_spans = [

@@ -20,7 +20,7 @@ from repro.obs.exporters import (
     snapshot_to_json,
     to_prometheus,
 )
-from repro.obs.scenario import run_day_in_the_life
+from repro.obs.scenario import build_day_world, run_day_in_the_life, write_artifacts
 from repro.obs.trace import dump_unified_chrome_trace, unified_chrome_trace
 
 
@@ -85,6 +85,37 @@ class TestUnifiedTrace:
     def test_report_mentions_each_tier_breakdown(self, result):
         for tier in ("train", "publish", "serve"):
             assert f"{tier} time breakdown" in result.report
+
+
+class TestScenarioHelpersShared:
+    """``build_day_world`` / ``write_artifacts`` serve both day-in-the-life
+    drivers (``repro.faults.scenario`` imports them)."""
+
+    def test_default_arguments_reproduce_the_recorded_run(self):
+        """Recorded at ``16243c1``, before the world builder and artifact
+        writer moved out of the two scenario bodies."""
+        default = run_day_in_the_life()
+        assert default.train_makespan == 0.0002696328618596025
+        assert default.publish_wire_nbytes == 3684
+        assert default.serve_p99_latency == 5.513712608802351e-05
+
+    def test_artifact_sets(self, result, tmp_path):
+        run = (result.snapshot, result.trace, result.report)
+        assert write_artifacts(None, *run, trace_name="t.json") == {}
+        paths = write_artifacts(
+            tmp_path / "run", *run, trace_name="t.json", extra={"note.txt": "hello\n"}
+        )
+        assert set(paths) == {"metrics.json", "metrics.prom", "t.json", "run_report.txt", "note.txt"}
+        assert json.loads(paths["t.json"].read_text()) == json.loads(json.dumps(result.trace))
+        assert paths["run_report.txt"].read_text() == result.report + "\n"
+        assert paths["note.txt"].read_text() == "hello\n"
+
+    def test_twin_worlds_match(self):
+        _, config_a, trainer_a = build_day_world("twin", 3, 50, seed=5)
+        _, config_b, trainer_b = build_day_world("twin", 3, 50, seed=5)
+        assert config_a == config_b
+        for p, q in zip(trainer_a.model.parameters(), trainer_b.model.parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
 
 
 class TestUnifiedTraceHelpers:
