@@ -31,9 +31,21 @@ __all__ = [
     "frame_parts",
     "parse_payload",
     "MAGIC",
+    "ROW_DECODE_MAX_ROWS",
 ]
 
 MAGIC = 0xDC  # "DLRM Compression" frame marker
+
+#: a ``rows=`` decode of fewer rows than this runs the codec's row kernel
+#: (where it has one); from here up it is the vectorised full decode, then an
+#: index.  A row kernel costs per requested row (vector-LZ: ~30 us for the
+#: first, ~4 us for each further one), the full decode mostly per call
+#: (~90-130 us for a 64-row block of 32 values a row); for vector-LZ the two
+#: meet between 12 rows (a constant block, every row a chain) and 20 (no
+#: matches), and entropy's walk stays ahead for longer, so vector-LZ binds.
+#: The ``shard_pull`` perfbench rows sit on either side: ``row1`` at 2.4-3.2x,
+#: ``rows32`` on the full decode at ~1x (vector-LZ's row kernel: ~0.7x there).
+ROW_DECODE_MAX_ROWS = 12
 
 #: body types a codec may return: a single buffer or a list of buffer parts
 #: (each part is anything exposing the buffer protocol — bytes, memoryview,
@@ -120,6 +132,9 @@ class Compressor(ABC):
     lossy: bool = True
     #: whether the codec honours the ``error_bound`` argument
     error_bounded: bool = False
+    #: whether ``_decompress_body`` takes ``rows=`` and decodes only those
+    #: rows (codecs without a partial decoder decode the frame, then index)
+    decodes_rows: bool = False
 
     def _validate(self, array: np.ndarray, error_bound: float | None) -> np.ndarray:
         array = np.ascontiguousarray(array)
@@ -168,16 +183,41 @@ class Compressor(ABC):
             )
         return self._decode_frame(header, body)
 
-    def _decode_frame(self, header: dict[str, Any], body: memoryview) -> np.ndarray:
+    def _decode_frame(
+        self, header: dict[str, Any], body: memoryview, rows: np.ndarray | None = None
+    ) -> np.ndarray:
         """Decode an already-parsed frame of this codec (no second header
         parse: :func:`~repro.compression.registry.decompress_any` parses to
-        find the codec, then dispatches here)."""
+        find the codec, then dispatches here).
+
+        With ``rows`` (1-D integer indices) the result is bit-identical to
+        ``_decode_frame(header, body)[rows]``.  Few rows of a codec that
+        :attr:`decodes_rows` go to its row kernel; everything else is the
+        full decode, indexed."""
         shape = tuple(int(s) for s in header["shape"])
         dtype = np.dtype(header["dtype"])
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.ndim != 1 or rows.dtype.kind not in "iu":
+                raise TypeError(
+                    f"rows must be a 1-D integer array, got {rows.dtype} of shape {rows.shape}"
+                )
+            if self.decodes_rows and shape and rows.size < ROW_DECODE_MAX_ROWS:
+                n = shape[0]
+                # NumPy's own indexing rule: negative indices count from the end.
+                wanted = [row + n if row < 0 else row for row in rows.tolist()]
+                if not all(0 <= row < n for row in wanted):
+                    raise IndexError(f"row indices {rows.tolist()} are out of bounds for {n} rows")
+                array = self._decompress_body(header, body, shape, dtype, rows=wanted)
+                if array.shape != (len(wanted), *shape[1:]):
+                    raise AssertionError(
+                        f"{self.name}: decoded shape {array.shape} != {(len(wanted), *shape[1:])}"
+                    )
+                return array
         array = self._decompress_body(header, body, shape, dtype)
         if array.shape != shape:
             raise AssertionError(f"{self.name}: decoded shape {array.shape} != {shape}")
-        return array
+        return array if rows is None else array[rows]
 
     @abstractmethod
     def _compress_body(
@@ -199,7 +239,9 @@ class Compressor(ABC):
         shape: tuple[int, ...],
         dtype: np.dtype,
     ) -> np.ndarray:
-        """Reconstruct the array from header + body."""
+        """Reconstruct the array from header + body.  A codec that sets
+        :attr:`decodes_rows` also takes ``rows=None``: a list of indices in
+        ``[0, shape[0])`` whose rows alone it returns, in that order."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r} lossy={self.lossy}>"

@@ -16,7 +16,7 @@ their code-length table, so decompression is oblivious to caching.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.compression.huffman import (
     HuffmanEncoded,
     canonical_codes,
     huffman_decode,
+    huffman_decode_rows,
     huffman_encode,
     huffman_encode_with_book,
 )
@@ -54,6 +55,7 @@ class EntropyCompressor(Compressor):
     name = "entropy"
     lossy = True
     error_bounded = True
+    decodes_rows = True
 
     def __init__(
         self,
@@ -115,7 +117,12 @@ class EntropyCompressor(Compressor):
         return meta, encoded.payload
 
     def _decompress_body(
-        self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
+        self,
+        header: dict[str, Any],
+        body: memoryview,
+        shape: tuple[int, ...],
+        dtype: np.dtype,
+        rows: Sequence[int] | None = None,
     ) -> np.ndarray:
         encoded = HuffmanEncoded(
             payload=np.frombuffer(body, dtype=np.uint8),
@@ -124,6 +131,17 @@ class EntropyCompressor(Compressor):
             chunk_symbol_counts=header["chunk_symbol_counts"],
             total_symbols=header["total_symbols"],
         )
-        symbols = huffman_decode(encoded)
-        raw_codes = symbols.reshape(shape) + header["code_min"]
-        return (raw_codes.astype(np.float64) * (2.0 * header["eb"])).astype(dtype)
+        code_min = header["code_min"]
+        if rows is None:
+            symbols = huffman_decode(encoded).reshape(shape)
+        else:
+            n, d = shape
+            if encoded.total_symbols != n * d:  # what the reshape above rejects
+                raise ValueError(
+                    f"corrupt Huffman stream: {encoded.total_symbols} symbols "
+                    f"cannot fill shape {shape}"
+                )
+            if not -(1 << 63) <= code_min < (1 << 63):
+                raise ValueError(f"corrupt Huffman stream: code_min {code_min} is not an int64")
+            symbols = huffman_decode_rows(encoded, rows, d)
+        return ((symbols + code_min).astype(np.float64) * (2.0 * header["eb"])).astype(dtype)

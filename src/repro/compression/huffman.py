@@ -22,7 +22,10 @@ walks the per-chunk jump chain sequentially.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "huffman_encode",
     "huffman_encode_with_book",
     "huffman_decode",
+    "huffman_decode_rows",
     "DEFAULT_MAX_CODE_LENGTH",
     "DEFAULT_CHUNK_SYMBOLS",
 ]
@@ -585,6 +589,92 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     if (peek_steps == 0).any() or (seq == total_bits).any():
         raise ValueError("corrupt Huffman stream: peek hit an unassigned code")
     return np.take(table_sym, np.take(windows, seq_clamped))
+
+
+def huffman_decode_rows(encoded: HuffmanEncoded, rows: Sequence[int], dim: int) -> np.ndarray:
+    """``huffman_decode(encoded).reshape(-1, dim)[rows]`` without decoding
+    the symbols of other rows.
+
+    A variable-length stream is only addressable at its chunk starts, so a
+    row costs the walk from the start of its chunk: the per-bit-offset
+    code-length table of that chunk is computed vectorised (as the full
+    decoder does for the whole payload), then **one** forward walk per
+    touched chunk hops code to code up to the last requested row in it,
+    peeking only the requested symbols.  A walk is as long as the symbols
+    before the row, never the stream.  A zero step (a Kraft gap, or the
+    zero padding past the chunk's bits) parks the walk where it stands, so
+    it shows as a zero step under the next requested symbol and is raised
+    as corruption there.
+
+    ``rows`` holds indices in ``[0, total_symbols // dim)``.
+    """
+    distinct = sorted(set(rows))
+    if len(distinct) * dim == 0:
+        return np.empty((len(rows), dim), dtype=np.int64)
+    lengths = encoded.code_lengths
+    used = np.flatnonzero(lengths)
+    if used.size == 0:
+        raise ValueError("corrupt stream: no symbols have codes")
+    if used.size == 1:
+        # Mirror of the encoder's single-symbol fast path.
+        return np.full((len(rows), dim), int(used[0]), dtype=np.int64)
+    table_sym, table_len, max_len = _peek_tables_for(lengths)
+    total_bits = encoded.payload.size * 8
+    starts = encoded.chunk_bit_offsets.tolist()
+    if not starts:
+        raise ValueError("corrupt Huffman stream: symbols recorded but no chunks")
+    if max(starts) > total_bits:
+        raise ValueError("corrupt Huffman stream: chunk offset outside payload")
+    counts = encoded.chunk_symbol_counts.tolist()
+    if min(counts, default=0) < 1:
+        raise ValueError("corrupt Huffman stream: a chunk without symbols")
+    # Symbols [chunk_ends[c - 1], chunk_ends[c]) live in chunk c.
+    chunk_ends = list(accumulate(counts))
+
+    # Per touched chunk, the runs of requested symbols as (first symbol within
+    # the chunk, count): a row is one run, cut where it crosses into the next
+    # chunk.  Rows ascend, so chunks and runs come out in stream order.
+    runs_of_chunk: dict[int, list[tuple[int, int]]] = {}
+    for row in distinct:
+        symbol, end = row * dim, (row + 1) * dim
+        while symbol < end:
+            chunk = bisect_right(chunk_ends, symbol)
+            if chunk >= min(len(chunk_ends), len(starts)):
+                raise ValueError("corrupt Huffman stream: chunks hold fewer symbols than rows")
+            count = min(end, chunk_ends[chunk]) - symbol
+            first = symbol - (chunk_ends[chunk - 1] if chunk else 0)
+            runs_of_chunk.setdefault(chunk, []).append((first, count))
+            symbol += count
+
+    decoded = []
+    for chunk, runs in runs_of_chunk.items():
+        start = starts[chunk]
+        n_bits = (starts[chunk + 1] if chunk + 1 < len(starts) else total_bits) - start
+        last_first, last_count = runs[-1]
+        if last_first + last_count > n_bits:
+            # every code is at least one bit: the bytes present bound the walk
+            raise ValueError("corrupt Huffman stream: peek hit an unassigned code")
+        first_byte = start >> 3
+        padded = padded_stream(encoded.payload[first_byte : (start + n_bits + 7) >> 3], 8)
+        windows = _sliding_windows(padded, start - first_byte * 8, n_bits, max_len)
+        # Zero steps past the chunk's last bit, so a walk that runs off it parks.
+        steps = np.take(table_len, windows).tobytes() + bytes(max_len)
+        position = walked = 0
+        peeked: list[int] = []
+        for first, count in runs:
+            for _ in range(first - walked):
+                position += steps[position]
+            for _ in range(count):
+                peeked.append(position)
+                position += steps[position]
+            walked = first + count
+        if not all(steps[p] for p in peeked):
+            raise ValueError("corrupt Huffman stream: peek hit an unassigned code")
+        decoded.append(np.take(table_sym, np.take(windows, peeked)))
+    # Stream order is row-major order of the distinct rows.
+    out = np.concatenate(decoded).reshape(len(distinct), dim)
+    slot_of = {row: slot for slot, row in enumerate(distinct)}
+    return out[[slot_of[row] for row in rows]]
 
 
 def _reference_sliding_windows(

@@ -73,7 +73,7 @@ def available_compressors() -> tuple[str, ...]:
     return tuple(sorted(_FACTORIES))
 
 
-def decompress_any(payload: bytes | memoryview) -> np.ndarray:
+def decompress_any(payload: bytes | memoryview, rows: np.ndarray | None = None) -> np.ndarray:
     """Decode a payload produced by any registered codec.
 
     Accepts both bare codec frames and CRC32-checksummed envelopes (see
@@ -82,6 +82,17 @@ def decompress_any(payload: bytes | memoryview) -> np.ndarray:
     :class:`~repro.compression.serialization.CorruptPayloadError` instead
     of decoding garbage.  The header is parsed once: the codec it names
     decodes from the parsed ``(header, body)``.
+
+    ``rows`` selects rows of the decoded array: the result is bit-identical
+    to ``decompress_any(payload)[rows]`` — dtype included — for every
+    registered codec and any 1-D integer ``rows`` (empty, duplicated,
+    unsorted, negative from the end; ``IndexError`` out of range).  Vector-LZ
+    and entropy frames (hence hybrid ones, which carry the inner codec's
+    name) decode only the rows asked for when those are few; the other
+    codecs, and requests for a large share of the frame, decode it whole and
+    index.  Corrupt bytes raise ``ValueError`` from a row decode as they do
+    from a full one, though a fault in rows that were not asked for can go
+    unseen.
     """
     if has_checksum(payload):
         payload = verify_checksum_frame(payload)
@@ -92,4 +103,4 @@ def decompress_any(payload: bytes | memoryview) -> np.ndarray:
         if codec not in _FACTORIES:
             raise KeyError(f"payload codec {codec!r} is not registered")
         decoder = _DECODERS[codec] = _FACTORIES[codec]()
-    return decoder._decode_frame(header, body)
+    return decoder._decode_frame(header, body, rows)

@@ -138,6 +138,10 @@ STACK_SHAPE = (32, 128, 64)
 SHARD_TABLE_SHAPE = (4000, 32)
 SHARD_ROWS_PER_BLOCK = 64
 
+#: the shard_pull rows time this many pulls a call (a pull is tens of
+#: microseconds: one alone is below what best-of timing resolves here)
+SHARD_PULLS_PER_CALL = 64
+
 #: kernels whose committed speedups carry comfortable headroom over their
 #: seed references get a tighter regression gate than the default 3x —
 #: a real regression on them shows up well before the generic band
@@ -596,6 +600,47 @@ def run_suite(
         _per_block_loop,
         interleave=True,
     )
+
+    # --- row-granular shard pulls: ``pull`` of one row (what a replica's
+    # cache miss issues) and of 32 rows of one block, on a vector-LZ and an
+    # entropy table, against the block-decode-then-index loop ``pull`` used
+    # to be.  row1 runs the codec's row kernel; rows32 is past
+    # ``ROW_DECODE_MAX_ROWS`` and takes the block decode, so it reads ~1x —
+    # the pair brackets the crossover constant.  One row set regardless of
+    # the shape sweep. ---
+    pull_rng = np.random.default_rng(seed)
+    pull_requests = {
+        "row1": [pull_rng.integers(0, shard_rows, size=1) for _ in range(SHARD_PULLS_PER_CALL)],
+        "rows32": [
+            block * SHARD_ROWS_PER_BLOCK + pull_rng.choice(SHARD_ROWS_PER_BLOCK, 32, replace=False)
+            for block in pull_rng.integers(
+                0, shard_rows // SHARD_ROWS_PER_BLOCK, size=SHARD_PULLS_PER_CALL
+            )
+        ],
+    }
+    for pull_codec in ("vector_lz", "entropy"):
+        pulled = EmbeddingShardServer(
+            {0: shard_values}, error_bound, pull_codec, rows_per_block=SHARD_ROWS_PER_BLOCK
+        )
+        blocks = pulled._tables[0].blocks  # the reference decodes the shard's own payloads
+
+        def _block_decode_then_index(row_ids):
+            rows = np.empty((row_ids.size, shard_dim), dtype=np.float32)
+            block_ids = row_ids // SHARD_ROWS_PER_BLOCK
+            for block_id in np.unique(block_ids):
+                decoded = decompress_any(blocks[block_id])
+                in_block = block_ids == block_id
+                rows[in_block] = decoded[row_ids[in_block] - block_id * SHARD_ROWS_PER_BLOCK]
+            return rows
+
+        for op, requests in pull_requests.items():
+            add(
+                "shard_pull", op, f"{pull_codec}_{shard_name}", shard_rows, shard_dim,
+                sum(ids.size for ids in requests) * shard_dim * 4,
+                lambda: [pulled.pull(0, ids) for ids in requests],
+                lambda: [_block_decode_then_index(ids) for ids in requests],
+                interleave=True,
+            )
 
     # --- critical-path analyzer: dependency-DAG reconstruction plus the
     # walk-back over a chunk-pipelined exchange timeline — the

@@ -63,10 +63,10 @@ class TestRunSuite:
             assert record.seconds > 0
             assert record.throughput_mb_s > 0
         # Every shape-swept kernel carries the requested geometry; the
-        # fabric-level rows (critpath, vector_lz_batch, shard_recompress)
-        # carry their own.
+        # fabric-level rows (critpath, vector_lz_batch, shard_recompress,
+        # shard_pull) carry their own.
         for record in tiny_records:
-            if record.codec in ("critpath", "vector_lz_batch", "shard_recompress"):
+            if record.codec in ("critpath", "vector_lz_batch", "shard_recompress", "shard_pull"):
                 continue
             assert record.shape_name == "tiny"
             assert record.input_nbytes == 32 * 8 * 4
@@ -100,6 +100,22 @@ class TestRunSuite:
         for row in rows.values():
             assert row.shape_name == "4000x32"
             assert (row.rows, row.dim, row.input_nbytes) == (4000, 32, 4000 * 32 * 4)
+            assert row.reference_seconds is not None and row.speedup > 0
+
+    def test_shard_pull_rows_present_once(self, tiny_records):
+        """The row-granular pull rows ride along regardless of the shape
+        sweep: one row and 32 rows of a block, on a vector-LZ and an
+        entropy table, timed against the block-decode-then-index loop."""
+        rows = {(r.op, r.shape_name): r for r in tiny_records if r.codec == "shard_pull"}
+        assert sorted(rows) == [
+            ("row1", "entropy_4000x32"),
+            ("row1", "vector_lz_4000x32"),
+            ("rows32", "entropy_4000x32"),
+            ("rows32", "vector_lz_4000x32"),
+        ]
+        for (op, _), row in rows.items():
+            pulled_rows = 64 * (1 if op == "row1" else 32)  # 64 pulls a call
+            assert (row.rows, row.dim, row.input_nbytes) == (4000, 32, pulled_rows * 32 * 4)
             assert row.reference_seconds is not None and row.speedup > 0
 
     def test_reference_ops_carry_speedup(self, tiny_records):

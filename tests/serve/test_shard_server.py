@@ -5,6 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compression import decompress_any
+from repro.compression import entropy as entropy_module
+from repro.compression import vector_lz as vector_lz_module
+from repro.compression.base import ROW_DECODE_MAX_ROWS
 from repro.model import DLRM, DLRMConfig
 from repro.serve import EmbeddingShardServer
 
@@ -66,6 +70,80 @@ class TestRowGranularLookups:
         pull = server.pull(0, np.array([], dtype=np.int64))
         assert pull.n_rows == 0 and pull.blocks_touched == 0
         assert pull.compressed_nbytes == 0
+
+
+def make_hot_table(rows=200, dim=16, seed=0):
+    """Rows drawn from a few distinct vectors: vector-LZ blocks full of
+    back-references, some of them chains."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, 0.1, size=(5, dim))[rng.integers(0, 5, size=rows)].astype(np.float32)
+
+
+class TestRowGranularDecode:
+    """The block is the unit of storage and of pull accounting; the row is
+    the unit of decode."""
+
+    @pytest.mark.parametrize(
+        "codec,bound",
+        [("vector_lz", 1e-2), ("entropy", 1e-2), ("hybrid", 1e-2), ("lz4_like", 0.0)],
+    )
+    def test_pull_equals_a_per_block_decode_loop(self, codec, bound):
+        """Rows *and* accounting of ``pull`` are what decoding every touched
+        block whole gives — 200 rows in 64-row blocks, so the last block is
+        ragged (8 rows)."""
+        table = make_hot_table()
+        server = EmbeddingShardServer({0: table}, bound, codec, rows_per_block=64)
+        blocks = server._tables[0].blocks
+        decoded = [decompress_any(block) for block in blocks]
+        assert [d.shape[0] for d in decoded] == [64, 64, 64, 8]
+        requests = [
+            [199],
+            [3],
+            [0, 63],
+            [130, 129, 129, 191],
+            list(range(64, 64 + ROW_DECODE_MAX_ROWS + 2)),  # one block, past the crossover
+            [64, 5, 199, 5, 130],
+            list(range(200)),
+            [],
+        ]
+        for ids in requests:
+            pull = server.pull(0, np.array(ids, dtype=np.int64))
+            touched = sorted({i // 64 for i in ids})
+            expected = np.array([decoded[i // 64][i % 64] for i in ids], dtype=np.float32)
+            assert pull.rows.dtype == np.float32
+            np.testing.assert_array_equal(pull.rows, expected.reshape(len(ids), 16))
+            assert pull.blocks_touched == len(touched)
+            assert pull.compressed_nbytes == sum(len(blocks[b]) for b in touched)
+            assert pull.raw_nbytes == sum(decoded[b].nbytes for b in touched)
+
+    @pytest.mark.parametrize(
+        "codec,module,attr",
+        [
+            ("vector_lz", vector_lz_module, "_resolve_stack"),
+            ("entropy", entropy_module, "huffman_decode"),
+        ],
+    )
+    def test_a_single_row_pull_never_runs_the_block_decoder(self, monkeypatch, codec, module, attr):
+        """Few rows of a block go to the codec's row kernel; from the
+        crossover up the vectorised block decode (then an index) is the
+        faster one and is what runs."""
+        block_decode = getattr(module, attr)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(attr)
+            return block_decode(*args, **kwargs)
+
+        server = EmbeddingShardServer({0: make_hot_table()}, 1e-2, codec, rows_per_block=64)
+        full = server.table_array(0)
+        monkeypatch.setattr(module, attr, counted)
+        np.testing.assert_array_equal(server.pull(0, np.array([70])).rows, full[[70]])
+        few = np.arange(64, 64 + ROW_DECODE_MAX_ROWS - 1)
+        np.testing.assert_array_equal(server.pull(0, few).rows, full[few])
+        assert calls == []
+        many = np.arange(64, 64 + ROW_DECODE_MAX_ROWS)
+        np.testing.assert_array_equal(server.pull(0, many).rows, full[many])
+        assert calls == [attr]
 
 
 class TestCompressionAccounting:
