@@ -17,11 +17,24 @@ intra-node links and an inter-node fabric axis (HDR-IB, PCIe-class, and
 pipeline against the uncompressed baseline.  Setting
 ``REPRO_MULTINODE_SMOKE=1`` restricts the sweep to the smallest (2x8)
 scenario for CI's perf-smoke job.
+
+The **large-cluster sweep** drives ``repro.dist`` alone — no model, no
+codec, seeded payload sizes as in ``bench_e2e``'s ``exchange_engine``
+world — at 128 / 512 / 1 024 ranks and asks the critical-path analyser
+which stage owns the makespan there and what halving the compression
+kernels or the forward wire would buy.  It exists because the analyser
+now costs milliseconds on a 50k-event ledger (1 024 ranks: ~3 s for the
+whole row on a 2-CPU host, nearly all of it the exchange itself); under
+``REPRO_MULTINODE_SMOKE=1`` only the 128-rank row runs.
 """
 
 from __future__ import annotations
 
 import os
+import time
+
+import numpy as np
+import pytest
 
 from repro.adaptive import AdaptiveController, OfflineAnalyzer
 from repro.dist import (
@@ -29,10 +42,12 @@ from repro.dist import (
     NVLINK_LIKE,
     PCIE_LIKE,
     ClusterSimulator,
+    EventCategory,
     NetworkModel,
     Topology,
 )
 from repro.model import DLRM
+from repro.obs.critpath import TimelineDag
 from repro.train import CompressionPipeline, HybridParallelTrainer
 from repro.utils import format_table
 
@@ -57,6 +72,12 @@ INTER_FABRICS = (
 #: every scale — global batch = 256 * n_ranks
 MULTINODE_LOCAL_BATCH = 256
 MULTINODE_ITERATIONS = 2
+
+#: (label, n_nodes, gpus_per_node) — the dist-only large-cluster axis
+LARGE_CLUSTERS = (("16x8", 16, 8), ("64x8", 64, 8), ("128x8", 128, 8))
+LARGE_CLUSTER_ROUNDS = 2
+LARGE_CLUSTER_CHUNKS = 8
+LARGE_CLUSTER_SEED = 100
 
 
 def test_ablation_rank_scaling(kaggle_world, benchmark):
@@ -307,5 +328,104 @@ def test_ablation_homomorphic_allreduce(kaggle_world, benchmark):
             codec="quant_sum", algorithm="switch",
         ),
         rounds=1,
+        iterations=1,
+    )
+
+
+def _large_cluster_exchange(n_nodes: int, gpus: int) -> ClusterSimulator:
+    """``LARGE_CLUSTER_ROUNDS`` rounds of a chunk-pipelined exchange plus a
+    hierarchical 1 MiB all-reduce on NVLink + 4:1-oversubscribed IB — the
+    ``exchange_engine`` world's recipe with one payload per ordered pair
+    (seeded 64-2048 B, drawn from a shared pool so 1 024 ranks stay small
+    in memory) and seeded per-rank codec times."""
+    n = n_nodes * gpus
+    rng = np.random.default_rng(LARGE_CLUSTER_SEED)
+    blob = bytes(2048)
+    pool = [blob[:size] for size in range(2049)]
+    sendbufs = [[pool[size] for size in row] for row in rng.integers(64, 2049, size=(n, n)).tolist()]
+    compress = rng.uniform(20e-6, 200e-6, size=n).tolist()
+    decompress = rng.uniform(20e-6, 200e-6, size=n).tolist()
+    topology = Topology.hierarchical(n_nodes, gpus, NVLINK_LIKE, IB_HDR_LIKE.oversubscribed(4.0))
+    sim = ClusterSimulator(n, network=NetworkModel.from_topology(topology))
+    for _ in range(LARGE_CLUSTER_ROUNDS):
+        sim.comm.compressed_all_to_all(
+            sendbufs,
+            overlap=True,
+            chunks_per_rank=LARGE_CLUSTER_CHUNKS,
+            compress_seconds=compress,
+            decompress_seconds=decompress,
+        )
+        sim.comm.all_reduce_bytes(1 << 20, algorithm="hierarchical")
+    return sim
+
+
+def test_ablation_large_cluster_exchange(benchmark):
+    """Who owns the exchange makespan at 128 / 512 / 1 024 ranks, and what
+    would a 2x faster compression kernel or forward wire buy?"""
+    smoke = bool(os.environ.get("REPRO_MULTINODE_SMOKE"))
+    clusters = LARGE_CLUSTERS[:1] if smoke else LARGE_CLUSTERS
+    stages = (
+        EventCategory.COMPRESS,
+        EventCategory.METADATA,
+        EventCategory.ALLTOALL_FWD,
+        EventCategory.DECOMPRESS,
+        EventCategory.ALLREDUCE,
+    )
+
+    rows = []
+    makespans: list[float] = []
+    for label, n_nodes, gpus in clusters:
+        began = time.perf_counter()
+        sim = _large_cluster_exchange(n_nodes, gpus)
+        exchanged = time.perf_counter()
+        dag = TimelineDag.from_timeline(sim.timeline)
+        path = dag.critical_path()
+        kernel = dag.speedup_if(EventCategory.COMPRESS, 2.0)
+        wire = dag.speedup_if(EventCategory.ALLTOALL_FWD, 2.0)
+        analysed = time.perf_counter()
+
+        makespan = sim.makespan()
+        makespans.append(makespan)
+        shares = path.by_category()
+        assert path.makespan == makespan
+        assert sum(shares.values()) == pytest.approx(makespan, rel=1e-9)
+        # The wire (payload + metadata round) owns these worlds: halving it
+        # pays, halving the compression kernels barely registers.
+        assert 1.0 <= kernel.speedup <= wire.speedup
+        assert shares[EventCategory.ALLTOALL_FWD] == max(shares.values())
+        rows.append(
+            (
+                label,
+                len(sim.timeline.events),
+                f"{makespan * 1e3:.3f} ms",
+                *(f"{100.0 * shares.get(stage, 0.0) / makespan:.1f}%" for stage in stages),
+                f"{kernel.speedup:.3f}x",
+                f"{wire.speedup:.3f}x",
+                f"{exchanged - began:.2f} s",
+                f"{analysed - exchanged:.2f} s",
+            )
+        )
+    text = format_table(
+        [
+            "cluster", "events", "sim makespan",
+            *(f"{stage} share" for stage in stages),
+            "compress 2x faster", "fwd wire 2x faster", "exchange wall", "analysis wall",
+        ],
+        rows,
+        title=(
+            f"Ablation - dist-only exchange at scale ({LARGE_CLUSTER_ROUNDS} rounds, "
+            f"{LARGE_CLUSTER_CHUNKS} chunks, nvlink + ib-oversub-4x"
+            + (", smoke: 16x8 only)" if smoke else ")")
+        ),
+    )
+    write_result("ablation_large_cluster_exchange", text)
+
+    # More ranks on the same oversubscribed fabric: a longer exchange.
+    assert makespans == sorted(makespans)
+
+    sim = _large_cluster_exchange(16, 8)
+    benchmark.pedantic(
+        lambda: TimelineDag.from_timeline(sim.timeline).speedup_if(EventCategory.COMPRESS, 2.0),
+        rounds=3,
         iterations=1,
     )

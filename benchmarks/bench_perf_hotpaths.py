@@ -87,6 +87,7 @@ def test_every_kernel_covered_on_every_shape(records):
     fabric = {(r.codec, r.op) for r in records if r.shape_name not in PAPER_SHAPES}
     assert fabric == {
         ("critpath", "extract"),
+        ("critpath", "speedup_if"),
         ("vector_lz_batch", "compress"),
         ("vector_lz_batch", "decompress"),
         ("shard_recompress", "churn0"),

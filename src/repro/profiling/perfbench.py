@@ -668,6 +668,50 @@ def run_suite(
         "critpath", "extract", "fabric8x4", dag_ranks, dag_chunks, trace_nbytes,
         lambda: extract_critical_path(dag_sim.timeline),
     )
+
+    # --- the same analyzer on the shape ``bench_e2e``'s ``exchange_engine``
+    # world has — 16 x 8 hierarchical ranks, 8 chunks, 4 rounds each closed
+    # by an all-reduce: 13 312 events, 8 704 of them carrying release edges
+    # — where the walk visits ~50 events and ``speedup_if`` (timed from a
+    # fresh DAG: columns + plan + one forward pass) reschedules all of
+    # them. ---
+    from repro.dist import IB_HDR_LIKE, NVLINK_LIKE, EventCategory, NetworkModel, Topology
+    from repro.obs.critpath import TimelineDag
+
+    big_nodes, big_gpus, big_chunks = 16, 8, 8
+    big_ranks = big_nodes * big_gpus
+    big_rng = np.random.default_rng(seed)
+    big_sizes = big_rng.integers(64, 2049, size=(big_ranks, big_ranks))
+    big_blob = bytes(2048)
+    big_bufs = [[big_blob[: int(size)] for size in row] for row in big_sizes]
+    big_sim = ClusterSimulator(
+        big_ranks,
+        network=NetworkModel.from_topology(
+            Topology.hierarchical(big_nodes, big_gpus, NVLINK_LIKE, IB_HDR_LIKE.oversubscribed(4))
+        ),
+    )
+    big_compress = big_rng.uniform(20e-6, 200e-6, size=big_ranks).tolist()
+    big_decompress = big_rng.uniform(20e-6, 200e-6, size=big_ranks).tolist()
+    for _ in range(4):
+        big_sim.comm.compressed_all_to_all(
+            big_bufs,
+            overlap=True,
+            compress_seconds=big_compress,
+            decompress_seconds=big_decompress,
+            chunks_per_rank=big_chunks,
+        )
+        big_sim.comm.all_reduce_bytes(1 << 20, algorithm="hierarchical")
+    big_nbytes = len(json.dumps(big_sim.timeline.to_chrome_trace()))
+    add(
+        "critpath", "extract", "fabric128x8", big_ranks, big_chunks, big_nbytes,
+        lambda: extract_critical_path(big_sim.timeline),
+    )
+    add(
+        "critpath", "speedup_if", "fabric128x8", big_ranks, big_chunks, big_nbytes,
+        lambda: TimelineDag.from_timeline(big_sim.timeline).speedup_if(
+            EventCategory.COMPRESS, 2.0
+        ),
+    )
     return records
 
 

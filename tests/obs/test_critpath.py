@@ -164,7 +164,7 @@ class TestReleaseEdges:
         edged = [i for i, e in enumerate(sim.timeline.events) if e.release_edges]
         assert edged
         for index in edged:
-            assert dag._nodes[index].explicit == sim.timeline.events[index].release_edges
+            assert dag.release_edges(index) == sim.timeline.events[index].release_edges
 
     def test_edges_naming_skipped_spans_are_dropped(self):
         from repro.dist import COMM_STREAM
@@ -176,7 +176,7 @@ class TestReleaseEdges:
         tl.record(0, EventCategory.ALLTOALL_FWD, 1.0, 1.0, stream=COMM_STREAM,
                   release_edges=[1, 0])
         dag = TimelineDag.from_timeline(tl)
-        assert dag._nodes[2].explicit == (0,)
+        assert dag.release_edges(2) == (0,)
         assert [s.event_index for s in dag.critical_path().steps] == [0, 2]
 
 

@@ -71,16 +71,25 @@ class TestRunSuite:
             assert record.shape_name == "tiny"
             assert record.input_nbytes == 32 * 8 * 4
 
-    def test_critpath_row_present_once(self, tiny_records):
-        """The DAG-extraction row rides along regardless of the shape
-        sweep — the perfbench 'critpath' satellite."""
-        rows = [r for r in tiny_records if r.codec == "critpath"]
-        assert len(rows) == 1
-        (row,) = rows
-        assert row.op == "extract"
-        assert row.shape_name == "fabric8x4"
-        assert row.rows == 8 and row.dim == 4  # ranks x chunks
-        assert row.input_nbytes > 0  # the chrome-trace JSON payload size
+    def test_critpath_rows_present_once(self, tiny_records):
+        """The DAG-extraction rows ride along regardless of the shape
+        sweep — the perfbench 'critpath' satellite: the small fabric, and
+        the ``exchange_engine`` benchmark's shape for both the walk and
+        the what-if."""
+        rows = {(r.op, r.shape_name): r for r in tiny_records if r.codec == "critpath"}
+        assert sorted(rows) == [
+            ("extract", "fabric128x8"),
+            ("extract", "fabric8x4"),
+            ("speedup_if", "fabric128x8"),
+        ]
+        assert sum(r.codec == "critpath" for r in tiny_records) == len(rows)
+        small = rows[("extract", "fabric8x4")]
+        assert small.rows == 8 and small.dim == 4  # ranks x chunks
+        for op in ("extract", "speedup_if"):
+            row = rows[(op, "fabric128x8")]
+            assert row.rows == 128 and row.dim == 8
+        for row in rows.values():
+            assert row.input_nbytes > 0  # the chrome-trace JSON payload size
 
     def test_batch_rows_present_once(self, tiny_records):
         """The fused stage-①/④ rows ride along regardless of the shape
