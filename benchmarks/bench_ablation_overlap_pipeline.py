@@ -4,9 +4,10 @@ The paper's conclusion proposes integrating (de)compression with the
 communication library (NCCL) so that compression of chunk ``i+1`` overlaps
 the transmission of chunk ``i``.  This ablation prices that design twice:
 
-* chunk-level, with the pipeline's closed-form two-stage makespan across
-  network bandwidths — the overlap win peaks where per-chunk compression
-  balances per-chunk wire time, and vanishes when either stage dominates;
+* chunk-level, with the communicator's chunk pipeline streaming one
+  rank's compressed chunks to a peer across network bandwidths — the
+  overlap win peaks where per-chunk compression balances per-chunk wire
+  time, and vanishes when either stage dominates;
 * end-to-end, by running the full hybrid-parallel trainer on the paper's
   8-rank configuration with the communicator's ``overlap=True`` streams,
   on the flat paper fabric and on a heterogeneous NVLink+IB topology with
@@ -20,6 +21,8 @@ the flat ring on the heterogeneous topology.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.adaptive import AdaptiveController, OfflineAnalyzer
 from repro.dist import ClusterSimulator, NetworkModel, Topology
 from repro.model import DLRM, DLRMConfig
@@ -32,21 +35,36 @@ from conftest import write_result
 N_CHUNKS = 32
 CHUNK_BYTES = int(1 * MB)
 COMPRESSION_RATIO = 18.0  # typical hybrid CR on the Kaggle world
+CHUNKS = [("vector_lz", CHUNK_BYTES)] * N_CHUNKS
 BANDWIDTHS_GB = (16.0, 4.0, 1.0, 0.25)
+
+
+def _chunk_exchange_makespan(pipeline, bandwidth_gb, *, overlap):
+    """Simulated makespan of rank 0 streaming ``N_CHUNKS`` compressed
+    chunks to rank 1 through the communicator's chunk pipeline."""
+    sim = ClusterSimulator(2, network=NetworkModel(bandwidth=bandwidth_gb * GB))
+    payload = bytes(int(CHUNK_BYTES / COMPRESSION_RATIO))
+    sim.comm.compressed_all_to_all(
+        [[[], [payload] * N_CHUNKS], [[], []]],
+        entries_per_pair=np.zeros((2, 2), dtype=np.int64),
+        overlap=overlap,
+        compress_seconds=[pipeline.compression_seconds(CHUNKS), 0.0],
+        chunks_per_rank=[N_CHUNKS, 1],
+    )
+    return sim.makespan()
 
 
 def test_ablation_overlap_pipeline(kaggle_world, benchmark):
     plan = OfflineAnalyzer().analyze(kaggle_world.samples)
     pipeline = CompressionPipeline(AdaptiveController(plan), fused_kernels=False)
-    chunks = [("vector_lz", CHUNK_BYTES)] * N_CHUNKS
 
     rows = []
     speedups = {}
+    makespans = {}
     for bandwidth_gb in BANDWIDTHS_GB:
-        wire_per_chunk = CHUNK_BYTES / COMPRESSION_RATIO / (bandwidth_gb * GB)
-        wire_times = [wire_per_chunk] * N_CHUNKS
-        sequential = pipeline.sequential_exchange_seconds(chunks, wire_times)
-        overlapped = pipeline.pipelined_exchange_seconds(chunks, wire_times)
+        sequential = _chunk_exchange_makespan(pipeline, bandwidth_gb, overlap=False)
+        overlapped = _chunk_exchange_makespan(pipeline, bandwidth_gb, overlap=True)
+        makespans[bandwidth_gb] = (sequential, overlapped)
         speedups[bandwidth_gb] = sequential / overlapped
         rows.append(
             (
@@ -66,7 +84,6 @@ def test_ablation_overlap_pipeline(kaggle_world, benchmark):
     )
     write_result("ablation_overlap_pipeline", text)
 
-    wire_total = N_CHUNKS * CHUNK_BYTES / COMPRESSION_RATIO / (1.0 * GB)
     # Overlap never loses, at any bandwidth.
     assert all(s >= 1.0 - 1e-12 for s in speedups.values())
     # The win is material somewhere in the sweep (near compress == wire)...
@@ -75,17 +92,11 @@ def test_ablation_overlap_pipeline(kaggle_world, benchmark):
     extremes = (speedups[BANDWIDTHS_GB[0]], speedups[BANDWIDTHS_GB[-1]])
     assert min(extremes) < max(speedups.values())
     # Overlapped makespan is bounded below by the wire stage alone.
-    slow_seq = pipeline.sequential_exchange_seconds(
-        chunks, [CHUNK_BYTES / COMPRESSION_RATIO / (0.25 * GB)] * N_CHUNKS
-    )
-    slow_overlap = pipeline.pipelined_exchange_seconds(
-        chunks, [CHUNK_BYTES / COMPRESSION_RATIO / (0.25 * GB)] * N_CHUNKS
-    )
+    slow_seq, slow_overlap = makespans[BANDWIDTHS_GB[-1]]
     assert slow_overlap >= N_CHUNKS * CHUNK_BYTES / COMPRESSION_RATIO / (0.25 * GB)
     assert slow_overlap <= slow_seq
 
-    wire_times = [CHUNK_BYTES / COMPRESSION_RATIO / (4 * GB)] * N_CHUNKS
-    benchmark(lambda: pipeline.pipelined_exchange_seconds(chunks, wire_times))
+    benchmark(lambda: _chunk_exchange_makespan(pipeline, 4.0, overlap=True))
 
 
 # --- end-to-end: the communicator's overlap streams on the 8-rank config ---

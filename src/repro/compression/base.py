@@ -155,7 +155,7 @@ class Compressor(ABC):
         pinned encoder choices), stateless codecs ignore it, and the bytes
         stay self-describing either way.
 
-        ``pool`` (a :class:`~repro.compression.parallel.BitstreamPool`)
+        ``pool`` (a :class:`~repro.compression.pool.BitstreamPool`)
         switches the return from ``bytes`` to a live ``Lease`` holding the
         same bytes, framed directly into a pooled arena — once the pool is
         warm, steady-state compression allocates no payload ``bytes``.  The

@@ -37,7 +37,7 @@ def padded_stream(data: np.ndarray, pad: int = 8) -> np.ndarray:
     ``np.concatenate([data, zeros(pad)])`` per decode; this reuses one
     per-thread buffer instead.  Safe because every reader computes fresh
     output arrays from the scratch (nothing returned aliases it) and the
-    scratch is thread-local, so pool workers never share it.
+    scratch is thread-local, so concurrent threads never share it.
     """
     data = np.asarray(data, dtype=np.uint8).ravel()
     need = data.size + pad

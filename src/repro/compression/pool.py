@@ -20,9 +20,7 @@ Discipline:
   releasing and re-checking-out the same size hits the free list, never the
   allocator (``stats.reuses`` counts it).
 
-The pool is thread-safe (a single lock around the free lists) so the
-thread backend of :class:`~repro.compression.parallel.CodecExecutor` can
-share one pool across workers.
+The pool is thread-safe (a single lock around the free lists).
 """
 
 from __future__ import annotations
@@ -218,10 +216,13 @@ class BitstreamPool:
             return sum(len(b) for b in self._free.values())
 
     def clear(self) -> None:
-        """Drop every pooled arena (leases outstanding stay valid)."""
+        """Drop every pooled arena (leases outstanding stay valid and keep
+        their bytes counted in ``stats.arena_bytes`` until released)."""
         with self._lock:
+            self.stats.arena_bytes -= sum(
+                len(arena) for bucket in self._free.values() for arena in bucket
+            )
             self._free.clear()
-            self.stats.arena_bytes = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self.stats

@@ -941,7 +941,7 @@ class Communicator:
         makespan is never below the ``in_network=True`` one, which the
         property tests pin.
 
-        ``pool`` (a :class:`~repro.compression.parallel.BitstreamPool`)
+        ``pool`` (a :class:`~repro.compression.pool.BitstreamPool`)
         routes the final decode through a pooled scratch lease instead of
         a fresh per-call output allocation.
 

@@ -56,7 +56,7 @@ from repro.compression.huffman import (
     huffman_encode,
 )
 from repro.compression.hybrid import HybridCompressor
-from repro.compression.parallel import BitstreamPool, CodecExecutor, CompressJob
+from repro.compression.pool import BitstreamPool
 from repro.compression.quantizer import quantize_batch
 from repro.compression.homomorphic import agg_sum
 from repro.compression.registry import decompress_any, get_compressor
@@ -81,7 +81,6 @@ __all__ = [
     "SMOKE_SHAPES",
     "DEFAULT_ERROR_BOUND",
     "TIGHTENED_GATES",
-    "PARALLEL_WORKER_COUNTS",
     "make_lookup_batch",
     "run_suite",
     "write_bench",
@@ -120,14 +119,6 @@ _SEED = 2024
 #: timing loops (N <= 9 across the harness and CLI) never straddle a
 #: re-trial, so the measured call is the steady-state pinned replay
 PIN_REFRESH = 64
-
-#: worker counts the parallel_hybrid rows sweep (the raw-speed PR's claim
-#: is measured against the serial loop over the same jobs)
-PARALLEL_WORKER_COUNTS = (1, 2, 4)
-
-#: slice count for the parallel_hybrid jobs — one exchange's worth of
-#: independent per-destination slices on an 8-rank fabric
-PARALLEL_JOB_SLICES = 8
 
 #: the vector_lz_batch rows' stack: (destination slices, local rows, dim)
 #: of one table in the headline 32-rank, batch-4096, dim-64 exchange
@@ -439,30 +430,6 @@ def run_suite(
             lambda: pinned.compress(batch, error_bound, key="bench"),
             lambda: hybrid.compress(batch, error_bound),
         )
-
-        # --- multicore codec executor: one exchange's worth of independent
-        # slices (the per-destination splits of this batch) compressed at
-        # 1/2/4 workers.  Reference: the serial in-process loop over the
-        # same jobs, so the speedup column reads as parallel efficiency —
-        # honest on any machine, including single-core CI boxes where it
-        # sits near (or below) 1.0x. ---
-        slices = [
-            np.ascontiguousarray(piece)
-            for piece in np.array_split(batch, PARALLEL_JOB_SLICES, axis=0)
-            if piece.shape[0]
-        ]
-        jobs = [CompressJob("hybrid", piece, error_bound) for piece in slices]
-        with CodecExecutor(1) as serial_executor:
-            serial_executor.compress_batch(jobs)  # warm codec caches
-            for workers in PARALLEL_WORKER_COUNTS:
-                with CodecExecutor(workers) as executor:
-                    executor.compress_batch(jobs)  # warm the worker pool
-                    add(
-                        "parallel_hybrid", f"workers{workers}", shape_name, rows, dim, nbytes,
-                        lambda executor=executor: executor.compress_batch(jobs),
-                        lambda: serial_executor.compress_batch(jobs),
-                        interleave=True,
-                    )
 
         # --- zero-copy bitstream discipline: the pooled/view paths against
         # the frozen copying seed implementations.  These rows carry

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.adaptive.selection import PAPER_A100_PROFILE, DeviceThroughputProfile
-from repro.compression.parallel.pool import BitstreamPool
+from repro.compression.pool import BitstreamPool
 from repro.compression.registry import decompress_any
 from repro.compression.serialization import (
     CorruptPayloadError,

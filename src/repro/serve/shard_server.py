@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.compression.base import Compressor
 from repro.compression.cache import TableCodebookCache
-from repro.compression.parallel.pool import BitstreamPool
+from repro.compression.pool import BitstreamPool
 from repro.compression.registry import decompress_any, get_compressor
 from repro.compression.vector_lz import VectorLZCompressor
 from repro.obs.runtime import OBS
@@ -314,7 +314,7 @@ class EmbeddingShardServer:
         Row-block compression granularity — the unit of storage, of
         re-encoding and of a remote shard pull (rows decode one by one).
     pool:
-        :class:`~repro.compression.parallel.pool.BitstreamPool` backing
+        :class:`~repro.compression.pool.BitstreamPool` backing
         the compressed block storage.  A publication round re-encodes the
         blocks that changed and returns exactly the arenas it replaced, so
         pooled arenas turn that churn into steady-state reuse.  Defaults to

@@ -116,8 +116,6 @@ class HybridParallelTrainer:
         overlap: bool | str = False,
         allreduce_algorithm: str = "ring",
         pipeline_chunks: int = 8,
-        autotuner=None,
-        codec_executor=None,
         allreduce_codec: str | None = None,
         allreduce_error_bound: float = 1e-3,
     ):
@@ -148,18 +146,6 @@ class HybridParallelTrainer:
         self.overlap = bool(overlap)
         self.cross_stage = overlap == "cross_stage"
         self.pipeline_chunks = int(pipeline_chunks)
-        #: optional :class:`~repro.compression.parallel.ExchangeAutotuner`:
-        #: when set, each exchange's measured compress/wire/decompress
-        #: balance feeds it and the *next* exchange adopts its recommended
-        #: pipeline chunk count (and codec parallelism, via the pipeline's
-        #: executor).  Numerics are unaffected — only scheduling changes.
-        self.autotuner = autotuner
-        if codec_executor is not None:
-            if pipeline is None:
-                raise ValueError("codec_executor requires a compression pipeline")
-            pipeline.executor = codec_executor
-        if autotuner is not None and pipeline is not None and pipeline.autotuner is None:
-            pipeline.autotuner = autotuner
         self.allreduce_algorithm = allreduce_algorithm
         self.allreduce_codec = allreduce_codec
         self.allreduce_error_bound = float(allreduce_error_bound)
@@ -168,7 +154,7 @@ class HybridParallelTrainer:
         #: fresh per-step output allocation.
         self._allreduce_pool = None
         if allreduce_codec is not None:
-            from repro.compression.parallel import BitstreamPool
+            from repro.compression.pool import BitstreamPool
 
             self._allreduce_pool = BitstreamPool()
         n_tables = model.config.n_tables
@@ -199,15 +185,6 @@ class HybridParallelTrainer:
         gpu = self.simulator.gpu
         for rank in range(self.n_ranks):
             self.simulator.compute(rank, scale * gpu.mlp_time(batch, sizes), category)
-
-    def _tuned_chunk_cap(self) -> int:
-        """Pipeline chunk cap: the autotuner's recommendation once it has
-        observed an exchange, else the constructor's ``pipeline_chunks``."""
-        if self.autotuner is not None:
-            decision = self.autotuner.recommend()
-            if decision.observations:
-                return decision.pipeline_chunks
-        return self.pipeline_chunks
 
     def _forward_exchange(
         self, sparse: np.ndarray, iteration: int
@@ -272,10 +249,9 @@ class HybridParallelTrainer:
         entries_matrix = np.zeros((self.n_ranks, self.n_ranks), dtype=np.int64)
         compress_seconds = [0.0] * self.n_ranks
         chunks_per_rank = [1] * self.n_ranks
-        chunk_cap = self._tuned_chunk_cap()
         # Gather every (table x destination) slice first, then compress the
-        # whole exchange as one batch — the executor (when attached to the
-        # pipeline) spreads the independent slices across its workers.
+        # whole exchange as one batch — each table's destination slices
+        # compress as one stack.
         slice_plan: list[tuple[int, int, int, np.ndarray]] = []  # rank, table, dst, rows
         for rank in range(self.n_ranks):
             for table_id in self.sharding.tables_of(rank):
@@ -297,9 +273,9 @@ class HybridParallelTrainer:
             compress_seconds[rank] = self.pipeline.compression_seconds(chunks)
             # Pipeline depth: the communicator emits one real wire
             # event per chunk, so cap the granularity at the trainer's
-            # pipeline_chunks knob (or the autotuner's recommendation)
-            # — slices batch into that many chunk-sized kernels/messages.
-            chunks_per_rank[rank] = min(len(chunks), chunk_cap)
+            # pipeline_chunks knob — slices batch into that many
+            # chunk-sized kernels/messages.
+            chunks_per_rank[rank] = min(len(chunks), self.pipeline_chunks)
 
         # Every receiver decodes the same per-slice chunk set.
         decompress_seconds = [
@@ -329,15 +305,6 @@ class HybridParallelTrainer:
             chunks_per_rank=chunks_per_rank,
         )
         self.forward_wire_bytes += int(wire_matrix.sum())
-        if self.autotuner is not None:
-            # Feed the measured balance: critical-path compress/decompress
-            # vs. the fabric's makespan for this wire matrix.  The *next*
-            # exchange adopts the updated recommendation.
-            self.autotuner.observe(
-                max(compress_seconds),
-                float(self.simulator.network.all_to_all_time(wire_matrix)),
-                max(decompress_seconds),
-            )
 
         # Stage ④ numerics: every receiver decodes all tables for its
         # slice; the batched decode keeps codec caches hot per table.
@@ -393,7 +360,7 @@ class HybridParallelTrainer:
                         (self.pipeline.controller.compressor_name(table_id), rows.nbytes)
                     )
                 compress_seconds[src] = self.pipeline.compression_seconds(chunks)
-                chunks_per_rank[src] = max(1, min(len(chunks), self._tuned_chunk_cap()))
+                chunks_per_rank[src] = max(1, min(len(chunks), self.pipeline_chunks))
             decompress_seconds = [
                 self.pipeline.decompression_seconds(
                     [

@@ -88,13 +88,6 @@ class CompressionPipeline:
     #: metadata bytes exchanged per (pair, table): compressed size + codec id
     metadata_bytes_per_entry: int = 16
     codebook_refresh: int = 8
-    #: optional :class:`~repro.compression.parallel.CodecExecutor`: batch
-    #: stage-①/④ calls run across its workers (payload bytes independent of
-    #: worker count).  ``None`` keeps the seed's serial keyed path.
-    executor: object | None = None
-    #: optional :class:`~repro.compression.parallel.ExchangeAutotuner`
-    #: supplying the per-batch parallelism hint for the executor
-    autotuner: object | None = None
 
     def __post_init__(self) -> None:
         self.codebook_cache = (
@@ -181,62 +174,35 @@ class CompressionPipeline:
             ).inc(1, table=str(table_id))
         self._last_codec[table_id] = codec_name
 
-    def _tuned_parallelism(self) -> int | None:
-        if self.autotuner is None:
-            return None
-        decision = self.autotuner.recommend()
-        return decision.workers if decision.observations else None
-
     def compress_slices(
         self, slices: Sequence[tuple[int, np.ndarray]], iteration: int
     ) -> list:
         """Stage ① over many independent ``(table_id, rows)`` slices.
 
-        Without an executor, consecutive equal-shape slices of one
-        vector-LZ table — the 32 destination slices the trainer posts per
-        table — compress as one stack (:meth:`VectorLZCompressor.compress_stack`,
-        the wall-clock counterpart of the fused kernel ``fused_kernels``
-        prices); everything else goes slice by slice through
-        :meth:`compress_slice`.  Payload bytes and their order equal a plain
-        loop of :meth:`compress_slice`.  With an executor, slices compress
-        through its stateless parallel path at the autotuner's recommended
-        parallelism — payload bytes are then independent of worker count
-        *and* of keyed cache state, so the wire traffic is reproducible run
-        to run.  Stats/obs accounting is identical in every mode.
+        Consecutive equal-shape slices of one vector-LZ table — the 32
+        destination slices the trainer posts per table — compress as one
+        stack (:meth:`VectorLZCompressor.compress_stack`, the wall-clock
+        counterpart of the fused kernel ``fused_kernels`` prices);
+        everything else goes slice by slice through :meth:`compress_slice`.
+        Payload bytes, their order and the stats/obs accounting equal a
+        plain loop of :meth:`compress_slice`.
         """
-        if self.executor is None:
-            payloads: list = []
-            for (table_id, _, _), group in groupby(
-                slices, key=lambda s: (s[0], s[1].shape, s[1].dtype)
-            ):
-                rows = [r for _, r in group]
-                codec_name = self.controller.compressor_name(table_id)
-                if codec_name != "vector_lz" or len(rows) == 1 or rows[0].ndim != 2:
-                    payloads.extend(self.compress_slice(table_id, r, iteration) for r in rows)
-                    continue
-                error_bound = self.controller.error_bound(table_id, iteration)
-                stack_payloads = self._codecs[codec_name].compress_stack(np.stack(rows), error_bound)
-                for r, payload in zip(rows, stack_payloads):
-                    self._record_transfer(
-                        table_id, codec_name, error_bound, iteration, r.nbytes, len(payload)
-                    )
-                payloads.extend(stack_payloads)
-            return payloads
-        from repro.compression.parallel import CompressJob
-
-        jobs = []
-        routes = []
-        for table_id, rows in slices:
+        payloads: list = []
+        for (table_id, _, _), group in groupby(
+            slices, key=lambda s: (s[0], s[1].shape, s[1].dtype)
+        ):
+            rows = [r for _, r in group]
             codec_name = self.controller.compressor_name(table_id)
+            if codec_name != "vector_lz" or len(rows) == 1 or rows[0].ndim != 2:
+                payloads.extend(self.compress_slice(table_id, r, iteration) for r in rows)
+                continue
             error_bound = self.controller.error_bound(table_id, iteration)
-            kwargs = (("window", self.window),) if codec_name == "vector_lz" else ()
-            jobs.append(CompressJob(codec_name, np.ascontiguousarray(rows), error_bound, kwargs))
-            routes.append((table_id, codec_name, error_bound))
-        payloads = self.executor.compress_batch(jobs, parallelism=self._tuned_parallelism())
-        for (table_id, codec_name, error_bound), job, payload in zip(routes, jobs, payloads):
-            self._record_transfer(
-                table_id, codec_name, error_bound, iteration, job.array.nbytes, len(payload)
-            )
+            stack_payloads = self._codecs[codec_name].compress_stack(np.stack(rows), error_bound)
+            for r, payload in zip(rows, stack_payloads):
+                self._record_transfer(
+                    table_id, codec_name, error_bound, iteration, r.nbytes, len(payload)
+                )
+            payloads.extend(stack_payloads)
         return payloads
 
     def decompress_slice(self, payload: bytes) -> np.ndarray:
@@ -257,20 +223,13 @@ class CompressionPipeline:
         decodes in one pass; otherwise decoding back to back keeps the
         Huffman peek-table and codebook caches hot across payloads that
         share a table's codebook — one cache fill amortizes over the
-        exchange instead of per slice.  With an executor attached, the
-        batch decodes across its workers (decompression is stateless, so
-        results are identical).
+        exchange instead of per slice.
         """
-        if self.executor is not None:
-            arrays = self.executor.decompress_batch(
-                payloads, parallelism=self._tuned_parallelism()
-            )
-        else:
-            arrays = None
-            if len(payloads) > 1:
-                arrays = self._codecs["vector_lz"].decompress_stack(payloads)
-            if arrays is None:
-                arrays = [decompress_any(payload) for payload in payloads]
+        arrays = None
+        if len(payloads) > 1:
+            arrays = self._codecs["vector_lz"].decompress_stack(payloads)
+        if arrays is None:
+            arrays = [decompress_any(payload) for payload in payloads]
         if OBS.enabled:
             OBS.registry.counter(
                 "pipeline_decompressed_bytes_total", "stage-④ output bytes"
@@ -336,57 +295,6 @@ class CompressionPipeline:
             else:
                 total += model.serial_decompression_seconds(sizes)
         return total
-
-    # ------------------------------------------------- future-work overlap
-
-    def pipelined_exchange_seconds(
-        self, chunks: list[tuple[str, int]], wire_seconds_per_chunk: list[float]
-    ) -> float:
-        """Makespan of a compression⇄transmission *pipeline* (future work).
-
-        The paper's future work proposes integrating (de)compression with
-        the communication library so chunk ``i+1`` compresses while chunk
-        ``i`` is on the wire.  For per-chunk compress times ``c_i`` and
-        wire times ``w_i``, the classic two-stage pipeline makespan is::
-
-            max_k ( sum_{i<=k} c_i  +  sum_{i>=k} w_i )
-
-        Chunks run as individual kernels here (they must be available
-        incrementally), so this composes with ``fused_kernels=False``
-        pricing.  Compare with :meth:`sequential_exchange_seconds`.
-        """
-        if len(chunks) != len(wire_seconds_per_chunk):
-            raise ValueError(
-                f"{len(chunks)} chunks but {len(wire_seconds_per_chunk)} wire times"
-            )
-        if not chunks:
-            return 0.0
-        if any(w < 0 for w in wire_seconds_per_chunk):
-            raise ValueError("wire times must be >= 0")
-        compress_times = []
-        for codec, nbytes in chunks:
-            model = self._buffer_model(codec, "compress")
-            compress_times.append(model.chunked_compression_seconds([float(nbytes)]))
-        prefix_c = 0.0
-        best = 0.0
-        suffix_w = [0.0] * (len(chunks) + 1)
-        for i in range(len(chunks) - 1, -1, -1):
-            suffix_w[i] = suffix_w[i + 1] + wire_seconds_per_chunk[i]
-        for k in range(len(chunks)):
-            prefix_c += compress_times[k]
-            best = max(best, prefix_c + suffix_w[k])
-        return best
-
-    def sequential_exchange_seconds(
-        self, chunks: list[tuple[str, int]], wire_seconds_per_chunk: list[float]
-    ) -> float:
-        """No overlap: all compression, then all transmission (the default
-        pipeline the paper ships; baseline for the overlap ablation)."""
-        if len(chunks) != len(wire_seconds_per_chunk):
-            raise ValueError(
-                f"{len(chunks)} chunks but {len(wire_seconds_per_chunk)} wire times"
-            )
-        return self.compression_seconds(chunks) + sum(wire_seconds_per_chunk)
 
     # ------------------------------------------------------------- reports
 

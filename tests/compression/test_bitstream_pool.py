@@ -1,7 +1,7 @@
 """Property tests for the zero-copy bitstream pool.
 
-The pool's contract is a pair of laws the rest of the raw-speed tier
-builds on: two live leases never alias (every checkout owns a distinct
+The pool's contract is a pair of laws its users build on: two live
+leases never alias (every checkout owns a distinct
 arena), and a released arena is deterministically reused by the next
 same-bucket checkout — steady-state rounds hit the free list, never the
 allocator.  Hypothesis drives both over randomized checkout/release
@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.compression.parallel.pool import (
+from repro.compression.pool import (
     _MIN_ARENA,
     BitstreamPool,
     arena_capacity,
@@ -205,3 +205,48 @@ class TestPoolLaws:
         pool = BitstreamPool()
         with pool.checkout(0) as lease:
             assert lease.view.nbytes == 0
+
+
+def _accounted_bytes(pool: BitstreamPool, live: list) -> int:
+    """What ``stats.arena_bytes`` must equal: pooled free arenas plus the
+    arenas of every live lease."""
+    free = sum(len(arena) for bucket in pool._free.values() for arena in bucket)
+    return free + sum(arena_capacity(lease.nbytes) for lease in live)
+
+
+class TestArenaByteAccounting:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["checkout", "release", "release_dirty", "clear"]),
+                st.integers(min_value=1, max_value=2048),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    # clear() with a live lease, then its dirty / clean release
+    @example([("checkout", 1000), ("clear", 1), ("release_dirty", 0)])
+    @example([("checkout", 1000), ("clear", 1), ("release", 0)])
+    @settings(max_examples=100, deadline=None)
+    def test_clear_keeps_arena_bytes_exact(self, ops):
+        """Any mix of checkouts, clean and dirty releases and ``clear()``
+        keeps ``arena_bytes`` equal to free plus live arena capacity."""
+        pool = BitstreamPool(max_arenas_per_bucket=4)
+        live: list = []
+        exports: list = []
+        for action, nbytes in ops:
+            if action == "checkout" or (action.startswith("release") and not live):
+                live.append(pool.checkout(nbytes))
+            elif action == "clear":
+                pool.clear()
+            else:
+                lease = live.pop(nbytes % len(live))
+                if action == "release_dirty":
+                    exports.append(lease.array())
+                lease.release()
+            assert pool.stats.arena_bytes >= 0
+            assert pool.stats.arena_bytes == _accounted_bytes(pool, live)
+        for lease in live:
+            lease.release()
+        assert pool.stats.arena_bytes == _accounted_bytes(pool, [])

@@ -21,7 +21,7 @@ from repro.compression.base import Compressor
 from repro.compression.cache import TableCodebookCache
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.hybrid import HybridCompressor
-from repro.compression.parallel import BitstreamPool
+from repro.compression.pool import BitstreamPool
 from repro.compression.registry import available_compressors, decompress_any, get_compressor
 
 SEED = 20240914

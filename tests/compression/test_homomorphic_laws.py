@@ -38,7 +38,7 @@ from repro.compression import (
     homomorphic_codecs,
 )
 from repro.compression.base import parse_payload
-from repro.compression.parallel import BitstreamPool
+from repro.compression.pool import BitstreamPool
 
 # Bounded so a fold of <= 8 leaves can never leave float32 range (inf is a
 # representable-but-degenerate sum); subnormals and huge exponents are in.

@@ -236,7 +236,7 @@ class TestZeroCopyFraming:
 
     @given(st.binary(max_size=512))
     def test_pooled_frame_matches_reference(self, body):
-        from repro.compression.parallel import BitstreamPool
+        from repro.compression.pool import BitstreamPool
         from repro.compression.serialization import (
             _reference_frame_with_checksum,
             frame_with_checksum,
@@ -261,7 +261,7 @@ class TestZeroCopyFraming:
         assert bytes(got) == _reference_verify_checksum_frame(framed) == body
 
     def test_pooled_steady_state_reuses_arenas(self):
-        from repro.compression.parallel import BitstreamPool
+        from repro.compression.pool import BitstreamPool
         from repro.compression.serialization import frame_with_checksum
 
         pool = BitstreamPool()

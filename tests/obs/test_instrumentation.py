@@ -151,7 +151,7 @@ class TestHybridInstrumentation:
     def test_byte_counters_cover_keyed_pooled_and_replay_routes(self, encoder):
         """Serve-tier (``key=`` + ``pool=``) and pinned traffic count once
         per call, like the plain route."""
-        from repro.compression.parallel import BitstreamPool
+        from repro.compression.pool import BitstreamPool
 
         rng = np.random.default_rng(2)
         batch = rng.normal(size=(64, 8)).astype(np.float32)

@@ -1,4 +1,4 @@
-"""Tests for the pipelined (overlap) exchange model and related helpers."""
+"""Tests for the trainer's overlapped exchanges and related helpers."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.adaptive import AdaptiveController, OfflineAnalyzer
 from repro.compression.quantizer import relative_to_absolute_bound
+from repro.dist import ClusterSimulator, NetworkModel
 from repro.train import CompressionPipeline
 from tests.conftest import make_gaussian_batch, make_hot_batch
 
@@ -20,71 +21,98 @@ def pipeline(rng) -> CompressionPipeline:
     return CompressionPipeline(AdaptiveController(plan), fused_kernels=False)
 
 
+def _exchange(pipeline, chunks, payload_nbytes, bandwidth, *, overlap):
+    """Rank 0 streams one compressed payload per chunk to rank 1 through
+    the communicator, its stage ① priced by ``pipeline``; returns the
+    simulator after the exchange."""
+    sim = ClusterSimulator(2, network=NetworkModel(bandwidth=bandwidth))
+    sim.comm.compressed_all_to_all(
+        [[[], [bytes(payload_nbytes)] * len(chunks)], [[], []]],
+        entries_per_pair=np.zeros((2, 2), dtype=np.int64),
+        overlap=overlap,
+        compress_seconds=[pipeline.compression_seconds(chunks), 0.0],
+        chunks_per_rank=[max(1, len(chunks)), 1],
+    )
+    return sim
+
+
+def _wire_seconds(sim, payload_nbytes, n_chunks) -> float:
+    return sim.network.all_to_all_time(np.array([[0, payload_nbytes * n_chunks], [0, 0]]))
+
+
 class TestPipelinedExchange:
+    """The pipeline's stage-① price fed through the communicator's chunk
+    pipeline — the one exchange timing model."""
+
     def test_never_worse_than_sequential(self, pipeline):
         chunks = [("vector_lz", 1 << 20)] * 8
-        wire = [5e-5] * 8
-        overlapped = pipeline.pipelined_exchange_seconds(chunks, wire)
-        sequential = pipeline.sequential_exchange_seconds(chunks, wire)
+        overlapped = _exchange(pipeline, chunks, 1 << 16, 1e9, overlap=True).makespan()
+        sequential = _exchange(pipeline, chunks, 1 << 16, 1e9, overlap=False).makespan()
         assert overlapped <= sequential
 
     def test_lower_bounded_by_each_stage(self, pipeline):
         chunks = [("vector_lz", 1 << 20)] * 8
-        wire = [5e-5] * 8
-        overlapped = pipeline.pipelined_exchange_seconds(chunks, wire)
-        assert overlapped >= sum(wire)
-        compress_only = pipeline.compression_seconds(chunks)
-        # The chunked compression of the same chunks is a lower bound too
-        # (fused_kernels=False so pricing matches).
-        assert overlapped >= compress_only - 1e-12
+        sim = _exchange(pipeline, chunks, 1 << 16, 1e9, overlap=True)
+        assert sim.makespan() >= _wire_seconds(sim, 1 << 16, 8)
+        assert sim.makespan() >= pipeline.compression_seconds(chunks) - 1e-12
 
     def test_wire_dominated_limit(self, pipeline):
         """When the wire is very slow, overlap hides compression almost
-        entirely: makespan ~ first-chunk compress + total wire."""
+        entirely: makespan = one chunk's compress + the whole wire."""
         chunks = [("vector_lz", 1 << 16)] * 4
-        wire = [1.0] * 4  # 1 s per chunk: wire utterly dominates
-        overlapped = pipeline.pipelined_exchange_seconds(chunks, wire)
-        assert overlapped == pytest.approx(
-            4.0 + pipeline.compression_seconds([chunks[0]]), rel=1e-3
-        )
+        sim = _exchange(pipeline, chunks, 1000, 1e3, overlap=True)
+        expected = pipeline.compression_seconds(chunks) / 4 + _wire_seconds(sim, 1000, 4)
+        assert sim.makespan() == pytest.approx(expected, rel=1e-9)
 
     def test_compress_dominated_limit(self, pipeline):
         """When compression dominates, overlap hides the wire except the
         final chunk's transmission."""
         chunks = [("vector_lz", 1 << 24)] * 4
-        wire = [1e-9] * 4
-        overlapped = pipeline.pipelined_exchange_seconds(chunks, wire)
-        total_compress = pipeline.compression_seconds(chunks)
-        assert overlapped == pytest.approx(total_compress + 1e-9, rel=1e-6)
+        sim = _exchange(pipeline, chunks, 1000, 1e12, overlap=True)
+        expected = pipeline.compression_seconds(chunks) + _wire_seconds(sim, 1000, 4) / 4
+        assert sim.makespan() == pytest.approx(expected, rel=1e-9)
 
     def test_empty(self, pipeline):
-        assert pipeline.pipelined_exchange_seconds([], []) == 0.0
+        """Nothing to compress or send: both modes cost the same bare
+        collective."""
+        overlapped = _exchange(pipeline, [], 0, 1e9, overlap=True)
+        sequential = _exchange(pipeline, [], 0, 1e9, overlap=False)
+        assert overlapped.makespan() == sequential.makespan() == _wire_seconds(overlapped, 0, 0)
 
     def test_length_mismatch_rejected(self, pipeline):
-        with pytest.raises(ValueError, match="wire times"):
-            pipeline.pipelined_exchange_seconds([("vector_lz", 100)], [])
-        with pytest.raises(ValueError, match="wire times"):
-            pipeline.sequential_exchange_seconds([("vector_lz", 100)], [])
+        comm = ClusterSimulator(2).comm
+        sendbufs = [[[], [b"x"]], [[], []]]
+        with pytest.raises(ValueError, match="one entry per rank"):
+            comm.compressed_all_to_all(
+                sendbufs, overlap=True, compress_seconds=[pipeline.compression_seconds([])]
+            )
+        with pytest.raises(ValueError, match="one entry per rank"):
+            comm.compressed_all_to_all(sendbufs, overlap=True, chunks_per_rank=[1, 1, 1])
 
-    def test_negative_wire_rejected(self, pipeline):
-        with pytest.raises(ValueError):
-            pipeline.pipelined_exchange_seconds([("vector_lz", 100)], [-1.0])
+    def test_negative_stage_seconds_rejected(self, pipeline):
+        comm = ClusterSimulator(2).comm
+        with pytest.raises(ValueError, match=">= 0"):
+            comm.compressed_all_to_all(
+                [[[], [b"x"]], [[], []]], overlap=True, compress_seconds=[-1.0, 0.0]
+            )
 
     @given(
-        st.lists(st.floats(min_value=0, max_value=1e-3), min_size=1, max_size=12),
+        st.integers(min_value=1, max_value=12),
         st.integers(min_value=10, max_value=1 << 22),
+        st.integers(min_value=1, max_value=1 << 16),
+        st.floats(min_value=1e6, max_value=1e12),
     )
     @settings(max_examples=30, deadline=None)
-    def test_between_bounds_property(self, wire, chunk_bytes):
-        samples_rng = np.random.default_rng(0)
-        samples = {0: make_hot_batch(samples_rng)}
+    def test_between_bounds_property(self, n_chunks, chunk_bytes, payload_nbytes, bandwidth):
+        samples = {0: make_hot_batch(np.random.default_rng(0))}
         plan = OfflineAnalyzer().analyze(samples)
         pipeline = CompressionPipeline(AdaptiveController(plan), fused_kernels=False)
-        chunks = [("vector_lz", chunk_bytes)] * len(wire)
-        overlapped = pipeline.pipelined_exchange_seconds(chunks, wire)
-        sequential = pipeline.sequential_exchange_seconds(chunks, wire)
-        compress_total = pipeline.compression_seconds(chunks)
-        assert max(sum(wire), compress_total) - 1e-12 <= overlapped <= sequential + 1e-12
+        chunks = [("vector_lz", chunk_bytes)] * n_chunks
+        sim = _exchange(pipeline, chunks, payload_nbytes, bandwidth, overlap=True)
+        overlapped = sim.makespan()
+        sequential = _exchange(pipeline, chunks, payload_nbytes, bandwidth, overlap=False).makespan()
+        floor = max(_wire_seconds(sim, payload_nbytes, n_chunks), pipeline.compression_seconds(chunks))
+        assert floor - 1e-12 <= overlapped <= sequential + 1e-12
 
 
 def _tiny_workflow(n_ranks=8, max_cardinality=600):
@@ -173,6 +201,30 @@ class TestTrainerThroughCommunicator:
             )
             losses[overlap] = [trainer.train_step(64, it) for it in range(2)]
         assert losses[False] == losses[True]
+
+    @pytest.mark.parametrize("pipeline_chunks", [1, 2, 32])
+    def test_pipeline_chunks_do_not_change_numerics(self, pipeline_chunks):
+        """The chunk count reshapes the overlapped schedule only: losses
+        and wire bytes equal the default 8-chunk run's."""
+        from repro.model import DLRM
+        from repro.train import HybridParallelTrainer
+
+        dataset, config, plan = _tiny_workflow()
+        runs = {}
+        for chunks in (8, pipeline_chunks):
+            sim = ClusterSimulator(4)
+            trainer = HybridParallelTrainer(
+                DLRM(config),
+                dataset,
+                sim,
+                pipeline=CompressionPipeline(AdaptiveController(plan)),
+                lr=0.2,
+                overlap=True,
+                pipeline_chunks=chunks,
+            )
+            losses = [trainer.train_step(64, it) for it in range(2)]
+            runs[chunks] = (losses, trainer.forward_wire_bytes)
+        assert runs[pipeline_chunks] == runs[8]
 
     def test_uncompressed_exchange_stays_exact(self):
         """Routing the raw exchange through the Communicator hands

@@ -316,3 +316,48 @@ class TestBatchedExchangePin:
         assert fused_pipe.stats == loop_pipe.stats
         assert len(fused_pipe.stats) == self.STEPS * 26 * self.N_RANKS
         assert fused_obs == loop_obs
+
+
+class TestOneCodecPath:
+    """Stage ① / ④ have one path: the stacked keyed codec calls.  The
+    worker-pool codec tier and the closed-form exchange timing model are
+    gone, and their options are not accepted anywhere."""
+
+    REMOVED_NAMES = (
+        "CodecExecutor",
+        "ExchangeAutotuner",
+        "CompressJob",
+        "codec_executor",
+        "_tuned_parallelism",
+        "_tuned_chunk_cap",
+        "pipelined_exchange_seconds",
+        "sequential_exchange_seconds",
+        "repro.compression.parallel",
+    )
+
+    def test_source_mentions_no_removed_name(self):
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        hits = [
+            f"{path.relative_to(root)}: {name}"
+            for path in sorted(root.rglob("*.py"))
+            for name in self.REMOVED_NAMES
+            if name in path.read_text(encoding="utf-8")
+        ]
+        assert hits == []
+
+    def test_trainer_rejects_codec_executor(self, small_world):
+        _, dataset, config = small_world
+        with pytest.raises(TypeError):
+            HybridParallelTrainer(
+                DLRM(config), dataset, ClusterSimulator(2), codec_executor=object()
+            )
+
+    def test_pipeline_rejects_executor(self, small_world):
+        _, dataset, config = small_world
+        controller = AdaptiveController(_make_plan(dataset, config))
+        with pytest.raises(TypeError):
+            CompressionPipeline(controller, executor=object())
