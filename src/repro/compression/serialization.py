@@ -16,7 +16,10 @@ tag         value encoding
 ==========  =============================================
 
 Keys are packed as varint-length-prefixed UTF-8.  The format is sequential
-and order-preserving; no alignment padding.
+and order-preserving; no alignment padding.  :func:`unpack_meta` checks
+every declared length against the bytes present, so a truncated or
+bit-flipped header either parses or raises :class:`CorruptPayloadError`
+naming the byte offset — never an untyped error, never a short value.
 
 **Checksummed frames (opt-in).**  Codec payloads are self-describing but
 carry no integrity check — a flipped bit on a faulty fabric decodes into
@@ -55,12 +58,13 @@ CHECKSUM_MAGIC = 0xC5
 
 
 class CorruptPayloadError(ValueError):
-    """A checksummed payload failed CRC32 verification.
+    """A payload's bytes cannot be what an encoder wrote.
 
-    Raised only for frames that *declare* a checksum — an unframed payload
-    is never rejected here (integrity is opt-in), and a truncated or
-    bit-flipped envelope reports the stored vs computed digest so fault
-    logs say exactly what went wrong on the wire.
+    Raised when a checksummed frame fails CRC32 verification (the message
+    reports the stored vs computed digest) and when a header does not
+    parse: a varint, string, byte, array or dtype field that is truncated
+    or malformed (the message names the byte offset).  An unframed payload
+    is never rejected for lacking a checksum — integrity is opt-in.
     """
 
 
@@ -171,11 +175,12 @@ def write_varint(out: bytearray, value: int) -> None:
 
 def read_varint(data: bytes | memoryview, pos: int) -> tuple[int, int]:
     """Read an unsigned LEB128 varint at ``pos``; return ``(value, new_pos)``."""
+    start = pos
     result = 0
     shift = 0
     while True:
         if pos >= len(data):
-            raise ValueError("truncated varint")
+            raise CorruptPayloadError(f"truncated varint at byte {start}")
         byte = data[pos]
         pos += 1
         result |= (byte & 0x7F) << shift
@@ -183,7 +188,7 @@ def read_varint(data: bytes | memoryview, pos: int) -> tuple[int, int]:
             return result, pos
         shift += 7
         if shift > 70:
-            raise ValueError("varint too long")
+            raise CorruptPayloadError(f"varint too long at byte {start}")
 
 
 def _zigzag(value: int) -> int:
@@ -229,34 +234,71 @@ def _pack_value(out: bytearray, value: Any) -> None:
         raise TypeError(f"unsupported meta value type: {type(value).__name__}")
 
 
+def _truncated(data: memoryview, pos: int, length: int, field: str) -> CorruptPayloadError:
+    return CorruptPayloadError(
+        f"truncated {field} at byte {pos}: {length} bytes declared, {len(data) - pos} present"
+    )
+
+
+def _field_end(data: memoryview, pos: int, length: int, field: str) -> int:
+    """End offset of a ``length``-byte ``field`` starting at ``pos``,
+    checked against the bytes present."""
+    end = pos + length
+    if end > len(data):
+        raise _truncated(data, pos, length, field)
+    return end
+
+
+def _read_text(
+    data: memoryview, pos: int, length: int, field: str, encoding: str = "utf-8"
+) -> tuple[str, int]:
+    """The ``length``-byte ``field`` at ``pos`` decoded, and its end offset
+    (the bounds check is inlined: keys and strings are most of a header)."""
+    end = pos + length
+    if end > len(data):
+        raise _truncated(data, pos, length, field)
+    try:
+        return str(data[pos:end], encoding), end
+    except UnicodeDecodeError:
+        raise CorruptPayloadError(f"{field} at byte {pos} is not {encoding}") from None
+
+
 def _unpack_value(data: memoryview, pos: int) -> tuple[Any, int]:
+    if pos >= len(data):
+        raise CorruptPayloadError(f"truncated header: no value tag at byte {pos}")
     tag = chr(data[pos])
     pos += 1
     if tag == "I":
         raw, pos = read_varint(data, pos)
         return _unzigzag(raw), pos
     if tag == "F":
+        end = _field_end(data, pos, 8, "float")
         (value,) = struct.unpack_from("<d", data, pos)
-        return value, pos + 8
+        return value, end
     if tag == "S":
         length, pos = read_varint(data, pos)
-        return bytes(data[pos : pos + length]).decode("utf-8"), pos + length
+        return _read_text(data, pos, length, "string")
     if tag == "B":
         length, pos = read_varint(data, pos)
-        return bytes(data[pos : pos + length]), pos + length
+        end = _field_end(data, pos, length, "bytes")
+        return bytes(data[pos:end]), end
     if tag == "A":
+        start = pos - 1
         dlen, pos = read_varint(data, pos)
-        dtype = np.dtype(bytes(data[pos : pos + dlen]).decode("ascii"))
-        pos += dlen
+        dtype_str, pos = _read_text(data, pos, dlen, "array dtype", "ascii")
         ndim, pos = read_varint(data, pos)
         shape = []
         for _ in range(ndim):
             dim, pos = read_varint(data, pos)
             shape.append(dim)
         blen, pos = read_varint(data, pos)
-        array = np.frombuffer(data[pos : pos + blen], dtype=dtype).reshape(shape).copy()
-        return array, pos + blen
-    raise ValueError(f"unknown meta tag {tag!r}")
+        end = _field_end(data, pos, blen, "array body")
+        try:
+            array = np.frombuffer(data[pos:end], dtype=np.dtype(dtype_str)).reshape(shape)
+        except (TypeError, ValueError, SyntaxError) as exc:
+            raise CorruptPayloadError(f"malformed array at byte {start}: {exc}") from None
+        return array.copy(), end
+    raise CorruptPayloadError(f"unknown meta tag {tag!r} at byte {pos - 1}")
 
 
 def pack_meta(meta: dict[str, Any]) -> bytes:
@@ -272,13 +314,15 @@ def pack_meta(meta: dict[str, Any]) -> bytes:
 
 
 def unpack_meta(data: bytes | memoryview, pos: int = 0) -> tuple[dict[str, Any], int]:
-    """Deserialize a header at ``pos``; return ``(meta, new_pos)``."""
+    """Deserialize a header at ``pos``; return ``(meta, new_pos)``.
+
+    Raises :class:`CorruptPayloadError` (a ``ValueError``) naming the byte
+    offset when any field is truncated or malformed."""
     view = memoryview(data)
     count, pos = read_varint(view, pos)
     meta: dict[str, Any] = {}
     for _ in range(count):
         klen, pos = read_varint(view, pos)
-        key = bytes(view[pos : pos + klen]).decode("utf-8")
-        pos += klen
+        key, pos = _read_text(view, pos, klen, "key")
         meta[key], pos = _unpack_value(view, pos)
     return meta, pos

@@ -13,11 +13,10 @@ One substrate for every tier's numbers:
 * Exporters — :func:`snapshot_to_json`, :func:`to_prometheus`, and the
   human :func:`run_report` table.
 * Analysis — :func:`extract_critical_path` (dependency-DAG makespan
-  attribution with ``speedup_if`` what-ifs), the :class:`SloHub`
-  burn-rate monitors fed live by the tiers, and the
-  ``repro.obs.sentry`` perf-regression gate over the committed
-  benchmark trajectory.  ``python -m repro.obs.report`` re-renders the
-  run report and critical paths from archived artifacts.
+  attribution with ``speedup_if`` what-ifs) and the :class:`SloHub`
+  burn-rate monitors fed live by the tiers.  ``python -m
+  repro.obs.report`` re-renders the run report and critical paths from
+  archived artifacts.
 
 Only the registry and the runtime switch load eagerly (they are what the
 hot paths import); the span/trace/exporter layers — which pull in
@@ -74,8 +73,6 @@ _LAZY_EXPORTS = {
     "default_monitors": "repro.obs.slo",
     "attach_hub": "repro.obs.slo",
     "detach_hub": "repro.obs.slo",
-    "SentryVerdict": "repro.obs.sentry",
-    "KernelVerdict": "repro.obs.sentry",
 }
 
 __all__ = [

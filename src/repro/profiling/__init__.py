@@ -23,7 +23,6 @@ _PERFBENCH_EXPORTS = {
     "load_bench",
     "make_lookup_batch",
     "run_suite",
-    "write_bench",
 }
 
 
@@ -48,7 +47,6 @@ __all__ = [
     "PerfRecord",
     "make_lookup_batch",
     "run_suite",
-    "write_bench",
     "load_bench",
     "compare_to_baseline",
     "format_table",

@@ -12,13 +12,14 @@ root) so every subsequent change has a trajectory to compare against.
 Three entry points:
 
 * :func:`run_suite` — measure, returning :class:`PerfRecord` rows.
-* :func:`write_bench` / :func:`load_bench` — persist / read the JSON.
-* :func:`compare_to_baseline` — regression gate used by CI's perf-smoke
-  step (fails on > ``max_regression``x throughput loss per kernel).
+* :func:`append_run` / :func:`load_trajectory` / :func:`load_bench` —
+  extend / read the trajectory JSON (``load_bench`` is its latest run).
+* :func:`compare_to_baseline` — the one perf gate, run by CI's perf-smoke
+  step: fails on a > :data:`MAX_REGRESSION`x throughput loss per kernel.
 
 CLI::
 
-    python -m repro.profiling.perfbench --out BENCH_compression.json
+    python -m repro.profiling.perfbench --append BENCH_compression.json
     python -m repro.profiling.perfbench --smoke --check BENCH_compression.json
 """
 
@@ -80,26 +81,27 @@ __all__ = [
     "PAPER_SHAPES",
     "SMOKE_SHAPES",
     "DEFAULT_ERROR_BOUND",
-    "TIGHTENED_GATES",
+    "MAX_REGRESSION",
     "make_lookup_batch",
     "run_suite",
-    "write_bench",
     "load_bench",
     "load_trajectory",
-    "write_trajectory",
     "append_run",
     "compare_to_baseline",
     "format_table",
     "main",
 ]
 
-SCHEMA_VERSION = 1
-
 #: trajectory files: ``{"schema_version": 2, "runs": [run, run, ...]}``
-#: where each run is a v1 payload minus its own ``schema_version`` —
-#: one entry per landed PR, oldest first, so the perf-regression sentry
-#: has a per-kernel history to fit robust baselines over
-TRAJECTORY_SCHEMA_VERSION = 2
+#: where each run is an environment stanza plus its ``records`` — one
+#: entry per landed change, oldest first
+TRAJECTORY_SCHEMA = 2
+
+#: the perf gate: a kernel fails when its throughput falls more than this
+#: factor below the baseline's.  Replaying the committed trajectory (each
+#: run against the one before it) flags no run, and a 2.6x slowdown of
+#: any one kernel of the latest run, judged against itself, is caught.
+MAX_REGRESSION = 2.5
 
 #: evaluation geometry: (batch rows, embedding dim) per the paper's setups
 #: (Criteo-Kaggle batch 128, Terabyte batch 2048, Fig.-12 cluster dim 64)
@@ -132,20 +134,6 @@ SHARD_ROWS_PER_BLOCK = 64
 #: the shard_pull rows time this many pulls a call (a pull is tens of
 #: microseconds: one alone is below what best-of timing resolves here)
 SHARD_PULLS_PER_CALL = 64
-
-#: kernels whose committed speedups carry comfortable headroom over their
-#: seed references get a tighter regression gate than the default 3x —
-#: a real regression on them shows up well before the generic band
-TIGHTENED_GATES: dict[tuple[str, str], float] = {
-    ("vector_lz", "decode"): 2.5,
-    ("huffman", "encode"): 2.5,
-    ("huffman", "decode"): 2.5,
-    ("lz4_like", "encode"): 2.5,
-    ("lz4_like", "decode"): 2.5,
-    ("fzgpu_like", "pack"): 2.5,
-    ("fzgpu_like", "unpack"): 2.5,
-    ("hybrid_pinned", "compress"): 2.5,
-}
 
 
 @dataclass(frozen=True)
@@ -685,115 +673,54 @@ def run_suite(
 # --------------------------------------------------------------- persistence
 
 
-def write_bench(records: Iterable[PerfRecord], path: str | Path) -> Path:
-    """Persist records (plus environment provenance) as JSON."""
-    path = Path(path)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "records": [asdict(r) for r in records],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
-def _run_records(run: dict) -> list[PerfRecord]:
-    return [PerfRecord(**r) for r in run["records"]]
-
-
-def load_bench(path: str | Path) -> list[PerfRecord]:
-    """Read records written by :func:`write_bench`.
-
-    Accepts both the flat v1 payload and a v2 trajectory (in which case
-    the *latest* run's records are returned — the committed baseline the
-    ``--check`` gate compares against).
-    """
+def _read_runs(path: str | Path) -> list[dict]:
     payload = json.loads(Path(path).read_text())
     version = payload.get("schema_version")
-    if version == SCHEMA_VERSION:
-        return _run_records(payload)
-    if version == TRAJECTORY_SCHEMA_VERSION:
-        runs = payload.get("runs") or []
-        if not runs:
-            raise ValueError(f"trajectory {path} has no runs")
-        return _run_records(runs[-1])
-    raise ValueError(f"unsupported bench schema {version!r} in {path}")
+    if version != TRAJECTORY_SCHEMA:
+        raise ValueError(f"unsupported bench schema {version!r} in {path}")
+    return list(payload.get("runs") or [])
 
 
 def load_trajectory(path: str | Path) -> list[list[PerfRecord]]:
-    """All runs in a bench file, oldest first.
-
-    A v1 payload is a trajectory of one run, so callers (the sentry) can
-    consume either format.
-    """
-    payload = json.loads(Path(path).read_text())
-    version = payload.get("schema_version")
-    if version == SCHEMA_VERSION:
-        return [_run_records(payload)]
-    if version == TRAJECTORY_SCHEMA_VERSION:
-        return [_run_records(run) for run in payload.get("runs") or []]
-    raise ValueError(f"unsupported bench schema {version!r} in {path}")
+    """All runs in a trajectory file, oldest first."""
+    return [[PerfRecord(**r) for r in run["records"]] for run in _read_runs(path)]
 
 
-def _run_payload(records: Iterable[PerfRecord]) -> dict:
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "records": [asdict(r) for r in records],
-    }
-
-
-def write_trajectory(
-    runs: Sequence[Sequence[PerfRecord]], path: str | Path
-) -> Path:
-    """Persist a v2 trajectory (one environment stanza per run; the runs
-    passed in are stamped with the *current* environment — use
-    :func:`append_run` to extend a file that keeps its history's stanzas)."""
-    path = Path(path)
-    payload = {
-        "schema_version": TRAJECTORY_SCHEMA_VERSION,
-        "runs": [_run_payload(run) for run in runs],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+def load_bench(path: str | Path) -> list[PerfRecord]:
+    """The latest run of a trajectory file: the baseline ``--check``
+    compares against."""
+    runs = load_trajectory(path)
+    if not runs:
+        raise ValueError(f"trajectory {path} has no runs")
+    return runs[-1]
 
 
 def append_run(records: Iterable[PerfRecord], path: str | Path) -> Path:
-    """Append one run to a trajectory file, migrating a v1 payload (its
-    environment stanza preserved) or starting a fresh trajectory if the
-    file does not exist."""
+    """Append one run, stamped with the current environment, to a
+    trajectory file (starting a fresh trajectory if the file does not
+    exist); earlier runs keep their own environment stanzas."""
     path = Path(path)
-    runs: list[dict] = []
-    if path.exists():
-        payload = json.loads(path.read_text())
-        version = payload.get("schema_version")
-        if version == SCHEMA_VERSION:
-            runs = [{k: v for k, v in payload.items() if k != "schema_version"}]
-        elif version == TRAJECTORY_SCHEMA_VERSION:
-            runs = list(payload.get("runs") or [])
-        else:
-            raise ValueError(f"unsupported bench schema {version!r} in {path}")
-    runs.append(_run_payload(records))
+    runs = _read_runs(path) if path.exists() else []
+    runs.append(
+        {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "records": [asdict(r) for r in records],
+        }
+    )
     path.write_text(
-        json.dumps(
-            {"schema_version": TRAJECTORY_SCHEMA_VERSION, "runs": runs}, indent=2
-        )
-        + "\n"
+        json.dumps({"schema_version": TRAJECTORY_SCHEMA, "runs": runs}, indent=2) + "\n"
     )
     return path
 
 
 def compare_to_baseline(
-    current: Sequence[PerfRecord],
-    baseline: Sequence[PerfRecord],
-    *,
-    max_regression: float = 3.0,
+    current: Sequence[PerfRecord], baseline: Sequence[PerfRecord]
 ) -> list[str]:
-    """Regression check: current throughput must stay within
-    ``max_regression``x of the committed baseline, kernel by kernel.
+    """Regression check: current throughput must not fall more than
+    :data:`MAX_REGRESSION` times below the committed baseline's, kernel by
+    kernel.
 
     The committed baseline may come from a different machine, so absolute
     MB/s alone would flag hardware differences as regressions.  The frozen
@@ -804,16 +731,10 @@ def compare_to_baseline(
     — for kernels with a reference — if its speedup over that reference
     (same machine, same run) is within the band of the baseline's speedup.
 
-    Kernels listed in :data:`TIGHTENED_GATES` use their (tighter) per-kernel
-    factor instead of ``max_regression`` — their committed speedups have
-    headroom, so a real regression shows up well before the generic band.
-
     Returns human-readable failure lines (empty = pass).  Kernels present
     on only one side are ignored — the gate compares, it doesn't enforce
     coverage.
     """
-    if max_regression <= 1.0:
-        raise ValueError(f"max_regression must be > 1, got {max_regression}")
     base_by_key = {(r.codec, r.op, r.shape_name): r for r in baseline}
     pairs = [
         (record, base)
@@ -829,22 +750,19 @@ def compare_to_baseline(
     machine_factor = float(np.median(speed_ratios)) if speed_ratios else 1.0
     failures = []
     for record, base in pairs:
-        gate = min(
-            max_regression, TIGHTENED_GATES.get((record.codec, record.op), max_regression)
-        )
-        floor = base.throughput_mb_s / gate / max(machine_factor, 1.0)
+        floor = base.throughput_mb_s / MAX_REGRESSION / max(machine_factor, 1.0)
         if record.throughput_mb_s >= floor:
             continue
         if (
             record.speedup is not None
             and base.speedup is not None
-            and record.speedup >= base.speedup / gate
+            and record.speedup >= base.speedup / MAX_REGRESSION
         ):
             continue  # reference regressed identically: machine, not code
         failures.append(
             f"{record.codec}.{record.op} [{record.shape_name}]: "
             f"{record.throughput_mb_s:.1f} MB/s < floor {floor:.1f} MB/s "
-            f"(baseline {base.throughput_mb_s:.1f} MB/s / {gate:g}x, "
+            f"(baseline {base.throughput_mb_s:.1f} MB/s / {MAX_REGRESSION:g}x, "
             f"machine factor {machine_factor:.2f})"
         )
     return failures
@@ -868,42 +786,32 @@ def format_table(records: Sequence[PerfRecord]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=None, help="write BENCH JSON here")
     parser.add_argument(
-        "--append", type=Path, default=None,
-        help="append this run to a v2 trajectory JSON (migrating v1 in place)",
+        "--append", type=Path, default=None, help="append this run to a trajectory JSON"
     )
     parser.add_argument(
-        "--check", type=Path, default=None, help="compare against a committed BENCH JSON"
+        "--check", type=Path, default=None,
+        help=f"fail on a >{MAX_REGRESSION:g}x loss against a trajectory's latest run",
     )
     parser.add_argument(
         "--smoke", action="store_true", help="small single-shape run (CI perf-smoke)"
     )
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument(
-        "--regression-factor", type=float, default=3.0,
-        help="fail --check when throughput drops more than this factor",
-    )
     args = parser.parse_args(argv)
     shapes = SMOKE_SHAPES if args.smoke else PAPER_SHAPES
     records = run_suite(shapes, repeats=args.repeats)
     print(format_table(records))
-    if args.out is not None:
-        write_bench(records, args.out)
-        print(f"[written to {args.out}]")
     if args.append is not None:
         append_run(records, args.append)
         print(f"[appended to {args.append}]")
     if args.check is not None:
-        failures = compare_to_baseline(
-            records, load_bench(args.check), max_regression=args.regression_factor
-        )
+        failures = compare_to_baseline(records, load_bench(args.check))
         if failures:
             print(f"PERF REGRESSION vs {args.check}:")
             for line in failures:
                 print(f"  {line}")
             return 1
-        print(f"perf-smoke OK vs {args.check} (within {args.regression_factor:g}x)")
+        print(f"perf-smoke OK vs {args.check} (within {MAX_REGRESSION:g}x)")
     return 0
 
 

@@ -97,6 +97,30 @@ class TestCorruptPayloads:
         with pytest.raises(Exception):
             codec.decompress(bytes(mangled))
 
+    @pytest.mark.filterwarnings("ignore:Data type alias:DeprecationWarning")  # a flip to "|a8"
+    def test_header_prefixes_and_bit_flips_parse_or_raise_value_error(self, payloads):
+        """Every prefix and every single-bit flip of each registered codec's
+        header bytes: ``parse_payload`` returns a header or raises
+        ``ValueError`` (``CorruptPayloadError`` is one) — never an
+        ``IndexError``, ``struct.error`` or ``TypeError`` out of the parser."""
+        leaks = []
+        for name, (_, payload, _) in payloads.items():
+            body_start = len(payload) - len(parse_payload(payload)[1])
+            mangled = [(f"cut {cut}", payload[:cut]) for cut in range(body_start)]
+            for at in range(body_start):
+                for bit in range(8):
+                    flipped = bytearray(payload)
+                    flipped[at] ^= 1 << bit
+                    mangled.append((f"flip {at}.{bit}", bytes(flipped)))
+            for how, data in mangled:
+                try:
+                    parse_payload(data)
+                except ValueError:
+                    pass
+                except Exception as exc:
+                    leaks.append(f"{name} {how}: {type(exc).__name__}: {exc}")
+        assert leaks == []
+
     def test_cross_codec_payload_rejected(self, payloads):
         lz_codec, lz_payload, _ = payloads["vector_lz"]
         entropy_codec, _, _ = payloads["entropy"]

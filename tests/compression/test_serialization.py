@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression.serialization import (
+    CorruptPayloadError,
     pack_meta,
     read_varint,
     unpack_meta,
@@ -33,6 +34,14 @@ class TestVarint:
         write_varint(out, 2**20)
         with pytest.raises(ValueError, match="truncated"):
             read_varint(bytes(out[:-1]), 0)
+
+    def test_truncated_varint_names_its_start_offset(self):
+        with pytest.raises(CorruptPayloadError, match="truncated varint at byte 1"):
+            read_varint(b"\x05\x80\x80", 1)
+
+    def test_overlong_varint_is_typed(self):
+        with pytest.raises(CorruptPayloadError, match="varint too long at byte 1"):
+            read_varint(b"\x00" + b"\x80" * 12, 1)
 
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     def test_roundtrip_property(self, value):
@@ -100,8 +109,75 @@ class TestPackMeta:
         packed = bytearray(pack_meta({"k": 1}))
         # Corrupt the value tag ('I') into an unknown letter.
         packed[packed.index(ord("I"))] = ord("Q")
-        with pytest.raises(ValueError, match="unknown meta tag"):
+        with pytest.raises(CorruptPayloadError, match="unknown meta tag 'Q' at byte 3"):
             unpack_meta(bytes(packed))
+
+    def test_every_truncation_raises_corrupt_payload_error(self):
+        """Each strict prefix of a header — mid-varint, mid-float, mid-array
+        and mid-final-value alike — is a typed error naming a byte offset."""
+        packed = pack_meta(
+            {"codec": "vector_lz", "eb": 0.01, "shape": np.array([64, 32]), "tail": b"abcdef"}
+        )
+        for cut in range(len(packed)):
+            with pytest.raises(CorruptPayloadError, match="at byte"):
+                unpack_meta(packed[:cut])
+
+    @pytest.mark.parametrize("value", ["vector_lz", b"\x00\xff\x01\x02"])
+    def test_final_value_overrun_is_not_a_short_value(self, value):
+        packed = pack_meta({"a": 1, "last": value})
+        with pytest.raises(CorruptPayloadError, match=r"truncated (string|bytes) at byte 12"):
+            unpack_meta(packed[:-1])
+
+    def test_malformed_array_dtype_is_typed(self):
+        packed = bytearray(pack_meta({"arr": np.arange(3, dtype=np.int64)}))
+        packed[packed.index(b"<i8") + 2] = ord("9")  # "<i9": no such dtype
+        with pytest.raises(CorruptPayloadError, match="malformed array at byte 5"):
+            unpack_meta(bytes(packed))
+
+    def test_non_utf8_key_is_typed(self):
+        packed = bytearray(pack_meta({"k": 1}))
+        packed[2] = 0xFF
+        with pytest.raises(CorruptPayloadError, match="key at byte 2 is not utf-8"):
+            unpack_meta(bytes(packed))
+
+    def test_non_ascii_array_dtype_is_typed(self):
+        packed = bytearray(pack_meta({"arr": np.arange(3, dtype=np.int64)}))
+        at = packed.index(b"<i8")
+        packed[at] = 0xFF
+        with pytest.raises(CorruptPayloadError, match=f"array dtype at byte {at} is not ascii"):
+            unpack_meta(bytes(packed))
+
+    def test_array_body_shape_mismatch_is_typed(self):
+        packed = bytearray(pack_meta({"arr": np.arange(3, dtype=np.int64)}))
+        packed[packed.index(b"<i8") + 4] = 4  # shape (3,) -> (4,): 24 body bytes hold 3
+        with pytest.raises(CorruptPayloadError, match="malformed array at byte 5"):
+            unpack_meta(bytes(packed))
+
+    def test_array_body_of_partial_items_is_typed(self):
+        packed = bytearray(pack_meta({"arr": np.arange(3, dtype=np.int64)}))
+        at = packed.index(b"<i8")
+        packed[at : at + 3] = b"|V5"  # 24 body bytes are not whole 5-byte items
+        with pytest.raises(CorruptPayloadError, match="malformed array at byte 5"):
+            unpack_meta(bytes(packed))
+
+    def test_truncated_float_reports_declared_and_present_bytes(self):
+        packed = pack_meta({"eb": 0.01})
+        with pytest.raises(
+            CorruptPayloadError, match="truncated float at byte 5: 8 bytes declared, 5 present"
+        ):
+            unpack_meta(packed[:-3])
+
+    def test_offsets_are_absolute_in_sequential_headers(self):
+        """A damaged second header names offsets in the whole buffer, not
+        relative to where that header starts."""
+        first = pack_meta({"a": 1})
+        second = pack_meta({"b": "xyz"})
+        blob = first + second[:-1]
+        _, pos = unpack_meta(blob)
+        with pytest.raises(
+            CorruptPayloadError, match=f"truncated string at byte {len(first) + 5}"
+        ):
+            unpack_meta(blob, pos)
 
     @given(
         st.dictionaries(

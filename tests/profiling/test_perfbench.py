@@ -3,25 +3,31 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from repro.profiling import perfbench
 from repro.profiling.perfbench import (
+    MAX_REGRESSION,
     PAPER_SHAPES,
+    SMOKE_SHAPES,
     PerfRecord,
     append_run,
     compare_to_baseline,
     format_table,
     load_bench,
     load_trajectory,
+    main,
     make_lookup_batch,
     run_suite,
-    write_bench,
-    write_trajectory,
 )
 
 TINY = {"tiny": (32, 8)}
+COMMITTED_BENCH = Path(__file__).resolve().parents[2] / "BENCH_compression.json"
 
 
 @pytest.fixture(scope="module")
@@ -148,49 +154,22 @@ class TestRunSuite:
         assert PAPER_SHAPES["terabyte"] == (2048, 32)
 
 
-class TestPersistence:
-    def test_json_roundtrip(self, tiny_records, tmp_path):
-        path = write_bench(tiny_records, tmp_path / "bench.json")
-        loaded = load_bench(path)
-        assert loaded == tiny_records
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 1
-        assert "numpy" in payload and "python" in payload
-
-    def test_load_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema_version": 99, "records": []}))
-        with pytest.raises(ValueError, match="schema"):
-            load_bench(path)
-        with pytest.raises(ValueError, match="schema"):
-            load_trajectory(path)
-
-
 class TestTrajectory:
-    """v2 trajectory files: one run per landed change, oldest first."""
+    """Trajectory files: one run per landed change, oldest first."""
 
-    def _runs(self, tiny_records):
-        from dataclasses import replace
-
-        older = [
-            replace(r, throughput_mb_s=r.throughput_mb_s * 0.9)
-            for r in tiny_records
-        ]
-        return [older, list(tiny_records)]
-
-    def test_write_load_round_trip(self, tiny_records, tmp_path):
-        runs = self._runs(tiny_records)
-        path = write_trajectory(runs, tmp_path / "traj.json")
-        loaded = load_trajectory(path)
-        assert loaded == runs
+    def test_append_load_round_trip(self, tiny_records, tmp_path):
+        older = [replace(r, throughput_mb_s=r.throughput_mb_s * 0.9) for r in tiny_records]
+        path = append_run(older, tmp_path / "traj.json")
+        append_run(tiny_records, path)
+        assert load_trajectory(path) == [older, list(tiny_records)]
         payload = json.loads(path.read_text())
         assert payload["schema_version"] == 2
-        assert all("python" in run for run in payload["runs"])
+        assert all("python" in run and "numpy" in run for run in payload["runs"])
 
-    def test_load_bench_on_trajectory_returns_latest_run(self, tiny_records, tmp_path):
-        runs = self._runs(tiny_records)
-        path = write_trajectory(runs, tmp_path / "traj.json")
-        assert load_bench(path) == runs[-1]
+    def test_load_bench_returns_latest_run(self, tiny_records, tmp_path):
+        path = append_run([], tmp_path / "traj.json")
+        append_run(tiny_records, path)
+        assert load_bench(path) == tiny_records
 
     def test_load_bench_rejects_empty_trajectory(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -199,52 +178,51 @@ class TestTrajectory:
             load_bench(path)
         assert load_trajectory(path) == []
 
-    def test_v1_file_is_a_one_run_trajectory(self, tiny_records, tmp_path):
-        path = write_bench(tiny_records, tmp_path / "v1.json")
-        assert load_trajectory(path) == [tiny_records]
-
-    def test_append_migrates_v1_in_place(self, tiny_records, tmp_path):
-        """The committed BENCH migration path: appending to a v1 file
-        turns it into a v2 trajectory whose first run keeps the original
-        records and environment stanza."""
-        path = write_bench(tiny_records, tmp_path / "bench.json")
-        v1_payload = json.loads(path.read_text())
-        append_run(tiny_records, path)
+    def test_append_extends_and_keeps_earlier_stanzas(self, tiny_records, tmp_path):
+        path = append_run(tiny_records, tmp_path / "traj.json")
         payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 2
-        assert len(payload["runs"]) == 2
-        assert payload["runs"][0]["records"] == v1_payload["records"]
-        assert payload["runs"][0]["python"] == v1_payload["python"]
-        assert load_bench(path) == tiny_records
-        assert load_trajectory(path) == [tiny_records, tiny_records]
-
-    def test_append_creates_fresh_trajectory(self, tiny_records, tmp_path):
-        path = append_run(tiny_records, tmp_path / "new.json")
-        assert load_trajectory(path) == [tiny_records]
-        assert json.loads(path.read_text())["schema_version"] == 2
-
-    def test_append_extends_v2(self, tiny_records, tmp_path):
-        path = tmp_path / "traj.json"
-        write_trajectory([tiny_records], path)
+        payload["runs"][0]["machine"] = "elsewhere"
+        path.write_text(json.dumps(payload))
         append_run(tiny_records, path)
         append_run(tiny_records, path)
         assert len(load_trajectory(path)) == 3
+        assert json.loads(path.read_text())["runs"][0]["machine"] == "elsewhere"
+
+    def test_append_creates_fresh_trajectory(self, tiny_records, tmp_path):
+        path = append_run(tiny_records, tmp_path / "new.json")
+        assert path == tmp_path / "new.json"
+        assert load_trajectory(path) == [tiny_records]
+        assert json.loads(path.read_text())["schema_version"] == 2
 
     def test_append_rejects_unknown_schema(self, tiny_records, tmp_path):
+        """A file in another layout is refused, not overwritten."""
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema_version": 7}))
+        original = json.dumps({"schema_version": 7})
+        path.write_text(original)
         with pytest.raises(ValueError, match="schema"):
             append_run(tiny_records, path)
+        assert path.read_text() == original
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"schema_version": 99, "records": []},
+            # the retired flat one-run layout
+            {"schema_version": 1, "python": "3", "numpy": "2", "machine": "x", "records": []},
+        ],
+    )
+    def test_unsupported_schema_rejected(self, tiny_records, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        for reader in (load_bench, load_trajectory, lambda p: append_run(tiny_records, p)):
+            with pytest.raises(ValueError, match="schema"):
+                reader(path)
 
     def test_committed_bench_is_a_loadable_trajectory(self):
-        """The repo-root BENCH_compression.json is the sentry's history;
-        it must parse as a multi-run trajectory with a stable kernel set
-        in its latest run."""
-        from pathlib import Path
-
-        bench = Path(__file__).resolve().parents[2] / "BENCH_compression.json"
-        runs = load_trajectory(bench)
-        assert len(runs) >= 3  # enough history for the sentry's min_points
+        """The repo-root BENCH_compression.json must parse as a multi-run
+        trajectory with a stable kernel set in its latest run."""
+        runs = load_trajectory(COMMITTED_BENCH)
+        assert len(runs) >= 2
         latest = {(r.codec, r.op, r.shape_name) for r in runs[-1]}
         assert ("critpath", "extract", "fabric8x4") in latest
 
@@ -281,23 +259,6 @@ class TestCompareToBaseline:
         current = [_record(codec="newcodec", mbps=1.0)]
         assert compare_to_baseline(current, [_record(mbps=100)]) == []
 
-    def test_custom_factor(self):
-        # hybrid.compress is outside TIGHTENED_GATES, so the caller's band
-        # is the only gate in play.
-        current = [_record(codec="hybrid", op="compress", mbps=30)]
-        base = [_record(codec="hybrid", op="compress", mbps=100)]
-        assert compare_to_baseline(current, base, max_regression=5.0) == []
-        with pytest.raises(ValueError):
-            compare_to_baseline(current, base, max_regression=1.0)
-
-    def test_tightened_gate_beats_looser_custom_factor(self):
-        """huffman.decode carries a 2.5x TIGHTENED_GATES entry; a looser
-        generic band cannot loosen it."""
-        current, base = [_record(mbps=30)], [_record(mbps=100)]
-        failures = compare_to_baseline(current, base, max_regression=5.0)
-        assert len(failures) == 1
-        assert "huffman.decode" in failures[0] and "2.5" in failures[0]
-
     def test_slow_machine_passes_via_relative_speedup(self):
         """A uniformly slower machine (low MB/s but intact speedup vs the
         in-run reference) must not trip the cross-machine gate."""
@@ -310,6 +271,188 @@ class TestCompareToBaseline:
         base = [_record(mbps=100, speedup=4.2)]
         failures = compare_to_baseline(current, base)
         assert len(failures) == 1 and "huffman.decode" in failures[0]
+
+    def test_failure_line_states_floor_and_gate(self):
+        assert compare_to_baseline([_record(mbps=30)], [_record(mbps=100)]) == [
+            "huffman.decode [terabyte]: 30.0 MB/s < floor 40.0 MB/s "
+            "(baseline 100.0 MB/s / 2.5x, machine factor 1.00)"
+        ]
+
+    def test_reference_probe_rescales_floor_for_kernels_without_one(self):
+        """A kernel with no reference of its own passes 3x slower when the
+        run's references are 3x slower too, and fails without that probe."""
+        base_probe = _record(codec="probe", mbps=100, speedup=4.0)
+        slow_probe = _record(codec="probe", mbps=100 / 3, speedup=4.0)
+        assert slow_probe.reference_seconds == pytest.approx(3 * base_probe.reference_seconds)
+        kernel, base_kernel = _record(op="encode", mbps=30), _record(op="encode", mbps=100)
+        assert compare_to_baseline([slow_probe, kernel], [base_probe, base_kernel]) == []
+        assert len(compare_to_baseline([kernel], [base_kernel])) == 1
+
+    def test_faster_machine_never_tightens_floor(self):
+        base_probe = _record(codec="probe", mbps=100, speedup=4.0)
+        fast_probe = _record(codec="probe", mbps=200, speedup=4.0)  # references 2x faster
+        base_kernel = _record(op="encode", mbps=100)
+        assert compare_to_baseline(
+            [fast_probe, _record(op="encode", mbps=45)], [base_probe, base_kernel]
+        ) == []
+        (line,) = compare_to_baseline(
+            [fast_probe, _record(op="encode", mbps=35)], [base_probe, base_kernel]
+        )
+        assert "floor 40.0 MB/s" in line and "machine factor 0.50" in line
+
+    def test_machine_factor_is_the_median_reference_ratio(self):
+        """One reference that ran 10x slower does not excuse a regression
+        when the other two ran at the baseline's speed."""
+        base = [_record(codec=f"probe{i}", mbps=100, speedup=4.0) for i in range(3)]
+        current = base[:2] + [_record(codec="probe2", mbps=10, speedup=4.0)]
+        kernel, base_kernel = _record(op="encode", mbps=30), _record(op="encode", mbps=100)
+        (line,) = compare_to_baseline(current + [kernel], base + [base_kernel])
+        assert line.startswith("huffman.encode") and "machine factor 1.00" in line
+
+    def test_speedup_escape_needs_a_baseline_speedup(self):
+        current = [_record(mbps=30, speedup=4.0)]
+        assert len(compare_to_baseline(current, [_record(mbps=100)])) == 1
+
+
+def _slowed(record: PerfRecord, factor: float, *, reference: bool = False) -> PerfRecord:
+    """``record`` with its kernel ``factor`` times slower — and its frozen
+    reference too when ``reference`` (a slower machine, not slower code)."""
+    ref = record.reference_seconds
+    return replace(
+        record,
+        seconds=record.seconds * factor,
+        throughput_mb_s=record.throughput_mb_s / factor,
+        reference_seconds=ref * factor if reference and ref is not None else ref,
+        speedup=None if record.speedup is None or reference else record.speedup / factor,
+    )
+
+
+class TestGateLaws:
+    """The one perf gate, judged on the committed trajectory: its
+    threshold is exactly :data:`MAX_REGRESSION` on every kernel, it does
+    not mistake a slower machine for slower code, and it never flagged a
+    landed run."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return load_trajectory(COMMITTED_BENCH)
+
+    def test_one_kernel_threshold_is_max_regression_on_every_kernel(self, runs):
+        latest = runs[-1]
+        assert MAX_REGRESSION == 2.5
+        for i, record in enumerate(latest):
+            for factor, fails in ((2.4, False), (2.6, True)):
+                current = list(latest)
+                current[i] = _slowed(record, factor)
+                failures = compare_to_baseline(current, latest)
+                assert bool(failures) == fails, (record, factor, failures)
+                if fails:
+                    (line,) = failures
+                    assert line.startswith(f"{record.codec}.{record.op} [{record.shape_name}]")
+
+    def test_uniformly_slower_machine_passes(self, runs):
+        latest = runs[-1]
+        slower = [_slowed(r, 3.0, reference=True) for r in latest]
+        assert compare_to_baseline(slower, latest) == []
+
+    def test_every_committed_run_passes_against_the_one_before(self, runs):
+        failures = {
+            i: found
+            for i in range(1, len(runs))
+            if (found := compare_to_baseline(runs[i], runs[i - 1]))
+        }
+        assert failures == {}
+
+
+class TestOnePerfGate:
+    """The trajectory sentry, the per-kernel factor table, the settable
+    factor and the flat one-run file layout are gone, and their options
+    are not accepted anywhere."""
+
+    REMOVED_NAMES = (
+        "sentry",
+        "SentryVerdict",
+        "KernelVerdict",
+        "TIGHTENED_GATES",
+        "max_regression",
+        "regression_factor",
+        "regression-factor",
+        "SCHEMA_VERSION",
+        "write_bench",
+        "write_trajectory",
+    )
+
+    def test_source_mentions_no_removed_name(self):
+        root = Path(repro.__file__).parent
+        hits = [
+            f"{path.relative_to(root)}: {name}"
+            for path in sorted(root.rglob("*.py"))
+            for name in self.REMOVED_NAMES
+            if name in path.read_text(encoding="utf-8")
+        ]
+        assert hits == []
+
+    def test_compare_rejects_max_regression(self):
+        with pytest.raises(TypeError):
+            compare_to_baseline([_record()], [_record()], max_regression=3.0)
+
+    @pytest.mark.parametrize(
+        "argv", [["--out", "bench.json"], ["--check", "b.json", "--regression-factor", "3"]]
+    )
+    def test_cli_rejects_removed_options(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)  # argparse exits before anything is measured
+        assert exc.value.code == 2
+
+
+class TestMain:
+    """The CLI around the gate, with the measurement replaced by fixed
+    records so each case runs in milliseconds."""
+
+    RUN = [_record(mbps=100, speedup=4.0), _record(op="encode", mbps=100)]
+
+    @pytest.fixture
+    def measured(self, monkeypatch):
+        """Make ``main`` measure ``measured["records"]``; the arguments it
+        passed to ``run_suite`` land in ``measured["calls"]``."""
+        state = {"records": self.RUN, "calls": []}
+
+        def fake_run_suite(shapes, *, repeats):
+            state["calls"].append((shapes, repeats))
+            return list(state["records"])
+
+        monkeypatch.setattr(perfbench, "run_suite", fake_run_suite)
+        return state
+
+    def test_check_passes_against_a_matching_run(self, measured, tmp_path, capsys):
+        path = append_run(self.RUN, tmp_path / "traj.json")
+        assert main(["--check", str(path)]) == 0
+        assert "within 2.5x" in capsys.readouterr().out
+
+    def test_check_fails_and_names_the_kernel(self, measured, tmp_path, capsys):
+        path = append_run(self.RUN, tmp_path / "traj.json")
+        measured["records"] = [self.RUN[0], _slowed(self.RUN[1], 2.6)]
+        assert main(["--check", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "PERF REGRESSION" in out and "huffman.encode [terabyte]" in out
+
+    def test_check_judges_against_the_latest_run(self, measured, tmp_path):
+        slow = [_slowed(r, 3.0) for r in self.RUN]
+        path = append_run(slow, tmp_path / "traj.json")
+        append_run(self.RUN, path)
+        measured["records"] = slow
+        assert main(["--check", str(path)]) == 1
+
+    def test_append_adds_one_run_per_invocation(self, measured, tmp_path):
+        path = tmp_path / "traj.json"
+        assert main(["--append", str(path)]) == 0
+        assert main(["--append", str(path)]) == 0
+        assert load_trajectory(path) == [self.RUN, self.RUN]
+
+    def test_smoke_and_repeats_reach_the_suite(self, measured):
+        assert main(["--smoke", "--repeats", "2"]) == 0
+        assert main([]) == 0
+        assert measured["calls"] == [(SMOKE_SHAPES, 2), (PAPER_SHAPES, 5)]
 
 
 class TestFormatTable:
