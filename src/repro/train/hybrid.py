@@ -11,7 +11,13 @@ With a :class:`~repro.train.pipeline.CompressionPipeline`, the forward
 exchange runs the paper's 4-stage compressed pipeline: per-slice
 compression under the dual-level adaptive controller, a metadata all-to-all
 (stage ②, needed because error-bounded payloads have variable size), the
-payload all-to-all, and per-slice decompression.
+payload all-to-all, and per-slice decompression.  With
+``compress_backward`` the gradient exchange runs through the same routine
+(:meth:`HybridParallelTrainer._compressed_exchange`) with sender and
+receiver swapped.  It skips stage ②: gradient payloads are
+self-describing (each header carries the slice's size and codec), so that
+direction is charged framing only — the paper's pipeline adds the
+metadata round to the forward exchange alone.
 
 **Every collective goes through the** :class:`~repro.dist.comm.Communicator`
 — the trainer never charges ``simulator.collective`` directly, so trainer
@@ -241,80 +247,86 @@ class HybridParallelTrainer:
                 )
             return reconstructed
 
-        # Stage ①: compress per (owned table x destination slice); the
-        # communicator charges all four stages (and, in overlap mode,
-        # pipelines stage ① against the wire on per-rank streams).
-        payloads: dict[tuple[int, int], bytes] = {}  # (table, dst) -> payload
-        wire_matrix = np.zeros((self.n_ranks, self.n_ranks), dtype=np.int64)
-        entries_matrix = np.zeros((self.n_ranks, self.n_ranks), dtype=np.int64)
-        compress_seconds = [0.0] * self.n_ranks
-        chunks_per_rank = [1] * self.n_ranks
-        # Gather every (table x destination) slice first, then compress the
-        # whole exchange as one batch — each table's destination slices
-        # compress as one stack.
-        slice_plan: list[tuple[int, int, int, np.ndarray]] = []  # rank, table, dst, rows
-        for rank in range(self.n_ranks):
-            for table_id in self.sharding.tables_of(rank):
-                rows = raw_lookups[table_id]
-                for dst, (lo, hi) in enumerate(slices):
-                    slice_plan.append((rank, table_id, dst, rows[lo:hi]))
-        slice_payloads = self.pipeline.compress_slices(
-            [(table_id, rows) for (_, table_id, _, rows) in slice_plan], iteration
+        reconstructed, wire_nbytes = self._compressed_exchange(
+            [raw_lookups[t] for t in range(cfg.n_tables)],
+            iteration,
+            owner_sends=True,
+            metadata=True,
+            category=EventCategory.ALLTOALL_FWD,
         )
-        rank_chunks: dict[int, list[tuple[str, int]]] = {}
-        for (rank, table_id, dst, rows), payload in zip(slice_plan, slice_payloads):
-            payloads[(table_id, dst)] = payload
-            wire_matrix[rank, dst] += len(payload)
-            entries_matrix[rank, dst] += 1
-            rank_chunks.setdefault(rank, []).append(
-                (self.pipeline.controller.compressor_name(table_id), rows.nbytes)
-            )
-        for rank, chunks in rank_chunks.items():
-            compress_seconds[rank] = self.pipeline.compression_seconds(chunks)
-            # Pipeline depth: the communicator emits one real wire
-            # event per chunk, so cap the granularity at the trainer's
-            # pipeline_chunks knob — slices batch into that many
-            # chunk-sized kernels/messages.
-            chunks_per_rank[rank] = min(len(chunks), self.pipeline_chunks)
+        self.forward_wire_bytes += wire_nbytes
+        return reconstructed
 
-        # Every receiver decodes the same per-slice chunk set.
-        decompress_seconds = [
-            self.pipeline.decompression_seconds(
-                [
-                    (self.pipeline.controller.compressor_name(t), slice_bytes)
-                    for t in range(cfg.n_tables)
-                ]
-            )
-        ] * self.n_ranks
-        sendbufs = [
-            [
-                [payloads[(t, dst)] for t in self.sharding.tables_of(rank)]
-                for dst in range(self.n_ranks)
-            ]
-            for rank in range(self.n_ranks)
+    def _compressed_exchange(
+        self,
+        rows: list[np.ndarray],
+        iteration: int,
+        *,
+        owner_sends: bool,
+        metadata: bool,
+        category: str,
+        overlap_compute: list[float] | None = None,
+    ) -> tuple[list[np.ndarray], int]:
+        """Stages ①-④ of one compressed embedding exchange, either direction.
+
+        ``rows[t]`` holds table ``t``'s full-batch rows; every ``(table,
+        batch-slice)`` pair travels between the table's owner and the
+        slice's rank — owner to slice rank when ``owner_sends`` (forward
+        lookups), slice rank to owner otherwise (backward gradients).
+        ``metadata`` runs the stage-② round (one entry per slice).
+        Returns each table's decoded full-batch rows (exactly what the
+        receivers reconstruct) and the payload bytes posted."""
+        pipeline = self.pipeline
+        n = self.n_ranks
+        slices = self._slices(rows[0].shape[0])
+        # Owner-major -> table -> batch slice: each table's slices are
+        # consecutive, so stage ① compresses them as one stack.
+        plan = [
+            (owner, table_id, part, rows[table_id][lo:hi])
+            for owner in range(n)
+            for table_id in self.sharding.tables_of(owner)
+            for part, (lo, hi) in enumerate(slices)
         ]
-        # Stages ②+③(+①/④ timing): metadata round, then payloads.
+        payloads = pipeline.compress_slices([(t, r) for (_, t, _, r) in plan], iteration)
+        sendbufs: list[list[list[bytes]]] = [[[] for _ in range(n)] for _ in range(n)]
+        send_chunks: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+        recv_chunks: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+        by_table: dict[int, list[bytes]] = {}
+        for (owner, table_id, part, r), payload in zip(plan, payloads):
+            src, dst = (owner, part) if owner_sends else (part, owner)
+            sendbufs[src][dst].append(payload)
+            chunk = (pipeline.controller.compressor_name(table_id), r.nbytes)
+            send_chunks[src].append(chunk)
+            recv_chunks[dst].append(chunk)
+            by_table.setdefault(table_id, []).append(payload)
+        entries = np.array(
+            [[len(buf) if metadata else 0 for buf in row] for row in sendbufs], dtype=np.int64
+        )
+        # The communicator charges all four stages (and, in overlap mode,
+        # pipelines stage ① against the wire on per-rank streams).
         self.comm.compressed_all_to_all(
             sendbufs,
-            metadata_bytes_per_entry=self.pipeline.metadata_bytes_per_entry,
-            entries_per_pair=entries_matrix,
-            category=EventCategory.ALLTOALL_FWD,
+            metadata_bytes_per_entry=pipeline.metadata_bytes_per_entry,
+            entries_per_pair=entries,
+            category=category,
             overlap=self.overlap,
-            compress_seconds=compress_seconds,
-            decompress_seconds=decompress_seconds,
-            chunks_per_rank=chunks_per_rank,
+            compress_seconds=[pipeline.compression_seconds(c) for c in send_chunks],
+            decompress_seconds=[pipeline.decompression_seconds(c) for c in recv_chunks],
+            # Pipeline depth: the communicator emits one real wire event
+            # per chunk, so cap the granularity at the trainer's
+            # pipeline_chunks knob — slices batch into that many
+            # chunk-sized kernels/messages.
+            chunks_per_rank=[max(1, min(len(c), self.pipeline_chunks)) for c in send_chunks],
+            overlap_compute_seconds=overlap_compute,
+            overlap_compute_category=EventCategory.BOTTOM_MLP_BWD,
         )
-        self.forward_wire_bytes += int(wire_matrix.sum())
-
-        # Stage ④ numerics: every receiver decodes all tables for its
-        # slice; the batched decode keeps codec caches hot per table.
-        reconstructed: list[np.ndarray] = []
-        for table_id in range(cfg.n_tables):
-            parts = self.pipeline.decompress_batch(
-                [payloads[(table_id, dst)] for dst in range(self.n_ranks)]
-            )
-            reconstructed.append(np.concatenate(parts, axis=0))
-        return reconstructed
+        # Stage ④ numerics: one batched decode per table keeps codec
+        # caches hot across its slices.
+        decoded = [
+            np.concatenate(pipeline.decompress_batch(by_table[t]), axis=0)
+            for t in range(len(rows))
+        ]
+        return decoded, sum(map(len, payloads))
 
     def _backward_exchange(
         self,
@@ -333,58 +345,19 @@ class HybridParallelTrainer:
         gpu = self.simulator.gpu
         cfg = self.model.config
         batch_size = sparse.shape[0]
-        slices = self._slices(batch_size)
-        local = batch_size // self.n_ranks
-        slice_bytes = local * cfg.embedding_dim * 4
-
-        compress = self.pipeline is not None and self.pipeline.compress_backward
-        grads_to_apply: list[np.ndarray] = list(d_emb)
-        if compress:
-            # Gradient payloads are self-describing (no metadata round);
-            # sendbufs[src][owner] batches every table slice src owes owner.
-            sendbufs: list[list[list[bytes]]] = [
-                [[] for _ in range(self.n_ranks)] for _ in range(self.n_ranks)
-            ]
-            grads_to_apply = [g.copy() for g in d_emb]  # slices replaced below
-            compress_seconds = [0.0] * self.n_ranks
-            chunks_per_rank = [1] * self.n_ranks
-            for src, (lo, hi) in enumerate(slices):
-                chunks: list[tuple[str, int]] = []
-                for table_id in range(cfg.n_tables):
-                    owner = self.sharding.owner_of(table_id)
-                    rows = np.ascontiguousarray(d_emb[table_id][lo:hi], dtype=np.float32)
-                    payload = self.pipeline.compress_slice(table_id, rows, iteration)
-                    grads_to_apply[table_id][lo:hi] = self.pipeline.decompress_slice(payload)
-                    sendbufs[src][owner].append(payload)
-                    chunks.append(
-                        (self.pipeline.controller.compressor_name(table_id), rows.nbytes)
-                    )
-                compress_seconds[src] = self.pipeline.compression_seconds(chunks)
-                chunks_per_rank[src] = max(1, min(len(chunks), self.pipeline_chunks))
-            decompress_seconds = [
-                self.pipeline.decompression_seconds(
-                    [
-                        (self.pipeline.controller.compressor_name(t), slice_bytes)
-                        for t in self.sharding.tables_of(rank)
-                        for _ in range(self.n_ranks)
-                    ]
-                )
-                if self.sharding.tables_of(rank)
-                else 0.0
-                for rank in range(self.n_ranks)
-            ]
-            self.comm.compressed_all_to_all(
-                sendbufs,
-                entries_per_pair=np.zeros((self.n_ranks, self.n_ranks), dtype=np.int64),
+        grads: list[np.ndarray] = d_emb
+        if self.pipeline is not None and self.pipeline.compress_backward:
+            # Self-describing gradient payloads: no stage-② round.
+            grads, _ = self._compressed_exchange(
+                [np.ascontiguousarray(g, dtype=np.float32) for g in d_emb],
+                iteration,
+                owner_sends=False,
+                metadata=False,
                 category=EventCategory.ALLTOALL_BWD,
-                overlap=self.overlap,
-                compress_seconds=compress_seconds,
-                decompress_seconds=decompress_seconds,
-                chunks_per_rank=chunks_per_rank,
-                overlap_compute_seconds=overlap_compute,
-                overlap_compute_category=EventCategory.BOTTOM_MLP_BWD,
+                overlap_compute=overlap_compute,
             )
         else:
+            slice_bytes = batch_size // self.n_ranks * cfg.embedding_dim * 4
             grad_matrix = np.zeros((self.n_ranks, self.n_ranks), dtype=np.int64)
             for table_id in range(cfg.n_tables):
                 grad_matrix[:, self.sharding.owner_of(table_id)] += slice_bytes
@@ -405,7 +378,7 @@ class HybridParallelTrainer:
                 )
             for table_id in owned:
                 self.model.accumulate_embedding_grad(
-                    table_id, sparse[:, table_id], grads_to_apply[table_id]
+                    table_id, sparse[:, table_id], grads[table_id]
                 )
 
     def _homomorphic_dense_sync(self) -> None:

@@ -72,8 +72,10 @@ class CompressionPipeline:
         the paper's buffer optimization; ``False`` prices naive per-chunk
         kernels (the Fig. 15 ablation).
     compress_backward:
-        Also compress the gradient all-to-all.  Off by default: the paper
-        compresses the forward exchange (Fig. 12).
+        Also compress the gradient all-to-all — through the same
+        :meth:`compress_slices` / :meth:`decompress_batch` calls as the
+        forward exchange.  Off by default: the paper compresses the
+        forward exchange (Fig. 12).
     codebook_refresh:
         Staleness window (in uses per table) for the shared Huffman
         codebook cache on the compress hot loop; ``0`` disables caching.
@@ -179,9 +181,10 @@ class CompressionPipeline:
     ) -> list:
         """Stage ① over many independent ``(table_id, rows)`` slices.
 
-        Consecutive equal-shape slices of one vector-LZ table — the 32
-        destination slices the trainer posts per table — compress as one
-        stack (:meth:`VectorLZCompressor.compress_stack`, the wall-clock
+        Consecutive equal-shape slices of one vector-LZ table — one per
+        batch slice, as the trainer posts them in either exchange
+        direction — compress as one stack
+        (:meth:`VectorLZCompressor.compress_stack`, the wall-clock
         counterpart of the fused kernel ``fused_kernels`` prices);
         everything else goes slice by slice through :meth:`compress_slice`.
         Payload bytes, their order and the stats/obs accounting equal a

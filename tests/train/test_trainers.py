@@ -227,10 +227,49 @@ class TestHybridTrainer:
         plan = _make_plan(dataset, config)
         sim = ClusterSimulator(2)
         pipe = CompressionPipeline(AdaptiveController(plan), compress_backward=True)
-        trainer = HybridParallelTrainer(DLRM(config), dataset, sim, pipeline=pipe, lr=0.2)
+        model = DLRM(config)
+        trainer = HybridParallelTrainer(model, dataset, sim, pipeline=pipe, lr=0.2)
+        exact: list[list[np.ndarray]] = []  # per iteration: uncompressed d_emb
+        applied: list[tuple[int, int, np.ndarray]] = []  # (iteration, table, grad rows)
+        backward_interaction = model.backward_interaction
+        accumulate = model.accumulate_embedding_grad
+
+        def record_backward(dlogits):
+            d_bottom, d_emb = backward_interaction(dlogits)
+            exact.append([g.copy() for g in d_emb])
+            return d_bottom, d_emb
+
+        def record_accumulate(table_id, indices, grad_rows):
+            applied.append((len(exact) - 1, table_id, np.array(grad_rows)))
+            accumulate(table_id, indices, grad_rows)
+
+        model.backward_interaction = record_backward
+        model.accumulate_embedding_grad = record_accumulate
         report = trainer.train(3, 32)
-        # Training still converging-ish (losses finite and sane).
         assert all(np.isfinite(report.history.losses))
+        assert len(applied) == 3 * config.n_tables
+        for iteration, table_id, rows in applied:
+            want = exact[iteration][table_id]
+            bound = pipe.controller.error_bound(table_id, iteration)
+            # float32 wire format: allow one float32 rounding of the input.
+            slack = np.finfo(np.float32).eps * np.abs(want)
+            assert rows.shape == want.shape
+            assert (np.abs(rows - want) <= bound + slack).all(), (iteration, table_id)
+
+    def test_one_exchange_routine_in_source(self):
+        """Both directions' compressed exchanges share one stage ①–④
+        routine; the gradient exchange has no per-slice codec fork."""
+        import inspect
+        from pathlib import Path
+
+        import repro.train.hybrid as hybrid
+
+        backward = inspect.getsource(HybridParallelTrainer._backward_exchange)
+        assert "compress_slice(" not in backward
+        assert "decompress_slice(" not in backward
+        source = Path(hybrid.__file__).read_text()
+        for call in ("compressed_all_to_all(", "compress_slices(", "decompress_batch("):
+            assert source.count(call) == 1, call
 
     def test_report_breakdown_fractions_sum_to_one(self, small_world):
         _, dataset, config = small_world
@@ -253,11 +292,12 @@ class TestBatchedExchangePin:
     """The fused per-table stage ①/④ (``compress_stack`` / ``decompress_stack``
     behind ``compress_slices`` / ``decompress_batch``) must be invisible:
     same payload bytes, losses, parameters, stats and obs counters as the
-    per-slice loops it replaces."""
+    per-slice loops it replaces — for the forward exchange and, with
+    ``compress_backward``, the gradient exchange too."""
 
     N_RANKS, BATCH, STEPS = 8, 256, 4
 
-    def _run(self, bench_world, per_slice: bool):
+    def _run(self, bench_world, per_slice: bool, compress_backward: bool):
         import hashlib
         from dataclasses import replace
 
@@ -273,48 +313,56 @@ class TestBatchedExchangePin:
             for t, table in plan.tables.items()
         }
         plan = replace(plan, tables=tables)
-        pipe = CompressionPipeline(AdaptiveController(plan, StepwiseDecay(2.0, 2, n_steps=2)))
-        digests: list[str] = []
-        batched_compress = pipe.compress_slices
-
-        def compress_slices(slices, iteration):
-            if per_slice:
-                payloads = [pipe.compress_slice(t, rows, iteration) for t, rows in slices]
-            else:
-                payloads = batched_compress(slices, iteration)
-            digest = hashlib.sha256()
-            for payload in payloads:  # (table, dst) order of the exchange
-                digest.update(len(payload).to_bytes(8, "little"))
-                digest.update(payload)
-            digests.append(digest.hexdigest())
-            return payloads
-
-        pipe.compress_slices = compress_slices
+        pipe = CompressionPipeline(
+            AdaptiveController(plan, StepwiseDecay(2.0, 2, n_steps=2)),
+            compress_backward=compress_backward,
+        )
         if per_slice:
+            pipe.compress_slices = lambda slices, iteration: [
+                pipe.compress_slice(t, rows, iteration) for t, rows in slices
+            ]
             pipe.decompress_batch = lambda payloads: [pipe.decompress_slice(p) for p in payloads]
         trainer = HybridParallelTrainer(
             DLRM(config), dataset, ClusterSimulator(self.N_RANKS), pipeline=pipe, lr=0.2
         )
+        digests: list[str] = []
+        exchange = trainer.comm.compressed_all_to_all
+
+        def compressed_all_to_all(sendbufs, *args, **kwargs):
+            digest = hashlib.sha256()
+            for row in sendbufs:
+                for payloads in row:  # (src, dst) order of the exchange
+                    digest.update(len(payloads).to_bytes(8, "little"))
+                    for payload in payloads:
+                        digest.update(len(payload).to_bytes(8, "little"))
+                        digest.update(payload)
+            digests.append(digest.hexdigest())
+            return exchange(sendbufs, *args, **kwargs)
+
+        trainer.comm.compressed_all_to_all = compressed_all_to_all
         with capture() as registry:
             losses = [float(trainer.train_step(self.BATCH, it)) for it in range(self.STEPS)]
         codecs = {pipe.controller.compressor_name(t) for t in range(config.n_tables)}
         return trainer, pipe, losses, digests, registry.snapshot(), codecs
 
-    def test_batched_path_equals_per_slice_loops(self, bench_world):
+    @pytest.mark.parametrize("compress_backward", [False, True])
+    def test_batched_path_equals_per_slice_loops(self, bench_world, compress_backward):
         fused, fused_pipe, fused_losses, fused_digests, fused_obs, codecs = self._run(
-            bench_world, per_slice=False
+            bench_world, per_slice=False, compress_backward=compress_backward
         )
         loop, loop_pipe, loop_losses, loop_digests, loop_obs, _ = self._run(
-            bench_world, per_slice=True
+            bench_world, per_slice=True, compress_backward=compress_backward
         )
+        directions = 2 if compress_backward else 1
         assert codecs == {"vector_lz", "entropy"}  # both routes exercised
         assert fused_losses == loop_losses
         for ours, theirs in zip(fused.model.parameters(), loop.model.parameters()):
             np.testing.assert_array_equal(ours.data, theirs.data, err_msg=ours.name)
         assert fused.forward_wire_bytes == loop.forward_wire_bytes
-        assert len(fused_digests) == self.STEPS and fused_digests == loop_digests
+        assert len(fused_digests) == self.STEPS * directions
+        assert fused_digests == loop_digests
         assert fused_pipe.stats == loop_pipe.stats
-        assert len(fused_pipe.stats) == self.STEPS * 26 * self.N_RANKS
+        assert len(fused_pipe.stats) == self.STEPS * 26 * self.N_RANKS * directions
         assert fused_obs == loop_obs
 
 
