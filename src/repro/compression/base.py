@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.serialization import pack_meta, unpack_meta
+from repro.compression.serialization import CorruptPayloadError, pack_meta, unpack_meta
 
 __all__ = [
     "Compressor",
@@ -147,31 +147,17 @@ class Compressor(ABC):
                 raise ValueError(f"{self.name}: requires a positive error_bound, got {error_bound!r}")
         return array
 
-    def compress(self, array: np.ndarray, error_bound: float | None = None, *, key=None, pool=None):
+    def compress(self, array: np.ndarray, error_bound: float | None = None, *, key=None) -> bytes:
         """Compress a 2-D float batch into a self-describing payload.
 
         ``key`` is a stable per-stream identity (e.g. a table id): stateful
         codecs reuse work across calls with the same key (cached codebooks,
         pinned encoder choices), stateless codecs ignore it, and the bytes
         stay self-describing either way.
-
-        ``pool`` (a :class:`~repro.compression.pool.BitstreamPool`)
-        switches the return from ``bytes`` to a live ``Lease`` holding the
-        same bytes, framed directly into a pooled arena — once the pool is
-        warm, steady-state compression allocates no payload ``bytes``.  The
-        caller owns the lease and releases it when done with the payload.
         """
         array = self._validate(array, error_bound)
         meta, body = self._compress_body(array, error_bound, key)
-        parts = frame_parts(self.name, array.shape, array.dtype, meta, body)
-        if pool is None:
-            return b"".join(parts)
-        lease = pool.checkout(sum(len(part) for part in parts))
-        pos = 0
-        for part in parts:  # flat byte buffers (see _as_buffer)
-            lease.view[pos : pos + len(part)] = part
-            pos += len(part)
-        return lease
+        return b"".join(frame_parts(self.name, array.shape, array.dtype, meta, body))
 
     def decompress(self, payload: bytes | memoryview) -> np.ndarray:
         """Reconstruct the batch from a payload produced by :meth:`compress`."""
@@ -210,13 +196,13 @@ class Compressor(ABC):
                     raise IndexError(f"row indices {rows.tolist()} are out of bounds for {n} rows")
                 array = self._decompress_body(header, body, shape, dtype, rows=wanted)
                 if array.shape != (len(wanted), *shape[1:]):
-                    raise AssertionError(
+                    raise CorruptPayloadError(
                         f"{self.name}: decoded shape {array.shape} != {(len(wanted), *shape[1:])}"
                     )
                 return array
         array = self._decompress_body(header, body, shape, dtype)
         if array.shape != shape:
-            raise AssertionError(f"{self.name}: decoded shape {array.shape} != {shape}")
+            raise CorruptPayloadError(f"{self.name}: decoded shape {array.shape} != {shape}")
         return array if rows is None else array[rows]
 
     @abstractmethod

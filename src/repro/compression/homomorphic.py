@@ -80,8 +80,8 @@ class HomomorphicCompressor(Compressor):
 
     Subclasses implement ``_agg_meta_body`` (sum two parsed payloads) and
     ``_header_bound`` (per-payload composed reconstruction bound); the base
-    provides payload-level aggregation with shape/dtype/codec checks, the
-    closed-form bound accessor, and pooled decode scratch.
+    provides payload-level aggregation with shape/dtype/codec checks and the
+    closed-form bound accessor.
     """
 
     homomorphic = True
@@ -135,30 +135,6 @@ class HomomorphicCompressor(Compressor):
         """How many leaves were aggregated into this payload."""
         header, _ = parse_payload(payload)
         return int(header["terms"])
-
-    # ------------------------------------------------------ pooled decode
-
-    def decompress_into(self, payload, *, pool):
-        """Decode into a pooled scratch array; returns ``(lease, array)``.
-
-        The *output* array is leased from ``pool`` instead of allocated per
-        call (ROADMAP 5b's pooled-decompress-scratch follow-up, scoped to
-        the dense path).  The array is a view into the lease's arena: the
-        caller must copy out or finish with it before ``lease.release()``,
-        and must drop the view (``del``) before releasing if the arena
-        should be recycled cleanly.  Values are byte-identical to
-        :meth:`decompress`.
-        """
-        header, body = parse_payload(payload)
-        _require(
-            header["codec"] == self.name,
-            f"payload was produced by codec {header['codec']!r}, not {self.name!r}",
-        )
-        shape = tuple(int(s) for s in header["shape"])
-        dtype = np.dtype(header["dtype"])
-        lease, out = pool.checkout_array(shape, dtype)
-        out[...] = self._decompress_body(header, body, shape, dtype)
-        return lease, out
 
     # ----------------------------------------------------------- subclass
 

@@ -69,28 +69,22 @@ class HybridCompressor(Compressor):
     def window(self) -> int:
         return self._lz.window
 
-    def compress(self, array: np.ndarray, error_bound: float | None = None, *, key=None, pool=None):
+    def compress(self, array: np.ndarray, error_bound: float | None = None, *, key=None) -> bytes:
         """Compress with the selected (or, in ``auto`` mode, smaller) leg.
 
         ``key`` reaches the entropy leg's codebook cache and, in ``auto``
         mode with ``pin_refresh``, replays the table's last winner until the
-        pin ages out, then re-runs the try-both trial.  With ``pool`` the
-        single leg of a pinned mode or a replay — the steady state under
-        ``pin_refresh`` — lands in the lease with no intermediate payload;
-        a trial materializes both candidates anyway, so its winner is
-        copied in.
+        pin ages out, then re-runs the try-both trial.
         """
         array = self._validate(array, error_bound)
         pins = self.pins if key is not None else None  # un-keyed calls leave pins alone
         leg = self._route(pins, key)
         if leg == "lz":
-            out = self._lz.compress(array, error_bound, pool=pool)
+            out = self._lz.compress(array, error_bound)
         elif leg == "huffman":
-            out = self._entropy.compress(array, error_bound, key=key, pool=pool)
+            out = self._entropy.compress(array, error_bound, key=key)
         else:
             out = self._trial(array, error_bound, pins, key)
-            if pool is not None:
-                out = pool.checkout_bytes(out)
         if OBS.enabled:
             reg = OBS.registry
             reg.counter("hybrid_raw_bytes_total", "hybrid compress input bytes").inc(

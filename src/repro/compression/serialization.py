@@ -63,19 +63,22 @@ class CorruptPayloadError(ValueError):
     Raised when a checksummed frame fails CRC32 verification (the message
     reports the stored vs computed digest) and when a header does not
     parse: a varint, string, byte, array or dtype field that is truncated
-    or malformed (the message names the byte offset).  An unframed payload
-    is never rejected for lacking a checksum — integrity is opt-in.
+    or malformed (the message names the byte offset).  Also raised when a
+    codec reads a header field that is absent (the message names the key)
+    and when a body decodes to a shape other than the header declares.  An
+    unframed payload is never rejected for lacking a checksum — integrity
+    is opt-in.
     """
 
 
 def _reference_frame_with_checksum(payload: bytes | bytearray | memoryview) -> bytes:
     """Frozen seed implementation (copies the body twice); oracle for the
-    zero-copy differential tests and the ``zero_copy`` perfbench rows."""
+    zero-copy differential tests."""
     body = bytes(payload)
     return bytes([CHECKSUM_MAGIC]) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF) + body
 
 
-def frame_with_checksum(payload: bytes | bytearray | memoryview, *, pool=None):
+def frame_with_checksum(payload: bytes | bytearray | memoryview) -> bytes:
     """Wrap a payload in a 5-byte CRC32 envelope: magic + digest + body.
 
     The envelope is opt-in: nothing in the codec stack emits it by
@@ -86,21 +89,13 @@ def frame_with_checksum(payload: bytes | bytearray | memoryview, *, pool=None):
 
     The CRC is computed directly over the caller's buffer and the body is
     copied exactly once, into the final frame (``b"".join`` of views — no
-    intermediate ``bytes(payload)`` round-trip).  With ``pool`` set, the
-    frame lands in a pooled arena instead and the live lease is returned
-    (``lease.view`` is the frame); steady-state publication rounds then
-    allocate nothing for their envelopes.
+    intermediate ``bytes(payload)`` round-trip).
     """
     view = memoryview(payload)
     if view.ndim != 1 or view.format != "B":
         view = view.cast("B")
     header = struct.pack("<BI", CHECKSUM_MAGIC, zlib.crc32(view) & 0xFFFFFFFF)
-    if pool is None:
-        return b"".join((header, view))
-    lease = pool.checkout(5 + view.nbytes)
-    lease.view[:5] = header
-    lease.view[5:] = view
-    return lease
+    return b"".join((header, view))
 
 
 def has_checksum(data: bytes | bytearray | memoryview) -> bool:
@@ -313,14 +308,26 @@ def pack_meta(meta: dict[str, Any]) -> bytes:
     return bytes(out)
 
 
+class _Header(dict):
+    """A parsed header.  A codec reads the fields its encoder always
+    writes, so a missing one means the bytes were corrupted."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: str):
+        raise CorruptPayloadError(f"header has no {key!r} field")
+
+
 def unpack_meta(data: bytes | memoryview, pos: int = 0) -> tuple[dict[str, Any], int]:
     """Deserialize a header at ``pos``; return ``(meta, new_pos)``.
 
     Raises :class:`CorruptPayloadError` (a ``ValueError``) naming the byte
-    offset when any field is truncated or malformed."""
+    offset when any field is truncated or malformed.  Indexing the returned
+    header by a key it does not hold raises :class:`CorruptPayloadError`
+    naming the key."""
     view = memoryview(data)
     count, pos = read_varint(view, pos)
-    meta: dict[str, Any] = {}
+    meta: dict[str, Any] = _Header()
     for _ in range(count):
         klen, pos = read_varint(view, pos)
         key, pos = _read_text(view, pos, klen, "key")

@@ -41,7 +41,7 @@ from repro.compression.bitstream import (
     unpack_fixed_segments,
 )
 from repro.compression.quantizer import quantize
-from repro.compression.serialization import unpack_meta
+from repro.compression.serialization import CorruptPayloadError, unpack_meta
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -496,6 +496,11 @@ def _parsed_stream(header: dict[str, Any], body: memoryview, n: int, d: int) -> 
         raise ValueError(
             f"corrupt vector-LZ stream: header declares {flags_len} + {offsets_len} "
             f"flag and offset bytes, body holds {len(body)}"
+        )
+    if flags_len < (n + 7) // 8:  # before unpacking n flag bits allocates
+        raise CorruptPayloadError(
+            f"corrupt vector-LZ stream too short: {n} rows need {(n + 7) // 8} "
+            f"flag bytes, header declares {flags_len}"
         )
     raw = np.frombuffer(body, dtype=np.uint8)
     return VectorLZEncoded(

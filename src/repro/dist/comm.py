@@ -914,7 +914,6 @@ class Communicator:
         in_network: bool = True,
         encode_seconds: Sequence[float] | None = None,
         decode_seconds: Sequence[float] | None = None,
-        pool: object | None = None,
     ) -> list[np.ndarray]:
         """All-reduce whose payloads are aggregated *in compressed space*.
 
@@ -940,10 +939,6 @@ class Communicator:
         the hop-equivalent codec time on its critical path — the pipelined
         makespan is never below the ``in_network=True`` one, which the
         property tests pin.
-
-        ``pool`` (a :class:`~repro.compression.pool.BitstreamPool`)
-        routes the final decode through a pooled scratch lease instead of
-        a fresh per-call output allocation.
 
         Returns one decoded total per rank (fresh arrays, original shape).
         """
@@ -1011,14 +1006,7 @@ class Communicator:
                 "decode-sum-recode round-trips removed by in-network aggregation",
             ).inc(n - 1 if in_network else 0, codec=codec, algorithm=algorithm)
 
-        if pool is not None:
-            lease, view = compressor.decompress_into(final, pool=pool)
-            total = view.copy()
-            del view  # drop the arena view so release recycles cleanly
-            lease.release()
-        else:
-            total = compressor.decompress(final)
-        total = total.reshape(shape)
+        total = compressor.decompress(final).reshape(shape)
         return [total.copy() for _ in range(n)]
 
     # ---------------------------------------------------------- broadcast

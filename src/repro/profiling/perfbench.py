@@ -57,12 +57,10 @@ from repro.compression.huffman import (
     huffman_encode,
 )
 from repro.compression.hybrid import HybridCompressor
-from repro.compression.pool import BitstreamPool
 from repro.compression.quantizer import quantize_batch
 from repro.compression.homomorphic import agg_sum
 from repro.compression.registry import decompress_any, get_compressor
 from repro.compression.serialization import (
-    _reference_frame_with_checksum,
     _reference_verify_checksum_frame,
     frame_with_checksum,
     verify_checksum_frame,
@@ -419,30 +417,14 @@ def run_suite(
             lambda: hybrid.compress(batch, error_bound),
         )
 
-        # --- zero-copy bitstream discipline: the pooled/view paths against
-        # the frozen copying seed implementations.  These rows carry
+        # --- zero-copy verify: the view-returning envelope strip against
+        # the frozen copying seed implementation.  The row carries
         # ``alloc_nbytes`` (peak tracemalloc bytes per call) next to the
         # wall time — the claim is fewer allocations, not just speed. ---
-        zero_pool = BitstreamPool()
-        frame_with_checksum(hybrid_payload, pool=zero_pool).release()  # warm arena
-        add(
-            "zero_copy", "frame", shape_name, rows, dim, nbytes,
-            lambda: frame_with_checksum(hybrid_payload, pool=zero_pool).release(),
-            lambda: _reference_frame_with_checksum(hybrid_payload),
-            measure_alloc=True,
-        )
         add(
             "zero_copy", "verify", shape_name, rows, dim, nbytes,
             lambda: verify_checksum_frame(framed_payload),
             lambda: _reference_verify_checksum_frame(framed_payload),
-            measure_alloc=True,
-        )
-        hybrid.compress(batch, error_bound, pool=zero_pool).release()  # warm arena
-        # (label predates compress(pool=); kept so the bench trajectory stays one series)
-        add(
-            "zero_copy", "compress_into", shape_name, rows, dim, nbytes,
-            lambda: hybrid.compress(batch, error_bound, pool=zero_pool).release(),
-            lambda: hybrid.compress(batch, error_bound),
             measure_alloc=True,
         )
 
@@ -530,15 +512,12 @@ def run_suite(
     shard = EmbeddingShardServer(
         {0: shard_values}, error_bound, "vector_lz", rows_per_block=SHARD_ROWS_PER_BLOCK
     )
-    loop_pool = BitstreamPool()
 
     def _per_block_loop():
-        leases = [
-            lz.compress(shard_values[lo : lo + SHARD_ROWS_PER_BLOCK], error_bound, key=0, pool=loop_pool)
+        return [
+            lz.compress(shard_values[lo : lo + SHARD_ROWS_PER_BLOCK], error_bound, key=0)
             for lo in range(0, shard_rows, SHARD_ROWS_PER_BLOCK)
         ]
-        for lease in leases:
-            lease.release()
 
     # every call publishes the table the shard does not hold
     churn = itertools.cycle([shard_values + np.float32(0.5), shard_values])

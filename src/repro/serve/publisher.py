@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.adaptive.selection import PAPER_A100_PROFILE, DeviceThroughputProfile
-from repro.compression.pool import BitstreamPool
 from repro.compression.registry import decompress_any
 from repro.compression.serialization import (
     CorruptPayloadError,
@@ -228,12 +227,7 @@ class DeltaPublisher:
         # Cached codec instances: table-keyed delta compression every
         # round amortizes encoder pins / codebooks exactly like the shards.
         self._codec = serving_codec_pool()
-        # Pooled buffers for the per-round hot loop: delta payloads and
-        # checksum envelopes land in recycled arenas (released at the end
-        # of each round), and the delta itself is computed into a per-table
-        # scratch array.  What a steady-state round still allocates is the
-        # new logical state, one ``published + decoded`` array per table.
-        self._pool = BitstreamPool()
+        # The per-round delta is computed into a per-table scratch array.
         self._delta_scratch: dict[int, np.ndarray] = {}
         # The serving tier's logical state: exactly what the shard servers
         # were built from, updated by decoded deltas (error feedback).
@@ -282,9 +276,8 @@ class DeltaPublisher:
         apply_chunks: list[list[tuple[str, int]]] = [[] for _ in range(n_servers)]
         table_records: list[TableDelta] = []
         new_state: dict[int, np.ndarray] = {}
-        pristine: list = []  # payload (bytes or lease view) per record
+        pristine: list[bytes] = []  # payload per record
         placements: list[int] = []  # shard rank per table record
-        round_leases: list = []  # pooled payload/envelope leases, released at end
         for shard_rank in range(n_servers):
             for table_id in self.sharding.tables_of(shard_rank):
                 weight = self.trainer.model.tables[table_id].weight.data
@@ -292,8 +285,7 @@ class DeltaPublisher:
                     # Compressed mode never stores `current` — only the
                     # payload and `applied` leave this block — so the
                     # snapshot copy and fresh delta allocation both go:
-                    # the delta lands in a reused per-table scratch array
-                    # and the payload in a pooled arena.
+                    # the delta lands in a reused per-table scratch array.
                     current = np.asarray(weight, dtype=np.float32)
                     delta = self._delta_scratch.get(table_id)
                     if delta is None or delta.shape != current.shape:
@@ -302,11 +294,7 @@ class DeltaPublisher:
                     np.subtract(current, self._published[table_id], out=delta)
                     codec_name = pipeline.controller.compressor_name(table_id)
                     bound = pipeline.controller.error_bound(table_id, iteration)
-                    lease = self._codec(codec_name).compress(
-                        delta, bound, key=table_id, pool=self._pool
-                    )
-                    round_leases.append(lease)
-                    payload = lease.view
+                    payload = self._codec(codec_name).compress(delta, bound, key=table_id)
                     applied = self._published[table_id] + decompress_any(payload)
                 else:
                     current = np.array(  # stored as published state below
@@ -318,9 +306,7 @@ class DeltaPublisher:
                     payload = delta.tobytes()
                     applied = current
                 if self.checksum:
-                    envelope = frame_with_checksum(payload, pool=self._pool)
-                    round_leases.append(envelope)
-                    payload = envelope.view
+                    payload = frame_with_checksum(payload)
                 pristine.append(payload)
                 placements.append(shard_rank)
                 entries[0, 1 + shard_rank] += 1
@@ -454,10 +440,6 @@ class DeltaPublisher:
         )
         self.reports.append(report)
         self._obs_publish(report)
-        # All wire buffers for this round are accounted and applied — hand
-        # the arenas back so the next round reuses them.
-        for lease in round_leases:
-            lease.release()
         return report
 
     def _obs_publish(self, report: PublicationReport) -> None:

@@ -46,7 +46,6 @@ import numpy as np
 
 from repro.compression.base import Compressor
 from repro.compression.cache import TableCodebookCache
-from repro.compression.pool import BitstreamPool
 from repro.compression.registry import decompress_any, get_compressor
 from repro.compression.vector_lz import VectorLZCompressor
 from repro.obs.runtime import OBS
@@ -154,7 +153,6 @@ class _CompressedTable:
         error_bound: float,
         rows_per_block: int,
         codec: Compressor,
-        pool: BitstreamPool,
     ):
         values = np.ascontiguousarray(values, dtype=np.float32)
         if values.ndim != 2:
@@ -171,10 +169,8 @@ class _CompressedTable:
         self.codec_name = codec_name
         self._codec = codec
         self.raw_nbytes = int(values.nbytes)
-        self._pool = pool
         n_blocks = -(-self.cardinality // self.rows_per_block)
-        self._block_leases: list = [None] * n_blocks
-        self.blocks: list = [None] * n_blocks  # pooled memoryviews, one per row block
+        self.blocks: list = [None] * n_blocks  # payload bytes, one per row block
         #: blake2b-128 of the exact float32 bytes each block was last encoded from
         self._digests: list = [None] * n_blocks
         self._recompress(values)
@@ -195,19 +191,14 @@ class _CompressedTable:
             for b in range(len(self.blocks))
         ]
         dirty = [b for b, digest in enumerate(digests) if digest != self._digests[b]]
-        for block_id, lease in self._encode_blocks(values, dirty).items():
-            # Only the replaced arenas go back to the pool (to recycle on a
-            # later round); an untouched block's pooled memory stays put.
-            if self._block_leases[block_id] is not None:
-                self._block_leases[block_id].release()
-            self._block_leases[block_id] = lease
-            self.blocks[block_id] = lease.view
+        for block_id, payload in self._encode_blocks(values, dirty).items():
+            self.blocks[block_id] = payload
             self._digests[block_id] = digests[block_id]
         return len(dirty)
 
     def _encode_blocks(self, values: np.ndarray, block_ids: list[int]) -> dict:
-        """``{block_id: pooled lease}`` for the given row blocks of
-        ``values`` — either every block encodes or none is kept."""
+        """``{block_id: payload}`` for the given row blocks of ``values``
+        (a rejected block raises before any payload is kept)."""
         bound = self.error_bound if self.error_bound > 0 else None
         step = self.rows_per_block
         n_full = self.cardinality // step
@@ -219,29 +210,20 @@ class _CompressedTable:
         stacked = [b for b in block_ids if b < n_full]
         if not isinstance(self._codec, VectorLZCompressor) or len(stacked) < 2:
             stacked = []
-        leases: dict = {}
-        try:
-            if stacked:
-                grid = values[: n_full * step].reshape(n_full, step, self.dim)
-                first, last = stacked[0], stacked[-1]
-                # a contiguous dirty run (first build, full churn) is a view
-                stack = grid[first : last + 1] if last - first + 1 == len(stacked) else grid[stacked]
-                for block_id, frame in zip(stacked, self._codec.compress_stack(stack, bound)):
-                    leases[block_id] = self._pool.checkout_bytes(frame)
-            for block_id in block_ids:
-                if block_id not in leases:
-                    # Keyed by table so pin/codebook caches amortize per table.
-                    leases[block_id] = self._codec.compress(
-                        values[block_id * step : (block_id + 1) * step],
-                        bound,
-                        key=self.table_id,
-                        pool=self._pool,
-                    )
-        except BaseException:
-            for lease in leases.values():
-                lease.release()
-            raise
-        return leases
+        payloads: dict = {}
+        if stacked:
+            grid = values[: n_full * step].reshape(n_full, step, self.dim)
+            first, last = stacked[0], stacked[-1]
+            # a contiguous dirty run (first build, full churn) is a view
+            stack = grid[first : last + 1] if last - first + 1 == len(stacked) else grid[stacked]
+            payloads.update(zip(stacked, self._codec.compress_stack(stack, bound)))
+        for block_id in block_ids:
+            if block_id not in payloads:
+                # Keyed by table so pin/codebook caches amortize per table.
+                payloads[block_id] = self._codec.compress(
+                    values[block_id * step : (block_id + 1) * step], bound, key=self.table_id
+                )
+        return payloads
 
     @property
     def n_blocks(self) -> int:
@@ -313,12 +295,6 @@ class EmbeddingShardServer:
     rows_per_block:
         Row-block compression granularity — the unit of storage, of
         re-encoding and of a remote shard pull (rows decode one by one).
-    pool:
-        :class:`~repro.compression.pool.BitstreamPool` backing
-        the compressed block storage.  A publication round re-encodes the
-        blocks that changed and returns exactly the arenas it replaced, so
-        pooled arenas turn that churn into steady-state reuse.  Defaults to
-        a private per-node pool.
     """
 
     def __init__(
@@ -327,7 +303,6 @@ class EmbeddingShardServer:
         error_bounds: Mapping[int, float] | float = 1e-2,
         codecs: Mapping[int, str] | str = "hybrid",
         rows_per_block: int = DEFAULT_ROWS_PER_BLOCK,
-        pool: BitstreamPool | None = None,
     ):
         if not tables:
             raise ValueError("a shard server needs at least one table")
@@ -345,14 +320,13 @@ class EmbeddingShardServer:
         # One cached codec instance per name, shared by this node's tables
         # (keyed compression keeps their caches disjoint per table).
         pooled = serving_codec_pool()
-        self.pool = pool if pool is not None else BitstreamPool()
         self._tables: dict[int, _CompressedTable] = {}
         for table_id, values in tables.items():
             table_id = int(table_id)
             bound = bound_for(table_id)
             name = codec_for(table_id) if bound > 0 else LOSSLESS_CODEC
             self._tables[table_id] = _CompressedTable(
-                table_id, values, name, bound, rows_per_block, pooled(name), self.pool
+                table_id, values, name, bound, rows_per_block, pooled(name)
             )
 
     @classmethod
@@ -453,9 +427,8 @@ class EmbeddingShardServer:
 
         All-or-nothing: if any changed block is rejected (NaN, an outlier
         past the quantizer's range) the table keeps serving its previous
-        blocks.  Only the replaced blocks' pool leases are released — an
-        untouched block's pooled memory is left alone.  Returns the new
-        compressed size."""
+        blocks, and an untouched block keeps its payload object.  Returns
+        the new compressed size."""
         table = self._table(table_id)
         values = np.ascontiguousarray(values, dtype=np.float32)
         if values.shape != (table.cardinality, table.dim):

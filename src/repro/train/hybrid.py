@@ -155,14 +155,6 @@ class HybridParallelTrainer:
         self.allreduce_algorithm = allreduce_algorithm
         self.allreduce_codec = allreduce_codec
         self.allreduce_error_bound = float(allreduce_error_bound)
-        #: pooled scratch for the dense-path decode (ROADMAP 5b): the
-        #: aggregated payload decodes into a BitstreamPool lease, not a
-        #: fresh per-step output allocation.
-        self._allreduce_pool = None
-        if allreduce_codec is not None:
-            from repro.compression.pool import BitstreamPool
-
-            self._allreduce_pool = BitstreamPool()
         n_tables = model.config.n_tables
         self.sharding = sharding or ShardingPlan.size_balanced(
             list(model.config.table_cardinalities), simulator.n_ranks
@@ -392,8 +384,7 @@ class HybridParallelTrainer:
         leaf — so ``count_sum`` reproduces it bit for bit and ``quant_sum``
         stays within the composed bound.  Encode/decode device time is
         priced as one gradient-sized memcpy per rank (quantize / limb
-        kernels are memory-bound), and the final decode lands in a pooled
-        scratch lease.
+        kernels are memory-bound).
         """
         params = self.model.mlp_parameters()
         grads = np.concatenate([p.grad.ravel() for p in params])
@@ -411,7 +402,6 @@ class HybridParallelTrainer:
             algorithm=self.allreduce_algorithm,
             encode_seconds=[codec_seconds] * n,
             decode_seconds=[codec_seconds] * n,
-            pool=self._allreduce_pool,
         )
         total = totals[0]
         offset = 0

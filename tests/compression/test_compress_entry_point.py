@@ -1,4 +1,4 @@
-"""The one per-array encode entry point: ``compress(a, eb, *, key=, pool=)``.
+"""The one per-array encode entry point: ``compress(a, eb, *, key=)``.
 
 The ``GOLDEN_*`` digests were recorded at the commit *before* the
 ``compress_into`` / ``compress_keyed`` / ``compress_keyed_into`` variants
@@ -21,8 +21,7 @@ from repro.compression.base import Compressor
 from repro.compression.cache import TableCodebookCache
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.hybrid import HybridCompressor
-from repro.compression.pool import BitstreamPool
-from repro.compression.registry import available_compressors, decompress_any, get_compressor
+from repro.compression.registry import available_compressors, get_compressor
 
 SEED = 20240914
 ERROR_BOUND = 1e-2
@@ -30,18 +29,11 @@ ROUNDS = 12
 TABLE_KEYS = ("dup", "gauss", "drift")
 
 
-def _encode(codec, array, error_bound, key=None, pool=None):
+def _payload(codec, array, error_bound, key=None) -> bytes:
     """The call under test (the recorder substituted the old spellings)."""
-    return codec.compress(array, error_bound, key=key, pool=pool)
-
-
-def _payload(codec, array, error_bound, key=None, pool=None) -> bytes:
-    out = _encode(codec, array, error_bound, key=key, pool=pool)
-    if pool is None:
-        assert isinstance(out, bytes)
-        return out
-    with out as lease:
-        return bytes(lease.view)
+    out = codec.compress(array, error_bound, key=key)
+    assert isinstance(out, bytes)
+    return out
 
 
 # ----------------------------------------------------------------- scenarios
@@ -91,13 +83,12 @@ def _cache_state(codec) -> str:
     return repr(state)
 
 
-def _stateless_digest(name: str, pooled: bool) -> str:
+def _stateless_digest(name: str) -> str:
     codec = get_compressor(name)
     bound = ERROR_BOUND if codec.error_bounded else None
-    pool = BitstreamPool() if pooled else None
     digest = hashlib.sha256()
     for batch in _stateless_batches():
-        payload = _payload(codec, batch, bound, pool=pool)
+        payload = _payload(codec, batch, bound)
         digest.update(len(payload).to_bytes(8, "little") + payload)
     return digest.hexdigest()
 
@@ -109,24 +100,19 @@ def _stateful_codec(kind: str) -> Compressor:
     return HybridCompressor(encoder=kind, pin_refresh=4, codebook_cache=cache)
 
 
-def _stateful_digest(kind: str, keyed: bool, pooled: bool) -> tuple[str, Compressor]:
+def _stateful_digest(kind: str, keyed: bool) -> tuple[str, Compressor]:
     codec = _stateful_codec(kind)
-    pool = BitstreamPool() if pooled else None
     digest = hashlib.sha256()
     for round_index in range(ROUNDS):
         for key in TABLE_KEYS:
             batch = _table_batch(key, round_index)
-            payload = _payload(codec, batch, ERROR_BOUND, key=key if keyed else None, pool=pool)
+            payload = _payload(codec, batch, ERROR_BOUND, key=key if keyed else None)
             digest.update(len(payload).to_bytes(8, "little") + payload)
             digest.update(_cache_state(codec).encode())
     return digest.hexdigest(), codec
 
 
-STATEFUL_CASES = [
-    (kind, keyed, pooled)
-    for kind in ("auto", "lz", "huffman", "entropy")
-    for keyed, pooled in ((True, False), (True, True), (False, False), (False, True))
-]
+STATEFUL_CASES = [(kind, keyed) for kind in ("auto", "lz", "huffman", "entropy") for keyed in (True, False)]
 
 # --------------------------------------------------------------------- golden
 
@@ -148,24 +134,16 @@ GOLDEN_STATELESS: dict[str, str] = {
 }
 
 #: sha256 over 12 rounds x 3 interleaved tables of payload + cache state,
-#: keyed by ``(kind, keyed, pooled)``
-GOLDEN_STATEFUL: dict[tuple[str, bool, bool], str] = {
-    ("auto", True, False): "3bc7d999c8c6c9cdab3248aa6859dbb5220919b213c4f8f3a5206de5f6e7824b",
-    ("auto", True, True): "3bc7d999c8c6c9cdab3248aa6859dbb5220919b213c4f8f3a5206de5f6e7824b",
-    ("auto", False, False): "f01db7bf5ce9dd91fcc1f2dfc5e9dd54136a2086e3e6269f81c1f97576f45712",
-    ("auto", False, True): "f01db7bf5ce9dd91fcc1f2dfc5e9dd54136a2086e3e6269f81c1f97576f45712",
-    ("lz", True, False): "5455d3721187a4a5ec76138d6c7eb045927511f8ea47dc595f790fc269a3510d",
-    ("lz", True, True): "5455d3721187a4a5ec76138d6c7eb045927511f8ea47dc595f790fc269a3510d",
-    ("lz", False, False): "5455d3721187a4a5ec76138d6c7eb045927511f8ea47dc595f790fc269a3510d",
-    ("lz", False, True): "5455d3721187a4a5ec76138d6c7eb045927511f8ea47dc595f790fc269a3510d",
-    ("huffman", True, False): "b102255e910bfaf41617e2afb3d9196675d95f6c4f31d94822afc3c4f3445908",
-    ("huffman", True, True): "b102255e910bfaf41617e2afb3d9196675d95f6c4f31d94822afc3c4f3445908",
-    ("huffman", False, False): "d173c2eb962288ccd028ca7182bcf4154e7261472f4f87f50290d998b5328374",
-    ("huffman", False, True): "d173c2eb962288ccd028ca7182bcf4154e7261472f4f87f50290d998b5328374",
-    ("entropy", True, False): "d41b0f95306b55f2539d400a6730116b85af8b53f1a4eff20b202a69268326be",
-    ("entropy", True, True): "d41b0f95306b55f2539d400a6730116b85af8b53f1a4eff20b202a69268326be",
-    ("entropy", False, False): "2fa85b12af756db143ca070b1ccbdab9cda345c47618155a21c363c6a8fa4a24",
-    ("entropy", False, True): "2fa85b12af756db143ca070b1ccbdab9cda345c47618155a21c363c6a8fa4a24",
+#: keyed by ``(kind, keyed)``
+GOLDEN_STATEFUL: dict[tuple[str, bool], str] = {
+    ("auto", True): "3bc7d999c8c6c9cdab3248aa6859dbb5220919b213c4f8f3a5206de5f6e7824b",
+    ("auto", False): "f01db7bf5ce9dd91fcc1f2dfc5e9dd54136a2086e3e6269f81c1f97576f45712",
+    ("lz", True): "5455d3721187a4a5ec76138d6c7eb045927511f8ea47dc595f790fc269a3510d",
+    ("lz", False): "5455d3721187a4a5ec76138d6c7eb045927511f8ea47dc595f790fc269a3510d",
+    ("huffman", True): "b102255e910bfaf41617e2afb3d9196675d95f6c4f31d94822afc3c4f3445908",
+    ("huffman", False): "d173c2eb962288ccd028ca7182bcf4154e7261472f4f87f50290d998b5328374",
+    ("entropy", True): "d41b0f95306b55f2539d400a6730116b85af8b53f1a4eff20b202a69268326be",
+    ("entropy", False): "2fa85b12af756db143ca070b1ccbdab9cda345c47618155a21c363c6a8fa4a24",
 }
 
 
@@ -173,60 +151,43 @@ class TestGoldenBytes:
     def test_every_registered_codec_is_pinned(self):
         assert set(GOLDEN_STATELESS) == set(available_compressors())
 
-    @pytest.mark.parametrize("pooled", [False, True], ids=["plain", "pooled"])
     @pytest.mark.parametrize("name", available_compressors())
-    def test_stateless_payloads_reproduce(self, name, pooled):
-        assert _stateless_digest(name, pooled) == GOLDEN_STATELESS[name]
+    def test_stateless_payloads_reproduce(self, name):
+        assert _stateless_digest(name) == GOLDEN_STATELESS[name]
 
-    @pytest.mark.parametrize("kind,keyed,pooled", STATEFUL_CASES)
-    def test_stateful_payloads_and_cache_state_reproduce(self, kind, keyed, pooled):
-        digest, _ = _stateful_digest(kind, keyed, pooled)
-        assert digest == GOLDEN_STATEFUL[(kind, keyed, pooled)]
+    @pytest.mark.parametrize("kind,keyed", STATEFUL_CASES)
+    def test_stateful_payloads_and_cache_state_reproduce(self, kind, keyed):
+        digest, _ = _stateful_digest(kind, keyed)
+        assert digest == GOLDEN_STATEFUL[(kind, keyed)]
 
     def test_scenario_exercises_every_transition(self):
         """The oracle is only worth its digests if trials, replays, pin
         expiry, winner switches and every codebook-cache outcome occur."""
-        _, hybrid = _stateful_digest("auto", True, False)
+        _, hybrid = _stateful_digest("auto", True)
         assert hybrid.pins.trials >= 3 * 3  # first trial + >=2 expiries per table
         assert hybrid.pins.pinned_hits > hybrid.pins.trials
         winners = {hybrid.pins.pins[key].winner for key in ("dup", "gauss")}
         assert winners == {"lz", "huffman"}
-        _, entropy = _stateful_digest("entropy", True, False)
+        _, entropy = _stateful_digest("entropy", True)
         book = entropy.codebook_cache
         assert book.hits > 0 and book.misses == 3 and book.stale_refreshes > 0
         assert book.coverage_misses + book.shift_misses > 0
-        _, unkeyed = _stateful_digest("auto", False, False)
+        _, unkeyed = _stateful_digest("auto", False)
         assert unkeyed.pins.trials == 0 and unkeyed._entropy.codebook_cache.misses == 0
 
 
 class TestOneEntryPoint:
     @pytest.mark.parametrize("name", available_compressors())
-    def test_pool_and_key_do_not_change_stateless_bytes(self, name):
+    def test_key_does_not_change_stateless_bytes(self, name):
         codec = get_compressor(name)
         bound = ERROR_BOUND if codec.error_bounded else None
-        pool = BitstreamPool()
         for batch in _stateless_batches():
             plain = codec.compress(batch, bound)
             assert isinstance(plain, bytes)
             assert codec.compress(batch, bound, key="table") == plain
-            with codec.compress(batch, bound, pool=pool) as lease:
-                assert bytes(lease.view) == plain
-            with codec.compress(batch, bound, key=7, pool=pool) as lease:
-                assert bytes(lease.view) == plain
-                assert np.array_equal(decompress_any(lease.view), decompress_any(plain))
-        assert pool.stats.live == 0
+            assert codec.compress(batch, bound, key=7) == plain
 
-    def test_pooled_steady_state_reuses_arenas(self):
-        codec = _stateful_codec("auto")
-        pool = BitstreamPool()
-        batch = _table_batch("gauss", 0)
-        codec.compress(batch, ERROR_BOUND, key="t", pool=pool).release()
-        created = pool.stats.arenas_created
-        for _ in range(10):
-            codec.compress(batch, ERROR_BOUND, key="t", pool=pool).release()
-        assert pool.stats.arenas_created == created
-
-    def test_key_and_pool_are_keyword_only(self):
+    def test_key_is_keyword_only(self):
         codec = get_compressor("vector_lz")
         with pytest.raises(TypeError):
             codec.compress(_table_batch("dup", 0), ERROR_BOUND, "table")
@@ -235,7 +196,7 @@ class TestOneEntryPoint:
         batch = _table_batch("dup", 0)
         for kind in ("auto", "lz", "huffman"):
             codec = _stateful_codec(kind)
-            for kwargs in ({}, {"key": "t"}, {"pool": BitstreamPool()}):
+            for kwargs in ({}, {"key": "t"}):
                 with pytest.raises(ValueError, match="positive error_bound"):
                     codec.compress(batch, None, **kwargs)
                 with pytest.raises(ValueError, match="2-D"):
@@ -269,3 +230,47 @@ class TestNoVariantSpellings:
             assert public <= {"compress", "compress_stack"}, (cls, public)
         definers = {cls.__name__ for cls in classes if "compress" in vars(cls)}
         assert definers == {"Compressor", "HybridCompressor"}
+
+
+class TestNoPool:
+    """Guard: codec payloads are ``bytes`` from compress to wire to shard
+    storage.  The leased-arena tier is gone, and no API takes ``pool=``."""
+
+    REMOVED = re.compile(
+        r"\b(BitstreamPool|Lease|checkout_bytes|decompress_into|_allreduce_pool)\b|compression\.pool\b"
+    )
+
+    def test_source_mentions_no_removed_name(self):
+        root = Path(repro.__file__).parent
+        assert not (root / "compression" / "pool.py").exists()
+        hits = [
+            f"{path.relative_to(root)}:{number}"
+            for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if self.REMOVED.search(line)
+        ]
+        assert hits == []
+
+    @pytest.mark.parametrize("name", ["vector_lz", "entropy", "hybrid"])
+    def test_compress_rejects_pool(self, name):
+        with pytest.raises(TypeError, match="pool"):
+            get_compressor(name).compress(_table_batch("dup", 0), ERROR_BOUND, key=0, pool=None)
+
+    def test_frame_with_checksum_rejects_pool(self):
+        from repro.compression.serialization import frame_with_checksum
+
+        with pytest.raises(TypeError, match="pool"):
+            frame_with_checksum(b"payload", pool=None)
+
+    def test_compressed_all_reduce_rejects_pool(self):
+        from repro.dist import ClusterSimulator
+
+        arrays = [np.ones((2, 3), dtype=np.float32)] * 2
+        with pytest.raises(TypeError, match="pool"):
+            ClusterSimulator(2).comm.compressed_all_reduce(arrays, "count_sum", pool=None)
+
+    def test_shard_server_rejects_pool(self):
+        from repro.serve.shard_server import EmbeddingShardServer
+
+        with pytest.raises(TypeError, match="pool"):
+            EmbeddingShardServer({0: _table_batch("dup", 0)}, ERROR_BOUND, "vector_lz", pool=None)

@@ -4,7 +4,7 @@ The whole point of ``agg_sum`` is an algebra: payloads form a commutative
 semigroup under aggregation, decode is a homomorphism onto (approximate)
 elementwise sums, and the error bound composes in closed form.  Every one
 of those claims is a Hypothesis law here — the same treatment the chunk
-pipeline and BitstreamPool got:
+pipeline got:
 
 * ``decode(agg_sum(e(a), e(b)))`` within the composed bound of ``a + b``
   (bit-exact for ``count_sum``, which must equal ``float32(fsum(...))``);
@@ -14,10 +14,6 @@ pipeline and BitstreamPool got:
 * the degenerate ``k = 1`` identity;
 * ``quant_sum`` payloads refuse to aggregate across scales (the shared
   scale *is* the homomorphism) and compose ``terms * eb`` exactly.
-
-Plus the ROADMAP 5b regression: pooled decompress scratch
-(``decompress_into``) is byte-identical to ``decompress`` and can never
-alias a previously returned array.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from repro.compression import (
     homomorphic_codecs,
 )
 from repro.compression.base import parse_payload
-from repro.compression.pool import BitstreamPool
 
 # Bounded so a fold of <= 8 leaves can never leave float32 range (inf is a
 # representable-but-degenerate sum); subnormals and huge exponents are in.
@@ -248,54 +243,3 @@ class TestCountSumLaws:
         np.testing.assert_array_equal(
             cs.decompress(agg_sum(cs.compress(zeros), cs.compress(table))), table
         )
-
-
-class TestPooledDecode:
-    """ROADMAP 5b (scoped): decode output comes from BitstreamPool leases,
-    byte-identical to the allocating path and never aliasing."""
-
-    @pytest.mark.parametrize("codec", sorted(homomorphic_codecs()))
-    def test_pooled_decode_byte_identical(self, codec):
-        compressor = get_compressor(codec)
-        rng = np.random.default_rng(11)
-        table = np.asarray(rng.normal(0.0, 2.0, size=(9, 7)), dtype=np.float32)
-        eb = 1e-3 if compressor.error_bounded else None
-        payload = compressor.compress(table, eb)
-        pool = BitstreamPool()
-        lease, out = compressor.decompress_into(payload, pool=pool)
-        np.testing.assert_array_equal(out, compressor.decompress(payload))
-        del out
-        lease.release()
-        assert pool.stats.live == 0
-        assert pool.stats.dirty_releases == 0
-
-    def test_no_aliasing_across_sequential_decodes(self):
-        """A recycled arena must never rewrite a previously copied result,
-        and a *surviving* array must never be written under (the dirty
-        release drops the arena instead of recycling it)."""
-        cs = get_compressor("count_sum")
-        rng = np.random.default_rng(5)
-        a = np.asarray(rng.normal(size=(6, 6)), dtype=np.float32)
-        b = np.asarray(rng.normal(size=(6, 6)), dtype=np.float32)
-        pool = BitstreamPool()
-
-        # Clean reuse: copy out, drop the view, release -> arena recycled.
-        lease_a, out_a = cs.decompress_into(cs.compress(a), pool=pool)
-        copied = out_a.copy()
-        del out_a
-        lease_a.release()
-        created = pool.stats.arenas_created
-        lease_b, out_b = cs.decompress_into(cs.compress(b), pool=pool)
-        assert pool.stats.arenas_created == created  # recycled, not fresh
-        np.testing.assert_array_equal(copied, a)  # reuse wrote elsewhere
-        np.testing.assert_array_equal(out_b, b)
-
-        # Dirty release: keep the array alive across release -> the arena
-        # is dropped and a later decode can never write under it.
-        lease_b.release()
-        assert pool.stats.dirty_releases >= 1
-        lease_c, out_c = cs.decompress_into(cs.compress(a), pool=pool)
-        np.testing.assert_array_equal(out_b, b)  # survivor untouched
-        np.testing.assert_array_equal(out_c, a)
-        del out_c
-        lease_c.release()

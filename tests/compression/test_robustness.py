@@ -13,6 +13,7 @@ import pytest
 
 from repro.compression import available_compressors, decompress_any, get_compressor
 from repro.compression.base import MAGIC, parse_payload
+from repro.compression.serialization import CorruptPayloadError
 from tests.conftest import make_hot_batch
 
 
@@ -50,6 +51,17 @@ def _check_row_decodes(original: bytes, mangled: bytes, shape: tuple[int, int]) 
             assert not strict and type(exc) is type(full), (header["codec"], rows, exc, full)
             continue
         assert picked.shape == (rows.size, shape[1]), header["codec"]
+
+
+#: single-bit flips of one 64x32 float32 block (54 normal(0, 0.1) rows, then
+#: the first 10 again; eb 1e-2) that once leaked an untyped error
+FLIPPED_BITS = [
+    ("entropy", 178),  # KeyError('dtype'): the flip renames a header key
+    ("vector_lz", 888),  # KeyError('offset_width')
+    ("zfp_like", 564),  # KeyError('n_blocks')
+    ("zfp_like", 211),  # AssertionError: decoded shape (64, 32, 4) != (64, 32)
+    ("vector_lz", 396),  # MemoryError: a flipped shape field asked for 17.6 TB of flag bits
+]
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +176,15 @@ class TestCorruptPayloads:
                 flipped = mangled[at] ^ (1 << int(rng.integers(8)))
                 mangled[at] = int(rng.integers(256)) if trial % 2 else flipped
             _check_row_decodes(payload, bytes(mangled), batch.shape)
+
+
+class TestFlippedBitsRaiseCorruptPayloadError:
+    @pytest.mark.parametrize("name,bit", FLIPPED_BITS)
+    def test_flip_raises_the_typed_error(self, name, bit):
+        rng = np.random.default_rng(0)
+        rows = rng.normal(0.0, 0.1, size=(54, 32)).astype(np.float32)
+        payload = bytearray(get_compressor(name).compress(np.concatenate([rows, rows[:10]]), 1e-2))
+        payload[bit // 8] ^= 1 << (bit % 8)
+        for selected in (None, np.array([0])):
+            with pytest.raises(CorruptPayloadError):
+                decompress_any(bytes(payload), rows=selected)

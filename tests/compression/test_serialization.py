@@ -311,19 +311,6 @@ class TestZeroCopyFraming:
         assert frame_with_checksum(np.frombuffer(body, dtype=np.uint8)) == expected
 
     @given(st.binary(max_size=512))
-    def test_pooled_frame_matches_reference(self, body):
-        from repro.compression.pool import BitstreamPool
-        from repro.compression.serialization import (
-            _reference_frame_with_checksum,
-            frame_with_checksum,
-        )
-
-        pool = BitstreamPool()
-        with frame_with_checksum(body, pool=pool) as lease:
-            assert bytes(lease.view) == _reference_frame_with_checksum(body)
-        assert pool.stats.live == 0
-
-    @given(st.binary(max_size=512))
     def test_verify_matches_reference_and_is_a_view(self, body):
         from repro.compression.serialization import (
             _reference_verify_checksum_frame,
@@ -335,16 +322,3 @@ class TestZeroCopyFraming:
         got = verify_checksum_frame(framed)
         assert isinstance(got, memoryview)  # no body copy on the hot path
         assert bytes(got) == _reference_verify_checksum_frame(framed) == body
-
-    def test_pooled_steady_state_reuses_arenas(self):
-        from repro.compression.pool import BitstreamPool
-        from repro.compression.serialization import frame_with_checksum
-
-        pool = BitstreamPool()
-        body = bytes(range(200))
-        frame_with_checksum(body, pool=pool).release()
-        created = pool.stats.arenas_created
-        for _ in range(10):
-            frame_with_checksum(body, pool=pool).release()
-        assert pool.stats.arenas_created == created
-        assert pool.stats.reuses == 10

@@ -148,29 +148,23 @@ class TestHybridInstrumentation:
         assert snap.counter_value("hybrid_decompressed_bytes_total") == batch.nbytes
 
     @pytest.mark.parametrize("encoder", ["auto", "lz", "huffman"])
-    def test_byte_counters_cover_keyed_pooled_and_replay_routes(self, encoder):
-        """Serve-tier (``key=`` + ``pool=``) and pinned traffic count once
-        per call, like the plain route."""
-        from repro.compression.pool import BitstreamPool
-
+    def test_byte_counters_cover_keyed_and_replay_routes(self, encoder):
+        """Serve-tier (``key=``) and pinned traffic count once per call,
+        like the plain route."""
         rng = np.random.default_rng(2)
         batch = rng.normal(size=(64, 8)).astype(np.float32)
         hybrid = HybridCompressor(encoder=encoder, pin_refresh=8)
-        pool = BitstreamPool()
         with capture() as reg:
             sizes = [
                 len(hybrid.compress(batch, 1e-2)),
                 len(hybrid.compress(batch, 1e-2, key="t")),  # trial in auto mode
                 len(hybrid.compress(batch, 1e-2, key="t")),  # replay in auto mode
             ]
-            for kwargs in ({}, {"key": "t"}):
-                with hybrid.compress(batch, 1e-2, pool=pool, **kwargs) as lease:
-                    sizes.append(len(lease.view))
         snap = reg.snapshot()
         assert snap.counter_value("hybrid_raw_bytes_total") == len(sizes) * batch.nbytes
         assert snap.counter_value("hybrid_compressed_bytes_total") == sum(sizes)
         if encoder == "auto":
-            assert hybrid.pins.trials == 1 and hybrid.pins.pinned_hits == 2
+            assert hybrid.pins.trials == 1 and hybrid.pins.pinned_hits == 1
 
     def test_pin_trial_replay_and_switch_counters(self):
         rng = np.random.default_rng(1)
@@ -234,7 +228,7 @@ class TestServeInstrumentation:
         down = snap.histogram_data("publish_downtime_seconds", mode="compressed")
         assert down.count == 1
 
-    def test_shard_reencode_counters_match_the_encode_calls(self):
+    def test_shard_reencode_counters_match_the_encode_calls(self, monkeypatch):
         """``set_table`` counts what it re-encoded and what it skipped, per
         table, and ``run_report`` sums them into its shard re-encode line."""
         from repro.obs.exporters import run_report
@@ -245,20 +239,32 @@ class TestServeInstrumentation:
         server = EmbeddingShardServer(
             {0: table, 3: table}, 1e-2, {0: "vector_lz", 3: "hybrid"}, rows_per_block=64
         )
+        encodes = []  # blocks per codec call
+
+        def counting(real, blocks):
+            def call(array, *args, **kwargs):
+                encodes.append(blocks(array))
+                return real(array, *args, **kwargs)
+
+            return call
+
+        for table_id in (0, 3):
+            codec = server._table(table_id)._codec
+            monkeypatch.setattr(codec, "compress", counting(codec.compress, lambda a: 1))
+            if hasattr(codec, "compress_stack"):
+                monkeypatch.setattr(codec, "compress_stack", counting(codec.compress_stack, len))
         update = table.copy()
         update[[5, 130]] += 0.25  # blocks 0 and 2 of 4
         with capture() as reg:
-            checkouts = server.pool.stats.checkouts
             server.set_table(0, update)
             server.set_table(0, update)  # nothing left to do
             server.set_table(3, update)
-            encodes = server.pool.stats.checkouts - checkouts  # one lease per block encode
         snap = reg.snapshot()
         assert snap.counter_value("shard_blocks_reencoded_total", table="0") == 2
         assert snap.counter_value("shard_blocks_unchanged_total", table="0") == 2 + 4
         assert snap.counter_value("shard_blocks_reencoded_total", table="3") == 2
         assert snap.counter_value("shard_blocks_unchanged_total", table="3") == 2
-        assert encodes == 4
+        assert sum(encodes) == 4
         line = "shard re-encode: 4 of 12 row blocks re-encoded (33.3%)"
         assert line in run_report(snap)
         # with a publish timeline the line closes that tier's breakdown
