@@ -21,7 +21,8 @@ from repro.compression.base import Compressor
 from repro.compression.cache import TableCodebookCache
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.hybrid import HybridCompressor
-from repro.compression.registry import available_compressors, get_compressor
+from repro.compression.registry import available_compressors, decompress_any, get_compressor
+from repro.compression.serialization import frame_with_checksum, verify_checksum_frame
 
 SEED = 20240914
 ERROR_BOUND = 1e-2
@@ -186,6 +187,37 @@ class TestOneEntryPoint:
             assert isinstance(plain, bytes)
             assert codec.compress(batch, bound, key="table") == plain
             assert codec.compress(batch, bound, key=7) == plain
+
+    @pytest.mark.parametrize("name", available_compressors())
+    def test_payloads_survive_the_checksum_envelope(self, name):
+        """The ``bytes`` that ``compress`` returns are what goes on the wire:
+        framed, verified and decoded, they give the unframed decode."""
+        codec = get_compressor(name)
+        bound = ERROR_BOUND if codec.error_bounded else None
+        for batch in _stateless_batches():
+            payload = codec.compress(batch, bound)
+            framed = frame_with_checksum(payload)
+            assert type(payload) is bytes and type(framed) is bytes
+            assert bytes(verify_checksum_frame(framed)) == payload
+            plain = decompress_any(payload)
+            assert plain.shape == batch.shape
+            through_wire = decompress_any(framed)
+            assert through_wire.dtype == plain.dtype
+            np.testing.assert_array_equal(through_wire, plain)
+
+    @pytest.mark.parametrize("kind,keyed", STATEFUL_CASES)
+    def test_stateful_payloads_decode_without_the_encoder(self, kind, keyed):
+        """Pinned-encoder replay and cached codebooks never leave a payload
+        that needs the encoder's state: every one decodes on its own."""
+        codec = _stateful_codec(kind)
+        for round_index in range(ROUNDS):
+            for key in TABLE_KEYS:
+                batch = _table_batch(key, round_index)
+                payload = codec.compress(batch, ERROR_BOUND, key=key if keyed else None)
+                assert type(payload) is bytes
+                decoded = decompress_any(payload)
+                assert decoded.shape == batch.shape
+                assert np.max(np.abs(decoded - batch)) <= ERROR_BOUND * (1 + 1e-6)
 
     def test_key_is_keyword_only(self):
         codec = get_compressor("vector_lz")

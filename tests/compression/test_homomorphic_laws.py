@@ -14,6 +14,10 @@ pipeline got:
 * the degenerate ``k = 1`` identity;
 * ``quant_sum`` payloads refuse to aggregate across scales (the shared
   scale *is* the homomorphism) and compose ``terms * eb`` exactly.
+
+Plus decode ownership: a decoded array, and each rank's all-reduce total,
+is a fresh writable array that aliases neither its payload nor any other
+result.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.compression import (
     homomorphic_codecs,
 )
 from repro.compression.base import parse_payload
+from repro.dist import ClusterSimulator
 
 # Bounded so a fold of <= 8 leaves can never leave float32 range (inf is a
 # representable-but-degenerate sum); subnormals and huge exponents are in.
@@ -243,3 +248,41 @@ class TestCountSumLaws:
         np.testing.assert_array_equal(
             cs.decompress(agg_sum(cs.compress(zeros), cs.compress(table))), table
         )
+
+
+class TestDecodeOwnership:
+    """Decode allocates its result: no decoded array aliases the payload,
+    another decode, or another rank's all-reduce total."""
+
+    @pytest.mark.parametrize("codec", homomorphic_codecs())
+    def test_decode_returns_a_fresh_writable_array(self, codec):
+        compressor = get_compressor(codec)
+        rng = np.random.default_rng(11)
+        table = np.asarray(rng.normal(0.0, 2.0, size=(9, 7)), dtype=np.float32)
+        eb = 1e-3 if compressor.error_bounded else None
+        payload = compressor.compress(table, eb)
+        first, second = compressor.decompress(payload), compressor.decompress(payload)
+        np.testing.assert_array_equal(first, second)
+        assert first.flags.writeable
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, np.frombuffer(payload, dtype=np.uint8))
+        first[...] = 0.0
+        np.testing.assert_array_equal(compressor.decompress(payload), second)
+
+    @pytest.mark.parametrize("codec", homomorphic_codecs())
+    def test_all_reduce_totals_are_independent_arrays(self, codec):
+        compressor = get_compressor(codec)
+        rng = np.random.default_rng(5)
+        arrays = [np.asarray(rng.normal(size=(6, 4)), dtype=np.float32) for _ in range(3)]
+        eb = 1e-3 if compressor.error_bounded else None
+        totals = ClusterSimulator(3).comm.compressed_all_reduce(arrays, codec, eb)
+        expected = compressor.decompress(
+            agg_fold([compressor.compress(a.reshape(1, -1), eb) for a in arrays])
+        ).reshape(6, 4)
+        assert len(totals) == 3
+        for i, total in enumerate(totals):
+            np.testing.assert_array_equal(total, expected)
+            assert not any(np.shares_memory(total, a) for a in arrays)
+            assert not any(np.shares_memory(total, other) for other in totals[i + 1 :])
+        totals[0][...] = 0.0
+        np.testing.assert_array_equal(totals[1], expected)

@@ -311,6 +311,44 @@ class TestZeroCopyFraming:
         assert frame_with_checksum(np.frombuffer(body, dtype=np.uint8)) == expected
 
     @given(st.binary(max_size=512))
+    def test_frame_is_a_bytes_copy_of_the_body(self, body):
+        """The frame owns its bytes: changing the source buffer after
+        framing leaves the frame, and its checksum, intact."""
+        from repro.compression.serialization import (
+            _reference_frame_with_checksum,
+            frame_with_checksum,
+            verify_checksum_frame,
+        )
+
+        source = bytearray(body)
+        framed = frame_with_checksum(source)
+        assert type(framed) is bytes
+        source[:] = bytes(len(source))  # zero it in place
+        source.extend(b"tail")
+        assert framed == _reference_frame_with_checksum(body)
+        assert bytes(verify_checksum_frame(framed)) == body
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.floats(width=32), min_size=cols, max_size=cols),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_frame_of_a_typed_array_frames_its_raw_bytes(self, rows):
+        """A multi-byte, multi-dimensional buffer is framed as its raw
+        bytes, as a codec's float32 body would be."""
+        from repro.compression.serialization import (
+            _reference_frame_with_checksum,
+            frame_with_checksum,
+        )
+
+        array = np.array(rows, dtype=np.float32).reshape(len(rows), -1)
+        assert frame_with_checksum(array) == _reference_frame_with_checksum(array.tobytes())
+
+    @given(st.binary(max_size=512))
     def test_verify_matches_reference_and_is_a_view(self, body):
         from repro.compression.serialization import (
             _reference_verify_checksum_frame,

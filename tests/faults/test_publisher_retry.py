@@ -68,6 +68,28 @@ class TestRetryRecovers:
         totals = tier.publisher.simulator.timeline.total_by_category()
         assert totals.get(EventCategory.RETRY, 0.0) > 0.0
 
+    def test_retry_reships_the_same_payload_objects(self, trainer, monkeypatch):
+        """Payloads are compressed once per round: a retry posts the very
+        ``bytes`` objects of the first attempt, with only the record that
+        was damaged in transit differing on that first attempt."""
+        tier = faulty_tier(trainer, [CorruptionFault(round_index=0, table_index=1, attempt=0)])
+        comm = tier.publisher.simulator.comm
+        real = comm.compressed_all_to_all
+        attempts = []
+
+        def recording(sendbufs, *args, **kwargs):
+            attempts.append([p for dst in sendbufs[0][1:] for p in dst])
+            return real(sendbufs, *args, **kwargs)
+
+        monkeypatch.setattr(comm, "compressed_all_to_all", recording)
+        trainer.train_step(64, iteration=0)
+        assert tier.publisher.publish(iteration=0).attempts == 2
+        first, retry = attempts
+        assert len(first) == len(retry) == N_TABLES
+        assert all(type(p) is bytes for p in first + retry)
+        assert [i for i, (a, b) in enumerate(zip(first, retry)) if a is not b] == [1]
+        assert first[1] != retry[1] and len(first[1]) == len(retry[1])
+
     def test_clean_rounds_report_single_attempt(self, trainer):
         tier = faulty_tier(trainer, [])
         trainer.train_step(64, iteration=0)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.adaptive import AdaptiveController, OfflineAnalyzer
+from repro.compression import decompress_any
+from repro.compression.serialization import has_checksum, verify_checksum_frame
 from repro.data import SyntheticClickDataset, make_uniform_spec
 from repro.dist import ClusterSimulator
 from repro.model import DLRM, DLRMConfig
@@ -141,6 +143,54 @@ class TestWireAccounting:
             assert record.codec == trainer.pipeline.controller.compressor_name(
                 record.table_id
             )
+
+
+def capture_shipped(monkeypatch, publisher):
+    """Record, per exchange call, the payloads rank 0 posts to the shard
+    ranks, flattened in rank order (the publisher's record order)."""
+    shipped: list[list] = []
+    comm = publisher.simulator.comm
+    for name in ("compressed_all_to_all", "all_to_all"):
+        real = getattr(comm, name)
+
+        def call(sendbufs, *args, _real=real, **kwargs):
+            shipped.append([p for dst in sendbufs[0][1:] for p in dst])
+            return _real(sendbufs, *args, **kwargs)
+
+        monkeypatch.setattr(comm, name, call)
+    return shipped
+
+
+class TestWirePayloads:
+    @pytest.mark.parametrize("compress", [True, False], ids=["compressed", "raw"])
+    @pytest.mark.parametrize("checksum", [False, True], ids=["plain", "framed"])
+    def test_shipped_payloads_are_bytes_that_decode_to_the_applied_delta(
+        self, trainer, monkeypatch, compress, checksum
+    ):
+        tier = build_serving_tier(
+            trainer, 2, 1, cache_rows=0, compress_publication=compress, checksum=checksum
+        )
+        publisher = tier.publisher
+        shipped = capture_shipped(monkeypatch, publisher)
+        for round_index in range(2):
+            before = {t: publisher.published_table(t).copy() for t in range(N_TABLES)}
+            trainer.train_step(64, iteration=round_index)
+            report = publisher.publish(iteration=round_index)
+            payloads = shipped[round_index]
+            assert len(payloads) == len(report.tables) == N_TABLES
+            for record, payload in zip(report.tables, payloads):
+                t = record.table_id
+                assert type(payload) is bytes
+                assert len(payload) == record.wire_nbytes
+                assert has_checksum(payload) == checksum
+                after = publisher.published_table(t)
+                if compress:
+                    np.testing.assert_array_equal(before[t] + decompress_any(payload), after)
+                else:
+                    body = verify_checksum_frame(payload) if checksum else payload
+                    delta = np.frombuffer(body, dtype=np.float32).reshape(after.shape)
+                    np.testing.assert_array_equal(delta, trainer_table(trainer, t) - before[t])
+                    np.testing.assert_array_equal(after, trainer_table(trainer, t))
 
 
 class TestReplicaInvalidation:

@@ -11,6 +11,7 @@ from repro.compression import vector_lz as vector_lz_module
 from repro.compression.base import ROW_DECODE_MAX_ROWS
 from repro.model import DLRM, DLRMConfig
 from repro.serve import EmbeddingShardServer
+from repro.serve.shard_server import serving_codec
 
 
 def make_table(rows=200, dim=16, seed=0, scale=0.1):
@@ -144,6 +145,28 @@ class TestRowGranularDecode:
         many = np.arange(64, 64 + ROW_DECODE_MAX_ROWS)
         np.testing.assert_array_equal(server.pull(0, many).rows, full[many])
         assert calls == [attr]
+
+
+class TestBlockStorage:
+    @pytest.mark.parametrize(
+        "codec,bound",
+        [("vector_lz", 1e-2), ("entropy", 1e-2), ("hybrid", 1e-2), ("lz4_like", 0.0)],
+    )
+    def test_blocks_are_the_codec_payloads(self, codec, bound):
+        """A stored block is the ``bytes`` object the serving codec returns
+        for that row block, keyed by table and in block order — 200 rows in
+        64-row blocks, so the last one is ragged."""
+        table = make_hot_table()
+        server = EmbeddingShardServer({4: table}, bound, codec, rows_per_block=64)
+        reference = serving_codec(server.codec(4))
+        expected = [
+            reference.compress(table[start : start + 64], bound or None, key=4)
+            for start in range(0, 200, 64)
+        ]
+        blocks = server._table(4).blocks
+        assert all(type(block) is bytes for block in blocks)
+        assert blocks == expected
+        assert server.compressed_nbytes(4) == sum(map(len, expected))
 
 
 class TestCompressionAccounting:
