@@ -17,29 +17,32 @@ batch back intact and can hand it to
 :meth:`repro.train.pipeline.CompressionPipeline.decompress_batch` so the
 peek-table/codebook caches amortize across the whole exchange.
 
-With ``overlap=True`` the exchange runs as a *chunk-level pipeline*: each
-rank's stage-① compression is split into ``chunks_per_rank`` real chunk
-kernels on its ``compute`` stream, and each chunk becomes its own wire
-event on the ``comm`` stream — chunk ``i``'s wire starts only after its
-compress finishes *and* the previous chunk's wire slot frees, and stage-④
-decode of chunk ``i`` starts at its arrival (when the slowest sender's
-matching chunk has cleared the wire).  This is the paper's future-work
-NCCL integration priced end to end, with honest per-chunk stall
-accounting instead of an analytic first/last-chunk correction.  Chunk
-wire events are priced at each chunk's *actual byte share* of the
-collective, conserving per-rank wire totals — so the pipelined makespan
-never exceeds the sequential layout, never drops below the
-``max(compute, wire)`` floor, and degenerates to the single-collective
-model at one chunk, for arbitrary payload layouts.  With even splits
-(single indivisible buffers, whose k slices genuinely are equal shares)
-the makespan is additionally monotone non-increasing in the chunk count;
-honestly uneven shares can trade that away.  The chunk-pipeline property
-tests pin all of these laws.
+Every all-to-all — ``compressed_all_to_all``, ``all_to_all`` and
+``all_to_all_bytes`` — is charged by one *chunk-level pipeline*: each
+rank's stage-① compression is split into real chunk kernels on its
+``compute`` stream, and each chunk becomes its own wire event on the
+``comm`` stream — chunk ``i``'s wire starts only after its compress
+finishes *and* the previous chunk's wire slot frees, and stage-④ decode
+of chunk ``i`` starts at its arrival (when the slowest sender's matching
+chunk has cleared the wire).  This is the paper's future-work NCCL
+integration priced end to end, with honest per-chunk stall accounting
+instead of an analytic first/last-chunk correction.  Chunk wire events
+are priced at each chunk's *actual byte share* of the collective,
+conserving per-rank wire totals — so the makespan never exceeds the
+one-chunk layout and never drops below the ``max(compute, wire)`` floor,
+for arbitrary payload layouts.  With even splits (single indivisible
+buffers, whose k slices genuinely are equal shares) the makespan is
+additionally monotone non-increasing in the chunk count; honestly uneven
+shares can trade that away.  The chunk-pipeline property tests pin all
+of these laws.  ``overlap=True`` runs ``chunks_per_rank`` chunks;
+``overlap=False`` runs one chunk per rank, which is the sequential
+compress / metadata / payload / decode exchange; the uncompressed
+all-to-alls are one-chunk pipelines with no codec stages and no metadata
+round.
 
-``overlap_compute_seconds`` slots rank-local compute (e.g. the trainer's
-bottom-MLP backward kernels) between the compress and decode stages on
-the ``compute`` stream, so an exchange issued *before* that compute
-overlaps it cross-stage on the wire.
+``overlap_compute_seconds`` slots rank-local bottom-MLP backward compute
+between the compress and decode stages on the ``compute`` stream, so an
+exchange issued *before* that compute overlaps it cross-stage on the wire.
 
 The pipeline is scheduled in two halves.  A *builder*
 (``Communicator._build_pipeline``) computes every stage's starts and
@@ -243,14 +246,11 @@ class Communicator:
 
         Payloads (arrays, byte strings, or sequences thereof) are handed
         over untouched, so the data path is exact; the wire time of the
-        full variable-size exchange is charged once to all ranks under
-        ``category``.
+        full variable-size exchange is charged under ``category`` as one
+        wire chunk per rank — the chunk pipeline with no codec stages and
+        no metadata round.
         """
-        matrix = self._size_payloads(sendbufs).byte_matrix
-        seconds = self.simulator.network.all_to_all_time(matrix)
-        self.simulator.collective(seconds, category)
-        if OBS.enabled:
-            self._obs_stage("payload", seconds * self.n_ranks, self._wire_nbytes(matrix))
+        self._uncompressed_exchange(self._size_payloads(sendbufs), category)
         return [list(column) for column in zip(*sendbufs)]
 
     def all_to_all_bytes(
@@ -259,51 +259,55 @@ class Communicator:
         category: str = EventCategory.ALLTOALL_FWD,
         *,
         overlap_compute_seconds: Sequence[float] | None = None,
-        overlap_compute_category: str = EventCategory.BOTTOM_MLP_BWD,
     ) -> float:
         """Charge the wire time of a variable-size all-to-all *without*
         moving data — for exchanges whose numerics the caller shortcuts
         (e.g. the trainer's uncompressed gradient all-to-all, where every
-        rank's contribution is already computed in process).
+        rank's contribution is already computed in process).  Each
+        ``byte_matrix[src, dst]`` is one indivisible payload.
 
-        With ``overlap_compute_seconds`` the exchange overlaps cross-stage:
-        the wire is charged on every rank's ``comm`` stream (released at
-        the usual all-ranks barrier, identical spans) while the given
-        rank-local compute runs concurrently on each ``compute`` stream —
+        ``overlap_compute_seconds`` runs rank-local bottom-MLP backward
+        compute on each ``compute`` stream while the wire is in flight —
         the trainer's issue-the-exchange-then-launch-kernels discipline.
-        Returns the wire's common end time either way."""
+        Returns the wire's end time."""
         matrix = np.asarray(byte_matrix)
         n = self.n_ranks
         if matrix.shape != (n, n):
             raise ValueError(
                 f"byte matrix shape {matrix.shape} does not match {n} ranks"
             )
-        seconds = self.simulator.network.all_to_all_time(matrix)
-        if OBS.enabled:
-            self._obs_stage("payload", seconds * n, self._wire_nbytes(matrix))
-        if overlap_compute_seconds is None:
-            return self.simulator.collective(seconds, category)
-        overlap_compute = self._per_rank_seconds(
-            overlap_compute_seconds, "overlap_compute_seconds"
+        payload_sizes = _PayloadSizes(
+            matrix.ravel(), np.ones(n * n, dtype=np.int64), np.zeros(n * n, dtype=bool), matrix
         )
-        sim = self.simulator
-        release = sim.makespan()  # every rank's send data must exist
-        end = release + seconds
-        for rank in range(n):
-            sim.stream_compute(
-                rank, seconds, category, COMM_STREAM, not_before=release
+        return self._uncompressed_exchange(
+            payload_sizes,
+            category,
+            self._per_rank_seconds(overlap_compute_seconds, "overlap_compute_seconds"),
+        )
+
+    def _uncompressed_exchange(
+        self,
+        payload_sizes: _PayloadSizes,
+        category: str,
+        overlap_compute: list[float] | None = None,
+    ) -> float:
+        """Charge a codec-free, metadata-free all-to-all at one chunk per
+        rank; returns the wire's end time."""
+        seconds = self.simulator.network.all_to_all_time(payload_sizes.byte_matrix)
+        if OBS.enabled:
+            self._obs_stage(
+                "payload", seconds * self.n_ranks, self._wire_nbytes(payload_sizes.byte_matrix)
             )
-            if overlap_compute[rank] > 0.0:
-                sim.stream_compute(
-                    rank, overlap_compute[rank], overlap_compute_category, COMPUTE_STREAM
-                )
-            sim.sync(rank)
-        return end
+        schedule = self._build_pipeline(
+            payload_sizes, seconds, category, overlap_compute=overlap_compute
+        )
+        self._charge_pipeline(schedule)
+        return float(schedule.wire_ends.max())
 
     def _metadata_seconds(
         self, metadata_bytes_per_entry: int, entries_per_pair
-    ) -> tuple[float, bool]:
-        """Stage-② wire time and whether the round is skipped outright.
+    ) -> float | None:
+        """Stage-② wire time, or ``None`` when the round is skipped.
         ``entries_per_pair`` may be a scalar (every ordered pair carries
         the same record count) or an ``n x n`` matrix of per-pair record
         counts; an all-zero matrix skips the round entirely (e.g. a
@@ -317,10 +321,9 @@ class Communicator:
                 raise ValueError(
                     f"entries_per_pair must be > 0, got {entries_per_pair!r}"
                 )
-            seconds = self.simulator.network.uniform_all_to_all_time(
+            return self.simulator.network.uniform_all_to_all_time(
                 metadata_bytes_per_entry * entries_per_pair, self.n_ranks
             )
-            return seconds, False
         entries = np.asarray(entries_per_pair)
         n = self.n_ranks
         if entries.shape != (n, n):
@@ -330,11 +333,10 @@ class Communicator:
         if (entries < 0).any():
             raise ValueError("entries_per_pair matrix entries must be >= 0")
         if not entries.any():
-            return 0.0, True
-        seconds = self.simulator.network.all_to_all_time(
+            return None
+        return self.simulator.network.all_to_all_time(
             metadata_bytes_per_entry * entries.astype(np.float64)
         )
-        return seconds, False
 
     def compressed_all_to_all(
         self,
@@ -347,10 +349,7 @@ class Communicator:
         compress_seconds: Sequence[float] | None = None,
         decompress_seconds: Sequence[float] | None = None,
         chunks_per_rank: int | Sequence[int] | None = None,
-        compress_category: str = EventCategory.COMPRESS,
-        decompress_category: str = EventCategory.DECOMPRESS,
         overlap_compute_seconds: Sequence[float] | None = None,
-        overlap_compute_category: str = EventCategory.BOTTOM_MLP_BWD,
     ) -> list[list[object]]:
         """Stages ①-④: compression, metadata round, payloads, decompression.
 
@@ -364,51 +363,45 @@ class Communicator:
         When ``compress_seconds`` / ``decompress_seconds`` give per-rank
         stage-①/④ device times, the communicator charges them too — the
         single entry point for the whole compressed exchange, so trainers
-        never touch the simulator's clocks for communication:
+        never touch the simulator's clocks for communication.  Stage ① is
+        split into ``chunks_per_rank`` (scalar or per-rank) real chunk
+        kernels, and each chunk gets its own wire event on the rank's
+        ``comm`` stream, priced at the chunk's *actual byte share* of the
+        collective (chunks partition the rank's posted payloads in
+        destination order, so per-slice payload batches yield honestly
+        uneven — typically tail-light — chunk wire times).  Chunk ``i``'s
+        wire starts once its compress finished and the previous chunk's
+        wire slot freed; decode of chunk ``i`` starts at its arrival.
+        Compression/decompression run on each rank's ``compute`` stream,
+        the wire on the ``comm`` stream, so the chrome trace renders the
+        pipeline on separate lanes, every chunk event tagged with
+        ``{"exchange", "chunk", "chunks"}`` args.
 
-        * ``overlap=False`` — strictly sequential: every rank compresses,
-          the cluster exchanges metadata then payloads, every rank
-          decompresses.
-        * ``overlap=True`` — chunk-level pipeline: per-rank stage ① is
-          split into ``chunks_per_rank`` (scalar or per-rank) real chunk
-          kernels, and each chunk gets its own wire event on the rank's
-          ``comm`` stream, priced at the chunk's *actual byte share* of
-          the collective (chunks partition the rank's posted payloads in
-          destination order, so per-slice payload batches yield honestly
-          uneven — typically tail-light — chunk wire times).  Chunk
-          ``i``'s wire starts once its compress finished and the previous
-          chunk's wire slot freed; decode of chunk ``i`` starts at its
-          arrival.  Compression/decompression
-          run on each rank's ``compute`` stream, the wire on the ``comm``
-          stream, so the chrome trace renders the chunk pipeline on
-          separate lanes, every chunk event tagged with
-          ``{"exchange", "chunk", "chunks"}`` args.
+        ``overlap=False`` schedules the same pipeline at one chunk per
+        rank (``chunks_per_rank`` is validated, then ignored): every rank
+        compresses, the cluster exchanges metadata then payloads, every
+        rank decompresses.
 
-        ``overlap_compute_seconds`` (overlap mode only) charges rank-local
+        ``overlap_compute_seconds`` charges rank-local bottom-MLP backward
         compute between the compress and decode stages on each ``compute``
         stream — the cross-stage overlap hook: an exchange issued before
-        e.g. the bottom-MLP backward kernels hides its wire behind them.
+        those kernels hides its wire behind them.
         """
-        sim = self.simulator
         n = self.n_ranks
-        meta_seconds, skip_metadata = self._metadata_seconds(
-            metadata_bytes_per_entry, entries_per_pair
-        )
+        meta_seconds = self._metadata_seconds(metadata_bytes_per_entry, entries_per_pair)
         payload_sizes = self._size_payloads(sendbufs, entries_per_pair)
         byte_matrix = payload_sizes.byte_matrix
-        payload_seconds = sim.network.all_to_all_time(byte_matrix)
+        payload_seconds = self.simulator.network.all_to_all_time(byte_matrix)
         compress = self._per_rank_seconds(compress_seconds, "compress_seconds")
         decompress = self._per_rank_seconds(decompress_seconds, "decompress_seconds")
         chunks = self._per_rank_chunks(chunks_per_rank)
-        overlap_compute = (
-            None
-            if overlap_compute_seconds is None
-            else self._per_rank_seconds(overlap_compute_seconds, "overlap_compute_seconds")
+        overlap_compute = self._per_rank_seconds(
+            overlap_compute_seconds, "overlap_compute_seconds"
         )
 
         if OBS.enabled:
             self._obs_stage("compress", sum(compress))
-            if not skip_metadata:
+            if meta_seconds is not None:
                 if np.isscalar(entries_per_pair):
                     meta_bytes = int(
                         metadata_bytes_per_entry * entries_per_pair * n * (n - 1)
@@ -427,41 +420,19 @@ class Communicator:
                 "comm_exchanges_total", "compressed all-to-all exchanges"
             ).inc(1, mode="overlapped" if overlap else "sequential")
 
-        if not overlap:
-            for rank in range(n):
-                if compress[rank] > 0.0:
-                    sim.compute(rank, compress[rank], compress_category)
-            if not skip_metadata:
-                sim.collective(meta_seconds, EventCategory.METADATA)
-            sim.collective(payload_seconds, category)
-            for rank in range(n):
-                if decompress[rank] > 0.0:
-                    sim.compute(rank, decompress[rank], decompress_category)
-                if overlap_compute is not None and overlap_compute[rank] > 0.0:
-                    sim.compute(rank, overlap_compute[rank], overlap_compute_category)
-        else:
-            eid = self._exchange_counter
-            self._exchange_counter += 1
-            schedule = self._build_pipeline(
-                np.array([sim.sync(rank) for rank in range(n)]),
-                len(sim.timeline.events),
-                eid,
-                sim._check_seconds(meta_seconds),
-                sim._check_seconds(payload_seconds),
-                np.array(compress),
-                np.array(decompress),
-                np.array(chunks, dtype=np.int64),
-                payload_sizes,
-                skip_metadata=skip_metadata,
-                category=category,
-                compress_category=compress_category,
-                decompress_category=decompress_category,
-                overlap_compute=None if overlap_compute is None else np.array(overlap_compute),
-                overlap_compute_category=overlap_compute_category,
-            )
-            self._charge_pipeline(schedule)
-            if OBS.enabled:
-                self._obs_overlap_accounting(schedule)
+        schedule = self._build_pipeline(
+            payload_sizes,
+            payload_seconds,
+            category,
+            meta_seconds=meta_seconds,
+            compress=compress,
+            decompress=decompress,
+            chunks=chunks if overlap else None,
+            overlap_compute=overlap_compute,
+        )
+        self._charge_pipeline(schedule)
+        if OBS.enabled and overlap:
+            self._obs_overlap_accounting(schedule)
         return [list(column) for column in zip(*sendbufs)]
 
     def _per_rank_seconds(self, values, name: str) -> list[float]:
@@ -493,7 +464,7 @@ class Communicator:
         genuinely are equal shares — and that preserves the chunk-count
         monotonicity law for the single-buffer shape.  Every rank's
         fractions sum to 1, so the per-rank wire total — and with it the
-        sequential/analytic makespan bounds and the ``k = 1`` degeneracy —
+        one-chunk/analytic makespan bounds and the ``k = 1`` degeneracy —
         is unchanged for every layout.
         """
         n = self.n_ranks
@@ -595,27 +566,24 @@ class Communicator:
 
     def _build_pipeline(
         self,
-        starts: np.ndarray,
-        base: int,
-        eid: int,
-        meta_seconds: float,
-        payload_seconds: float,
-        compress: np.ndarray,
-        decompress: np.ndarray,
-        chunks: np.ndarray,
         payload_sizes: _PayloadSizes,
-        *,
-        skip_metadata: bool,
+        payload_seconds: float,
         category: str,
-        compress_category: str,
-        decompress_category: str,
-        overlap_compute: np.ndarray | None,
-        overlap_compute_category: str,
+        *,
+        meta_seconds: float | None = None,
+        compress: Sequence[float] | None = None,
+        decompress: Sequence[float] | None = None,
+        chunks: Sequence[int] | None = None,
+        overlap_compute: Sequence[float] | None = None,
     ) -> _PipelineSchedule:
-        """Schedule the chunk-level pipelined exchange ``eid`` for ranks
-        whose streams are joined at ``starts``, as events that will land
-        at ledger index ``base`` onwards.  Pure — nothing is recorded and
-        no clock moves here; :meth:`_charge_pipeline` does that.
+        """Schedule the next all-to-all from the simulator's current rank
+        clocks, as events that will land at the end of the ledger under
+        the next exchange id.  Pure — nothing is recorded, no clock moves
+        and the id is not taken here; :meth:`_charge_pipeline` does that.
+        Every all-to-all of this class comes through here: an input left
+        unset is a stage that does not run (no ``meta_seconds``: no
+        stage-② round; no ``compress`` / ``decompress`` / ``overlap_compute``:
+        no such kernels; no ``chunks``: one chunk per rank).
 
         Per rank ``r`` with ``k = chunks[r]``: stage ① runs as ``k`` chunk
         kernels on the ``compute`` stream; stage ③ runs as ``k`` chunk
@@ -633,15 +601,24 @@ class Communicator:
         bit-identical to charging the events one at a time.
 
         Invariants the chunk-pipeline property tests pin: the makespan
-        never exceeds the sequential layout's ``max(compress) + meta +
-        payload + max(decompress)`` and equals it at one chunk — for any
-        byte shares (per-rank wire totals are conserved).  With even
-        splits the makespan is additionally monotone non-increasing in
-        the chunk count; honestly uneven byte shares can trade that away
-        for a front-loaded chunk.
+        never exceeds ``max(compress) + meta + payload + max(decompress)``
+        and equals it at one chunk — for any byte shares (per-rank wire
+        totals are conserved).  With even splits the makespan is
+        additionally monotone non-increasing in the chunk count; honestly
+        uneven byte shares can trade that away for a front-loaded chunk.
         """
-        wire_fractions = self._chunk_wire_fractions(payload_sizes, chunks)
+        sim = self.simulator
         n = self.n_ranks
+        starts = np.array(sim.clocks)
+        base = len(sim.timeline.events)
+        eid = self._exchange_counter
+        payload_seconds = sim._check_seconds(payload_seconds)
+        compress, decompress, overlap_compute = (
+            np.zeros(n) if seconds is None else np.array(seconds)
+            for seconds in (compress, decompress, overlap_compute)
+        )
+        chunks = np.ones(n, dtype=np.int64) if chunks is None else np.array(chunks, dtype=np.int64)
+        wire_fractions = self._chunk_wire_fractions(payload_sizes, chunks)
         ranks = np.arange(n)
         live = np.arange(int(chunks.max())) < chunks[:, None]  # chunk j exists on rank r
         every_rank = np.ones((n, 1), dtype=bool)
@@ -671,7 +648,7 @@ class Communicator:
         comp_mask = live & comp_on[:, None]
         comp_seconds = compress[:, None] * wire_fractions
         comp_ends, compute_clock = self._schedule_stage(
-            stages, compress_category, COMPUTE_STREAM, starts, None, comp_seconds,
+            stages, EventCategory.COMPRESS, COMPUTE_STREAM, starts, None, comp_seconds,
             comp_mask, chunk_args(comp_on),
         )
         compute_spans = [(comp_on, comp_ends, comp_seconds)]
@@ -685,10 +662,11 @@ class Communicator:
         meta_end = comp_ends[:, 0].max()
         comm_clock = starts
         wire_prefix = first_chunk_edges or []  # what releases every wire chunk
-        if not skip_metadata:
+        if meta_seconds is not None:
             meta_ends, comm_clock = self._schedule_stage(
                 stages, EventCategory.METADATA, COMM_STREAM, comm_clock,
-                np.full((n, 1), meta_end), np.full((n, 1), meta_seconds), every_rank,
+                np.full((n, 1), meta_end), np.full((n, 1), sim._check_seconds(meta_seconds)),
+                every_rank,
                 {"exchange": eid}, [first_chunk_edges] * n,
             )
             next_idx += n
@@ -717,14 +695,13 @@ class Communicator:
 
         # Cross-stage hook: rank-local compute issued right after the
         # compression kernels, so the wire (and decode stalls) hide it.
-        if overlap_compute is not None:
-            oc_on = overlap_compute > 0.0
-            oc_seconds = overlap_compute[:, None]
-            oc_ends, compute_clock = self._schedule_stage(
-                stages, overlap_compute_category, COMPUTE_STREAM, compute_clock, None,
-                oc_seconds, oc_on[:, None],
-            )
-            compute_spans.append((oc_on, oc_ends, oc_seconds))
+        oc_on = overlap_compute > 0.0
+        oc_seconds = overlap_compute[:, None]
+        oc_ends, compute_clock = self._schedule_stage(
+            stages, EventCategory.BOTTOM_MLP_BWD, COMPUTE_STREAM, compute_clock, None,
+            oc_seconds, oc_on[:, None],
+        )
+        compute_spans.append((oc_on, oc_ends, oc_seconds))
 
         # Stage ④: decode of chunk j starts at its arrival — when the
         # slowest sender's fraction-matched chunk has cleared the wire.
@@ -745,7 +722,7 @@ class Communicator:
             edges_by_count[k] = [tuple(row) for row in wire_idx[ranks, matched].tolist()]
         dec_seconds = np.broadcast_to((decompress / chunks)[:, None], live.shape)
         dec_ends, compute_clock = self._schedule_stage(
-            stages, decompress_category, COMPUTE_STREAM, compute_clock, arrivals,
+            stages, EventCategory.DECOMPRESS, COMPUTE_STREAM, compute_clock, arrivals,
             dec_seconds, live & dec_on[:, None], chunk_args(dec_on),
             list(chain.from_iterable(edges_by_count[k] for k in chunks[dec_on].tolist())),
         )
@@ -756,7 +733,7 @@ class Communicator:
 
     def _charge_pipeline(self, schedule: _PipelineSchedule) -> None:
         """Append a built schedule to the ledger, one ``record_batch`` per
-        stage, and write the stream clocks back.
+        stage, write the stream clocks back and take the exchange id.
 
         Each stage is appended *rank-major* (rank 0's chunks, then rank
         1's, …), the order the per-event model recorded them in — and the
@@ -770,6 +747,7 @@ class Communicator:
             sim.timeline.record_batch(*stage)
         sim._streams[COMPUTE_STREAM][:] = schedule.compute_clock.tolist()
         sim._streams[COMM_STREAM][:] = schedule.comm_clock.tolist()
+        self._exchange_counter += 1
         # The exchange hands decoded data back at a device-wide barrier.
         for rank in range(self.n_ranks):
             sim.sync(rank)

@@ -169,8 +169,9 @@ def _overlap_with_merged(span: tuple[float, float], merged: list[tuple[float, fl
 def chunk_pipeline_report(timeline: Timeline) -> dict[int, dict[str, float]]:
     """Per-rank accounting of the chunk-level pipelined wire.
 
-    Chunk events are the comm-stream events recorded with ``chunk`` args
-    (one per wire chunk of a pipelined exchange).  For each rank:
+    Chunk events are the comm-stream events recorded with ``chunk`` args:
+    one per wire chunk of every ``Communicator`` all-to-all, compressed or
+    not, overlapped or not.  For each rank:
 
     * ``chunks`` — number of chunk wire events;
     * ``wire`` — their total charged wire seconds;

@@ -310,7 +310,6 @@ class HybridParallelTrainer:
             # chunk-sized kernels/messages.
             chunks_per_rank=[max(1, min(len(c), self.pipeline_chunks)) for c in send_chunks],
             overlap_compute_seconds=overlap_compute,
-            overlap_compute_category=EventCategory.BOTTOM_MLP_BWD,
         )
         # Stage ④ numerics: one batched decode per table keeps codec
         # caches hot across its slices.
@@ -357,7 +356,6 @@ class HybridParallelTrainer:
                 grad_matrix,
                 EventCategory.ALLTOALL_BWD,
                 overlap_compute_seconds=overlap_compute,
-                overlap_compute_category=EventCategory.BOTTOM_MLP_BWD,
             )
 
         for rank in range(self.n_ranks):

@@ -3,6 +3,10 @@ clock/timeline bookkeeping."""
 
 from __future__ import annotations
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from repro.dist import (
     NetworkModel,
     payload_nbytes,
 )
+from repro.faults import FaultInjector, FaultPlan, LinkFault
 
 
 @pytest.fixture
@@ -454,6 +459,20 @@ class TestPricedCollectives:
         moved.comm.all_to_all([[b"x" * 1000] * 4] * 4, EventCategory.ALLTOALL_BWD)
         assert priced.makespan() == pytest.approx(moved.makespan())
 
+    @pytest.mark.parametrize("overlap_compute", [None, [1e-5] * 4])
+    def test_all_to_all_bytes_returns_the_delayed_wire_end(self, overlap_compute):
+        """A 1 ms outage from t=0 holds the wire back; the returned end
+        time is the wire's actual end with or without overlap compute."""
+        sim = ClusterSimulator(4)
+        outage = FaultPlan(links=(LinkFault(start=0.0, duration=1e-3, outage=True),))
+        sim.fault_injector = FaultInjector(outage)
+        end = sim.comm.all_to_all_bytes(
+            np.full((4, 4), 64 << 10), overlap_compute_seconds=overlap_compute
+        )
+        wire = sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+        assert {e.start for e in wire} == {1e-3}
+        assert end == max(e.end for e in wire) == sim.makespan()
+
     def test_all_to_all_bytes_shape_rejected(self, sim):
         with pytest.raises(ValueError, match="does not match"):
             sim.comm.all_to_all_bytes(np.zeros((3, 3)))
@@ -520,3 +539,35 @@ class TestPayloadMetadataMismatch:
     def test_scalar_entries_skip_the_check(self, sim):
         sendbufs = [[b"payload"] * 4 for _ in range(4)]
         sim.comm.compressed_all_to_all(sendbufs, entries_per_pair=3)
+
+
+class TestOneScheduler:
+    """Every all-to-all is charged by the chunk-pipeline builder: none
+    prices itself through the simulator's collective or per-event
+    charging primitives, and the category knobs no caller set are gone."""
+
+    @pytest.mark.parametrize(
+        "method", ["all_to_all", "all_to_all_bytes", "compressed_all_to_all"]
+    )
+    def test_no_second_timing_model(self, method):
+        source = textwrap.dedent(inspect.getsource(getattr(Communicator, method)))
+        called = {
+            node.func.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert not called & {"collective", "compute", "stream_compute"}
+
+    @pytest.mark.parametrize(
+        "method, knob",
+        [
+            ("compressed_all_to_all", "compress_category"),
+            ("compressed_all_to_all", "decompress_category"),
+            ("compressed_all_to_all", "overlap_compute_category"),
+            ("all_to_all_bytes", "overlap_compute_category"),
+        ],
+    )
+    def test_category_knobs_are_gone(self, sim, method, knob):
+        payload = np.ones((4, 4)) if method == "all_to_all_bytes" else [[b"x"] * 4] * 4
+        with pytest.raises(TypeError, match=knob):
+            getattr(sim.comm, method)(payload, **{knob: EventCategory.OPTIMIZER})

@@ -8,6 +8,15 @@ sorted(args), release_edges)`` of every event in recording order, plus the
 final per-stream clocks.  The vectorised schedule builder must reproduce
 each one bit for bit; there is no copy of the old loop to compare against.
 
+``TIMING_GOLDEN`` pins the *schedule* alone (:func:`timing_digest`): the
+sorted ``(rank, category, start, duration, stream)`` of every event plus
+the final per-stream clocks, blind to recording order, args, release edges
+and fault counts.  It was recorded at ``2f6ed0b`` — the last commit that
+priced the sequential exchange, ``all_to_all`` and ``all_to_all_bytes``
+with ``ClusterSimulator.collective`` / ``compute`` / ``stream_compute``
+instead of the chunk-pipeline builder — and is never re-recorded: every
+all-to-all must keep its times when its bookkeeping changes.
+
 Run ``python tests/dist/test_ledger_golden.py`` to print the digests of
 the current checkout (only ever paste them here from a commit whose ledger
 is known good).
@@ -52,6 +61,18 @@ def ledger_digest(sim: ClusterSimulator) -> str:
         h.update(repr((stream, [c.hex() for c in sim._streams[stream]])).encode())
     if sim.fault_injector is not None:
         h.update(repr(sorted(sim.fault_injector.injected.items())).encode())
+    return h.hexdigest()
+
+
+def timing_digest(sim: ClusterSimulator) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    for line in sorted(
+        repr((e.rank, str(e.category), e.start.hex(), e.duration.hex(), e.stream))
+        for e in sim.timeline.events
+    ):
+        h.update(line.encode())
+    for stream in sorted(sim._streams):
+        h.update(repr((stream, [c.hex() for c in sim._streams[stream]])).encode())
     return h.hexdigest()
 
 
@@ -318,6 +339,54 @@ def world_faults() -> ClusterSimulator:
     return sim
 
 
+def world_sequential_plain_bytes_under_faults() -> ClusterSimulator:
+    """Every all-to-all that is not an overlapped compressed exchange —
+    a sequential exchange with zero-entry pairs and zero-cost ranks, one
+    with the metadata round skipped, ``all_to_all``, and
+    ``all_to_all_bytes`` without and with overlap compute — bent by
+    outages, degraded links and stragglers."""
+    n = 6
+    rng = np.random.default_rng(9)
+    sendbufs, entries = _slice_payloads(n, rng)
+    entries[0, 3] = entries[2, 2] = entries[4, 1] = 0
+    plan = FaultPlan(
+        links=(
+            LinkFault(start=3.2e-4, duration=2e-5, outage=True),
+            LinkFault(start=8e-4, duration=3e-4, bandwidth_factor=0.5),
+            LinkFault(start=1.61e-3, duration=2e-5, outage=True),
+            LinkFault(start=1.64e-3, duration=6e-5, bandwidth_factor=0.7),
+            LinkFault(start=1.69e-3, duration=3e-5, outage=True),
+        ),
+        stragglers=(
+            StragglerFault(rank=1, start=5.5e-4, duration=1.0, slowdown=2.0),
+            StragglerFault(rank=4, start=5e-4, duration=3e-4, slowdown=1.5),
+        ),
+    )
+    sim = ClusterSimulator(n, network=_hier(3, 2, PCIE_LIKE))
+    sim.fault_injector = FaultInjector(plan, seed=5)
+    sim.comm.compressed_all_to_all(
+        sendbufs,
+        entries_per_pair=entries,
+        compress_seconds=_seconds(n, rng, zeros=(1, 4)),
+        decompress_seconds=_seconds(n, rng, zeros=(2,)),
+    )
+    sim.comm.compressed_all_to_all(
+        sendbufs,
+        entries_per_pair=np.zeros((n, n), dtype=np.int64),
+        category=EventCategory.ALLTOALL_BWD,
+        compress_seconds=_seconds(n, rng, zeros=(0,)),
+        decompress_seconds=_seconds(n, rng, zeros=(5,)),
+    )
+    sim.comm.all_to_all(sendbufs)
+    sim.comm.all_to_all_bytes(rng.integers(0, 1 << 16, size=(n, n)))
+    sim.comm.all_to_all_bytes(
+        rng.integers(0, 1 << 16, size=(n, n)),
+        EventCategory.ALLTOALL_BWD,
+        overlap_compute_seconds=_seconds(n, rng, zeros=(3,)),
+    )
+    return sim
+
+
 WORLDS = {
     "benchmark_shape": world_benchmark_shape,
     "ragged_chunks": world_ragged_chunks,
@@ -328,9 +397,11 @@ WORLDS = {
     "overlap_compute": world_overlap_compute,
     "back_to_back": world_back_to_back,
     "faults": world_faults,
+    "sequential_plain_bytes_under_faults": world_sequential_plain_bytes_under_faults,
 }
 
-#: recorded at b881649 (per-event scheduling loop) — see the module docstring
+#: recorded at b881649 (per-event scheduling loop) — see the module docstring;
+#: the last two entries after the all-to-alls joined the pipeline builder
 GOLDEN = {
     "benchmark_shape": "b6fafd2e90bf423b7e495031398a5fbf",  # 6656 events
     "ragged_chunks": "627e219530be17474e6d088ad2215d14",  # 116 events
@@ -339,8 +410,27 @@ GOLDEN = {
     "metadata_skipped": "723f984825f54027fef794236744709a",  # 41 events
     "payload_shapes": "02f88df9ef8cb25cd0c0e343c53fb819",  # 93 events
     "overlap_compute": "7cd5c6a8fa82902e278ede3cb61bee4e",  # 39 events
-    "back_to_back": "0caeae076137bf0923e7cdff8ce03c62",  # 290 events
+    # re-recorded when the sequential exchange, ``all_to_all`` and
+    # ``all_to_all_bytes`` moved onto the pipeline builder (chunk args,
+    # release edges, exchange ids); TIMING_GOLDEN pins their times
+    "back_to_back": "5a84ab3ac7ea42c70f29193a1da69b09",  # 290 events
     "faults": "3d5ec601cf82ebe9072607c0dcbd9117",  # 185 events
+    "sequential_plain_bytes_under_faults": "6a56cc295709a62e7a3a422abbe20302",  # 60 events
+}
+
+
+#: recorded at 2f6ed0b (collective-priced plain and sequential all-to-alls)
+TIMING_GOLDEN = {
+    "benchmark_shape": "60d25898937a128e56f323688dea9ba8",
+    "ragged_chunks": "ec8977f7b125d6f24b58e6b7ffa224d2",
+    "default_chunks": "73dd55410a2b87c95650063419cc7725",
+    "zero_cost_ranks": "24998755035d550e8085de3c80f29d0d",
+    "metadata_skipped": "77ccfde2a41e3498098889db5b050734",
+    "payload_shapes": "f0b8a4810e65ccade60543b004ab26ee",
+    "overlap_compute": "557db100e91f30210a78f5d54b0b33d4",
+    "back_to_back": "bf0ab84baaa87498e11e6537fec4fd12",
+    "faults": "ef86914d967155af9af0fa0b2c5654f5",
+    "sequential_plain_bytes_under_faults": "c5b8a715612a085cb52c03eb34085606",
 }
 
 
@@ -349,13 +439,21 @@ def test_ledger_matches_golden_digest(name):
     assert ledger_digest(WORLDS[name]()) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(WORLDS))
+def test_schedule_matches_timing_digest(name):
+    assert timing_digest(WORLDS[name]()) == TIMING_GOLDEN[name]
+
+
 def test_fault_world_actually_bites():
-    """The fault digest is only an oracle if every fault kind fired."""
-    injected = world_faults().fault_injector.injected
-    assert {"straggler", "outage", "degraded_link"} <= set(injected)
+    """A fault digest is only an oracle if every fault kind fired."""
+    for world in (world_faults, world_sequential_plain_bytes_under_faults):
+        injected = world().fault_injector.injected
+        assert {"straggler", "outage", "degraded_link"} <= set(injected)
 
 
 if __name__ == "__main__":  # pragma: no cover - digest recorder
     for world_name in WORLDS:
         sim = WORLDS[world_name]()
         print(f'    "{world_name}": "{ledger_digest(sim)}",  # {len(sim.timeline)} events')
+    for world_name in WORLDS:
+        print(f'    "{world_name}": "{timing_digest(WORLDS[world_name]())}",')

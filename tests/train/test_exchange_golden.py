@@ -17,6 +17,16 @@ multiset.  The one permitted observable difference of a fused backward
 exchange is the *order* of the backward ``pipeline.stats`` records
 (src-major before, owner-major after) — hence the sort.
 
+``timing`` pins the schedule alone — the sorted ``(rank, category,
+start, duration, stream)`` of every event plus the final stream clocks —
+and was recorded at ``2f6ed0b``, the last commit that priced the
+sequential exchange and the uncompressed all-to-alls outside the
+chunk-pipeline builder.  A change of ledger bookkeeping (args, release
+edges, recording order) may re-record ``ledger``; never ``timing``.
+The ``ledger`` digests of the four cases that run an uncompressed or a
+``overlap=False`` exchange were re-recorded when those exchanges moved
+onto the chunk-pipeline builder (chunk args, release edges, exchange ids).
+
 Run ``python tests/train/test_exchange_golden.py`` to print the digests of
 the current checkout (only ever paste them here from a commit whose
 exchanges are known good; never re-record them in a refactor).
@@ -104,6 +114,7 @@ def run_case(compress_backward: bool, overlap) -> dict[str, str]:
         )
         for e in timeline.events
     ]
+    clocks = [(s, [c.hex() for c in sim._streams[s]]) for s in sorted(sim._streams)]
     cache = pipe.codebook_cache
     stats = sorted(
         (s.iteration, s.table_id, s.codec, s.error_bound.hex(), s.original_nbytes, s.compressed_nbytes)
@@ -117,8 +128,9 @@ def run_case(compress_backward: bool, overlap) -> dict[str, str]:
         "ledger": _digest(
             ledger,
             [(c.name, c.time.hex(), c.value.hex()) for c in timeline.counters],
-            [(s, [c.hex() for c in sim._streams[s]]) for s in sorted(sim._streams)],
+            clocks,
         ),
+        "timing": _digest(sorted(event[:5] for event in ledger), clocks),
         "codebook_cache": _digest(
             cache.hits, cache.misses, cache.stale_refreshes, cache.coverage_misses, cache.shift_misses
         ),
@@ -130,12 +142,12 @@ def run_case(compress_backward: bool, overlap) -> dict[str, str]:
 CASES = [(cb, ov) for cb in (False, True) for ov in (False, True, "cross_stage")]
 
 GOLDEN: dict[tuple[bool, object], dict[str, str]] = {
-    (False, False): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '970dd5a625a1b8b620c550ad55b71910', 'sendbufs': '90f172bb71098fed9b6c8cc4887ea391', 'ledger': '01465a6e220d8e8c68b880a4dd184d15', 'codebook_cache': 'bb0965fda2d65d8e2a2f5badc4f37a7e', 'obs': '3b51d5280c10e9e8d7fd70916b98af18', 'stats': '8fa27ac7e1f21eb80cb29aabcb203a07'},
-    (False, True): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '970dd5a625a1b8b620c550ad55b71910', 'sendbufs': '90f172bb71098fed9b6c8cc4887ea391', 'ledger': '5fa84b09cc7484a6937e47405627b80f', 'codebook_cache': 'bb0965fda2d65d8e2a2f5badc4f37a7e', 'obs': 'cfc78c18f77e60002f4661ad9c9943b3', 'stats': '8fa27ac7e1f21eb80cb29aabcb203a07'},
-    (False, 'cross_stage'): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '970dd5a625a1b8b620c550ad55b71910', 'sendbufs': '90f172bb71098fed9b6c8cc4887ea391', 'ledger': 'f086a6a06d64c48c5cdf1df576c1151e', 'codebook_cache': 'bb0965fda2d65d8e2a2f5badc4f37a7e', 'obs': '61dce8276557cf50ea899af9514bfaf3', 'stats': '8fa27ac7e1f21eb80cb29aabcb203a07'},
-    (True, False): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '8684554feba9532be9e74f1795d9421a', 'sendbufs': '7b6aad9448c103da15a7bf9e807abe7d', 'ledger': 'cebac2c8698b9f37ab7131bd104b517d', 'codebook_cache': '3c684674936d98f7f623eba38d3ad210', 'obs': 'd77c1be5c5ac6f95047a34af3be65827', 'stats': 'e17426938b08af56687895fcb36ffa1f'},
-    (True, True): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '8684554feba9532be9e74f1795d9421a', 'sendbufs': '7b6aad9448c103da15a7bf9e807abe7d', 'ledger': '89ff95a721a99cccc127c97032495b45', 'codebook_cache': '3c684674936d98f7f623eba38d3ad210', 'obs': '0daa814c716dd691e47baf4da6203fd2', 'stats': 'e17426938b08af56687895fcb36ffa1f'},
-    (True, 'cross_stage'): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '8684554feba9532be9e74f1795d9421a', 'sendbufs': '7b6aad9448c103da15a7bf9e807abe7d', 'ledger': 'e606c03cb98b4f1a3147d30951ce2b6e', 'codebook_cache': '3c684674936d98f7f623eba38d3ad210', 'obs': 'bbb49dbfff69e010a61a6b08606526ad', 'stats': 'e17426938b08af56687895fcb36ffa1f'},
+    (False, False): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '970dd5a625a1b8b620c550ad55b71910', 'sendbufs': '90f172bb71098fed9b6c8cc4887ea391', 'ledger': 'edd097db79f55de4f657473ad2c27cb7', 'timing': '2f059014251c61a4f397b2dff8ff8744', 'codebook_cache': 'bb0965fda2d65d8e2a2f5badc4f37a7e', 'obs': '3b51d5280c10e9e8d7fd70916b98af18', 'stats': '8fa27ac7e1f21eb80cb29aabcb203a07'},
+    (False, True): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '970dd5a625a1b8b620c550ad55b71910', 'sendbufs': '90f172bb71098fed9b6c8cc4887ea391', 'ledger': 'dff5f69f79728e9c7d566f1ddceefd21', 'timing': 'f6a012fab44da490ac0860d814ce7084', 'codebook_cache': 'bb0965fda2d65d8e2a2f5badc4f37a7e', 'obs': 'cfc78c18f77e60002f4661ad9c9943b3', 'stats': '8fa27ac7e1f21eb80cb29aabcb203a07'},
+    (False, 'cross_stage'): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '970dd5a625a1b8b620c550ad55b71910', 'sendbufs': '90f172bb71098fed9b6c8cc4887ea391', 'ledger': '7cb45187b3c17a58ea0eafe12cce4d4c', 'timing': '4ee7479153d910705a98c2e3378be7ed', 'codebook_cache': 'bb0965fda2d65d8e2a2f5badc4f37a7e', 'obs': '61dce8276557cf50ea899af9514bfaf3', 'stats': '8fa27ac7e1f21eb80cb29aabcb203a07'},
+    (True, False): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '8684554feba9532be9e74f1795d9421a', 'sendbufs': '7b6aad9448c103da15a7bf9e807abe7d', 'ledger': 'b8da7a6bfc14c8f980477de4af1ef5a5', 'timing': 'f9b221c9bf4b6f5163ccb2437213b951', 'codebook_cache': '3c684674936d98f7f623eba38d3ad210', 'obs': 'd77c1be5c5ac6f95047a34af3be65827', 'stats': 'e17426938b08af56687895fcb36ffa1f'},
+    (True, True): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '8684554feba9532be9e74f1795d9421a', 'sendbufs': '7b6aad9448c103da15a7bf9e807abe7d', 'ledger': '89ff95a721a99cccc127c97032495b45', 'timing': '0cbb7cb0c179371c3023b6681585b484', 'codebook_cache': '3c684674936d98f7f623eba38d3ad210', 'obs': '0daa814c716dd691e47baf4da6203fd2', 'stats': 'e17426938b08af56687895fcb36ffa1f'},
+    (True, 'cross_stage'): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '8684554feba9532be9e74f1795d9421a', 'sendbufs': '7b6aad9448c103da15a7bf9e807abe7d', 'ledger': 'e606c03cb98b4f1a3147d30951ce2b6e', 'timing': '077948323246861e79e45837a5a668fe', 'codebook_cache': '3c684674936d98f7f623eba38d3ad210', 'obs': 'bbb49dbfff69e010a61a6b08606526ad', 'stats': 'e17426938b08af56687895fcb36ffa1f'},
 }
 
 
