@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.compression.bitstream import _reference_pack_codes, pack_codes, padded_stream, word_table
 from repro.compression.cache import LruCache
+from repro.compression.serialization import CorruptPayloadError
 
 __all__ = [
     "huffman_code_lengths",
@@ -53,8 +54,10 @@ DEFAULT_CHUNK_SYMBOLS = 4096
 #: decode-side peek tables keyed by the payload's code-length table; a flat
 #: 2**max_length table is expensive to rebuild and identical across all
 #: payloads produced by the same codebook (every iteration of a cached
-#: table, every chunk of a batch).
-_PEEK_TABLE_CACHE = LruCache(32)
+#: table, every chunk of a batch).  A served entropy table holds one
+#: codebook per row block (54 in the ``publish_serve`` world, where 32
+#: entries missed on ~40% of decodes), so the cache holds several such tables.
+_PEEK_TABLE_CACHE = LruCache(128)
 
 
 def _reference_huffman_code_lengths(freqs: np.ndarray) -> np.ndarray:
@@ -477,12 +480,23 @@ def _sliding_windows(padded: np.ndarray, start_bit: int, count: int, width: int)
     return windows[offset : offset + count]
 
 
+def _check_bits_cover_symbols(total_bits: int, total_symbols: int) -> None:
+    """With two or more coded symbols every code is at least one bit, so a
+    body of fewer bits than declared symbols cannot be what was encoded."""
+    if total_bits < total_symbols:
+        raise CorruptPayloadError(
+            f"corrupt Huffman stream: {total_bits} body bits cannot hold "
+            f"{total_symbols} symbols of at least one bit each"
+        )
+
+
 def _peek_tables_for(code_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """``(table_sym, table_len, max_len)`` for a length table, LRU-cached.
 
     ``table_sym`` is mapped back onto the full alphabet.  The same codebook
     recurs across chunks, iterations, and tables, so the flat
     ``2**max_length`` table is built once per distinct length table.
+    Callers widen what they gather from ``table_sym`` to int64.
     """
     key = code_lengths.tobytes()
     cached = _PEEK_TABLE_CACHE.get(key)
@@ -494,9 +508,11 @@ def _peek_tables_for(code_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     )
     max_len = dense_book.max_length
     table_sym, table_len = dense_book.peek_table()
-    table_sym = used[table_sym]
-    # uint8 lengths (max 57 bits) keep the per-bit-offset gather small.
-    value = (table_sym, table_len.astype(np.uint8), max_len)
+    # int32 symbols (a full alphabet ships one length byte per symbol, so a
+    # payload under 2 GiB cannot name a wider one) and uint8 lengths (max 57
+    # bits) keep a cached table small and the per-bit-offset gathers cheap.
+    sym_dtype = np.int32 if code_lengths.size <= np.iinfo(np.int32).max else np.int64
+    value = (used.astype(sym_dtype)[table_sym], table_len.astype(np.uint8), max_len)
     _PEEK_TABLE_CACHE.put(key, value)
     return value
 
@@ -524,8 +540,9 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     if used.size == 1:
         # Mirror of the encoder's single-symbol fast path.
         return np.full(encoded.total_symbols, int(used[0]), dtype=np.int64)
-    table_sym, table_len, max_len = _peek_tables_for(lengths)
     total_bits = encoded.payload.size * 8
+    _check_bits_cover_symbols(total_bits, encoded.total_symbols)
+    table_sym, table_len, max_len = _peek_tables_for(lengths)
     padded = padded_stream(encoded.payload, 8)
     windows = _sliding_windows(padded, 0, total_bits, max_len)
     steps = np.take(table_len, windows)  # uint8: code length at every bit offset
@@ -588,7 +605,7 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     peek_steps = np.take(steps, seq_clamped)
     if (peek_steps == 0).any() or (seq == total_bits).any():
         raise ValueError("corrupt Huffman stream: peek hit an unassigned code")
-    return np.take(table_sym, np.take(windows, seq_clamped))
+    return np.take(table_sym, np.take(windows, seq_clamped)).astype(np.int64)
 
 
 def huffman_decode_rows(encoded: HuffmanEncoded, rows: Sequence[int], dim: int) -> np.ndarray:
@@ -618,8 +635,9 @@ def huffman_decode_rows(encoded: HuffmanEncoded, rows: Sequence[int], dim: int) 
     if used.size == 1:
         # Mirror of the encoder's single-symbol fast path.
         return np.full((len(rows), dim), int(used[0]), dtype=np.int64)
-    table_sym, table_len, max_len = _peek_tables_for(lengths)
     total_bits = encoded.payload.size * 8
+    _check_bits_cover_symbols(total_bits, encoded.total_symbols)
+    table_sym, table_len, max_len = _peek_tables_for(lengths)
     starts = encoded.chunk_bit_offsets.tolist()
     if not starts:
         raise ValueError("corrupt Huffman stream: symbols recorded but no chunks")
@@ -672,7 +690,7 @@ def huffman_decode_rows(encoded: HuffmanEncoded, rows: Sequence[int], dim: int) 
             raise ValueError("corrupt Huffman stream: peek hit an unassigned code")
         decoded.append(np.take(table_sym, np.take(windows, peeked)))
     # Stream order is row-major order of the distinct rows.
-    out = np.concatenate(decoded).reshape(len(distinct), dim)
+    out = np.concatenate(decoded, dtype=np.int64).reshape(len(distinct), dim)
     slot_of = {row: slot for slot, row in enumerate(distinct)}
     return out[[slot_of[row] for row in rows]]
 

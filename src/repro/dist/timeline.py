@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -49,6 +50,7 @@ __all__ = [
     "COMPUTE_STREAM",
     "COMM_STREAM",
     "OBS_STREAM",
+    "MAX_SECONDS",
 ]
 
 
@@ -104,6 +106,10 @@ COMM_STREAM = "comm"
 #: on the real streams, so :meth:`Timeline.total_by_category` and the
 #: profiling reports exclude them to avoid double counting.
 OBS_STREAM = "obs"
+#: the bound on every time a ledger holds, in seconds: the chrome-trace
+#: export writes microseconds, and a larger time would overflow to
+#: ``Infinity``, which is not JSON
+MAX_SECONDS = sys.float_info.max / 1e6
 
 
 @dataclass(frozen=True, eq=True)
@@ -154,14 +160,14 @@ class CounterSample:
 def _check_event(rank: int, start: float, duration: float) -> None:
     """The one validity rule for a ledger entry, shared by
     :meth:`Timeline.record` and :meth:`Timeline.record_batch`: a
-    non-negative rank and finite, non-negative times (the chained
+    non-negative rank and times in ``[0, MAX_SECONDS)`` (the chained
     comparisons are False for NaN, which ``x < 0`` alone lets through)."""
     if rank < 0:
         raise ValueError(f"rank must be >= 0, got {rank!r}")
-    if not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
-    if not 0.0 <= start < math.inf:
-        raise ValueError(f"start must be finite and >= 0, got {start!r}")
+    if not 0.0 <= duration < MAX_SECONDS:
+        raise ValueError(f"duration must be finite, >= 0 and < MAX_SECONDS, got {duration!r}")
+    if not 0.0 <= start < MAX_SECONDS:
+        raise ValueError(f"start must be finite, >= 0 and < MAX_SECONDS, got {start!r}")
 
 
 def _checked_edges(
@@ -270,10 +276,10 @@ class Timeline:
             )
         valid = (
             (rank_arr >= 0)
-            & np.isfinite(start_arr)
             & (start_arr >= 0)
-            & np.isfinite(duration_arr)
+            & (start_arr < MAX_SECONDS)
             & (duration_arr >= 0)
+            & (duration_arr < MAX_SECONDS)
         )
         if not valid.all():
             bad = int(np.argmin(valid))  # first offender, as record() would hit it
@@ -311,11 +317,16 @@ class Timeline:
         return events
 
     def record_counter(self, name: str, time: float, value: float) -> CounterSample:
-        """Append one sample to the named counter track and return it."""
+        """Append one sample to the named counter track and return it.
+
+        ``time`` follows :meth:`record`'s rule for a start and ``value``
+        must be finite, so the chrome-trace export stays valid JSON."""
         if not name:
             raise ValueError("counter name must be non-empty")
-        if time < 0:
-            raise ValueError(f"time must be >= 0, got {time!r}")
+        if not 0.0 <= time < MAX_SECONDS:
+            raise ValueError(f"time must be finite, >= 0 and < MAX_SECONDS, got {time!r}")
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"value must be finite, got {value!r}")
         sample = CounterSample(name=str(name), time=float(time), value=float(value))
         self.counters.append(sample)
         return sample

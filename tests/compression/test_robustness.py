@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.compression import available_compressors, decompress_any, get_compressor
-from repro.compression.base import MAGIC, parse_payload
+from repro.compression.base import MAGIC, frame_payload, parse_payload
 from repro.compression.serialization import CorruptPayloadError
 from tests.conftest import make_hot_batch
 
@@ -176,6 +176,23 @@ class TestCorruptPayloads:
                 flipped = mangled[at] ^ (1 << int(rng.integers(8)))
                 mangled[at] = int(rng.integers(256)) if trial % 2 else flipped
             _check_row_decodes(payload, bytes(mangled), batch.shape)
+
+
+class TestShortEntropyBody:
+    @pytest.mark.parametrize("body", [b"", b"\xff"])
+    def test_too_few_body_bits_for_the_declared_symbols(self, body):
+        """An entropy frame whose code table holds two or more symbols
+        needs at least one body bit per symbol.  An empty body once leaked
+        ``IndexError`` from the full decode's peek gather."""
+        rng = np.random.default_rng(0)
+        payload = get_compressor("entropy").compress(rng.normal(0.0, 0.1, size=(64, 32)), 1e-2)
+        header, _ = parse_payload(payload)
+        assert np.count_nonzero(header["code_lengths"]) >= 2
+        meta = {k: v for k, v in header.items() if k not in ("codec", "dtype", "shape")}
+        short = frame_payload("entropy", (64, 32), np.dtype(header["dtype"]), meta, body)
+        for selected in (None, np.array([0]), np.array([63, 1])):
+            with pytest.raises(CorruptPayloadError, match="body bits"):
+                decompress_any(short, rows=selected)
 
 
 class TestFlippedBitsRaiseCorruptPayloadError:

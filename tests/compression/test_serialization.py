@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.compression import EntropyCompressor, Fp16Compressor, decompress_any
+from repro.compression.base import MAGIC, PARSE_CACHE_MAX_BYTES, _parse_frame, parse_payload
 from repro.compression.serialization import (
     CorruptPayloadError,
     pack_meta,
@@ -207,6 +209,99 @@ class TestPackMeta:
         assert meta1 == {"a": 1}
         assert meta2 == {"b": "x"}
         assert end == len(blob)
+
+
+def _entropy_payload(seed: int = 3) -> bytes:
+    """A frame whose header holds arrays (code lengths, chunk offsets)."""
+    rows = np.random.default_rng(seed).normal(0.0, 0.1, size=(64, 16)).astype(np.float32)
+    return EntropyCompressor().compress(rows, 1e-2)
+
+
+def _assert_headers_equal(header: dict, expected: dict) -> None:
+    assert list(header) == list(expected)
+    for key, value in expected.items():
+        if isinstance(value, np.ndarray):
+            assert header[key].dtype == value.dtype
+            np.testing.assert_array_equal(header[key], value)
+        else:
+            assert header[key] == value
+
+
+class TestParseMemo:
+    """``parse_payload`` memoises the parse of a ``bytes`` frame by content."""
+
+    def test_a_hit_equals_a_fresh_parse(self):
+        payload = _entropy_payload()
+        parse_payload(payload)
+        hits = _parse_frame.cache_info().hits
+        header, body = parse_payload(payload)
+        assert _parse_frame.cache_info().hits == hits + 1
+        fresh, pos = unpack_meta(payload, 1)
+        _assert_headers_equal(header, fresh)
+        assert bytes(body) == payload[pos:]
+        assert body.obj is payload
+
+    def test_returned_headers_are_private_and_their_arrays_read_only(self):
+        payload = _entropy_payload()
+        header, _ = parse_payload(payload)
+        header["eb"] = 99.0
+        header["extra"] = 1
+        del header["code_min"]
+        with pytest.raises(ValueError, match="read-only"):
+            header["code_lengths"][0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            header["shape"][:] = 0
+        again, _ = parse_payload(payload)
+        _assert_headers_equal(again, unpack_meta(payload, 1)[0])
+        with pytest.raises(CorruptPayloadError, match="no 'extra' field"):
+            again["extra"]
+
+    def test_a_corrupt_frame_raises_on_every_call(self):
+        payload = _entropy_payload()
+        truncated = payload[:12]
+        bad_magic = bytes([MAGIC ^ 0xFF]) + payload[1:]
+        for _ in range(3):
+            with pytest.raises(CorruptPayloadError, match="at byte"):
+                parse_payload(truncated)
+            with pytest.raises(ValueError, match="magic"):
+                parse_payload(bad_magic)
+
+    def test_equal_content_in_distinct_objects_parses_equal(self):
+        payload = _entropy_payload()
+        twin = bytes(bytearray(payload))
+        assert twin is not payload and twin == payload
+        header, body = parse_payload(payload)
+        twin_header, twin_body = parse_payload(twin)
+        _assert_headers_equal(twin_header, header)
+        assert bytes(twin_body) == bytes(body)
+        assert twin_body.obj is twin and body.obj is payload
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_other_buffers_parse_as_before(self, wrap):
+        payload = _entropy_payload()
+        header, body = parse_payload(wrap(payload))
+        fresh, pos = unpack_meta(payload, 1)
+        _assert_headers_equal(header, fresh)
+        assert bytes(body) == payload[pos:]
+        assert header["code_lengths"].flags.writeable
+        np.testing.assert_array_equal(decompress_any(wrap(payload)), decompress_any(payload))
+
+    def test_a_frame_past_the_size_cap_is_parsed_afresh(self):
+        rows = np.random.default_rng(5).normal(size=(1024, 64)).astype(np.float32)
+        big = Fp16Compressor().compress(rows)
+        assert len(big) > PARSE_CACHE_MAX_BYTES
+        before = _parse_frame.cache_info()
+        header, body = parse_payload(big)
+        assert _parse_frame.cache_info() == before
+        _assert_headers_equal(header, unpack_meta(big, 1)[0])
+        assert header["shape"].flags.writeable and body.obj is big
+
+    def test_a_bytearray_rewritten_in_place_parses_its_new_content(self):
+        first, second = _entropy_payload(3), _entropy_payload(4)
+        buffer = bytearray(first)
+        parse_payload(buffer)
+        buffer[:] = second
+        _assert_headers_equal(parse_payload(buffer)[0], unpack_meta(second, 1)[0])
 
 
 class TestChecksumFrame:

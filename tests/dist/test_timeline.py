@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -283,6 +284,48 @@ class TestChromeTrace:
     def test_empty_timeline_exports_cleanly(self):
         trace = Timeline().to_chrome_trace()
         assert [e["ph"] for e in trace["traceEvents"]] == ["M"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        events=st.lists(st.tuples(st.floats(), st.floats()), max_size=6),
+        counters=st.lists(st.tuples(st.floats(), st.floats()), max_size=6),
+    )
+    def test_every_accepted_ledger_exports_strict_json(self, events, counters):
+        """Law: whatever ``record`` and ``record_counter`` accept — any
+        float, NaN, infinities and the largest finite ones included —
+        exports with no ``NaN`` / ``Infinity`` token, and the JSON reads
+        back into the same ledger."""
+        tl = Timeline()
+        for start, duration in events:
+            try:
+                tl.record(0, EventCategory.COMPRESS, start, duration)
+            except ValueError:
+                assert not 0.0 <= start * 1e6 < math.inf or not 0.0 <= duration * 1e6 < math.inf
+        for time, value in counters:
+            try:
+                tl.record_counter("depth", time, value)
+            except ValueError:
+                assert not 0.0 <= time * 1e6 < math.inf or not math.isfinite(value)
+        text = json.dumps(tl.to_chrome_trace(), allow_nan=False)
+        back = Timeline.from_chrome_trace(json.loads(text))
+        assert len(back.events) == len(tl.events) and len(back.counters) == len(tl.counters)
+        assert [s.value for s in back.counters] == [s.value for s in tl.counters]
+
+    def test_largest_accepted_time_exports_finite(self):
+        from repro.dist.timeline import MAX_SECONDS
+
+        largest = float(np.nextafter(MAX_SECONDS, 0.0))
+        tl = Timeline()
+        tl.record(0, EventCategory.COMPRESS, largest, largest)
+        tl.record_counter("depth", largest, 1.0)
+        for bad in (MAX_SECONDS, 1e305):
+            with pytest.raises(ValueError, match="start"):
+                tl.record(0, EventCategory.COMPRESS, bad, 0.0)
+            with pytest.raises(ValueError, match="duration"):
+                tl.record_batch([0], EventCategory.COMPRESS, [0.0], [bad])
+            with pytest.raises(ValueError, match="time"):
+                tl.record_counter("depth", bad, 1.0)
+        json.dumps(tl.to_chrome_trace(), allow_nan=False)
 
 
 class TestStreamLanes:

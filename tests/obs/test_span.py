@@ -9,6 +9,7 @@ already charged without double counting.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -128,6 +129,19 @@ class TestTimelineCounterTracks:
             timeline.record_counter("", 0.0, 1.0)
         with pytest.raises(ValueError):
             timeline.record_counter("depth", -1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_or_value_rejected(self, bad):
+        """Regression: ``nan < 0`` is False, so a NaN time (and any
+        non-finite value) used to be accepted and exported as a ``NaN`` /
+        ``Infinity`` token, which no JSON parser reads."""
+        timeline = Timeline()
+        with pytest.raises(ValueError, match="time"):
+            timeline.record_counter("depth", bad, 1.0)
+        with pytest.raises(ValueError, match="value"):
+            timeline.record_counter("depth", 1.0, bad)
+        assert timeline.counters == []
+        json.dumps(timeline.to_chrome_trace(), allow_nan=False)
 
     def test_counter_names(self):
         timeline = Timeline()

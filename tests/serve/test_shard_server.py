@@ -246,6 +246,28 @@ class TestUpdates:
         server.set_table(0, table)
         np.testing.assert_array_equal(server.table_array(0), before)
 
+    @pytest.mark.parametrize(
+        "codec,bound",
+        [("vector_lz", 1e-2), ("entropy", 1e-2), ("hybrid", 1e-2), ("lz4_like", 0.0)],
+    )
+    def test_set_table_after_warm_pulls_serves_the_new_rows(self, codec, bound):
+        """Pulls memoise each stored block's parsed frame; a block that
+        ``set_table`` re-encodes is a new payload, so the next pull decodes
+        the new rows and the untouched blocks keep theirs."""
+        table = make_table()
+        server = EmbeddingShardServer({0: table}, bound, codec, rows_per_block=64)
+        ids = np.array([3, 70, 199])
+        for _ in range(3):
+            warm = server.lookup_rows(0, ids)
+        new = table.copy()
+        new[64:128] += 0.5  # block 1 only
+        server.set_table(0, new)
+        rows = server.lookup_rows(0, ids)
+        assert np.abs(rows - new[ids]).max() <= bound * (1 + 1e-6)
+        np.testing.assert_array_equal(rows[[0, 2]], warm[[0, 2]])
+        assert np.abs(rows[1] - warm[1]).min() > 0.4
+        np.testing.assert_array_equal(server.table_array(0)[ids], rows)
+
     def test_set_table_shape_mismatch(self):
         server = EmbeddingShardServer({0: make_table()})
         with pytest.raises(ValueError, match="expected shape"):
