@@ -6,7 +6,7 @@ plus from-scratch implementations of every baseline it compares against.
 """
 
 from repro.compression.base import Compressor, parse_payload
-from repro.compression.cache import EncoderPinCache, LruCache, TableCodebookCache
+from repro.compression.cache import EncoderPinCache, LruCache
 from repro.compression.calibration import calibrate_profile
 from repro.compression.baselines import (
     CuszLikeCompressor,
@@ -87,7 +87,6 @@ __all__ = [
     "decompress_any",
     "calibrate_profile",
     "LruCache",
-    "TableCodebookCache",
     "EncoderPinCache",
     "CorruptPayloadError",
     "frame_with_checksum",

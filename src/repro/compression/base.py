@@ -190,13 +190,14 @@ class Compressor(ABC):
     def compress(self, array: np.ndarray, error_bound: float | None = None, *, key=None) -> bytes:
         """Compress a 2-D float batch into a self-describing payload.
 
-        ``key`` is a stable per-stream identity (e.g. a table id): stateful
-        codecs reuse work across calls with the same key (cached codebooks,
-        pinned encoder choices), stateless codecs ignore it, and the bytes
-        stay self-describing either way.
+        ``key`` is a stable per-stream identity (e.g. a table id), so callers
+        that serve any codec (the shard server, the publisher) can pass it
+        uniformly.  Its one reader is :class:`~repro.compression.hybrid.HybridCompressor`,
+        whose pin cache replays a table's winning leg; every other codec
+        ignores it, and the bytes stay self-describing either way.
         """
         array = self._validate(array, error_bound)
-        meta, body = self._compress_body(array, error_bound, key)
+        meta, body = self._compress_body(array, error_bound)
         return b"".join(frame_parts(self.name, array.shape, array.dtype, meta, body))
 
     def decompress(self, payload: bytes | memoryview) -> np.ndarray:
@@ -247,12 +248,10 @@ class Compressor(ABC):
 
     @abstractmethod
     def _compress_body(
-        self, array: np.ndarray, error_bound: float | None, key=None
+        self, array: np.ndarray, error_bound: float | None
     ) -> tuple[dict[str, Any], Any]:
         """Return ``(codec_meta, body)`` for a validated input.
 
-        ``key`` is :meth:`compress`'s per-stream identity (``None`` when the
-        caller gave none); only codecs that keep per-stream state read it.
         ``body`` is a single buffer (bytes/memoryview/contiguous ndarray)
         or a list of such parts; the framer joins parts with one copy.
         """

@@ -61,7 +61,7 @@ class CuszLikeCompressor(Compressor):
     lossy = True
     error_bounded = True
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None, key=None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
         codes = quantize(array, float(error_bound))
         residuals = lorenzo_residuals_2d(codes)
         res_min = int(residuals.min()) if residuals.size else 0

@@ -2,18 +2,11 @@
 
 DLRM training calls the compressors once per (table, destination) slice on
 every iteration, and consecutive batches from the same table have nearly
-identical value distributions.  Three caches exploit that:
+identical value distributions.  Two caches exploit that:
 
 * :class:`LruCache` — a small bounded mapping used for decode-side peek
   tables (rebuilding a ``2**max_length`` flat table per payload is pure
   waste when the codebook repeats across chunks and iterations).
-* :class:`TableCodebookCache` — encode-side canonical codebooks reused
-  across iterations per table, with a staleness/refresh policy: a cached
-  codebook is reused while it still covers every symbol in the new batch
-  and is younger than ``refresh_every`` uses, then rebuilt from fresh
-  frequencies.  Reuse trades a few payload bits (the codebook is tuned to a
-  slightly older distribution) for skipping the heap-based tree build;
-  payloads stay self-describing, so decoding is unaffected.
 * :class:`EncoderPinCache` — the hybrid compressor's ``auto`` mode tries
   both lossless legs and keeps the smaller payload.  Per-table winners are
   extremely stable (Table V), so the pin cache records the winner and
@@ -27,12 +20,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-import numpy as np
-
 __all__ = [
     "LruCache",
-    "CachedCodebook",
-    "TableCodebookCache",
     "EncoderPin",
     "EncoderPinCache",
 ]
@@ -69,87 +58,6 @@ class LruCache:
 
     def clear(self) -> None:
         self._entries.clear()
-
-
-@dataclass
-class CachedCodebook:
-    """A full-alphabet canonical codebook plus its reuse age.
-
-    ``code_min`` records the offset shift of the batch the book was built
-    from: dense symbol ``s`` means raw quantized bin ``s + code_min``.  A
-    batch with a different shift indexes the same table with misaligned
-    meanings, so reuse requires the shifts to match.
-    """
-
-    lengths: np.ndarray  # int64 per symbol, 0 = no code
-    codes: np.ndarray  # uint64 per symbol
-    code_min: int = 0
-    age: int = 0
-
-    def covers(self, symbols: np.ndarray) -> bool:
-        """True when every symbol in ``symbols`` has an assigned code."""
-        if symbols.size == 0:
-            return True
-        if int(symbols.max()) >= self.lengths.size:
-            return False
-        return bool((self.lengths[symbols] > 0).all())
-
-
-class TableCodebookCache:
-    """Per-table Huffman codebooks reused across iterations.
-
-    ``lookup`` returns a cached codebook only when it is *safe* (covers
-    every symbol of the new batch — guaranteeing an exact roundtrip) and
-    *fresh enough* (reused fewer than ``refresh_every`` times since built).
-    """
-
-    def __init__(self, refresh_every: int = 8, max_tables: int = 256):
-        if refresh_every < 1:
-            raise ValueError(f"refresh_every must be >= 1, got {refresh_every}")
-        self.refresh_every = int(refresh_every)
-        self._books = LruCache(max_tables)
-        self.hits = 0
-        self.misses = 0
-        self.stale_refreshes = 0
-        self.coverage_misses = 0
-        self.shift_misses = 0
-
-    def lookup(
-        self, key: Hashable, symbols: np.ndarray, code_min: int = 0
-    ) -> CachedCodebook | None:
-        entry: CachedCodebook | None = self._books.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        if entry.age >= self.refresh_every:
-            self.stale_refreshes += 1
-            return None
-        if entry.code_min != code_min:
-            # Same dense indices, different bin meanings: applying the
-            # cached book would be misaligned (bigger payloads, still an
-            # exact roundtrip).  Rebuild instead.
-            self.shift_misses += 1
-            return None
-        if not entry.covers(symbols):
-            self.coverage_misses += 1
-            return None
-        entry.age += 1
-        self.hits += 1
-        return entry
-
-    def store(
-        self, key: Hashable, lengths: np.ndarray, codes: np.ndarray, code_min: int = 0
-    ) -> CachedCodebook:
-        entry = CachedCodebook(
-            lengths=np.asarray(lengths, dtype=np.int64).copy(),
-            codes=np.asarray(codes, dtype=np.uint64).copy(),
-            code_min=int(code_min),
-        )
-        self._books.put(key, entry)
-        return entry
-
-    def clear(self) -> None:
-        self._books.clear()
 
 
 @dataclass

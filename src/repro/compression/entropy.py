@@ -6,12 +6,8 @@ concentrate into few bins, which canonical Huffman exploits directly —
 *without* a prediction stage, per observation ❶ (false prediction: Lorenzo
 predictors turn identical vectors into distinct residuals and raise entropy).
 
-When constructed with a :class:`~repro.compression.cache.TableCodebookCache`
-and called with ``compress(..., key=table_id)``, the canonical codebook
-built for a table is reused across iterations while it still covers the new
-batch's symbols and is within the cache's refresh window — skipping the
-Huffman tree construction on the training hot path.  Payloads always ship
-their code-length table, so decompression is oblivious to caching.
+Encoding is stateless: each batch gets the canonical codebook built from its
+own symbol frequencies, and the payload ships that book's code-length table.
 """
 
 from __future__ import annotations
@@ -21,16 +17,13 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.compression.base import Compressor
-from repro.compression.cache import TableCodebookCache
 from repro.compression.huffman import (
     DEFAULT_CHUNK_SYMBOLS,
     DEFAULT_MAX_CODE_LENGTH,
     HuffmanEncoded,
-    canonical_codes,
     huffman_decode,
     huffman_decode_rows,
     huffman_encode,
-    huffman_encode_with_book,
 )
 from repro.compression.quantizer import quantize_batch
 
@@ -47,9 +40,6 @@ class EntropyCompressor(Compressor):
     chunk_symbols:
         Symbols per independently decodable chunk, mirroring the paper's
         chunk-parallel GPU decompression.
-    codebook_cache:
-        Optional per-table codebook reuse across iterations; only active
-        for ``compress`` calls that pass ``key=``.
     """
 
     name = "entropy"
@@ -61,7 +51,6 @@ class EntropyCompressor(Compressor):
         self,
         max_code_length: int = DEFAULT_MAX_CODE_LENGTH,
         chunk_symbols: int = DEFAULT_CHUNK_SYMBOLS,
-        codebook_cache: TableCodebookCache | None = None,
     ):
         if max_code_length < 1:
             raise ValueError(f"max_code_length must be >= 1, got {max_code_length}")
@@ -69,40 +58,15 @@ class EntropyCompressor(Compressor):
             raise ValueError(f"chunk_symbols must be >= 1, got {chunk_symbols}")
         self.max_code_length = int(max_code_length)
         self.chunk_symbols = int(chunk_symbols)
-        self.codebook_cache = codebook_cache
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None, key=None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
         batch = quantize_batch(array, float(error_bound))
-        symbols = batch.codes.ravel()
-        cache = self.codebook_cache
-        cacheable = cache is not None and key is not None and symbols.size > 0
-        encoded = None
-        if cacheable:
-            entry = cache.lookup(key, symbols, batch.code_min)
-            if entry is not None:
-                # lookup() already established coverage; skip re-validation.
-                encoded = huffman_encode_with_book(
-                    symbols,
-                    entry.lengths,
-                    entry.codes,
-                    chunk_symbols=self.chunk_symbols,
-                    validate=False,
-                )
-        if encoded is None:
-            encoded = huffman_encode(
-                batch.codes,
-                batch.alphabet_size,
-                max_code_length=self.max_code_length,
-                chunk_symbols=self.chunk_symbols,
-            )
-            if cacheable:
-                used = np.flatnonzero(encoded.code_lengths)
-                if used.size >= 2:
-                    # Degenerate single-symbol books are cheaper rebuilt (the
-                    # fresh encoder emits zero payload bits for them).
-                    codes = np.zeros(encoded.code_lengths.size, dtype=np.uint64)
-                    codes[used] = canonical_codes(encoded.code_lengths[used])
-                    cache.store(key, encoded.code_lengths, codes, batch.code_min)
+        encoded = huffman_encode(
+            batch.codes,
+            batch.alphabet_size,
+            max_code_length=self.max_code_length,
+            chunk_symbols=self.chunk_symbols,
+        )
         meta = {
             "eb": batch.error_bound,
             "code_min": batch.code_min,

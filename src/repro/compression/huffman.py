@@ -41,7 +41,6 @@ __all__ = [
     "build_codebook",
     "HuffmanEncoded",
     "huffman_encode",
-    "huffman_encode_with_book",
     "huffman_decode",
     "huffman_decode_rows",
     "DEFAULT_MAX_CODE_LENGTH",
@@ -53,8 +52,8 @@ DEFAULT_CHUNK_SYMBOLS = 4096
 
 #: decode-side peek tables keyed by the payload's code-length table; a flat
 #: 2**max_length table is expensive to rebuild and identical across all
-#: payloads produced by the same codebook (every iteration of a cached
-#: table, every chunk of a batch).  A served entropy table holds one
+#: decodes of the same codebook (every chunk of a batch, every pull of a
+#: stored block).  A served entropy table holds one
 #: codebook per row block (54 in the ``publish_serve`` world, where 32
 #: entries missed on ~40% of decodes), so the cache holds several such tables.
 _PEEK_TABLE_CACHE = LruCache(128)
@@ -335,21 +334,6 @@ def huffman_encode(
     codes = np.zeros(alphabet_size, dtype=np.uint64)
     lengths[used] = dense_book.lengths
     codes[used] = dense_book.codes
-    return _encode_with_tables(symbols, lengths, codes, chunk_symbols)
-
-
-def _chunk_layout(n_symbols: int, chunk_symbols: int) -> np.ndarray:
-    """Per-chunk symbol counts: full chunks plus a short tail."""
-    n_chunks = (n_symbols + chunk_symbols - 1) // chunk_symbols
-    chunk_counts = np.full(n_chunks, chunk_symbols, dtype=np.int64)
-    chunk_counts[-1] = n_symbols - chunk_symbols * (n_chunks - 1)
-    return chunk_counts
-
-
-def _encode_with_tables(
-    symbols: np.ndarray, lengths: np.ndarray, codes: np.ndarray, chunk_symbols: int
-) -> HuffmanEncoded:
-    """Pack ``symbols`` with prebuilt full-alphabet length/code tables."""
     sym_codes = codes[symbols]
     sym_lengths = lengths[symbols]
     # Chunk boundaries in symbol space; bit offsets come from the cumsum.
@@ -369,49 +353,12 @@ def _encode_with_tables(
     )
 
 
-def huffman_encode_with_book(
-    symbols: np.ndarray,
-    lengths: np.ndarray,
-    codes: np.ndarray,
-    *,
-    chunk_symbols: int = DEFAULT_CHUNK_SYMBOLS,
-    validate: bool = True,
-) -> HuffmanEncoded:
-    """Entropy-code with a prebuilt (possibly cached/stale) codebook.
-
-    ``lengths``/``codes`` are full-alphabet canonical tables, e.g. from a
-    :class:`repro.compression.cache.TableCodebookCache`.  Every symbol must
-    have an assigned code (length > 0); the caller is responsible for
-    falling back to :func:`huffman_encode` when coverage fails.  The stream
-    ships the supplied length table, so decoding works unchanged.
-
-    Pass ``validate=False`` when coverage was already established (e.g. a
-    codebook-cache hit, whose lookup performed the same O(n) check) to
-    skip the redundant range/coverage gathers on the hot path.
-    """
-    symbols = np.asarray(symbols, dtype=np.int64).ravel()
-    lengths = np.asarray(lengths, dtype=np.int64)
-    codes = np.asarray(codes, dtype=np.uint64)
-    if lengths.shape != codes.shape:
-        raise ValueError(f"lengths/codes shape mismatch: {lengths.shape} vs {codes.shape}")
-    if chunk_symbols < 1:
-        raise ValueError(f"chunk_symbols must be >= 1, got {chunk_symbols}")
-    if symbols.size == 0:
-        return HuffmanEncoded(
-            payload=np.zeros(0, dtype=np.uint8),
-            code_lengths=lengths,
-            chunk_bit_offsets=np.zeros(0, dtype=np.uint64),
-            chunk_symbol_counts=np.zeros(0, dtype=np.int64),
-            total_symbols=0,
-        )
-    if validate:
-        if symbols.min() < 0 or symbols.max() >= lengths.size:
-            raise ValueError(
-                f"symbols out of range [0, {lengths.size}): [{symbols.min()}, {symbols.max()}]"
-            )
-        if (lengths[symbols] == 0).any():
-            raise ValueError("codebook does not cover every symbol in the stream")
-    return _encode_with_tables(symbols, lengths, codes, chunk_symbols)
+def _chunk_layout(n_symbols: int, chunk_symbols: int) -> np.ndarray:
+    """Per-chunk symbol counts: full chunks plus a short tail."""
+    n_chunks = (n_symbols + chunk_symbols - 1) // chunk_symbols
+    chunk_counts = np.full(n_chunks, chunk_symbols, dtype=np.int64)
+    chunk_counts[-1] = n_symbols - chunk_symbols * (n_chunks - 1)
+    return chunk_counts
 
 
 def _reference_huffman_encode(

@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from repro.compression.base import Compressor, parse_payload
-from repro.compression.cache import EncoderPinCache, TableCodebookCache
+from repro.compression.cache import EncoderPinCache
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.vector_lz import DEFAULT_WINDOW, VectorLZCompressor
 from repro.obs.runtime import OBS
@@ -51,13 +51,12 @@ class HybridCompressor(Compressor):
         max_code_length: int | None = None,
         chunk_symbols: int | None = None,
         pin_refresh: int | None = None,
-        codebook_cache: TableCodebookCache | None = None,
     ):
         if encoder not in _ENCODERS:
             raise ValueError(f"encoder must be one of {_ENCODERS}, got {encoder!r}")
         self.encoder = encoder
         self._lz = VectorLZCompressor(window=window)
-        entropy_kwargs: dict[str, Any] = {"codebook_cache": codebook_cache}
+        entropy_kwargs: dict[str, Any] = {}
         if max_code_length is not None:
             entropy_kwargs["max_code_length"] = max_code_length
         if chunk_symbols is not None:
@@ -72,9 +71,9 @@ class HybridCompressor(Compressor):
     def compress(self, array: np.ndarray, error_bound: float | None = None, *, key=None) -> bytes:
         """Compress with the selected (or, in ``auto`` mode, smaller) leg.
 
-        ``key`` reaches the entropy leg's codebook cache and, in ``auto``
-        mode with ``pin_refresh``, replays the table's last winner until the
-        pin ages out, then re-runs the try-both trial.
+        In ``auto`` mode with ``pin_refresh``, ``key`` replays the table's
+        last winner until the pin ages out, then re-runs the try-both trial;
+        the legs themselves are stateless and never see it.
         """
         array = self._validate(array, error_bound)
         pins = self.pins if key is not None else None  # un-keyed calls leave pins alone
@@ -82,7 +81,7 @@ class HybridCompressor(Compressor):
         if leg == "lz":
             out = self._lz.compress(array, error_bound)
         elif leg == "huffman":
-            out = self._entropy.compress(array, error_bound, key=key)
+            out = self._entropy.compress(array, error_bound)
         else:
             out = self._trial(array, error_bound, pins, key)
         if OBS.enabled:
@@ -113,7 +112,7 @@ class HybridCompressor(Compressor):
     ) -> bytes:
         """Try both legs, keep the smaller payload, pin the winner for ``key``."""
         lz = self._lz.compress(array, error_bound)
-        huff = self._entropy.compress(array, error_bound, key=key)
+        huff = self._entropy.compress(array, error_bound)
         winner = "lz" if len(lz) <= len(huff) else "huffman"
         if pins is not None:
             prior = pins.pins.get(key)
@@ -147,7 +146,7 @@ class HybridCompressor(Compressor):
 
     # The public compress/decompress are overridden wholesale (the payload is
     # delegated to the winning sub-codec), so the body hooks are unused.
-    def _compress_body(self, array: np.ndarray, error_bound: float | None, key=None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
         raise NotImplementedError("HybridCompressor delegates framing to its sub-codecs")
 
     def _decompress_body(

@@ -24,7 +24,7 @@ from repro.compression.baselines import (
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.homomorphic import CountSumCompressor, QuantSumCompressor
 from repro.compression.hybrid import HybridCompressor
-from repro.compression.serialization import has_checksum, verify_checksum_frame
+from repro.compression.serialization import CorruptPayloadError, has_checksum, verify_checksum_frame
 from repro.compression.vector_lz import VectorLZCompressor
 
 __all__ = ["register_compressor", "get_compressor", "available_compressors", "decompress_any"]
@@ -92,7 +92,8 @@ def decompress_any(payload: bytes | memoryview, rows: np.ndarray | None = None) 
     codecs, and requests for a large share of the frame, decode it whole and
     index.  Corrupt bytes raise ``ValueError`` from a row decode as they do
     from a full one, though a fault in rows that were not asked for can go
-    unseen.
+    unseen.  A frame naming a codec that is not registered (a flipped bit
+    in its name, say) raises ``CorruptPayloadError``.
     """
     if has_checksum(payload):
         payload = verify_checksum_frame(payload)
@@ -101,6 +102,6 @@ def decompress_any(payload: bytes | memoryview, rows: np.ndarray | None = None) 
     decoder = _DECODERS.get(codec)
     if decoder is None:
         if codec not in _FACTORIES:
-            raise KeyError(f"payload codec {codec!r} is not registered")
+            raise CorruptPayloadError(f"payload codec {codec!r} is not registered")
         decoder = _DECODERS[codec] = _FACTORIES[codec]()
     return decoder._decode_frame(header, body, rows)

@@ -64,8 +64,9 @@ class CorruptPayloadError(ValueError):
     reports the stored vs computed digest) and when a header does not
     parse: a varint, string, byte, array or dtype field that is truncated
     or malformed (the message names the byte offset).  Also raised when a
-    codec reads a header field that is absent (the message names the key)
-    and when a body decodes to a shape other than the header declares.  An
+    codec reads a header field that is absent (the message names the key),
+    when a body decodes to a shape other than the header declares, and when
+    ``decompress_any`` meets a codec name that is not registered.  An
     unframed payload is never rejected for lacking a checksum — integrity
     is opt-in.
     """

@@ -14,8 +14,8 @@ fixed-size metadata all-to-all (stage ②) precedes the payload all-to-all
 (stage ③).  Each ``sendbufs[src][dst]`` entry may be a single buffer or a
 *sequence* of per-chunk payloads (one per table slice); receivers get the
 batch back intact and can hand it to
-:meth:`repro.train.pipeline.CompressionPipeline.decompress_batch` so the
-peek-table/codebook caches amortize across the whole exchange.
+:meth:`repro.train.pipeline.CompressionPipeline.decompress_batch`, which
+decodes a table's equal-shape slices in one pass.
 
 Every all-to-all — ``compressed_all_to_all``, ``all_to_all`` and
 ``all_to_all_bytes`` — is charged by one *chunk-level pipeline*: each

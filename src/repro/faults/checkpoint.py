@@ -6,10 +6,9 @@ a :class:`~repro.train.hybrid.HybridParallelTrainer` step:
 * every model parameter array (dense MLPs and embedding tables) and its
   pending gradient accumulation;
 * the optimizer's per-element state (Adagrad accumulators; SGD has none);
-* the **compression pipeline**, deep-copied — its encoder-pin and
-  codebook caches influence payload bytes, and payload bytes influence
-  what receivers reconstruct, so resuming with cold caches would *not* be
-  bit-identical.
+* the **compression pipeline**, deep-copied — its codecs keep no state
+  between calls, so payload bytes depend only on the step's inputs, but
+  its transfer stats and per-table codec record resume where they were.
 
 Resuming after an injected rank failure therefore replays the remaining
 iterations to byte-for-byte the same parameters as the uninterrupted run

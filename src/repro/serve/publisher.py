@@ -225,7 +225,7 @@ class DeltaPublisher:
         self.simulator = ClusterSimulator(1 + len(servers), network=network)
         self.simulator.fault_injector = fault_injector
         # Cached codec instances: table-keyed delta compression every
-        # round amortizes encoder pins / codebooks exactly like the shards.
+        # round amortizes encoder pins exactly like the shards.
         self._codec = serving_codec_pool()
         # The per-round delta is computed into a per-table scratch array.
         self._delta_scratch: dict[int, np.ndarray] = {}

@@ -54,7 +54,6 @@ from typing import Mapping
 import numpy as np
 
 from repro.compression.base import Compressor
-from repro.compression.cache import TableCodebookCache
 from repro.compression.registry import decompress_any, get_compressor
 from repro.compression.vector_lz import VectorLZCompressor
 from repro.obs.runtime import OBS
@@ -76,11 +75,10 @@ DEFAULT_ROWS_PER_BLOCK = 64
 #: codec used when a table's error bound is 0 (lossless, bit-identical)
 LOSSLESS_CODEC = "lz4_like"
 
-#: pin/refresh windows for the serving-side hot-loop caches — a build or a
+#: pin refresh window for the serving-side hybrid codec — a build or a
 #: full-churn round recompresses every block of a table back to back, so the
-#: windows comfortably cover one table's block count
+#: window comfortably covers one table's block count
 SERVING_PIN_REFRESH = 64
-SERVING_CODEBOOK_REFRESH = 8
 
 #: per-block change-detection digest (blake2b-128 over the block's exact
 #: float32 bytes): a changed block goes unnoticed only on a 2**-128 collision
@@ -88,27 +86,15 @@ DIGEST_BYTES = 16
 
 
 def serving_codec(name: str) -> Compressor:
-    """A codec instance with its hot-loop caches enabled.
+    """A codec instance with its hot-loop cache enabled.
 
     The serve tier compresses *keyed by table* in bulk (every changed block
     of a table per recompression, every table delta per publication round), so
-    the hybrid codec gets pinned-encoder replay and the entropy codec a
-    per-table codebook cache — the same amortizations the training hot
-    loop uses (and the ``hybrid_pinned`` perf rows measure at 3-5x).
+    the hybrid codec gets pinned-encoder replay (the ``hybrid_pinned`` perf
+    rows measure it at 3-5x over try-both).  Every other codec is stateless.
     """
     if name == "hybrid":
-        # Pin replay for the try-both trial *and* a codebook cache for the
-        # entropy leg — tables whose pinned winner is Huffman recompress
-        # their changed blocks every publication round.
-        return get_compressor(
-            name,
-            pin_refresh=SERVING_PIN_REFRESH,
-            codebook_cache=TableCodebookCache(refresh_every=SERVING_CODEBOOK_REFRESH),
-        )
-    if name == "entropy":
-        return get_compressor(
-            name, codebook_cache=TableCodebookCache(refresh_every=SERVING_CODEBOOK_REFRESH)
-        )
+        return get_compressor(name, pin_refresh=SERVING_PIN_REFRESH)
     return get_compressor(name)
 
 
@@ -211,10 +197,9 @@ class _CompressedTable:
         bound = self.error_bound if self.error_bound > 0 else None
         step = self.rows_per_block
         n_full = self.cardinality // step
-        # Vector-LZ is stateless and batches equal-shape inputs: the dirty
-        # full-size blocks go through one compress_stack pass (payloads
-        # byte-identical to the per-block calls).  The ragged tail block
-        # and the keyed codecs, whose pin/codebook caches age per call,
+        # Vector-LZ batches equal-shape inputs: the dirty full-size blocks go
+        # through one compress_stack pass (payloads byte-identical to the
+        # per-block calls).  The ragged tail block and every other codec
         # take the per-block call below.
         stacked = [b for b in block_ids if b < n_full]
         if not isinstance(self._codec, VectorLZCompressor) or len(stacked) < 2:
@@ -228,7 +213,7 @@ class _CompressedTable:
             payloads.update(zip(stacked, self._codec.compress_stack(stack, bound)))
         for block_id in block_ids:
             if block_id not in payloads:
-                # Keyed by table so pin/codebook caches amortize per table.
+                # Keyed by table so the hybrid codec's pins amortize per table.
                 payloads[block_id] = self._codec.compress(
                     values[block_id * step : (block_id + 1) * step], bound, key=self.table_id
                 )

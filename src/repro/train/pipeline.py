@@ -24,7 +24,6 @@ import numpy as np
 from repro.adaptive.controller import AdaptiveController
 from repro.adaptive.selection import PAPER_A100_PROFILE, DeviceThroughputProfile
 from repro.compression.buffer import BufferCostModel
-from repro.compression.cache import TableCodebookCache
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.registry import decompress_any
 from repro.compression.vector_lz import DEFAULT_WINDOW, VectorLZCompressor
@@ -76,9 +75,6 @@ class CompressionPipeline:
         :meth:`compress_slices` / :meth:`decompress_batch` calls as the
         forward exchange.  Off by default: the paper compresses the
         forward exchange (Fig. 12).
-    codebook_refresh:
-        Staleness window (in uses per table) for the shared Huffman
-        codebook cache on the compress hot loop; ``0`` disables caching.
     """
 
     controller: AdaptiveController
@@ -89,17 +85,11 @@ class CompressionPipeline:
     compress_backward: bool = False
     #: metadata bytes exchanged per (pair, table): compressed size + codec id
     metadata_bytes_per_entry: int = 16
-    codebook_refresh: int = 8
 
     def __post_init__(self) -> None:
-        self.codebook_cache = (
-            TableCodebookCache(refresh_every=self.codebook_refresh)
-            if self.codebook_refresh > 0
-            else None
-        )
         self._codecs = {
             "vector_lz": VectorLZCompressor(window=self.window),
-            "entropy": EntropyCompressor(codebook_cache=self.codebook_cache),
+            "entropy": EntropyCompressor(),
         }
         self._buffer_models: dict[tuple[str, str], BufferCostModel] = {}
         self.stats: list[TransferStats] = []
@@ -111,7 +101,7 @@ class CompressionPipeline:
         """Compress one table's rows bound for one destination rank."""
         codec_name = self.controller.compressor_name(table_id)
         error_bound = self.controller.error_bound(table_id, iteration)
-        payload = self._codecs[codec_name].compress(rows, error_bound, key=table_id)
+        payload = self._codecs[codec_name].compress(rows, error_bound)
         self._record_transfer(table_id, codec_name, error_bound, iteration, rows.nbytes, len(payload))
         return payload
 
@@ -223,10 +213,8 @@ class CompressionPipeline:
         :meth:`~repro.dist.comm.Communicator.compressed_all_to_all`).
 
         A batch of equal-shape vector-LZ payloads (one table's slices)
-        decodes in one pass; otherwise decoding back to back keeps the
-        Huffman peek-table and codebook caches hot across payloads that
-        share a table's codebook — one cache fill amortizes over the
-        exchange instead of per slice.
+        decodes in one pass; otherwise each payload decodes on its own,
+        back to back.
         """
         arrays = None
         if len(payloads) > 1:

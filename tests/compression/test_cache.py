@@ -1,15 +1,12 @@
-"""Tests for the compression hot-loop caches (codebooks, pins, LRU)."""
+"""Tests for the compression hot-loop caches (pins, LRU) and the stateless
+entropy leg."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.compression.cache import (
-    EncoderPinCache,
-    LruCache,
-    TableCodebookCache,
-)
+from repro.compression.cache import EncoderPinCache, LruCache
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.hybrid import HybridCompressor
 from repro.compression.registry import decompress_any
@@ -36,47 +33,13 @@ class TestLruCache:
         with pytest.raises(ValueError):
             LruCache(0)
 
-
-class TestTableCodebookCache:
-    def _store(self, cache, key, alphabet=8):
-        lengths = np.full(alphabet, 3, dtype=np.int64)
-        codes = np.arange(alphabet, dtype=np.uint64)
-        return cache.store(key, lengths, codes)
-
-    def test_miss_then_hit(self):
-        cache = TableCodebookCache(refresh_every=4)
-        symbols = np.array([0, 1, 2])
-        assert cache.lookup(7, symbols) is None
-        self._store(cache, 7)
-        assert cache.lookup(7, symbols) is not None
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_staleness_refresh_policy(self):
-        cache = TableCodebookCache(refresh_every=2)
-        symbols = np.array([0, 1])
-        self._store(cache, 0)
-        assert cache.lookup(0, symbols) is not None
-        assert cache.lookup(0, symbols) is not None
-        # Third use exceeds refresh_every=2: forced rebuild.
-        assert cache.lookup(0, symbols) is None
-        assert cache.stale_refreshes == 1
-
-    def test_coverage_miss_on_unseen_symbol(self):
-        cache = TableCodebookCache(refresh_every=10)
-        entry = self._store(cache, 0, alphabet=4)
-        entry.lengths[2] = 0  # symbol 2 has no code in the cached book
-        assert cache.lookup(0, np.array([0, 2])) is None
-        assert cache.coverage_misses == 1
-        assert cache.lookup(0, np.array([0, 1])) is not None
-
-    def test_coverage_miss_on_alphabet_growth(self):
-        cache = TableCodebookCache(refresh_every=10)
-        self._store(cache, 0, alphabet=4)
-        assert cache.lookup(0, np.array([0, 9])) is None
-
-    def test_rejects_bad_refresh(self):
-        with pytest.raises(ValueError):
-            TableCodebookCache(refresh_every=0)
+    def test_len_tracks_entries_and_clear_empties(self):
+        cache = LruCache(2)
+        for key in "abc":
+            cache.put(key, key)
+        assert len(cache) == 2
+        cache.clear()
+        assert len(cache) == 0 and cache.get("c") is None
 
 
 class TestEncoderPinCache:
@@ -95,78 +58,65 @@ class TestEncoderPinCache:
         assert pins.pinned(2) is None
         assert pins.pinned(1) == "lz"
 
+    def test_clear_forces_a_fresh_trial(self):
+        pins = EncoderPinCache(refresh_every=8)
+        pins.record_winner("t", "huffman")
+        pins.clear()
+        assert pins.pinned("t") is None
 
-class TestEntropyCompressorCaching:
-    def test_cached_roundtrip_is_exact_across_shifting_batches(self):
-        """Stale codebooks may cost ratio, never correctness."""
+    def test_rejects_bad_refresh(self):
+        with pytest.raises(ValueError):
+            EncoderPinCache(refresh_every=0)
+
+
+class TestStatelessEntropy:
+    """The entropy leg builds each book from the batch it encodes: round
+    trips stay within the bound however the batches drift, and ``key``
+    never changes a byte."""
+
+    def test_roundtrip_within_bound_across_shifting_batches(self):
         rng = np.random.default_rng(0)
-        cache = TableCodebookCache(refresh_every=16)
-        codec = EntropyCompressor(codebook_cache=cache)
+        codec = EntropyCompressor()
         base = rng.normal(0, 0.1, size=(64, 8)).astype(np.float32)
         for it in range(6):
             batch = base[rng.integers(0, 64, size=100)] + np.float32(1e-4 * it)
             payload = codec.compress(batch, 0.01, key=5)
+            assert payload == codec.compress(batch, 0.01)
             rec = codec.decompress(payload)
             assert np.abs(batch - rec).max() <= 0.01 + 1e-6
-        assert cache.hits > 0
 
-    def test_unkeyed_compress_does_not_touch_cache(self):
-        cache = TableCodebookCache()
-        codec = EntropyCompressor(codebook_cache=cache)
-        data = np.random.default_rng(1).normal(0, 0.1, (32, 8)).astype(np.float32)
-        codec.compress(data, 0.01)
-        assert cache.hits == 0 and cache.misses == 0
+    def test_roundtrip_within_bound_across_widening_batches(self):
+        """A batch with symbols the previous one never used (a wider value
+        range over the same minimum bin) still round-trips."""
+        rng = np.random.default_rng(3)
+        codec = EntropyCompressor()
+        floor = np.full((1, 8), -2.0, dtype=np.float32)
+        for scale in (0.01, 0.3, 1.0):
+            batch = np.concatenate([rng.normal(0, scale, (64, 8)).astype(np.float32), floor])
+            payload = codec.compress(batch, 0.001, key="t")
+            assert payload == codec.compress(batch, 0.001)
+            rec = codec.decompress(payload)
+            assert np.abs(batch - rec).max() <= 0.001 + 1e-5
 
-    def test_cache_hit_skips_codebook_rebuild_payload_stays_decodable(self):
-        rng = np.random.default_rng(2)
-        cache = TableCodebookCache(refresh_every=8)
-        codec = EntropyCompressor(codebook_cache=cache)
-        data = rng.normal(0, 0.1, (128, 16)).astype(np.float32)
-        first = codec.compress(data, 0.01, key="t")
-        second = codec.compress(data, 0.01, key="t")
-        # Identical input + cached book: payloads identical, decode exact.
-        assert first == second
-        assert cache.hits == 1
-        np.testing.assert_array_equal(codec.decompress(first), codec.decompress(second))
-
-    def test_code_min_shift_forces_rebuild_not_misaligned_reuse(self):
-        """A batch whose minimum bin shifts must miss the cache: the dense
-        indices would otherwise index the cached book misaligned, silently
-        inflating payloads (exact roundtrip, wrong code lengths)."""
+    def test_keyed_bytes_equal_unkeyed_after_a_shifted_minimum(self):
+        """A shifted minimum bin re-indexes every symbol; the keyed payload
+        of the second batch equals a fresh encoder's."""
         rng = np.random.default_rng(11)
-        cache = TableCodebookCache(refresh_every=100)
-        codec = EntropyCompressor(codebook_cache=cache)
-        fresh = EntropyCompressor()
-        # Skewed distribution around 0 with a spread minimum.
         values = np.where(
             rng.random((256, 16)) < 0.9, 0.0, rng.normal(0, 0.2, (256, 16))
         ).astype(np.float32)
         batch1 = np.concatenate([values, np.full((1, 16), -2.00, np.float32)])
         batch2 = np.concatenate([values, np.full((1, 16), -1.98, np.float32)])
+        codec = EntropyCompressor()
         codec.compress(batch1, 0.01, key="t")
-        cached_payload = codec.compress(batch2, 0.01, key="t")
-        assert cache.shift_misses == 1
-        # The keyed payload must not be inflated vs a fresh (uncached) encode.
-        fresh_payload = fresh.compress(batch2, 0.01)
-        assert len(cached_payload) <= len(fresh_payload) * 1.05
-        rec = codec.decompress(cached_payload)
-        assert np.abs(batch2 - rec).max() <= 0.01 + 1e-6
+        keyed = codec.compress(batch2, 0.01, key="t")
+        assert keyed == EntropyCompressor().compress(batch2, 0.01)
+        assert np.abs(batch2 - codec.decompress(keyed)).max() <= 0.01 + 1e-6
 
-    def test_coverage_fallback_on_distribution_shift(self):
-        """A batch with out-of-book symbols must rebuild, not crash."""
-        rng = np.random.default_rng(3)
-        cache = TableCodebookCache(refresh_every=100)
-        codec = EntropyCompressor(codebook_cache=cache)
-        # Both batches share the exact minimum (same code_min shift), so the
-        # wide batch exercises the coverage check, not the shift check.
-        floor = np.full((1, 8), -2.0, dtype=np.float32)
-        narrow = np.concatenate([rng.normal(0, 0.01, (64, 8)).astype(np.float32), floor])
-        codec.compress(narrow, 0.001, key="t")
-        wide = np.concatenate([rng.normal(0, 0.3, (64, 8)).astype(np.float32), floor])
-        payload = codec.compress(wide, 0.001, key="t")
-        rec = codec.decompress(payload)
-        assert np.abs(wide - rec).max() <= 0.001 + 1e-5
-        assert cache.coverage_misses >= 1
+    def test_repeated_batch_repeats_its_payload(self):
+        data = np.random.default_rng(2).normal(0, 0.1, (128, 16)).astype(np.float32)
+        codec = EntropyCompressor()
+        assert codec.compress(data, 0.01, key="t") == codec.compress(data, 0.01, key="t")
 
 
 class TestHybridPinning:
@@ -215,7 +165,7 @@ class TestHybridPinning:
             assert codec.pins.trials == 0  # pinned modes never trial
 
 
-class TestPipelineCaching:
+class TestPipeline:
     def _pipeline(self):
         from repro.adaptive import AdaptiveController, OfflineAnalyzer
         from repro.train import CompressionPipeline
@@ -227,31 +177,13 @@ class TestPipelineCaching:
         plan = OfflineAnalyzer().analyze(samples)
         return CompressionPipeline(AdaptiveController(plan)), samples
 
-    def test_roundtrip_unchanged_and_codebook_cache_engaged(self):
+    def test_roundtrip_within_each_tables_bound(self):
         pipeline, samples = self._pipeline()
         for it in range(4):
             for table_id, rows in samples.items():
                 rec = pipeline.roundtrip(table_id, rows, it)
                 bound = pipeline.controller.error_bound(table_id, it)
                 assert np.abs(rows - rec).max() <= bound * (1 + 1e-5)
-        entropy_tables = [
-            t for t in samples
-            if pipeline.controller.compressor_name(t) == "entropy"
-        ]
-        if entropy_tables:
-            assert pipeline.codebook_cache.hits > 0
-
-    def test_codebook_cache_can_be_disabled(self):
-        from repro.adaptive import AdaptiveController, OfflineAnalyzer
-        from repro.train import CompressionPipeline
-
-        rng = np.random.default_rng(9)
-        samples = {0: rng.normal(0, 0.1, size=(32, 8)).astype(np.float32)}
-        plan = OfflineAnalyzer().analyze(samples)
-        pipeline = CompressionPipeline(AdaptiveController(plan), codebook_refresh=0)
-        assert pipeline.codebook_cache is None
-        rec = pipeline.roundtrip(0, samples[0], 0)
-        assert rec.shape == samples[0].shape
 
     def test_buffer_models_are_memoized(self):
         pipeline, _ = self._pipeline()

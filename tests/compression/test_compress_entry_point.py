@@ -1,10 +1,13 @@
 """The one per-array encode entry point: ``compress(a, eb, *, key=)``.
 
-The ``GOLDEN_*`` digests were recorded at the commit *before* the
+The ``GOLDEN_STATELESS`` digests were recorded at the commit *before* the
 ``compress_into`` / ``compress_keyed`` / ``compress_keyed_into`` variants
 were folded into ``compress`` (the old spellings driven through the same
-seeded scenarios), so they pin payload bytes *and* pin/codebook-cache state
-transitions call for call across the fold.
+seeded scenarios), so they pin payload bytes across the fold.  The
+``GOLDEN_STATEFUL`` digests pin payload bytes *and* pin-state transitions
+call for call; they were re-recorded at ``06298b5`` from that commit's own
+output with its per-table Huffman codebook cache forced to miss, the
+behaviour once the cache was deleted.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import pytest
 
 import repro
 from repro.compression.base import Compressor
-from repro.compression.cache import TableCodebookCache
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.hybrid import HybridCompressor
 from repro.compression.registry import available_compressors, decompress_any, get_compressor
@@ -74,9 +76,7 @@ def _table_batch(key: str, round_index: int) -> np.ndarray:
 
 def _cache_state(codec) -> str:
     """Everything the keyed route may mutate, as text for the digest."""
-    entropy = getattr(codec, "_entropy", codec)
-    book = entropy.codebook_cache
-    state = [book.hits, book.misses, book.stale_refreshes, book.coverage_misses, book.shift_misses]
+    state: list = []
     pins = getattr(codec, "pins", None)
     if pins is not None:
         state += [pins.pinned_hits, pins.trials]
@@ -95,10 +95,9 @@ def _stateless_digest(name: str) -> str:
 
 
 def _stateful_codec(kind: str) -> Compressor:
-    cache = TableCodebookCache(refresh_every=3)
     if kind == "entropy":
-        return EntropyCompressor(codebook_cache=cache)
-    return HybridCompressor(encoder=kind, pin_refresh=4, codebook_cache=cache)
+        return EntropyCompressor()
+    return HybridCompressor(encoder=kind, pin_refresh=4)
 
 
 def _stateful_digest(kind: str, keyed: bool) -> tuple[str, Compressor]:
@@ -134,17 +133,17 @@ GOLDEN_STATELESS: dict[str, str] = {
     "zfp_like": "e521e2df52115aecb9d511c875afbb6f4193ba3995780f1e97a111c188be85d8",
 }
 
-#: sha256 over 12 rounds x 3 interleaved tables of payload + cache state,
+#: sha256 over 12 rounds x 3 interleaved tables of payload + pin state,
 #: keyed by ``(kind, keyed)``
 GOLDEN_STATEFUL: dict[tuple[str, bool], str] = {
-    ("auto", True): "3bc7d999c8c6c9cdab3248aa6859dbb5220919b213c4f8f3a5206de5f6e7824b",
-    ("auto", False): "f01db7bf5ce9dd91fcc1f2dfc5e9dd54136a2086e3e6269f81c1f97576f45712",
-    ("lz", True): "5455d3721187a4a5ec76138d6c7eb045927511f8ea47dc595f790fc269a3510d",
-    ("lz", False): "5455d3721187a4a5ec76138d6c7eb045927511f8ea47dc595f790fc269a3510d",
-    ("huffman", True): "b102255e910bfaf41617e2afb3d9196675d95f6c4f31d94822afc3c4f3445908",
-    ("huffman", False): "d173c2eb962288ccd028ca7182bcf4154e7261472f4f87f50290d998b5328374",
-    ("entropy", True): "d41b0f95306b55f2539d400a6730116b85af8b53f1a4eff20b202a69268326be",
-    ("entropy", False): "2fa85b12af756db143ca070b1ccbdab9cda345c47618155a21c363c6a8fa4a24",
+    ("auto", True): "8c4519912f1017cf81771b8bb894f51fcc6266162afa77d4229b7a5d3b205fb6",
+    ("auto", False): "8d97459d158c3e6d9b5ef4211a9edbe11ffc38f5aa0d6b32b4d0b9ca7cadc815",
+    ("lz", True): "2b1732cf37c0e5720660e993883d29075a1f6bb21858b369d1e1ef93b00d58fa",
+    ("lz", False): "2b1732cf37c0e5720660e993883d29075a1f6bb21858b369d1e1ef93b00d58fa",
+    ("huffman", True): "f99bc249a60c1bdf4bbd13809eb0d2d612f59961fd29ebd3a523a8809f27accf",
+    ("huffman", False): "f99bc249a60c1bdf4bbd13809eb0d2d612f59961fd29ebd3a523a8809f27accf",
+    ("entropy", True): "3506254aff3c4be2cb4b288856a3646816f9aca33bf032aa1fa18ebc4e84102e",
+    ("entropy", False): "3506254aff3c4be2cb4b288856a3646816f9aca33bf032aa1fa18ebc4e84102e",
 }
 
 
@@ -163,18 +162,17 @@ class TestGoldenBytes:
 
     def test_scenario_exercises_every_transition(self):
         """The oracle is only worth its digests if trials, replays, pin
-        expiry, winner switches and every codebook-cache outcome occur."""
+        expiry and winner switches occur; the pin cache is the one keyed
+        state, so every route without it gives keyed bytes == unkeyed."""
         _, hybrid = _stateful_digest("auto", True)
         assert hybrid.pins.trials >= 3 * 3  # first trial + >=2 expiries per table
         assert hybrid.pins.pinned_hits > hybrid.pins.trials
         winners = {hybrid.pins.pins[key].winner for key in ("dup", "gauss")}
         assert winners == {"lz", "huffman"}
-        _, entropy = _stateful_digest("entropy", True)
-        book = entropy.codebook_cache
-        assert book.hits > 0 and book.misses == 3 and book.stale_refreshes > 0
-        assert book.coverage_misses + book.shift_misses > 0
         _, unkeyed = _stateful_digest("auto", False)
-        assert unkeyed.pins.trials == 0 and unkeyed._entropy.codebook_cache.misses == 0
+        assert unkeyed.pins.trials == 0
+        for kind in ("lz", "huffman", "entropy"):
+            assert GOLDEN_STATEFUL[(kind, True)] == GOLDEN_STATEFUL[(kind, False)]
 
 
 class TestOneEntryPoint:
@@ -207,8 +205,8 @@ class TestOneEntryPoint:
 
     @pytest.mark.parametrize("kind,keyed", STATEFUL_CASES)
     def test_stateful_payloads_decode_without_the_encoder(self, kind, keyed):
-        """Pinned-encoder replay and cached codebooks never leave a payload
-        that needs the encoder's state: every one decodes on its own."""
+        """Pinned-encoder replay never leaves a payload that needs the
+        encoder's state: every one decodes on its own."""
         codec = _stateful_codec(kind)
         for round_index in range(ROUNDS):
             for key in TABLE_KEYS:
@@ -306,3 +304,36 @@ class TestNoPool:
 
         with pytest.raises(TypeError, match="pool"):
             EmbeddingShardServer({0: _table_batch("dup", 0)}, ERROR_BOUND, "vector_lz", pool=None)
+
+
+class TestNoCodebookCache:
+    """Guard: the entropy leg builds its book from the batch it encodes.
+    The per-table codebook cache is gone, and no API takes its knobs."""
+
+    REMOVED = re.compile(
+        r"\b(TableCodebookCache|CachedCodebook|huffman_encode_with_book"
+        r"|codebook_cache|codebook_refresh|SERVING_CODEBOOK_REFRESH)\b"
+    )
+
+    def test_source_mentions_no_removed_name(self):
+        root = Path(repro.__file__).parent
+        hits = [
+            f"{path.relative_to(root)}:{number}"
+            for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if self.REMOVED.search(line)
+        ]
+        assert hits == []
+
+    @pytest.mark.parametrize("factory", [EntropyCompressor, HybridCompressor])
+    def test_codecs_reject_codebook_cache(self, factory):
+        with pytest.raises(TypeError, match="codebook_cache"):
+            factory(codebook_cache=None)
+
+    def test_pipeline_rejects_codebook_refresh(self):
+        from repro.adaptive import AdaptiveController, OfflineAnalyzer
+        from repro.train import CompressionPipeline
+
+        plan = OfflineAnalyzer().analyze({0: _table_batch("gauss", 0)})
+        with pytest.raises(TypeError, match="codebook_refresh"):
+            CompressionPipeline(AdaptiveController(plan), codebook_refresh=8)

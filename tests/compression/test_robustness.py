@@ -8,6 +8,8 @@ never returns a wrong-shaped array) for a family of corruptions.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,21 @@ class TestFlippedBitsRaiseCorruptPayloadError:
         for selected in (None, np.array([0])):
             with pytest.raises(CorruptPayloadError):
                 decompress_any(bytes(payload), rows=selected)
+
+
+class TestUnregisteredCodecRaisesCorruptPayloadError:
+    @pytest.mark.parametrize("name", available_compressors())
+    def test_renamed_codec(self, payloads, name):
+        """One flipped bit in the frame's codec-name string renames the codec
+        (``entropy`` -> ``eltropy``).  ``decompress_any`` once leaked the
+        registry's ``KeyError`` for it; it now names the codec it met."""
+        _, payload, _ = payloads[name]
+        framed_as = parse_payload(payload)[0]["codec"]  # a hybrid frame names its leg
+        at = payload.index(framed_as.encode(), 1) + 1
+        renamed = bytearray(payload)
+        renamed[at] ^= 0x02
+        bogus = parse_payload(bytes(renamed))[0]["codec"]
+        assert bogus not in available_compressors()
+        for selected in (None, np.array([0])):
+            with pytest.raises(CorruptPayloadError, match=re.escape(repr(bogus))):
+                decompress_any(bytes(renamed), rows=selected)

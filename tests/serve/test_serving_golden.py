@@ -14,10 +14,18 @@ path must reproduce:
   seconds from 0 instead of absolute time from ``start``, which moves the
   last bits of a latency: ``(start + wire) - start`` became ``wire``).
 
+The values were re-recorded once since, at ``06298b5`` with the shard
+server's per-table Huffman codebook cache forced to miss on every lookup —
+the behaviour of the entropy leg once that cache was deleted.  Fresh books
+store a few bytes fewer per block, which reaches the pulled bytes and the
+latencies priced on them.
+
 There is no copy of the old bodies to compare against.  Run
 ``python tests/serve/test_serving_golden.py`` to print the values of the
 current checkout (only ever paste them here from a commit whose serving
-path is known good).
+path is known good).  A value moves only when a change deletes a path
+whose bytes differ, and then it is re-recorded from the parent's own
+output with that path forced off.
 """
 
 from __future__ import annotations
@@ -154,20 +162,20 @@ HEALTHY_WORLDS = {
 }
 
 HEALTHY_DIGESTS = {
-    "flat/cache=0": "ff4f106437504d23eef139db69b3cb41",
-    "flat/cache=32": "f7dadda371635ff0e9465e8f535f1067",
-    "flat/cache=4096": "3e1b950596bcace3ad1c74ad9a10241a",
-    "flat/4-shards/3-replicas": "95c818b5b677b5e038ccfdc4ade1064d",
-    "hier/cache=0": "0b849b1f3e9a6b65fffccc11fc73e5d7",
-    "hier/cache=64": "8d3d0404aba7882056002887145d474f",
-    "flat/available_at=scalar": "c9cdd257c6ff8e7d62f055602bb80907",
-    "hier/available_at=per-replica": "3c9b8e436f79fa699b7acfa2745e7f52",
+    "flat/cache=0": "e78a18c24d8a363c113f278e8c8fe95c",
+    "flat/cache=32": "76e1ef6a97f22dcbc44c0ff440971fcf",
+    "flat/cache=4096": "b67fbb4a97a91edef529347e363f41fa",
+    "flat/4-shards/3-replicas": "3bff77b9f69c518542642dea5bc1c6b6",
+    "hier/cache=0": "4dbc40c142f72ba81a4465030f4ec805",
+    "hier/cache=64": "2eb1bbaabf2a5ef238c58b3c883e4176",
+    "flat/available_at=scalar": "fd6e7551f40562388ef35ac73a6e7a0c",
+    "hier/available_at=per-replica": "9542667a8fc33176b1d5d9bbca620921",
 }
 #: (report, SERVE_REQUEST events + both counter tracks)
-TRACED_DIGESTS = ("3c9b8e436f79fa699b7acfa2745e7f52", "4c81247bba5f1f8cc4ed9a6fed4d3aa2")
-SERVICE_SECONDS_DIGEST = "c12671069e1883e199e3b1224329e40a"
+TRACED_DIGESTS = ("9542667a8fc33176b1d5d9bbca620921", "195540157e6d84f05f0e3e8b4f094d55")
+SERVICE_SECONDS_DIGEST = "4bd1f45b4ac7580854296636b1c7af35"
 #: (report, serve_* families of the snapshot)
-OBS_DIGESTS = ("f7dadda371635ff0e9465e8f535f1067", "d3d38bb6aabb52089835dd405a857ec3")
+OBS_DIGESTS = ("76e1ef6a97f22dcbc44c0ff440971fcf", "f0fb72c6e851f62e9be799f84ca8e927")
 
 
 def run_healthy(world, name, **run_kwargs):
@@ -284,20 +292,20 @@ FAULTY_REPORTS: dict[str, dict] = {
         "n_replicas": 2,
         "cache_rows": 0,
         "offered_qps": 1707.4091621589173,
-        "sustained_qps": 1718.0407525661176,
-        "p50_latency": 4.204880503268747e-05,
+        "sustained_qps": 1718.0407525661178,
+        "p50_latency": 4.204880503268227e-05,
         "p99_latency": 0.010468305671941406,
-        "mean_latency": 0.001116766311166663,
-        "max_latency": 0.011967899584943556,
+        "mean_latency": 0.0011167661497374119,
+        "max_latency": 0.011967899584943558,
         "cache_hit_rate": 0.0,
         "hits": 0,
         "misses": 900,
         "mean_fanout": 1.0,
         "blocks_pulled": 450,
-        "pulled_compressed_nbytes": 222926,
+        "pulled_compressed_nbytes": 222830,
         "pulled_raw_nbytes": 913408,
-        "makespan": 0.08730875549718799,
-        "replica_busy_seconds": (0.020077583937701614, 0.02814745916678636),
+        "makespan": 0.08730875549718797,
+        "replica_busy_seconds": (0.02007757276183056, 0.028147447990915314),
         "replica_requests": (75, 75),
         "stale_rows": 0,
         "degraded_rows": 450,
@@ -317,17 +325,17 @@ FAULTY_REPORTS: dict[str, dict] = {
         "sustained_qps": 1718.1214780657479,
         "p50_latency": 3.7936492624485174e-05,
         "p99_latency": 0.00670012443041683,
-        "mean_latency": 0.000339413609917695,
+        "mean_latency": 0.0003394135642208007,
         "max_latency": 0.006986597568166496,
         "cache_hit_rate": 0.6666666666666666,
         "hits": 600,
         "misses": 300,
         "mean_fanout": 1.3466666666666667,
         "blocks_pulled": 300,
-        "pulled_compressed_nbytes": 148053,
+        "pulled_compressed_nbytes": 147985,
         "pulled_raw_nbytes": 602112,
         "makespan": 0.08730465331756938,
-        "replica_busy_seconds": (0.009803168757980915, 0.009554059176651558),
+        "replica_busy_seconds": (0.00980316644830096, 0.00955405641993674),
         "replica_requests": (75, 75),
         "stale_rows": 0,
         "degraded_rows": 0,
@@ -345,19 +353,19 @@ FAULTY_REPORTS: dict[str, dict] = {
         "cache_rows": 64,
         "offered_qps": 1707.4091621589173,
         "sustained_qps": 1718.1455476304982,
-        "p50_latency": 3.702601676842249e-05,
+        "p50_latency": 3.702555110713518e-05,
         "p99_latency": 0.007805664541740991,
-        "mean_latency": 0.0005696647513476808,
+        "mean_latency": 0.0005696646830506921,
         "max_latency": 0.009758276141858596,
         "cache_hit_rate": 0.5844444444444444,
         "hits": 526,
         "misses": 374,
         "mean_fanout": 1.1466666666666667,
         "blocks_pulled": 280,
-        "pulled_compressed_nbytes": 138228,
+        "pulled_compressed_nbytes": 138184,
         "pulled_raw_nbytes": 560128,
         "makespan": 0.0873034302634405,
-        "replica_busy_seconds": (0.016421635653608734, 0.01073519258479294),
+        "replica_busy_seconds": (0.016421632161149086, 0.010735185832704266),
         "replica_requests": (75, 75),
         "stale_rows": 37,
         "degraded_rows": 57,

@@ -1,35 +1,40 @@
 """Golden digests for the hybrid trainer's compressed embedding exchanges.
 
-Every digest below was recorded at commit ``6745582`` — the last one whose
-``HybridParallelTrainer._backward_exchange`` compressed the gradient
-all-to-all with its own per-slice ``compress_slice`` / ``decompress_slice``
-loop instead of the forward exchange's stacked stage ①–④ routine.  The
-world is ``TestBatchedExchangePin``'s (8 ranks, the 26 Criteo-Kaggle-shaped
-tables, tables 3 and 17 pinned to Huffman), trained 4 steps with OBS on,
-for ``compress_backward`` x ``overlap`` in every combination.
+``losses`` and ``params`` were recorded at commit ``6745582`` — the last
+one whose ``HybridParallelTrainer._backward_exchange`` compressed the
+gradient all-to-all with its own per-slice ``compress_slice`` /
+``decompress_slice`` loop instead of the forward exchange's stacked
+stage ①–④ routine.  The world is ``TestBatchedExchangePin``'s (8 ranks,
+the 26 Criteo-Kaggle-shaped tables, tables 3 and 17 pinned to Huffman),
+trained 4 steps with OBS on, for ``compress_backward`` x ``overlap`` in
+every combination.
 
 Each case pins, as separate blake2b digests: losses, parameter bytes,
 ``forward_wire_bytes``, the bytes of every ``sendbufs[src][dst]`` handed
 to each ``Communicator.compressed_all_to_all``, the full timeline ledger
-(events, counters and final stream clocks), the ``TableCodebookCache``
-counters, the OBS registry snapshot, and ``pipeline.stats`` as a *sorted*
-multiset.  The one permitted observable difference of a fused backward
-exchange is the *order* of the backward ``pipeline.stats`` records
-(src-major before, owner-major after) — hence the sort.
+(events, counters and final stream clocks), the OBS registry snapshot,
+and ``pipeline.stats`` as a *sorted* multiset.  The one permitted
+observable difference of a fused backward exchange is the *order* of the
+backward ``pipeline.stats`` records (src-major before, owner-major
+after) — hence the sort.
 
 ``timing`` pins the schedule alone — the sorted ``(rank, category,
-start, duration, stream)`` of every event plus the final stream clocks —
-and was recorded at ``2f6ed0b``, the last commit that priced the
-sequential exchange and the uncompressed all-to-alls outside the
-chunk-pipeline builder.  A change of ledger bookkeeping (args, release
-edges, recording order) may re-record ``ledger``; never ``timing``.
-The ``ledger`` digests of the four cases that run an uncompressed or a
-``overlap=False`` exchange were re-recorded when those exchanges moved
-onto the chunk-pipeline builder (chunk args, release edges, exchange ids).
+start, duration, stream)`` of every event plus the final stream clocks.
+A change of ledger bookkeeping (args, release edges, recording order) may
+re-record ``ledger``; never ``timing``.
+
+Every digest but ``losses`` and ``params`` was last re-recorded at
+``06298b5`` with the per-table Huffman codebook cache forced to miss on
+every lookup — the behaviour of the entropy leg once that cache was
+deleted.  Its stale books had shipped a few more payload bytes, which
+reach the wire bytes, the simulated exchange times and the stats; the
+losses and parameters are the same either way.
 
 Run ``python tests/train/test_exchange_golden.py`` to print the digests of
 the current checkout (only ever paste them here from a commit whose
-exchanges are known good; never re-record them in a refactor).
+exchanges are known good; never re-record them in a refactor).  A digest
+moves only when a change deletes a path whose bytes differ, and then it is
+re-recorded from the parent's own output with that path forced off.
 """
 
 from __future__ import annotations
@@ -115,7 +120,6 @@ def run_case(compress_backward: bool, overlap) -> dict[str, str]:
         for e in timeline.events
     ]
     clocks = [(s, [c.hex() for c in sim._streams[s]]) for s in sorted(sim._streams)]
-    cache = pipe.codebook_cache
     stats = sorted(
         (s.iteration, s.table_id, s.codec, s.error_bound.hex(), s.original_nbytes, s.compressed_nbytes)
         for s in pipe.stats
@@ -131,9 +135,6 @@ def run_case(compress_backward: bool, overlap) -> dict[str, str]:
             clocks,
         ),
         "timing": _digest(sorted(event[:5] for event in ledger), clocks),
-        "codebook_cache": _digest(
-            cache.hits, cache.misses, cache.stale_refreshes, cache.coverage_misses, cache.shift_misses
-        ),
         "obs": _digest(registry.snapshot()),
         "stats": _digest(stats),
     }
@@ -142,12 +143,12 @@ def run_case(compress_backward: bool, overlap) -> dict[str, str]:
 CASES = [(cb, ov) for cb in (False, True) for ov in (False, True, "cross_stage")]
 
 GOLDEN: dict[tuple[bool, object], dict[str, str]] = {
-    (False, False): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '970dd5a625a1b8b620c550ad55b71910', 'sendbufs': '90f172bb71098fed9b6c8cc4887ea391', 'ledger': 'edd097db79f55de4f657473ad2c27cb7', 'timing': '2f059014251c61a4f397b2dff8ff8744', 'codebook_cache': 'bb0965fda2d65d8e2a2f5badc4f37a7e', 'obs': '3b51d5280c10e9e8d7fd70916b98af18', 'stats': '8fa27ac7e1f21eb80cb29aabcb203a07'},
-    (False, True): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '970dd5a625a1b8b620c550ad55b71910', 'sendbufs': '90f172bb71098fed9b6c8cc4887ea391', 'ledger': 'dff5f69f79728e9c7d566f1ddceefd21', 'timing': 'f6a012fab44da490ac0860d814ce7084', 'codebook_cache': 'bb0965fda2d65d8e2a2f5badc4f37a7e', 'obs': 'cfc78c18f77e60002f4661ad9c9943b3', 'stats': '8fa27ac7e1f21eb80cb29aabcb203a07'},
-    (False, 'cross_stage'): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '970dd5a625a1b8b620c550ad55b71910', 'sendbufs': '90f172bb71098fed9b6c8cc4887ea391', 'ledger': '7cb45187b3c17a58ea0eafe12cce4d4c', 'timing': '4ee7479153d910705a98c2e3378be7ed', 'codebook_cache': 'bb0965fda2d65d8e2a2f5badc4f37a7e', 'obs': '61dce8276557cf50ea899af9514bfaf3', 'stats': '8fa27ac7e1f21eb80cb29aabcb203a07'},
-    (True, False): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '8684554feba9532be9e74f1795d9421a', 'sendbufs': '7b6aad9448c103da15a7bf9e807abe7d', 'ledger': 'b8da7a6bfc14c8f980477de4af1ef5a5', 'timing': 'f9b221c9bf4b6f5163ccb2437213b951', 'codebook_cache': '3c684674936d98f7f623eba38d3ad210', 'obs': 'd77c1be5c5ac6f95047a34af3be65827', 'stats': 'e17426938b08af56687895fcb36ffa1f'},
-    (True, True): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '8684554feba9532be9e74f1795d9421a', 'sendbufs': '7b6aad9448c103da15a7bf9e807abe7d', 'ledger': '89ff95a721a99cccc127c97032495b45', 'timing': '0cbb7cb0c179371c3023b6681585b484', 'codebook_cache': '3c684674936d98f7f623eba38d3ad210', 'obs': '0daa814c716dd691e47baf4da6203fd2', 'stats': 'e17426938b08af56687895fcb36ffa1f'},
-    (True, 'cross_stage'): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '8684554feba9532be9e74f1795d9421a', 'sendbufs': '7b6aad9448c103da15a7bf9e807abe7d', 'ledger': 'e606c03cb98b4f1a3147d30951ce2b6e', 'timing': '077948323246861e79e45837a5a668fe', 'codebook_cache': '3c684674936d98f7f623eba38d3ad210', 'obs': 'bbb49dbfff69e010a61a6b08606526ad', 'stats': 'e17426938b08af56687895fcb36ffa1f'},
+    (False, False): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': 'c398671aa45250a9aa1f0d66aad34684', 'timing': '19b274d1b3af7cf5b217ca20f6a2df15', 'obs': '7d732424fbd403e82d3fe6455761cc6a', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
+    (False, True): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '95e3bce56c36817aa574432484f001d9', 'timing': '0ac463c006db5e9c6ca45364895e2579', 'obs': '3cf1488e544385b5785cdb17ebbc83ad', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
+    (False, 'cross_stage'): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '4a2e99b6b167af345e47d32b39283735', 'timing': '9556953cc3bfb84d9527233d31ac0fbb', 'obs': '00346b085387498b7bd51feab0e1fde6', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
+    (True, False): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': 'bc354acc62246a0017e5c555101617e3', 'timing': '629003cfbedf961445593bd66cb228d1', 'obs': 'f61433605555037d81255a7a6d20950b', 'stats': '3de8ac84549fb894792459ac625d31d1'},
+    (True, True): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': 'bd8c79c35a39e4f35fcdb4d0691c6784', 'timing': '46a2bc25082d0779d543a0a8f1aef3aa', 'obs': '7a1100fa074b224504de8f87914bacba', 'stats': '3de8ac84549fb894792459ac625d31d1'},
+    (True, 'cross_stage'): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': 'bd457fe0d83540bf7ec3ec3f25c996b7', 'timing': '0491b35af860cc2f11d94fe9c13d0e41', 'obs': '41c27da7d0b7ae070e6b43cc93c45b7f', 'stats': '3de8ac84549fb894792459ac625d31d1'},
 }
 
 

@@ -306,8 +306,8 @@ class TestBatchedExchangePin:
         dataset, config = bench_world
         plan = _make_plan(dataset, config)
         # The offline analysis picks vector-LZ everywhere in this small
-        # world; pin two tables to Huffman so the per-slice keyed route
-        # (and its codebook cache) interleaves with the fused one.
+        # world; pin two tables to Huffman so the per-slice route
+        # interleaves with the fused one.
         tables = {
             t: replace(table, compressor="entropy") if t in (3, 17) else table
             for t, table in plan.tables.items()
