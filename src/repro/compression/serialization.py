@@ -72,13 +72,6 @@ class CorruptPayloadError(ValueError):
     """
 
 
-def _reference_frame_with_checksum(payload: bytes | bytearray | memoryview) -> bytes:
-    """Frozen seed implementation (copies the body twice); oracle for the
-    zero-copy differential tests."""
-    body = bytes(payload)
-    return bytes([CHECKSUM_MAGIC]) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF) + body
-
-
 def frame_with_checksum(payload: bytes | bytearray | memoryview) -> bytes:
     """Wrap a payload in a 5-byte CRC32 envelope: magic + digest + body.
 

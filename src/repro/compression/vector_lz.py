@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.compression.base import MAGIC, Compressor, frame_payload
 from repro.compression.bitstream import (
-    pack_fixed,
     pack_fixed_segments,
     unpack_fixed_segments,
 )
@@ -248,34 +247,6 @@ def vector_lz_encode(codes: np.ndarray, window: int = DEFAULT_WINDOW) -> VectorL
     if codes.ndim != 2:
         raise ValueError(f"expected 2-D code array, got shape {codes.shape}")
     return vector_lz_encode_stack(codes[None], window)[0]
-
-
-def _reference_vector_lz_encode(codes: np.ndarray, window: int = DEFAULT_WINDOW) -> VectorLZEncoded:
-    """The per-slice encoder (dictionary scan + one ``pack_fixed`` per
-    section), kept as the differential-test and benchmark oracle."""
-    codes = np.asarray(codes)
-    if codes.ndim != 2:
-        raise ValueError(f"expected 2-D code array, got shape {codes.shape}")
-    if codes.size and codes.min() < 0:
-        raise ValueError("vector_lz_encode expects non-negative codes")
-    n, d = codes.shape
-    is_match, offsets = find_vector_matches(codes, window)
-    offset_width = _width_for(window)
-    packed_offsets, _ = pack_fixed(offsets[is_match], offset_width)
-    literal_rows = codes[~is_match]
-    literal_width = _width_for(int(literal_rows.max()) if literal_rows.size else 0)
-    packed_literals, _ = pack_fixed(literal_rows.ravel(), literal_width)
-    return VectorLZEncoded(
-        flags=np.packbits(is_match),
-        offsets=packed_offsets,
-        literals=packed_literals,
-        n_rows=n,
-        n_matches=int(is_match.sum()),
-        dim=d,
-        window=window,
-        offset_width=offset_width,
-        literal_width=literal_width,
-    )
 
 
 def _unpack_sections(sections: list[np.ndarray], counts: list[int], widths: list[int]) -> np.ndarray:

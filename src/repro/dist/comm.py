@@ -51,13 +51,13 @@ ranks one chunk at a time, with the same IEEE operations in the same
 order as charging the events one by one, so the ledger is bit-identical
 to that model (``tests/dist/test_ledger_golden.py`` pins it) — and a
 *charger* (``Communicator._charge_pipeline``) appends each stage through
-one ``Timeline.record_batch`` call and writes the stream clocks back.
-The charger's invariant: **stages are appended rank-major** (all of rank
-0's chunks, then rank 1's, …) although they are computed wave-major.
-``repro.obs.critpath`` detects a collective as a contiguous run of
-identical spans on distinct ranks; a wave-major ledger would put the
-equal-cost chunk-``j`` kernels of different ranks next to each other and
-be mis-read as barriers, changing every critical path.
+one ``Timeline.record_batch`` call and writes the stream clocks and the
+simulator's lane *tails* back.  Stages are appended **rank-major** (all
+of rank 0's chunks, then rank 1's, …) although they are computed
+wave-major: the order of the per-event model, which the ledger digests
+hash.  Every dependency the builder creates is recorded as a release
+edge; where an exchange starts from the ranks' clocks it names their
+tails (see :class:`~repro.dist.simulator.ClusterSimulator`).
 """
 
 from __future__ import annotations
@@ -643,13 +643,17 @@ class Communicator:
         # compresses the same slices its wire event ships, so chunk kernel
         # time follows the same byte shares (compressed bytes as the proxy
         # for the slices' input volume).  A rank that compresses for free
-        # records nothing and has every chunk ready at its start time.
+        # records nothing and has every chunk ready at its start time.  A
+        # rank's first compute-stream kernel starts at the rank clock, so
+        # its tails release it.
+        first = [sim._lane_edges(r, COMPUTE_STREAM, sim._rank_tails(r)) or None for r in range(n)]
         comp_on = compress > 0.0
         comp_mask = live & comp_on[:, None]
         comp_seconds = compress[:, None] * wire_fractions
         comp_ends, compute_clock = self._schedule_stage(
             stages, EventCategory.COMPRESS, COMPUTE_STREAM, starts, None, comp_seconds,
             comp_mask, chunk_args(comp_on),
+            [e for r in np.flatnonzero(comp_on) for e in [first[r]] + [None] * (chunks[r] - 1)],
         )
         compute_spans = [(comp_on, comp_ends, comp_seconds)]
         comp_idx = ledger_indices(comp_mask, base)
@@ -657,17 +661,18 @@ class Communicator:
 
         # Stage ②: the size table goes out once every rank's first chunk
         # is compressed (identical spans on every comm stream).  Its
-        # release edges are exactly those first chunks.
-        first_chunk_edges = comp_idx[comp_on, 0].tolist() or None
+        # release edges are those first chunks, and the tails of the ranks
+        # that compress for free (their first chunk is ready at their start).
+        released = sorted({*comp_idx[comp_on, 0].tolist(), *sim._rank_tails(*np.flatnonzero(~comp_on))})
         meta_end = comp_ends[:, 0].max()
         comm_clock = starts
-        wire_prefix = first_chunk_edges or []  # what releases every wire chunk
+        wire_prefix = released  # what releases every wire chunk
         if meta_seconds is not None:
             meta_ends, comm_clock = self._schedule_stage(
                 stages, EventCategory.METADATA, COMM_STREAM, comm_clock,
                 np.full((n, 1), meta_end), np.full((n, 1), sim._check_seconds(meta_seconds)),
                 every_rank,
-                {"exchange": eid}, [first_chunk_edges] * n,
+                {"exchange": eid}, [released] * n,
             )
             next_idx += n
             meta_end = meta_ends[-1, 0]
@@ -676,8 +681,8 @@ class Communicator:
         # Stage ③: per-rank injection-port pipeline — chunk j's wire
         # starts once its compress finished and the previous chunk's wire
         # slot freed (the comm stream clock enforces the latter).  Release
-        # edges: the metadata round (or, with metadata skipped, the first
-        # chunks its release time was computed from) plus the chunk's own
+        # edges: the metadata round (or, with metadata skipped, everything
+        # its release time was computed from) plus the chunk's own
         # compress kernel.
         unkerneled = wire_prefix or None  # shared by every free-compress chunk
         wire_edges: list[list[int] | None] = []
@@ -694,12 +699,14 @@ class Communicator:
         wire_idx = ledger_indices(live, next_idx)
 
         # Cross-stage hook: rank-local compute issued right after the
-        # compression kernels, so the wire (and decode stalls) hide it.
+        # compression kernels, so the wire (and decode stalls) hide it; on
+        # a rank without them it is the first kernel.
         oc_on = overlap_compute > 0.0
         oc_seconds = overlap_compute[:, None]
         oc_ends, compute_clock = self._schedule_stage(
             stages, EventCategory.BOTTOM_MLP_BWD, COMPUTE_STREAM, compute_clock, None,
-            oc_seconds, oc_on[:, None],
+            oc_seconds, oc_on[:, None], None,
+            [None if comp_on[r] else first[r] for r in np.flatnonzero(oc_on)],
         )
         compute_spans.append((oc_on, oc_ends, oc_seconds))
 
@@ -733,18 +740,22 @@ class Communicator:
 
     def _charge_pipeline(self, schedule: _PipelineSchedule) -> None:
         """Append a built schedule to the ledger, one ``record_batch`` per
-        stage, write the stream clocks back and take the exchange id.
+        stage, write the stream clocks and tails back and take the
+        exchange id.
 
         Each stage is appended *rank-major* (rank 0's chunks, then rank
-        1's, …), the order the per-event model recorded them in — and the
-        one ``repro.obs.critpath`` relies on: it recognises a collective
-        as a contiguous run of identical spans on distinct ranks, so a
-        wave-major ledger (every rank's chunk 0, then every chunk 1) would
-        mis-read equal-cost chunk kernels as barriers.
+        1's, …), the order the per-event model recorded them in, which the
+        ledger digests hash.  A rank's last event on a stream becomes that
+        lane's tail; its last wire event ends after its start, so after the
+        closing sync its tails explain its clock.
         """
         sim = self.simulator
         for stage in schedule.stages:
+            first = len(sim.timeline)
             sim.timeline.record_batch(*stage)
+            tails = sim._tails[stage.stream]
+            for rank, index in zip(stage.ranks.tolist(), range(first, len(sim.timeline))):
+                tails[rank] = (index,)  # rank-major: each rank's last event stays
         sim._streams[COMPUTE_STREAM][:] = schedule.compute_clock.tolist()
         sim._streams[COMM_STREAM][:] = schedule.comm_clock.tolist()
         self._exchange_counter += 1

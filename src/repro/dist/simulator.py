@@ -28,6 +28,17 @@ Per-(rank, stream) events never overlap, and collectives appear on all
 ranks with identical spans — the invariants the integration tests pin.
 Events on *different* streams of one rank may overlap; that is the point.
 
+**Dependencies are recorded where they are made.**  Next to each
+(stream, rank) clock the simulator keeps the lane's *tails*: the ledger
+indices whose ends set the clock.  Recording on a lane makes that event
+its one tail; :meth:`sync` (and a new named stream) takes the union of
+the rank's tails, :meth:`barrier` the union over all ranks; a
+collective's events share that union as one edge tuple and become every
+lane's tails.  An event records its lane's tails as ``release_edges``
+unless they are the lane's own last event, so :mod:`repro.obs.critpath`
+infers nothing; a start no recorded event explains (a fault delay) is an
+exogenous floor there.
+
 A :class:`~repro.faults.injector.FaultInjector` may be attached via the
 ``fault_injector`` attribute; when present, compute events stretch under
 straggler slowdowns and comm events/collectives wait out fabric outages
@@ -38,6 +49,7 @@ is exactly as priced — fault handling adds zero cost to healthy runs.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from repro.dist.comm import Communicator
 from repro.dist.gpu import A100_LIKE, GpuModel
@@ -74,11 +86,8 @@ class ClusterSimulator:
         self.gpu = gpu if gpu is not None else A100_LIKE
         #: optional FaultInjector bending this simulator's charges
         self.fault_injector = None
-        self.timeline = Timeline()
-        self._streams: dict[str, list[float]] = {
-            stream: [0.0] * self.n_ranks for stream in self.STREAMS
-        }
         self.comm = Communicator(self)
+        self.reset()
 
     # -------------------------------------------------------------- clocks
 
@@ -108,6 +117,8 @@ class ClusterSimulator:
         communicator's exchange numbering — the ledger that follows equals
         a newly constructed simulator's."""
         self._streams = {stream: [0.0] * self.n_ranks for stream in self.STREAMS}
+        #: per stream, per rank: the ledger indices whose ends set the clock
+        self._tails = {stream: [()] * self.n_ranks for stream in self.STREAMS}
         self.timeline = Timeline()
         self.comm._exchange_counter = 0
 
@@ -119,8 +130,27 @@ class ClusterSimulator:
         clocks = self._streams.get(stream)
         if clocks is None:  # new named streams start joined to the rank clock
             clocks = list(self.clocks)
+            self._tails[stream] = [self._rank_tails(rank) for rank in range(self.n_ranks)]
             self._streams[stream] = clocks
         return clocks
+
+    def _rank_tails(self, *ranks: int) -> tuple[int, ...]:
+        """Sorted union of the given ranks' lane tails (what their clocks
+        wait on); copies of one tuple give that very tuple, so
+        ``record_batch`` keeps sharing it."""
+        distinct = {id(t): t for tails in self._tails.values() for r in ranks if (t := tails[r])}
+        if len(distinct) == 1:
+            return next(iter(distinct.values()))
+        return tuple(sorted(set(chain.from_iterable(distinct.values()))))
+
+    def _lane_edges(self, rank: int, stream: str, tails: tuple[int, ...]) -> tuple[int, ...]:
+        """``tails`` as the next event's release edges on one lane; none if
+        they are just the lane's own last event (the lane predecessor)."""
+        if len(tails) == 1:
+            last = self.timeline.events[tails[0]]
+            if last.rank == rank and last.stream == stream:
+                return ()
+        return tails
 
     @staticmethod
     def _check_seconds(seconds: float) -> float:
@@ -155,13 +185,14 @@ class ClusterSimulator:
         run concurrently.  ``args`` attaches structured labels to the
         logged event (e.g. chunk indices of a pipelined exchange);
         ``release_edges`` names the already-logged events whose completion
-        released this one (the provenance behind ``not_before``), carried
-        into the timeline for exact dependency-DAG reconstruction.
-        Returns the event's end time.
+        released this one (the provenance behind ``not_before``), recorded
+        with the lane's tails.  Returns the event's end time.
         """
         self._check_rank(rank)
         seconds = self._check_seconds(seconds)
         clocks = self._stream_clocks(stream)
+        tails = self._tails[stream]
+        edges = (*(release_edges or ()), *self._lane_edges(rank, stream, tails[rank]))
         start = clocks[rank]
         if not_before is not None:
             start = max(start, self._check_seconds(not_before))
@@ -176,8 +207,9 @@ class ClusterSimulator:
             seconds,
             stream=stream,
             args=args,
-            release_edges=release_edges,
+            release_edges=edges,
         )
+        tails[rank] = (len(self.timeline) - 1,)
         clocks[rank] = start + seconds
         return clocks[rank]
 
@@ -186,30 +218,42 @@ class ClusterSimulator:
         event is logged.  Returns the joined clock."""
         self._check_rank(rank)
         joined = self.now(rank)
-        for clocks in self._streams.values():
+        union = self._rank_tails(rank)
+        for clocks, tails in zip(self._streams.values(), self._tails.values()):
             clocks[rank] = joined
+            tails[rank] = union
         return joined
 
     def collective(self, seconds: float, category: str, stream: str = COMM_STREAM) -> float:
         """Barrier-synchronize all ranks (all streams), then charge
         ``seconds`` to each rank's ``stream`` over the identical interval;
-        returns the common end time."""
+        returns the common end time.  No rank leaves before all do: the
+        collective's events become every lane's tails."""
         seconds = self._check_seconds(seconds)
         start = self.barrier()
+        released = self._tails[COMPUTE_STREAM][0]  # every lane holds the union now
         if self.fault_injector is not None:
             start, seconds = self.fault_injector.adjust_collective(start, seconds)
         n = self.n_ranks
-        self.timeline.record_batch(range(n), category, [start] * n, [seconds] * n, stream)
+        first = len(self.timeline)
+        self.timeline.record_batch(
+            range(n), category, [start] * n, [seconds] * n, stream, release_edges=[released] * n
+        )
         end = start + seconds
-        for clocks in self._streams.values():
-            clocks[:] = [end] * self.n_ranks
+        done = tuple(range(first, first + n))
+        for clocks, tails in zip(self._streams.values(), self._tails.values()):
+            clocks[:] = [end] * n
+            tails[:] = [done] * n
         return end
 
     def barrier(self) -> float:
-        """Synchronize all clocks without charging time (no event logged)."""
+        """Synchronize all clocks without charging time (no event logged);
+        every lane's tails become the union over all ranks."""
         end = self.makespan()
-        for clocks in self._streams.values():
+        union = self._rank_tails(*range(self.n_ranks))
+        for clocks, tails in zip(self._streams.values(), self._tails.values()):
             clocks[:] = [end] * self.n_ranks
+            tails[:] = [union] * self.n_ranks
         return end
 
     def __repr__(self) -> str:

@@ -16,13 +16,11 @@ annotation categories the observability layer records (trainer-step and
 serving-request spans, delta publications) on the dedicated
 ``OBS_STREAM`` lane, which time accounting ignores.
 
-Recording order is part of the ledger's meaning: a ledger index is a
-position in ``Timeline.events``, release edges name earlier positions,
-and :mod:`repro.obs.critpath` reads a contiguous run of identical spans
-on distinct ranks as one collective.  :meth:`Timeline.record_batch`
-appends many events in one validated call and keeps exactly the order it
-is given, so bulk producers (the communicator's chunk pipeline appends
-each stage rank-major) stay responsible for that order.
+Recording order is part of the ledger: a ledger index is a position in
+``Timeline.events``, release edges name earlier positions, and the ledger
+digests hash the order.  :meth:`Timeline.record_batch` appends many
+events in one validated call in exactly the order it is given (the
+communicator's chunk pipeline appends each stage rank-major).
 
 Timelines also carry *counter samples* (:class:`CounterSample`) — named
 scalar tracks such as queue depth or bytes on wire — which export as
@@ -123,11 +121,9 @@ class TimelineEvent:
 
     ``release_edges`` optionally names the ledger indices (positions in
     ``Timeline.events``) of the events whose completion *released* this
-    one — the communicator records them where it knows the chunk/slot
-    release order exactly, so dependency-DAG reconstruction
-    (:mod:`repro.obs.critpath`) does not have to infer those edges from
-    coincident timestamps.  Edges always point backwards: every index
-    refers to an event recorded earlier.
+    one, beyond its same-stream predecessor: the simulator records every
+    such dependency, so :mod:`repro.obs.critpath` infers none.  Edges
+    always point backwards, to events recorded earlier.
     """
 
     rank: int
@@ -259,11 +255,6 @@ class Timeline:
         a metadata round released by one set of chunk kernels, the decode
         chunks of every rank with one chunk count — validates and
         deduplicates it once and stores one shared tuple.
-
-        Order is the caller's to keep: the exchange engine appends each
-        stage rank-major (see ``Communicator._charge_pipeline``) because
-        critical-path analysis reads contiguous identical spans on
-        distinct ranks as one collective.
         """
         rank_arr = np.asarray(ranks, dtype=np.int64)
         start_arr = np.asarray(starts, dtype=np.float64)

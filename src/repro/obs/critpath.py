@@ -2,48 +2,48 @@
 
 The simulator's :class:`~repro.dist.timeline.Timeline` is a flat ledger
 of per-(rank, stream) events, but the *schedule* that produced it is a
-dependency DAG: events on one stream serialize (the stream clock), chunk
-wire/decode events wait on explicit release edges (the communicator
-records them — see ``TimelineEvent.release_edges``), and collectives
-barrier every clock.  :class:`TimelineDag` reconstructs that DAG from the
-ledger and answers the question the raw trace cannot: *which chain of
-events actually set the makespan, and what would change if one stage got
-faster?*
+dependency DAG with two kinds of edge: each event's same-lane predecessor
+(the stream clock) and the ``release_edges`` it recorded —
+:class:`~repro.dist.simulator.ClusterSimulator` records every other
+dependency where it makes it, so nothing is inferred from timestamps.
+:class:`TimelineDag` rebuilds that DAG and answers the question the raw
+trace cannot: *which chain of events actually set the makespan, and what
+would change if one stage got faster?*
 
 * :meth:`TimelineDag.critical_path` walks back from the event that ends
   at the makespan, at each step following the dependency with the
-  greatest ``(end, is explicit edge, is same-lane predecessor, -index)``:
+  greatest ``(end, is recorded edge, is same-lane predecessor, -index)``:
   the latest finisher binds; exact ties go to a recorded edge, then the
-  lane, then the earliest-recorded coincident end.  The steps tile
-  ``[0, makespan]``, each attributed to its event's (rank, stream,
-  category) — or to ``"idle"`` where no recorded event explains a wait
-  (open-loop request arrivals) — so the attribution sums *exactly* to the
-  makespan: :meth:`CriticalPathResult.attribution_exact` does the sums in
+  lane.  The steps tile ``[0, makespan]``, each attributed to its event's
+  (rank, stream, category) — or to ``"idle"`` where no dependency
+  explains a wait (open-loop request arrivals, fault delays, and every
+  cross-lane wait of a third-party trace without ``release_edges``) — so
+  the attribution sums *exactly* to the makespan:
+  :meth:`CriticalPathResult.attribution_exact` does the sums in
   :class:`fractions.Fraction`, exact rational arithmetic, not float luck.
 * :meth:`TimelineDag.speedup_if` re-schedules the whole DAG with one
   category's durations scaled and reports the predicted makespan — the
   what-if the adaptive controller (and a human) needs before touching a
-  kernel.  Unexplained start delays are treated as exogenous floors
-  (arrivals do not speed up because a codec did).
+  kernel.  Unexplained start delays are exogenous floors (arrivals do not
+  speed up because a codec did).  On a simulator ledger the prediction
+  equals re-running the program with that category's seconds scaled.
 * :func:`highlight_trace_events` renders the extracted path as one extra
   chrome-trace lane, and :func:`critical_path_report` as an ASCII table
   for ``run_report``.
 
 **Layout.**  The DAG is a structure of arrays indexed by ledger index:
-``start``, ``duration``, ``end = start + duration``, ``rank``, an interned
-stream code and the analysed-event mask (annotation spans on
-``OBS_STREAM`` cover work already recorded and are not nodes).  Built
-eagerly, one sort each: every event's same-lane predecessor, from the
-``(lane, start, index)`` order, and the ``(end, index)`` order that
-``np.searchsorted`` answers "which events end at *t*" from (within a
-tolerance — parsed chrome traces round to microseconds).  Release edges
-are *not* resolved up front: the walk filters them for the few dozen
-events it visits (:meth:`TimelineDag.release_edges`), so an extraction
-costs little more than reading the columns.  The first ``reschedule`` /
-``speedup_if`` adds, once, what only a forward pass needs: a dependency
-row per *distinct* edge tuple (``record_batch`` shares them) and per
-distinct window of coincident ends, the collective-barrier groups, the
-exogenous start floors and interned categories.
+``start``, ``duration``, ``end = start + duration``, an interned stream
+code and the analysed-event mask (annotation spans on ``OBS_STREAM``
+cover work already recorded and are not nodes).  Built eagerly: every
+event's same-lane predecessor, from one ``(lane, start, index)`` sort.
+Release edges are *not* resolved up front: the walk
+filters them for the few dozen events it visits
+(:meth:`TimelineDag.release_edges`), so an extraction costs little more
+than reading the columns.  The first ``reschedule`` / ``speedup_if`` adds,
+once, what only a forward pass needs: a dependency row per *distinct*
+edge tuple (``record_batch`` shares them), the exogenous start floors and
+interned categories.  Times match within a tolerance, because parsed
+chrome traces round them to microseconds.
 
 Analysis is strictly offline — nothing here runs unless asked, so the
 ``OBS.enabled`` zero-overhead contract is untouched.
@@ -176,10 +176,9 @@ class _Plan:
     lists are indexed by ledger index."""
 
     order: list[int]  # ledger indices in (start, end, index) order
-    rows: list[list[int]]  # row id -> ledger indices of one dependency set
-    deps: list[tuple[int, int]]  # (explicit-edge row, coincident-end row), -1 = none
+    rows: list[list[int]]  # row id -> ledger indices of one edge tuple
+    deps: list[int]  # release-edge row per event, -1 = none
     floor: list[float]  # exogenous start; 0.0 where dependencies explain it
-    group: list[int]  # barrier group (its lowest ledger index), -1 outside one
     category: np.ndarray  # interned category code per event ...
     names: list[object]  # ... and the category each code stands for
 
@@ -194,7 +193,7 @@ class TimelineDag:
         self._start = start = np.array([e.start for e in events], dtype=np.float64)
         self._duration = np.array([e.duration for e in events], dtype=np.float64)
         self._end = end = start + self._duration
-        self._rank = rank = np.array([e.rank for e in events], dtype=np.int64)
+        rank = np.array([e.rank for e in events], dtype=np.int64)
         codes: dict[str, int] = {OBS_STREAM: 0}
         self._stream = stream = np.array(
             [codes.setdefault(e.stream, len(codes)) for e in events], dtype=np.int64
@@ -208,10 +207,8 @@ class TimelineDag:
         chained = lane[order[1:]] == lane[order[:-1]]
         self._lane_pred = np.full(n, -1, dtype=np.int64)
         self._lane_pred[ids[order[1:][chained]]] = ids[order[:-1][chained]]
-        # (end, index) order, for "which events end at time t".
-        self._by_end = ids[np.argsort(end[ids], kind="stable")]
-        self._end_sorted = end[self._by_end]
-        self._eps = 1e-9 * max(1.0, self.makespan)
+        self._makespan = float(end[ids].max()) if len(ids) else 0.0
+        self._eps = 1e-9 * max(1.0, self._makespan)
         self._plan: _Plan | None = None
 
     @classmethod
@@ -223,7 +220,7 @@ class TimelineDag:
 
     @property
     def makespan(self) -> float:
-        return float(self._end_sorted[-1]) if len(self._end_sorted) else 0.0
+        return self._makespan
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -239,41 +236,30 @@ class TimelineDag:
             i for i in self._events[index].release_edges or () if 0 <= i < index and node[i]
         )
 
-    def _ending_at(self, time) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds into ``_by_end`` of the events whose end matches ``time``
-        (scalar or array) within the tolerance (exact in fresh ledgers; the
-        tolerance absorbs the microsecond round-trip of parsed traces)."""
-        lo = np.searchsorted(self._end_sorted, time - self._eps, side="left")
-        return lo, np.searchsorted(self._end_sorted, time + self._eps, side="right")
-
     # --------------------------------------------------------- critical path
 
     def critical_path(self) -> CriticalPathResult:
         """Walk back from the makespan event, tiling ``[0, makespan]``
-        into attributed segments (see :class:`CriticalStep`).  Explicit
-        edges and the same-lane predecessor always qualify as releasers;
-        events ending exactly at an event's start qualify when its lane
-        alone does not explain the start (a cross-stream join or barrier)."""
+        into attributed segments (see :class:`CriticalStep`).  An event's
+        releasers are its recorded edges and its same-lane predecessor."""
         if not len(self._ids):
             return CriticalPathResult(makespan=0.0, steps=())
         events, eps = self._events, self._eps
         end, lane_preds = self._end.tolist(), self._lane_pred.tolist()
         steps: list[CriticalStep] = []
         visited: set[int] = set()
-        current = int(self._by_end[-1])
+        # The makespan event recorded last.
+        current = int(self._ids[np.flatnonzero(self._end[self._ids] == self._makespan)[-1]])
         while current >= 0:
             visited.add(current)
             event = events[current]
             explicit = set(self.release_edges(current))
             lane_pred = lane_preds[current]
-            candidates = list(explicit)
-            if lane_pred >= 0:
-                candidates.append(lane_pred)
-            if lane_pred < 0 or event.start - eps > end[lane_pred]:
-                lo, hi = self._ending_at(event.start)
-                candidates.extend(self._by_end[lo:hi].tolist())
-            candidates = [i for i in candidates if i not in visited and end[i] <= event.start + eps]
-            # Latest end wins (the binding constraint); prefer explicit edges,
+            candidates = [
+                i for i in (*explicit, lane_pred)
+                if i >= 0 and i not in visited and end[i] <= event.start + eps
+            ]
+            # Latest end wins (the binding constraint); prefer recorded edges,
             # then the lane, on exact ties so the rendered path reads causally.
             binding = lambda i: (end[i], i in explicit, i == lane_pred, -i)  # noqa: E731
             pred = max(candidates, key=binding, default=-1)
@@ -293,80 +279,45 @@ class TimelineDag:
     # -------------------------------------------------------------- what-ifs
 
     def _planned(self) -> _Plan:
-        """The scaling-independent half of a reschedule, built on first
-        use.  A barrier group is a contiguously-recorded run of identical
-        spans on distinct ranks — how ``collective()`` writes them."""
+        """The scaling-independent half of a reschedule, built on first use."""
         if self._plan is not None:
             return self._plan
         events, n, ids = self._events, len(self._events), self._ids
         start, end, node = self._start, self._end, self._node.tolist()
         rows: list[list[int]] = []
-        shared: dict[object, tuple[int, int]] = {}
-
-        def row_for(index: int, key: object, source: Sequence[int]) -> int:
-            """Row of ``source``'s analysed events recorded before
-            ``index``: one per ``key``, unless that would keep an entry
-            recorded at or after ``index`` (then a row of its own)."""
-            hit = shared.get(key)
+        shared: dict[int, tuple[int, int]] = {}
+        deps = np.full(n, -1, dtype=np.int64)
+        for index in ids.tolist():
+            edges = events[index].release_edges
+            if not edges:
+                continue
+            # One row per shared tuple (record_batch shares them), unless
+            # that would keep an entry recorded at or after ``index``.
+            hit = shared.get(id(edges))
             if hit is None:
-                rows.append([i for i in source if 0 <= i < n and node[i]])
-                hit = shared[key] = (len(rows) - 1, max(rows[-1], default=-1))
+                rows.append([i for i in edges if 0 <= i < n and node[i]])
+                hit = shared[id(edges)] = (len(rows) - 1, max(rows[-1], default=-1))
             row, top = hit
             if top >= index:
                 rows.append([i for i in rows[row] if i < index])
                 row = len(rows) - 1
-            return row
-
-        explicit = np.full(n, -1, dtype=np.int64)
-        for index in ids.tolist():
-            edges = events[index].release_edges
-            if edges:  # record_batch shares one tuple among many events
-                explicit[index] = row_for(index, id(edges), edges)
+            deps[index] = row
 
         names: dict[object, int] = {}
         category = np.array(
             [names.setdefault(e.category, len(names)) for e in events], dtype=np.int64
         )
-        alike = self._node[1:] & self._node[:-1]  # event k+1 repeats event k's span
-        for column in (category, self._stream, start, self._duration):
-            alike &= column[1:] == column[:-1]
-        ranks = self._rank.tolist()
-        runs: list[list[int]] = []
-        bounds = np.flatnonzero(np.diff(alike, prepend=False, append=False))
-        for head, tail in bounds.reshape(-1, 2).tolist():
-            seen: set[int] = set()
-            for index in range(head, tail + 1):
-                if index == head or ranks[index] in seen:
-                    runs.append([])
-                    seen = set()
-                runs[-1].append(index)
-                seen.add(ranks[index])
-        group = np.full(n, -1, dtype=np.int64)
-        for run in runs:
-            # Events that carry edges (the pipelined metadata round) are
-            # released by those edges, not by a barrier over every clock.
-            if len(run) >= 2 and not any(rows[r] for r in explicit[run] if r >= 0):
-                group[run] = run[0]
-
-        lane_end = np.where(self._lane_pred >= 0, end[self._lane_pred], 0.0)
-        waits = np.flatnonzero(self._node & (group < 0) & (start - self._eps > lane_end))
-        joins = np.full(n, -1, dtype=np.int64)
-        lo, hi = self._ending_at(start[waits])
-        for index, a, b in zip(waits.tolist(), lo.tolist(), hi.tolist()):
-            joins[index] = row_for(index, (a, b), self._by_end[a:b].tolist())
-
         ends = end.tolist()
         # The trailing sentinel makes "no row" (-1) explain nothing.
         row_end = [max((ends[i] for i in row), default=-math.inf) for row in rows]
         row_end = np.array(row_end + [-math.inf])
-        explained = np.maximum(lane_end, np.maximum(row_end[explicit], row_end[joins]))
-        exogenous = (group < 0) & (start - self._eps > explained)
+        lane_end = np.where(self._lane_pred >= 0, end[self._lane_pred], 0.0)
+        exogenous = start - self._eps > np.maximum(lane_end, row_end[deps])
         self._plan = _Plan(
             order=ids[np.lexsort((end[ids], start[ids]))].tolist(),
             rows=rows,
-            deps=list(zip(explicit.tolist(), joins.tolist())),
+            deps=deps.tolist(),
             floor=np.where(exogenous, start, 0.0).tolist(),
-            group=group.tolist(),
             category=category,
             names=list(names),
         )
@@ -379,24 +330,16 @@ class TimelineDag:
         dependent (hand-assembled ledgers only) constrains nothing, and a
         row's latest end is reused only once every entry of it is final."""
         plan = self._planned()
-        rows, deps, floor, group = plan.rows, plan.deps, plan.floor, plan.group
+        rows, deps, floor = plan.rows, plan.deps, plan.floor
         lane_pred, duration = self._lane_pred.tolist(), self._duration.tolist()
         new_end = [-math.inf] * len(self._events)
         latest_of: list[float | None] = [None] * len(rows)
-        group_start: dict[int, float] = {}
         makespan = 0.0
         for index in plan.order:
-            first = group[index]
-            if first < 0:
-                begin = floor[index]
-            elif first in group_start:
-                begin = group_start[first]
-            else:
-                # A collective barriers every clock: the group starts
-                # once every earlier-recorded event has finished.
-                begin = group_start[first] = max(0.0, max(new_end[:first], default=0.0))
-            for row in deps[index]:
-                latest = latest_of[row] if row >= 0 else 0.0
+            begin = floor[index]
+            row = deps[index]
+            if row >= 0:
+                latest = latest_of[row]
                 if latest is None:
                     known = [new_end[i] for i in rows[row]]
                     latest = max(known, default=0.0)
@@ -416,13 +359,11 @@ class TimelineDag:
         """Forward-simulate the DAG with per-event duration scaling and
         return the new makespan.
 
-        Constraints honored: stream order, explicit release edges,
-        inferred cross-stream joins (only where the original schedule
-        shows one binding), collective barriers (a group starts when every
-        earlier-recorded event finished), and exogenous start floors where
-        no dependency explains an event's start (open-loop arrivals keep
-        their clock).  ``scale(event) == 1.0`` for every event reproduces
-        the original makespan exactly.
+        Constraints honored: stream order, recorded release edges, and
+        exogenous start floors where no dependency explains an event's
+        start (open-loop arrivals and fault delays keep their clock).
+        ``scale(event) == 1.0`` for every event reproduces the original
+        makespan exactly.
         """
         factors = [1.0] * len(self._events)
         for index in self._ids.tolist():

@@ -1,0 +1,62 @@
+"""Frozen reference implementations, kept test-only as differential oracles.
+
+* :func:`reference_vector_lz_encode` — the per-slice vector-LZ encoder
+  (dictionary scan + one ``pack_fixed`` per section) that the batched
+  ``vector_lz_encode_stack`` replaced; ``test_vector_lz_batch.py`` pins the
+  batched payloads to it byte for byte.
+* :func:`reference_frame_with_checksum` — the seed checksum envelope
+  (copies the body twice); ``test_serialization.py`` pins the zero-copy
+  ``frame_with_checksum`` to it.
+
+Do not "fix" or speed these up: they are the behaviour being compared to.
+"""
+
+from __future__ import annotations
+
+import struct
+import zlib
+
+import numpy as np
+
+from repro.compression.bitstream import pack_fixed
+from repro.compression.serialization import CHECKSUM_MAGIC
+from repro.compression.vector_lz import (
+    DEFAULT_WINDOW,
+    VectorLZEncoded,
+    _width_for,
+    find_vector_matches,
+)
+
+
+def reference_vector_lz_encode(codes: np.ndarray, window: int = DEFAULT_WINDOW) -> VectorLZEncoded:
+    """The per-slice encoder (dictionary scan + one ``pack_fixed`` per
+    section)."""
+    codes = np.asarray(codes)
+    if codes.ndim != 2:
+        raise ValueError(f"expected 2-D code array, got shape {codes.shape}")
+    if codes.size and codes.min() < 0:
+        raise ValueError("vector_lz_encode expects non-negative codes")
+    n, d = codes.shape
+    is_match, offsets = find_vector_matches(codes, window)
+    offset_width = _width_for(window)
+    packed_offsets, _ = pack_fixed(offsets[is_match], offset_width)
+    literal_rows = codes[~is_match]
+    literal_width = _width_for(int(literal_rows.max()) if literal_rows.size else 0)
+    packed_literals, _ = pack_fixed(literal_rows.ravel(), literal_width)
+    return VectorLZEncoded(
+        flags=np.packbits(is_match),
+        offsets=packed_offsets,
+        literals=packed_literals,
+        n_rows=n,
+        n_matches=int(is_match.sum()),
+        dim=d,
+        window=window,
+        offset_width=offset_width,
+        literal_width=literal_width,
+    )
+
+
+def reference_frame_with_checksum(payload: bytes | bytearray | memoryview) -> bytes:
+    """The seed checksum envelope (copies the body twice)."""
+    body = bytes(payload)
+    return bytes([CHECKSUM_MAGIC]) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF) + body

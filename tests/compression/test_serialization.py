@@ -381,26 +381,22 @@ class TestChecksumFrame:
 
 
 class TestZeroCopyFraming:
-    """Differential: zero-copy framing vs the frozen ``_reference_*`` seed
-    implementations (the raw-speed PR's byte-compatibility contract)."""
+    """Differential: zero-copy framing vs the frozen seed implementation in
+    ``reference_codecs`` (the raw-speed PR's byte-compatibility contract)."""
 
     @given(st.binary(max_size=512))
     def test_frame_matches_reference(self, body):
-        from repro.compression.serialization import (
-            _reference_frame_with_checksum,
-            frame_with_checksum,
-        )
+        from repro.compression.serialization import frame_with_checksum
+        from tests.compression.reference_codecs import reference_frame_with_checksum
 
-        assert frame_with_checksum(body) == _reference_frame_with_checksum(body)
+        assert frame_with_checksum(body) == reference_frame_with_checksum(body)
 
     @given(st.binary(min_size=1, max_size=512))
     def test_frame_accepts_any_buffer_type(self, body):
-        from repro.compression.serialization import (
-            _reference_frame_with_checksum,
-            frame_with_checksum,
-        )
+        from repro.compression.serialization import frame_with_checksum
+        from tests.compression.reference_codecs import reference_frame_with_checksum
 
-        expected = _reference_frame_with_checksum(body)
+        expected = reference_frame_with_checksum(body)
         assert frame_with_checksum(bytearray(body)) == expected
         assert frame_with_checksum(memoryview(body)) == expected
         assert frame_with_checksum(np.frombuffer(body, dtype=np.uint8)) == expected
@@ -409,18 +405,15 @@ class TestZeroCopyFraming:
     def test_frame_is_a_bytes_copy_of_the_body(self, body):
         """The frame owns its bytes: changing the source buffer after
         framing leaves the frame, and its checksum, intact."""
-        from repro.compression.serialization import (
-            _reference_frame_with_checksum,
-            frame_with_checksum,
-            verify_checksum_frame,
-        )
+        from repro.compression.serialization import frame_with_checksum, verify_checksum_frame
+        from tests.compression.reference_codecs import reference_frame_with_checksum
 
         source = bytearray(body)
         framed = frame_with_checksum(source)
         assert type(framed) is bytes
         source[:] = bytes(len(source))  # zero it in place
         source.extend(b"tail")
-        assert framed == _reference_frame_with_checksum(body)
+        assert framed == reference_frame_with_checksum(body)
         assert bytes(verify_checksum_frame(framed)) == body
 
     @given(
@@ -435,13 +428,11 @@ class TestZeroCopyFraming:
     def test_frame_of_a_typed_array_frames_its_raw_bytes(self, rows):
         """A multi-byte, multi-dimensional buffer is framed as its raw
         bytes, as a codec's float32 body would be."""
-        from repro.compression.serialization import (
-            _reference_frame_with_checksum,
-            frame_with_checksum,
-        )
+        from repro.compression.serialization import frame_with_checksum
+        from tests.compression.reference_codecs import reference_frame_with_checksum
 
         array = np.array(rows, dtype=np.float32).reshape(len(rows), -1)
-        assert frame_with_checksum(array) == _reference_frame_with_checksum(array.tobytes())
+        assert frame_with_checksum(array) == reference_frame_with_checksum(array.tobytes())
 
     @given(st.binary(max_size=512))
     def test_verify_matches_reference_and_is_a_view(self, body):

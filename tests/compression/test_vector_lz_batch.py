@@ -4,8 +4,8 @@
 decode all slices of an ``(S, n, d)`` stack in one vectorized pass.  The
 contract is byte identity: payload ``s`` equals ``compress(stack[s])`` —
 which is itself pinned here to the frozen per-slice oracle
-(``_reference_vector_lz_encode``: dictionary scan + one ``pack_fixed`` per
-section) — and the batched decode equals per-payload ``decompress_any`` bit
+(``reference_codecs.reference_vector_lz_encode``: dictionary scan + one
+``pack_fixed`` per section) — and the batched decode equals per-payload ``decompress_any`` bit
 for bit, on well-formed and on hostile payloads alike.
 """
 
@@ -28,17 +28,17 @@ from repro.compression.quantizer import quantize_batch
 from repro.compression.registry import decompress_any
 from repro.compression.vector_lz import (
     VectorLZCompressor,
-    _reference_vector_lz_encode,
     vector_lz_decode_stack,
     vector_lz_encode,
     vector_lz_encode_stack,
 )
+from tests.compression.reference_codecs import reference_vector_lz_encode
 
 
 def _reference_compress(array: np.ndarray, error_bound: float, window: int) -> bytes:
     """The payload the pre-batching compressor produced for one slice."""
     batch = quantize_batch(array, error_bound, max_alphabet=1 << 57)
-    encoded = _reference_vector_lz_encode(batch.codes, window)
+    encoded = reference_vector_lz_encode(batch.codes, window)
     meta = {
         "eb": batch.error_bound,
         "code_min": batch.code_min,
@@ -151,7 +151,7 @@ class TestBatchIdentity:
         streams = vector_lz_encode_stack(codes, window=12)
         for s, stream in enumerate(streams):
             single = vector_lz_encode(codes[s], window=12)
-            oracle = _reference_vector_lz_encode(codes[s], window=12)
+            oracle = reference_vector_lz_encode(codes[s], window=12)
             for other in (single, oracle):
                 assert stream.flags.tobytes() == other.flags.tobytes()
                 assert stream.offsets.tobytes() == other.offsets.tobytes()

@@ -226,9 +226,13 @@ class TestClusterSimulator:
     def test_reset_ledger_equals_fresh_simulator(self, sim):
         """Regression: ``reset()`` left ``Communicator._exchange_counter``
         running, so a reset simulator tagged its chunk events
-        ``exchange=1`` where a fresh one says ``exchange=0``."""
+        ``exchange=1`` where a fresh one says ``exchange=0``.  Its lane
+        tails must go too, or the first events after a reset would name
+        the old ledger's indices as release edges."""
 
-        def exchange(target: ClusterSimulator) -> None:
+        def program(target: ClusterSimulator) -> None:
+            target.compute(1, 3e-4, EventCategory.TOP_MLP_BWD)
+            target.stream_compute(2, 1e-4, EventCategory.OPTIMIZER, "aux")
             bufs = [[[bytes(64 * (s + 1)), bytes(32 + d)] for d in range(4)] for s in range(4)]
             target.comm.compressed_all_to_all(
                 bufs,
@@ -238,14 +242,20 @@ class TestClusterSimulator:
                 compress_seconds=[1e-4, 2e-4, 0.0, 3e-4],
                 decompress_seconds=[2e-4] * 4,
             )
+            target.comm.all_reduce_bytes(1 << 16)
+            for rank in range(4):
+                target.compute(rank, 1e-4, EventCategory.OPTIMIZER)
 
-        exchange(sim)
+        program(sim)
         sim.reset()
-        exchange(sim)
+        program(sim)
         fresh = ClusterSimulator(4)
-        exchange(fresh)
-        assert sim.timeline.events == fresh.timeline.events
-        assert {e.args["exchange"] for e in sim.timeline.events} == {0}
+        program(fresh)
+        events = sim.timeline.events
+        assert events == fresh.timeline.events  # release_edges included
+        assert [e.release_edges for e in events] == [e.release_edges for e in fresh.timeline.events]
+        assert events[0].release_edges is None and any(e.release_edges for e in events)
+        assert {e.args["exchange"] for e in events if e.args} == {0}
         assert sim.clocks == fresh.clocks
 
     def test_owns_cost_models_and_communicator(self, sim):
@@ -315,6 +325,20 @@ class TestStreams:
             )
             for a, b in zip(events, events[1:]):
                 assert a.end <= b.start + 1e-12
+
+    def test_new_stream_after_sync_records_its_rank_tails(self, sim):
+        """A new named stream starts at the rank clock, so its first event
+        is released by everything the rank's other streams waited on."""
+        sim.compute(0, 1.0, EventCategory.COMPRESS)
+        sim.stream_compute(0, 2.0, EventCategory.ALLTOALL_FWD, COMM_STREAM)
+        sim.sync(0)
+        sim.stream_compute(0, 0.5, EventCategory.OPTIMIZER, "aux")
+        first = sim.timeline.events[-1]
+        assert (first.stream, first.start) == ("aux", 2.0)
+        assert first.release_edges == (0, 1)
+        # ...and the next event on that stream is released by the lane alone
+        sim.stream_compute(0, 0.5, EventCategory.OPTIMIZER, "aux")
+        assert sim.timeline.events[-1].release_edges is None
 
     def test_reset_clears_streams(self, sim):
         sim.stream_compute(0, 1.0, EventCategory.COMPRESS, COMM_STREAM)

@@ -17,6 +17,12 @@ with ``ClusterSimulator.collective`` / ``compute`` / ``stream_compute``
 instead of the chunk-pipeline builder — and is never re-recorded: every
 all-to-all must keep its times when its bookkeeping changes.
 
+Six event digests were re-recorded once more when ``ClusterSimulator``
+began recording every dependency as a release edge (lane tails, see
+``repro.dist.simulator``); their ``TIMING_GOLDEN`` entries did not move,
+and :func:`test_identity_reschedule_reproduces_makespan` pins that the
+recorded edges explain every start.
+
 Run ``python tests/dist/test_ledger_golden.py`` to print the digests of
 the current checkout (only ever paste them here from a commit whose ledger
 is known good).
@@ -39,6 +45,7 @@ from repro.dist import (
     Topology,
 )
 from repro.faults import FaultInjector, FaultPlan, LinkFault, StragglerFault
+from repro.obs.critpath import TimelineDag
 
 
 def ledger_digest(sim: ClusterSimulator) -> str:
@@ -401,21 +408,22 @@ WORLDS = {
 }
 
 #: recorded at b881649 (per-event scheduling loop) — see the module docstring;
-#: the last two entries after the all-to-alls joined the pipeline builder
+#: the last three entries were re-recorded when the all-to-alls joined the
+#: pipeline builder (chunk args, release edges, exchange ids).  The worlds
+#: marked "tails" were re-recorded when the simulator began recording the
+#: edges its lane tails name: after a collective, a ``sync`` or an exchange,
+#: and into the metadata / wire stages of ranks that compress for free.
 GOLDEN = {
-    "benchmark_shape": "b6fafd2e90bf423b7e495031398a5fbf",  # 6656 events
+    "benchmark_shape": "69d7face6146ee19c7b0d43f21bb8d31",  # 6656 events; tails
     "ragged_chunks": "627e219530be17474e6d088ad2215d14",  # 116 events
     "default_chunks": "ece129e3a816e49d561104c47500d709",  # 114 events
-    "zero_cost_ranks": "a220b3ed6d859feab6dc1aabb84acd4b",  # 72 events
+    "zero_cost_ranks": "c67484638bf9debd6d57fdf3776c4bd2",  # 72 events; tails
     "metadata_skipped": "723f984825f54027fef794236744709a",  # 41 events
     "payload_shapes": "02f88df9ef8cb25cd0c0e343c53fb819",  # 93 events
-    "overlap_compute": "7cd5c6a8fa82902e278ede3cb61bee4e",  # 39 events
-    # re-recorded when the sequential exchange, ``all_to_all`` and
-    # ``all_to_all_bytes`` moved onto the pipeline builder (chunk args,
-    # release edges, exchange ids); TIMING_GOLDEN pins their times
-    "back_to_back": "5a84ab3ac7ea42c70f29193a1da69b09",  # 290 events
-    "faults": "3d5ec601cf82ebe9072607c0dcbd9117",  # 185 events
-    "sequential_plain_bytes_under_faults": "6a56cc295709a62e7a3a422abbe20302",  # 60 events
+    "overlap_compute": "3c8416ceb7da4e2d8064a4536c423d0c",  # 39 events; tails
+    "back_to_back": "2e638eaa01b46ec9534415d87ca5934c",  # 290 events; tails
+    "faults": "3ffde2d281f6652b8f77275932a9d555",  # 185 events; tails
+    "sequential_plain_bytes_under_faults": "01a39e0842877ce90257762e2afb5d98",  # 60 events; tails
 }
 
 
@@ -442,6 +450,14 @@ def test_ledger_matches_golden_digest(name):
 @pytest.mark.parametrize("name", sorted(WORLDS))
 def test_schedule_matches_timing_digest(name):
     assert timing_digest(WORLDS[name]()) == TIMING_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORLDS))
+def test_identity_reschedule_reproduces_makespan(name):
+    """Recorded edges explain every start, and a fault delay is a floor:
+    re-scheduling the unscaled DAG lands on the makespan exactly."""
+    sim = WORLDS[name]()
+    assert TimelineDag.from_timeline(sim.timeline).reschedule(lambda e: 1.0) == sim.makespan()
 
 
 def test_fault_world_actually_bites():

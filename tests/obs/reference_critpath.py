@@ -7,11 +7,14 @@ column-based analyser that replaced it: ``test_critpath_differential.py``
 requires ``==`` on every ``CriticalPathResult`` and every rescheduled
 makespan.  Only the result types are imported from ``src`` so the two
 sides compare as the same dataclasses; do not "fix" or speed this file up.
+
+Its one edit since: once ``ClusterSimulator`` recorded every dependency as
+a release edge, the barrier-group and coincident-end inference was
+deleted here exactly as in ``src`` — nothing else changed.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Callable
 
@@ -25,23 +28,21 @@ from repro.obs.critpath import (
 
 
 class _Node:
-    __slots__ = ("event", "index", "lane_pred", "explicit", "group", "new_end")
+    __slots__ = ("event", "index", "lane_pred", "explicit", "new_end")
 
     def __init__(self, event: TimelineEvent, index: int):
         self.event = event
         self.index = index  # ledger index
         self.lane_pred: int | None = None  # ledger index of same-lane predecessor
         self.explicit: tuple[int, ...] = ()  # ledger indices of release edges
-        self.group: int | None = None  # collective-barrier group id
         self.new_end: float = 0.0
 
 
 class TimelineDag:
     """Dependency DAG reconstructed from one timeline's event ledger."""
 
-    def __init__(self, nodes: dict[int, _Node], groups: list[list[int]], eps: float):
+    def __init__(self, nodes: dict[int, _Node], eps: float):
         self._nodes = nodes
-        self._groups = groups
         self._eps = eps
         self._ends_sorted = sorted(
             ((node.event.end, index) for index, node in nodes.items())
@@ -52,10 +53,8 @@ class TimelineDag:
 
     @classmethod
     def from_timeline(cls, timeline: Timeline) -> "TimelineDag":
-        """Reconstruct the DAG: stream-order edges, explicit release
-        edges, and collective-barrier groups (contiguously-recorded runs
-        of identical spans on distinct ranks — how ``collective()``
-        writes them)."""
+        """Reconstruct the DAG: stream-order edges and explicit release
+        edges."""
         nodes: dict[int, _Node] = {}
         for index, event in enumerate(timeline.events):
             if event.stream == OBS_STREAM:
@@ -76,46 +75,9 @@ class TimelineDag:
                     i for i in node.event.release_edges if i in nodes and i < index
                 )
 
-        groups: list[list[int]] = []
-        ordered = sorted(nodes)
-        run: list[int] = []
-
-        def flush() -> None:
-            # A genuine collective() barrier: one identical span per rank,
-            # recorded contiguously, with no explicit release edges (events
-            # that carry edges — e.g. the pipelined metadata round — are
-            # released by those edges, not by a barrier over every clock).
-            if (
-                len(run) >= 2
-                and len({nodes[i].event.rank for i in run}) == len(run)
-                and all(not nodes[i].explicit for i in run)
-            ):
-                gid = len(groups)
-                groups.append(list(run))
-                for i in run:
-                    nodes[i].group = gid
-
-        for index in ordered:
-            event = nodes[index].event
-            if run:
-                head = nodes[run[0]].event
-                same = (
-                    index == run[-1] + 1
-                    and event.category == head.category
-                    and event.stream == head.stream
-                    and event.start == head.start
-                    and event.duration == head.duration
-                    and event.rank not in {nodes[i].event.rank for i in run}
-                )
-                if not same:
-                    flush()
-                    run.clear()
-            run.append(index)
-        flush()
-
         makespan = max((n.event.end for n in nodes.values()), default=0.0)
         eps = 1e-9 * max(1.0, makespan)
-        return cls(nodes, groups, eps)
+        return cls(nodes, eps)
 
     # --------------------------------------------------------------- queries
 
@@ -126,32 +88,15 @@ class TimelineDag:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _ending_at(self, time: float) -> list[int]:
-        """Ledger indices of events whose end matches ``time`` within the
-        tolerance (exact in fresh ledgers; the tolerance absorbs the
-        microsecond round-trip of parsed chrome traces)."""
-        lo = bisect.bisect_left(self._end_values, time - self._eps)
-        hi = bisect.bisect_right(self._end_values, time + self._eps)
-        return [index for _, index in self._ends_sorted[lo:hi]]
-
     def _releaser(self, index: int, visited: set[int]) -> int | None:
         """The latest-finishing dependency of one event: explicit release
-        edges and the same-lane predecessor always qualify; events ending
-        exactly at this event's start qualify when the lane alone does not
-        explain the start (a cross-stream join or collective barrier)."""
+        edges and the same-lane predecessor qualify."""
         node = self._nodes[index]
         event = node.event
         candidates: list[int] = [i for i in node.explicit if i not in visited]
         lane_pred = node.lane_pred
-        gap = event.start - self._eps > (
-            self._nodes[lane_pred].event.end if lane_pred is not None else 0.0
-        )
         if lane_pred is not None and lane_pred not in visited:
             candidates.append(lane_pred)
-        if gap or lane_pred is None:
-            candidates.extend(
-                i for i in self._ending_at(event.start) if i != index and i not in visited
-            )
         candidates = [
             i for i in candidates if self._nodes[i].event.end <= event.start + self._eps
         ]
@@ -225,20 +170,16 @@ class TimelineDag:
         """Forward-simulate the DAG with per-event duration scaling and
         return the new makespan.
 
-        Constraints honored: stream order, explicit release edges,
-        inferred cross-stream joins (only where the original schedule
-        shows one binding), collective barriers (a group starts when every
-        earlier-recorded event finished), and exogenous start floors where
-        no dependency explains an event's start (open-loop arrivals keep
-        their clock).  ``scale(event) == 1.0`` for every event reproduces
-        the original makespan exactly.
+        Constraints honored: stream order, explicit release edges, and
+        exogenous start floors where no dependency explains an event's
+        start (open-loop arrivals keep their clock).  ``scale(event) ==
+        1.0`` for every event reproduces the original makespan exactly.
         """
         order = sorted(
             self._nodes,
             key=lambda i: (self._nodes[i].event.start, self._nodes[i].event.end, i),
         )
         processed: set[int] = set()
-        group_start: dict[int, float] = {}
         makespan = 0.0
         for index in order:
             node = self._nodes[index]
@@ -257,33 +198,6 @@ class TimelineDag:
                 + [self._nodes[i].event.end for i in node.explicit],
                 default=0.0,
             )
-            if node.group is not None:
-                gid = node.group
-                if gid not in group_start:
-                    # A collective barriers every clock: the group starts
-                    # once every earlier-recorded event has finished.
-                    first = min(self._groups[gid])
-                    group_start[gid] = max(
-                        (
-                            self._nodes[i].new_end
-                            for i in processed
-                            if i < first
-                        ),
-                        default=0.0,
-                    )
-                start = group_start[gid]
-                explained = event.start  # the barrier fully explains it
-            elif event.start - self._eps > lane_end:
-                joins = [
-                    i
-                    for i in self._ending_at(event.start)
-                    if i != index and i < index
-                ]
-                deps.extend(joins)
-                if joins:
-                    explained = max(
-                        explained, max(self._nodes[i].event.end for i in joins)
-                    )
             for i in deps:
                 if i in processed:  # guaranteed by the processing order
                     start = max(start, self._nodes[i].new_end)

@@ -6,14 +6,17 @@ The two acceptance properties of ``repro.obs.critpath``:
   counts, the critical-path steps tile ``[0, makespan]`` exactly, so
   ``attribution_exact()`` (done in :class:`fractions.Fraction`) sums to
   ``Fraction(makespan)`` identically — no float luck.
-* **What-if fidelity** — ``speedup_if(category, factor)`` must land
-  within 5% of actually re-running the simulator with that category's
-  stage times scaled (the compress/decompress knobs the Fig. 12
-  scenarios turn).
+* **Exactness** — the simulator records every dependency it creates, so
+  on any fault-free program ``reschedule(lambda e: 1.0)`` reproduces the
+  makespan exactly, and ``speedup_if(category, factor)`` equals actually
+  re-running the program with that category's seconds scaled (to float
+  rounding: the DAG multiplies by ``1/factor`` where the re-run divides).
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dist import (
+    COMM_STREAM,
     IB_HDR_LIKE,
     NVLINK_LIKE,
     PCIE_LIKE,
@@ -31,6 +35,7 @@ from repro.dist import (
     Timeline,
     Topology,
 )
+from repro.obs import critpath
 from repro.obs.critpath import (
     IDLE_CATEGORY,
     CriticalPathResult,
@@ -197,7 +202,7 @@ class TestSpeedupIf:
         (EventCategory.DECOMPRESS, 2.0),
         (EventCategory.COMPRESS, 0.5),  # slowdown
     ])
-    def test_prediction_within_5pct_of_resimulation(
+    def test_prediction_matches_resimulation(
         self, n, chunks, seed, category, factor
     ):
         network = NetworkModel(bandwidth=1e9, latency=1e-6)
@@ -216,7 +221,7 @@ class TestSpeedupIf:
         ]
         actual = _run(network, scaled_c, scaled_d, sizes, chunks).makespan()
         assert estimate.baseline_makespan == sim.makespan()
-        assert estimate.predicted_makespan == pytest.approx(actual, rel=0.05)
+        assert estimate.predicted_makespan == pytest.approx(actual, rel=1e-9)
 
     @given(
         fabric_and_ranks(),
@@ -244,21 +249,17 @@ class TestSpeedupIf:
             for d in decompress
         ]
         actual = _run(network, scaled_c, scaled_d, sizes, chunks).makespan()
-        assert estimate.predicted_makespan == pytest.approx(actual, rel=0.05)
+        assert estimate.predicted_makespan == pytest.approx(actual, rel=1e-9)
 
     def test_identity_factor_reproduces_makespan(self):
         compress, decompress, sizes = _workload(5, seed=21)
         sim = _run(NetworkModel(bandwidth=5e9, latency=1e-6),
                    compress, decompress, sizes, 3)
         dag = TimelineDag.from_timeline(sim.timeline)
-        assert dag.reschedule(lambda e: 1.0) == pytest.approx(
-            sim.makespan(), rel=1e-9
-        )
+        assert dag.reschedule(lambda e: 1.0) == sim.makespan()
         estimate = dag.speedup_if(EventCategory.COMPRESS, 1.0)
-        assert estimate.predicted_makespan == pytest.approx(
-            sim.makespan(), rel=1e-9
-        )
-        assert estimate.speedup == pytest.approx(1.0, rel=1e-9)
+        assert estimate.predicted_makespan == sim.makespan()
+        assert estimate.speedup == 1.0
 
     def test_speeding_up_compress_never_hurts(self):
         compress, decompress, sizes = _workload(6, seed=8)
@@ -337,3 +338,171 @@ class TestRendering:
             category="compress", start=1.0, end=2.5,
         )
         assert step.seconds == pytest.approx(1.5)
+
+
+# ---------------------------------------------------------------- exactness
+
+
+class _ScaledNetwork:
+    """``network`` with each collective kind's time divided by the factor
+    of the category it is charged under (the metadata round, every
+    all-to-all wire, the all-reduce)."""
+
+    def __init__(self, network: NetworkModel, scale: dict[str, float]):
+        self.topology = network.topology
+        self._network, self._scale = network, scale
+
+    def all_to_all_time(self, byte_matrix):
+        return self._network.all_to_all_time(byte_matrix) / self._scale.get("alltoall_fwd", 1.0)
+
+    def uniform_all_to_all_time(self, nbytes_per_pair, n_ranks):
+        seconds = self._network.uniform_all_to_all_time(nbytes_per_pair, n_ranks)
+        return seconds / self._scale.get("metadata", 1.0)
+
+    def all_reduce_time(self, nbytes, n_ranks):
+        return self._network.all_reduce_time(nbytes, n_ranks) / self._scale.get("allreduce", 1.0)
+
+
+OPS = [
+    "compute", "kernels", "comm", "aux", "sync", "barrier", "collective", "exchange", "bytes",
+    "allreduce",
+]
+#: every category a program below charges
+CATEGORIES = [
+    "bottom_mlp_fwd", "bottom_mlp_bwd", "optimizer", "alltoall_bwd", "retry",
+    "allreduce", "compress", "decompress", "metadata", "alltoall_fwd",
+]
+
+
+def _program(ops: list[str], n: int, seed: int) -> list[tuple]:
+    """A fault-free program: each op with its seeded arguments."""
+    rng = np.random.default_rng(seed)
+
+    def seconds(size=None, zero=0.3):
+        values = rng.uniform(1e-5, 1e-3, size=size)
+        return np.where(rng.random(size) < zero, 0.0, values).tolist() if size else float(values)
+
+    program = []
+    for op in ops:
+        rank = int(rng.integers(0, n))
+        if op in ("compute", "kernels"):  # kernels: one equal-cost kernel per rank
+            category = str(rng.choice(["bottom_mlp_fwd", "bottom_mlp_bwd", "optimizer"]))
+            program.append((op, rank, seconds(), category))
+        elif op in ("comm", "aux"):
+            program.append((op, rank, seconds(), str(rng.choice(["alltoall_bwd", "optimizer"]))))
+        elif op == "sync":
+            program.append((op, rank))
+        elif op == "collective":
+            program.append((op, seconds(), str(rng.choice(["allreduce", "retry"]))))
+        elif op == "exchange":
+            program.append((
+                op, rng.integers(0, 40_000, size=(n, n)).tolist(), seconds(n), seconds(n),
+                bool(rng.integers(0, 2)), rng.integers(1, 5, size=n).tolist(), seconds(n, 0.6),
+            ))
+        elif op == "bytes":
+            program.append((op, rng.integers(0, 1 << 16, size=(n, n)), seconds(n, 0.5)))
+        elif op == "allreduce":
+            program.append((op, int(rng.integers(1, 1 << 18))))
+        else:
+            program.append((op,))
+    return program
+
+
+def _execute(program, network, n, scale=None) -> ClusterSimulator:
+    """Run ``program``, each category's seconds divided by ``scale[category]``."""
+    scale = scale or {}
+
+    def scaled(values, category):
+        factor = scale.get(category, 1.0)
+        return [v / factor for v in values] if isinstance(values, list) else values / factor
+
+    sim = ClusterSimulator(n, network=_ScaledNetwork(network, scale))
+    for op, *a in program:
+        if op == "compute":
+            sim.compute(a[0], scaled(a[1], a[2]), a[2])
+        elif op == "kernels":
+            for rank in range(n):
+                sim.compute(rank, scaled(a[1], a[2]), a[2])
+        elif op in ("comm", "aux"):
+            stream = COMM_STREAM if op == "comm" else "aux"
+            sim.stream_compute(a[0], scaled(a[1], a[2]), a[2], stream)
+        elif op == "sync":
+            sim.sync(a[0])
+        elif op == "barrier":
+            sim.barrier()
+        elif op == "collective":
+            sim.collective(scaled(a[0], a[1]), a[1])
+        elif op == "exchange":
+            sizes, compress, decompress, overlap, chunks, overlap_compute = a
+            sim.comm.compressed_all_to_all(
+                [[b"x" * size for size in row] for row in sizes],
+                overlap=overlap,
+                compress_seconds=scaled(compress, "compress"),
+                decompress_seconds=scaled(decompress, "decompress"),
+                chunks_per_rank=chunks,
+                overlap_compute_seconds=scaled(overlap_compute, "bottom_mlp_bwd"),
+            )
+        elif op == "bytes":
+            sim.comm.all_to_all_bytes(
+                a[0], overlap_compute_seconds=scaled(a[1], "bottom_mlp_bwd")
+            )
+        else:
+            sim.comm.all_reduce_bytes(a[0])
+    return sim
+
+
+class TestExactness:
+    """What-ifs are exact by construction on simulator ledgers: every
+    dependency is a recorded edge or a same-lane predecessor."""
+
+    @given(
+        fabric_and_ranks(),
+        st.lists(st.sampled_from(OPS), min_size=1, max_size=9),
+        st.integers(0, 10_000),
+        st.sampled_from(CATEGORIES),
+        st.sampled_from([0.25, 0.5, 2.0, 3.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_identity_and_what_if_equal_a_rerun(self, fabric, ops, seed, category, factor):
+        network, n = fabric
+        program = _program(ops, n, seed)
+        sim = _execute(program, network, n)
+        dag = TimelineDag.from_timeline(sim.timeline)
+        assert dag.reschedule(lambda e: 1.0) == sim.makespan()
+        predicted = dag.speedup_if(category, factor).predicted_makespan
+        rerun = _execute(program, network, n, {category: factor}).makespan()
+        assert predicted == pytest.approx(rerun, rel=1e-9)
+
+    def test_equal_cost_kernels_are_not_a_collective(self):
+        """Back-to-back equal-cost kernels on distinct ranks are not a
+        barrier: the long comm event on rank 0 sets the makespan alone."""
+        sim = ClusterSimulator(3)
+        sim.stream_compute(0, 10.0, EventCategory.ALLTOALL_BWD, COMM_STREAM)
+        for seconds in (1.0, 2.0):
+            for rank in range(3):
+                sim.compute(rank, seconds, "compute")
+        dag = TimelineDag.from_timeline(sim.timeline)
+        assert sim.makespan() == 10.0
+        assert dag.reschedule(lambda e: 1.0) == 10.0
+        assert dag.speedup_if(EventCategory.ALLTOALL_BWD, 2.0).predicted_makespan == 5.0
+
+    def test_request_keeps_its_arrival_floor(self):
+        """A request arriving at an idle replica just as another replica's
+        request ends was not released by it: its arrival stays a floor."""
+        timeline = Timeline()
+        timeline.record(0, EventCategory.SERVE_REQUEST, 0.0, 1.0, stream="replica")
+        timeline.record(1, EventCategory.SERVE_REQUEST, 1.0, 1.0, stream="replica")
+        dag = TimelineDag.from_timeline(timeline)
+        assert dag.speedup_if(EventCategory.SERVE_REQUEST, 2.0).predicted_makespan == 1.5
+        steps = dag.critical_path().steps
+        assert [(s.event_index, s.category) for s in steps] == [(None, IDLE_CATEGORY), (1, "serve_request")]
+
+    def test_analyser_infers_no_dependency(self):
+        """The analyser reads recorded edges and the same-lane predecessor
+        only: no barrier groups, no joins on coincident ends."""
+        tree = ast.parse(inspect.getsource(critpath))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        inferred = {"_ending_at", "searchsorted", "group", "group_start", "joins", "_by_end"}
+        assert not names & inferred

@@ -15,7 +15,7 @@ highlight lane or a what-if by one ulp:
 * the nine worlds of ``tests/dist/test_ledger_golden.py``, faults included;
 * hand-assembled ledgers: edges that are negative, past the end, forward,
   self-referential or name an annotation span; shared edge tuples; tied
-  times; collectives with repeated ranks.
+  times; back-to-back collectives with identical spans.
 """
 
 from __future__ import annotations
@@ -226,18 +226,26 @@ class TestEdgeHygiene:
         assert TimelineDag.from_timeline(timeline).speedup_if("optimizer", 2.0).predicted_makespan == 6.0
 
     def test_back_to_back_identical_collectives_split_on_repeated_ranks(self):
-        """Two collectives with one start and duration are one run of
-        identical spans; the rank repeating is what separates them, and
-        the second barriers on the slowest member of the first."""
-        barrier = [event(rank, "allreduce", 2.0, 1.0, COMM_STREAM) for rank in range(3)]
+        """Two back-to-back collectives of one duration, with the edges
+        ``ClusterSimulator.collective`` records: each member of one is
+        released by one shared tuple (the compress kernels, then the first
+        collective), and what follows by every member of the last.
+        Nothing groups identical spans, and rank 0's decode waits on the
+        slowest compress through both."""
+        released = (0, 1, 2)  # every rank's compress
+        first = (3, 4, 5)
+        second = (6, 7, 8)
         timeline = ledger(
             *(event(rank, "compress", 0.0, 1.0 + rank / 2) for rank in range(3)),
-            *barrier,
-            *barrier,
+            *(event(rank, "allreduce", 2.0, 1.0, COMM_STREAM, released) for rank in range(3)),
+            *(event(rank, "allreduce", 3.0, 1.0, COMM_STREAM, first) for rank in range(3)),
             # rank 0 owns the makespan only if it waited for the slowest rank
-            *(event(rank, "decompress", 3.0, 20.0 - 9 * rank, COMM_STREAM) for rank in range(3)),
+            *(event(rank, "decompress", 4.0, 20.0 - 9 * rank, COMM_STREAM, second) for rank in range(3)),
         )
         assert_same_analysis(timeline)
+        dag = TimelineDag.from_timeline(timeline)
+        assert [step.event_index for step in dag.critical_path().steps] == [2, 3, 6, 9]
+        assert dag.speedup_if("compress", 2.0).predicted_makespan == 23.0
 
     def test_empty_and_annotation_only_ledgers(self):
         assert_same_analysis(Timeline())

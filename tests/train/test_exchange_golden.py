@@ -28,7 +28,9 @@ Every digest but ``losses`` and ``params`` was last re-recorded at
 every lookup — the behaviour of the entropy leg once that cache was
 deleted.  Its stale books had shipped a few more payload bytes, which
 reach the wire bytes, the simulated exchange times and the stats; the
-losses and parameters are the same either way.
+losses and parameters are the same either way.  ``ledger`` alone was
+re-recorded again when ``ClusterSimulator`` began recording every
+dependency it creates as a release edge; ``timing`` did not move.
 
 Run ``python tests/train/test_exchange_golden.py`` to print the digests of
 the current checkout (only ever paste them here from a commit whose
@@ -49,6 +51,7 @@ from repro.adaptive import AdaptiveController, OfflineAnalyzer, StepwiseDecay
 from repro.data import CRITEO_KAGGLE, SyntheticClickDataset, scaled_spec
 from repro.dist import ClusterSimulator
 from repro.model import DLRM, DLRMConfig
+from repro.obs.critpath import TimelineDag
 from repro.obs.runtime import capture
 from repro.train import CompressionPipeline, HybridParallelTrainer
 
@@ -81,7 +84,8 @@ def _world():
     return dataset, config, replace(plan, tables=tables)
 
 
-def run_case(compress_backward: bool, overlap) -> dict[str, str]:
+def _train(compress_backward: bool, overlap):
+    """Train ``run_case``'s world; returns what its digests read."""
     dataset, config, plan = _world()
     pipe = CompressionPipeline(
         AdaptiveController(plan, StepwiseDecay(2.0, 2, n_steps=2)),
@@ -106,6 +110,12 @@ def run_case(compress_backward: bool, overlap) -> dict[str, str]:
     trainer.comm.compressed_all_to_all = compressed_all_to_all
     with capture() as registry:
         losses = [float(trainer.train_step(BATCH, it)) for it in range(STEPS)]
+    return trainer, pipe, posted, registry, losses
+
+
+def run_case(compress_backward: bool, overlap) -> dict[str, str]:
+    trainer, pipe, posted, registry, losses = _train(compress_backward, overlap)
+    sim = trainer.simulator
     timeline = sim.timeline
     ledger = [
         (
@@ -143,18 +153,27 @@ def run_case(compress_backward: bool, overlap) -> dict[str, str]:
 CASES = [(cb, ov) for cb in (False, True) for ov in (False, True, "cross_stage")]
 
 GOLDEN: dict[tuple[bool, object], dict[str, str]] = {
-    (False, False): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': 'c398671aa45250a9aa1f0d66aad34684', 'timing': '19b274d1b3af7cf5b217ca20f6a2df15', 'obs': '7d732424fbd403e82d3fe6455761cc6a', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
-    (False, True): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '95e3bce56c36817aa574432484f001d9', 'timing': '0ac463c006db5e9c6ca45364895e2579', 'obs': '3cf1488e544385b5785cdb17ebbc83ad', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
-    (False, 'cross_stage'): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '4a2e99b6b167af345e47d32b39283735', 'timing': '9556953cc3bfb84d9527233d31ac0fbb', 'obs': '00346b085387498b7bd51feab0e1fde6', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
-    (True, False): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': 'bc354acc62246a0017e5c555101617e3', 'timing': '629003cfbedf961445593bd66cb228d1', 'obs': 'f61433605555037d81255a7a6d20950b', 'stats': '3de8ac84549fb894792459ac625d31d1'},
-    (True, True): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': 'bd8c79c35a39e4f35fcdb4d0691c6784', 'timing': '46a2bc25082d0779d543a0a8f1aef3aa', 'obs': '7a1100fa074b224504de8f87914bacba', 'stats': '3de8ac84549fb894792459ac625d31d1'},
-    (True, 'cross_stage'): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': 'bd457fe0d83540bf7ec3ec3f25c996b7', 'timing': '0491b35af860cc2f11d94fe9c13d0e41', 'obs': '41c27da7d0b7ae070e6b43cc93c45b7f', 'stats': '3de8ac84549fb894792459ac625d31d1'},
+    (False, False): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '064a7ca6ea87d4ed1e81b3fe309785df', 'timing': '19b274d1b3af7cf5b217ca20f6a2df15', 'obs': '7d732424fbd403e82d3fe6455761cc6a', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
+    (False, True): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '28927d73a9f830add2bb3cbea7a3b311', 'timing': '0ac463c006db5e9c6ca45364895e2579', 'obs': '3cf1488e544385b5785cdb17ebbc83ad', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
+    (False, 'cross_stage'): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '816d36440d1ace6b3e0658174d8d79f1', 'timing': '9556953cc3bfb84d9527233d31ac0fbb', 'obs': '00346b085387498b7bd51feab0e1fde6', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
+    (True, False): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '548cda6a2b61ebb2473a65164eea5082', 'timing': '629003cfbedf961445593bd66cb228d1', 'obs': 'f61433605555037d81255a7a6d20950b', 'stats': '3de8ac84549fb894792459ac625d31d1'},
+    (True, True): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '28af9dc24e2c9d845959ff6f662bac78', 'timing': '46a2bc25082d0779d543a0a8f1aef3aa', 'obs': '7a1100fa074b224504de8f87914bacba', 'stats': '3de8ac84549fb894792459ac625d31d1'},
+    (True, 'cross_stage'): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '5aacd1b9d4606cf4dd7cebbeee4b119d', 'timing': '0491b35af860cc2f11d94fe9c13d0e41', 'obs': '41c27da7d0b7ae070e6b43cc93c45b7f', 'stats': '3de8ac84549fb894792459ac625d31d1'},
 }
 
 
 @pytest.mark.parametrize("compress_backward, overlap", CASES)
 def test_exchange_reproduces_golden(compress_backward, overlap):
     assert run_case(compress_backward, overlap) == GOLDEN[(compress_backward, overlap)]
+
+
+@pytest.mark.parametrize("compress_backward, overlap", CASES)
+def test_identity_reschedule_reproduces_makespan(compress_backward, overlap):
+    """Every dependency of a trainer step is a recorded edge: equal-cost
+    per-rank kernels are not read as collectives, and the unscaled DAG
+    re-schedules to the makespan exactly."""
+    sim = _train(compress_backward, overlap)[0].simulator
+    assert TimelineDag.from_timeline(sim.timeline).reschedule(lambda e: 1.0) == sim.makespan()
 
 
 if __name__ == "__main__":
