@@ -100,7 +100,8 @@ def has_checksum(data: bytes | bytearray | memoryview) -> bool:
 
 def _reference_verify_checksum_frame(data: bytes | bytearray | memoryview) -> bytes:
     """Frozen seed implementation (copies the body out); oracle for the
-    zero-copy differential tests and the ``zero_copy`` perfbench rows."""
+    zero-copy differential tests and the reference of the perfbench
+    ``checksum.verify`` rows."""
     view = memoryview(data)
     if len(view) < 5 or view[0] != CHECKSUM_MAGIC:
         raise ValueError(

@@ -289,7 +289,7 @@ def _resolve_stack(encoded: Sequence[VectorLZEncoded]) -> tuple[np.ndarray, np.n
     marked = is_match.reshape(n_streams, n).sum(axis=1).tolist()
     if marked != n_matches:
         s = next(s for s in range(n_streams) if marked[s] != n_matches[s])
-        raise ValueError(
+        raise CorruptPayloadError(
             f"corrupt vector-LZ stream: flag map marks {marked[s]} matches, "
             f"header declares {n_matches[s]}"
         )
@@ -311,7 +311,7 @@ def _resolve_stack(encoded: Sequence[VectorLZEncoded]) -> tuple[np.ndarray, np.n
     match_positions = np.flatnonzero(is_match)
     src[match_positions] = match_positions - offsets.astype(np.int64)
     if (src[match_positions] < match_positions - match_positions % n).any():
-        raise ValueError("corrupt vector-LZ stream: back-reference before row 0")
+        raise CorruptPayloadError("corrupt vector-LZ stream: back-reference before row 0")
     # Pointer jumping: literals are fixed points, matches strictly decrease,
     # so repeated src[src] reaches the all-literal fixed point.
     for _ in range(_MAX_JUMP_PASSES):
@@ -320,7 +320,7 @@ def _resolve_stack(encoded: Sequence[VectorLZEncoded]) -> tuple[np.ndarray, np.n
             break
         src = hopped
     if is_match[src].any():
-        raise ValueError("corrupt vector-LZ stream: unresolvable match chain")
+        raise CorruptPayloadError("corrupt vector-LZ stream: unresolvable match chain")
     # Root rows are literals; literal_index maps a literal row position to
     # its rank in the packed literal block.
     literal_index = np.cumsum(~is_match) - 1
@@ -390,7 +390,7 @@ def vector_lz_decode_rows(encoded: VectorLZEncoded, rows: Sequence[int]) -> np.n
         n_flags = n
     marked = flags.bit_count()
     if marked != n_matches:
-        raise ValueError(
+        raise CorruptPayloadError(
             f"corrupt vector-LZ stream: flag map marks {marked} matches, "
             f"header declares {n_matches}"
         )
@@ -413,9 +413,9 @@ def vector_lz_decode_rows(encoded: VectorLZEncoded, rows: Sequence[int]) -> np.n
             offset = int.from_bytes(offsets[first_bit >> 3 : last_byte], "big")
             offset = (offset >> (last_byte * 8 - first_bit - offset_width)) & offset_mask
             if offset == 0:
-                raise ValueError("corrupt vector-LZ stream: unresolvable match chain")
+                raise CorruptPayloadError("corrupt vector-LZ stream: unresolvable match chain")
             if offset > row:
-                raise ValueError("corrupt vector-LZ stream: back-reference before row 0")
+                raise CorruptPayloadError("corrupt vector-LZ stream: back-reference before row 0")
             row -= offset
             chain.append(row)
         # ``row`` is a literal (or already resolved): a literal's rank is its
@@ -464,7 +464,7 @@ def _parsed_stream(header: dict[str, Any], body: memoryview, n: int, d: int) -> 
     """The three sections of one parsed vector-LZ frame, as views of ``body``."""
     flags_len, offsets_len = header["flags_len"], header["offsets_len"]
     if flags_len < 0 or offsets_len < 0 or flags_len + offsets_len > len(body):
-        raise ValueError(
+        raise CorruptPayloadError(
             f"corrupt vector-LZ stream: header declares {flags_len} + {offsets_len} "
             f"flag and offset bytes, body holds {len(body)}"
         )
@@ -588,7 +588,9 @@ class VectorLZCompressor(Compressor):
             return self._decode_bodies([header], [body], n, d, dtype)[0]
         code_min = header["code_min"]
         if not -(1 << 63) <= code_min < (1 << 63):
-            raise ValueError(f"corrupt vector-LZ stream: code_min {code_min} is not an int64")
+            raise CorruptPayloadError(
+                f"corrupt vector-LZ stream: code_min {code_min} is not an int64"
+            )
         codes = vector_lz_decode_rows(_parsed_stream(header, body, n, d), rows)
         return ((codes + code_min).astype(np.float64) * (2.0 * header["eb"])).astype(dtype)
 

@@ -100,22 +100,6 @@ def breakdown_report(
     return format_table(["Stage", "Time", "Share"], rows, title=title)
 
 
-def _union_seconds(intervals: list[tuple[float, float]]) -> float:
-    """Total length of the union of ``(start, end)`` intervals."""
-    total = 0.0
-    current_start = current_end = None
-    for start, end in sorted(intervals):
-        if current_end is None or start > current_end:
-            if current_end is not None:
-                total += current_end - current_start
-            current_start, current_end = start, end
-        else:
-            current_end = max(current_end, end)
-    if current_end is not None:
-        total += current_end - current_start
-    return total
-
-
 def overlap_report(timeline: Timeline) -> dict[int, dict[str, float]]:
     """Per-rank overlap accounting from a (possibly multi-stream) timeline.
 
@@ -132,7 +116,8 @@ def overlap_report(timeline: Timeline) -> dict[int, dict[str, float]]:
         # streams; counting them would fabricate overlap.
         events = [e for e in timeline.events_for_rank(rank) if e.stream != OBS_STREAM]
         charged = sum(e.duration for e in events)
-        busy = _union_seconds([(e.start, e.end) for e in events])
+        merged = _merge_intervals([(e.start, e.end) for e in events])
+        busy = sum((end - start for start, end in merged), 0.0)
         overlapped = max(0.0, charged - busy)
         comm = sum(
             e.duration for e in events if e.category in EventCategory.COMMUNICATION

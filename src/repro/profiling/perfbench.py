@@ -9,9 +9,16 @@ the frozen seed implementations (``_reference_*``), and persists the
 results as machine-readable JSON (``BENCH_compression.json`` at the repo
 root) so every subsequent change has a trajectory to compare against.
 
+The suite is a table of rows and one runner.  Four builders yield the
+rows — :func:`_codec_rows` per table shape, then the fixed-geometry
+:func:`_stack_rows`, :func:`_shard_rows` and :func:`_critpath_rows` — each
+a :data:`Row` ``(codec, op, shape_name, rows, dim, input_nbytes, fn,
+ref)``.  :func:`_measure` times every row alike: best of N calls of
+``fn``, alternated call by call with ``ref`` whenever the row has one.
+
 Three entry points:
 
-* :func:`run_suite` — measure, returning :class:`PerfRecord` rows.
+* :func:`run_suite` — measure, returning one :class:`PerfRecord` per row.
 * :func:`append_run` / :func:`load_trajectory` / :func:`load_bench` —
   extend / read the trajectory JSON (``load_bench`` is its latest run).
 * :func:`compare_to_baseline` — the one perf gate, run by CI's perf-smoke
@@ -30,10 +37,9 @@ import itertools
 import json
 import platform
 import time
-import tracemalloc
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,7 +98,7 @@ __all__ = [
 
 #: trajectory files: ``{"schema_version": 2, "runs": [run, run, ...]}``
 #: where each run is an environment stanza plus its ``records`` — one
-#: entry per landed change, oldest first
+#: entry per landed change, oldest first, one line per record
 TRAJECTORY_SCHEMA = 2
 
 #: the perf gate: a kernel fails when its throughput falls more than this
@@ -133,6 +139,11 @@ SHARD_ROWS_PER_BLOCK = 64
 #: microseconds: one alone is below what best-of timing resolves here)
 SHARD_PULLS_PER_CALL = 64
 
+#: one row of the suite: ``(codec, op, shape_name, rows, dim, input_nbytes,
+#: fn, ref)`` — the record's key and geometry, the timed call, and the
+#: reference it is timed against (``None`` for a row without one)
+Row = tuple[str, str, str, int, int, int, Callable[[], object], Callable[[], object] | None]
+
 
 @dataclass(frozen=True)
 class PerfRecord:
@@ -148,38 +159,6 @@ class PerfRecord:
     throughput_mb_s: float
     reference_seconds: float | None = None  # frozen seed implementation
     speedup: float | None = None  # reference_seconds / seconds
-    #: peak tracemalloc bytes over one call (zero_copy rows only): what the
-    #: kernel *allocates*, as opposed to how fast it runs
-    alloc_nbytes: int | None = None
-    reference_alloc_nbytes: int | None = None
-
-    @staticmethod
-    def from_timing(
-        codec: str,
-        op: str,
-        shape_name: str,
-        rows: int,
-        dim: int,
-        input_nbytes: int,
-        seconds: float,
-        reference_seconds: float | None = None,
-        alloc_nbytes: int | None = None,
-        reference_alloc_nbytes: int | None = None,
-    ) -> "PerfRecord":
-        return PerfRecord(
-            codec=codec,
-            op=op,
-            shape_name=shape_name,
-            rows=rows,
-            dim=dim,
-            input_nbytes=input_nbytes,
-            seconds=seconds,
-            throughput_mb_s=input_nbytes / seconds / 1e6,
-            reference_seconds=reference_seconds,
-            speedup=None if reference_seconds is None else reference_seconds / seconds,
-            alloc_nbytes=alloc_nbytes,
-            reference_alloc_nbytes=reference_alloc_nbytes,
-        )
 
 
 def make_lookup_batch(
@@ -206,333 +185,241 @@ def make_lookup_batch(
     return batch
 
 
-def _best_of(fn: Callable[[], object], repeats: int) -> float:
-    best = float("inf")
+def _measure(row: Row, repeats: int) -> PerfRecord:
+    """Best-of-``repeats`` wall time of one row's call and, when the row
+    has a reference, of the reference too — the two alternated call by
+    call, so both minima come from the same load/frequency window.
+    Sequential timing (all of ``fn`` then all of ``ref``) lets load drift
+    between the two windows masquerade as a speedup difference — fatal
+    when the real gap is small, as for the instrumentation-overhead rows."""
+    codec, op, shape_name, rows, dim, nbytes, fn, ref = row
+    calls = [fn] if ref is None else [fn, ref]
+    best = [float("inf")] * len(calls)
     for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _traced_peak(fn: Callable[[], object], repeats: int = 3) -> int:
-    """Smallest peak tracemalloc footprint of one call.
-
-    NumPy routes array data through the tracemalloc domain hooks, so this
-    covers the buffers that matter, not just Python objects.  Best-of
-    because interpreter-side caches can inflate the first call."""
-    best = None
-    for _ in range(max(1, repeats)):
-        tracemalloc.start()
-        try:
-            fn()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        best = peak if best is None else min(best, peak)
-    return int(best or 0)
-
-
-def _best_of_pair(
-    fn: Callable[[], object], ref_fn: Callable[[], object], repeats: int
-) -> tuple[float, float]:
-    """Best-of timing with the two sides alternated call by call, so both
-    minima come from the same load/frequency window.  Sequential timing
-    (all of ``fn`` then all of ``ref_fn``) lets load drift between the two
-    windows masquerade as a speedup difference — fatal when the real gap
-    is small, as for the instrumentation-overhead rows."""
-    best = ref_best = float("inf")
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        ref_fn()
-        ref_best = min(ref_best, time.perf_counter() - t0)
-    return best, ref_best
-
-
-def run_suite(
-    shapes: dict[str, tuple[int, int]] | None = None,
-    *,
-    error_bound: float = DEFAULT_ERROR_BOUND,
-    repeats: int = 5,
-    include_reference: bool = True,
-    seed: int = _SEED,
-) -> list[PerfRecord]:
-    """Time every hot kernel on every shape; returns one record per (kernel, shape)."""
-    if shapes is None:
-        shapes = PAPER_SHAPES
-    records: list[PerfRecord] = []
-
-    def add(
-        codec, op, shape_name, rows, dim, nbytes, fn, ref_fn=None,
-        *, interleave=False, measure_alloc=False,
-    ):
-        if ref_fn is not None and include_reference and interleave:
-            seconds, ref_seconds = _best_of_pair(fn, ref_fn, repeats)
-        else:
-            seconds = _best_of(fn, repeats)
-            ref_seconds = (
-                _best_of(ref_fn, repeats) if (ref_fn is not None and include_reference) else None
-            )
-        alloc = ref_alloc = None
-        if measure_alloc:
-            alloc = _traced_peak(fn)
-            if ref_fn is not None and include_reference:
-                ref_alloc = _traced_peak(ref_fn)
-        records.append(
-            PerfRecord.from_timing(
-                codec, op, shape_name, rows, dim, nbytes, seconds, ref_seconds,
-                alloc, ref_alloc,
-            )
-        )
-
-    for shape_name, (rows, dim) in shapes.items():
-        batch = make_lookup_batch(rows, dim, seed=seed)
-        nbytes = batch.nbytes
-
-        add(
-            "quantizer", "quantize", shape_name, rows, dim, nbytes,
-            lambda: quantize_batch(batch, error_bound),
-        )
-        quantized = quantize_batch(batch, error_bound)
-        codes = quantized.codes
-
-        # --- vector-LZ (the paper's LZ leg) ---
-        add(
-            "vector_lz", "encode", shape_name, rows, dim, nbytes,
-            lambda: vector_lz_encode(codes),
-        )
-        lz_stream = vector_lz_encode(codes)
-        add(
-            "vector_lz", "decode", shape_name, rows, dim, nbytes,
-            lambda: vector_lz_decode(lz_stream),
-            lambda: _reference_vector_lz_decode(lz_stream),
-        )
-
-        # --- optimized Huffman (the paper's entropy leg) ---
-        alphabet = quantized.alphabet_size
-        add(
-            "huffman", "encode", shape_name, rows, dim, nbytes,
-            lambda: huffman_encode(codes, alphabet),
-            lambda: _reference_huffman_encode(codes, alphabet),
-        )
-        huff_stream = huffman_encode(codes, alphabet)
-        add(
-            "huffman", "decode", shape_name, rows, dim, nbytes,
-            lambda: huffman_decode(huff_stream),
-            lambda: _reference_huffman_decode(huff_stream),
-        )
-
-        # --- generic byte-LZ baseline (nvCOMP-LZ4 family) ---
-        raw = batch.tobytes()
-        add(
-            "lz4_like", "encode", shape_name, rows, dim, nbytes,
-            lambda: lz77_encode_bytes(raw),
-            lambda: _reference_lz77_encode_bytes(raw),
-        )
-        byte_stream = lz77_encode_bytes(raw)
-        add(
-            "lz4_like", "decode", shape_name, rows, dim, nbytes,
-            lambda: lz77_decode_bytes(byte_stream, len(raw)),
-            lambda: _reference_lz77_decode_bytes(byte_stream, len(raw)),
-        )
-
-        # --- end-to-end hybrid codec, framing included (what one table
-        # slice actually pays on the training hot path) ---
-        hybrid = HybridCompressor()
-        add(
-            "hybrid", "compress", shape_name, rows, dim, nbytes,
-            lambda: hybrid.compress(batch, error_bound),
-        )
-        hybrid_payload = hybrid.compress(batch, error_bound)
-        add(
-            "hybrid", "decompress", shape_name, rows, dim, nbytes,
-            lambda: hybrid.decompress(hybrid_payload),
-        )
-
-        # --- CRC32 checksum envelope (the fault-tolerance framing): what
-        # integrity costs on top of the codec.  The serve_degraded/pull
-        # row is one faultable shard pull — verify the envelope, then the
-        # registry-level decode that strips it — against the bare decode,
-        # so the speedup column reads as the degraded-fabric overhead. ---
-        framed_payload = frame_with_checksum(hybrid_payload)
-        add(
-            "checksum", "frame", shape_name, rows, dim, nbytes,
-            lambda: frame_with_checksum(hybrid_payload),
-        )
-        add(
-            "checksum", "verify", shape_name, rows, dim, nbytes,
-            lambda: verify_checksum_frame(framed_payload),
-        )
-
-        def _degraded_pull():
-            verify_checksum_frame(framed_payload)
-            return decompress_any(framed_payload)
-
-        add(
-            "serve_degraded", "pull", shape_name, rows, dim, nbytes,
-            _degraded_pull,
-            lambda: hybrid.decompress(hybrid_payload),
-            interleave=True,
-        )
-
-        # --- hybrid codec with the observability runtime enabled: prices
-        # what instrumentation costs on the hot path.  Reference: the
-        # same call with the runtime disabled, so the speedup is exactly
-        # 1 / (1 + overhead) — the ≤3% budget the obs tests pin. ---
-        obs_registry = MetricsRegistry()
-
-        def _with_obs(fn):
-            obs_runtime.enable(obs_registry)
-            try:
-                return fn()
-            finally:
-                obs_runtime.disable()
-
-        add(
-            "hybrid_obs", "compress", shape_name, rows, dim, nbytes,
-            lambda: _with_obs(lambda: hybrid.compress(batch, error_bound)),
-            lambda: hybrid.compress(batch, error_bound),
-            interleave=True,
-        )
-        add(
-            "hybrid_obs", "decompress", shape_name, rows, dim, nbytes,
-            lambda: _with_obs(lambda: hybrid.decompress(hybrid_payload)),
-            lambda: hybrid.decompress(hybrid_payload),
-            interleave=True,
-        )
-
-        # --- hybrid auto with pinned-encoder replay: the training hot
-        # loop's configuration (key= + pin_refresh) amortizes
-        # the try-both trial over the refresh window, so steady-state
-        # calls run a single leg.  Reference: the per-call try-both auto
-        # path, so the speedup is exactly what pinning buys. ---
-        pinned = HybridCompressor(pin_refresh=PIN_REFRESH)
-        pinned.compress(batch, error_bound, key="bench")  # pin the winner
-        add(
-            "hybrid_pinned", "compress", shape_name, rows, dim, nbytes,
-            lambda: pinned.compress(batch, error_bound, key="bench"),
-            lambda: hybrid.compress(batch, error_bound),
-        )
-
-        # --- zero-copy verify: the view-returning envelope strip against
-        # the frozen copying seed implementation.  The row carries
-        # ``alloc_nbytes`` (peak tracemalloc bytes per call) next to the
-        # wall time — the claim is fewer allocations, not just speed. ---
-        add(
-            "zero_copy", "verify", shape_name, rows, dim, nbytes,
-            lambda: verify_checksum_frame(framed_payload),
-            lambda: _reference_verify_checksum_frame(framed_payload),
-            measure_alloc=True,
-        )
-
-        # --- FZ-GPU-like bit-plane baseline ---
-        unsigned = zigzag_encode(quantized.codes.ravel() + quantized.code_min)
-        add(
-            "fzgpu_like", "pack", shape_name, rows, dim, nbytes,
-            lambda: pack_bitplanes(unsigned, 256),
-            lambda: _reference_pack_bitplanes(unsigned, 256),
-        )
-        bitmap, payload, n_blocks = pack_bitplanes(unsigned, 256)
-        add(
-            "fzgpu_like", "unpack", shape_name, rows, dim, nbytes,
-            lambda: unpack_bitplanes(bitmap, payload, unsigned.size, 256, n_blocks),
-            lambda: _reference_unpack_bitplanes(bitmap, payload, unsigned.size, 256, n_blocks),
-        )
-
-        # --- homomorphic aggregation: one in-network all-reduce hop.  The
-        # agg rows sum two payloads *in compressed space*; the reference
-        # is the decode-sum-recode discipline a non-homomorphic codec
-        # forces on every intermediate hop, so the speedup column reads
-        # as the per-hop saving of in-network aggregation. ---
-        quant = get_compressor("quant_sum")
-        half = batch * np.float32(0.5)
-        q_payload = quant.compress(half, error_bound)
-
-        def _quant_hop():
-            total = quant.decompress(q_payload) + quant.decompress(q_payload)
-            return quant.compress(total, error_bound)
-
-        add(
-            "homomorphic_allreduce", "agg_quant", shape_name, rows, dim, nbytes,
-            lambda: agg_sum(q_payload, q_payload),
-            _quant_hop,
-            interleave=True,
-        )
-        count = get_compressor("count_sum")
-        c_payload = count.compress(half, None)
-
-        def _count_hop():
-            total = count.decompress(c_payload) + count.decompress(c_payload)
-            return count.compress(total, None)
-
-        add(
-            "homomorphic_allreduce", "agg_count", shape_name, rows, dim, nbytes,
-            lambda: agg_sum(c_payload, c_payload),
-            _count_hop,
-            interleave=True,
-        )
-
-    # --- fused per-table stage ①/④: all destination slices of one table
-    # (32 ranks x 128 local rows x dim 64, the headline exchange) through
-    # the batched vector-LZ kernels in one pass.  Reference: the serial
-    # per-slice loop producing the same payloads, so the speedup column is
-    # what amortising NumPy's per-call overhead over the stack buys.  One
-    # row pair regardless of the shape sweep. ---
-    lz = VectorLZCompressor()
-    n_slices, local_rows, stack_dim = STACK_SHAPE
-    stack = make_lookup_batch(n_slices * local_rows, stack_dim, seed=seed).reshape(STACK_SHAPE)
-    stack_name = "x".join(map(str, STACK_SHAPE))
-    add(
-        "vector_lz_batch", "compress", stack_name, n_slices * local_rows, stack_dim, stack.nbytes,
-        lambda: lz.compress_stack(stack, error_bound),
-        lambda: [lz.compress(piece, error_bound) for piece in stack],
-        interleave=True,
+        for i, call in enumerate(calls):
+            t0 = time.perf_counter()
+            call()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    seconds = best[0]
+    ref_seconds = None if ref is None else best[1]
+    return PerfRecord(
+        codec, op, shape_name, rows, dim, nbytes, seconds, nbytes / seconds / 1e6,
+        ref_seconds, None if ref_seconds is None else ref_seconds / seconds,
     )
-    stack_payloads = lz.compress_stack(stack, error_bound)
-    add(
-        "vector_lz_batch", "decompress", stack_name, n_slices * local_rows, stack_dim, stack.nbytes,
+
+
+def _codec_rows(shape_name: str, rows: int, dim: int) -> Iterator[Row]:
+    """Every codec kernel on one ``rows x dim`` lookup batch."""
+    batch = make_lookup_batch(rows, dim)
+    eb = DEFAULT_ERROR_BOUND
+
+    def row(codec: str, op: str, fn, ref) -> Row:
+        return codec, op, shape_name, rows, dim, batch.nbytes, fn, ref
+
+    yield row("quantizer", "quantize", lambda: quantize_batch(batch, eb), None)
+    quantized = quantize_batch(batch, eb)
+    codes = quantized.codes
+
+    # --- vector-LZ (the paper's LZ leg) ---
+    yield row("vector_lz", "encode", lambda: vector_lz_encode(codes), None)
+    lz_stream = vector_lz_encode(codes)
+    yield row(
+        "vector_lz", "decode",
+        lambda: vector_lz_decode(lz_stream),
+        lambda: _reference_vector_lz_decode(lz_stream),
+    )
+
+    # --- optimized Huffman (the paper's entropy leg) ---
+    alphabet = quantized.alphabet_size
+    yield row(
+        "huffman", "encode",
+        lambda: huffman_encode(codes, alphabet),
+        lambda: _reference_huffman_encode(codes, alphabet),
+    )
+    huff_stream = huffman_encode(codes, alphabet)
+    yield row(
+        "huffman", "decode",
+        lambda: huffman_decode(huff_stream),
+        lambda: _reference_huffman_decode(huff_stream),
+    )
+
+    # --- generic byte-LZ baseline (nvCOMP-LZ4 family) ---
+    raw = batch.tobytes()
+    yield row(
+        "lz4_like", "encode",
+        lambda: lz77_encode_bytes(raw),
+        lambda: _reference_lz77_encode_bytes(raw),
+    )
+    byte_stream = lz77_encode_bytes(raw)
+    yield row(
+        "lz4_like", "decode",
+        lambda: lz77_decode_bytes(byte_stream, len(raw)),
+        lambda: _reference_lz77_decode_bytes(byte_stream, len(raw)),
+    )
+
+    # --- end-to-end hybrid codec, framing included (what one table
+    # slice actually pays on the training hot path) ---
+    hybrid = HybridCompressor()
+    yield row("hybrid", "compress", lambda: hybrid.compress(batch, eb), None)
+    hybrid_payload = hybrid.compress(batch, eb)
+    yield row("hybrid", "decompress", lambda: hybrid.decompress(hybrid_payload), None)
+
+    # --- CRC32 checksum envelope (the fault-tolerance framing): what
+    # integrity costs on top of the codec.  verify returns a view of the
+    # body; its reference is the frozen strip that copies it out.  The
+    # serve_degraded/pull row is one faultable shard pull — verify the
+    # envelope, then the registry-level decode that strips it — against
+    # the bare decode, so the speedup column reads as the degraded-fabric
+    # overhead. ---
+    framed_payload = frame_with_checksum(hybrid_payload)
+    yield row("checksum", "frame", lambda: frame_with_checksum(hybrid_payload), None)
+    yield row(
+        "checksum", "verify",
+        lambda: verify_checksum_frame(framed_payload),
+        lambda: _reference_verify_checksum_frame(framed_payload),
+    )
+
+    def _degraded_pull():
+        verify_checksum_frame(framed_payload)
+        return decompress_any(framed_payload)
+
+    yield row("serve_degraded", "pull", _degraded_pull, lambda: hybrid.decompress(hybrid_payload))
+
+    # --- hybrid codec with the observability runtime enabled: prices
+    # what instrumentation costs on the hot path.  Reference: the
+    # same call with the runtime disabled, so the speedup is exactly
+    # 1 / (1 + overhead) — the ≤3% budget the obs tests pin. ---
+    obs_registry = MetricsRegistry()
+
+    def _with_obs(fn):
+        obs_runtime.enable(obs_registry)
+        try:
+            return fn()
+        finally:
+            obs_runtime.disable()
+
+    yield row(
+        "hybrid_obs", "compress",
+        lambda: _with_obs(lambda: hybrid.compress(batch, eb)),
+        lambda: hybrid.compress(batch, eb),
+    )
+    yield row(
+        "hybrid_obs", "decompress",
+        lambda: _with_obs(lambda: hybrid.decompress(hybrid_payload)),
+        lambda: hybrid.decompress(hybrid_payload),
+    )
+
+    # --- hybrid auto with pinned-encoder replay: the training hot
+    # loop's configuration (key= + pin_refresh) amortizes
+    # the try-both trial over the refresh window, so steady-state
+    # calls run a single leg.  Reference: the per-call try-both auto
+    # path, so the speedup is exactly what pinning buys. ---
+    pinned = HybridCompressor(pin_refresh=PIN_REFRESH)
+    pinned.compress(batch, eb, key="bench")  # pin the winner
+    yield row(
+        "hybrid_pinned", "compress",
+        lambda: pinned.compress(batch, eb, key="bench"),
+        lambda: hybrid.compress(batch, eb),
+    )
+
+    # --- FZ-GPU-like bit-plane baseline ---
+    unsigned = zigzag_encode(quantized.codes.ravel() + quantized.code_min)
+    yield row(
+        "fzgpu_like", "pack",
+        lambda: pack_bitplanes(unsigned, 256),
+        lambda: _reference_pack_bitplanes(unsigned, 256),
+    )
+    bitmap, payload, n_blocks = pack_bitplanes(unsigned, 256)
+    yield row(
+        "fzgpu_like", "unpack",
+        lambda: unpack_bitplanes(bitmap, payload, unsigned.size, 256, n_blocks),
+        lambda: _reference_unpack_bitplanes(bitmap, payload, unsigned.size, 256, n_blocks),
+    )
+
+    # --- homomorphic aggregation: one in-network all-reduce hop.  The
+    # agg rows sum two payloads *in compressed space*; the reference
+    # is the decode-sum-recode discipline a non-homomorphic codec
+    # forces on every intermediate hop, so the speedup column reads
+    # as the per-hop saving of in-network aggregation. ---
+    quant = get_compressor("quant_sum")
+    half = batch * np.float32(0.5)
+    q_payload = quant.compress(half, eb)
+
+    def _quant_hop():
+        total = quant.decompress(q_payload) + quant.decompress(q_payload)
+        return quant.compress(total, eb)
+
+    yield row(
+        "homomorphic_allreduce", "agg_quant", lambda: agg_sum(q_payload, q_payload), _quant_hop
+    )
+    count = get_compressor("count_sum")
+    c_payload = count.compress(half, None)
+
+    def _count_hop():
+        total = count.decompress(c_payload) + count.decompress(c_payload)
+        return count.compress(total, None)
+
+    yield row(
+        "homomorphic_allreduce", "agg_count", lambda: agg_sum(c_payload, c_payload), _count_hop
+    )
+
+
+def _stack_rows() -> Iterator[Row]:
+    """The fused per-table stage ①/④: all destination slices of one table
+    (32 ranks x 128 local rows x dim 64, the headline exchange) through the
+    batched vector-LZ kernels in one pass.  Reference: the serial per-slice
+    loop producing the same payloads, so the speedup column is what
+    amortising NumPy's per-call overhead over the stack buys."""
+    lz = VectorLZCompressor()
+    n_slices, local_rows, dim = STACK_SHAPE
+    stack = make_lookup_batch(n_slices * local_rows, dim).reshape(STACK_SHAPE)
+    geometry = ("x".join(map(str, STACK_SHAPE)), n_slices * local_rows, dim, stack.nbytes)
+    yield (
+        "vector_lz_batch", "compress", *geometry,
+        lambda: lz.compress_stack(stack, DEFAULT_ERROR_BOUND),
+        lambda: [lz.compress(piece, DEFAULT_ERROR_BOUND) for piece in stack],
+    )
+    stack_payloads = lz.compress_stack(stack, DEFAULT_ERROR_BOUND)
+    yield (
+        "vector_lz_batch", "decompress", *geometry,
         lambda: lz.decompress_stack(stack_payloads),
         lambda: [decompress_any(payload) for payload in stack_payloads],
-        interleave=True,
     )
+
+
+def _shard_rows() -> Iterator[Row]:
+    """The shard server's write path (re-encode) and read path (pulls)."""
+    from repro.serve.shard_server import EmbeddingShardServer
 
     # --- incremental shard re-encode: one ``set_table`` of a vector-LZ
     # table against the per-block loop that used to run every publication
     # round.  churn0 re-publishes unchanged values (digest only, the
     # common round); churn100 changes every block (digest + one stacked
-    # encode of the full-size blocks + the ragged tail).  One row pair
-    # regardless of the shape sweep. ---
-    from repro.serve.shard_server import EmbeddingShardServer
-
+    # encode of the full-size blocks + the ragged tail). ---
+    lz = VectorLZCompressor()
     shard_rows, shard_dim = SHARD_TABLE_SHAPE
-    shard_values = make_lookup_batch(shard_rows, shard_dim, seed=seed)
+    shard_values = make_lookup_batch(shard_rows, shard_dim)
     shard = EmbeddingShardServer(
-        {0: shard_values}, error_bound, "vector_lz", rows_per_block=SHARD_ROWS_PER_BLOCK
+        {0: shard_values}, DEFAULT_ERROR_BOUND, "vector_lz", rows_per_block=SHARD_ROWS_PER_BLOCK
     )
 
     def _per_block_loop():
         return [
-            lz.compress(shard_values[lo : lo + SHARD_ROWS_PER_BLOCK], error_bound, key=0)
+            lz.compress(shard_values[lo : lo + SHARD_ROWS_PER_BLOCK], DEFAULT_ERROR_BOUND, key=0)
             for lo in range(0, shard_rows, SHARD_ROWS_PER_BLOCK)
         ]
 
     # every call publishes the table the shard does not hold
     churn = itertools.cycle([shard_values + np.float32(0.5), shard_values])
     shard_name = f"{shard_rows}x{shard_dim}"
-    add(
-        "shard_recompress", "churn0", shard_name, shard_rows, shard_dim, shard_values.nbytes,
-        lambda: shard.set_table(0, shard_values),
-        _per_block_loop,
-        interleave=True,
+    geometry = (shard_name, shard_rows, shard_dim, shard_values.nbytes)
+    yield (
+        "shard_recompress", "churn0", *geometry,
+        lambda: shard.set_table(0, shard_values), _per_block_loop,
     )
-    add(
-        "shard_recompress", "churn100", shard_name, shard_rows, shard_dim, shard_values.nbytes,
-        lambda: shard.set_table(0, next(churn)),
-        _per_block_loop,
-        interleave=True,
+    yield (
+        "shard_recompress", "churn100", *geometry,
+        lambda: shard.set_table(0, next(churn)), _per_block_loop,
     )
 
     # --- row-granular shard pulls: ``pull`` of one row (what a replica's
@@ -540,9 +427,8 @@ def run_suite(
     # entropy table, against the block-decode-then-index loop ``pull`` used
     # to be.  row1 runs the codec's row kernel; rows32 is past
     # ``ROW_DECODE_MAX_ROWS`` and takes the block decode, so it reads ~1x —
-    # the pair brackets the crossover constant.  One row set regardless of
-    # the shape sweep. ---
-    pull_rng = np.random.default_rng(seed)
+    # the pair brackets the crossover constant. ---
+    pull_rng = np.random.default_rng(_SEED)
     pull_requests = {
         "row1": [pull_rng.integers(0, shard_rows, size=1) for _ in range(SHARD_PULLS_PER_CALL)],
         "rows32": [
@@ -554,7 +440,7 @@ def run_suite(
     }
     for pull_codec in ("vector_lz", "entropy"):
         pulled = EmbeddingShardServer(
-            {0: shard_values}, error_bound, pull_codec, rows_per_block=SHARD_ROWS_PER_BLOCK
+            {0: shard_values}, DEFAULT_ERROR_BOUND, pull_codec, rows_per_block=SHARD_ROWS_PER_BLOCK
         )
         blocks = pulled._tables[0].blocks  # the reference decodes the shard's own payloads
 
@@ -568,24 +454,26 @@ def run_suite(
             return rows
 
         for op, requests in pull_requests.items():
-            add(
+            yield (
                 "shard_pull", op, f"{pull_codec}_{shard_name}", shard_rows, shard_dim,
                 sum(ids.size for ids in requests) * shard_dim * 4,
                 lambda: [pulled.pull(0, ids) for ids in requests],
                 lambda: [_block_decode_then_index(ids) for ids in requests],
-                interleave=True,
             )
 
-    # --- critical-path analyzer: dependency-DAG reconstruction plus the
-    # walk-back over a chunk-pipelined exchange timeline — the
-    # repro.obs.critpath hot path the obs-smoke job runs over the
-    # day-in-the-life trace.  One row regardless of the shape sweep; the
-    # rows/dim columns carry the fabric (8 ranks x 4 chunks) and
-    # input_nbytes the chrome-trace JSON the analyzer would otherwise be
-    # fed from disk. ---
-    from repro.dist.simulator import ClusterSimulator
-    from repro.obs.critpath import extract_critical_path
 
+def _critpath_rows() -> Iterator[Row]:
+    """The critical-path analyzer: dependency-DAG reconstruction plus the
+    walk-back over a chunk-pipelined exchange timeline — the
+    repro.obs.critpath hot path the obs-smoke job runs over the
+    day-in-the-life trace.  The rows/dim columns carry the fabric (ranks x
+    chunks) and input_nbytes the chrome-trace JSON the analyzer would
+    otherwise be fed from disk."""
+    from repro.dist import IB_HDR_LIKE, NVLINK_LIKE, EventCategory, NetworkModel, Topology
+    from repro.dist.simulator import ClusterSimulator
+    from repro.obs.critpath import TimelineDag, extract_critical_path
+
+    # --- a small fabric: 8 ranks x 4 chunks ---
     dag_ranks, dag_chunks = 8, 4
     dag_sim = ClusterSimulator(dag_ranks)
     dag_bufs = [[b"x" * 4096] * dag_ranks for _ in range(dag_ranks)]
@@ -598,9 +486,9 @@ def run_suite(
             chunks_per_rank=dag_chunks,
         )
     trace_nbytes = len(json.dumps(dag_sim.timeline.to_chrome_trace()))
-    add(
+    yield (
         "critpath", "extract", "fabric8x4", dag_ranks, dag_chunks, trace_nbytes,
-        lambda: extract_critical_path(dag_sim.timeline),
+        lambda: extract_critical_path(dag_sim.timeline), None,
     )
 
     # --- the same analyzer on the shape ``bench_e2e``'s ``exchange_engine``
@@ -609,12 +497,9 @@ def run_suite(
     # — where the walk visits ~50 events and ``speedup_if`` (timed from a
     # fresh DAG: columns + plan + one forward pass) reschedules all of
     # them. ---
-    from repro.dist import IB_HDR_LIKE, NVLINK_LIKE, EventCategory, NetworkModel, Topology
-    from repro.obs.critpath import TimelineDag
-
     big_nodes, big_gpus, big_chunks = 16, 8, 8
     big_ranks = big_nodes * big_gpus
-    big_rng = np.random.default_rng(seed)
+    big_rng = np.random.default_rng(_SEED)
     big_sizes = big_rng.integers(64, 2049, size=(big_ranks, big_ranks))
     big_blob = bytes(2048)
     big_bufs = [[big_blob[: int(size)] for size in row] for row in big_sizes]
@@ -636,17 +521,29 @@ def run_suite(
         )
         big_sim.comm.all_reduce_bytes(1 << 20, algorithm="hierarchical")
     big_nbytes = len(json.dumps(big_sim.timeline.to_chrome_trace()))
-    add(
-        "critpath", "extract", "fabric128x8", big_ranks, big_chunks, big_nbytes,
-        lambda: extract_critical_path(big_sim.timeline),
+    geometry = ("fabric128x8", big_ranks, big_chunks, big_nbytes)
+    yield ("critpath", "extract", *geometry, lambda: extract_critical_path(big_sim.timeline), None)
+    yield (
+        "critpath", "speedup_if", *geometry,
+        lambda: TimelineDag.from_timeline(big_sim.timeline).speedup_if(EventCategory.COMPRESS, 2.0),
+        None,
     )
-    add(
-        "critpath", "speedup_if", "fabric128x8", big_ranks, big_chunks, big_nbytes,
-        lambda: TimelineDag.from_timeline(big_sim.timeline).speedup_if(
-            EventCategory.COMPRESS, 2.0
-        ),
+
+
+def run_suite(
+    shapes: dict[str, tuple[int, int]] | None = None, *, repeats: int = 5
+) -> list[PerfRecord]:
+    """Time every row: the codec rows on each shape (default
+    :data:`PAPER_SHAPES`), then the stack, shard and critpath rows, whose
+    fixed geometry ignores the shape sweep.  One record per row."""
+    shapes = PAPER_SHAPES if shapes is None else shapes
+    rows = itertools.chain(
+        *(_codec_rows(name, n_rows, dim) for name, (n_rows, dim) in shapes.items()),
+        _stack_rows(),
+        _shard_rows(),
+        _critpath_rows(),
     )
-    return records
+    return [_measure(row, repeats) for row in rows]
 
 
 # --------------------------------------------------------------- persistence
@@ -677,7 +574,9 @@ def load_bench(path: str | Path) -> list[PerfRecord]:
 def append_run(records: Iterable[PerfRecord], path: str | Path) -> Path:
     """Append one run, stamped with the current environment, to a
     trajectory file (starting a fresh trajectory if the file does not
-    exist); earlier runs keep their own environment stanzas."""
+    exist); earlier runs keep their own environment stanzas.  The file
+    holds one line per record, so a landed run is one block of added
+    lines."""
     path = Path(path)
     runs = _read_runs(path) if path.exists() else []
     runs.append(
@@ -688,8 +587,14 @@ def append_run(records: Iterable[PerfRecord], path: str | Path) -> Path:
             "records": [asdict(r) for r in records],
         }
     )
+    blocks = []
+    for run in runs:
+        stanza = json.dumps({key: value for key, value in run.items() if key != "records"})
+        lines = ",\n".join(f"    {json.dumps(record)}" for record in run["records"])
+        # the stanza's object, reopened (``[:-1]``) to take the records
+        blocks.append(f'  {stanza[:-1]}, "records": [\n{lines}\n  ]}}')
     path.write_text(
-        json.dumps({"schema_version": TRAJECTORY_SCHEMA, "runs": runs}, indent=2) + "\n"
+        f'{{"schema_version": {TRAJECTORY_SCHEMA}, "runs": [\n' + ",\n".join(blocks) + "\n]}\n"
     )
     return path
 
@@ -754,11 +659,8 @@ def format_table(records: Sequence[PerfRecord]) -> str:
     for r in records:
         ref = "" if r.reference_seconds is None else f"{r.input_nbytes / r.reference_seconds / 1e6:10.1f}"
         spd = "" if r.speedup is None else f"{r.speedup:7.1f}x"
-        alloc = ""
-        if r.alloc_nbytes is not None and r.reference_alloc_nbytes is not None:
-            alloc = f"  alloc {r.alloc_nbytes}B vs {r.reference_alloc_nbytes}B"
         lines.append(
-            f"{r.codec:<12} {r.op:<8} {r.shape_name:<10} {r.throughput_mb_s:>10.1f} {ref:>10} {spd:>8}{alloc}"
+            f"{r.codec:<12} {r.op:<8} {r.shape_name:<10} {r.throughput_mb_s:>10.1f} {ref:>10} {spd:>8}"
         )
     return "\n".join(lines)
 

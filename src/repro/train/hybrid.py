@@ -192,7 +192,6 @@ class HybridParallelTrainer:
         gpu = self.simulator.gpu
         cfg = self.model.config
         batch_size = sparse.shape[0]
-        slices = self._slices(batch_size)
         local = batch_size // self.n_ranks
 
         # Stage 0: every owner gathers its tables for the global batch.
@@ -215,29 +214,12 @@ class HybridParallelTrainer:
         self.forward_raw_bytes += int(raw_matrix.sum())
 
         if self.pipeline is None:
-            # Uncompressed: each owner posts its per-destination row slices
-            # (views — wire size equals the raw bytes) and receivers stitch
-            # the full-batch rows back per table, bit-identically.
-            sendbufs = [
-                [
-                    [raw_lookups[t][lo:hi] for t in self.sharding.tables_of(rank)]
-                    for (lo, hi) in slices
-                ]
-                for rank in range(self.n_ranks)
-            ]
-            received = self.comm.all_to_all(sendbufs, EventCategory.ALLTOALL_FWD)
+            # Uncompressed: the receivers' full-batch rows are the owners'
+            # lookups bit for bit, so the exchange is charged from its byte
+            # matrix, like the uncompressed backward one.
+            self.comm.all_to_all_bytes(raw_matrix, EventCategory.ALLTOALL_FWD)
             self.forward_wire_bytes += int(raw_matrix.sum())
-            reconstructed = []
-            for table_id in range(cfg.n_tables):
-                owner = self.sharding.owner_of(table_id)
-                index = self.sharding.slot_of(table_id)
-                reconstructed.append(
-                    np.concatenate(
-                        [received[dst][owner][index] for dst in range(self.n_ranks)],
-                        axis=0,
-                    )
-                )
-            return reconstructed
+            return [raw_lookups[t] for t in range(cfg.n_tables)]
 
         reconstructed, wire_nbytes = self._compressed_exchange(
             [raw_lookups[t] for t in range(cfg.n_tables)],

@@ -209,6 +209,52 @@ class TestFlippedBitsRaiseCorruptPayloadError:
                 decompress_any(bytes(payload), rows=selected)
 
 
+def _vector_lz_frame(flags: bytes = b"\x20", offsets: bytes = b"\x01", **meta) -> bytes:
+    """A hand-built 4x2 vector-LZ frame with 8-bit offsets and literals.
+    The defaults are well formed: row 2 (flag byte 0x20) copies row 1."""
+    fields = {
+        "eb": 1e-2,
+        "code_min": 0,
+        "window": 255,
+        "n_matches": 1,
+        "offset_width": 8,
+        "literal_width": 8,
+        "flags_len": len(flags),
+        "offsets_len": len(offsets),
+        **meta,
+    }
+    literals = bytes(range((4 - fields["n_matches"]) * 2))
+    return frame_payload("vector_lz", (4, 2), np.dtype(np.float32), fields, [flags, offsets, literals])
+
+
+#: corruptions of the well-formed frame, each caught by both decoders
+CRAFTED_VECTOR_LZ = {
+    "flag_count_is_not_n_matches": {"n_matches": 2},
+    "back_reference_before_row_0": {"flags": b"\x80"},
+    "unresolvable_match_chain": {"offsets": b"\x00"},
+    "sections_past_the_body": {"offsets_len": 100},
+}
+
+
+class TestCraftedVectorLZFrames:
+    def test_the_well_formed_frame_decodes(self):
+        decoded = decompress_any(_vector_lz_frame())
+        np.testing.assert_array_equal(decoded[2], decoded[1])
+        picked = decompress_any(_vector_lz_frame(), rows=np.array([2, 0]))
+        np.testing.assert_array_equal(picked, decoded[[2, 0]])
+
+    @pytest.mark.parametrize("rows", [None, np.array([2, 0])], ids=["full", "rows"])
+    @pytest.mark.parametrize("case", sorted(CRAFTED_VECTOR_LZ))
+    def test_corrupt_stream_raises_the_typed_error(self, case, rows):
+        frame = _vector_lz_frame(**CRAFTED_VECTOR_LZ[case])
+        with pytest.raises(CorruptPayloadError, match="corrupt vector-LZ stream"):
+            decompress_any(frame, rows=rows)
+
+    def test_code_min_outside_int64_rejected_by_the_row_decode(self):
+        with pytest.raises(CorruptPayloadError, match="code_min"):
+            decompress_any(_vector_lz_frame(code_min=1 << 63), rows=np.array([0]))
+
+
 class TestUnregisteredCodecRaisesCorruptPayloadError:
     @pytest.mark.parametrize("name", available_compressors())
     def test_renamed_codec(self, payloads, name):

@@ -145,10 +145,6 @@ class TestRunSuite:
                 record.reference_seconds / record.seconds
             )
 
-    def test_reference_can_be_skipped(self):
-        records = run_suite(TINY, repeats=1, include_reference=False)
-        assert all(r.reference_seconds is None and r.speedup is None for r in records)
-
     def test_paper_shapes_are_the_default_geometry(self):
         assert PAPER_SHAPES["kaggle"] == (128, 32)
         assert PAPER_SHAPES["terabyte"] == (2048, 32)
@@ -403,6 +399,69 @@ class TestOnePerfGate:
         with pytest.raises(SystemExit) as exc:
             main(argv)  # argparse exits before anything is measured
         assert exc.value.code == 2
+
+
+def _spy(log: list[str], tag: str, fn):
+    """``fn``, appending ``tag`` to ``log`` on every call."""
+
+    def call(*args):
+        log.append(tag)
+        return fn(*args)
+
+    return call
+
+
+class TestOneRunner:
+    """Every row is timed by one runner: the second timer, the allocation
+    tracer and fields, the settable error bound, seed and reference switch
+    and the duplicate verify row are gone, and each reference is timed
+    call by call against its kernel."""
+
+    REMOVED_NAMES = (
+        "_best_of",
+        "_traced_peak",
+        "tracemalloc",
+        "from_timing",
+        "alloc_nbytes",
+        "include_reference",
+        "measure_alloc",
+        "interleave=",
+        "zero_copy",
+    )
+
+    def test_source_mentions_no_removed_name(self):
+        root = Path(repro.__file__).parent
+        hits = [
+            f"{path.relative_to(root)}: {name}"
+            for path in sorted(root.rglob("*.py"))
+            for name in self.REMOVED_NAMES
+            if name in path.read_text(encoding="utf-8")
+        ]
+        assert hits == []
+
+    @pytest.mark.parametrize("knob", ["include_reference", "error_bound", "seed"])
+    def test_run_suite_rejects_removed_knobs(self, knob):
+        with pytest.raises(TypeError):
+            run_suite(TINY, repeats=1, **{knob: 1})
+
+    def test_every_reference_alternates_with_its_kernel(self, monkeypatch):
+        """Each row's calls as the runner makes them: fn, ref, fn, ref, ...
+        for a row with a reference, fn alone for a row without one."""
+        calls: dict[tuple[str, str, str], list[str]] = {}
+        measure = perfbench._measure
+
+        def logged(row, repeats):
+            codec, op, shape_name, *geometry, fn, ref = row
+            log = calls.setdefault((codec, op, shape_name), [])
+            ref = None if ref is None else _spy(log, "ref", ref)
+            return measure((codec, op, shape_name, *geometry, _spy(log, "fn", fn), ref), repeats)
+
+        monkeypatch.setattr(perfbench, "_measure", logged)
+        records = run_suite(TINY, repeats=3)
+        assert len(calls) == len(records)
+        for r in records:
+            pattern = ["fn"] if r.reference_seconds is None else ["fn", "ref"]
+            assert calls[(r.codec, r.op, r.shape_name)] == pattern * 3, (r.codec, r.op)
 
 
 class TestMain:

@@ -32,6 +32,13 @@ losses and parameters are the same either way.  ``ledger`` alone was
 re-recorded again when ``ClusterSimulator`` began recording every
 dependency it creates as a release edge; ``timing`` did not move.
 
+The three ``compress_backward=None`` cases train the same world with
+``pipeline=None``, so both exchanges are uncompressed.  Their digests were
+recorded at ``6a2e8b7``, the last commit whose uncompressed forward
+exchange posted per-destination row views through
+``Communicator.all_to_all``; it is now charged from its byte matrix, like
+the backward one, and must reproduce them.
+
 Run ``python tests/train/test_exchange_golden.py`` to print the digests of
 the current checkout (only ever paste them here from a commit whose
 exchanges are known good; never re-record them in a refactor).  A digest
@@ -84,10 +91,11 @@ def _world():
     return dataset, config, replace(plan, tables=tables)
 
 
-def _train(compress_backward: bool, overlap):
-    """Train ``run_case``'s world; returns what its digests read."""
+def _train(compress_backward: bool | None, overlap):
+    """Train ``run_case``'s world (``compress_backward=None``: no pipeline,
+    both exchanges uncompressed); returns what its digests read."""
     dataset, config, plan = _world()
-    pipe = CompressionPipeline(
+    pipe = None if compress_backward is None else CompressionPipeline(
         AdaptiveController(plan, StepwiseDecay(2.0, 2, n_steps=2)),
         compress_backward=compress_backward,
     )
@@ -113,7 +121,7 @@ def _train(compress_backward: bool, overlap):
     return trainer, pipe, posted, registry, losses
 
 
-def run_case(compress_backward: bool, overlap) -> dict[str, str]:
+def run_case(compress_backward: bool | None, overlap) -> dict[str, str]:
     trainer, pipe, posted, registry, losses = _train(compress_backward, overlap)
     sim = trainer.simulator
     timeline = sim.timeline
@@ -132,7 +140,7 @@ def run_case(compress_backward: bool, overlap) -> dict[str, str]:
     clocks = [(s, [c.hex() for c in sim._streams[s]]) for s in sorted(sim._streams)]
     stats = sorted(
         (s.iteration, s.table_id, s.codec, s.error_bound.hex(), s.original_nbytes, s.compressed_nbytes)
-        for s in pipe.stats
+        for s in (pipe.stats if pipe else [])
     )
     return {
         "losses": _digest([x.hex() for x in losses]),
@@ -150,7 +158,7 @@ def run_case(compress_backward: bool, overlap) -> dict[str, str]:
     }
 
 
-CASES = [(cb, ov) for cb in (False, True) for ov in (False, True, "cross_stage")]
+CASES = [(cb, ov) for cb in (False, True, None) for ov in (False, True, "cross_stage")]
 
 GOLDEN: dict[tuple[bool, object], dict[str, str]] = {
     (False, False): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '064a7ca6ea87d4ed1e81b3fe309785df', 'timing': '19b274d1b3af7cf5b217ca20f6a2df15', 'obs': '7d732424fbd403e82d3fe6455761cc6a', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
@@ -159,6 +167,9 @@ GOLDEN: dict[tuple[bool, object], dict[str, str]] = {
     (True, False): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '548cda6a2b61ebb2473a65164eea5082', 'timing': '629003cfbedf961445593bd66cb228d1', 'obs': 'f61433605555037d81255a7a6d20950b', 'stats': '3de8ac84549fb894792459ac625d31d1'},
     (True, True): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '28af9dc24e2c9d845959ff6f662bac78', 'timing': '46a2bc25082d0779d543a0a8f1aef3aa', 'obs': '7a1100fa074b224504de8f87914bacba', 'stats': '3de8ac84549fb894792459ac625d31d1'},
     (True, 'cross_stage'): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '5aacd1b9d4606cf4dd7cebbeee4b119d', 'timing': '0491b35af860cc2f11d94fe9c13d0e41', 'obs': '41c27da7d0b7ae070e6b43cc93c45b7f', 'stats': '3de8ac84549fb894792459ac625d31d1'},
+    (None, False): {'losses': '58dd0703ff44e79b1a0635018c2d553d', 'params': '878ad27a7d334108007fff98ab2504ac', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': '1fa281d8404850b0674ece0be56dbb02', 'timing': '6d56a70e676140d9b34bac72330b54ba', 'obs': '113e1380632a822d83c806703b0681fe', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
+    (None, True): {'losses': '58dd0703ff44e79b1a0635018c2d553d', 'params': '878ad27a7d334108007fff98ab2504ac', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': '1fa281d8404850b0674ece0be56dbb02', 'timing': '6d56a70e676140d9b34bac72330b54ba', 'obs': '113e1380632a822d83c806703b0681fe', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
+    (None, 'cross_stage'): {'losses': '58dd0703ff44e79b1a0635018c2d553d', 'params': '878ad27a7d334108007fff98ab2504ac', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': 'd72a0447e2433569985d9e654d4c417b', 'timing': '8c8c6eea598d0f4b57036aae500c7364', 'obs': '53fef44cb44913c480009c5f0e5f26a5', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
 }
 
 
