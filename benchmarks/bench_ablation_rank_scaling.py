@@ -396,7 +396,7 @@ def test_ablation_large_cluster_exchange(benchmark):
         rows.append(
             (
                 label,
-                len(sim.timeline.events),
+                len(sim.timeline),
                 f"{makespan * 1e3:.3f} ms",
                 *(f"{100.0 * shares.get(stage, 0.0) / makespan:.1f}%" for stage in stages),
                 f"{kernel.speedup:.3f}x",

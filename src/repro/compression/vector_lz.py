@@ -354,15 +354,6 @@ def _bit_weights(width: int) -> np.ndarray:
     return weights
 
 
-def _check_fixed_section(section: np.ndarray, count: int, width: int) -> None:
-    """The checks :func:`~repro.compression.bitstream.unpack_fixed` makes
-    before reading ``count`` ``width``-bit values from ``section``."""
-    if width < 0 or width > 57:
-        raise ValueError(f"width must be in [0, 57], got {width}")
-    if count * width > section.size * 8:
-        raise ValueError(f"stream too short: need {count * width} bits, have {section.size * 8}")
-
-
 def vector_lz_decode_rows(encoded: VectorLZEncoded, rows: Sequence[int]) -> np.ndarray:
     """``vector_lz_decode(encoded)[rows]`` without decoding the other rows.
 
@@ -375,7 +366,9 @@ def vector_lz_decode_rows(encoded: VectorLZEncoded, rows: Sequence[int]) -> np.n
     per requested row, against per stream for the vectorised decoder; every
     back-reference must point at an earlier row, so a walk ends.
 
-    ``rows`` holds indices in ``[0, n_rows)``.
+    ``rows`` holds indices in ``[0, n_rows)``, and ``encoded`` is a stream
+    :func:`_parsed_stream` accepted (or an encoder wrote): its sections hold
+    the bits its header declares.
     """
     n, d = encoded.n_rows, encoded.dim
     n_matches, offset_width, literal_width = (
@@ -394,8 +387,6 @@ def vector_lz_decode_rows(encoded: VectorLZEncoded, rows: Sequence[int]) -> np.n
             f"corrupt vector-LZ stream: flag map marks {marked} matches, "
             f"header declares {n_matches}"
         )
-    _check_fixed_section(encoded.literals, (n - n_matches) * d, literal_width)
-    _check_fixed_section(encoded.offsets, n_matches, offset_width)
     offsets = memoryview(encoded.offsets)
     offset_mask = (1 << offset_width) - 1
 
@@ -461,7 +452,13 @@ def _reference_vector_lz_decode(encoded: VectorLZEncoded) -> np.ndarray:
 
 
 def _parsed_stream(header: dict[str, Any], body: memoryview, n: int, d: int) -> VectorLZEncoded:
-    """The three sections of one parsed vector-LZ frame, as views of ``body``."""
+    """The three sections of one parsed vector-LZ frame, as views of ``body``.
+
+    Every decode path reads a frame through here, so this is where a frame
+    whose header the bytes cannot back is rejected, before anything
+    unpacks: the match count must lie in ``[0, n]``, both widths in
+    ``[1, 57]``, and the offset and literal sections must hold the bits
+    the header declares for them."""
     flags_len, offsets_len = header["flags_len"], header["offsets_len"]
     if flags_len < 0 or offsets_len < 0 or flags_len + offsets_len > len(body):
         raise CorruptPayloadError(
@@ -473,13 +470,34 @@ def _parsed_stream(header: dict[str, Any], body: memoryview, n: int, d: int) -> 
             f"corrupt vector-LZ stream too short: {n} rows need {(n + 7) // 8} "
             f"flag bytes, header declares {flags_len}"
         )
+    n_matches = header["n_matches"]
+    if not 0 <= n_matches <= n:
+        raise CorruptPayloadError(
+            f"corrupt vector-LZ stream: vector_lz header declares {n_matches} matches in {n} rows"
+        )
+    literals_len = len(body) - flags_len - offsets_len
+    sections = (
+        ("offset", header["offset_width"], n_matches, offsets_len),
+        ("literal", header["literal_width"], (n - n_matches) * d, literals_len),
+    )
+    for section, width, count, present in sections:
+        if not 1 <= width <= 57:
+            raise CorruptPayloadError(
+                f"corrupt vector-LZ stream: vector_lz {section} width {width} is not in [1, 57]"
+            )
+        needed = (count * width + 7) // 8
+        if needed > present:
+            raise CorruptPayloadError(
+                f"corrupt vector-LZ stream too short: vector_lz {section} section needs "
+                f"{needed} bytes, has {present}"
+            )
     raw = np.frombuffer(body, dtype=np.uint8)
     return VectorLZEncoded(
         flags=raw[:flags_len],
         offsets=raw[flags_len : flags_len + offsets_len],
         literals=raw[flags_len + offsets_len :],
         n_rows=n,
-        n_matches=header["n_matches"],
+        n_matches=n_matches,
         dim=d,
         window=header["window"],
         offset_width=header["offset_width"],

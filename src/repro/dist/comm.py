@@ -610,7 +610,7 @@ class Communicator:
         sim = self.simulator
         n = self.n_ranks
         starts = np.array(sim.clocks)
-        base = len(sim.timeline.events)
+        base = len(sim.timeline)
         eid = self._exchange_counter
         payload_seconds = sim._check_seconds(payload_seconds)
         compress, decompress, overlap_compute = (

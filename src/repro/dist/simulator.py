@@ -146,10 +146,8 @@ class ClusterSimulator:
     def _lane_edges(self, rank: int, stream: str, tails: tuple[int, ...]) -> tuple[int, ...]:
         """``tails`` as the next event's release edges on one lane; none if
         they are just the lane's own last event (the lane predecessor)."""
-        if len(tails) == 1:
-            last = self.timeline.events[tails[0]]
-            if last.rank == rank and last.stream == stream:
-                return ()
+        if len(tails) == 1 and self.timeline.lane(tails[0]) == (rank, stream):
+            return ()
         return tails
 
     @staticmethod

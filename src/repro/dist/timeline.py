@@ -17,10 +17,18 @@ serving-request spans, delta publications) on the dedicated
 ``OBS_STREAM`` lane, which time accounting ignores.
 
 Recording order is part of the ledger: a ledger index is a position in
-``Timeline.events``, release edges name earlier positions, and the ledger
+recording order, release edges name earlier positions, and the ledger
 digests hash the order.  :meth:`Timeline.record_batch` appends many
 events in one validated call in exactly the order it is given (the
 communicator's chunk pipeline appends each stage rank-major).
+
+The ledger is stored as columns, not as one object per event: each
+batch keeps the rank / start / duration arrays it was validated as, its
+category and stream once, one args snapshot per distinct mapping and its
+edge tuples.  The simulator and the critical-path analysis read those
+columns (``len``, :meth:`Timeline.lane`, :meth:`Timeline.columns`);
+:attr:`Timeline.events` materialises :class:`TimelineEvent` objects only
+for a reader that asks for them.
 
 Timelines also carry *counter samples* (:class:`CounterSample`) — named
 scalar tracks such as queue depth or bytes on wire — which export as
@@ -33,10 +41,13 @@ import json
 import math
 import re
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +56,7 @@ __all__ = [
     "TimelineEvent",
     "CounterSample",
     "Timeline",
+    "LedgerColumns",
     "COMPUTE_STREAM",
     "COMM_STREAM",
     "OBS_STREAM",
@@ -120,7 +132,7 @@ class TimelineEvent:
     are distinguishable in the rendered timeline.
 
     ``release_edges`` optionally names the ledger indices (positions in
-    ``Timeline.events``) of the events whose completion *released* this
+    recording order) of the events whose completion *released* this
     one, beyond its same-stream predecessor: the simulator records every
     such dependency, so :mod:`repro.obs.critpath` infers none.  Edges
     always point backwards, to events recorded earlier.
@@ -173,7 +185,9 @@ def _checked_edges(
     check that each names one of the ``recorded`` events before it."""
     if release_edges is None:
         return None
-    edges = tuple(dict.fromkeys(int(i) for i in release_edges))
+    edges = tuple(map(int, release_edges))
+    if len(set(edges)) != len(edges):
+        edges = tuple(dict.fromkeys(edges))
     if not edges:
         return None
     if min(edges) < 0 or max(edges) >= recorded:
@@ -185,19 +199,162 @@ def _checked_edges(
     return edges
 
 
+def _once_per_object(items: list, apply) -> list:
+    """``[apply(item, p) for p, item in enumerate(items)]``, calling
+    ``apply`` once per distinct object, at its first position, in position
+    order; every entry holding that object gets that one result."""
+    ids = list(map(id, items))
+    first_use = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    results = {
+        key: apply(items[position], position)
+        for key, position in sorted(first_use.items(), key=itemgetter(1))
+    }
+    return list(map(results.__getitem__, ids))
+
+
+class LedgerColumns(NamedTuple):
+    """The ledger as parallel columns (:meth:`Timeline.columns`): entry
+    ``i`` of each describes ledger index ``i``.  ``stream`` and
+    ``category`` hold codes into ``streams`` and ``categories``, which
+    list each distinct value in order of first use."""
+
+    rank: np.ndarray
+    start: np.ndarray
+    duration: np.ndarray
+    stream: np.ndarray
+    streams: tuple[str, ...]
+    category: np.ndarray
+    categories: tuple[str, ...]
+    release_edges: list[tuple[int, ...] | None]
+
+
+@dataclass(slots=True)
+class _Part:
+    """One recorded batch, or a run of consecutive single records of one
+    category and stream: the ``rank`` / ``start`` / ``duration`` arrays a
+    batch was validated as (lists for a run, which grows in place), and
+    per event one args snapshot and one edge tuple, or ``None``."""
+
+    rank: np.ndarray | list[int]
+    start: np.ndarray | list[float]
+    duration: np.ndarray | list[float]
+    category: str
+    stream: str
+    args: list[Mapping[str, object] | None]
+    release_edges: list[tuple[int, ...] | None]
+
+    def events(self, first: int) -> Iterator[TimelineEvent]:
+        """This part's events from its position ``first`` on, each with
+        its own copy of its args snapshot."""
+        rank, start, duration = (
+            c[first:].tolist() if isinstance(c, np.ndarray) else c[first:]
+            for c in (self.rank, self.start, self.duration)
+        )
+        n = len(rank)
+        return map(
+            TimelineEvent,
+            rank,
+            repeat(self.category, n),
+            start,
+            duration,
+            repeat(self.stream, n),
+            (None if a is None else dict(a) for a in self.args[first:]),
+            self.release_edges[first:],
+        )
+
+
 class Timeline:
     """Append-only per-rank event ledger with category aggregation.
 
-    :attr:`events` is a plain ``list[TimelineEvent]`` in recording order;
-    a ledger index is a position in it.
+    The ledger is held as columns: one part per :meth:`record_batch`
+    call, keeping the arrays it validated, and one per run of consecutive
+    :meth:`record` calls on one category and stream.  ``len``,
+    :meth:`lane` and :meth:`columns` read the parts; :attr:`events`
+    builds :class:`TimelineEvent` objects only when it is read.
     """
 
     def __init__(self) -> None:
-        self.events: list[TimelineEvent] = []
+        self._parts: list[_Part] = []
+        self._firsts: list[int] = []  # ledger index of each part's first event
+        self._count = 0
+        self._events: list[TimelineEvent] = []  # the materialised prefix
         self.counters: list[CounterSample] = []
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self._count
+
+    @property
+    def events(self) -> list[TimelineEvent]:
+        """Every event in recording order; a ledger index is a position
+        in this list.  Built on first read and extended by later reads
+        with what was recorded since, so treat it as read-only."""
+        done = len(self._events)
+        if done < self._count:
+            at = bisect_right(self._firsts, done) - 1
+            for part, first in zip(self._parts[at:], self._firsts[at:]):
+                self._events.extend(part.events(max(done - first, 0)))
+        return self._events
+
+    @classmethod
+    def from_events(cls, events: Iterable[TimelineEvent]) -> "Timeline":
+        """A ledger holding ``events`` exactly as given, unvalidated: a
+        window of another ledger (whose release edges name indices of the
+        whole), or a hand-assembled one."""
+        timeline = cls()
+        timeline._events = list(events)
+        for event in timeline._events:
+            timeline._append(event)
+        return timeline
+
+    def _append(self, event: TimelineEvent) -> None:
+        """Append one event's fields to the open run of single records."""
+        part = self._parts[-1] if self._parts else None
+        if (
+            part is None
+            or type(part.rank) is not list
+            or part.category is not event.category
+            or part.stream is not event.stream
+        ):
+            part = _Part([], [], [], event.category, event.stream, [], [])
+            self._parts.append(part)
+            self._firsts.append(self._count)
+        part.rank.append(event.rank)
+        part.start.append(event.start)
+        part.duration.append(event.duration)
+        part.args.append(event.args)
+        part.release_edges.append(event.release_edges)
+        self._count += 1
+
+    def lane(self, index: int) -> tuple[int, str]:
+        """The ``(rank, stream)`` of the event at ledger ``index``."""
+        if not 0 <= index < self._count:
+            raise IndexError(f"ledger index {index} out of range (ledger holds {self._count})")
+        at = bisect_right(self._firsts, index) - 1
+        part = self._parts[at]
+        return int(part.rank[index - self._firsts[at]]), part.stream
+
+    def columns(self) -> LedgerColumns:
+        """The ledger as :class:`LedgerColumns`, built from the parts
+        without materialising an event."""
+        parts = self._parts
+        if not parts:
+            empty = np.zeros(0, dtype=np.int64)
+            return LedgerColumns(empty, np.zeros(0), np.zeros(0), empty, (), empty, (), [])
+        sizes = np.diff([*self._firsts, self._count])
+        streams: dict[str, int] = {}
+        categories: dict[str, int] = {}
+        stream = [streams.setdefault(part.stream, len(streams)) for part in parts]
+        category = [categories.setdefault(part.category, len(categories)) for part in parts]
+        return LedgerColumns(
+            rank=np.concatenate([part.rank for part in parts], dtype=np.int64),
+            start=np.concatenate([part.start for part in parts], dtype=np.float64),
+            duration=np.concatenate([part.duration for part in parts], dtype=np.float64),
+            stream=np.repeat(np.array(stream, dtype=np.int64), sizes),
+            streams=tuple(streams),
+            category=np.repeat(np.array(category, dtype=np.int64), sizes),
+            categories=tuple(categories),
+            release_edges=list(chain.from_iterable(part.release_edges for part in parts)),
+        )
 
     def record(
         self,
@@ -214,8 +371,8 @@ class Timeline:
         ``start`` and ``duration`` must be finite and ``>= 0`` (a NaN or
         infinite time would silently poison :meth:`span` and every
         critical-path walk).  ``release_edges`` must name already-recorded
-        events (indices into :attr:`events` at call time) — dependency
-        edges only ever point backwards.
+        events (ledger indices below ``len(self)`` at call time) —
+        dependency edges only ever point backwards.  ``args`` is copied.
         """
         _check_event(rank, start, duration)
         event = TimelineEvent(
@@ -225,9 +382,9 @@ class Timeline:
             duration=float(duration),
             stream=str(stream),
             args=dict(args) if args else None,
-            release_edges=_checked_edges(release_edges, len(self.events)),
+            release_edges=_checked_edges(release_edges, self._count),
         )
-        self.events.append(event)
+        self._append(event)
         return event
 
     def record_batch(
@@ -239,26 +396,26 @@ class Timeline:
         stream: str = COMPUTE_STREAM,
         args: Mapping[str, object] | Sequence[Mapping[str, object] | None] | None = None,
         release_edges: Sequence[Sequence[int] | None] | None = None,
-    ) -> list[TimelineEvent]:
+    ) -> None:
         """Append one event per entry of ``ranks`` / ``starts`` /
-        ``durations``, in that order, and return them.
+        ``durations``, in that order.
 
         The ledger ends up exactly as after the equivalent sequence of
         :meth:`record` calls with the shared ``category`` and ``stream``;
         the batch is validated as a whole first, so an invalid entry
         raises the same ``ValueError`` but leaves the ledger untouched.
         ``args`` is one mapping for every event or one (or ``None``) per
-        event, copied either way.  ``release_edges`` gives one edge
-        sequence (or ``None``) per event; entry ``p`` may name any event
-        before ledger index ``len(events) + p``, earlier entries of the
-        batch included.  Passing the *same object* for several entries —
-        a metadata round released by one set of chunk kernels, the decode
-        chunks of every rank with one chunk count — validates and
-        deduplicates it once and stores one shared tuple.
+        event; each distinct mapping is copied once.  ``release_edges``
+        gives one edge sequence (or ``None``) per event; entry ``p`` may
+        name any event before ledger index ``len(self) + p``, earlier
+        entries of the batch included.  Each distinct edge object is
+        validated and deduplicated once, against its first use (the
+        tightest bound: later entries may name strictly more of the
+        ledger), and its entries share one tuple.
         """
-        rank_arr = np.asarray(ranks, dtype=np.int64)
-        start_arr = np.asarray(starts, dtype=np.float64)
-        duration_arr = np.asarray(durations, dtype=np.float64)
+        rank_arr = np.array(ranks, dtype=np.int64)
+        start_arr = np.array(starts, dtype=np.float64)
+        duration_arr = np.array(durations, dtype=np.float64)
         count = rank_arr.size
         if rank_arr.ndim != 1 or start_arr.shape != (count,) or duration_arr.shape != (count,):
             raise ValueError(
@@ -275,37 +432,22 @@ class Timeline:
         if not valid.all():
             bad = int(np.argmin(valid))  # first offender, as record() would hit it
             _check_event(rank_arr[bad], start_arr[bad], duration_arr[bad])
-        if args is None or isinstance(args, Mapping):
-            arg_list = [args] * count
-        else:
-            arg_list = list(args)
-        base = len(self.events)
-        if release_edges is None:
-            edge_list: list[tuple[int, ...] | None] = [None] * count
-        else:
-            checked: dict[int, tuple[int, ...] | None] = {}
-            edge_list = []
-            for position, edges in enumerate(release_edges):
-                key = id(edges)
-                if key not in checked:
-                    # First use is the tightest bound: later entries may
-                    # name strictly more of the ledger.
-                    checked[key] = _checked_edges(edges, base + position)
-                edge_list.append(checked[key])
+        arg_list = [args] * count if args is None or isinstance(args, Mapping) else list(args)
+        edge_list = [None] * count if release_edges is None else list(release_edges)
         if len(arg_list) != count or len(edge_list) != count:
             raise ValueError(
                 f"args / release_edges must have one entry per event ({count}), "
                 f"got {len(arg_list)} / {len(edge_list)}"
             )
-        stream = str(stream)
-        events = [
-            TimelineEvent(rank, category, start, duration, stream, dict(a) if a else None, edges)
-            for rank, start, duration, a, edges in zip(
-                rank_arr.tolist(), start_arr.tolist(), duration_arr.tolist(), arg_list, edge_list
+        recorded = self._count
+        edge_list = _once_per_object(edge_list, lambda edges, p: _checked_edges(edges, recorded + p))
+        arg_list = _once_per_object(arg_list, lambda a, p: dict(a) if a else None)
+        if count:
+            self._parts.append(
+                _Part(rank_arr, start_arr, duration_arr, category, str(stream), arg_list, edge_list)
             )
-        ]
-        self.events.extend(events)
-        return events
+            self._firsts.append(self._count)
+            self._count += count
 
     def record_counter(self, name: str, time: float, value: float) -> CounterSample:
         """Append one sample to the named counter track and return it.

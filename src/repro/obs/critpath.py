@@ -31,19 +31,21 @@ would change if one stage got faster?*
   chrome-trace lane, and :func:`critical_path_report` as an ASCII table
   for ``run_report``.
 
-**Layout.**  The DAG is a structure of arrays indexed by ledger index:
-``start``, ``duration``, ``end = start + duration``, an interned stream
-code and the analysed-event mask (annotation spans on ``OBS_STREAM``
-cover work already recorded and are not nodes).  Built eagerly: every
-event's same-lane predecessor, from one ``(lane, start, index)`` sort.
-Release edges are *not* resolved up front: the walk
-filters them for the few dozen events it visits
-(:meth:`TimelineDag.release_edges`), so an extraction costs little more
-than reading the columns.  The first ``reschedule`` / ``speedup_if`` adds,
-once, what only a forward pass needs: a dependency row per *distinct*
-edge tuple (``record_batch`` shares them), the exogenous start floors and
-interned categories.  Times match within a tolerance, because parsed
-chrome traces round them to microseconds.
+**Layout.**  The DAG is a structure of arrays indexed by ledger index,
+taken straight from the ledger's columns (:meth:`Timeline.columns`:
+``start``, ``duration``, rank, stream and category codes, release edges)
+plus ``end = start + duration`` and the analysed-event mask (annotation
+spans on ``OBS_STREAM`` cover work already recorded and are not nodes);
+no :class:`~repro.dist.timeline.TimelineEvent` is built, except by
+:meth:`TimelineDag.reschedule`, whose callback takes one.  Built eagerly:
+every event's same-lane predecessor, from one ``(lane, start, index)``
+sort.  Release edges are *not* resolved up front: the walk filters them
+for the few dozen events it visits (:meth:`TimelineDag.release_edges`),
+so an extraction costs little more than reading the columns.  The first
+``reschedule`` / ``speedup_if`` adds, once, what only a forward pass
+needs: a dependency row per *distinct* edge tuple (``record_batch``
+shares them) and the exogenous start floors.  Times match within a
+tolerance, because parsed chrome traces round them to microseconds.
 
 Analysis is strictly offline — nothing here runs unless asked, so the
 ``OBS.enabled`` zero-overhead contract is untouched.
@@ -179,30 +181,29 @@ class _Plan:
     rows: list[list[int]]  # row id -> ledger indices of one edge tuple
     deps: list[int]  # release-edge row per event, -1 = none
     floor: list[float]  # exogenous start; 0.0 where dependencies explain it
-    category: np.ndarray  # interned category code per event ...
-    names: list[object]  # ... and the category each code stands for
 
 
 class TimelineDag:
-    """Dependency DAG over one timeline's ledger, held as columns (see
-    the module docstring for the layout and what is built when)."""
+    """Dependency DAG over one timeline's ledger, held as the ledger's
+    columns (see the module docstring for the layout and what is built
+    when).  Events recorded after construction are not part of it."""
 
-    def __init__(self, events: Sequence[TimelineEvent]):
-        self._events = events = list(events)
-        n = len(events)
-        self._start = start = np.array([e.start for e in events], dtype=np.float64)
-        self._duration = np.array([e.duration for e in events], dtype=np.float64)
+    def __init__(self, timeline: Timeline):
+        self._timeline = timeline
+        columns = timeline.columns()
+        n = len(columns.rank)
+        self._columns = columns
+        self._start = start = columns.start
+        self._duration = columns.duration
         self._end = end = start + self._duration
-        rank = np.array([e.rank for e in events], dtype=np.int64)
-        codes: dict[str, int] = {OBS_STREAM: 0}
-        self._stream = stream = np.array(
-            [codes.setdefault(e.stream, len(codes)) for e in events], dtype=np.int64
-        )
+        self._edges = columns.release_edges
+        stream = columns.stream
         # Annotation spans cover work already recorded: not nodes.
-        self._node = stream != 0
+        obs = np.array([name == OBS_STREAM for name in columns.streams], dtype=bool)
+        self._node = ~obs[stream]
         self._ids = ids = np.flatnonzero(self._node)
         # Same-lane predecessor: previous event in (lane, start, index) order.
-        lane = rank[ids] * len(codes) + stream[ids]
+        lane = columns.rank[ids] * len(columns.streams) + stream[ids]
         order = np.lexsort((start[ids], lane))
         chained = lane[order[1:]] == lane[order[:-1]]
         self._lane_pred = np.full(n, -1, dtype=np.int64)
@@ -213,8 +214,9 @@ class TimelineDag:
 
     @classmethod
     def from_timeline(cls, timeline: Timeline) -> "TimelineDag":
-        """Reconstruct the DAG of ``timeline``'s ledger as recorded so far."""
-        return cls(timeline.events)
+        """Reconstruct the DAG of ``timeline``'s ledger as recorded so far,
+        from its columns (no :class:`TimelineEvent` is built)."""
+        return cls(timeline)
 
     # --------------------------------------------------------------- queries
 
@@ -232,9 +234,7 @@ class TimelineDag:
         the end, forward, itself, an annotation span) is dropped — never
         raised, never wrapped round to another event."""
         node = self._node
-        return tuple(
-            i for i in self._events[index].release_edges or () if 0 <= i < index and node[i]
-        )
+        return tuple(i for i in self._edges[index] or () if 0 <= i < index and node[i])
 
     # --------------------------------------------------------- critical path
 
@@ -244,7 +244,7 @@ class TimelineDag:
         releasers are its recorded edges and its same-lane predecessor."""
         if not len(self._ids):
             return CriticalPathResult(makespan=0.0, steps=())
-        events, eps = self._events, self._eps
+        columns, eps = self._columns, self._eps
         end, lane_preds = self._end.tolist(), self._lane_pred.tolist()
         steps: list[CriticalStep] = []
         visited: set[int] = set()
@@ -252,26 +252,27 @@ class TimelineDag:
         current = int(self._ids[np.flatnonzero(self._end[self._ids] == self._makespan)[-1]])
         while current >= 0:
             visited.add(current)
-            event = events[current]
+            start = float(self._start[current])
             explicit = set(self.release_edges(current))
             lane_pred = lane_preds[current]
             candidates = [
                 i for i in (*explicit, lane_pred)
-                if i >= 0 and i not in visited and end[i] <= event.start + eps
+                if i >= 0 and i not in visited and end[i] <= start + eps
             ]
             # Latest end wins (the binding constraint); prefer recorded edges,
             # then the lane, on exact ties so the rendered path reads causally.
             binding = lambda i: (end[i], i in explicit, i == lane_pred, -i)  # noqa: E731
             pred = max(candidates, key=binding, default=-1)
             pred_end = end[pred] if pred >= 0 else 0.0
-            lane = (event.rank, event.stream)
-            waited = pred_end < event.start - eps
-            released = event.start if waited else pred_end
-            steps.append(CriticalStep(current, *lane, event.category, released, event.end))
+            lane = (int(columns.rank[current]), columns.streams[columns.stream[current]])
+            category = columns.categories[columns.category[current]]
+            waited = pred_end < start - eps
+            released = start if waited else pred_end
+            steps.append(CriticalStep(current, *lane, category, released, end[current]))
             if waited:
                 # Unexplained wait: attribute the gap honestly as idle
                 # time on this event's lane instead of inflating the event.
-                steps.append(CriticalStep(None, *lane, IDLE_CATEGORY, pred_end, event.start))
+                steps.append(CriticalStep(None, *lane, IDLE_CATEGORY, pred_end, start))
             current = pred
         steps.reverse()
         return CriticalPathResult(makespan=self.makespan, steps=tuple(steps))
@@ -282,13 +283,13 @@ class TimelineDag:
         """The scaling-independent half of a reschedule, built on first use."""
         if self._plan is not None:
             return self._plan
-        events, n, ids = self._events, len(self._events), self._ids
+        all_edges, n, ids = self._edges, len(self._edges), self._ids
         start, end, node = self._start, self._end, self._node.tolist()
         rows: list[list[int]] = []
         shared: dict[int, tuple[int, int]] = {}
         deps = np.full(n, -1, dtype=np.int64)
         for index in ids.tolist():
-            edges = events[index].release_edges
+            edges = all_edges[index]
             if not edges:
                 continue
             # One row per shared tuple (record_batch shares them), unless
@@ -303,10 +304,6 @@ class TimelineDag:
                 row = len(rows) - 1
             deps[index] = row
 
-        names: dict[object, int] = {}
-        category = np.array(
-            [names.setdefault(e.category, len(names)) for e in events], dtype=np.int64
-        )
         ends = end.tolist()
         # The trailing sentinel makes "no row" (-1) explain nothing.
         row_end = [max((ends[i] for i in row), default=-math.inf) for row in rows]
@@ -318,8 +315,6 @@ class TimelineDag:
             rows=rows,
             deps=deps.tolist(),
             floor=np.where(exogenous, start, 0.0).tolist(),
-            category=category,
-            names=list(names),
         )
         return self._plan
 
@@ -332,7 +327,7 @@ class TimelineDag:
         plan = self._planned()
         rows, deps, floor = plan.rows, plan.deps, plan.floor
         lane_pred, duration = self._lane_pred.tolist(), self._duration.tolist()
-        new_end = [-math.inf] * len(self._events)
+        new_end = [-math.inf] * len(self._edges)
         latest_of: list[float | None] = [None] * len(rows)
         makespan = 0.0
         for index in plan.order:
@@ -365,9 +360,10 @@ class TimelineDag:
         ``scale(event) == 1.0`` for every event reproduces the original
         makespan exactly.
         """
-        factors = [1.0] * len(self._events)
+        events = self._timeline.events  # the callback takes event objects
+        factors = [1.0] * len(self._edges)
         for index in self._ids.tolist():
-            factor = factors[index] = float(scale(self._events[index]))
+            factor = factors[index] = float(scale(events[index]))
             if not math.isfinite(factor) or factor < 0.0:
                 raise ValueError(f"scale must be finite and >= 0, got {factor!r}")
         return self._forward(factors)
@@ -378,9 +374,9 @@ class TimelineDag:
         factor = float(factor)
         if not math.isfinite(factor) or factor <= 0.0:
             raise ValueError(f"factor must be finite and > 0, got {factor!r}")
-        plan = self._planned()
-        scaled = np.array([str(name) == str(category) for name in plan.names], dtype=bool)
-        predicted = self._forward(np.where(scaled[plan.category], 1.0 / factor, 1.0).tolist())
+        columns = self._columns
+        scaled = np.array([str(name) == str(category) for name in columns.categories], dtype=bool)
+        predicted = self._forward(np.where(scaled[columns.category], 1.0 / factor, 1.0).tolist())
         return SpeedupEstimate(str(category), factor, self.makespan, predicted)
 
 

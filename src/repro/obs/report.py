@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         critical_paths = {
             name: extract_critical_path(timeline)
             for name, timeline in timelines.items()
-            if len(timeline.events)
+            if len(timeline)
         }
 
     print(

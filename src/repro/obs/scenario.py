@@ -226,7 +226,7 @@ def run_day_in_the_life(
         critical_paths = {
             name: extract_critical_path(timeline)
             for name, timeline in timelines.items()
-            if len(timeline.events)
+            if len(timeline)
         }
         tier_meta = trace["metadata"]["tiers"]
         for name, result in critical_paths.items():

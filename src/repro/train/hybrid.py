@@ -406,7 +406,7 @@ class HybridParallelTrainer:
         obs_on = OBS.enabled
         if obs_on:
             step_start = self.simulator.makespan()
-            events_before = len(self.simulator.timeline.events)
+            events_before = len(self.simulator.timeline)
             wire_before = self.forward_wire_bytes
             raw_before = self.forward_raw_bytes
 
@@ -500,9 +500,7 @@ class HybridParallelTrainer:
         timeline.record_counter(
             "train_wire_bytes", step_end, float(self.forward_wire_bytes)
         )
-        window = Timeline()
-        window.events = timeline.events[events_before:]
-        efficiency = overlap_efficiency(window)
+        efficiency = overlap_efficiency(Timeline.from_events(timeline.events[events_before:]))
         reg = OBS.registry
         if OBS.slo_hub is not None:
             OBS.slo_hub.feed("train_step", step_end, step_end - step_start)

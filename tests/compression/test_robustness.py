@@ -255,6 +255,33 @@ class TestCraftedVectorLZFrames:
             decompress_any(_vector_lz_frame(code_min=1 << 63), rows=np.array([0]))
 
 
+class TestTruncatedVectorLZ:
+    """Cutting bytes off a vector-LZ payload once leaked ``bitstream``'s bare
+    ``ValueError("stream too short: ...")`` on all three decode paths; the
+    frame reader now names the codec, the section and the bytes."""
+
+    @pytest.fixture(scope="class")
+    def payload(self) -> bytes:
+        rng = np.random.default_rng(0)
+        rows = rng.normal(0.0, 0.1, size=(54, 32)).astype(np.float32)
+        return get_compressor("vector_lz").compress(np.concatenate([rows, rows[:10]]), 1e-2)
+
+    @pytest.mark.parametrize("path", ["full", "rows", "stack"])
+    @pytest.mark.parametrize("cut", [1, 8, 40])
+    def test_cut_raises_the_typed_error(self, payload, cut, path):
+        short = payload[:-cut]
+        header, body = parse_payload(payload)
+        present = len(body) - header["flags_len"] - header["offsets_len"] - cut
+        message = f"vector_lz literal section needs {present + cut} bytes, has {present}$"
+        with pytest.raises(CorruptPayloadError, match=message):
+            if path == "full":
+                decompress_any(short)
+            elif path == "rows":
+                decompress_any(short, rows=np.array([63, 0]))
+            else:
+                get_compressor("vector_lz").decompress_stack([payload, short])
+
+
 class TestUnregisteredCodecRaisesCorruptPayloadError:
     @pytest.mark.parametrize("name", available_compressors())
     def test_renamed_codec(self, payloads, name):

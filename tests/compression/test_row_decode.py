@@ -24,7 +24,7 @@ from repro.compression.huffman import (
     huffman_decode_rows,
     huffman_encode,
 )
-from repro.compression.serialization import frame_with_checksum
+from repro.compression.serialization import CorruptPayloadError, frame_with_checksum
 from repro.compression.vector_lz import (
     _reference_vector_lz_decode,
     vector_lz_decode_rows,
@@ -204,9 +204,10 @@ class TestHostileVectorLZ:
             decompress_any(hostile)
 
     def test_flag_count_must_match_the_header(self, payload):
-        header, _ = parse_payload(payload)
-        lying = _reframe(payload, n_matches=header["n_matches"] - 1)
-        with pytest.raises(ValueError, match="flag map marks"):
+        header, body = parse_payload(payload)
+        # Padded so the literal section holds the extra row the lie declares.
+        lying = _reframe(payload, n_matches=header["n_matches"] - 1, body=bytes(body) + bytes(64))
+        with pytest.raises(CorruptPayloadError, match="flag map marks"):
             decompress_any(lying, rows=np.array([0]))
 
     def test_short_sections_are_too_short(self, payload):
@@ -218,7 +219,7 @@ class TestHostileVectorLZ:
         ):
             with pytest.raises(ValueError, match="stream too short"):
                 decompress_any(hostile, rows=np.array([0]))
-        with pytest.raises(ValueError, match=r"width must be in \[0, 57\]"):
+        with pytest.raises(CorruptPayloadError, match=r"literal width 58 is not in \[1, 57\]"):
             decompress_any(_reframe(payload, literal_width=58), rows=np.array([0]))
 
     def test_section_lengths_are_checked_against_the_body(self, payload):

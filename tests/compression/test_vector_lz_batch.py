@@ -26,6 +26,7 @@ from repro.compression.bitstream import (
 )
 from repro.compression.quantizer import quantize_batch
 from repro.compression.registry import decompress_any
+from repro.compression.serialization import CorruptPayloadError
 from repro.compression.vector_lz import (
     VectorLZCompressor,
     vector_lz_decode_stack,
@@ -255,11 +256,12 @@ class TestHostilePayloads:
     def test_flag_count_must_match_header(self):
         codec = VectorLZCompressor()
         payloads = self._payloads()
-        header, _ = parse_payload(payloads[0])
-        lying = _reframe(payloads[0], n_matches=header["n_matches"] - 1)
-        with pytest.raises(ValueError, match="flag map marks"):
+        header, body = parse_payload(payloads[0])
+        # Padded so the literal section holds the extra row the lie declares.
+        lying = _reframe(payloads[0], n_matches=header["n_matches"] - 1, body=bytes(body) + bytes(64))
+        with pytest.raises(CorruptPayloadError, match="flag map marks"):
             decompress_any(lying)
-        with pytest.raises(ValueError, match="flag map marks"):
+        with pytest.raises(CorruptPayloadError, match="flag map marks"):
             codec.decompress_stack([lying, payloads[1]])
 
     def test_self_reference_is_unresolvable(self):

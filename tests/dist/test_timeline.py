@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dist.comm
+import repro.dist.simulator
+import repro.dist.timeline
 from repro.dist import EventCategory, Timeline
+from repro.dist.timeline import MAX_SECONDS, OBS_STREAM, TimelineEvent
+from repro.obs.critpath import TimelineDag, extract_critical_path
 from repro.profiling.breakdown import CATEGORY_LABELS
 
 
@@ -168,13 +175,13 @@ class TestRecordBatch:
                 )
             assert len(batched) == prefix  # all or nothing
         else:
-            returned = batched.record_batch(
+            batched.record_batch(
                 columns[0], EventCategory.COMPRESS, columns[1], columns[2], "comm",
                 columns[3], columns[4],
             )
+            assert len(batched) == len(one_by_one)
             assert batched.events == one_by_one.events
-            assert returned == batched.events[prefix:]
-            for event in returned:
+            for event in batched.events[prefix:]:
                 assert type(event.rank) is int and type(event.start) is float
                 assert type(event.duration) is float
                 assert event.release_edges is None or all(
@@ -183,16 +190,18 @@ class TestRecordBatch:
 
     def test_shared_edges_and_args(self):
         """One edge object for many entries is validated against its first
-        use and stored once; one args mapping is copied per event."""
+        use and stored once; every materialised event owns a copy of the
+        one args snapshot."""
         tl = Timeline()
         tl.record(0, EventCategory.COMPRESS, 0.0, 1.0)
         tl.record(1, EventCategory.COMPRESS, 0.0, 2.0)
         edges = np.array([1, 0, 1])
         args = {"exchange": 7}
-        events = tl.record_batch(
+        tl.record_batch(
             np.arange(3), EventCategory.METADATA, np.full(3, 2.0), np.full(3, 0.5),
             "comm", args, [edges] * 3,
         )
+        events = tl.events[2:]
         assert [e.release_edges for e in events] == [(1, 0)] * 3
         assert events[0].release_edges is events[2].release_edges
         assert all(e.args == args and e.args is not args for e in events)
@@ -219,6 +228,171 @@ class TestRecordBatch:
             tl.record_batch([0, 1], EventCategory.COMPRESS, [0.0, 0.0], [1.0, 1.0],
                             release_edges=[None])
         assert len(tl) == 0
+
+
+# One ledger operation for the column-store law: a single record, a batch
+# (one args mapping / edge object shared by every entry, or one per entry)
+# or a counter sample.  About one entry in eight is one the ledger rejects
+# (a negative rank, a NaN time, an edge to itself or later), so most
+# operations land and the ledger grows.
+_LAW_TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.5, 0.0, 0.5, 1.0, math.nan])
+_LAW_ARGS = st.one_of(st.none(), st.just({}), st.dictionaries(st.sampled_from("ab"), st.integers(0, 3)))
+_LAW_EDGES = st.one_of(st.none(), st.lists(st.integers(min_value=0, max_value=3), max_size=3))
+_LAW_ENTRY = st.tuples(
+    st.sampled_from([0, 1, 2, 3, 0, 1, 2, -1]), _LAW_TIMES, st.sampled_from([0.5, 1.0]), _LAW_ARGS, _LAW_EDGES
+)
+_LAW_KIND = st.tuples(
+    st.sampled_from([EventCategory.COMPRESS, EventCategory.ALLTOALL_FWD, "custom"]),
+    st.sampled_from(["compute", "comm", OBS_STREAM]),
+)
+_LAW_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), _LAW_KIND, _LAW_ENTRY),
+        st.tuples(
+            st.just("batch"), _LAW_KIND, st.lists(_LAW_ENTRY, max_size=5), st.booleans(), st.booleans()
+        ),
+        st.tuples(st.just("counter"), st.sampled_from(["depth", "bytes"]), _LAW_TIMES),
+    ),
+    max_size=8,
+)
+
+
+def _one_by_one(entries, category, stream, recorded: int) -> list[TimelineEvent] | None:
+    """The events ``entries`` append to a ledger holding ``recorded``, built
+    one by one, or ``None`` if ``record`` would reject one of them."""
+    events = []
+    for rank, start, duration, args, edges in entries:
+        if rank < 0 or not (0.0 <= start < MAX_SECONDS and 0.0 <= duration < MAX_SECONDS):
+            return None
+        if edges and not all(0 <= i < recorded + len(events) for i in edges):
+            return None
+        edges = tuple(dict.fromkeys(edges)) if edges else None
+        events.append(
+            TimelineEvent(rank, category, start, duration, stream, dict(args) if args else None, edges)
+        )
+    return events
+
+
+def _assert_same_columns(got: Timeline, want: Timeline) -> None:
+    got_columns, want_columns = got.columns(), want.columns()
+    for name in ("rank", "start", "duration", "stream", "category"):
+        np.testing.assert_array_equal(getattr(got_columns, name), getattr(want_columns, name))
+        assert getattr(got_columns, name).dtype == getattr(want_columns, name).dtype
+    assert got_columns.streams == want_columns.streams
+    assert got_columns.categories == want_columns.categories
+    assert got_columns.release_edges == want_columns.release_edges
+
+
+class TestColumnLedger:
+    """The ledger is stored as columns: every way of appending to it must
+    read back as the events ``Timeline.from_events`` holds when given
+    them built one by one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_LAW_OPS)
+    def test_any_interleaving_equals_the_events_built_one_by_one(self, ops):
+        """Law: ``len``, the materialised ``events``, the columns and the
+        ``TimelineDag`` of any interleaving of ``record``, ``record_batch``
+        and ``record_counter`` equal those of ``from_events`` over the
+        events built one by one; a rejected call leaves the ledger
+        untouched; the caller's args mappings are snapshotted."""
+        tl, expected, counters, given_args = Timeline(), [], [], []
+        for op in ops:
+            if op[0] == "counter":
+                _, name, time = op
+                if 0.0 <= time < MAX_SECONDS:
+                    counters.append(tl.record_counter(name, time, 1.0))
+                continue
+            (category, stream), entries = op[1], [op[2]] if op[0] == "record" else op[2]
+            shared_args = op[0] == "batch" and op[3] and entries
+            shared_edges = op[0] == "batch" and op[4] and entries
+            if shared_args:  # one args mapping for every entry
+                entries = [(*entry[:3], entries[0][3], entry[4]) for entry in entries]
+            if shared_edges:  # one edge object for every entry
+                entries = [(*entry[:4], entries[0][4]) for entry in entries]
+            want = _one_by_one(entries, category, stream, len(expected))
+            given_args.extend(entry[3] for entry in entries if entry[3])
+            try:
+                if op[0] == "record":
+                    rank, start, duration, args, edges = op[2]
+                    tl.record(rank, category, start, duration, stream, args, edges)
+                else:
+                    tl.record_batch(
+                        [entry[0] for entry in entries],
+                        category,
+                        [entry[1] for entry in entries],
+                        [entry[2] for entry in entries],
+                        stream,
+                        entries[0][3] if shared_args else [entry[3] for entry in entries],
+                        [entry[4] for entry in entries],
+                    )
+            except ValueError:
+                assert want is None
+                assert len(tl) == len(expected)
+                _assert_same_columns(tl, Timeline.from_events(expected))
+                continue
+            assert want is not None
+            expected.extend(want)
+            assert len(tl) == len(expected)
+        for args in given_args:  # the ledger holds snapshots, not the caller's maps
+            args["a"] = "mutated"
+        reference = Timeline.from_events(expected)
+        _assert_same_columns(tl, reference)
+        assert len(tl) == len(reference) == len(expected)
+        assert tl.events == expected
+        assert tl.counters == counters
+        dag, want_dag = TimelineDag.from_timeline(tl), TimelineDag.from_timeline(reference)
+        np.testing.assert_array_equal(dag._end, want_dag._end)
+        np.testing.assert_array_equal(dag._node, want_dag._node)
+        np.testing.assert_array_equal(dag._lane_pred, want_dag._lane_pred)
+        assert dag.critical_path() == want_dag.critical_path()
+        assert dag.speedup_if(EventCategory.COMPRESS, 2.0) == want_dag.speedup_if(EventCategory.COMPRESS, 2.0)
+
+    def test_lane_reads_the_columns(self):
+        tl = Timeline()
+        tl.record(2, EventCategory.COMPRESS, 0.0, 1.0)
+        tl.record_batch([0, 1], EventCategory.ALLTOALL_FWD, [1.0, 1.0], [0.5, 0.5], "comm")
+        tl.record(3, EventCategory.COMPRESS, 0.0, 1.0, stream="comm")
+        assert [tl.lane(i) for i in range(4)] == [(2, "compute"), (0, "comm"), (1, "comm"), (3, "comm")]
+        with pytest.raises(IndexError):
+            tl.lane(4)
+
+    def test_charging_and_analysing_an_exchange_builds_no_event(self, monkeypatch):
+        """The count behind the exchange engine's wall time: a chunked
+        exchange, an all-reduce, the critical path over them and the
+        ``len`` / ``lane`` / ``columns`` reads construct no
+        ``TimelineEvent``; reading ``events`` builds each one once."""
+        from repro.dist import ClusterSimulator
+
+        built = []
+
+        class Counted(TimelineEvent):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(repro.dist.timeline, "TimelineEvent", Counted)
+        sim = ClusterSimulator(4)
+        for _ in range(2):
+            sim.comm.compressed_all_to_all(
+                [[b"x" * 1000] * 4] * 4,
+                overlap=True,
+                compress_seconds=[1e-4, 2e-4, 0.0, 1e-4],
+                decompress_seconds=[1e-4] * 4,
+                chunks_per_rank=[3, 1, 4, 2],
+            )
+            sim.comm.all_reduce_bytes(1 << 16)
+        assert extract_critical_path(sim.timeline).makespan == sim.makespan()
+        lanes = [sim.timeline.lane(i) for i in range(len(sim.timeline))]
+        assert len(sim.timeline.columns().rank) == len(lanes)
+        assert built == []
+        assert len(sim.timeline.events) == len(built) == len(sim.timeline) > 0
+        sim.timeline.events
+        assert len(built) == len(sim.timeline)
+
+    @pytest.mark.parametrize("module", [repro.dist.simulator, repro.dist.comm])
+    def test_simulator_and_communicator_never_read_events(self, module):
+        assert re.search(r"\.events\b", Path(module.__file__).read_text()) is None
 
 
 class TestChromeTrace:

@@ -151,9 +151,7 @@ class TestSimulatorLedgers:
 
 def ledger(*events: TimelineEvent) -> Timeline:
     """A ``Timeline`` assembled without ``record``: no edge validation."""
-    timeline = Timeline()
-    timeline.events.extend(events)
-    return timeline
+    return Timeline.from_events(events)
 
 
 def event(rank, category, start, duration, stream=COMPUTE_STREAM, edges=None) -> TimelineEvent:
@@ -161,9 +159,10 @@ def event(rank, category, start, duration, stream=COMPUTE_STREAM, edges=None) ->
 
 
 class TestEdgeHygiene:
-    """``Timeline.events`` is a public list (``train/hybrid.py`` slices it
-    into window timelines), so an edge may name anything.  Such edges are
-    dropped — never raised, never wrapped round to another event."""
+    """``Timeline.from_events`` stores events unvalidated (``train/hybrid.py``
+    builds window timelines from a slice of a ledger), so an edge may name
+    anything.  Such edges are dropped — never raised, never wrapped round
+    to another event."""
 
     def test_invalid_edges_are_dropped_not_wrapped(self):
         timeline = ledger(
