@@ -14,6 +14,13 @@ megabyte** — freshness bought per unit of publication bandwidth — where
 compressed delta publication must strictly beat raw publication on the
 multi-node fabrics (the acceptance criterion of the serving PR).
 
+Two training steps move no element past its table's bound, and a
+publication ships only tables whose delta crossed it, so before publishing
+the sweep evicts ``EVICTED_ROWS`` rows of every third table
+(:func:`~repro.obs.scenario.evict_rows`): those tables ship under
+compressed publication, and the compressed-vs-raw comparisons require each
+compressed publication to ship at least one table.
+
 Setting ``REPRO_SERVE_SMOKE=1`` restricts the sweep to the smallest
 2-replica scenario for CI's perf-smoke job.
 """
@@ -35,6 +42,7 @@ from repro.dist import (
     Topology,
 )
 from repro.model import DLRM, DLRMConfig
+from repro.obs.scenario import evict_rows
 from repro.serve import RequestLoadGenerator, ServingSimulator, build_serving_tier
 from repro.train import CompressionPipeline, HybridParallelTrainer
 from repro.utils import format_table
@@ -48,6 +56,8 @@ ROWS_PER_BLOCK = 128
 N_REQUESTS = 900
 QPS_PER_REPLICA = 6000.0
 EMBEDDING_DIM = 32
+#: rows evicted (re-initialised) in each of every third table before publishing
+EVICTED_ROWS = 8
 
 #: (label, inter link or None for a flat NVLink fabric); the hierarchical
 #: fabrics put replicas on node 0 and shard nodes on node 1, so every
@@ -136,6 +146,7 @@ class ServingRuns:
                 compress_publication=compressed,
             )
         self.trainer.train(TRAIN_ITERATIONS, TRAIN_BATCH * TRAIN_RANKS)
+        evict_rows(model, range(0, self.spec.n_tables, 3), EVICTED_ROWS, SEED)
         self.publications = {
             key: tier.publisher.publish(iteration=TRAIN_ITERATIONS)
             for key, tier in self.tiers.items()
@@ -159,6 +170,15 @@ class ServingRuns:
             self.publications[key].wire_nbytes / 1e6
         )
 
+    def shipped(self, key) -> list:
+        """The table deltas a publication put on the wire."""
+        return [t for t in self.publications[key].tables if t.shipped]
+
+    def shipped_ratio(self, key) -> float:
+        """Compression ratio over the shipped tables only."""
+        shipped = self.shipped(key)
+        return sum(t.raw_nbytes for t in shipped) / sum(t.wire_nbytes for t in shipped)
+
 
 @pytest.fixture(scope="session")
 def serving_runs() -> ServingRuns:
@@ -181,7 +201,9 @@ def test_serving_scaling_report(serving_runs):
                 f"{report.p50_latency * 1e6:.1f} us",
                 f"{report.p99_latency * 1e6:.1f} us",
                 f"{report.cache_hit_rate:.1%}",
+                f"{len(serving_runs.shipped(key))}/{len(publication.tables)}",
                 f"{publication.wire_nbytes / 1e3:.1f} KB",
+                f"{serving_runs.shipped_ratio(key):.1f}x",
                 f"{serving_runs.qps_per_megabyte(key):.0f}",
             )
         )
@@ -195,7 +217,9 @@ def test_serving_scaling_report(serving_runs):
             "p50",
             "p99",
             "hit rate",
+            "tables shipped",
             "pub wire",
+            "shipped ratio",
             "QPS/MB",
         ],
         rows,
@@ -228,6 +252,7 @@ def test_compressed_publication_ships_fewer_bytes(serving_runs):
         if raw_key not in serving_runs.publications:
             continue
         raw = serving_runs.publications[raw_key]
+        assert serving_runs.shipped(key), key  # not vacuous: a table shipped
         assert publication.wire_nbytes < raw.wire_nbytes, key
         assert publication.raw_nbytes == raw.raw_nbytes, key
         assert publication.compression_ratio > 2.0, key
@@ -247,6 +272,7 @@ def test_compressed_beats_raw_qps_per_byte_on_multinode_fabrics(serving_runs):
         raw_key = (scenario, fabric, n_replicas, cache_rows, False)
         if raw_key not in serving_runs.publications:
             continue
+        assert serving_runs.shipped(key), key  # not vacuous: a table shipped
         assert serving_runs.qps_per_megabyte(key) > serving_runs.qps_per_megabyte(
             raw_key
         ), key

@@ -32,6 +32,7 @@ from repro.compression.huffman import (
     huffman_decode,
     huffman_encode,
 )
+from repro.compression.serialization import CorruptPayloadError
 
 __all__ = ["lz77_encode_bytes", "lz77_decode_bytes", "Lz4LikeCompressor", "DeflateLikeCompressor"]
 
@@ -240,49 +241,63 @@ def _read_varnibble(data: bytes | memoryview, pos: int, nibble: int) -> tuple[in
     return value, pos
 
 
-def lz77_decode_bytes(stream: bytes | memoryview, expected_size: int) -> bytes:
+def _corrupt(codec: str, detail: str, pos: int) -> CorruptPayloadError:
+    return CorruptPayloadError(f"{codec}: corrupt LZ77 stream at byte {pos}: {detail}")
+
+
+def lz77_decode_bytes(stream: bytes | memoryview, expected_size: int, codec: str = "lz77") -> bytes:
     """Invert :func:`lz77_encode_bytes`.
 
     Match copies run as C-speed slice operations: non-overlapping matches
     are a single slice copy, overlapping ones replicate the ``offset``-byte
-    period — identical output to the byte-at-a-time reference.
+    period — identical output to the byte-at-a-time reference.  A stream the
+    encoder cannot have written raises
+    :class:`~repro.compression.serialization.CorruptPayloadError` naming
+    ``codec`` and the stream byte offset of the token that failed.
     """
     out = bytearray()
-    pos = 0
+    pos = token_pos = 0
     n = len(stream)
-    while pos < n:
-        token = stream[pos]
-        pos += 1
-        lit_len, pos = _read_varnibble(stream, pos, token >> 4)
-        out.extend(stream[pos : pos + lit_len])
-        pos += lit_len
-        if pos >= n:
-            break  # literals-only tail token
-        offset = int.from_bytes(stream[pos : pos + 2], "little")
-        pos += 2
-        match_len, pos = _read_varnibble(stream, pos, token & 0xF)
-        match_len += MIN_MATCH
-        if offset == 0 or offset > len(out):
-            raise ValueError(f"corrupt LZ77 stream: offset {offset} at output size {len(out)}")
-        start = len(out) - offset
-        if offset >= match_len:
-            out += out[start : start + match_len]
-        else:
-            # Overlapping match: the copy region is periodic in `offset`.
-            period = bytes(out[start:])
-            repeats = -(-match_len // offset)
-            out += (period * repeats)[:match_len]
+    try:
+        while pos < n:
+            token_pos = pos
+            token = stream[pos]
+            pos += 1
+            lit_len, pos = _read_varnibble(stream, pos, token >> 4)
+            out.extend(stream[pos : pos + lit_len])
+            pos += lit_len
+            if pos >= n:
+                break  # literals-only tail token
+            offset = int.from_bytes(stream[pos : pos + 2], "little")
+            pos += 2
+            match_len, pos = _read_varnibble(stream, pos, token & 0xF)
+            match_len += MIN_MATCH
+            if offset == 0 or offset > len(out):
+                raise _corrupt(codec, f"offset {offset} at output size {len(out)}", token_pos)
+            start = len(out) - offset
+            if offset >= match_len:
+                out += out[start : start + match_len]
+            else:
+                # Overlapping match: the copy region is periodic in `offset`.
+                period = bytes(out[start:])
+                repeats = -(-match_len // offset)
+                out += (period * repeats)[:match_len]
+    except IndexError:  # a length extension runs past the end
+        raise _corrupt(codec, "truncated token", token_pos) from None
     if len(out) != expected_size:
-        raise ValueError(f"corrupt LZ77 stream: decoded {len(out)} bytes, expected {expected_size}")
+        raise _corrupt(codec, f"decoded {len(out)} bytes, expected {expected_size}", n)
     return bytes(out)
 
 
-def _reference_lz77_decode_bytes(stream: bytes | memoryview, expected_size: int) -> bytes:
+def _reference_lz77_decode_bytes(
+    stream: bytes | memoryview, expected_size: int, codec: str = "lz77"
+) -> bytes:
     """The seed's original byte-at-a-time decoder, frozen as the oracle."""
     out = bytearray()
     pos = 0
     n = len(stream)
     while pos < n:
+        token_pos = pos
         token = stream[pos]
         pos += 1
         lit_len, pos = _read_varnibble(stream, pos, token >> 4)
@@ -295,13 +310,13 @@ def _reference_lz77_decode_bytes(stream: bytes | memoryview, expected_size: int)
         match_len, pos = _read_varnibble(stream, pos, token & 0xF)
         match_len += MIN_MATCH
         if offset == 0 or offset > len(out):
-            raise ValueError(f"corrupt LZ77 stream: offset {offset} at output size {len(out)}")
+            raise _corrupt(codec, f"offset {offset} at output size {len(out)}", token_pos)
         start = len(out) - offset
         # Overlap-safe copy (offset may be smaller than match_len).
         for k in range(match_len):
             out.append(out[start + k])
     if len(out) != expected_size:
-        raise ValueError(f"corrupt LZ77 stream: decoded {len(out)} bytes, expected {expected_size}")
+        raise _corrupt(codec, f"decoded {len(out)} bytes, expected {expected_size}", n)
     return bytes(out)
 
 
@@ -324,7 +339,7 @@ class Lz4LikeCompressor(Compressor):
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
-        raw = lz77_decode_bytes(body, header["raw_size"])
+        raw = lz77_decode_bytes(body, header["raw_size"], self.name)
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
@@ -365,5 +380,5 @@ class DeflateLikeCompressor(Compressor):
             total_symbols=header["lz_size"],
         )
         lz_stream = huffman_decode(encoded).astype(np.uint8).tobytes()
-        raw = lz77_decode_bytes(lz_stream, header["raw_size"])
+        raw = lz77_decode_bytes(lz_stream, header["raw_size"], self.name)
         return np.frombuffer(raw, dtype=dtype).reshape(shape)

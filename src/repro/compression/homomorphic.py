@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.compression.base import Compressor, frame_payload, parse_payload
 from repro.compression.quantizer import quantize
+from repro.compression.serialization import CorruptPayloadError
 
 __all__ = [
     "HomomorphicCompressor",
@@ -204,11 +205,13 @@ class QuantSumCompressor(HomomorphicCompressor):
         dtype: np.dtype,
     ) -> np.ndarray:
         count = int(np.prod(shape, dtype=np.int64))
-        codes = np.frombuffer(body, dtype=np.dtype(header["cdtype"]))
-        _require(
-            codes.size == count,
-            f"{self.name}: body holds {codes.size} codes, expected {count}",
-        )
+        cdtype = np.dtype(header["cdtype"])
+        if len(body) != count * cdtype.itemsize:
+            raise CorruptPayloadError(
+                f"{self.name}: body holds {len(body)} bytes, but {count} {cdtype.str} "
+                f"codes end at byte {count * cdtype.itemsize}"
+            )
+        codes = np.frombuffer(body, dtype=cdtype)
         centres = codes.astype(np.float64) * float(header["scale"])
         return centres.astype(dtype).reshape(shape)
 

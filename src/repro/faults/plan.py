@@ -153,7 +153,10 @@ class CorruptionFault:
 
     Keys on the publication ``round_index``, the delivery ``attempt``
     (0 = the first send, so a retry with the same plan succeeds), and the
-    index of the table record within the round.
+    index of the table record within the round (its position in
+    ``PublicationReport.tables``).  A table whose delta was within its bound
+    ships nothing in that round, so a fault on it has nothing in transit to
+    damage.
     """
 
     round_index: int

@@ -98,8 +98,11 @@ def run_day_in_the_life_under_faults(
     ``n_iterations`` pure training steps are followed by warm-up serving
     traffic and two publish-interleaved steps (one publication round
     abandoned to corruption, one recovered by retry), then the serving
-    trace runs against a crashed-then-restarted shard.  The same workload
-    runs healthy first; both runs share every seed.
+    trace runs against a crashed-then-restarted shard.  Each
+    publish-interleaved step also evicts a few rows of every table
+    (:func:`~repro.obs.scenario.evict_rows`), so every table crosses its
+    bound and ships, and the scheduled corruption has payloads to damage.
+    The same workload runs healthy first; both runs share every seed.
     """
     # Heavy imports stay local, as in repro.obs.scenario.
     from repro.dist.timeline import Timeline
@@ -115,7 +118,7 @@ def run_day_in_the_life_under_faults(
     )
     from repro.faults.retry import RetryPolicy
     from repro.obs.exporters import run_report
-    from repro.obs.scenario import build_day_world, write_artifacts
+    from repro.obs.scenario import build_day_world, evict_rows, write_artifacts
     from repro.obs.trace import unified_chrome_trace
     from repro.serve import build_serving_tier
     from repro.serve.loadgen import RequestLoadGenerator
@@ -134,10 +137,16 @@ def run_day_in_the_life_under_faults(
 
     world = ("chaos-day", n_tables, cardinality, seed)  # twin runs share every seed
 
+    def evict(trainer, iteration: int) -> None:
+        """The row evictions a publish-interleaved step makes."""
+        evict_rows(trainer.model, range(n_tables), 4, seed, iteration)
+
     # ------------------------------------------------- 1. the healthy twin
     dataset, config, healthy_trainer = build_day_world(*world)
     for iteration in range(total_iterations):
         healthy_trainer.train_step(global_batch, iteration=iteration)
+        if iteration >= n_iterations:
+            evict(healthy_trainer, iteration)
     healthy_makespan = healthy_trainer.simulator.makespan()
     healthy_params = _final_param_bytes(healthy_trainer.model)
     healthy_tier = build_serving_tier(
@@ -250,6 +259,7 @@ def run_day_in_the_life_under_faults(
         last_success_bound = 0.0
         for round_index in range(publish_rounds):
             trainer.train_step(global_batch, iteration=n_iterations + round_index)
+            evict(trainer, n_iterations + round_index)
             report = tier.publisher.publish(iteration=n_iterations + round_index)
             pub_reports.append(report)
             if report.succeeded:

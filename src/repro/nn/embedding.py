@@ -41,6 +41,7 @@ class EmbeddingTable:
             raise ValueError(f"cardinality and dim must be >= 1, got {cardinality}, {dim}")
         self.cardinality = int(cardinality)
         self.dim = int(dim)
+        self._init = (float(scale), distribution)
         if n_clusters > 0:
             data = clustered_embedding(
                 rng, cardinality, dim, scale, min(n_clusters, cardinality), jitter, distribution
@@ -85,6 +86,16 @@ class EmbeddingTable:
         sorted_ids = indices[order]
         starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
         self.weight.grad[sorted_ids[starts]] += np.add.reduceat(grad_rows[order], starts, axis=0)
+
+    def reinitialize_rows(self, indices: np.ndarray, rng: np.random.Generator) -> None:
+        """Redraw ``indices`` from this table's value distribution: the
+        ID-eviction event of a production table, whose freed slot starts
+        its new ID from a fresh initialisation."""
+        indices = self._check_indices(indices)
+        scale, distribution = self._init
+        self.weight.data[indices] = embedding_init(
+            rng, indices.size, self.dim, scale, distribution
+        )
 
     def parameters(self) -> list[Parameter]:
         return [self.weight]

@@ -393,20 +393,43 @@ def _series_label(name: str, key: LabelKey) -> str:
     return name + "{" + ",".join(f"{k}={v}" for k, v in key) + "}"
 
 
+def _counter_totals(snapshot: RegistrySnapshot, *names: str) -> list[float] | None:
+    """Each named counter family summed over its series (``None`` when one
+    of them was never recorded)."""
+    try:
+        return [sum(float(value) for _key, value in snapshot.family(name).series) for name in names]
+    except KeyError:
+        return None
+
+
 def _shard_reencode_line(snapshot: RegistrySnapshot) -> str | None:
     """How much of the shard tier's storage the publication rounds actually
     re-encoded, summed over tables (``None`` when no ``set_table`` ran)."""
-    try:
-        reencoded, unchanged = (
-            sum(float(value) for _key, value in snapshot.family(name).series)
-            for name in ("shard_blocks_reencoded_total", "shard_blocks_unchanged_total")
-        )
-    except KeyError:
+    totals = _counter_totals(
+        snapshot, "shard_blocks_reencoded_total", "shard_blocks_unchanged_total"
+    )
+    if totals is None:
         return None
+    reencoded, unchanged = totals
     offered = reencoded + unchanged
     return (
         f"shard re-encode: {reencoded:.0f} of {offered:.0f} row blocks re-encoded "
         f"({100.0 * reencoded / max(1.0, offered):.1f}%), the rest unchanged"
+    )
+
+
+def _publish_skip_line(snapshot: RegistrySnapshot) -> str | None:
+    """How many table deltas the publication rounds shipped, of all they
+    offered (``None`` when no round was published)."""
+    totals = _counter_totals(
+        snapshot, "publish_tables_shipped_total", "publish_tables_within_bound_total"
+    )
+    if totals is None:
+        return None
+    shipped, within = totals
+    return (
+        f"publish: {shipped:.0f} of {shipped + within:.0f} table deltas shipped; "
+        "the rest were within bound"
     )
 
 
@@ -473,15 +496,18 @@ def run_report(
                 title=f"{title} — histograms (exact-rank quantiles)",
             )
         )
-    reencode_line = _shard_reencode_line(snapshot)
+    publish_lines = [
+        line
+        for line in (_shard_reencode_line(snapshot), _publish_skip_line(snapshot))
+        if line is not None
+    ]
     for tier_name, timeline in (timelines or {}).items():
         section = breakdown_report(timeline, title=f"{title} — {tier_name} time breakdown")
-        if tier_name == "publish" and reencode_line:
-            section += "\n" + reencode_line
-            reencode_line = None
+        if tier_name == "publish" and publish_lines:
+            section += "\n" + "\n".join(publish_lines)
+            publish_lines = []
         sections.append(section)
-    if reencode_line:  # no publish timeline to sit under
-        sections.append(reencode_line)
+    sections.extend(publish_lines)  # no publish timeline to sit under
     if critical_paths:
         from repro.obs.critpath import critical_path_report
 

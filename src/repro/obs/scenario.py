@@ -38,6 +38,7 @@ from repro.obs.runtime import capture, enable
 __all__ = [
     "ScenarioResult",
     "build_day_world",
+    "evict_rows",
     "run_day_in_the_life",
     "write_artifacts",
 ]
@@ -88,6 +89,22 @@ def build_day_world(name: str, n_tables: int, cardinality: int, seed: int):
         pipeline_chunks=4,
     )
     return dataset, config, trainer
+
+
+def evict_rows(model, table_ids, n_rows: int, seed: int, *key: int | str) -> None:
+    """Evict ``n_rows`` rows of each table in ``table_ids``: each row is
+    redrawn from its table's initializer, as when a production table hands
+    an evicted ID's slot to a new ID.  Such a row moves by the scale of the
+    embeddings, typically far past the table's publication error bound, so
+    the next publication ships the table.  Rows and values derive from ``seed`` and
+    ``key`` alone, so twin runs evict identically."""
+    from repro.utils.rng import spawn_rng
+
+    rng = spawn_rng(seed, "evict", *key)
+    for table_id in table_ids:
+        table = model.tables[table_id]
+        rows = rng.choice(table.cardinality, size=n_rows, replace=False)
+        table.reinitialize_rows(rows, rng)
 
 
 def write_artifacts(
@@ -194,10 +211,13 @@ def run_day_in_the_life(
             trainer.train_step(64, iteration=iteration)
         train_makespan = trainer.simulator.makespan()
 
-        # --- publish: ship the trained deltas to a 2-shard serving tier
+        # --- publish: a 2-shard serving tier built from the trained
+        # tables, then rows of every other table evicted, so the round
+        # ships those tables and skips the rest (within their bound)
         tier = build_serving_tier(
             trainer, n_shard_ranks=2, n_replicas=2, cache_rows=64
         )
+        evict_rows(trainer.model, range(0, n_tables, 2), 4, seed, "publish")
         publication = tier.publisher.publish(iteration=n_iterations - 1)
 
         # --- serve: a Zipf-skewed open-loop trace over the fresh tables

@@ -21,6 +21,14 @@ servers recompress from that exact logical state (never decode-add-encode
 on their own lossy storage), so the end-to-end staleness of a served row
 is at most ``publication bound + shard-storage bound``.
 
+**Only what crossed its bound ships.**  A table whose delta already meets
+the contract — ``max|float32(current) - published| <= bound``, with the
+bound 0 in raw mode — is skipped: no compress, decode, CRC, payload,
+``set_table`` or replica invalidation, and its published state and shard
+blocks stay bit for bit as they were.  Every table moves every training
+step, but few move past their bound, so most rounds ship a handful of
+tables or none; a round that ships none runs no exchange at all.
+
 Freshness-vs-bandwidth is then a measurable tradeoff: raw publication is
 exact but pays full table bytes and a long fabric/apply window; compressed
 publication pays a bounded accuracy budget for an order of magnitude less
@@ -63,7 +71,10 @@ __all__ = ["TableDelta", "PublicationReport", "DeltaPublisher", "ServingTier", "
 
 @dataclass(frozen=True)
 class TableDelta:
-    """One table's share of a publication."""
+    """One table's share of a publication.
+
+    A table whose delta was already within its bound ships nothing: its
+    ``wire_nbytes`` is 0 and ``max_abs_error`` is the delta it kept."""
 
     table_id: int
     codec: str
@@ -76,10 +87,20 @@ class TableDelta:
     def ratio(self) -> float:
         return self.raw_nbytes / max(1, self.wire_nbytes)
 
+    @property
+    def shipped(self) -> bool:
+        """Whether this round put the table's delta on the wire."""
+        return self.wire_nbytes > 0
+
 
 @dataclass(frozen=True)
 class PublicationReport:
-    """Accounting for one publication round."""
+    """Accounting for one publication round.
+
+    ``tables`` holds every table, shipped or not, so ``raw_nbytes``,
+    ``compression_ratio`` and ``staleness_bound`` cover the whole round.  A
+    round that ships no table runs no exchange: ``attempts`` is 0, the
+    wire, compress and apply seconds are 0, and it succeeds."""
 
     iteration: int
     compressed: bool
@@ -137,9 +158,10 @@ class DeltaPublisher:
         from the *same* model state — the publisher snapshots the tables at
         construction as the serving tier's initial logical state.
     servers / replicas / sharding:
-        The serving tier.  Each publication recompresses the owned tables
-        on their shard node and invalidates the replicas' cached rows for
-        the updated tables.
+        The serving tier.  Each publication recompresses the shipped
+        tables on their shard node and invalidates the replicas' cached
+        rows for those tables only; a table whose delta is within its
+        bound ships nothing, and replicas keep its cached rows.
     network:
         Publication fabric (rank 0 = publisher, rank ``1 + s`` = shard
         node ``s``).  Defaults to the paper's flat fabric.
@@ -259,6 +281,11 @@ class DeltaPublisher:
         """One publication round: delta, compress, ship (with verification
         and retries when configured), apply, invalidate.
 
+        A table ships only if some element of its delta exceeds the
+        controller's bound for this round (0 in raw mode); every other
+        table is recorded with ``wire_nbytes=0`` and left untouched.  A NaN
+        delta always ships, so the codec rejects it.
+
         The serving tier's logical state (:attr:`_published`, the shard
         tables, the replica caches) mutates **only after** a delivery whose
         every payload verified — a corrupted or abandoned round leaves the
@@ -276,8 +303,9 @@ class DeltaPublisher:
         apply_chunks: list[list[tuple[str, int]]] = [[] for _ in range(n_servers)]
         table_records: list[TableDelta] = []
         new_state: dict[int, np.ndarray] = {}
-        pristine: list[bytes] = []  # payload per record
-        placements: list[int] = []  # shard rank per table record
+        pristine: list[bytes] = []  # payload per shipped table
+        shipped: list[int] = []  # index in table_records per shipped payload
+        placements: list[int] = []  # shard rank per shipped payload
         for shard_rank in range(n_servers):
             for table_id in self.sharding.tables_of(shard_rank):
                 weight = self.trainer.model.tables[table_id].weight.data
@@ -294,8 +322,6 @@ class DeltaPublisher:
                     np.subtract(current, self._published[table_id], out=delta)
                     codec_name = pipeline.controller.compressor_name(table_id)
                     bound = pipeline.controller.error_bound(table_id, iteration)
-                    payload = self._codec(codec_name).compress(delta, bound, key=table_id)
-                    applied = self._published[table_id] + decompress_any(payload)
                 else:
                     current = np.array(  # stored as published state below
                         weight, dtype=np.float32, copy=True
@@ -303,24 +329,37 @@ class DeltaPublisher:
                     delta = current - self._published[table_id]
                     codec_name = "raw"
                     bound = 0.0
-                    payload = delta.tobytes()
-                    applied = current
-                if self.checksum:
-                    payload = frame_with_checksum(payload)
-                pristine.append(payload)
-                placements.append(shard_rank)
-                entries[0, 1 + shard_rank] += 1
-                stage1_chunks.append((codec_name, delta.nbytes))
-                apply_chunks[shard_rank].append((codec_name, delta.nbytes))
-                new_state[table_id] = applied
+                # The skip rule: a delta already within the bound leaves
+                # the published state honouring the contract, so it ships
+                # nothing.  A NaN compares false and ships (and raises).
+                error = float(np.max(np.abs(delta), initial=0.0))
+                wire_nbytes = 0
+                if not error <= bound:
+                    if self.compress:
+                        payload = self._codec(codec_name).compress(delta, bound, key=table_id)
+                        applied = self._published[table_id] + decompress_any(payload)
+                    else:
+                        payload = delta.tobytes()
+                        applied = current
+                    if self.checksum:
+                        payload = frame_with_checksum(payload)
+                    pristine.append(payload)
+                    shipped.append(len(table_records))
+                    placements.append(shard_rank)
+                    entries[0, 1 + shard_rank] += 1
+                    stage1_chunks.append((codec_name, delta.nbytes))
+                    apply_chunks[shard_rank].append((codec_name, delta.nbytes))
+                    new_state[table_id] = applied
+                    wire_nbytes = len(payload)
+                    error = float(np.max(np.abs(current - applied), initial=0.0))
                 table_records.append(
                     TableDelta(
                         table_id=table_id,
                         codec=codec_name,
                         error_bound=bound,
                         raw_nbytes=int(delta.nbytes),
-                        wire_nbytes=len(payload),
-                        max_abs_error=float(np.max(np.abs(current - applied), initial=0.0)),
+                        wire_nbytes=wire_nbytes,
+                        max_abs_error=error,
                     )
                 )
 
@@ -329,22 +368,25 @@ class DeltaPublisher:
         # because payload sizes are variable); raw deltas are fixed-size
         # and self-describing, so they go as a plain all-to-all.  Payloads
         # are compressed exactly once; a retry re-ships the same bytes
-        # (stage ① is charged on the first attempt only).
+        # (stage ① is charged on the first attempt only).  A round in which
+        # no table ships runs no exchange at all and has nothing to fail.
         comm = self.simulator.comm
         sim = self.simulator
         compress_seconds = 0.0
         decompress_seconds = [0.0] * n
-        if self.compress:
+        if self.compress and pristine:
             compress_seconds = pipeline.compression_seconds(stage1_chunks)
             decompress_seconds = [0.0] + [
                 pipeline.decompression_seconds(chunks) if chunks else 0.0
                 for chunks in apply_chunks
             ]
         max_attempts = self.retry_policy.max_attempts if self.retry_policy else 1
+        if not pristine:
+            max_attempts = 0
         attempts = 0
         backoff_total = 0.0
         corrupted_total = 0
-        succeeded = False
+        succeeded = not pristine
         wire_seconds = 0.0
         for attempt in range(max_attempts):
             attempts = attempt + 1
@@ -356,10 +398,12 @@ class DeltaPublisher:
                 sim.collective(backoff, EventCategory.RETRY)
             delivered = list(pristine)
             if self.fault_injector is not None:
-                for record_index, payload in enumerate(pristine):
+                # Faults key on the table record's index in the round, so a
+                # fault on a table that ships nothing damages nothing.
+                for position, record_index in enumerate(shipped):
                     if self.fault_injector.corrupts(round_index, record_index, attempt):
-                        delivered[record_index] = self.fault_injector.corrupt_payload(
-                            payload, round_index, record_index, attempt
+                        delivered[position] = self.fault_injector.corrupt_payload(
+                            pristine[position], round_index, record_index, attempt
                         )
             sendbufs: list[list[list[bytes]]] = [
                 [[] for _ in range(n)] for _ in range(n)
@@ -403,26 +447,26 @@ class DeltaPublisher:
 
         apply_seconds: list[float] = []
         if succeeded:
-            # Apply: shard nodes recompress their tables from the exact new
-            # logical state (only the row blocks that changed); replicas
-            # drop their cached rows for every published table.  The
-            # simulated apply window still prices a full-table recompress
-            # at the shard codec's compress throughput (plus the staging
+            # Apply the shipped tables only: shard nodes recompress them
+            # from the exact new logical state (only the row blocks that
+            # changed); replicas drop their cached rows for those tables
+            # and keep every other table's.  The simulated apply window
+            # still prices a full-table recompress of each shipped table at
+            # the shard codec's compress throughput (plus the staging
             # memcpy).
             gpu = sim.gpu
-            for shard_rank, server in enumerate(self.servers):
-                seconds = 0.0
-                for table_id in self.sharding.tables_of(shard_rank):
-                    self._published[table_id] = new_state[table_id]
-                    server.set_table(table_id, new_state[table_id])
-                    nbytes = new_state[table_id].nbytes
-                    seconds += gpu.memcpy_time(nbytes) + gpu.throughput_kernel_time(
-                        nbytes, self.profile.for_codec(server.codec(table_id)).compress
-                    )
-                apply_seconds.append(seconds)
-            updated = [record.table_id for record in table_records]
-            for replica in self.replicas:
-                replica.invalidate_tables(updated)
+            apply_seconds = [0.0] * n_servers
+            for shard_rank, (table_id, state) in zip(placements, new_state.items()):
+                server = self.servers[shard_rank]
+                self._published[table_id] = state
+                server.set_table(table_id, state)
+                nbytes = state.nbytes
+                apply_seconds[shard_rank] += gpu.memcpy_time(nbytes) + gpu.throughput_kernel_time(
+                    nbytes, self.profile.for_codec(server.codec(table_id)).compress
+                )
+            if new_state:
+                for replica in self.replicas:
+                    replica.invalidate_tables(list(new_state))
 
         report = PublicationReport(
             iteration=int(iteration),
@@ -475,6 +519,14 @@ class DeltaPublisher:
         reg.counter(
             "publish_raw_bytes_total", "uncompressed delta bytes per publication"
         ).inc(report.raw_nbytes, mode=mode)
+        shipped = sum(record.shipped for record in report.tables)
+        reg.counter(
+            "publish_tables_shipped_total", "table deltas put on the wire"
+        ).inc(shipped, mode=mode)
+        reg.counter(
+            "publish_tables_within_bound_total",
+            "table deltas already within their error bound, so not shipped",
+        ).inc(len(report.tables) - shipped, mode=mode)
         reg.histogram(
             "publish_downtime_seconds",
             "serving-tier update-absorption window per publication",

@@ -15,6 +15,8 @@ import pytest
 
 from repro.compression import available_compressors, decompress_any, get_compressor
 from repro.compression.base import MAGIC, frame_payload, parse_payload
+from repro.compression.baselines.lz_generic import lz77_encode_bytes
+from repro.compression.huffman import huffman_encode
 from repro.compression.serialization import CorruptPayloadError
 from tests.conftest import make_hot_batch
 
@@ -280,6 +282,97 @@ class TestTruncatedVectorLZ:
                 decompress_any(short, rows=np.array([63, 0]))
             else:
                 get_compressor("vector_lz").decompress_stack([payload, short])
+
+
+def _lz_rows() -> np.ndarray:
+    rng = np.random.default_rng(0)
+    return np.round(rng.normal(0.0, 0.1, size=(64, 8)), 2).astype(np.float32)
+
+
+def _deflate_frame(lz_stream: bytes, raw_size: int) -> bytes:
+    """A ``deflate_like`` frame around an arbitrary LZ77 token stream: the
+    Huffman stage round-trips it, so damage reaches the LZ77 decoder."""
+    encoded = huffman_encode(np.frombuffer(lz_stream, dtype=np.uint8), 256)
+    meta = {
+        "raw_size": raw_size,
+        "lz_size": len(lz_stream),
+        "window": 4096,
+        "code_lengths": encoded.code_lengths.astype(np.uint8),
+        "chunk_bit_offsets": encoded.chunk_bit_offsets.astype(np.uint64),
+        "chunk_symbol_counts": encoded.chunk_symbol_counts.astype(np.int64),
+    }
+    return frame_payload("deflate_like", (64, 8), np.dtype(np.float32), meta, [encoded.payload])
+
+
+def _flips_decode_or_raise_typed(codec: str, mangled_payloads) -> None:
+    """Each mangled payload decodes (an LZ77 literal byte carries no
+    redundancy to check) or raises ``CorruptPayloadError`` naming the codec
+    and the byte; at least one of them raises."""
+    typed = 0
+    for mangled in mangled_payloads:
+        try:
+            decompress_any(mangled)
+        except CorruptPayloadError as exc:
+            assert re.match(rf"{codec}: .* byte \d+", str(exc)), str(exc)
+            typed += 1
+    assert typed > 0
+
+
+class TestLZ77AndQuantSumBodiesRaiseCorruptPayloadError:
+    """A damaged LZ77 token stream (``lz4_like``, ``deflate_like``) or a
+    ``quant_sum`` body of the wrong size once raised a bare ``ValueError``
+    (or, for an LZ77 length extension cut short, an ``IndexError``); each
+    now raises the typed error naming the codec and the byte offset."""
+
+    def test_lz4_like_flip(self):
+        payload = get_compressor("lz4_like").compress(_lz_rows())
+        start = len(payload) - len(parse_payload(payload)[1])
+        _flips_decode_or_raise_typed(
+            "lz4_like",
+            (payload[:i] + bytes([payload[i] ^ 0xFF]) + payload[i + 1 :] for i in range(start, len(payload))),
+        )
+
+    def test_lz4_like_truncate(self):
+        payload = get_compressor("lz4_like").compress(_lz_rows())
+        start = len(payload) - len(parse_payload(payload)[1])
+        for cut in range(start, len(payload)):
+            with pytest.raises(CorruptPayloadError, match=r"lz4_like: corrupt LZ77 stream at byte \d+"):
+                decompress_any(payload[:cut])
+
+    def test_deflate_like_flip(self):
+        raw = _lz_rows().tobytes()
+        stream = lz77_encode_bytes(raw, 4096)
+        assert decompress_any(_deflate_frame(stream, len(raw))).tobytes() == raw
+        _flips_decode_or_raise_typed(
+            "deflate_like",
+            (
+                _deflate_frame(stream[:i] + bytes([stream[i] ^ 0xFF]) + stream[i + 1 :], len(raw))
+                for i in range(0, len(stream), 3)
+            ),
+        )
+
+    def test_deflate_like_truncate(self):
+        raw = _lz_rows().tobytes()
+        stream = lz77_encode_bytes(raw, 4096)
+        for cut in range(1, len(stream), 5):
+            with pytest.raises(CorruptPayloadError, match=r"deflate_like: corrupt LZ77 stream at byte \d+"):
+                decompress_any(_deflate_frame(stream[:cut], len(raw)))
+
+    def test_quant_sum_flip(self):
+        """A flipped code width (``|i1`` -> ``|i2``) halves the codes the
+        body holds."""
+        payload = get_compressor("quant_sum").compress(_lz_rows(), 1e-2)
+        assert payload.count(b"|i1") == 1
+        with pytest.raises(CorruptPayloadError, match="quant_sum: body holds 512 bytes, but 512 "):
+            decompress_any(payload.replace(b"|i1", b"|i2"))
+
+    def test_quant_sum_truncate(self):
+        payload = get_compressor("quant_sum").compress(_lz_rows(), 1e-2)
+        body = len(parse_payload(payload)[1])
+        for cut in range(1, body + 1):
+            message = f"quant_sum: body holds {body - cut} bytes, but 512 \\|i1 codes end at byte 512"
+            with pytest.raises(CorruptPayloadError, match=message):
+                decompress_any(payload[:-cut])
 
 
 class TestUnregisteredCodecRaisesCorruptPayloadError:

@@ -55,14 +55,18 @@ class TestInvariants:
     def test_default_arguments_keep_the_parent_accounting(self):
         """Recorded at ``16243c1`` (0 stale / 327 degraded there): the
         publication invalidates every table, so the measured trace still
-        meets cold caches — only the stale/degraded split moved."""
+        meets cold caches — only the stale/degraded split moved.  The
+        staleness was re-recorded (0.0054786354303359985 before) when the
+        publish-interleaved steps began evicting rows, so that every table
+        crosses its bound and ships: an evicted row's delta is quantised
+        at the table's bound, so the residual now sits just under it."""
         default = run_day_in_the_life_under_faults()
         assert default.stale_rows > 0
         assert default.stale_rows + default.degraded_rows == 327
         assert (default.impaired_requests, default.fresh_requests) == (109, 91)
         assert default.healthy_train_makespan == 0.0005392657237192049
         assert default.faulty_train_makespan == 0.0007165795443413493
-        assert default.staleness_after_last_success == 0.0054786354303359985
+        assert default.staleness_after_last_success == 0.04906092584133148
 
     def test_scenario_is_deterministic(self, result):
         twin = run_day_in_the_life_under_faults(n_iterations=4, n_requests=120)

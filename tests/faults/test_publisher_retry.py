@@ -14,6 +14,7 @@ from repro.faults import CorruptionFault, FaultInjector, FaultPlan, RetryPolicy
 from repro.model import DLRM, DLRMConfig
 from repro.serve import build_serving_tier
 from repro.train import CompressionPipeline, HybridParallelTrainer
+from tests.conftest import push_past_bound
 
 N_TABLES = 4
 CARDINALITY = 200
@@ -54,6 +55,7 @@ class TestRetryRecovers:
     def test_corrupted_first_attempt_is_retried(self, trainer):
         tier = faulty_tier(trainer, [CorruptionFault(round_index=0, table_index=0, attempt=0)])
         trainer.train_step(64, iteration=0)
+        push_past_bound(trainer, 0)
         report = tier.publisher.publish(iteration=0)
         assert report.succeeded
         assert report.attempts == 2
@@ -64,6 +66,7 @@ class TestRetryRecovers:
     def test_backoff_is_charged_as_retry_on_the_fabric(self, trainer):
         tier = faulty_tier(trainer, [CorruptionFault(round_index=0, table_index=0, attempt=0)])
         trainer.train_step(64, iteration=0)
+        push_past_bound(trainer, 0)
         tier.publisher.publish(iteration=0)
         totals = tier.publisher.simulator.timeline.total_by_category()
         assert totals.get(EventCategory.RETRY, 0.0) > 0.0
@@ -83,6 +86,7 @@ class TestRetryRecovers:
 
         monkeypatch.setattr(comm, "compressed_all_to_all", recording)
         trainer.train_step(64, iteration=0)
+        push_past_bound(trainer, 0)
         assert tier.publisher.publish(iteration=0).attempts == 2
         first, retry = attempts
         assert len(first) == len(retry) == N_TABLES
@@ -93,10 +97,37 @@ class TestRetryRecovers:
     def test_clean_rounds_report_single_attempt(self, trainer):
         tier = faulty_tier(trainer, [])
         trainer.train_step(64, iteration=0)
+        push_past_bound(trainer, 0)
         report = tier.publisher.publish(iteration=0)
         assert report.succeeded and report.attempts == 1
         assert report.corrupted_payloads == 0
         assert report.retry_backoff_seconds == 0.0
+
+
+class TestCorruptionKeysOnTheTableRecord:
+    def test_fault_on_a_skipped_table_lands_on_nothing(self, trainer):
+        """``table_index`` is the table record's index in the round: a fault
+        on a table that ships nothing has nothing in transit to damage,
+        while one on a shipped table is detected and retried."""
+        tier = faulty_tier(
+            trainer,
+            [
+                CorruptionFault(round_index=0, table_index=0, attempt=0),
+                CorruptionFault(round_index=1, table_index=1, attempt=0),
+            ],
+        )
+        order = [t for rank in range(2) for t in tier.sharding.tables_of(rank)]
+        for round_index in range(2):
+            trainer.train_step(64, iteration=round_index)
+            push_past_bound(trainer, round_index, tables=[order[1]])
+            report = tier.publisher.publish(iteration=round_index)
+            assert [r.shipped for r in report.tables] == [False, True] + [False] * (N_TABLES - 2)
+            assert report.succeeded
+            if round_index == 0:  # the fault named record 0, which shipped nothing
+                assert (report.attempts, report.corrupted_payloads) == (1, 0)
+            else:  # the fault named record 1, the shipped table
+                assert (report.attempts, report.corrupted_payloads) == (2, 1)
+            assert tier.publisher.staleness() <= report.staleness_bound * (1 + 1e-5)
 
 
 class TestFailedRounds:
@@ -116,6 +147,7 @@ class TestFailedRounds:
             for t in tier.sharding.tables_of(rank)
         ]
         trainer.train_step(64, iteration=0)
+        push_past_bound(trainer, 0)
         report = publisher.publish(iteration=0)
         assert not report.succeeded
         assert report.attempts == 3
@@ -138,6 +170,7 @@ class TestFailedRounds:
         publisher = tier.publisher
         for round_index in range(3):
             trainer.train_step(64, iteration=round_index)
+            push_past_bound(trainer, round_index)
             report = publisher.publish(iteration=round_index)
             assert report.succeeded == (round_index == 2)
         assert publisher.staleness() <= report.staleness_bound * (1 + 1e-5)
@@ -145,6 +178,7 @@ class TestFailedRounds:
     def test_failed_round_still_counts_corruptions(self, trainer):
         tier = faulty_tier(trainer, self.all_attempts_corrupt(0, 2), max_attempts=2)
         trainer.train_step(64, iteration=0)
+        push_past_bound(trainer, 0)
         report = tier.publisher.publish(iteration=0)
         assert report.corrupted_payloads == 2
 
@@ -174,6 +208,7 @@ class TestConfiguration:
         )
         for round_index in range(2):
             trainer.train_step(64, iteration=round_index)
+            push_past_bound(trainer, round_index)
             plain_tier.publisher.publish(iteration=round_index)
             framed_tier.publisher.publish(iteration=round_index)
         for t in range(N_TABLES):

@@ -228,6 +228,39 @@ class TestServeInstrumentation:
         down = snap.histogram_data("publish_downtime_seconds", mode="compressed")
         assert down.count == 1
 
+    def test_publish_skip_counters_cover_every_table_of_every_round(self):
+        """Each round counts every table once, as shipped or as within its
+        bound, and ``run_report`` closes the publish breakdown with the
+        totals."""
+        from repro.dist.timeline import Timeline
+        from repro.obs.exporters import run_report
+        from repro.serve import build_serving_tier
+        from tests.conftest import push_past_bound
+
+        trainer = make_trainer()
+        tier = build_serving_tier(trainer, n_shard_ranks=2, n_replicas=1, cache_rows=32)
+        pushed = [[0, 2], [], [1]]
+        with capture() as reg:
+            for iteration, tables in enumerate(pushed):
+                trainer.train_step(32, iteration=iteration)
+                push_past_bound(trainer, iteration, tables=tables)
+                tier.publisher.publish(iteration=iteration)
+        snap = reg.snapshot()
+        reports = tier.publisher.reports
+        shipped = snap.counter_value("publish_tables_shipped_total", mode="compressed")
+        within = snap.counter_value("publish_tables_within_bound_total", mode="compressed")
+        assert shipped == sum(r.shipped for report in reports for r in report.tables) == 3
+        assert shipped + within == len(reports) * N_TABLES
+        line = "publish: 3 of 12 table deltas shipped; the rest were within bound"
+        report = run_report(
+            snap, timelines={"publish": tier.publisher.simulator.timeline, "serve": Timeline()}
+        )
+        assert report.count(line) == 1
+        publish_section = report[report.index("publish time breakdown") : report.index(line)]
+        assert "serve time breakdown" not in publish_section
+        assert report.index(line) < report.index("serve time breakdown")
+        assert report.index("shard re-encode:") < report.index(line)
+
     def test_shard_reencode_counters_match_the_encode_calls(self, monkeypatch):
         """``set_table`` counts what it re-encoded and what it skipped, per
         table, and ``run_report`` sums them into its shard re-encode line."""
