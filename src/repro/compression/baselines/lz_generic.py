@@ -289,9 +289,7 @@ def lz77_decode_bytes(stream: bytes | memoryview, expected_size: int, codec: str
     return bytes(out)
 
 
-def _reference_lz77_decode_bytes(
-    stream: bytes | memoryview, expected_size: int, codec: str = "lz77"
-) -> bytes:
+def _reference_lz77_decode_bytes(stream: bytes | memoryview, expected_size: int) -> bytes:
     """The seed's original byte-at-a-time decoder, frozen as the oracle."""
     out = bytearray()
     pos = 0
@@ -310,13 +308,13 @@ def _reference_lz77_decode_bytes(
         match_len, pos = _read_varnibble(stream, pos, token & 0xF)
         match_len += MIN_MATCH
         if offset == 0 or offset > len(out):
-            raise _corrupt(codec, f"offset {offset} at output size {len(out)}", token_pos)
+            raise _corrupt("lz77", f"offset {offset} at output size {len(out)}", token_pos)
         start = len(out) - offset
         # Overlap-safe copy (offset may be smaller than match_len).
         for k in range(match_len):
             out.append(out[start + k])
     if len(out) != expected_size:
-        raise _corrupt(codec, f"decoded {len(out)} bytes, expected {expected_size}", n)
+        raise _corrupt("lz77", f"decoded {len(out)} bytes, expected {expected_size}", n)
     return bytes(out)
 
 

@@ -88,9 +88,12 @@ class EmbeddingTable:
         self.weight.grad[sorted_ids[starts]] += np.add.reduceat(grad_rows[order], starts, axis=0)
 
     def reinitialize_rows(self, indices: np.ndarray, rng: np.random.Generator) -> None:
-        """Redraw ``indices`` from this table's value distribution: the
-        ID-eviction event of a production table, whose freed slot starts
-        its new ID from a fresh initialisation."""
+        """Redraw ``indices`` with :func:`~repro.nn.init.embedding_init` at
+        this table's ``scale`` and ``distribution``: the ID-eviction event
+        of a production table, whose freed slot starts its new ID from a
+        fresh initialisation.  For a clustered table (``n_clusters > 0``)
+        that is the centroids' distribution, so a redrawn row joins no
+        cluster."""
         indices = self._check_indices(indices)
         scale, distribution = self._init
         self.weight.data[indices] = embedding_init(

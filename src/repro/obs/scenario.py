@@ -93,11 +93,13 @@ def build_day_world(name: str, n_tables: int, cardinality: int, seed: int):
 
 def evict_rows(model, table_ids, n_rows: int, seed: int, *key: int | str) -> None:
     """Evict ``n_rows`` rows of each table in ``table_ids``: each row is
-    redrawn from its table's initializer, as when a production table hands
-    an evicted ID's slot to a new ID.  Such a row moves by the scale of the
-    embeddings, typically far past the table's publication error bound, so
-    the next publication ships the table.  Rows and values derive from ``seed`` and
-    ``key`` alone, so twin runs evict identically."""
+    redrawn (:meth:`~repro.nn.embedding.EmbeddingTable.reinitialize_rows`),
+    as when a production table hands an evicted ID's slot to a new ID.
+    Such a row moves by the scale of the embeddings, typically far past the
+    table's publication error bound, so the next publication ships the
+    table.  Rows and values derive from ``seed`` and ``key`` alone, so twin
+    runs evict identically.  Tests use it to move a table past its bound
+    before a publication they inspect."""
     from repro.utils.rng import spawn_rng
 
     rng = spawn_rng(seed, "evict", *key)

@@ -64,13 +64,3 @@ def gaussian_batch(rng: np.random.Generator) -> np.ndarray:
 def uniform_batch(rng: np.random.Generator) -> np.ndarray:
     return make_uniform_batch(rng)
 
-
-def push_past_bound(trainer, iteration: int, tables=None, rows=(3, 97, 151)) -> None:
-    """Move ``rows`` of each table in ``tables`` (all by default) by four
-    times the table's publication error bound, so that the next publication
-    ships every one of them.  A few small-world ``train_step`` calls stay
-    within the bound, and a publication skips such a table."""
-    controller = trainer.pipeline.controller if trainer.pipeline is not None else None
-    for t in range(len(trainer.model.tables)) if tables is None else tables:
-        bound = controller.error_bound(t, iteration) if controller is not None else 1e-2
-        trainer.model.tables[t].weight.data[list(rows)] += 4.0 * bound

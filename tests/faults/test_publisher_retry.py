@@ -12,9 +12,9 @@ from repro.dist import ClusterSimulator
 from repro.dist.timeline import EventCategory
 from repro.faults import CorruptionFault, FaultInjector, FaultPlan, RetryPolicy
 from repro.model import DLRM, DLRMConfig
+from repro.obs.scenario import evict_rows
 from repro.serve import build_serving_tier
 from repro.train import CompressionPipeline, HybridParallelTrainer
-from tests.conftest import push_past_bound
 
 N_TABLES = 4
 CARDINALITY = 200
@@ -55,7 +55,7 @@ class TestRetryRecovers:
     def test_corrupted_first_attempt_is_retried(self, trainer):
         tier = faulty_tier(trainer, [CorruptionFault(round_index=0, table_index=0, attempt=0)])
         trainer.train_step(64, iteration=0)
-        push_past_bound(trainer, 0)
+        evict_rows(trainer.model, range(N_TABLES), 3, 0, 0)
         report = tier.publisher.publish(iteration=0)
         assert report.succeeded
         assert report.attempts == 2
@@ -66,7 +66,7 @@ class TestRetryRecovers:
     def test_backoff_is_charged_as_retry_on_the_fabric(self, trainer):
         tier = faulty_tier(trainer, [CorruptionFault(round_index=0, table_index=0, attempt=0)])
         trainer.train_step(64, iteration=0)
-        push_past_bound(trainer, 0)
+        evict_rows(trainer.model, range(N_TABLES), 3, 0, 0)
         tier.publisher.publish(iteration=0)
         totals = tier.publisher.simulator.timeline.total_by_category()
         assert totals.get(EventCategory.RETRY, 0.0) > 0.0
@@ -86,7 +86,7 @@ class TestRetryRecovers:
 
         monkeypatch.setattr(comm, "compressed_all_to_all", recording)
         trainer.train_step(64, iteration=0)
-        push_past_bound(trainer, 0)
+        evict_rows(trainer.model, range(N_TABLES), 3, 0, 0)
         assert tier.publisher.publish(iteration=0).attempts == 2
         first, retry = attempts
         assert len(first) == len(retry) == N_TABLES
@@ -97,7 +97,7 @@ class TestRetryRecovers:
     def test_clean_rounds_report_single_attempt(self, trainer):
         tier = faulty_tier(trainer, [])
         trainer.train_step(64, iteration=0)
-        push_past_bound(trainer, 0)
+        evict_rows(trainer.model, range(N_TABLES), 3, 0, 0)
         report = tier.publisher.publish(iteration=0)
         assert report.succeeded and report.attempts == 1
         assert report.corrupted_payloads == 0
@@ -119,7 +119,7 @@ class TestCorruptionKeysOnTheTableRecord:
         order = [t for rank in range(2) for t in tier.sharding.tables_of(rank)]
         for round_index in range(2):
             trainer.train_step(64, iteration=round_index)
-            push_past_bound(trainer, round_index, tables=[order[1]])
+            evict_rows(trainer.model, [order[1]], 3, 0, round_index)
             report = tier.publisher.publish(iteration=round_index)
             assert [r.shipped for r in report.tables] == [False, True] + [False] * (N_TABLES - 2)
             assert report.succeeded
@@ -147,7 +147,7 @@ class TestFailedRounds:
             for t in tier.sharding.tables_of(rank)
         ]
         trainer.train_step(64, iteration=0)
-        push_past_bound(trainer, 0)
+        evict_rows(trainer.model, range(N_TABLES), 3, 0, 0)
         report = publisher.publish(iteration=0)
         assert not report.succeeded
         assert report.attempts == 3
@@ -170,7 +170,7 @@ class TestFailedRounds:
         publisher = tier.publisher
         for round_index in range(3):
             trainer.train_step(64, iteration=round_index)
-            push_past_bound(trainer, round_index)
+            evict_rows(trainer.model, range(N_TABLES), 3, 0, round_index)
             report = publisher.publish(iteration=round_index)
             assert report.succeeded == (round_index == 2)
         assert publisher.staleness() <= report.staleness_bound * (1 + 1e-5)
@@ -178,7 +178,7 @@ class TestFailedRounds:
     def test_failed_round_still_counts_corruptions(self, trainer):
         tier = faulty_tier(trainer, self.all_attempts_corrupt(0, 2), max_attempts=2)
         trainer.train_step(64, iteration=0)
-        push_past_bound(trainer, 0)
+        evict_rows(trainer.model, range(N_TABLES), 3, 0, 0)
         report = tier.publisher.publish(iteration=0)
         assert report.corrupted_payloads == 2
 
@@ -208,7 +208,7 @@ class TestConfiguration:
         )
         for round_index in range(2):
             trainer.train_step(64, iteration=round_index)
-            push_past_bound(trainer, round_index)
+            evict_rows(trainer.model, range(N_TABLES), 3, 0, round_index)
             plain_tier.publisher.publish(iteration=round_index)
             framed_tier.publisher.publish(iteration=round_index)
         for t in range(N_TABLES):

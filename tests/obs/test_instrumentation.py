@@ -235,7 +235,7 @@ class TestServeInstrumentation:
         from repro.dist.timeline import Timeline
         from repro.obs.exporters import run_report
         from repro.serve import build_serving_tier
-        from tests.conftest import push_past_bound
+        from repro.obs.scenario import evict_rows
 
         trainer = make_trainer()
         tier = build_serving_tier(trainer, n_shard_ranks=2, n_replicas=1, cache_rows=32)
@@ -243,7 +243,7 @@ class TestServeInstrumentation:
         with capture() as reg:
             for iteration, tables in enumerate(pushed):
                 trainer.train_step(32, iteration=iteration)
-                push_past_bound(trainer, iteration, tables=tables)
+                evict_rows(trainer.model, tables, 3, 0, iteration)
                 tier.publisher.publish(iteration=iteration)
         snap = reg.snapshot()
         reports = tier.publisher.reports

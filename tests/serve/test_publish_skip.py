@@ -6,7 +6,9 @@ nothing and re-encodes nothing.
 The laws here are counted, not timed: a skipped table costs no compress, no
 decode, no exchange, no ``set_table`` and no replica invalidation, and keeps
 its published state and shard bytes bit for bit; a shipped table's payload
-is the bytes the always-ship publisher put on the wire.
+is the bytes the always-ship publisher put on the wire (for ``hybrid``,
+whose encoder pins now age per shipment, the bytes of a codec that saw
+only the shipped deltas).
 """
 
 from __future__ import annotations
@@ -21,18 +23,17 @@ from hypothesis import strategies as st
 
 from repro.adaptive import AdaptiveController, OfflineAnalyzer
 from repro.adaptive.offline import CompressionPlan
-from repro.compression import get_compressor
 from repro.compression.base import Compressor
 from repro.compression.hybrid import HybridCompressor
 from repro.data import SyntheticClickDataset, make_uniform_spec
 from repro.dist import ClusterSimulator
 from repro.dist.timeline import EventCategory
 from repro.model import DLRM, DLRMConfig
+from repro.obs.scenario import evict_rows
 from repro.serve import EmbeddingShardServer, InferenceReplica, build_serving_tier
 from repro.serve import publisher as publisher_module
 from repro.serve.shard_server import serving_codec, serving_codec_pool
 from repro.train import CompressionPipeline, HybridParallelTrainer
-from tests.conftest import push_past_bound
 
 N_TABLES = 4
 CARDINALITY = 200
@@ -153,7 +154,7 @@ class TestOnlyShippedTablesAreApplied:
         tier = build_serving_tier(trainer, 2, 2, cache_rows=64, checksum=True)
         trainer.train_step(64, iteration=0)
         moved = record_order(tier)[2]
-        push_past_bound(trainer, 0, tables=[moved])
+        evict_rows(trainer.model, [moved], 3, 0, 0)
         counts = CallCounts(monkeypatch, tier)
         report = tier.publisher.publish(iteration=0)
         assert [r.table_id for r in report.tables if r.shipped] == [moved]
@@ -171,7 +172,7 @@ class TestOnlyShippedTablesAreApplied:
         replica.gather(np.arange(N_TABLES) * 7 % CARDINALITY)
         assert replica.cached_tables() == set(range(N_TABLES))
         trainer.train_step(64, iteration=0)
-        push_past_bound(trainer, 0, tables=[1])
+        evict_rows(trainer.model, [1], 3, 0, 0)
         tier.publisher.publish(iteration=0)
         assert replica.cached_tables() == set(range(N_TABLES)) - {1}
 
@@ -182,7 +183,7 @@ class TestOnlyShippedTablesAreApplied:
         tier = build_serving_tier(trainer, 2, 1, cache_rows=0)
         trainer.train_step(64, iteration=0)
         moved = tier.sharding.tables_of(1)[0]
-        push_past_bound(trainer, 0, tables=[moved])
+        evict_rows(trainer.model, [moved], 3, 0, 0)
         report = tier.publisher.publish(iteration=0)
         assert report.apply_seconds[0] == 0.0 < report.apply_seconds[1]
         assert report.compress_seconds > 0 and report.wire_seconds > 0
@@ -204,7 +205,7 @@ FACTORS = (0.0, 0.25, 0.999, 1.0, 1.001, 1.5, 4.0)
 
 rounds_strategy = st.lists(
     st.lists(
-        st.tuples(st.sampled_from(FACTORS), st.integers(0, 2**16)),
+        st.tuples(st.sampled_from(FACTORS), st.integers(0, 2**16), st.booleans()),
         min_size=N_TABLES,
         max_size=N_TABLES,
     ),
@@ -213,14 +214,21 @@ rounds_strategy = st.lists(
 )
 
 
-def straddling_delta(published: np.ndarray, bound: float, factor: float, seed: int) -> np.ndarray:
-    """A sparse float32 delta over a few rows, whose largest magnitude is
-    ``factor * bound`` (0.01 stands in for the bound in raw mode)."""
+def straddling_delta(
+    published: np.ndarray, bound: float, factor: float, seed: int, dense: bool
+) -> np.ndarray:
+    """A float32 delta over every row (``dense``) or over a few, whose
+    largest magnitude is ``factor * bound`` (0.01 stands in for the bound
+    in raw mode).  Past the bound, the hybrid codec's vector-LZ leg wins on
+    a sparse delta and its entropy leg on a dense one, so a sequence of
+    draws exercises its encoder pins."""
     rng = np.random.default_rng(seed)
     scale = np.float32(factor * (bound if bound > 0 else 1e-2))
     delta = np.zeros_like(published)
-    rows = rng.choice(published.shape[0], size=3, replace=False)
-    delta[rows] = rng.uniform(-1.0, 1.0, size=(3, published.shape[1])).astype(np.float32) * scale
+    n_rows = published.shape[0] if dense else 3
+    rows = rng.permutation(published.shape[0])[:n_rows]
+    noise = rng.uniform(-1.0, 1.0, size=(n_rows, published.shape[1])).astype(np.float32)
+    delta[rows] = noise * scale
     delta[rows[0], int(rng.integers(published.shape[1]))] = scale * (1 if seed % 2 else -1)
     return delta
 
@@ -250,8 +258,12 @@ def test_skip_law(mode, bounds, checksum, rounds):
 
         setattr(comm, name, recording)
     # The always-ship publisher compressed every table every round, so its
-    # hybrid codec aged each table's encoder pin every round.
+    # hybrid codec aged each table's encoder pin every round; the skipping
+    # publisher compresses, and so ages a pin, only per shipment.  The
+    # shadow pool replays the latter; while a table has shipped every round
+    # the two agree.
     parent_pool = serving_codec_pool()
+    shadow_pool = serving_codec_pool()
     shipped_every_round = set(range(N_TABLES))
     servers = {t: tier.servers[tier.sharding.owner_of(t)] for t in range(N_TABLES)}
     order = record_order(tier)
@@ -260,9 +272,10 @@ def test_skip_law(mode, bounds, checksum, rounds):
         before = {t: publisher.published_table(t).copy() for t in range(N_TABLES)}
         blocks = {t: [bytes(b) for b in servers[t]._table(t).blocks] for t in range(N_TABLES)}
         deltas = {}
-        for t, (factor, seed) in enumerate(draws):
+        for t, (factor, seed, dense) in enumerate(draws):
             bound = bounds[t] if compress else 0.0
-            current = (before[t] + straddling_delta(before[t], bound, factor, seed)).astype(np.float32)
+            delta = straddling_delta(before[t], bound, factor, seed, dense)
+            current = (before[t] + delta).astype(np.float32)
             trainer.model.tables[t].weight.data[...] = current
             deltas[t] = current - before[t]
         calls_before = len(shipped_payloads)
@@ -288,22 +301,16 @@ def test_skip_law(mode, bounds, checksum, rounds):
                 assert publisher.published_table(t).tobytes() == before[t].tobytes()
                 assert [bytes(b) for b in servers[t]._table(t).blocks] == blocks[t]
                 continue
-            payload = by_table[t]
-            expected = parent if compress else deltas[t].tobytes()
-            if mode == "hybrid" and t not in shipped_every_round:
-                # A skipped round did not age this table's pin, so the
-                # trial may pick the other leg than the always-ship
-                # publisher replayed; either leg's bytes are the codec's own.
-                legs = {
-                    get_compressor(name).compress(deltas[t], bound)
-                    for name in ("vector_lz", "entropy")
-                }
-                assert (payload[5:] if checksum else payload) in legs
-            else:
-                framed = publisher_module.frame_with_checksum(expected) if checksum else expected
-                assert payload == framed
-            if compress and mode != "hybrid":
-                assert expected == serving_codec(mode).compress(deltas[t], bound, key=t)
+            expected = deltas[t].tobytes()
+            if compress:
+                expected = shadow_pool(mode).compress(deltas[t], bound, key=t)
+                if t in shipped_every_round:
+                    assert expected == parent
+                if mode != "hybrid":
+                    fresh = serving_codec(mode).compress(deltas[t], bound, key=t)
+                    assert expected == parent == fresh
+            framed = publisher_module.frame_with_checksum(expected) if checksum else expected
+            assert by_table[t] == framed
         # the contract, after every round, for every table
         for record in report.tables:
             t = record.table_id

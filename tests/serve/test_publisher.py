@@ -11,9 +11,9 @@ from repro.compression.serialization import has_checksum, verify_checksum_frame
 from repro.data import SyntheticClickDataset, make_uniform_spec
 from repro.dist import ClusterSimulator
 from repro.model import DLRM, DLRMConfig
+from repro.obs.scenario import evict_rows
 from repro.serve import DeltaPublisher, build_serving_tier
 from repro.train import CompressionPipeline, HybridParallelTrainer
-from tests.conftest import push_past_bound
 
 N_TABLES = 5
 CARDINALITY = 300
@@ -124,7 +124,7 @@ class TestWireAccounting:
     def test_wire_priced_through_the_communicator(self, trainer):
         tier = build_serving_tier(trainer, 2, 1, cache_rows=0)
         trainer.train_step(64, iteration=0)
-        push_past_bound(trainer, 0)
+        evict_rows(trainer.model, range(N_TABLES), 3, 0, 0)
         report = tier.publisher.publish(iteration=0)
         assert report.wire_seconds > 0
         events = tier.publisher.simulator.timeline.events
@@ -137,7 +137,7 @@ class TestWireAccounting:
     def test_per_table_records(self, trainer):
         tier = build_serving_tier(trainer, 2, 1, cache_rows=0)
         trainer.train_step(64, iteration=0)
-        push_past_bound(trainer, 0)
+        evict_rows(trainer.model, range(N_TABLES), 3, 0, 0)
         report = tier.publisher.publish(iteration=0)
         assert sorted(t.table_id for t in report.tables) == list(range(N_TABLES))
         for record in report.tables:
@@ -178,7 +178,7 @@ class TestWirePayloads:
         for round_index in range(2):
             before = {t: publisher.published_table(t).copy() for t in range(N_TABLES)}
             trainer.train_step(64, iteration=round_index)
-            push_past_bound(trainer, round_index)
+            evict_rows(trainer.model, range(N_TABLES), 3, 0, round_index)
             report = publisher.publish(iteration=round_index)
             payloads = shipped[round_index]
             assert len(payloads) == len(report.tables) == N_TABLES
@@ -204,7 +204,7 @@ class TestReplicaInvalidation:
         replica.gather(np.arange(N_TABLES) % CARDINALITY)
         assert len(replica) == N_TABLES
         trainer.train_step(64, iteration=0)
-        push_past_bound(trainer, 0)
+        evict_rows(trainer.model, range(N_TABLES), 3, 0, 0)
         tier.publisher.publish(iteration=0)
         assert len(replica) == 0  # every table updated -> every row stale
 
@@ -237,7 +237,7 @@ class TestValidation:
             trainer.model, trainer.dataset, ClusterSimulator(2), lr=0.2
         )
         tier = build_serving_tier(bare, 2, 1, cache_rows=0, compress_publication=False)
-        push_past_bound(bare, 0)
+        evict_rows(bare.model, range(N_TABLES), 3, 0, 0)
         report = tier.publisher.publish()
         assert report.wire_nbytes == report.raw_nbytes
 
