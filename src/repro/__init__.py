@@ -18,8 +18,8 @@ Public API tour:
 * :mod:`repro.analysis` / :mod:`repro.profiling` — data-feature analysis
   and training-time breakdowns.
 * :mod:`repro.obs` — unified observability: metrics registry with
-  mergeable snapshots, span annotations on the simulation timeline,
-  unified chrome traces, and JSON/Prometheus/report exporters.
+  mergeable snapshots, ``OBS_STREAM`` annotations on the simulation
+  timeline, unified chrome traces, and JSON/Prometheus/report exporters.
 """
 
 __version__ = "1.0.0"

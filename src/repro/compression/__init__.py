@@ -7,7 +7,6 @@ plus from-scratch implementations of every baseline it compares against.
 
 from repro.compression.base import Compressor, parse_payload
 from repro.compression.cache import EncoderPinCache, LruCache
-from repro.compression.calibration import calibrate_profile
 from repro.compression.baselines import (
     CuszLikeCompressor,
     DeflateLikeCompressor,
@@ -85,7 +84,6 @@ __all__ = [
     "register_compressor",
     "available_compressors",
     "decompress_any",
-    "calibrate_profile",
     "LruCache",
     "EncoderPinCache",
     "CorruptPayloadError",

@@ -18,6 +18,7 @@ metadata and the body.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from functools import lru_cache
 from typing import Any
@@ -33,6 +34,7 @@ __all__ = [
     "parse_payload",
     "MAGIC",
     "ROW_DECODE_MAX_ROWS",
+    "check_body_nbytes",
 ]
 
 MAGIC = 0xDC  # "DLRM Compression" frame marker
@@ -118,6 +120,38 @@ def frame_payload(
     byte-identical to the historical ``header + body`` concatenation.
     """
     return b"".join(frame_parts(codec, array_shape, array_dtype, meta, body))
+
+
+def check_body_nbytes(codec: str, body, shape: tuple[int, ...], itemsize: int) -> None:
+    """Raise :class:`CorruptPayloadError` unless ``body`` holds exactly
+    ``prod(shape) * itemsize`` bytes — checked before NumPy views the bytes,
+    whose own errors name neither the codec nor the sizes."""
+    expected = math.prod(shape) * itemsize
+    if len(body) != expected:
+        raise CorruptPayloadError(f"{codec}: body holds {len(body)} bytes, expected {expected}")
+
+
+#: the dtypes an encoder frames (:meth:`Compressor.compress` takes no other)
+_FRAME_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _frame_layout(codec: str, header: dict[str, Any]) -> tuple[tuple[int, ...], np.dtype]:
+    """The ``(shape, dtype)`` a frame declares.  An encoder writes a float32
+    or float64 dtype and a 1-D array of non-negative dimensions; anything
+    else is corrupt."""
+    try:
+        dtype = np.dtype(header["dtype"])
+    except (TypeError, ValueError, SyntaxError) as exc:
+        raise CorruptPayloadError(f"{codec}: malformed dtype {header['dtype']!r}: {exc}") from None
+    if dtype not in _FRAME_DTYPES:
+        raise CorruptPayloadError(f"{codec}: dtype {header['dtype']!r} is not float32 or float64")
+    shape = header["shape"]
+    if not (isinstance(shape, np.ndarray) and shape.ndim == 1 and shape.dtype.kind in "iu"):
+        raise CorruptPayloadError(f"{codec}: malformed shape {shape!r}")
+    dims = tuple(shape.tolist())
+    if min(dims, default=0) < 0:
+        raise CorruptPayloadError(f"{codec}: negative shape {dims}")
+    return dims, dtype
 
 
 def _parse_view(view: memoryview) -> tuple[dict[str, Any], int]:
@@ -221,8 +255,7 @@ class Compressor(ABC):
         ``_decode_frame(header, body)[rows]``.  Few rows of a codec that
         :attr:`decodes_rows` go to its row kernel; everything else is the
         full decode, indexed."""
-        shape = tuple(int(s) for s in header["shape"])
-        dtype = np.dtype(header["dtype"])
+        shape, dtype = _frame_layout(self.name, header)
         if rows is not None:
             rows = np.asarray(rows)
             if rows.ndim != 1 or rows.dtype.kind not in "iu":

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, check_body_nbytes
 
 __all__ = ["Fp16Compressor", "Fp8Compressor", "e4m3_value_table", "float32_to_e4m3", "e4m3_to_float32"]
 
@@ -82,6 +82,7 @@ class Fp16Compressor(Compressor):
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
+        check_body_nbytes(self.name, body, shape, 2)
         return np.frombuffer(body, dtype=np.float16).reshape(shape).astype(dtype)
 
 
@@ -98,5 +99,6 @@ class Fp8Compressor(Compressor):
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
+        check_body_nbytes(self.name, body, shape, 1)
         codes = np.frombuffer(body, dtype=np.uint8).reshape(shape)
         return e4m3_to_float32(codes).astype(dtype)

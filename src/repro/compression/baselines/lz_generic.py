@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, check_body_nbytes
 from repro.compression.huffman import (
     HuffmanEncoded,
     huffman_decode,
@@ -338,6 +338,7 @@ class Lz4LikeCompressor(Compressor):
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
         raw = lz77_decode_bytes(body, header["raw_size"], self.name)
+        check_body_nbytes(self.name, raw, shape, dtype.itemsize)
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
@@ -379,4 +380,5 @@ class DeflateLikeCompressor(Compressor):
         )
         lz_stream = huffman_decode(encoded).astype(np.uint8).tobytes()
         raw = lz77_decode_bytes(lz_stream, header["raw_size"], self.name)
+        check_body_nbytes(self.name, raw, shape, dtype.itemsize)
         return np.frombuffer(raw, dtype=dtype).reshape(shape)

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.compression.base import Compressor
 from repro.compression.bitstream import pack_fixed, unpack_fixed
+from repro.compression.serialization import CorruptPayloadError
 
 __all__ = ["ZfpLikeCompressor", "block_transform", "inverse_block_transform"]
 
@@ -127,6 +128,11 @@ class ZfpLikeCompressor(Compressor):
     ) -> np.ndarray:
         rate = header["rate"]
         n_blocks = header["n_blocks"]
+        need = n_blocks * _BLOCK * rate
+        if not need <= len(body) * 8 < need + 8:
+            raise CorruptPayloadError(
+                f"{self.name}: body holds {len(body) * 8} bits, {n_blocks} blocks at rate {rate} need {need}"
+            )
         fields = unpack_fixed(
             np.frombuffer(body, dtype=np.uint8), n_blocks * _BLOCK, rate
         ).reshape(n_blocks, _BLOCK)

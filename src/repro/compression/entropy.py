@@ -12,6 +12,7 @@ own symbol frequencies, and the payload ships that book's code-length table.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.compression.huffman import (
     huffman_encode,
 )
 from repro.compression.quantizer import quantize_batch
+from repro.compression.serialization import CorruptPayloadError
 
 __all__ = ["EntropyCompressor"]
 
@@ -96,15 +98,14 @@ class EntropyCompressor(Compressor):
             total_symbols=header["total_symbols"],
         )
         code_min = header["code_min"]
+        if encoded.total_symbols != math.prod(shape):
+            raise CorruptPayloadError(
+                f"{self.name}: {encoded.total_symbols} symbols cannot fill shape {shape}"
+            )
         if rows is None:
             symbols = huffman_decode(encoded).reshape(shape)
         else:
             n, d = shape
-            if encoded.total_symbols != n * d:  # what the reshape above rejects
-                raise ValueError(
-                    f"corrupt Huffman stream: {encoded.total_symbols} symbols "
-                    f"cannot fill shape {shape}"
-                )
             if not -(1 << 63) <= code_min < (1 << 63):
                 raise ValueError(f"corrupt Huffman stream: code_min {code_min} is not an int64")
             symbols = huffman_decode_rows(encoded, rows, d)

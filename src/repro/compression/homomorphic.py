@@ -46,7 +46,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor, frame_payload, parse_payload
+from repro.compression.base import Compressor, check_body_nbytes, frame_payload, parse_payload
 from repro.compression.quantizer import quantize
 from repro.compression.serialization import CorruptPayloadError
 
@@ -131,11 +131,6 @@ class HomomorphicCompressor(Compressor):
             f"payload codec {header['codec']!r} != {self.name!r}",
         )
         return self._header_bound(header)
-
-    def payload_terms(self, payload) -> int:
-        """How many leaves were aggregated into this payload."""
-        header, _ = parse_payload(payload)
-        return int(header["terms"])
 
     # ----------------------------------------------------------- subclass
 
@@ -322,12 +317,8 @@ class CountSumCompressor(HomomorphicCompressor):
         self, header: dict[str, Any], body: memoryview, count: int
     ) -> np.ndarray:
         wlen = int(header["wlen"])
-        limbs = np.frombuffer(body, dtype=np.int64)
-        _require(
-            limbs.size == wlen * count,
-            f"{self.name}: body holds {limbs.size} limbs, expected {wlen * count}",
-        )
-        return limbs.reshape(wlen, count)
+        check_body_nbytes(self.name, body, (wlen, count), 8)
+        return np.frombuffer(body, dtype=np.int64).reshape(wlen, count)
 
     def _decompress_body(
         self,

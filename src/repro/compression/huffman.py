@@ -507,6 +507,11 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
         raise ValueError("corrupt Huffman stream: chunk offset outside payload")
     n_chunks = starts.size
     max_count = int(counts.max())
+    if max_count > total_bits:
+        # every code is at least one bit: the bytes present bound each chunk
+        raise CorruptPayloadError(
+            f"corrupt Huffman stream: a chunk of {max_count} symbols in {total_bits} body bits"
+        )
     # Resolve every chunk's jump chain simultaneously.  Composing the full
     # successor array log2(max_count) times would dominate (the bit domain
     # is ~10x the symbol count), so instead: compose it only `s` times into

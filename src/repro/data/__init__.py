@@ -8,11 +8,6 @@ from repro.data.specs import (
     make_uniform_spec,
     scaled_spec,
 )
-from repro.data.criteo_format import (
-    parse_criteo_line,
-    read_criteo_batches,
-    write_synthetic_criteo_tsv,
-)
 from repro.data.synthetic import MiniBatch, SyntheticClickDataset, zipf_probabilities
 
 __all__ = [
@@ -25,7 +20,4 @@ __all__ = [
     "MiniBatch",
     "SyntheticClickDataset",
     "zipf_probabilities",
-    "parse_criteo_line",
-    "read_criteo_batches",
-    "write_synthetic_criteo_tsv",
 ]

@@ -997,31 +997,3 @@ class Communicator:
 
         total = compressor.decompress(final).reshape(shape)
         return [total.copy() for _ in range(n)]
-
-    # ---------------------------------------------------------- broadcast
-
-    def broadcast(self, payload: object, root: int = 0, category: str = EventCategory.METADATA) -> list[object]:
-        """Hand ``root``'s payload to every rank (tree: ``ceil(log2 n)``
-        latency rounds, full payload per hop).
-
-        Mutable payloads are copied per rank — as with :meth:`all_reduce`,
-        no two ranks may alias one buffer."""
-        if not 0 <= root < self.n_ranks:
-            raise ValueError(f"root must be in [0, {self.n_ranks}), got {root!r}")
-        n = self.n_ranks
-        if n > 1:
-            nbytes = payload_nbytes(payload)
-            rounds = int(np.ceil(np.log2(n)))
-            seconds = rounds * self.simulator.network.point_to_point_time(nbytes)
-            self.simulator.collective(seconds, category)
-            if OBS.enabled:
-                self._obs_stage("broadcast", seconds * n, nbytes * rounds)
-
-        def deliver() -> object:
-            if isinstance(payload, np.ndarray):
-                return payload.copy()
-            if isinstance(payload, bytearray):
-                return bytearray(payload)
-            return payload  # bytes/memoryview and other immutables
-
-        return [deliver() for _ in range(n)]

@@ -181,18 +181,6 @@ class Topology:
             name=f"{link.name}x{n}",
         )
 
-    def with_switch_aggregation(self) -> "Topology":
-        """The same fabric with in-network aggregation nodes enabled."""
-        if self.switch_aggregation:
-            return self
-        return Topology(
-            self.bandwidth_matrix,
-            self.latency_matrix,
-            self.node_ids,
-            name=f"{self.name}+switch",
-            switch_aggregation=True,
-        )
-
     # ------------------------------------------------------------ structure
 
     @property

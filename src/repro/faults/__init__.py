@@ -33,7 +33,7 @@ from repro.faults.plan import (
     ShardCrashFault,
     StragglerFault,
 )
-from repro.faults.retry import RetryOutcome, RetryPolicy
+from repro.faults.retry import RetryPolicy
 from repro.faults.scenario import (
     ChaosInvariantViolation,
     ChaosResult,
@@ -53,7 +53,6 @@ __all__ = [
     "CorruptionFault",
     "RankFailureFault",
     "RetryPolicy",
-    "RetryOutcome",
     "CircuitBreaker",
     "TrainerCheckpoint",
 ]

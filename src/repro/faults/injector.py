@@ -22,7 +22,7 @@ Integration points:
 All bookkeeping is observable: injections land on
 ``faults_injected_total`` / ``fault_seconds_total`` counters when the obs
 registry is enabled.  In the simulator, ``injected`` counts per *bent
-charge*: a true collective (all-reduce, broadcast) is one charge, so a
+charge*: a true collective (an all-reduce) is one charge, so a
 fault that bends it counts once, while an all-to-all charges one wire
 event per rank, so a fault counts once per rank event it bent.
 """

@@ -10,8 +10,7 @@ simulation, not noise on top of it.
 Callers (the delta publisher, the serving simulator's shard pulls) drive
 their own attempt loops; the policy only answers two questions — *may I
 try again?* and *how long do I wait first?* — and the waits are charged
-to the simulated clock by the caller.  :class:`RetryOutcome` is the
-shared record of how one retried operation went.
+to the simulated clock by the caller.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.utils.rng import spawn_rng
 
-__all__ = ["RetryPolicy", "RetryOutcome"]
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -87,18 +86,3 @@ class RetryPolicy:
             self.backoff_seconds(attempt, *key) for attempt in range(1, self.max_attempts)
         )
 
-
-@dataclass(frozen=True)
-class RetryOutcome:
-    """How one retried operation went, on the simulated clock."""
-
-    succeeded: bool
-    attempts: int
-    backoff_seconds: float
-    wasted_seconds: float  # charged work from failed attempts (timeouts, redecode)
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {self.attempts!r}")
-        if self.backoff_seconds < 0 or self.wasted_seconds < 0:
-            raise ValueError("seconds fields must be >= 0")

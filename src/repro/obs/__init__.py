@@ -1,4 +1,4 @@
-"""repro.obs — unified metrics, spans, and run reports.
+"""repro.obs — unified metrics, traces, and run reports.
 
 One substrate for every tier's numbers:
 
@@ -6,10 +6,11 @@ One substrate for every tier's numbers:
   fixed-bucket histograms with label sets and mergeable snapshots.
 * :func:`enable` / :func:`disable` / :func:`capture` — the
   zero-overhead-when-disabled switch the hot paths guard on.
-* :class:`Tracer` / :class:`Span` — interval annotations recorded onto
-  the simulation :class:`~repro.dist.timeline.Timeline`, so trainer
-  steps, exchange stages, publications, and serving requests land in one
-  chrome trace (see :func:`unified_chrome_trace`) with counter tracks.
+* :func:`unified_chrome_trace` — trainer steps, exchange stages,
+  publications, and serving requests, recorded by the tiers as
+  ``OBS_STREAM`` events on the simulation
+  :class:`~repro.dist.timeline.Timeline`, in one chrome trace with
+  counter tracks.
 * Exporters — :func:`snapshot_to_json`, :func:`to_prometheus`, and the
   human :func:`run_report` table.
 * Analysis — :func:`extract_critical_path` (dependency-DAG makespan
@@ -19,7 +20,7 @@ One substrate for every tier's numbers:
   archived artifacts.
 
 Only the registry and the runtime switch load eagerly (they are what the
-hot paths import); the span/trace/exporter layers — which pull in
+hot paths import); the trace/exporter layers — which pull in
 ``repro.dist`` and ``repro.profiling`` — load lazily on first attribute
 access to keep import cycles impossible.
 """
@@ -42,8 +43,6 @@ from repro.obs.registry import (
 from repro.obs.runtime import OBS, capture, disable, enable, enabled, get_registry
 
 _LAZY_EXPORTS = {
-    "Span": "repro.obs.span",
-    "Tracer": "repro.obs.span",
     "unified_chrome_trace": "repro.obs.trace",
     "dump_unified_chrome_trace": "repro.obs.trace",
     "timelines_from_chrome_trace": "repro.obs.trace",

@@ -355,9 +355,6 @@ class EmbeddingShardServer:
     def table_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._tables))
 
-    def has_table(self, table_id: int) -> bool:
-        return int(table_id) in self._tables
-
     def _table(self, table_id: int) -> _CompressedTable:
         try:
             return self._tables[int(table_id)]

@@ -199,6 +199,21 @@ class TestShortEntropyBody:
                 decompress_any(short, rows=selected)
 
 
+    def test_a_chunk_of_more_symbols_than_body_bits(self):
+        """A flipped bit in ``chunk_symbol_counts`` (2048 -> 134 219 776)
+        once sent the full decode through 134M positions for 2.5 s before
+        it returned; no chunk can hold more symbols than the body has
+        bits."""
+        rng = np.random.default_rng(0)
+        payload = get_compressor("entropy").compress(rng.normal(0.0, 0.1, size=(64, 32)), 1e-2)
+        header, body = parse_payload(payload)
+        meta = {k: v for k, v in header.items() if k not in ("codec", "dtype", "shape")}
+        meta["chunk_symbol_counts"] = np.array([len(body) * 8 + 1], dtype=np.int64)
+        inflated = frame_payload("entropy", (64, 32), np.dtype(header["dtype"]), meta, body)
+        with pytest.raises(CorruptPayloadError, match="a chunk of .* symbols in .* body bits"):
+            decompress_any(inflated)
+
+
 class TestFlippedBitsRaiseCorruptPayloadError:
     @pytest.mark.parametrize("name,bit", FLIPPED_BITS)
     def test_flip_raises_the_typed_error(self, name, bit):
@@ -391,3 +406,65 @@ class TestUnregisteredCodecRaisesCorruptPayloadError:
         for selected in (None, np.array([0])):
             with pytest.raises(CorruptPayloadError, match=re.escape(repr(bogus))):
                 decompress_any(bytes(renamed), rows=selected)
+
+
+def _census_payload(name: str) -> bytes:
+    """``name``'s frame of the fuzz census block (54 normal(0, 0.1) rows,
+    then the first 10 again; eb 1e-2)."""
+    rng = np.random.default_rng(0)
+    rows = rng.normal(0.0, 0.1, size=(54, 32)).astype(np.float32)
+    codec = get_compressor(name)
+    return codec.compress(np.concatenate([rows, rows[:10]]), 1e-2 if codec.error_bounded else None)
+
+
+class TestFrameDtypeRaisesCorruptPayloadError:
+    @pytest.mark.parametrize("name", available_compressors())
+    def test_every_flip_of_the_dtype_string(self, name):
+        """One flipped bit in a frame's dtype string (``<f4``) once reached
+        ``np.dtype`` as is and leaked NumPy's ``TypeError`` (``data type
+        '\\x1cf4' not understood``) or ``SyntaxError``, or named a subarray
+        dtype (``8f4``) whose decode failed to reshape.  Each flip now
+        raises the typed error or decodes to the declared shape."""
+        payload = _census_payload(name)
+        dtype = parse_payload(payload)[0]["dtype"].encode()
+        at = payload.index(dtype, 1)
+        for byte in range(at, at + len(dtype)):
+            for bit in range(8):
+                flipped = bytearray(payload)
+                flipped[byte] ^= 1 << bit
+                for selected, shape in ((None, (64, 32)), (np.array([0]), (1, 32))):
+                    try:
+                        decoded = decompress_any(bytes(flipped), rows=selected)
+                    except CorruptPayloadError:
+                        continue
+                    assert decoded.shape == shape, (byte, bit)
+
+
+class TestBodyLengthRaisesCorruptPayloadError:
+    """A body one byte short or long once reached ``np.frombuffer`` /
+    ``reshape`` (or ``bitstream``'s reader) and raised NumPy's bare
+    ``ValueError``; the body length is now checked against the header's
+    shape first, naming the codec and both sizes."""
+
+    @pytest.mark.parametrize("name", ["count_sum", "fp16", "fp8", "lz4_like", "zfp_like"])
+    @pytest.mark.parametrize("change", ["truncate", "extend"])
+    def test_one_byte_off(self, name, change):
+        payload = _census_payload(name)
+        mangled = payload[:-1] if change == "truncate" else payload + b"\0"
+        with pytest.raises(CorruptPayloadError, match=rf"^{name}: "):
+            decompress_any(mangled)
+
+    @pytest.mark.parametrize("name", ["lz4_like", "deflate_like"])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_lz_stream_of_the_wrong_size(self, name, change):
+        """A well-formed LZ77 stream whose bytes do not fill the shape."""
+        raw = _lz_rows().tobytes()
+        raw = raw[:change] if change < 0 else raw + b"\0"
+        stream = lz77_encode_bytes(raw, 4096)
+        if name == "deflate_like":
+            frame = _deflate_frame(stream, len(raw))
+        else:
+            meta = {"raw_size": len(raw), "window": 4096}
+            frame = frame_payload(name, (64, 8), np.dtype(np.float32), meta, stream)
+        with pytest.raises(CorruptPayloadError, match=f"{name}: body holds {len(raw)} bytes, expected 2048"):
+            decompress_any(frame)

@@ -170,30 +170,6 @@ class TestAllReduce:
             sim.comm.all_reduce(arrays)
 
 
-class TestBroadcast:
-    def test_everyone_gets_roots_payload(self, sim):
-        out = sim.comm.broadcast(b"plan", root=2)
-        assert out == [b"plan"] * 4
-        assert sim.makespan() > 0.0
-
-    def test_mutable_payloads_not_aliased_across_ranks(self, sim):
-        out = sim.comm.broadcast(np.zeros(4))
-        out[1][0] += 1.0
-        np.testing.assert_array_equal(out[0], np.zeros(4))
-        out2 = sim.comm.broadcast(bytearray(b"abc"))
-        out2[1][0] = ord("z")
-        assert out2[0] == bytearray(b"abc")
-
-    def test_single_rank_free(self):
-        sim = ClusterSimulator(1)
-        assert sim.comm.broadcast(b"plan") == [b"plan"]
-        assert sim.makespan() == 0.0
-
-    def test_bad_root_rejected(self, sim):
-        with pytest.raises(ValueError):
-            sim.comm.broadcast(b"x", root=4)
-
-
 class TestClusterSimulator:
     def test_compute_advances_only_that_rank(self, sim):
         end = sim.compute(1, 0.25, EventCategory.COMPRESS)

@@ -153,7 +153,9 @@ class TestMakespanLaws:
             algorithm="hierarchical",
         )
         switched = _makespan(
-            NetworkModel.from_topology(base.with_switch_aggregation()),
+            NetworkModel.from_topology(
+                Topology.hierarchical(4, 8, NVLINK_LIKE, IB_HDR_LIKE, switch_aggregation=True)
+            ),
             arrays,
             codec="count_sum",
             algorithm="switch",

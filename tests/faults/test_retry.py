@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import RetryOutcome, RetryPolicy
+from repro.faults import RetryPolicy
 
 
 class TestDeterminism:
@@ -111,10 +111,3 @@ class TestValidation:
     def test_policy_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             RetryPolicy().max_attempts = 5
-
-    def test_outcome_validation(self):
-        RetryOutcome(succeeded=True, attempts=1, backoff_seconds=0.0, wasted_seconds=0.0)
-        with pytest.raises(ValueError):
-            RetryOutcome(succeeded=True, attempts=0, backoff_seconds=0.0, wasted_seconds=0.0)
-        with pytest.raises(ValueError):
-            RetryOutcome(succeeded=True, attempts=1, backoff_seconds=-1.0, wasted_seconds=0.0)

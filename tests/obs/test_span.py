@@ -1,9 +1,11 @@
-"""Span/Tracer annotations and the zero-overhead runtime switch.
+"""``OBS_STREAM`` annotations, counter tracks and the zero-overhead
+runtime switch.
 
-Spans live on the ``OBS_STREAM`` annotation lane: they render in the
-chrome trace but never enter the profiling layer's time accounting —
-the invariant that lets instrumentation annotate work the simulator
-already charged without double counting.
+Annotations (trainer steps, publications, serving requests, fault
+windows) live on the ``OBS_STREAM`` lane: they render in the chrome trace
+but never enter the profiling layer's time accounting — the invariant
+that lets instrumentation annotate work the simulator already charged
+without double counting.
 """
 
 from __future__ import annotations
@@ -16,52 +18,14 @@ import pytest
 from repro.dist.timeline import OBS_STREAM, EventCategory, Timeline
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import OBS, capture, disable, enable, enabled, get_registry
-from repro.obs.span import Tracer
 from repro.profiling.breakdown import overlap_report
-
-
-class TestTracer:
-    def test_span_records_on_obs_stream(self):
-        timeline = Timeline()
-        tracer = Tracer(timeline)
-        event = tracer.span(EventCategory.TRAIN_STEP, 0.0, 2.0, args={"iteration": 0})
-        assert event.stream == OBS_STREAM
-        assert event.category == EventCategory.TRAIN_STEP
-        assert timeline.events == [event]
-
-    def test_begin_end_span(self):
-        timeline = Timeline()
-        tracer = Tracer(timeline, rank=1)
-        span = tracer.begin(EventCategory.SERVE_REQUEST, 1.0, request=7)
-        event = span.end(3.5, hits=2)
-        assert event.rank == 1
-        assert event.start == 1.0
-        assert event.duration == 2.5
-        assert event.args == {"request": 7, "hits": 2}
-
-    def test_span_cannot_end_twice_or_backwards(self):
-        tracer = Tracer(Timeline())
-        span = tracer.begin(EventCategory.TRAIN_STEP, 5.0)
-        with pytest.raises(ValueError):
-            span.end(4.0)
-        span.end(6.0)
-        with pytest.raises(RuntimeError):
-            span.end(7.0)
-
-    def test_counter_proxies_to_timeline(self):
-        timeline = Timeline()
-        tracer = Tracer(timeline)
-        tracer.counter("depth", 1.0, 3.0)
-        tracer.counter("depth", 0.5, 1.0)
-        track = timeline.counter_track("depth")
-        assert [(s.time, s.value) for s in track] == [(0.5, 1.0), (1.0, 3.0)]
 
 
 class TestNoDoubleCounting:
     def test_obs_spans_excluded_from_category_totals(self):
         timeline = Timeline()
         timeline.record(0, EventCategory.EMB_LOOKUP, 0.0, 1.0)
-        Tracer(timeline).span(EventCategory.TRAIN_STEP, 0.0, 10.0)
+        timeline.record(0, EventCategory.TRAIN_STEP, 0.0, 10.0, stream=OBS_STREAM)
         totals = timeline.total_by_category(rank=0)
         assert EventCategory.TRAIN_STEP not in totals
         assert totals[EventCategory.EMB_LOOKUP] == 1.0
@@ -70,12 +34,12 @@ class TestNoDoubleCounting:
         timeline = Timeline()
         timeline.record(0, EventCategory.EMB_LOOKUP, 0.0, 1.0)
         baseline = overlap_report(timeline)
-        Tracer(timeline).span(EventCategory.TRAIN_STEP, 0.0, 50.0)
+        timeline.record(0, EventCategory.TRAIN_STEP, 0.0, 50.0, stream=OBS_STREAM)
         assert overlap_report(timeline) == baseline
 
     def test_obs_spans_render_in_chrome_trace(self):
         timeline = Timeline()
-        Tracer(timeline).span(EventCategory.TRAIN_STEP, 0.0, 1.0)
+        timeline.record(0, EventCategory.TRAIN_STEP, 0.0, 1.0, stream=OBS_STREAM)
         trace = timeline.to_chrome_trace()
         spans = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
         assert any(e["name"] == EventCategory.TRAIN_STEP for e in spans)
