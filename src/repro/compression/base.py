@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
-from repro.compression.serialization import CorruptPayloadError, _Header, pack_meta, unpack_meta
+from repro.compression.serialization import CorruptPayloadError, pack_meta, unpack_meta
 
 __all__ = [
     "Compressor",
@@ -46,19 +45,9 @@ MAGIC = 0xDC  # "DLRM Compression" frame marker
 #: (~90-130 us for a 64-row block of 32 values a row); for vector-LZ the two
 #: meet between 12 rows (a constant block, every row a chain) and 20 (no
 #: matches), and entropy's walk stays ahead for longer, so vector-LZ binds.
-#: The ``shard_pull`` perfbench rows sit on either side: ``row1`` at 2.4-3.2x,
-#: ``rows32`` on the full decode at ~1x (vector-LZ's row kernel: ~0.7x there).
+#: Its readers are ``test_row_decode.py`` and the robustness suites; a shard
+#: pull indexes a block decoded once per payload instead.
 ROW_DECODE_MAX_ROWS = 12
-
-#: ``bytes`` frames whose parse :func:`parse_payload` keeps.  A shard serves
-#: each stored block many times over: 250 requests of the ``publish_serve``
-#: world parse ~2 600 times but only ~300 distinct blocks of the 446 its
-#: shards hold, so this covers a whole serving tier of that size.
-PARSE_CACHE_ENTRIES = 512
-#: the largest frame the memo keeps (it keeps the payload alive as its key).
-#: A stored block is ~1 kB; a frame this large decodes for far longer than
-#: its header parses, so the cap bounds the memo at 32 MiB and costs nothing.
-PARSE_CACHE_MAX_BYTES = 1 << 16
 
 #: body types a codec may return: a single buffer or a list of buffer parts
 #: (each part is anything exposing the buffer protocol — bytes, memoryview,
@@ -154,41 +143,15 @@ def _frame_layout(codec: str, header: dict[str, Any]) -> tuple[tuple[int, ...], 
     return dims, dtype
 
 
-def _parse_view(view: memoryview) -> tuple[dict[str, Any], int]:
-    """``(header, body offset)`` of the frame in ``view``."""
-    if len(view) == 0 or view[0] != MAGIC:
-        raise ValueError("not a repro compression payload (bad magic byte)")
-    return unpack_meta(view, 1)
-
-
-@lru_cache(maxsize=PARSE_CACHE_ENTRIES)
-def _parse_frame(payload: bytes) -> tuple[dict[str, Any], int]:
-    """:func:`_parse_view` memoised by content (an exception is not cached).
-    Every hit shares the header's arrays, so they are made read-only."""
-    header, pos = _parse_view(memoryview(payload))
-    for value in header.values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return header, pos
-
-
 def parse_payload(payload: bytes | memoryview) -> tuple[dict[str, Any], memoryview]:
     """Split a framed payload into ``(header, body_view)``.
 
-    A ``bytes`` payload of up to :data:`PARSE_CACHE_MAX_BYTES` is parsed
-    once per distinct content while it stays among the last
-    :data:`PARSE_CACHE_ENTRIES` parsed: each call returns a fresh header
-    mapping (changing it never reaches the next parse) whose arrays are
-    read-only.  A corrupt frame raises on every call.  Any other buffer (a
-    ``memoryview`` into a checksum envelope, a ``bytearray``) can change
-    under a key, so it is parsed afresh and its arrays are writable, as are
-    those of a larger frame.
-    """
-    if type(payload) is bytes and len(payload) <= PARSE_CACHE_MAX_BYTES:
-        header, pos = _parse_frame(payload)
-        return _Header(header), memoryview(payload)[pos:]
+    Every call parses afresh and returns its own header (arrays included);
+    a corrupt frame raises on every call."""
     view = memoryview(payload)
-    header, pos = _parse_view(view)
+    if len(view) == 0 or view[0] != MAGIC:
+        raise ValueError("not a repro compression payload (bad magic byte)")
+    header, pos = unpack_meta(view, 1)
     return header, view[pos:]
 
 

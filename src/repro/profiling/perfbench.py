@@ -425,9 +425,8 @@ def _shard_rows() -> Iterator[Row]:
     # --- row-granular shard pulls: ``pull`` of one row (what a replica's
     # cache miss issues) and of 32 rows of one block, on a vector-LZ and an
     # entropy table, against the block-decode-then-index loop ``pull`` used
-    # to be.  row1 runs the codec's row kernel; rows32 is past
-    # ``ROW_DECODE_MAX_ROWS`` and takes the block decode, so it reads ~1x —
-    # the pair brackets the crossover constant. ---
+    # to be.  ``pull`` decodes a block once per payload, so past the first
+    # call both rows time an index of the kept rows. ---
     pull_rng = np.random.default_rng(_SEED)
     pull_requests = {
         "row1": [pull_rng.integers(0, shard_rows, size=1) for _ in range(SHARD_PULLS_PER_CALL)],

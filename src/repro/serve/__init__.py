@@ -5,7 +5,8 @@ this package puts the same dual-level adaptive compression on the *read*
 side, where DLRM embeddings serve live traffic:
 
 * :class:`EmbeddingShardServer` — per-table embedding shards stored in
-  compressed row blocks (training-tier codecs, row-granular decode).
+  compressed row blocks (training-tier codecs, each block decoded once
+  per payload).
 * :class:`InferenceReplica` — serving nodes with a hot-row LRU cache that
   exploits the synthetic data's Zipf query skew.
 * :class:`RequestLoadGenerator` — open-loop Poisson arrivals of

@@ -1,32 +1,24 @@
-"""Compressed embedding shards with row-granular decode.
+"""Compressed embedding shards, each stored block decoded once per payload.
 
 An :class:`EmbeddingShardServer` is one parameter-server node of the
 serving tier: it owns a subset of the model's embedding tables (per a
 :class:`~repro.train.sharding.ShardingPlan`) and stores every table in
 *compressed form*, reusing the training-side codecs from
 :mod:`repro.compression`.  Tables are chopped into fixed-size **row
-blocks** and each block is compressed independently.  The *block* is the
-unit of storage, of re-encoding on an update and of wire pricing (a remote
-pull moves the touched blocks' payloads); the *row* is the unit of decode:
-a lookup hands the block to ``decompress_any(block, rows=...)``, which for
-the paper's two encoders decodes the rows asked for and not their
-neighbours — vector-LZ matches whole rows and packs literal rows at one
-fixed bit width, so a row is found by flag-map popcounts and a walk down
-its back-reference chain; Huffman is entered at a chunk start and walked
-forward to the row.  (A request for a large share of a block, or a block
-held by a codec without a row kernel, decodes the block once and indexes
-it.)  On the ``publish_serve`` benchmark world a one-row pull went from
-145 to ~50 us on ``vector_lz`` blocks and from 545 to ~180 us on ``entropy``
-ones; README "Row-granular shard pulls" has the table.
+blocks** and each block is compressed independently.  The block is the
+unit of storage, of re-encoding on an update, of decode and of wire
+pricing (a remote pull moves the touched blocks' payloads).
 
-A block's decode set-up is paid once, not once per pull:
-``decompress_any``'s one ``parse_payload`` call memoises a ``bytes`` block's
-parsed frame by content, and the Huffman decoder caches one peek table per
-codebook.  On the same world a pull then went from ~45 to ~25 us on
-``vector_lz`` blocks and from ~186 to ~118 us on ``entropy`` ones, and a
-250-request run from ~1 320 to ~1 940 requests/s (2-CPU host; README
-"Decode set-up once per stored block").  A block that
-:meth:`EmbeddingShardServer.set_table` re-encodes is a new payload, so its next pull parses it afresh.
+A stored block is immutable between two publications, so it is decoded
+once per payload: its first pull after each (re-)encode hands the whole
+block to ``decompress_any`` (one ``parse_payload``) and keeps the decoded
+rows, read-only, until :meth:`EmbeddingShardServer.set_table` replaces
+that block's payload.  Every pull then indexes the kept rows and returns a
+copy of the rows asked for.  On the ``publish_serve`` benchmark world a
+block used to be parsed and decoded ~237 times between two publications
+(once per replica cache miss); README "Decode each stored block once" has
+the before/after.  The kept rows cost at most each table's raw float32
+size, one more copy of rows the trainer and publisher already hold.
 
 Error bounds follow the training side's dual-level adaptive story: each
 table carries its own bound (typically the
@@ -118,11 +110,12 @@ class ShardPull:
 
     ``compressed_nbytes`` is what a remote caller pulls over the wire (the
     touched blocks' payloads); ``raw_nbytes`` is what those *whole blocks*
-    decode to, from block geometry.  The simulated replica still prices its
-    decompression kernel on ``raw_nbytes`` — the whole block — although the
-    host now decodes only the rows: re-pricing it moves
+    decode to, from block geometry.  The simulated replica prices its
+    decompression kernel on ``raw_nbytes`` — the whole block — on every
+    pull, while the host decodes the whole block only on its first pull
+    after each (re-)encode: re-pricing it moves
     ``serve.simulator.sim_p99_ms`` and the serving golden digests, so it is
-    its own change with its own before/after (ROADMAP direction 4(c')).
+    its own change with its own before/after (ROADMAP direction 3(c)).
     """
 
     table_id: int
@@ -168,6 +161,9 @@ class _CompressedTable:
         self.blocks: list = [None] * n_blocks  # payload bytes, one per row block
         #: blake2b-128 of the exact float32 bytes each block was last encoded from
         self._digests: list = [None] * n_blocks
+        #: each block's decoded rows (read-only), from its first read until
+        #: ``_recompress`` replaces its payload
+        self._decoded: list[np.ndarray | None] = [None] * n_blocks
         self._recompress(values)
 
     def _recompress(self, values: np.ndarray) -> int:
@@ -189,6 +185,7 @@ class _CompressedTable:
         for block_id, payload in self._encode_blocks(values, dirty).items():
             self.blocks[block_id] = payload
             self._digests[block_id] = digests[block_id]
+            self._decoded[block_id] = None
         return len(dirty)
 
     def _encode_blocks(self, values: np.ndarray, block_ids: list[int]) -> dict:
@@ -227,16 +224,28 @@ class _CompressedTable:
     def compressed_nbytes(self) -> int:
         return sum(len(b) for b in self.blocks)
 
+    def _block_rows(self, block_id: int) -> np.ndarray:
+        """The decoded rows of one block: the whole block is decoded (one
+        ``decompress_any``, one ``parse_payload``) on its first read after
+        each (re-)encode and kept, read-only, until its payload changes."""
+        rows = self._decoded[block_id]
+        if rows is None:
+            rows = decompress_any(self.blocks[block_id])
+            rows.flags.writeable = False
+            self._decoded[block_id] = rows
+        return rows
+
     def pull(self, row_ids: np.ndarray) -> ShardPull:
         row_ids = np.asarray(row_ids, dtype=np.int64)
         if row_ids.ndim != 1:
             raise ValueError(f"row_ids must be 1-D, got shape {row_ids.shape}")
         step = self.rows_per_block
-        if row_ids.size == 0:
+        ids = row_ids.tolist()
+        if not ids:
             touched = []
             rows = np.empty((0, self.dim), dtype=np.float32)
         else:
-            low, high = int(row_ids.min()), int(row_ids.max())
+            low, high = min(ids), max(ids)
             if low < 0 or high >= self.cardinality:
                 raise IndexError(
                     f"table {self.table_id}: row ids out of range [0, {self.cardinality})"
@@ -245,30 +254,31 @@ class _CompressedTable:
             if high // step == first:
                 # The common request — every row in one block: no grouping pass.
                 touched = [first]
-                rows = decompress_any(self.blocks[first], rows=row_ids - first * step)
+                rows = self._block_rows(first)[row_ids - first * step]
             else:
                 rows = np.empty((row_ids.size, self.dim), dtype=np.float32)
                 block_ids = row_ids // step
-                touched = np.unique(block_ids).tolist()
+                touched = sorted({i // step for i in ids})
                 for block_id in touched:
                     in_block = block_ids == block_id
-                    rows[in_block] = decompress_any(
-                        self.blocks[block_id], rows=row_ids[in_block] - block_id * step
-                    )
+                    rows[in_block] = self._block_rows(block_id)[row_ids[in_block] - block_id * step]
+        # float32 bytes of the touched blocks' rows (the last block may be short)
+        raw_rows = len(touched) * step
+        if touched and touched[-1] == self.n_blocks - 1:
+            raw_rows -= self.n_blocks * step - self.cardinality
         return ShardPull(
             table_id=self.table_id,
             rows=rows,
             codec=self.codec_name,
             blocks_touched=len(touched),
             compressed_nbytes=sum(len(self.blocks[b]) for b in touched),
-            # float32 bytes of the touched blocks' rows (the last block may be short)
-            raw_nbytes=sum(min(step, self.cardinality - b * step) for b in touched) * self.dim * 4,
+            raw_nbytes=raw_rows * self.dim * 4,
         )
 
     def decode_all(self) -> np.ndarray:
         if not self.blocks:
             return np.empty((0, self.dim), dtype=np.float32)
-        return np.concatenate([decompress_any(b) for b in self.blocks], axis=0)
+        return np.concatenate([self._block_rows(b) for b in range(self.n_blocks)], axis=0)
 
 
 class EmbeddingShardServer:
@@ -288,7 +298,7 @@ class EmbeddingShardServer:
         byte-LZ codec).
     rows_per_block:
         Row-block compression granularity — the unit of storage, of
-        re-encoding and of a remote shard pull (rows decode one by one).
+        re-encoding, of decode and of a remote shard pull.
     """
 
     def __init__(
@@ -364,8 +374,9 @@ class EmbeddingShardServer:
             ) from None
 
     def pull(self, table_id: int, row_ids: np.ndarray) -> ShardPull:
-        """Row-granular read: decode the requested rows out of the blocks
-        they live in; the accounting is per touched block."""
+        """Row-granular read: the requested rows out of the blocks they
+        live in (each decoded once per payload); the accounting is per
+        touched block."""
         pull = self._table(table_id).pull(row_ids)
         if OBS.enabled:
             reg = OBS.registry

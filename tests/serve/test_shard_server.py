@@ -1,4 +1,4 @@
-"""EmbeddingShardServer: row-granular decode over compressed shards."""
+"""EmbeddingShardServer: row-granular reads over compressed shards."""
 
 from __future__ import annotations
 
@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from repro.compression import decompress_any
-from repro.compression import entropy as entropy_module
-from repro.compression import vector_lz as vector_lz_module
-from repro.compression.base import ROW_DECODE_MAX_ROWS
 from repro.model import DLRM, DLRMConfig
 from repro.serve import EmbeddingShardServer
 from repro.serve.shard_server import serving_codec
@@ -81,8 +78,8 @@ def make_hot_table(rows=200, dim=16, seed=0):
 
 
 class TestRowGranularDecode:
-    """The block is the unit of storage and of pull accounting; the row is
-    the unit of decode."""
+    """The block is the unit of storage, of decode and of pull accounting;
+    a pull returns only the rows asked for."""
 
     @pytest.mark.parametrize(
         "codec,bound",
@@ -102,7 +99,7 @@ class TestRowGranularDecode:
             [3],
             [0, 63],
             [130, 129, 129, 191],
-            list(range(64, 64 + ROW_DECODE_MAX_ROWS + 2)),  # one block, past the crossover
+            list(range(64, 78)),  # a run inside one block
             [64, 5, 199, 5, 130],
             list(range(200)),
             [],
@@ -116,35 +113,6 @@ class TestRowGranularDecode:
             assert pull.blocks_touched == len(touched)
             assert pull.compressed_nbytes == sum(len(blocks[b]) for b in touched)
             assert pull.raw_nbytes == sum(decoded[b].nbytes for b in touched)
-
-    @pytest.mark.parametrize(
-        "codec,module,attr",
-        [
-            ("vector_lz", vector_lz_module, "_resolve_stack"),
-            ("entropy", entropy_module, "huffman_decode"),
-        ],
-    )
-    def test_a_single_row_pull_never_runs_the_block_decoder(self, monkeypatch, codec, module, attr):
-        """Few rows of a block go to the codec's row kernel; from the
-        crossover up the vectorised block decode (then an index) is the
-        faster one and is what runs."""
-        block_decode = getattr(module, attr)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(attr)
-            return block_decode(*args, **kwargs)
-
-        server = EmbeddingShardServer({0: make_hot_table()}, 1e-2, codec, rows_per_block=64)
-        full = server.table_array(0)
-        monkeypatch.setattr(module, attr, counted)
-        np.testing.assert_array_equal(server.pull(0, np.array([70])).rows, full[[70]])
-        few = np.arange(64, 64 + ROW_DECODE_MAX_ROWS - 1)
-        np.testing.assert_array_equal(server.pull(0, few).rows, full[few])
-        assert calls == []
-        many = np.arange(64, 64 + ROW_DECODE_MAX_ROWS)
-        np.testing.assert_array_equal(server.pull(0, many).rows, full[many])
-        assert calls == [attr]
 
 
 class TestBlockStorage:
@@ -251,7 +219,7 @@ class TestUpdates:
         [("vector_lz", 1e-2), ("entropy", 1e-2), ("hybrid", 1e-2), ("lz4_like", 0.0)],
     )
     def test_set_table_after_warm_pulls_serves_the_new_rows(self, codec, bound):
-        """Pulls memoise each stored block's parsed frame; a block that
+        """Pulls keep each stored block's decoded rows; a block that
         ``set_table`` re-encodes is a new payload, so the next pull decodes
         the new rows and the untouched blocks keep theirs."""
         table = make_table()

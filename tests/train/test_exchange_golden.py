@@ -39,6 +39,14 @@ exchange posted per-destination row views through
 ``Communicator.all_to_all``; it is now charged from its byte matrix, like
 the backward one, and must reproduce them.
 
+``params`` depends on the BLAS thread count.  Under
+``OPENBLAS_NUM_THREADS=1`` — which ``bench_e2e/run.py`` sets for itself —
+the six ``compress_backward`` in {False, None} cases miss on ``params``
+alone: against a 2-thread run, three (False) or five (None) embedding
+tables differ in at most five entries each, by |delta| <= 1.4e-17, and the
+losses are equal.  With 2, 3, 4 or 8 threads every case passes.  Run this file in a shell with the default thread
+count, never in a benchmark shell, and never re-record from one.
+
 Run ``python tests/train/test_exchange_golden.py`` to print the digests of
 the current checkout (only ever paste them here from a commit whose
 exchanges are known good; never re-record them in a refactor).  A digest
