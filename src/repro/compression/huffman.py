@@ -464,6 +464,17 @@ def _peek_tables_for(code_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return value
 
 
+def _chunk_outside(chunk: int, offset: int, total_bits: int) -> CorruptPayloadError:
+    return CorruptPayloadError(
+        f"corrupt Huffman stream: chunk offset outside payload "
+        f"(chunk {chunk} starts at bit {offset} of {total_bits})"
+    )
+
+
+def _unassigned_code(bit: int) -> CorruptPayloadError:
+    return CorruptPayloadError(f"corrupt Huffman stream: peek hit an unassigned code at bit {bit}")
+
+
 def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     """Decode a :class:`HuffmanEncoded` stream back to dense symbols.
 
@@ -483,7 +494,7 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     lengths = encoded.code_lengths
     used = np.flatnonzero(lengths)
     if used.size == 0:
-        raise ValueError("corrupt stream: no symbols have codes")
+        raise CorruptPayloadError("corrupt stream: no symbols have codes")
     if used.size == 1:
         # Mirror of the encoder's single-symbol fast path.
         return np.full(encoded.total_symbols, int(used[0]), dtype=np.int64)
@@ -502,9 +513,11 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     counts = encoded.chunk_symbol_counts.astype(np.int64)
     starts = encoded.chunk_bit_offsets.astype(np.int64)
     if starts.size == 0:
-        raise ValueError("corrupt Huffman stream: symbols recorded but no chunks")
-    if starts.min() < 0 or starts.max() > total_bits:
-        raise ValueError("corrupt Huffman stream: chunk offset outside payload")
+        raise CorruptPayloadError("corrupt Huffman stream: symbols recorded but no chunks")
+    outside = np.flatnonzero((starts < 0) | (starts > total_bits))
+    if outside.size:
+        chunk = int(outside[0])
+        raise _chunk_outside(chunk, int(starts[chunk]), total_bits)
     n_chunks = starts.size
     max_count = int(counts.max())
     if max_count > total_bits:
@@ -555,8 +568,9 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
         seq = flat[:, :max_count][valid]
     seq_clamped = np.minimum(seq, pos_dtype(total_bits - 1))
     peek_steps = np.take(steps, seq_clamped)
-    if (peek_steps == 0).any() or (seq == total_bits).any():
-        raise ValueError("corrupt Huffman stream: peek hit an unassigned code")
+    unassigned = (peek_steps == 0) | (seq == total_bits)
+    if unassigned.any():
+        raise _unassigned_code(int(seq[np.argmax(unassigned)]))
     return np.take(table_sym, np.take(windows, seq_clamped)).astype(np.int64)
 
 
@@ -583,7 +597,7 @@ def huffman_decode_rows(encoded: HuffmanEncoded, rows: Sequence[int], dim: int) 
     lengths = encoded.code_lengths
     used = np.flatnonzero(lengths)
     if used.size == 0:
-        raise ValueError("corrupt stream: no symbols have codes")
+        raise CorruptPayloadError("corrupt stream: no symbols have codes")
     if used.size == 1:
         # Mirror of the encoder's single-symbol fast path.
         return np.full((len(rows), dim), int(used[0]), dtype=np.int64)
@@ -592,12 +606,15 @@ def huffman_decode_rows(encoded: HuffmanEncoded, rows: Sequence[int], dim: int) 
     table_sym, table_len, max_len = _peek_tables_for(lengths)
     starts = encoded.chunk_bit_offsets.tolist()
     if not starts:
-        raise ValueError("corrupt Huffman stream: symbols recorded but no chunks")
+        raise CorruptPayloadError("corrupt Huffman stream: symbols recorded but no chunks")
     if max(starts) > total_bits:
-        raise ValueError("corrupt Huffman stream: chunk offset outside payload")
+        chunk = starts.index(max(starts))
+        raise _chunk_outside(chunk, starts[chunk], total_bits)
     counts = encoded.chunk_symbol_counts.tolist()
     if min(counts, default=0) < 1:
-        raise ValueError("corrupt Huffman stream: a chunk without symbols")
+        raise CorruptPayloadError(
+            f"corrupt Huffman stream: a chunk without symbols (chunk {counts.index(min(counts))})"
+        )
     # Symbols [chunk_ends[c - 1], chunk_ends[c]) live in chunk c.
     chunk_ends = list(accumulate(counts))
 
@@ -610,7 +627,10 @@ def huffman_decode_rows(encoded: HuffmanEncoded, rows: Sequence[int], dim: int) 
         while symbol < end:
             chunk = bisect_right(chunk_ends, symbol)
             if chunk >= min(len(chunk_ends), len(starts)):
-                raise ValueError("corrupt Huffman stream: chunks hold fewer symbols than rows")
+                raise CorruptPayloadError(
+                    f"corrupt Huffman stream: chunks hold fewer symbols than rows "
+                    f"(symbol {symbol} of row {row})"
+                )
             count = min(end, chunk_ends[chunk]) - symbol
             first = symbol - (chunk_ends[chunk - 1] if chunk else 0)
             runs_of_chunk.setdefault(chunk, []).append((first, count))
@@ -623,7 +643,7 @@ def huffman_decode_rows(encoded: HuffmanEncoded, rows: Sequence[int], dim: int) 
         last_first, last_count = runs[-1]
         if last_first + last_count > n_bits:
             # every code is at least one bit: the bytes present bound the walk
-            raise ValueError("corrupt Huffman stream: peek hit an unassigned code")
+            raise _unassigned_code(start + n_bits)
         first_byte = start >> 3
         padded = padded_stream(encoded.payload[first_byte : (start + n_bits + 7) >> 3], 8)
         windows = _sliding_windows(padded, start - first_byte * 8, n_bits, max_len)
@@ -639,7 +659,7 @@ def huffman_decode_rows(encoded: HuffmanEncoded, rows: Sequence[int], dim: int) 
                 position += steps[position]
             walked = first + count
         if not all(steps[p] for p in peeked):
-            raise ValueError("corrupt Huffman stream: peek hit an unassigned code")
+            raise _unassigned_code(start + next(p for p in peeked if not steps[p]))
         decoded.append(np.take(table_sym, np.take(windows, peeked)))
     # Stream order is row-major order of the distinct rows.
     out = np.concatenate(decoded, dtype=np.int64).reshape(len(distinct), dim)

@@ -310,16 +310,17 @@ class DeltaPublisher:
             for table_id in self.sharding.tables_of(shard_rank):
                 weight = self.trainer.model.tables[table_id].weight.data
                 if self.compress:
-                    # Compressed mode never stores `current` — only the
-                    # payload and `applied` leave this block — so the
-                    # snapshot copy and fresh delta allocation both go:
-                    # the delta lands in a reused per-table scratch array.
-                    current = np.asarray(weight, dtype=np.float32)
+                    # Compressed mode stores only the payload and
+                    # `applied`, so the skip scan allocates nothing: the
+                    # float32 cast happens inside the subtract, into a
+                    # reused per-table scratch.  Only a shipped table
+                    # needs the float32 `current` (for its error, below).
+                    current = None
                     delta = self._delta_scratch.get(table_id)
-                    if delta is None or delta.shape != current.shape:
-                        delta = np.empty_like(current)
+                    if delta is None or delta.shape != weight.shape:
+                        delta = np.empty(weight.shape, dtype=np.float32)
                         self._delta_scratch[table_id] = delta
-                    np.subtract(current, self._published[table_id], out=delta)
+                    np.subtract(weight, self._published[table_id], out=delta, dtype=np.float32)
                     codec_name = pipeline.controller.compressor_name(table_id)
                     bound = pipeline.controller.error_bound(table_id, iteration)
                 else:
@@ -332,12 +333,15 @@ class DeltaPublisher:
                 # The skip rule: a delta already within the bound leaves
                 # the published state honouring the contract, so it ships
                 # nothing.  A NaN compares false and ships (and raises).
-                error = float(np.max(np.abs(delta), initial=0.0))
+                # max|delta| without an abs temporary; `+ 0.0` turns a
+                # -0.0 extreme into 0.0, and a NaN propagates through both.
+                error = float(max(delta.max(initial=0.0), -delta.min(initial=0.0))) + 0.0
                 wire_nbytes = 0
                 if not error <= bound:
                     if self.compress:
                         payload = self._codec(codec_name).compress(delta, bound, key=table_id)
                         applied = self._published[table_id] + decompress_any(payload)
+                        current = np.asarray(weight, dtype=np.float32)
                     else:
                         payload = delta.tobytes()
                         applied = current

@@ -55,14 +55,6 @@ class GatherResult:
         """Distinct shard nodes this request had to contact."""
         return len(set(self.pull_ranks))
 
-    @property
-    def pulled_compressed_nbytes(self) -> int:
-        return sum(p.compressed_nbytes for p in self.pulls)
-
-    @property
-    def pulled_raw_nbytes(self) -> int:
-        return sum(p.raw_nbytes for p in self.pulls)
-
 
 class InferenceReplica:
     """One serving replica: LRU row cache over sharded compressed tables.
@@ -115,6 +107,9 @@ class InferenceReplica:
                 )
         self.replica_id = int(replica_id)
         self.servers = tuple(servers)
+        # gather writes into one (n_tables, dim) array; a DLRM's tables
+        # share one embedding dim
+        self._dim = servers[sharding.owner_of(0)].dim(0)
         self.sharding = sharding
         self.cache_rows = int(cache_rows)
         self.keep_stale = bool(keep_stale)
@@ -135,12 +130,6 @@ class InferenceReplica:
 
     def cached_tables(self) -> set[int]:
         return {table_id for table_id, _ in self._cache}
-
-    def _cache_get(self, key: tuple[int, int]) -> np.ndarray | None:
-        row = self._cache.get(key)
-        if row is not None:
-            self._cache.move_to_end(key)
-        return row
 
     def _cache_put(self, key: tuple[int, int], row: np.ndarray) -> None:
         if self.cache_rows == 0:
@@ -182,7 +171,7 @@ class InferenceReplica:
         """Gather one request's embedding rows (one id per table).
 
         The one gather, healthy or not.  Cache hits are served locally;
-        each missed table becomes one real row-granular pull from its
+        each missed table becomes one real single-row pull from its
         owning shard node, issued in table order (the pull always runs —
         its byte sizes are what the caller prices — but its data is used
         only if delivered).  ``deliver(shard_rank, pulls) -> bool`` is then
@@ -192,25 +181,32 @@ class InferenceReplica:
         to the LRU in table order; undelivered rows are answered from the
         stale store if it holds them, otherwise as zeros, are never
         admitted, and are counted (``stale_rows`` / ``degraded_rows``).
+
+        One pass over the ids: a hit is a dict lookup plus a move to the
+        LRU's end, and every row is written straight into the one
+        ``(n_tables, dim)`` result array.
         """
         sparse = np.asarray(sparse, dtype=np.int64)
-        if sparse.ndim != 1 or sparse.size != self.sharding.n_tables:
+        owners = self.sharding.owners
+        if sparse.ndim != 1 or sparse.size != len(owners):
             raise ValueError(
-                f"expected ({self.sharding.n_tables},) ids (one per table), "
+                f"expected ({len(owners)},) ids (one per table), "
                 f"got shape {sparse.shape}"
             )
-        rows: list[np.ndarray | None] = [None] * sparse.size
+        rows = np.empty((sparse.size, self._dim), dtype=np.float32)
+        cache = self._cache
         missing: list[tuple[tuple[int, int], int, ShardPull]] = []  # (cache key, shard, pull)
         by_shard: dict[int, list[ShardPull]] = {}
         hits = 0
-        for table_id in range(sparse.size):
-            key = (table_id, int(sparse[table_id]))
-            row = self._cache_get(key)
+        for table_id, row_id in enumerate(sparse.tolist()):
+            key = (table_id, row_id)
+            row = cache.get(key)
             if row is not None:
+                cache.move_to_end(key)
                 rows[table_id] = row
                 hits += 1
                 continue
-            shard_rank = self.sharding.owner_of(table_id)
+            shard_rank = owners[table_id]
             pull = self.servers[shard_rank].pull(table_id, sparse[table_id : table_id + 1])
             missing.append((key, shard_rank, pull))
             by_shard.setdefault(shard_rank, []).append(pull)
@@ -226,14 +222,16 @@ class InferenceReplica:
             if delivered[shard_rank]:
                 pulls.append(pull)
                 pull_ranks.append(shard_rank)
-                rows[table_id] = pull.rows[0]
-                self._cache_put(key, pull.rows[0])
+                row = pull.rows[0]
+                rows[table_id] = row
+                self._cache_put(key, row)
                 continue
-            rows[table_id] = self.stale_lookup(*key)
-            if rows[table_id] is not None:
+            row = self.stale_lookup(*key)
+            if row is not None:
+                rows[table_id] = row
                 stale_rows += 1
             else:  # partial fan-out: the row is zeros, and counted
-                rows[table_id] = np.zeros_like(pull.rows[0])
+                rows[table_id] = 0.0
                 degraded_rows += 1
         misses = len(missing)
         self.hits += hits
@@ -250,7 +248,7 @@ class InferenceReplica:
                     "serve_cache_misses_total", "row-cache misses (shard pulls)"
                 ).inc(misses, replica=replica)
         return GatherResult(
-            rows=np.stack(rows, axis=0),
+            rows=rows,
             hits=hits,
             misses=misses,
             pulls=tuple(pulls),

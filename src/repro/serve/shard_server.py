@@ -108,9 +108,12 @@ def serving_codec_pool():
 class ShardPull:
     """One row-granular read from a compressed shard.
 
-    ``compressed_nbytes`` is what a remote caller pulls over the wire (the
-    touched blocks' payloads); ``raw_nbytes`` is what those *whole blocks*
-    decode to, from block geometry.  The simulated replica prices its
+    ``rows`` is the caller's own copy: writable, never a view of the
+    block's kept rows.  ``compressed_nbytes`` is what a remote caller pulls
+    over the wire (the touched blocks' payloads); ``raw_nbytes`` is what
+    those *whole blocks* decode to, from block geometry (a short last block
+    counts its own rows).  Neither depends on how many rows were asked for
+    within a block.  The simulated replica prices its
     decompression kernel on ``raw_nbytes`` — the whole block — on every
     pull, while the host decodes the whole block only on its first pull
     after each (re-)encode: re-pricing it moves
@@ -236,10 +239,30 @@ class _CompressedTable:
         return rows
 
     def pull(self, row_ids: np.ndarray) -> ShardPull:
+        """The requested rows (a fresh, writable copy) and the accounting of
+        the blocks they live in.  One row — every pull a replica's gather
+        makes — is a slice copy of its block's kept rows, priced from block
+        geometry alone."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
         if row_ids.ndim != 1:
             raise ValueError(f"row_ids must be 1-D, got shape {row_ids.shape}")
         step = self.rows_per_block
+        if row_ids.size == 1:
+            row_id = row_ids.item()
+            if not 0 <= row_id < self.cardinality:
+                raise IndexError(
+                    f"table {self.table_id}: row ids out of range [0, {self.cardinality})"
+                )
+            block_id, r = divmod(row_id, step)
+            return ShardPull(
+                table_id=self.table_id,
+                rows=self._block_rows(block_id)[r : r + 1].copy(),
+                codec=self.codec_name,
+                blocks_touched=1,
+                compressed_nbytes=len(self.blocks[block_id]),
+                # float32 bytes of the whole block (the last block may be short)
+                raw_nbytes=min(step, self.cardinality - block_id * step) * self.dim * 4,
+            )
         ids = row_ids.tolist()
         if not ids:
             touched = []
@@ -252,7 +275,7 @@ class _CompressedTable:
                 )
             first = low // step
             if high // step == first:
-                # The common request — every row in one block: no grouping pass.
+                # Every row in one block: no grouping pass.
                 touched = [first]
                 rows = self._block_rows(first)[row_ids - first * step]
             else:
@@ -376,7 +399,9 @@ class EmbeddingShardServer:
     def pull(self, table_id: int, row_ids: np.ndarray) -> ShardPull:
         """Row-granular read: the requested rows out of the blocks they
         live in (each decoded once per payload); the accounting is per
-        touched block."""
+        touched block.  A single-row read — one per replica cache miss —
+        costs an index and a slice copy of one kept block; no decode runs
+        unless the block's payload changed since its last read."""
         pull = self._table(table_id).pull(row_ids)
         if OBS.enabled:
             reg = OBS.registry
@@ -408,6 +433,9 @@ class EmbeddingShardServer:
 
     def rows_per_block(self, table_id: int) -> int:
         return self._table(table_id).rows_per_block
+
+    def dim(self, table_id: int) -> int:
+        return self._table(table_id).dim
 
     # -------------------------------------------------------------- updates
 

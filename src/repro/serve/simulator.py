@@ -226,6 +226,9 @@ class ServingSimulator:
             + gpu.mlp_time(1, top_sizes)
             + gpu.lookup_time(1, config.embedding_dim, config.n_tables)
         )
+        # One decode-kernel price per (codec, raw_nbytes): a pull's raw size
+        # is block geometry, so a run sees a handful of distinct keys.
+        self._decode_seconds: dict[tuple[str, int], float] = {}
 
     # -------------------------------------------------------------- pricing
 
@@ -280,6 +283,11 @@ class ServingSimulator:
         not delivered, and :meth:`InferenceReplica.gather` answers its
         tables stale or as zeros, counted.  A healthy request is this loop
         with one attempt that succeeds.
+
+        Each delivered pull's decode kernel is priced on its
+        ``raw_nbytes``; ``gpu`` and ``profile`` are fixed at construction,
+        so each ``(codec, raw_nbytes)`` price is computed once per
+        simulator and reused (the same values, summed in the same order).
         """
         policy = self.retry_policy
         wire = 0.0
@@ -322,18 +330,27 @@ class ServingSimulator:
 
         result = self.replicas[replica_index].gather(request.sparse, deliver)
         decode = 0.0
+        blocks = compressed_nbytes = raw_nbytes = 0
+        prices = self._decode_seconds
         for pull in result.pulls:
-            decode += self.gpu.throughput_kernel_time(
-                pull.raw_nbytes, self.profile.for_codec(pull.codec).decompress
-            )
+            key = (pull.codec, pull.raw_nbytes)
+            price = prices.get(key)
+            if price is None:
+                price = prices[key] = self.gpu.throughput_kernel_time(
+                    pull.raw_nbytes, self.profile.for_codec(pull.codec).decompress
+                )
+            decode += price
+            blocks += pull.blocks_touched
+            compressed_nbytes += pull.compressed_nbytes
+            raw_nbytes += pull.raw_nbytes
         seconds = wire + decode + self._inference_seconds
         return seconds, GatherStats(
             hits=result.hits,
             misses=result.misses,
             fanout=result.fanout,
-            blocks=sum(p.blocks_touched for p in result.pulls),
-            compressed_nbytes=result.pulled_compressed_nbytes,
-            raw_nbytes=result.pulled_raw_nbytes,
+            blocks=blocks,
+            compressed_nbytes=compressed_nbytes,
+            raw_nbytes=raw_nbytes,
             stale_rows=result.stale_rows,
             degraded_rows=result.degraded_rows,
             retries=retries,
