@@ -34,6 +34,7 @@ __all__ = [
     "MAGIC",
     "ROW_DECODE_MAX_ROWS",
     "check_body_nbytes",
+    "check_element_count",
 ]
 
 MAGIC = 0xDC  # "DLRM Compression" frame marker
@@ -118,6 +119,18 @@ def check_body_nbytes(codec: str, body, shape: tuple[int, ...], itemsize: int) -
     expected = math.prod(shape) * itemsize
     if len(body) != expected:
         raise CorruptPayloadError(f"{codec}: body holds {len(body)} bytes, expected {expected}")
+
+
+def check_element_count(codec: str, count: int, shape: tuple[int, ...]) -> None:
+    """Raise :class:`CorruptPayloadError` unless ``count`` values — a
+    header's element count, checked before anything is allocated from it —
+    fill ``shape`` exactly; NumPy's own ``reshape`` error names neither the
+    codec nor the sizes."""
+    expected = math.prod(shape)
+    if count != expected:
+        raise CorruptPayloadError(
+            f"{codec}: {count} values cannot fill shape {shape} of {expected} values"
+        )
 
 
 #: the dtypes an encoder frames (:meth:`Compressor.compress` takes no other)

@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, check_element_count
 from repro.compression.huffman import (
     HuffmanEncoded,
     huffman_decode,
@@ -88,6 +88,7 @@ class CuszLikeCompressor(Compressor):
             chunk_symbol_counts=header["chunk_symbol_counts"],
             total_symbols=header["total_symbols"],
         )
+        check_element_count(self.name, encoded.total_symbols, shape)
         shifted = huffman_decode(encoded).reshape(shape)
         residuals = shifted + header["res_min"]
         codes = inverse_lorenzo_2d(residuals)

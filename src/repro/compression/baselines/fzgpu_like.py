@@ -17,8 +17,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, check_element_count
 from repro.compression.quantizer import quantize
+from repro.compression.serialization import CorruptPayloadError
 
 __all__ = [
     "zigzag_encode",
@@ -70,6 +71,11 @@ def unpack_bitplanes(
     )
     blocks = np.zeros((_PLANES, n_blocks, block_bytes), dtype=np.uint8)
     n_nonzero = int(plane_map.sum())
+    if payload.size < n_nonzero * block_bytes:
+        raise CorruptPayloadError(
+            f"fzgpu_like: {payload.size} plane bytes cannot hold the bitmap's "
+            f"{n_nonzero} blocks of {block_bytes} bytes"
+        )
     blocks[plane_map] = payload[: n_nonzero * block_bytes].reshape(n_nonzero, block_bytes)
     packed_len = (n_values + 7) // 8
     packed = blocks.reshape(_PLANES, n_blocks * block_bytes)[:, :packed_len]
@@ -182,6 +188,14 @@ class FzGpuLikeCompressor(Compressor):
         block_bytes = header["block_bytes"]
         n_blocks = header["n_blocks_per_plane"]
         bitmap_len = header["bitmap_len"]
+        # Every size the planes are allocated from follows from n.
+        check_element_count(self.name, n, shape)
+        packed_len = (n + 7) // 8
+        if not 0 <= n_blocks * block_bytes - packed_len < block_bytes:
+            raise CorruptPayloadError(
+                f"{self.name}: {n_blocks} blocks of {block_bytes} bytes per plane "
+                f"do not fit {packed_len} packed bytes"
+            )
         raw = np.frombuffer(body, dtype=np.uint8)
         unsigned = unpack_bitplanes(raw[:bitmap_len], raw[bitmap_len:], n, block_bytes, n_blocks)
         codes = zigzag_decode(unsigned).reshape(shape)

@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, check_element_count
 from repro.compression.bitstream import pack_fixed, unpack_fixed
 from repro.compression.serialization import CorruptPayloadError
 
@@ -128,6 +128,10 @@ class ZfpLikeCompressor(Compressor):
     ) -> np.ndarray:
         rate = header["rate"]
         n_blocks = header["n_blocks"]
+        pad = header["pad"]
+        if not 0 <= pad < _BLOCK:
+            raise CorruptPayloadError(f"{self.name}: pad {pad} is outside [0, {_BLOCK})")
+        check_element_count(self.name, n_blocks * _BLOCK - pad, shape)
         need = n_blocks * _BLOCK * rate
         if not need <= len(body) * 8 < need + 8:
             raise CorruptPayloadError(
@@ -148,6 +152,6 @@ class ZfpLikeCompressor(Compressor):
         blocks = inverse_block_transform(coeffs)
         scales = np.exp2(header["exponents"].astype(np.int64) - _FRACTION_BITS)
         values = (blocks * scales[:, None]).ravel()
-        if header["pad"]:
-            values = values[: -header["pad"]]
+        if pad:
+            values = values[:-pad]
         return values.reshape(shape).astype(dtype)

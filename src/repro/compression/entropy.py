@@ -12,12 +12,11 @@ own symbol frequencies, and the payload ships that book's code-length table.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, check_element_count
 from repro.compression.huffman import (
     DEFAULT_CHUNK_SYMBOLS,
     DEFAULT_MAX_CODE_LENGTH,
@@ -98,15 +97,14 @@ class EntropyCompressor(Compressor):
             total_symbols=header["total_symbols"],
         )
         code_min = header["code_min"]
-        if encoded.total_symbols != math.prod(shape):
-            raise CorruptPayloadError(
-                f"{self.name}: {encoded.total_symbols} symbols cannot fill shape {shape}"
-            )
+        check_element_count(self.name, encoded.total_symbols, shape)
         if rows is None:
             symbols = huffman_decode(encoded).reshape(shape)
         else:
             n, d = shape
             if not -(1 << 63) <= code_min < (1 << 63):
-                raise ValueError(f"corrupt Huffman stream: code_min {code_min} is not an int64")
+                raise CorruptPayloadError(
+                    f"corrupt Huffman stream: code_min {code_min} is not an int64"
+                )
             symbols = huffman_decode_rows(encoded, rows, d)
         return ((symbols + code_min).astype(np.float64) * (2.0 * header["eb"])).astype(dtype)

@@ -49,6 +49,9 @@ __all__ = [
 
 DEFAULT_MAX_CODE_LENGTH = 15
 DEFAULT_CHUNK_SYMBOLS = 4096
+#: the widest code a decoder peeks: a window at any in-byte offset must sit
+#: in the one 64-bit word ``word_table`` builds (57 + 7 bits)
+_MAX_PEEK_BITS = 57
 
 #: decode-side peek tables keyed by the payload's code-length table; a flat
 #: 2**max_length table is expensive to rebuild and identical across all
@@ -449,11 +452,17 @@ def _peek_tables_for(code_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     cached = _PEEK_TABLE_CACHE.get(key)
     if cached is not None:
         return cached
+    # The table has 2**max_len entries: check the width before allocating.
+    max_len = int(code_lengths.max())
+    if max_len > _MAX_PEEK_BITS:
+        raise CorruptPayloadError(
+            f"corrupt Huffman stream: a {max_len}-bit code is wider than the "
+            f"{_MAX_PEEK_BITS}-bit peek window"
+        )
     used = np.flatnonzero(code_lengths)
     dense_book = HuffmanCodebook(
         lengths=code_lengths[used], codes=canonical_codes(code_lengths[used])
     )
-    max_len = dense_book.max_length
     table_sym, table_len = dense_book.peek_table()
     # int32 symbols (a full alphabet ships one length byte per symbol, so a
     # payload under 2 GiB cannot name a wider one) and uint8 lengths (max 57
@@ -543,7 +552,7 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     stride = 1 << s
     hop = successor
     for _ in range(s):
-        hop = np.take(hop, hop)
+        hop = hop.take(hop)
     n_segments = (max_count + stride - 1) // stride
     # Segment-major layout keeps every per-pass write contiguous; the final
     # transpose+reshape restores (chunk, symbol-index) order in one copy.
@@ -553,10 +562,10 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     for segment in range(n_segments):
         skeleton[segment] = cursor
         if segment + 1 < n_segments:
-            cursor = np.take(hop, cursor)
+            cursor = hop.take(cursor)
     cursor = skeleton
     for t in range(1, stride):
-        cursor = np.take(successor, cursor)
+        cursor = successor.take(cursor)
         expanded[t] = cursor
     flat = expanded.transpose(2, 1, 0).reshape(n_chunks, n_segments * stride)
     if int(counts.min()) == max_count or (counts[:-1] == max_count).all():
@@ -566,6 +575,11 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     else:
         valid = np.arange(max_count)[None, :] < counts[:, None]
         seq = flat[:, :max_count][valid]
+    if seq.size != encoded.total_symbols:
+        raise CorruptPayloadError(
+            f"corrupt Huffman stream: chunks hold {seq.size} symbols, "
+            f"the header declares {encoded.total_symbols}"
+        )
     seq_clamped = np.minimum(seq, pos_dtype(total_bits - 1))
     peek_steps = np.take(steps, seq_clamped)
     unassigned = (peek_steps == 0) | (seq == total_bits)

@@ -60,7 +60,6 @@ class DLRM:
             )
             for i, cardinality in enumerate(config.table_cardinalities)
         ]
-        self._z_cache: np.ndarray | None = None
 
     # ---------------------------------------------------------------- stages
 
@@ -87,26 +86,11 @@ class DLRM:
         """Stage 3: interaction + top MLP -> logits ``(batch,)``.
 
         ``emb_rows`` holds one ``(batch, dim)`` array per table — locally
-        looked up or reconstructed from the all-to-all.
+        looked up or reconstructed from the all-to-all.  The interaction
+        keeps references to ``bottom_out`` and ``emb_rows`` until
+        :meth:`backward_interaction`; do not write into them in between.
         """
-        if len(emb_rows) != self.config.n_tables:
-            raise ValueError(
-                f"expected {self.config.n_tables} embedding inputs, got {len(emb_rows)}"
-            )
-        features = [np.asarray(bottom_out), *map(np.asarray, emb_rows)]
-        shapes = {f.shape for f in features}
-        if len(shapes) != 1 or features[0].ndim != 2:
-            raise ValueError(
-                f"interaction inputs must share one (batch, dim) shape, got {sorted(shapes)}"
-            )
-        # One float64 buffer; each (float32) feature is cast straight into
-        # its slot, so assignment must never be left to broadcast.
-        batch, dim = features[0].shape
-        z = np.empty((batch, len(features), dim))
-        for slot, feature in enumerate(features):
-            z[:, slot, :] = feature
-        self._z_cache = z
-        interacted = self.interaction.forward(z)
+        interacted = self.interaction.forward([bottom_out, *emb_rows])
         return self.top_mlp.forward(interacted).ravel()
 
     def backward_interaction(self, dlogits: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -115,11 +99,8 @@ class DLRM:
         Returns ``(d_bottom_out, d_emb_rows)`` — the latter are the lookup
         gradients that travel through the backward all-to-all.
         """
-        if self._z_cache is None:
-            raise RuntimeError("backward_interaction called before forward_interaction")
         d_interacted = self.top_mlp.backward(np.asarray(dlogits, dtype=np.float64).reshape(-1, 1))
         dz = self.interaction.backward(d_interacted)
-        self._z_cache = None
         d_bottom = dz[:, 0, :]
         d_emb = [dz[:, 1 + j, :] for j in range(self.config.n_tables)]
         return d_bottom, d_emb

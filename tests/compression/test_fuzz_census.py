@@ -39,10 +39,10 @@ ERROR_BOUND = 1e-2
 DECODE_SECONDS = 2
 ADDRESS_SPACE = 2 << 30
 
-#: bare ``ValueError``s in the census after the typed Huffman decode
-#: errors (all NumPy's own reshape / dimension messages); the count may only
-#: fall
-BARE_CEILING = 54
+#: bare ``ValueError``s in the census: none since element counts and the
+#: Huffman peek width are checked before ``reshape`` / allocation; the count
+#: may only fall
+BARE_CEILING = 0
 
 
 class _Hang(Exception):

@@ -468,3 +468,67 @@ class TestBodyLengthRaisesCorruptPayloadError:
             frame = frame_payload(name, (64, 8), np.dtype(np.float32), meta, stream)
         with pytest.raises(CorruptPayloadError, match=f"{name}: body holds {len(raw)} bytes, expected 2048"):
             decompress_any(frame)
+
+
+def _recount(name: str, body_cut: int = 0, **fields) -> bytes:
+    """``name``'s census frame with header ``fields`` replaced and the last
+    ``body_cut`` body bytes dropped."""
+    header, body = parse_payload(_census_payload(name))
+    meta = {k: v for k, v in header.items() if k not in ("codec", "dtype", "shape")}
+    meta.update(fields)
+    body = bytes(body)[: len(body) - body_cut]
+    return frame_payload(name, (64, 32), np.dtype(header["dtype"]), meta, body)
+
+
+class TestCountsAndWidthsRaiseCorruptPayloadError:
+    """A header count that disagrees with the frame shape (or with the
+    bytes present), and a Huffman code wider than the peek window, once
+    reached NumPy's ``reshape`` / ``zeros`` and raised its bare
+    ``ValueError``; each is now checked before anything is allocated from
+    it, naming the codec and both sizes."""
+
+    @pytest.mark.parametrize(
+        "name,change,match",
+        [
+            (
+                "entropy",
+                {"chunk_symbol_counts": np.array([2047])},
+                "chunks hold 2047 symbols, the header declares 2048",
+            ),
+            (
+                "cusz_like",
+                {"total_symbols": 2047},
+                r"^cusz_like: 2047 values cannot fill shape \(64, 32\) of 2048",
+            ),
+            ("fzgpu_like", {"n_values": 2049}, r"^fzgpu_like: 2049 values cannot fill shape"),
+            (
+                "fzgpu_like",
+                {"n_blocks_per_plane": 10**6},
+                r"^fzgpu_like: 1000000 blocks of .* do not fit 256 packed bytes",
+            ),
+            ("fzgpu_like", {"body_cut": 1}, r"^fzgpu_like: .* plane bytes cannot hold"),
+            ("zfp_like", {"n_blocks": 513}, r"^zfp_like: 2052 values cannot fill shape"),
+            ("zfp_like", {"pad": 4}, r"^zfp_like: pad 4 is outside \[0, 4\)"),
+        ],
+        ids=[
+            "entropy-chunk-counts",
+            "cusz-total-symbols",
+            "fzgpu-n-values",
+            "fzgpu-blocks-per-plane",
+            "fzgpu-plane-bytes",
+            "zfp-n-blocks",
+            "zfp-pad",
+        ],
+    )
+    def test_header_count(self, name, change, match):
+        with pytest.raises(CorruptPayloadError, match=match):
+            decompress_any(_recount(name, **change))
+
+    @pytest.mark.parametrize("name", ["entropy", "cusz_like"])
+    def test_code_wider_than_the_peek_window(self, name):
+        header, _ = parse_payload(_census_payload(name))
+        lengths = header["code_lengths"].copy()
+        lengths[np.argmax(lengths)] = 58
+        for selected in (None, np.array([0])):
+            with pytest.raises(CorruptPayloadError, match="58-bit code is wider than the 57-bit"):
+                decompress_any(_recount(name, code_lengths=lengths), rows=selected)

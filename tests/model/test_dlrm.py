@@ -9,6 +9,7 @@ from repro.data import SyntheticClickDataset, make_uniform_spec
 from repro.model import DLRM, DLRMConfig
 from repro.nn import bce_grad, bce_with_logits
 from tests.nn.gradcheck import numerical_gradient, relative_error
+from tests.nn.test_interaction_blocks import stack, stacked_backward, stacked_forward
 
 
 @pytest.fixture
@@ -89,15 +90,25 @@ class TestForward:
             model.forward_interaction(bottom, [np.zeros((6, 4))])
 
     def test_interaction_input_equals_stacked_features(self, tiny_config, tiny_batch):
-        """``z`` is filled slot by slot; ``np.stack`` of float64 casts is the oracle."""
-        dense, sparse, _ = tiny_batch
+        """The interaction reads each feature cast to float64: forward and
+        backward equal the unblocked oracle over ``np.stack`` of float64
+        casts, bit for bit."""
+        dense, sparse, labels = tiny_batch
         model = DLRM(tiny_config)
         bottom = np.asfortranarray(model.forward_dense(dense))  # non-contiguous rows
         rows = model.lookup_all(sparse)  # float32 wire format
-        model.forward_interaction(bottom, rows)
-        stacked = np.stack([np.asarray(f, dtype=np.float64) for f in [bottom, *rows]], axis=1)
-        assert model._z_cache.dtype == np.float64
-        np.testing.assert_array_equal(model._z_cache, stacked)
+        logits = model.forward_interaction(bottom, rows)
+        dlogits = bce_grad(logits, labels)
+        d_bottom, d_emb = model.backward_interaction(dlogits)
+
+        z = stack([bottom, *rows])
+        oracle = DLRM(tiny_config)
+        np.testing.assert_array_equal(logits, oracle.top_mlp.forward(stacked_forward(z)).ravel())
+        d_interacted = oracle.top_mlp.backward(np.asarray(dlogits, dtype=np.float64).reshape(-1, 1))
+        dz = stacked_backward(z, d_interacted)
+        np.testing.assert_array_equal(d_bottom, dz[:, 0, :])
+        for j, grad in enumerate(d_emb):
+            np.testing.assert_array_equal(grad, dz[:, 1 + j, :])
 
     @pytest.mark.parametrize("bad_shape", [(1, 4), (4,), (6, 3), (5, 4)])
     def test_forward_interaction_shape_validation(self, tiny_config, tiny_batch, bad_shape):

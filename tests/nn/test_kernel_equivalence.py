@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.nn import SGD, DotInteraction, EmbeddingTable
 from tests.nn.gradcheck import numerical_gradient, relative_error
+from tests.nn.test_interaction_blocks import slots
 
 RTOL = 1e-12
 
@@ -78,20 +79,20 @@ class TestDotInteraction:
         out_shape = (batch, inter.output_dim)
         dout = rng.normal(size=out_shape) if contiguous else strided(rng, out_shape)
 
-        assert_close(inter.forward(z), einsum_forward(z))
+        assert_close(inter.forward(slots(z)), einsum_forward(z))
         assert_close(inter.backward(dout), einsum_backward(z, dout))
 
     def test_single_feature_has_no_pairs(self):
         z = np.random.default_rng(0).normal(size=(3, 1, 4))
         inter = DotInteraction(1, 4)
-        np.testing.assert_array_equal(inter.forward(z), z[:, 0, :])
+        np.testing.assert_array_equal(inter.forward(slots(z)), z[:, 0, :])
         dout = np.random.default_rng(1).normal(size=(3, 4))
         np.testing.assert_array_equal(inter.backward(dout), dout[:, None, :])
 
     def test_backward_leaves_dout_untouched(self):
         rng = np.random.default_rng(2)
         inter = DotInteraction(4, 3)
-        inter.forward(rng.normal(size=(5, 4, 3)))
+        inter.forward(slots(rng.normal(size=(5, 4, 3))))
         dout = rng.normal(size=(5, inter.output_dim))
         before = dout.copy()
         inter.backward(dout)
@@ -104,7 +105,7 @@ class TestDotInteraction:
         runs = []
         for _ in range(2):
             inter = DotInteraction(27, 16)
-            runs.append((inter.forward(z.copy()), inter.backward(dout.copy())))
+            runs.append((inter.forward(slots(z.copy())), inter.backward(dout.copy())))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
@@ -115,10 +116,10 @@ class TestDotInteraction:
         target = rng.normal(size=(3, inter.output_dim))
 
         def loss_of_z(zv):
-            return 0.5 * float(((inter.forward(zv) - target) ** 2).sum())
+            return 0.5 * float(((inter.forward(slots(zv)) - target) ** 2).sum())
 
         numeric = numerical_gradient(loss_of_z, z.copy())
-        dz = inter.backward(inter.forward(z) - target)
+        dz = inter.backward(inter.forward(slots(z)) - target)
         assert relative_error(dz, numeric) < 1e-6
 
 

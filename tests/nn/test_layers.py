@@ -27,6 +27,7 @@ from repro.nn.init import (
     xavier_uniform,
 )
 from tests.nn.gradcheck import numerical_gradient, relative_error
+from tests.nn.test_interaction_blocks import slots
 
 
 class TestInit:
@@ -208,13 +209,13 @@ class TestDotInteraction:
         rng = np.random.default_rng(3)
         inter = DotInteraction(3, 4)
         z = rng.normal(size=(2, 3, 4))
-        out = inter.forward(z)
+        out = inter.forward(slots(z))
         np.testing.assert_allclose(out[:, :4], z[:, 0, :])
 
     def test_pairwise_dots_correct(self):
         inter = DotInteraction(3, 2)
         z = np.array([[[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]]])
-        out = inter.forward(z)
+        out = inter.forward(slots(z))
         # pairs (1,0), (2,0), (2,1): dots = 0, 2, 3
         np.testing.assert_allclose(out[0, 2:], [0.0, 2.0, 3.0])
 
@@ -225,19 +226,19 @@ class TestDotInteraction:
         target = rng.normal(size=(2, inter.output_dim))
 
         def loss_of_z(zv):
-            out = inter.forward(zv)
+            out = inter.forward(slots(zv))
             inter._cache = None
             return 0.5 * float(((out - target) ** 2).sum())
 
         numeric = numerical_gradient(loss_of_z, z.copy())
-        out = inter.forward(z)
+        out = inter.forward(slots(z))
         dz = inter.backward(out - target)
         assert relative_error(dz, numeric) < 1e-6
 
     def test_shape_validation(self):
         inter = DotInteraction(3, 2)
         with pytest.raises(ValueError):
-            inter.forward(np.zeros((2, 4, 2)))
+            inter.forward(slots(np.zeros((2, 4, 2))))
 
 
 class TestLoss:
