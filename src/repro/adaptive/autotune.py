@@ -49,13 +49,6 @@ class AutoTuneResult:
     tolerance: float
     trials: tuple[TrialResult, ...]
 
-    @property
-    def chosen_trial(self) -> TrialResult:
-        for trial in self.trials:
-            if trial.error_bound == self.chosen:
-                return trial
-        raise AssertionError("chosen bound missing from trials")  # pragma: no cover
-
 
 def autotune_global_error_bound(
     evaluate: TrialFn,

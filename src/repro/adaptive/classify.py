@@ -57,16 +57,6 @@ class ErrorBoundLevels:
                 f"got small={self.small}, medium={self.medium}, large={self.large}"
             )
 
-    @classmethod
-    def from_global(cls, global_eb: float, alpha: float = 5.0 / 3.0, beta: float = 3.0) -> "ErrorBoundLevels":
-        """Algorithm 1's parametrization: large = global*alpha, small = global/beta."""
-        check_positive("global_eb", global_eb)
-        check_positive("alpha", alpha)
-        check_positive("beta", beta)
-        if alpha < 1 or beta < 1:
-            raise ValueError("alpha and beta must be >= 1 so levels stay ordered")
-        return cls(large=global_eb * alpha, medium=global_eb, small=global_eb / beta)
-
     def for_category(self, category: TableCategory) -> float:
         if category not in CATEGORIES:
             raise ValueError(f"unknown category {category!r}, expected one of {CATEGORIES}")

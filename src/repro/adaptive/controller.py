@@ -37,10 +37,3 @@ class AdaptiveController:
 
     def table_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.plan.tables))
-
-    def describe(self, iteration: int) -> dict[int, tuple[str, float]]:
-        """Snapshot ``{table_id: (compressor, effective_bound)}`` at an iteration."""
-        return {
-            t: (self.compressor_name(t), self.error_bound(t, iteration))
-            for t in self.table_ids()
-        }

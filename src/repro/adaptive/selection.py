@@ -103,12 +103,6 @@ class SelectionResult:
     best: str
     candidates: tuple[CandidateResult, ...]
 
-    def speedup_of(self, codec: str) -> float:
-        for cand in self.candidates:
-            if cand.codec == codec:
-                return cand.speedup
-        raise KeyError(f"codec {codec!r} was not a candidate")
-
 
 def select_compressor(
     sample: np.ndarray,

@@ -23,7 +23,6 @@ from repro.compression.homomorphic import (
     QuantSumCompressor,
     agg_fold,
     agg_sum,
-    composed_bound,
     homomorphic_codecs,
 )
 from repro.compression.hybrid import HybridCompressor
@@ -33,9 +32,8 @@ from repro.compression.metrics import (
     compression_ratio,
     evaluate_codec,
     max_abs_error,
-    verify_error_bound,
 )
-from repro.compression.quantizer import QuantizedBatch, dequantize, quantize, quantize_batch
+from repro.compression.quantizer import QuantizedBatch, quantize, quantize_batch
 from repro.compression.registry import (
     available_compressors,
     decompress_any,
@@ -68,16 +66,13 @@ __all__ = [
     "CountSumCompressor",
     "agg_sum",
     "agg_fold",
-    "composed_bound",
     "homomorphic_codecs",
     "quantize",
-    "dequantize",
     "quantize_batch",
     "QuantizedBatch",
     "compression_ratio",
     "communication_speedup",
     "max_abs_error",
-    "verify_error_bound",
     "CodecEvaluation",
     "evaluate_codec",
     "get_compressor",

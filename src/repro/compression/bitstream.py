@@ -15,6 +15,8 @@ import threading
 
 import numpy as np
 
+from repro.compression.serialization import CorruptPayloadError
+
 __all__ = [
     "pack_codes",
     "unpack_fixed",
@@ -249,7 +251,7 @@ def unpack_fixed(packed: np.ndarray, count: int, width: int, bit_offset: int = 0
         return np.zeros(0, dtype=np.uint64)
     last_bit = bit_offset + count * width
     if last_bit > packed.size * 8:
-        raise ValueError(f"stream too short: need {last_bit} bits, have {packed.size * 8}")
+        raise CorruptPayloadError(f"stream too short: need {last_bit} bits, have {packed.size * 8}")
     if width == 8 and bit_offset % 8 == 0:
         # Byte-aligned bytes: the packed stream IS the values.
         first = bit_offset // 8
@@ -325,7 +327,7 @@ def unpack_fixed_segments(segments, counts: np.ndarray, width: int) -> np.ndarra
     short = np.flatnonzero(counts * width > sizes * 8)
     if short.size:
         s = int(short[0])
-        raise ValueError(
+        raise CorruptPayloadError(
             f"stream too short: need {int(counts[s]) * width} bits, have {int(sizes[s]) * 8}"
         )
     if total == 0:

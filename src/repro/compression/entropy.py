@@ -12,7 +12,7 @@ own symbol frequencies, and the payload ships that book's code-length table.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.compression.huffman import (
     DEFAULT_MAX_CODE_LENGTH,
     HuffmanEncoded,
     huffman_decode,
-    huffman_decode_rows,
     huffman_encode,
 )
 from repro.compression.quantizer import quantize_batch
@@ -46,7 +45,6 @@ class EntropyCompressor(Compressor):
     name = "entropy"
     lossy = True
     error_bounded = True
-    decodes_rows = True
 
     def __init__(
         self,
@@ -87,7 +85,6 @@ class EntropyCompressor(Compressor):
         body: memoryview,
         shape: tuple[int, ...],
         dtype: np.dtype,
-        rows: Sequence[int] | None = None,
     ) -> np.ndarray:
         encoded = HuffmanEncoded(
             payload=np.frombuffer(body, dtype=np.uint8),
@@ -98,13 +95,7 @@ class EntropyCompressor(Compressor):
         )
         code_min = header["code_min"]
         check_element_count(self.name, encoded.total_symbols, shape)
-        if rows is None:
-            symbols = huffman_decode(encoded).reshape(shape)
-        else:
-            n, d = shape
-            if not -(1 << 63) <= code_min < (1 << 63):
-                raise CorruptPayloadError(
-                    f"corrupt Huffman stream: code_min {code_min} is not an int64"
-                )
-            symbols = huffman_decode_rows(encoded, rows, d)
+        if not -(1 << 63) <= code_min < (1 << 63):
+            raise CorruptPayloadError(f"corrupt Huffman stream: code_min {code_min} is not an int64")
+        symbols = huffman_decode(encoded).reshape(shape)
         return ((symbols + code_min).astype(np.float64) * (2.0 * header["eb"])).astype(dtype)

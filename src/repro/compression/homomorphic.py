@@ -56,7 +56,6 @@ __all__ = [
     "CountSumCompressor",
     "agg_sum",
     "agg_fold",
-    "composed_bound",
     "homomorphic_codecs",
 ]
 
@@ -79,10 +78,8 @@ def _require(condition: bool, message: str) -> None:
 class HomomorphicCompressor(Compressor):
     """Base for codecs whose payloads support :func:`agg_sum`.
 
-    Subclasses implement ``_agg_meta_body`` (sum two parsed payloads) and
-    ``_header_bound`` (per-payload composed reconstruction bound); the base
-    provides payload-level aggregation with shape/dtype/codec checks and the
-    closed-form bound accessor.
+    Subclasses implement ``_agg_meta_body`` (sum two parsed payloads); the
+    base provides payload-level aggregation with shape/dtype/codec checks.
     """
 
     homomorphic = True
@@ -122,16 +119,6 @@ class HomomorphicCompressor(Compressor):
         meta["terms"] = terms
         return frame_payload(self.name, shape, np.dtype(header_a["dtype"]), meta, body)
 
-    def payload_bound(self, payload) -> float:
-        """Closed-form reconstruction bound of a (possibly aggregated)
-        payload: ``terms * per-leaf bound`` (0.0 for the lossless codec)."""
-        header, _ = parse_payload(payload)
-        _require(
-            header["codec"] == self.name,
-            f"payload codec {header['codec']!r} != {self.name!r}",
-        )
-        return self._header_bound(header)
-
     # ----------------------------------------------------------- subclass
 
     def _agg_meta_body(
@@ -142,9 +129,6 @@ class HomomorphicCompressor(Compressor):
         body_b: memoryview,
         shape: tuple[int, ...],
     ) -> tuple[dict[str, Any], Any]:
-        raise NotImplementedError
-
-    def _header_bound(self, header: dict[str, Any]) -> float:
         raise NotImplementedError
 
 
@@ -237,9 +221,6 @@ class QuantSumCompressor(HomomorphicCompressor):
         narrow = _narrowest_int(total)
         meta["cdtype"] = narrow.dtype.str
         return meta, narrow
-
-    def _header_bound(self, header: dict[str, Any]) -> float:
-        return int(header["terms"]) * float(header["scale"]) / 2.0
 
 
 #: fixed dyadic grid per input dtype: the subnormal ULP, so *every* finite
@@ -398,9 +379,6 @@ class CountSumCompressor(HomomorphicCompressor):
         meta.update(w0=w0, wlen=wend - w0)
         return meta, limbs
 
-    def _header_bound(self, header: dict[str, Any]) -> float:
-        return 0.0
-
 
 # ---------------------------------------------------------------- module API
 
@@ -432,8 +410,9 @@ def agg_sum(payload_a, payload_b) -> bytes:
 
     Both must come from the same homomorphic codec with identical shape,
     dtype, and scale/grid.  The result is again a payload of that codec;
-    its ``terms`` header counts the aggregated leaves and drives the
-    closed-form :func:`composed_bound`.
+    its ``terms`` header counts the aggregated leaves, so the composed
+    worst-case error is ``terms * scale / 2`` for ``quant_sum`` and exactly
+    ``0.0`` for ``count_sum``.
     """
     return _codec_of(payload_a).agg_payloads(payload_a, payload_b)
 
@@ -449,9 +428,3 @@ def agg_fold(payloads) -> bytes:
     for payload in payloads[1:]:
         total = agg_sum(total, payload)
     return bytes(total)
-
-
-def composed_bound(payload) -> float:
-    """Closed-form worst-case |decode(payload) - exact sum of its leaves|:
-    ``terms * eb`` for ``quant_sum``, exactly ``0.0`` for ``count_sum``."""
-    return _codec_of(payload).payload_bound(payload)

@@ -22,10 +22,7 @@ walks the per-chunk jump chain sequentially.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +39,6 @@ __all__ = [
     "HuffmanEncoded",
     "huffman_encode",
     "huffman_decode",
-    "huffman_decode_rows",
     "DEFAULT_MAX_CODE_LENGTH",
     "DEFAULT_CHUNK_SYMBOLS",
 ]
@@ -239,11 +235,6 @@ class HuffmanCodebook:
     def max_length(self) -> int:
         return int(self.lengths.max()) if self.lengths.size else 0
 
-    def expected_bits(self, freqs: np.ndarray) -> float:
-        """Average code length in bits under the given frequencies."""
-        freqs = np.asarray(freqs, dtype=np.float64)
-        return float((freqs * self.lengths).sum() / freqs.sum())
-
     def peek_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat decode table of size ``2**max_length``.
 
@@ -430,16 +421,6 @@ def _sliding_windows(padded: np.ndarray, start_bit: int, count: int, width: int)
     return windows[offset : offset + count]
 
 
-def _check_bits_cover_symbols(total_bits: int, total_symbols: int) -> None:
-    """With two or more coded symbols every code is at least one bit, so a
-    body of fewer bits than declared symbols cannot be what was encoded."""
-    if total_bits < total_symbols:
-        raise CorruptPayloadError(
-            f"corrupt Huffman stream: {total_bits} body bits cannot hold "
-            f"{total_symbols} symbols of at least one bit each"
-        )
-
-
 def _peek_tables_for(code_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """``(table_sym, table_len, max_len)`` for a length table, LRU-cached.
 
@@ -473,17 +454,6 @@ def _peek_tables_for(code_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return value
 
 
-def _chunk_outside(chunk: int, offset: int, total_bits: int) -> CorruptPayloadError:
-    return CorruptPayloadError(
-        f"corrupt Huffman stream: chunk offset outside payload "
-        f"(chunk {chunk} starts at bit {offset} of {total_bits})"
-    )
-
-
-def _unassigned_code(bit: int) -> CorruptPayloadError:
-    return CorruptPayloadError(f"corrupt Huffman stream: peek hit an unassigned code at bit {bit}")
-
-
 def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     """Decode a :class:`HuffmanEncoded` stream back to dense symbols.
 
@@ -508,7 +478,12 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
         # Mirror of the encoder's single-symbol fast path.
         return np.full(encoded.total_symbols, int(used[0]), dtype=np.int64)
     total_bits = encoded.payload.size * 8
-    _check_bits_cover_symbols(total_bits, encoded.total_symbols)
+    if total_bits < encoded.total_symbols:
+        # every code is at least one bit: the body cannot hold what is declared
+        raise CorruptPayloadError(
+            f"corrupt Huffman stream: {total_bits} body bits cannot hold "
+            f"{encoded.total_symbols} symbols of at least one bit each"
+        )
     table_sym, table_len, max_len = _peek_tables_for(lengths)
     padded = padded_stream(encoded.payload, 8)
     windows = _sliding_windows(padded, 0, total_bits, max_len)
@@ -526,7 +501,10 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     outside = np.flatnonzero((starts < 0) | (starts > total_bits))
     if outside.size:
         chunk = int(outside[0])
-        raise _chunk_outside(chunk, int(starts[chunk]), total_bits)
+        raise CorruptPayloadError(
+            f"corrupt Huffman stream: chunk offset outside payload "
+            f"(chunk {chunk} starts at bit {int(starts[chunk])} of {total_bits})"
+        )
     n_chunks = starts.size
     max_count = int(counts.max())
     if max_count > total_bits:
@@ -584,101 +562,9 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     peek_steps = np.take(steps, seq_clamped)
     unassigned = (peek_steps == 0) | (seq == total_bits)
     if unassigned.any():
-        raise _unassigned_code(int(seq[np.argmax(unassigned)]))
+        bit = int(seq[np.argmax(unassigned)])
+        raise CorruptPayloadError(f"corrupt Huffman stream: peek hit an unassigned code at bit {bit}")
     return np.take(table_sym, np.take(windows, seq_clamped)).astype(np.int64)
-
-
-def huffman_decode_rows(encoded: HuffmanEncoded, rows: Sequence[int], dim: int) -> np.ndarray:
-    """``huffman_decode(encoded).reshape(-1, dim)[rows]`` without decoding
-    the symbols of other rows.
-
-    A variable-length stream is only addressable at its chunk starts, so a
-    row costs the walk from the start of its chunk: the per-bit-offset
-    code-length table of that chunk is computed vectorised (as the full
-    decoder does for the whole payload), then **one** forward walk per
-    touched chunk hops code to code up to the last requested row in it,
-    peeking only the requested symbols.  A walk is as long as the symbols
-    before the row, never the stream.  A zero step (a Kraft gap, or the
-    zero padding past the chunk's bits) parks the walk where it stands, so
-    it shows as a zero step under the next requested symbol and is raised
-    as corruption there.
-
-    ``rows`` holds indices in ``[0, total_symbols // dim)``.
-    """
-    distinct = sorted(set(rows))
-    if len(distinct) * dim == 0:
-        return np.empty((len(rows), dim), dtype=np.int64)
-    lengths = encoded.code_lengths
-    used = np.flatnonzero(lengths)
-    if used.size == 0:
-        raise CorruptPayloadError("corrupt stream: no symbols have codes")
-    if used.size == 1:
-        # Mirror of the encoder's single-symbol fast path.
-        return np.full((len(rows), dim), int(used[0]), dtype=np.int64)
-    total_bits = encoded.payload.size * 8
-    _check_bits_cover_symbols(total_bits, encoded.total_symbols)
-    table_sym, table_len, max_len = _peek_tables_for(lengths)
-    starts = encoded.chunk_bit_offsets.tolist()
-    if not starts:
-        raise CorruptPayloadError("corrupt Huffman stream: symbols recorded but no chunks")
-    if max(starts) > total_bits:
-        chunk = starts.index(max(starts))
-        raise _chunk_outside(chunk, starts[chunk], total_bits)
-    counts = encoded.chunk_symbol_counts.tolist()
-    if min(counts, default=0) < 1:
-        raise CorruptPayloadError(
-            f"corrupt Huffman stream: a chunk without symbols (chunk {counts.index(min(counts))})"
-        )
-    # Symbols [chunk_ends[c - 1], chunk_ends[c]) live in chunk c.
-    chunk_ends = list(accumulate(counts))
-
-    # Per touched chunk, the runs of requested symbols as (first symbol within
-    # the chunk, count): a row is one run, cut where it crosses into the next
-    # chunk.  Rows ascend, so chunks and runs come out in stream order.
-    runs_of_chunk: dict[int, list[tuple[int, int]]] = {}
-    for row in distinct:
-        symbol, end = row * dim, (row + 1) * dim
-        while symbol < end:
-            chunk = bisect_right(chunk_ends, symbol)
-            if chunk >= min(len(chunk_ends), len(starts)):
-                raise CorruptPayloadError(
-                    f"corrupt Huffman stream: chunks hold fewer symbols than rows "
-                    f"(symbol {symbol} of row {row})"
-                )
-            count = min(end, chunk_ends[chunk]) - symbol
-            first = symbol - (chunk_ends[chunk - 1] if chunk else 0)
-            runs_of_chunk.setdefault(chunk, []).append((first, count))
-            symbol += count
-
-    decoded = []
-    for chunk, runs in runs_of_chunk.items():
-        start = starts[chunk]
-        n_bits = (starts[chunk + 1] if chunk + 1 < len(starts) else total_bits) - start
-        last_first, last_count = runs[-1]
-        if last_first + last_count > n_bits:
-            # every code is at least one bit: the bytes present bound the walk
-            raise _unassigned_code(start + n_bits)
-        first_byte = start >> 3
-        padded = padded_stream(encoded.payload[first_byte : (start + n_bits + 7) >> 3], 8)
-        windows = _sliding_windows(padded, start - first_byte * 8, n_bits, max_len)
-        # Zero steps past the chunk's last bit, so a walk that runs off it parks.
-        steps = np.take(table_len, windows).tobytes() + bytes(max_len)
-        position = walked = 0
-        peeked: list[int] = []
-        for first, count in runs:
-            for _ in range(first - walked):
-                position += steps[position]
-            for _ in range(count):
-                peeked.append(position)
-                position += steps[position]
-            walked = first + count
-        if not all(steps[p] for p in peeked):
-            raise _unassigned_code(start + next(p for p in peeked if not steps[p]))
-        decoded.append(np.take(table_sym, np.take(windows, peeked)))
-    # Stream order is row-major order of the distinct rows.
-    out = np.concatenate(decoded, dtype=np.int64).reshape(len(distinct), dim)
-    slot_of = {row: slot for slot, row in enumerate(distinct)}
-    return out[[slot_of[row] for row in rows]]
 
 
 def _reference_sliding_windows(

@@ -24,7 +24,6 @@ __all__ = [
     "compression_ratio",
     "communication_speedup",
     "max_abs_error",
-    "verify_error_bound",
     "CodecEvaluation",
     "evaluate_codec",
 ]
@@ -68,22 +67,6 @@ def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
     if original.size == 0:
         return 0.0
     return float(np.abs(original - reconstructed).max())
-
-
-def verify_error_bound(
-    original: np.ndarray, reconstructed: np.ndarray, error_bound: float, *, ulp_slack: float = 4.0
-) -> bool:
-    """Check the pointwise bound with a small float32-cast slack.
-
-    Reconstruction is computed in float64 then cast to the input dtype; the
-    cast can add up to half an ULP, so the check allows ``ulp_slack`` ULPs of
-    the largest magnitude involved.
-    """
-    check_positive("error_bound", error_bound)
-    slack = ulp_slack * np.finfo(np.float32).eps * max(
-        1.0, float(np.abs(original).max()) if np.asarray(original).size else 0.0
-    )
-    return max_abs_error(original, reconstructed) <= error_bound + slack
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "quantize",
-    "dequantize",
     "QuantizedBatch",
     "quantize_batch",
     "relative_to_absolute_bound",
@@ -80,15 +79,6 @@ def quantize(array: np.ndarray, error_bound: float) -> np.ndarray:
     return scaled.astype(np.int64)
 
 
-def dequantize(
-    codes: np.ndarray, error_bound: float, dtype: np.dtype | type = np.float32
-) -> np.ndarray:
-    """Reconstruct bin centres from :func:`quantize` output."""
-    check_positive("error_bound", error_bound)
-    centres = np.asarray(codes, dtype=np.float64) * (2.0 * error_bound)
-    return centres.astype(dtype)
-
-
 @dataclass(frozen=True)
 class QuantizedBatch:
     """A quantized 2-D batch plus everything needed to reconstruct it.
@@ -107,11 +97,6 @@ class QuantizedBatch:
     @property
     def alphabet_size(self) -> int:
         return int(self.codes.max()) + 1 if self.codes.size else 1
-
-    def reconstruct(self) -> np.ndarray:
-        """Invert the offset shift and dequantize back to the input dtype."""
-        raw = self.codes.astype(np.int64) + self.code_min
-        return dequantize(raw, self.error_bound, self.dtype).reshape(self.shape)
 
 
 def quantize_batch(

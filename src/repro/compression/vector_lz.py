@@ -50,7 +50,6 @@ __all__ = [
     "vector_lz_encode_stack",
     "vector_lz_decode",
     "vector_lz_decode_stack",
-    "vector_lz_decode_rows",
     "VectorLZCompressor",
 ]
 
@@ -346,83 +345,6 @@ def vector_lz_decode(encoded: VectorLZEncoded) -> np.ndarray:
     return vector_lz_decode_stack([encoded])[0]
 
 
-@lru_cache(maxsize=None)
-def _bit_weights(width: int) -> np.ndarray:
-    """``2**(width-1) .. 2**0``: a row of MSB-first bits times this is its value."""
-    weights = np.left_shift(1, np.arange(width - 1, -1, -1, dtype=np.int64))
-    weights.setflags(write=False)
-    return weights
-
-
-def vector_lz_decode_rows(encoded: VectorLZEncoded, rows: Sequence[int]) -> np.ndarray:
-    """``vector_lz_decode(encoded)[rows]`` without decoding the other rows.
-
-    Rows are whole-vector tokens and literals sit at one fixed bit width, so
-    a row is addressable on its own: the flag map says whether it is a
-    match, a popcount over the flags before it says *which* match or
-    literal, and a match is followed back — scalar bit arithmetic on the
-    flag and offset sections, one hop per link of the chain — to the literal
-    it copies, found at ``literal_index * dim * literal_width`` bits.  Cost
-    per requested row, against per stream for the vectorised decoder; every
-    back-reference must point at an earlier row, so a walk ends.
-
-    ``rows`` holds indices in ``[0, n_rows)``, and ``encoded`` is a stream
-    :func:`_parsed_stream` accepted (or an encoder wrote): its sections hold
-    the bits its header declares.
-    """
-    n, d = encoded.n_rows, encoded.dim
-    n_matches, offset_width, literal_width = (
-        encoded.n_matches, encoded.offset_width, encoded.literal_width
-    )
-    # The flag map as one integer, row 0 in its top bit; a short map reads as
-    # zero-padded (rows past ``n_flags`` are literals), a long one is cut.
-    n_flags = encoded.flags.size * 8
-    flags = int.from_bytes(encoded.flags, "big")
-    if n_flags > n:
-        flags >>= n_flags - n
-        n_flags = n
-    marked = flags.bit_count()
-    if marked != n_matches:
-        raise CorruptPayloadError(
-            f"corrupt vector-LZ stream: flag map marks {marked} matches, "
-            f"header declares {n_matches}"
-        )
-    offsets = memoryview(encoded.offsets)
-    offset_mask = (1 << offset_width) - 1
-
-    row_bits = d * literal_width
-    bits = np.empty((len(rows), row_bits), dtype=np.uint8)
-    # row -> rank of the literal it resolves to, for every row a walk of this
-    # call has passed: chains share their tails, so a call visits each row of
-    # the stream at most once however long the chains and however many rows.
-    literal_of: dict[int, int] = {}
-    for slot, row in enumerate(rows):
-        chain = [row]
-        while row not in literal_of and row < n_flags and (flags >> (n_flags - 1 - row)) & 1:
-            first_bit = (flags >> (n_flags - row)).bit_count() * offset_width
-            last_byte = (first_bit + offset_width + 7) >> 3
-            offset = int.from_bytes(offsets[first_bit >> 3 : last_byte], "big")
-            offset = (offset >> (last_byte * 8 - first_bit - offset_width)) & offset_mask
-            if offset == 0:
-                raise CorruptPayloadError("corrupt vector-LZ stream: unresolvable match chain")
-            if offset > row:
-                raise CorruptPayloadError("corrupt vector-LZ stream: back-reference before row 0")
-            row -= offset
-            chain.append(row)
-        # ``row`` is a literal (or already resolved): a literal's rank is its
-        # index less the matches before it.
-        rank = literal_of.get(row)
-        if rank is None:
-            rank = row - (flags >> max(n_flags - row, 0)).bit_count()
-        literal_of.update(dict.fromkeys(chain, rank))
-        first_bit = rank * row_bits
-        first_byte = first_bit >> 3
-        section = encoded.literals[first_byte : (first_bit + row_bits + 7) >> 3]
-        skip = first_bit - first_byte * 8
-        bits[slot] = np.unpackbits(section)[skip : skip + row_bits]
-    return bits.reshape(len(rows), d, literal_width) @ _bit_weights(literal_width)
-
-
 def _reference_vector_lz_decode(encoded: VectorLZEncoded) -> np.ndarray:
     """Original per-row decode loop (with the seed's original fixed-width
     bit reader), kept as the differential-test and benchmark oracle."""
@@ -457,8 +379,8 @@ def _parsed_stream(header: dict[str, Any], body: memoryview, n: int, d: int) -> 
     Every decode path reads a frame through here, so this is where a frame
     whose header the bytes cannot back is rejected, before anything
     unpacks: the match count must lie in ``[0, n]``, both widths in
-    ``[1, 57]``, and the offset and literal sections must hold the bits
-    the header declares for them."""
+    ``[1, 57]``, ``code_min`` an int64, and the offset and literal
+    sections must hold the bits the header declares for them."""
     flags_len, offsets_len = header["flags_len"], header["offsets_len"]
     if flags_len < 0 or offsets_len < 0 or flags_len + offsets_len > len(body):
         raise CorruptPayloadError(
@@ -469,6 +391,10 @@ def _parsed_stream(header: dict[str, Any], body: memoryview, n: int, d: int) -> 
         raise CorruptPayloadError(
             f"corrupt vector-LZ stream too short: {n} rows need {(n + 7) // 8} "
             f"flag bytes, header declares {flags_len}"
+        )
+    if not -(1 << 63) <= header["code_min"] < (1 << 63):
+        raise CorruptPayloadError(
+            f"corrupt vector-LZ stream: code_min {header['code_min']} is not an int64"
         )
     n_matches = header["n_matches"]
     if not 0 <= n_matches <= n:
@@ -517,7 +443,6 @@ class VectorLZCompressor(Compressor):
     name = "vector_lz"
     lossy = True
     error_bounded = True
-    decodes_rows = True
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         if window < 1:
@@ -599,18 +524,9 @@ class VectorLZCompressor(Compressor):
         body: memoryview,
         shape: tuple[int, ...],
         dtype: np.dtype,
-        rows: Sequence[int] | None = None,
     ) -> np.ndarray:
         n, d = shape
-        if rows is None:
-            return self._decode_bodies([header], [body], n, d, dtype)[0]
-        code_min = header["code_min"]
-        if not -(1 << 63) <= code_min < (1 << 63):
-            raise CorruptPayloadError(
-                f"corrupt vector-LZ stream: code_min {code_min} is not an int64"
-            )
-        codes = vector_lz_decode_rows(_parsed_stream(header, body, n, d), rows)
-        return ((codes + code_min).astype(np.float64) * (2.0 * header["eb"])).astype(dtype)
+        return self._decode_bodies([header], [body], n, d, dtype)[0]
 
     def _decode_bodies(
         self, headers: list[dict[str, Any]], bodies: list, n: int, d: int, dtype: np.dtype

@@ -172,14 +172,3 @@ class SyntheticClickDataset:
         prob = 1.0 / (1.0 + np.exp(-self._teacher_scale * logits / np.sqrt(1 + self.spec.n_dense)))
         labels = (rng.random(batch_size) < prob).astype(np.float32)
         return MiniBatch(dense=dense, sparse=sparse, labels=labels)
-
-    def batches(self, batch_size: int, n_batches: int):
-        """Yield ``n_batches`` consecutive deterministic mini-batches."""
-        for i in range(n_batches):
-            yield self.batch(batch_size, batch_index=i)
-
-    def table_query_counts(self, table_index: int, n_queries: int = 100000) -> np.ndarray:
-        """Empirical query histogram for one table (for Fig. 13-style plots)."""
-        rng = self._pool.fork("histogram", table_index)
-        ids = self._sample_ids(rng, table_index, n_queries)
-        return np.bincount(ids, minlength=self.spec.tables[table_index].cardinality)

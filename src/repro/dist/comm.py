@@ -802,37 +802,6 @@ class Communicator:
 
     # --------------------------------------------------------- all-reduce
 
-    def all_reduce(
-        self,
-        arrays: Sequence[np.ndarray],
-        category: str = EventCategory.ALLREDUCE,
-    ) -> list[np.ndarray]:
-        """Sum one array per rank; every rank receives the identical total.
-
-        The reduction runs in fixed rank order so the result is
-        deterministic (and equals the single-process sum bit for bit).
-        """
-        if len(arrays) != self.n_ranks:
-            raise ValueError(f"expected {self.n_ranks} arrays, got {len(arrays)}")
-        shapes = {a.shape for a in arrays}
-        if len(shapes) != 1:
-            raise ValueError(f"all-reduce arrays must share a shape, got {sorted(shapes)}")
-        dtypes = {a.dtype for a in arrays}
-        if len(dtypes) != 1:
-            raise ValueError(
-                f"all-reduce arrays must share a dtype, got {sorted(map(str, dtypes))}"
-            )
-        total = arrays[0].copy()
-        for contribution in arrays[1:]:
-            total += contribution
-        seconds = self.simulator.network.all_reduce_time(total.nbytes, self.n_ranks)
-        self.simulator.collective(seconds, category)
-        if OBS.enabled:
-            self._obs_stage(
-                "allreduce", seconds * self.n_ranks, int(total.nbytes) * self.n_ranks
-            )
-        return [total.copy() for _ in range(self.n_ranks)]
-
     def _all_reduce_seconds(self, nbytes: float, algorithm: str) -> float:
         """Wire time of one all-reduce under the named schedule."""
         network = self.simulator.network

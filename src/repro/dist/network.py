@@ -191,12 +191,6 @@ class Topology:
     def n_nodes(self) -> int:
         return int(self.node_ids.max()) + 1
 
-    def node_of(self, rank: int) -> int:
-        return int(self.node_ids[rank])
-
-    def is_intra(self, src: int, dst: int) -> bool:
-        return self.node_ids[src] == self.node_ids[dst]
-
     def _balanced_gpus_per_node(self) -> int:
         counts = np.bincount(self.node_ids, minlength=self.n_nodes)
         if (counts != counts[0]).any():
@@ -448,12 +442,6 @@ class NetworkModel:
         return cls(bandwidth=bandwidth, latency=latency, topology=topology)
 
     # ------------------------------------------------------ point to point
-
-    def point_to_point_time(self, nbytes: float) -> float:
-        """One message of ``nbytes`` between two ranks."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
-        return self.latency + nbytes / self.bandwidth
 
     # --------------------------------------------------------- collectives
 

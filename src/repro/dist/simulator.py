@@ -103,11 +103,6 @@ class ClusterSimulator:
         self._check_rank(rank)
         return max(clocks[rank] for clocks in self._streams.values())
 
-    def stream_now(self, rank: int, stream: str) -> float:
-        """Current clock of one named stream on one rank."""
-        self._check_rank(rank)
-        return self._stream_clocks(stream)[rank]
-
     def makespan(self) -> float:
         """Latest clock across the cluster — total simulated wall time."""
         return max(self.clocks)

@@ -37,7 +37,6 @@ chrome-trace ``"C"`` events and render as counter plots above the lanes.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
@@ -46,7 +45,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
 from operator import itemgetter
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -464,22 +462,10 @@ class Timeline:
         self.counters.append(sample)
         return sample
 
-    def counter_track(self, name: str) -> list[CounterSample]:
-        """Samples of one counter track, in time order."""
-        return sorted(
-            (s for s in self.counters if s.name == name), key=lambda s: s.time
-        )
-
-    def counter_names(self) -> list[str]:
-        return sorted({s.name for s in self.counters})
-
     # ------------------------------------------------------------- queries
 
     def events_for_rank(self, rank: int) -> list[TimelineEvent]:
         return [e for e in self.events if e.rank == rank]
-
-    def events_in_category(self, category: str) -> list[TimelineEvent]:
-        return [e for e in self.events if e.category == category]
 
     def ranks(self) -> list[int]:
         return sorted({e.rank for e in self.events})
@@ -518,9 +504,9 @@ class Timeline:
         own thread id inside a single process, so overlapped compute/comm
         events render side by side instead of stacked.  A single-stream
         ledger keeps the legacy ``tid == rank`` mapping.  ``"M"`` metadata
-        events name the process and each lane.  Load the returned object
-        (or the file written by :meth:`dump_chrome_trace`) directly in
-        ``chrome://tracing`` or https://ui.perfetto.dev.
+        events name the process and each lane.  Load the returned object,
+        written out as JSON, directly in ``chrome://tracing`` or
+        https://ui.perfetto.dev.
         """
         streams = self.streams()
         n_streams = max(1, len(streams))
@@ -641,13 +627,3 @@ class Timeline:
                 release_edges=entry.get("release_edges"),
             )
         return timeline
-
-    def dump_chrome_trace(self, path: str | Path, *, process_name: str = "cluster-sim") -> Path:
-        """Write :meth:`to_chrome_trace` JSON to ``path`` and return it.
-
-        Missing parent directories are created.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_chrome_trace(process_name=process_name)))
-        return path

@@ -27,7 +27,7 @@ can sweep many deterministic plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.utils.rng import spawn_rng
 
@@ -220,10 +220,6 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return any(getattr(self, f.name) for f in fields(self))
-
-    @property
-    def n_faults(self) -> int:
-        return sum(len(getattr(self, f.name)) for f in fields(self))
 
     # ------------------------------------------------------------- queries
 

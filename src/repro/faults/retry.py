@@ -79,10 +79,3 @@ class RetryPolicy:
         rng = spawn_rng(self.seed, "retry", *key, attempt)
         lo, hi = 1.0 - self.jitter_fraction, 1.0 + self.jitter_fraction
         return capped * float(rng.uniform(lo, hi))
-
-    def total_backoff_seconds(self, *key: object) -> float:
-        """Worst-case total backoff if every allowed retry is taken."""
-        return sum(
-            self.backoff_seconds(attempt, *key) for attempt in range(1, self.max_attempts)
-        )
-

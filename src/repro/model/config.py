@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.data.specs import DatasetSpec
 from repro.utils.validation import check_positive

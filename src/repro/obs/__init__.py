@@ -40,7 +40,7 @@ from repro.obs.registry import (
     exponential_buckets,
     linear_buckets,
 )
-from repro.obs.runtime import OBS, capture, disable, enable, enabled, get_registry
+from repro.obs.runtime import OBS, capture, disable, enable, enabled
 
 _LAZY_EXPORTS = {
     "unified_chrome_trace": "repro.obs.trace",
@@ -90,7 +90,6 @@ __all__ = [
     "enable",
     "disable",
     "enabled",
-    "get_registry",
     "capture",
     *sorted(_LAZY_EXPORTS),
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 __all__ = [
@@ -388,18 +388,6 @@ class RegistrySnapshot:
         if fam.kind != "counter":
             raise TypeError(f"{name} is a {fam.kind}, not a counter")
         return float(fam.as_dict().get(_label_key(labels), 0.0))  # type: ignore[arg-type]
-
-    def gauge_value(self, name: str, **labels: object) -> float:
-        fam = self.family(name)
-        if fam.kind != "gauge":
-            raise TypeError(f"{name} is a {fam.kind}, not a gauge")
-        return float(fam.as_dict()[_label_key(labels)])  # type: ignore[index]
-
-    def histogram_data(self, name: str, **labels: object) -> HistogramData:
-        fam = self.family(name)
-        if fam.kind != "histogram":
-            raise TypeError(f"{name} is a {fam.kind}, not a histogram")
-        return fam.as_dict()[_label_key(labels)]  # type: ignore[return-value,index]
 
     def iter_series(self) -> Iterator[tuple[str, str, LabelKey, object]]:
         """Yield ``(name, kind, label_key, value_or_data)`` rows."""

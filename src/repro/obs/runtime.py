@@ -24,7 +24,7 @@ from typing import Iterator
 
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["OBS", "enable", "disable", "enabled", "get_registry", "capture"]
+__all__ = ["OBS", "enable", "disable", "enabled", "capture"]
 
 
 class _ObsState:
@@ -61,11 +61,6 @@ def disable() -> None:
 
 def enabled() -> bool:
     return OBS.enabled
-
-
-def get_registry() -> MetricsRegistry | None:
-    """The active registry, or ``None`` when observability is off."""
-    return OBS.registry
 
 
 @contextmanager

@@ -49,7 +49,6 @@ from repro.compression.serialization import (
     frame_with_checksum,
     verify_checksum_frame,
 )
-from repro.dist.comm import payload_nbytes
 from repro.dist.network import NetworkModel
 from repro.dist.simulator import ClusterSimulator
 from repro.dist.timeline import OBS_STREAM, EventCategory

@@ -128,9 +128,6 @@ class InferenceReplica:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def cached_tables(self) -> set[int]:
-        return {table_id for table_id, _ in self._cache}
-
     def _cache_put(self, key: tuple[int, int], row: np.ndarray) -> None:
         if self.cache_rows == 0:
             return

@@ -298,11 +298,6 @@ class _CompressedTable:
             raw_nbytes=raw_rows * self.dim * 4,
         )
 
-    def decode_all(self) -> np.ndarray:
-        if not self.blocks:
-            return np.empty((0, self.dim), dtype=np.float32)
-        return np.concatenate([self._block_rows(b) for b in range(self.n_blocks)], axis=0)
-
 
 class EmbeddingShardServer:
     """One serving node's compressed embedding shards.
@@ -416,14 +411,6 @@ class EmbeddingShardServer:
                 "shard_pull_bytes_total", "bytes moved for pulls"
             ).inc(pull.raw_nbytes, kind="raw")
         return pull
-
-    def lookup_rows(self, table_id: int, row_ids: np.ndarray) -> np.ndarray:
-        """The rows alone (see :meth:`pull` for the cost accounting)."""
-        return self.pull(table_id, row_ids).rows
-
-    def table_array(self, table_id: int) -> np.ndarray:
-        """Full decode of one table (tests / delta application)."""
-        return self._table(table_id).decode_all()
 
     def error_bound(self, table_id: int) -> float:
         return self._table(table_id).error_bound

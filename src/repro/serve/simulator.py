@@ -96,12 +96,6 @@ class ServingReport:
         degraded rows)."""
         return self.n_requests - self.impaired_requests
 
-    @property
-    def mean_replica_utilization(self) -> float:
-        if self.makespan <= 0:
-            return 0.0
-        return float(np.mean(self.replica_busy_seconds)) / self.makespan
-
     def row(self) -> str:
         """One formatted report line (benchmark tables)."""
         return (

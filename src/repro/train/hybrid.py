@@ -100,12 +100,6 @@ class HybridTrainingReport:
         """Overall forward-exchange data reduction."""
         return self.forward_raw_bytes / max(1, self.forward_wire_bytes)
 
-    def breakdown_fractions(self) -> dict[str, float]:
-        total = sum(self.category_seconds.values())
-        if total == 0:
-            return {}
-        return {k: v / total for k, v in sorted(self.category_seconds.items())}
-
 
 class HybridParallelTrainer:
     """SPMD driver for hybrid-parallel DLRM over the simulator."""

@@ -75,13 +75,3 @@ class TrainingHistory:
         if not self.accuracies:
             raise ValueError("no evaluations recorded")
         return self.accuracies[-1]
-
-    def smoothed_losses(self, window: int = 10) -> np.ndarray:
-        """Trailing moving average of the loss trace."""
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        losses = np.asarray(self.losses, dtype=np.float64)
-        if losses.size == 0:
-            return losses
-        kernel = np.ones(min(window, losses.size)) / min(window, losses.size)
-        return np.convolve(losses, kernel, mode="valid")

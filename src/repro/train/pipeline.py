@@ -299,6 +299,3 @@ class CompressionPipeline:
         original = sum(s.original_nbytes for s in selected)
         compressed = sum(s.compressed_nbytes for s in selected)
         return original / max(1, compressed)
-
-    def clear_stats(self) -> None:
-        self.stats.clear()

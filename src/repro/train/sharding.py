@@ -20,18 +20,15 @@ class ShardingPlan:
         if self.n_ranks < 1:
             raise ValueError(f"n_ranks must be >= 1, got {self.n_ranks}")
         by_rank: list[list[int]] = [[] for _ in range(self.n_ranks)]
-        slots = []  # each table's position within its owner's tuple
         for table_id, owner in enumerate(self.owners):
             if not 0 <= owner < self.n_ranks:
                 raise ValueError(
                     f"table {table_id} assigned to rank {owner}, "
                     f"out of range [0, {self.n_ranks})"
                 )
-            slots.append(len(by_rank[owner]))
             by_rank[owner].append(table_id)
-        # Frozen dataclass: derived lookups go in through object.__setattr__.
+        # Frozen dataclass: the derived lookup goes in through object.__setattr__.
         object.__setattr__(self, "_tables_by_rank", tuple(map(tuple, by_rank)))
-        object.__setattr__(self, "_slots", tuple(slots))
 
     @property
     def n_tables(self) -> int:
@@ -42,17 +39,6 @@ class ShardingPlan:
 
     def tables_of(self, rank: int) -> tuple[int, ...]:
         return self._tables_by_rank[rank] if 0 <= rank < self.n_ranks else ()
-
-    def slot_of(self, table_id: int) -> int:
-        """Position of ``table_id`` within ``tables_of(owner_of(table_id))``."""
-        return self._slots[table_id]
-
-    @classmethod
-    def round_robin(cls, n_tables: int, n_ranks: int) -> "ShardingPlan":
-        """Table ``t`` goes to rank ``t % n_ranks``."""
-        if n_tables < 1:
-            raise ValueError(f"n_tables must be >= 1, got {n_tables}")
-        return cls(owners=tuple(t % n_ranks for t in range(n_tables)), n_ranks=n_ranks)
 
     @classmethod
     def size_balanced(cls, cardinalities: list[int] | np.ndarray, n_ranks: int) -> "ShardingPlan":

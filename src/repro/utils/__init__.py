@@ -2,9 +2,8 @@
 
 from repro.utils.rng import RngPool, spawn_rng
 from repro.utils.tables import format_table
-from repro.utils.units import GB, KB, MB, format_bytes, format_rate
+from repro.utils.units import GB, KB, MB
 from repro.utils.validation import (
-    check_dtype,
     check_in,
     check_positive,
     check_shape,
@@ -17,10 +16,7 @@ __all__ = [
     "KB",
     "MB",
     "GB",
-    "format_bytes",
-    "format_rate",
     "check_positive",
     "check_in",
-    "check_dtype",
     "check_shape",
 ]

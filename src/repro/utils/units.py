@@ -1,24 +1,9 @@
-"""Byte/bandwidth units and human-readable formatting."""
+"""Byte/bandwidth units."""
 
 from __future__ import annotations
 
-__all__ = ["KB", "MB", "GB", "format_bytes", "format_rate"]
+__all__ = ["KB", "MB", "GB"]
 
 KB = 1024
 MB = 1024**2
 GB = 1024**3
-
-
-def format_bytes(nbytes: float) -> str:
-    """Render a byte count with a binary-prefix unit, e.g. ``1.50 MiB``."""
-    value = float(nbytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or unit == "TiB":
-            return f"{value:.2f} {unit}"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def format_rate(bytes_per_second: float) -> str:
-    """Render a throughput, e.g. ``40.50 GiB/s``."""
-    return f"{format_bytes(bytes_per_second)}/s"

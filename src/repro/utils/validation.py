@@ -6,11 +6,11 @@ confusing downstream failures.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Collection
 
 import numpy as np
 
-__all__ = ["check_positive", "check_in", "check_dtype", "check_shape"]
+__all__ = ["check_positive", "check_in", "check_shape"]
 
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> None:
@@ -25,13 +25,6 @@ def check_in(name: str, value: object, allowed: Collection[object]) -> None:
     """Raise ``ValueError`` unless ``value`` is one of ``allowed``."""
     if value not in allowed:
         raise ValueError(f"{name} must be one of {sorted(map(str, allowed))}, got {value!r}")
-
-
-def check_dtype(name: str, array: np.ndarray, dtypes: Sequence[type | np.dtype]) -> None:
-    """Raise ``TypeError`` unless ``array.dtype`` is one of ``dtypes``."""
-    if array.dtype not in [np.dtype(d) for d in dtypes]:
-        allowed = ", ".join(str(np.dtype(d)) for d in dtypes)
-        raise TypeError(f"{name} must have dtype in ({allowed}), got {array.dtype}")
 
 
 def check_shape(name: str, array: np.ndarray, ndim: int) -> None:

@@ -33,16 +33,6 @@ class TestErrorBoundLevels:
         with pytest.raises(ValueError, match="ordered"):
             ErrorBoundLevels(large=0.01, medium=0.03, small=0.05)
 
-    def test_from_global(self):
-        levels = ErrorBoundLevels.from_global(0.03, alpha=5 / 3, beta=3.0)
-        assert levels.medium == 0.03
-        assert levels.large == pytest.approx(0.05)
-        assert levels.small == pytest.approx(0.01)
-
-    def test_from_global_rejects_shrinking_alpha(self):
-        with pytest.raises(ValueError):
-            ErrorBoundLevels.from_global(0.03, alpha=0.5)
-
     def test_for_category(self):
         levels = ErrorBoundLevels()
         assert levels.for_category("small") == 0.01

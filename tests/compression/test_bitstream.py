@@ -12,7 +12,9 @@ from repro.compression.bitstream import (
     pack_codes,
     pack_fixed,
     unpack_fixed,
+    unpack_fixed_segments,
 )
+from repro.compression.serialization import CorruptPayloadError
 
 
 class TestBitsToBytes:
@@ -98,6 +100,18 @@ class TestFixedWidth:
         packed, _ = pack_fixed(np.array([1, 2], dtype=np.uint64), 4)
         with pytest.raises(ValueError, match="too short"):
             unpack_fixed(packed, 5, 4)
+
+    def test_short_stream_raises_the_typed_error(self):
+        """A short stream is corrupt input, so the reader raises what every
+        other decode-side check raises."""
+        packed, _ = pack_fixed(np.array([1, 2], dtype=np.uint64), 4)
+        with pytest.raises(CorruptPayloadError, match="stream too short: need 20 bits, have 8"):
+            unpack_fixed(packed, 5, 4)
+
+    def test_short_segment_raises_the_typed_error(self):
+        segments = [np.zeros(4, np.uint8), np.zeros(2, np.uint8)]
+        with pytest.raises(CorruptPayloadError, match="stream too short: need 24 bits, have 16"):
+            unpack_fixed_segments(segments, [2, 3], 8)
 
     @given(
         st.integers(min_value=1, max_value=57),

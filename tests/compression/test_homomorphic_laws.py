@@ -33,12 +33,22 @@ from hypothesis import strategies as st
 from repro.compression import (
     agg_fold,
     agg_sum,
-    composed_bound,
     get_compressor,
     homomorphic_codecs,
 )
 from repro.compression.base import parse_payload
 from repro.dist import ClusterSimulator
+
+
+def composed_bound(payload) -> float:
+    """Closed-form worst-case |decode(payload) - exact sum of its leaves|:
+    half a bin per aggregated leaf for ``quant_sum``, exactly ``0.0`` for
+    ``count_sum``."""
+    header, _ = parse_payload(payload)
+    if header["codec"] == "count_sum":
+        return 0.0
+    return int(header["terms"]) * float(header["scale"]) / 2.0
+
 
 # Bounded so a fold of <= 8 leaves can never leave float32 range (inf is a
 # representable-but-degenerate sum); subnormals and huge exponents are in.

@@ -213,10 +213,3 @@ class TestEncodeDecode:
         symbols = np.minimum(raw, alphabet - 1).astype(np.int64)
         encoded = huffman_encode(symbols, alphabet, chunk_symbols=chunk)
         np.testing.assert_array_equal(huffman_decode(encoded), symbols)
-
-    def test_expected_bits_helper(self):
-        freqs = np.array([8, 4, 2, 2])
-        book = build_codebook(freqs)
-        assert book.expected_bits(freqs) == pytest.approx(
-            float((freqs * book.lengths).sum() / freqs.sum())
-        )

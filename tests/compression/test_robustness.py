@@ -21,42 +21,6 @@ from repro.compression.serialization import CorruptPayloadError
 from tests.conftest import make_hot_batch
 
 
-#: through ``decompress_any(..., rows=)``: one row (a row-kernel walk), a few
-#: unsorted ones, and every row (the full decode, indexed)
-ROW_SETS = (np.array([0]), np.array([127, 5, 64]), np.arange(128))
-
-
-def _check_row_decodes(original: bytes, mangled: bytes, shape: tuple[int, int]) -> None:
-    """The same mangled bytes through the row selector: rows of the declared
-    width or a ``ValueError`` (``CorruptPayloadError`` is one) — never a
-    hang, never a failure class the full decode does not have.
-
-    Bytes that reach a row kernel (header intact, vector-LZ or entropy frame)
-    get exactly that.  A mangled *header* fails in the tagged-dict parser
-    first, in that parser's own ways (``IndexError``, ``KeyError``, ...:
-    ROADMAP direction 2), and a codec without a row kernel decodes the whole
-    frame as before; there the demand is that the row decode fails the way
-    the full decode of the same bytes does.
-    """
-    header, body = parse_payload(original)
-    body_start = len(original) - len(body)
-    header_intact = mangled[:body_start] == original[:body_start]
-    strict = header_intact and get_compressor(header["codec"]).decodes_rows
-    try:
-        full = decompress_any(mangled)
-    except Exception as exc:
-        full = exc
-    for rows in ROW_SETS:
-        try:
-            picked = decompress_any(mangled, rows=rows)
-        except ValueError:
-            continue
-        except Exception as exc:
-            assert not strict and type(exc) is type(full), (header["codec"], rows, exc, full)
-            continue
-        assert picked.shape == (rows.size, shape[1]), header["codec"]
-
-
 #: single-bit flips of one 64x32 float32 block (54 normal(0, 0.1) rows, then
 #: the first 10 again; eb 1e-2) that once leaked an untyped error
 FLIPPED_BITS = [
@@ -96,7 +60,6 @@ class TestCorruptPayloads:
         for name, (codec, payload, batch) in payloads.items():
             cut = max(1, int(len(payload) * fraction))
             truncated = payload[:cut]
-            _check_row_decodes(payload, truncated, batch.shape)
             try:
                 result = codec.decompress(truncated)
             except Exception:
@@ -158,7 +121,6 @@ class TestCorruptPayloads:
         for offset in (0, len(body) // 2, len(body) - 1):
             mangled = bytearray(payload)
             mangled[body_start + offset] ^= 0x55
-            _check_row_decodes(payload, bytes(mangled), batch.shape)
             try:
                 result = codec.decompress(bytes(mangled))
             except Exception:
@@ -166,10 +128,10 @@ class TestCorruptPayloads:
             assert result.shape == batch.shape
 
     @pytest.mark.parametrize("name", ["vector_lz", "entropy"])
-    def test_body_corruption_reaches_the_row_kernels_typed(self, payloads, name):
-        """Seeded sweep of body bit flips and overwritten bytes over the two
-        codecs that decode row by row: the header parses, so every outcome
-        is the row kernel's own — declared-width rows or ``ValueError``."""
+    def test_body_corruption_decodes_or_raises_typed(self, payloads, name):
+        """Seeded sweep of body bit flips and overwritten bytes over the
+        paper's two codecs: the header parses, so every outcome is the
+        decoder's own — the declared shape or ``CorruptPayloadError``."""
         _, payload, batch = payloads[name]
         body_start = len(payload) - len(parse_payload(payload)[1])
         rng = np.random.default_rng(7)
@@ -179,7 +141,11 @@ class TestCorruptPayloads:
                 at = int(rng.integers(body_start, len(payload)))
                 flipped = mangled[at] ^ (1 << int(rng.integers(8)))
                 mangled[at] = int(rng.integers(256)) if trial % 2 else flipped
-            _check_row_decodes(payload, bytes(mangled), batch.shape)
+            try:
+                decoded = decompress_any(bytes(mangled))
+            except CorruptPayloadError:
+                continue
+            assert decoded.shape == batch.shape, trial
 
 
 class TestShortEntropyBody:
@@ -194,10 +160,8 @@ class TestShortEntropyBody:
         assert np.count_nonzero(header["code_lengths"]) >= 2
         meta = {k: v for k, v in header.items() if k not in ("codec", "dtype", "shape")}
         short = frame_payload("entropy", (64, 32), np.dtype(header["dtype"]), meta, body)
-        for selected in (None, np.array([0]), np.array([63, 1])):
-            with pytest.raises(CorruptPayloadError, match="body bits"):
-                decompress_any(short, rows=selected)
-
+        with pytest.raises(CorruptPayloadError, match="body bits"):
+            decompress_any(short)
 
     def test_a_chunk_of_more_symbols_than_body_bits(self):
         """A flipped bit in ``chunk_symbol_counts`` (2048 -> 134 219 776)
@@ -221,9 +185,8 @@ class TestFlippedBitsRaiseCorruptPayloadError:
         rows = rng.normal(0.0, 0.1, size=(54, 32)).astype(np.float32)
         payload = bytearray(get_compressor(name).compress(np.concatenate([rows, rows[:10]]), 1e-2))
         payload[bit // 8] ^= 1 << (bit % 8)
-        for selected in (None, np.array([0])):
-            with pytest.raises(CorruptPayloadError):
-                decompress_any(bytes(payload), rows=selected)
+        with pytest.raises(CorruptPayloadError):
+            decompress_any(bytes(payload))
 
 
 def _vector_lz_frame(flags: bytes = b"\x20", offsets: bytes = b"\x01", **meta) -> bytes:
@@ -244,7 +207,7 @@ def _vector_lz_frame(flags: bytes = b"\x20", offsets: bytes = b"\x01", **meta) -
     return frame_payload("vector_lz", (4, 2), np.dtype(np.float32), fields, [flags, offsets, literals])
 
 
-#: corruptions of the well-formed frame, each caught by both decoders
+#: corruptions of the well-formed frame
 CRAFTED_VECTOR_LZ = {
     "flag_count_is_not_n_matches": {"n_matches": 2},
     "back_reference_before_row_0": {"flags": b"\x80"},
@@ -257,24 +220,23 @@ class TestCraftedVectorLZFrames:
     def test_the_well_formed_frame_decodes(self):
         decoded = decompress_any(_vector_lz_frame())
         np.testing.assert_array_equal(decoded[2], decoded[1])
-        picked = decompress_any(_vector_lz_frame(), rows=np.array([2, 0]))
-        np.testing.assert_array_equal(picked, decoded[[2, 0]])
 
-    @pytest.mark.parametrize("rows", [None, np.array([2, 0])], ids=["full", "rows"])
     @pytest.mark.parametrize("case", sorted(CRAFTED_VECTOR_LZ))
-    def test_corrupt_stream_raises_the_typed_error(self, case, rows):
+    def test_corrupt_stream_raises_the_typed_error(self, case):
         frame = _vector_lz_frame(**CRAFTED_VECTOR_LZ[case])
         with pytest.raises(CorruptPayloadError, match="corrupt vector-LZ stream"):
-            decompress_any(frame, rows=rows)
+            decompress_any(frame)
 
-    def test_code_min_outside_int64_rejected_by_the_row_decode(self):
-        with pytest.raises(CorruptPayloadError, match="code_min"):
-            decompress_any(_vector_lz_frame(code_min=1 << 63), rows=np.array([0]))
+    def test_code_min_outside_int64_rejected(self):
+        """A ``code_min`` past int64 once leaked NumPy's ``OverflowError``
+        from the dequantize."""
+        with pytest.raises(CorruptPayloadError, match="code_min .* is not an int64"):
+            decompress_any(_vector_lz_frame(code_min=1 << 63))
 
 
 class TestTruncatedVectorLZ:
     """Cutting bytes off a vector-LZ payload once leaked ``bitstream``'s bare
-    ``ValueError("stream too short: ...")`` on all three decode paths; the
+    ``ValueError("stream too short: ...")`` on every decode path; the
     frame reader now names the codec, the section and the bytes."""
 
     @pytest.fixture(scope="class")
@@ -283,7 +245,7 @@ class TestTruncatedVectorLZ:
         rows = rng.normal(0.0, 0.1, size=(54, 32)).astype(np.float32)
         return get_compressor("vector_lz").compress(np.concatenate([rows, rows[:10]]), 1e-2)
 
-    @pytest.mark.parametrize("path", ["full", "rows", "stack"])
+    @pytest.mark.parametrize("path", ["full", "stack"])
     @pytest.mark.parametrize("cut", [1, 8, 40])
     def test_cut_raises_the_typed_error(self, payload, cut, path):
         short = payload[:-cut]
@@ -293,8 +255,6 @@ class TestTruncatedVectorLZ:
         with pytest.raises(CorruptPayloadError, match=message):
             if path == "full":
                 decompress_any(short)
-            elif path == "rows":
-                decompress_any(short, rows=np.array([63, 0]))
             else:
                 get_compressor("vector_lz").decompress_stack([payload, short])
 
@@ -403,9 +363,8 @@ class TestUnregisteredCodecRaisesCorruptPayloadError:
         renamed[at] ^= 0x02
         bogus = parse_payload(bytes(renamed))[0]["codec"]
         assert bogus not in available_compressors()
-        for selected in (None, np.array([0])):
-            with pytest.raises(CorruptPayloadError, match=re.escape(repr(bogus))):
-                decompress_any(bytes(renamed), rows=selected)
+        with pytest.raises(CorruptPayloadError, match=re.escape(repr(bogus))):
+            decompress_any(bytes(renamed))
 
 
 def _census_payload(name: str) -> bytes:
@@ -432,12 +391,11 @@ class TestFrameDtypeRaisesCorruptPayloadError:
             for bit in range(8):
                 flipped = bytearray(payload)
                 flipped[byte] ^= 1 << bit
-                for selected, shape in ((None, (64, 32)), (np.array([0]), (1, 32))):
-                    try:
-                        decoded = decompress_any(bytes(flipped), rows=selected)
-                    except CorruptPayloadError:
-                        continue
-                    assert decoded.shape == shape, (byte, bit)
+                try:
+                    decoded = decompress_any(bytes(flipped))
+                except CorruptPayloadError:
+                    continue
+                assert decoded.shape == (64, 32), (byte, bit)
 
 
 class TestBodyLengthRaisesCorruptPayloadError:
@@ -529,6 +487,95 @@ class TestCountsAndWidthsRaiseCorruptPayloadError:
         header, _ = parse_payload(_census_payload(name))
         lengths = header["code_lengths"].copy()
         lengths[np.argmax(lengths)] = 58
-        for selected in (None, np.array([0])):
-            with pytest.raises(CorruptPayloadError, match="58-bit code is wider than the 57-bit"):
-                decompress_any(_recount(name, code_lengths=lengths), rows=selected)
+        with pytest.raises(CorruptPayloadError, match="58-bit code is wider than the 57-bit"):
+            decompress_any(_recount(name, code_lengths=lengths))
+
+
+def _reframe(payload: bytes, **overrides) -> bytes:
+    """Rebuild a frame with header fields, the shape and/or the body replaced."""
+    header, body = parse_payload(payload)
+    body = overrides.pop("body", bytes(body))
+    shape = overrides.pop("shape", tuple(header["shape"]))
+    meta = {k: v for k, v in header.items() if k not in ("codec", "dtype", "shape")}
+    meta.update(overrides)
+    return frame_payload(header["codec"], shape, np.dtype(header["dtype"]), meta, body)
+
+
+class TestHostileVectorLZSections:
+    """A vector-LZ header the body cannot back is rejected before anything
+    unpacks, so a lying header allocates nothing."""
+
+    @pytest.fixture()
+    def payload(self):
+        rng = np.random.default_rng(11)
+        table = rng.normal(0.0, 0.1, size=(4, 6))[rng.integers(0, 4, size=24)].astype(np.float32)
+        return get_compressor("vector_lz").compress(table, 0.01)
+
+    def test_short_sections_are_too_short(self, payload):
+        header, _ = parse_payload(payload)
+        for hostile in (
+            _reframe(payload, offsets_len=header["offsets_len"] - 1),
+            _reframe(payload, offset_width=40),
+        ):
+            with pytest.raises(CorruptPayloadError, match="stream too short"):
+                decompress_any(hostile)
+        with pytest.raises(CorruptPayloadError, match=r"literal width 58 is not in \[1, 57\]"):
+            decompress_any(_reframe(payload, literal_width=58))
+
+    def test_section_lengths_are_checked_against_the_body(self, payload):
+        _, body = parse_payload(payload)
+        for overrides in ({"flags_len": len(body) + 1}, {"offsets_len": len(body)}, {"flags_len": -1}):
+            with pytest.raises(CorruptPayloadError, match="flag and offset bytes"):
+                decompress_any(_reframe(payload, **overrides))
+
+    def test_a_declared_shape_the_bytes_cannot_hold_allocates_nothing(self, payload):
+        with pytest.raises(CorruptPayloadError, match="stream too short"):
+            decompress_any(_reframe(payload, shape=(1 << 40, 6)))
+
+
+class TestHostileHuffman:
+    @pytest.fixture()
+    def payload(self):
+        table = np.random.default_rng(5).normal(0.0, 0.05, size=(24, 6)).astype(np.float32)
+        return get_compressor("entropy", chunk_symbols=50).compress(table, 0.01)
+
+    def test_a_kraft_gap_is_an_unassigned_code(self):
+        """Lengths (1, 2) leave the prefix ``11`` without a code: the first
+        peek of an all-ones body steps by zero."""
+        meta = {
+            "eb": 1e-2,
+            "code_min": 0,
+            "code_lengths": np.array([1, 2], dtype=np.uint8),
+            "chunk_bit_offsets": np.zeros(1, dtype=np.uint64),
+            "chunk_symbol_counts": np.array([8], dtype=np.int64),
+            "total_symbols": 8,
+        }
+        gap = frame_payload("entropy", (4, 2), np.dtype(np.float32), meta, b"\xff" * 4)
+        with pytest.raises(CorruptPayloadError, match="peek hit an unassigned code at bit 0"):
+            decompress_any(gap)
+
+    def test_a_chain_that_runs_off_the_bits_is_an_unassigned_code(self, payload):
+        header, body = parse_payload(payload)
+        half = _reframe(  # one chunk claiming every symbol, over half the bits
+            payload,
+            body=bytes(body[: len(body) // 2]),
+            chunk_bit_offsets=header["chunk_bit_offsets"][:1],
+            chunk_symbol_counts=np.array([24 * 6]),
+        )
+        with pytest.raises(CorruptPayloadError, match="peek hit an unassigned code"):
+            decompress_any(half)
+
+    def test_chunk_table_is_checked_against_the_body(self, payload):
+        header, body = parse_payload(payload)
+        offsets = header["chunk_bit_offsets"].copy()
+        offsets[1] = len(body) * 8 + 1
+        with pytest.raises(CorruptPayloadError, match="chunk offset outside payload"):
+            decompress_any(_reframe(payload, chunk_bit_offsets=offsets))
+        with pytest.raises(CorruptPayloadError, match="no chunks"):
+            decompress_any(_reframe(payload, chunk_bit_offsets=np.zeros(0, np.uint64)))
+
+    def test_a_lying_header_allocates_nothing(self, payload):
+        with pytest.raises(CorruptPayloadError, match="cannot fill shape"):
+            decompress_any(_reframe(payload, shape=(1 << 40, 6)))
+        with pytest.raises(CorruptPayloadError, match="code_min .* is not an int64"):
+            decompress_any(_reframe(payload, code_min=-(1 << 64)))

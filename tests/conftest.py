@@ -1,4 +1,5 @@
-"""Shared fixtures: representative embedding-batch generators.
+"""Shared fixtures: representative embedding-batch generators, and the
+read-outs several suites take of simulator, sharding and shard state.
 
 The fixtures model the data regimes the paper analyses: batches with hot
 repeated vectors (vector homogenization / LZ-friendly), Gaussian
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from repro.train.sharding import ShardingPlan
 
 
 def make_hot_batch(
@@ -64,3 +67,39 @@ def gaussian_batch(rng: np.random.Generator) -> np.ndarray:
 def uniform_batch(rng: np.random.Generator) -> np.ndarray:
     return make_uniform_batch(rng)
 
+
+
+def events_in(timeline, category: str) -> list:
+    """The ledger's events of one category, in record order."""
+    return [e for e in timeline.events if e.category == category]
+
+
+def round_robin_plan(n_tables: int, n_ranks: int) -> ShardingPlan:
+    """Table ``t`` goes to rank ``t % n_ranks``."""
+    return ShardingPlan(owners=tuple(t % n_ranks for t in range(n_tables)), n_ranks=n_ranks)
+
+
+def counter_track(timeline, name: str) -> list:
+    """Samples of one counter track, in time order."""
+    return sorted((s for s in timeline.counters if s.name == name), key=lambda s: s.time)
+
+
+def series_value(snapshot, name: str, **labels: object):
+    """One labelled series of a metric family: a gauge's value or a
+    histogram's data (``KeyError`` when the family or series is absent)."""
+    key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+    return snapshot.family(name).as_dict()[key]
+
+
+def decoded_table(server, table_id: int) -> np.ndarray:
+    """Full decode of one table as a shard server stores it now, read
+    through the kept decoded blocks as a pull is."""
+    table = server._table(table_id)
+    if not table.blocks:
+        return np.empty((0, table.dim), dtype=np.float32)
+    return np.concatenate([table._block_rows(b) for b in range(table.n_blocks)], axis=0)
+
+
+def cached_tables(replica) -> set[int]:
+    """The tables a replica's hot-row cache holds rows of."""
+    return {table_id for table_id, _ in replica._cache}

@@ -31,6 +31,7 @@ from repro.dist import (
     NetworkModel,
     Topology,
 )
+from tests.conftest import events_in
 
 METADATA_BYTES = 16
 
@@ -152,11 +153,11 @@ class TestChunkEvents:
         # Single rank: no wire time, but chunk events must still trail
         # their compress chunks.
         compress = sorted(
-            sim.timeline.events_in_category(EventCategory.COMPRESS),
+            events_in(sim.timeline, EventCategory.COMPRESS),
             key=lambda e: e.start,
         )
         wire = sorted(
-            sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD),
+            events_in(sim.timeline, EventCategory.ALLTOALL_FWD),
             key=lambda e: e.start,
         )
         for comp, w in zip(compress, wire):
@@ -216,7 +217,7 @@ class TestChunkEvents:
         )
         durations = {
             e.duration
-            for e in sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+            for e in events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
         }
         assert len(durations) == 1  # every chunk identical
 
@@ -228,7 +229,7 @@ class TestChunkEvents:
             np.full((2, 2), 1000),
             3,
         )
-        wire = sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+        wire = events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
         assert len(wire) == 6  # 3 chunks x 2 ranks
 
 

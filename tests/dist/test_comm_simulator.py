@@ -23,6 +23,7 @@ from repro.dist import (
     payload_nbytes,
 )
 from repro.faults import FaultInjector, FaultPlan, LinkFault
+from tests.conftest import events_in
 
 
 @pytest.fixture
@@ -75,7 +76,7 @@ class TestAllToAll:
     def test_charges_wire_time_to_all_ranks(self, sim):
         rng = np.random.default_rng(7)
         sim.comm.all_to_all(rank_buffers(4, rng))
-        events = sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+        events = events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
         assert {e.rank for e in events} == {0, 1, 2, 3}
         assert len({(e.start, e.end) for e in events}) == 1  # identical spans
         assert sim.makespan() > 0.0
@@ -100,16 +101,16 @@ class TestCompressedAllToAll:
         sent = [[b"x" * (src + dst + 1) for dst in range(4)] for src in range(4)]
         received = sim.comm.compressed_all_to_all(sent, entries_per_pair=26)
         assert received[3][1] == b"x" * 5
-        meta = sim.timeline.events_in_category(EventCategory.METADATA)
-        payload = sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+        meta = events_in(sim.timeline, EventCategory.METADATA)
+        payload = events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
         assert len(meta) == 4 and len(payload) == 4
         assert max(e.end for e in meta) <= min(e.start for e in payload)
 
     def test_backward_exchange_can_be_labelled(self, sim):
         sent = [[b"g" * 8 for _ in range(4)] for _ in range(4)]
         sim.comm.compressed_all_to_all(sent, category=EventCategory.ALLTOALL_BWD)
-        assert len(sim.timeline.events_in_category(EventCategory.ALLTOALL_BWD)) == 4
-        assert not sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+        assert len(events_in(sim.timeline, EventCategory.ALLTOALL_BWD)) == 4
+        assert not events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
 
     def test_metadata_cost_is_fixed_size(self):
         """Stage ② pricing ignores payload sizes — only entry count."""
@@ -119,7 +120,7 @@ class TestCompressedAllToAll:
             sim = ClusterSimulator(4, network=net)
             sent = [[b"x" * scale for _ in range(4)] for _ in range(4)]
             sim.comm.compressed_all_to_all(sent, metadata_bytes_per_entry=16)
-            meta = sim.timeline.events_in_category(EventCategory.METADATA)
+            meta = events_in(sim.timeline, EventCategory.METADATA)
             results.append(meta[0].duration)
         assert results[0] == pytest.approx(results[1])
 
@@ -129,45 +130,6 @@ class TestCompressedAllToAll:
             sim.comm.compressed_all_to_all(good, metadata_bytes_per_entry=0)
         with pytest.raises(ValueError):
             sim.comm.compressed_all_to_all(good, entries_per_pair=0)
-
-
-class TestAllReduce:
-    def test_exact_deterministic_sum(self, sim):
-        rng = np.random.default_rng(3)
-        arrays = [rng.normal(size=(8, 8)).astype(np.float32) for _ in range(4)]
-        expected = arrays[0].copy()
-        for a in arrays[1:]:
-            expected += a
-        results = sim.comm.all_reduce(arrays)
-        assert len(results) == 4
-        for out in results:
-            np.testing.assert_array_equal(out, expected)  # bit-identical
-        # Results are copies, not views of one shared buffer.
-        results[0][0, 0] += 1.0
-        np.testing.assert_array_equal(results[1], expected)
-
-    def test_charges_allreduce_time(self, sim):
-        arrays = [np.ones(1024, dtype=np.float32) for _ in range(4)]
-        sim.comm.all_reduce(arrays)
-        events = sim.timeline.events_in_category(EventCategory.ALLREDUCE)
-        assert {e.rank for e in events} == {0, 1, 2, 3}
-
-    def test_shape_mismatch_rejected(self, sim):
-        arrays = [np.ones(4), np.ones(4), np.ones(5), np.ones(4)]
-        with pytest.raises(ValueError, match="shape"):
-            sim.comm.all_reduce(arrays)
-
-    def test_wrong_count_rejected(self, sim):
-        with pytest.raises(ValueError):
-            sim.comm.all_reduce([np.ones(4)] * 3)
-
-    def test_dtype_mismatch_rejected(self, sim):
-        """Mixed dtypes would silently accumulate in arrays[0]'s dtype (or
-        crash in numpy), breaking the bit-for-bit guarantee — reject early."""
-        arrays = [np.ones(4, dtype=np.float32) for _ in range(3)]
-        arrays.append(np.ones(4, dtype=np.float64))
-        with pytest.raises(ValueError, match="dtype"):
-            sim.comm.all_reduce(arrays)
 
 
 class TestClusterSimulator:
@@ -183,7 +145,7 @@ class TestClusterSimulator:
         end = sim.collective(0.5, EventCategory.ALLTOALL_FWD)
         assert end == pytest.approx(1.5)
         assert sim.clocks == (1.5, 1.5, 1.5, 1.5)
-        events = sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+        events = events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
         assert all(e.start == pytest.approx(1.0) for e in events)
 
     def test_barrier_syncs_without_event(self, sim):
@@ -258,19 +220,19 @@ class TestStreams:
     def test_streams_advance_independently(self, sim):
         sim.stream_compute(0, 1.0, EventCategory.COMPRESS, COMPUTE_STREAM)
         sim.stream_compute(0, 0.25, EventCategory.ALLTOALL_FWD, COMM_STREAM)
-        assert sim.stream_now(0, COMPUTE_STREAM) == pytest.approx(1.0)
-        assert sim.stream_now(0, COMM_STREAM) == pytest.approx(0.25)
+        assert sim._streams[COMPUTE_STREAM][0] == pytest.approx(1.0)
+        assert sim._streams[COMM_STREAM][0] == pytest.approx(0.25)
         # Rank clock is the max over its streams.
         assert sim.now(0) == pytest.approx(1.0)
         # The comm event started at 0 — concurrent with the compute event.
-        comm_event = sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)[0]
+        comm_event = events_in(sim.timeline, EventCategory.ALLTOALL_FWD)[0]
         assert comm_event.start == 0.0 and comm_event.stream == COMM_STREAM
 
     def test_sync_joins_streams(self, sim):
         sim.stream_compute(1, 2.0, EventCategory.COMPRESS, COMPUTE_STREAM)
-        assert sim.stream_now(1, COMM_STREAM) == 0.0
+        assert sim._streams[COMM_STREAM][1] == 0.0
         assert sim.sync(1) == pytest.approx(2.0)
-        assert sim.stream_now(1, COMM_STREAM) == pytest.approx(2.0)
+        assert sim._streams[COMM_STREAM][1] == pytest.approx(2.0)
         # Other ranks untouched (sync is per rank, not a barrier).
         assert sim.now(0) == 0.0
 
@@ -279,13 +241,13 @@ class TestStreams:
             0, 1.0, EventCategory.DECOMPRESS, COMPUTE_STREAM, not_before=5.0
         )
         assert end == pytest.approx(6.0)
-        event = sim.timeline.events_in_category(EventCategory.DECOMPRESS)[0]
+        event = events_in(sim.timeline, EventCategory.DECOMPRESS)[0]
         assert event.start == pytest.approx(5.0)
 
     def test_collective_lands_on_comm_stream_and_joins_all(self, sim):
         sim.stream_compute(2, 1.0, EventCategory.COMPRESS, COMPUTE_STREAM)
         sim.collective(0.5, EventCategory.ALLTOALL_FWD)
-        events = sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+        events = events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
         assert all(e.stream == COMM_STREAM for e in events)
         assert all(e.start == pytest.approx(1.0) for e in events)
         assert sim.clocks == tuple([pytest.approx(1.5)] * 4)
@@ -320,7 +282,7 @@ class TestStreams:
         sim.stream_compute(0, 1.0, EventCategory.COMPRESS, COMM_STREAM)
         sim.reset()
         assert sim.makespan() == 0.0
-        assert sim.stream_now(0, COMM_STREAM) == 0.0
+        assert sim._streams[COMM_STREAM][0] == 0.0
 
 
 def _run_compressed_exchange(overlap: bool, compress, decompress, sizes, chunks):
@@ -351,8 +313,8 @@ class TestOverlappedExchange:
         sim = _run_compressed_exchange(
             True, [1e-3] * 4, [5e-4] * 4, [[40_000] * 4] * 4, [8] * 4
         )
-        wire = sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
-        compress = sim.timeline.events_in_category(EventCategory.COMPRESS)
+        wire = events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
+        compress = events_in(sim.timeline, EventCategory.COMPRESS)
         assert all(e.stream == COMM_STREAM for e in wire)
         assert all(e.stream == COMPUTE_STREAM for e in compress)
         # The wire starts before compression has finished: true overlap.
@@ -362,11 +324,11 @@ class TestOverlappedExchange:
         sim = _run_compressed_exchange(
             True, [1e-3, 2e-3, 5e-4, 0.0], [1e-4] * 4, [[10_000] * 4] * 4, [4] * 4
         )
-        meta = sim.timeline.events_in_category(EventCategory.METADATA)
+        meta = events_in(sim.timeline, EventCategory.METADATA)
         assert len({(e.start, e.end) for e in meta}) == 1
         # The wire is k real chunk events per rank on the comm stream,
         # tagged with chunk args, never overlapping within one rank's lane.
-        wire = sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+        wire = events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
         for rank in range(4):
             rank_chunks = sorted(
                 (e for e in wire if e.rank == rank), key=lambda e: e.start
@@ -438,15 +400,15 @@ class TestEntriesMatrix:
         sim.comm.compressed_all_to_all(
             [[b"x"] * 4] * 4, metadata_bytes_per_entry=16, entries_per_pair=entries
         )
-        meta = sim.timeline.events_in_category(EventCategory.METADATA)
+        meta = events_in(sim.timeline, EventCategory.METADATA)
         assert meta[0].duration == pytest.approx(net.all_to_all_time(16.0 * entries))
 
     def test_all_zero_matrix_skips_metadata_round(self, sim):
         sim.comm.compressed_all_to_all(
             [[b"x"] * 4] * 4, entries_per_pair=np.zeros((4, 4), dtype=np.int64)
         )
-        assert not sim.timeline.events_in_category(EventCategory.METADATA)
-        assert sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+        assert not events_in(sim.timeline, EventCategory.METADATA)
+        assert events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
 
 
 class TestPricedCollectives:
@@ -469,7 +431,7 @@ class TestPricedCollectives:
         end = sim.comm.all_to_all_bytes(
             np.full((4, 4), 64 << 10), overlap_compute_seconds=overlap_compute
         )
-        wire = sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+        wire = events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
         assert {e.start for e in wire} == {1e-3}
         assert end == max(e.end for e in wire) == sim.makespan()
 
@@ -477,14 +439,13 @@ class TestPricedCollectives:
         with pytest.raises(ValueError, match="does not match"):
             sim.comm.all_to_all_bytes(np.zeros((3, 3)))
 
-    def test_all_reduce_bytes_matches_all_reduce(self):
+    def test_all_reduce_bytes_charges_one_ring_collective(self):
         net = NetworkModel(bandwidth=1e9, latency=1e-6)
         priced = ClusterSimulator(4, network=net)
-        moved = ClusterSimulator(4, network=net)
-        arrays = [np.ones(1024, dtype=np.float32) for _ in range(4)]
-        moved.comm.all_reduce(arrays)
-        priced.comm.all_reduce_bytes(arrays[0].nbytes)
-        assert priced.makespan() == pytest.approx(moved.makespan())
+        priced.comm.all_reduce_bytes(4096)
+        assert priced.makespan() == pytest.approx(net.all_reduce_time(4096, 4))
+        events = events_in(priced.timeline, EventCategory.ALLREDUCE)
+        assert {e.rank for e in events} == {0, 1, 2, 3}
 
     def test_all_reduce_bytes_hierarchical_uses_topology(self):
         from repro.dist import NetworkModel as NM, Topology

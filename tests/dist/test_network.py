@@ -21,16 +21,7 @@ def uniform_matrix(n: int, nbytes: float) -> np.ndarray:
     return np.full((n, n), nbytes, dtype=np.float64)
 
 
-class TestPointToPoint:
-    def test_alpha_beta_decomposition(self):
-        net = NetworkModel(bandwidth=1e9, latency=1e-6)
-        assert net.point_to_point_time(0) == pytest.approx(1e-6)
-        assert net.point_to_point_time(1e9) == pytest.approx(1.0 + 1e-6)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            NetworkModel().point_to_point_time(-1)
-
+class TestNetworkModel:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             NetworkModel(bandwidth=0.0)
@@ -156,8 +147,7 @@ class TestTopology:
         topo = Topology.hierarchical(2, 4)
         assert topo.n_ranks == 8
         assert topo.n_nodes == 2
-        assert topo.node_of(0) == 0 and topo.node_of(7) == 1
-        assert topo.is_intra(0, 3) and not topo.is_intra(3, 4)
+        assert topo.node_ids[0] == 0 and topo.node_ids[7] == 1
         assert topo.bandwidth_matrix[0, 1] == pytest.approx(NVLINK_LIKE.bandwidth)
         assert topo.bandwidth_matrix[0, 4] == pytest.approx(IB_HDR_LIKE.bandwidth)
 

@@ -19,6 +19,7 @@ from repro.dist import EventCategory, Timeline
 from repro.dist.timeline import MAX_SECONDS, OBS_STREAM, TimelineEvent
 from repro.obs.critpath import TimelineDag, extract_critical_path
 from repro.profiling.breakdown import CATEGORY_LABELS
+from tests.conftest import events_in
 
 
 class TestEventCategory:
@@ -60,7 +61,7 @@ class TestTimeline:
         assert len(tl) == 1
         assert tl.events_for_rank(0) == [e]
         assert tl.events_for_rank(1) == []
-        assert tl.events_in_category(EventCategory.COMPRESS) == [e]
+        assert events_in(tl, EventCategory.COMPRESS) == [e]
 
     def test_per_rank_aggregation(self):
         tl = Timeline()
@@ -447,12 +448,11 @@ class TestChromeTrace:
         for e in trace["traceEvents"]:
             assert type(e["name"]) is str
 
-    def test_json_serializable_roundtrip(self, tmp_path):
+    def test_json_serializable_roundtrip(self):
         import json
 
         tl = self._ledger()
-        path = tl.dump_chrome_trace(tmp_path / "trace.json")
-        loaded = json.loads(path.read_text())
+        loaded = json.loads(json.dumps(tl.to_chrome_trace()))
         assert loaded == tl.to_chrome_trace()
 
     def test_empty_timeline_exports_cleanly(self):
@@ -556,7 +556,7 @@ class TestStreamLanes:
         xs = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert {e["tid"] for e in xs} == {0, 3}
 
-    def test_simulator_overlap_run_round_trips_to_json(self, tmp_path):
+    def test_simulator_overlap_run_round_trips_to_json(self):
         import json
 
         from repro.dist import ClusterSimulator
@@ -569,8 +569,7 @@ class TestStreamLanes:
             decompress_seconds=[1e-4, 1e-4],
             chunks_per_rank=[4, 4],
         )
-        path = sim.timeline.dump_chrome_trace(tmp_path / "overlap.json")
-        loaded = json.loads(path.read_text())
+        loaded = json.loads(json.dumps(sim.timeline.to_chrome_trace()))
         assert loaded == sim.timeline.to_chrome_trace()
         xs = [e for e in loaded["traceEvents"] if e["ph"] == "X"]
         assert len({e["tid"] for e in xs}) == 4  # 2 ranks x 2 streams
@@ -595,7 +594,7 @@ class TestChunkTraceSchema:
 
     def test_event_args_recorded_per_chunk(self):
         sim = self._chunked_run()
-        wire = sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+        wire = events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
         for rank in (0, 1):
             rank_args = [e.args for e in wire if e.rank == rank]
             assert len(rank_args) == 3
@@ -613,7 +612,7 @@ class TestChunkTraceSchema:
             compress_seconds=[1e-4, 1e-4],
             chunks_per_rank=[2, 2],
         )
-        wire = sim.timeline.events_in_category(EventCategory.ALLTOALL_FWD)
+        wire = events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
         assert len({e.args["exchange"] for e in wire}) == 2
 
     def test_chunk_events_export_args_on_correct_lanes(self):
@@ -639,12 +638,11 @@ class TestChunkTraceSchema:
         }
         assert len(rank0_wire_tids) == 1
 
-    def test_args_round_trip_through_dump(self, tmp_path):
+    def test_args_round_trip_through_json(self):
         import json
 
         sim = self._chunked_run()
-        path = sim.timeline.dump_chrome_trace(tmp_path / "chunks.json")
-        loaded = json.loads(path.read_text())
+        loaded = json.loads(json.dumps(sim.timeline.to_chrome_trace()))
         assert loaded == sim.timeline.to_chrome_trace()
         wire = [
             e

@@ -28,7 +28,7 @@ from repro.serve import (
     RequestLoadGenerator,
     ServingSimulator,
 )
-from repro.train.sharding import ShardingPlan
+from tests.conftest import round_robin_plan
 
 N_TABLES = 6
 ROWS = 300
@@ -47,7 +47,7 @@ def world():
 
 
 def build_replicas(model, cache_rows=256, n_replicas=2, keep_stale=False):
-    sharding = ShardingPlan.round_robin(N_TABLES, 2)
+    sharding = round_robin_plan(N_TABLES, 2)
     servers = [
         EmbeddingShardServer.from_model(
             model, sharding.tables_of(rank), error_bound=1e-2, rows_per_block=32

@@ -15,6 +15,7 @@ from repro.model import DLRM, DLRMConfig
 from repro.obs.scenario import evict_rows
 from repro.serve import build_serving_tier
 from repro.train import CompressionPipeline, HybridParallelTrainer
+from tests.conftest import decoded_table
 
 N_TABLES = 4
 CARDINALITY = 200
@@ -142,7 +143,7 @@ class TestFailedRounds:
         publisher = tier.publisher
         before = [publisher.published_table(t).copy() for t in range(N_TABLES)]
         shard_before = [
-            tier.servers[rank].table_array(t).copy()
+            decoded_table(tier.servers[rank], t).copy()
             for rank in range(2)
             for t in tier.sharding.tables_of(rank)
         ]
@@ -155,7 +156,7 @@ class TestFailedRounds:
         for t in range(N_TABLES):
             assert np.array_equal(publisher.published_table(t), before[t])
         shard_after = [
-            tier.servers[rank].table_array(t)
+            decoded_table(tier.servers[rank], t)
             for rank in range(2)
             for t in tier.sharding.tables_of(rank)
         ]

@@ -34,11 +34,6 @@ class TestDeterminism:
             2, "pull", 0, 2
         )
 
-    def test_total_backoff_matches_sum(self):
-        policy = RetryPolicy(max_attempts=4, seed=3)
-        total = sum(policy.backoff_seconds(i, "op") for i in range(1, 4))
-        assert policy.total_backoff_seconds("op") == pytest.approx(total)
-
 
 class TestSchedule:
     def test_attempt_zero_never_waits(self):

@@ -18,6 +18,7 @@ from repro.model import DLRM, DLRMConfig
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import capture, disable, enable
 from repro.train import CompressionPipeline, HybridParallelTrainer
+from tests.conftest import counter_track, series_value
 
 N_TABLES = 4
 
@@ -65,8 +66,8 @@ class TestTrainerInstrumentation:
             trainer.train_step(32, iteration=1)
         snap = reg.snapshot()
         assert snap.counter_value("train_iterations_total") == 2
-        assert snap.histogram_data("train_step_seconds").count == 2
-        eff = snap.gauge_value("train_overlap_efficiency_last")
+        assert series_value(snap, "train_step_seconds").count == 2
+        eff = series_value(snap, "train_overlap_efficiency_last")
         assert 0.0 <= eff <= 1.0
         assert snap.counter_value("train_forward_wire_bytes_total") > 0
 
@@ -84,7 +85,7 @@ class TestTrainerInstrumentation:
         assert len(spans) == 1
         assert spans[0].stream == OBS_STREAM
         assert spans[0].args["iteration"] == 0
-        assert trainer.simulator.timeline.counter_track("train_wire_bytes")
+        assert counter_track(trainer.simulator.timeline, "train_wire_bytes")
 
 
 class TestCommInstrumentation:
@@ -121,9 +122,9 @@ class TestPipelineInstrumentation:
             if name == "pipeline_raw_bytes_total"
         )
         assert raw > 0
-        ratio = snap.histogram_data("pipeline_compression_ratio", table="0")
+        ratio = series_value(snap, "pipeline_compression_ratio", table="0")
         assert ratio.count > 0
-        util = snap.gauge_value("pipeline_bound_utilization", table="0")
+        util = series_value(snap, "pipeline_bound_utilization", table="0")
         assert util > 0
 
     def test_decompressed_bytes_counted(self):
@@ -203,7 +204,7 @@ class TestServeInstrumentation:
             report = sim.run(requests)
         snap = reg.snapshot()
         assert snap.counter_value("serve_requests_total") == 40
-        assert snap.histogram_data("serve_latency_seconds").count == 40
+        assert series_value(snap, "serve_latency_seconds").count == 40
         hits = snap.counter_value("serve_cache_hits_total", replica="0")
         misses = snap.counter_value("serve_cache_misses_total", replica="0")
         assert hits == report.hits
@@ -225,7 +226,7 @@ class TestServeInstrumentation:
             snap.counter_value("publish_wire_bytes_total", mode="compressed")
             == report.wire_nbytes
         )
-        down = snap.histogram_data("publish_downtime_seconds", mode="compressed")
+        down = series_value(snap, "publish_downtime_seconds", mode="compressed")
         assert down.count == 1
 
     def test_publish_skip_counters_cover_every_table_of_every_round(self):
@@ -311,4 +312,3 @@ class TestServeInstrumentation:
         assert report.count(line) == 1
         assert report.index("publish time breakdown") < report.index(line)
         assert report.index(line) < report.index("serve time breakdown")
-

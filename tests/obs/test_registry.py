@@ -21,6 +21,7 @@ from repro.obs.registry import (
     exponential_buckets,
     linear_buckets,
 )
+from tests.conftest import series_value
 
 
 class TestBuckets:
@@ -158,7 +159,7 @@ class TestSnapshot:
         b.gauge("depth").set(9.0)
         merged = a.snapshot() | b.snapshot()
         assert merged.counter_value("n_total") == 5
-        assert merged.gauge_value("depth") == 9.0
+        assert series_value(merged, "depth") == 9.0
 
     def test_merge_is_disjoint_union_over_names(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -239,7 +240,7 @@ class TestMergeProperties:
             return
         def stats(snap):
             try:
-                d = snap.histogram_data("dist")
+                d = series_value(snap, "dist")
             except KeyError:  # family or unlabeled series absent
                 return 0, 0.0
             return d.count, d.total

@@ -17,7 +17,7 @@ import pytest
 
 from repro.dist.timeline import OBS_STREAM, EventCategory, Timeline
 from repro.obs.registry import MetricsRegistry
-from repro.obs.runtime import OBS, capture, disable, enable, enabled, get_registry
+from repro.obs.runtime import OBS, capture, disable, enable, enabled
 from repro.profiling.breakdown import overlap_report
 
 
@@ -54,7 +54,7 @@ class TestRuntimeSwitch:
         reg = enable()
         try:
             assert enabled()
-            assert get_registry() is reg
+            assert OBS.registry is reg
             assert isinstance(reg, MetricsRegistry)
         finally:
             disable()
@@ -107,12 +107,6 @@ class TestTimelineCounterTracks:
         assert timeline.counters == []
         json.dumps(timeline.to_chrome_trace(), allow_nan=False)
 
-    def test_counter_names(self):
-        timeline = Timeline()
-        timeline.record_counter("b", 0.0, 1.0)
-        timeline.record_counter("a", 0.0, 2.0)
-        assert timeline.counter_names() == ["a", "b"]
-
     def test_chrome_trace_emits_counter_events(self):
         timeline = Timeline()
         timeline.record_counter("depth", 1.5, 4.0)
@@ -123,10 +117,3 @@ class TestTimelineCounterTracks:
         assert event["name"] == "depth"
         assert event["ts"] == pytest.approx(1.5e6)
         assert event["args"] == {"value": 4.0}
-
-    def test_dump_creates_parent_directories(self, tmp_path):
-        timeline = Timeline()
-        timeline.record(0, EventCategory.EMB_LOOKUP, 0.0, 1.0)
-        path = tmp_path / "deep" / "nested" / "trace.json"
-        timeline.dump_chrome_trace(path)
-        assert json.loads(path.read_text())["traceEvents"]

@@ -25,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve import EmbeddingShardServer
+from tests.conftest import decoded_table
 
 DIM = 8
 OPS = ("same", "one", "some", "all", "tail", "signflip")
@@ -112,7 +113,7 @@ class TestByteOracle:
             fresh = EmbeddingShardServer({0: values}, bound, codec, rows_per_block=rows_per_block)
             assert block_bytes(server) == block_bytes(fresh), op
         if bound == 0.0:  # lossless: lookups carry the exact bits, -0.0 included
-            served = server.lookup_rows(0, np.arange(rows))
+            served = server.pull(0, np.arange(rows)).rows
             np.testing.assert_array_equal(served.view(np.uint32), values.view(np.uint32))
 
     @pytest.mark.parametrize("codec", ["hybrid"])
@@ -128,7 +129,7 @@ class TestByteOracle:
         for op in ops:
             values = apply_op(values, op, rng, rows_per_block)
             server.set_table(0, values)
-            error = np.max(np.abs(server.table_array(0).astype(np.float64) - values))
+            error = np.max(np.abs(decoded_table(server, 0).astype(np.float64) - values))
             assert error <= bound * (1 + 1e-6), op
 
 
@@ -205,7 +206,7 @@ class TestAtomicity:
         stored = server._table(0)
         blocks, digests = list(stored.blocks), list(stored._digests)
         payloads = block_bytes(server)
-        served = server.table_array(0)
+        served = decoded_table(server, 0)
         bad = table.copy()
         bad[[5, 70, 250]] += 0.25
         bad[150, 3] = poison
@@ -215,7 +216,7 @@ class TestAtomicity:
         assert stored._digests == digests
         assert block_bytes(server) == payloads
         ids = np.array([0, 5, 70, 150, 250, 299])
-        np.testing.assert_array_equal(server.lookup_rows(0, ids), served[ids])
+        np.testing.assert_array_equal(server.pull(0, ids).rows, served[ids])
         # the digests survived too: the old values are still "unchanged"
         calls = count_encodes(monkeypatch, server)
         server.set_table(0, table)

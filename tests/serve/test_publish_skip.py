@@ -34,6 +34,7 @@ from repro.serve import EmbeddingShardServer, InferenceReplica, build_serving_ti
 from repro.serve import publisher as publisher_module
 from repro.serve.shard_server import serving_codec, serving_codec_pool
 from repro.train import CompressionPipeline, HybridParallelTrainer
+from tests.conftest import cached_tables
 
 N_TABLES = 4
 CARDINALITY = 200
@@ -170,11 +171,11 @@ class TestOnlyShippedTablesAreApplied:
         tier = build_serving_tier(trainer, 2, 1, cache_rows=256)
         replica = tier.replicas[0]
         replica.gather(np.arange(N_TABLES) * 7 % CARDINALITY)
-        assert replica.cached_tables() == set(range(N_TABLES))
+        assert cached_tables(replica) == set(range(N_TABLES))
         trainer.train_step(64, iteration=0)
         evict_rows(trainer.model, [1], 3, 0, 0)
         tier.publisher.publish(iteration=0)
-        assert replica.cached_tables() == set(range(N_TABLES)) - {1}
+        assert cached_tables(replica) == set(range(N_TABLES)) - {1}
 
     def test_shipped_tables_are_priced_unshipped_are_not(self):
         """Apply time is charged per shipped table: a shard node none of

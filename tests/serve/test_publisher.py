@@ -14,6 +14,7 @@ from repro.model import DLRM, DLRMConfig
 from repro.obs.scenario import evict_rows
 from repro.serve import DeltaPublisher, build_serving_tier
 from repro.train import CompressionPipeline, HybridParallelTrainer
+from tests.conftest import decoded_table
 
 N_TABLES = 5
 CARDINALITY = 300
@@ -69,7 +70,7 @@ class TestStalenessBound:
         tier.publisher.publish(iteration=0)
         for rank, server in enumerate(tier.servers):
             for t in tier.sharding.tables_of(rank):
-                stored = server.table_array(t)
+                stored = decoded_table(server, t)
                 total_bound = controller.error_bound(t, 0) + server.error_bound(t)
                 gap = np.max(np.abs(stored - trainer_table(trainer, t)))
                 assert gap <= total_bound * (1 + 1e-5)
@@ -82,7 +83,7 @@ class TestStalenessBound:
         report = tier.publisher.publish(iteration=0)
         for rank, server in enumerate(tier.servers):
             for t in tier.sharding.tables_of(rank):
-                gap = np.max(np.abs(server.table_array(t) - trainer_table(trainer, t)))
+                gap = np.max(np.abs(decoded_table(server, t) - trainer_table(trainer, t)))
                 bound = trainer.pipeline.controller.error_bound(t, 0)
                 assert gap <= bound * (1 + 1e-5)
         assert report.staleness_bound > 0
@@ -103,7 +104,7 @@ class TestStalenessBound:
         for rank, server in enumerate(tier.servers):
             for t in tier.sharding.tables_of(rank):
                 np.testing.assert_array_equal(
-                    server.table_array(t), trainer_table(trainer, t)
+                    decoded_table(server, t), trainer_table(trainer, t)
                 )
 
 

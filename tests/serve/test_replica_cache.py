@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.serve import EmbeddingShardServer, InferenceReplica
-from repro.train.sharding import ShardingPlan
+from tests.conftest import cached_tables, round_robin_plan
 
 
 def make_tier(n_tables=4, rows=128, dim=8, n_shards=2, cache_rows=16, seed=0):
     rng = np.random.default_rng(seed)
-    sharding = ShardingPlan.round_robin(n_tables, n_shards)
+    sharding = round_robin_plan(n_tables, n_shards)
     servers = []
     for rank in range(n_shards):
         tables = {
@@ -47,9 +47,9 @@ class TestCacheSemantics:
         request = np.array([5, 9, 64, 127])
         result = replica.gather(request)
         for t in range(4):
-            expected = servers[sharding.owner_of(t)].lookup_rows(
+            expected = servers[sharding.owner_of(t)].pull(
                 t, np.array([request[t]])
-            )[0]
+            ).rows[0]
             np.testing.assert_array_equal(result.rows[t], expected)
         # Cached path returns the identical rows.
         again = replica.gather(request)
@@ -78,7 +78,7 @@ class TestCacheSemantics:
         replica.gather(np.array([1, 2, 3, 4]))
         dropped = replica.invalidate_tables([0, 2])
         assert dropped == 2
-        assert replica.cached_tables() == {1, 3}
+        assert cached_tables(replica) == {1, 3}
         result = replica.gather(np.array([1, 2, 3, 4]))
         assert result.hits == 2 and result.misses == 2
 

@@ -34,7 +34,7 @@ from repro.serve import (
     RequestLoadGenerator,
     ServingSimulator,
 )
-from repro.train.sharding import ShardingPlan
+from tests.conftest import decoded_table, round_robin_plan
 
 STEP = 64
 ROWS = 150  # 64-row blocks: two full ones and a short last block of 22
@@ -120,7 +120,7 @@ TABLE_CODECS = [
 
 def make_servers():
     rng = np.random.default_rng(3)
-    sharding = ShardingPlan.round_robin(N_TABLES, N_SHARDS)
+    sharding = round_robin_plan(N_TABLES, N_SHARDS)
     servers = []
     for rank in range(N_SHARDS):
         owned = sharding.tables_of(rank)
@@ -136,7 +136,7 @@ def make_servers():
 
 
 SERVERS, SHARDING = make_servers()
-TRUTH = [SERVERS[SHARDING.owner_of(t)].table_array(t) for t in range(N_TABLES)]
+TRUTH = [decoded_table(SERVERS[SHARDING.owner_of(t)], t) for t in range(N_TABLES)]
 
 
 class LruModel:
@@ -250,7 +250,7 @@ def serving_world():
     dataset = SyntheticClickDataset(spec, seed=5)
     config = DLRMConfig.from_dataset(spec, embedding_dim=DIM, seed=6)
     model = DLRM(config)
-    sharding = ShardingPlan.round_robin(spec.n_tables, 2)
+    sharding = round_robin_plan(spec.n_tables, 2)
     servers = [
         EmbeddingShardServer.from_model(model, sharding.tables_of(rank), rows_per_block=32)
         for rank in range(2)

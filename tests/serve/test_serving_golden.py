@@ -47,7 +47,7 @@ from repro.serve import (
     RequestLoadGenerator,
     ServingSimulator,
 )
-from repro.train.sharding import ShardingPlan
+from tests.conftest import counter_track, events_in, round_robin_plan
 
 N_TABLES = 6
 ROWS = 400
@@ -78,7 +78,7 @@ def report_digest(report) -> str:
 
 
 def trace_digest(trace: Timeline) -> str:
-    events = trace.events_in_category(EventCategory.SERVE_REQUEST)
+    events = events_in(trace, EventCategory.SERVE_REQUEST)
     assert len(events) == len(trace.events)
     return _digest(
         [
@@ -88,7 +88,7 @@ def trace_digest(trace: Timeline) -> str:
         + [
             (name, s.time.hex(), s.value.hex())
             for name in ("serve_queue_depth", "serve_cache_hit_rate")
-            for s in trace.counter_track(name)
+            for s in counter_track(trace, name)
         ]
     )
 
@@ -124,7 +124,7 @@ def build_world():
 
 
 def build_replicas(model, *, n_shards=2, n_replicas=2, cache_rows=64, keep_stale=False):
-    sharding = ShardingPlan.round_robin(N_TABLES, n_shards)
+    sharding = round_robin_plan(N_TABLES, n_shards)
     servers = [
         EmbeddingShardServer.from_model(
             model, sharding.tables_of(rank), error_bound=1e-2, rows_per_block=32

@@ -16,7 +16,7 @@ from repro.serve import (
     RequestLoadGenerator,
     ServingSimulator,
 )
-from repro.train.sharding import ShardingPlan
+from tests.conftest import round_robin_plan
 
 N_TABLES = 6
 ROWS = 400
@@ -35,7 +35,7 @@ def world():
 
 
 def build_tier(model, n_shards=2, n_replicas=2, cache_rows=512, error_bound=1e-2):
-    sharding = ShardingPlan.round_robin(N_TABLES, n_shards)
+    sharding = round_robin_plan(N_TABLES, n_shards)
     servers = [
         EmbeddingShardServer.from_model(
             model, sharding.tables_of(rank), error_bound=error_bound, rows_per_block=32

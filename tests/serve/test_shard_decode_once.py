@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.compression import decompress_any
 from repro.serve import EmbeddingShardServer
 from repro.serve import shard_server as shard_server_module
+from tests.conftest import decoded_table
 
 CODECS = [("vector_lz", 1e-2), ("entropy", 1e-2), ("hybrid", 1e-2), ("lz4_like", 0.0)]
 STEP = 64
@@ -86,7 +87,7 @@ class TestDecodeOnce:
         blocks = server._table(0).blocks
         calls = count_decodes(monkeypatch)
         server.pull(0, np.array([5, 140]))  # blocks 0 and 2
-        full = server.table_array(0)
+        full = decoded_table(server, 0)
         assert calls == [blocks[0], blocks[2], blocks[1]]
         assert_bitwise_equal(full, np.concatenate([decompress_any(b) for b in blocks]))
         server.pull(0, np.arange(ROWS))
@@ -118,7 +119,7 @@ class TestDecodeOnce:
         table = make_table()
         server = make_server(codec, bound, table)
         stored = server._table(0)
-        server.table_array(0)
+        decoded_table(server, 0)
         kept = list(stored._decoded)
         calls = count_decodes(monkeypatch)
         server.set_table(0, table.copy())
@@ -139,13 +140,13 @@ class TestDecodeOnce:
             before = first.copy()
             first[:] = 7.0
             assert_bitwise_equal(server.pull(0, ids).rows, before)
-        assert_bitwise_equal(server.table_array(0)[[70]], expected_rows(server, [70]))
+        assert_bitwise_equal(decoded_table(server, 0)[[70]], expected_rows(server, [70]))
 
     def test_kept_rows_are_read_only_and_never_handed_out(self, codec, bound):
         server = make_server(codec, bound)
         stored = server._table(0)
         pulls = [server.pull(0, np.array([70])), server.pull(0, np.array([3, 149]))]
-        full = server.table_array(0)
+        full = decoded_table(server, 0)
         kept = stored._decoded
         assert all(rows is not None and not rows.flags.writeable for rows in kept)
         with pytest.raises(ValueError, match="read-only"):
@@ -211,4 +212,4 @@ class TestNeverStale:
                 continue
             server.set_table(0, new)
             values = new
-        assert_bitwise_equal(server.table_array(0), expected_rows(server, list(range(ROWS))))
+        assert_bitwise_equal(decoded_table(server, 0), expected_rows(server, list(range(ROWS))))

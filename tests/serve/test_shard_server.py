@@ -9,6 +9,7 @@ from repro.compression import decompress_any
 from repro.model import DLRM, DLRMConfig
 from repro.serve import EmbeddingShardServer
 from repro.serve.shard_server import serving_codec
+from tests.conftest import decoded_table
 
 
 def make_table(rows=200, dim=16, seed=0, scale=0.1):
@@ -21,9 +22,9 @@ class TestRowGranularLookups:
         table = make_table()
         server = EmbeddingShardServer({0: table}, error_bounds=1e-2, rows_per_block=32)
         ids = np.array([0, 5, 31, 32, 63, 64, 199, 5])
-        rows = server.lookup_rows(0, ids)
+        rows = server.pull(0, ids).rows
         assert rows.shape == (ids.size, 16)
-        full = server.table_array(0)
+        full = decoded_table(server, 0)
         np.testing.assert_array_equal(rows, full[ids])
 
     def test_lookup_within_error_bound(self):
@@ -31,7 +32,7 @@ class TestRowGranularLookups:
         bound = 5e-3
         server = EmbeddingShardServer({0: table}, error_bounds=bound)
         ids = np.arange(200)
-        rows = server.lookup_rows(0, ids)
+        rows = server.pull(0, ids).rows
         assert np.max(np.abs(rows - table)) <= bound * (1 + 1e-6)
 
     def test_error_bound_zero_is_bit_identical_to_raw(self):
@@ -40,9 +41,9 @@ class TestRowGranularLookups:
         table = make_table(rows=150, dim=8)
         server = EmbeddingShardServer({0: table}, error_bounds=0.0, rows_per_block=37)
         ids = np.array([0, 1, 36, 37, 74, 149, 0])
-        np.testing.assert_array_equal(server.lookup_rows(0, ids), table[ids])
+        np.testing.assert_array_equal(server.pull(0, ids).rows, table[ids])
         assert server.codec(0) == "lz4_like"
-        np.testing.assert_array_equal(server.table_array(0), table)
+        np.testing.assert_array_equal(decoded_table(server, 0), table)
 
     def test_pull_accounts_touched_blocks_only(self):
         table = make_table(rows=256)
@@ -172,7 +173,7 @@ class TestCompressionAccounting:
         for t in range(2):
             assert server.codec(t) == controller.compressor_name(t)
             assert server.error_bound(t) == controller.error_bound(t, 0)
-            stored = server.table_array(t)
+            stored = decoded_table(server, t)
             raw = model.tables[t].weight.data.astype(np.float32)
             assert np.max(np.abs(stored - raw)) <= server.error_bound(t) * (1 + 1e-6)
 
@@ -183,7 +184,7 @@ class TestUpdates:
         server = EmbeddingShardServer({0: table}, error_bounds=0.0)
         new = table + 1.0
         server.set_table(0, new)
-        np.testing.assert_array_equal(server.table_array(0), new)
+        np.testing.assert_array_equal(decoded_table(server, 0), new)
 
     @pytest.mark.parametrize(
         "codec,poison",
@@ -196,23 +197,23 @@ class TestUpdates:
         previous digests, so the old values still read as unchanged."""
         table = make_table()
         server = EmbeddingShardServer({0: table}, 1e-2, codec, rows_per_block=64)
-        before = server.table_array(0)
+        before = decoded_table(server, 0)
         blocks = list(server._table(0).blocks)
         bad = table + 0.25
         bad[150, 3] = poison
         with pytest.raises(ValueError, match="quantize"):
             server.set_table(0, bad)
         assert all(now is was for now, was in zip(server._table(0).blocks, blocks))
-        np.testing.assert_array_equal(server.table_array(0), before)
+        np.testing.assert_array_equal(decoded_table(server, 0), before)
         ids = np.array([0, 70, 150, 199])
-        np.testing.assert_array_equal(server.lookup_rows(0, ids), before[ids])
+        np.testing.assert_array_equal(server.pull(0, ids).rows, before[ids])
         server.set_table(0, table)
         # nothing re-encoded
         assert all(now is was for now, was in zip(server._table(0).blocks, blocks))
         # ...and the table still accepts the next good publication.
         server.set_table(0, table + 0.5)
         server.set_table(0, table)
-        np.testing.assert_array_equal(server.table_array(0), before)
+        np.testing.assert_array_equal(decoded_table(server, 0), before)
 
     @pytest.mark.parametrize(
         "codec,bound",
@@ -226,15 +227,15 @@ class TestUpdates:
         server = EmbeddingShardServer({0: table}, bound, codec, rows_per_block=64)
         ids = np.array([3, 70, 199])
         for _ in range(3):
-            warm = server.lookup_rows(0, ids)
+            warm = server.pull(0, ids).rows
         new = table.copy()
         new[64:128] += 0.5  # block 1 only
         server.set_table(0, new)
-        rows = server.lookup_rows(0, ids)
+        rows = server.pull(0, ids).rows
         assert np.abs(rows - new[ids]).max() <= bound * (1 + 1e-6)
         np.testing.assert_array_equal(rows[[0, 2]], warm[[0, 2]])
         assert np.abs(rows[1] - warm[1]).min() > 0.4
-        np.testing.assert_array_equal(server.table_array(0)[ids], rows)
+        np.testing.assert_array_equal(decoded_table(server, 0)[ids], rows)
 
     def test_set_table_shape_mismatch(self):
         server = EmbeddingShardServer({0: make_table()})

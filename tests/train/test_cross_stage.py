@@ -19,6 +19,7 @@ from repro.dist import ClusterSimulator, EventCategory
 from repro.model import DLRM
 from repro.train import CompressionPipeline, HybridParallelTrainer
 from tests.train.test_overlap import _tiny_workflow
+from tests.conftest import events_in
 
 
 def _train(config, dataset, plan, *, overlap, n_ranks=4, steps=3, compress_backward=False):
@@ -93,8 +94,8 @@ class TestCrossStageTiming:
         backward kernels on at least one rank — the cross-stage overlap."""
         dataset, config, plan = _tiny_workflow(n_ranks=4)
         sim, _, _ = _train(config, dataset, plan, overlap="cross_stage")
-        wire = sim.timeline.events_in_category(EventCategory.ALLTOALL_BWD)
-        mlp = sim.timeline.events_in_category(EventCategory.BOTTOM_MLP_BWD)
+        wire = events_in(sim.timeline, EventCategory.ALLTOALL_BWD)
+        mlp = events_in(sim.timeline, EventCategory.BOTTOM_MLP_BWD)
         assert any(
             w.rank == m.rank and w.start < m.end and m.start < w.end
             for w in wire
@@ -104,8 +105,8 @@ class TestCrossStageTiming:
     def test_sequential_mode_keeps_wire_and_mlp_disjoint(self):
         dataset, config, plan = _tiny_workflow(n_ranks=4)
         sim, _, _ = _train(config, dataset, plan, overlap=False)
-        wire = sim.timeline.events_in_category(EventCategory.ALLTOALL_BWD)
-        mlp = sim.timeline.events_in_category(EventCategory.BOTTOM_MLP_BWD)
+        wire = events_in(sim.timeline, EventCategory.ALLTOALL_BWD)
+        mlp = events_in(sim.timeline, EventCategory.BOTTOM_MLP_BWD)
         assert not any(
             w.rank == m.rank and w.start < m.end - 1e-15 and m.start < w.end - 1e-15
             for w in wire

@@ -58,12 +58,6 @@ class TestCompressDecompress:
         with pytest.raises(ValueError):
             CompressionPipeline(controller).mean_ratio()
 
-    def test_clear_stats(self, controller, rng):
-        pipeline = CompressionPipeline(controller)
-        pipeline.compress_slice(0, make_hot_batch(rng, batch=16), 0)
-        pipeline.clear_stats()
-        assert pipeline.stats == []
-
     def test_decay_loosens_early_bounds(self, controller, rng):
         """Early iterations use a larger bound -> smaller payloads."""
         pipeline = CompressionPipeline(controller)

@@ -19,8 +19,8 @@ from repro.train import (
     CompressionPipeline,
     HybridParallelTrainer,
     ReferenceTrainer,
-    ShardingPlan,
 )
+from tests.conftest import round_robin_plan
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +207,7 @@ class TestHybridTrainer:
     def test_custom_sharding_round_robin(self, small_world):
         _, dataset, config = small_world
         sim = ClusterSimulator(2)
-        sharding = ShardingPlan.round_robin(config.n_tables, 2)
+        sharding = round_robin_plan(config.n_tables, 2)
         trainer = HybridParallelTrainer(
             DLRM(config), dataset, sim, lr=0.2, sharding=sharding
         )
@@ -216,7 +216,7 @@ class TestHybridTrainer:
 
     def test_mismatched_sharding_rejected(self, small_world):
         _, dataset, config = small_world
-        bad = ShardingPlan.round_robin(3, 2)  # wrong table count
+        bad = round_robin_plan(3, 2)  # wrong table count
         with pytest.raises(ValueError, match="sharding"):
             HybridParallelTrainer(
                 DLRM(config), dataset, ClusterSimulator(2), lr=0.2, sharding=bad
@@ -270,14 +270,6 @@ class TestHybridTrainer:
         source = Path(hybrid.__file__).read_text()
         for call in ("compressed_all_to_all(", "compress_slices(", "decompress_batch("):
             assert source.count(call) == 1, call
-
-    def test_report_breakdown_fractions_sum_to_one(self, small_world):
-        _, dataset, config = small_world
-        sim = ClusterSimulator(4)
-        trainer = HybridParallelTrainer(DLRM(config), dataset, sim, lr=0.2)
-        report = trainer.train(2, 64)
-        fractions = report.breakdown_fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
 
     def test_single_rank_degenerates_cleanly(self, small_world):
         _, dataset, config = small_world

@@ -6,16 +6,10 @@ import numpy as np
 import pytest
 
 from repro.utils import (
-    GB,
-    KB,
-    MB,
     RngPool,
-    check_dtype,
     check_in,
     check_positive,
     check_shape,
-    format_bytes,
-    format_rate,
     format_table,
     spawn_rng,
 )
@@ -59,15 +53,6 @@ class TestRng:
 
 
 class TestFormatting:
-    def test_format_bytes(self):
-        assert format_bytes(512) == "512.00 B"
-        assert format_bytes(2 * KB) == "2.00 KiB"
-        assert format_bytes(3 * MB) == "3.00 MiB"
-        assert format_bytes(1.5 * GB) == "1.50 GiB"
-
-    def test_format_rate(self):
-        assert format_rate(40.5 * GB) == "40.50 GiB/s"
-
     def test_format_table_alignment(self):
         out = format_table(["a", "bb"], [[1, 2.5], [30, 4.0]])
         lines = out.splitlines()
@@ -100,11 +85,6 @@ class TestValidation:
         check_in("mode", "a", ("a", "b"))
         with pytest.raises(ValueError, match="mode"):
             check_in("mode", "c", ("a", "b"))
-
-    def test_check_dtype(self):
-        check_dtype("arr", np.zeros(2, np.float32), [np.float32, np.float64])
-        with pytest.raises(TypeError):
-            check_dtype("arr", np.zeros(2, np.int32), [np.float32])
 
     def test_check_shape(self):
         check_shape("arr", np.zeros((2, 3)), 2)
