@@ -215,6 +215,12 @@ class TestNumericsOnFabrics:
         with pytest.raises(ValueError, match="algorithm"):
             sim.comm.compressed_all_reduce([table, table], algorithm="mesh")
 
+    def test_mixed_dtypes_rejected(self):
+        sim = ClusterSimulator(2)
+        table = np.ones((2, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"share a dtype, got \['float32', 'float64'\]"):
+            sim.comm.compressed_all_reduce([table, table.astype(np.float64)])
+
 
 class TestObsCounters:
     def test_aggregated_bytes_and_hops_saved(self):

@@ -21,12 +21,43 @@ def uniform_matrix(n: int, nbytes: float) -> np.ndarray:
     return np.full((n, n), nbytes, dtype=np.float64)
 
 
+#: every byte-priced collective, on the flat alpha-beta model and on a
+#: topology, called with a negative byte count
+NEGATIVE_BYTES = {
+    "flat_uniform_all_to_all": lambda: NetworkModel().uniform_all_to_all_time(-1.0, 4),
+    "flat_all_reduce": lambda: NetworkModel().all_reduce_time(-1.0, 4),
+    "flat_hierarchical_all_reduce": lambda: NetworkModel().hierarchical_all_reduce_time(-1.0, 4),
+    "flat_switch_all_reduce": lambda: NetworkModel().switch_all_reduce_time(-1.0, 4),
+    "topology_ring_all_reduce": lambda: Topology.hierarchical(2, 2).ring_all_reduce_time(-1.0),
+    "topology_hierarchical_all_reduce": (
+        lambda: Topology.hierarchical(2, 2).hierarchical_all_reduce_time(-1.0)
+    ),
+    "topology_switch_all_reduce": lambda: Topology.hierarchical(2, 2).switch_all_reduce_time(-1.0),
+    "topology_all_reduce_inter_bytes": (
+        lambda: Topology.hierarchical(2, 2).all_reduce_inter_bytes(-1.0)
+    ),
+}
+
+
 class TestNetworkModel:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             NetworkModel(bandwidth=0.0)
         with pytest.raises(ValueError):
             NetworkModel(bandwidth=1e9, latency=-1.0)
+
+    @pytest.mark.parametrize("case", sorted(NEGATIVE_BYTES))
+    def test_negative_bytes_rejected(self, case):
+        with pytest.raises(ValueError, match=r"must be >= 0, got -1\.0"):
+            NEGATIVE_BYTES[case]()
+
+    def test_zero_bytes_cost_the_latency_terms_alone(self):
+        """The alpha half of the alpha-beta model: an empty payload still
+        pays one latency per ring or all-to-all step."""
+        net = NetworkModel(bandwidth=1e9, latency=1e-6)
+        assert net.uniform_all_to_all_time(0.0, 8) == pytest.approx(7e-6)
+        assert net.all_reduce_time(0.0, 8) == pytest.approx(14e-6)
+        assert net.all_to_all_time(np.zeros((8, 8))) == pytest.approx(7e-6)
 
 
 class TestAllToAll:

@@ -81,6 +81,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_positive("x", -1, strict=False)
 
+    def test_check_positive_rejects_nan(self):
+        for strict in (True, False):
+            with pytest.raises(ValueError, match="x must be >=? ?0, got nan"):
+                check_positive("x", float("nan"), strict=strict)
+
     def test_check_in(self):
         check_in("mode", "a", ("a", "b"))
         with pytest.raises(ValueError, match="mode"):
