@@ -104,17 +104,17 @@ class LinearDecay(_PhasedDecay):
         return self.initial_scale - (self.initial_scale - 1.0) * t
 
 
-class LogarithmicDecay(_PhasedDecay):
-    """Fast early descent, slow tail: ``scale - span * log(1+kt)/log(1+k)``."""
+#: ``k`` of :class:`LogarithmicDecay`'s ``log(1+kt)/log(1+k)`` shape
+LOG_CURVATURE = 9.0
 
-    def __init__(self, initial_scale: float, phase_iterations: int, curvature: float = 9.0):
-        super().__init__(initial_scale, phase_iterations)
-        check_positive("curvature", curvature)
-        self.curvature = float(curvature)
+
+class LogarithmicDecay(_PhasedDecay):
+    """Fast early descent, slow tail: ``scale - span * log(1+kt)/log(1+k)``
+    with ``k = LOG_CURVATURE``."""
 
     def multiplier(self, iteration: int) -> float:
         t = self._progress(iteration)
-        shape = math.log1p(self.curvature * t) / math.log1p(self.curvature)
+        shape = math.log1p(LOG_CURVATURE * t) / math.log1p(LOG_CURVATURE)
         return self.initial_scale - (self.initial_scale - 1.0) * shape
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.adaptive.classify import (
-    ClassifierThresholds,
     ErrorBoundLevels,
     TableCategory,
     classify_by_rank,
@@ -84,9 +83,7 @@ class OfflineAnalyzer:
     classifier:
         ``"rank"`` (tertile split, default — always yields all three
         classes, like the paper's Table II) or ``"threshold"``
-        (Algorithm 1's fixed thresholds).
-    thresholds:
-        Thresholds for the ``"threshold"`` classifier.
+        (Algorithm 1's fixed :class:`ClassifierThresholds`).
     window:
         Vector-LZ window used during candidate evaluation.
     """
@@ -95,7 +92,6 @@ class OfflineAnalyzer:
     bandwidth: float = 4.0e9
     profile: DeviceThroughputProfile = field(default_factory=lambda: PAPER_A100_PROFILE)
     classifier: str = "rank"
-    thresholds: ClassifierThresholds = field(default_factory=ClassifierThresholds)
     small_fraction: float = 1.0 / 3.0
     large_fraction: float = 1.0 / 3.0
     window: int = DEFAULT_WINDOW
@@ -125,7 +121,7 @@ class OfflineAnalyzer:
             )
         else:
             categories = {
-                t: classify_by_threshold(h.homo_index, self.thresholds)
+                t: classify_by_threshold(h.homo_index)
                 for t, h in homo.items()
             }
         tables: dict[int, TablePlan] = {}

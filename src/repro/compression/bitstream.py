@@ -236,8 +236,8 @@ def _read_fixed(packed: np.ndarray, starts: np.ndarray, width: int) -> np.ndarra
     return ((np.take(words, starts >> 3) >> shift) & mask).astype(np.uint64)
 
 
-def unpack_fixed(packed: np.ndarray, count: int, width: int, bit_offset: int = 0) -> np.ndarray:
-    """Read ``count`` fixed-width unsigned integers starting at ``bit_offset``.
+def unpack_fixed(packed: np.ndarray, count: int, width: int) -> np.ndarray:
+    """Read ``count`` fixed-width unsigned integers from the stream's start.
 
     Vectorized: gathers up to 9 bytes around each value and shifts.  Inverse
     of :func:`pack_fixed` for the same ``width``.
@@ -249,14 +249,13 @@ def unpack_fixed(packed: np.ndarray, count: int, width: int, bit_offset: int = 0
     packed = np.asarray(packed, dtype=np.uint8)
     if count == 0:
         return np.zeros(0, dtype=np.uint64)
-    last_bit = bit_offset + count * width
+    last_bit = count * width
     if last_bit > packed.size * 8:
         raise CorruptPayloadError(f"stream too short: need {last_bit} bits, have {packed.size * 8}")
-    if width == 8 and bit_offset % 8 == 0:
-        # Byte-aligned bytes: the packed stream IS the values.
-        first = bit_offset // 8
-        return packed[first : first + count].astype(np.uint64)
-    starts = bit_offset + np.arange(count, dtype=np.int64) * width
+    if width == 8:
+        # Bytes: the packed stream IS the values.
+        return packed[:count].astype(np.uint64)
+    starts = np.arange(count, dtype=np.int64) * width
     return _read_fixed(packed, starts, width)
 
 

@@ -7,7 +7,7 @@ identical value distributions.  Two caches exploit that:
 * :class:`LruCache` — a small bounded mapping used for decode-side peek
   tables (rebuilding a ``2**max_length`` flat table per payload is pure
   waste when the codebook repeats across chunks and iterations).
-* :class:`EncoderPinCache` — the hybrid compressor's ``auto`` mode tries
+* :class:`EncoderPinCache` — the hybrid compressor tries
   both lossless legs and keeps the smaller payload.  Per-table winners are
   extremely stable (Table V), so the pin cache records the winner and
   replays it for ``refresh_every`` batches before paying the try-both cost
@@ -65,7 +65,7 @@ class EncoderPin:
     """The winning lossless leg for one table, plus its replay age."""
 
     winner: str
-    age: int = 0
+    age: int = field(init=False, default=0)
 
 
 @dataclass
@@ -73,9 +73,9 @@ class EncoderPinCache:
     """Per-table pinned-encoder decisions with a refresh window."""
 
     refresh_every: int = 16
-    pins: dict[Hashable, EncoderPin] = field(default_factory=dict)
-    pinned_hits: int = 0
-    trials: int = 0
+    pins: dict[Hashable, EncoderPin] = field(init=False, default_factory=dict)
+    pinned_hits: int = field(init=False, default=0)
+    trials: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.refresh_every < 1:

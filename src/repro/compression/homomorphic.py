@@ -333,19 +333,21 @@ class CountSumCompressor(HomomorphicCompressor):
         for i in range(1, wlen):
             exact = exact + limbs[i].astype(object) * (1 << (_LIMB_BITS * i))
         out = np.empty(count, dtype=np.float64)
-        if exp >= 0:
-            mul = 1 << exp
-            for i, m in enumerate(exact.tolist()):
-                out[i] = float(m * mul)
-        else:
-            den = 1 << (-exp)
-            try:
+        try:
+            if exp >= 0:
+                mul = 1 << exp
+                for i, m in enumerate(exact.tolist()):
+                    out[i] = float(m * mul)
+            else:
+                den = 1 << (-exp)
                 for i, m in enumerate(exact.tolist()):
                     out[i] = m / den
-            except OverflowError:
-                raise ValueError(
-                    f"{self.name}: aggregated sum overflows the float range"
-                ) from None
+        except OverflowError:
+            # A genuine aggregate of at most MAX_TERMS float32 leaves stays
+            # below 2**157, so only a corrupt header overflows float64.
+            raise CorruptPayloadError(
+                f"{self.name}: aggregated sum overflows the float range"
+            ) from None
         return out.astype(dtype).reshape(shape)
 
     def _agg_meta_body(self, header_a, body_a, header_b, body_b, shape):

@@ -1,18 +1,14 @@
 """The paper's hybrid error-bounded compressor.
 
 Quantization feeds one of two lossless encoders — vector-based LZ or
-optimized Huffman — chosen per embedding table.  Two selection modes:
-
-* ``encoder="auto"`` (default): try both and keep the smaller payload.
-  This is what Table V's "hybrid" column reports (the per-table max ratio).
-* ``encoder="lz"`` / ``encoder="huffman"``: pinned choice, as produced by the
-  offline analysis (Algorithm 2 selects per table using the Eq.-2 speedup
-  model, which also weighs throughput; see
-  :mod:`repro.adaptive.selection`).
+optimized Huffman.  The codec tries both and keeps the smaller payload:
+this is what Table V's "hybrid" column reports (the per-table max ratio).
+The offline analysis that picks one encoder per table by the Eq.-2 speedup
+model lives in :mod:`repro.adaptive.selection`.
 
 The payload embeds which encoder won, so decompression is self-contained.
 
-``auto`` mode's try-both cost can be amortized on training hot loops: with
+The try-both cost can be amortized on training hot loops: with
 ``pin_refresh`` set and calls that pass ``key=table_id``, the
 winning leg for each table is *pinned* and replayed for ``pin_refresh``
 batches before the next try-both trial — per-table winners are extremely
@@ -29,51 +25,30 @@ import numpy as np
 from repro.compression.base import Compressor, parse_payload
 from repro.compression.cache import EncoderPinCache
 from repro.compression.entropy import EntropyCompressor
-from repro.compression.vector_lz import DEFAULT_WINDOW, VectorLZCompressor
+from repro.compression.vector_lz import VectorLZCompressor
 from repro.obs.runtime import OBS
 
 __all__ = ["HybridCompressor"]
 
-_ENCODERS = ("auto", "lz", "huffman")
-
 
 class HybridCompressor(Compressor):
-    """Quantize + {vector-LZ | Huffman}, per-table selectable ("Ours")."""
+    """Quantize + the smaller of {vector-LZ, Huffman} ("Ours")."""
 
     name = "hybrid"
     lossy = True
     error_bounded = True
 
-    def __init__(
-        self,
-        encoder: str = "auto",
-        window: int = DEFAULT_WINDOW,
-        max_code_length: int | None = None,
-        chunk_symbols: int | None = None,
-        pin_refresh: int | None = None,
-    ):
-        if encoder not in _ENCODERS:
-            raise ValueError(f"encoder must be one of {_ENCODERS}, got {encoder!r}")
-        self.encoder = encoder
-        self._lz = VectorLZCompressor(window=window)
-        entropy_kwargs: dict[str, Any] = {}
-        if max_code_length is not None:
-            entropy_kwargs["max_code_length"] = max_code_length
-        if chunk_symbols is not None:
-            entropy_kwargs["chunk_symbols"] = chunk_symbols
-        self._entropy = EntropyCompressor(**entropy_kwargs)
+    def __init__(self, pin_refresh: int | None = None):
+        self._lz = VectorLZCompressor()
+        self._entropy = EntropyCompressor()
         self.pins = EncoderPinCache(pin_refresh) if pin_refresh is not None else None
 
-    @property
-    def window(self) -> int:
-        return self._lz.window
-
     def compress(self, array: np.ndarray, error_bound: float | None = None, *, key=None) -> bytes:
-        """Compress with the selected (or, in ``auto`` mode, smaller) leg.
+        """Compress with the smaller leg.
 
-        In ``auto`` mode with ``pin_refresh``, ``key`` replays the table's
-        last winner until the pin ages out, then re-runs the try-both trial;
-        the legs themselves are stateless and never see it.
+        With ``pin_refresh``, ``key`` replays the table's last winner until
+        the pin ages out, then re-runs the try-both trial; the legs
+        themselves are stateless and never see it.
         """
         array = self._validate(array, error_bound)
         pins = self.pins if key is not None else None  # un-keyed calls leave pins alone
@@ -95,9 +70,7 @@ class HybridCompressor(Compressor):
         return out
 
     def _route(self, pins: EncoderPinCache | None, key) -> str:
-        """``encoder`` mode x pin state -> the leg to run: lz | huffman | trial."""
-        if self.encoder != "auto":
-            return self.encoder
+        """Pin state -> the leg to run: lz | huffman | trial."""
         pinned = pins.pinned(key) if pins is not None else None
         if pinned is None:
             return "trial"

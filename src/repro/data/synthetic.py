@@ -78,11 +78,11 @@ class SyntheticClickDataset:
     teacher_scale:
         Strength of the planted signal; larger values make the task easier
         (higher achievable accuracy).
-    dense_weight, sparse_weight:
-        Relative strength of the dense-feature and categorical parts of the
-        planted teacher.  Lowering ``dense_weight`` makes label quality
-        depend on the embeddings, so compression noise on lookups has a
-        measurable accuracy cost (useful for error-bound sensitivity
+    dense_weight:
+        Strength of the dense-feature part of the planted teacher relative
+        to its categorical part (weight 1).  Lowering it makes label
+        quality depend on the embeddings, so compression noise on lookups
+        has a measurable accuracy cost (useful for error-bound sensitivity
         studies).
     """
 
@@ -93,7 +93,6 @@ class SyntheticClickDataset:
         seed: int = 0,
         teacher_scale: float = 1.5,
         dense_weight: float = 1.0,
-        sparse_weight: float = 1.0,
     ):
         check_positive("n_samples", n_samples)
         self.spec = spec
@@ -127,10 +126,9 @@ class SyntheticClickDataset:
             for t in spec.tables
         ]
         self._teacher_scale = float(teacher_scale)
-        if dense_weight < 0 or sparse_weight < 0:
-            raise ValueError("dense_weight and sparse_weight must be >= 0")
+        if dense_weight < 0:
+            raise ValueError("dense_weight must be >= 0")
         self._dense_weight = float(dense_weight)
-        self._sparse_weight = float(sparse_weight)
         self._bias = float(teacher_rng.normal(0.0, 0.1))
 
     def _sample_ids(self, rng: np.random.Generator, table_index: int, count: int) -> np.ndarray:
@@ -154,7 +152,7 @@ class SyntheticClickDataset:
             sparse[:, j] = self._sample_ids(rng, j, batch_size)
         logits = self._bias + self._dense_weight * (dense.astype(np.float64) @ self._w_dense)
         for j in range(self.spec.n_tables):
-            logits = logits + self._sparse_weight * self._w_tables[j][sparse[:, j]] / np.sqrt(
+            logits = logits + self._w_tables[j][sparse[:, j]] / np.sqrt(
                 self.spec.n_tables
             )
         # Second-order term via the factorization-machine identity:
@@ -166,7 +164,7 @@ class SyntheticClickDataset:
         pairwise = 0.5 * ((total**2).sum(axis=-1) - (latents**2).sum(axis=(1, 2)))
         n_pairs = self.spec.n_tables * (self.spec.n_tables - 1) / 2
         if n_pairs > 0:
-            logits = logits + self._sparse_weight * pairwise / np.sqrt(
+            logits = logits + pairwise / np.sqrt(
                 n_pairs * self._latent_dim
             )
         prob = 1.0 / (1.0 + np.exp(-self._teacher_scale * logits / np.sqrt(1 + self.spec.n_dense)))

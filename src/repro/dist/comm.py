@@ -835,32 +835,6 @@ class Communicator:
             )
         return self.simulator.collective(seconds, category)
 
-    def _aggregation_hop_equivalents(self, algorithm: str) -> float:
-        """Full-payload decode-sum-recode passes on the critical path of a
-        *non*-homomorphic compressed all-reduce — the round-trips a
-        homomorphic codec removes.
-
-        Ring: each of the ``n - 1`` reduce-scatter steps re-codes a
-        ``1/n`` shard → ``(n-1)/n`` payload equivalents.  Hierarchical:
-        the intra reduce-scatter plus the inter rail rings →
-        ``(g-1)/g + (N-1)/(N g)``.  Switch: the node and spine aggregators
-        each decode/recode the full payload → ``2``.
-        """
-        n = self.n_ranks
-        if n <= 1:
-            return 0.0
-        topology = self.simulator.network.topology
-        if algorithm == "switch" and topology is not None and topology.switch_aggregation:
-            return 2.0
-        if algorithm in ("hierarchical", "switch") and topology is not None:
-            g = topology._balanced_gpus_per_node()
-            n_nodes = topology.n_nodes
-            total = (g - 1) / g if g > 1 else 0.0
-            if n_nodes > 1:
-                total += (n_nodes - 1) / (n_nodes * g)
-            return total
-        return (n - 1) / n
-
     def compressed_all_reduce(
         self,
         arrays: Sequence[np.ndarray],
@@ -869,7 +843,6 @@ class Communicator:
         category: str = EventCategory.ALLREDUCE,
         *,
         algorithm: str = "ring",
-        in_network: bool = True,
         encode_seconds: Sequence[float] | None = None,
         decode_seconds: Sequence[float] | None = None,
     ) -> list[np.ndarray]:
@@ -891,12 +864,7 @@ class Communicator:
         degenerates exactly to hierarchical when the topology has no
         aggregation nodes).  ``encode_seconds`` / ``decode_seconds`` give
         per-rank codec device times, charged once at the leaves and once
-        at the end.  ``in_network=False`` models the *baseline* discipline
-        for a codec that cannot aggregate: every intermediate hop must
-        decode, sum, and re-encode, so the collective additionally pays
-        the hop-equivalent codec time on its critical path — the pipelined
-        makespan is never below the ``in_network=True`` one, which the
-        property tests pin.
+        at the end.
 
         Returns one decoded total per rank (fresh arrays, original shape).
         """
@@ -934,12 +902,7 @@ class Communicator:
         encode = self._per_rank_seconds(encode_seconds, "encode_seconds")
         decode = self._per_rank_seconds(decode_seconds, "decode_seconds")
         hop_nbytes = max(len(final), max(len(p) for p in leaves))
-        wire_seconds = self._all_reduce_seconds(hop_nbytes, algorithm)
-        collective_seconds = wire_seconds
-        if not in_network:
-            collective_seconds += self._aggregation_hop_equivalents(algorithm) * (
-                max(encode) + max(decode)
-            )
+        collective_seconds = self._all_reduce_seconds(hop_nbytes, algorithm)
 
         sim = self.simulator
         for rank in range(n):
@@ -962,7 +925,7 @@ class Communicator:
             reg.counter(
                 "comm_homomorphic_hops_saved_total",
                 "decode-sum-recode round-trips removed by in-network aggregation",
-            ).inc(n - 1 if in_network else 0, codec=codec, algorithm=algorithm)
+            ).inc(n - 1, codec=codec, algorithm=algorithm)
 
         total = compressor.decompress(final).reshape(shape)
         return [total.copy() for _ in range(n)]

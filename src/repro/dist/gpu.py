@@ -22,6 +22,17 @@ from repro.utils.validation import check_positive
 
 __all__ = ["GpuModel", "A100_LIKE"]
 
+#: fraction of peak FLOPS the training-step GEMMs achieve (small DLRM
+#: layers never saturate tensor cores)
+GEMM_EFFICIENCY = 0.33
+#: peak HBM bandwidth, bytes/s
+MEMORY_BANDWIDTH = 1.555e12
+#: fraction of peak bandwidth an embedding gather/scatter achieves
+#: (random-access rows defeat coalescing)
+GATHER_EFFICIENCY = 0.1
+#: effective device-to-device copy bandwidth, bytes/s (read+write)
+MEMCPY_BANDWIDTH = 1.3e12
+
 
 @dataclass(frozen=True)
 class GpuModel:
@@ -33,16 +44,6 @@ class GpuModel:
         Fixed host-side cost of launching one kernel, seconds.
     flops:
         Peak fp32 rate, FLOP/s.
-    gemm_efficiency:
-        Fraction of peak the training-step GEMMs achieve (small DLRM
-        layers never saturate tensor cores).
-    memory_bandwidth:
-        Peak HBM bandwidth, bytes/s.
-    gather_efficiency:
-        Fraction of peak bandwidth an embedding gather/scatter achieves
-        (random-access rows defeat coalescing).
-    memcpy_bandwidth:
-        Effective device-to-device copy bandwidth, bytes/s (read+write).
     saturation_bytes:
         Input size at which a streaming (compression-style) kernel reaches
         half of its peak throughput; see :meth:`utilization`.
@@ -54,20 +55,12 @@ class GpuModel:
     name: str = "generic"
     kernel_launch_overhead: float = 4.5e-6
     flops: float = 19.5e12
-    gemm_efficiency: float = 0.33
-    memory_bandwidth: float = 1.555e12
-    gather_efficiency: float = 0.1
-    memcpy_bandwidth: float = 1.3e12
     saturation_bytes: float = 2.0 * MB
     min_utilization: float = 0.25
 
     def __post_init__(self) -> None:
         check_positive("kernel_launch_overhead", self.kernel_launch_overhead, strict=False)
         check_positive("flops", self.flops)
-        check_positive("gemm_efficiency", self.gemm_efficiency)
-        check_positive("memory_bandwidth", self.memory_bandwidth)
-        check_positive("gather_efficiency", self.gather_efficiency)
-        check_positive("memcpy_bandwidth", self.memcpy_bandwidth)
         check_positive("saturation_bytes", self.saturation_bytes)
         if not 0.0 < self.min_utilization <= 1.0:
             raise ValueError(f"min_utilization must be in (0, 1], got {self.min_utilization!r}")
@@ -99,7 +92,7 @@ class GpuModel:
         """Device-to-device copy of ``nbytes`` (DMA engine, no launch)."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
-        return nbytes / self.memcpy_bandwidth
+        return nbytes / MEMCPY_BANDWIDTH
 
     # ------------------------------------------------------- training step
 
@@ -113,7 +106,7 @@ class GpuModel:
         total = 0.0
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             flop = 2.0 * batch * fan_in * fan_out
-            total += self.kernel_launch_overhead + flop / (self.flops * self.gemm_efficiency)
+            total += self.kernel_launch_overhead + flop / (self.flops * GEMM_EFFICIENCY)
         return total
 
     def lookup_time(self, batch: int, embedding_dim: int, n_tables: int) -> float:
@@ -123,9 +116,7 @@ class GpuModel:
         check_positive("embedding_dim", embedding_dim)
         check_positive("n_tables", n_tables)
         nbytes = 4.0 * batch * embedding_dim * n_tables
-        return self.kernel_launch_overhead + nbytes / (
-            self.memory_bandwidth * self.gather_efficiency
-        )
+        return self.kernel_launch_overhead + nbytes / (MEMORY_BANDWIDTH * GATHER_EFFICIENCY)
 
     def interaction_time(self, batch: int, n_features: int, embedding_dim: int) -> float:
         """Pairwise dot-product feature interaction (batched ``f x f``
@@ -134,7 +125,7 @@ class GpuModel:
         check_positive("n_features", n_features)
         check_positive("embedding_dim", embedding_dim)
         flop = float(batch) * n_features * n_features * embedding_dim
-        return self.kernel_launch_overhead + flop / (self.flops * self.gemm_efficiency)
+        return self.kernel_launch_overhead + flop / (self.flops * GEMM_EFFICIENCY)
 
 
 #: Default device: calibrated to the paper's A100 measurements — ~4.5 us

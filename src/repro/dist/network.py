@@ -417,8 +417,10 @@ class NetworkModel:
     topology:
         Optional per-pair link map.  When set, the collectives are priced
         per link (phased all-to-all, bottleneck-edge ring, hierarchical
-        all-reduce); the scalar ``bandwidth``/``latency`` remain the
-        point-to-point (broadcast) fallback.
+        all-reduce) and nothing reads the scalar ``bandwidth``/``latency``:
+        they price a topology-free model only, in the collectives here
+        and in :class:`~repro.serve.simulator.ServingSimulator`'s shard
+        pulls.
     """
 
     bandwidth: float = 4.0 * GB
@@ -431,15 +433,9 @@ class NetworkModel:
 
     @classmethod
     def from_topology(cls, topology: Topology) -> "NetworkModel":
-        """Topology-priced model whose scalar fallback terms are the
-        topology's bottleneck link (used only for point-to-point)."""
-        off_diag = ~np.eye(topology.n_ranks, dtype=bool)
-        if topology.n_ranks > 1:
-            bandwidth = float(topology.bandwidth_matrix[off_diag].min())
-            latency = float(topology.latency_matrix[off_diag].max())
-        else:
-            bandwidth, latency = 4.0 * GB, 2e-7
-        return cls(bandwidth=bandwidth, latency=latency, topology=topology)
+        """Topology-priced model; its scalar terms keep their defaults,
+        which nothing reads once a topology is set."""
+        return cls(topology=topology)
 
     # ------------------------------------------------------ point to point
 

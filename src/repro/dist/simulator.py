@@ -15,9 +15,7 @@ Charging primitives:
 
 * :meth:`compute` — rank-local work on the ``compute`` stream: advances
   that stream's clock and logs an event starting at its current time.
-* :meth:`stream_compute` — the same on an arbitrary named stream, with an
-  optional ``not_before`` release time (an event may not start before its
-  inputs exist — e.g. decompression before the first chunk arrives).
+* :meth:`stream_compute` — the same on an arbitrary named stream.
 * :meth:`sync` — join all of one rank's streams (a device-wide event
   barrier), like ``cudaStreamSynchronize`` on every stream.
 * :meth:`collective` — synchronizing work: all ranks (all streams) first
@@ -165,30 +163,21 @@ class ClusterSimulator:
         seconds: float,
         category: str,
         stream: str = COMPUTE_STREAM,
-        *,
-        not_before: float | None = None,
-        args: dict | None = None,
-        release_edges: list[int] | None = None,
     ) -> float:
         """Charge work to one named stream of one rank.
 
-        The event starts at the stream's clock, delayed to ``not_before``
-        if given (the release time of the event's inputs); only that
-        stream's clock advances, so events on the rank's other streams may
-        run concurrently.  ``args`` attaches structured labels to the
-        logged event (e.g. chunk indices of a pipelined exchange);
-        ``release_edges`` names the already-logged events whose completion
-        released this one (the provenance behind ``not_before``), recorded
-        with the lane's tails.  Returns the event's end time.
+        The event starts at the stream's clock; only that stream's clock
+        advances, so events on the rank's other streams may run
+        concurrently.  The lane's tails, unless they are just its own last
+        event, become the event's release edges.
+        Returns the event's end time.
         """
         self._check_rank(rank)
         seconds = self._check_seconds(seconds)
         clocks = self._stream_clocks(stream)
         tails = self._tails[stream]
-        edges = (*(release_edges or ()), *self._lane_edges(rank, stream, tails[rank]))
+        edges = self._lane_edges(rank, stream, tails[rank])
         start = clocks[rank]
-        if not_before is not None:
-            start = max(start, self._check_seconds(not_before))
         if self.fault_injector is not None:
             start, seconds = self.fault_injector.adjust_stream_event(
                 rank, stream, start, seconds
@@ -199,7 +188,6 @@ class ClusterSimulator:
             start,
             seconds,
             stream=stream,
-            args=args,
             release_edges=edges,
         )
         tails[rank] = (len(self.timeline) - 1,)

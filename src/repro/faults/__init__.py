@@ -16,7 +16,7 @@ on the simulated clock — across the whole train → publish → serve path:
 * :mod:`repro.faults.breaker` — :class:`CircuitBreaker`: per-shard
   fail-fast so a dead node degrades responses instead of queueing them.
 * :mod:`repro.faults.checkpoint` — :class:`TrainerCheckpoint`:
-  parameter/optimizer/pipeline snapshots with bit-identical resume.
+  parameter/gradient/pipeline snapshots with bit-identical resume.
 * :mod:`repro.faults.scenario` — the day-in-the-life chaos scenario and
   its invariants.
 """

@@ -5,7 +5,6 @@ a :class:`~repro.train.hybrid.HybridParallelTrainer` step:
 
 * every model parameter array (dense MLPs and embedding tables) and its
   pending gradient accumulation;
-* the optimizer's per-element state (Adagrad accumulators; SGD has none);
 * the **compression pipeline**, deep-copied — its codecs keep no state
   between calls, so payload bytes depend only on the step's inputs, but
   its transfer stats and per-table codec record resume where they were.
@@ -49,52 +48,44 @@ class TrainerCheckpoint:
     iteration: int  # next iteration to run after a restore
     params: tuple[np.ndarray, ...]
     grads: tuple[np.ndarray, ...]
-    opt_state: tuple[np.ndarray, ...]
     pipeline: object | None
     nbytes: int = field(default=0)
 
     @classmethod
-    def capture(cls, trainer, iteration: int, *, charge: bool = True) -> "TrainerCheckpoint":
+    def capture(cls, trainer, iteration: int) -> "TrainerCheckpoint":
         """Snapshot ``trainer`` as of *before* running ``iteration``.
 
-        With ``charge`` (default), a CHECKPOINT memcpy of the state bytes
-        is charged to every rank's compute stream at the current clock.
+        A CHECKPOINT memcpy of the state bytes is charged to every rank's
+        compute stream at the current clock.
         """
         if iteration < 0:
             raise ValueError(f"iteration must be >= 0, got {iteration!r}")
         params = tuple(p.data.copy() for p in trainer.model.parameters())
         grads = tuple(p.grad.copy() for p in trainer.model.parameters())
-        opt_state = tuple(a.copy() for a in getattr(trainer._opt, "_state", ()))
         pipeline = copy.deepcopy(trainer.pipeline) if trainer.pipeline is not None else None
-        nbytes = int(
-            sum(a.nbytes for a in params)
-            + sum(a.nbytes for a in grads)
-            + sum(a.nbytes for a in opt_state)
-        )
+        nbytes = int(sum(a.nbytes for a in params) + sum(a.nbytes for a in grads))
         snapshot = cls(
             iteration=int(iteration),
             params=params,
             grads=grads,
-            opt_state=opt_state,
             pipeline=pipeline,
             nbytes=nbytes,
         )
-        if charge:
-            snapshot._charge(trainer, EventCategory.CHECKPOINT)
+        snapshot._charge(trainer, EventCategory.CHECKPOINT)
         if OBS.enabled:
             reg = OBS.registry
             reg.counter("checkpoints_taken_total", "trainer snapshots captured").inc()
             reg.gauge("checkpoint_nbytes_last", "size of the latest snapshot").set(nbytes)
         return snapshot
 
-    def restore(self, trainer, *, charge: bool = True) -> int:
+    def restore(self, trainer) -> int:
         """Load this snapshot back into ``trainer``; returns the iteration
         to resume from.
 
-        Parameters, pending gradients, and optimizer accumulators are
-        copied in place (``np.copyto``); the pipeline is replaced with a
-        deep copy of the snapshot's, so the snapshot itself stays pristine
-        across repeated restores.  Wire-byte counters are left alone —
+        Parameters and pending gradients are copied in place
+        (``np.copyto``); the pipeline is replaced with a deep copy of the
+        snapshot's, so the snapshot itself stays pristine across repeated
+        restores.  Wire-byte counters are left alone —
         lost work's traffic still happened.
         """
         live_params = list(trainer.model.parameters())
@@ -111,17 +102,8 @@ class TrainerCheckpoint:
                 )
             np.copyto(param.data, saved_data)
             np.copyto(param.grad, saved_grad)
-        live_state = getattr(trainer._opt, "_state", ())
-        if len(live_state) != len(self.opt_state):
-            raise ValueError(
-                f"snapshot holds {len(self.opt_state)} optimizer arrays but the "
-                f"trainer has {len(live_state)}"
-            )
-        for accum, saved in zip(live_state, self.opt_state):
-            np.copyto(accum, saved)
         trainer.pipeline = copy.deepcopy(self.pipeline) if self.pipeline is not None else None
-        if charge:
-            self._charge(trainer, EventCategory.RESTORE)
+        self._charge(trainer, EventCategory.RESTORE)
         if OBS.enabled:
             OBS.registry.counter(
                 "checkpoint_restores_total", "trainer restores from snapshot"

@@ -55,8 +55,8 @@ class LinkFault:
 
     ``src``/``dst`` name an ordered rank pair on the fabric; ``None``
     matches every rank (a fabric-wide event such as a ToR switch brownout).
-    ``symmetric`` also matches the reversed pair — physical links carry
-    both directions.  ``bandwidth_factor < 1`` degrades throughput,
+    A fault also matches the reversed pair — physical links carry both
+    directions.  ``bandwidth_factor < 1`` degrades throughput,
     ``extra_latency`` adds a per-message spike, ``outage=True`` takes the
     link down entirely (messages cannot start until the window ends).
     """
@@ -68,7 +68,6 @@ class LinkFault:
     bandwidth_factor: float = 1.0
     extra_latency: float = 0.0
     outage: bool = False
-    symmetric: bool = True
 
     def __post_init__(self) -> None:
         _check_window("LinkFault", self.start, self.duration)
@@ -93,9 +92,7 @@ class LinkFault:
         def one_way(a: int | None, b: int | None) -> bool:
             return (a is None or a == src) and (b is None or b == dst)
 
-        if one_way(self.src, self.dst):
-            return True
-        return self.symmetric and one_way(self.dst, self.src)
+        return one_way(self.src, self.dst) or one_way(self.dst, self.src)
 
 
 @dataclass(frozen=True)

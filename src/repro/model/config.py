@@ -7,7 +7,13 @@ from dataclasses import dataclass
 from repro.data.specs import DatasetSpec
 from repro.utils.validation import check_positive
 
-__all__ = ["DLRMConfig"]
+__all__ = ["CLUSTER_JITTER", "DLRMConfig"]
+
+#: jitter std for clustered rows.  A full row collapses only if *every*
+#: coordinate lands in the same quantization bin, so the jitter must be
+#: far below the bin width (2 x 0.01 for the small bound) divided by the
+#: dimension count for same-cluster rows to homogenize reliably.
+CLUSTER_JITTER = 5e-5
 
 
 @dataclass(frozen=True)
@@ -27,11 +33,6 @@ class DLRMConfig:
     table_value_scales: tuple[float, ...] | None = None
     table_value_distributions: tuple[str, ...] | None = None
     table_cluster_counts: tuple[int, ...] | None = None
-    #: jitter std for clustered rows.  A full row collapses only if *every*
-    #: coordinate lands in the same quantization bin, so the jitter must be
-    #: far below the bin width (2 x 0.01 for the small bound) divided by the
-    #: dimension count for same-cluster rows to homogenize reliably.
-    cluster_jitter: float = 5e-5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -47,8 +48,6 @@ class DLRMConfig:
             value = getattr(self, field_name)
             if value is not None and len(value) != n:
                 raise ValueError(f"{field_name} must match table_cardinalities in length")
-        if self.cluster_jitter < 0:
-            raise ValueError(f"cluster_jitter must be >= 0, got {self.cluster_jitter}")
 
     @property
     def n_tables(self) -> int:

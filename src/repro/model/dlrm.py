@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.model.config import DLRMConfig
+from repro.model.config import CLUSTER_JITTER, DLRMConfig
 from repro.nn.embedding import EmbeddingTable
 from repro.nn.interaction import DotInteraction
 from repro.nn.mlp import MLP
@@ -56,7 +56,7 @@ class DLRM:
                 name=f"emb{i}",
                 distribution=distributions[i],
                 n_clusters=clusters[i],
-                jitter=config.cluster_jitter,
+                jitter=CLUSTER_JITTER,
             )
             for i, cardinality in enumerate(config.table_cardinalities)
         ]

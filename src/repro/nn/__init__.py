@@ -6,7 +6,7 @@ from repro.nn.interaction import DotInteraction
 from repro.nn.linear import Linear, ReLU, Sigmoid
 from repro.nn.loss import bce_grad, bce_with_logits, sigmoid
 from repro.nn.mlp import MLP
-from repro.nn.optim import SGD, Adagrad
+from repro.nn.optim import SGD
 from repro.nn.param import Parameter
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "bce_grad",
     "sigmoid",
     "SGD",
-    "Adagrad",
     "xavier_uniform",
     "uniform_embedding",
 ]

@@ -1,20 +1,17 @@
-"""Optimizers: SGD and Adagrad over :class:`~repro.nn.param.Parameter`.
+"""The optimizer: SGD over :class:`~repro.nn.param.Parameter`.
 
-DLRM reference training uses SGD; Adagrad is the common production choice
-for the sparse embedding side.  Both consume accumulated gradients and zero
-them after stepping.
+DLRM reference training uses SGD.  It consumes accumulated gradients and
+zeroes them after stepping.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-import numpy as np
-
 from repro.nn.param import Parameter
 from repro.utils.validation import check_positive
 
-__all__ = ["SGD", "Adagrad"]
+__all__ = ["SGD"]
 
 
 class SGD:
@@ -30,24 +27,4 @@ class SGD:
     def step(self) -> None:
         for param in self.parameters:
             param.data -= self.lr * param.grad
-            param.zero_grad()
-
-
-class Adagrad:
-    """Adagrad with per-element accumulators."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float, eps: float = 1e-10):
-        check_positive("lr", lr)
-        check_positive("eps", eps)
-        self.parameters = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer needs at least one parameter")
-        self.lr = float(lr)
-        self.eps = float(eps)
-        self._state = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, accum in zip(self.parameters, self._state):
-            accum += param.grad**2
-            param.data -= self.lr * param.grad / (np.sqrt(accum) + self.eps)
             param.zero_grad()

@@ -44,14 +44,12 @@ from repro.obs.runtime import OBS, capture, disable, enable, enabled
 
 _LAZY_EXPORTS = {
     "unified_chrome_trace": "repro.obs.trace",
-    "dump_unified_chrome_trace": "repro.obs.trace",
     "timelines_from_chrome_trace": "repro.obs.trace",
     "SNAPSHOT_SCHEMA_ID": "repro.obs.exporters",
     "snapshot_to_json": "repro.obs.exporters",
     "snapshot_from_json": "repro.obs.exporters",
     "reports_from_json": "repro.obs.exporters",
     "to_prometheus": "repro.obs.exporters",
-    "from_prometheus": "repro.obs.exporters",
     "run_report": "repro.obs.exporters",
     "validate_snapshot_json": "repro.obs.schema",
     "SnapshotSchemaError": "repro.obs.schema",
@@ -71,7 +69,6 @@ _LAZY_EXPORTS = {
     "SloHub": "repro.obs.slo",
     "default_monitors": "repro.obs.slo",
     "attach_hub": "repro.obs.slo",
-    "detach_hub": "repro.obs.slo",
 }
 
 __all__ = [

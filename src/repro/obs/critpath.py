@@ -412,18 +412,21 @@ def critical_path_report(
     return table
 
 
+#: chrome-trace thread id of the critical-path highlight lane
+HIGHLIGHT_TID = 10_000
+
+
 def highlight_trace_events(
     result: CriticalPathResult,
     *,
     pid: int = 0,
-    tid: int = 10_000,
     offset_seconds: float = 0.0,
     process_name: str | None = None,
 ) -> list[dict]:
     """Render the critical path as one chrome-trace highlight lane.
 
     Returns ``"X"`` entries (plus lane/process metadata) on a dedicated
-    thread id; append them to an existing trace's ``traceEvents`` to see
+    thread id, :data:`HIGHLIGHT_TID`; append them to an existing trace's ``traceEvents`` to see
     the binding chain as its own swim lane above the per-rank lanes.
     """
     entries: list[dict] = []
@@ -433,7 +436,7 @@ def highlight_trace_events(
                 "name": "process_name",
                 "ph": "M",
                 "pid": pid,
-                "tid": tid,
+                "tid": HIGHLIGHT_TID,
                 "args": {"name": process_name},
             }
         )
@@ -442,7 +445,7 @@ def highlight_trace_events(
             "name": "thread_name",
             "ph": "M",
             "pid": pid,
-            "tid": tid,
+            "tid": HIGHLIGHT_TID,
             "args": {"name": "critical path"},
         }
     )
@@ -454,7 +457,7 @@ def highlight_trace_events(
                 "cat": "critpath",
                 "ph": "X",
                 "pid": pid,
-                "tid": tid,
+                "tid": HIGHLIGHT_TID,
                 "ts": step.start * 1e6 + shift_us,
                 "dur": step.seconds * 1e6,
                 "args": {

@@ -146,6 +146,10 @@ def write_artifacts(
     return paths
 
 
+#: the scenario's serve p99 latency budget, seconds
+SERVE_LATENCY_TARGET = 2e-3
+
+
 def run_day_in_the_life(
     *,
     n_iterations: int = 3,
@@ -153,7 +157,6 @@ def run_day_in_the_life(
     n_tables: int = 6,
     cardinality: int = 400,
     qps: float = 2000.0,
-    serve_latency_target: float = 2e-3,
     train_step_target: float = 5e-3,
     out_dir: str | Path | None = None,
     seed: int = 7,
@@ -202,7 +205,7 @@ def run_day_in_the_life(
         slo_hub = attach_hub(
             SloHub(
                 default_monitors(
-                    serve_p99_target=serve_latency_target,
+                    serve_p99_target=SERVE_LATENCY_TARGET,
                     publish_staleness_bound=staleness_bound,
                     train_step_target=train_step_target,
                 )

@@ -42,7 +42,6 @@ __all__ = [
     "SloHub",
     "default_monitors",
     "attach_hub",
-    "detach_hub",
 ]
 
 
@@ -226,20 +225,23 @@ class SloHub:
         }
 
 
+#: slow burn-rate window of every standard monitor, simulated seconds
+SLOW_WINDOW = 0.05
+
+
 def default_monitors(
     *,
     serve_p99_target: float,
     publish_staleness_bound: float,
     train_step_target: float,
-    serve_window: float = 0.05,
-    train_window: float = 0.05,
     objective: float = 0.99,
 ) -> list[BurnRateMonitor]:
     """The standard three monitors: serve p99-vs-target, publish
-    staleness-vs-bound, train step-time-vs-budget.  Fast windows are a
-    fifth of the slow ones; publication rounds are sparse, so the
-    staleness monitor promises a 100% objective (any breach of the bound
-    burns at infinite rate — exactly the alarm you want)."""
+    staleness-vs-bound, train step-time-vs-budget.  Each slow window is
+    :data:`SLOW_WINDOW` and each fast one a fifth of it; publication
+    rounds are sparse, so the staleness monitor promises a 100% objective
+    (any breach of the bound burns at infinite rate — exactly the alarm
+    you want)."""
     return [
         BurnRateMonitor(
             SLOSpec(
@@ -247,8 +249,8 @@ def default_monitors(
                 source="serve_latency",
                 threshold=serve_p99_target,
                 objective=objective,
-                fast_window=serve_window / 5.0,
-                slow_window=serve_window,
+                fast_window=SLOW_WINDOW / 5.0,
+                slow_window=SLOW_WINDOW,
             )
         ),
         BurnRateMonitor(
@@ -257,8 +259,8 @@ def default_monitors(
                 source="publish_staleness",
                 threshold=publish_staleness_bound,
                 objective=1.0,
-                fast_window=serve_window / 5.0,
-                slow_window=serve_window,
+                fast_window=SLOW_WINDOW / 5.0,
+                slow_window=SLOW_WINDOW,
                 fast_burn=1.0,
                 slow_burn=1.0,
             )
@@ -269,8 +271,8 @@ def default_monitors(
                 source="train_step",
                 threshold=train_step_target,
                 objective=objective,
-                fast_window=train_window / 5.0,
-                slow_window=train_window,
+                fast_window=SLOW_WINDOW / 5.0,
+                slow_window=SLOW_WINDOW,
             )
         ),
     ]
@@ -282,7 +284,3 @@ def attach_hub(hub: SloHub | None = None) -> SloHub:
     hub = SloHub() if hub is None else hub
     OBS.slo_hub = hub
     return hub
-
-
-def detach_hub() -> None:
-    OBS.slo_hub = None

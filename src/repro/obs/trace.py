@@ -14,15 +14,12 @@ follows and the serving burst after the publication.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Mapping
 
 from repro.dist.timeline import Timeline
 
 __all__ = [
     "unified_chrome_trace",
-    "dump_unified_chrome_trace",
     "timelines_from_chrome_trace",
 ]
 
@@ -95,17 +92,3 @@ def timelines_from_chrome_trace(trace: dict) -> dict[str, Timeline]:
             events.append(entry)
         timelines[name] = Timeline.from_chrome_trace({"traceEvents": events})
     return timelines
-
-
-def dump_unified_chrome_trace(
-    tiers: Mapping[str, Timeline],
-    path: str | Path,
-    *,
-    offsets: Mapping[str, float] | None = None,
-) -> Path:
-    """Write :func:`unified_chrome_trace` JSON to ``path`` (parents are
-    created) and return the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(unified_chrome_trace(tiers, offsets=offsets)))
-    return path

@@ -569,7 +569,6 @@ def build_serving_tier(
     *,
     iteration: int = 0,
     rows_per_block: int = DEFAULT_ROWS_PER_BLOCK,
-    shard_error_bound: float | None = None,
     publication_network: NetworkModel | None = None,
     compress_publication: bool = True,
     retry_policy=None,
@@ -583,8 +582,7 @@ def build_serving_tier(
     trainer's *current* model state, so the publisher's error-feedback
     baseline matches what the shards actually hold.  With the trainer's
     adaptive pipeline present, each table's shard codec and storage bound
-    come from the controller at ``iteration``; ``shard_error_bound``
-    overrides with one scalar bound (``0`` stores shards losslessly).
+    come from the controller at ``iteration``.
     """
     check_positive("n_shard_ranks", n_shard_ranks)
     check_positive("n_replicas", n_replicas)
@@ -603,9 +601,8 @@ def build_serving_tier(
         EmbeddingShardServer.from_model(
             model,
             sharding.tables_of(rank),
-            controller if shard_error_bound is None else None,
+            controller,
             iteration=iteration,
-            error_bound=shard_error_bound if shard_error_bound is not None else 1e-2,
             rows_per_block=rows_per_block,
         )
         for rank in range(int(n_shard_ranks))

@@ -147,11 +147,11 @@ class ServingSimulator:
         not completed after this many seconds, a second identical pull is
         issued and the request takes whichever finishes first — the
         classic tail-latency hedge, effective when slowness is transient.
-    breaker_failure_threshold / breaker_reset_seconds:
-        Per-shard circuit breaker: after this many consecutive pull
-        failures the shard is failed fast (degraded answers, no timeout
-        waits) until the reset window elapses and a half-open probe
-        succeeds.
+    breaker_reset_seconds:
+        Per-shard circuit breaker: after the breaker's default
+        ``failure_threshold`` consecutive pull failures the shard is failed
+        fast (degraded answers, no timeout waits) until this reset window
+        elapses and a half-open probe succeeds.
     """
 
     def __init__(
@@ -165,7 +165,6 @@ class ServingSimulator:
         fault_injector=None,
         retry_policy=None,
         hedge_delay: float | None = None,
-        breaker_failure_threshold: int = 3,
         breaker_reset_seconds: float = 0.25,
     ):
         if not replicas:
@@ -192,11 +191,7 @@ class ServingSimulator:
             retry_policy = _NULL_POLICY if fault_injector is None else RetryPolicy(max_attempts=1)
         self.retry_policy = retry_policy
         self._breakers = tuple(
-            CircuitBreaker(
-                failure_threshold=breaker_failure_threshold,
-                reset_timeout_seconds=breaker_reset_seconds,
-            )
-            for _ in range(self.n_shards)
+            CircuitBreaker(reset_timeout_seconds=breaker_reset_seconds) for _ in range(self.n_shards)
         )
         total_ranks = self.n_replicas + self.n_shards
         if (

@@ -67,7 +67,7 @@ from repro.model.dlrm import DLRM
 from repro.obs.registry import UNIT_BUCKETS
 from repro.obs.runtime import OBS
 from repro.nn.loss import bce_grad, bce_with_logits
-from repro.nn.optim import SGD, Adagrad
+from repro.nn.optim import SGD
 from repro.train.metrics import TrainingHistory
 from repro.train.pipeline import CompressionPipeline
 from repro.train.reference import evaluate_model
@@ -111,7 +111,6 @@ class HybridParallelTrainer:
         simulator: ClusterSimulator,
         pipeline: CompressionPipeline | None = None,
         lr: float = 0.1,
-        optimizer: str = "sgd",
         sharding: ShardingPlan | None = None,
         overlap: bool | str = False,
         allreduce_algorithm: str = "ring",
@@ -120,7 +119,6 @@ class HybridParallelTrainer:
         allreduce_error_bound: float = 1e-3,
     ):
         check_positive("lr", lr)
-        check_in("optimizer", optimizer, ("sgd", "adagrad"))
         check_in(
             "allreduce_algorithm", allreduce_algorithm, ("ring", "hierarchical", "switch")
         )
@@ -155,8 +153,7 @@ class HybridParallelTrainer:
         )
         if self.sharding.n_tables != n_tables or self.sharding.n_ranks != simulator.n_ranks:
             raise ValueError("sharding plan does not match model/simulator layout")
-        opt_cls = SGD if optimizer == "sgd" else Adagrad
-        self._opt = opt_cls(model.parameters(), lr=lr)
+        self._opt = SGD(model.parameters(), lr=lr)
         self._mlp_param_bytes = int(
             sum(p.data.size for p in model.mlp_parameters()) * 4
         )
@@ -522,7 +519,6 @@ class HybridParallelTrainer:
         n_iterations: int,
         global_batch_size: int,
         eval_every: int = 0,
-        eval_batch_size: int = 512,
         eval_batches: int = 4,
     ) -> HybridTrainingReport:
         """Run the simulated training loop and collect the full report."""
@@ -533,9 +529,7 @@ class HybridParallelTrainer:
             history.record_loss(loss)
             last = iteration == n_iterations - 1
             if eval_every and (iteration % eval_every == eval_every - 1 or last):
-                accuracy, auc = evaluate_model(
-                    self.model, self.dataset, eval_batch_size, eval_batches
-                )
+                accuracy, auc = evaluate_model(self.model, self.dataset, n_batches=eval_batches)
                 history.record_eval(iteration, accuracy, auc)
         return HybridTrainingReport(
             history=history,

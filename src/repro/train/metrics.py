@@ -56,10 +56,10 @@ def roc_auc(logits: np.ndarray, labels: np.ndarray) -> float:
 class TrainingHistory:
     """Loss/accuracy traces collected during a run."""
 
-    losses: list[float] = field(default_factory=list)
-    eval_iterations: list[int] = field(default_factory=list)
-    accuracies: list[float] = field(default_factory=list)
-    aucs: list[float] = field(default_factory=list)
+    losses: list[float] = field(init=False, default_factory=list)
+    eval_iterations: list[int] = field(init=False, default_factory=list)
+    accuracies: list[float] = field(init=False, default_factory=list)
+    aucs: list[float] = field(init=False, default_factory=list)
 
     def record_loss(self, value: float) -> None:
         self.losses.append(float(value))

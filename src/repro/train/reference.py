@@ -19,9 +19,9 @@ import numpy as np
 from repro.data.synthetic import SyntheticClickDataset
 from repro.model.dlrm import DLRM
 from repro.nn.loss import bce_grad, bce_with_logits
-from repro.nn.optim import SGD, Adagrad
+from repro.nn.optim import SGD
 from repro.train.metrics import TrainingHistory, binary_accuracy, roc_auc
-from repro.utils.validation import check_in, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["LookupTransform", "ReferenceTrainer", "evaluate_model"]
 
@@ -29,19 +29,22 @@ __all__ = ["LookupTransform", "ReferenceTrainer", "evaluate_model"]
 LookupTransform = Callable[[int, np.ndarray, int], np.ndarray]
 
 
+#: first batch index of held-out evaluation, far past any training run
+EVAL_BATCH_OFFSET = 1_000_000
+
+
 def evaluate_model(
     model: DLRM,
     dataset: SyntheticClickDataset,
     batch_size: int = 512,
     n_batches: int = 4,
-    batch_offset: int = 1_000_000,
 ) -> tuple[float, float]:
     """Held-out (accuracy, AUC): evaluation batches never overlap training
-    batches because their indices start at ``batch_offset``."""
+    batches because their indices start at :data:`EVAL_BATCH_OFFSET`."""
     logits_all = []
     labels_all = []
     for i in range(n_batches):
-        batch = dataset.batch(batch_size, batch_index=batch_offset + i)
+        batch = dataset.batch(batch_size, batch_index=EVAL_BATCH_OFFSET + i)
         logits_all.append(model.forward(batch.dense, batch.sparse))
         labels_all.append(batch.labels)
     logits = np.concatenate(logits_all)
@@ -56,14 +59,11 @@ class ReferenceTrainer:
     model: DLRM
     dataset: SyntheticClickDataset
     lr: float = 0.1
-    optimizer: str = "sgd"
     lookup_transform: LookupTransform | None = None
 
     def __post_init__(self) -> None:
         check_positive("lr", self.lr)
-        check_in("optimizer", self.optimizer, ("sgd", "adagrad"))
-        opt_cls = SGD if self.optimizer == "sgd" else Adagrad
-        self._opt = opt_cls(self.model.parameters(), lr=self.lr)
+        self._opt = SGD(self.model.parameters(), lr=self.lr)
 
     def train_step(self, batch_size: int, iteration: int) -> float:
         """One mini-batch step; returns the training loss."""
@@ -90,7 +90,6 @@ class ReferenceTrainer:
         n_iterations: int,
         batch_size: int,
         eval_every: int = 0,
-        eval_batch_size: int = 512,
         eval_batches: int = 4,
     ) -> TrainingHistory:
         """Run ``n_iterations`` steps, optionally evaluating periodically."""
@@ -102,8 +101,6 @@ class ReferenceTrainer:
             history.record_loss(loss)
             last = iteration == n_iterations - 1
             if eval_every and (iteration % eval_every == eval_every - 1 or last):
-                accuracy, auc = evaluate_model(
-                    self.model, self.dataset, eval_batch_size, eval_batches
-                )
+                accuracy, auc = evaluate_model(self.model, self.dataset, n_batches=eval_batches)
                 history.record_eval(iteration, accuracy, auc)
         return history

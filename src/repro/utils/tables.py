@@ -11,12 +11,15 @@ from collections.abc import Iterable, Sequence
 
 __all__ = ["format_table"]
 
+#: format spec of every float cell
+FLOAT_FMT = ".4g"
 
-def _fmt_cell(value: object, float_fmt: str) -> str:
+
+def _fmt_cell(value: object) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return format(value, float_fmt)
+        return format(value, FLOAT_FMT)
     return str(value)
 
 
@@ -25,14 +28,13 @@ def format_table(
     rows: Iterable[Sequence[object]],
     *,
     title: str | None = None,
-    float_fmt: str = ".4g",
 ) -> str:
     """Render ``rows`` under ``headers`` as an aligned ASCII table.
 
-    Floats are formatted with ``float_fmt``; booleans render as yes/no.
+    Floats are formatted with :data:`FLOAT_FMT`; booleans render as yes/no.
     Returns the table as a single string (no trailing newline).
     """
-    str_rows = [[_fmt_cell(c, float_fmt) for c in row] for row in rows]
+    str_rows = [[_fmt_cell(c) for c in row] for row in rows]
     for row in str_rows:
         if len(row) != len(headers):
             raise ValueError(

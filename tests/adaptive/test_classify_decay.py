@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.adaptive.classify import (
     classify_by_threshold,
 )
 from repro.adaptive.decay import (
+    LOG_CURVATURE,
     AbruptDrop,
     ConstantSchedule,
     ExponentialDecay,
@@ -154,6 +157,12 @@ class TestDecaySchedules:
         log_s = LogarithmicDecay(2.0, 100)
         lin_s = LinearDecay(2.0, 100)
         assert log_s(10) < lin_s(10)
+
+    def test_logarithmic_shape_has_the_fixed_curvature(self):
+        schedule = LogarithmicDecay(3.0, 40)
+        for i in range(41):
+            shape = math.log1p(LOG_CURVATURE * (i / 40)) / math.log1p(LOG_CURVATURE)
+            assert schedule(i) == 3.0 - 2.0 * shape
 
     def test_constant(self):
         schedule = ConstantSchedule()

@@ -73,15 +73,12 @@ class TestFixedWidth:
         out = unpack_fixed(packed, 5, 3)
         np.testing.assert_array_equal(out, values)
 
-    def test_roundtrip_with_offset(self):
-        a = np.array([1, 2, 3], dtype=np.uint64)
-        b = np.array([10, 20, 30], dtype=np.uint64)
-        packed_a, bits_a = pack_fixed(a, 5)
-        packed_b, _ = pack_fixed(b, 5)
-        # Concatenate at bit granularity by repacking jointly.
-        joint, _ = pack_fixed(np.concatenate([a, b]), 5)
-        out = unpack_fixed(joint, 3, 5, bit_offset=bits_a)
-        np.testing.assert_array_equal(out, b)
+    def test_width_eight_reads_the_bytes(self):
+        values = np.array([0, 1, 127, 255, 9], dtype=np.uint64)
+        packed, total = pack_fixed(values, 8)
+        assert total == 40
+        np.testing.assert_array_equal(unpack_fixed(packed, 3, 8), values[:3])
+        np.testing.assert_array_equal(unpack_fixed(packed, 5, 8), values)
 
     def test_width_zero_all_zero(self):
         packed, total = pack_fixed(np.zeros(4, dtype=np.uint64), 0)

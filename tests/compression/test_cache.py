@@ -68,6 +68,15 @@ class TestEncoderPinCache:
         with pytest.raises(ValueError):
             EncoderPinCache(refresh_every=0)
 
+    def test_a_new_pin_starts_its_window(self):
+        pins = EncoderPinCache(refresh_every=2)
+        assert (pins.pins, pins.pinned_hits, pins.trials) == ({}, 0, 0)
+        pins.record_winner("t", "lz")
+        assert pins.pins["t"].age == 0
+        pins.pinned("t")
+        pins.record_winner("t", "huffman")  # a re-trial resets the age
+        assert pins.pins["t"].age == 0 and pins.pins["t"].winner == "huffman"
+
 
 class TestStatelessEntropy:
     """The entropy leg builds each book from the batch it encodes: round
@@ -154,16 +163,6 @@ class TestHybridPinning:
         data = self._lz_friendly(np.random.default_rng(6))
         payload = codec.compress(data, 0.01, key=0)
         assert np.abs(data - decompress_any(payload)).max() <= 0.01 + 1e-6
-
-    def test_pinned_encoder_modes_forward_key(self):
-        rng = np.random.default_rng(7)
-        data = self._lz_friendly(rng)
-        for mode in ("lz", "huffman"):
-            codec = HybridCompressor(encoder=mode, pin_refresh=4)
-            payload = codec.compress(data, 0.01, key=0)
-            assert np.abs(data - decompress_any(payload)).max() <= 0.01 + 1e-6
-            assert codec.pins.trials == 0  # pinned modes never trial
-
 
 class TestPipeline:
     def _pipeline(self):

@@ -97,7 +97,7 @@ def _stateless_digest(name: str) -> str:
 def _stateful_codec(kind: str) -> Compressor:
     if kind == "entropy":
         return EntropyCompressor()
-    return HybridCompressor(encoder=kind, pin_refresh=4)
+    return HybridCompressor(pin_refresh=4)
 
 
 def _stateful_digest(kind: str, keyed: bool) -> tuple[str, Compressor]:
@@ -112,7 +112,7 @@ def _stateful_digest(kind: str, keyed: bool) -> tuple[str, Compressor]:
     return digest.hexdigest(), codec
 
 
-STATEFUL_CASES = [(kind, keyed) for kind in ("auto", "lz", "huffman", "entropy") for keyed in (True, False)]
+STATEFUL_CASES = [(kind, keyed) for kind in ("auto", "entropy") for keyed in (True, False)]
 
 # --------------------------------------------------------------------- golden
 
@@ -138,10 +138,6 @@ GOLDEN_STATELESS: dict[str, str] = {
 GOLDEN_STATEFUL: dict[tuple[str, bool], str] = {
     ("auto", True): "8c4519912f1017cf81771b8bb894f51fcc6266162afa77d4229b7a5d3b205fb6",
     ("auto", False): "8d97459d158c3e6d9b5ef4211a9edbe11ffc38f5aa0d6b32b4d0b9ca7cadc815",
-    ("lz", True): "2b1732cf37c0e5720660e993883d29075a1f6bb21858b369d1e1ef93b00d58fa",
-    ("lz", False): "2b1732cf37c0e5720660e993883d29075a1f6bb21858b369d1e1ef93b00d58fa",
-    ("huffman", True): "f99bc249a60c1bdf4bbd13809eb0d2d612f59961fd29ebd3a523a8809f27accf",
-    ("huffman", False): "f99bc249a60c1bdf4bbd13809eb0d2d612f59961fd29ebd3a523a8809f27accf",
     ("entropy", True): "3506254aff3c4be2cb4b288856a3646816f9aca33bf032aa1fa18ebc4e84102e",
     ("entropy", False): "3506254aff3c4be2cb4b288856a3646816f9aca33bf032aa1fa18ebc4e84102e",
 }
@@ -171,8 +167,7 @@ class TestGoldenBytes:
         assert winners == {"lz", "huffman"}
         _, unkeyed = _stateful_digest("auto", False)
         assert unkeyed.pins.trials == 0
-        for kind in ("lz", "huffman", "entropy"):
-            assert GOLDEN_STATEFUL[(kind, True)] == GOLDEN_STATEFUL[(kind, False)]
+        assert GOLDEN_STATEFUL[("entropy", True)] == GOLDEN_STATEFUL[("entropy", False)]
 
 
 class TestOneEntryPoint:
@@ -224,13 +219,12 @@ class TestOneEntryPoint:
 
     def test_hybrid_validates_on_every_route(self):
         batch = _table_batch("dup", 0)
-        for kind in ("auto", "lz", "huffman"):
-            codec = _stateful_codec(kind)
-            for kwargs in ({}, {"key": "t"}):
-                with pytest.raises(ValueError, match="positive error_bound"):
-                    codec.compress(batch, None, **kwargs)
-                with pytest.raises(ValueError, match="2-D"):
-                    codec.compress(batch[0], ERROR_BOUND, **kwargs)
+        codec = _stateful_codec("auto")
+        for kwargs in ({}, {"key": "t"}):
+            with pytest.raises(ValueError, match="positive error_bound"):
+                codec.compress(batch, None, **kwargs)
+            with pytest.raises(ValueError, match="2-D"):
+                codec.compress(batch[0], ERROR_BOUND, **kwargs)
 
 
 class TestNoVariantSpellings:

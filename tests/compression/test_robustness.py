@@ -491,6 +491,30 @@ class TestCountsAndWidthsRaiseCorruptPayloadError:
             decompress_any(_recount(name, code_lengths=lengths))
 
 
+def _count_sum_frame(sexp: int, wlen: int) -> bytes:
+    """A well-formed ``count_sum`` frame of one (4, 8) float32 block whose
+    header declares grid exponent ``sexp`` over ``wlen`` limbs of 2**30."""
+    limbs = np.full((wlen, 32), 1 << 30, dtype=np.int64)
+    meta = {"terms": 1, "w0": 0, "wlen": wlen, "sexp": sexp, "lmax": 1 << 30}
+    return frame_payload("count_sum", (4, 8), np.dtype(np.float32), meta, limbs.tobytes())
+
+
+class TestCountSumOverflowRaisesCorruptPayloadError:
+    """A genuine aggregate of at most ``MAX_TERMS`` float32 leaves stays far
+    inside the float64 range, so a sum that overflows it on the exact
+    decode path comes from a corrupt header.  Both exact branches once let
+    the overflow out untyped: ``float(m * mul)`` as a bare
+    ``OverflowError``, ``m / den`` as a bare ``ValueError``."""
+
+    def test_huge_grid_exponent(self):
+        with pytest.raises(CorruptPayloadError, match=r"^count_sum: aggregated sum overflows"):
+            decompress_any(_count_sum_frame(sexp=2000, wlen=1))
+
+    def test_too_many_limbs_at_the_grid_exponent(self):
+        with pytest.raises(CorruptPayloadError, match=r"^count_sum: aggregated sum overflows"):
+            decompress_any(_count_sum_frame(sexp=-149, wlen=40))
+
+
 def _reframe(payload: bytes, **overrides) -> bytes:
     """Rebuild a frame with header fields, the shape and/or the body replaced."""
     header, body = parse_payload(payload)

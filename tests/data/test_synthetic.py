@@ -114,6 +114,16 @@ class TestSyntheticClickDataset:
         with pytest.raises(ValueError):
             SyntheticClickDataset(spec, n_samples=0)
 
+    def test_dense_weight_moves_labels_not_features(self):
+        spec = make_uniform_spec("w", 3, 50)
+        plain = SyntheticClickDataset(spec, seed=3).batch(256)
+        sparse_only = SyntheticClickDataset(spec, seed=3, dense_weight=0.0).batch(256)
+        np.testing.assert_array_equal(plain.dense, sparse_only.dense)
+        np.testing.assert_array_equal(plain.sparse, sparse_only.sparse)
+        assert not np.array_equal(plain.labels, sparse_only.labels)
+        with pytest.raises(ValueError, match="dense_weight"):
+            SyntheticClickDataset(spec, dense_weight=-1.0)
+
     def test_rank_permutation_hides_ordering(self):
         """Hot ids should not all be small integers."""
         spec = make_uniform_spec("t", 1, 1000, zipf_exponent=2.0)

@@ -236,13 +236,12 @@ class TestStreams:
         # Other ranks untouched (sync is per rank, not a barrier).
         assert sim.now(0) == 0.0
 
-    def test_not_before_delays_start(self, sim):
-        end = sim.stream_compute(
-            0, 1.0, EventCategory.DECOMPRESS, COMPUTE_STREAM, not_before=5.0
-        )
-        assert end == pytest.approx(6.0)
+    def test_start_is_the_streams_own_clock(self, sim):
+        sim.stream_compute(0, 5.0, EventCategory.ALLTOALL_FWD, COMM_STREAM)
+        end = sim.stream_compute(0, 1.0, EventCategory.DECOMPRESS, COMPUTE_STREAM)
+        assert end == pytest.approx(1.0)
         event = events_in(sim.timeline, EventCategory.DECOMPRESS)[0]
-        assert event.start == pytest.approx(5.0)
+        assert event.start == 0.0 and event.release_edges is None
 
     def test_collective_lands_on_comm_stream_and_joins_all(self, sim):
         sim.stream_compute(2, 1.0, EventCategory.COMPRESS, COMPUTE_STREAM)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dist import A100_LIKE, GpuModel
+from repro.dist.gpu import GATHER_EFFICIENCY, GEMM_EFFICIENCY, MEMCPY_BANDWIDTH, MEMORY_BANDWIDTH
 from repro.utils.units import MB
 
 
@@ -73,6 +74,22 @@ class TestTrainingStepPricing:
         gpu = A100_LIKE
         t = gpu.mlp_time(1, (2, 2))
         assert t == pytest.approx(gpu.kernel_launch_overhead, rel=1e-3)
+
+    def test_memcpy_is_bytes_over_the_copy_bandwidth(self):
+        for nbytes in (1.0, 3 * MB, 1e9):
+            assert A100_LIKE.memcpy_time(nbytes) == nbytes / MEMCPY_BANDWIDTH
+
+    def test_lookup_runs_at_the_derated_gather_bandwidth(self):
+        gpu = GpuModel(kernel_launch_overhead=2e-6)
+        nbytes = 4.0 * 512 * 32 * 3
+        expected = 2e-6 + nbytes / (MEMORY_BANDWIDTH * GATHER_EFFICIENCY)
+        assert gpu.lookup_time(512, 32, 3) == expected
+
+    def test_gemms_run_at_the_fixed_efficiency(self):
+        gpu = GpuModel(kernel_launch_overhead=1e-6, flops=1e13)
+        layer = 1e-6 + 2.0 * 256 * 64 * 16 / (1e13 * GEMM_EFFICIENCY)
+        assert gpu.mlp_time(256, (64, 16)) == layer
+        assert gpu.interaction_time(256, 9, 16) == 1e-6 + 256.0 * 9 * 9 * 16 / (1e13 * GEMM_EFFICIENCY)
 
     def test_mlp_needs_two_widths(self):
         with pytest.raises(ValueError):

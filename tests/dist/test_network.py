@@ -182,6 +182,16 @@ class TestTopology:
         assert topo.bandwidth_matrix[0, 1] == pytest.approx(NVLINK_LIKE.bandwidth)
         assert topo.bandwidth_matrix[0, 4] == pytest.approx(IB_HDR_LIKE.bandwidth)
 
+    def test_from_topology_prices_through_the_topology(self):
+        topo = Topology.hierarchical(2, 4, switch_aggregation=True)
+        model = NetworkModel.from_topology(topo)
+        assert model == NetworkModel(topology=topo)
+        matrix = np.random.default_rng(2).integers(0, 1 << 20, size=(8, 8)).astype(np.float64)
+        assert model.all_to_all_time(matrix) == topo.all_to_all_time(matrix)
+        assert model.all_reduce_time(1e7, 8) == topo.ring_all_reduce_time(1e7)
+        assert model.hierarchical_all_reduce_time(1e7, 8) == topo.hierarchical_all_reduce_time(1e7)
+        assert model.switch_all_reduce_time(1e7, 8) == topo.switch_all_reduce_time(1e7)
+
     def test_flat_equals_single_fabric_model(self):
         """A single-link topology prices every collective like the flat
         alpha-beta model (uniform byte matrices)."""

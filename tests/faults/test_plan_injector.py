@@ -24,12 +24,13 @@ class TestLinkFault:
         assert fault.active(1.0) and fault.active(1.49)
         assert not fault.active(0.99) and not fault.active(1.5)
         assert fault.matches(0, 1)
-        assert fault.matches(1, 0)  # symmetric by default
+        assert fault.matches(1, 0)  # a link carries both directions
         assert not fault.matches(0, 2)
 
-    def test_asymmetric_and_wildcard(self):
-        one_way = LinkFault(start=0, duration=1, src=0, dst=1, symmetric=False)
-        assert one_way.matches(0, 1) and not one_way.matches(1, 0)
+    def test_half_wildcard_and_wildcard(self):
+        from_zero = LinkFault(start=0, duration=1, src=0)
+        assert from_zero.matches(0, 5) and from_zero.matches(5, 0)
+        assert not from_zero.matches(3, 5)
         fabric_wide = LinkFault(start=0, duration=1, outage=True)
         assert fabric_wide.matches(3, 7)
 

@@ -1,4 +1,4 @@
-"""Tests for the NN substrate: layers, gradients, loss, optimizers."""
+"""Tests for the NN substrate: layers, gradients, loss, optimizer."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.nn import (
     MLP,
     SGD,
-    Adagrad,
     DotInteraction,
     EmbeddingTable,
     Linear,
@@ -281,14 +280,6 @@ class TestOptimizers:
         np.testing.assert_allclose(p.data, [0.95, 1.9])
         np.testing.assert_allclose(p.grad, 0.0)
 
-    def test_adagrad_adapts_rate(self):
-        p = Parameter(np.array([0.0, 0.0]))
-        opt = Adagrad([p], lr=1.0)
-        p.grad[:] = [1.0, 10.0]
-        opt.step()
-        # Adagrad normalizes by |g|: both coordinates move ~equally.
-        assert abs(p.data[0]) == pytest.approx(abs(p.data[1]), rel=1e-6)
-
     def test_sgd_converges_on_quadratic(self):
         p = Parameter(np.array([5.0]))
         opt = SGD([p], lr=0.3)
@@ -300,5 +291,3 @@ class TestOptimizers:
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
             SGD([], lr=0.1)
-        with pytest.raises(ValueError):
-            Adagrad([], lr=0.1)

@@ -37,6 +37,7 @@ from repro.dist import (
 )
 from repro.obs import critpath
 from repro.obs.critpath import (
+    HIGHLIGHT_TID,
     IDLE_CATEGORY,
     CriticalPathResult,
     CriticalStep,
@@ -316,6 +317,13 @@ class TestRendering:
             assert entry["ts"] == pytest.approx(step.start * 1e6 + 1e6)
             assert entry["dur"] == pytest.approx(step.seconds * 1e6)
             assert entry["args"]["event_index"] == step.event_index
+
+    def test_highlight_lane_is_one_thread(self):
+        result = self._result()
+        entries = highlight_trace_events(result)
+        assert {e["tid"] for e in entries} == {HIGHLIGHT_TID}
+        assert {e["pid"] for e in entries} == {0}
+        assert [e["name"] for e in entries if e["ph"] == "M"] == ["thread_name"]
 
     def test_json_block_shape(self):
         result = self._result()

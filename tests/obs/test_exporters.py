@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.obs.exporters import (
     SNAPSHOT_SCHEMA_ID,
     SNAPSHOT_SCHEMA_V1,
-    from_prometheus,
     reports_from_json,
     run_report,
     snapshot_from_json,
@@ -27,6 +26,7 @@ from repro.obs.exporters import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.schema import SnapshotSchemaError, validate_snapshot_json
+from tests.obs.prometheus_parser import from_prometheus
 
 
 def populated_registry() -> MetricsRegistry:
@@ -141,7 +141,8 @@ class TestPrometheusRoundTrip:
     @given(st.text(max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_label_value_round_trip_property(self, value):
-        from repro.obs.exporters import _esc_label, _unesc_label
+        from repro.obs.exporters import _esc_label
+        from tests.obs.prometheus_parser import _unesc_label
 
         assert _unesc_label(_esc_label(value)) == value
 

@@ -148,24 +148,22 @@ class TestHybridInstrumentation:
         assert snap.counter_value("hybrid_compressed_bytes_total") == len(payload)
         assert snap.counter_value("hybrid_decompressed_bytes_total") == batch.nbytes
 
-    @pytest.mark.parametrize("encoder", ["auto", "lz", "huffman"])
-    def test_byte_counters_cover_keyed_and_replay_routes(self, encoder):
+    def test_byte_counters_cover_keyed_and_replay_routes(self):
         """Serve-tier (``key=``) and pinned traffic count once per call,
         like the plain route."""
         rng = np.random.default_rng(2)
         batch = rng.normal(size=(64, 8)).astype(np.float32)
-        hybrid = HybridCompressor(encoder=encoder, pin_refresh=8)
+        hybrid = HybridCompressor(pin_refresh=8)
         with capture() as reg:
             sizes = [
                 len(hybrid.compress(batch, 1e-2)),
-                len(hybrid.compress(batch, 1e-2, key="t")),  # trial in auto mode
-                len(hybrid.compress(batch, 1e-2, key="t")),  # replay in auto mode
+                len(hybrid.compress(batch, 1e-2, key="t")),  # trial
+                len(hybrid.compress(batch, 1e-2, key="t")),  # replay
             ]
         snap = reg.snapshot()
         assert snap.counter_value("hybrid_raw_bytes_total") == len(sizes) * batch.nbytes
         assert snap.counter_value("hybrid_compressed_bytes_total") == sum(sizes)
-        if encoder == "auto":
-            assert hybrid.pins.trials == 1 and hybrid.pins.pinned_hits == 1
+        assert hybrid.pins.trials == 1 and hybrid.pins.pinned_hits == 1
 
     def test_pin_trial_replay_and_switch_counters(self):
         rng = np.random.default_rng(1)

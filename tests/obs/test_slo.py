@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from repro.obs.runtime import OBS
 from repro.obs.slo import (
+    SLOW_WINDOW,
     BurnRateMonitor,
     SloHub,
     SLOSpec,
     attach_hub,
     default_monitors,
-    detach_hub,
 )
 
 
@@ -221,7 +221,7 @@ class TestSloHub:
         assert mon["bad_samples"] == 1
         assert isinstance(mon["firing"], bool)
 
-    def test_attach_detach(self):
+    def test_attach_hub(self):
         before = OBS.slo_hub
         try:
             hub = attach_hub()
@@ -229,8 +229,6 @@ class TestSloHub:
             mine = SloHub()
             assert attach_hub(mine) is mine
             assert OBS.slo_hub is mine
-            detach_hub()
-            assert OBS.slo_hub is None
         finally:
             OBS.slo_hub = before
 
@@ -253,6 +251,13 @@ class TestDefaultMonitors:
         assert publish.fast_burn == publish.slow_burn == 1.0
         for spec in specs.values():
             assert spec.fast_window == pytest.approx(spec.slow_window / 5.0)
+
+    def test_every_monitor_uses_the_standard_window(self):
+        monitors = default_monitors(
+            serve_p99_target=1e-3, publish_staleness_bound=0.01, train_step_target=1e-2
+        )
+        assert [m.spec.slow_window for m in monitors] == [SLOW_WINDOW] * 3
+        assert [m.spec.fast_window for m in monitors] == [SLOW_WINDOW / 5.0] * 3
 
 
 class TestLiveFeedIntegration:

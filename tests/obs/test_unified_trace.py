@@ -14,14 +14,10 @@ import json
 import pytest
 
 from repro.dist.timeline import EventCategory, Timeline
-from repro.obs.exporters import (
-    from_prometheus,
-    snapshot_from_json,
-    snapshot_to_json,
-    to_prometheus,
-)
+from repro.obs.exporters import snapshot_from_json, snapshot_to_json, to_prometheus
 from repro.obs.scenario import build_day_world, run_day_in_the_life, write_artifacts
-from repro.obs.trace import dump_unified_chrome_trace, unified_chrome_trace
+from repro.obs.trace import unified_chrome_trace
+from tests.obs.prometheus_parser import from_prometheus
 
 
 @pytest.fixture(scope="module")
@@ -126,10 +122,9 @@ class TestUnifiedTraceHelpers:
         with pytest.raises(ValueError):
             unified_chrome_trace({"a": Timeline()}, offsets={"b": 1.0})
 
-    def test_dump_creates_parents(self, tmp_path):
+    def test_trace_survives_json(self):
         timeline = Timeline()
         timeline.record(0, EventCategory.EMB_LOOKUP, 0.0, 1.0)
-        path = tmp_path / "x" / "y" / "unified.json"
-        dump_unified_chrome_trace({"train": timeline}, path)
-        doc = json.loads(path.read_text())
-        assert doc["traceEvents"]
+        trace = unified_chrome_trace({"train": timeline})
+        doc = json.loads(json.dumps(trace))
+        assert doc == trace and doc["traceEvents"]

@@ -12,8 +12,14 @@ from repro.data import SyntheticClickDataset, make_uniform_spec
 from repro.dist import ClusterSimulator
 from repro.model import DLRM, DLRMConfig
 from repro.obs.scenario import evict_rows
-from repro.serve import DeltaPublisher, build_serving_tier
-from repro.train import CompressionPipeline, HybridParallelTrainer
+from repro.serve import (
+    DeltaPublisher,
+    EmbeddingShardServer,
+    InferenceReplica,
+    ServingTier,
+    build_serving_tier,
+)
+from repro.train import CompressionPipeline, HybridParallelTrainer, ShardingPlan
 from tests.conftest import decoded_table
 
 N_TABLES = 5
@@ -39,6 +45,21 @@ def trainer():
 
 def trainer_table(trainer, t):
     return trainer.model.tables[t].weight.data.astype(np.float32)
+
+
+def lossless_tier(trainer, n_shard_ranks, n_replicas, cache_rows, **publisher_kwargs):
+    """A tier whose shards store losslessly (bound 0), assembled from its
+    parts the way ``build_serving_tier`` assembles the adaptive one."""
+    sharding = ShardingPlan.size_balanced(
+        list(trainer.model.config.table_cardinalities), n_shard_ranks
+    )
+    servers = tuple(
+        EmbeddingShardServer.from_model(trainer.model, sharding.tables_of(rank), error_bound=0.0)
+        for rank in range(n_shard_ranks)
+    )
+    replicas = tuple(InferenceReplica(i, servers, sharding, cache_rows) for i in range(n_replicas))
+    publisher = DeltaPublisher(trainer, servers, replicas, sharding=sharding, **publisher_kwargs)
+    return ServingTier(servers=servers, replicas=replicas, publisher=publisher, sharding=sharding)
 
 
 class TestStalenessBound:
@@ -76,9 +97,7 @@ class TestStalenessBound:
                 assert gap <= total_bound * (1 + 1e-5)
 
     def test_lossless_shards_meet_publication_bound_exactly(self, trainer):
-        tier = build_serving_tier(
-            trainer, n_shard_ranks=2, n_replicas=1, cache_rows=0, shard_error_bound=0.0
-        )
+        tier = lossless_tier(trainer, n_shard_ranks=2, n_replicas=1, cache_rows=0)
         trainer.train_step(64, iteration=0)
         report = tier.publisher.publish(iteration=0)
         for rank, server in enumerate(tier.servers):
@@ -89,14 +108,7 @@ class TestStalenessBound:
         assert report.staleness_bound > 0
 
     def test_raw_publication_is_exact(self, trainer):
-        tier = build_serving_tier(
-            trainer,
-            n_shard_ranks=2,
-            n_replicas=1,
-            cache_rows=0,
-            shard_error_bound=0.0,
-            compress_publication=False,
-        )
+        tier = lossless_tier(trainer, n_shard_ranks=2, n_replicas=1, cache_rows=0, compress=False)
         trainer.train_step(64, iteration=0)
         report = tier.publisher.publish(iteration=0)
         assert report.staleness_bound == 0.0
@@ -210,9 +222,7 @@ class TestReplicaInvalidation:
         assert len(replica) == 0  # every table updated -> every row stale
 
     def test_cache_refill_serves_fresh_rows(self, trainer):
-        tier = build_serving_tier(
-            trainer, 2, 1, cache_rows=256, shard_error_bound=0.0
-        )
+        tier = lossless_tier(trainer, 2, 1, cache_rows=256)
         replica = tier.replicas[0]
         request = np.arange(N_TABLES) % CARDINALITY
         replica.gather(request)

@@ -16,19 +16,34 @@ leading underscore), is read when its name appears in ``src/repro``,
 ``examples/``, ``benchmarks/`` or ``bench_e2e/`` as a ``Name``, an
 ``Attribute``, a name imported by ``from ... import`` outside an
 ``__init__.py``, or a word in a string constant that is neither a
-docstring nor part of ``__all__``.  A member whose name appears in none of
+docstring nor part of ``__all__`` or ``_LAZY_EXPORTS``.  A member whose name appears in none of
 these fails the test, by module and qualified name.
 
-Two limits of the member scan:
+**Parameters.**  Every parameter with a default of a public function, a
+public method of a top-level class or the ``__init__`` of a public class,
+and every init field with a default of a public dataclass, is passed
+somewhere: a file in ``src/repro``, ``examples/``, ``benchmarks/``,
+``bench_e2e/`` or ``tests/`` (a) uses its name as a keyword in some call,
+(b) calls the callee's name with a positional argument at its index, or
+(c) calls the callee's name with ``*`` or ``**``.  The callee's name is the
+function's or method's own, and for an ``__init__`` or a field the class
+name (``cls`` inside the class).  ``self``, ``cls``, names with a leading
+underscore and ``init=False`` fields are skipped.  A parameter no caller
+passes fails the test, by module, qualified name and parameter: its value
+is a constant, not a setting.
+
+Two limits of the scans:
 
 * matching is by name, so a dead member that shares its name with a live
-  one (a method ``slot_of`` beside a local variable ``slot_of``, say) stays
-  invisible;
-* an argument that no caller passes (a ``rows=`` keyword every call leaves
-  at its default, say) is beyond an AST scan of names.
+  one (a method ``slot_of`` beside a local variable ``slot_of``, say), or a
+  parameter whose keyword some other call passes, stays invisible;
+* a parameter that only tests pass counts as passed: a fork no workload
+  selects is found by reading the callers, not by this scan.
 
-An entry in :data:`ALLOWLIST` keeps an unreached module, and one in
-:data:`MEMBER_ALLOWLIST` an unread member; its value must say why it stays.
+An entry in :data:`ALLOWLIST` keeps an unreached module, one in
+:data:`MEMBER_ALLOWLIST` an unread member and one in
+:data:`PARAMETER_ALLOWLIST` an unpassed parameter; its value must say why
+it stays.
 """
 
 from __future__ import annotations
@@ -55,6 +70,9 @@ MEMBER_ALLOWLIST: dict[str, str] = {
         "the capacity planner (ROADMAP direction 2(b)) prices its what-if points with it"
     ),
 }
+
+#: unpassed parameter (``module:Qualified.name(parameter)``) -> why it stays
+PARAMETER_ALLOWLIST: dict[str, str] = {}
 
 _WORD = re.compile(r"[A-Za-z_]\w*")
 
@@ -187,7 +205,8 @@ def members(module: str, tree: ast.Module | None = None) -> list[str]:
 
 
 def _not_read(tree: ast.Module) -> set[int]:
-    """``id`` of every docstring constant and every node under ``__all__``."""
+    """``id`` of every docstring constant and every node under ``__all__``
+    or ``_LAZY_EXPORTS``."""
     skip = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -196,7 +215,7 @@ def _not_read(tree: ast.Module) -> set[int]:
                 skip.add(id(first.value))
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            if any(isinstance(t, ast.Name) and t.id in ("__all__", "_LAZY_EXPORTS") for t in targets):
                 skip.update(id(n) for n in ast.walk(node))
     return skip
 
@@ -235,6 +254,137 @@ def unread_members() -> set[str]:
         for member in members(module)
         if re.split("[:.]", member)[-1] not in read
     }
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _field_call(value: ast.expr | None) -> ast.Call | None:
+    if isinstance(value, ast.Call):
+        func = value.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "field":
+            return value
+    return None
+
+
+def _init_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """``(name, has_default)`` of one dataclass's own init fields, in order."""
+    out = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        call = _field_call(item.value)
+        keywords = {k.arg: k.value for k in call.keywords} if call else {}
+        init = keywords.get("init")
+        if isinstance(init, ast.Constant) and init.value is False:
+            continue
+        has_default = item.value is not None and (
+            call is None or "default" in keywords or "default_factory" in keywords
+        )
+        out.append((item.target.id, has_default))
+    return out
+
+
+def _function_parameters(node: ast.FunctionDef | ast.AsyncFunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """``(name, positional index)`` of every defaulted parameter of one
+    definition, the index ``None`` for a keyword-only one."""
+    positional = [*node.args.posonlyargs, *node.args.args]
+    if method and positional and positional[0].arg in ("self", "cls"):
+        positional = positional[1:]
+    first_default = len(positional) - len(node.args.defaults)
+    out = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first_default]
+    out += [
+        (arg.arg, None)
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+        if default is not None
+    ]
+    return out
+
+
+def defaulted_parameters(module: str, tree: ast.Module | None = None) -> dict[str, tuple[str, int | None]]:
+    """``module:Qualified.name(parameter)`` -> ``(callee name, positional
+    index)`` of every defaulted parameter the parameter rule covers."""
+    out: dict[str, tuple[str, int | None]] = {}
+
+    def add(qualified: str, callee: str, parameters: list[tuple[str, int | None]]) -> None:
+        for name, index in parameters:
+            if not name.startswith("_"):
+                out[f"{module}:{qualified}({name})"] = (callee, index)
+
+    for node in (tree or _tree(MODULES[module])).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            add(node.name, node.name, _function_parameters(node, method=False))
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if _is_dataclass(node):
+            fields = _init_fields(node)
+            add(node.name, node.name, [(name, i) for i, (name, has) in enumerate(fields) if has])
+        for method in node.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if method.name == "__init__":
+                add(node.name, node.name, _function_parameters(method, method=True))
+            elif not method.name.startswith("_"):
+                add(f"{node.name}.{method.name}", method.name, _function_parameters(method, method=True))
+    return out
+
+
+def passed_arguments(tree: ast.Module) -> tuple[set[str], set[tuple[str, int]], set[str]]:
+    """Of every call in one file: the keywords it names, the ``(callee,
+    positional index)`` pairs it fills, and the callees it passes ``*`` or
+    ``**`` to.  A call to ``cls`` counts as a call to its enclosing class."""
+    keywords: set[str] = set()
+    positions: set[tuple[str, int]] = set()
+    starred: set[str] = set()
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if callee == "cls" and cls is not None:
+                callee = cls
+            keywords.update(k.arg for k in node.keywords if k.arg is not None)
+            if callee is not None:
+                for i, arg in enumerate(node.args):
+                    if isinstance(arg, ast.Starred):
+                        starred.add(callee)
+                        break
+                    positions.add((callee, i))
+                if any(k.arg is None for k in node.keywords):
+                    starred.add(callee)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return keywords, positions, starred
+
+
+def unpassed_parameters() -> set[str]:
+    keywords: set[str] = set()
+    positions: set[tuple[str, int]] = set()
+    starred: set[str] = set()
+    for path in [*MODULES.values(), *_roots()[0], *sorted((ROOT / "tests").rglob("*.py"))]:
+        k, p, s = passed_arguments(_tree(path))
+        keywords |= k
+        positions |= p
+        starred |= s
+    unpassed = set()
+    for module in MODULES:
+        for parameter, (callee, index) in defaulted_parameters(module).items():
+            name = parameter[parameter.rindex("(") + 1 : -1]
+            if name in keywords or callee in starred or (index is not None and (callee, index) in positions):
+                continue
+            unpassed.add(parameter)
+    return unpassed
 
 
 def test_every_module_has_a_non_test_reader():
@@ -281,6 +431,7 @@ def test_the_member_scan_rule():
         '''"""module docstring: in_docstring"""
 from pkg import imported
 __all__ = ["in_all"]
+_LAZY_EXPORTS = {"in_lazy_exports": "pkg.lazy"}
 def defined():
     """in_function_docstring"""
     return called(obj.attribute, "word in_string")
@@ -294,3 +445,55 @@ def defined():
         "def _helper():\n    def nested(): ...\n"
     )
     assert members("m", defined) == ["m:Public", "m:Public.method", "m:_Hidden.shown"]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    unpassed = unpassed_parameters() - set(PARAMETER_ALLOWLIST)
+    assert not unpassed, f"no caller passes {', '.join(sorted(unpassed))}"
+
+
+def test_parameter_allowlist_entries_are_live_and_explained():
+    unpassed = unpassed_parameters()
+    for parameter, why in PARAMETER_ALLOWLIST.items():
+        assert why.strip(), f"{parameter}: say why it stays"
+        assert parameter in unpassed, f"{parameter} is passed now; drop its entry"
+
+
+def test_the_parameter_scan_rule():
+    """What a scan covers: defaulted parameters of public functions, public
+    methods and public classes' ``__init__``, and defaulted init fields of
+    public dataclasses; what counts as passing one: a keyword, a positional
+    argument at its index, or ``*`` / ``**``."""
+    tree = ast.parse(
+        "def public(a, b=1, *, c=2, _d=3): ...\n"
+        "def _private(e=4): ...\n"
+        "class Thing:\n"
+        "    def __init__(self, f=5): ...\n"
+        "    def method(self, g=6): ...\n"
+        "    def _hidden(self, h=7): ...\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    i: int\n"
+        "    j: int = 8\n"
+        "    k: list = field(default_factory=list)\n"
+        "    l: int = field(init=False, default=0)\n"
+        "    m: ClassVar[int] = 9\n"
+    )
+    assert defaulted_parameters("m", tree) == {
+        "m:public(b)": ("public", 1),
+        "m:public(c)": ("public", None),
+        "m:Thing(f)": ("Thing", 0),
+        "m:Thing.method(g)": ("method", 0),
+        "m:Record(j)": ("Record", 1),
+        "m:Record(k)": ("Record", 2),
+    }
+    calls = ast.parse(
+        "public(0, c=1)\n"
+        "obj.method(*args)\n"
+        "class Record:\n"
+        "    def make(cls): return cls(0, 1)\n"
+    )
+    keywords, positions, starred = passed_arguments(calls)
+    assert keywords == {"c"}
+    assert positions == {("public", 0), ("Record", 0), ("Record", 1)}
+    assert starred == {"method"}

@@ -73,6 +73,15 @@ class TestTrainingHistory:
         with pytest.raises(ValueError):
             TrainingHistory().final_accuracy
 
+    def test_each_history_starts_empty_and_owns_its_traces(self):
+        a, b = TrainingHistory(), TrainingHistory()
+        a.record_loss(0.5)
+        a.record_eval(3, 0.6)
+        assert (b.losses, b.eval_iterations, b.accuracies, b.aucs) == ([], [], [], [])
+        assert a.aucs == []  # an eval without AUC records none
+        with pytest.raises(TypeError):
+            TrainingHistory(losses=[1.0])  # traces are recorded, never passed in
+
 
 class TestShardingPlan:
     def test_owner_lookups(self):

@@ -20,6 +20,8 @@ from repro.train import (
     HybridParallelTrainer,
     ReferenceTrainer,
 )
+from repro.train.metrics import binary_accuracy, roc_auc
+from repro.train.reference import EVAL_BATCH_OFFSET, evaluate_model
 from tests.conftest import round_robin_plan
 
 
@@ -66,11 +68,21 @@ class TestReferenceTrainer:
         assert history.eval_iterations == [4, 9]
         assert len(history.accuracies) == 2
 
-    def test_adagrad_variant(self, small_world):
+    def test_evaluation_reads_held_out_batches(self, small_world):
         _, dataset, config = small_world
-        trainer = ReferenceTrainer(DLRM(config), dataset, lr=0.05, optimizer="adagrad")
-        history = trainer.train(30, 64)
-        assert np.mean(history.losses[-5:]) < np.mean(history.losses[:5])
+        model = DLRM(config)
+        batches = [dataset.batch(48, batch_index=EVAL_BATCH_OFFSET + i) for i in range(2)]
+        logits = np.concatenate([model.forward(b.dense, b.sparse) for b in batches])
+        labels = np.concatenate([b.labels for b in batches])
+        expected = (binary_accuracy(logits, labels), roc_auc(logits, labels))
+        assert evaluate_model(model, dataset, 48, 2) == expected
+
+    def test_periodic_eval_is_evaluate_model(self, small_world):
+        _, dataset, config = small_world
+        trainer = ReferenceTrainer(DLRM(config), dataset, lr=0.3)
+        history = trainer.train(2, 32, eval_every=2, eval_batches=1)
+        accuracy, auc = evaluate_model(trainer.model, dataset, n_batches=1)
+        assert history.accuracies == [accuracy] and history.aucs == [auc]
 
     def test_lookup_transform_applied(self, small_world):
         _, dataset, config = small_world
@@ -101,11 +113,6 @@ class TestReferenceTrainer:
         h_noisy = noisy.train(20, 64)
         np.testing.assert_allclose(h_exact.losses, h_noisy.losses, atol=1e-4)
 
-    def test_invalid_optimizer(self, small_world):
-        _, dataset, config = small_world
-        with pytest.raises(ValueError):
-            ReferenceTrainer(DLRM(config), dataset, lr=0.1, optimizer="adam")
-
 
 class TestHybridTrainer:
     def test_matches_reference_exactly_without_compression(self, small_world):
@@ -118,16 +125,20 @@ class TestHybridTrainer:
         rep = hyb.train(8, 64)
         np.testing.assert_allclose(h_ref.losses, rep.history.losses, rtol=1e-12)
 
-    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
-    def test_benchmark_contract_bit_for_bit(self, bench_world, optimizer):
+    def test_periodic_eval_is_evaluate_model(self, small_world):
+        _, dataset, config = small_world
+        trainer = HybridParallelTrainer(DLRM(config), dataset, ClusterSimulator(2), lr=0.2)
+        report = trainer.train(2, 32, eval_every=2, eval_batches=1)
+        accuracy, auc = evaluate_model(trainer.model, dataset, n_batches=1)
+        assert report.history.accuracies == [accuracy] and report.history.aucs == [auc]
+
+    def test_benchmark_contract_bit_for_bit(self, bench_world):
         """What ``bench_e2e`` checks after ``train_baseline``'s timed region:
         with ``pipeline=None`` the two trainers share every kernel, so losses
-        (and here parameters, under either optimizer) agree to the bit."""
+        (and here parameters) agree to the bit."""
         dataset, config = bench_world
-        ref = ReferenceTrainer(DLRM(config), dataset, lr=0.2, optimizer=optimizer)
-        hyb = HybridParallelTrainer(
-            DLRM(config), dataset, ClusterSimulator(8), pipeline=None, lr=0.2, optimizer=optimizer
-        )
+        ref = ReferenceTrainer(DLRM(config), dataset, lr=0.2)
+        hyb = HybridParallelTrainer(DLRM(config), dataset, ClusterSimulator(8), pipeline=None, lr=0.2)
         for iteration in range(4):
             assert float(hyb.train_step(256, iteration)) == float(ref.train_step(256, iteration))
         for ours, theirs in zip(hyb.model.parameters(), ref.model.parameters()):

@@ -13,6 +13,7 @@ from repro.utils import (
     format_table,
     spawn_rng,
 )
+from repro.utils.tables import FLOAT_FMT
 
 
 class TestRng:
@@ -66,6 +67,13 @@ class TestFormatting:
     def test_format_table_bools(self):
         out = format_table(["flag"], [[True], [False]])
         assert "yes" in out and "no" in out
+
+    def test_format_table_floats_use_the_one_format(self):
+        values = [1234567.0, 0.000123456, 2.5]
+        out = format_table(["v", "n"], [[v, 7] for v in values])
+        for v in values:
+            assert format(v, FLOAT_FMT) in out
+        assert "1.235e+06" in out and " 7" in out
 
     def test_format_table_ragged_rejected(self):
         with pytest.raises(ValueError, match="cells"):
