@@ -64,7 +64,6 @@ def test_every_kernel_covered_on_every_shape(records):
         ("huffman", "decode"),
         ("hybrid", "compress"),
         ("hybrid", "decompress"),
-        ("hybrid_pinned", "compress"),
         ("hybrid_obs", "compress"),
         ("hybrid_obs", "decompress"),
         ("lz4_like", "encode"),
@@ -151,24 +150,6 @@ def test_end_to_end_rows_present(records):
         for op in ("compress", "decompress"):
             record = by_key[("hybrid", op, shape)]
             assert record.throughput_mb_s > 0
-
-
-def test_hybrid_pinned_speedup(records):
-    """PR-5 satellite claim (ROADMAP PR 2/3 follow-up): auto mode with
-    ``pin_refresh`` replays the pinned winning leg instead of running the
-    try-both trial per call, so steady-state keyed compression beats the
-    per-call auto path on the large shapes.  The floor is conservative:
-    pinning always skips one of two legs, but the skipped (losing) leg can
-    be the cheaper one."""
-    by_key = _by_key(records)
-    aggregate = _aggregate_speedup(records, "hybrid_pinned", "compress")
-    assert aggregate >= 1.2, f"hybrid_pinned aggregate speedup {aggregate:.2f}"
-    # Per-shape floors only on the large shapes, per the file convention:
-    # the kaggle shape runs in the per-call-overhead regime where run
-    # noise can push best-of timings either way.
-    for shape in LARGE_SHAPES:
-        s = by_key[("hybrid_pinned", "compress", shape)].speedup
-        assert s is not None and s >= 1.0, f"hybrid_pinned [{shape}] speedup {s}"
 
 
 def test_shard_recompress_speedup(records):

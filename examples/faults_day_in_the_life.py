@@ -12,7 +12,7 @@ breaks) and the unified run report is printed.
 
 With ``--out DIR`` it also writes the machine artifacts:
 
-* ``metrics.json``     — snapshot (schema ``repro.obs.snapshot/v1``) with
+* ``metrics.json``     — snapshot (schema ``repro.obs.snapshot/v2``) with
   the fault/retry/degradation counters
 * ``metrics.prom``     — the same snapshot in Prometheus text format
 * ``chaos_trace.json`` — one chrome trace with train / publish / serve

@@ -24,17 +24,14 @@ from repro.adaptive.classify import (
     classify_by_threshold,
 )
 from repro.adaptive.homo_index import HomoIndexResult, homogenization_index
-from repro.adaptive.selection import (
-    PAPER_A100_PROFILE,
-    DeviceThroughputProfile,
-    SelectionResult,
-    select_compressor,
-)
+from repro.adaptive.selection import PAPER_A100_PROFILE, SelectionResult, select_compressor
 from repro.compression.entropy import EntropyCompressor
-from repro.compression.vector_lz import DEFAULT_WINDOW, VectorLZCompressor
-from repro.utils.validation import check_positive
+from repro.compression.vector_lz import VectorLZCompressor
 
 __all__ = ["TablePlan", "CompressionPlan", "OfflineAnalyzer"]
+
+#: all-to-all bandwidth (bytes/s) the Eq.-2 selection scores candidates at
+SELECTION_BANDWIDTH = 4.0e9
 
 
 @dataclass(frozen=True)
@@ -78,26 +75,19 @@ class OfflineAnalyzer:
     ----------
     levels:
         The three error-bound levels for table categories.
-    bandwidth:
-        All-to-all bandwidth in bytes/s for the Eq.-2 selection.
     classifier:
         ``"rank"`` (tertile split, default — always yields all three
         classes, like the paper's Table II) or ``"threshold"``
         (Algorithm 1's fixed :class:`ClassifierThresholds`).
-    window:
-        Vector-LZ window used during candidate evaluation.
+
+    Candidates are scored by the Eq.-2 model at :data:`SELECTION_BANDWIDTH`
+    on the A100 profile, with the default vector-LZ window.
     """
 
     levels: ErrorBoundLevels = field(default_factory=ErrorBoundLevels)
-    bandwidth: float = 4.0e9
-    profile: DeviceThroughputProfile = field(default_factory=lambda: PAPER_A100_PROFILE)
     classifier: str = "rank"
-    small_fraction: float = 1.0 / 3.0
-    large_fraction: float = 1.0 / 3.0
-    window: int = DEFAULT_WINDOW
 
     def __post_init__(self) -> None:
-        check_positive("bandwidth", self.bandwidth)
         if self.classifier not in ("rank", "threshold"):
             raise ValueError(f"classifier must be 'rank' or 'threshold', got {self.classifier!r}")
 
@@ -114,11 +104,7 @@ class OfflineAnalyzer:
             for table_id, batch in samples.items()
         }
         if self.classifier == "rank":
-            categories = classify_by_rank(
-                {t: h.homo_index for t, h in homo.items()},
-                small_fraction=self.small_fraction,
-                large_fraction=self.large_fraction,
-            )
+            categories = classify_by_rank({t: h.homo_index for t, h in homo.items()})
         else:
             categories = {
                 t: classify_by_threshold(h.homo_index)
@@ -131,12 +117,12 @@ class OfflineAnalyzer:
             selection = select_compressor(
                 batch,
                 candidates={
-                    "vector_lz": VectorLZCompressor(window=self.window),
+                    "vector_lz": VectorLZCompressor(),
                     "entropy": EntropyCompressor(),
                 },
                 error_bound=error_bound,
-                bandwidth=self.bandwidth,
-                profile=self.profile,
+                bandwidth=SELECTION_BANDWIDTH,
+                profile=PAPER_A100_PROFILE,
             )
             tables[table_id] = TablePlan(
                 table_id=table_id,

@@ -58,7 +58,9 @@ class DeviceThroughputProfile:
 
     codecs: dict[str, CodecThroughput] = field(default_factory=dict)
     #: used when a codec has no entry
-    default: CodecThroughput = CodecThroughput(compress=20.0 * GB, decompress=20.0 * GB)
+    default: CodecThroughput = field(
+        init=False, default=CodecThroughput(compress=20.0 * GB, decompress=20.0 * GB)
+    )
 
     def for_codec(self, name: str) -> CodecThroughput:
         return self.codecs.get(name, self.default)

@@ -6,7 +6,7 @@ plus from-scratch implementations of every baseline it compares against.
 """
 
 from repro.compression.base import Compressor, parse_payload
-from repro.compression.cache import EncoderPinCache, LruCache
+from repro.compression.cache import LruCache
 from repro.compression.baselines import (
     CuszLikeCompressor,
     DeflateLikeCompressor,
@@ -80,7 +80,6 @@ __all__ = [
     "available_compressors",
     "decompress_any",
     "LruCache",
-    "EncoderPinCache",
     "CorruptPayloadError",
     "frame_with_checksum",
     "has_checksum",

@@ -144,14 +144,30 @@ def _frame_layout(codec: str, header: dict[str, Any]) -> tuple[tuple[int, ...], 
     return dims, dtype
 
 
+def _wrong_codec_error(codec: str, expected: str) -> ValueError:
+    """The error for a frame of ``codec`` handed to the ``expected`` codec's
+    decoder: a registered codec's well-formed frame is the caller's misuse
+    (a plain ``ValueError``); a name no codec registers is a corrupt frame."""
+    from repro.compression.registry import available_compressors  # it imports every codec
+
+    if codec not in available_compressors():
+        return CorruptPayloadError(f"payload codec {codec!r} is not registered")
+    return ValueError(
+        f"payload was produced by codec {codec!r}, not {expected!r};"
+        " use repro.compression.registry.decompress_any"
+    )
+
+
 def parse_payload(payload: bytes | memoryview) -> tuple[dict[str, Any], memoryview]:
     """Split a framed payload into ``(header, body_view)``.
 
     Every call parses afresh and returns its own header (arrays included);
     a corrupt frame raises on every call."""
     view = memoryview(payload)
-    if len(view) == 0 or view[0] != MAGIC:
-        raise ValueError("not a repro compression payload (bad magic byte)")
+    if len(view) == 0:
+        raise CorruptPayloadError("empty payload")
+    if view[0] != MAGIC:
+        raise CorruptPayloadError(f"bad magic byte 0x{view[0]:02x}, expected 0x{MAGIC:02x}")
     header, pos = unpack_meta(view, 1)
     return header, view[pos:]
 
@@ -182,15 +198,10 @@ class Compressor(ABC):
                 raise ValueError(f"{self.name}: requires a positive error_bound, got {error_bound!r}")
         return array
 
-    def compress(self, array: np.ndarray, error_bound: float | None = None, *, key=None) -> bytes:
-        """Compress a 2-D float batch into a self-describing payload.
-
-        ``key`` is a stable per-stream identity (e.g. a table id), so callers
-        that serve any codec (the shard server, the publisher) can pass it
-        uniformly.  Its one reader is :class:`~repro.compression.hybrid.HybridCompressor`,
-        whose pin cache replays a table's winning leg; every other codec
-        ignores it, and the bytes stay self-describing either way.
-        """
+    def compress(self, array: np.ndarray, error_bound: float | None = None) -> bytes:
+        """Compress a 2-D float batch into a self-describing payload.  No
+        codec keeps state between calls: the bytes depend on ``array`` and
+        ``error_bound`` alone."""
         array = self._validate(array, error_bound)
         meta, body = self._compress_body(array, error_bound)
         return b"".join(frame_parts(self.name, array.shape, array.dtype, meta, body))
@@ -199,10 +210,7 @@ class Compressor(ABC):
         """Reconstruct the batch from a payload produced by :meth:`compress`."""
         header, body = parse_payload(payload)
         if header["codec"] != self.name:
-            raise ValueError(
-                f"payload was produced by codec {header['codec']!r}, not {self.name!r};"
-                " use repro.compression.registry.decompress_any"
-            )
+            raise _wrong_codec_error(header["codec"], self.name)
         return self._decode_frame(header, body)
 
     def _decode_frame(self, header: dict[str, Any], body: memoryview) -> np.ndarray:

@@ -325,14 +325,9 @@ class Lz4LikeCompressor(Compressor):
     lossy = False
     error_bounded = False
 
-    def __init__(self, window: int = DEFAULT_BYTE_WINDOW):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = int(window)
-
     def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
         raw = array.tobytes()
-        return {"raw_size": len(raw), "window": self.window}, lz77_encode_bytes(raw, self.window)
+        return {"raw_size": len(raw), "window": DEFAULT_BYTE_WINDOW}, lz77_encode_bytes(raw)
 
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
@@ -349,19 +344,14 @@ class DeflateLikeCompressor(Compressor):
     lossy = False
     error_bounded = False
 
-    def __init__(self, window: int = DEFAULT_BYTE_WINDOW):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = int(window)
-
     def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
         raw = array.tobytes()
-        lz_stream = lz77_encode_bytes(raw, self.window)
+        lz_stream = lz77_encode_bytes(raw)
         encoded = huffman_encode(np.frombuffer(lz_stream, dtype=np.uint8), 256)
         meta = {
             "raw_size": len(raw),
             "lz_size": len(lz_stream),
-            "window": self.window,
+            "window": DEFAULT_BYTE_WINDOW,
             "code_lengths": encoded.code_lengths.astype(np.uint8),
             "chunk_bit_offsets": encoded.chunk_bit_offsets.astype(np.uint64),
             "chunk_symbol_counts": encoded.chunk_symbol_counts.astype(np.int64),

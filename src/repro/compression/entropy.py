@@ -17,13 +17,7 @@ from typing import Any
 import numpy as np
 
 from repro.compression.base import Compressor, check_element_count
-from repro.compression.huffman import (
-    DEFAULT_CHUNK_SYMBOLS,
-    DEFAULT_MAX_CODE_LENGTH,
-    HuffmanEncoded,
-    huffman_decode,
-    huffman_encode,
-)
+from repro.compression.huffman import HuffmanEncoded, huffman_decode, huffman_encode
 from repro.compression.quantizer import quantize_batch
 from repro.compression.serialization import CorruptPayloadError
 
@@ -33,43 +27,23 @@ __all__ = ["EntropyCompressor"]
 class EntropyCompressor(Compressor):
     """Quantize to bins, then canonical length-limited Huffman over bins.
 
-    Parameters
-    ----------
-    max_code_length:
-        Cap on Huffman code lengths (flat-peek-table decode), default 15.
-    chunk_symbols:
-        Symbols per independently decodable chunk, mirroring the paper's
-        chunk-parallel GPU decompression.
+    Code lengths are capped at :mod:`~repro.compression.huffman`'s
+    ``DEFAULT_MAX_CODE_LENGTH`` (flat-peek-table decode) and the stream is
+    cut into chunks of its ``DEFAULT_CHUNK_SYMBOLS`` independently decodable
+    symbols, mirroring the paper's chunk-parallel GPU decompression.
     """
 
     name = "entropy"
     lossy = True
     error_bounded = True
 
-    def __init__(
-        self,
-        max_code_length: int = DEFAULT_MAX_CODE_LENGTH,
-        chunk_symbols: int = DEFAULT_CHUNK_SYMBOLS,
-    ):
-        if max_code_length < 1:
-            raise ValueError(f"max_code_length must be >= 1, got {max_code_length}")
-        if chunk_symbols < 1:
-            raise ValueError(f"chunk_symbols must be >= 1, got {chunk_symbols}")
-        self.max_code_length = int(max_code_length)
-        self.chunk_symbols = int(chunk_symbols)
-
     def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
         batch = quantize_batch(array, float(error_bound))
-        encoded = huffman_encode(
-            batch.codes,
-            batch.alphabet_size,
-            max_code_length=self.max_code_length,
-            chunk_symbols=self.chunk_symbols,
-        )
+        encoded = huffman_encode(batch.codes, batch.alphabet_size)
         meta = {
             "eb": batch.error_bound,
             "code_min": batch.code_min,
-            # uint8 is plenty: lengths are capped at max_code_length <= 57.
+            # uint8 is plenty: lengths are capped at DEFAULT_MAX_CODE_LENGTH (15).
             "code_lengths": encoded.code_lengths.astype(np.uint8),
             "chunk_bit_offsets": encoded.chunk_bit_offsets.astype(np.uint64),
             "chunk_symbol_counts": encoded.chunk_symbol_counts.astype(np.int64),

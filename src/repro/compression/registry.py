@@ -29,7 +29,7 @@ from repro.compression.vector_lz import VectorLZCompressor
 
 __all__ = ["register_compressor", "get_compressor", "available_compressors", "decompress_any"]
 
-_FACTORIES: dict[str, Callable[..., Compressor]] = {
+_FACTORIES: dict[str, Callable[[], Compressor]] = {
     HybridCompressor.name: HybridCompressor,
     VectorLZCompressor.name: VectorLZCompressor,
     EntropyCompressor.name: EntropyCompressor,
@@ -50,22 +50,23 @@ _FACTORIES: dict[str, Callable[..., Compressor]] = {
 _DECODERS: dict[str, Compressor] = {}
 
 
-def register_compressor(name: str, factory: Callable[..., Compressor]) -> None:
+def register_compressor(name: str, factory: Callable[[], Compressor]) -> None:
     """Register a codec factory under ``name`` (error on collision)."""
     if name in _FACTORIES:
         raise ValueError(f"compressor {name!r} is already registered")
     _FACTORIES[name] = factory
 
 
-def get_compressor(name: str, **kwargs: object) -> Compressor:
-    """Construct a compressor by registry name."""
+def get_compressor(name: str) -> Compressor:
+    """Construct a compressor by registry name (codecs are stateless, so
+    one instance may serve any number of callers)."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(
             f"unknown compressor {name!r}; available: {sorted(_FACTORIES)}"
         ) from None
-    return factory(**kwargs)
+    return factory()
 
 
 def available_compressors() -> tuple[str, ...]:

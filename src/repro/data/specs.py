@@ -156,7 +156,7 @@ CRITEO_KAGGLE = _build_spec("criteo-kaggle", _KAGGLE_CARDINALITIES)
 CRITEO_TERABYTE = _build_spec("criteo-terabyte", _TERABYTE_CARDINALITIES)
 
 
-def scaled_spec(spec: DatasetSpec, max_cardinality: int, name: str | None = None) -> DatasetSpec:
+def scaled_spec(spec: DatasetSpec, max_cardinality: int) -> DatasetSpec:
     """Shrink a spec for simulation, preserving the size-distribution shape.
 
     Cardinalities are mapped in log space so the histogram of table sizes
@@ -167,7 +167,7 @@ def scaled_spec(spec: DatasetSpec, max_cardinality: int, name: str | None = None
         raise ValueError(f"max_cardinality must be >= 2, got {max_cardinality}")
     original_max = max(t.cardinality for t in spec.tables)
     if original_max <= max_cardinality:
-        return spec if name is None else replace(spec, name=name)
+        return spec
     log_cap = np.log(max_cardinality)
     log_max = np.log(original_max)
     tables = []
@@ -182,7 +182,7 @@ def scaled_spec(spec: DatasetSpec, max_cardinality: int, name: str | None = None
         new_card = min(max(new_card, 2), max_cardinality)
         tables.append(replace(t, cardinality=new_card))
     return DatasetSpec(
-        name=name if name is not None else f"{spec.name}-scaled{max_cardinality}",
+        name=f"{spec.name}-scaled{max_cardinality}",
         tables=tuple(tables),
         n_dense=spec.n_dense,
     )
@@ -194,16 +194,11 @@ def make_uniform_spec(
     cardinality: int,
     n_dense: int = 13,
     zipf_exponent: float = 1.2,
-    value_scale: float = 0.1,
 ) -> DatasetSpec:
-    """A homogeneous spec for unit tests and micro-benchmarks."""
+    """A homogeneous spec for unit tests and micro-benchmarks (every table
+    at the default ``value_scale``)."""
     tables = tuple(
-        TableSpec(
-            table_id=i,
-            cardinality=cardinality,
-            zipf_exponent=zipf_exponent,
-            value_scale=value_scale,
-        )
+        TableSpec(table_id=i, cardinality=cardinality, zipf_exponent=zipf_exponent)
         for i in range(n_tables)
     )
     return DatasetSpec(name=name, tables=tables, n_dense=n_dense)

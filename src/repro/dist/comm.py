@@ -815,12 +815,7 @@ class Communicator:
             f"algorithm must be 'ring', 'hierarchical', or 'switch', got {algorithm!r}"
         )
 
-    def all_reduce_bytes(
-        self,
-        nbytes: float,
-        category: str = EventCategory.ALLREDUCE,
-        algorithm: str = "ring",
-    ) -> float:
+    def all_reduce_bytes(self, nbytes: float, algorithm: str = "ring") -> float:
         """Charge an all-reduce of ``nbytes`` without moving data (for
         reductions whose numerics the caller computes in process, e.g. the
         trainer's replicated data-parallel MLP gradients).  ``algorithm``
@@ -833,7 +828,7 @@ class Communicator:
             self._obs_stage(
                 "allreduce", seconds * self.n_ranks, int(nbytes) * self.n_ranks
             )
-        return self.simulator.collective(seconds, category)
+        return self.simulator.collective(seconds, EventCategory.ALLREDUCE)
 
     def compressed_all_reduce(
         self,

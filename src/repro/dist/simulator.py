@@ -1,7 +1,7 @@
 """The cluster simulator: per-rank stream clocks + cost models + timeline.
 
 :class:`ClusterSimulator` owns everything one simulated training job
-needs: ``n_ranks`` device clocks, the :class:`GpuModel` that prices
+needs: ``n_ranks`` device clocks, the A100 ``GpuModel`` that prices
 compute, the :class:`NetworkModel` that prices collectives, the
 :class:`Communicator` that moves real data, and the :class:`Timeline`
 ledger every charge lands in.
@@ -50,7 +50,7 @@ import math
 from itertools import chain
 
 from repro.dist.comm import Communicator
-from repro.dist.gpu import A100_LIKE, GpuModel
+from repro.dist.gpu import A100_LIKE
 from repro.dist.network import NetworkModel
 from repro.dist.timeline import COMM_STREAM, COMPUTE_STREAM, Timeline
 
@@ -67,7 +67,6 @@ class ClusterSimulator:
         self,
         n_ranks: int,
         network: NetworkModel | None = None,
-        gpu: GpuModel | None = None,
     ):
         if int(n_ranks) < 1:
             raise ValueError(f"n_ranks must be >= 1, got {n_ranks!r}")
@@ -81,7 +80,7 @@ class ClusterSimulator:
                 f"network topology spans {self.network.topology.n_ranks} ranks "
                 f"but the simulator has {self.n_ranks}"
             )
-        self.gpu = gpu if gpu is not None else A100_LIKE
+        self.gpu = A100_LIKE
         #: optional FaultInjector bending this simulator's charges
         self.fault_injector = None
         self.comm = Communicator(self)
@@ -205,9 +204,9 @@ class ClusterSimulator:
             tails[rank] = union
         return joined
 
-    def collective(self, seconds: float, category: str, stream: str = COMM_STREAM) -> float:
+    def collective(self, seconds: float, category: str) -> float:
         """Barrier-synchronize all ranks (all streams), then charge
-        ``seconds`` to each rank's ``stream`` over the identical interval;
+        ``seconds`` to each rank's comm stream over the identical interval;
         returns the common end time.  No rank leaves before all do: the
         collective's events become every lane's tails."""
         seconds = self._check_seconds(seconds)
@@ -218,7 +217,12 @@ class ClusterSimulator:
         n = self.n_ranks
         first = len(self.timeline)
         self.timeline.record_batch(
-            range(n), category, [start] * n, [seconds] * n, stream, release_edges=[released] * n
+            range(n),
+            category,
+            [start] * n,
+            [seconds] * n,
+            COMM_STREAM,
+            release_edges=[released] * n,
         )
         end = start + seconds
         done = tuple(range(first, first + n))

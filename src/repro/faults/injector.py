@@ -142,17 +142,19 @@ class FaultInjector:
 
     # ------------------------------------------------------------ reporting
 
-    def annotate(self, timeline: Timeline, *, rank: int = 0) -> int:
+    def annotate(self, timeline: Timeline) -> int:
         """Stamp every planned fault window onto ``timeline``'s OBS lane.
 
-        Returns the number of FAULT spans recorded.  Spans carry the fault
-        kind and parameters in ``args`` so the chrome trace names them.
+        A fault that names no rank of this timeline (a link, a shard
+        crash) lands on rank 0.  Returns the number of FAULT spans
+        recorded.  Spans carry the fault kind and parameters in ``args`` so
+        the chrome trace names them.
         """
         n = 0
         for fault in self.plan.links:
             kind = "link_outage" if fault.outage else "link_degraded"
             timeline.record(
-                rank,
+                0,
                 EventCategory.FAULT,
                 fault.start,
                 fault.duration,
@@ -178,7 +180,7 @@ class FaultInjector:
             n += 1
         for fault in self.plan.shard_crashes:
             timeline.record(
-                rank,
+                0,
                 EventCategory.FAULT,
                 fault.start,
                 fault.duration,

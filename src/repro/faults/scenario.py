@@ -86,12 +86,8 @@ def run_day_in_the_life_under_faults(
     *,
     n_iterations: int = 4,
     n_requests: int = 200,
-    n_tables: int = 6,
-    cardinality: int = 400,
-    qps: float = 2000.0,
     checkpoint_every: int = 2,
     out_dir: str | Path | None = None,
-    seed: int = 7,
 ) -> ChaosResult:
     """Run the chaos scenario, verify its invariants, return the evidence.
 
@@ -102,7 +98,9 @@ def run_day_in_the_life_under_faults(
     publish-interleaved step also evicts a few rows of every table
     (:func:`~repro.obs.scenario.evict_rows`), so every table crosses its
     bound and ships, and the scheduled corruption has payloads to damage.
-    The same workload runs healthy first; both runs share every seed.
+    The same workload runs healthy first; both runs share every seed.  The
+    world is :mod:`repro.obs.scenario`'s: ``DAY_TABLES`` tables of
+    ``DAY_CARDINALITY`` rows at ``DAY_QPS``, seeded from ``DAY_SEED``.
     """
     # Heavy imports stay local, as in repro.obs.scenario.
     from repro.dist.timeline import Timeline
@@ -118,7 +116,15 @@ def run_day_in_the_life_under_faults(
     )
     from repro.faults.retry import RetryPolicy
     from repro.obs.exporters import run_report
-    from repro.obs.scenario import build_day_world, evict_rows, write_artifacts
+    from repro.obs.scenario import (
+        DAY_CARDINALITY,
+        DAY_QPS,
+        DAY_SEED,
+        DAY_TABLES,
+        build_day_world,
+        evict_rows,
+        write_artifacts,
+    )
     from repro.obs.trace import unified_chrome_trace
     from repro.serve import build_serving_tier
     from repro.serve.loadgen import RequestLoadGenerator
@@ -135,11 +141,12 @@ def run_day_in_the_life_under_faults(
     total_iterations = n_iterations + publish_rounds
     global_batch = 64
 
-    world = ("chaos-day", n_tables, cardinality, seed)  # twin runs share every seed
+    # twin runs share every seed
+    world = ("chaos-day", DAY_TABLES, DAY_CARDINALITY, DAY_SEED)
 
     def evict(trainer, iteration: int) -> None:
         """The row evictions a publish-interleaved step makes."""
-        evict_rows(trainer.model, range(n_tables), 4, seed, iteration)
+        evict_rows(trainer.model, range(DAY_TABLES), 4, DAY_SEED, iteration)
 
     # ------------------------------------------------- 1. the healthy twin
     dataset, config, healthy_trainer = build_day_world(*world)
@@ -158,7 +165,7 @@ def run_day_in_the_life_under_faults(
     # Windows scale with the measured healthy makespan (training faults)
     # and the request trace span (the serving shard crash), so the chaos
     # actually lands on live work at any problem size.
-    span = n_requests / qps
+    span = n_requests / DAY_QPS
     fail_at = max(1, n_iterations // 2 + 1)
     fault_plan = FaultPlan(
         links=(
@@ -207,13 +214,13 @@ def run_day_in_the_life_under_faults(
         max_attempts=3,
         timeout_seconds=span / 12,
         base_backoff_seconds=span / 100,
-        seed=seed,
+        seed=DAY_SEED,
     )
 
     # ------------------------------------------------------- 2. chaos run
     with capture():
         registry = enable(MetricsRegistry())
-        injector = FaultInjector(fault_plan, seed=seed + 3)
+        injector = FaultInjector(fault_plan, seed=DAY_SEED + 3)
         _, _, trainer = build_day_world(*world)
         trainer.simulator.fault_injector = injector
 
@@ -252,7 +259,7 @@ def run_day_in_the_life_under_faults(
         # successful round has rows to displace into the stale store (a
         # plain simulator: the chaos run's breakers stay untouched, and the
         # round invalidates every table, so the crash meets cold caches).
-        warmup = RequestLoadGenerator(dataset, qps=qps, seed=seed + 4)
+        warmup = RequestLoadGenerator(dataset, qps=DAY_QPS, seed=DAY_SEED + 4)
         ServingSimulator(tier.replicas, config).run(warmup.generate(n_requests))
         pub_reports = []
         staleness_after_last_success = 0.0
@@ -282,7 +289,7 @@ def run_day_in_the_life_under_faults(
 
         # --- serve through the shard crash with stale fallback + breaker
         serve_trace = Timeline()
-        loadgen = RequestLoadGenerator(dataset, qps=qps, seed=seed + 2)
+        loadgen = RequestLoadGenerator(dataset, qps=DAY_QPS, seed=DAY_SEED + 2)
         requests = loadgen.generate(n_requests)
         serving = ServingSimulator(
             tier.replicas,

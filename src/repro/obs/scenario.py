@@ -62,6 +62,14 @@ class ScenarioResult:
     slo: object | None = None
 
 
+#: the day-in-the-life world, shared by the observed and the chaos scenario:
+#: tables, rows per table, offered request rate and the seed all draws derive from
+DAY_TABLES = 6
+DAY_CARDINALITY = 400
+DAY_QPS = 2000.0
+DAY_SEED = 7
+
+
 def build_day_world(name: str, n_tables: int, cardinality: int, seed: int):
     """One fresh, fully-seeded workload (twin runs of one seed match):
     ``(dataset, config, trainer)`` with a 2-rank compressed hybrid-parallel
@@ -149,19 +157,21 @@ def write_artifacts(
 #: the scenario's serve p99 latency budget, seconds
 SERVE_LATENCY_TARGET = 2e-3
 
+#: the scenario's train step time budget, seconds
+TRAIN_STEP_TARGET = 5e-3
+
 
 def run_day_in_the_life(
     *,
     n_iterations: int = 3,
     n_requests: int = 200,
-    n_tables: int = 6,
-    cardinality: int = 400,
-    qps: float = 2000.0,
-    train_step_target: float = 5e-3,
     out_dir: str | Path | None = None,
-    seed: int = 7,
 ) -> ScenarioResult:
     """Run the observed end-to-end scenario and collect its artifacts.
+
+    The world is fixed: :data:`DAY_TABLES` tables of
+    :data:`DAY_CARDINALITY` rows, requests offered at :data:`DAY_QPS`, every
+    seed derived from :data:`DAY_SEED`.
 
     The observability runtime is enabled onto a fresh private registry for
     the duration of the run (prior enable/disable state is restored), so
@@ -192,7 +202,9 @@ def run_day_in_the_life(
         registry = enable(MetricsRegistry())
 
         # --- train: compressed hybrid-parallel steps on a 2-rank cluster
-        dataset, config, trainer = build_day_world("obs-day", n_tables, cardinality, seed)
+        dataset, config, trainer = build_day_world(
+            "obs-day", DAY_TABLES, DAY_CARDINALITY, DAY_SEED
+        )
 
         # --- SLOs: the staleness bound is exactly what the adaptive plan
         # promises (worst per-table effective error bound at the publish
@@ -207,7 +219,7 @@ def run_day_in_the_life(
                 default_monitors(
                     serve_p99_target=SERVE_LATENCY_TARGET,
                     publish_staleness_bound=staleness_bound,
-                    train_step_target=train_step_target,
+                    train_step_target=TRAIN_STEP_TARGET,
                 )
             )
         )
@@ -222,12 +234,12 @@ def run_day_in_the_life(
         tier = build_serving_tier(
             trainer, n_shard_ranks=2, n_replicas=2, cache_rows=64
         )
-        evict_rows(trainer.model, range(0, n_tables, 2), 4, seed, "publish")
+        evict_rows(trainer.model, range(0, DAY_TABLES, 2), 4, DAY_SEED, "publish")
         publication = tier.publisher.publish(iteration=n_iterations - 1)
 
         # --- serve: a Zipf-skewed open-loop trace over the fresh tables
         serve_trace = Timeline()
-        loadgen = RequestLoadGenerator(dataset, qps=qps, seed=seed + 2)
+        loadgen = RequestLoadGenerator(dataset, qps=DAY_QPS, seed=DAY_SEED + 2)
         requests = loadgen.generate(n_requests)
         serving = ServingSimulator(tier.replicas, config)
         serving_report = serving.run(

@@ -234,11 +234,11 @@ def default_monitors(
     serve_p99_target: float,
     publish_staleness_bound: float,
     train_step_target: float,
-    objective: float = 0.99,
 ) -> list[BurnRateMonitor]:
     """The standard three monitors: serve p99-vs-target, publish
     staleness-vs-bound, train step-time-vs-budget.  Each slow window is
-    :data:`SLOW_WINDOW` and each fast one a fifth of it; publication
+    :data:`SLOW_WINDOW` and each fast one a fifth of it.  Serve and train
+    promise :class:`SLOSpec`'s default 99% objective; publication
     rounds are sparse, so the staleness monitor promises a 100% objective
     (any breach of the bound burns at infinite rate — exactly the alarm
     you want)."""
@@ -248,7 +248,6 @@ def default_monitors(
                 name="serve_p99_latency",
                 source="serve_latency",
                 threshold=serve_p99_target,
-                objective=objective,
                 fast_window=SLOW_WINDOW / 5.0,
                 slow_window=SLOW_WINDOW,
             )
@@ -270,7 +269,6 @@ def default_monitors(
                 name="train_step_time",
                 source="train_step",
                 threshold=train_step_target,
-                objective=objective,
                 fast_window=SLOW_WINDOW / 5.0,
                 slow_window=SLOW_WINDOW,
             )

@@ -121,11 +121,6 @@ SMOKE_SHAPES: dict[str, tuple[int, int]] = {"terabyte": (2048, 32)}
 DEFAULT_ERROR_BOUND = 1e-2
 _SEED = 2024
 
-#: pin window for the hybrid_pinned rows — large enough that best-of-N
-#: timing loops (N <= 9 across the harness and CLI) never straddle a
-#: re-trial, so the measured call is the steady-state pinned replay
-PIN_REFRESH = 64
-
 #: the vector_lz_batch rows' stack: (destination slices, local rows, dim)
 #: of one table in the headline 32-rank, batch-4096, dim-64 exchange
 STACK_SHAPE = (32, 128, 64)
@@ -257,8 +252,9 @@ def _codec_rows(shape_name: str, rows: int, dim: int) -> Iterator[Row]:
         lambda: _reference_lz77_decode_bytes(byte_stream, len(raw)),
     )
 
-    # --- end-to-end hybrid codec, framing included (what one table
-    # slice actually pays on the training hot path) ---
+    # --- end-to-end hybrid codec, framing included: both legs and the
+    # smaller payload kept, the codec of Fig. 11, Table V and quickstart
+    # (the training pipeline encodes with the plan's one leg) ---
     hybrid = HybridCompressor()
     yield row("hybrid", "compress", lambda: hybrid.compress(batch, eb), None)
     hybrid_payload = hybrid.compress(batch, eb)
@@ -307,19 +303,6 @@ def _codec_rows(shape_name: str, rows: int, dim: int) -> Iterator[Row]:
         "hybrid_obs", "decompress",
         lambda: _with_obs(lambda: hybrid.decompress(hybrid_payload)),
         lambda: hybrid.decompress(hybrid_payload),
-    )
-
-    # --- hybrid auto with pinned-encoder replay: the training hot
-    # loop's configuration (key= + pin_refresh) amortizes
-    # the try-both trial over the refresh window, so steady-state
-    # calls run a single leg.  Reference: the per-call try-both auto
-    # path, so the speedup is exactly what pinning buys. ---
-    pinned = HybridCompressor(pin_refresh=PIN_REFRESH)
-    pinned.compress(batch, eb, key="bench")  # pin the winner
-    yield row(
-        "hybrid_pinned", "compress",
-        lambda: pinned.compress(batch, eb, key="bench"),
-        lambda: hybrid.compress(batch, eb),
     )
 
     # --- FZ-GPU-like bit-plane baseline ---
@@ -405,7 +388,7 @@ def _shard_rows() -> Iterator[Row]:
 
     def _per_block_loop():
         return [
-            lz.compress(shard_values[lo : lo + SHARD_ROWS_PER_BLOCK], DEFAULT_ERROR_BOUND, key=0)
+            lz.compress(shard_values[lo : lo + SHARD_ROWS_PER_BLOCK], DEFAULT_ERROR_BOUND)
             for lo in range(0, shard_rows, SHARD_ROWS_PER_BLOCK)
         ]
 

@@ -43,7 +43,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.adaptive.selection import PAPER_A100_PROFILE, DeviceThroughputProfile
-from repro.compression.registry import decompress_any
+from repro.compression.base import Compressor
+from repro.compression.registry import decompress_any, get_compressor
 from repro.compression.serialization import (
     CorruptPayloadError,
     frame_with_checksum,
@@ -54,11 +55,7 @@ from repro.dist.simulator import ClusterSimulator
 from repro.dist.timeline import OBS_STREAM, EventCategory
 from repro.obs.runtime import OBS
 from repro.serve.replica import InferenceReplica
-from repro.serve.shard_server import (
-    DEFAULT_ROWS_PER_BLOCK,
-    EmbeddingShardServer,
-    serving_codec_pool,
-)
+from repro.serve.shard_server import DEFAULT_ROWS_PER_BLOCK, EmbeddingShardServer
 from repro.train.sharding import ShardingPlan
 from repro.utils.validation import check_positive
 
@@ -245,9 +242,8 @@ class DeltaPublisher:
         self.fault_injector = fault_injector
         self.simulator = ClusterSimulator(1 + len(servers), network=network)
         self.simulator.fault_injector = fault_injector
-        # Cached codec instances: table-keyed delta compression every
-        # round amortizes encoder pins exactly like the shards.
-        self._codec = serving_codec_pool()
+        # One (stateless) codec instance per name, built on first use.
+        self._codecs: dict[str, Compressor] = {}
         # The per-round delta is computed into a per-table scratch array.
         self._delta_scratch: dict[int, np.ndarray] = {}
         # The serving tier's logical state: exactly what the shard servers
@@ -338,7 +334,10 @@ class DeltaPublisher:
                 wire_nbytes = 0
                 if not error <= bound:
                     if self.compress:
-                        payload = self._codec(codec_name).compress(delta, bound, key=table_id)
+                        codec = self._codecs.get(codec_name)
+                        if codec is None:
+                            codec = self._codecs[codec_name] = get_compressor(codec_name)
+                        payload = codec.compress(delta, bound)
                         applied = self._published[table_id] + decompress_any(payload)
                         current = np.asarray(weight, dtype=np.float32)
                     else:
@@ -567,7 +566,6 @@ def build_serving_tier(
     n_replicas: int,
     cache_rows: int,
     *,
-    iteration: int = 0,
     rows_per_block: int = DEFAULT_ROWS_PER_BLOCK,
     publication_network: NetworkModel | None = None,
     compress_publication: bool = True,
@@ -582,7 +580,7 @@ def build_serving_tier(
     trainer's *current* model state, so the publisher's error-feedback
     baseline matches what the shards actually hold.  With the trainer's
     adaptive pipeline present, each table's shard codec and storage bound
-    come from the controller at ``iteration``.
+    come from the controller at iteration 0.
     """
     check_positive("n_shard_ranks", n_shard_ranks)
     check_positive("n_replicas", n_replicas)
@@ -602,7 +600,6 @@ def build_serving_tier(
             model,
             sharding.tables_of(rank),
             controller,
-            iteration=iteration,
             rows_per_block=rows_per_block,
         )
         for rank in range(int(n_shard_ranks))

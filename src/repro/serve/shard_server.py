@@ -45,7 +45,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.compression.base import Compressor
 from repro.compression.registry import decompress_any, get_compressor
 from repro.compression.vector_lz import VectorLZCompressor
 from repro.obs.runtime import OBS
@@ -55,8 +54,6 @@ __all__ = [
     "ShardPull",
     "EmbeddingShardServer",
     "DEFAULT_ROWS_PER_BLOCK",
-    "serving_codec",
-    "serving_codec_pool",
 ]
 
 #: default row-block granularity: small enough that one hot row does not
@@ -67,41 +64,9 @@ DEFAULT_ROWS_PER_BLOCK = 64
 #: codec used when a table's error bound is 0 (lossless, bit-identical)
 LOSSLESS_CODEC = "lz4_like"
 
-#: pin refresh window for the serving-side hybrid codec — a build or a
-#: full-churn round recompresses every block of a table back to back, so the
-#: window comfortably covers one table's block count
-SERVING_PIN_REFRESH = 64
-
 #: per-block change-detection digest (blake2b-128 over the block's exact
 #: float32 bytes): a changed block goes unnoticed only on a 2**-128 collision
 DIGEST_BYTES = 16
-
-
-def serving_codec(name: str) -> Compressor:
-    """A codec instance with its hot-loop cache enabled.
-
-    The serve tier compresses *keyed by table* in bulk (every changed block
-    of a table per recompression, every table delta per publication round), so
-    the hybrid codec gets pinned-encoder replay (the ``hybrid_pinned`` perf
-    rows measure it at 3-5x over try-both).  Every other codec is stateless.
-    """
-    if name == "hybrid":
-        return get_compressor(name, pin_refresh=SERVING_PIN_REFRESH)
-    return get_compressor(name)
-
-
-def serving_codec_pool():
-    """A per-name memo over :func:`serving_codec` — one pool per owner
-    (shard node, publisher), so cache state never leaks between tiers.
-    Returns a ``get(name) -> Compressor`` callable."""
-    codecs: dict[str, Compressor] = {}
-
-    def pooled(name: str) -> Compressor:
-        if name not in codecs:
-            codecs[name] = serving_codec(name)
-        return codecs[name]
-
-    return pooled
 
 
 @dataclass(frozen=True)
@@ -143,7 +108,6 @@ class _CompressedTable:
         codec_name: str,
         error_bound: float,
         rows_per_block: int,
-        codec: Compressor,
     ):
         values = np.ascontiguousarray(values, dtype=np.float32)
         if values.ndim != 2:
@@ -158,7 +122,7 @@ class _CompressedTable:
         self.rows_per_block = int(rows_per_block)
         self.error_bound = float(error_bound)
         self.codec_name = codec_name
-        self._codec = codec
+        self._codec = get_compressor(codec_name)
         self.raw_nbytes = int(values.nbytes)
         n_blocks = -(-self.cardinality // self.rows_per_block)
         self.blocks: list = [None] * n_blocks  # payload bytes, one per row block
@@ -213,9 +177,8 @@ class _CompressedTable:
             payloads.update(zip(stacked, self._codec.compress_stack(stack, bound)))
         for block_id in block_ids:
             if block_id not in payloads:
-                # Keyed by table so the hybrid codec's pins amortize per table.
                 payloads[block_id] = self._codec.compress(
-                    values[block_id * step : (block_id + 1) * step], bound, key=self.table_id
+                    values[block_id * step : (block_id + 1) * step], bound
                 )
         return payloads
 
@@ -339,17 +302,12 @@ class EmbeddingShardServer:
                 return str(codecs[table_id])
             return str(codecs)
 
-        # One cached codec instance per name, shared by this node's tables
-        # (keyed compression keeps their caches disjoint per table).
-        pooled = serving_codec_pool()
         self._tables: dict[int, _CompressedTable] = {}
         for table_id, values in tables.items():
             table_id = int(table_id)
             bound = bound_for(table_id)
             name = codec_for(table_id) if bound > 0 else LOSSLESS_CODEC
-            self._tables[table_id] = _CompressedTable(
-                table_id, values, name, bound, rows_per_block, pooled(name)
-            )
+            self._tables[table_id] = _CompressedTable(table_id, values, name, bound, rows_per_block)
 
     @classmethod
     def from_model(
@@ -358,25 +316,25 @@ class EmbeddingShardServer:
         table_ids,
         controller=None,
         *,
-        iteration: int = 0,
         error_bound: float = 1e-2,
-        codec: str = "hybrid",
         rows_per_block: int = DEFAULT_ROWS_PER_BLOCK,
     ) -> "EmbeddingShardServer":
         """Build a shard node from a :class:`~repro.model.dlrm.DLRM`'s
         tables.  With a controller, each table uses the adaptive per-table
-        codec and effective error bound at ``iteration`` — the serving tier
-        inherits the dual-level adaptive configuration wholesale."""
+        codec and its effective error bound at iteration 0 — the serving
+        tier inherits the dual-level adaptive configuration wholesale.
+        Without one, every table is stored with the hybrid codec at
+        ``error_bound``."""
         table_ids = [int(t) for t in table_ids]
         values = {
             t: np.ascontiguousarray(model.tables[t].weight.data, dtype=np.float32)
             for t in table_ids
         }
         if controller is not None:
-            bounds = {t: controller.error_bound(t, iteration) for t in table_ids}
+            bounds = {t: controller.error_bound(t, 0) for t in table_ids}
             names = {t: controller.compressor_name(t) for t in table_ids}
             return cls(values, bounds, names, rows_per_block)
-        return cls(values, error_bound, codec, rows_per_block)
+        return cls(values, error_bound, rows_per_block=rows_per_block)
 
     # -------------------------------------------------------------- queries
 
@@ -434,9 +392,8 @@ class EmbeddingShardServer:
         from ``values`` (never decode-add-encode on the lossy storage, so
         deltas cannot compound storage error across publications); a block
         whose bytes are identical keeps its payload, which already encodes
-        exactly those bytes (a re-encode would reproduce it byte for byte
-        with the stateless codecs and within the bound, possibly through
-        the other encoder leg, with the keyed ones).  The comparison is
+        exactly those bytes (every codec is stateless, so a re-encode would
+        reproduce it byte for byte).  The comparison is
         bitwise over a blake2b-128 digest per block — ``-0.0`` vs ``+0.0``
         or a different NaN payload counts as a change, and a changed block
         is missed only on a digest collision (probability 2**-128 per
@@ -471,9 +428,7 @@ class EmbeddingShardServer:
             return self._table(table_id).compressed_nbytes
         return sum(t.compressed_nbytes for t in self._tables.values())
 
-    def raw_nbytes(self, table_id: int | None = None) -> int:
-        if table_id is not None:
-            return self._table(table_id).raw_nbytes
+    def raw_nbytes(self) -> int:
         return sum(t.raw_nbytes for t in self._tables.values())
 
     def compression_ratio(self) -> float:

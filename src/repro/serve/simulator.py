@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.adaptive.selection import PAPER_A100_PROFILE, DeviceThroughputProfile
-from repro.dist.gpu import A100_LIKE, GpuModel
+from repro.adaptive.selection import PAPER_A100_PROFILE
+from repro.dist.gpu import A100_LIKE
 from repro.dist.network import NetworkModel
 from repro.dist.timeline import EventCategory, Timeline
 from repro.faults.breaker import CircuitBreaker
@@ -128,8 +128,6 @@ class ServingSimulator:
         ``i`` and shard node ``s`` occupies rank ``n_replicas + s``; a
         pull from shard ``s`` to replica ``i`` pays that ordered pair's
         link.  Without one, every pull pays the flat point-to-point cost.
-    gpu / profile:
-        Device cost model and per-codec decode throughputs.
     fault_injector:
         Optional :class:`~repro.faults.injector.FaultInjector`.  When
         present, every shard pull is evaluated against the fault plan at
@@ -159,8 +157,6 @@ class ServingSimulator:
         replicas: Sequence[InferenceReplica],
         config: DLRMConfig,
         network: NetworkModel | None = None,
-        gpu: GpuModel = A100_LIKE,
-        profile: DeviceThroughputProfile = PAPER_A100_PROFILE,
         *,
         fault_injector=None,
         retry_policy=None,
@@ -181,8 +177,8 @@ class ServingSimulator:
         self.replicas = tuple(replicas)
         self.config = config
         self.network = network if network is not None else NetworkModel()
-        self.gpu = gpu
-        self.profile = profile
+        self.gpu = A100_LIKE
+        self.profile = PAPER_A100_PROFILE
         self.n_replicas = len(self.replicas)
         self.n_shards = first.sharding.n_ranks
         self.fault_injector = fault_injector
@@ -209,6 +205,7 @@ class ServingSimulator:
         bottom_sizes = (config.n_dense, *config.bottom_hidden, config.embedding_dim)
         interaction = DotInteraction(config.interaction_features, config.embedding_dim)
         top_sizes = (interaction.output_dim, *config.top_hidden, 1)
+        gpu = self.gpu
         self._inference_seconds = (
             gpu.mlp_time(1, bottom_sizes)
             + gpu.interaction_time(1, config.interaction_features, config.embedding_dim)

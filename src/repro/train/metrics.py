@@ -11,15 +11,15 @@ from repro.nn.loss import sigmoid
 __all__ = ["binary_accuracy", "roc_auc", "TrainingHistory"]
 
 
-def binary_accuracy(logits: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:
-    """Fraction of correct 0/1 predictions at a probability threshold."""
+def binary_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of correct 0/1 predictions at probability threshold 0.5."""
     logits = np.asarray(logits, dtype=np.float64).ravel()
     labels = np.asarray(labels, dtype=np.float64).ravel()
     if logits.shape != labels.shape:
         raise ValueError(f"shape mismatch: {logits.shape} vs {labels.shape}")
     if logits.size == 0:
         raise ValueError("cannot compute accuracy of an empty batch")
-    predictions = sigmoid(logits) >= threshold
+    predictions = sigmoid(logits) >= 0.5
     return float((predictions == (labels >= 0.5)).mean())
 
 

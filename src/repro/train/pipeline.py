@@ -8,8 +8,10 @@ exchange: ① compress per-table/per-destination chunks on each device,
 :class:`CompressionPipeline` owns stages ① and ④: it applies the dual-level
 adaptive controller (per-table encoder + effective error bound at the
 current iteration), collects per-transfer statistics, and prices the
-modelled GPU cost of each stage — fused single-kernel compression per the
-paper's buffer optimization, or naive per-chunk kernels for ablations.
+modelled A100 cost of each stage (``A100_LIKE`` kernels at
+``PAPER_A100_PROFILE`` codec throughputs) — fused single-kernel
+compression per the paper's buffer optimization, or naive per-chunk
+kernels for ablations.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.adaptive.controller import AdaptiveController
-from repro.adaptive.selection import PAPER_A100_PROFILE, DeviceThroughputProfile
+from repro.adaptive.selection import PAPER_A100_PROFILE
 from repro.compression.buffer import BufferCostModel
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.registry import decompress_any
-from repro.compression.vector_lz import DEFAULT_WINDOW, VectorLZCompressor
-from repro.dist.gpu import A100_LIKE, GpuModel
+from repro.compression.vector_lz import VectorLZCompressor
+from repro.dist.gpu import A100_LIKE
 from repro.obs.registry import exponential_buckets
 from repro.obs.runtime import OBS
 
@@ -62,10 +64,6 @@ class CompressionPipeline:
     controller:
         The dual-level adaptive controller (per-table codec + decayed
         error bound).
-    profile:
-        Modelled device throughputs per codec (for simulated timing).
-    gpu:
-        GPU cost model used for kernel pricing.
     fused_kernels:
         ``True`` (default) prices stage ① as one fused kernel per codec —
         the paper's buffer optimization; ``False`` prices naive per-chunk
@@ -78,19 +76,13 @@ class CompressionPipeline:
     """
 
     controller: AdaptiveController
-    profile: DeviceThroughputProfile = field(default_factory=lambda: PAPER_A100_PROFILE)
-    gpu: GpuModel = field(default_factory=lambda: A100_LIKE)
-    window: int = DEFAULT_WINDOW
     fused_kernels: bool = True
     compress_backward: bool = False
     #: metadata bytes exchanged per (pair, table): compressed size + codec id
-    metadata_bytes_per_entry: int = 16
+    metadata_bytes_per_entry: int = field(init=False, default=16)
 
     def __post_init__(self) -> None:
-        self._codecs = {
-            "vector_lz": VectorLZCompressor(window=self.window),
-            "entropy": EntropyCompressor(),
-        }
+        self._codecs = {"vector_lz": VectorLZCompressor(), "entropy": EntropyCompressor()}
         self._buffer_models: dict[tuple[str, str], BufferCostModel] = {}
         self.stats: list[TransferStats] = []
         self._last_codec: dict[int, str] = {}
@@ -238,7 +230,7 @@ class CompressionPipeline:
     # ------------------------------------------------------------- timing
 
     def _codec_throughputs(self, codec: str) -> tuple[float, float]:
-        t = self.profile.for_codec(codec)
+        t = PAPER_A100_PROFILE.for_codec(codec)
         return t.compress, t.decompress
 
     def _buffer_model(self, codec: str, stage: str) -> BufferCostModel:
@@ -249,9 +241,9 @@ class CompressionPipeline:
         if model is None:
             tc, td = self._codec_throughputs(codec)
             if stage == "compress":
-                model = BufferCostModel(gpu=self.gpu, compress_throughput=tc)
+                model = BufferCostModel(gpu=A100_LIKE, compress_throughput=tc)
             else:
-                model = BufferCostModel(gpu=self.gpu, decompress_throughput=td)
+                model = BufferCostModel(gpu=A100_LIKE, decompress_throughput=td)
             self._buffer_models[key] = model
         return model
 

@@ -1,13 +1,18 @@
-"""The one per-array encode entry point: ``compress(a, eb, *, key=)``.
+"""The one per-array encode entry point: ``compress(array, error_bound)``.
 
 The ``GOLDEN_STATELESS`` digests were recorded at the commit *before* the
 ``compress_into`` / ``compress_keyed`` / ``compress_keyed_into`` variants
 were folded into ``compress`` (the old spellings driven through the same
 seeded scenarios), so they pin payload bytes across the fold.  The
-``GOLDEN_STATEFUL`` digests pin payload bytes *and* pin-state transitions
-call for call; they were re-recorded at ``06298b5`` from that commit's own
-output with its per-table Huffman codebook cache forced to miss, the
-behaviour once the cache was deleted.
+``GOLDEN_INTERLEAVED`` digests pin the payload bytes of three tables
+interleaved over twelve rounds; they were re-recorded at ``06298b5`` from
+that commit's own output with its per-table Huffman codebook cache forced
+to miss, the behaviour once the cache was deleted.  The recorder hashed
+each payload followed by the codec's state as text: :data:`RECORDED_STATE`
+replays it.
+
+Every codec is stateless: a payload depends on the array and the error
+bound alone, so encoding other arrays in between never changes it.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ ROUNDS = 12
 TABLE_KEYS = ("dup", "gauss", "drift")
 
 
-def _payload(codec, array, error_bound, key=None) -> bytes:
+def _payload(codec, array, error_bound) -> bytes:
     """The call under test (the recorder substituted the old spellings)."""
-    out = codec.compress(array, error_bound, key=key)
+    out = codec.compress(array, error_bound)
     assert isinstance(out, bytes)
     return out
 
@@ -64,7 +69,7 @@ def _stateless_batches() -> list[np.ndarray]:
 def _table_batch(key: str, round_index: int) -> np.ndarray:
     """Round ``round_index`` of one table: ``dup`` favours vector-LZ,
     ``gauss`` favours Huffman, ``drift`` flips between the two and widens
-    its value range (pin switches, codebook coverage/shift misses)."""
+    its value range."""
     rng = np.random.default_rng([SEED, round_index, TABLE_KEYS.index(key)])
     lz_friendly = key == "dup" or (key == "drift" and (round_index // 5) % 2 == 0)
     scale = 0.05 * (1 + round_index // 4) if key == "drift" else 0.05
@@ -72,16 +77,6 @@ def _table_batch(key: str, round_index: int) -> np.ndarray:
         distinct = rng.normal(scale=scale, size=(3, 8)).astype(np.float32)
         return distinct[rng.integers(0, 3, size=64)]
     return _gauss(rng, scale)
-
-
-def _cache_state(codec) -> str:
-    """Everything the keyed route may mutate, as text for the digest."""
-    state: list = []
-    pins = getattr(codec, "pins", None)
-    if pins is not None:
-        state += [pins.pinned_hits, pins.trials]
-        state += sorted((k, p.winner, p.age) for k, p in pins.pins.items())
-    return repr(state)
 
 
 def _stateless_digest(name: str) -> str:
@@ -94,25 +89,27 @@ def _stateless_digest(name: str) -> str:
     return digest.hexdigest()
 
 
-def _stateful_codec(kind: str) -> Compressor:
-    if kind == "entropy":
-        return EntropyCompressor()
-    return HybridCompressor(pin_refresh=4)
+def _interleaved_codec(kind: str) -> Compressor:
+    return EntropyCompressor() if kind == "entropy" else HybridCompressor()
 
 
-def _stateful_digest(kind: str, keyed: bool) -> tuple[str, Compressor]:
-    codec = _stateful_codec(kind)
+def _interleaved_digest(kind: str) -> str:
+    codec = _interleaved_codec(kind)
     digest = hashlib.sha256()
     for round_index in range(ROUNDS):
         for key in TABLE_KEYS:
-            batch = _table_batch(key, round_index)
-            payload = _payload(codec, batch, ERROR_BOUND, key=key if keyed else None)
+            payload = _payload(codec, _table_batch(key, round_index), ERROR_BOUND)
             digest.update(len(payload).to_bytes(8, "little") + payload)
-            digest.update(_cache_state(codec).encode())
-    return digest.hexdigest(), codec
+            digest.update(RECORDED_STATE[kind])
+    return digest.hexdigest()
 
 
-STATEFUL_CASES = [(kind, keyed) for kind in ("auto", "entropy") for keyed in (True, False)]
+INTERLEAVED_KINDS = ("hybrid", "entropy")
+
+#: the state text the recorder hashed after every payload: the hybrid
+#: codec's encoder-pin counters, zero on these runs (no call passed a
+#: table key), and nothing for the entropy codec
+RECORDED_STATE = {"hybrid": b"[0, 0]", "entropy": b"[]"}
 
 # --------------------------------------------------------------------- golden
 
@@ -133,13 +130,10 @@ GOLDEN_STATELESS: dict[str, str] = {
     "zfp_like": "e521e2df52115aecb9d511c875afbb6f4193ba3995780f1e97a111c188be85d8",
 }
 
-#: sha256 over 12 rounds x 3 interleaved tables of payload + pin state,
-#: keyed by ``(kind, keyed)``
-GOLDEN_STATEFUL: dict[tuple[str, bool], str] = {
-    ("auto", True): "8c4519912f1017cf81771b8bb894f51fcc6266162afa77d4229b7a5d3b205fb6",
-    ("auto", False): "8d97459d158c3e6d9b5ef4211a9edbe11ffc38f5aa0d6b32b4d0b9ca7cadc815",
-    ("entropy", True): "3506254aff3c4be2cb4b288856a3646816f9aca33bf032aa1fa18ebc4e84102e",
-    ("entropy", False): "3506254aff3c4be2cb4b288856a3646816f9aca33bf032aa1fa18ebc4e84102e",
+#: sha256 over 12 rounds x 3 interleaved tables of payload + recorded state
+GOLDEN_INTERLEAVED: dict[str, str] = {
+    "hybrid": "8d97459d158c3e6d9b5ef4211a9edbe11ffc38f5aa0d6b32b4d0b9ca7cadc815",
+    "entropy": "3506254aff3c4be2cb4b288856a3646816f9aca33bf032aa1fa18ebc4e84102e",
 }
 
 
@@ -151,36 +145,54 @@ class TestGoldenBytes:
     def test_stateless_payloads_reproduce(self, name):
         assert _stateless_digest(name) == GOLDEN_STATELESS[name]
 
-    @pytest.mark.parametrize("kind,keyed", STATEFUL_CASES)
-    def test_stateful_payloads_and_cache_state_reproduce(self, kind, keyed):
-        digest, _ = _stateful_digest(kind, keyed)
-        assert digest == GOLDEN_STATEFUL[(kind, keyed)]
+    @pytest.mark.parametrize("kind", INTERLEAVED_KINDS)
+    def test_interleaved_table_payloads_reproduce(self, kind):
+        assert _interleaved_digest(kind) == GOLDEN_INTERLEAVED[kind]
 
-    def test_scenario_exercises_every_transition(self):
-        """The oracle is only worth its digests if trials, replays, pin
-        expiry and winner switches occur; the pin cache is the one keyed
-        state, so every route without it gives keyed bytes == unkeyed."""
-        _, hybrid = _stateful_digest("auto", True)
-        assert hybrid.pins.trials >= 3 * 3  # first trial + >=2 expiries per table
-        assert hybrid.pins.pinned_hits > hybrid.pins.trials
-        winners = {hybrid.pins.pins[key].winner for key in ("dup", "gauss")}
-        assert winners == {"lz", "huffman"}
-        _, unkeyed = _stateful_digest("auto", False)
-        assert unkeyed.pins.trials == 0
-        assert GOLDEN_STATEFUL[("entropy", True)] == GOLDEN_STATEFUL[("entropy", False)]
+
+class TestStateless:
+    """Every registered codec is a pure function of ``(array, error_bound)``."""
+
+    @pytest.mark.parametrize("name", available_compressors())
+    def test_a_b_a_repeats_a_and_matches_a_fresh_instance(self, name):
+        """One instance encodes A, then B, then A: both A payloads are
+        equal, and equal to a fresh instance's."""
+        codec = get_compressor(name)
+        bound = ERROR_BOUND if codec.error_bounded else None
+        batches = _stateless_batches()
+        for a, b in zip(batches, batches[1:] + batches[:1]):
+            first = codec.compress(a, bound)
+            codec.compress(b, bound)
+            again = codec.compress(a, bound)
+            assert first == again == get_compressor(name).compress(a, bound)
+
+    @pytest.mark.parametrize("name", available_compressors())
+    def test_compress_takes_no_key(self, name):
+        codec = get_compressor(name)
+        bound = ERROR_BOUND if codec.error_bounded else None
+        with pytest.raises(TypeError, match="key"):
+            codec.compress(_table_batch("dup", 0), bound, key=0)
+
+    def test_hybrid_takes_no_pin_refresh(self):
+        with pytest.raises(TypeError, match="pin_refresh"):
+            HybridCompressor(pin_refresh=4)
+
+    def test_source_mentions_no_removed_name(self):
+        root = Path(repro.__file__).parent
+        removed = re.compile(
+            r"\b(EncoderPin|EncoderPinCache|pin_refresh|serving_codec|serving_codec_pool"
+            r"|SERVING_PIN_REFRESH|PIN_REFRESH)\b|hybrid_pin"
+        )
+        hits = [
+            f"{path.relative_to(root)}:{number}"
+            for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if removed.search(line)
+        ]
+        assert hits == []
 
 
 class TestOneEntryPoint:
-    @pytest.mark.parametrize("name", available_compressors())
-    def test_key_does_not_change_stateless_bytes(self, name):
-        codec = get_compressor(name)
-        bound = ERROR_BOUND if codec.error_bounded else None
-        for batch in _stateless_batches():
-            plain = codec.compress(batch, bound)
-            assert isinstance(plain, bytes)
-            assert codec.compress(batch, bound, key="table") == plain
-            assert codec.compress(batch, bound, key=7) == plain
-
     @pytest.mark.parametrize("name", available_compressors())
     def test_payloads_survive_the_checksum_envelope(self, name):
         """The ``bytes`` that ``compress`` returns are what goes on the wire:
@@ -198,33 +210,31 @@ class TestOneEntryPoint:
             assert through_wire.dtype == plain.dtype
             np.testing.assert_array_equal(through_wire, plain)
 
-    @pytest.mark.parametrize("kind,keyed", STATEFUL_CASES)
-    def test_stateful_payloads_decode_without_the_encoder(self, kind, keyed):
-        """Pinned-encoder replay never leaves a payload that needs the
-        encoder's state: every one decodes on its own."""
-        codec = _stateful_codec(kind)
+    @pytest.mark.parametrize("kind", INTERLEAVED_KINDS)
+    def test_interleaved_payloads_decode_without_the_encoder(self, kind):
+        """Every payload decodes on its own, within the bound."""
+        codec = _interleaved_codec(kind)
         for round_index in range(ROUNDS):
             for key in TABLE_KEYS:
                 batch = _table_batch(key, round_index)
-                payload = codec.compress(batch, ERROR_BOUND, key=key if keyed else None)
+                payload = codec.compress(batch, ERROR_BOUND)
                 assert type(payload) is bytes
                 decoded = decompress_any(payload)
                 assert decoded.shape == batch.shape
                 assert np.max(np.abs(decoded - batch)) <= ERROR_BOUND * (1 + 1e-6)
 
-    def test_key_is_keyword_only(self):
+    def test_error_bound_is_the_last_positional(self):
         codec = get_compressor("vector_lz")
         with pytest.raises(TypeError):
             codec.compress(_table_batch("dup", 0), ERROR_BOUND, "table")
 
-    def test_hybrid_validates_on_every_route(self):
+    def test_hybrid_validates_its_input(self):
         batch = _table_batch("dup", 0)
-        codec = _stateful_codec("auto")
-        for kwargs in ({}, {"key": "t"}):
-            with pytest.raises(ValueError, match="positive error_bound"):
-                codec.compress(batch, None, **kwargs)
-            with pytest.raises(ValueError, match="2-D"):
-                codec.compress(batch[0], ERROR_BOUND, **kwargs)
+        codec = HybridCompressor()
+        with pytest.raises(ValueError, match="positive error_bound"):
+            codec.compress(batch, None)
+        with pytest.raises(ValueError, match="2-D"):
+            codec.compress(batch[0], ERROR_BOUND)
 
 
 class TestNoVariantSpellings:
@@ -278,7 +288,7 @@ class TestNoPool:
     @pytest.mark.parametrize("name", ["vector_lz", "entropy", "hybrid"])
     def test_compress_rejects_pool(self, name):
         with pytest.raises(TypeError, match="pool"):
-            get_compressor(name).compress(_table_batch("dup", 0), ERROR_BOUND, key=0, pool=None)
+            get_compressor(name).compress(_table_batch("dup", 0), ERROR_BOUND, pool=None)
 
     def test_frame_with_checksum_rejects_pool(self):
         from repro.compression.serialization import frame_with_checksum
@@ -321,7 +331,9 @@ class TestNoCodebookCache:
 
     @pytest.mark.parametrize("factory", [EntropyCompressor, HybridCompressor])
     def test_codecs_reject_codebook_cache(self, factory):
-        with pytest.raises(TypeError, match="codebook_cache"):
+        # EntropyCompressor takes no arguments at all: Python's message for
+        # it does not repeat the keyword
+        with pytest.raises(TypeError, match="codebook_cache|takes no arguments"):
             factory(codebook_cache=None)
 
     def test_pipeline_rejects_codebook_refresh(self):

@@ -18,6 +18,13 @@ and ``harmless``.  The census runs in a subprocess, so the address-space
 limit and the alarm cannot reach the test process.  Run this file
 directly (``PYTHONPATH=src python tests/compression/test_fuzz_census.py``)
 to print the census as JSON.
+
+Beside the random census, deterministic cases pin the frame-level
+corruptions a seeded draw may never hit: every single-bit flip of the magic
+byte, the empty payload and an unregistered codec name each raise
+``CorruptPayloadError``, through ``decompress_any`` and through the codec's
+own ``decompress``.  A well-formed frame of another registered codec stays a
+plain ``ValueError``: that is the caller's misuse, not corruption.
 """
 
 from __future__ import annotations
@@ -32,6 +39,11 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from repro.compression import available_compressors, decompress_any, get_compressor
+from repro.compression.base import parse_payload
+from repro.compression.serialization import CorruptPayloadError
 
 FLIPS = 150
 TRUNCATIONS = 50
@@ -74,9 +86,6 @@ def census() -> dict:
     """Run the recipe in this process; ``{"outcomes": {codec: {class: n}},
     "bare": {message: n}, "untyped": [...], "hangs": [...]}``."""
     import resource
-
-    from repro.compression import available_compressors, decompress_any, get_compressor
-    from repro.compression.serialization import CorruptPayloadError
 
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
     signal.signal(signal.SIGALRM, _on_alarm)
@@ -141,6 +150,52 @@ def test_census():
     assert result["untyped"] == []
     assert result["hangs"] == []
     assert totals["bare"] <= BARE_CEILING, result["bare"]
+
+
+def _payload(name: str) -> bytes:
+    codec = get_compressor(name)
+    return codec.compress(_block(), ERROR_BOUND if codec.error_bounded else None)
+
+
+def _frame_corruptions(payload: bytes):
+    """All eight single-bit flips of the magic byte, then the 0-byte
+    truncation."""
+    for bit in range(8):
+        yield bytes([payload[0] ^ (1 << bit)]) + payload[1:]
+    yield payload[:0]
+
+
+@pytest.mark.parametrize("name", available_compressors())
+def test_a_flipped_magic_byte_or_an_empty_payload_is_corrupt(name):
+    codec = get_compressor(name)
+    for mangled in _frame_corruptions(_payload(name)):
+        with pytest.raises(CorruptPayloadError):
+            decompress_any(mangled)
+        with pytest.raises(CorruptPayloadError):
+            codec.decompress(mangled)
+
+
+@pytest.mark.parametrize("name", available_compressors())
+def test_an_unregistered_codec_name_is_corrupt(name):
+    """One flipped bit in the frame's codec name (``vector_lz`` becomes
+    ``vector_l{``, say) names no registered codec."""
+    payload = _payload(name)
+    framed_name = parse_payload(payload)[0]["codec"].encode()
+    at = payload.index(framed_name) + len(framed_name) - 1
+    mangled = payload[:at] + bytes([payload[at] ^ 1]) + payload[at + 1 :]
+    assert parse_payload(mangled)[0]["codec"] not in available_compressors()
+    with pytest.raises(CorruptPayloadError, match="not registered"):
+        decompress_any(mangled)
+    with pytest.raises(CorruptPayloadError, match="not registered"):
+        get_compressor(name).decompress(mangled)
+
+
+@pytest.mark.parametrize("name", ["vector_lz", "hybrid", "fp16"])
+def test_another_registered_codecs_frame_is_a_plain_value_error(name):
+    other = _payload("lz4_like")
+    with pytest.raises(ValueError, match="lz4_like") as raised:
+        get_compressor(name).decompress(other)
+    assert not isinstance(raised.value, CorruptPayloadError)
 
 
 if __name__ == "__main__":

@@ -103,10 +103,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_compressor("hybrid", HybridCompressor)
 
-    def test_kwargs_forwarded(self):
-        codec = get_compressor("vector_lz", window=64)
-        assert codec.window == 64
-
     def test_wrong_codec_decompress_rejected(self, gaussian_batch):
         payload = get_compressor("fp16").compress(gaussian_batch)
         with pytest.raises(ValueError, match="produced by codec"):

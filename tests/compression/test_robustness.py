@@ -16,7 +16,7 @@ import pytest
 from repro.compression import available_compressors, decompress_any, get_compressor
 from repro.compression.base import MAGIC, frame_payload, parse_payload
 from repro.compression.baselines.lz_generic import lz77_encode_bytes
-from repro.compression.huffman import huffman_encode
+from repro.compression.huffman import DEFAULT_CHUNK_SYMBOLS, huffman_encode
 from repro.compression.serialization import CorruptPayloadError
 from tests.conftest import make_hot_batch
 
@@ -557,11 +557,19 @@ class TestHostileVectorLZSections:
             decompress_any(_reframe(payload, shape=(1 << 40, 6)))
 
 
+#: rows of six values for the hostile-Huffman payload: one row more than a
+#: chunk of symbols fills, so the payload has two chunks
+HUFFMAN_ROWS = DEFAULT_CHUNK_SYMBOLS // 6 + 1
+
+
 class TestHostileHuffman:
     @pytest.fixture()
     def payload(self):
-        table = np.random.default_rng(5).normal(0.0, 0.05, size=(24, 6)).astype(np.float32)
-        return get_compressor("entropy", chunk_symbols=50).compress(table, 0.01)
+        table = np.random.default_rng(5).normal(0.0, 0.05, size=(HUFFMAN_ROWS, 6))
+        table = table.astype(np.float32)
+        payload = get_compressor("entropy").compress(table, 0.01)
+        assert len(parse_payload(payload)[0]["chunk_bit_offsets"]) == 2
+        return payload
 
     def test_a_kraft_gap_is_an_unassigned_code(self):
         """Lengths (1, 2) leave the prefix ``11`` without a code: the first
@@ -584,7 +592,7 @@ class TestHostileHuffman:
             payload,
             body=bytes(body[: len(body) // 2]),
             chunk_bit_offsets=header["chunk_bit_offsets"][:1],
-            chunk_symbol_counts=np.array([24 * 6]),
+            chunk_symbol_counts=np.array([HUFFMAN_ROWS * 6]),
         )
         with pytest.raises(CorruptPayloadError, match="peek hit an unassigned code"):
             decompress_any(half)

@@ -98,7 +98,7 @@ class TestZfpLike:
     def test_registered(self):
         from repro.compression import decompress_any, get_compressor
 
-        codec = get_compressor("zfp_like", rate=8)
+        codec = get_compressor("zfp_like")
         data = np.random.default_rng(3).normal(0, 0.1, (16, 16)).astype(np.float32)
         rec = decompress_any(codec.compress(data))
         assert rec.shape == data.shape

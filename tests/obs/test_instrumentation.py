@@ -148,43 +148,21 @@ class TestHybridInstrumentation:
         assert snap.counter_value("hybrid_compressed_bytes_total") == len(payload)
         assert snap.counter_value("hybrid_decompressed_bytes_total") == batch.nbytes
 
-    def test_byte_counters_cover_keyed_and_replay_routes(self):
-        """Serve-tier (``key=``) and pinned traffic count once per call,
-        like the plain route."""
+    def test_byte_counters_count_once_per_call(self):
+        """Repeated calls add their bytes once each, and the hybrid codec's
+        only counters are its byte totals."""
         rng = np.random.default_rng(2)
         batch = rng.normal(size=(64, 8)).astype(np.float32)
-        hybrid = HybridCompressor(pin_refresh=8)
+        hybrid = HybridCompressor()
         with capture() as reg:
-            sizes = [
-                len(hybrid.compress(batch, 1e-2)),
-                len(hybrid.compress(batch, 1e-2, key="t")),  # trial
-                len(hybrid.compress(batch, 1e-2, key="t")),  # replay
-            ]
+            sizes = [len(hybrid.compress(batch, 1e-2)) for _ in range(3)]
         snap = reg.snapshot()
         assert snap.counter_value("hybrid_raw_bytes_total") == len(sizes) * batch.nbytes
         assert snap.counter_value("hybrid_compressed_bytes_total") == sum(sizes)
-        assert hybrid.pins.trials == 1 and hybrid.pins.pinned_hits == 1
-
-    def test_pin_trial_replay_and_switch_counters(self):
-        rng = np.random.default_rng(1)
-        batch = rng.normal(size=(64, 8)).astype(np.float32)
-        hybrid = HybridCompressor(pin_refresh=8)
-        with capture() as reg:
-            hybrid.compress(batch, 1e-2, key="t")  # trial
-            hybrid.compress(batch, 1e-2, key="t")  # replay
-        snap = reg.snapshot()
-        trials = sum(
-            v
-            for name, _kind, _key, v in snap.iter_series()
-            if name == "hybrid_pin_trial_total"
-        )
-        replays = sum(
-            v
-            for name, _kind, _key, v in snap.iter_series()
-            if name == "hybrid_pin_replay_total"
-        )
-        assert trials == 1
-        assert replays == 1
+        hybrid_families = {
+            name for name, _kind, _key, _v in snap.iter_series() if name.startswith("hybrid_")
+        }
+        assert hybrid_families == {"hybrid_raw_bytes_total", "hybrid_compressed_bytes_total"}
 
 
 class TestServeInstrumentation:

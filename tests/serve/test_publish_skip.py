@@ -6,9 +6,8 @@ nothing and re-encodes nothing.
 The laws here are counted, not timed: a skipped table costs no compress, no
 decode, no exchange, no ``set_table`` and no replica invalidation, and keeps
 its published state and shard bytes bit for bit; a shipped table's payload
-is the bytes the always-ship publisher put on the wire (for ``hybrid``,
-whose encoder pins now age per shipment, the bytes of a codec that saw
-only the shipped deltas).
+is the bytes the always-ship publisher put on the wire: every codec is
+stateless, so they are a fresh codec's bytes for that delta.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from hypothesis import strategies as st
 from repro.adaptive import AdaptiveController, OfflineAnalyzer
 from repro.adaptive.offline import CompressionPlan
 from repro.compression.base import Compressor
+from repro.compression.registry import get_compressor
 from repro.compression.hybrid import HybridCompressor
 from repro.data import SyntheticClickDataset, make_uniform_spec
 from repro.dist import ClusterSimulator
@@ -32,7 +32,6 @@ from repro.model import DLRM, DLRMConfig
 from repro.obs.scenario import evict_rows
 from repro.serve import EmbeddingShardServer, InferenceReplica, build_serving_tier
 from repro.serve import publisher as publisher_module
-from repro.serve.shard_server import serving_codec, serving_codec_pool
 from repro.train import CompressionPipeline, HybridParallelTrainer
 from tests.conftest import cached_tables
 
@@ -222,7 +221,7 @@ def straddling_delta(
     largest magnitude is ``factor * bound`` (0.01 stands in for the bound
     in raw mode).  Past the bound, the hybrid codec's vector-LZ leg wins on
     a sparse delta and its entropy leg on a dense one, so a sequence of
-    draws exercises its encoder pins."""
+    draws exercises both legs."""
     rng = np.random.default_rng(seed)
     scale = np.float32(factor * (bound if bound > 0 else 1e-2))
     delta = np.zeros_like(published)
@@ -258,14 +257,6 @@ def test_skip_law(mode, bounds, checksum, rounds):
             return _real(sendbufs, *args, **kwargs)
 
         setattr(comm, name, recording)
-    # The always-ship publisher compressed every table every round, so its
-    # hybrid codec aged each table's encoder pin every round; the skipping
-    # publisher compresses, and so ages a pin, only per shipment.  The
-    # shadow pool replays the latter; while a table has shipped every round
-    # the two agree.
-    parent_pool = serving_codec_pool()
-    shadow_pool = serving_codec_pool()
-    shipped_every_round = set(range(N_TABLES))
     servers = {t: tier.servers[tier.sharding.owner_of(t)] for t in range(N_TABLES)}
     order = record_order(tier)
 
@@ -293,23 +284,14 @@ def test_skip_law(mode, bounds, checksum, rounds):
             drift = float(np.max(np.abs(deltas[t])))
             assert record.error_bound == bound
             assert record.shipped == (not drift <= bound), (t, drift, bound)
-            parent = None
-            if compress:
-                parent = parent_pool(mode).compress(deltas[t], bound, key=t)
             if not record.shipped:
-                shipped_every_round.discard(t)
                 assert record.wire_nbytes == 0 and record.max_abs_error == drift
                 assert publisher.published_table(t).tobytes() == before[t].tobytes()
                 assert [bytes(b) for b in servers[t]._table(t).blocks] == blocks[t]
                 continue
             expected = deltas[t].tobytes()
             if compress:
-                expected = shadow_pool(mode).compress(deltas[t], bound, key=t)
-                if t in shipped_every_round:
-                    assert expected == parent
-                if mode != "hybrid":
-                    fresh = serving_codec(mode).compress(deltas[t], bound, key=t)
-                    assert expected == parent == fresh
+                expected = get_compressor(mode).compress(deltas[t], bound)
             framed = publisher_module.frame_with_checksum(expected) if checksum else expected
             assert by_table[t] == framed
         # the contract, after every round, for every table

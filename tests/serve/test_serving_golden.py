@@ -18,7 +18,12 @@ The values were re-recorded once since, at ``06298b5`` with the shard
 server's per-table Huffman codebook cache forced to miss on every lookup —
 the behaviour of the entropy leg once that cache was deleted.  Fresh books
 store a few bytes fewer per block, which reaches the pulled bytes and the
-latencies priced on them.
+latencies priced on them.  They were re-recorded a second time, at
+``32c044a`` with the shard server's hybrid codec built without its
+encoder-pin cache (``serving_codec("hybrid")`` without ``pin_refresh``) —
+the behaviour once every codec became stateless.  Each block now keeps the
+smaller of both legs instead of a replayed winner, so fewer bytes are
+pulled again.
 
 There is no copy of the old bodies to compare against.  Run
 ``python tests/serve/test_serving_golden.py`` to print the values of the
@@ -162,20 +167,20 @@ HEALTHY_WORLDS = {
 }
 
 HEALTHY_DIGESTS = {
-    "flat/cache=0": "e78a18c24d8a363c113f278e8c8fe95c",
-    "flat/cache=32": "76e1ef6a97f22dcbc44c0ff440971fcf",
-    "flat/cache=4096": "b67fbb4a97a91edef529347e363f41fa",
-    "flat/4-shards/3-replicas": "3bff77b9f69c518542642dea5bc1c6b6",
-    "hier/cache=0": "4dbc40c142f72ba81a4465030f4ec805",
-    "hier/cache=64": "2eb1bbaabf2a5ef238c58b3c883e4176",
-    "flat/available_at=scalar": "fd6e7551f40562388ef35ac73a6e7a0c",
-    "hier/available_at=per-replica": "9542667a8fc33176b1d5d9bbca620921",
+    "flat/cache=0": "f99d3e96476d04ab09f0cfc008fedc65",
+    "flat/cache=32": "9b23cce164c63f3ebaedfb46559b449c",
+    "flat/cache=4096": "469c539cb7effd634737748f6081cc3e",
+    "flat/4-shards/3-replicas": "13be8a015a70cabe9fad8d1071b8fd74",
+    "hier/cache=0": "2a9acd939a94aafa7766120ec7d33a1a",
+    "hier/cache=64": "f1b435c8c1368e5c3c72a3d9147eed9f",
+    "flat/available_at=scalar": "9a4f3bb2bba2dbc711bf9d1de30845ed",
+    "hier/available_at=per-replica": "980308b672a937f72516623c60b14edb",
 }
 #: (report, SERVE_REQUEST events + both counter tracks)
-TRACED_DIGESTS = ("9542667a8fc33176b1d5d9bbca620921", "195540157e6d84f05f0e3e8b4f094d55")
-SERVICE_SECONDS_DIGEST = "4bd1f45b4ac7580854296636b1c7af35"
+TRACED_DIGESTS = ("980308b672a937f72516623c60b14edb", "acef567e234caca0b38d5e1467b20884")
+SERVICE_SECONDS_DIGEST = "6d6e7141b479b242a3eb8c746795b293"
 #: (report, serve_* families of the snapshot)
-OBS_DIGESTS = ("76e1ef6a97f22dcbc44c0ff440971fcf", "f0fb72c6e851f62e9be799f84ca8e927")
+OBS_DIGESTS = ("9b23cce164c63f3ebaedfb46559b449c", "902dfae40e5aa1b2b3ea4ec5f02582e5")
 
 
 def run_healthy(world, name, **run_kwargs):
@@ -292,20 +297,20 @@ FAULTY_REPORTS: dict[str, dict] = {
         "n_replicas": 2,
         "cache_rows": 0,
         "offered_qps": 1707.4091621589173,
-        "sustained_qps": 1718.0407525661178,
-        "p50_latency": 4.204880503268227e-05,
-        "p99_latency": 0.010468305671941406,
-        "mean_latency": 0.0011167661497374119,
+        "sustained_qps": 1718.0408075451464,
+        "p50_latency": 4.203576651663765e-05,
+        "p99_latency": 0.010468302877973682,
+        "mean_latency": 0.0011167587395141266,
         "max_latency": 0.011967899584943558,
         "cache_hit_rate": 0.0,
         "hits": 0,
         "misses": 900,
         "mean_fanout": 1.0,
         "blocks_pulled": 450,
-        "pulled_compressed_nbytes": 222830,
+        "pulled_compressed_nbytes": 219547,
         "pulled_raw_nbytes": 913408,
-        "makespan": 0.08730875549718797,
-        "replica_busy_seconds": (0.02007757276183056, 0.028147447990915314),
+        "makespan": 0.08730875270322025,
+        "replica_busy_seconds": (0.02007722305020379, 0.028147067545643584),
         "replica_requests": (75, 75),
         "stale_rows": 0,
         "degraded_rows": 450,
@@ -323,19 +328,19 @@ FAULTY_REPORTS: dict[str, dict] = {
         "cache_rows": 256,
         "offered_qps": 1707.4091621589173,
         "sustained_qps": 1718.1214780657479,
-        "p50_latency": 3.7936492624485174e-05,
-        "p99_latency": 0.00670012443041683,
-        "mean_latency": 0.0003394135642208007,
-        "max_latency": 0.006986597568166496,
+        "p50_latency": 3.79330653574126e-05,
+        "p99_latency": 0.006700123461841352,
+        "mean_latency": 0.00033941220970524843,
+        "max_latency": 0.006986596599591019,
         "cache_hit_rate": 0.6666666666666666,
         "hits": 600,
         "misses": 300,
         "mean_fanout": 1.3466666666666667,
         "blocks_pulled": 300,
-        "pulled_compressed_nbytes": 147985,
+        "pulled_compressed_nbytes": 145438,
         "pulled_raw_nbytes": 602112,
         "makespan": 0.08730465331756938,
-        "replica_busy_seconds": (0.00980316644830096, 0.00955405641993674),
+        "replica_busy_seconds": (0.009803086056536311, 0.009553996517268739),
         "replica_requests": (75, 75),
         "stale_rows": 0,
         "degraded_rows": 0,
@@ -353,19 +358,19 @@ FAULTY_REPORTS: dict[str, dict] = {
         "cache_rows": 64,
         "offered_qps": 1707.4091621589173,
         "sustained_qps": 1718.1455476304982,
-        "p50_latency": 3.702555110713518e-05,
+        "p50_latency": 3.702555110712824e-05,
         "p99_latency": 0.007805664541740991,
-        "mean_latency": 0.0005696646830506921,
+        "mean_latency": 0.000569660245298624,
         "max_latency": 0.009758276141858596,
         "cache_hit_rate": 0.5844444444444444,
         "hits": 526,
         "misses": 374,
         "mean_fanout": 1.1466666666666667,
         "blocks_pulled": 280,
-        "pulled_compressed_nbytes": 138184,
+        "pulled_compressed_nbytes": 135627,
         "pulled_raw_nbytes": 560128,
         "makespan": 0.0873034302634405,
-        "replica_busy_seconds": (0.016421632161149086, 0.010735185832704266),
+        "replica_busy_seconds": (0.016421367199876608, 0.010734986296842655),
         "replica_requests": (75, 75),
         "stale_rows": 37,
         "degraded_rows": 57,

@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compression import decompress_any
+from repro.compression import decompress_any, get_compressor
 from repro.model import DLRM, DLRMConfig
 from repro.serve import EmbeddingShardServer
-from repro.serve.shard_server import serving_codec
 from tests.conftest import decoded_table
 
 
@@ -122,14 +121,13 @@ class TestBlockStorage:
         [("vector_lz", 1e-2), ("entropy", 1e-2), ("hybrid", 1e-2), ("lz4_like", 0.0)],
     )
     def test_blocks_are_the_codec_payloads(self, codec, bound):
-        """A stored block is the ``bytes`` object the serving codec returns
-        for that row block, keyed by table and in block order — 200 rows in
-        64-row blocks, so the last one is ragged."""
+        """A stored block is the ``bytes`` object a fresh codec of the
+        table's name returns for that row block, in block order — 200 rows
+        in 64-row blocks, so the last one is ragged."""
         table = make_hot_table()
         server = EmbeddingShardServer({4: table}, bound, codec, rows_per_block=64)
-        reference = serving_codec(server.codec(4))
         expected = [
-            reference.compress(table[start : start + 64], bound or None, key=4)
+            get_compressor(server.codec(4)).compress(table[start : start + 64], bound or None)
             for start in range(0, 200, 64)
         ]
         blocks = server._table(4).blocks

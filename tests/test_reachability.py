@@ -23,11 +23,11 @@ these fails the test, by module and qualified name.
 public method of a top-level class or the ``__init__`` of a public class,
 and every init field with a default of a public dataclass, is passed
 somewhere: a file in ``src/repro``, ``examples/``, ``benchmarks/``,
-``bench_e2e/`` or ``tests/`` (a) uses its name as a keyword in some call,
-(b) calls the callee's name with a positional argument at its index, or
-(c) calls the callee's name with ``*`` or ``**``.  The callee's name is the
-function's or method's own, and for an ``__init__`` or a field the class
-name (``cls`` inside the class).  ``self``, ``cls``, names with a leading
+``bench_e2e/`` or ``tests/`` calls the callee's name (a) with the
+parameter's name as a keyword, (b) with a positional argument at its index,
+or (c) with ``*`` or ``**``.  The callee's name is the function's or
+method's own, and for an ``__init__`` or a field the class name (``cls``
+inside the class).  ``self``, ``cls``, names with a leading
 underscore and ``init=False`` fields are skipped.  A parameter no caller
 passes fails the test, by module, qualified name and parameter: its value
 is a constant, not a setting.
@@ -35,8 +35,13 @@ is a constant, not a setting.
 Two limits of the scans:
 
 * matching is by name, so a dead member that shares its name with a live
-  one (a method ``slot_of`` beside a local variable ``slot_of``, say), or a
-  parameter whose keyword some other call passes, stays invisible;
+  one (a method ``slot_of`` beside a local variable ``slot_of``, say)
+  stays invisible, and a call of one class's method passes that keyword to
+  every method of the same name;
+* a call through another name (``factory(**kwargs)``, ``cls(...)`` inside
+  a different class) is not a call of the callee, so a parameter passed
+  only that way needs a :data:`PARAMETER_ALLOWLIST` entry naming the
+  forwarding reader;
 * a parameter that only tests pass counts as passed: a fork no workload
   selects is found by reading the callers, not by this scan.
 
@@ -72,7 +77,16 @@ MEMBER_ALLOWLIST: dict[str, str] = {
 }
 
 #: unpassed parameter (``module:Qualified.name(parameter)``) -> why it stays
-PARAMETER_ALLOWLIST: dict[str, str] = {}
+PARAMETER_ALLOWLIST: dict[str, str] = {
+    "repro.obs.registry:Counter(help)": (
+        "MetricsRegistry._get_or_create passes it on as cls(name, help, **kwargs),"
+        " for every counter(name, help) call"
+    ),
+    "repro.obs.registry:Gauge(help)": (
+        "MetricsRegistry._get_or_create passes it on as cls(name, help, **kwargs),"
+        " for every gauge(name, help) call"
+    ),
+}
 
 _WORD = re.compile(r"[A-Za-z_]\w*")
 
@@ -336,11 +350,14 @@ def defaulted_parameters(module: str, tree: ast.Module | None = None) -> dict[st
     return out
 
 
-def passed_arguments(tree: ast.Module) -> tuple[set[str], set[tuple[str, int]], set[str]]:
-    """Of every call in one file: the keywords it names, the ``(callee,
-    positional index)`` pairs it fills, and the callees it passes ``*`` or
-    ``**`` to.  A call to ``cls`` counts as a call to its enclosing class."""
-    keywords: set[str] = set()
+def passed_arguments(
+    tree: ast.Module,
+) -> tuple[set[tuple[str, str]], set[tuple[str, int]], set[str]]:
+    """Of every call in one file: the ``(callee, keyword)`` pairs it names,
+    the ``(callee, positional index)`` pairs it fills, and the callees it
+    passes ``*`` or ``**`` to.  A call to ``cls`` counts as a call to its
+    enclosing class."""
+    keywords: set[tuple[str, str]] = set()
     positions: set[tuple[str, int]] = set()
     starred: set[str] = set()
 
@@ -352,8 +369,8 @@ def passed_arguments(tree: ast.Module) -> tuple[set[str], set[tuple[str, int]], 
             callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if callee == "cls" and cls is not None:
                 callee = cls
-            keywords.update(k.arg for k in node.keywords if k.arg is not None)
             if callee is not None:
+                keywords.update((callee, k.arg) for k in node.keywords if k.arg is not None)
                 for i, arg in enumerate(node.args):
                     if isinstance(arg, ast.Starred):
                         starred.add(callee)
@@ -369,7 +386,7 @@ def passed_arguments(tree: ast.Module) -> tuple[set[str], set[tuple[str, int]], 
 
 
 def unpassed_parameters() -> set[str]:
-    keywords: set[str] = set()
+    keywords: set[tuple[str, str]] = set()
     positions: set[tuple[str, int]] = set()
     starred: set[str] = set()
     for path in [*MODULES.values(), *_roots()[0], *sorted((ROOT / "tests").rglob("*.py"))]:
@@ -381,7 +398,9 @@ def unpassed_parameters() -> set[str]:
     for module in MODULES:
         for parameter, (callee, index) in defaulted_parameters(module).items():
             name = parameter[parameter.rindex("(") + 1 : -1]
-            if name in keywords or callee in starred or (index is not None and (callee, index) in positions):
+            if (callee, name) in keywords or callee in starred:
+                continue
+            if index is not None and (callee, index) in positions:
                 continue
             unpassed.add(parameter)
     return unpassed
@@ -463,7 +482,8 @@ def test_the_parameter_scan_rule():
     """What a scan covers: defaulted parameters of public functions, public
     methods and public classes' ``__init__``, and defaulted init fields of
     public dataclasses; what counts as passing one: a keyword, a positional
-    argument at its index, or ``*`` / ``**``."""
+    argument at its index, or ``*`` / ``**``, each in a call of the
+    callee's own name."""
     tree = ast.parse(
         "def public(a, b=1, *, c=2, _d=3): ...\n"
         "def _private(e=4): ...\n"
@@ -494,6 +514,22 @@ def test_the_parameter_scan_rule():
         "    def make(cls): return cls(0, 1)\n"
     )
     keywords, positions, starred = passed_arguments(calls)
-    assert keywords == {"c"}
+    assert keywords == {("public", "c")}
     assert positions == {("public", 0), ("Record", 0), ("Record", 1)}
     assert starred == {"method"}
+
+
+def test_a_keyword_counts_only_for_its_own_callee():
+    """A keyword passed to another callee does not pass the parameter: the
+    ``window=`` of a ``Codec(...)`` call leaves ``Pipeline(window)`` unpassed,
+    and ``cls(...)`` is a call of the class it is written in."""
+    keywords, _, _ = passed_arguments(
+        ast.parse(
+            "Codec(window=8)\n"
+            "obj.run(window=8)\n"
+            "class Registry:\n"
+            "    def make(self, cls): return cls(help='h')\n"
+        )
+    )
+    assert keywords == {("Codec", "window"), ("run", "window"), ("Registry", "help")}
+    assert ("Pipeline", "window") not in keywords
