@@ -18,7 +18,7 @@ Public API tour:
 * :mod:`repro.analysis` / :mod:`repro.profiling` — data-feature analysis
   and training-time breakdowns.
 * :mod:`repro.obs` — unified observability: metrics registry with
-  mergeable snapshots, ``OBS_STREAM`` annotations on the simulation
+  immutable snapshots, ``OBS_STREAM`` annotations on the simulation
   timeline, unified chrome traces, and JSON/Prometheus/report exporters.
 """
 

@@ -1,11 +1,6 @@
 """Dual-level adaptive error-bound strategy (table-wise + iteration-wise)."""
 
-from repro.adaptive.classify import (
-    ClassifierThresholds,
-    ErrorBoundLevels,
-    classify_by_rank,
-    classify_by_threshold,
-)
+from repro.adaptive.classify import ErrorBoundLevels, classify_by_rank
 from repro.adaptive.autotune import (
     AutoTuneResult,
     TrialResult,
@@ -16,7 +11,6 @@ from repro.adaptive.decay import (
     AbruptDrop,
     ConstantSchedule,
     DecaySchedule,
-    ExponentialDecay,
     LinearDecay,
     LogarithmicDecay,
     StepwiseDecay,
@@ -42,15 +36,12 @@ __all__ = [
     "count_patterns",
     "HomoIndexResult",
     "ErrorBoundLevels",
-    "ClassifierThresholds",
-    "classify_by_threshold",
     "classify_by_rank",
     "DecaySchedule",
     "ConstantSchedule",
     "StepwiseDecay",
     "LinearDecay",
     "LogarithmicDecay",
-    "ExponentialDecay",
     "AbruptDrop",
     "make_schedule",
     "CodecThroughput",

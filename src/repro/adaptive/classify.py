@@ -6,14 +6,10 @@ homogenizing tables are accuracy-sensitive (a large bound fuses many
 semantically distinct vectors), so they receive the *small* bound; tables
 whose vectors stay distinct tolerate the *large* bound.
 
-Two classifiers are provided:
-
-* :func:`classify_by_threshold` — Algorithm 1 verbatim: fixed thresholds on
-  the index.
-* :func:`classify_by_rank` — rank tables by index and split into tertiles
-  (configurable fractions).  This is what the evaluation uses: it always
-  produces all three classes regardless of a dataset's index distribution,
-  matching the paper's Table II where every dataset has L, M and S tables.
+:func:`classify_by_rank` ranks tables by index and splits them into
+tertiles rather than applying Algorithm 1's fixed thresholds: the split
+always yields all three classes, as the paper's Table II has L, M and S
+tables on every dataset.
 """
 
 from __future__ import annotations
@@ -27,8 +23,6 @@ from repro.utils.validation import check_positive
 __all__ = [
     "TableCategory",
     "ErrorBoundLevels",
-    "ClassifierThresholds",
-    "classify_by_threshold",
     "classify_by_rank",
 ]
 
@@ -63,56 +57,13 @@ class ErrorBoundLevels:
         return getattr(self, category)
 
 
-@dataclass(frozen=True)
-class ClassifierThresholds:
-    """Algorithm 1's fixed thresholds on the Homogenization Index (Eq. 1 scale).
-
-    ``homo_index > small_threshold``  -> 'small' (strongly homogenizing)
-    ``homo_index < large_threshold``  -> 'large' (barely homogenizing)
-    otherwise                          -> 'medium'
-    """
-
-    small_threshold: float = 0.25
-    large_threshold: float = 0.02
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.large_threshold <= self.small_threshold <= 1:
-            raise ValueError(
-                "need 0 <= large_threshold <= small_threshold <= 1, got "
-                f"large={self.large_threshold}, small={self.small_threshold}"
-            )
-
-
-def classify_by_threshold(
-    homo_index: float, thresholds: ClassifierThresholds = ClassifierThresholds()
-) -> TableCategory:
-    """Algorithm 1's ``EMBClassification`` on one table's index."""
-    if not 0 <= homo_index <= 1:
-        raise ValueError(f"homo_index must be in [0, 1], got {homo_index}")
-    if homo_index > thresholds.small_threshold:
-        return "small"
-    if homo_index < thresholds.large_threshold:
-        return "large"
-    return "medium"
-
-
-def classify_by_rank(
-    homo_indices: dict[int, float],
-    small_fraction: float = 1.0 / 3.0,
-    large_fraction: float = 1.0 / 3.0,
-) -> dict[int, TableCategory]:
+def classify_by_rank(homo_indices: dict[int, float]) -> dict[int, TableCategory]:
     """Rank tables by Homogenization Index and split into three classes.
 
-    The ``small_fraction`` most-homogenizing tables get the small bound, the
-    ``large_fraction`` least-homogenizing get the large bound, the rest are
-    medium.  Ties are broken by table id for determinism.
+    The most-homogenizing third of the tables gets the small bound, the
+    least-homogenizing third the large bound, the rest are medium.  Ties
+    are broken by table id for determinism.
     """
-    if not 0 <= small_fraction <= 1 or not 0 <= large_fraction <= 1:
-        raise ValueError("fractions must be in [0, 1]")
-    if small_fraction + large_fraction > 1:
-        raise ValueError(
-            f"fractions sum to {small_fraction + large_fraction:.3f} > 1"
-        )
     for table_id, value in homo_indices.items():
         if not 0 <= value <= 1:
             raise ValueError(f"homo index for table {table_id} out of [0, 1]: {value}")
@@ -123,9 +74,7 @@ def classify_by_rank(
     # Most homogenizing first; stable tiebreak on table id.
     order = np.lexsort((np.array(ids), -values))
     n = len(ids)
-    n_small = int(round(n * small_fraction))
-    n_large = int(round(n * large_fraction))
-    n_large = min(n_large, n - n_small)
+    n_small = n_large = int(round(n / 3.0))
     result: dict[int, TableCategory] = {}
     for rank, pos in enumerate(order):
         table_id = ids[pos]

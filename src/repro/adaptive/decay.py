@@ -11,8 +11,8 @@ Schedules (paper, Fig. 5 and Fig. 10):
 
 * :class:`StepwiseDecay` — staircase descent; the paper's default (best
   compression at equal accuracy).
-* :class:`LinearDecay`, :class:`LogarithmicDecay`, :class:`ExponentialDecay`
-  — the alternative decay functions compared in Fig. 5.
+* :class:`LinearDecay`, :class:`LogarithmicDecay` — the alternative decay
+  functions compared in Fig. 5.
 * :class:`AbruptDrop` — holds ``initial_scale`` for the whole initial phase
   then drops to 1 at once; the aggressive baseline of Fig. 10 that hurts
   convergence.
@@ -37,7 +37,6 @@ __all__ = [
     "StepwiseDecay",
     "LinearDecay",
     "LogarithmicDecay",
-    "ExponentialDecay",
     "AbruptDrop",
     "make_schedule",
 ]
@@ -118,14 +117,6 @@ class LogarithmicDecay(_PhasedDecay):
         return self.initial_scale - (self.initial_scale - 1.0) * shape
 
 
-class ExponentialDecay(_PhasedDecay):
-    """Geometric descent: multiplier ``initial^(1-t)``."""
-
-    def multiplier(self, iteration: int) -> float:
-        t = self._progress(iteration)
-        return self.initial_scale ** (1.0 - t)
-
-
 class AbruptDrop(_PhasedDecay):
     """Hold ``initial_scale`` through the initial phase, then drop to 1.
 
@@ -143,14 +134,13 @@ _SCHEDULES = {
     "stepwise": StepwiseDecay,
     "linear": LinearDecay,
     "logarithmic": LogarithmicDecay,
-    "exponential": ExponentialDecay,
     "drop": AbruptDrop,
 }
 
 
 def make_schedule(name: str, **kwargs: float) -> DecaySchedule:
     """Construct a schedule by name (``constant``/``stepwise``/``linear``/
-    ``logarithmic``/``exponential``/``drop``)."""
+    ``logarithmic``/``drop``)."""
     try:
         cls = _SCHEDULES[name]
     except KeyError:

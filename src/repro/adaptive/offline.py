@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.adaptive.classify import (
-    ErrorBoundLevels,
-    TableCategory,
-    classify_by_rank,
-    classify_by_threshold,
-)
+from repro.adaptive.classify import ErrorBoundLevels, TableCategory, classify_by_rank
 from repro.adaptive.homo_index import HomoIndexResult, homogenization_index
 from repro.adaptive.selection import PAPER_A100_PROFILE, SelectionResult, select_compressor
 from repro.compression.entropy import EntropyCompressor
@@ -75,21 +70,14 @@ class OfflineAnalyzer:
     ----------
     levels:
         The three error-bound levels for table categories.
-    classifier:
-        ``"rank"`` (tertile split, default — always yields all three
-        classes, like the paper's Table II) or ``"threshold"``
-        (Algorithm 1's fixed :class:`ClassifierThresholds`).
+
+    Tables are classified by :func:`classify_by_rank`'s tertile split.
 
     Candidates are scored by the Eq.-2 model at :data:`SELECTION_BANDWIDTH`
     on the A100 profile, with the default vector-LZ window.
     """
 
     levels: ErrorBoundLevels = field(default_factory=ErrorBoundLevels)
-    classifier: str = "rank"
-
-    def __post_init__(self) -> None:
-        if self.classifier not in ("rank", "threshold"):
-            raise ValueError(f"classifier must be 'rank' or 'threshold', got {self.classifier!r}")
 
     def analyze(self, samples: dict[int, np.ndarray]) -> CompressionPlan:
         """Build the plan from per-table sampled lookups.
@@ -103,13 +91,7 @@ class OfflineAnalyzer:
             table_id: homogenization_index(batch, self.levels.medium)
             for table_id, batch in samples.items()
         }
-        if self.classifier == "rank":
-            categories = classify_by_rank({t: h.homo_index for t, h in homo.items()})
-        else:
-            categories = {
-                t: classify_by_threshold(h.homo_index)
-                for t, h in homo.items()
-            }
+        categories = classify_by_rank({t: h.homo_index for t, h in homo.items()})
         tables: dict[int, TablePlan] = {}
         for table_id, batch in samples.items():
             category = categories[table_id]

@@ -156,11 +156,6 @@ class FzGpuLikeCompressor(Compressor):
     lossy = True
     error_bounded = True
 
-    def __init__(self, block_bytes: int = DEFAULT_BLOCK_BYTES):
-        if block_bytes < 1:
-            raise ValueError(f"block_bytes must be >= 1, got {block_bytes}")
-        self.block_bytes = int(block_bytes)
-
     def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
         codes = quantize(array, float(error_bound))
         unsigned = zigzag_encode(codes.ravel())
@@ -170,12 +165,12 @@ class FzGpuLikeCompressor(Compressor):
                 "use a larger error bound or a different codec"
             )
         n = unsigned.size
-        bitmap, payload, n_blocks_per_plane = pack_bitplanes(unsigned, self.block_bytes)
+        bitmap, payload, n_blocks_per_plane = pack_bitplanes(unsigned, DEFAULT_BLOCK_BYTES)
         body = [bitmap, payload]
         meta = {
             "eb": float(error_bound),
             "n_values": n,
-            "block_bytes": self.block_bytes,
+            "block_bytes": DEFAULT_BLOCK_BYTES,
             "n_blocks_per_plane": n_blocks_per_plane,
             "bitmap_len": int(bitmap.size),
         }

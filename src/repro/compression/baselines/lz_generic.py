@@ -91,8 +91,9 @@ def _match_extension(arr: np.ndarray, a: int, b: int) -> int:
     return max_k
 
 
-def lz77_encode_bytes(data: bytes, window: int = DEFAULT_BYTE_WINDOW) -> bytes:
-    """Greedy hash-table LZ77 over raw bytes with the given window.
+def lz77_encode_bytes(data: bytes) -> bytes:
+    """Greedy hash-table LZ77 over raw bytes within a
+    :data:`DEFAULT_BYTE_WINDOW`-byte window.
 
     Produces the byte stream of the original sequential encoder (the
     ``_reference_lz77_encode_bytes`` oracle) but finds matches vectorized:
@@ -104,9 +105,6 @@ def lz77_encode_bytes(data: bytes, window: int = DEFAULT_BYTE_WINDOW) -> bytes:
     byte), leaping between match sites with ``searchsorted``.
     """
     n = len(data)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    window = min(window, MAX_OFFSET)
     out = bytearray()
     if n == 0:
         return bytes(out)
@@ -125,7 +123,7 @@ def lz77_encode_bytes(data: bytes, window: int = DEFAULT_BYTE_WINDOW) -> bytes:
         )
         prev = _previous_same_hash(hashes)
         candidates = np.flatnonzero(prev >= 0)
-        verified = (candidates - prev[candidates] <= window) & (
+        verified = (candidates - prev[candidates] <= DEFAULT_BYTE_WINDOW) & (
             u32[candidates] == u32[prev[candidates]]
         )
         match_sites = candidates[verified]

@@ -64,25 +64,18 @@ def inverse_block_transform(coeffs: np.ndarray) -> np.ndarray:
     return np.stack([a, b, c, d], axis=1)
 
 
-class ZfpLikeCompressor(Compressor):
-    """Fixed-rate transform codec (cuZFP family).
+#: stored bits per value: one sign bit plus ``RATE - 1`` magnitude bits
+#: per coefficient, so the ratio on float32 input is ~``32 / RATE``
+RATE = 8
 
-    Parameters
-    ----------
-    rate:
-        Stored bits per value (2..28): one sign bit plus ``rate - 1``
-        magnitude bits per coefficient.  Compression ratio on float32 input
-        is ~``32 / rate``.
-    """
+
+class ZfpLikeCompressor(Compressor):
+    """Fixed-rate transform codec (cuZFP family) at :data:`RATE` bits per
+    value; the frame records its rate."""
 
     name = "zfp_like"
     lossy = True
     error_bounded = False
-
-    def __init__(self, rate: int = 8):
-        if not 2 <= rate <= 28:
-            raise ValueError(f"rate must be in [2, 28] bits/value, got {rate}")
-        self.rate = int(rate)
 
     def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
         flat = array.astype(np.float64).ravel()
@@ -111,11 +104,11 @@ class ZfpLikeCompressor(Compressor):
         bitlen[nonzero] = np.floor(
             np.log2(widest[nonzero].astype(np.float64))
         ).astype(np.int64) + 1
-        shifts = np.maximum(bitlen - (self.rate - 1), 0).astype(np.uint64)
-        fields = (signs << np.uint64(self.rate - 1)) | (mags >> shifts[:, None])
-        payload_bits, _ = pack_fixed(fields.ravel(), self.rate)
+        shifts = np.maximum(bitlen - (RATE - 1), 0).astype(np.uint64)
+        fields = (signs << np.uint64(RATE - 1)) | (mags >> shifts[:, None])
+        payload_bits, _ = pack_fixed(fields.ravel(), RATE)
         meta = {
-            "rate": self.rate,
+            "rate": RATE,
             "n_blocks": int(blocks.shape[0]),
             "pad": int(pad),
             "exponents": exponents.astype(np.int8),

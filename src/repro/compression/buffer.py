@@ -25,6 +25,8 @@ __all__ = ["BufferCostModel", "BufferComparison"]
 #: cost of the offset-claiming atomic add + flag synchronization, per chunk
 #: (one atomicAdd on a global counter plus a release flag write)
 _ATOMIC_SYNC_OVERHEAD = 0.1e-6
+#: compression ratio the naive scheme's memcpy volume is priced at
+COMPRESSION_RATIO = 10.0
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,10 @@ class BufferCostModel:
     gpu: GpuModel = A100_LIKE
     compress_throughput: float = 40.5e9  # bytes/s at full utilization
     decompress_throughput: float = 205.4e9
-    ratio: float = 10.0  # compression ratio (sets memcpy volume)
 
     def __post_init__(self) -> None:
         check_positive("compress_throughput", self.compress_throughput)
         check_positive("decompress_throughput", self.decompress_throughput)
-        check_positive("ratio", self.ratio)
 
     def _validate_chunks(self, chunk_bytes: list[float] | tuple[float, ...]) -> list[float]:
         chunks = [float(c) for c in chunk_bytes]
@@ -70,7 +70,7 @@ class BufferCostModel:
         total = 0.0
         for c in chunks:
             total += self.gpu.throughput_kernel_time(c, self.compress_throughput)
-            total += self.gpu.memcpy_time(c / self.ratio)
+            total += self.gpu.memcpy_time(c / COMPRESSION_RATIO)
         return total
 
     def fused_compression_seconds(self, chunk_bytes: list[float]) -> float:

@@ -24,9 +24,6 @@ class LruCache:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, key: Hashable) -> Any | None:
         entry = self._entries.get(key)
         if entry is None:
@@ -41,6 +38,3 @@ class LruCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()

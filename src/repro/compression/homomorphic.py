@@ -184,7 +184,7 @@ class QuantSumCompressor(HomomorphicCompressor):
         dtype: np.dtype,
     ) -> np.ndarray:
         count = int(np.prod(shape, dtype=np.int64))
-        cdtype = np.dtype(header["cdtype"])
+        cdtype = self._code_dtype(header)
         if len(body) != count * cdtype.itemsize:
             raise CorruptPayloadError(
                 f"{self.name}: body holds {len(body)} bytes, but {count} {cdtype.str} "
@@ -193,6 +193,18 @@ class QuantSumCompressor(HomomorphicCompressor):
         codes = np.frombuffer(body, dtype=cdtype)
         centres = codes.astype(np.float64) * float(header["scale"])
         return centres.astype(dtype).reshape(shape)
+
+    def _code_dtype(self, header: dict[str, Any]) -> np.dtype:
+        """The header's code dtype, which must be a signed integer."""
+        try:
+            cdtype = np.dtype(header["cdtype"])
+        except (TypeError, ValueError):
+            cdtype = None
+        if cdtype is None or cdtype.kind != "i":
+            raise CorruptPayloadError(
+                f"{self.name}: code dtype {header['cdtype']!r} is not a signed integer"
+            )
+        return cdtype
 
     def _agg_meta_body(self, header_a, body_a, header_b, body_b, shape):
         _require(
@@ -206,8 +218,8 @@ class QuantSumCompressor(HomomorphicCompressor):
             f"agg_sum: composed code magnitude bound {cmax} would risk int64 overflow",
         )
         count = int(np.prod(shape, dtype=np.int64))
-        codes_a = np.frombuffer(body_a, dtype=np.dtype(header_a["cdtype"]))
-        codes_b = np.frombuffer(body_b, dtype=np.dtype(header_b["cdtype"]))
+        codes_a = np.frombuffer(body_a, dtype=self._code_dtype(header_a))
+        codes_b = np.frombuffer(body_b, dtype=self._code_dtype(header_b))
         _require(
             codes_a.size == count and codes_b.size == count,
             f"agg_sum: {self.name} body size mismatch",
@@ -294,10 +306,22 @@ class CountSumCompressor(HomomorphicCompressor):
         meta = {"terms": 1, "w0": w0, "wlen": wlen, "sexp": grid, "lmax": lmax}
         return meta, limbs
 
-    def _parse_limbs(
-        self, header: dict[str, Any], body: memoryview, count: int
-    ) -> np.ndarray:
-        wlen = int(header["wlen"])
+    def _window(self, header: dict[str, Any]) -> tuple[int, int]:
+        """The header's limb window ``(w0, wlen)``, checked against the
+        frame dtype's grid before anything shifts or allocates."""
+        sexp, w0, wlen = int(header["sexp"]), int(header["w0"]), int(header["wlen"])
+        grid = _GRID_EXP.get(np.dtype(header["dtype"]).newbyteorder("<").str)
+        if sexp != grid:
+            raise CorruptPayloadError(
+                f"{self.name}: grid exponent {sexp} is not the {header['dtype']} grid {grid}"
+            )
+        if w0 < 0 or wlen < 0 or w0 + wlen > _MAX_LIMBS[sexp]:
+            raise CorruptPayloadError(
+                f"{self.name}: limb window [{w0}, {w0 + wlen}) is outside [0, {_MAX_LIMBS[sexp]})"
+            )
+        return w0, wlen
+
+    def _parse_limbs(self, wlen: int, body: memoryview, count: int) -> np.ndarray:
         check_body_nbytes(self.name, body, (wlen, count), 8)
         return np.frombuffer(body, dtype=np.int64).reshape(wlen, count)
 
@@ -309,11 +333,11 @@ class CountSumCompressor(HomomorphicCompressor):
         dtype: np.dtype,
     ) -> np.ndarray:
         count = int(np.prod(shape, dtype=np.int64))
-        wlen = int(header["wlen"])
+        w0, wlen = self._window(header)
         if wlen == 0 or count == 0:
             return np.zeros(shape, dtype=dtype)
-        limbs = self._parse_limbs(header, body, count)
-        exp = _LIMB_BITS * int(header["w0"]) + int(header["sexp"])
+        limbs = self._parse_limbs(wlen, body, count)
+        exp = _LIMB_BITS * w0 + int(header["sexp"])
         # Fast path: the whole integer fits int64 — one correctly-rounded
         # int64 -> float64 conversion plus an exact power-of-two scale.
         # (Restricted to the float32 grid: its values can never land in the
@@ -361,23 +385,23 @@ class CountSumCompressor(HomomorphicCompressor):
             f"agg_sum: composed limb magnitude bound {lmax} would risk int64 overflow",
         )
         count = int(np.prod(shape, dtype=np.int64))
-        wlen_a, wlen_b = int(header_a["wlen"]), int(header_b["wlen"])
-        w0_a, w0_b = int(header_a["w0"]), int(header_b["w0"])
+        w0_a, wlen_a = self._window(header_a)
+        w0_b, wlen_b = self._window(header_b)
         meta = {"sexp": int(header_a["sexp"]), "lmax": lmax}
         if wlen_a == 0 and wlen_b == 0:
             meta.update(w0=0, wlen=0)
             return meta, b""
         if wlen_a == 0:
             meta.update(w0=w0_b, wlen=wlen_b)
-            return meta, self._parse_limbs(header_b, body_b, count).copy()
+            return meta, self._parse_limbs(wlen_b, body_b, count).copy()
         if wlen_b == 0:
             meta.update(w0=w0_a, wlen=wlen_a)
-            return meta, self._parse_limbs(header_a, body_a, count).copy()
+            return meta, self._parse_limbs(wlen_a, body_a, count).copy()
         w0 = min(w0_a, w0_b)
         wend = max(w0_a + wlen_a, w0_b + wlen_b)
         limbs = np.zeros((wend - w0, count), dtype=np.int64)
-        limbs[w0_a - w0 : w0_a - w0 + wlen_a] += self._parse_limbs(header_a, body_a, count)
-        limbs[w0_b - w0 : w0_b - w0 + wlen_b] += self._parse_limbs(header_b, body_b, count)
+        limbs[w0_a - w0 : w0_a - w0 + wlen_a] += self._parse_limbs(wlen_a, body_a, count)
+        limbs[w0_b - w0 : w0_b - w0 + wlen_b] += self._parse_limbs(wlen_b, body_b, count)
         meta.update(w0=w0, wlen=wend - w0)
         return meta, limbs
 

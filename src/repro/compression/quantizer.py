@@ -27,7 +27,6 @@ __all__ = [
     "quantize",
     "QuantizedBatch",
     "quantize_batch",
-    "relative_to_absolute_bound",
     "DEFAULT_MAX_ALPHABET",
 ]
 
@@ -36,27 +35,6 @@ __all__ = [
 #: multi-million-symbol alphabet silently turns Huffman codebook
 #: construction into a memory/time bomb — fail fast instead.
 DEFAULT_MAX_ALPHABET = 1 << 22
-
-
-def relative_to_absolute_bound(array: np.ndarray, relative_bound: float) -> float:
-    """Convert a value-range-relative bound to the absolute bound SZ-style
-    compressors take: ``abs_eb = rel_eb * (max - min)``.
-
-    The paper configures absolute bounds; this helper supports the common
-    alternative convention so callers can express tolerance as a fraction
-    of each table's value range.  Degenerate (constant) inputs fall back to
-    scaling the magnitude, so the result is always positive.
-    """
-    check_positive("relative_bound", relative_bound)
-    array = np.asarray(array)
-    if array.size == 0:
-        raise ValueError("cannot derive a bound from an empty array")
-    if not np.isfinite(array).all():
-        raise ValueError("relative_to_absolute_bound: input contains NaN/inf")
-    value_range = float(array.max() - array.min())
-    if value_range == 0.0:
-        value_range = max(abs(float(array.ravel()[0])), 1.0)
-    return relative_bound * value_range
 
 
 def quantize(array: np.ndarray, error_bound: float) -> np.ndarray:
@@ -99,29 +77,24 @@ class QuantizedBatch:
         return int(self.codes.max()) + 1 if self.codes.size else 1
 
 
-def quantize_batch(
-    array: np.ndarray,
-    error_bound: float,
-    max_alphabet: int = DEFAULT_MAX_ALPHABET,
-) -> QuantizedBatch:
+def quantize_batch(array: np.ndarray, error_bound: float) -> QuantizedBatch:
     """Quantize a 2-D float batch into a :class:`QuantizedBatch`.
 
     Raises ``ValueError`` when the implied alphabet (``max - min + 1`` over
-    the quantized bins) exceeds ``max_alphabet``: an error bound that is
-    tiny relative to the value range would otherwise hand the downstream
-    entropy coder a multi-million-symbol alphabet.  Pass a larger
-    ``max_alphabet`` to override.
+    the quantized bins) exceeds :data:`DEFAULT_MAX_ALPHABET`: an error bound
+    that is tiny relative to the value range would otherwise hand the
+    downstream entropy coder a multi-million-symbol alphabet.
     """
     array = np.asarray(array)
     codes = quantize(array, error_bound)
     code_min = int(codes.min()) if codes.size else 0
     if codes.size:
         alphabet = int(codes.max()) - code_min + 1
-        if alphabet > max_alphabet:
+        if alphabet > DEFAULT_MAX_ALPHABET:
             raise ValueError(
                 f"quantize_batch: error_bound={error_bound!r} yields an alphabet of "
-                f"{alphabet} symbols (> max_alphabet={max_alphabet}); the bound is too "
-                "tight for this value range — loosen it or raise max_alphabet"
+                f"{alphabet} symbols (> max_alphabet={DEFAULT_MAX_ALPHABET}); the bound is "
+                "too tight for this value range — loosen it"
             )
     shifted = (codes - code_min).astype(np.int64)
     return QuantizedBatch(

@@ -175,10 +175,6 @@ class VectorLZEncoded:
     offset_width: int
     literal_width: int
 
-    @property
-    def nbytes(self) -> int:
-        return int(self.flags.nbytes + self.offsets.nbytes + self.literals.nbytes)
-
 
 def _encode_stack(codes: np.ndarray, window: int) -> list[VectorLZEncoded]:
     """Encode a C-contiguous ``(S, n, d)`` stack of non-negative integer
@@ -228,8 +224,8 @@ def vector_lz_encode_stack(
 ) -> list[VectorLZEncoded]:
     """Encode every slice of an ``(S, n, d)`` stack of non-negative codes.
 
-    Stream ``s`` is byte-identical to ``vector_lz_encode(codes[s], window)``,
-    but all slices share one vectorized pass: one match search, one bit
+    Stream ``s`` is byte-identical to encoding ``codes[s]`` alone at the
+    same window, but all slices share one vectorized pass: one match search, one bit
     matrix per distinct width — no per-slice NumPy call overhead.
     """
     codes = np.ascontiguousarray(codes, dtype=np.int64)
@@ -240,12 +236,13 @@ def vector_lz_encode_stack(
     return _encode_stack(codes, window)
 
 
-def vector_lz_encode(codes: np.ndarray, window: int = DEFAULT_WINDOW) -> VectorLZEncoded:
-    """Encode a 2-D array of non-negative integer codes row-wise."""
+def vector_lz_encode(codes: np.ndarray) -> VectorLZEncoded:
+    """Encode a 2-D array of non-negative integer codes row-wise, at
+    :data:`DEFAULT_WINDOW`."""
     codes = np.asarray(codes)
     if codes.ndim != 2:
         raise ValueError(f"expected 2-D code array, got shape {codes.shape}")
-    return vector_lz_encode_stack(codes[None], window)[0]
+    return vector_lz_encode_stack(codes[None])[0]
 
 
 def _unpack_sections(sections: list[np.ndarray], counts: list[int], widths: list[int]) -> np.ndarray:
@@ -466,7 +463,7 @@ class VectorLZCompressor(Compressor):
                     raise ValueError(
                         f"quantize_batch: error_bound={error_bound!r} yields an alphabet of "
                         f"{high - low + 1} symbols (> max_alphabet={_MAX_ALPHABET}); the bound is too "
-                        "tight for this value range — loosen it or raise max_alphabet"
+                        "tight for this value range — loosen it"
                     )
             # Shift each slice to start at 0, into the narrowest dtype that
             # holds the widest slice (the match search compares whole rows).

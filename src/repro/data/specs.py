@@ -192,7 +192,6 @@ def make_uniform_spec(
     name: str,
     n_tables: int,
     cardinality: int,
-    n_dense: int = 13,
     zipf_exponent: float = 1.2,
 ) -> DatasetSpec:
     """A homogeneous spec for unit tests and micro-benchmarks (every table
@@ -201,4 +200,4 @@ def make_uniform_spec(
         TableSpec(table_id=i, cardinality=cardinality, zipf_exponent=zipf_exponent)
         for i in range(n_tables)
     )
-    return DatasetSpec(name=name, tables=tables, n_dense=n_dense)
+    return DatasetSpec(name=name, tables=tables)

@@ -38,18 +38,6 @@ class MiniBatch:
     sparse: np.ndarray  # (batch, n_tables) int64 category ids
     labels: np.ndarray  # (batch,) float32 in {0, 1}
 
-    @property
-    def batch_size(self) -> int:
-        return self.dense.shape[0]
-
-    def slice(self, start: int, stop: int) -> "MiniBatch":
-        """A contiguous sub-batch view (used to shard across ranks)."""
-        return MiniBatch(
-            dense=self.dense[start:stop],
-            sparse=self.sparse[start:stop],
-            labels=self.labels[start:stop],
-        )
-
 
 def zipf_probabilities(cardinality: int, exponent: float) -> np.ndarray:
     """Truncated Zipf pmf over ``[0, cardinality)``: ``p(k) ~ (k+1)^-s``.
@@ -71,8 +59,6 @@ class SyntheticClickDataset:
     ----------
     spec:
         Table layout and per-table regimes.
-    n_samples:
-        Total samples in the (virtual) dataset; batches cycle through it.
     seed:
         Master seed; every stream (queries, teacher, labels) is derived.
     teacher_scale:
@@ -89,14 +75,11 @@ class SyntheticClickDataset:
     def __init__(
         self,
         spec: DatasetSpec,
-        n_samples: int = 65536,
         seed: int = 0,
         teacher_scale: float = 1.5,
         dense_weight: float = 1.0,
     ):
-        check_positive("n_samples", n_samples)
         self.spec = spec
-        self.n_samples = int(n_samples)
         self.seed = seed
         self._pool = RngPool(seed)
         # Per-table query distributions (CDF for inverse-transform sampling).

@@ -11,7 +11,7 @@ Layering (no cycles): ``timeline`` and ``gpu`` and ``network`` are leaves;
 ``comm`` uses the timeline's categories; ``simulator`` composes all four.
 """
 
-from repro.dist.comm import Communicator, payload_nbytes
+from repro.dist.comm import Communicator
 from repro.dist.gpu import A100_LIKE, GpuModel
 from repro.dist.network import (
     IB_HDR_LIKE,
@@ -48,5 +48,4 @@ __all__ = [
     "Timeline",
     "TimelineEvent",
     "Topology",
-    "payload_nbytes",
 ]

@@ -76,10 +76,10 @@ from repro.obs.runtime import OBS
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.dist.simulator import ClusterSimulator
 
-__all__ = ["Communicator", "payload_nbytes"]
+__all__ = ["Communicator"]
 
 
-def payload_nbytes(payload: object) -> int:
+def _payload_nbytes(payload: object) -> int:
     """Wire size of one buffer: arrays by ``nbytes``, byte strings by
     length, lists/tuples of buffers by the sum of their parts."""
     if isinstance(payload, np.ndarray):
@@ -89,13 +89,13 @@ def payload_nbytes(payload: object) -> int:
     if isinstance(payload, (bytes, bytearray)):
         return len(payload)
     if isinstance(payload, (list, tuple)):
-        return sum(payload_nbytes(part) for part in payload)
+        return sum(_payload_nbytes(part) for part in payload)
     raise TypeError(f"cannot size payload of type {type(payload).__name__}")
 
 
 #: C-level sizers for a homogeneous run of flat buffers (exact type match;
 #: anything else — subclasses, nested sequences, mixed runs — goes through
-#: :func:`payload_nbytes` part by part)
+#: :func:`_payload_nbytes` part by part)
 _FLAT_SIZERS = {
     bytes: len,
     bytearray: len,
@@ -228,7 +228,7 @@ class Communicator:
         kinds = set(map(type, parts))
         sizer = _FLAT_SIZERS.get(kinds.pop()) if len(kinds) == 1 else None
         sizes = np.fromiter(
-            map(sizer or payload_nbytes, parts), dtype=np.int64, count=len(parts)
+            map(sizer or _payload_nbytes, parts), dtype=np.int64, count=len(parts)
         )
         running = np.concatenate(([0], np.cumsum(sizes)))
         pair_ends = np.cumsum(counts)
@@ -835,7 +835,6 @@ class Communicator:
         arrays: Sequence[np.ndarray],
         codec: str = "quant_sum",
         error_bound: float | None = None,
-        category: str = EventCategory.ALLREDUCE,
         *,
         algorithm: str = "ring",
         encode_seconds: Sequence[float] | None = None,
@@ -903,7 +902,7 @@ class Communicator:
         for rank in range(n):
             if encode[rank] > 0.0:
                 sim.compute(rank, encode[rank], EventCategory.COMPRESS)
-        sim.collective(collective_seconds, category)
+        sim.collective(collective_seconds, EventCategory.ALLREDUCE)
         for rank in range(n):
             if decode[rank] > 0.0:
                 sim.compute(rank, decode[rank], EventCategory.DECOMPRESS)

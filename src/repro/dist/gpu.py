@@ -14,7 +14,7 @@ only *time* flows through this class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.utils.units import MB
@@ -40,30 +40,25 @@ class GpuModel:
 
     Parameters
     ----------
-    kernel_launch_overhead:
-        Fixed host-side cost of launching one kernel, seconds.
-    flops:
-        Peak fp32 rate, FLOP/s.
     saturation_bytes:
         Input size at which a streaming (compression-style) kernel reaches
         half of its peak throughput; see :meth:`utilization`.
-    min_utilization:
-        Floor on the utilization curve — even a tiny kernel keeps a few
-        SMs busy, and an unbounded 1/x penalty would be unphysical.
+
+    ``kernel_launch_overhead`` (the fixed host-side cost of launching one
+    kernel, seconds), ``flops`` (the peak fp32 rate, FLOP/s) and
+    ``min_utilization`` (the floor on the utilization curve — even a tiny
+    kernel keeps a few SMs busy, and an unbounded 1/x penalty would be
+    unphysical) are the same on every device.
     """
 
     name: str = "generic"
-    kernel_launch_overhead: float = 4.5e-6
-    flops: float = 19.5e12
     saturation_bytes: float = 2.0 * MB
-    min_utilization: float = 0.25
+    kernel_launch_overhead: float = field(init=False, default=4.5e-6)
+    flops: float = field(init=False, default=19.5e12)
+    min_utilization: float = field(init=False, default=0.25)
 
     def __post_init__(self) -> None:
-        check_positive("kernel_launch_overhead", self.kernel_launch_overhead, strict=False)
-        check_positive("flops", self.flops)
         check_positive("saturation_bytes", self.saturation_bytes)
-        if not 0.0 < self.min_utilization <= 1.0:
-            raise ValueError(f"min_utilization must be in (0, 1], got {self.min_utilization!r}")
 
     # ----------------------------------------------------------- primitives
 

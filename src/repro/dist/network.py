@@ -373,30 +373,6 @@ class Topology:
             f"algorithm must be 'ring', 'hierarchical', or 'switch', got {algorithm!r}"
         )
 
-    # -------------------------------------------------------------- dunders
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Topology):
-            return NotImplemented
-        return (
-            np.array_equal(self.bandwidth_matrix, other.bandwidth_matrix)
-            and np.array_equal(self.latency_matrix, other.latency_matrix)
-            and np.array_equal(self.node_ids, other.node_ids)
-            and self.switch_aggregation == other.switch_aggregation
-        )
-
-    def __hash__(self) -> int:
-        # Keep topology-bearing (frozen, nominally hashable) NetworkModels
-        # usable as dict keys/set members.
-        return hash(
-            (
-                self.bandwidth_matrix.tobytes(),
-                self.latency_matrix.tobytes(),
-                self.node_ids.tobytes(),
-                self.switch_aggregation,
-            )
-        )
-
     def __repr__(self) -> str:
         return (
             f"Topology(name={self.name!r}, n_ranks={self.n_ranks}, "

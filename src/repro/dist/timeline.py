@@ -367,8 +367,7 @@ class Timeline:
         """Append one event and return it.
 
         ``start`` and ``duration`` must be finite and ``>= 0`` (a NaN or
-        infinite time would silently poison :meth:`span` and every
-        critical-path walk).  ``release_edges`` must name already-recorded
+        infinite time would silently poison every critical-path walk).  ``release_edges`` must name already-recorded
         events (ledger indices below ``len(self)`` at call time) —
         dependency edges only ever point backwards.  ``args`` is copied.
         """
@@ -473,11 +472,6 @@ class Timeline:
     def streams(self) -> list[str]:
         """Stream names present in the ledger, compute lane first."""
         return sorted({e.stream for e in self.events}, key=lambda s: (s != COMPUTE_STREAM, s))
-
-    def span(self, rank: int | None = None) -> float:
-        """Latest event end on ``rank`` (or across all ranks)."""
-        ends = [e.end for e in self.events if rank is None or e.rank == rank]
-        return max(ends, default=0.0)
 
     def total_by_category(self, rank: int | None = None) -> dict[str, float]:
         """Category -> total seconds, for one rank or summed over all.

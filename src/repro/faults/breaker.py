@@ -4,14 +4,14 @@ The classic three-state breaker, with time supplied by the caller (the
 simulated clock) instead of a wall clock:
 
 * **closed** — requests flow; consecutive failures are counted, and at
-  ``failure_threshold`` the breaker opens.
+  ``FAILURE_THRESHOLD`` the breaker opens.
 * **open** — requests fail fast (no wire, no timeout wait) until
   ``reset_timeout_seconds`` has elapsed since opening.
 * **half-open** — one probe request is let through; success closes the
   breaker, failure re-opens it and restarts the cooldown.
 
 The serving tier keeps one breaker per shard server, so a crashed shard
-costs at most ``failure_threshold`` timed-out pulls before every later
+costs at most ``FAILURE_THRESHOLD`` timed-out pulls before every later
 pull degrades instantly instead of queueing behind a dead node.
 """
 
@@ -26,17 +26,14 @@ class CircuitBreaker:
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
+    #: consecutive failures that trip a closed breaker
+    FAILURE_THRESHOLD = 3
 
-    def __init__(self, *, failure_threshold: int = 3, reset_timeout_seconds: float = 0.25) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold!r}"
-            )
+    def __init__(self, *, reset_timeout_seconds: float = 0.25) -> None:
         if reset_timeout_seconds <= 0:
             raise ValueError(
                 f"reset_timeout_seconds must be > 0, got {reset_timeout_seconds!r}"
             )
-        self.failure_threshold = int(failure_threshold)
         self.reset_timeout_seconds = float(reset_timeout_seconds)
         self._state = self.CLOSED
         self._consecutive_failures = 0
@@ -74,11 +71,11 @@ class CircuitBreaker:
             self._trip(now)
             return
         self._consecutive_failures += 1
-        if self._state == self.CLOSED and self._consecutive_failures >= self.failure_threshold:
+        if self._state == self.CLOSED and self._consecutive_failures >= self.FAILURE_THRESHOLD:
             self._trip(now)
 
     def _trip(self, now: float) -> None:
         self._state = self.OPEN
         self._opened_at = now
-        self._consecutive_failures = self.failure_threshold
+        self._consecutive_failures = self.FAILURE_THRESHOLD
         self.opened_total += 1

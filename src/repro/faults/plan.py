@@ -20,16 +20,11 @@ paper's compression pipeline:
   on a given round/attempt (detected by the CRC32 checksum frame).
 * :class:`RankFailureFault` — a trainer rank dies *before* running a given
   iteration, forcing a checkpoint restore.
-
-:meth:`FaultPlan.random` draws a schedule from a seeded RNG so chaos tests
-can sweep many deterministic plans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
-from repro.utils.rng import spawn_rng
+from dataclasses import dataclass
 
 __all__ = [
     "LinkFault",
@@ -86,13 +81,6 @@ class LinkFault:
 
     def active(self, t: float) -> bool:
         return self.start <= t < self.end
-
-    def matches(self, src: int, dst: int) -> bool:
-        """Whether this fault applies to the ordered link ``src -> dst``."""
-        def one_way(a: int | None, b: int | None) -> bool:
-            return (a is None or a == src) and (b is None or b == dst)
-
-        return one_way(self.src, self.dst) or one_way(self.dst, self.src)
 
 
 @dataclass(frozen=True)
@@ -215,9 +203,6 @@ class FaultPlan:
         for name in ("links", "stragglers", "shard_crashes", "corruptions", "rank_failures"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
-    def __bool__(self) -> bool:
-        return any(getattr(self, f.name) for f in fields(self))
-
     # ------------------------------------------------------------- queries
 
     def link_state(self, src: int, dst: int, t: float) -> LinkState:
@@ -227,7 +212,10 @@ class FaultPlan:
         factor = 1.0
         latency = 0.0
         for fault in self.links:
-            if fault.active(t) and fault.matches(src, dst):
+            if fault.active(t) and any(
+                (a is None or a == src) and (b is None or b == dst)
+                for a, b in ((fault.src, fault.dst), (fault.dst, fault.src))
+            ):
                 up = up and not fault.outage
                 factor = min(factor, fault.bandwidth_factor)
                 latency += fault.extra_latency
@@ -288,94 +276,3 @@ class FaultPlan:
             if fault.at_iteration == iteration:
                 return fault
         return None
-
-    # ---------------------------------------------------------- generation
-
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        *,
-        horizon_seconds: float,
-        n_ranks: int,
-        n_shards: int = 0,
-        n_iterations: int = 0,
-        n_link_faults: int = 2,
-        n_stragglers: int = 1,
-        n_shard_crashes: int = 1,
-        n_corruptions: int = 1,
-        n_rank_failures: int = 0,
-        mean_duration_fraction: float = 0.1,
-    ) -> "FaultPlan":
-        """Draw a deterministic chaos schedule from a seed.
-
-        Windows are placed uniformly over ``[0, horizon_seconds)`` with
-        exponential durations around ``mean_duration_fraction * horizon``;
-        the same seed and shape arguments always produce the same plan.
-        """
-        if horizon_seconds <= 0:
-            raise ValueError(f"horizon_seconds must be > 0, got {horizon_seconds!r}")
-        if n_ranks < 1:
-            raise ValueError(f"n_ranks must be >= 1, got {n_ranks!r}")
-        rng = spawn_rng(seed, "fault-plan")
-        mean = mean_duration_fraction * horizon_seconds
-
-        def window() -> tuple[float, float]:
-            start = float(rng.uniform(0.0, horizon_seconds))
-            duration = float(max(1e-9, rng.exponential(mean)))
-            return start, duration
-
-        links = []
-        for _ in range(n_link_faults):
-            start, duration = window()
-            src, dst = (int(v) for v in rng.choice(n_ranks, size=2, replace=n_ranks < 2))
-            outage = bool(rng.random() < 0.25)
-            links.append(
-                LinkFault(
-                    start=start,
-                    duration=duration,
-                    src=src,
-                    dst=dst,
-                    bandwidth_factor=1.0 if outage else float(rng.uniform(0.1, 0.9)),
-                    extra_latency=0.0 if outage else float(rng.uniform(0.0, 1e-4)),
-                    outage=outage,
-                )
-            )
-        stragglers = []
-        for _ in range(n_stragglers):
-            start, duration = window()
-            stragglers.append(
-                StragglerFault(
-                    rank=int(rng.integers(n_ranks)),
-                    start=start,
-                    duration=duration,
-                    slowdown=float(rng.uniform(1.5, 4.0)),
-                )
-            )
-        crashes = []
-        for _ in range(n_shard_crashes if n_shards else 0):
-            start, duration = window()
-            crashes.append(
-                ShardCrashFault(
-                    shard_rank=int(rng.integers(n_shards)), start=start, duration=duration
-                )
-            )
-        corruptions = tuple(
-            CorruptionFault(round_index=i, table_index=int(rng.integers(8)), attempt=0)
-            for i in range(n_corruptions)
-        )
-        failures = []
-        for _ in range(n_rank_failures if n_iterations > 1 else 0):
-            failures.append(
-                RankFailureFault(
-                    rank=int(rng.integers(n_ranks)),
-                    at_iteration=int(rng.integers(1, n_iterations)),
-                )
-            )
-        return cls(
-            links=tuple(links),
-            stragglers=tuple(stragglers),
-            shard_crashes=tuple(crashes),
-            corruptions=corruptions,
-            rank_failures=tuple(failures),
-        )

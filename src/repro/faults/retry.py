@@ -21,6 +21,13 @@ from repro.utils.rng import spawn_rng
 
 __all__ = ["RetryPolicy"]
 
+#: growth of the wait from one retry to the next
+BACKOFF_FACTOR = 2.0
+#: cap on one wait, before jitter
+MAX_BACKOFF_SECONDS = 0.1
+#: a wait is scaled by a uniform factor in ``[1 - j, 1 + j]``
+JITTER_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -28,17 +35,15 @@ class RetryPolicy:
 
     ``backoff_seconds(attempt, key)`` prices the wait *before* retry
     number ``attempt`` (attempt 0 is the first try and never waits):
-    ``base * factor**(attempt-1)``, capped at ``max_backoff_seconds``,
-    then jittered by a uniform factor in ``[1-j, 1+j]`` drawn
-    deterministically from ``(seed, key, attempt)``.
+    ``base * BACKOFF_FACTOR**(attempt-1)``, capped at
+    ``MAX_BACKOFF_SECONDS``, then jittered by a uniform factor in
+    ``[1-j, 1+j]`` (``j = JITTER_FRACTION``) drawn deterministically from
+    ``(seed, key, attempt)``.
     """
 
     max_attempts: int = 3
     timeout_seconds: float = 0.05
     base_backoff_seconds: float = 0.002
-    backoff_factor: float = 2.0
-    max_backoff_seconds: float = 0.1
-    jitter_fraction: float = 0.25
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -48,20 +53,10 @@ class RetryPolicy:
             raise ValueError(
                 f"timeout_seconds must be > 0, got {self.timeout_seconds!r}"
             )
-        if self.base_backoff_seconds < 0 or self.max_backoff_seconds < 0:
-            raise ValueError("backoff bounds must be >= 0")
-        if self.backoff_factor < 1.0:
+        if self.base_backoff_seconds < 0:
             raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
+                f"base_backoff_seconds must be >= 0, got {self.base_backoff_seconds!r}"
             )
-        if not 0 <= self.jitter_fraction < 1.0:
-            raise ValueError(
-                f"jitter_fraction must be in [0, 1), got {self.jitter_fraction!r}"
-            )
-
-    def allows(self, attempt: int) -> bool:
-        """Whether attempt number ``attempt`` (0-based) may run."""
-        return 0 <= attempt < self.max_attempts
 
     def backoff_seconds(self, attempt: int, *key: object) -> float:
         """Deterministic wait before (0-based) retry ``attempt``.
@@ -72,10 +67,9 @@ class RetryPolicy:
         """
         if attempt <= 0:
             return 0.0
-        raw = self.base_backoff_seconds * self.backoff_factor ** (attempt - 1)
-        capped = min(raw, self.max_backoff_seconds)
-        if self.jitter_fraction == 0.0 or capped == 0.0:
+        raw = self.base_backoff_seconds * BACKOFF_FACTOR ** (attempt - 1)
+        capped = min(raw, MAX_BACKOFF_SECONDS)
+        if capped == 0.0:
             return capped
         rng = spawn_rng(self.seed, "retry", *key, attempt)
-        lo, hi = 1.0 - self.jitter_fraction, 1.0 + self.jitter_fraction
-        return capped * float(rng.uniform(lo, hi))
+        return capped * float(rng.uniform(1.0 - JITTER_FRACTION, 1.0 + JITTER_FRACTION))

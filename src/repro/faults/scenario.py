@@ -78,6 +78,10 @@ class ChaosResult:
     paths: dict[str, Path]
 
 
+#: training iterations between trainer checkpoints
+CHECKPOINT_EVERY = 2
+
+
 def _final_param_bytes(model) -> bytes:
     return b"".join(p.data.tobytes() for p in model.parameters())
 
@@ -86,7 +90,6 @@ def run_day_in_the_life_under_faults(
     *,
     n_iterations: int = 4,
     n_requests: int = 200,
-    checkpoint_every: int = 2,
     out_dir: str | Path | None = None,
 ) -> ChaosResult:
     """Run the chaos scenario, verify its invariants, return the evidence.
@@ -134,8 +137,6 @@ def run_day_in_the_life_under_faults(
         raise ValueError(f"n_iterations must be >= 2, got {n_iterations}")
     if n_requests < 1:
         raise ValueError(f"n_requests must be >= 1, got {n_requests}")
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
 
     publish_rounds = 2
     total_iterations = n_iterations + publish_rounds
@@ -239,7 +240,7 @@ def run_day_in_the_life_under_faults(
                 iteration = snapshots[-1].restore(trainer)
                 restores += 1
                 continue
-            if iteration % checkpoint_every == 0:
+            if iteration % CHECKPOINT_EVERY == 0:
                 snapshots.append(TrainerCheckpoint.capture(trainer, iteration))
             trainer.train_step(global_batch, iteration=iteration)
             iteration += 1

@@ -119,18 +119,9 @@ class DLRM:
 
     def forward(self, dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
         """Full forward pass -> logits."""
-        self._sparse_cache = np.asarray(sparse)
         bottom_out = self.forward_dense(dense)
         emb_rows = self.lookup_all(sparse)
         return self.forward_interaction(bottom_out, emb_rows)
-
-    def backward(self, dlogits: np.ndarray) -> None:
-        """Full backward pass; accumulates all parameter gradients."""
-        d_bottom, d_emb = self.backward_interaction(dlogits)
-        self.backward_dense(d_bottom)
-        sparse = self._sparse_cache
-        for j in range(self.config.n_tables):
-            self.accumulate_embedding_grad(j, sparse[:, j], d_emb[j])
 
     # ------------------------------------------------------------ parameters
 

@@ -3,7 +3,7 @@
 from repro.nn.embedding import EmbeddingTable
 from repro.nn.init import uniform_embedding, xavier_uniform
 from repro.nn.interaction import DotInteraction
-from repro.nn.linear import Linear, ReLU, Sigmoid
+from repro.nn.linear import Linear, ReLU
 from repro.nn.loss import bce_grad, bce_with_logits, sigmoid
 from repro.nn.mlp import MLP
 from repro.nn.optim import SGD
@@ -13,7 +13,6 @@ __all__ = [
     "Parameter",
     "Linear",
     "ReLU",
-    "Sigmoid",
     "MLP",
     "EmbeddingTable",
     "DotInteraction",

@@ -7,7 +7,7 @@ import numpy as np
 from repro.nn.init import xavier_uniform
 from repro.nn.param import Parameter
 
-__all__ = ["Linear", "ReLU", "Sigmoid"]
+__all__ = ["Linear", "ReLU"]
 
 
 class Linear:
@@ -60,28 +60,3 @@ class ReLU:
     def parameters(self) -> list[Parameter]:
         return []
 
-
-class Sigmoid:
-    """Elementwise logistic function."""
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        expx = np.exp(x[~pos])
-        out[~pos] = expx / (1.0 + expx)
-        self._out = out
-        return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        dx = dout * self._out * (1.0 - self._out)
-        self._out = None
-        return dx
-
-    def parameters(self) -> list[Parameter]:
-        return []

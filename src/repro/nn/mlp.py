@@ -6,12 +6,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.nn.linear import Linear, ReLU, Sigmoid
+from repro.nn.linear import Linear, ReLU
 from repro.nn.param import Parameter
 
 __all__ = ["MLP"]
 
-_FINAL_ACTIVATIONS = ("relu", "sigmoid", "none")
+_FINAL_ACTIVATIONS = ("relu", "none")
 
 
 class MLP:
@@ -44,8 +44,6 @@ class MLP:
                 self.layers.append(ReLU())
             elif final_activation == "relu":
                 self.layers.append(ReLU())
-            elif final_activation == "sigmoid":
-                self.layers.append(Sigmoid())
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64)

@@ -3,7 +3,7 @@
 One substrate for every tier's numbers:
 
 * :class:`MetricsRegistry` — process-wide counters, gauges, and
-  fixed-bucket histograms with label sets and mergeable snapshots.
+  fixed-bucket histograms with label sets and immutable snapshots.
 * :func:`enable` / :func:`disable` / :func:`capture` — the
   zero-overhead-when-disabled switch the hot paths guard on.
 * :func:`unified_chrome_trace` — trainer steps, exchange stages,
@@ -40,7 +40,7 @@ from repro.obs.registry import (
     exponential_buckets,
     linear_buckets,
 )
-from repro.obs.runtime import OBS, capture, disable, enable, enabled
+from repro.obs.runtime import OBS, capture, disable, enable
 
 _LAZY_EXPORTS = {
     "unified_chrome_trace": "repro.obs.trace",
@@ -86,7 +86,6 @@ __all__ = [
     "OBS",
     "enable",
     "disable",
-    "enabled",
     "capture",
     *sorted(_LAZY_EXPORTS),
 ]

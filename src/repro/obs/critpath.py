@@ -421,26 +421,14 @@ def highlight_trace_events(
     *,
     pid: int = 0,
     offset_seconds: float = 0.0,
-    process_name: str | None = None,
 ) -> list[dict]:
     """Render the critical path as one chrome-trace highlight lane.
 
-    Returns ``"X"`` entries (plus lane/process metadata) on a dedicated
+    Returns ``"X"`` entries (plus lane metadata) on a dedicated
     thread id, :data:`HIGHLIGHT_TID`; append them to an existing trace's ``traceEvents`` to see
     the binding chain as its own swim lane above the per-rank lanes.
     """
-    entries: list[dict] = []
-    if process_name is not None:
-        entries.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": HIGHLIGHT_TID,
-                "args": {"name": process_name},
-            }
-        )
-    entries.append(
+    entries: list[dict] = [
         {
             "name": "thread_name",
             "ph": "M",
@@ -448,7 +436,7 @@ def highlight_trace_events(
             "tid": HIGHLIGHT_TID,
             "args": {"name": "critical path"},
         }
-    )
+    ]
     shift_us = float(offset_seconds) * 1e6
     for step in result.steps:
         entries.append(

@@ -16,8 +16,7 @@ them:
 Every metric family supports label sets (``codec="hybrid"``,
 ``stage="payload"``); a (name, labels) pair identifies one series.
 :meth:`MetricsRegistry.snapshot` freezes the whole registry into a
-:class:`RegistrySnapshot` that merges associatively across processes or
-runs — the property the exporters and the property tests lean on.
+:class:`RegistrySnapshot`, the value the exporters write.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ def _check_value(value: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# histogram data (immutable; the unit of snapshot/merge/quantile)
+# histogram data (immutable; the unit of snapshot/quantile)
 # --------------------------------------------------------------------------
 
 
@@ -104,7 +103,7 @@ class HistogramData:
     ``bounds`` are inclusive upper edges; ``counts`` has one entry per
     bound plus a final overflow bucket.  ``exact`` is the sorted sample
     reservoir (``None`` once more than ``exact_limit`` samples have been
-    absorbed, e.g. through a merge).
+    absorbed).
     """
 
     bounds: tuple[float, ...]
@@ -145,63 +144,20 @@ class HistogramData:
         assert self.max is not None
         return self.max
 
-    def merge(self, other: "HistogramData") -> "HistogramData":
-        """Combine two series states (associative, see snapshot laws).
-
-        The exact reservoir survives only while both sides still have
-        theirs and the union fits the smaller ``exact_limit``.
-        """
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        limit = min(self.exact_limit, other.exact_limit)
-        exact: tuple[float, ...] | None = None
-        if (
-            self.exact is not None
-            and other.exact is not None
-            and len(self.exact) + len(other.exact) <= limit
-        ):
-            exact = tuple(sorted(self.exact + other.exact))
-        mins = [m for m in (self.min, other.min) if m is not None]
-        maxs = [m for m in (self.max, other.max) if m is not None]
-        return HistogramData(
-            bounds=self.bounds,
-            counts=tuple(a + b for a, b in zip(self.counts, other.counts)),
-            count=self.count + other.count,
-            total=self.total + other.total,
-            min=min(mins) if mins else None,
-            max=max(maxs) if maxs else None,
-            exact=exact,
-            exact_limit=limit,
-        )
-
-    def scrub_exact(self) -> "HistogramData":
-        """Bucket-only view (what the Prometheus exposition preserves)."""
-        return HistogramData(
-            bounds=self.bounds,
-            counts=self.counts,
-            count=self.count,
-            total=self.total,
-            min=self.min,
-            max=self.max,
-            exact=None,
-            exact_limit=0,
-        )
-
 
 class _HistogramSeries:
     """Mutable per-labelset accumulator behind a :class:`Histogram`."""
 
-    __slots__ = ("bounds", "counts", "count", "total", "min", "max", "exact", "exact_limit")
+    __slots__ = ("bounds", "counts", "count", "total", "min", "max", "exact")
 
-    def __init__(self, bounds: tuple[float, ...], exact_limit: int) -> None:
+    def __init__(self, bounds: tuple[float, ...]) -> None:
         self.bounds = bounds
         self.counts = [0] * (len(bounds) + 1)
         self.count = 0
         self.total = 0.0
         self.min: float | None = None
         self.max: float | None = None
-        self.exact: list[float] | None = [] if exact_limit > 0 else None
-        self.exact_limit = exact_limit
+        self.exact: list[float] | None = []
 
     def observe(self, value: float) -> None:
         self.counts[bisect_left(self.bounds, value)] += 1
@@ -212,7 +168,7 @@ class _HistogramSeries:
         if self.max is None or value > self.max:
             self.max = value
         if self.exact is not None:
-            if self.count > self.exact_limit:
+            if self.count > DEFAULT_EXACT_LIMIT:
                 self.exact = None
             else:
                 insort(self.exact, value)
@@ -226,7 +182,7 @@ class _HistogramSeries:
             min=self.min,
             max=self.max,
             exact=None if self.exact is None else tuple(self.exact),
-            exact_limit=self.exact_limit,
+            exact_limit=DEFAULT_EXACT_LIMIT,
         )
 
 
@@ -252,9 +208,6 @@ class Counter:
         key = _label_key(labels)
         self._series[key] = self._series.get(key, 0.0) + value
 
-    def value(self, **labels: object) -> float:
-        return self._series.get(_label_key(labels), 0.0)
-
     def series(self) -> dict[LabelKey, float]:
         return dict(self._series)
 
@@ -272,16 +225,6 @@ class Gauge:
     def set(self, value: float, **labels: object) -> None:
         self._series[_label_key(labels)] = _check_value(value)
 
-    def add(self, value: float, **labels: object) -> None:
-        key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0.0) + _check_value(value)
-
-    def value(self, **labels: object) -> float:
-        key = _label_key(labels)
-        if key not in self._series:
-            raise KeyError(f"gauge {self.name} has no series {dict(labels)!r}")
-        return self._series[key]
-
     def series(self) -> dict[LabelKey, float]:
         return dict(self._series)
 
@@ -297,7 +240,6 @@ class Histogram:
         help: str = "",
         *,
         bounds: tuple[float, ...] = DEFAULT_BUCKETS,
-        exact_limit: int = DEFAULT_EXACT_LIMIT,
     ) -> None:
         self.name = _check_name(name)
         self.help = help
@@ -308,17 +250,14 @@ class Histogram:
             raise ValueError("bucket bounds must be finite")
         if any(b >= c for b, c in zip(bounds, bounds[1:])):
             raise ValueError("bucket bounds must be strictly increasing")
-        if exact_limit < 0:
-            raise ValueError("exact_limit must be >= 0")
         self.bounds = bounds
-        self.exact_limit = exact_limit
         self._series: dict[LabelKey, _HistogramSeries] = {}
 
     def observe(self, value: float, **labels: object) -> None:
         key = _label_key(labels)
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = _HistogramSeries(self.bounds, self.exact_limit)
+            series = self._series[key] = _HistogramSeries(self.bounds)
         series.observe(_check_value(value))
 
     def data(self, **labels: object) -> HistogramData:
@@ -355,27 +294,9 @@ def _freeze_series(series: Mapping[LabelKey, object]) -> tuple[tuple[LabelKey, o
 
 @dataclass(frozen=True)
 class RegistrySnapshot:
-    """Immutable point-in-time view of a registry.
-
-    Snapshots merge associatively:
-
-    * counters — per-series sum;
-    * gauges — right-biased (the right operand's value wins);
-    * histograms — bucket-count sums via :meth:`HistogramData.merge`.
-
-    Family help strings are left-biased (first writer wins).  These rules
-    make ``(a | b) | c == a | (b | c)`` for every snapshot triple — the
-    law the property tests pin.
-    """
+    """Immutable point-in-time view of a registry."""
 
     families: tuple[tuple[str, _FamilySnapshot], ...]
-
-    @property
-    def _by_name(self) -> dict[str, _FamilySnapshot]:
-        return dict(self.families)
-
-    def names(self) -> list[str]:
-        return [name for name, _ in self.families]
 
     def family(self, name: str) -> _FamilySnapshot:
         for fam_name, fam in self.families:
@@ -394,50 +315,6 @@ class RegistrySnapshot:
         for name, fam in self.families:
             for key, value in fam.series:
                 yield name, fam.kind, key, value
-
-    def merge(self, other: "RegistrySnapshot") -> "RegistrySnapshot":
-        merged: dict[str, _FamilySnapshot] = dict(self.families)
-        for name, fam in other.families:
-            mine = merged.get(name)
-            if mine is None:
-                merged[name] = fam
-                continue
-            if mine.kind != fam.kind:
-                raise ValueError(
-                    f"metric {name} is a {mine.kind} on one side and a "
-                    f"{fam.kind} on the other"
-                )
-            left = mine.as_dict()
-            if mine.kind == "counter":
-                for key, value in fam.series:
-                    left[key] = float(left.get(key, 0.0)) + float(value)  # type: ignore[arg-type]
-            elif mine.kind == "gauge":
-                for key, value in fam.series:
-                    left[key] = value
-            else:
-                for key, value in fam.series:
-                    prior = left.get(key)
-                    left[key] = value if prior is None else prior.merge(value)  # type: ignore[union-attr]
-            merged[name] = _FamilySnapshot(
-                kind=mine.kind, help=mine.help, series=_freeze_series(left)
-            )
-        return RegistrySnapshot(
-            families=tuple(sorted(merged.items(), key=lambda item: item[0]))
-        )
-
-    __or__ = merge
-
-    def scrub_exact(self) -> "RegistrySnapshot":
-        """Drop every histogram's exact reservoir (Prometheus fidelity)."""
-        families = []
-        for name, fam in self.families:
-            if fam.kind == "histogram":
-                series = _freeze_series(
-                    {key: data.scrub_exact() for key, data in fam.series}  # type: ignore[union-attr]
-                )
-                fam = _FamilySnapshot(kind=fam.kind, help=fam.help, series=series)
-            families.append((name, fam))
-        return RegistrySnapshot(families=tuple(families))
 
 
 class MetricsRegistry:
@@ -475,14 +352,8 @@ class MetricsRegistry:
         help: str = "",
         *,
         bounds: tuple[float, ...] = DEFAULT_BUCKETS,
-        exact_limit: int = DEFAULT_EXACT_LIMIT,
     ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, bounds=bounds, exact_limit=exact_limit
-        )
-
-    def names(self) -> list[str]:
-        return sorted(self._families)
+        return self._get_or_create(Histogram, name, help, bounds=bounds)
 
     def snapshot(self) -> RegistrySnapshot:
         families = []

@@ -24,7 +24,7 @@ from typing import Iterator
 
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["OBS", "enable", "disable", "enabled", "capture"]
+__all__ = ["OBS", "enable", "disable", "capture"]
 
 
 class _ObsState:
@@ -57,10 +57,6 @@ def disable() -> None:
     OBS.enabled = False
     OBS.registry = None
     OBS.slo_hub = None
-
-
-def enabled() -> bool:
-    return OBS.enabled
 
 
 @contextmanager

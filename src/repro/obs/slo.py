@@ -84,10 +84,6 @@ class SLOSpec:
                 f"slow_window ({self.slow_window})"
             )
 
-    @property
-    def budget(self) -> float:
-        return 1.0 - self.objective
-
 
 @dataclass(frozen=True)
 class SLOState:
@@ -129,9 +125,6 @@ class BurnRateMonitor:
         self.spec = spec
         self._samples: list[tuple[float, bool]] = []  # (time, bad)
 
-    def __len__(self) -> int:
-        return len(self._samples)
-
     def observe(self, time: float, value: float) -> None:
         """Record one observation at ``time`` (simulated seconds)."""
         time = float(time)
@@ -159,15 +152,15 @@ class BurnRateMonitor:
         total, bad = self.window_counts(window, now)
         if total == 0 or bad == 0:
             return 0.0
-        fraction = bad / total
-        if self.spec.budget == 0.0:
+        budget = 1.0 - self.spec.objective
+        if budget == 0.0:
             return math.inf
-        return fraction / self.spec.budget
+        return bad / total / budget
 
-    def state(self, now: float | None = None) -> SLOState:
-        """Multi-window evaluation: fires only when the fast *and* slow
-        windows both exceed their burn thresholds."""
-        now = self.last_time if now is None else float(now)
+    def state(self) -> SLOState:
+        """Multi-window evaluation at the last sample: fires only when the
+        fast *and* slow windows both exceed their burn thresholds."""
+        now = self.last_time
         fast = self.burn_rate(self.spec.fast_window, now)
         slow = self.burn_rate(self.spec.slow_window, now)
         total = len(self._samples)
@@ -190,21 +183,18 @@ class SloHub:
     def __init__(self, monitors: Iterable[BurnRateMonitor] = ()):
         self.monitors: list[BurnRateMonitor] = list(monitors)
 
-    def add(self, monitor: BurnRateMonitor) -> BurnRateMonitor:
-        self.monitors.append(monitor)
-        return monitor
-
     def feed(self, source: str, time: float, value: float) -> None:
         """One observation from a tier; fans out to matching monitors."""
         for monitor in self.monitors:
             if monitor.spec.source == source:
                 monitor.observe(time, value)
 
-    def states(self, now: float | None = None) -> list[SLOState]:
-        return [monitor.state(now) for monitor in self.monitors]
+    def states(self) -> list[SLOState]:
+        return [monitor.state() for monitor in self.monitors]
 
-    def firing(self, now: float | None = None) -> list[SLOState]:
-        return [state for state in self.states(now) if state.firing]
+    def firing(self) -> list[SLOState]:
+        """The states that fire, each monitor evaluated at its last sample."""
+        return [state for state in self.states() if state.firing]
 
     def to_json_dict(self) -> dict:
         """The machine-readable ``slo`` report block (see

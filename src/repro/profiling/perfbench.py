@@ -156,24 +156,28 @@ class PerfRecord:
     speedup: float | None = None  # reference_seconds / seconds
 
 
-def make_lookup_batch(
-    rows: int, dim: int, *, pool: int = 64, cold_fraction: float = 0.1, seed: int = _SEED
-) -> np.ndarray:
+#: hot embedding rows a lookup batch draws from
+LOOKUP_POOL = 64
+#: share of a lookup batch's rows that are one-off cold rows
+COLD_FRACTION = 0.1
+
+
+def make_lookup_batch(rows: int, dim: int) -> np.ndarray:
     """A DLRM-like lookup batch: hot rows recur with a skewed distribution.
 
     Mirrors the unbalanced query pattern the vector-LZ encoder exploits
-    (Section III-D): a small pool of embedding rows sampled Zipf-style with
-    per-lookup noise well below the default error bound (so quantization
-    homogenizes the repeats, the paper's vector-homogenization effect),
-    plus a ``cold_fraction`` of one-off rows that stay literals.
+    (Section III-D): a :data:`LOOKUP_POOL` of embedding rows sampled
+    Zipf-style with per-lookup noise well below the default error bound (so
+    quantization homogenizes the repeats, the paper's vector-homogenization
+    effect), plus a :data:`COLD_FRACTION` of one-off rows that stay literals.
     """
-    rng = np.random.default_rng(seed)
-    base = rng.normal(0.0, 0.1, size=(pool, dim)).astype(np.float32)
+    rng = np.random.default_rng(_SEED)
+    base = rng.normal(0.0, 0.1, size=(LOOKUP_POOL, dim)).astype(np.float32)
     ranks = rng.zipf(1.5, size=rows)
-    picks = np.minimum(ranks - 1, pool - 1).astype(np.int64)
+    picks = np.minimum(ranks - 1, LOOKUP_POOL - 1).astype(np.int64)
     noise = rng.normal(0.0, 1e-4, size=(rows, dim)).astype(np.float32)
     batch = base[picks] + noise
-    is_cold = rng.random(rows) < cold_fraction
+    is_cold = rng.random(rows) < COLD_FRACTION
     n_cold = int(is_cold.sum())
     if n_cold:
         batch[is_cold] = rng.normal(0.0, 0.1, size=(n_cold, dim)).astype(np.float32)

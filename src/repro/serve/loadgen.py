@@ -61,10 +61,6 @@ class RequestLoadGenerator:
         self._clock = 0.0
         self._next_id = 0
 
-    @property
-    def n_tables(self) -> int:
-        return self.dataset.spec.n_tables
-
     def generate(self, n_requests: int) -> list[Request]:
         """The next ``n_requests`` arrivals (consecutive calls continue the
         trace; a fresh generator with the same seed replays it)."""

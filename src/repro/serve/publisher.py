@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.adaptive.selection import PAPER_A100_PROFILE, DeviceThroughputProfile
+from repro.adaptive.selection import PAPER_A100_PROFILE
 from repro.compression.base import Compressor
 from repro.compression.registry import decompress_any, get_compressor
 from repro.compression.serialization import (
@@ -78,10 +78,6 @@ class TableDelta:
     raw_nbytes: int
     wire_nbytes: int
     max_abs_error: float  # |trainer - published| after applying, elementwise max
-
-    @property
-    def ratio(self) -> float:
-        return self.raw_nbytes / max(1, self.wire_nbytes)
 
     @property
     def shipped(self) -> bool:
@@ -196,7 +192,6 @@ class DeltaPublisher:
         sharding: ShardingPlan | None = None,
         network: NetworkModel | None = None,
         compress: bool = True,
-        profile: DeviceThroughputProfile = PAPER_A100_PROFILE,
         retry_policy=None,
         checksum: bool = False,
         fault_injector=None,
@@ -236,7 +231,6 @@ class DeltaPublisher:
         self.replicas = tuple(replicas)
         self.sharding = sharding
         self.compress = bool(compress)
-        self.profile = profile
         self.retry_policy = retry_policy
         self.checksum = bool(checksum)
         self.fault_injector = fault_injector
@@ -464,7 +458,7 @@ class DeltaPublisher:
                 server.set_table(table_id, state)
                 nbytes = state.nbytes
                 apply_seconds[shard_rank] += gpu.memcpy_time(nbytes) + gpu.throughput_kernel_time(
-                    nbytes, self.profile.for_codec(server.codec(table_id)).compress
+                    nbytes, PAPER_A100_PROFILE.for_codec(server.codec(table_id)).compress
                 )
             if new_state:
                 for replica in self.replicas:

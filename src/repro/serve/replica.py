@@ -120,14 +120,6 @@ class InferenceReplica:
 
     # --------------------------------------------------------------- cache
 
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def _cache_put(self, key: tuple[int, int], row: np.ndarray) -> None:
         if self.cache_rows == 0:
             return
@@ -257,5 +249,5 @@ class InferenceReplica:
     def __repr__(self) -> str:
         return (
             f"InferenceReplica(id={self.replica_id}, cache={len(self._cache)}/"
-            f"{self.cache_rows} rows, hit_rate={self.hit_rate:.3f})"
+            f"{self.cache_rows} rows, hits={self.hits}, misses={self.misses})"
         )

@@ -93,10 +93,6 @@ class ShardPull:
     compressed_nbytes: int
     raw_nbytes: int
 
-    @property
-    def n_rows(self) -> int:
-        return int(self.rows.shape[0])
-
 
 class _CompressedTable:
     """One table stored as independently-compressed row blocks."""
@@ -316,15 +312,14 @@ class EmbeddingShardServer:
         table_ids,
         controller=None,
         *,
-        error_bound: float = 1e-2,
         rows_per_block: int = DEFAULT_ROWS_PER_BLOCK,
     ) -> "EmbeddingShardServer":
         """Build a shard node from a :class:`~repro.model.dlrm.DLRM`'s
         tables.  With a controller, each table uses the adaptive per-table
         codec and its effective error bound at iteration 0 — the serving
         tier inherits the dual-level adaptive configuration wholesale.
-        Without one, every table is stored with the hybrid codec at
-        ``error_bound``."""
+        Without one, every table is stored with the hybrid codec at the
+        constructor's default bound."""
         table_ids = [int(t) for t in table_ids]
         values = {
             t: np.ascontiguousarray(model.tables[t].weight.data, dtype=np.float32)
@@ -334,7 +329,7 @@ class EmbeddingShardServer:
             bounds = {t: controller.error_bound(t, 0) for t in table_ids}
             names = {t: controller.compressor_name(t) for t in table_ids}
             return cls(values, bounds, names, rows_per_block)
-        return cls(values, error_bound, rows_per_block=rows_per_block)
+        return cls(values, rows_per_block=rows_per_block)
 
     # -------------------------------------------------------------- queries
 
@@ -375,9 +370,6 @@ class EmbeddingShardServer:
 
     def codec(self, table_id: int) -> str:
         return self._table(table_id).codec_name
-
-    def rows_per_block(self, table_id: int) -> int:
-        return self._table(table_id).rows_per_block
 
     def dim(self, table_id: int) -> int:
         return self._table(table_id).dim
@@ -421,21 +413,5 @@ class EmbeddingShardServer:
             ).inc(table.n_blocks - reencoded, table=table.table_id)
         return table.compressed_nbytes
 
-    # ----------------------------------------------------------- accounting
-
-    def compressed_nbytes(self, table_id: int | None = None) -> int:
-        if table_id is not None:
-            return self._table(table_id).compressed_nbytes
-        return sum(t.compressed_nbytes for t in self._tables.values())
-
-    def raw_nbytes(self) -> int:
-        return sum(t.raw_nbytes for t in self._tables.values())
-
-    def compression_ratio(self) -> float:
-        return self.raw_nbytes() / max(1, self.compressed_nbytes())
-
     def __repr__(self) -> str:
-        return (
-            f"EmbeddingShardServer(tables={len(self._tables)}, "
-            f"ratio={self.compression_ratio():.2f}x)"
-        )
+        return f"EmbeddingShardServer(tables={len(self._tables)})"

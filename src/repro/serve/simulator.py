@@ -96,14 +96,6 @@ class ServingReport:
         degraded rows)."""
         return self.n_requests - self.impaired_requests
 
-    def row(self) -> str:
-        """One formatted report line (benchmark tables)."""
-        return (
-            f"qps={self.sustained_qps:9.1f}  p50={self.p50_latency * 1e3:7.3f}ms  "
-            f"p99={self.p99_latency * 1e3:7.3f}ms  hit={self.cache_hit_rate:6.1%}  "
-            f"fanout={self.mean_fanout:4.1f}  pulled={self.pulled_compressed_nbytes / 1e6:8.3f}MB"
-        )
-
 
 class ServingSimulator:
     """Price an inference fleet: replicas + compressed shards on a fabric.
@@ -146,9 +138,9 @@ class ServingSimulator:
         issued and the request takes whichever finishes first — the
         classic tail-latency hedge, effective when slowness is transient.
     breaker_reset_seconds:
-        Per-shard circuit breaker: after the breaker's default
-        ``failure_threshold`` consecutive pull failures the shard is failed
-        fast (degraded answers, no timeout waits) until this reset window
+        Per-shard circuit breaker: after
+        ``CircuitBreaker.FAILURE_THRESHOLD`` consecutive pull failures the
+        shard is failed fast (degraded answers, no timeout waits) until this reset window
         elapses and a half-open probe succeeds.
     """
 

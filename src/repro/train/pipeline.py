@@ -50,10 +50,6 @@ class TransferStats:
     original_nbytes: int
     compressed_nbytes: int
 
-    @property
-    def ratio(self) -> float:
-        return self.original_nbytes / max(1, self.compressed_nbytes)
-
 
 @dataclass
 class CompressionPipeline:
@@ -281,13 +277,10 @@ class CompressionPipeline:
 
     # ------------------------------------------------------------- reports
 
-    def mean_ratio(self, table_id: int | None = None) -> float:
+    def mean_ratio(self) -> float:
         """Average compression ratio over recorded transfers."""
-        selected = [
-            s for s in self.stats if table_id is None or s.table_id == table_id
-        ]
-        if not selected:
+        if not self.stats:
             raise ValueError("no transfers recorded")
-        original = sum(s.original_nbytes for s in selected)
-        compressed = sum(s.compressed_nbytes for s in selected)
+        original = sum(s.original_nbytes for s in self.stats)
+        compressed = sum(s.compressed_nbytes for s in self.stats)
         return original / max(1, compressed)

@@ -57,10 +57,6 @@ class RngPool:
         self._seed = seed
         self._streams: dict[str, np.random.Generator] = {}
 
-    @property
-    def seed(self) -> int | None:
-        return self._seed
-
     def get(self, name: str) -> np.random.Generator:
         """Return the (cached) generator for stream ``name``."""
         if name not in self._streams:

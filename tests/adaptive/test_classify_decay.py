@@ -9,17 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adaptive.classify import (
-    ClassifierThresholds,
-    ErrorBoundLevels,
-    classify_by_rank,
-    classify_by_threshold,
-)
+from repro.adaptive.classify import ErrorBoundLevels, classify_by_rank
 from repro.adaptive.decay import (
     LOG_CURVATURE,
     AbruptDrop,
     ConstantSchedule,
-    ExponentialDecay,
     LinearDecay,
     LogarithmicDecay,
     StepwiseDecay,
@@ -45,27 +39,6 @@ class TestErrorBoundLevels:
             levels.for_category("huge")
 
 
-class TestThresholdClassifier:
-    def test_algorithm1_branches(self):
-        thresholds = ClassifierThresholds(small_threshold=0.25, large_threshold=0.02)
-        assert classify_by_threshold(0.5, thresholds) == "small"
-        assert classify_by_threshold(0.01, thresholds) == "large"
-        assert classify_by_threshold(0.1, thresholds) == "medium"
-
-    def test_boundaries_are_medium(self):
-        thresholds = ClassifierThresholds(small_threshold=0.25, large_threshold=0.02)
-        assert classify_by_threshold(0.25, thresholds) == "medium"
-        assert classify_by_threshold(0.02, thresholds) == "medium"
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            classify_by_threshold(1.5)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            ClassifierThresholds(small_threshold=0.1, large_threshold=0.5)
-
-
 class TestRankClassifier:
     def test_tertile_split(self):
         indices = {i: i / 8 for i in range(9)}
@@ -84,14 +57,11 @@ class TestRankClassifier:
         b = classify_by_rank({i: 0.5 for i in range(9)})
         assert a == b
 
-    def test_custom_fractions(self):
-        result = classify_by_rank({i: i / 10 for i in range(10)}, small_fraction=0.1, large_fraction=0.1)
-        assert sum(1 for v in result.values() if v == "small") == 1
-        assert sum(1 for v in result.values() if v == "large") == 1
-
-    def test_fraction_sum_validation(self):
-        with pytest.raises(ValueError, match="sum"):
-            classify_by_rank({0: 0.5}, small_fraction=0.7, large_fraction=0.7)
+    @pytest.mark.parametrize("n, third", [(1, 0), (2, 1), (4, 1), (5, 2), (10, 3)])
+    def test_small_and_large_classes_round_to_a_third(self, n, third):
+        result = list(classify_by_rank({i: i / n for i in range(n)}).values())
+        assert result.count("small") == result.count("large") == third
+        assert result.count("medium") == n - 2 * third
 
     def test_empty_mapping(self):
         assert classify_by_rank({}) == {}
@@ -119,7 +89,6 @@ class TestDecaySchedules:
             StepwiseDecay(2.0, 100, n_steps=4),
             LinearDecay(2.0, 100),
             LogarithmicDecay(2.0, 100),
-            ExponentialDecay(2.0, 100),
             AbruptDrop(2.0, 100),
         ],
     )
@@ -134,7 +103,6 @@ class TestDecaySchedules:
             StepwiseDecay(3.0, 64, n_steps=4),
             LinearDecay(3.0, 64),
             LogarithmicDecay(3.0, 64),
-            ExponentialDecay(3.0, 64),
             AbruptDrop(3.0, 64),
         ],
     )
@@ -176,11 +144,30 @@ class TestDecaySchedules:
         with pytest.raises(ValueError):
             LinearDecay(0.5, 10)
 
+    @pytest.mark.parametrize(
+        "name, cls",
+        [
+            ("stepwise", StepwiseDecay),
+            ("linear", LinearDecay),
+            ("logarithmic", LogarithmicDecay),
+            ("drop", AbruptDrop),
+        ],
+    )
+    def test_make_schedule_builds_each_phased_schedule(self, name, cls):
+        schedule = make_schedule(name, initial_scale=2.0, phase_iterations=10)
+        assert type(schedule) is cls
+        assert schedule(0) == 2.0 and schedule(10) == 1.0
+
+    def test_make_schedule_constant_takes_no_phase(self):
+        assert make_schedule("constant")(5) == 1.0
+
     def test_make_schedule(self):
         s = make_schedule("stepwise", initial_scale=2.0, phase_iterations=10)
         assert isinstance(s, StepwiseDecay)
         with pytest.raises(KeyError):
             make_schedule("cosine")
+        with pytest.raises(KeyError):
+            make_schedule("exponential", initial_scale=2.0, phase_iterations=10)
 
     def test_decay_vs_drop_mean_multiplier(self):
         """Decay spends more iterations at elevated bounds than a drop-free

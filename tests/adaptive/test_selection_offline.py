@@ -11,7 +11,6 @@ from repro.adaptive import (
     OfflineAnalyzer,
     StepwiseDecay,
 )
-from repro.adaptive.classify import classify_by_threshold
 from repro.adaptive.selection import (
     PAPER_A100_PROFILE,
     CodecThroughput,
@@ -113,17 +112,6 @@ class TestOfflineAnalyzer:
             assert plan.tables[t].category == "small"
             assert plan.tables[t].error_bound == plan.levels.small
 
-    def test_threshold_classifier_mode(self, samples):
-        plan = OfflineAnalyzer(classifier="threshold").analyze(samples)
-        assert set(plan.tables) == set(samples)
-        for t in (6, 7, 8):  # unique rows, no homogenization -> large EB
-            assert plan.tables[t].category == "large"
-
-    def test_threshold_classifier_uses_algorithm1_thresholds(self, samples):
-        plan = OfflineAnalyzer(classifier="threshold").analyze(samples)
-        for t, table_plan in plan.tables.items():
-            assert table_plan.category == classify_by_threshold(table_plan.homo.homo_index)
-
     def test_error_bounds_follow_levels(self, samples):
         levels = ErrorBoundLevels(large=0.1, medium=0.05, small=0.005)
         plan = OfflineAnalyzer(levels=levels).analyze(samples)
@@ -133,10 +121,6 @@ class TestOfflineAnalyzer:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             OfflineAnalyzer().analyze({})
-
-    def test_invalid_classifier_rejected(self):
-        with pytest.raises(ValueError):
-            OfflineAnalyzer(classifier="kmeans")
 
 
 class TestAdaptiveController:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.compression.buffer import BufferCostModel
+from repro.compression.buffer import COMPRESSION_RATIO, BufferCostModel
 from repro.dist.gpu import GpuModel
 from repro.utils.units import MB
 
@@ -68,17 +68,16 @@ class TestBufferCostModel:
         with pytest.raises(ValueError):
             model.serial_decompression_seconds([-1.0])
 
-    def test_ratio_affects_memcpy_cost(self):
-        low_ratio = BufferCostModel(ratio=1.5)
-        high_ratio = BufferCostModel(ratio=50.0)
-        chunks = [16.0 * MB] * 4
-        assert low_ratio.chunked_compression_seconds(chunks) > high_ratio.chunked_compression_seconds(chunks)
+    def test_chunked_compression_copies_each_compressed_chunk(self, model):
+        chunks = [16.0 * MB, 3.0 * MB]
+        expected = 0.0
+        for c in chunks:
+            expected += model.gpu.throughput_kernel_time(c, model.compress_throughput)
+            expected += model.gpu.memcpy_time(c / COMPRESSION_RATIO)
+        assert model.chunked_compression_seconds(chunks) == expected
 
-    def test_custom_gpu_launch_overhead_dominates_many_small_chunks(self):
-        slow_launch = BufferCostModel(gpu=GpuModel(kernel_launch_overhead=1e-3))
-        fast_launch = BufferCostModel(gpu=GpuModel(kernel_launch_overhead=1e-7))
-        chunks = [0.1 * MB] * 16
-        assert (
-            slow_launch.compare_compression(chunks).speedup
-            > fast_launch.compare_compression(chunks).speedup
-        )
+    def test_launch_overhead_dominates_many_small_chunks(self):
+        model = BufferCostModel(gpu=GpuModel(saturation_bytes=4.0 * MB))
+        few = model.compare_compression([0.8 * MB] * 2).speedup
+        many = model.compare_compression([0.1 * MB] * 16).speedup
+        assert many > few

@@ -30,13 +30,11 @@ class TestLruCache:
         with pytest.raises(ValueError):
             LruCache(0)
 
-    def test_len_tracks_entries_and_clear_empties(self):
+    def test_capacity_bounds_the_entries(self):
         cache = LruCache(2)
         for key in "abc":
             cache.put(key, key)
-        assert len(cache) == 2
-        cache.clear()
-        assert len(cache) == 0 and cache.get("c") is None
+        assert [cache.get(key) for key in "abc"] == [None, "b", "c"]
 
 
 class TestStatelessEntropy:

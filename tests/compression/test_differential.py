@@ -22,6 +22,7 @@ from repro.compression.baselines.fzgpu_like import (
     unpack_bitplanes,
 )
 from repro.compression.baselines.lz_generic import (
+    DEFAULT_BYTE_WINDOW,
     _reference_lz77_decode_bytes,
     _reference_lz77_encode_bytes,
     lz77_decode_bytes,
@@ -47,7 +48,7 @@ from repro.compression.huffman import (
 from repro.compression.vector_lz import (
     _reference_vector_lz_decode,
     vector_lz_decode,
-    vector_lz_encode,
+    vector_lz_encode_stack,
 )
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.vector_lz import VectorLZCompressor
@@ -99,7 +100,7 @@ class TestVectorLZDifferential:
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, 2000, size=(pool, d))
         codes = rows[rng.integers(0, pool, size=n)]
-        encoded = vector_lz_encode(codes, window=window)
+        encoded = vector_lz_encode_stack(codes[None], window)[0]
         new = vector_lz_decode(encoded)
         ref = _reference_vector_lz_decode(encoded)
         np.testing.assert_array_equal(new, ref)
@@ -108,7 +109,7 @@ class TestVectorLZDifferential:
     def test_long_chain_all_identical_rows(self):
         """Chains as long as the batch (every row references the previous)."""
         codes = np.full((4096, 8), 7, dtype=np.int64)
-        encoded = vector_lz_encode(codes, window=1)
+        encoded = vector_lz_encode_stack(codes[None], 1)[0]
         np.testing.assert_array_equal(vector_lz_decode(encoded), codes)
         np.testing.assert_array_equal(_reference_vector_lz_decode(encoded), codes)
 
@@ -298,24 +299,35 @@ class TestLz77Differential:
 
     @given(
         st.sampled_from(["random", "low_entropy", "hot_rows", "zeros"]),
-        st.integers(min_value=0, max_value=5000),
-        st.integers(min_value=1, max_value=70000),
+        # sizes up to twice DEFAULT_BYTE_WINDOW, so matches cross the window edge
+        st.integers(min_value=0, max_value=2 * DEFAULT_BYTE_WINDOW),
         st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=60, deadline=None)
-    def test_encode_byte_identical_and_decode_exact(self, kind, size, window, seed):
+    def test_encode_byte_identical_and_decode_exact(self, kind, size, seed):
         rng = np.random.default_rng(seed)
         data = self._make_data(rng, kind, size)
-        new_stream = lz77_encode_bytes(data, window)
-        ref_stream = _reference_lz77_encode_bytes(data, window)
+        new_stream = lz77_encode_bytes(data)
+        ref_stream = _reference_lz77_encode_bytes(data)
         assert new_stream == ref_stream
         assert lz77_decode_bytes(new_stream, len(data)) == data
         assert _reference_lz77_decode_bytes(new_stream, len(data)) == data
 
+    def test_repeats_past_the_window_match_the_reference(self):
+        """A repeat farther back than ``DEFAULT_BYTE_WINDOW`` stays literal
+        on both encoders; one inside it matches on both."""
+        rng = np.random.default_rng(4)
+        chunk = rng.integers(0, 256, 300).astype(np.uint8).tobytes()
+        gap = rng.integers(0, 256, DEFAULT_BYTE_WINDOW).astype(np.uint8).tobytes()
+        data = chunk + gap + chunk + chunk
+        stream = lz77_encode_bytes(data)
+        assert stream == _reference_lz77_encode_bytes(data)
+        assert lz77_decode_bytes(stream, len(data)) == data
+
     def test_overlapping_match_copies(self):
         """Period-replication copy must equal the byte-at-a-time loop."""
         data = b"ab" * 4000 + b"xyz" + b"a" * 1000
-        stream = lz77_encode_bytes(data, 4096)
+        stream = lz77_encode_bytes(data)
         assert lz77_decode_bytes(stream, len(data)) == data
         assert _reference_lz77_decode_bytes(stream, len(data)) == data
 
@@ -336,15 +348,15 @@ class TestOracleEdgeCases:
         assert _reference_huffman_decode(new).size == 0
 
     def test_empty_lz77_stream_matches_reference(self):
-        new_stream = lz77_encode_bytes(b"", 64)
-        ref_stream = _reference_lz77_encode_bytes(b"", 64)
+        new_stream = lz77_encode_bytes(b"")
+        ref_stream = _reference_lz77_encode_bytes(b"")
         assert new_stream == ref_stream
         assert lz77_decode_bytes(new_stream, 0) == b""
         assert _reference_lz77_decode_bytes(ref_stream, 0) == b""
 
     def test_empty_vector_lz_batch_matches_reference(self):
         codes = np.zeros((0, 4), dtype=np.int64)
-        encoded = vector_lz_encode(codes, window=8)
+        encoded = vector_lz_encode_stack(codes[None], 8)[0]
         np.testing.assert_array_equal(vector_lz_decode(encoded), codes)
         np.testing.assert_array_equal(_reference_vector_lz_decode(encoded), codes)
 
@@ -393,14 +405,13 @@ class TestOracleEdgeCases:
 
     def test_quantize_batch_max_alphabet_boundary(self):
         """Exactly at the cap passes; one past the cap fails fast."""
-        from repro.compression.quantizer import quantize_batch
+        from repro.compression.quantizer import DEFAULT_MAX_ALPHABET, quantize_batch
 
-        m = 1024
-        data = (np.arange(m, dtype=np.float32))[:, None]  # codes 0..m-1 at eb=0.5
-        batch = quantize_batch(data, 0.5, max_alphabet=m)
-        assert batch.alphabet_size == m
+        m = DEFAULT_MAX_ALPHABET
+        at_cap = np.array([[0.0, m - 1]], dtype=np.float32)  # codes 0 and m-1 at eb=0.5
+        assert quantize_batch(at_cap, 0.5).alphabet_size == m
         with pytest.raises(ValueError, match="alphabet"):
-            quantize_batch(data, 0.5, max_alphabet=m - 1)
+            quantize_batch(np.array([[0.0, m]], dtype=np.float32), 0.5)
 
 
 class TestFzgpuDifferential:

@@ -260,6 +260,32 @@ class TestCountSumLaws:
         )
 
 
+class TestHeadersAnEncoderWrites:
+    """The header checks that reject hostile frames accept every header an
+    encoder writes: each code width ``quant_sum`` narrows to, and
+    ``count_sum`` limb windows that reach the top of their grid."""
+
+    @pytest.mark.parametrize("peak", [100, 30_000, 2_000_000_000, 2**40])
+    def test_every_code_width_decodes(self, peak):
+        qs = get_compressor("quant_sum")
+        table = np.array([[-peak, 0.0, peak]], dtype=np.float64) * 0.02
+        payload = qs.compress(table, 0.01)
+        np.testing.assert_array_equal(qs.decompress(payload), table)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_extremes_of_a_dtype_round_trip_and_aggregate(self, dtype):
+        """The largest finite value fills its grid's top limb; the smallest
+        subnormal sits on the grid's first."""
+        cs = get_compressor("count_sum")
+        info = np.finfo(dtype)
+        table = np.array([[info.max, info.smallest_subnormal, -info.max]], dtype=dtype)
+        payload = cs.compress(table)
+        np.testing.assert_array_equal(cs.decompress(payload), table)
+        tiny = np.full_like(table, info.smallest_subnormal)
+        total = cs.decompress(agg_sum(payload, cs.compress(tiny)))
+        np.testing.assert_array_equal(total, table + tiny)
+
+
 class TestDecodeOwnership:
     """Decode allocates its result: no decoded array aliases the payload,
     another decode, or another rank's all-reduce total."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compression.quantizer import quantize, quantize_batch
+from repro.compression.quantizer import DEFAULT_MAX_ALPHABET, quantize, quantize_batch
 
 
 def dequantize(codes: np.ndarray, error_bound: float, dtype=np.float32) -> np.ndarray:
@@ -116,8 +116,6 @@ class TestQuantizedBatch:
 
 class TestAlphabetCap:
     def test_tiny_bound_raises_with_alphabet_size_in_message(self):
-        from repro.compression.quantizer import DEFAULT_MAX_ALPHABET
-
         data = np.array([[0.0, 1.0]], dtype=np.float32)
         with pytest.raises(ValueError, match="alphabet"):
             quantize_batch(data, 1e-9)
@@ -129,15 +127,11 @@ class TestAlphabetCap:
             # the offending alphabet size: range 1.0 / bin 2e-9 -> 5e8 symbols
             assert "500000001" in message
 
-    def test_cap_is_overridable(self):
-        data = np.array([[0.0, 1.0]], dtype=np.float32)
-        batch = quantize_batch(data, 1e-7, max_alphabet=10_000_001)
-        assert batch.alphabet_size == 5_000_001
-
     def test_boundary_exactly_at_cap_passes(self):
-        data = np.array([[0.0, 1.0]], dtype=np.float32)
-        batch = quantize_batch(data, 0.5, max_alphabet=2)
-        assert batch.alphabet_size <= 2
+        # codes 0 and DEFAULT_MAX_ALPHABET - 1 at a bin width of 1
+        data = np.array([[0.0, DEFAULT_MAX_ALPHABET - 1]], dtype=np.float32)
+        batch = quantize_batch(data, 0.5)
+        assert batch.alphabet_size == DEFAULT_MAX_ALPHABET
 
     def test_default_cap_leaves_normal_bounds_alone(self):
         rng = np.random.default_rng(0)

@@ -8,12 +8,17 @@ never returns a wrong-shaped array) for a family of corruptions.
 
 from __future__ import annotations
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.compression import available_compressors, decompress_any, get_compressor
+from repro.compression import agg_sum, available_compressors, decompress_any, get_compressor
 from repro.compression.base import MAGIC, frame_payload, parse_payload
 from repro.compression.baselines.lz_generic import lz77_encode_bytes
 from repro.compression.huffman import DEFAULT_CHUNK_SYMBOLS, huffman_encode
@@ -316,7 +321,7 @@ class TestLZ77AndQuantSumBodiesRaiseCorruptPayloadError:
 
     def test_deflate_like_flip(self):
         raw = _lz_rows().tobytes()
-        stream = lz77_encode_bytes(raw, 4096)
+        stream = lz77_encode_bytes(raw)
         assert decompress_any(_deflate_frame(stream, len(raw))).tobytes() == raw
         _flips_decode_or_raise_typed(
             "deflate_like",
@@ -328,7 +333,7 @@ class TestLZ77AndQuantSumBodiesRaiseCorruptPayloadError:
 
     def test_deflate_like_truncate(self):
         raw = _lz_rows().tobytes()
-        stream = lz77_encode_bytes(raw, 4096)
+        stream = lz77_encode_bytes(raw)
         for cut in range(1, len(stream), 5):
             with pytest.raises(CorruptPayloadError, match=r"deflate_like: corrupt LZ77 stream at byte \d+"):
                 decompress_any(_deflate_frame(stream[:cut], len(raw)))
@@ -418,7 +423,7 @@ class TestBodyLengthRaisesCorruptPayloadError:
         """A well-formed LZ77 stream whose bytes do not fill the shape."""
         raw = _lz_rows().tobytes()
         raw = raw[:change] if change < 0 else raw + b"\0"
-        stream = lz77_encode_bytes(raw, 4096)
+        stream = lz77_encode_bytes(raw)
         if name == "deflate_like":
             frame = _deflate_frame(stream, len(raw))
         else:
@@ -491,12 +496,92 @@ class TestCountsAndWidthsRaiseCorruptPayloadError:
             decompress_any(_recount(name, code_lengths=lengths))
 
 
-def _count_sum_frame(sexp: int, wlen: int) -> bytes:
-    """A well-formed ``count_sum`` frame of one (4, 8) float32 block whose
-    header declares grid exponent ``sexp`` over ``wlen`` limbs of 2**30."""
+def _count_sum_frame(sexp: int, wlen: int, w0: int = 0, dtype=np.float32) -> bytes:
+    """A well-formed ``count_sum`` frame of one (4, 8) block whose header
+    declares grid exponent ``sexp`` over limbs ``[w0, w0 + wlen)`` of 2**30."""
     limbs = np.full((wlen, 32), 1 << 30, dtype=np.int64)
-    meta = {"terms": 1, "w0": 0, "wlen": wlen, "sexp": sexp, "lmax": 1 << 30}
-    return frame_payload("count_sum", (4, 8), np.dtype(np.float32), meta, limbs.tobytes())
+    meta = {"terms": 1, "w0": w0, "wlen": wlen, "sexp": sexp, "lmax": 1 << 30}
+    return frame_payload("count_sum", (4, 8), np.dtype(dtype), meta, limbs.tobytes())
+
+
+def _quant_sum_frame(cdtype: str, itemsize: int) -> bytes:
+    """A ``quant_sum`` frame of one (4, 8) float32 block whose header
+    declares code dtype ``cdtype`` over a body of ``itemsize``-byte codes."""
+    meta = {"scale": 0.02, "terms": 1, "cdtype": cdtype, "cmax": 0}
+    return frame_payload("quant_sum", (4, 8), np.dtype(np.float32), meta, bytes(32 * itemsize))
+
+
+#: hostile homomorphic headers -> what the decode must raise, before any
+#: shift or allocation the header sizes
+HOSTILE_HEADERS = {
+    "w0=10**9": (
+        lambda: decompress_any(_count_sum_frame(-149, 1, w0=10**9)),
+        r"count_sum: limb window \[1000000000, 1000000001\) is outside \[0, 10\)",
+    ),
+    "w0=10**8": (
+        lambda: decompress_any(_count_sum_frame(-149, 1, w0=10**8)),
+        r"count_sum: limb window \[100000000, 100000001\) is outside",
+    ),
+    "w0=-10**8": (
+        lambda: decompress_any(_count_sum_frame(-149, 1, w0=-(10**8))),
+        r"count_sum: limb window \[-100000000, -99999999\) is outside",
+    ),
+    "sexp=-10**9": (
+        lambda: decompress_any(_count_sum_frame(-(10**9), 1)),
+        r"count_sum: grid exponent -1000000000 is not the <f4 grid -149",
+    ),
+    "sexp=2000": (
+        lambda: decompress_any(_count_sum_frame(2000, 1)),
+        r"count_sum: grid exponent 2000 is not the <f4 grid -149",
+    ),
+    "wlen=40": (
+        lambda: decompress_any(_count_sum_frame(-149, 40)),
+        r"count_sum: limb window \[0, 40\) is outside \[0, 10\)",
+    ),
+    "agg_sum w0 10**9 apart": (
+        lambda: agg_sum(_count_sum_frame(-149, 1), _count_sum_frame(-149, 1, w0=10**9)),
+        r"count_sum: limb window \[1000000000, 1000000001\) is outside",
+    ),
+    "cdtype=not-a-dtype": (
+        lambda: decompress_any(_quant_sum_frame("not-a-dtype", 1)),
+        r"quant_sum: code dtype 'not-a-dtype' is not a signed integer",
+    ),
+    "cdtype=<f2": (
+        lambda: decompress_any(_quant_sum_frame("<f2", 2)),
+        r"quant_sum: code dtype '<f2' is not a signed integer",
+    ),
+}
+
+#: address-space cap and per-decode alarm of the hostile-header decodes
+HOSTILE_ADDRESS_SPACE = 2 << 30
+HOSTILE_SECONDS = 0.5
+
+
+def hostile_outcomes() -> dict[str, str]:
+    """Decode every :data:`HOSTILE_HEADERS` input in this process under
+    ``RLIMIT_AS`` and an alarm: ``{case: outcome}``, the outcome being the
+    raised exception's type and message, ``"decoded"`` or ``"hang"``."""
+    import resource
+    import signal
+
+    def on_alarm(signum, frame):
+        raise TimeoutError
+
+    resource.setrlimit(resource.RLIMIT_AS, (HOSTILE_ADDRESS_SPACE, HOSTILE_ADDRESS_SPACE))
+    signal.signal(signal.SIGALRM, on_alarm)
+    outcomes = {}
+    for case, (decode, _) in HOSTILE_HEADERS.items():
+        signal.setitimer(signal.ITIMER_REAL, HOSTILE_SECONDS)
+        try:
+            decode()
+            outcomes[case] = "decoded"
+        except TimeoutError:
+            outcomes[case] = "hang"
+        except Exception as exc:  # the outcome under test, whatever it is
+            outcomes[case] = f"{type(exc).__name__}: {exc}"
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    return outcomes
 
 
 class TestCountSumOverflowRaisesCorruptPayloadError:
@@ -504,15 +589,30 @@ class TestCountSumOverflowRaisesCorruptPayloadError:
     inside the float64 range, so a sum that overflows it on the exact
     decode path comes from a corrupt header.  Both exact branches once let
     the overflow out untyped: ``float(m * mul)`` as a bare
-    ``OverflowError``, ``m / den`` as a bare ``ValueError``."""
+    ``OverflowError``, ``m / den`` as a bare ``ValueError``.  A header whose
+    grid exponent or limb window no encoder writes is rejected before any
+    shift or allocation it sizes; each such case runs in a subprocess under
+    ``RLIMIT_AS`` and a :data:`HOSTILE_SECONDS` alarm."""
 
-    def test_huge_grid_exponent(self):
+    def test_the_widest_float64_window_overflows(self):
         with pytest.raises(CorruptPayloadError, match=r"^count_sum: aggregated sum overflows"):
-            decompress_any(_count_sum_frame(sexp=2000, wlen=1))
+            decompress_any(_count_sum_frame(-1074, 66, dtype=np.float64))
 
-    def test_too_many_limbs_at_the_grid_exponent(self):
-        with pytest.raises(CorruptPayloadError, match=r"^count_sum: aggregated sum overflows"):
-            decompress_any(_count_sum_frame(sexp=-149, wlen=40))
+    @pytest.fixture(scope="class")
+    def hostile(self) -> dict[str, str]:
+        import repro
+
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(repro.__file__).parents[1]), str(root)]))
+        done = subprocess.run(
+            [sys.executable, __file__], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    @pytest.mark.parametrize("case", HOSTILE_HEADERS)
+    def test_a_hostile_header_is_rejected_before_it_is_used(self, hostile, case):
+        assert re.match(f"CorruptPayloadError: {HOSTILE_HEADERS[case][1]}", hostile[case]), hostile[case]
 
 
 def _reframe(payload: bytes, **overrides) -> bytes:
@@ -611,3 +711,7 @@ class TestHostileHuffman:
             decompress_any(_reframe(payload, shape=(1 << 40, 6)))
         with pytest.raises(CorruptPayloadError, match="code_min .* is not an int64"):
             decompress_any(_reframe(payload, code_min=-(1 << 64)))
+
+
+if __name__ == "__main__":
+    print(json.dumps(hostile_outcomes()))

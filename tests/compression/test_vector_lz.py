@@ -9,11 +9,22 @@ from hypothesis import strategies as st
 
 from repro.compression.vector_lz import (
     VectorLZCompressor,
+    VectorLZEncoded,
     find_vector_matches,
     vector_lz_decode,
     vector_lz_encode,
+    vector_lz_encode_stack,
 )
 from tests.conftest import make_hot_batch
+
+
+def encode(codes: np.ndarray, window: int) -> VectorLZEncoded:
+    """``codes`` encoded alone at ``window``."""
+    return vector_lz_encode_stack(np.asarray(codes)[None], window)[0]
+
+
+def nbytes(encoded: VectorLZEncoded) -> int:
+    return encoded.flags.nbytes + encoded.offsets.nbytes + encoded.literals.nbytes
 
 
 class TestFindMatches:
@@ -59,7 +70,7 @@ class TestEncodeDecode:
         rng = np.random.default_rng(0)
         pool = rng.integers(0, 100, size=(10, 16))
         codes = pool[rng.integers(0, 10, size=200)]
-        encoded = vector_lz_encode(codes, window=255)
+        encoded = encode(codes, 255)
         np.testing.assert_array_equal(vector_lz_decode(encoded), codes)
         assert encoded.n_matches > 150
 
@@ -88,8 +99,18 @@ class TestEncodeDecode:
     def test_chained_matches(self):
         """A row matching a row that was itself a match decodes correctly."""
         codes = np.array([[5, 5], [5, 5], [5, 5], [1, 1], [5, 5]])
-        encoded = vector_lz_encode(codes, window=2)
+        encoded = encode(codes, 2)
         np.testing.assert_array_equal(vector_lz_decode(encoded), codes)
+
+    def test_encode_runs_at_the_default_window(self):
+        from repro.compression.vector_lz import DEFAULT_WINDOW
+
+        codes = np.arange(8 * 300).reshape(300, 8) % (8 * 260)
+        default = vector_lz_encode(codes)
+        assert default.window == DEFAULT_WINDOW
+        assert default.flags.tobytes() == encode(codes, DEFAULT_WINDOW).flags.tobytes()
+        assert default.n_matches == 0  # each repeat is 260 rows back, past the window
+        assert encode(codes, 260).n_matches == 40
 
     def test_rejects_negative_codes(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -102,7 +123,7 @@ class TestEncodeDecode:
     def test_compressed_size_shrinks_with_repeats(self):
         unique = np.arange(1600).reshape(100, 16)
         repeated = np.tile(np.arange(16), (100, 1))
-        assert vector_lz_encode(repeated).nbytes < vector_lz_encode(unique).nbytes / 5
+        assert nbytes(vector_lz_encode(repeated)) < nbytes(vector_lz_encode(unique)) / 5
 
     def test_window_growth_finds_more_matches(self):
         """More matches with a larger window (Table VI's mechanism)."""
@@ -110,10 +131,10 @@ class TestEncodeDecode:
         # Rows recur with gaps larger than the small window.
         pool = rng.integers(0, 50, size=(60, 8))
         codes = pool[rng.integers(0, 60, size=500)]
-        small = vector_lz_encode(codes, window=32)
-        large = vector_lz_encode(codes, window=255)
+        small = encode(codes, 32)
+        large = encode(codes, 255)
         assert large.n_matches >= small.n_matches
-        assert large.nbytes <= small.nbytes
+        assert nbytes(large) <= nbytes(small)
 
     @given(
         st.integers(min_value=1, max_value=40),
@@ -127,7 +148,7 @@ class TestEncodeDecode:
         rng = np.random.default_rng(seed)
         pool = rng.integers(0, 1000, size=(pool_size, d))
         codes = pool[rng.integers(0, pool_size, size=n)]
-        encoded = vector_lz_encode(codes, window=window)
+        encoded = encode(codes, window)
         np.testing.assert_array_equal(vector_lz_decode(encoded), codes)
 
 

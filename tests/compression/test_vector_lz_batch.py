@@ -24,7 +24,7 @@ from repro.compression.bitstream import (
     unpack_fixed,
     unpack_fixed_segments,
 )
-from repro.compression.quantizer import quantize_batch
+from repro.compression.quantizer import quantize
 from repro.compression.registry import decompress_any
 from repro.compression.serialization import CorruptPayloadError
 from repro.compression.vector_lz import (
@@ -38,11 +38,12 @@ from tests.compression.reference_codecs import reference_vector_lz_encode
 
 def _reference_compress(array: np.ndarray, error_bound: float, window: int) -> bytes:
     """The payload the pre-batching compressor produced for one slice."""
-    batch = quantize_batch(array, error_bound, max_alphabet=1 << 57)
-    encoded = reference_vector_lz_encode(batch.codes, window)
+    codes = quantize(array, error_bound)  # no alphabet cap, like vector-LZ's own
+    code_min = int(codes.min()) if codes.size else 0
+    encoded = reference_vector_lz_encode(codes - code_min, window)
     meta = {
-        "eb": batch.error_bound,
-        "code_min": batch.code_min,
+        "eb": float(error_bound),
+        "code_min": code_min,
         "window": encoded.window,
         "n_matches": encoded.n_matches,
         "offset_width": encoded.offset_width,
@@ -149,10 +150,10 @@ class TestBatchIdentity:
         rng = np.random.default_rng(9)
         codes = rng.integers(0, 9, size=(6, 30, 5))
         codes[:, 10:20] = codes[:, 0:10]
-        streams = vector_lz_encode_stack(codes, window=12)
+        streams = vector_lz_encode_stack(codes)
         for s, stream in enumerate(streams):
-            single = vector_lz_encode(codes[s], window=12)
-            oracle = reference_vector_lz_encode(codes[s], window=12)
+            single = vector_lz_encode(codes[s])
+            oracle = reference_vector_lz_encode(codes[s])
             for other in (single, oracle):
                 assert stream.flags.tobytes() == other.flags.tobytes()
                 assert stream.offsets.tobytes() == other.offsets.tobytes()

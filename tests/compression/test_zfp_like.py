@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.baselines.zfp_like import (
+    RATE,
     ZfpLikeCompressor,
     block_transform,
     inverse_block_transform,
@@ -38,42 +39,31 @@ class TestBlockTransform:
 
 
 class TestZfpLike:
-    def test_error_decreases_with_rate(self, gaussian_batch):
-        errors = []
-        for rate in (4, 8, 12, 16):
-            codec = ZfpLikeCompressor(rate=rate)
-            rec = codec.decompress(codec.compress(gaussian_batch))
-            errors.append(np.abs(gaussian_batch - rec).max())
-        assert errors == sorted(errors, reverse=True)
-        assert errors[-1] < errors[0] / 100
-
     def test_ratio_tracks_rate(self, gaussian_batch):
-        for rate in (4, 8, 16):
-            codec = ZfpLikeCompressor(rate=rate)
-            payload = codec.compress(gaussian_batch)
-            ratio = gaussian_batch.nbytes / len(payload)
-            # 32/rate minus per-block header overhead (2 bytes per 16-byte
-            # block: exponent + shift), which bites hardest at low rates.
-            assert 0.45 * 32 / rate < ratio <= 32 / rate
+        payload = ZfpLikeCompressor().compress(gaussian_batch)
+        ratio = gaussian_batch.nbytes / len(payload)
+        # 32/RATE minus per-block header overhead (2 bytes per 16-byte
+        # block: exponent + shift).
+        assert 0.45 * 32 / RATE < ratio <= 32 / RATE
 
     def test_fixed_rate_independent_of_content(self, rng):
         """The defining fixed-rate property: payload size does not depend on
         the data (unlike the error-bounded codecs)."""
-        codec = ZfpLikeCompressor(rate=8)
+        codec = ZfpLikeCompressor()
         smooth = np.zeros((64, 32), dtype=np.float32)
         noisy = rng.uniform(-10, 10, size=(64, 32)).astype(np.float32)
         assert len(codec.compress(smooth)) == len(codec.compress(noisy))
 
     def test_relative_error_bounded_by_rate(self, rng):
-        """Per-block relative error shrinks ~2x per extra bit."""
+        """Per-block relative error is ~2**-RATE."""
         data = rng.normal(0, 1.0, size=(128, 32)).astype(np.float32)
-        codec = ZfpLikeCompressor(rate=12)
+        codec = ZfpLikeCompressor()
         rec = codec.decompress(codec.compress(data))
         rel = np.abs(data - rec).max() / np.abs(data).max()
-        assert rel < 2.0 ** -(12 - 4)  # sign bit + transform growth margin
+        assert rel < 2.0 ** -(RATE - 4)  # sign bit + transform growth margin
 
     def test_non_multiple_of_block_sizes(self, rng):
-        codec = ZfpLikeCompressor(rate=10)
+        codec = ZfpLikeCompressor()
         for shape in [(1, 1), (3, 5), (7, 13), (2, 31)]:
             data = rng.normal(0, 0.1, size=shape).astype(np.float32)
             rec = codec.decompress(codec.compress(data))
@@ -81,19 +71,13 @@ class TestZfpLike:
             assert np.abs(data - rec).max() < 0.01
 
     def test_zero_input_exact(self):
-        codec = ZfpLikeCompressor(rate=4)
+        codec = ZfpLikeCompressor()
         data = np.zeros((8, 8), dtype=np.float32)
         np.testing.assert_array_equal(codec.decompress(codec.compress(data)), data)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             ZfpLikeCompressor().compress(np.array([[np.nan, 0, 0, 0]], dtype=np.float32))
-
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            ZfpLikeCompressor(rate=1)
-        with pytest.raises(ValueError):
-            ZfpLikeCompressor(rate=29)
 
     def test_registered(self):
         from repro.compression import decompress_any, get_compressor
@@ -104,18 +88,17 @@ class TestZfpLike:
         assert rec.shape == data.shape
 
     @given(
-        st.integers(min_value=2, max_value=28),
         st.integers(min_value=1, max_value=200),
         st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=40, deadline=None)
-    def test_roundtrip_shape_and_sanity(self, rate, n, seed):
+    def test_roundtrip_shape_and_sanity(self, n, seed):
         rng = np.random.default_rng(seed)
         data = rng.normal(0, 0.5, size=(n, 3)).astype(np.float32)
-        codec = ZfpLikeCompressor(rate=rate)
+        codec = ZfpLikeCompressor()
         rec = codec.decompress(codec.compress(data))
         assert rec.shape == data.shape
         assert np.isfinite(rec).all()
         # Reconstruction error bounded by block magnitude at worst.
         scale = max(float(np.abs(data).max()), 1e-6)
-        assert np.abs(data - rec).max() <= scale * 2.0 ** max(4 - rate, -20) * 16 + 1e-6
+        assert np.abs(data - rec).max() <= scale * 2.0 ** (4 - RATE) * 16 + 1e-6

@@ -103,3 +103,14 @@ def decoded_table(server, table_id: int) -> np.ndarray:
 def cached_tables(replica) -> set[int]:
     """The tables a replica's hot-row cache holds rows of."""
     return {table_id for table_id, _ in replica._cache}
+
+
+def cached_rows(replica) -> int:
+    """The number of rows a replica's hot-row cache holds."""
+    return len(replica._cache)
+
+
+def hit_rate(replica) -> float:
+    """A replica's cache hits over its lookups so far."""
+    lookups = replica.hits + replica.misses
+    return replica.hits / lookups if lookups else 0.0

@@ -100,7 +100,7 @@ class TestScaledSpec:
 
 class TestUniformSpec:
     def test_shape(self):
-        spec = make_uniform_spec("t", n_tables=4, cardinality=50, n_dense=7)
+        spec = make_uniform_spec("t", n_tables=4, cardinality=50)
         assert spec.n_tables == 4
-        assert spec.n_dense == 7
+        assert spec.n_dense == 13
         assert all(t.cardinality == 50 for t in spec.tables)

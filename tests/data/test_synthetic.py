@@ -101,18 +101,9 @@ class TestSyntheticClickDataset:
             overall = batch.labels.mean()
             assert 0.02 < overall < 0.98
 
-    def test_slice(self, dataset):
-        batch = dataset.batch(64)
-        part = batch.slice(16, 32)
-        assert part.batch_size == 16
-        np.testing.assert_array_equal(part.dense, batch.dense[16:32])
-
     def test_rejects_bad_sizes(self, dataset):
         with pytest.raises(ValueError):
             dataset.batch(0)
-        spec = make_uniform_spec("t", 1, 10)
-        with pytest.raises(ValueError):
-            SyntheticClickDataset(spec, n_samples=0)
 
     def test_dense_weight_moves_labels_not_features(self):
         spec = make_uniform_spec("w", 3, 50)

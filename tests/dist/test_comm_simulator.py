@@ -20,7 +20,6 @@ from repro.dist import (
     Communicator,
     EventCategory,
     NetworkModel,
-    payload_nbytes,
 )
 from repro.faults import FaultInjector, FaultPlan, LinkFault
 from tests.conftest import events_in
@@ -37,18 +36,33 @@ def rank_buffers(n: int, rng: np.random.Generator) -> list[list[np.ndarray]]:
     ]
 
 
-class TestPayloadNbytes:
-    def test_sizes(self):
-        assert payload_nbytes(b"abcd") == 4
-        assert payload_nbytes(bytearray(7)) == 7
-        assert payload_nbytes(np.zeros((2, 3), dtype=np.float32)) == 24
+def exchange_makespan(payload: object) -> float:
+    """Makespan of one 4-rank all-to-all in which every pair posts ``payload``."""
+    sim = ClusterSimulator(4, network=NetworkModel(bandwidth=1e9, latency=1e-6))
+    sim.comm.all_to_all([[payload] * 4 for _ in range(4)])
+    return sim.makespan()
 
-    def test_memoryview_counts_bytes_not_items(self):
-        assert payload_nbytes(memoryview(np.zeros(10, dtype=np.float64))) == 80
+
+class TestPayloadSizes:
+    """A buffer costs the wire time of a byte string of its size."""
+
+    @pytest.mark.parametrize(
+        "payload, nbytes",
+        [
+            (b"abcd", 4),
+            (bytearray(7), 7),
+            (np.zeros((2, 3), dtype=np.float32), 24),
+            (memoryview(np.zeros(10, dtype=np.float64)), 80),  # bytes, not items
+            ([b"abc", np.zeros(5, dtype=np.uint8)], 8),  # a mixed run of slices
+            ([b"ab", [b"c", np.zeros(2, dtype=np.int64)]], 19),  # a nested slice
+        ],
+    )
+    def test_sizes(self, payload, nbytes):
+        assert exchange_makespan(payload) == exchange_makespan(b"z" * nbytes)
 
     def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            payload_nbytes(12345)
+        with pytest.raises(TypeError, match="int"):
+            exchange_makespan(12345)
 
 
 class TestAllToAll:
@@ -466,7 +480,6 @@ class TestMultiPayload:
         sendbufs = [
             [[b"a" * 3, b"b" * 5] for _ in range(4)] for _ in range(4)
         ]
-        assert payload_nbytes(sendbufs[0][0]) == 8
         received = sim.comm.all_to_all(sendbufs)
         assert received[1][2] == [b"a" * 3, b"b" * 5]
 

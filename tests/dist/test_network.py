@@ -174,6 +174,14 @@ class TestLinkSpec:
 
 
 class TestTopology:
+    def test_a_topology_model_is_a_usable_dict_key(self):
+        """A topology compares and hashes by identity, so a frozen model
+        carrying one stays hashable."""
+        topo = Topology.hierarchical(2, 4)
+        model = NetworkModel.from_topology(topo)
+        assert {model: 1}[NetworkModel.from_topology(topo)] == 1
+        assert topo == topo and topo != Topology.hierarchical(2, 4)
+
     def test_hierarchical_structure(self):
         topo = Topology.hierarchical(2, 4)
         assert topo.n_ranks == 8

@@ -50,7 +50,7 @@ def build_replicas(model, cache_rows=256, n_replicas=2, keep_stale=False):
     sharding = round_robin_plan(N_TABLES, 2)
     servers = [
         EmbeddingShardServer.from_model(
-            model, sharding.tables_of(rank), error_bound=1e-2, rows_per_block=32
+            model, sharding.tables_of(rank), rows_per_block=32
         )
         for rank in range(2)
     ]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import RetryPolicy
+from repro.utils.rng import spawn_rng
 
 
 class TestDeterminism:
@@ -39,26 +40,22 @@ class TestSchedule:
     def test_attempt_zero_never_waits(self):
         assert RetryPolicy(seed=5).backoff_seconds(0, "x") == 0.0
 
-    def test_exponential_growth_without_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=5,
-            base_backoff_seconds=0.001,
-            backoff_factor=2.0,
-            max_backoff_seconds=1.0,
-            jitter_fraction=0.0,
-        )
-        waits = [policy.backoff_seconds(i) for i in range(1, 5)]
-        assert waits == [0.001, 0.002, 0.004, 0.008]
+    def test_exponential_growth_under_jitter(self):
+        """Each wait doubles the nominal one before it, times the jitter
+        factor its ``(seed, key, attempt)`` draws."""
+        policy = RetryPolicy(max_attempts=5, base_backoff_seconds=0.001)
+        for attempt, nominal in zip(range(1, 5), [0.001, 0.002, 0.004, 0.008]):
+            jitter = float(spawn_rng(0, "retry", attempt).uniform(0.75, 1.25))
+            assert policy.backoff_seconds(attempt) == nominal * jitter
 
     def test_cap_applies(self):
-        policy = RetryPolicy(
-            max_attempts=10,
-            base_backoff_seconds=0.01,
-            backoff_factor=10.0,
-            max_backoff_seconds=0.05,
-            jitter_fraction=0.0,
-        )
-        assert policy.backoff_seconds(9) == 0.05
+        policy = RetryPolicy(max_attempts=10, base_backoff_seconds=0.01)
+        jitter = float(spawn_rng(0, "retry", 9).uniform(0.75, 1.25))
+        assert policy.backoff_seconds(9) == 0.1 * jitter
+
+    def test_zero_base_never_waits(self):
+        policy = RetryPolicy(base_backoff_seconds=0.0)
+        assert [policy.backoff_seconds(i, "x") for i in range(4)] == [0.0] * 4
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -66,26 +63,10 @@ class TestSchedule:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_jitter_stays_within_fraction(self, attempt, seed):
-        policy = RetryPolicy(
-            max_attempts=9,
-            base_backoff_seconds=0.002,
-            max_backoff_seconds=0.1,
-            jitter_fraction=0.25,
-            seed=seed,
-        )
+        policy = RetryPolicy(max_attempts=9, base_backoff_seconds=0.002, seed=seed)
         nominal = min(0.002 * 2.0 ** (attempt - 1), 0.1)
         wait = policy.backoff_seconds(attempt, "hyp")
         assert 0.75 * nominal <= wait <= 1.25 * nominal
-
-    def test_allows_is_bounded_by_max_attempts(self):
-        policy = RetryPolicy(max_attempts=3)
-        assert [policy.allows(i) for i in range(-1, 4)] == [
-            False,
-            True,
-            True,
-            True,
-            False,
-        ]
 
 
 class TestValidation:
@@ -94,8 +75,6 @@ class TestValidation:
         [
             {"max_attempts": 0},
             {"timeout_seconds": 0.0},
-            {"backoff_factor": 0.5},
-            {"jitter_fraction": 1.0},
             {"base_backoff_seconds": -1e-3},
         ],
     )

@@ -121,6 +121,15 @@ class TestForward:
             model.forward_interaction(model.forward_dense(dense), rows)
 
 
+def backward(model: DLRM, dlogits: np.ndarray, sparse: np.ndarray) -> None:
+    """The full backward pass a trainer runs stage by stage: interaction,
+    dense MLPs, then each table's embedding gradient."""
+    d_bottom, d_emb = model.backward_interaction(dlogits)
+    model.backward_dense(d_bottom)
+    for j in range(model.config.n_tables):
+        model.accumulate_embedding_grad(j, sparse[:, j], d_emb[j])
+
+
 class TestBackward:
     def test_full_gradcheck_mlp_weight(self, tiny_config, tiny_batch):
         dense, sparse, labels = tiny_batch
@@ -135,7 +144,7 @@ class TestBackward:
         logits = model.forward(dense, sparse)
         for p in model.parameters():
             p.zero_grad()
-        model.backward(bce_grad(logits, labels))
+        backward(model, bce_grad(logits, labels), sparse)
         assert relative_error(w.grad, numeric) < 1e-5
 
     def test_full_gradcheck_embedding(self, tiny_config, tiny_batch):
@@ -151,7 +160,7 @@ class TestBackward:
         logits = model.forward(dense, sparse)
         for p in model.parameters():
             p.zero_grad()
-        model.backward(bce_grad(logits, labels))
+        backward(model, bce_grad(logits, labels), sparse)
         # float32 lookups in the forward pass put a floor on the agreement
         # achievable by float64 central differences.
         assert relative_error(w.grad, numeric) < 1e-2
@@ -162,7 +171,7 @@ class TestBackward:
         logits = model.forward(dense, sparse)
         for p in model.parameters():
             p.zero_grad()
-        model.backward(bce_grad(logits, labels))
+        backward(model, bce_grad(logits, labels), sparse)
         used = set(sparse[:, 0].tolist())
         for row in range(tiny_config.table_cardinalities[0]):
             if row not in used:

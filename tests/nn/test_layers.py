@@ -164,6 +164,15 @@ class TestActivationsAndMLP:
         with pytest.raises(ValueError):
             MLP([4, 2], np.random.default_rng(0), final_activation="tanh")
 
+    @pytest.mark.parametrize("final, last", [("relu", ReLU), ("none", Linear)])
+    def test_final_activation_is_relu_or_nothing(self, final, last):
+        mlp = MLP([4, 8, 2], np.random.default_rng(0), final_activation=final)
+        assert type(mlp.layers[-1]) is last
+
+    def test_sigmoid_final_activation_rejected(self):
+        with pytest.raises(ValueError, match="final_activation"):
+            MLP([4, 2], np.random.default_rng(0), final_activation="sigmoid")
+
 
 class TestEmbeddingTable:
     def test_lookup_dtype_and_shape(self):

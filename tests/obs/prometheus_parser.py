@@ -2,9 +2,9 @@
 
 :func:`from_prometheus` reads :func:`repro.obs.exporters.to_prometheus`
 output back into a :class:`~repro.obs.registry.RegistrySnapshot`.  The
-result equals the exported snapshot's ``scrub_exact()`` view — exact
+result equals the exported snapshot's :func:`scrub_exact` view — exact
 reservoirs are the one thing the exposition format drops — so
-``from_prometheus(to_prometheus(s)) == s.scrub_exact()`` is the law the
+``from_prometheus(to_prometheus(s)) == scrub_exact(s)`` is the law the
 exporter tests pin.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 from repro.obs.registry import (
     HistogramData,
@@ -20,6 +21,20 @@ from repro.obs.registry import (
     _FamilySnapshot,
     _freeze_series,
 )
+
+
+def scrub_exact(snapshot: RegistrySnapshot) -> RegistrySnapshot:
+    """``snapshot`` with every histogram's exact reservoir dropped: the
+    bucket-only view the Prometheus exposition preserves."""
+    families = []
+    for name, fam in snapshot.families:
+        if fam.kind == "histogram":
+            series = _freeze_series(
+                {key: replace(data, exact=None, exact_limit=0) for key, data in fam.series}
+            )
+            fam = _FamilySnapshot(kind=fam.kind, help=fam.help, series=series)
+        families.append((name, fam))
+    return RegistrySnapshot(families=tuple(families))
 
 
 def _unesc_label(value: str) -> str:
@@ -85,7 +100,7 @@ class _HistogramAccumulator:
 def from_prometheus(text: str) -> RegistrySnapshot:
     """Parse :func:`to_prometheus` output back into a snapshot.
 
-    The result equals the exported snapshot's :meth:`scrub_exact` view —
+    The result equals the exported snapshot's :func:`scrub_exact` view —
     exact reservoirs are the one thing the exposition format drops.
     """
     kinds: dict[str, str] = {}

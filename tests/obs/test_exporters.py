@@ -4,7 +4,7 @@ The two fidelity laws:
 
 * JSON is lossless: ``snapshot_from_json(snapshot_to_json(s)) == s``.
 * Prometheus keeps buckets but not reservoirs:
-  ``from_prometheus(to_prometheus(s)) == s.scrub_exact()``.
+  ``from_prometheus(to_prometheus(s)) == scrub_exact(s)``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.obs.exporters import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.schema import SnapshotSchemaError, validate_snapshot_json
-from tests.obs.prometheus_parser import from_prometheus
+from tests.obs.prometheus_parser import from_prometheus, scrub_exact
 
 
 def populated_registry() -> MetricsRegistry:
@@ -48,7 +48,7 @@ def _build_registry(counter_incs, hist_obs):
     reg = MetricsRegistry()
     for label, v in counter_incs:
         reg.counter("ops_total").inc(v, kind=label)
-    h = reg.histogram("dist", bounds=(1.0, 10.0, 100.0), exact_limit=8)
+    h = reg.histogram("dist", bounds=(1.0, 10.0, 100.0))
     for v in hist_obs:
         h.observe(v)
     return reg
@@ -65,6 +65,19 @@ class TestJsonRoundTrip:
     def test_lossless(self):
         snap = populated_registry().snapshot()
         assert snapshot_from_json(snapshot_to_json(snap)) == snap
+
+    def test_histograms_carry_the_fixed_reservoir_limit(self):
+        from repro.obs.registry import DEFAULT_EXACT_LIMIT
+
+        doc = json.loads(snapshot_to_json(populated_registry().snapshot()))
+        histograms = [
+            series["histogram"]
+            for family in doc["families"]
+            if family["kind"] == "histogram"
+            for series in family["series"]
+        ]
+        assert histograms
+        assert {h["exact_limit"] for h in histograms} == {DEFAULT_EXACT_LIMIT}
 
     def test_json_carries_schema_id(self):
         doc = json.loads(snapshot_to_json(populated_registry().snapshot()))
@@ -84,7 +97,7 @@ class TestJsonRoundTrip:
 class TestPrometheusRoundTrip:
     def test_scrub_law(self):
         snap = populated_registry().snapshot()
-        assert from_prometheus(to_prometheus(snap)) == snap.scrub_exact()
+        assert from_prometheus(to_prometheus(snap)) == scrub_exact(snap)
 
     def test_exposition_shape(self):
         text = to_prometheus(populated_registry().snapshot())
@@ -98,7 +111,7 @@ class TestPrometheusRoundTrip:
         reg = MetricsRegistry()
         reg.counter("odd_total").inc(1, path='a\\b "c"\nd')
         snap = reg.snapshot()
-        assert from_prometheus(to_prometheus(snap)) == snap.scrub_exact()
+        assert from_prometheus(to_prometheus(snap)) == scrub_exact(snap)
 
     def test_empty_label_set_round_trips(self):
         """A labelless series renders without braces and must come back
@@ -111,7 +124,7 @@ class TestPrometheusRoundTrip:
         text = to_prometheus(snap)
         assert "bare_total 7" in text
         assert "bare_total{" not in text
-        assert from_prometheus(text) == snap.scrub_exact()
+        assert from_prometheus(text) == scrub_exact(snap)
 
     @pytest.mark.parametrize("value", [
         "",                      # empty label value
@@ -128,7 +141,7 @@ class TestPrometheusRoundTrip:
         reg = MetricsRegistry()
         reg.counter("edge_total").inc(3, key=value)
         snap = reg.snapshot()
-        assert from_prometheus(to_prometheus(snap)) == snap.scrub_exact()
+        assert from_prometheus(to_prometheus(snap)) == scrub_exact(snap)
 
     def test_adversarial_labels_on_histograms_round_trip(self):
         reg = MetricsRegistry()
@@ -136,7 +149,7 @@ class TestPrometheusRoundTrip:
         h.observe(0.5, path='a\\b "c"\nd')
         h.observe(20.0, path='a\\b "c"\nd')
         snap = reg.snapshot()
-        assert from_prometheus(to_prometheus(snap)) == snap.scrub_exact()
+        assert from_prometheus(to_prometheus(snap)) == scrub_exact(snap)
 
     @given(st.text(max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -150,7 +163,7 @@ class TestPrometheusRoundTrip:
     @settings(max_examples=40, deadline=None)
     def test_scrub_law_property(self, reg):
         snap = reg.snapshot()
-        assert from_prometheus(to_prometheus(snap)) == snap.scrub_exact()
+        assert from_prometheus(to_prometheus(snap)) == scrub_exact(snap)
 
     def test_both_exporters_agree_on_the_same_snapshot(self):
         """The acceptance criterion: one snapshot through both formats
@@ -158,7 +171,7 @@ class TestPrometheusRoundTrip:
         snap = populated_registry().snapshot()
         via_json = snapshot_from_json(snapshot_to_json(snap))
         via_prom = from_prometheus(to_prometheus(snap))
-        assert via_json.scrub_exact() == via_prom
+        assert scrub_exact(via_json) == via_prom
 
 
 class TestSchemaValidation:

@@ -44,7 +44,7 @@ class TestDisabledIsInvisible:
         reg = MetricsRegistry()
         trainer = make_trainer()
         trainer.train_step(32, iteration=0)  # runs with OBS disabled
-        assert reg.names() == []
+        assert reg.snapshot().families == ()
 
     def test_enabled_and_disabled_runs_agree_numerically(self):
         losses_off = []
@@ -105,7 +105,7 @@ class TestCommInstrumentation:
             trainer.train_step(32, iteration=0)
         snap = reg.snapshot()
         assert snap.counter_value("comm_exchanges_total", mode="overlapped") >= 1
-        names = set(snap.names())
+        names = set(dict(snap.families))
         assert "comm_wire_stall_seconds_total" in names
         assert "comm_wire_hidden_seconds_total" in names
 

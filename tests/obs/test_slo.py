@@ -37,10 +37,10 @@ def _spec(**overrides) -> SLOSpec:
 
 class TestSpecValidation:
     def test_defaults_are_the_google_multiwindow_pair(self):
-        spec = _spec()
+        spec = SLOSpec(name="m", source="feed", threshold=1.0)
         assert spec.fast_burn == 14.4
         assert spec.slow_burn == 6.0
-        assert spec.budget == pytest.approx(0.01)
+        assert spec.objective == 0.99
 
     @pytest.mark.parametrize("overrides", [
         {"name": ""},
@@ -57,8 +57,9 @@ class TestSpecValidation:
             _spec(**overrides)
 
     def test_objective_one_is_legal_zero_budget(self):
-        spec = _spec(objective=1.0)
-        assert spec.budget == 0.0
+        monitor = BurnRateMonitor(_spec(objective=1.0))
+        monitor.observe(0.5, 0.0)  # good
+        assert monitor.burn_rate(1.0, now=1.0) == 0.0
 
 
 class TestWindowSemantics:
@@ -140,7 +141,7 @@ class TestMultiWindowFiring:
         monitor = BurnRateMonitor(_spec())
         for t in (0.2, 0.4, 0.6, 9.8):
             monitor.observe(t, 2.0)  # every observation bad
-        state = monitor.state(now=10.0)
+        state = monitor.state()
         assert state.fast_burn_rate >= monitor.spec.fast_burn
         assert state.slow_burn_rate >= monitor.spec.slow_burn
         assert state.firing
@@ -152,7 +153,8 @@ class TestMultiWindowFiring:
         for i in range(100):
             monitor.observe(0.5 + i * 0.09, 0.0)
         monitor.observe(9.95, 2.0)
-        state = monitor.state(now=10.0)
+        monitor.observe(9.99, 2.0)
+        state = monitor.state()
         assert state.fast_burn_rate >= monitor.spec.fast_burn
         assert state.slow_burn_rate < monitor.spec.slow_burn
         assert not state.firing
@@ -162,7 +164,7 @@ class TestMultiWindowFiring:
         for t in (0.5, 1.5, 2.5):
             monitor.observe(t, 2.0)  # old badness, outside the fast window
         monitor.observe(9.5, 0.0)  # the fast window sees only good
-        state = monitor.state(now=10.0)
+        state = monitor.state()
         assert state.fast_burn_rate < monitor.spec.fast_burn
         assert state.slow_burn_rate >= monitor.spec.slow_burn
         assert not state.firing
@@ -171,30 +173,38 @@ class TestMultiWindowFiring:
         monitor = BurnRateMonitor(_spec())
         monitor.observe(0.1, 2.0)
         monitor.observe(5.0, 0.0)
-        state = monitor.state(now=10.0)
+        state = monitor.state()
         assert state.samples == 2
         assert state.bad_samples == 1
 
     def test_state_json_maps_inf_to_string(self):
         monitor = BurnRateMonitor(_spec(objective=1.0))
         monitor.observe(9.9, 2.0)
-        doc = monitor.state(now=10.0).to_json_dict()
+        doc = monitor.state().to_json_dict()
         assert doc["fast_burn_rate"] == "inf"
         assert doc["slow_burn_rate"] == "inf"
         assert doc["firing"] is True  # inf exceeds any threshold pair
 
 
 class TestSloHub:
+    def test_each_monitor_is_evaluated_at_its_own_last_sample(self):
+        early = BurnRateMonitor(_spec(name="early", source="a"))
+        late = BurnRateMonitor(_spec(name="late", source="b"))
+        hub = SloHub([early, late])
+        hub.feed("a", 0.5, 2.0)
+        hub.feed("b", 7.0, 0.0)
+        assert [(s.name, s.now) for s in hub.states()] == [("early", 0.5), ("late", 7.0)]
+        assert [s.name for s in hub.firing()] == ["early"]
+
     def test_feed_routes_by_source(self):
         serve = BurnRateMonitor(_spec(name="a", source="serve_latency"))
         train = BurnRateMonitor(_spec(name="b", source="train_step"))
-        hub = SloHub([serve])
-        assert hub.add(train) is train
+        hub = SloHub([serve, train])
         hub.feed("serve_latency", 0.5, 2.0)
         hub.feed("train_step", 0.5, 0.0)
         hub.feed("unknown_source", 0.5, 2.0)
-        assert len(serve) == 1
-        assert len(train) == 1
+        assert serve.window_counts(1.0, 0.5) == (1, 1)
+        assert train.window_counts(1.0, 0.5) == (1, 0)
 
     def test_firing_filters_states(self):
         hot = BurnRateMonitor(
@@ -204,9 +214,9 @@ class TestSloHub:
         cold = BurnRateMonitor(_spec(name="cold", source="s", threshold=5.0))
         hub = SloHub([hot, cold])
         hub.feed("s", 0.5, 2.0)
-        names = [state.name for state in hub.firing(now=1.0)]
+        names = [state.name for state in hub.firing()]
         assert names == ["hot"]
-        assert len(hub.states(now=1.0)) == 2
+        assert len(hub.states()) == 2
 
     def test_to_json_dict_carries_spec_and_state(self):
         hub = SloHub([BurnRateMonitor(_spec(name="m1", source="s1"))])
@@ -269,10 +279,8 @@ class TestLiveFeedIntegration:
 
     def test_all_three_tiers_fed_the_hub(self, result):
         assert result.slo is not None
-        by_name = {m.spec.name: m for m in result.slo.monitors}
-        assert len(by_name["serve_p99_latency"]) == 60
-        assert len(by_name["publish_staleness"]) == 1
-        assert len(by_name["train_step_time"]) == 2
+        samples = {state.name: state.samples for state in result.slo.states()}
+        assert samples == {"serve_p99_latency": 60, "publish_staleness": 1, "train_step_time": 2}
 
     def test_scenario_slos_hold(self, result):
         # The scenario's own budgets are sized to its workload: a firing

@@ -17,7 +17,7 @@ import pytest
 
 from repro.dist.timeline import OBS_STREAM, EventCategory, Timeline
 from repro.obs.registry import MetricsRegistry
-from repro.obs.runtime import OBS, capture, disable, enable, enabled
+from repro.obs.runtime import OBS, capture, disable, enable
 from repro.profiling.breakdown import overlap_report
 
 
@@ -48,17 +48,17 @@ class TestNoDoubleCounting:
 class TestRuntimeSwitch:
     def test_disabled_by_default_in_tests(self):
         assert not OBS.enabled
-        assert not enabled()
+        assert not OBS.enabled
 
     def test_enable_disable(self):
         reg = enable()
         try:
-            assert enabled()
+            assert OBS.enabled
             assert OBS.registry is reg
             assert isinstance(reg, MetricsRegistry)
         finally:
             disable()
-        assert not enabled()
+        assert not OBS.enabled
 
     def test_enable_accepts_existing_registry(self):
         mine = MetricsRegistry()
@@ -75,15 +75,15 @@ class TestRuntimeSwitch:
                 assert inner is not outer
                 assert OBS.registry is inner
             assert OBS.registry is outer
-            assert enabled()
+            assert OBS.enabled
         finally:
             disable()
 
     def test_capture_restores_disabled_state(self):
-        assert not enabled()
+        assert not OBS.enabled
         with capture():
-            assert enabled()
-        assert not enabled()
+            assert OBS.enabled
+        assert not OBS.enabled
 
 
 class TestTimelineCounterTracks:

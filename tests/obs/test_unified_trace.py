@@ -17,7 +17,7 @@ from repro.dist.timeline import EventCategory, Timeline
 from repro.obs.exporters import snapshot_from_json, snapshot_to_json, to_prometheus
 from repro.obs.scenario import build_day_world, run_day_in_the_life, write_artifacts
 from repro.obs.trace import unified_chrome_trace
-from tests.obs.prometheus_parser import from_prometheus
+from tests.obs.prometheus_parser import from_prometheus, scrub_exact
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +70,10 @@ class TestUnifiedTrace:
     def test_exporters_round_trip_the_same_run(self, result):
         snap = result.snapshot
         assert snapshot_from_json(snapshot_to_json(snap)) == snap
-        assert from_prometheus(to_prometheus(snap)) == snap.scrub_exact()
+        assert from_prometheus(to_prometheus(snap)) == scrub_exact(snap)
 
     def test_snapshot_covers_all_tiers(self, result):
-        names = set(result.snapshot.names())
+        names = set(dict(result.snapshot.families))
         assert {"train_iterations_total", "comm_seconds_total",
                 "pipeline_raw_bytes_total", "publish_rounds_total",
                 "serve_requests_total"} <= names

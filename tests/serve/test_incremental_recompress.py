@@ -145,7 +145,7 @@ class TestWorkProportionality:
         size = server.set_table(0, table.copy())
         assert calls == {"compress": 0, "stacks": []}
         assert block_bytes(server) == before
-        assert size == server.compressed_nbytes(0)
+        assert size == server._table(0).compressed_nbytes
 
     @pytest.mark.parametrize("codec", ["hybrid", "entropy"])
     def test_per_block_codec_encodes_each_dirty_block_once(self, monkeypatch, codec):

@@ -20,7 +20,7 @@ from repro.serve import (
     build_serving_tier,
 )
 from repro.train import CompressionPipeline, HybridParallelTrainer, ShardingPlan
-from tests.conftest import decoded_table
+from tests.conftest import cached_rows, decoded_table
 
 N_TABLES = 5
 CARDINALITY = 300
@@ -54,7 +54,7 @@ def lossless_tier(trainer, n_shard_ranks, n_replicas, cache_rows, **publisher_kw
         list(trainer.model.config.table_cardinalities), n_shard_ranks
     )
     servers = tuple(
-        EmbeddingShardServer.from_model(trainer.model, sharding.tables_of(rank), error_bound=0.0)
+        EmbeddingShardServer({t: trainer_table(trainer, t) for t in sharding.tables_of(rank)}, 0.0)
         for rank in range(n_shard_ranks)
     )
     replicas = tuple(InferenceReplica(i, servers, sharding, cache_rows) for i in range(n_replicas))
@@ -215,11 +215,11 @@ class TestReplicaInvalidation:
         tier = build_serving_tier(trainer, 2, 1, cache_rows=256)
         replica = tier.replicas[0]
         replica.gather(np.arange(N_TABLES) % CARDINALITY)
-        assert len(replica) == N_TABLES
+        assert cached_rows(replica) == N_TABLES
         trainer.train_step(64, iteration=0)
         evict_rows(trainer.model, range(N_TABLES), 3, 0, 0)
         tier.publisher.publish(iteration=0)
-        assert len(replica) == 0  # every table updated -> every row stale
+        assert cached_rows(replica) == 0  # every table updated -> every row stale
 
     def test_cache_refill_serves_fresh_rows(self, trainer):
         tier = lossless_tier(trainer, 2, 1, cache_rows=256)

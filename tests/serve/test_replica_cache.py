@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.serve import EmbeddingShardServer, InferenceReplica
-from tests.conftest import cached_tables, round_robin_plan
+from tests.conftest import cached_rows, cached_tables, hit_rate, round_robin_plan
 
 
 def make_tier(n_tables=4, rows=128, dim=8, n_shards=2, cache_rows=16, seed=0):
@@ -59,10 +59,10 @@ class TestCacheSemantics:
         replica, _, _ = make_tier(n_tables=1, n_shards=1, cache_rows=3)
         for row in (0, 1, 2):
             replica.gather(np.array([row]))
-        assert len(replica) == 3
+        assert cached_rows(replica) == 3
         replica.gather(np.array([0]))  # refresh row 0
         replica.gather(np.array([3]))  # evicts row 1 (least recent)
-        assert len(replica) == 3
+        assert cached_rows(replica) == 3
         assert replica.gather(np.array([0])).hits == 1
         assert replica.gather(np.array([1])).hits == 0  # evicted
 
@@ -71,7 +71,7 @@ class TestCacheSemantics:
         request = np.array([1, 2, 3, 4])
         replica.gather(request)
         assert replica.gather(request).hits == 0
-        assert len(replica) == 0
+        assert cached_rows(replica) == 0
 
     def test_invalidate_tables(self):
         replica, _, _ = make_tier()
@@ -93,7 +93,7 @@ class TestHitRateMonotonicity:
             replica, _, _ = make_tier(cache_rows=cache_rows)
             for request in trace:
                 replica.gather(request)
-            rates.append(replica.hit_rate)
+            rates.append(hit_rate(replica))
         assert rates == sorted(rates)
         assert rates[-1] > rates[1] > 0.0  # skew makes caching productive
 
@@ -109,7 +109,7 @@ class TestHitRateMonotonicity:
             replica, _, _ = make_tier(cache_rows=32)
             for request in trace:
                 replica.gather(np.asarray(request, dtype=np.int64))
-            rates[name] = replica.hit_rate
+            rates[name] = hit_rate(replica)
         assert rates["zipf"] > rates["uniform"] + 0.2
 
 

@@ -66,7 +66,7 @@ class TestSingleRowPull:
                 row_id = block_id * STEP + row
                 pull = server.pull(0, np.array([row_id]))
                 assert_bitwise_equal(pull.rows, decoded[row : row + 1])
-                assert pull.n_rows == 1
+                assert len(pull.rows) == 1
                 assert pull.codec == server.codec(0)
                 assert pull.blocks_touched == 1
                 assert pull.compressed_nbytes == len(block)
@@ -229,7 +229,7 @@ def test_gather_equals_a_plain_dict_lru(cache_rows, keep_stale, trace):
             assert (result.stale_rows, result.degraded_rows) == (stale_rows, degraded_rows)
             assert asked == contacted
             assert len(result.pulls) == misses - stale_rows - degraded_rows
-            assert all(pull.n_rows == 1 for pull in result.pulls)
+            assert all(len(pull.rows) == 1 for pull in result.pulls)
             # the result is the caller's: writing into it reaches no cache
             result.rows[:] = np.nan
         assert list(replica._cache) == list(model.cache)

@@ -132,7 +132,7 @@ def build_replicas(model, *, n_shards=2, n_replicas=2, cache_rows=64, keep_stale
     sharding = round_robin_plan(N_TABLES, n_shards)
     servers = [
         EmbeddingShardServer.from_model(
-            model, sharding.tables_of(rank), error_bound=1e-2, rows_per_block=32
+            model, sharding.tables_of(rank), rows_per_block=32
         )
         for rank in range(n_shards)
     ]

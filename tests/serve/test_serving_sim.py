@@ -34,11 +34,11 @@ def world():
     return spec, dataset, config, model
 
 
-def build_tier(model, n_shards=2, n_replicas=2, cache_rows=512, error_bound=1e-2):
+def build_tier(model, n_shards=2, n_replicas=2, cache_rows=512):
     sharding = round_robin_plan(N_TABLES, n_shards)
     servers = [
         EmbeddingShardServer.from_model(
-            model, sharding.tables_of(rank), error_bound=error_bound, rows_per_block=32
+            model, sharding.tables_of(rank), rows_per_block=32
         )
         for rank in range(n_shards)
     ]

@@ -49,11 +49,11 @@ class TestRowGranularLookups:
         server = EmbeddingShardServer({0: table}, rows_per_block=64)
         pull = server.pull(0, np.array([0, 1, 2, 70]))  # blocks 0 and 1
         assert pull.blocks_touched == 2
-        assert 0 < pull.compressed_nbytes < server.compressed_nbytes(0)
+        assert 0 < pull.compressed_nbytes < server._table(0).compressed_nbytes
         assert pull.raw_nbytes == 2 * 64 * 16 * 4
         whole = server.pull(0, np.arange(256))
         assert whole.blocks_touched == 4
-        assert whole.compressed_nbytes == server.compressed_nbytes(0)
+        assert whole.compressed_nbytes == server._table(0).compressed_nbytes
 
     def test_partial_last_block(self):
         table = make_table(rows=100)
@@ -66,7 +66,7 @@ class TestRowGranularLookups:
     def test_empty_pull(self):
         server = EmbeddingShardServer({0: make_table()})
         pull = server.pull(0, np.array([], dtype=np.int64))
-        assert pull.n_rows == 0 and pull.blocks_touched == 0
+        assert len(pull.rows) == 0 and pull.blocks_touched == 0
         assert pull.compressed_nbytes == 0
 
 
@@ -133,15 +133,17 @@ class TestBlockStorage:
         blocks = server._table(4).blocks
         assert all(type(block) is bytes for block in blocks)
         assert blocks == expected
-        assert server.compressed_nbytes(4) == sum(map(len, expected))
+        assert server._table(4).compressed_nbytes == sum(map(len, expected))
 
 
 class TestCompressionAccounting:
     def test_compressible_table_shrinks(self):
         # Concentrated values quantize to few symbols -> real compression.
-        server = EmbeddingShardServer({0: make_table(scale=0.02)}, error_bounds=1e-2)
-        assert server.compressed_nbytes() < server.raw_nbytes()
-        assert server.compression_ratio() > 1.5
+        table = make_table(scale=0.02)
+        server = EmbeddingShardServer({0: table}, error_bounds=1e-2)
+        whole = server.pull(0, np.arange(len(table)))
+        assert whole.raw_nbytes == table.nbytes
+        assert whole.raw_nbytes / whole.compressed_nbytes > 1.5
 
     def test_per_table_bounds_and_codecs(self):
         tables = {0: make_table(seed=1), 3: make_table(seed=2)}
@@ -154,6 +156,15 @@ class TestCompressionAccounting:
         assert server.codec(3) == "lz4_like"  # bound 0 forces lossless
         assert server.error_bound(0) == 1e-2
         assert server.table_ids() == (0, 3)
+
+    def test_from_model_without_controller_stores_hybrid_at_the_default_bound(self):
+        config = DLRMConfig(n_dense=4, table_cardinalities=(120, 90), embedding_dim=8, seed=3)
+        model = DLRM(config)
+        server = EmbeddingShardServer.from_model(model, [1])
+        assert server.table_ids() == (1,)
+        assert (server.codec(1), server.error_bound(1)) == ("hybrid", 1e-2)
+        raw = model.tables[1].weight.data.astype(np.float32)
+        assert np.max(np.abs(decoded_table(server, 1) - raw)) <= 1e-2 * (1 + 1e-6)
 
     def test_from_model_with_controller(self):
         from repro.adaptive import AdaptiveController, OfflineAnalyzer

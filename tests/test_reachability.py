@@ -22,28 +22,28 @@ these fails the test, by module and qualified name.
 **Parameters.**  Every parameter with a default of a public function, a
 public method of a top-level class or the ``__init__`` of a public class,
 and every init field with a default of a public dataclass, is passed
-somewhere: a file in ``src/repro``, ``examples/``, ``benchmarks/``,
-``bench_e2e/`` or ``tests/`` calls the callee's name (a) with the
-parameter's name as a keyword, (b) with a positional argument at its index,
-or (c) with ``*`` or ``**``.  The callee's name is the function's or
+somewhere outside the tests: a file in ``src/repro``, ``examples/``,
+``benchmarks/`` or ``bench_e2e/`` (not ``tests/`` or ``bench_e2e/tests/``)
+calls the callee's name (a) with the parameter's name as a keyword, (b)
+with a positional argument at its index, or (c) with ``*`` or ``**``.  The callee's name is the function's or
 method's own, and for an ``__init__`` or a field the class name (``cls``
 inside the class).  ``self``, ``cls``, names with a leading
 underscore and ``init=False`` fields are skipped.  A parameter no caller
 passes fails the test, by module, qualified name and parameter: its value
-is a constant, not a setting.
+is a constant, not a setting.  A value only tests set is a constant too.
 
 Two limits of the scans:
 
 * matching is by name, so a dead member that shares its name with a live
   one (a method ``slot_of`` beside a local variable ``slot_of``, say)
   stays invisible, and a call of one class's method passes that keyword to
-  every method of the same name;
+  every method of the same name.  A call probe finds those: it runs every
+  root with a call-only tracer and lists the functions no root calls (its
+  recipe is in ``CHANGES.md``);
 * a call through another name (``factory(**kwargs)``, ``cls(...)`` inside
   a different class) is not a call of the callee, so a parameter passed
   only that way needs a :data:`PARAMETER_ALLOWLIST` entry naming the
-  forwarding reader;
-* a parameter that only tests pass counts as passed: a fork no workload
-  selects is found by reading the callers, not by this scan.
+  forwarding reader.
 
 An entry in :data:`ALLOWLIST` keeps an unreached module, one in
 :data:`MEMBER_ALLOWLIST` an unread member and one in
@@ -85,6 +85,40 @@ PARAMETER_ALLOWLIST: dict[str, str] = {
     "repro.obs.registry:Gauge(help)": (
         "MetricsRegistry._get_or_create passes it on as cls(name, help, **kwargs),"
         " for every gauge(name, help) call"
+    ),
+    "repro.obs.registry:Histogram(bounds)": (
+        "MetricsRegistry._get_or_create passes it on as cls(name, help, **kwargs),"
+        " for every histogram(name, help, bounds=...) call"
+    ),
+    "repro.obs.report:main(argv)": (
+        "the report CLI's entry point: tests drive it in-process with an argv list"
+    ),
+    "repro.obs.schema:main(argv)": (
+        "the schema validator's entry point: tests drive it in-process with an argv list"
+    ),
+    "repro.profiling.perfbench:main(argv)": (
+        "the perf gate's entry point: tests drive it in-process with an argv list"
+    ),
+    "repro.train.pipeline:CompressionPipeline(compress_backward)": (
+        "ROADMAP direction 5's switch for compressing the backward exchange;"
+        " test_exchange_golden.py pins both exchanges' digests"
+    ),
+    "repro.compression.metrics:evaluate_codec(error_bound)": (
+        "rides on evaluate_codec's MEMBER_ALLOWLIST entry: the capacity planner"
+        " measures codecs at its own bounds"
+    ),
+    "repro.train.hybrid:HybridParallelTrainer(sharding)": (
+        "tests inject a table placement (round_robin_plan) to pin exchanges"
+        " whose tables and owners they choose"
+    ),
+    "repro.faults.plan:LinkFault(extra_latency)": (
+        "tests inject fault plans with latency spikes: the worst-case link-state"
+        " law and the degraded-serving pull-time law"
+    ),
+    "repro.compression.vector_lz:vector_lz_encode_stack(window)": (
+        "the vector-LZ window laws encode integer codes at windows of 1-300 so"
+        " small inputs reach the window edge (VectorLZCompressor(window=) is the"
+        " same value for float batches)"
     ),
 }
 
@@ -385,11 +419,22 @@ def passed_arguments(
     return keywords, positions, starred
 
 
-def unpassed_parameters() -> set[str]:
+def _callers() -> list[Path]:
+    """The files whose calls pass parameters: ``src/repro`` and the roots,
+    never a file under ``tests/`` or ``bench_e2e/tests/``."""
+    tests = (ROOT / "tests", ROOT / "bench_e2e" / "tests")
+    return [
+        path
+        for path in [*MODULES.values(), *_roots()[0]]
+        if not any(path.is_relative_to(t) for t in tests)
+    ]
+
+
+def unpassed_parameters(callers: list[Path] | None = None) -> set[str]:
     keywords: set[tuple[str, str]] = set()
     positions: set[tuple[str, int]] = set()
     starred: set[str] = set()
-    for path in [*MODULES.values(), *_roots()[0], *sorted((ROOT / "tests").rglob("*.py"))]:
+    for path in _callers() if callers is None else callers:
         k, p, s = passed_arguments(_tree(path))
         keywords |= k
         positions |= p
@@ -483,7 +528,7 @@ def test_the_parameter_scan_rule():
     methods and public classes' ``__init__``, and defaulted init fields of
     public dataclasses; what counts as passing one: a keyword, a positional
     argument at its index, or ``*`` / ``**``, each in a call of the
-    callee's own name."""
+    callee's own name outside ``tests/``."""
     tree = ast.parse(
         "def public(a, b=1, *, c=2, _d=3): ...\n"
         "def _private(e=4): ...\n"
@@ -517,6 +562,13 @@ def test_the_parameter_scan_rule():
     assert keywords == {("public", "c")}
     assert positions == {("public", 0), ("Record", 0), ("Record", 1)}
     assert starred == {"method"}
+    # a keyword passed only from a tests/ file leaves the parameter unpassed
+    test_dirs = (ROOT / "tests", ROOT / "bench_e2e" / "tests")
+    assert not [p for p in _callers() if any(p.is_relative_to(d) for d in test_dirs)]
+    test_file = ROOT / "tests" / "faults" / "test_plan_injector.py"
+    assert ("LinkFault", "extra_latency") in passed_arguments(_tree(test_file))[0]
+    assert "repro.faults.plan:LinkFault(extra_latency)" in unpassed_parameters()
+    assert "repro.faults.plan:LinkFault(extra_latency)" not in unpassed_parameters([*_callers(), test_file])
 
 
 def test_a_keyword_counts_only_for_its_own_callee():

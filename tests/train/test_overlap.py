@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adaptive import AdaptiveController, OfflineAnalyzer
-from repro.compression.quantizer import relative_to_absolute_bound
 from repro.dist import ClusterSimulator, NetworkModel
 from repro.train import CompressionPipeline
 from tests.conftest import make_gaussian_batch, make_hot_batch
@@ -278,34 +277,3 @@ class TestTrainerThroughCommunicator:
             HybridParallelTrainer(
                 DLRM(config), dataset, ClusterSimulator(4), allreduce_algorithm="tree"
             )
-
-
-class TestRelativeBound:
-    def test_scales_with_range(self):
-        data = np.array([0.0, 2.0], dtype=np.float32)
-        assert relative_to_absolute_bound(data, 0.01) == pytest.approx(0.02)
-
-    def test_constant_input_falls_back_to_magnitude(self):
-        data = np.full(4, 5.0, dtype=np.float32)
-        assert relative_to_absolute_bound(data, 0.1) == pytest.approx(0.5)
-
-    def test_zero_input_positive_bound(self):
-        data = np.zeros(4, dtype=np.float32)
-        assert relative_to_absolute_bound(data, 0.1) > 0
-
-    def test_usable_with_compressor(self, rng):
-        from repro.compression import HybridCompressor
-
-        data = make_gaussian_batch(rng)
-        bound = relative_to_absolute_bound(data, 0.01)
-        codec = HybridCompressor()
-        rec = codec.decompress(codec.compress(data, bound))
-        assert np.abs(data - rec).max() <= bound * (1 + 1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            relative_to_absolute_bound(np.zeros(0), 0.1)
-        with pytest.raises(ValueError):
-            relative_to_absolute_bound(np.ones(3), 0.0)
-        with pytest.raises(ValueError):
-            relative_to_absolute_bound(np.array([np.nan]), 0.1)

@@ -43,16 +43,17 @@ class TestCompressDecompress:
         assert len(pipeline.stats) == 2
         assert pipeline.stats[0].table_id == 0
         assert pipeline.stats[0].iteration == 3
-        assert pipeline.stats[0].ratio > 1.0
+        stats = pipeline.stats[0]
+        assert stats.original_nbytes > stats.compressed_nbytes
 
-    def test_mean_ratio_filters_by_table(self, controller, rng):
+    def test_mean_ratio_pools_every_transfer(self, controller, rng):
         pipeline = CompressionPipeline(controller)
         pipeline.compress_slice(0, make_hot_batch(rng, batch=64), 0)
         pipeline.compress_slice(1, make_gaussian_batch(rng, batch=64), 0)
-        overall = pipeline.mean_ratio()
-        t0 = pipeline.mean_ratio(table_id=0)
-        t1 = pipeline.mean_ratio(table_id=1)
-        assert min(t0, t1) <= overall <= max(t0, t1)
+        ratios = [s.original_nbytes / s.compressed_nbytes for s in pipeline.stats]
+        assert min(ratios) <= pipeline.mean_ratio() <= max(ratios)
+        original = sum(s.original_nbytes for s in pipeline.stats)
+        assert pipeline.mean_ratio() == original / sum(s.compressed_nbytes for s in pipeline.stats)
 
     def test_mean_ratio_empty_rejected(self, controller):
         with pytest.raises(ValueError):
