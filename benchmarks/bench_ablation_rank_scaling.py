@@ -233,7 +233,6 @@ def _allreduce_run(world, plan, n_nodes, gpus, inter, *, codec, algorithm):
         overlap="cross_stage",
         allreduce_algorithm=algorithm,
         allreduce_codec=codec,
-        allreduce_error_bound=1e-3,
     )
     with capture() as registry:
         report = trainer.train(

@@ -45,4 +45,4 @@ def test_fig01_profiling_breakdown(cluster_runs, benchmark):
     }
 
     # Timed kernel: regenerating the breakdown report from the timeline.
-    benchmark(lambda: breakdown_report(report.timeline, rank=0))
+    benchmark(lambda: breakdown_report(report.timeline))

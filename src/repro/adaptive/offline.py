@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.adaptive.classify import ErrorBoundLevels, TableCategory, classify_by_rank
 from repro.adaptive.homo_index import HomoIndexResult, homogenization_index
-from repro.adaptive.selection import PAPER_A100_PROFILE, SelectionResult, select_compressor
+from repro.adaptive.selection import SelectionResult, select_compressor
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.vector_lz import VectorLZCompressor
 
@@ -104,7 +104,6 @@ class OfflineAnalyzer:
                 },
                 error_bound=error_bound,
                 bandwidth=SELECTION_BANDWIDTH,
-                profile=PAPER_A100_PROFILE,
             )
             tables[table_id] = TablePlan(
                 table_id=table_id,

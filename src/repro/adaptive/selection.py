@@ -111,7 +111,6 @@ def select_compressor(
     candidates: dict[str, Compressor],
     error_bound: float,
     bandwidth: float,
-    profile: DeviceThroughputProfile = PAPER_A100_PROFILE,
 ) -> SelectionResult:
     """Algorithm 2: pick the candidate maximizing Eq.-2 speedup on ``sample``.
 
@@ -123,6 +122,8 @@ def select_compressor(
         Codec name -> compressor instance; each is run on the sample.
     bandwidth:
         All-to-all network bandwidth in bytes/s (the ``B`` of Eq. 2).
+
+    Each candidate's throughput is :data:`PAPER_A100_PROFILE`'s.
     """
     if not candidates:
         raise ValueError("need at least one candidate compressor")
@@ -132,7 +133,7 @@ def select_compressor(
     for name, codec in candidates.items():
         payload = codec.compress(sample, error_bound if codec.error_bounded else None)
         ratio = compression_ratio(sample.nbytes, len(payload))
-        throughput = profile.for_codec(name)
+        throughput = PAPER_A100_PROFILE.for_codec(name)
         speedup = communication_speedup(
             ratio, bandwidth, throughput.compress, throughput.decompress
         )

@@ -6,7 +6,6 @@ plus from-scratch implementations of every baseline it compares against.
 """
 
 from repro.compression.base import Compressor, parse_payload
-from repro.compression.cache import LruCache
 from repro.compression.baselines import (
     CuszLikeCompressor,
     DeflateLikeCompressor,
@@ -43,7 +42,6 @@ from repro.compression.registry import (
 from repro.compression.serialization import (
     CorruptPayloadError,
     frame_with_checksum,
-    has_checksum,
     verify_checksum_frame,
 )
 from repro.compression.vector_lz import VectorLZCompressor
@@ -79,9 +77,7 @@ __all__ = [
     "register_compressor",
     "available_compressors",
     "decompress_any",
-    "LruCache",
     "CorruptPayloadError",
     "frame_with_checksum",
-    "has_checksum",
     "verify_checksum_frame",
 ]

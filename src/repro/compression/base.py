@@ -127,8 +127,8 @@ _FRAME_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 def _frame_layout(codec: str, header: dict[str, Any]) -> tuple[tuple[int, ...], np.dtype]:
     """The ``(shape, dtype)`` a frame declares.  An encoder writes a float32
-    or float64 dtype and a 1-D array of non-negative dimensions; anything
-    else is corrupt."""
+    or float64 dtype and the two non-negative dimensions of its 2-D batch;
+    anything else is corrupt."""
     try:
         dtype = np.dtype(header["dtype"])
     except (TypeError, ValueError, SyntaxError) as exc:
@@ -139,7 +139,9 @@ def _frame_layout(codec: str, header: dict[str, Any]) -> tuple[tuple[int, ...], 
     if not (isinstance(shape, np.ndarray) and shape.ndim == 1 and shape.dtype.kind in "iu"):
         raise CorruptPayloadError(f"{codec}: malformed shape {shape!r}")
     dims = tuple(shape.tolist())
-    if min(dims, default=0) < 0:
+    if len(dims) != 2:
+        raise CorruptPayloadError(f"{codec}: shape {dims} is not a 2-D batch")
+    if min(dims) < 0:
         raise CorruptPayloadError(f"{codec}: negative shape {dims}")
     return dims, dtype
 

@@ -38,7 +38,6 @@ __all__ = ["lz77_encode_bytes", "lz77_decode_bytes", "Lz4LikeCompressor", "Defla
 
 DEFAULT_BYTE_WINDOW = 4096
 MIN_MATCH = 4
-MAX_OFFSET = 65535
 _HASH_BITS = 14
 _HASH_SIZE = 1 << _HASH_BITS
 
@@ -162,13 +161,11 @@ def lz77_encode_bytes(data: bytes) -> bytes:
     return bytes(out)
 
 
-def _reference_lz77_encode_bytes(data: bytes, window: int = DEFAULT_BYTE_WINDOW) -> bytes:
+def _reference_lz77_encode_bytes(data: bytes) -> bytes:
     """The seed's original sequential encoder, frozen as the differential
-    oracle: per-position hash-table updates and per-byte match extension."""
+    oracle: per-position hash-table updates and per-byte match extension,
+    at the live encoder's ``DEFAULT_BYTE_WINDOW``."""
     n = len(data)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    window = min(window, MAX_OFFSET)
     out = bytearray()
     if n == 0:
         return bytes(out)
@@ -191,7 +188,7 @@ def _reference_lz77_encode_bytes(data: bytes, window: int = DEFAULT_BYTE_WINDOW)
         h = hashes[pos]
         candidate = head[h]
         head[h] = pos
-        if candidate >= 0 and pos - candidate <= window and data[candidate : candidate + MIN_MATCH] == data[pos : pos + MIN_MATCH]:
+        if candidate >= 0 and pos - candidate <= DEFAULT_BYTE_WINDOW and data[candidate : candidate + MIN_MATCH] == data[pos : pos + MIN_MATCH]:
             # Extend the match forward as far as it goes.
             match_len = MIN_MATCH
             max_len = n - pos

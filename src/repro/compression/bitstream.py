@@ -11,8 +11,6 @@ Huffman streams.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.compression.serialization import CorruptPayloadError
@@ -28,34 +26,20 @@ __all__ = [
     "padded_stream",
 ]
 
-_SCRATCH = threading.local()
+#: zero bytes after a stream: a reader gathers whole 8-byte words past its
+#: last code bit
+_STREAM_PAD = 8
 
 
-def padded_stream(data: np.ndarray, pad: int = 8) -> np.ndarray:
-    """``data`` followed by ``pad`` zero bytes, in reusable thread-local scratch.
-
-    The vectorized readers gather whole words past the last code bit, so
-    they need slack bytes after the stream.  The seed allocated a fresh
-    ``np.concatenate([data, zeros(pad)])`` per decode; this reuses one
-    per-thread buffer instead.  Safe because every reader computes fresh
-    output arrays from the scratch (nothing returned aliases it) and the
-    scratch is thread-local, so concurrent threads never share it.
-    """
+def padded_stream(data: np.ndarray) -> np.ndarray:
+    """A fresh copy of ``data`` followed by :data:`_STREAM_PAD` zero bytes."""
     data = np.asarray(data, dtype=np.uint8).ravel()
-    need = data.size + pad
-    buf = getattr(_SCRATCH, "buf", None)
-    if buf is None or buf.size < need:
-        buf = np.zeros(max(need, 4096), dtype=np.uint8)
-        _SCRATCH.buf = buf
-    out = buf[:need]
+    out = np.zeros(data.size + _STREAM_PAD, dtype=np.uint8)
     out[: data.size] = data
-    out[data.size :] = 0
     return out
 
 
-def _reference_unpack_fixed(
-    packed: np.ndarray, count: int, width: int, bit_offset: int = 0
-) -> np.ndarray:
+def _reference_unpack_fixed(packed: np.ndarray, count: int, width: int) -> np.ndarray:
     """The seed's original 8-byte-gather fixed-width reader, frozen verbatim
     as part of the differential/benchmark oracle."""
     if width == 0:
@@ -65,7 +49,7 @@ def _reference_unpack_fixed(
     packed = np.asarray(packed, dtype=np.uint8)
     if count == 0:
         return np.zeros(0, dtype=np.uint64)
-    starts = bit_offset + np.arange(count, dtype=np.int64) * width
+    starts = np.arange(count, dtype=np.int64) * width
     last_bit = int(starts[-1]) + width
     if last_bit > packed.size * 8:
         raise ValueError(f"stream too short: need {last_bit} bits, have {packed.size * 8}")
@@ -229,7 +213,7 @@ def _read_fixed(packed: np.ndarray, starts: np.ndarray, width: int) -> np.ndarra
     single gather + shift extracts every value (a width<=57 value starting
     mid-byte spans at most 8 bytes).
     """
-    padded = padded_stream(packed, 8)
+    padded = padded_stream(packed)
     words, dtype, n_bytes = word_table(padded, width)
     shift = (dtype(n_bytes * 8 - width) - (starts & 7).astype(dtype)).astype(dtype)
     mask = dtype((1 << width) - 1)

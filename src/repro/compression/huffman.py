@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.bitstream import _reference_pack_codes, pack_codes, padded_stream, word_table
-from repro.compression.cache import LruCache
 from repro.compression.serialization import CorruptPayloadError
 
 __all__ = [
@@ -48,14 +47,6 @@ DEFAULT_CHUNK_SYMBOLS = 4096
 #: the widest code a decoder peeks: a window at any in-byte offset must sit
 #: in the one 64-bit word ``word_table`` builds (57 + 7 bits)
 _MAX_PEEK_BITS = 57
-
-#: decode-side peek tables keyed by the payload's code-length table; a flat
-#: 2**max_length table is expensive to rebuild and identical across all
-#: decodes of the same codebook (every chunk of a batch, every pull of a
-#: stored block).  A served entropy table holds one
-#: codebook per row block (54 in the ``publish_serve`` world, where 32
-#: entries missed on ~40% of decodes), so the cache holds several such tables.
-_PEEK_TABLE_CACHE = LruCache(128)
 
 
 def _reference_huffman_code_lengths(freqs: np.ndarray) -> np.ndarray:
@@ -253,10 +244,11 @@ class HuffmanCodebook:
         return table_sym, table_len
 
 
-def build_codebook(freqs: np.ndarray, max_length: int = DEFAULT_MAX_CODE_LENGTH) -> HuffmanCodebook:
-    """Build a canonical, length-limited codebook from symbol frequencies."""
+def build_codebook(freqs: np.ndarray) -> HuffmanCodebook:
+    """Build a canonical codebook from symbol frequencies, its lengths
+    limited to :data:`DEFAULT_MAX_CODE_LENGTH`."""
     lengths = huffman_code_lengths(freqs)
-    lengths = limit_code_lengths(lengths, freqs, max_length)
+    lengths = limit_code_lengths(lengths, freqs, DEFAULT_MAX_CODE_LENGTH)
     return HuffmanCodebook(lengths=lengths, codes=canonical_codes(lengths))
 
 
@@ -271,14 +263,10 @@ class HuffmanEncoded:
     total_symbols: int
 
 
-def huffman_encode(
-    symbols: np.ndarray,
-    alphabet_size: int,
-    *,
-    max_code_length: int = DEFAULT_MAX_CODE_LENGTH,
-    chunk_symbols: int = DEFAULT_CHUNK_SYMBOLS,
-) -> HuffmanEncoded:
-    """Entropy-code a dense symbol stream in independently decodable chunks.
+def huffman_encode(symbols: np.ndarray, alphabet_size: int) -> HuffmanEncoded:
+    """Entropy-code a dense symbol stream in independently decodable chunks
+    of :data:`DEFAULT_CHUNK_SYMBOLS` symbols, at codes of at most
+    :data:`DEFAULT_MAX_CODE_LENGTH` bits.
 
     ``symbols`` must be integers in ``[0, alphabet_size)``.  Symbols that do
     not occur get no code; the shipped length table marks them with 0.
@@ -288,8 +276,6 @@ def huffman_encode(
         raise ValueError(
             f"symbols out of range [0, {alphabet_size}): [{symbols.min()}, {symbols.max()}]"
         )
-    if chunk_symbols < 1:
-        raise ValueError(f"chunk_symbols must be >= 1, got {chunk_symbols}")
     if symbols.size == 0:
         return HuffmanEncoded(
             payload=np.zeros(0, dtype=np.uint8),
@@ -300,21 +286,20 @@ def huffman_encode(
         )
     freqs = np.bincount(symbols, minlength=alphabet_size)
     used = np.flatnonzero(freqs)
-    if used.size > (1 << max_code_length):
+    if used.size > (1 << DEFAULT_MAX_CODE_LENGTH):
         # Fail fast BEFORE the heap-based tree build: limit_code_lengths
         # would reject this anyway, but only after an O(n log n) Python
         # loop over every distinct symbol.
         raise ValueError(
-            f"{used.size} distinct symbols cannot fit in {max_code_length}-bit "
-            "codes; shrink the alphabet (e.g. loosen the error bound) or raise "
-            "max_code_length"
+            f"{used.size} distinct symbols cannot fit in {DEFAULT_MAX_CODE_LENGTH}-bit "
+            "codes; shrink the alphabet (e.g. loosen the error bound)"
         )
     if used.size == 1:
         # Degenerate single-symbol stream (e.g. a fully homogenized batch):
         # the code table alone identifies the symbol, no payload bits needed.
         lengths = np.zeros(alphabet_size, dtype=np.int64)
         lengths[used[0]] = 1
-        chunk_counts = _chunk_layout(symbols.size, chunk_symbols)
+        chunk_counts = _chunk_layout(symbols.size)
         return HuffmanEncoded(
             payload=np.zeros(0, dtype=np.uint8),
             code_lengths=lengths,
@@ -322,7 +307,7 @@ def huffman_encode(
             chunk_symbol_counts=chunk_counts,
             total_symbols=symbols.size,
         )
-    dense_book = build_codebook(freqs[used], max_code_length)
+    dense_book = build_codebook(freqs[used])
     # Scatter dense codebook back onto the full alphabet (length 0 = unused).
     lengths = np.zeros(alphabet_size, dtype=np.int64)
     codes = np.zeros(alphabet_size, dtype=np.uint64)
@@ -331,9 +316,9 @@ def huffman_encode(
     sym_codes = codes[symbols]
     sym_lengths = lengths[symbols]
     # Chunk boundaries in symbol space; bit offsets come from the cumsum.
-    chunk_counts = _chunk_layout(symbols.size, chunk_symbols)
+    chunk_counts = _chunk_layout(symbols.size)
     bit_ends = np.cumsum(sym_lengths)
-    chunk_starts_sym = np.arange(chunk_counts.size, dtype=np.int64) * chunk_symbols
+    chunk_starts_sym = np.arange(chunk_counts.size, dtype=np.int64) * DEFAULT_CHUNK_SYMBOLS
     chunk_bit_offsets = np.where(
         chunk_starts_sym == 0, 0, bit_ends[chunk_starts_sym - 1]
     ).astype(np.uint64)
@@ -347,34 +332,26 @@ def huffman_encode(
     )
 
 
-def _chunk_layout(n_symbols: int, chunk_symbols: int) -> np.ndarray:
+def _chunk_layout(n_symbols: int) -> np.ndarray:
     """Per-chunk symbol counts: full chunks plus a short tail."""
-    n_chunks = (n_symbols + chunk_symbols - 1) // chunk_symbols
-    chunk_counts = np.full(n_chunks, chunk_symbols, dtype=np.int64)
-    chunk_counts[-1] = n_symbols - chunk_symbols * (n_chunks - 1)
+    n_chunks = (n_symbols + DEFAULT_CHUNK_SYMBOLS - 1) // DEFAULT_CHUNK_SYMBOLS
+    chunk_counts = np.full(n_chunks, DEFAULT_CHUNK_SYMBOLS, dtype=np.int64)
+    chunk_counts[-1] = n_symbols - DEFAULT_CHUNK_SYMBOLS * (n_chunks - 1)
     return chunk_counts
 
 
-def _reference_huffman_encode(
-    symbols: np.ndarray,
-    alphabet_size: int,
-    *,
-    max_code_length: int = DEFAULT_MAX_CODE_LENGTH,
-    chunk_symbols: int = DEFAULT_CHUNK_SYMBOLS,
-) -> HuffmanEncoded:
+def _reference_huffman_encode(symbols: np.ndarray, alphabet_size: int) -> HuffmanEncoded:
     """The seed's encode path — heap tree build + per-bit-plane packing —
     composed from the frozen ``_reference_*`` kernels (benchmark oracle)."""
     symbols = np.asarray(symbols, dtype=np.int64).ravel()
     if symbols.size == 0:
-        return huffman_encode(symbols, alphabet_size, max_code_length=max_code_length)
+        return huffman_encode(symbols, alphabet_size)
     freqs = np.bincount(symbols, minlength=alphabet_size)
     used = np.flatnonzero(freqs)
     if used.size == 1:
-        return huffman_encode(
-            symbols, alphabet_size, max_code_length=max_code_length, chunk_symbols=chunk_symbols
-        )
+        return huffman_encode(symbols, alphabet_size)
     dense_lengths = limit_code_lengths(
-        _reference_huffman_code_lengths(freqs[used]), freqs[used], max_code_length
+        _reference_huffman_code_lengths(freqs[used]), freqs[used], DEFAULT_MAX_CODE_LENGTH
     )
     lengths = np.zeros(alphabet_size, dtype=np.int64)
     codes = np.zeros(alphabet_size, dtype=np.uint64)
@@ -382,9 +359,9 @@ def _reference_huffman_encode(
     codes[used] = canonical_codes(dense_lengths)
     sym_codes = codes[symbols]
     sym_lengths = lengths[symbols]
-    chunk_counts = _chunk_layout(symbols.size, chunk_symbols)
+    chunk_counts = _chunk_layout(symbols.size)
     bit_ends = np.cumsum(sym_lengths)
-    chunk_starts_sym = np.arange(chunk_counts.size, dtype=np.int64) * chunk_symbols
+    chunk_starts_sym = np.arange(chunk_counts.size, dtype=np.int64) * DEFAULT_CHUNK_SYMBOLS
     chunk_bit_offsets = np.where(
         chunk_starts_sym == 0, 0, bit_ends[chunk_starts_sym - 1]
     ).astype(np.uint64)
@@ -421,18 +398,14 @@ def _sliding_windows(padded: np.ndarray, start_bit: int, count: int, width: int)
     return windows[offset : offset + count]
 
 
-def _peek_tables_for(code_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(table_sym, table_len, max_len)`` for a length table, LRU-cached.
+def _peek_tables(code_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(table_sym, table_len, max_len)`` for a length table.
 
-    ``table_sym`` is mapped back onto the full alphabet.  The same codebook
-    recurs across chunks, iterations, and tables, so the flat
-    ``2**max_length`` table is built once per distinct length table.
-    Callers widen what they gather from ``table_sym`` to int64.
+    ``table_sym`` is mapped back onto the full alphabet.  Every batch ships
+    its own codebook, so each decode builds its flat ``2**max_length``
+    table afresh.  Callers widen what they gather from ``table_sym`` to
+    int64.
     """
-    key = code_lengths.tobytes()
-    cached = _PEEK_TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
     # The table has 2**max_len entries: check the width before allocating.
     max_len = int(code_lengths.max())
     if max_len > _MAX_PEEK_BITS:
@@ -447,11 +420,9 @@ def _peek_tables_for(code_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     table_sym, table_len = dense_book.peek_table()
     # int32 symbols (a full alphabet ships one length byte per symbol, so a
     # payload under 2 GiB cannot name a wider one) and uint8 lengths (max 57
-    # bits) keep a cached table small and the per-bit-offset gathers cheap.
+    # bits) keep the per-bit-offset gathers cheap.
     sym_dtype = np.int32 if code_lengths.size <= np.iinfo(np.int32).max else np.int64
-    value = (used.astype(sym_dtype)[table_sym], table_len.astype(np.uint8), max_len)
-    _PEEK_TABLE_CACHE.put(key, value)
-    return value
+    return used.astype(sym_dtype)[table_sym], table_len.astype(np.uint8), max_len
 
 
 def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
@@ -464,8 +435,8 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
     the only sequential dependence in Huffman decoding — are resolved for
     **all chunks simultaneously** by sequence doubling: the decoded position
     sequence doubles in length each pass while the successor array composes
-    with itself, so ``chunk_symbols`` symbols need only
-    ``ceil(log2(chunk_symbols))`` batched passes.  Output lands in one
+    with itself, so a chunk of ``n`` symbols needs only ``ceil(log2(n))``
+    batched passes.  Output lands in one
     preallocated array; no Python lists, no per-symbol work.
     """
     if encoded.total_symbols == 0:
@@ -484,8 +455,8 @@ def huffman_decode(encoded: HuffmanEncoded) -> np.ndarray:
             f"corrupt Huffman stream: {total_bits} body bits cannot hold "
             f"{encoded.total_symbols} symbols of at least one bit each"
         )
-    table_sym, table_len, max_len = _peek_tables_for(lengths)
-    padded = padded_stream(encoded.payload, 8)
+    table_sym, table_len, max_len = _peek_tables(lengths)
+    padded = padded_stream(encoded.payload)
     windows = _sliding_windows(padded, 0, total_bits, max_len)
     steps = np.take(table_len, windows)  # uint8: code length at every bit offset
     # Successor array with a self-looping sentinel slot at total_bits; a

@@ -24,7 +24,7 @@ from repro.compression.baselines import (
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.homomorphic import CountSumCompressor, QuantSumCompressor
 from repro.compression.hybrid import HybridCompressor
-from repro.compression.serialization import CorruptPayloadError, has_checksum, verify_checksum_frame
+from repro.compression.serialization import CorruptPayloadError
 from repro.compression.vector_lz import VectorLZCompressor
 
 __all__ = ["register_compressor", "get_compressor", "available_compressors", "decompress_any"]
@@ -75,20 +75,15 @@ def available_compressors() -> tuple[str, ...]:
 
 
 def decompress_any(payload: bytes | memoryview) -> np.ndarray:
-    """Decode a payload produced by any registered codec.
+    """Decode a bare codec frame produced by any registered codec.
 
-    Accepts both bare codec frames and CRC32-checksummed envelopes (see
-    :func:`repro.compression.serialization.frame_with_checksum`); a
-    checksummed payload is verified first, so a corrupted frame raises
-    :class:`~repro.compression.serialization.CorruptPayloadError` instead
-    of decoding garbage.  The header is parsed once: the codec it names
-    decodes from the parsed ``(header, body)``.
-
-    A frame naming a codec that is not registered (a flipped bit
-    in its name, say) raises ``CorruptPayloadError``.
+    The header is parsed once: the codec it names decodes from the parsed
+    ``(header, body)``.  A CRC32 envelope is not a codec frame: verify it
+    with :func:`~repro.compression.serialization.verify_checksum_frame`
+    first, or it raises ``CorruptPayloadError`` (bad magic byte), as does a
+    frame naming a codec that is not registered (a flipped bit in its
+    name, say).
     """
-    if has_checksum(payload):
-        payload = verify_checksum_frame(payload)
     header, body = parse_payload(payload)
     codec = header["codec"]
     decoder = _DECODERS.get(codec)

@@ -47,7 +47,6 @@ __all__ = [
     "CorruptPayloadError",
     "CHECKSUM_MAGIC",
     "frame_with_checksum",
-    "has_checksum",
     "verify_checksum_frame",
 ]
 
@@ -90,12 +89,6 @@ def frame_with_checksum(payload: bytes | bytearray | memoryview) -> bytes:
         view = view.cast("B")
     header = struct.pack("<BI", CHECKSUM_MAGIC, zlib.crc32(view) & 0xFFFFFFFF)
     return b"".join((header, view))
-
-
-def has_checksum(data: bytes | bytearray | memoryview) -> bool:
-    """Whether ``data`` carries the checksum envelope."""
-    view = memoryview(data)
-    return len(view) >= 5 and view[0] == CHECKSUM_MAGIC
 
 
 def _reference_verify_checksum_frame(data: bytes | bytearray | memoryview) -> bytes:

@@ -34,7 +34,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.compression.base import MAGIC, Compressor, frame_payload
+from repro.compression.base import MAGIC, Compressor, _frame_layout, frame_payload
 from repro.compression.bitstream import (
     pack_fixed_segments,
     unpack_fixed_segments,
@@ -550,28 +550,25 @@ class VectorLZCompressor(Compressor):
 
         Returns the S arrays ``decompress`` would return for each payload,
         or ``None`` when the batch is not one stack (another codec's frame,
-        a checksum envelope, ragged shapes or dtypes) — the caller then
-        decodes payload by payload.
+        a bytes string that is no codec frame, ragged shapes or dtypes) —
+        the caller then decodes payload by payload, which raises on a
+        payload no codec wrote.  A vector-LZ frame whose layout is corrupt
+        raises here, as ``decompress_any`` does.
         """
-        headers, bodies = [], []
+        headers, bodies, layouts = [], [], set()
         for payload in payloads:
             view = memoryview(payload)
-            # Foreign framing (e.g. a checksum envelope) is declined, not an
-            # error here — hence no parse_payload, which raises on it.
+            # A payload that is no codec frame is declined, not an error
+            # here — hence no parse_payload, which raises on it.
             if len(view) == 0 or view[0] != MAGIC:
                 return None
             header, pos = unpack_meta(view, 1)
             if header.get("codec") != self.name:
                 return None
+            layouts.add(_frame_layout(self.name, header))
             headers.append(header)
             bodies.append(view[pos:])
-        if not headers:
+        if len(layouts) != 1:
             return None
-        first = headers[0]
-        if len(first["shape"]) != 2 or any(
-            header["dtype"] != first["dtype"] or not np.array_equal(header["shape"], first["shape"])
-            for header in headers[1:]
-        ):
-            return None
-        n, d = (int(s) for s in first["shape"])
-        return list(self._decode_bodies(headers, bodies, n, d, np.dtype(first["dtype"])))
+        ((n, d), dtype) = layouts.pop()
+        return list(self._decode_bodies(headers, bodies, n, d, dtype))

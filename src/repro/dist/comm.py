@@ -93,6 +93,9 @@ def _payload_nbytes(payload: object) -> int:
     raise TypeError(f"cannot size payload of type {type(payload).__name__}")
 
 
+#: stage-② bytes per (pair, slice) metadata record: compressed size + codec id
+METADATA_BYTES_PER_ENTRY = 16
+
 #: C-level sizers for a homogeneous run of flat buffers (exact type match;
 #: anything else — subclasses, nested sequences, mixed runs — goes through
 #: :func:`_payload_nbytes` part by part)
@@ -237,20 +240,16 @@ class Communicator:
 
     # --------------------------------------------------------- all-to-all
 
-    def all_to_all(
-        self,
-        sendbufs: Sequence[Sequence[object]],
-        category: str = EventCategory.ALLTOALL_FWD,
-    ) -> list[list[object]]:
+    def all_to_all(self, sendbufs: Sequence[Sequence[object]]) -> list[list[object]]:
         """Exchange ``sendbufs[src][dst]`` -> ``recvbufs[dst][src]``.
 
         Payloads (arrays, byte strings, or sequences thereof) are handed
         over untouched, so the data path is exact; the wire time of the
-        full variable-size exchange is charged under ``category`` as one
-        wire chunk per rank — the chunk pipeline with no codec stages and
-        no metadata round.
+        full variable-size exchange is charged as a forward all-to-all at
+        one wire chunk per rank — the chunk pipeline with no codec stages
+        and no metadata round.
         """
-        self._uncompressed_exchange(self._size_payloads(sendbufs), category)
+        self._uncompressed_exchange(self._size_payloads(sendbufs), EventCategory.ALLTOALL_FWD)
         return [list(column) for column in zip(*sendbufs)]
 
     def all_to_all_bytes(
@@ -304,25 +303,19 @@ class Communicator:
         self._charge_pipeline(schedule)
         return float(schedule.wire_ends.max())
 
-    def _metadata_seconds(
-        self, metadata_bytes_per_entry: int, entries_per_pair
-    ) -> float | None:
+    def _metadata_seconds(self, entries_per_pair) -> float | None:
         """Stage-② wire time, or ``None`` when the round is skipped.
         ``entries_per_pair`` may be a scalar (every ordered pair carries
         the same record count) or an ``n x n`` matrix of per-pair record
         counts; an all-zero matrix skips the round entirely (e.g. a
         gradient exchange with self-describing payloads only)."""
-        if metadata_bytes_per_entry <= 0:
-            raise ValueError(
-                f"metadata_bytes_per_entry must be > 0, got {metadata_bytes_per_entry!r}"
-            )
         if np.isscalar(entries_per_pair):
             if entries_per_pair <= 0:
                 raise ValueError(
                     f"entries_per_pair must be > 0, got {entries_per_pair!r}"
                 )
             return self.simulator.network.uniform_all_to_all_time(
-                metadata_bytes_per_entry * entries_per_pair, self.n_ranks
+                METADATA_BYTES_PER_ENTRY * entries_per_pair, self.n_ranks
             )
         entries = np.asarray(entries_per_pair)
         n = self.n_ranks
@@ -335,13 +328,12 @@ class Communicator:
         if not entries.any():
             return None
         return self.simulator.network.all_to_all_time(
-            metadata_bytes_per_entry * entries.astype(np.float64)
+            METADATA_BYTES_PER_ENTRY * entries.astype(np.float64)
         )
 
     def compressed_all_to_all(
         self,
         sendbufs: Sequence[Sequence[object]],
-        metadata_bytes_per_entry: int = 16,
         entries_per_pair: int | np.ndarray = 1,
         category: str = EventCategory.ALLTOALL_FWD,
         *,
@@ -354,7 +346,7 @@ class Communicator:
         """Stages ①-④: compression, metadata round, payloads, decompression.
 
         Each ordered pair first exchanges ``entries_per_pair`` metadata
-        records of ``metadata_bytes_per_entry`` bytes (compressed size +
+        records of :data:`METADATA_BYTES_PER_ENTRY` bytes (compressed size +
         codec id per slice), charged as :data:`EventCategory.METADATA`;
         the variable-size payload exchange follows.  ``entries_per_pair``
         may be an ``n x n`` per-pair count matrix; all zeros skips the
@@ -388,7 +380,7 @@ class Communicator:
         those kernels hides its wire behind them.
         """
         n = self.n_ranks
-        meta_seconds = self._metadata_seconds(metadata_bytes_per_entry, entries_per_pair)
+        meta_seconds = self._metadata_seconds(entries_per_pair)
         payload_sizes = self._size_payloads(sendbufs, entries_per_pair)
         byte_matrix = payload_sizes.byte_matrix
         payload_seconds = self.simulator.network.all_to_all_time(byte_matrix)
@@ -404,11 +396,11 @@ class Communicator:
             if meta_seconds is not None:
                 if np.isscalar(entries_per_pair):
                     meta_bytes = int(
-                        metadata_bytes_per_entry * entries_per_pair * n * (n - 1)
+                        METADATA_BYTES_PER_ENTRY * entries_per_pair * n * (n - 1)
                     )
                 else:
                     meta_bytes = int(
-                        metadata_bytes_per_entry
+                        METADATA_BYTES_PER_ENTRY
                         * self._wire_nbytes(np.asarray(entries_per_pair))
                     )
                 self._obs_stage("metadata", meta_seconds * n, meta_bytes)

@@ -78,11 +78,12 @@ def breakdown_rows(category_seconds: dict[str, float]) -> list[tuple[str, float,
 
 
 def breakdown_report(
-    source: Timeline | dict[str, float], title: str = "Training-time breakdown", rank: int | None = 0
+    source: Timeline | dict[str, float], title: str = "Training-time breakdown"
 ) -> str:
-    """Render the per-category breakdown as an ASCII table."""
+    """Render the per-category breakdown as an ASCII table (rank 0's, for a
+    timeline)."""
     if isinstance(source, Timeline):
-        category_seconds = source.total_by_category(rank=rank)
+        category_seconds = source.total_by_category(rank=0)
     else:
         category_seconds = dict(source)
     rows = [

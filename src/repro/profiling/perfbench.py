@@ -268,9 +268,8 @@ def _codec_rows(shape_name: str, rows: int, dim: int) -> Iterator[Row]:
     # integrity costs on top of the codec.  verify returns a view of the
     # body; its reference is the frozen strip that copies it out.  The
     # serve_degraded/pull row is one faultable shard pull — verify the
-    # envelope, then the registry-level decode that strips it — against
-    # the bare decode, so the speedup column reads as the degraded-fabric
-    # overhead. ---
+    # envelope, then decode the body it returns — against the bare decode,
+    # so the speedup column reads as the degraded-fabric overhead. ---
     framed_payload = frame_with_checksum(hybrid_payload)
     yield row("checksum", "frame", lambda: frame_with_checksum(hybrid_payload), None)
     yield row(
@@ -280,8 +279,7 @@ def _codec_rows(shape_name: str, rows: int, dim: int) -> Iterator[Row]:
     )
 
     def _degraded_pull():
-        verify_checksum_frame(framed_payload)
-        return decompress_any(framed_payload)
+        return decompress_any(verify_checksum_frame(framed_payload))
 
     yield row("serve_degraded", "pull", _degraded_pull, lambda: hybrid.decompress(hybrid_payload))
 

@@ -411,14 +411,12 @@ class DeltaPublisher:
             if self.compress:
                 comm.compressed_all_to_all(
                     sendbufs,
-                    metadata_bytes_per_entry=pipeline.metadata_bytes_per_entry,
                     entries_per_pair=entries,
-                    category=EventCategory.ALLTOALL_FWD,
                     compress_seconds=[stage1] + [0.0] * n_servers,
                     decompress_seconds=decompress_seconds,
                 )
             else:
-                comm.all_to_all(sendbufs, EventCategory.ALLTOALL_FWD)
+                comm.all_to_all(sendbufs)
             # The exchange span includes the publisher's stage-①
             # compression, which elapses while replicas keep serving —
             # subtract it so wire_seconds (and downtime) cover only the

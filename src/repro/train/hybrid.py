@@ -42,7 +42,7 @@ payloads aggregate in compressed space with no intermediate decode, and
 the decoded total lands back in ``param.grad`` before the optimizer step.
 With the lossless ``count_sum`` the parameters stay bit-identical to the
 uncompressed path; with ``quant_sum`` they stay within the composed bound
-``lr_effective * n_ranks * allreduce_error_bound`` per step.
+``lr_effective * n_ranks * ALLREDUCE_ERROR_BOUND`` per step.
 
 **Numerics vs. timing.**  All ranks of the simulation share one
 :class:`~repro.model.dlrm.DLRM` parameter set: replicated data-parallel
@@ -70,11 +70,14 @@ from repro.nn.loss import bce_grad, bce_with_logits
 from repro.nn.optim import SGD
 from repro.train.metrics import TrainingHistory
 from repro.train.pipeline import CompressionPipeline
-from repro.train.reference import evaluate_model
+from repro.train.reference import EVAL_BATCHES, evaluate_model
 from repro.train.sharding import ShardingPlan
 from repro.utils.validation import check_in, check_positive
 
 __all__ = ["HybridParallelTrainer", "HybridTrainingReport"]
+
+#: per-rank error bound of the ``quant_sum`` gradient all-reduce
+ALLREDUCE_ERROR_BOUND = 1e-3
 
 
 @dataclass
@@ -116,13 +119,11 @@ class HybridParallelTrainer:
         allreduce_algorithm: str = "ring",
         pipeline_chunks: int = 8,
         allreduce_codec: str | None = None,
-        allreduce_error_bound: float = 1e-3,
     ):
         check_positive("lr", lr)
         check_in(
             "allreduce_algorithm", allreduce_algorithm, ("ring", "hierarchical", "switch")
         )
-        check_positive("allreduce_error_bound", allreduce_error_bound)
         if allreduce_codec is not None:
             from repro.compression.homomorphic import homomorphic_codecs
 
@@ -146,7 +147,6 @@ class HybridParallelTrainer:
         self.pipeline_chunks = int(pipeline_chunks)
         self.allreduce_algorithm = allreduce_algorithm
         self.allreduce_codec = allreduce_codec
-        self.allreduce_error_bound = float(allreduce_error_bound)
         n_tables = model.config.n_tables
         self.sharding = sharding or ShardingPlan.size_balanced(
             list(model.config.table_cardinalities), simulator.n_ranks
@@ -271,7 +271,6 @@ class HybridParallelTrainer:
         # pipelines stage ① against the wire on per-rank streams).
         self.comm.compressed_all_to_all(
             sendbufs,
-            metadata_bytes_per_entry=pipeline.metadata_bytes_per_entry,
             entries_per_pair=entries,
             category=category,
             overlap=self.overlap,
@@ -369,7 +368,7 @@ class HybridParallelTrainer:
         totals = self.comm.compressed_all_reduce(
             shards,
             codec=self.allreduce_codec,
-            error_bound=self.allreduce_error_bound,
+            error_bound=ALLREDUCE_ERROR_BOUND,
             algorithm=self.allreduce_algorithm,
             encode_seconds=[codec_seconds] * n,
             decode_seconds=[codec_seconds] * n,
@@ -519,7 +518,6 @@ class HybridParallelTrainer:
         n_iterations: int,
         global_batch_size: int,
         eval_every: int = 0,
-        eval_batches: int = 4,
     ) -> HybridTrainingReport:
         """Run the simulated training loop and collect the full report."""
         check_positive("n_iterations", n_iterations)
@@ -529,7 +527,7 @@ class HybridParallelTrainer:
             history.record_loss(loss)
             last = iteration == n_iterations - 1
             if eval_every and (iteration % eval_every == eval_every - 1 or last):
-                accuracy, auc = evaluate_model(self.model, self.dataset, n_batches=eval_batches)
+                accuracy, auc = evaluate_model(self.model, self.dataset, n_batches=EVAL_BATCHES)
                 history.record_eval(iteration, accuracy, auc)
         return HybridTrainingReport(
             history=history,

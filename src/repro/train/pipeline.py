@@ -17,7 +17,7 @@ kernels for ablations.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
 
@@ -74,14 +74,11 @@ class CompressionPipeline:
     controller: AdaptiveController
     fused_kernels: bool = True
     compress_backward: bool = False
-    #: metadata bytes exchanged per (pair, table): compressed size + codec id
-    metadata_bytes_per_entry: int = field(init=False, default=16)
 
     def __post_init__(self) -> None:
         self._codecs = {"vector_lz": VectorLZCompressor(), "entropy": EntropyCompressor()}
         self._buffer_models: dict[tuple[str, str], BufferCostModel] = {}
         self.stats: list[TransferStats] = []
-        self._last_codec: dict[int, str] = {}
 
     # ------------------------------------------------------------ stage ①/④
 
@@ -126,9 +123,7 @@ class CompressionPipeline:
         raw_nbytes: int,
         compressed_nbytes: int,
     ) -> None:
-        """Per-transfer stage-① metrics: bytes, ratio, bound utilization,
-        and codec-selection churn (how often the controller's per-table
-        pick changes between consecutive transfers of one table)."""
+        """Per-transfer stage-① metrics: bytes, ratio and bound utilization."""
         reg = OBS.registry
         reg.counter("pipeline_raw_bytes_total", "stage-① input bytes").inc(
             raw_nbytes, codec=codec_name
@@ -146,13 +141,6 @@ class CompressionPipeline:
             "pipeline_bound_utilization",
             "effective error bound over the table's base bound",
         ).set(error_bound / base if base > 0 else 0.0, table=str(table_id))
-        last = self._last_codec.get(table_id)
-        if last is not None and last != codec_name:
-            reg.counter(
-                "pipeline_codec_switch_total",
-                "per-table codec-selection changes between transfers",
-            ).inc(1, table=str(table_id))
-        self._last_codec[table_id] = codec_name
 
     def compress_slices(
         self, slices: Sequence[tuple[int, np.ndarray]], iteration: int

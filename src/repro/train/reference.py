@@ -31,6 +31,8 @@ LookupTransform = Callable[[int, np.ndarray, int], np.ndarray]
 
 #: first batch index of held-out evaluation, far past any training run
 EVAL_BATCH_OFFSET = 1_000_000
+#: held-out batches a periodic evaluation scores
+EVAL_BATCHES = 4
 
 
 def evaluate_model(
@@ -90,7 +92,7 @@ class ReferenceTrainer:
         n_iterations: int,
         batch_size: int,
         eval_every: int = 0,
-        eval_batches: int = 4,
+        eval_batches: int = EVAL_BATCHES,
     ) -> TrainingHistory:
         """Run ``n_iterations`` steps, optionally evaluating periodically."""
         check_positive("n_iterations", n_iterations)

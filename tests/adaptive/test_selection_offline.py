@@ -13,7 +13,6 @@ from repro.adaptive import (
 )
 from repro.adaptive.selection import (
     PAPER_A100_PROFILE,
-    CodecThroughput,
     DeviceThroughputProfile,
     select_compressor,
 )
@@ -44,16 +43,12 @@ class TestSelectCompressor:
         assert result.best == result.candidates[0].codec
 
     def test_slow_codec_loses_despite_ratio(self, rng):
-        """Eq.-2: a higher-CR codec can lose if its throughput is poor."""
+        """Eq.-2: a higher-CR codec can lose if its throughput is poor: on
+        a fast network entropy's slower kernels outweigh its better ratio."""
         batch = make_gaussian_batch(rng)
-        # Make entropy's modelled throughput pathological.
-        profile = DeviceThroughputProfile(
-            codecs={
-                "vector_lz": CodecThroughput(40e9, 200e9),
-                "entropy": CodecThroughput(1e9, 1e9),
-            }
-        )
-        result = select_compressor(batch, _candidates(), 0.01, 4e9, profile)
+        result = select_compressor(batch, _candidates(), 0.01, 40e9)
+        ratios = {c.codec: c.ratio for c in result.candidates}
+        assert ratios["entropy"] > ratios["vector_lz"]
         assert result.best == "vector_lz"
 
     def test_bandwidth_shifts_selection(self, rng):

@@ -29,7 +29,7 @@ from repro.compression.base import Compressor
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.hybrid import HybridCompressor
 from repro.compression.registry import available_compressors, decompress_any, get_compressor
-from repro.compression.serialization import frame_with_checksum, verify_checksum_frame
+from repro.compression.serialization import CorruptPayloadError, frame_with_checksum, verify_checksum_frame
 
 SEED = 20240914
 ERROR_BOUND = 1e-2
@@ -196,7 +196,8 @@ class TestOneEntryPoint:
     @pytest.mark.parametrize("name", available_compressors())
     def test_payloads_survive_the_checksum_envelope(self, name):
         """The ``bytes`` that ``compress`` returns are what goes on the wire:
-        framed, verified and decoded, they give the unframed decode."""
+        framed, verified and decoded, they give the unframed decode; the
+        envelope itself is no codec frame."""
         codec = get_compressor(name)
         bound = ERROR_BOUND if codec.error_bounded else None
         for batch in _stateless_batches():
@@ -206,9 +207,11 @@ class TestOneEntryPoint:
             assert bytes(verify_checksum_frame(framed)) == payload
             plain = decompress_any(payload)
             assert plain.shape == batch.shape
-            through_wire = decompress_any(framed)
+            through_wire = decompress_any(verify_checksum_frame(framed))
             assert through_wire.dtype == plain.dtype
             np.testing.assert_array_equal(through_wire, plain)
+            with pytest.raises(CorruptPayloadError, match="bad magic"):
+                decompress_any(framed)
 
     @pytest.mark.parametrize("kind", INTERLEAVED_KINDS)
     def test_interleaved_payloads_decode_without_the_encoder(self, kind):

@@ -36,6 +36,7 @@ from repro.compression.bitstream import (
     unpack_fixed,
 )
 from repro.compression.huffman import (
+    DEFAULT_CHUNK_SYMBOLS,
     _reference_huffman_code_lengths,
     _reference_huffman_decode,
     _reference_huffman_encode,
@@ -215,20 +216,19 @@ class TestCodeLengthsDifferential:
 
 class TestHuffmanEncodeDifferential:
     @given(
-        st.integers(min_value=0, max_value=4000),
+        st.integers(min_value=0, max_value=3 * DEFAULT_CHUNK_SYMBOLS + 100),
         st.integers(min_value=1, max_value=300),
-        st.integers(min_value=8, max_value=1024),
         st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=60, deadline=None)
-    def test_encode_matches_reference_stream(self, count, alphabet, chunk, seed):
+    def test_encode_matches_reference_stream(self, count, alphabet, seed):
         """Whole-encoder differential: payload, codebook, and chunk layout
         all byte-identical to the frozen seed path."""
         rng = np.random.default_rng(seed)
         raw = rng.zipf(1.4, size=count) - 1 if count else np.zeros(0, dtype=np.int64)
         symbols = np.minimum(raw, alphabet - 1).astype(np.int64)
-        new = huffman_encode(symbols, alphabet, chunk_symbols=chunk)
-        ref = _reference_huffman_encode(symbols, alphabet, chunk_symbols=chunk)
+        new = huffman_encode(symbols, alphabet)
+        ref = _reference_huffman_encode(symbols, alphabet)
         np.testing.assert_array_equal(new.payload, ref.payload)
         np.testing.assert_array_equal(new.code_lengths, ref.code_lengths)
         np.testing.assert_array_equal(new.chunk_bit_offsets, ref.chunk_bit_offsets)
@@ -238,17 +238,16 @@ class TestHuffmanEncodeDifferential:
 
 class TestHuffmanDifferential:
     @given(
-        st.integers(min_value=0, max_value=4000),
+        st.integers(min_value=0, max_value=3 * DEFAULT_CHUNK_SYMBOLS + 100),
         st.integers(min_value=1, max_value=300),
-        st.integers(min_value=8, max_value=1024),
         st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=60, deadline=None)
-    def test_decode_matches_reference(self, count, alphabet, chunk, seed):
+    def test_decode_matches_reference(self, count, alphabet, seed):
         rng = np.random.default_rng(seed)
         raw = rng.zipf(1.4, size=count) - 1 if count else np.zeros(0, dtype=np.int64)
         symbols = np.minimum(raw, alphabet - 1).astype(np.int64)
-        encoded = huffman_encode(symbols, alphabet, chunk_symbols=chunk)
+        encoded = huffman_encode(symbols, alphabet)
         new = huffman_decode(encoded)
         ref = _reference_huffman_decode(encoded)
         np.testing.assert_array_equal(new, ref)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.huffman import (
+    DEFAULT_CHUNK_SYMBOLS,
     HuffmanCodebook,
     build_codebook,
     canonical_codes,
@@ -169,11 +170,13 @@ class TestEncodeDecode:
 
     def test_chunking_boundaries(self):
         rng = np.random.default_rng(9)
-        symbols = rng.integers(0, 16, size=1000)
-        encoded = huffman_encode(symbols, 16, chunk_symbols=64)
-        assert encoded.chunk_bit_offsets.size == (1000 + 63) // 64
-        assert encoded.chunk_symbol_counts.sum() == 1000
-        assert encoded.chunk_symbol_counts[-1] == 1000 % 64
+        chunk = DEFAULT_CHUNK_SYMBOLS
+        n = 2 * chunk + 1000
+        symbols = rng.integers(0, 16, size=n)
+        encoded = huffman_encode(symbols, 16)
+        assert encoded.chunk_bit_offsets.size == 3
+        assert encoded.chunk_symbol_counts.sum() == n
+        assert encoded.chunk_symbol_counts[-1] == 1000
         np.testing.assert_array_equal(huffman_decode(encoded), symbols)
 
     def test_out_of_range_symbols_rejected(self):
@@ -201,15 +204,14 @@ class TestEncodeDecode:
 
     @given(
         st.integers(min_value=1, max_value=64),
-        st.integers(min_value=0, max_value=2000),
+        st.integers(min_value=0, max_value=3 * DEFAULT_CHUNK_SYMBOLS + 100),
         st.integers(min_value=0, max_value=2**31),
-        st.integers(min_value=16, max_value=256),
     )
     @settings(max_examples=30, deadline=None)
-    def test_roundtrip_property(self, alphabet, count, seed, chunk):
+    def test_roundtrip_property(self, alphabet, count, seed):
         rng = np.random.default_rng(seed)
         # Zipf-ish skew mirrors quantized embedding bins.
         raw = rng.zipf(1.5, size=count) - 1 if count else np.array([], dtype=np.int64)
         symbols = np.minimum(raw, alphabet - 1).astype(np.int64)
-        encoded = huffman_encode(symbols, alphabet, chunk_symbols=chunk)
+        encoded = huffman_encode(symbols, alphabet)
         np.testing.assert_array_equal(huffman_decode(encoded), symbols)

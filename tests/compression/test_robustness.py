@@ -403,6 +403,26 @@ class TestFrameDtypeRaisesCorruptPayloadError:
                 assert decoded.shape == (64, 32), (byte, bit)
 
 
+class TestFrameShapeRaisesCorruptPayloadError:
+    """Every codec frames a 2-D ``(batch, dim)`` array.  A frame declaring
+    another rank once decoded silently to that rank (nine codecs) or leaked
+    a bare ``ValueError`` ("too many values to unpack" from ``vector_lz``
+    and ``hybrid``, "expected 2-D residual array" from ``cusz_like``); the
+    frame's layout check now raises the typed error, naming the codec."""
+
+    @pytest.mark.parametrize("name", available_compressors())
+    @pytest.mark.parametrize(
+        "shape", [(2048,), (64, 32, 1), (2, 32, 32), ()], ids=["1d", "3d-unit", "3d", "0d"]
+    )
+    def test_a_shape_of_another_rank(self, name, shape):
+        header, body = parse_payload(_census_payload(name))
+        codec = header["codec"]  # hybrid ships its winning leg's frame
+        meta = {k: v for k, v in header.items() if k not in ("codec", "dtype", "shape")}
+        reframed = frame_payload(codec, shape, np.dtype(header["dtype"]), meta, bytes(body))
+        with pytest.raises(CorruptPayloadError, match=rf"^{codec}: shape .* is not a 2-D batch"):
+            decompress_any(reframed)
+
+
 class TestBodyLengthRaisesCorruptPayloadError:
     """A body one byte short or long once reached ``np.frombuffer`` /
     ``reshape`` (or ``bitstream``'s reader) and raised NumPy's bare

@@ -288,7 +288,6 @@ class TestChecksumFrame:
         from repro.compression.serialization import (
             CHECKSUM_MAGIC,
             frame_with_checksum,
-            has_checksum,
             verify_checksum_frame,
         )
 
@@ -296,7 +295,6 @@ class TestChecksumFrame:
         framed = frame_with_checksum(body)
         assert framed[0] == CHECKSUM_MAGIC
         assert len(framed) == len(body) + 5
-        assert has_checksum(framed) and not has_checksum(body)
         assert verify_checksum_frame(framed) == body
 
     def test_empty_body_roundtrips(self):
@@ -342,19 +340,20 @@ class TestChecksumFrame:
 
         assert verify_checksum_frame(frame_with_checksum(body)) == body
 
-    def test_decompress_any_strips_envelope(self):
-        """The registry-level decoder verifies and unwraps transparently,
-        so receivers need no knowledge of whether framing was enabled."""
+    def test_decompress_any_decodes_bare_frames_only(self):
+        """An envelope is verified by its receiver, then decoded; handed to
+        the decoder as it is, it is no codec frame."""
         import numpy as np
 
         from repro.compression import HybridCompressor, decompress_any
-        from repro.compression.serialization import frame_with_checksum
+        from repro.compression.serialization import frame_with_checksum, verify_checksum_frame
 
         data = np.linspace(-1.0, 1.0, 512, dtype=np.float32).reshape(64, 8)
         payload = HybridCompressor().compress(data, 1e-2)
-        plain = decompress_any(payload)
-        framed = decompress_any(frame_with_checksum(payload))
-        assert np.array_equal(plain, framed)
+        framed = frame_with_checksum(payload)
+        assert np.array_equal(decompress_any(payload), decompress_any(verify_checksum_frame(framed)))
+        with pytest.raises(CorruptPayloadError, match="bad magic byte 0xc5"):
+            decompress_any(framed)
 
 
 class TestZeroCopyFraming:

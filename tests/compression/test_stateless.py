@@ -1,40 +1,57 @@
-"""Tests for the decode-side LRU cache and the stateless entropy leg."""
+"""The codec layer keeps no state between calls: no module-level cache or
+scratch buffer, an entropy leg that builds each book from its own batch,
+and a pipeline whose round trips stay within each table's bound."""
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+import threading
+
 import numpy as np
-import pytest
 
-from repro.compression.cache import LruCache
+import repro.compression
+from repro.compression.bitstream import padded_stream
 from repro.compression.entropy import EntropyCompressor
+from repro.compression.huffman import huffman_decode, huffman_encode
 
 
-class TestLruCache:
-    def test_get_put_and_hit_counters(self):
-        cache = LruCache(4)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.hits == 1 and cache.misses == 1
+class TestNoModuleState:
+    def test_no_compression_module_holds_a_cache_or_thread_local(self):
+        names = [
+            info.name
+            for info in pkgutil.walk_packages(repro.compression.__path__, "repro.compression.")
+        ]
+        assert "repro.compression.cache" not in names
+        for name in names:
+            module = importlib.import_module(name)
+            for attribute, value in vars(module).items():
+                if callable(value) or inspect.ismodule(value):
+                    continue
+                assert not isinstance(value, threading.local), f"{name}.{attribute}"
+                assert not {"CACHE", "SCRATCH"} & set(attribute.upper().split("_")), (
+                    f"{name}.{attribute}"
+                )
 
-    def test_eviction_order_is_least_recently_used(self):
-        cache = LruCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh a
-        cache.put("c", 3)  # evicts b
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
+    def test_padded_stream_is_a_fresh_copy_with_eight_zero_bytes(self):
+        data = np.arange(1, 6, dtype=np.uint8)
+        first = padded_stream(data)
+        second = padded_stream(data[:2])
+        assert first.tolist() == [1, 2, 3, 4, 5] + [0] * 8
+        assert second.tolist() == [1, 2] + [0] * 8
+        first[:] = 255
+        assert second.tolist() == [1, 2] + [0] * 8 and data.tolist() == [1, 2, 3, 4, 5]
 
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            LruCache(0)
-
-    def test_capacity_bounds_the_entries(self):
-        cache = LruCache(2)
-        for key in "abc":
-            cache.put(key, key)
-        assert [cache.get(key) for key in "abc"] == [None, "b", "c"]
+    def test_a_decode_after_another_books_decode_uses_its_own_book(self):
+        """Two streams whose length tables differ only in which symbol is
+        short decode back to themselves, in either order."""
+        a = np.array([0] * 50 + [1] * 10 + [2] * 5, dtype=np.int64)
+        b = np.array([2] * 50 + [1] * 10 + [0] * 5, dtype=np.int64)
+        ea, eb = huffman_encode(a, 3), huffman_encode(b, 3)
+        assert ea.code_lengths.tolist() != eb.code_lengths.tolist()
+        for encoded, symbols in [(ea, a), (eb, b), (ea, a)]:
+            np.testing.assert_array_equal(huffman_decode(encoded), symbols)
 
 
 class TestStatelessEntropy:

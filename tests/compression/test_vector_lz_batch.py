@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import vector_lz
-from repro.compression.base import frame_payload, parse_payload
+from repro.compression.base import MAGIC, frame_payload, parse_payload
 from repro.compression.bitstream import (
     pack_fixed,
     pack_fixed_segments,
@@ -26,7 +26,7 @@ from repro.compression.bitstream import (
 )
 from repro.compression.quantizer import quantize
 from repro.compression.registry import decompress_any
-from repro.compression.serialization import CorruptPayloadError
+from repro.compression.serialization import CorruptPayloadError, pack_meta
 from repro.compression.vector_lz import (
     VectorLZCompressor,
     vector_lz_decode_stack,
@@ -277,6 +277,22 @@ class TestHostilePayloads:
         with pytest.raises(ValueError, match="unresolvable match chain"):
             codec.decompress_stack([looping, payloads[1]])
 
+
+    @pytest.mark.parametrize("field,value", [("dtype", "<f2"), ("dtype", "<i4"), ("dtype", "zz"), ("shape", 16)])
+    def test_a_frame_layout_is_checked_like_decompress_any(self, field, value):
+        """Reframed at float16 or int32, the stack once decoded silently to
+        that dtype; at dtype ``zz``, or with an integer for its shape, it
+        leaked a ``TypeError``.  Each frame's layout is now checked as
+        ``decompress_any`` checks it."""
+        codec = VectorLZCompressor()
+        payloads = self._payloads()
+        header, body = parse_payload(payloads[1])
+        header[field] = value  # packed verbatim: frame_payload would coerce it
+        hostile = bytes([MAGIC]) + pack_meta(header) + bytes(body)
+        with pytest.raises(CorruptPayloadError, match="^vector_lz: "):
+            decompress_any(hostile)
+        with pytest.raises(CorruptPayloadError, match="^vector_lz: "):
+            codec.decompress_stack([payloads[0], hostile, payloads[2]])
 
 class TestSegmentPacking:
     @settings(max_examples=80, deadline=None)

@@ -31,9 +31,8 @@ from repro.dist import (
     NetworkModel,
     Topology,
 )
+from repro.dist.comm import METADATA_BYTES_PER_ENTRY as METADATA_BYTES
 from tests.conftest import events_in
-
-METADATA_BYTES = 16
 
 
 @st.composite
@@ -71,7 +70,6 @@ def _run(network, compress, decompress, sizes, chunks, *, overlap=True):
     ]
     sim.comm.compressed_all_to_all(
         sendbufs,
-        metadata_bytes_per_entry=METADATA_BYTES,
         overlap=overlap,
         compress_seconds=compress,
         decompress_seconds=decompress,
@@ -181,7 +179,6 @@ class TestChunkEvents:
         ]
         sim.comm.compressed_all_to_all(
             sendbufs,
-            metadata_bytes_per_entry=METADATA_BYTES,
             overlap=True,
             chunks_per_rank=k,
         )
@@ -318,7 +315,6 @@ def _run_split(network, compress, decompress, sizes, chunks, seed, *, overlap=Tr
     sim = ClusterSimulator(n, network=network)
     sim.comm.compressed_all_to_all(
         sendbufs,
-        metadata_bytes_per_entry=METADATA_BYTES,
         overlap=overlap,
         compress_seconds=compress,
         decompress_seconds=decompress,

@@ -21,6 +21,7 @@ from repro.dist import (
     EventCategory,
     NetworkModel,
 )
+from repro.dist.comm import METADATA_BYTES_PER_ENTRY
 from repro.faults import FaultInjector, FaultPlan, LinkFault
 from tests.conftest import events_in
 
@@ -133,15 +134,13 @@ class TestCompressedAllToAll:
         for scale in (1, 1000):
             sim = ClusterSimulator(4, network=net)
             sent = [[b"x" * scale for _ in range(4)] for _ in range(4)]
-            sim.comm.compressed_all_to_all(sent, metadata_bytes_per_entry=16)
+            sim.comm.compressed_all_to_all(sent)
             meta = events_in(sim.timeline, EventCategory.METADATA)
             results.append(meta[0].duration)
         assert results[0] == pytest.approx(results[1])
 
     def test_validation(self, sim):
         good = [[b"x"] * 4] * 4
-        with pytest.raises(ValueError):
-            sim.comm.compressed_all_to_all(good, metadata_bytes_per_entry=0)
         with pytest.raises(ValueError):
             sim.comm.compressed_all_to_all(good, entries_per_pair=0)
 
@@ -411,10 +410,11 @@ class TestEntriesMatrix:
         sim = ClusterSimulator(4, network=net)
         entries = np.arange(16).reshape(4, 4)
         sim.comm.compressed_all_to_all(
-            [[b"x"] * 4] * 4, metadata_bytes_per_entry=16, entries_per_pair=entries
+            [[b"x"] * 4] * 4, entries_per_pair=entries
         )
         meta = events_in(sim.timeline, EventCategory.METADATA)
-        assert meta[0].duration == pytest.approx(net.all_to_all_time(16.0 * entries))
+        expected = net.all_to_all_time(float(METADATA_BYTES_PER_ENTRY) * entries)
+        assert meta[0].duration == pytest.approx(expected)
 
     def test_all_zero_matrix_skips_metadata_round(self, sim):
         sim.comm.compressed_all_to_all(
@@ -431,7 +431,7 @@ class TestPricedCollectives:
         moved = ClusterSimulator(4, network=net)
         matrix = np.full((4, 4), 1000)
         priced.comm.all_to_all_bytes(matrix, EventCategory.ALLTOALL_BWD)
-        moved.comm.all_to_all([[b"x" * 1000] * 4] * 4, EventCategory.ALLTOALL_BWD)
+        moved.comm.all_to_all([[b"x" * 1000] * 4] * 4)
         assert priced.makespan() == pytest.approx(moved.makespan())
 
     @pytest.mark.parametrize("overlap_compute", [None, [1e-5] * 4])

@@ -48,8 +48,6 @@ from repro.obs.critpath import (
     report_json_block,
 )
 
-METADATA_BYTES = 16
-
 
 @st.composite
 def fabric_and_ranks(draw):
@@ -86,7 +84,6 @@ def _run(network, compress, decompress, sizes, chunks, *, overlap=True):
     ]
     sim.comm.compressed_all_to_all(
         sendbufs,
-        metadata_bytes_per_entry=METADATA_BYTES,
         overlap=overlap,
         compress_seconds=compress,
         decompress_seconds=decompress,

@@ -79,7 +79,6 @@ def simulate(network, n, seed, chunks, overlap, rounds, annotate, stall) -> Clus
         began = sim.makespan()
         sim.comm.compressed_all_to_all(
             sendbufs,
-            metadata_bytes_per_entry=16,
             overlap=overlap,
             compress_seconds=rng.uniform(0.0, 2e-3, size=n).tolist(),
             decompress_seconds=rng.uniform(0.0, 2e-3, size=n).tolist(),

@@ -7,7 +7,7 @@ import pytest
 
 from repro.adaptive import AdaptiveController, OfflineAnalyzer
 from repro.compression import decompress_any
-from repro.compression.serialization import has_checksum, verify_checksum_frame
+from repro.compression.serialization import CHECKSUM_MAGIC, verify_checksum_frame
 from repro.data import SyntheticClickDataset, make_uniform_spec
 from repro.dist import ClusterSimulator
 from repro.model import DLRM, DLRMConfig
@@ -199,12 +199,12 @@ class TestWirePayloads:
                 t = record.table_id
                 assert type(payload) is bytes
                 assert len(payload) == record.wire_nbytes
-                assert has_checksum(payload) == checksum
+                assert (payload[0] == CHECKSUM_MAGIC) == checksum
+                body = verify_checksum_frame(payload) if checksum else payload
                 after = publisher.published_table(t)
                 if compress:
-                    np.testing.assert_array_equal(before[t] + decompress_any(payload), after)
+                    np.testing.assert_array_equal(before[t] + decompress_any(body), after)
                 else:
-                    body = verify_checksum_frame(payload) if checksum else payload
                     delta = np.frombuffer(body, dtype=np.float32).reshape(after.shape)
                     np.testing.assert_array_equal(delta, trainer_table(trainer, t) - before[t])
                     np.testing.assert_array_equal(after, trainer_table(trainer, t))

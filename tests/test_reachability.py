@@ -27,23 +27,24 @@ somewhere outside the tests: a file in ``src/repro``, ``examples/``,
 calls the callee's name (a) with the parameter's name as a keyword, (b)
 with a positional argument at its index, or (c) with ``*`` or ``**``.  The callee's name is the function's or
 method's own, and for an ``__init__`` or a field the class name (``cls``
-inside the class).  ``self``, ``cls``, names with a leading
+inside the class).  An argument whose source text (``ast.unparse``) is the
+default's own does not pass the parameter: ``n_steps=4`` leaves
+``n_steps: int = 4`` a constant.  ``self``, ``cls``, names with a leading
 underscore and ``init=False`` fields are skipped.  A parameter no caller
 passes fails the test, by module, qualified name and parameter: its value
 is a constant, not a setting.  A value only tests set is a constant too.
 
-Two limits of the scans:
-
-* matching is by name, so a dead member that shares its name with a live
-  one (a method ``slot_of`` beside a local variable ``slot_of``, say)
-  stays invisible, and a call of one class's method passes that keyword to
-  every method of the same name.  A call probe finds those: it runs every
-  root with a call-only tracer and lists the functions no root calls (its
-  recipe is in ``CHANGES.md``);
-* a call through another name (``factory(**kwargs)``, ``cls(...)`` inside
-  a different class) is not a call of the callee, so a parameter passed
-  only that way needs a :data:`PARAMETER_ALLOWLIST` entry naming the
-  forwarding reader.
+The scans read source, so what they cannot see is what only running
+shows: a dead member that shares its name with a live one (a method
+``slot_of`` beside a local variable ``slot_of``, say), a keyword passed to
+one class's method that counts for every method of that name, and a value
+forwarded under another name (``factory(**kwargs)``, ``cls(...)`` inside a
+different class, a wrapper's own parameter) that counts as passed however
+it is set.  ``tests/probe_roots.py`` runs every root under a call probe
+and a value probe and lists the functions no root calls and the defaulted
+parameters no root sets to anything but their default.  A parameter passed
+only through a forwarder needs a :data:`PARAMETER_ALLOWLIST` entry naming
+that reader.
 
 An entry in :data:`ALLOWLIST` keeps an unreached module, one in
 :data:`MEMBER_ALLOWLIST` an unread member and one in
@@ -114,6 +115,18 @@ PARAMETER_ALLOWLIST: dict[str, str] = {
     "repro.faults.plan:LinkFault(extra_latency)": (
         "tests inject fault plans with latency spikes: the worst-case link-state"
         " law and the degraded-serving pull-time law"
+    ),
+    "repro.adaptive.decay:StepwiseDecay(n_steps)": (
+        "bench_e2e's train world passes it at its default, and bench_e2e changes"
+        " only with the benchmark; no other root sets it"
+    ),
+    "repro.dist.network:Topology.hierarchical(intra_link)": (
+        "bench_e2e's exchange world passes it at its default, and bench_e2e changes"
+        " only with the benchmark; no other root sets it"
+    ),
+    "repro.dist.simulator:ClusterSimulator.stream_compute(stream)": (
+        "tests/dist/test_ledger_golden.py's extra-stream world charges a second"
+        " stream; compute() passes the default"
     ),
     "repro.compression.vector_lz:vector_lz_encode_stack(window)": (
         "the vector-LZ window laws encode integer codes at windows of 1-300 so"
@@ -320,8 +333,9 @@ def _field_call(value: ast.expr | None) -> ast.Call | None:
     return None
 
 
-def _init_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
-    """``(name, has_default)`` of one dataclass's own init fields, in order."""
+def _init_fields(node: ast.ClassDef) -> list[tuple[str, bool, str | None]]:
+    """``(name, has_default, default source)`` of one dataclass's own init
+    fields, in order; the source is ``None`` for a ``default_factory``."""
     out = []
     for item in node.body:
         if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
@@ -336,35 +350,41 @@ def _init_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
         has_default = item.value is not None and (
             call is None or "default" in keywords or "default_factory" in keywords
         )
-        out.append((item.target.id, has_default))
+        default = item.value if call is None else keywords.get("default")
+        out.append((item.target.id, has_default, None if default is None else ast.unparse(default)))
     return out
 
 
-def _function_parameters(node: ast.FunctionDef | ast.AsyncFunctionDef, method: bool) -> list[tuple[str, int | None]]:
-    """``(name, positional index)`` of every defaulted parameter of one
-    definition, the index ``None`` for a keyword-only one."""
+def _function_parameters(node: ast.FunctionDef | ast.AsyncFunctionDef, method: bool) -> list[tuple[str, int | None, str]]:
+    """``(name, positional index, default source)`` of every defaulted
+    parameter of one definition, the index ``None`` for a keyword-only one."""
     positional = [*node.args.posonlyargs, *node.args.args]
     if method and positional and positional[0].arg in ("self", "cls"):
         positional = positional[1:]
     first_default = len(positional) - len(node.args.defaults)
-    out = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first_default]
+    out = [
+        (arg.arg, i, ast.unparse(node.args.defaults[i - first_default]))
+        for i, arg in enumerate(positional)
+        if i >= first_default
+    ]
     out += [
-        (arg.arg, None)
+        (arg.arg, None, ast.unparse(default))
         for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
         if default is not None
     ]
     return out
 
 
-def defaulted_parameters(module: str, tree: ast.Module | None = None) -> dict[str, tuple[str, int | None]]:
+def defaulted_parameters(module: str, tree: ast.Module | None = None) -> dict[str, tuple[str, int | None, str | None]]:
     """``module:Qualified.name(parameter)`` -> ``(callee name, positional
-    index)`` of every defaulted parameter the parameter rule covers."""
-    out: dict[str, tuple[str, int | None]] = {}
+    index, default source)`` of every defaulted parameter the parameter
+    rule covers."""
+    out: dict[str, tuple[str, int | None, str | None]] = {}
 
-    def add(qualified: str, callee: str, parameters: list[tuple[str, int | None]]) -> None:
-        for name, index in parameters:
+    def add(qualified: str, callee: str, parameters: list[tuple[str, int | None, str | None]]) -> None:
+        for name, index, default in parameters:
             if not name.startswith("_"):
-                out[f"{module}:{qualified}({name})"] = (callee, index)
+                out[f"{module}:{qualified}({name})"] = (callee, index, default)
 
     for node in (tree or _tree(MODULES[module])).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
@@ -373,7 +393,7 @@ def defaulted_parameters(module: str, tree: ast.Module | None = None) -> dict[st
             continue
         if _is_dataclass(node):
             fields = _init_fields(node)
-            add(node.name, node.name, [(name, i) for i, (name, has) in enumerate(fields) if has])
+            add(node.name, node.name, [(name, i, d) for i, (name, has, d) in enumerate(fields) if has])
         for method in node.body:
             if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -386,13 +406,13 @@ def defaulted_parameters(module: str, tree: ast.Module | None = None) -> dict[st
 
 def passed_arguments(
     tree: ast.Module,
-) -> tuple[set[tuple[str, str]], set[tuple[str, int]], set[str]]:
-    """Of every call in one file: the ``(callee, keyword)`` pairs it names,
-    the ``(callee, positional index)`` pairs it fills, and the callees it
-    passes ``*`` or ``**`` to.  A call to ``cls`` counts as a call to its
-    enclosing class."""
-    keywords: set[tuple[str, str]] = set()
-    positions: set[tuple[str, int]] = set()
+) -> tuple[set[tuple[str, str, str]], set[tuple[str, int, str]], set[str]]:
+    """Of every call in one file: the ``(callee, keyword, argument source)``
+    triples it names, the ``(callee, positional index, argument source)``
+    triples it fills, and the callees it passes ``*`` or ``**`` to.  A call
+    to ``cls`` counts as a call to its enclosing class."""
+    keywords: set[tuple[str, str, str]] = set()
+    positions: set[tuple[str, int, str]] = set()
     starred: set[str] = set()
 
     def visit(node: ast.AST, cls: str | None) -> None:
@@ -404,12 +424,14 @@ def passed_arguments(
             if callee == "cls" and cls is not None:
                 callee = cls
             if callee is not None:
-                keywords.update((callee, k.arg) for k in node.keywords if k.arg is not None)
+                keywords.update(
+                    (callee, k.arg, ast.unparse(k.value)) for k in node.keywords if k.arg is not None
+                )
                 for i, arg in enumerate(node.args):
                     if isinstance(arg, ast.Starred):
                         starred.add(callee)
                         break
-                    positions.add((callee, i))
+                    positions.add((callee, i, ast.unparse(arg)))
                 if any(k.arg is None for k in node.keywords):
                     starred.add(callee)
         for child in ast.iter_child_nodes(node):
@@ -431,21 +453,24 @@ def _callers() -> list[Path]:
 
 
 def unpassed_parameters(callers: list[Path] | None = None) -> set[str]:
-    keywords: set[tuple[str, str]] = set()
-    positions: set[tuple[str, int]] = set()
+    """Every covered parameter no caller passes a value other than its
+    default's source text."""
+    keywords: dict[tuple[str, str], set[str]] = {}
+    positions: dict[tuple[str, int], set[str]] = {}
     starred: set[str] = set()
     for path in _callers() if callers is None else callers:
         k, p, s = passed_arguments(_tree(path))
-        keywords |= k
-        positions |= p
+        for callee, keyword, source in k:
+            keywords.setdefault((callee, keyword), set()).add(source)
+        for callee, index, source in p:
+            positions.setdefault((callee, index), set()).add(source)
         starred |= s
     unpassed = set()
     for module in MODULES:
-        for parameter, (callee, index) in defaulted_parameters(module).items():
+        for parameter, (callee, index, default) in defaulted_parameters(module).items():
             name = parameter[parameter.rindex("(") + 1 : -1]
-            if (callee, name) in keywords or callee in starred:
-                continue
-            if index is not None and (callee, index) in positions:
+            passed = keywords.get((callee, name), set()) | positions.get((callee, index), set())
+            if callee in starred or passed - {default}:
                 continue
             unpassed.add(parameter)
     return unpassed
@@ -528,7 +553,8 @@ def test_the_parameter_scan_rule():
     methods and public classes' ``__init__``, and defaulted init fields of
     public dataclasses; what counts as passing one: a keyword, a positional
     argument at its index, or ``*`` / ``**``, each in a call of the
-    callee's own name outside ``tests/``."""
+    callee's own name outside ``tests/``, with source text other than the
+    default's."""
     tree = ast.parse(
         "def public(a, b=1, *, c=2, _d=3): ...\n"
         "def _private(e=4): ...\n"
@@ -545,12 +571,16 @@ def test_the_parameter_scan_rule():
         "    m: ClassVar[int] = 9\n"
     )
     assert defaulted_parameters("m", tree) == {
-        "m:public(b)": ("public", 1),
-        "m:public(c)": ("public", None),
-        "m:Thing(f)": ("Thing", 0),
-        "m:Thing.method(g)": ("method", 0),
-        "m:Record(j)": ("Record", 1),
-        "m:Record(k)": ("Record", 2),
+        "m:public(b)": ("public", 1, "1"),
+        "m:public(c)": ("public", None, "2"),
+        "m:Thing(f)": ("Thing", 0, "5"),
+        "m:Thing.method(g)": ("method", 0, "6"),
+        "m:Record(j)": ("Record", 1, "8"),
+        "m:Record(k)": ("Record", 2, None),
+    }
+    assert defaulted_parameters("m", ast.parse("def f(a=CONST, *, b=obj.attr): ...")) == {
+        "m:f(a)": ("f", 0, "CONST"),
+        "m:f(b)": ("f", None, "obj.attr"),
     }
     calls = ast.parse(
         "public(0, c=1)\n"
@@ -559,14 +589,21 @@ def test_the_parameter_scan_rule():
         "    def make(cls): return cls(0, 1)\n"
     )
     keywords, positions, starred = passed_arguments(calls)
-    assert keywords == {("public", "c")}
-    assert positions == {("public", 0), ("Record", 0), ("Record", 1)}
+    assert keywords == {("public", "c", "1")}
+    assert positions == {("public", 0, "0"), ("Record", 0, "0"), ("Record", 1, "1")}
     assert starred == {"method"}
+    # an argument spelled as the default is no setting: bench_e2e's
+    # StepwiseDecay(..., n_steps=4) leaves n_steps: int = 4 unpassed
+    bench = ROOT / "bench_e2e" / "workloads" / "train.py"
+    assert bench in _callers()
+    assert ("StepwiseDecay", "n_steps", "4") in passed_arguments(_tree(bench))[0]
+    assert defaulted_parameters("repro.adaptive.decay")["repro.adaptive.decay:StepwiseDecay(n_steps)"][2] == "4"
+    assert "repro.adaptive.decay:StepwiseDecay(n_steps)" in unpassed_parameters()
     # a keyword passed only from a tests/ file leaves the parameter unpassed
     test_dirs = (ROOT / "tests", ROOT / "bench_e2e" / "tests")
     assert not [p for p in _callers() if any(p.is_relative_to(d) for d in test_dirs)]
     test_file = ROOT / "tests" / "faults" / "test_plan_injector.py"
-    assert ("LinkFault", "extra_latency") in passed_arguments(_tree(test_file))[0]
+    assert {k[:2] for k in passed_arguments(_tree(test_file))[0]} >= {("LinkFault", "extra_latency")}
     assert "repro.faults.plan:LinkFault(extra_latency)" in unpassed_parameters()
     assert "repro.faults.plan:LinkFault(extra_latency)" not in unpassed_parameters([*_callers(), test_file])
 
@@ -583,5 +620,5 @@ def test_a_keyword_counts_only_for_its_own_callee():
             "    def make(self, cls): return cls(help='h')\n"
         )
     )
-    assert keywords == {("Codec", "window"), ("run", "window"), ("Registry", "help")}
-    assert ("Pipeline", "window") not in keywords
+    assert keywords == {("Codec", "window", "8"), ("run", "window", "8"), ("Registry", "help", "'h'")}
+    assert not {k for k in keywords if k[0] == "Pipeline"}

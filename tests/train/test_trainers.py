@@ -21,7 +21,7 @@ from repro.train import (
     ReferenceTrainer,
 )
 from repro.train.metrics import binary_accuracy, roc_auc
-from repro.train.reference import EVAL_BATCH_OFFSET, evaluate_model
+from repro.train.reference import EVAL_BATCH_OFFSET, EVAL_BATCHES, evaluate_model
 from tests.conftest import round_robin_plan
 
 
@@ -128,8 +128,8 @@ class TestHybridTrainer:
     def test_periodic_eval_is_evaluate_model(self, small_world):
         _, dataset, config = small_world
         trainer = HybridParallelTrainer(DLRM(config), dataset, ClusterSimulator(2), lr=0.2)
-        report = trainer.train(2, 32, eval_every=2, eval_batches=1)
-        accuracy, auc = evaluate_model(trainer.model, dataset, n_batches=1)
+        report = trainer.train(2, 32, eval_every=2)
+        accuracy, auc = evaluate_model(trainer.model, dataset, n_batches=EVAL_BATCHES)
         assert report.history.accuracies == [accuracy] and report.history.aucs == [auc]
 
     def test_benchmark_contract_bit_for_bit(self, bench_world):
