@@ -25,9 +25,10 @@ rank's stage-① compression is split into real chunk kernels on its
 finishes *and* the previous chunk's wire slot frees, and stage-④ decode
 of chunk ``i`` starts at its arrival (when the slowest sender's matching
 chunk has cleared the wire).  This is the paper's future-work NCCL
-integration priced end to end, with honest per-chunk stall accounting
-instead of an analytic first/last-chunk correction.  Chunk wire events
-are priced at each chunk's *actual byte share* of the collective,
+integration priced end to end: a chunk's wire that waits on its
+compression stalls in the schedule itself, with no analytic
+first/last-chunk correction.  Chunk wire events are priced at each
+chunk's *actual byte share* of the collective,
 conserving per-rank wire totals — so the makespan never exceeds the
 one-chunk layout and never drops below the ``max(compute, wire)`` floor,
 for arbitrary payload layouts.  With even splits (single indivisible
@@ -39,6 +40,10 @@ of these laws.  ``overlap=True`` runs ``chunks_per_rank`` chunks;
 compress / metadata / payload / decode exchange; the uncompressed
 all-to-alls are one-chunk pipelines with no codec stages and no metadata
 round.
+
+The exchange only records events: how much of its wire hid behind compute
+is read off the ledger afterwards, by the profiling layer's
+``overlap_efficiency``.
 
 ``overlap_compute_seconds`` slots rank-local bottom-MLP backward compute
 between the compress and decode stages on the ``compute`` stream, so an
@@ -133,19 +138,13 @@ class _Stage(NamedTuple):
 @dataclass
 class _PipelineSchedule:
     """What :meth:`Communicator._build_pipeline` hands the charger: the
-    stages in ledger order and the two stream clocks after the last event
-    — plus, for the stall/hidden accounting, each rank's chunk count and
-    the per-chunk end times and *nominal* (as priced) seconds of the wire
-    events and of the compute-stream kernels, as ``(on, ends, seconds)``
-    per kernel kind with ``on`` marking the ranks that ran it."""
+    stages in ledger order, the two stream clocks after the last event,
+    and each wire chunk's end time ``(n_ranks, max_chunks)``."""
 
     stages: list[_Stage]
     compute_clock: np.ndarray
     comm_clock: np.ndarray
-    chunks: np.ndarray
     wire_ends: np.ndarray
-    wire_seconds: np.ndarray
-    compute_spans: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 class Communicator:
@@ -423,8 +422,6 @@ class Communicator:
             overlap_compute=overlap_compute,
         )
         self._charge_pipeline(schedule)
-        if OBS.enabled and overlap:
-            self._obs_overlap_accounting(schedule)
         return [list(column) for column in zip(*sendbufs)]
 
     def _per_rank_seconds(self, values, name: str) -> list[float]:
@@ -647,7 +644,6 @@ class Communicator:
             comp_mask, chunk_args(comp_on),
             [e for r in np.flatnonzero(comp_on) for e in [first[r]] + [None] * (chunks[r] - 1)],
         )
-        compute_spans = [(comp_on, comp_ends, comp_seconds)]
         comp_idx = ledger_indices(comp_mask, base)
         next_idx = base + np.count_nonzero(comp_mask)
 
@@ -683,10 +679,9 @@ class Communicator:
                 wire_edges.extend(wire_prefix + [own] for own in comp_idx[rank, :k].tolist())
             else:
                 wire_edges.extend([unkerneled] * k)
-        wire_seconds = payload_seconds * wire_fractions
         wire_ends, comm_clock = self._schedule_stage(
             stages, category, COMM_STREAM, comm_clock, np.maximum(meta_end, comp_ends),
-            wire_seconds, live, chunk_args(slice(None)), wire_edges,
+            payload_seconds * wire_fractions, live, chunk_args(slice(None)), wire_edges,
         )
         wire_idx = ledger_indices(live, next_idx)
 
@@ -694,13 +689,11 @@ class Communicator:
         # compression kernels, so the wire (and decode stalls) hide it; on
         # a rank without them it is the first kernel.
         oc_on = overlap_compute > 0.0
-        oc_seconds = overlap_compute[:, None]
-        oc_ends, compute_clock = self._schedule_stage(
+        _, compute_clock = self._schedule_stage(
             stages, EventCategory.BOTTOM_MLP_BWD, COMPUTE_STREAM, compute_clock, None,
-            oc_seconds, oc_on[:, None], None,
+            overlap_compute[:, None], oc_on[:, None], None,
             [None if comp_on[r] else first[r] for r in np.flatnonzero(oc_on)],
         )
-        compute_spans.append((oc_on, oc_ends, oc_seconds))
 
         # Stage ④: decode of chunk j starts at its arrival — when the
         # slowest sender's fraction-matched chunk has cleared the wire.
@@ -719,16 +712,13 @@ class Communicator:
             )  # (k, n): sender src's chunk feeding receiver chunk j
             arrivals[chunks == k, :k] = wire_ends[ranks, matched].max(axis=1)
             edges_by_count[k] = [tuple(row) for row in wire_idx[ranks, matched].tolist()]
-        dec_seconds = np.broadcast_to((decompress / chunks)[:, None], live.shape)
-        dec_ends, compute_clock = self._schedule_stage(
+        _, compute_clock = self._schedule_stage(
             stages, EventCategory.DECOMPRESS, COMPUTE_STREAM, compute_clock, arrivals,
-            dec_seconds, live & dec_on[:, None], chunk_args(dec_on),
+            np.broadcast_to((decompress / chunks)[:, None], live.shape),
+            live & dec_on[:, None], chunk_args(dec_on),
             list(chain.from_iterable(edges_by_count[k] for k in chunks[dec_on].tolist())),
         )
-        compute_spans.append((dec_on, dec_ends, dec_seconds))
-        return _PipelineSchedule(
-            stages, compute_clock, comm_clock, chunks, wire_ends, wire_seconds, compute_spans
-        )
+        return _PipelineSchedule(stages, compute_clock, comm_clock, wire_ends)
 
     def _charge_pipeline(self, schedule: _PipelineSchedule) -> None:
         """Append a built schedule to the ledger, one ``record_batch`` per
@@ -754,43 +744,6 @@ class Communicator:
         # The exchange hands decoded data back at a device-wide barrier.
         for rank in range(self.n_ranks):
             sim.sync(rank)
-
-    def _obs_overlap_accounting(self, schedule: _PipelineSchedule) -> None:
-        """Per-exchange stall-vs-hidden wire accounting (obs-enabled only).
-
-        ``stall`` is wire-port idle time between consecutive chunk events
-        (the wire waiting on compression); ``hidden`` is the chunked wire
-        time that ran while this exchange kept the rank's compute stream
-        busy — the same definitions ``chunk_pipeline_report`` applies to
-        the whole timeline, charged here as running counters.
-        """
-        from repro.profiling.breakdown import _merge_intervals, _overlap_with_merged
-
-        def intervals(ends: np.ndarray, seconds: np.ndarray, rank: int, k: int):
-            return list(zip((ends - seconds)[rank, :k].tolist(), ends[rank, :k].tolist()))
-
-        stall = 0.0
-        hidden = 0.0
-        for rank, k in enumerate(schedule.chunks.tolist()):
-            wire_iv = intervals(schedule.wire_ends, schedule.wire_seconds, rank, k)
-            stall += sum(
-                max(0.0, wire_iv[j][0] - wire_iv[j - 1][1]) for j in range(1, k)
-            )
-            compute_iv = []
-            for on, ends, seconds in schedule.compute_spans:
-                if on[rank]:
-                    compute_iv.extend(intervals(ends, seconds, rank, k))
-            merged = _merge_intervals(compute_iv)
-            hidden += sum(_overlap_with_merged(iv, merged) for iv in wire_iv)
-        reg = OBS.registry
-        reg.counter(
-            "comm_wire_stall_seconds_total",
-            "wire idle between chunks of pipelined exchanges (waiting on compression)",
-        ).inc(stall)
-        reg.counter(
-            "comm_wire_hidden_seconds_total",
-            "chunked wire seconds overlapped by same-rank compute",
-        ).inc(hidden)
 
     # --------------------------------------------------------- all-reduce
 

@@ -157,10 +157,6 @@ def run_day_in_the_life_under_faults(
             evict(healthy_trainer, iteration)
     healthy_makespan = healthy_trainer.simulator.makespan()
     healthy_params = _final_param_bytes(healthy_trainer.model)
-    healthy_tier = build_serving_tier(
-        healthy_trainer, n_shard_ranks=2, n_replicas=2, cache_rows=64
-    )
-    healthy_tier.publisher.publish(iteration=total_iterations - 1)
 
     # ------------------------------------------------------ the fault plan
     # Windows scale with the measured healthy makespan (training faults)

@@ -47,8 +47,7 @@ _LAZY_EXPORTS = {
     "timelines_from_chrome_trace": "repro.obs.trace",
     "SNAPSHOT_SCHEMA_ID": "repro.obs.exporters",
     "snapshot_to_json": "repro.obs.exporters",
-    "snapshot_from_json": "repro.obs.exporters",
-    "reports_from_json": "repro.obs.exporters",
+    "snapshot_from_document": "repro.obs.exporters",
     "to_prometheus": "repro.obs.exporters",
     "run_report": "repro.obs.exporters",
     "validate_snapshot_json": "repro.obs.schema",

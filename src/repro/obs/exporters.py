@@ -2,10 +2,13 @@
 
 Three consumers, three formats:
 
-* :func:`snapshot_to_json` / :func:`snapshot_from_json` — lossless
+* :func:`snapshot_to_json` / :func:`snapshot_from_document` — lossless
   round-trip of a :class:`~repro.obs.registry.RegistrySnapshot`,
   including histogram exact-sample reservoirs.  This is the archival
-  format the CI smoke job validates against ``repro.obs.schema``.
+  format the CI smoke job validates against ``repro.obs.schema``; a
+  document is read back by validating it with
+  :func:`~repro.obs.schema.validate_snapshot_json` and handing the parsed
+  payload to :func:`snapshot_from_document`.
 * :func:`to_prometheus` — the Prometheus text exposition format.
   Buckets, sums, counts, and min/max survive; exact reservoirs do not
   (Prometheus has no such concept).
@@ -35,15 +38,14 @@ __all__ = [
     "SNAPSHOT_SCHEMA_ID",
     "SNAPSHOT_SCHEMA_V1",
     "snapshot_to_json",
-    "snapshot_from_json",
-    "reports_from_json",
+    "snapshot_from_document",
     "to_prometheus",
     "run_report",
 ]
 
 #: v2 adds the optional top-level ``reports`` object (critical-path and
 #: SLO blocks); the metric families are unchanged, so v1 documents stay
-#: parseable — :func:`snapshot_from_json` accepts both.
+#: parseable — :func:`snapshot_from_document` accepts both.
 SNAPSHOT_SCHEMA_ID = "repro.obs.snapshot/v2"
 SNAPSHOT_SCHEMA_V1 = "repro.obs.snapshot/v1"
 
@@ -106,19 +108,15 @@ def snapshot_to_json(
     return json.dumps(payload, indent=indent)
 
 
-def snapshot_from_json(text: str) -> RegistrySnapshot:
-    """Parse :func:`snapshot_to_json` output back into a snapshot.
+def snapshot_from_document(payload: dict) -> RegistrySnapshot:
+    """The snapshot of a :func:`snapshot_to_json` document, given as the
+    payload :func:`~repro.obs.schema.validate_snapshot_json` returned.
 
     Accepts the current v2 documents and archived v1 snapshots (identical
     families block, no ``reports``) — the migration path for metrics.json
-    files written before the schema bump.
+    files written before the schema bump.  The walk trusts the validator:
+    every node it reads was checked there.
     """
-    payload = json.loads(text)
-    if payload.get("schema") not in (SNAPSHOT_SCHEMA_ID, SNAPSHOT_SCHEMA_V1):
-        raise ValueError(
-            f"expected schema {SNAPSHOT_SCHEMA_ID!r} (or {SNAPSHOT_SCHEMA_V1!r}), "
-            f"got {payload.get('schema')!r}"
-        )
     families = []
     for fam in payload["families"]:
         kind = fam["kind"]
@@ -150,14 +148,6 @@ def snapshot_from_json(text: str) -> RegistrySnapshot:
             )
         )
     return RegistrySnapshot(families=tuple(families))
-
-
-def reports_from_json(text: str) -> dict:
-    """The ``reports`` block of a snapshot document ({} for v1 files or
-    v2 files written without one)."""
-    payload = json.loads(text)
-    reports = payload.get("reports")
-    return dict(reports) if isinstance(reports, dict) else {}
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.obs.exporters import reports_from_json, run_report, snapshot_from_json
+from repro.obs.exporters import run_report, snapshot_from_document
+from repro.obs.schema import validate_snapshot_json
 
 __all__ = ["main"]
 
@@ -60,11 +61,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read {args.metrics}: {exc}", file=sys.stderr)
         return 2
     try:
-        snapshot = snapshot_from_json(text)
-    except (ValueError, KeyError) as exc:
+        payload = validate_snapshot_json(text)
+    except ValueError as exc:
         print(f"error: {args.metrics} is not a snapshot: {exc}", file=sys.stderr)
         return 2
-    reports = reports_from_json(text)
+    snapshot = snapshot_from_document(payload)
+    reports = payload.get("reports", {})
 
     timelines = None
     critical_paths = None
@@ -100,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(_archived_critical_path_summary(reports["critical_path"]))
     if reports.get("slo"):
-        monitors = reports["slo"].get("monitors", [])
+        monitors = reports["slo"]["monitors"]
         firing = [m["name"] for m in monitors if m.get("firing")]
         print()
         print(

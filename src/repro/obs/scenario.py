@@ -93,7 +93,7 @@ def build_day_world(name: str, n_tables: int, cardinality: int, seed: int):
         ClusterSimulator(2),
         pipeline=CompressionPipeline(AdaptiveController(plan)),
         lr=0.2,
-        overlap=True,  # chunked overlapped exchanges -> chunk events + stall/hidden metrics
+        overlap=True,  # chunked overlapped exchanges -> chunk events on the ledger
         pipeline_chunks=4,
     )
     return dataset, config, trainer

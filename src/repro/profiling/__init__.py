@@ -5,10 +5,8 @@ from repro.profiling.breakdown import (
     SpeedupSummary,
     breakdown_report,
     breakdown_rows,
-    chunk_pipeline_report,
     compare_runs,
     overlap_efficiency,
-    overlap_report,
 )
 
 __all__ = [
@@ -17,7 +15,5 @@ __all__ = [
     "breakdown_report",
     "SpeedupSummary",
     "compare_runs",
-    "overlap_report",
     "overlap_efficiency",
-    "chunk_pipeline_report",
 ]

@@ -4,20 +4,15 @@ Turns a :class:`~repro.dist.timeline.Timeline` (or a category->seconds
 mapping) into the stacked-fraction rows the paper plots, compares a
 baseline run against a compressed run for the end-to-end speedup numbers,
 and measures *overlap efficiency* — how much of the wire time a pipelined
-(per-rank-stream) run actually hides behind compute.
+(per-rank-stream) run actually hides behind compute, the one definition of
+hidden wire.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dist.timeline import (
-    COMM_STREAM,
-    COMPUTE_STREAM,
-    OBS_STREAM,
-    EventCategory,
-    Timeline,
-)
+from repro.dist.timeline import OBS_STREAM, EventCategory, Timeline
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -26,9 +21,7 @@ __all__ = [
     "breakdown_report",
     "SpeedupSummary",
     "compare_runs",
-    "overlap_report",
     "overlap_efficiency",
-    "chunk_pipeline_report",
 ]
 
 CATEGORY_LABELS: dict[str, str] = {
@@ -101,38 +94,6 @@ def breakdown_report(
     return format_table(["Stage", "Time", "Share"], rows, title=title)
 
 
-def overlap_report(timeline: Timeline) -> dict[int, dict[str, float]]:
-    """Per-rank overlap accounting from a (possibly multi-stream) timeline.
-
-    For each rank: ``busy`` is the union of all its event intervals,
-    ``charged`` the plain sum of durations, ``overlapped`` their
-    difference (time during which at least two streams were double-booked
-    — zero for any sequential run), ``comm`` the charged wire seconds,
-    and ``efficiency`` the fraction of wire time hidden behind compute,
-    ``overlapped / comm`` (clamped to [0, 1]).
-    """
-    report: dict[int, dict[str, float]] = {}
-    for rank in timeline.ranks():
-        # Annotation spans (obs stream) cover work already on the real
-        # streams; counting them would fabricate overlap.
-        events = [e for e in timeline.events_for_rank(rank) if e.stream != OBS_STREAM]
-        charged = sum(e.duration for e in events)
-        merged = _merge_intervals([(e.start, e.end) for e in events])
-        busy = sum((end - start for start, end in merged), 0.0)
-        overlapped = max(0.0, charged - busy)
-        comm = sum(
-            e.duration for e in events if e.category in EventCategory.COMMUNICATION
-        )
-        report[rank] = {
-            "charged": charged,
-            "busy": busy,
-            "overlapped": overlapped,
-            "comm": comm,
-            "efficiency": min(1.0, overlapped / comm) if comm > 0 else 0.0,
-        }
-    return report
-
-
 def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Sorted, disjoint union of ``(start, end)`` intervals."""
     merged: list[tuple[float, float]] = []
@@ -144,81 +105,33 @@ def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, 
     return merged
 
 
-def _overlap_with_merged(span: tuple[float, float], merged: list[tuple[float, float]]) -> float:
-    """Length of ``span``'s intersection with pre-merged disjoint intervals."""
-    start, end = span
-    return sum(
-        max(0.0, min(end, e) - max(start, s)) for s, e in merged if s < end and e > start
-    )
-
-
-def chunk_pipeline_report(timeline: Timeline) -> dict[int, dict[str, float]]:
-    """Per-rank accounting of the chunk-level pipelined wire.
-
-    Chunk events are the comm-stream events recorded with ``chunk`` args:
-    one per wire chunk of every ``Communicator`` all-to-all, compressed or
-    not, overlapped or not.  For each rank:
-
-    * ``chunks`` — number of chunk wire events;
-    * ``wire`` — their total charged wire seconds;
-    * ``stall`` — wire-port idle time *inside* the pipeline: gaps between
-      consecutive chunk events of one exchange, i.e. the wire waiting on a
-      chunk's compression (zero for a perfectly fed pipeline);
-    * ``hidden`` — the part of the chunked wire time that ran while the
-      rank's compute stream was busy (compression/decode/cross-stage
-      kernels), i.e. the wire the pipeline actually hid;
-    * ``hidden_fraction`` — ``hidden / wire`` (0 with no chunk events).
-    """
-    report: dict[int, dict[str, float]] = {}
-    for rank in timeline.ranks():
-        events = timeline.events_for_rank(rank)
-        chunked = [
-            e
-            for e in events
-            if e.stream == COMM_STREAM and e.args and "chunk" in e.args
-        ]
-        if not chunked:
-            continue
-        wire = sum(e.duration for e in chunked)
-        by_exchange: dict[object, list] = {}
-        for e in chunked:
-            by_exchange.setdefault(e.args.get("exchange"), []).append(e)
-        stall = 0.0
-        for group in by_exchange.values():
-            group.sort(key=lambda e: (e.start, e.end))
-            stall += sum(
-                max(0.0, later.start - earlier.end)
-                for earlier, later in zip(group, group[1:])
-            )
-        compute_intervals = _merge_intervals(
-            [
-                (e.start, e.end)
-                for e in events
-                if e.stream == COMPUTE_STREAM and e.duration > 0
-            ]
-        )
-        hidden = sum(
-            _overlap_with_merged((e.start, e.end), compute_intervals) for e in chunked
-        )
-        report[rank] = {
-            "chunks": float(len(chunked)),
-            "wire": wire,
-            "stall": stall,
-            "hidden": hidden,
-            "hidden_fraction": hidden / wire if wire > 0 else 0.0,
-        }
-    return report
-
-
 def overlap_efficiency(timeline: Timeline) -> float:
-    """Cluster-wide overlap efficiency: total double-booked seconds over
-    total wire seconds — 0 for a fully sequential run, approaching 1 when
-    the whole exchange hides behind compute."""
-    per_rank = overlap_report(timeline)
-    total_comm = sum(r["comm"] for r in per_rank.values())
+    """The share of wire time hidden behind compute, cluster-wide: total
+    double-booked seconds over total communication seconds, clamped to
+    [0, 1] — 0 for a fully sequential run, approaching 1 when the whole
+    exchange hides behind compute.
+
+    A rank's double-booked time is its charged seconds (the plain sum of
+    its event durations) minus its busy seconds (the union of their
+    intervals): time during which at least two of its streams ran at
+    once.  Concurrency *across* ranks is parallelism, not overlap, so each
+    rank is measured on its own before the sums.
+    """
+    total_overlap = 0.0
+    total_comm = 0.0
+    for rank in timeline.ranks():
+        # Annotation spans (obs stream) cover work already on the real
+        # streams; counting them would fabricate overlap.
+        events = [e for e in timeline.events_for_rank(rank) if e.stream != OBS_STREAM]
+        charged = sum(e.duration for e in events)
+        merged = _merge_intervals([(e.start, e.end) for e in events])
+        busy = sum((end - start for start, end in merged), 0.0)
+        total_overlap += max(0.0, charged - busy)
+        total_comm += sum(
+            e.duration for e in events if e.category in EventCategory.COMMUNICATION
+        )
     if total_comm == 0:
         return 0.0
-    total_overlap = sum(r["overlapped"] for r in per_rank.values())
     return min(1.0, total_overlap / total_comm)
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.obs.exporters import snapshot_from_document
+from repro.obs.schema import validate_snapshot_json
 from repro.train.sharding import ShardingPlan
 
 
@@ -89,6 +91,12 @@ def series_value(snapshot, name: str, **labels: object):
     histogram's data (``KeyError`` when the family or series is absent)."""
     key = tuple(sorted((k, str(v)) for k, v in labels.items()))
     return snapshot.family(name).as_dict()[key]
+
+
+def from_json(text: str):
+    """A snapshot read back from its JSON document as the report CLI reads
+    it: validated against the schema, then walked."""
+    return snapshot_from_document(validate_snapshot_json(text))
 
 
 def decoded_table(server, table_id: int) -> np.ndarray:

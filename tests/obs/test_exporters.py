@@ -2,7 +2,8 @@
 
 The two fidelity laws:
 
-* JSON is lossless: ``snapshot_from_json(snapshot_to_json(s)) == s``.
+* JSON is lossless: ``from_json(snapshot_to_json(s)) == s``, where
+  ``from_json`` validates the document, then walks it.
 * Prometheus keeps buckets but not reservoirs:
   ``from_prometheus(to_prometheus(s)) == scrub_exact(s)``.
 """
@@ -18,14 +19,13 @@ from hypothesis import strategies as st
 from repro.obs.exporters import (
     SNAPSHOT_SCHEMA_ID,
     SNAPSHOT_SCHEMA_V1,
-    reports_from_json,
     run_report,
-    snapshot_from_json,
     snapshot_to_json,
     to_prometheus,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.schema import SnapshotSchemaError, validate_snapshot_json
+from tests.conftest import from_json
 from tests.obs.prometheus_parser import from_prometheus, scrub_exact
 
 
@@ -64,7 +64,7 @@ registry_state = st.builds(
 class TestJsonRoundTrip:
     def test_lossless(self):
         snap = populated_registry().snapshot()
-        assert snapshot_from_json(snapshot_to_json(snap)) == snap
+        assert from_json(snapshot_to_json(snap)) == snap
 
     def test_histograms_carry_the_fixed_reservoir_limit(self):
         from repro.obs.registry import DEFAULT_EXACT_LIMIT
@@ -85,13 +85,13 @@ class TestJsonRoundTrip:
 
     def test_accepts_live_registry(self):
         reg = populated_registry()
-        assert snapshot_from_json(snapshot_to_json(reg)) == reg.snapshot()
+        assert from_json(snapshot_to_json(reg)) == reg.snapshot()
 
     @given(registry_state)
     @settings(max_examples=40, deadline=None)
     def test_lossless_property(self, reg):
         snap = reg.snapshot()
-        assert snapshot_from_json(snapshot_to_json(snap)) == snap
+        assert from_json(snapshot_to_json(snap)) == snap
 
 
 class TestPrometheusRoundTrip:
@@ -169,7 +169,7 @@ class TestPrometheusRoundTrip:
         """The acceptance criterion: one snapshot through both formats
         lands on the same bucket-level state."""
         snap = populated_registry().snapshot()
-        via_json = snapshot_from_json(snapshot_to_json(snap))
+        via_json = from_json(snapshot_to_json(snap))
         via_prom = from_prometheus(to_prometheus(snap))
         assert scrub_exact(via_json) == via_prom
 
@@ -261,7 +261,7 @@ class TestSchemaV2Migration:
         snap = populated_registry().snapshot()
         doc = json.loads(snapshot_to_json(snap))
         doc["schema"] = SNAPSHOT_SCHEMA_V1
-        assert snapshot_from_json(json.dumps(doc)) == snap
+        assert from_json(json.dumps(doc)) == snap
 
     def test_v1_document_still_validates(self):
         doc = json.loads(snapshot_to_json(populated_registry().snapshot()))
@@ -279,15 +279,14 @@ class TestSchemaV2Migration:
         with pytest.raises(SnapshotSchemaError, match="reports"):
             validate_snapshot_json(json.dumps(doc))
 
-    def test_reports_from_json_on_v1_is_empty(self):
+    def test_v1_document_has_no_reports(self):
         doc = json.loads(snapshot_to_json(populated_registry().snapshot()))
         doc["schema"] = SNAPSHOT_SCHEMA_V1
-        assert reports_from_json(json.dumps(doc)) == {}
+        assert "reports" not in validate_snapshot_json(json.dumps(doc))
 
-    def test_reports_from_json_on_v2_without_block_is_empty(self):
-        assert reports_from_json(
-            snapshot_to_json(populated_registry().snapshot())
-        ) == {}
+    def test_v2_document_without_block_has_no_reports(self):
+        text = snapshot_to_json(populated_registry().snapshot())
+        assert "reports" not in validate_snapshot_json(text)
 
     def test_reports_round_trip(self):
         reports = {
@@ -295,11 +294,10 @@ class TestSchemaV2Migration:
             "slo": _minimal_slo_block(),
         }
         text = snapshot_to_json(populated_registry().snapshot(), reports=reports)
-        validate_snapshot_json(text)
-        assert reports_from_json(text) == reports
+        assert validate_snapshot_json(text)["reports"] == reports
         # The families parse is unaffected by the extra block.
         assert (
-            snapshot_from_json(text) == populated_registry().snapshot()
+            from_json(text) == populated_registry().snapshot()
         )
 
     def test_inf_burn_rates_validate(self):
@@ -346,7 +344,7 @@ class TestSchemaV2Migration:
             n_iterations=1, n_requests=20, out_dir=tmp_path
         )
         assert schema_main([str(result.paths["metrics.json"])]) == 0
-        reports = reports_from_json(result.paths["metrics.json"].read_text())
+        reports = validate_snapshot_json(result.paths["metrics.json"].read_text())["reports"]
         assert set(reports) == {"critical_path", "slo"}
         assert {m["name"] for m in reports["slo"]["monitors"]} == {
             "serve_p99_latency", "publish_staleness", "train_step_time"

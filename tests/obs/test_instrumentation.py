@@ -99,15 +99,17 @@ class TestCommInstrumentation:
         assert snap.counter_value("comm_bytes_total", stage="payload") > 0
         assert snap.counter_value("comm_exchanges_total", mode="sequential") >= 1
 
-    def test_overlapped_mode_records_stall_and_hidden_wire(self):
+    def test_overlapped_mode_leaves_hidden_wire_to_the_ledger(self):
+        # overlap_efficiency over the timeline is the one measure of hidden
+        # wire; the exchange keeps no live copy of it.
         with capture() as reg:
             trainer = make_trainer(overlap=True, pipeline_chunks=4)
             trainer.train_step(32, iteration=0)
         snap = reg.snapshot()
         assert snap.counter_value("comm_exchanges_total", mode="overlapped") >= 1
         names = set(dict(snap.families))
-        assert "comm_wire_stall_seconds_total" in names
-        assert "comm_wire_hidden_seconds_total" in names
+        assert "comm_wire_stall_seconds_total" not in names
+        assert "comm_wire_hidden_seconds_total" not in names
 
 
 class TestPipelineInstrumentation:

@@ -14,8 +14,22 @@ import json
 import pytest
 
 from repro.obs import run_day_in_the_life
+from repro.obs.exporters import SNAPSHOT_SCHEMA_ID as SCHEMA
 from repro.obs.report import main
 from repro.obs.trace import timelines_from_chrome_trace
+
+#: a histogram with one bucket count for one bound (it needs two: the
+#: bound's bucket and the overflow)
+ONE_COUNT_ONE_BOUND = {
+    "bounds": [1.0],
+    "counts": [1],
+    "count": 1,
+    "total": 0.5,
+    "min": 0.5,
+    "max": 0.5,
+    "exact": None,
+    "exact_limit": 0,
+}
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +138,41 @@ class TestErrors:
         code = main([str(path)])
         assert code == 2
         assert "not a snapshot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document, where",
+        [
+            ({"schema": SCHEMA, "families": [1]}, "$.families[0]:"),
+            ([], "$:"),
+            (
+                {"schema": SCHEMA, "families": [], "reports": {"slo": {"monitors": [1]}}},
+                "$.reports.slo.monitors[0]:",
+            ),
+            (
+                {
+                    "schema": SCHEMA,
+                    "families": [
+                        {
+                            "name": "h",
+                            "kind": "histogram",
+                            "help": "",
+                            "series": [{"labels": {}, "histogram": ONE_COUNT_ONE_BOUND}],
+                        }
+                    ],
+                },
+                "$.families[0].series[0].histogram.counts:",
+            ),
+        ],
+        ids=["family-not-object", "top-level-list", "slo-monitor-not-object", "short-counts"],
+    )
+    def test_hostile_document_exits_2_naming_the_node(self, tmp_path, capsys, document, where):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(document))
+        code = main([str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert where in captured.err
+        assert captured.out == ""  # rejected before any of the report prints
 
     def test_trace_without_tier_metadata(self, artifacts, tmp_path, capsys):
         result, paths = artifacts

@@ -15,10 +15,10 @@ import math
 
 import pytest
 
-from repro.dist.timeline import OBS_STREAM, EventCategory, Timeline
+from repro.dist.timeline import COMM_STREAM, OBS_STREAM, EventCategory, Timeline
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import OBS, capture, disable, enable
-from repro.profiling.breakdown import overlap_report
+from repro.profiling import overlap_efficiency
 
 
 class TestNoDoubleCounting:
@@ -30,12 +30,13 @@ class TestNoDoubleCounting:
         assert EventCategory.TRAIN_STEP not in totals
         assert totals[EventCategory.EMB_LOOKUP] == 1.0
 
-    def test_obs_spans_excluded_from_overlap_report(self):
+    def test_obs_spans_excluded_from_overlap_efficiency(self):
         timeline = Timeline()
         timeline.record(0, EventCategory.EMB_LOOKUP, 0.0, 1.0)
-        baseline = overlap_report(timeline)
+        timeline.record(0, EventCategory.ALLTOALL_FWD, 0.5, 2.0, stream=COMM_STREAM)
+        baseline = overlap_efficiency(timeline)
         timeline.record(0, EventCategory.TRAIN_STEP, 0.0, 50.0, stream=OBS_STREAM)
-        assert overlap_report(timeline) == baseline
+        assert overlap_efficiency(timeline) == baseline == 0.25
 
     def test_obs_spans_render_in_chrome_trace(self):
         timeline = Timeline()

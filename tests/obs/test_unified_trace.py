@@ -14,9 +14,10 @@ import json
 import pytest
 
 from repro.dist.timeline import EventCategory, Timeline
-from repro.obs.exporters import snapshot_from_json, snapshot_to_json, to_prometheus
+from repro.obs.exporters import snapshot_to_json, to_prometheus
 from repro.obs.scenario import build_day_world, run_day_in_the_life, write_artifacts
 from repro.obs.trace import unified_chrome_trace
+from tests.conftest import from_json
 from tests.obs.prometheus_parser import from_prometheus, scrub_exact
 
 
@@ -69,7 +70,7 @@ class TestUnifiedTrace:
 
     def test_exporters_round_trip_the_same_run(self, result):
         snap = result.snapshot
-        assert snapshot_from_json(snapshot_to_json(snap)) == snap
+        assert from_json(snapshot_to_json(snap)) == snap
         assert from_prometheus(to_prometheus(snap)) == scrub_exact(snap)
 
     def test_snapshot_covers_all_tiers(self, result):

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dist.timeline import COMM_STREAM, EventCategory, Timeline
 from repro.profiling import (
     breakdown_report,
     breakdown_rows,
-    chunk_pipeline_report,
     compare_runs,
     overlap_efficiency,
-    overlap_report,
 )
 
 
@@ -75,14 +75,15 @@ class TestCompareRuns:
         assert summary.end_to_end == 1.0
 
 
-class TestOverlapReport:
+class TestOverlapEfficiency:
+    """``overlap_efficiency`` is the one definition of wire hidden behind
+    compute: per rank, charged minus busy seconds; summed over ranks and
+    divided by the summed communication seconds, clamped to [0, 1]."""
+
     def test_sequential_run_has_zero_overlap(self):
         tl = Timeline()
         tl.record(0, EventCategory.COMPRESS, 0.0, 1.0)
         tl.record(0, EventCategory.ALLTOALL_FWD, 1.0, 2.0, stream=COMM_STREAM)
-        report = overlap_report(tl)
-        assert report[0]["overlapped"] == pytest.approx(0.0)
-        assert report[0]["comm"] == pytest.approx(2.0)
         assert overlap_efficiency(tl) == 0.0
 
     def test_double_booked_time_counts_as_overlap(self):
@@ -90,71 +91,50 @@ class TestOverlapReport:
         # 1 s of compression fully inside a 2 s wire window.
         tl.record(0, EventCategory.COMPRESS, 0.5, 1.0)
         tl.record(0, EventCategory.ALLTOALL_FWD, 0.0, 2.0, stream=COMM_STREAM)
-        report = overlap_report(tl)
-        assert report[0]["charged"] == pytest.approx(3.0)
-        assert report[0]["busy"] == pytest.approx(2.0)
-        assert report[0]["overlapped"] == pytest.approx(1.0)
-        assert report[0]["efficiency"] == pytest.approx(0.5)
-        assert overlap_efficiency(tl) == pytest.approx(0.5)
+        assert overlap_efficiency(tl) == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 64), st.integers(1, 64), st.integers(0, 64), st.integers(1, 64)
+    )
+    def test_two_stream_ledger_is_intersection_over_wire(
+        self, compute_at, compute_len, wire_at, wire_len
+    ):
+        # Eighths keep every sum and difference exact, so the law is ==.
+        a, c, b, w = (v / 8 for v in (compute_at, compute_len, wire_at, wire_len))
+        tl = Timeline()
+        tl.record(0, EventCategory.COMPRESS, a, c)
+        tl.record(0, EventCategory.ALLTOALL_FWD, b, w, stream=COMM_STREAM)
+        hidden = max(0.0, min(a + c, b + w) - max(a, b))
+        assert overlap_efficiency(tl) == hidden / w
 
     def test_no_comm_means_zero_efficiency(self):
         tl = Timeline()
         tl.record(0, EventCategory.COMPRESS, 0.0, 1.0)
         assert overlap_efficiency(tl) == 0.0
 
-    def test_per_rank_isolation(self):
+    def test_concurrency_across_ranks_is_not_overlap(self):
         tl = Timeline()
         tl.record(0, EventCategory.COMPRESS, 0.0, 1.0)
         tl.record(1, EventCategory.ALLTOALL_FWD, 0.0, 1.0, stream=COMM_STREAM)
-        report = overlap_report(tl)
-        # Concurrency across ranks is parallelism, not stream overlap.
-        assert report[0]["overlapped"] == 0.0
-        assert report[1]["overlapped"] == 0.0
+        assert overlap_efficiency(tl) == 0.0
 
-
-class TestChunkPipelineReport:
-    def _chunk(self, tl, rank, start, dur, chunk, exchange=0):
-        tl.record(
-            rank,
-            EventCategory.ALLTOALL_FWD,
-            start,
-            dur,
-            stream=COMM_STREAM,
-            args={"exchange": exchange, "chunk": chunk, "chunks": 3},
-        )
-
-    def test_stall_is_the_gap_between_consecutive_chunks(self):
+    def test_overlap_on_one_rank_does_not_leak_into_another(self):
         tl = Timeline()
-        # Chunks at [0,1], [1,2], [2.5,3.5]: one 0.5 s stall.
-        self._chunk(tl, 0, 0.0, 1.0, 0)
-        self._chunk(tl, 0, 1.0, 1.0, 1)
-        self._chunk(tl, 0, 2.5, 1.0, 2)
-        report = chunk_pipeline_report(tl)
-        assert report[0]["chunks"] == 3
-        assert report[0]["wire"] == pytest.approx(3.0)
-        assert report[0]["stall"] == pytest.approx(0.5)
-
-    def test_hidden_is_the_compute_covered_wire_time(self):
-        tl = Timeline()
-        self._chunk(tl, 0, 0.0, 1.0, 0)
-        self._chunk(tl, 0, 1.0, 1.0, 1)
-        # Compute covers [0.5, 1.5]: hides 1 s of the 2 s chunked wire.
+        # Rank 0 hides 1 s of its 2 s wire; rank 1 runs its 2 s sequentially.
         tl.record(0, EventCategory.COMPRESS, 0.5, 1.0)
-        report = chunk_pipeline_report(tl)
-        assert report[0]["hidden"] == pytest.approx(1.0)
-        assert report[0]["hidden_fraction"] == pytest.approx(0.5)
+        tl.record(0, EventCategory.ALLTOALL_FWD, 0.0, 2.0, stream=COMM_STREAM)
+        tl.record(1, EventCategory.COMPRESS, 0.0, 1.0)
+        tl.record(1, EventCategory.ALLTOALL_FWD, 1.0, 2.0, stream=COMM_STREAM)
+        assert overlap_efficiency(tl) == 1.0 / 4.0
 
-    def test_gaps_across_exchanges_are_not_stalls(self):
+    def test_efficiency_is_clamped_to_one(self):
         tl = Timeline()
-        self._chunk(tl, 0, 0.0, 1.0, 0, exchange=0)
-        self._chunk(tl, 0, 5.0, 1.0, 0, exchange=1)
-        report = chunk_pipeline_report(tl)
-        assert report[0]["stall"] == pytest.approx(0.0)
-
-    def test_unchunked_timeline_yields_empty_report(self):
-        tl = Timeline()
+        # 3 s double-booked (two kernels and the wire) against 1 s of wire.
+        tl.record(0, EventCategory.COMPRESS, 0.0, 2.0)
+        tl.record(0, EventCategory.DECOMPRESS, 0.0, 2.0)
         tl.record(0, EventCategory.ALLTOALL_FWD, 0.0, 1.0, stream=COMM_STREAM)
-        assert chunk_pipeline_report(tl) == {}
+        assert overlap_efficiency(tl) == 1.0
 
     def test_simulated_pipelined_exchange_hides_wire(self):
         from repro.dist import ClusterSimulator, NetworkModel
@@ -167,8 +147,4 @@ class TestChunkPipelineReport:
             decompress_seconds=[5e-4, 5e-4],
             chunks_per_rank=[8, 8],
         )
-        report = chunk_pipeline_report(sim.timeline)
-        for rank in (0, 1):
-            assert report[rank]["chunks"] == 8
-            assert report[rank]["hidden"] > 0.0
-            assert 0.0 < report[rank]["hidden_fraction"] <= 1.0
+        assert 0.0 < overlap_efficiency(sim.timeline) <= 1.0

@@ -31,6 +31,11 @@ reach the wire bytes, the simulated exchange times and the stats; the
 losses and parameters are the same either way.  ``ledger`` alone was
 re-recorded again when ``ClusterSimulator`` began recording every
 dependency it creates as a release edge; ``timing`` did not move.
+``obs`` of the four overlapped compressed cases was re-recorded from
+``773985e`` with ``Communicator._obs_overlap_accounting`` forced to return
+at once: that commit's live ``comm_wire_stall_seconds_total`` /
+``comm_wire_hidden_seconds_total`` counters were deleted, and
+``overlap_efficiency`` is the one measure of hidden wire.
 
 The three ``compress_backward=None`` cases train the same world with
 ``pipeline=None``, so both exchanges are uncompressed.  Their digests were
@@ -170,11 +175,11 @@ CASES = [(cb, ov) for cb in (False, True, None) for ov in (False, True, "cross_s
 
 GOLDEN: dict[tuple[bool, object], dict[str, str]] = {
     (False, False): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '064a7ca6ea87d4ed1e81b3fe309785df', 'timing': '19b274d1b3af7cf5b217ca20f6a2df15', 'obs': '7d732424fbd403e82d3fe6455761cc6a', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
-    (False, True): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '28927d73a9f830add2bb3cbea7a3b311', 'timing': '0ac463c006db5e9c6ca45364895e2579', 'obs': '3cf1488e544385b5785cdb17ebbc83ad', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
-    (False, 'cross_stage'): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '816d36440d1ace6b3e0658174d8d79f1', 'timing': '9556953cc3bfb84d9527233d31ac0fbb', 'obs': '00346b085387498b7bd51feab0e1fde6', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
+    (False, True): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '28927d73a9f830add2bb3cbea7a3b311', 'timing': '0ac463c006db5e9c6ca45364895e2579', 'obs': '2788b006ba5c05b9d3052506eeecf54f', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
+    (False, 'cross_stage'): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '816d36440d1ace6b3e0658174d8d79f1', 'timing': '9556953cc3bfb84d9527233d31ac0fbb', 'obs': '6bdb6246993c2bbee98cfe468e69aff6', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
     (True, False): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '548cda6a2b61ebb2473a65164eea5082', 'timing': '629003cfbedf961445593bd66cb228d1', 'obs': 'f61433605555037d81255a7a6d20950b', 'stats': '3de8ac84549fb894792459ac625d31d1'},
-    (True, True): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '28af9dc24e2c9d845959ff6f662bac78', 'timing': '46a2bc25082d0779d543a0a8f1aef3aa', 'obs': '7a1100fa074b224504de8f87914bacba', 'stats': '3de8ac84549fb894792459ac625d31d1'},
-    (True, 'cross_stage'): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '5aacd1b9d4606cf4dd7cebbeee4b119d', 'timing': '0491b35af860cc2f11d94fe9c13d0e41', 'obs': '41c27da7d0b7ae070e6b43cc93c45b7f', 'stats': '3de8ac84549fb894792459ac625d31d1'},
+    (True, True): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '28af9dc24e2c9d845959ff6f662bac78', 'timing': '46a2bc25082d0779d543a0a8f1aef3aa', 'obs': '973cbc4486fee857c539f90c86f719e8', 'stats': '3de8ac84549fb894792459ac625d31d1'},
+    (True, 'cross_stage'): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '5aacd1b9d4606cf4dd7cebbeee4b119d', 'timing': '0491b35af860cc2f11d94fe9c13d0e41', 'obs': '3fdfb6a5edf54ef4e492dc6947385160', 'stats': '3de8ac84549fb894792459ac625d31d1'},
     (None, False): {'losses': '58dd0703ff44e79b1a0635018c2d553d', 'params': '878ad27a7d334108007fff98ab2504ac', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': '1fa281d8404850b0674ece0be56dbb02', 'timing': '6d56a70e676140d9b34bac72330b54ba', 'obs': '113e1380632a822d83c806703b0681fe', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
     (None, True): {'losses': '58dd0703ff44e79b1a0635018c2d553d', 'params': '878ad27a7d334108007fff98ab2504ac', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': '1fa281d8404850b0674ece0be56dbb02', 'timing': '6d56a70e676140d9b34bac72330b54ba', 'obs': '113e1380632a822d83c806703b0681fe', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
     (None, 'cross_stage'): {'losses': '58dd0703ff44e79b1a0635018c2d553d', 'params': '878ad27a7d334108007fff98ab2504ac', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': 'd72a0447e2433569985d9e654d4c417b', 'timing': '8c8c6eea598d0f4b57036aae500c7364', 'obs': '53fef44cb44913c480009c5f0e5f26a5', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
