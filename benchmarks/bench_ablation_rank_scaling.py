@@ -214,13 +214,7 @@ def _allreduce_run(world, plan, n_nodes, gpus, inter, *, codec, algorithm):
     dense-gradient collective."""
     from repro.obs.runtime import capture
 
-    topology = Topology.hierarchical(
-        n_nodes,
-        gpus,
-        NVLINK_LIKE,
-        inter,
-        switch_aggregation=(algorithm == "switch"),
-    )
+    topology = Topology.hierarchical(n_nodes, gpus, NVLINK_LIKE, inter)
     simulator = ClusterSimulator(
         n_nodes * gpus, network=NetworkModel.from_topology(topology)
     )

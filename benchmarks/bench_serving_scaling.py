@@ -91,7 +91,7 @@ SMOKE_SCENARIOS = SCENARIOS[:2]
 def fabric_network(label: str, n_replicas: int) -> NetworkModel:
     inter = dict(FABRICS)[label]
     if inter is None:
-        return NetworkModel.from_topology(Topology.flat(2 * n_replicas, NVLINK_LIKE))
+        return NetworkModel(bandwidth=NVLINK_LIKE.bandwidth, latency=NVLINK_LIKE.latency)
     return NetworkModel.from_topology(
         Topology.hierarchical(2, n_replicas, NVLINK_LIKE, inter)
     )

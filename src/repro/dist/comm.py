@@ -75,8 +75,10 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.dist.network import ALLREDUCE_ALGORITHMS
 from repro.dist.timeline import COMM_STREAM, COMPUTE_STREAM, EventCategory
 from repro.obs.runtime import OBS
+from repro.utils.validation import check_in
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.dist.simulator import ClusterSimulator
@@ -747,28 +749,14 @@ class Communicator:
 
     # --------------------------------------------------------- all-reduce
 
-    def _all_reduce_seconds(self, nbytes: float, algorithm: str) -> float:
-        """Wire time of one all-reduce under the named schedule."""
-        network = self.simulator.network
-        if algorithm == "ring":
-            return network.all_reduce_time(nbytes, self.n_ranks)
-        if algorithm == "hierarchical":
-            return network.hierarchical_all_reduce_time(nbytes, self.n_ranks)
-        if algorithm == "switch":
-            return network.switch_all_reduce_time(nbytes, self.n_ranks)
-        raise ValueError(
-            f"algorithm must be 'ring', 'hierarchical', or 'switch', got {algorithm!r}"
-        )
-
     def all_reduce_bytes(self, nbytes: float, algorithm: str = "ring") -> float:
         """Charge an all-reduce of ``nbytes`` without moving data (for
         reductions whose numerics the caller computes in process, e.g. the
         trainer's replicated data-parallel MLP gradients).  ``algorithm``
         picks the flat ``"ring"``, the topology-aware ``"hierarchical"``,
-        or the in-network ``"switch"`` schedule (the latter degenerates to
-        hierarchical without aggregation nodes).  Returns the common end
+        or the in-network ``"switch"`` schedule.  Returns the common end
         time."""
-        seconds = self._all_reduce_seconds(nbytes, algorithm)
+        seconds = self.simulator.network.all_reduce_time(nbytes, self.n_ranks, algorithm)
         if OBS.enabled:
             self._obs_stage(
                 "allreduce", seconds * self.n_ranks, int(nbytes) * self.n_ranks
@@ -799,11 +787,9 @@ class Communicator:
 
         Timing: the collective is priced at the *largest* payload seen on
         any hop under the chosen schedule (``"ring"``, ``"hierarchical"``,
-        or ``"switch"`` — the in-network aggregation tree, which
-        degenerates exactly to hierarchical when the topology has no
-        aggregation nodes).  ``encode_seconds`` / ``decode_seconds`` give
-        per-rank codec device times, charged once at the leaves and once
-        at the end.
+        or ``"switch"`` — the in-network aggregation tree).
+        ``encode_seconds`` / ``decode_seconds`` give per-rank codec device
+        times, charged once at the leaves and once at the end.
 
         Returns one decoded total per rank (fresh arrays, original shape).
         """
@@ -821,11 +807,8 @@ class Communicator:
             raise ValueError(
                 f"all-reduce arrays must share a dtype, got {sorted(map(str, dtypes))}"
             )
-        if algorithm not in ("ring", "hierarchical", "switch"):
-            raise ValueError(
-                f"unknown all-reduce algorithm {algorithm!r}; "
-                "expected 'ring', 'hierarchical', or 'switch'"
-            )
+        # Before any encoding: a bad schedule must not cost a compress.
+        check_in("algorithm", algorithm, ALLREDUCE_ALGORITHMS)
         compressor = get_compressor(codec)
         if not getattr(compressor, "homomorphic", False):
             raise ValueError(
@@ -838,12 +821,11 @@ class Communicator:
         leaves = [compressor.compress(a, bound) for a in flat]
         final = agg_fold(leaves)
 
+        sim = self.simulator
         encode = self._per_rank_seconds(encode_seconds, "encode_seconds")
         decode = self._per_rank_seconds(decode_seconds, "decode_seconds")
         hop_nbytes = max(len(final), max(len(p) for p in leaves))
-        collective_seconds = self._all_reduce_seconds(hop_nbytes, algorithm)
-
-        sim = self.simulator
+        collective_seconds = sim.network.all_reduce_time(hop_nbytes, n, algorithm)
         for rank in range(n):
             if encode[rank] > 0.0:
                 sim.compute(rank, encode[rank], EventCategory.COMPRESS)

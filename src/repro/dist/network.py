@@ -20,7 +20,14 @@ gpus_per_node, intra_link, inter_link)``), prices the all-to-all *per
 shift phase* at the bottleneck link of each phase, and adds the
 **hierarchical all-reduce** (intra-node reduce-scatter → inter-node rail
 rings → intra-node all-gather) that beats the flat ring exactly when the
-inter-node link is the bottleneck.
+inter-node link is the bottleneck, and the **switch** all-reduce (an
+in-network aggregation tree for payloads that sum in compressed space).
+
+An all-reduce schedule is named by one of :data:`ALLREDUCE_ALGORITHMS`
+and priced in one place, :meth:`NetworkModel.all_reduce_time`.  A flat
+fabric is one node with no switch to aggregate in, so it prices every
+schedule as its ring; the flat fabric has one spelling,
+``NetworkModel(bandwidth, latency)``.
 
 The default flat fabric is calibrated to the paper's evaluation setup: a
 4 GB/s effective all-to-all (Section IV) with NVSwitch-class
@@ -35,9 +42,10 @@ from functools import cached_property
 import numpy as np
 
 from repro.utils.units import GB
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_in, check_positive
 
 __all__ = [
+    "ALLREDUCE_ALGORITHMS",
     "LinkSpec",
     "Topology",
     "NetworkModel",
@@ -46,6 +54,10 @@ __all__ = [
     "IB_HDR_LIKE",
     "PCIE_LIKE",
 ]
+
+#: The all-reduce schedules: the flat ``"ring"``, the topology-aware
+#: ``"hierarchical"`` and the in-network aggregation tree ``"switch"``.
+ALLREDUCE_ALGORITHMS = ("ring", "hierarchical", "switch")
 
 
 @dataclass(frozen=True)
@@ -95,8 +107,7 @@ class Topology:
     are ignored — self-transfers are local.
 
     Build with :meth:`hierarchical` (the common NVLink-inside /
-    IB-between-nodes shape) or :meth:`flat` (single fabric, equivalent to
-    a plain :class:`NetworkModel`).
+    IB-between-nodes shape) or from the two matrices directly.
     """
 
     def __init__(
@@ -105,7 +116,6 @@ class Topology:
         latency_matrix: np.ndarray,
         node_ids: np.ndarray | None = None,
         name: str = "custom",
-        switch_aggregation: bool = False,
     ):
         # Copy (never alias) the inputs: they are frozen read-only below,
         # and freezing a caller's own array would poison it.
@@ -117,10 +127,11 @@ class Topology:
             raise ValueError(
                 f"latency matrix shape {lat.shape} != bandwidth matrix shape {bw.shape}"
             )
-        if (bw <= 0).any():
-            raise ValueError("all pairwise bandwidths must be > 0")
-        if (lat < 0).any():
-            raise ValueError("all pairwise latencies must be >= 0")
+        # Negated so NaN fails too, as in LinkSpec's check_positive.
+        if not (bw > 0).all():
+            raise ValueError("bandwidth matrix entries must all be > 0")
+        if not (lat >= 0).all():
+            raise ValueError("latency matrix entries must all be >= 0")
         n = bw.shape[0]
         if node_ids is None:
             node_ids = np.zeros(n, dtype=np.int64)
@@ -134,10 +145,6 @@ class Topology:
         self.latency_matrix = lat
         self.node_ids = node_ids
         self.name = name
-        #: whether the fabric's switches host aggregation nodes (one per
-        #: node plus a spine) that sum *homomorphic* compressed payloads at
-        #: wire speed — see :meth:`switch_all_reduce_time`.
-        self.switch_aggregation = bool(switch_aggregation)
         for a in (self.bandwidth_matrix, self.latency_matrix, self.node_ids):
             a.setflags(write=False)
 
@@ -150,7 +157,6 @@ class Topology:
         gpus_per_node: int,
         intra_link: LinkSpec = NVLINK_LIKE,
         inter_link: LinkSpec = IB_HDR_LIKE,
-        switch_aggregation: bool = False,
     ) -> "Topology":
         """NVLink-inside-node / IB-between-nodes cluster of
         ``n_nodes * gpus_per_node`` ranks (node-contiguous rank order)."""
@@ -160,25 +166,11 @@ class Topology:
         same_node = node_ids[:, None] == node_ids[None, :]
         bw = np.where(same_node, intra_link.bandwidth, inter_link.bandwidth)
         lat = np.where(same_node, intra_link.latency, inter_link.latency)
-        topo = cls(
+        return cls(
             bw,
             lat,
             node_ids,
             name=f"{intra_link.name}x{gpus_per_node}+{inter_link.name}x{n_nodes}",
-            switch_aggregation=switch_aggregation,
-        )
-        return topo
-
-    @classmethod
-    def flat(cls, n_ranks: int, link: LinkSpec) -> "Topology":
-        """Single-fabric cluster: every pair uses the same link."""
-        check_positive("n_ranks", n_ranks)
-        n = int(n_ranks)
-        return cls(
-            np.full((n, n), link.bandwidth),
-            np.full((n, n), link.latency),
-            np.zeros(n, dtype=np.int64),
-            name=f"{link.name}x{n}",
         )
 
     # ------------------------------------------------------------ structure
@@ -312,25 +304,20 @@ class Topology:
         """In-network (switch-hosted) aggregation-tree all-reduce.
 
         Only meaningful for payloads that *sum in compressed space* (the
-        homomorphic codecs): each leaf sends its whole payload up one hop
+        homomorphic codecs): the fabric's switches host one aggregator per
+        node plus a spine.  Each leaf sends its whole payload up one hop
         to its node's aggregator (all ports concurrent, summation at wire
-        speed), node aggregates go up one more hop to a spine aggregator,
-        and the reduced payload comes back down the same two hops —
-        ``2 * (intra_lat + nbytes / intra_bw) + 2 * (inter_lat + nbytes /
-        inter_bw)``.  Four latency terms total versus the hierarchical
-        schedule's ``2 (g - 1) + 2 (N - 1)``, which is exactly why
-        in-network aggregation wins latency-bound dense layers; the price
-        is the full payload (not a ``1/g`` shard) on the inter link.
-
-        With ``switch_aggregation`` disabled the fabric has no aggregation
-        nodes, so this degenerates *exactly* to
-        :meth:`hierarchical_all_reduce_time` — the property tests pin that
-        equality.
+        speed), node aggregates go up one more hop to the spine
+        aggregator, and the reduced payload comes back down the same two
+        hops — ``2 * (intra_lat + nbytes / intra_bw) + 2 * (inter_lat +
+        nbytes / inter_bw)``.  Four latency terms total versus the
+        hierarchical schedule's ``2 (g - 1) + 2 (N - 1)``, which is
+        exactly why in-network aggregation wins latency-bound dense
+        layers; the price is the full payload (not a ``1/g`` shard) on the
+        inter link.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
-        if not self.switch_aggregation:
-            return self.hierarchical_all_reduce_time(nbytes)
         n = self.n_ranks
         if n <= 1:
             return 0.0
@@ -353,9 +340,9 @@ class Topology:
         * ``"hierarchical"`` — ``g`` concurrent rail rings over ``N``
           nodes, each ring moving ``2 (N-1) * nbytes / g`` across nodes.
         * ``"switch"`` — every node aggregate travels up to the spine and
-          back down: ``2 N * nbytes`` (with aggregation disabled the
-          schedule is the hierarchical one, so its byte count applies).
+          back down: ``2 N * nbytes``.
         """
+        check_in("algorithm", algorithm, ALLREDUCE_ALGORITHMS)
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
         n, n_nodes = self.n_ranks, self.n_nodes
@@ -363,20 +350,14 @@ class Topology:
             return 0.0
         if algorithm == "ring":
             return n_nodes * 2 * (n - 1) / n * nbytes
-        if algorithm == "hierarchical" or (
-            algorithm == "switch" and not self.switch_aggregation
-        ):
+        if algorithm == "hierarchical":
             return 2 * (n_nodes - 1) * nbytes
-        if algorithm == "switch":
-            return 2 * n_nodes * nbytes
-        raise ValueError(
-            f"algorithm must be 'ring', 'hierarchical', or 'switch', got {algorithm!r}"
-        )
+        return 2 * n_nodes * nbytes
 
     def __repr__(self) -> str:
         return (
             f"Topology(name={self.name!r}, n_ranks={self.n_ranks}, "
-            f"n_nodes={self.n_nodes}, switch_aggregation={self.switch_aggregation})"
+            f"n_nodes={self.n_nodes})"
         )
 
 
@@ -392,8 +373,9 @@ class NetworkModel:
         Per-message fixed cost, seconds (alpha).
     topology:
         Optional per-pair link map.  When set, the collectives are priced
-        per link (phased all-to-all, bottleneck-edge ring, hierarchical
-        all-reduce) and nothing reads the scalar ``bandwidth``/``latency``:
+        per link (phased all-to-all, and each all-reduce schedule by the
+        topology's own formula) and nothing reads the scalar
+        ``bandwidth``/``latency``:
         they price a topology-free model only, in the collectives here
         and in :class:`~repro.serve.simulator.ServingSimulator`'s shard
         pulls.
@@ -412,8 +394,6 @@ class NetworkModel:
         """Topology-priced model; its scalar terms keep their defaults,
         which nothing reads once a topology is set."""
         return cls(topology=topology)
-
-    # ------------------------------------------------------ point to point
 
     # --------------------------------------------------------- collectives
 
@@ -452,61 +432,36 @@ class NetworkModel:
             return self.topology.all_to_all_time(np.full((n, n), float(nbytes_per_pair)))
         return (n - 1) * self.latency + (n - 1) * nbytes_per_pair / self.bandwidth
 
-    def all_reduce_time(self, nbytes: float, n_ranks: int) -> float:
-        """Ring all-reduce of an ``nbytes`` buffer across ``n_ranks``
-        (reduce-scatter + all-gather, each ``n-1`` steps).  With a
-        topology the ring is node-contiguous and every step is paced by
-        the slowest ring edge."""
+    def all_reduce_time(self, nbytes: float, n_ranks: int, algorithm: str) -> float:
+        """All-reduce of an ``nbytes`` buffer across ``n_ranks`` under the
+        schedule ``algorithm`` (one of :data:`ALLREDUCE_ALGORITHMS`).
+
+        A flat fabric is one node with no switch to host an aggregator,
+        so every schedule is its ring: reduce-scatter + all-gather, each
+        ``n-1`` steps.  With a topology the schedule is priced by the
+        topology's own :meth:`~Topology.ring_all_reduce_time`,
+        :meth:`~Topology.hierarchical_all_reduce_time` or
+        :meth:`~Topology.switch_all_reduce_time`."""
+        check_in("algorithm", algorithm, ALLREDUCE_ALGORITHMS)
         check_positive("n_ranks", n_ranks)
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
         n = int(n_ranks)
         if n <= 1:
             return 0.0
-        if self.topology is not None:
-            self._check_topology_ranks(n)
-            return self.topology.ring_all_reduce_time(nbytes)
-        return 2 * (n - 1) * self.latency + 2 * (n - 1) / n * nbytes / self.bandwidth
-
-    def hierarchical_all_reduce_time(self, nbytes: float, n_ranks: int) -> float:
-        """Hierarchical (reduce-scatter intra-node → inter-node rail rings
-        → intra-node all-gather) all-reduce.  Without a topology the whole
-        cluster is one node, so this degenerates to the flat ring — the
-        two strategies only diverge on heterogeneous fabrics."""
-        check_positive("n_ranks", n_ranks)
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
-        n = int(n_ranks)
-        if n <= 1:
-            return 0.0
-        if self.topology is None:
-            return self.all_reduce_time(nbytes, n)
-        self._check_topology_ranks(n)
-        return self.topology.hierarchical_all_reduce_time(nbytes)
-
-    def switch_all_reduce_time(self, nbytes: float, n_ranks: int) -> float:
-        """In-network aggregation-tree all-reduce (homomorphic payloads
-        only — see :meth:`Topology.switch_all_reduce_time`).  Without a
-        topology there is no switch to host the aggregator, so this
-        degenerates to the flat ring; without ``switch_aggregation`` it
-        degenerates to the hierarchical schedule."""
-        check_positive("n_ranks", n_ranks)
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
-        n = int(n_ranks)
-        if n <= 1:
-            return 0.0
-        if self.topology is None:
-            return self.all_reduce_time(nbytes, n)
-        self._check_topology_ranks(n)
-        return self.topology.switch_all_reduce_time(nbytes)
-
-    def _check_topology_ranks(self, n_ranks: int) -> None:
-        if self.topology is not None and self.topology.n_ranks != n_ranks:
+        topology = self.topology
+        if topology is None:
+            return 2 * (n - 1) * self.latency + 2 * (n - 1) / n * nbytes / self.bandwidth
+        if topology.n_ranks != n:
             raise ValueError(
-                f"collective over {n_ranks} ranks does not match topology "
-                f"with {self.topology.n_ranks} ranks"
+                f"collective over {n} ranks does not match topology "
+                f"with {topology.n_ranks} ranks"
             )
+        if algorithm == "ring":
+            return topology.ring_all_reduce_time(nbytes)
+        if algorithm == "hierarchical":
+            return topology.hierarchical_all_reduce_time(nbytes)
+        return topology.switch_all_reduce_time(nbytes)
 
 
 #: The paper's evaluation fabric (Section IV): 4 GB/s effective all-to-all.

@@ -68,7 +68,8 @@ class FaultInjector:
         """Bend one per-rank stream event: returns (start, seconds).
 
         Compute streams stretch under active straggler slowdowns; comm
-        streams first wait out fabric-wide outages, then stretch under the
+        streams are bent as a collective is (:meth:`adjust_collective`):
+        they first wait out fabric-wide outages, then stretch under the
         worst active link degradation.  Unknown streams pass through.
         """
         if seconds <= 0:
@@ -79,14 +80,7 @@ class FaultInjector:
                 self._count("straggler")
                 seconds = seconds * factor
         elif stream == COMM_STREAM:
-            delayed = self.plan.wire_available_at(start)
-            if delayed > start:
-                self._count("outage")
-                start = delayed
-            factor = self.plan.wire_slowdown(start)
-            if factor > 1.0:
-                self._count("degraded_link")
-                seconds = seconds * factor
+            return self.adjust_collective(start, seconds)
         return start, seconds
 
     def adjust_collective(self, start: float, seconds: float) -> tuple[float, float]:

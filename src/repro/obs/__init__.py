@@ -45,7 +45,6 @@ from repro.obs.runtime import OBS, capture, disable, enable
 _LAZY_EXPORTS = {
     "unified_chrome_trace": "repro.obs.trace",
     "timelines_from_chrome_trace": "repro.obs.trace",
-    "SNAPSHOT_SCHEMA_ID": "repro.obs.exporters",
     "snapshot_to_json": "repro.obs.exporters",
     "snapshot_from_document": "repro.obs.exporters",
     "to_prometheus": "repro.obs.exporters",

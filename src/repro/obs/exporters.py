@@ -32,22 +32,15 @@ from repro.obs.registry import (
     _FamilySnapshot,
     _freeze_series,
 )
+from repro.obs.schema import SCHEMA_ID
 from repro.utils.tables import format_table
 
 __all__ = [
-    "SNAPSHOT_SCHEMA_ID",
-    "SNAPSHOT_SCHEMA_V1",
     "snapshot_to_json",
     "snapshot_from_document",
     "to_prometheus",
     "run_report",
 ]
-
-#: v2 adds the optional top-level ``reports`` object (critical-path and
-#: SLO blocks); the metric families are unchanged, so v1 documents stay
-#: parseable — :func:`snapshot_from_document` accepts both.
-SNAPSHOT_SCHEMA_ID = "repro.obs.snapshot/v2"
-SNAPSHOT_SCHEMA_V1 = "repro.obs.snapshot/v1"
 
 
 def _coerce_snapshot(source: RegistrySnapshot | MetricsRegistry) -> RegistrySnapshot:
@@ -102,7 +95,7 @@ def snapshot_to_json(
         families.append(
             {"name": name, "kind": fam.kind, "help": fam.help, "series": series}
         )
-    payload: dict[str, object] = {"schema": SNAPSHOT_SCHEMA_ID, "families": families}
+    payload: dict[str, object] = {"schema": SCHEMA_ID, "families": families}
     if reports:
         payload["reports"] = dict(reports)
     return json.dumps(payload, indent=indent)

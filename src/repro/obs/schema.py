@@ -41,6 +41,8 @@ from pathlib import Path
 
 __all__ = ["SnapshotSchemaError", "validate_snapshot_json", "main"]
 
+#: the id :func:`repro.obs.exporters.snapshot_to_json` writes; v1
+#: documents (no ``reports`` block) stay readable.
 SCHEMA_ID = "repro.obs.snapshot/v2"
 SCHEMA_ID_V1 = "repro.obs.snapshot/v1"
 _KINDS = ("counter", "gauge", "histogram")

@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.synthetic import SyntheticClickDataset
+from repro.dist.network import ALLREDUCE_ALGORITHMS
 from repro.dist.simulator import ClusterSimulator
 from repro.dist.timeline import OBS_STREAM, EventCategory, Timeline
 from repro.model.dlrm import DLRM
@@ -121,9 +122,7 @@ class HybridParallelTrainer:
         allreduce_codec: str | None = None,
     ):
         check_positive("lr", lr)
-        check_in(
-            "allreduce_algorithm", allreduce_algorithm, ("ring", "hierarchical", "switch")
-        )
+        check_in("allreduce_algorithm", allreduce_algorithm, ALLREDUCE_ALGORITHMS)
         if allreduce_codec is not None:
             from repro.compression.homomorphic import homomorphic_codecs
 

@@ -456,7 +456,7 @@ class TestPricedCollectives:
         net = NetworkModel(bandwidth=1e9, latency=1e-6)
         priced = ClusterSimulator(4, network=net)
         priced.comm.all_reduce_bytes(4096)
-        assert priced.makespan() == pytest.approx(net.all_reduce_time(4096, 4))
+        assert priced.makespan() == pytest.approx(net.all_reduce_time(4096, 4, "ring"))
         events = events_in(priced.timeline, EventCategory.ALLREDUCE)
         assert {e.rank for e in events} == {0, 1, 2, 3}
 

@@ -15,19 +15,36 @@ from repro.dist import (
     NetworkModel,
     Topology,
 )
+from repro.dist.network import ALLREDUCE_ALGORITHMS
 
 
 def uniform_matrix(n: int, nbytes: float) -> np.ndarray:
     return np.full((n, n), nbytes, dtype=np.float64)
 
 
+def uniform_topology(n: int, bandwidth: float, latency: float) -> Topology:
+    """A single-link topology: every pair of the ``n`` ranks, one node."""
+    return Topology(np.full((n, n), bandwidth), np.full((n, n), latency))
+
+
 #: every byte-priced collective, on the flat alpha-beta model and on a
 #: topology, called with a negative byte count
 NEGATIVE_BYTES = {
     "flat_uniform_all_to_all": lambda: NetworkModel().uniform_all_to_all_time(-1.0, 4),
-    "flat_all_reduce": lambda: NetworkModel().all_reduce_time(-1.0, 4),
-    "flat_hierarchical_all_reduce": lambda: NetworkModel().hierarchical_all_reduce_time(-1.0, 4),
-    "flat_switch_all_reduce": lambda: NetworkModel().switch_all_reduce_time(-1.0, 4),
+    **{
+        f"flat_{algorithm}_all_reduce": (
+            lambda algorithm=algorithm: NetworkModel().all_reduce_time(-1.0, 4, algorithm)
+        )
+        for algorithm in ALLREDUCE_ALGORITHMS
+    },
+    **{
+        f"model_on_topology_{algorithm}_all_reduce": (
+            lambda algorithm=algorithm: NetworkModel.from_topology(
+                Topology.hierarchical(2, 2)
+            ).all_reduce_time(-1.0, 4, algorithm)
+        )
+        for algorithm in ALLREDUCE_ALGORITHMS
+    },
     "topology_ring_all_reduce": lambda: Topology.hierarchical(2, 2).ring_all_reduce_time(-1.0),
     "topology_hierarchical_all_reduce": (
         lambda: Topology.hierarchical(2, 2).hierarchical_all_reduce_time(-1.0)
@@ -56,7 +73,7 @@ class TestNetworkModel:
         pays one latency per ring or all-to-all step."""
         net = NetworkModel(bandwidth=1e9, latency=1e-6)
         assert net.uniform_all_to_all_time(0.0, 8) == pytest.approx(7e-6)
-        assert net.all_reduce_time(0.0, 8) == pytest.approx(14e-6)
+        assert net.all_reduce_time(0.0, 8, "ring") == pytest.approx(14e-6)
         assert net.all_to_all_time(np.zeros((8, 8))) == pytest.approx(7e-6)
 
 
@@ -132,26 +149,65 @@ class TestAllToAll:
 class TestAllReduce:
     def test_bigger_payload_costs_more(self):
         net = NetworkModel(bandwidth=1e9, latency=1e-6)
-        assert net.all_reduce_time(1e8, 8) > net.all_reduce_time(1e6, 8)
+        assert net.all_reduce_time(1e8, 8, "ring") > net.all_reduce_time(1e6, 8, "ring")
 
     def test_lower_bandwidth_costs_more(self):
         slow = NetworkModel(bandwidth=1e9, latency=1e-6)
         fast = NetworkModel(bandwidth=4e9, latency=1e-6)
-        assert slow.all_reduce_time(1e8, 8) > fast.all_reduce_time(1e8, 8)
+        assert slow.all_reduce_time(1e8, 8, "ring") > fast.all_reduce_time(1e8, 8, "ring")
 
     def test_ring_formula(self):
         net = NetworkModel(bandwidth=1e9, latency=1e-6)
         n, nbytes = 4, 1e9
         expected = 2 * 3 * 1e-6 + 2 * 3 / 4 * 1.0
-        assert net.all_reduce_time(nbytes, n) == pytest.approx(expected)
+        assert net.all_reduce_time(nbytes, n, "ring") == pytest.approx(expected)
 
-    def test_single_rank_is_free(self):
-        assert NetworkModel().all_reduce_time(1e9, 1) == 0.0
+    @pytest.mark.parametrize("algorithm", ALLREDUCE_ALGORITHMS)
+    def test_single_rank_is_free(self, algorithm):
+        assert NetworkModel().all_reduce_time(1e9, 1, algorithm) == 0.0
+        one = NetworkModel.from_topology(uniform_topology(1, 1e9, 1e-6))
+        assert one.all_reduce_time(1e9, 1, algorithm) == 0.0
 
     def test_bandwidth_term_approaches_2x_volume(self):
         """Ring all-reduce moves ~2x the buffer regardless of scale."""
         net = NetworkModel(bandwidth=1e9, latency=0.0)
-        assert net.all_reduce_time(1e9, 64) == pytest.approx(2 * 63 / 64, rel=1e-12)
+        assert net.all_reduce_time(1e9, 64, "ring") == pytest.approx(2 * 63 / 64, rel=1e-12)
+
+    @given(
+        st.sampled_from(ALLREDUCE_ALGORITHMS),
+        st.integers(min_value=2, max_value=64),
+        st.floats(min_value=0.0, max_value=1e12),
+        st.floats(min_value=1e6, max_value=1e12),
+        st.floats(min_value=0.0, max_value=1e-4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_flat_fabric_prices_every_schedule_as_its_ring(
+        self, algorithm, n, nbytes, bandwidth, latency
+    ):
+        """A flat fabric is one node with no switch to aggregate in, so
+        every schedule is the ring, bit for bit, latency included."""
+        net = NetworkModel(bandwidth=bandwidth, latency=latency)
+        ring = 2 * (n - 1) * latency + 2 * (n - 1) / n * nbytes / bandwidth
+        assert net.all_reduce_time(nbytes, n, algorithm) == ring
+
+    @pytest.mark.parametrize(
+        "network",
+        [NetworkModel(), NetworkModel.from_topology(Topology.hierarchical(2, 2))],
+        ids=["flat", "topology"],
+    )
+    def test_unknown_schedule_names_the_schedules(self, network):
+        with pytest.raises(ValueError, match="algorithm") as excinfo:
+            network.all_reduce_time(1024.0, 4, "tree")
+        for algorithm in ALLREDUCE_ALGORITHMS:
+            assert repr(algorithm) in str(excinfo.value)
+        with pytest.raises(ValueError, match="'tree'"):
+            Topology.hierarchical(2, 2).all_reduce_inter_bytes(1024.0, "tree")
+
+    def test_topology_rank_count_checked(self):
+        net = NetworkModel.from_topology(Topology.hierarchical(2, 2))
+        for algorithm in ALLREDUCE_ALGORITHMS:
+            with pytest.raises(ValueError, match="does not match topology with 4 ranks"):
+                net.all_reduce_time(1024.0, 8, algorithm)
 
 
 class TestPaperFabric:
@@ -171,6 +227,10 @@ class TestLinkSpec:
             LinkSpec(bandwidth=0.0, latency=1e-6)
         with pytest.raises(ValueError):
             LinkSpec(bandwidth=1e9, latency=-1.0)
+        with pytest.raises(ValueError):
+            LinkSpec(bandwidth=float("nan"), latency=1e-6)
+        with pytest.raises(ValueError):
+            LinkSpec(bandwidth=1e9, latency=float("nan"))
 
 
 class TestTopology:
@@ -191,25 +251,41 @@ class TestTopology:
         assert topo.bandwidth_matrix[0, 4] == pytest.approx(IB_HDR_LIKE.bandwidth)
 
     def test_from_topology_prices_through_the_topology(self):
-        topo = Topology.hierarchical(2, 4, switch_aggregation=True)
+        topo = Topology.hierarchical(2, 4)
         model = NetworkModel.from_topology(topo)
         assert model == NetworkModel(topology=topo)
         matrix = np.random.default_rng(2).integers(0, 1 << 20, size=(8, 8)).astype(np.float64)
         assert model.all_to_all_time(matrix) == topo.all_to_all_time(matrix)
-        assert model.all_reduce_time(1e7, 8) == topo.ring_all_reduce_time(1e7)
-        assert model.hierarchical_all_reduce_time(1e7, 8) == topo.hierarchical_all_reduce_time(1e7)
-        assert model.switch_all_reduce_time(1e7, 8) == topo.switch_all_reduce_time(1e7)
 
-    def test_flat_equals_single_fabric_model(self):
-        """A single-link topology prices every collective like the flat
-        alpha-beta model (uniform byte matrices)."""
-        link = LinkSpec(bandwidth=1e9, latency=1e-6)
-        topo = Topology.flat(8, link)
+    @given(
+        st.sampled_from(ALLREDUCE_ALGORITHMS),
+        st.sampled_from([(1, 4), (2, 1), (2, 4), (3, 2), (4, 8)]),
+        st.sampled_from([IB_HDR_LIKE, IB_HDR_LIKE.oversubscribed(4.0), NVLINK_LIKE]),
+        st.floats(min_value=0.0, max_value=1e10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_all_reduce_is_the_topologys_own_formula(self, algorithm, layout, inter, nbytes):
+        """On a topology the one dispatcher prices each schedule by the
+        topology's own formula for it, bit for bit."""
+        topo = Topology.hierarchical(*layout, NVLINK_LIKE, inter)
+        own = {
+            "ring": topo.ring_all_reduce_time,
+            "hierarchical": topo.hierarchical_all_reduce_time,
+            "switch": topo.switch_all_reduce_time,
+        }[algorithm]
         model = NetworkModel.from_topology(topo)
+        assert model.all_reduce_time(nbytes, topo.n_ranks, algorithm) == own(nbytes)
+
+    def test_single_link_topology_equals_single_fabric_model(self):
+        """A single-link topology prices a uniform all-to-all and the ring
+        like the flat alpha-beta model."""
+        model = NetworkModel.from_topology(uniform_topology(8, 1e9, 1e-6))
         flat = NetworkModel(bandwidth=1e9, latency=1e-6)
         matrix = uniform_matrix(8, 12_345.0)
         assert model.all_to_all_time(matrix) == pytest.approx(flat.all_to_all_time(matrix))
-        assert model.all_reduce_time(1e8, 8) == pytest.approx(flat.all_reduce_time(1e8, 8))
+        assert model.all_reduce_time(1e8, 8, "ring") == pytest.approx(
+            flat.all_reduce_time(1e8, 8, "ring")
+        )
 
     def test_heterogeneous_all_to_all_larger_than_intra_flat(self):
         """Acceptance: NVLink+IB topology prices the same byte matrix
@@ -225,8 +301,7 @@ class TestTopology:
 
     def test_phased_all_to_all_bottlenecked_by_slowest_phase_pair(self):
         """Each shift phase lasts as long as its slowest pair."""
-        link = LinkSpec(bandwidth=1e9, latency=0.0)
-        topo = Topology.flat(4, link)
+        topo = uniform_topology(4, 1e9, 0.0)
         matrix = np.zeros((4, 4))
         matrix[2, 3] = 1e9  # phase 1 carries the only payload
         # 3 phases at zero latency; only phase 1 moves bytes.
@@ -235,7 +310,7 @@ class TestTopology:
     @pytest.mark.parametrize(
         "topo",
         [
-            Topology.flat(7, LinkSpec(bandwidth=3e9, latency=1.3e-6)),
+            uniform_topology(7, 3e9, 1.3e-6),
             Topology.hierarchical(3, 4),
             Topology.hierarchical(16, 8, NVLINK_LIKE, IB_HDR_LIKE.oversubscribed(4)),
             Topology.hierarchical(1, 1),
@@ -277,10 +352,28 @@ class TestTopology:
     def test_matrix_validation(self):
         with pytest.raises(ValueError, match="square"):
             Topology(np.zeros((2, 3)), np.zeros((2, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bandwidth matrix"):
             Topology(np.zeros((2, 2)), np.zeros((2, 2)))  # zero bandwidth
+        with pytest.raises(ValueError, match="latency matrix"):
+            Topology(np.ones((2, 2)), np.full((2, 2), -1.0))
         with pytest.raises(ValueError, match="node_ids"):
             Topology(np.ones((2, 2)), np.zeros((2, 2)), node_ids=np.zeros(3, dtype=int))
+
+    @pytest.mark.parametrize(
+        "bandwidth, latency, named",
+        [
+            (np.full((2, 2), np.nan), np.zeros((2, 2)), "bandwidth matrix"),
+            (np.array([[1e9, np.nan], [1e9, 1e9]]), np.zeros((2, 2)), "bandwidth matrix"),
+            (np.ones((2, 2)), np.full((2, 2), np.nan), "latency matrix"),
+            (np.ones((2, 2)), np.array([[0.0, 0.0], [np.nan, 0.0]]), "latency matrix"),
+        ],
+        ids=["bandwidth-all", "bandwidth-one-pair", "latency-all", "latency-one-pair"],
+    )
+    def test_nan_links_rejected(self, bandwidth, latency, named):
+        """A NaN link fails at construction, as LinkSpec's does — not as a
+        NaN price, or a non-finite second, far downstream."""
+        with pytest.raises(ValueError, match=named):
+            Topology(bandwidth, latency)
 
     def test_simulator_rejects_mismatched_topology(self):
         from repro.dist import ClusterSimulator
@@ -303,8 +396,8 @@ class TestHierarchicalAllReduce:
         topo = self._uniform_topo(4, 4)
         net = NetworkModel.from_topology(topo)
         nbytes = 1e9
-        assert net.hierarchical_all_reduce_time(nbytes, 16) == pytest.approx(
-            net.all_reduce_time(nbytes, 16), rel=1e-12
+        assert net.all_reduce_time(nbytes, 16, "hierarchical") == pytest.approx(
+            net.all_reduce_time(nbytes, 16, "ring"), rel=1e-12
         )
 
     @given(
@@ -334,7 +427,7 @@ class TestHierarchicalAllReduce:
         topo = Topology.hierarchical(1, 8, intra_link=link, inter_link=IB_HDR_LIKE)
         flat = NetworkModel(bandwidth=1e9, latency=1e-6)
         assert topo.hierarchical_all_reduce_time(1e8) == pytest.approx(
-            flat.all_reduce_time(1e8, 8)
+            flat.all_reduce_time(1e8, 8, "ring")
         )
 
     def test_one_gpu_per_node_degenerates_to_inter_ring(self):
@@ -342,15 +435,7 @@ class TestHierarchicalAllReduce:
         topo = Topology.hierarchical(8, 1, intra_link=NVLINK_LIKE, inter_link=link)
         flat = NetworkModel(bandwidth=1e9, latency=1e-6)
         assert topo.hierarchical_all_reduce_time(1e8) == pytest.approx(
-            flat.all_reduce_time(1e8, 8)
-        )
-
-    def test_flat_fallback_without_topology(self):
-        """Without a topology the cluster is one node: hierarchical ==
-        flat ring exactly, latency included."""
-        net = NetworkModel(bandwidth=1e9, latency=1e-6)
-        assert net.hierarchical_all_reduce_time(1e8, 8) == pytest.approx(
-            net.all_reduce_time(1e8, 8)
+            flat.all_reduce_time(1e8, 8, "ring")
         )
 
     def test_unbalanced_nodes_rejected(self):
@@ -360,6 +445,6 @@ class TestHierarchicalAllReduce:
             topo.hierarchical_all_reduce_time(1e6)
 
     def test_single_rank_free(self):
-        topo = Topology.flat(1, LinkSpec(1e9, 0.0))
+        topo = uniform_topology(1, 1e9, 0.0)
         assert topo.hierarchical_all_reduce_time(1e9) == 0.0
         assert topo.all_to_all_time(np.array([[5.0]])) == 0.0

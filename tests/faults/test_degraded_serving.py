@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import SyntheticClickDataset, make_uniform_spec
-from repro.dist import LinkSpec, NetworkModel, Topology
+from repro.dist import NetworkModel, Topology
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -218,10 +218,10 @@ class TestDegradedLinkPricing:
         return during, after
 
     def fabrics(self):
-        link = LinkSpec(self.BANDWIDTH, self.LATENCY)
+        uniform = Topology(np.full((4, 4), self.BANDWIDTH), np.full((4, 4), self.LATENCY))
         return (
             NetworkModel(bandwidth=self.BANDWIDTH, latency=self.LATENCY),
-            NetworkModel.from_topology(Topology.flat(4, link)),
+            NetworkModel.from_topology(uniform),
         )
 
     def test_flat_and_topology_fabrics_price_a_degraded_pull_equally(self, world):

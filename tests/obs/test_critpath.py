@@ -362,8 +362,9 @@ class _ScaledNetwork:
         seconds = self._network.uniform_all_to_all_time(nbytes_per_pair, n_ranks)
         return seconds / self._scale.get("metadata", 1.0)
 
-    def all_reduce_time(self, nbytes, n_ranks):
-        return self._network.all_reduce_time(nbytes, n_ranks) / self._scale.get("allreduce", 1.0)
+    def all_reduce_time(self, nbytes, n_ranks, algorithm):
+        seconds = self._network.all_reduce_time(nbytes, n_ranks, algorithm)
+        return seconds / self._scale.get("allreduce", 1.0)
 
 
 OPS = [

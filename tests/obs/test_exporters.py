@@ -16,15 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.exporters import (
-    SNAPSHOT_SCHEMA_ID,
-    SNAPSHOT_SCHEMA_V1,
-    run_report,
-    snapshot_to_json,
-    to_prometheus,
-)
+from repro.obs.exporters import run_report, snapshot_to_json, to_prometheus
 from repro.obs.registry import MetricsRegistry
-from repro.obs.schema import SnapshotSchemaError, validate_snapshot_json
+from repro.obs.schema import (
+    SCHEMA_ID,
+    SCHEMA_ID_V1,
+    SnapshotSchemaError,
+    validate_snapshot_json,
+)
 from tests.conftest import from_json
 from tests.obs.prometheus_parser import from_prometheus, scrub_exact
 
@@ -81,7 +80,7 @@ class TestJsonRoundTrip:
 
     def test_json_carries_schema_id(self):
         doc = json.loads(snapshot_to_json(populated_registry().snapshot()))
-        assert doc["schema"] == SNAPSHOT_SCHEMA_ID
+        assert doc["schema"] == SCHEMA_ID
 
     def test_accepts_live_registry(self):
         reg = populated_registry()
@@ -178,7 +177,7 @@ class TestSchemaValidation:
     def test_valid_snapshot_passes(self):
         text = snapshot_to_json(populated_registry().snapshot())
         doc = validate_snapshot_json(text)
-        assert doc["schema"] == SNAPSHOT_SCHEMA_ID
+        assert doc["schema"] == SCHEMA_ID
 
     def test_wrong_schema_id_rejected(self):
         doc = json.loads(snapshot_to_json(populated_registry().snapshot()))
@@ -260,12 +259,12 @@ class TestSchemaV2Migration:
     def test_v1_document_still_parses(self):
         snap = populated_registry().snapshot()
         doc = json.loads(snapshot_to_json(snap))
-        doc["schema"] = SNAPSHOT_SCHEMA_V1
+        doc["schema"] = SCHEMA_ID_V1
         assert from_json(json.dumps(doc)) == snap
 
     def test_v1_document_still_validates(self):
         doc = json.loads(snapshot_to_json(populated_registry().snapshot()))
-        doc["schema"] = SNAPSHOT_SCHEMA_V1
+        doc["schema"] = SCHEMA_ID_V1
         validate_snapshot_json(json.dumps(doc))
 
     def test_reports_block_requires_v2(self):
@@ -275,13 +274,13 @@ class TestSchemaV2Migration:
                 reports={"critical_path": _minimal_critical_path_block()},
             )
         )
-        doc["schema"] = SNAPSHOT_SCHEMA_V1
+        doc["schema"] = SCHEMA_ID_V1
         with pytest.raises(SnapshotSchemaError, match="reports"):
             validate_snapshot_json(json.dumps(doc))
 
     def test_v1_document_has_no_reports(self):
         doc = json.loads(snapshot_to_json(populated_registry().snapshot()))
-        doc["schema"] = SNAPSHOT_SCHEMA_V1
+        doc["schema"] = SCHEMA_ID_V1
         assert "reports" not in validate_snapshot_json(json.dumps(doc))
 
     def test_v2_document_without_block_has_no_reports(self):

@@ -14,8 +14,8 @@ import json
 import pytest
 
 from repro.obs import run_day_in_the_life
-from repro.obs.exporters import SNAPSHOT_SCHEMA_ID as SCHEMA
 from repro.obs.report import main
+from repro.obs.schema import SCHEMA_ID as SCHEMA
 from repro.obs.trace import timelines_from_chrome_trace
 
 #: a histogram with one bucket count for one bound (it needs two: the

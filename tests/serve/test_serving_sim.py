@@ -34,6 +34,12 @@ def world():
     return spec, dataset, config, model
 
 
+def nvlink_only(n_ranks):
+    """A uniform NVLink-class topology of ``n_ranks`` ranks."""
+    shape = (n_ranks, n_ranks)
+    return Topology(np.full(shape, NVLINK_LIKE.bandwidth), np.full(shape, NVLINK_LIKE.latency))
+
+
 def build_tier(model, n_shards=2, n_replicas=2, cache_rows=512):
     sharding = round_robin_plan(N_TABLES, n_shards)
     servers = [
@@ -140,7 +146,7 @@ class TestFabricPricing:
             )
         flat = run_once(
             world,
-            network=NetworkModel.from_topology(Topology.flat(4, NVLINK_LIKE)),
+            network=NetworkModel.from_topology(nvlink_only(4)),
             cache_rows=64,
         )
         assert flat.mean_latency < reports["pcie"].mean_latency < reports["ib"].mean_latency
@@ -151,7 +157,7 @@ class TestFabricPricing:
     def test_topology_must_span_the_tier(self, world):
         spec, dataset, config, model = world
         _, replicas, _ = build_tier(model, n_shards=2, n_replicas=4)
-        small = NetworkModel.from_topology(Topology.flat(4, NVLINK_LIKE))
+        small = NetworkModel.from_topology(nvlink_only(4))
         with pytest.raises(ValueError, match="spans 4 ranks"):
             ServingSimulator(replicas, config, network=small)  # needs 6
 

@@ -22,6 +22,7 @@ import pytest
 
 from repro.adaptive import AdaptiveController
 from repro.dist import IB_HDR_LIKE, NVLINK_LIKE, ClusterSimulator, NetworkModel, Topology
+from repro.dist.network import ALLREDUCE_ALGORITHMS
 from repro.model import DLRM
 from repro.train import CompressionPipeline, HybridParallelTrainer
 from repro.train.hybrid import ALLREDUCE_ERROR_BOUND
@@ -64,7 +65,7 @@ class TestSeedEquivalence:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("overlap", [False, True, "cross_stage"])
-    @pytest.mark.parametrize("algorithm", ["ring", "hierarchical", "switch"])
+    @pytest.mark.parametrize("algorithm", ALLREDUCE_ALGORITHMS)
     def test_count_sum_bit_identical_to_dense(self, workflow, overlap, algorithm):
         dataset, config, plan = workflow
         _, dense_params, dense_losses = _run(config, dataset, plan, overlap=overlap)
@@ -83,9 +84,7 @@ class TestSeedEquivalence:
     def test_count_sum_bit_identical_on_switch_fabric(self, workflow):
         dataset, config, plan = workflow
         network = NetworkModel.from_topology(
-            Topology.hierarchical(
-                2, 2, NVLINK_LIKE, IB_HDR_LIKE, switch_aggregation=True
-            )
+            Topology.hierarchical(2, 2, NVLINK_LIKE, IB_HDR_LIKE)
         )
         _, dense_params, dense_losses = _run(config, dataset, plan)
         _, params, losses = _run(
