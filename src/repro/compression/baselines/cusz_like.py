@@ -29,7 +29,7 @@ from repro.compression.huffman import (
     huffman_decode,
     huffman_encode,
 )
-from repro.compression.quantizer import quantize
+from repro.compression.quantizer import dequantize, quantize
 
 __all__ = ["lorenzo_residuals_2d", "inverse_lorenzo_2d", "CuszLikeCompressor"]
 
@@ -91,5 +91,4 @@ class CuszLikeCompressor(Compressor):
         check_element_count(self.name, encoded.total_symbols, shape)
         shifted = huffman_decode(encoded).reshape(shape)
         residuals = shifted + header["res_min"]
-        codes = inverse_lorenzo_2d(residuals)
-        return (codes.astype(np.float64) * (2.0 * header["eb"])).astype(dtype)
+        return dequantize(inverse_lorenzo_2d(residuals), header["eb"], dtype)

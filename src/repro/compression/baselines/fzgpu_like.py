@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from repro.compression.base import Compressor, check_element_count
-from repro.compression.quantizer import quantize
+from repro.compression.quantizer import dequantize, quantize
 from repro.compression.serialization import CorruptPayloadError
 
 __all__ = [
@@ -193,5 +193,4 @@ class FzGpuLikeCompressor(Compressor):
             )
         raw = np.frombuffer(body, dtype=np.uint8)
         unsigned = unpack_bitplanes(raw[:bitmap_len], raw[bitmap_len:], n, block_bytes, n_blocks)
-        codes = zigzag_decode(unsigned).reshape(shape)
-        return (codes.astype(np.float64) * (2.0 * header["eb"])).astype(dtype)
+        return dequantize(zigzag_decode(unsigned).reshape(shape), header["eb"], dtype)

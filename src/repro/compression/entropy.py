@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.compression.base import Compressor, check_element_count
 from repro.compression.huffman import HuffmanEncoded, huffman_decode, huffman_encode
-from repro.compression.quantizer import quantize_batch
+from repro.compression.quantizer import dequantize, quantize_batch
 from repro.compression.serialization import CorruptPayloadError
 
 __all__ = ["EntropyCompressor"]
@@ -72,4 +72,4 @@ class EntropyCompressor(Compressor):
         if not -(1 << 63) <= code_min < (1 << 63):
             raise CorruptPayloadError(f"corrupt Huffman stream: code_min {code_min} is not an int64")
         symbols = huffman_decode(encoded).reshape(shape)
-        return ((symbols + code_min).astype(np.float64) * (2.0 * header["eb"])).astype(dtype)
+        return dequantize(symbols + code_min, header["eb"], dtype)

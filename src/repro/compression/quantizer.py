@@ -25,6 +25,7 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "quantize",
+    "dequantize",
     "QuantizedBatch",
     "quantize_batch",
     "DEFAULT_MAX_ALPHABET",
@@ -55,6 +56,13 @@ def quantize(array: np.ndarray, error_bound: float) -> np.ndarray:
     scaled /= 2.0 * error_bound
     np.rint(scaled, out=scaled)
     return scaled.astype(np.int64)
+
+
+def dequantize(codes: np.ndarray, error_bound, dtype: np.dtype) -> np.ndarray:
+    """Invert :func:`quantize`: bin centres ``2 * error_bound * codes``,
+    computed in float64 and cast to ``dtype``.  ``error_bound`` may be an
+    array broadcasting against ``codes`` (one bound per stream row)."""
+    return (codes.astype(np.float64) * (2.0 * error_bound)).astype(dtype)
 
 
 @dataclass(frozen=True)

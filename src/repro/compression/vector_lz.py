@@ -39,7 +39,7 @@ from repro.compression.bitstream import (
     pack_fixed_segments,
     unpack_fixed_segments,
 )
-from repro.compression.quantizer import quantize
+from repro.compression.quantizer import dequantize, quantize
 from repro.compression.serialization import CorruptPayloadError, unpack_meta
 
 __all__ = [
@@ -535,14 +535,14 @@ class VectorLZCompressor(Compressor):
         literal_rows, literal_of_row = _resolve_stack(encoded)
         # Dequantize the literals only: every output row is a copy of one.
         if len(headers) == 1:
-            code_min, bin_width = headers[0]["code_min"], 2.0 * headers[0]["eb"]
+            code_min, eb = headers[0]["code_min"], headers[0]["eb"]
         else:  # per-stream constants, repeated over each stream's literals
             n_literals = [n - e.n_matches for e in encoded]
             code_min = np.array([header["code_min"] for header in headers], dtype=np.int64)
-            bin_width = 2.0 * np.array([header["eb"] for header in headers], dtype=np.float64)
+            eb = np.array([header["eb"] for header in headers], dtype=np.float64)
             code_min = np.repeat(code_min, n_literals)[:, None]
-            bin_width = np.repeat(bin_width, n_literals)[:, None]
-        values = ((literal_rows + code_min).astype(np.float64) * bin_width).astype(dtype)
+            eb = np.repeat(eb, n_literals)[:, None]
+        values = dequantize(literal_rows + code_min, eb, dtype)
         return np.take(values, literal_of_row, axis=0).reshape(len(encoded), n, d)
 
     def decompress_stack(self, payloads: Sequence[bytes | memoryview]) -> list[np.ndarray] | None:

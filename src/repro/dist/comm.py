@@ -51,23 +51,25 @@ exchange issued *before* that compute overlaps it cross-stage on the wire.
 
 The pipeline is scheduled in two halves.  A *builder*
 (``Communicator._build_pipeline``) computes every stage's starts and
-durations as ``(n_ranks, max_chunks)`` arrays — each stage advances all
-ranks one chunk at a time, with the same IEEE operations in the same
-order as charging the events one by one, so the ledger is bit-identical
-to that model (``tests/dist/test_ledger_golden.py`` pins it) — and a
-*charger* (``Communicator._charge_pipeline``) appends each stage through
-one ``Timeline.record_batch`` call and writes the stream clocks and the
-simulator's lane *tails* back.  Stages are appended **rank-major** (all
-of rank 0's chunks, then rank 1's, …) although they are computed
-wave-major: the order of the per-event model, which the ledger digests
-hash.  Every dependency the builder creates is recorded as a release
-edge; where an exchange starts from the ranks' clocks it names their
-tails (see :class:`~repro.dist.simulator.ClusterSimulator`).
+durations as ``(n_ranks, max_chunks)`` arrays through the simulator's one
+wave scheduler (:meth:`~repro.dist.simulator.ClusterSimulator.schedule_stage`,
+the same rule that places every ``compute`` wave) — each stage advances
+all ranks one chunk at a time, so the ledger is bit-identical to charging
+the events one by one (``tests/dist/test_ledger_golden.py`` pins it) —
+and a *charger* (``Communicator._charge_pipeline``) hands the stages and
+the two final stream clocks to the simulator's
+:meth:`~repro.dist.simulator.ClusterSimulator.commit`, which records each
+stage with one ``Timeline.record_batch`` call and moves the clocks and
+lane *tails*.  Stages are recorded **rank-major** (all of rank 0's
+chunks, then rank 1's, …) although they are computed wave-major: the
+order of the per-event model, which the ledger digests hash.  Every
+dependency the builder creates is recorded as a release edge; where an
+exchange starts from the ranks' clocks it names their tails (see
+:class:`~repro.dist.simulator.ClusterSimulator`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
@@ -78,10 +80,10 @@ import numpy as np
 from repro.dist.network import ALLREDUCE_ALGORITHMS
 from repro.dist.timeline import COMM_STREAM, COMPUTE_STREAM, EventCategory
 from repro.obs.runtime import OBS
-from repro.utils.validation import check_in
+from repro.utils.validation import check_count, check_finite_nonnegative, check_in
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.dist.simulator import ClusterSimulator
+    from repro.dist.simulator import ClusterSimulator, _Stage
 
 __all__ = ["Communicator"]
 
@@ -124,19 +126,6 @@ class _PayloadSizes(NamedTuple):
     byte_matrix: np.ndarray  # int64 (n, n): bytes per ordered pair
 
 
-class _Stage(NamedTuple):
-    """One stage of a pipelined exchange as :meth:`Timeline.record_batch`
-    arguments, its events flattened rank-major."""
-
-    ranks: np.ndarray
-    category: str
-    starts: np.ndarray
-    durations: np.ndarray
-    stream: str
-    args: object
-    release_edges: list | None
-
-
 @dataclass
 class _PipelineSchedule:
     """What :meth:`Communicator._build_pipeline` hands the charger: the
@@ -154,7 +143,6 @@ class Communicator:
 
     def __init__(self, simulator: "ClusterSimulator"):
         self.simulator = simulator
-        self._exchange_counter = 0
 
     @property
     def n_ranks(self) -> int:
@@ -311,12 +299,9 @@ class Communicator:
         counts; an all-zero matrix skips the round entirely (e.g. a
         gradient exchange with self-describing payloads only)."""
         if np.isscalar(entries_per_pair):
-            if entries_per_pair <= 0:
-                raise ValueError(
-                    f"entries_per_pair must be > 0, got {entries_per_pair!r}"
-                )
+            entries = check_count("entries_per_pair", entries_per_pair, 1)
             return self.simulator.network.uniform_all_to_all_time(
-                METADATA_BYTES_PER_ENTRY * entries_per_pair, self.n_ranks
+                METADATA_BYTES_PER_ENTRY * entries, self.n_ranks
             )
         entries = np.asarray(entries_per_pair)
         n = self.n_ranks
@@ -324,8 +309,9 @@ class Communicator:
             raise ValueError(
                 f"entries_per_pair matrix shape {entries.shape} does not match {n} ranks"
             )
-        if (entries < 0).any():
-            raise ValueError("entries_per_pair matrix entries must be >= 0")
+        check_finite_nonnegative("entries_per_pair matrix entries", entries)
+        if (entries % 1 != 0).any():
+            raise ValueError("entries_per_pair matrix entries must be integers")
         if not entries.any():
             return None
         return self.simulator.network.all_to_all_time(
@@ -432,8 +418,7 @@ class Communicator:
         values = [float(v) for v in values]
         if len(values) != self.n_ranks:
             raise ValueError(f"{name} must have one entry per rank, got {len(values)}")
-        if not all(0.0 <= v < math.inf for v in values):  # False for NaN too
-            raise ValueError(f"{name} entries must be finite and >= 0")
+        check_finite_nonnegative(f"{name} entries", values)
         return values
 
     def _chunk_wire_fractions(
@@ -489,71 +474,12 @@ class Communicator:
             return [self.n_ranks] * self.n_ranks  # one chunk per destination
         if np.isscalar(chunks_per_rank):
             chunks_per_rank = [chunks_per_rank] * self.n_ranks
-        chunks = [int(c) for c in chunks_per_rank]
+        chunks = [check_count("chunks_per_rank entries", c, 1) for c in chunks_per_rank]
         if len(chunks) != self.n_ranks:
             raise ValueError(
                 f"chunks_per_rank must have one entry per rank, got {len(chunks)}"
             )
-        if any(c < 1 for c in chunks):
-            raise ValueError("chunks_per_rank entries must be >= 1")
         return chunks
-
-    def _schedule_stage(
-        self,
-        stages: list[_Stage],
-        category: str,
-        stream: str,
-        clock: np.ndarray,
-        not_before: np.ndarray | None,
-        seconds: np.ndarray,
-        active: np.ndarray,
-        args: object = None,
-        release_edges: list | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Schedule one stage on one stream of every rank as ``K`` *waves*
-        and append it to ``stages``: wave ``j`` starts chunk ``j`` of
-        every rank where ``active[:, j]`` at ``max(clock, not_before[:,
-        j])`` for ``seconds[:, j]`` — exactly what ``K`` calls of
-        ``ClusterSimulator.stream_compute`` per rank do, because a rank's
-        chunk ``j`` depends on its own chunk ``j - 1`` (the stream clock)
-        and on earlier stages only, never on another rank's chunk of this
-        stage.  An attached ``FaultInjector`` bends every active event
-        through the same ``adjust_stream_event`` hook.  The stage's events
-        are the active ``(rank, chunk)`` entries flattened rank-major;
-        ``args`` / ``release_edges`` are given in that order.
-
-        Returns ``(ends, clock)``: ``ends[:, j]`` is the stream clock
-        after wave ``j`` (so an inactive chunk reports the time its rank
-        was already at), ``clock`` the final one.
-        """
-        injector = self.simulator.fault_injector
-        starts = np.zeros(seconds.shape)
-        durations = seconds.copy()
-        ends = np.empty(seconds.shape)
-        for j in range(seconds.shape[1]):
-            on = active[:, j]
-            start = clock if not_before is None else np.maximum(clock, not_before[:, j])
-            if injector is not None:
-                start = start.copy()
-                for rank in np.flatnonzero(on).tolist():
-                    start[rank], durations[rank, j] = injector.adjust_stream_event(
-                        rank, stream, float(start[rank]), float(durations[rank, j])
-                    )
-            clock = np.where(on, start + durations[:, j], clock)
-            starts[:, j] = start
-            ends[:, j] = clock
-        stages.append(
-            _Stage(
-                np.nonzero(active)[0],
-                category,
-                starts[active],
-                durations[active],
-                stream,
-                args,
-                release_edges,
-            )
-        )
-        return ends, clock
 
     def _build_pipeline(
         self,
@@ -602,8 +528,10 @@ class Communicator:
         n = self.n_ranks
         starts = np.array(sim.clocks)
         base = len(sim.timeline)
-        eid = self._exchange_counter
-        payload_seconds = sim._check_seconds(payload_seconds)
+        eid = sim.timeline.exchanges
+        check_finite_nonnegative("payload_seconds", payload_seconds)
+        if meta_seconds is not None:
+            check_finite_nonnegative("meta_seconds", meta_seconds)
         compress, decompress, overlap_compute = (
             np.zeros(n) if seconds is None else np.array(seconds)
             for seconds in (compress, decompress, overlap_compute)
@@ -641,7 +569,7 @@ class Communicator:
         comp_on = compress > 0.0
         comp_mask = live & comp_on[:, None]
         comp_seconds = compress[:, None] * wire_fractions
-        comp_ends, compute_clock = self._schedule_stage(
+        comp_ends, compute_clock = sim.schedule_stage(
             stages, EventCategory.COMPRESS, COMPUTE_STREAM, starts, None, comp_seconds,
             comp_mask, chunk_args(comp_on),
             [e for r in np.flatnonzero(comp_on) for e in [first[r]] + [None] * (chunks[r] - 1)],
@@ -658,9 +586,9 @@ class Communicator:
         comm_clock = starts
         wire_prefix = released  # what releases every wire chunk
         if meta_seconds is not None:
-            meta_ends, comm_clock = self._schedule_stage(
+            meta_ends, comm_clock = sim.schedule_stage(
                 stages, EventCategory.METADATA, COMM_STREAM, comm_clock,
-                np.full((n, 1), meta_end), np.full((n, 1), sim._check_seconds(meta_seconds)),
+                np.full((n, 1), meta_end), np.full((n, 1), float(meta_seconds)),
                 every_rank,
                 {"exchange": eid}, [released] * n,
             )
@@ -681,7 +609,7 @@ class Communicator:
                 wire_edges.extend(wire_prefix + [own] for own in comp_idx[rank, :k].tolist())
             else:
                 wire_edges.extend([unkerneled] * k)
-        wire_ends, comm_clock = self._schedule_stage(
+        wire_ends, comm_clock = sim.schedule_stage(
             stages, category, COMM_STREAM, comm_clock, np.maximum(meta_end, comp_ends),
             payload_seconds * wire_fractions, live, chunk_args(slice(None)), wire_edges,
         )
@@ -691,7 +619,7 @@ class Communicator:
         # compression kernels, so the wire (and decode stalls) hide it; on
         # a rank without them it is the first kernel.
         oc_on = overlap_compute > 0.0
-        _, compute_clock = self._schedule_stage(
+        _, compute_clock = sim.schedule_stage(
             stages, EventCategory.BOTTOM_MLP_BWD, COMPUTE_STREAM, compute_clock, None,
             overlap_compute[:, None], oc_on[:, None], None,
             [None if comp_on[r] else first[r] for r in np.flatnonzero(oc_on)],
@@ -714,7 +642,7 @@ class Communicator:
             )  # (k, n): sender src's chunk feeding receiver chunk j
             arrivals[chunks == k, :k] = wire_ends[ranks, matched].max(axis=1)
             edges_by_count[k] = [tuple(row) for row in wire_idx[ranks, matched].tolist()]
-        _, compute_clock = self._schedule_stage(
+        _, compute_clock = sim.schedule_stage(
             stages, EventCategory.DECOMPRESS, COMPUTE_STREAM, compute_clock, arrivals,
             np.broadcast_to((decompress / chunks)[:, None], live.shape),
             live & dec_on[:, None], chunk_args(dec_on),
@@ -723,26 +651,16 @@ class Communicator:
         return _PipelineSchedule(stages, compute_clock, comm_clock, wire_ends)
 
     def _charge_pipeline(self, schedule: _PipelineSchedule) -> None:
-        """Append a built schedule to the ledger, one ``record_batch`` per
-        stage, write the stream clocks and tails back and take the
-        exchange id.
-
-        Each stage is appended *rank-major* (rank 0's chunks, then rank
-        1's, …), the order the per-event model recorded them in, which the
-        ledger digests hash.  A rank's last event on a stream becomes that
-        lane's tail; its last wire event ends after its start, so after the
-        closing sync its tails explain its clock.
-        """
+        """Commit a built schedule to the simulator (the stages and the two
+        final stream clocks), take the exchange id and join every rank's
+        streams.  A rank's last wire event ends after its start, so after
+        the closing sync its tails explain its clock."""
         sim = self.simulator
-        for stage in schedule.stages:
-            first = len(sim.timeline)
-            sim.timeline.record_batch(*stage)
-            tails = sim._tails[stage.stream]
-            for rank, index in zip(stage.ranks.tolist(), range(first, len(sim.timeline))):
-                tails[rank] = (index,)  # rank-major: each rank's last event stays
-        sim._streams[COMPUTE_STREAM][:] = schedule.compute_clock.tolist()
-        sim._streams[COMM_STREAM][:] = schedule.comm_clock.tolist()
-        self._exchange_counter += 1
+        sim.commit(
+            schedule.stages,
+            {COMPUTE_STREAM: schedule.compute_clock, COMM_STREAM: schedule.comm_clock},
+        )
+        sim.timeline.exchanges += 1
         # The exchange hands decoded data back at a device-wide barrier.
         for rank in range(self.n_ranks):
             sim.sync(rank)
@@ -826,13 +744,9 @@ class Communicator:
         decode = self._per_rank_seconds(decode_seconds, "decode_seconds")
         hop_nbytes = max(len(final), max(len(p) for p in leaves))
         collective_seconds = sim.network.all_reduce_time(hop_nbytes, n, algorithm)
-        for rank in range(n):
-            if encode[rank] > 0.0:
-                sim.compute(rank, encode[rank], EventCategory.COMPRESS)
+        sim.compute(encode, EventCategory.COMPRESS)
         sim.collective(collective_seconds, EventCategory.ALLREDUCE)
-        for rank in range(n):
-            if decode[rank] > 0.0:
-                sim.compute(rank, decode[rank], EventCategory.DECOMPRESS)
+        sim.compute(decode, EventCategory.DECOMPRESS)
 
         if OBS.enabled:
             self._obs_stage(

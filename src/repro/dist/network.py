@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.utils.units import GB
-from repro.utils.validation import check_in, check_positive
+from repro.utils.validation import check_count, check_finite_nonnegative, check_in, check_positive
 
 __all__ = [
     "ALLREDUCE_ALGORITHMS",
@@ -160,9 +160,9 @@ class Topology:
     ) -> "Topology":
         """NVLink-inside-node / IB-between-nodes cluster of
         ``n_nodes * gpus_per_node`` ranks (node-contiguous rank order)."""
-        check_positive("n_nodes", n_nodes)
-        check_positive("gpus_per_node", gpus_per_node)
-        node_ids = np.repeat(np.arange(int(n_nodes), dtype=np.int64), int(gpus_per_node))
+        n_nodes = check_count("n_nodes", n_nodes, 1)
+        gpus_per_node = check_count("gpus_per_node", gpus_per_node, 1)
+        node_ids = np.repeat(np.arange(n_nodes, dtype=np.int64), gpus_per_node)
         same_node = node_ids[:, None] == node_ids[None, :]
         bw = np.where(same_node, intra_link.bandwidth, inter_link.bandwidth)
         lat = np.where(same_node, intra_link.latency, inter_link.latency)
@@ -229,8 +229,7 @@ class Topology:
             raise ValueError(
                 f"byte matrix shape {matrix.shape} does not match topology with {n} ranks"
             )
-        if (matrix < 0).any():
-            raise ValueError("byte matrix entries must be >= 0")
+        check_finite_nonnegative("byte matrix entries", matrix)
         if n <= 1:
             return 0.0
         pairs, latency, bandwidth = self._shift_phases
@@ -259,8 +258,7 @@ class Topology:
         ``0 -> 1 -> ... -> n-1 -> 0``: ``2 * (n-1)`` steps in which every
         rank forwards ``nbytes / n`` to its successor, each step paced by
         the slowest ring edge (the inter-node link, when there is one)."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
+        check_finite_nonnegative("nbytes", nbytes)
         n = self.n_ranks
         if n <= 1:
             return 0.0
@@ -282,8 +280,7 @@ class Topology:
         the inter link — the same total bytes as the flat ring when the
         two links are equal (the bandwidth terms coincide exactly), but
         only a ``1/g`` fraction crosses the slow inter-node fabric."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
+        check_finite_nonnegative("nbytes", nbytes)
         n = self.n_ranks
         if n <= 1:
             return 0.0
@@ -316,8 +313,7 @@ class Topology:
         layers; the price is the full payload (not a ``1/g`` shard) on the
         inter link.
         """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
+        check_finite_nonnegative("nbytes", nbytes)
         n = self.n_ranks
         if n <= 1:
             return 0.0
@@ -343,8 +339,7 @@ class Topology:
           back down: ``2 N * nbytes``.
         """
         check_in("algorithm", algorithm, ALLREDUCE_ALGORITHMS)
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
+        check_finite_nonnegative("nbytes", nbytes)
         n, n_nodes = self.n_ranks, self.n_nodes
         if n <= 1 or n_nodes <= 1:
             return 0.0
@@ -408,8 +403,7 @@ class NetworkModel:
         matrix = np.asarray(byte_matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"byte matrix must be square, got shape {matrix.shape}")
-        if (matrix < 0).any():
-            raise ValueError("byte matrix entries must be >= 0")
+        check_finite_nonnegative("byte matrix entries", matrix)
         if self.topology is not None:
             return self.topology.all_to_all_time(matrix)
         n = matrix.shape[0]
@@ -422,10 +416,8 @@ class NetworkModel:
     def uniform_all_to_all_time(self, nbytes_per_pair: float, n_ranks: int) -> float:
         """All-to-all where every ordered pair exchanges the same payload
         (e.g. the fixed-size metadata round of pipeline stage ②)."""
-        check_positive("n_ranks", n_ranks)
-        if nbytes_per_pair < 0:
-            raise ValueError(f"nbytes_per_pair must be >= 0, got {nbytes_per_pair!r}")
-        n = int(n_ranks)
+        n = check_count("n_ranks", n_ranks, 1)
+        check_finite_nonnegative("nbytes_per_pair", nbytes_per_pair)
         if n <= 1:
             return 0.0
         if self.topology is not None:
@@ -443,10 +435,8 @@ class NetworkModel:
         :meth:`~Topology.hierarchical_all_reduce_time` or
         :meth:`~Topology.switch_all_reduce_time`."""
         check_in("algorithm", algorithm, ALLREDUCE_ALGORITHMS)
-        check_positive("n_ranks", n_ranks)
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
-        n = int(n_ranks)
+        n = check_count("n_ranks", n_ranks, 1)
+        check_finite_nonnegative("nbytes", nbytes)
         if n <= 1:
             return 0.0
         topology = self.topology

@@ -13,14 +13,20 @@ integration end to end.  A rank's clock is the max over its streams.
 
 Charging primitives:
 
-* :meth:`compute` — rank-local work on the ``compute`` stream: advances
-  that stream's clock and logs an event starting at its current time.
-* :meth:`stream_compute` — the same on an arbitrary named stream.
+* :meth:`compute` — one wave of rank-local work on one named stream
+  (``compute`` by default): rank ``r``'s event starts at that lane's
+  clock and lasts ``seconds[r]``; a rank given 0 records nothing.
 * :meth:`sync` — join all of one rank's streams (a device-wide event
   barrier), like ``cudaStreamSynchronize`` on every stream.
 * :meth:`collective` — synchronizing work: all ranks (all streams) first
   meet at the barrier (``max`` of clocks, modelling the straggler), then
   the charge spans the identical interval on every rank's ``comm`` stream.
+
+Every event reaches the ledger through one scheduler and one commit:
+:meth:`schedule_stage` places a stage on one stream of every rank as
+waves (``compute`` is one wave; the communicator's chunk pipeline is
+``K`` waves per stage) and :meth:`commit` records the stages, makes each
+event its lane's tail and writes the stream clocks back.
 
 Per-(rank, stream) events never overlap, and collectives appear on all
 ranks with identical spans — the invariants the integration tests pin.
@@ -46,15 +52,31 @@ is exactly as priced — fault handling adds zero cost to healthy runs.
 
 from __future__ import annotations
 
-import math
 from itertools import chain
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.dist.comm import Communicator
 from repro.dist.gpu import A100_LIKE
 from repro.dist.network import NetworkModel
 from repro.dist.timeline import COMM_STREAM, COMPUTE_STREAM, Timeline
+from repro.utils.validation import check_count, check_finite_nonnegative
 
 __all__ = ["ClusterSimulator"]
+
+
+class _Stage(NamedTuple):
+    """One scheduled stage as :meth:`Timeline.record_batch` arguments, its
+    events flattened rank-major."""
+
+    ranks: np.ndarray
+    category: str
+    starts: np.ndarray
+    durations: np.ndarray
+    stream: str
+    args: object
+    release_edges: list | None
 
 
 class ClusterSimulator:
@@ -68,9 +90,7 @@ class ClusterSimulator:
         n_ranks: int,
         network: NetworkModel | None = None,
     ):
-        if int(n_ranks) < 1:
-            raise ValueError(f"n_ranks must be >= 1, got {n_ranks!r}")
-        self.n_ranks = int(n_ranks)
+        self.n_ranks = check_count("n_ranks", n_ranks, 1)
         self.network = network if network is not None else NetworkModel()
         if (
             self.network.topology is not None
@@ -105,14 +125,13 @@ class ClusterSimulator:
         return max(self.clocks)
 
     def reset(self) -> None:
-        """Zero all clocks, start a fresh timeline and restart the
-        communicator's exchange numbering — the ledger that follows equals
-        a newly constructed simulator's."""
+        """Zero all clocks and start a fresh timeline (and with it a fresh
+        exchange numbering) — the ledger that follows equals a newly
+        constructed simulator's."""
         self._streams = {stream: [0.0] * self.n_ranks for stream in self.STREAMS}
         #: per stream, per rank: the ledger indices whose ends set the clock
         self._tails = {stream: [()] * self.n_ranks for stream in self.STREAMS}
         self.timeline = Timeline()
-        self.comm._exchange_counter = 0
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.n_ranks:
@@ -142,56 +161,115 @@ class ClusterSimulator:
             return ()
         return tails
 
-    @staticmethod
-    def _check_seconds(seconds: float) -> float:
-        seconds = float(seconds)
-        if not math.isfinite(seconds) or seconds < 0:
-            raise ValueError(f"seconds must be finite and >= 0, got {seconds!r}")
-        return seconds
-
     # ------------------------------------------------------------ charging
 
-    def compute(self, rank: int, seconds: float, category: str) -> float:
-        """Charge rank-local work on the ``compute`` stream; returns the
-        event's end time."""
-        return self.stream_compute(rank, seconds, category, stream=COMPUTE_STREAM)
-
-    def stream_compute(
+    def compute(
         self,
-        rank: int,
-        seconds: float,
+        seconds: Sequence[float],
         category: str,
         stream: str = COMPUTE_STREAM,
-    ) -> float:
-        """Charge work to one named stream of one rank.
+    ) -> None:
+        """Charge one wave of rank-local work to one named stream:
+        ``seconds[r]`` on rank ``r``, starting at that lane's clock.
 
-        The event starts at the stream's clock; only that stream's clock
-        advances, so events on the rank's other streams may run
-        concurrently.  The lane's tails, unless they are just its own last
-        event, become the event's release edges.
-        Returns the event's end time.
+        Only that stream's clocks advance, so events on the ranks' other
+        streams may run concurrently.  A rank given 0 records nothing.
+        Each lane's tails, unless they are just its own last event,
+        become its event's release edges.  Every entry is checked before
+        anything is recorded: a bad one leaves ledger and clocks as they
+        were.
         """
-        self._check_rank(rank)
-        seconds = self._check_seconds(seconds)
+        durations = np.array(seconds, dtype=np.float64)
+        if durations.shape != (self.n_ranks,):
+            raise ValueError(
+                f"seconds must have one entry per rank ({self.n_ranks}), "
+                f"got shape {durations.shape}"
+            )
+        check_finite_nonnegative("seconds", durations)
+        active = durations > 0.0
+        if not active.any():
+            return
         clocks = self._stream_clocks(stream)
         tails = self._tails[stream]
-        edges = self._lane_edges(rank, stream, tails[rank])
-        start = clocks[rank]
-        if self.fault_injector is not None:
-            start, seconds = self.fault_injector.adjust_stream_event(
-                rank, stream, start, seconds
-            )
-        self.timeline.record(
-            rank,
-            category,
-            start,
-            seconds,
-            stream=stream,
-            release_edges=edges,
+        edges = [self._lane_edges(r, stream, tails[r]) for r in np.flatnonzero(active).tolist()]
+        stages: list[_Stage] = []
+        _, clock = self.schedule_stage(
+            stages, category, stream, np.array(clocks), None,
+            durations[:, None], active[:, None], None, edges,
         )
-        tails[rank] = (len(self.timeline) - 1,)
-        clocks[rank] = start + seconds
-        return clocks[rank]
+        self.commit(stages, {stream: clock})
+
+    def schedule_stage(
+        self,
+        stages: list[_Stage],
+        category: str,
+        stream: str,
+        clock: np.ndarray,
+        not_before: np.ndarray | None,
+        seconds: np.ndarray,
+        active: np.ndarray,
+        args: object,
+        release_edges: list | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Schedule one stage on one stream of every rank as ``K`` *waves*
+        and append it to ``stages``; nothing is recorded until
+        :meth:`commit`.  Wave ``j`` starts chunk ``j`` of every rank where
+        ``active[:, j]`` at ``max(clock, not_before[:, j])`` for
+        ``seconds[:, j]``: a rank's chunk ``j`` depends on its own chunk
+        ``j - 1`` (the stream clock) and on earlier stages only, never on
+        another rank's chunk of this stage, so each wave is one vector
+        ``max`` then ``+``.  An attached ``FaultInjector`` bends every
+        active event through ``adjust_stream_event``, in rank order.  The
+        stage's events are the active ``(rank, chunk)`` entries flattened
+        rank-major; ``args`` / ``release_edges`` are given in that order.
+
+        Returns ``(ends, clock)``: ``ends[:, j]`` is the stream clock
+        after wave ``j`` (so an inactive chunk reports the time its rank
+        was already at), ``clock`` the final one.
+        """
+        injector = self.fault_injector
+        starts = np.zeros(seconds.shape)
+        durations = seconds.copy()
+        ends = np.empty(seconds.shape)
+        for j in range(seconds.shape[1]):
+            on = active[:, j]
+            start = clock if not_before is None else np.maximum(clock, not_before[:, j])
+            if injector is not None:
+                start = start.copy()
+                for rank in np.flatnonzero(on).tolist():
+                    start[rank], durations[rank, j] = injector.adjust_stream_event(
+                        rank, stream, float(start[rank]), float(durations[rank, j])
+                    )
+            clock = np.where(on, start + durations[:, j], clock)
+            starts[:, j] = start
+            ends[:, j] = clock
+        stages.append(
+            _Stage(
+                np.nonzero(active)[0],
+                category,
+                starts[active],
+                durations[active],
+                stream,
+                args,
+                release_edges,
+            )
+        )
+        return ends, clock
+
+    def commit(self, stages: list[_Stage], clocks: Mapping[str, np.ndarray]) -> None:
+        """Record scheduled stages, one ``record_batch`` each, and write
+        ``clocks`` (per stream, one reading per rank) back.  Each event
+        becomes its lane's tail: a stage is rank-major, so each rank's
+        last event on the stream is the one that stays."""
+        timeline = self.timeline
+        for stage in stages:
+            first = len(timeline)
+            timeline.record_batch(*stage)
+            tails = self._tails[stage.stream]
+            for rank, index in zip(stage.ranks.tolist(), range(first, len(timeline))):
+                tails[rank] = (index,)
+        for stream, clock in clocks.items():
+            self._streams[stream][:] = clock.tolist()
 
     def sync(self, rank: int) -> float:
         """Join all streams of one rank (device-wide event barrier); no
@@ -209,25 +287,22 @@ class ClusterSimulator:
         ``seconds`` to each rank's comm stream over the identical interval;
         returns the common end time.  No rank leaves before all do: the
         collective's events become every lane's tails."""
-        seconds = self._check_seconds(seconds)
+        check_finite_nonnegative("seconds", seconds)
+        seconds = float(seconds)
         start = self.barrier()
         released = self._tails[COMPUTE_STREAM][0]  # every lane holds the union now
         if self.fault_injector is not None:
             start, seconds = self.fault_injector.adjust_collective(start, seconds)
         n = self.n_ranks
         first = len(self.timeline)
-        self.timeline.record_batch(
-            range(n),
-            category,
-            [start] * n,
-            [seconds] * n,
-            COMM_STREAM,
-            release_edges=[released] * n,
-        )
         end = start + seconds
+        stage = _Stage(
+            np.arange(n), category, np.full(n, start), np.full(n, seconds),
+            COMM_STREAM, None, [released] * n,
+        )
+        self.commit([stage], dict.fromkeys(self._streams, np.full(n, end)))
         done = tuple(range(first, first + n))
-        for clocks, tails in zip(self._streams.values(), self._tails.values()):
-            clocks[:] = [end] * n
+        for tails in self._tails.values():
             tails[:] = [done] * n
         return end
 

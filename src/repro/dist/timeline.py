@@ -277,6 +277,8 @@ class Timeline:
         self._count = 0
         self._events: list[TimelineEvent] = []  # the materialised prefix
         self.counters: list[CounterSample] = []
+        #: all-to-all exchanges recorded so far: the next one's ``exchange`` id
+        self.exchanges = 0
 
     def __len__(self) -> int:
         return self._count

@@ -113,6 +113,4 @@ class TrainerCheckpoint:
     def _charge(self, trainer, category: str) -> None:
         """Price a snapshot/reload as a state-sized memcpy on every rank."""
         sim = trainer.simulator
-        seconds = sim.gpu.memcpy_time(self.nbytes)
-        for rank in range(sim.n_ranks):
-            sim.compute(rank, seconds, category)
+        sim.compute([sim.gpu.memcpy_time(self.nbytes)] * sim.n_ranks, category)

@@ -170,32 +170,34 @@ class HybridParallelTrainer:
         return [(r * local, (r + 1) * local) for r in range(self.n_ranks)]
 
     def _charge_mlp(self, batch: int, sizes: tuple[int, ...], category: str, scale: float = 1.0) -> None:
-        gpu = self.simulator.gpu
-        for rank in range(self.n_ranks):
-            self.simulator.compute(rank, scale * gpu.mlp_time(batch, sizes), category)
+        seconds = scale * self.simulator.gpu.mlp_time(batch, sizes)
+        self.simulator.compute([seconds] * self.n_ranks, category)
+
+    def _lookup_seconds(self, batch_size: int) -> list[float]:
+        """Per rank: one gather (or scatter-update) over the tables it owns
+        for the global batch; 0 on a rank that owns none."""
+        gpu, dim = self.simulator.gpu, self.model.config.embedding_dim
+        return [
+            gpu.lookup_time(batch_size, dim, len(owned)) if owned else 0.0
+            for owned in map(self.sharding.tables_of, range(self.n_ranks))
+        ]
 
     def _forward_exchange(
         self, sparse: np.ndarray, iteration: int
     ) -> list[np.ndarray]:
         """Lookup + stages ①-④; returns per-table full-batch lookup rows
         (exactly what receivers reconstruct)."""
-        gpu = self.simulator.gpu
         cfg = self.model.config
         batch_size = sparse.shape[0]
         local = batch_size // self.n_ranks
 
         # Stage 0: every owner gathers its tables for the global batch.
-        raw_lookups: dict[int, np.ndarray] = {}
-        for rank in range(self.n_ranks):
-            owned = self.sharding.tables_of(rank)
-            if owned:
-                self.simulator.compute(
-                    rank,
-                    gpu.lookup_time(batch_size, cfg.embedding_dim, len(owned)),
-                    EventCategory.EMB_LOOKUP,
-                )
-            for table_id in owned:
-                raw_lookups[table_id] = self.model.lookup(table_id, sparse[:, table_id])
+        self.simulator.compute(self._lookup_seconds(batch_size), EventCategory.EMB_LOOKUP)
+        raw_lookups = {
+            table_id: self.model.lookup(table_id, sparse[:, table_id])
+            for rank in range(self.n_ranks)
+            for table_id in self.sharding.tables_of(rank)
+        }
 
         slice_bytes = local * cfg.embedding_dim * 4
         raw_matrix = np.zeros((self.n_ranks, self.n_ranks), dtype=np.int64)
@@ -304,7 +306,6 @@ class HybridParallelTrainer:
         backward kernel times into the communicator so the exchange's wire
         overlaps them — the exchange is issued first, the kernels launch
         behind the compression chunks, decode trails the arrivals."""
-        gpu = self.simulator.gpu
         cfg = self.model.config
         batch_size = sparse.shape[0]
         grads: list[np.ndarray] = d_emb
@@ -329,15 +330,9 @@ class HybridParallelTrainer:
                 overlap_compute_seconds=overlap_compute,
             )
 
+        self.simulator.compute(self._lookup_seconds(batch_size), EventCategory.EMB_UPDATE)
         for rank in range(self.n_ranks):
-            owned = self.sharding.tables_of(rank)
-            if owned:
-                self.simulator.compute(
-                    rank,
-                    gpu.lookup_time(batch_size, cfg.embedding_dim, len(owned)),
-                    EventCategory.EMB_UPDATE,
-                )
-            for table_id in owned:
+            for table_id in self.sharding.tables_of(rank):
                 self.model.accumulate_embedding_grad(
                     table_id, sparse[:, table_id], grads[table_id]
                 )
@@ -403,12 +398,8 @@ class HybridParallelTrainer:
         self._charge_mlp(local, self.model.bottom_mlp.sizes, EventCategory.BOTTOM_MLP_FWD)
         bottom_out = self.model.forward_dense(batch.dense)
         emb_rows = self._forward_exchange(batch.sparse, iteration)
-        for rank in range(self.n_ranks):
-            self.simulator.compute(
-                rank,
-                gpu.interaction_time(local, cfg.interaction_features, cfg.embedding_dim),
-                EventCategory.INTERACTION_FWD,
-            )
+        interaction = gpu.interaction_time(local, cfg.interaction_features, cfg.embedding_dim)
+        self.simulator.compute([interaction] * self.n_ranks, EventCategory.INTERACTION_FWD)
         self._charge_mlp(local, self.model.top_mlp.sizes, EventCategory.TOP_MLP_FWD)
         logits = self.model.forward_interaction(bottom_out, emb_rows)
         loss = bce_with_logits(logits, batch.labels)
@@ -416,12 +407,7 @@ class HybridParallelTrainer:
         # Backward: symmetric stages.
         dlogits = bce_grad(logits, batch.labels)
         self._charge_mlp(local, self.model.top_mlp.sizes, EventCategory.TOP_MLP_BWD, scale=2.0)
-        for rank in range(self.n_ranks):
-            self.simulator.compute(
-                rank,
-                2.0 * gpu.interaction_time(local, cfg.interaction_features, cfg.embedding_dim),
-                EventCategory.INTERACTION_BWD,
-            )
+        self.simulator.compute([2.0 * interaction] * self.n_ranks, EventCategory.INTERACTION_BWD)
         d_bottom, d_emb = self.model.backward_interaction(dlogits)
         if self.cross_stage:
             # Cross-stage overlap: the gradient exchange is issued first
@@ -446,12 +432,8 @@ class HybridParallelTrainer:
         else:
             self._homomorphic_dense_sync()
         param_bytes = sum(p.data.nbytes for p in self.model.parameters())
-        for rank in range(self.n_ranks):
-            self.simulator.compute(
-                rank,
-                gpu.memcpy_time(param_bytes / max(1, self.n_ranks)),
-                EventCategory.OPTIMIZER,
-            )
+        optimizer = gpu.memcpy_time(param_bytes / self.n_ranks)
+        self.simulator.compute([optimizer] * self.n_ranks, EventCategory.OPTIMIZER)
         self._opt.step()
         if obs_on:
             self._obs_step(

@@ -10,7 +10,7 @@ from collections.abc import Collection
 
 import numpy as np
 
-__all__ = ["check_positive", "check_in", "check_shape"]
+__all__ = ["check_positive", "check_finite_nonnegative", "check_count", "check_in", "check_shape"]
 
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> None:
@@ -19,6 +19,29 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> None:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     if not strict and not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
+def check_finite_nonnegative(name: str, value: object) -> None:
+    """Raise ``ValueError`` unless ``value`` — a number or an array of
+    them — is finite and >= 0 throughout (the chained comparison is False
+    for NaN, which ``x < 0`` alone lets through)."""
+    values = np.asarray(value, dtype=np.float64)
+    valid = (values >= 0.0) & (values < np.inf)
+    if not valid.all():
+        bad = float(values.flat[int(np.argmin(valid))])
+        raise ValueError(f"{name} must be finite and >= 0, got {bad!r}")
+
+
+def check_count(name: str, value: object, minimum: int) -> int:
+    """``value`` as an ``int``; raise ``ValueError`` unless it is a whole
+    number >= ``minimum`` (``int()`` alone would truncate 2.7 to 2)."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf, "x"
+        count = None
+    if count is None or count != value or count < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return count
 
 
 def check_in(name: str, value: object, allowed: Collection[object]) -> None:

@@ -76,6 +76,14 @@ def events_in(timeline, category: str) -> list:
     return [e for e in timeline.events if e.category == category]
 
 
+def one_rank(n_ranks: int, rank: int, seconds: float) -> list[float]:
+    """A ``ClusterSimulator.compute`` wave that charges ``seconds`` on one
+    rank and nothing elsewhere."""
+    wave = [0.0] * n_ranks
+    wave[rank] = seconds
+    return wave
+
+
 def round_robin_plan(n_tables: int, n_ranks: int) -> ShardingPlan:
     """Table ``t`` goes to rank ``t % n_ranks``."""
     return ShardingPlan(owners=tuple(t % n_ranks for t in range(n_tables)), n_ranks=n_ranks)

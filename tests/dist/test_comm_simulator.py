@@ -23,7 +23,7 @@ from repro.dist import (
 )
 from repro.dist.comm import METADATA_BYTES_PER_ENTRY
 from repro.faults import FaultInjector, FaultPlan, LinkFault
-from tests.conftest import events_in
+from tests.conftest import events_in, one_rank
 
 
 @pytest.fixture
@@ -147,14 +147,14 @@ class TestCompressedAllToAll:
 
 class TestClusterSimulator:
     def test_compute_advances_only_that_rank(self, sim):
-        end = sim.compute(1, 0.25, EventCategory.COMPRESS)
-        assert end == pytest.approx(0.25)
+        sim.compute(one_rank(4, 1, 0.25), EventCategory.COMPRESS)
+        assert [(e.rank, e.end) for e in sim.timeline.events] == [(1, 0.25)]
         assert sim.now(1) == pytest.approx(0.25)
         assert sim.now(0) == 0.0
         assert sim.clocks == (0.0, 0.25, 0.0, 0.0)
 
     def test_collective_waits_for_straggler(self, sim):
-        sim.compute(2, 1.0, EventCategory.COMPRESS)
+        sim.compute(one_rank(4, 2, 1.0), EventCategory.COMPRESS)
         end = sim.collective(0.5, EventCategory.ALLTOALL_FWD)
         assert end == pytest.approx(1.5)
         assert sim.clocks == (1.5, 1.5, 1.5, 1.5)
@@ -162,28 +162,28 @@ class TestClusterSimulator:
         assert all(e.start == pytest.approx(1.0) for e in events)
 
     def test_barrier_syncs_without_event(self, sim):
-        sim.compute(0, 2.0, EventCategory.COMPRESS)
+        sim.compute(one_rank(4, 0, 2.0), EventCategory.COMPRESS)
         n_events = len(sim.timeline)
         assert sim.barrier() == pytest.approx(2.0)
         assert sim.clocks == (2.0, 2.0, 2.0, 2.0)
         assert len(sim.timeline) == n_events
 
     def test_reset(self, sim):
-        sim.compute(0, 1.0, EventCategory.COMPRESS)
+        sim.compute(one_rank(4, 0, 1.0), EventCategory.COMPRESS)
         sim.reset()
         assert sim.makespan() == 0.0
         assert len(sim.timeline) == 0
 
     def test_reset_ledger_equals_fresh_simulator(self, sim):
-        """Regression: ``reset()`` left ``Communicator._exchange_counter``
-        running, so a reset simulator tagged its chunk events
-        ``exchange=1`` where a fresh one says ``exchange=0``.  Its lane
-        tails must go too, or the first events after a reset would name
-        the old ledger's indices as release edges."""
+        """Regression: ``reset()`` left the exchange numbering running,
+        so a reset simulator tagged its chunk events ``exchange=1`` where
+        a fresh one says ``exchange=0``.  Its lane tails must go too, or
+        the first events after a reset would name the old ledger's
+        indices as release edges."""
 
         def program(target: ClusterSimulator) -> None:
-            target.compute(1, 3e-4, EventCategory.TOP_MLP_BWD)
-            target.stream_compute(2, 1e-4, EventCategory.OPTIMIZER, "aux")
+            target.compute(one_rank(4, 1, 3e-4), EventCategory.TOP_MLP_BWD)
+            target.compute(one_rank(4, 2, 1e-4), EventCategory.OPTIMIZER, "aux")
             bufs = [[[bytes(64 * (s + 1)), bytes(32 + d)] for d in range(4)] for s in range(4)]
             target.comm.compressed_all_to_all(
                 bufs,
@@ -194,8 +194,7 @@ class TestClusterSimulator:
                 decompress_seconds=[2e-4] * 4,
             )
             target.comm.all_reduce_bytes(1 << 16)
-            for rank in range(4):
-                target.compute(rank, 1e-4, EventCategory.OPTIMIZER)
+            target.compute([1e-4] * 4, EventCategory.OPTIMIZER)
 
         program(sim)
         sim.reset()
@@ -216,12 +215,13 @@ class TestClusterSimulator:
         assert sim.comm.simulator is sim
 
     def test_validation(self, sim):
+        for n_ranks in (0, 2.7, float("nan")):
+            with pytest.raises(ValueError, match="n_ranks must be an integer"):
+                ClusterSimulator(n_ranks)
         with pytest.raises(ValueError):
-            ClusterSimulator(0)
+            sim.compute([1.0] * 5, EventCategory.COMPRESS)
         with pytest.raises(ValueError):
-            sim.compute(4, 1.0, EventCategory.COMPRESS)
-        with pytest.raises(ValueError):
-            sim.compute(0, -1.0, EventCategory.COMPRESS)
+            sim.compute(one_rank(4, 0, -1.0), EventCategory.COMPRESS)
         with pytest.raises(ValueError):
             sim.collective(float("nan"), EventCategory.ALLTOALL_FWD)
 
@@ -231,8 +231,8 @@ class TestClusterSimulator:
 
 class TestStreams:
     def test_streams_advance_independently(self, sim):
-        sim.stream_compute(0, 1.0, EventCategory.COMPRESS, COMPUTE_STREAM)
-        sim.stream_compute(0, 0.25, EventCategory.ALLTOALL_FWD, COMM_STREAM)
+        sim.compute(one_rank(4, 0, 1.0), EventCategory.COMPRESS, COMPUTE_STREAM)
+        sim.compute(one_rank(4, 0, 0.25), EventCategory.ALLTOALL_FWD, COMM_STREAM)
         assert sim._streams[COMPUTE_STREAM][0] == pytest.approx(1.0)
         assert sim._streams[COMM_STREAM][0] == pytest.approx(0.25)
         # Rank clock is the max over its streams.
@@ -242,7 +242,7 @@ class TestStreams:
         assert comm_event.start == 0.0 and comm_event.stream == COMM_STREAM
 
     def test_sync_joins_streams(self, sim):
-        sim.stream_compute(1, 2.0, EventCategory.COMPRESS, COMPUTE_STREAM)
+        sim.compute(one_rank(4, 1, 2.0), EventCategory.COMPRESS, COMPUTE_STREAM)
         assert sim._streams[COMM_STREAM][1] == 0.0
         assert sim.sync(1) == pytest.approx(2.0)
         assert sim._streams[COMM_STREAM][1] == pytest.approx(2.0)
@@ -250,14 +250,13 @@ class TestStreams:
         assert sim.now(0) == 0.0
 
     def test_start_is_the_streams_own_clock(self, sim):
-        sim.stream_compute(0, 5.0, EventCategory.ALLTOALL_FWD, COMM_STREAM)
-        end = sim.stream_compute(0, 1.0, EventCategory.DECOMPRESS, COMPUTE_STREAM)
-        assert end == pytest.approx(1.0)
+        sim.compute(one_rank(4, 0, 5.0), EventCategory.ALLTOALL_FWD, COMM_STREAM)
+        sim.compute(one_rank(4, 0, 1.0), EventCategory.DECOMPRESS, COMPUTE_STREAM)
         event = events_in(sim.timeline, EventCategory.DECOMPRESS)[0]
-        assert event.start == 0.0 and event.release_edges is None
+        assert event.start == 0.0 and event.end == 1.0 and event.release_edges is None
 
     def test_collective_lands_on_comm_stream_and_joins_all(self, sim):
-        sim.stream_compute(2, 1.0, EventCategory.COMPRESS, COMPUTE_STREAM)
+        sim.compute(one_rank(4, 2, 1.0), EventCategory.COMPRESS, COMPUTE_STREAM)
         sim.collective(0.5, EventCategory.ALLTOALL_FWD)
         events = events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
         assert all(e.stream == COMM_STREAM for e in events)
@@ -266,8 +265,8 @@ class TestStreams:
 
     def test_per_stream_events_never_overlap(self, sim):
         for _ in range(3):
-            sim.stream_compute(0, 0.5, EventCategory.COMPRESS, COMPUTE_STREAM)
-            sim.stream_compute(0, 0.7, EventCategory.ALLTOALL_FWD, COMM_STREAM)
+            sim.compute(one_rank(4, 0, 0.5), EventCategory.COMPRESS, COMPUTE_STREAM)
+            sim.compute(one_rank(4, 0, 0.7), EventCategory.ALLTOALL_FWD, COMM_STREAM)
         for stream in (COMPUTE_STREAM, COMM_STREAM):
             events = sorted(
                 (e for e in sim.timeline.events if e.stream == stream),
@@ -279,19 +278,19 @@ class TestStreams:
     def test_new_stream_after_sync_records_its_rank_tails(self, sim):
         """A new named stream starts at the rank clock, so its first event
         is released by everything the rank's other streams waited on."""
-        sim.compute(0, 1.0, EventCategory.COMPRESS)
-        sim.stream_compute(0, 2.0, EventCategory.ALLTOALL_FWD, COMM_STREAM)
+        sim.compute(one_rank(4, 0, 1.0), EventCategory.COMPRESS)
+        sim.compute(one_rank(4, 0, 2.0), EventCategory.ALLTOALL_FWD, COMM_STREAM)
         sim.sync(0)
-        sim.stream_compute(0, 0.5, EventCategory.OPTIMIZER, "aux")
+        sim.compute(one_rank(4, 0, 0.5), EventCategory.OPTIMIZER, "aux")
         first = sim.timeline.events[-1]
         assert (first.stream, first.start) == ("aux", 2.0)
         assert first.release_edges == (0, 1)
         # ...and the next event on that stream is released by the lane alone
-        sim.stream_compute(0, 0.5, EventCategory.OPTIMIZER, "aux")
+        sim.compute(one_rank(4, 0, 0.5), EventCategory.OPTIMIZER, "aux")
         assert sim.timeline.events[-1].release_edges is None
 
     def test_reset_clears_streams(self, sim):
-        sim.stream_compute(0, 1.0, EventCategory.COMPRESS, COMM_STREAM)
+        sim.compute(one_rank(4, 0, 1.0), EventCategory.COMPRESS, COMM_STREAM)
         sim.reset()
         assert sim.makespan() == 0.0
         assert sim._streams[COMM_STREAM][0] == 0.0
@@ -402,6 +401,36 @@ class TestOverlappedExchange:
             sim.comm.compressed_all_to_all(good, chunks_per_rank=[0] * 4)
         with pytest.raises(ValueError, match="entries_per_pair"):
             sim.comm.compressed_all_to_all(good, entries_per_pair=np.ones((3, 3)))
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"chunks_per_rank": [1.5, 2.9, 1, 1]}, "chunks_per_rank"),
+            ({"chunks_per_rank": float("nan")}, "chunks_per_rank"),
+            ({"entries_per_pair": float("nan")}, "entries_per_pair"),
+            ({"entries_per_pair": 1.5}, "entries_per_pair"),
+            ({"entries_per_pair": np.full((4, 4), np.nan)}, "entries_per_pair"),
+            ({"entries_per_pair": np.full((4, 4), 0.5)}, "entries_per_pair"),
+        ],
+        ids=["chunks-fraction", "chunks-nan", "entries-nan", "entries-fraction",
+             "entries-matrix-nan", "entries-matrix-fraction"],
+    )
+    def test_counts_must_be_whole(self, sim, kwargs, named):
+        """``int()`` truncated fractional chunk counts and NaN slipped past
+        ``<= 0`` / ``< 0``; each is rejected by name before anything is
+        charged."""
+        with pytest.raises(ValueError, match=named):
+            sim.comm.compressed_all_to_all([[b"x"] * 4] * 4, overlap=True, **kwargs)
+        assert len(sim.timeline) == 0
+
+    def test_nan_bytes_are_named(self, sim):
+        """A NaN byte count fails where it enters, not later as a NaN
+        duration."""
+        with pytest.raises(ValueError, match="nbytes must be finite"):
+            sim.comm.all_reduce_bytes(float("nan"))
+        with pytest.raises(ValueError, match="byte matrix entries must be finite"):
+            sim.comm.all_to_all_bytes(np.full((4, 4), np.nan))
+        assert len(sim.timeline) == 0
 
 
 class TestEntriesMatrix:
@@ -529,7 +558,7 @@ class TestOneScheduler:
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         }
-        assert not called & {"collective", "compute", "stream_compute"}
+        assert not called & {"collective", "compute"}
 
     @pytest.mark.parametrize(
         "method, knob",

@@ -265,8 +265,8 @@ def world_overlap_compute() -> ClusterSimulator:
     rng = np.random.default_rng(6)
     sendbufs, entries = _slice_payloads(n, rng)
     sim = ClusterSimulator(n, network=NetworkModel(bandwidth=2e9, latency=3e-6))
-    sim.compute(1, 1e-4, EventCategory.TOP_MLP_BWD)  # ranks start unaligned
-    sim.stream_compute(2, 5e-5, EventCategory.OPTIMIZER, "aux")  # extra stream
+    sim.compute([0.0, 1e-4, 0.0, 0.0], EventCategory.TOP_MLP_BWD)  # ranks start unaligned
+    sim.compute([0.0, 0.0, 5e-5, 0.0], EventCategory.OPTIMIZER, "aux")  # extra stream
     sim.comm.compressed_all_to_all(
         sendbufs,
         entries_per_pair=entries,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,31 +30,47 @@ def uniform_topology(n: int, bandwidth: float, latency: float) -> Topology:
 
 
 #: every byte-priced collective, on the flat alpha-beta model and on a
-#: topology, called with a negative byte count
+#: topology, called with a bad byte count ``b`` (a scalar, or every entry
+#: of a byte matrix)
 NEGATIVE_BYTES = {
-    "flat_uniform_all_to_all": lambda: NetworkModel().uniform_all_to_all_time(-1.0, 4),
+    "flat_uniform_all_to_all": lambda b: NetworkModel().uniform_all_to_all_time(b, 4),
+    "flat_all_to_all": lambda b: NetworkModel().all_to_all_time(uniform_matrix(4, b)),
     **{
         f"flat_{algorithm}_all_reduce": (
-            lambda algorithm=algorithm: NetworkModel().all_reduce_time(-1.0, 4, algorithm)
+            lambda b, algorithm=algorithm: NetworkModel().all_reduce_time(b, 4, algorithm)
         )
         for algorithm in ALLREDUCE_ALGORITHMS
     },
     **{
         f"model_on_topology_{algorithm}_all_reduce": (
-            lambda algorithm=algorithm: NetworkModel.from_topology(
+            lambda b, algorithm=algorithm: NetworkModel.from_topology(
                 Topology.hierarchical(2, 2)
-            ).all_reduce_time(-1.0, 4, algorithm)
+            ).all_reduce_time(b, 4, algorithm)
         )
         for algorithm in ALLREDUCE_ALGORITHMS
     },
-    "topology_ring_all_reduce": lambda: Topology.hierarchical(2, 2).ring_all_reduce_time(-1.0),
+    "model_on_topology_all_to_all": lambda b: NetworkModel.from_topology(
+        Topology.hierarchical(2, 2)
+    ).all_to_all_time(uniform_matrix(4, b)),
+    "topology_all_to_all": lambda b: Topology.hierarchical(2, 2).all_to_all_time(
+        uniform_matrix(4, b)
+    ),
+    "topology_ring_all_reduce": lambda b: Topology.hierarchical(2, 2).ring_all_reduce_time(b),
     "topology_hierarchical_all_reduce": (
-        lambda: Topology.hierarchical(2, 2).hierarchical_all_reduce_time(-1.0)
+        lambda b: Topology.hierarchical(2, 2).hierarchical_all_reduce_time(b)
     ),
-    "topology_switch_all_reduce": lambda: Topology.hierarchical(2, 2).switch_all_reduce_time(-1.0),
+    "topology_switch_all_reduce": lambda b: Topology.hierarchical(2, 2).switch_all_reduce_time(b),
     "topology_all_reduce_inter_bytes": (
-        lambda: Topology.hierarchical(2, 2).all_reduce_inter_bytes(-1.0)
+        lambda b: Topology.hierarchical(2, 2).all_reduce_inter_bytes(b)
     ),
+}
+
+#: rank counts ``k`` that are not a whole number >= 1
+FRACTIONAL_RANKS = {
+    "flat_uniform_all_to_all": lambda k: NetworkModel().uniform_all_to_all_time(8.0, k),
+    "flat_all_reduce": lambda k: NetworkModel().all_reduce_time(8.0, k, "ring"),
+    "topology_nodes": lambda k: Topology.hierarchical(k, 2),
+    "topology_gpus_per_node": lambda k: Topology.hierarchical(2, k),
 }
 
 
@@ -63,10 +81,20 @@ class TestNetworkModel:
         with pytest.raises(ValueError):
             NetworkModel(bandwidth=1e9, latency=-1.0)
 
+    @pytest.mark.parametrize("nbytes", [-1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("case", sorted(NEGATIVE_BYTES))
-    def test_negative_bytes_rejected(self, case):
-        with pytest.raises(ValueError, match=r"must be >= 0, got -1\.0"):
-            NEGATIVE_BYTES[case]()
+    def test_negative_bytes_rejected(self, case, nbytes):
+        """NaN and inf too: ``x < 0`` alone lets them through to a NaN or
+        infinite price."""
+        with pytest.raises(ValueError, match=f"must be finite and >= 0, got {re.escape(repr(nbytes))}"):
+            NEGATIVE_BYTES[case](nbytes)
+
+    @pytest.mark.parametrize("ranks", [2.7, 0, float("nan")])
+    @pytest.mark.parametrize("case", sorted(FRACTIONAL_RANKS))
+    def test_rank_counts_must_be_whole(self, case, ranks):
+        """``int()`` would price 2.7 ranks as 2."""
+        with pytest.raises(ValueError, match=r"must be an integer >= 1"):
+            FRACTIONAL_RANKS[case](ranks)
 
     def test_zero_bytes_cost_the_latency_terms_alone(self):
         """The alpha half of the alpha-beta model: an empty payload still

@@ -139,10 +139,10 @@ class TestInjectorAdjustments:
     def test_injector_delays_simulator_makespan(self):
         plan = FaultPlan(stragglers=(StragglerFault(rank=0, start=0, duration=10, slowdown=4.0),))
         healthy = ClusterSimulator(2)
-        healthy.compute(0, 0.01, EventCategory.BOTTOM_MLP_FWD)
+        healthy.compute([0.01, 0.0], EventCategory.BOTTOM_MLP_FWD)
         faulty = ClusterSimulator(2)
         faulty.fault_injector = FaultInjector(plan)
-        faulty.compute(0, 0.01, EventCategory.BOTTOM_MLP_FWD)
+        faulty.compute([0.01, 0.0], EventCategory.BOTTOM_MLP_FWD)
         assert faulty.makespan() == pytest.approx(4 * healthy.makespan())
 
     def test_empty_plan_is_a_no_op(self):

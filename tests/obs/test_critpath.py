@@ -47,6 +47,7 @@ from repro.obs.critpath import (
     highlight_trace_events,
     report_json_block,
 )
+from tests.conftest import one_rank
 
 
 @st.composite
@@ -423,13 +424,12 @@ def _execute(program, network, n, scale=None) -> ClusterSimulator:
     sim = ClusterSimulator(n, network=_ScaledNetwork(network, scale))
     for op, *a in program:
         if op == "compute":
-            sim.compute(a[0], scaled(a[1], a[2]), a[2])
+            sim.compute(one_rank(n, a[0], scaled(a[1], a[2])), a[2])
         elif op == "kernels":
-            for rank in range(n):
-                sim.compute(rank, scaled(a[1], a[2]), a[2])
+            sim.compute([scaled(a[1], a[2])] * n, a[2])
         elif op in ("comm", "aux"):
             stream = COMM_STREAM if op == "comm" else "aux"
-            sim.stream_compute(a[0], scaled(a[1], a[2]), a[2], stream)
+            sim.compute(one_rank(n, a[0], scaled(a[1], a[2])), a[2], stream)
         elif op == "sync":
             sim.sync(a[0])
         elif op == "barrier":
@@ -481,10 +481,9 @@ class TestExactness:
         """Back-to-back equal-cost kernels on distinct ranks are not a
         barrier: the long comm event on rank 0 sets the makespan alone."""
         sim = ClusterSimulator(3)
-        sim.stream_compute(0, 10.0, EventCategory.ALLTOALL_BWD, COMM_STREAM)
+        sim.compute([10.0, 0.0, 0.0], EventCategory.ALLTOALL_BWD, COMM_STREAM)
         for seconds in (1.0, 2.0):
-            for rank in range(3):
-                sim.compute(rank, seconds, "compute")
+            sim.compute([seconds] * 3, "compute")
         dag = TimelineDag.from_timeline(sim.timeline)
         assert sim.makespan() == 10.0
         assert dag.reschedule(lambda e: 1.0) == 10.0

@@ -123,7 +123,7 @@ KEEP_PARAMETERS: dict[str, str] = {
     "repro.train.hybrid:HybridParallelTrainer._compressed_exchange(overlap_compute)": (
         "varies under compress_backward, ROADMAP direction 5's allowlisted switch"
     ),
-    "repro.dist.simulator:ClusterSimulator.stream_compute(stream)": (
+    "repro.dist.simulator:ClusterSimulator.compute(stream)": (
         "the ledger golden's extra-stream world pins a second stream"
     ),
     "repro.dist.comm:Communicator.compressed_all_reduce(codec)": (

@@ -124,9 +124,9 @@ PARAMETER_ALLOWLIST: dict[str, str] = {
         "bench_e2e's exchange world passes it at its default, and bench_e2e changes"
         " only with the benchmark; no other root sets it"
     ),
-    "repro.dist.simulator:ClusterSimulator.stream_compute(stream)": (
+    "repro.dist.simulator:ClusterSimulator.compute(stream)": (
         "tests/dist/test_ledger_golden.py's extra-stream world charges a second"
-        " stream; compute() passes the default"
+        " stream; every src caller charges the compute stream"
     ),
     "repro.compression.vector_lz:vector_lz_encode_stack(window)": (
         "the vector-LZ window laws encode integer codes at windows of 1-300 so"
