@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite_nonnegative, check_positive
 
 __all__ = [
     "TableCategory",
@@ -45,6 +45,7 @@ class ErrorBoundLevels:
 
     def __post_init__(self) -> None:
         check_positive("small", self.small)
+        check_finite_nonnegative("large", self.large)
         if not self.small <= self.medium <= self.large:
             raise ValueError(
                 f"error-bound levels must be ordered small <= medium <= large, "

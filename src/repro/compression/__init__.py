@@ -13,7 +13,6 @@ from repro.compression.baselines import (
     Fp16Compressor,
     FzGpuLikeCompressor,
     Lz4LikeCompressor,
-    ZfpLikeCompressor,
 )
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.homomorphic import (
@@ -26,10 +25,8 @@ from repro.compression.homomorphic import (
 )
 from repro.compression.hybrid import HybridCompressor
 from repro.compression.metrics import (
-    CodecEvaluation,
     communication_speedup,
     compression_ratio,
-    evaluate_codec,
     max_abs_error,
 )
 from repro.compression.quantizer import QuantizedBatch, quantize, quantize_batch
@@ -58,7 +55,6 @@ __all__ = [
     "DeflateLikeCompressor",
     "CuszLikeCompressor",
     "FzGpuLikeCompressor",
-    "ZfpLikeCompressor",
     "HomomorphicCompressor",
     "QuantSumCompressor",
     "CountSumCompressor",
@@ -71,8 +67,6 @@ __all__ = [
     "compression_ratio",
     "communication_speedup",
     "max_abs_error",
-    "CodecEvaluation",
-    "evaluate_codec",
     "get_compressor",
     "register_compressor",
     "available_compressors",

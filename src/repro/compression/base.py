@@ -196,8 +196,10 @@ class Compressor(ABC):
         if array.dtype not in (np.float32, np.float64):
             raise TypeError(f"{self.name}: expected float32/float64 input, got {array.dtype}")
         if self.error_bounded:
-            if error_bound is None or not error_bound > 0:
-                raise ValueError(f"{self.name}: requires a positive error_bound, got {error_bound!r}")
+            if error_bound is None or not 0.0 < error_bound < math.inf:
+                raise ValueError(
+                    f"{self.name}: requires a finite, positive error_bound, got {error_bound!r}"
+                )
         return array
 
     def compress(self, array: np.ndarray, error_bound: float | None = None) -> bytes:

@@ -10,14 +10,12 @@ as the closed-source / CUDA original:
 ``deflate_like``   LZ77 + Huffman over the token stream (nvCOMP-Deflate)
 ``cusz_like``      Lorenzo prediction + quantization + Huffman (cuSZ)
 ``fzgpu_like``     quantization + bitshuffle + sparse bitplanes (FZ-GPU)
-``zfp_like``       block transform + fixed-rate coding (cuZFP)
 =================  ====================================================
 """
 
 from repro.compression.baselines.cusz_like import CuszLikeCompressor
 from repro.compression.baselines.fp import Fp8Compressor, Fp16Compressor
 from repro.compression.baselines.fzgpu_like import FzGpuLikeCompressor
-from repro.compression.baselines.zfp_like import ZfpLikeCompressor
 from repro.compression.baselines.lz_generic import (
     DeflateLikeCompressor,
     Lz4LikeCompressor,
@@ -30,5 +28,4 @@ __all__ = [
     "DeflateLikeCompressor",
     "CuszLikeCompressor",
     "FzGpuLikeCompressor",
-    "ZfpLikeCompressor",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "pack_codes",
     "unpack_fixed",
     "bits_to_bytes",
-    "pack_fixed",
     "pack_fixed_segments",
     "unpack_fixed_segments",
     "word_table",
@@ -191,21 +190,6 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, int]
     return packed, total_bits
 
 
-def pack_fixed(values: np.ndarray, width: int) -> tuple[np.ndarray, int]:
-    """Pack unsigned integers at a fixed bit width (MSB-first)."""
-    values = np.asarray(values, dtype=np.uint64).ravel()
-    if width < 0 or width > 57:
-        raise ValueError(f"width must be in [0, 57], got {width}")
-    if width == 0:
-        if values.size and values.max() > 0:
-            raise ValueError("width 0 requires all-zero values")
-        return np.zeros(0, dtype=np.uint8), 0
-    if values.size and int(values.max()) >> width:
-        raise ValueError(f"value {values.max()} does not fit in {width} bits")
-    lengths = np.full(values.shape, width, dtype=np.int64)
-    return pack_codes(values, lengths)
-
-
 def _read_fixed(packed: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     """``width``-bit big-endian values at arbitrary bit positions ``starts``.
 
@@ -224,7 +208,8 @@ def unpack_fixed(packed: np.ndarray, count: int, width: int) -> np.ndarray:
     """Read ``count`` fixed-width unsigned integers from the stream's start.
 
     Vectorized: gathers up to 9 bytes around each value and shifts.  Inverse
-    of :func:`pack_fixed` for the same ``width``.
+    of :func:`pack_codes` with every length ``width``, and of one run of
+    :func:`pack_fixed_segments`.
     """
     if width == 0:
         return np.zeros(count, dtype=np.uint64)
@@ -250,10 +235,10 @@ def pack_fixed_segments(
 
     ``counts[s]`` values belong to run ``s``.  Returns ``(packed, bounds)``
     with ``packed[bounds[s] : bounds[s + 1]]`` byte-identical to
-    ``pack_fixed(run_s, width)[0]`` — but all runs share one bit-matrix
-    pass (big-endian bytes -> ``unpackbits`` -> keep the low ``width``
-    columns -> ``packbits``) instead of one :func:`pack_codes` call each,
-    which is what pays on many short runs.
+    ``pack_codes(run_s, np.full(run_s.shape, width))[0]`` — but all runs
+    share one bit-matrix pass (big-endian bytes -> ``unpackbits`` -> keep
+    the low ``width`` columns -> ``packbits``) instead of one
+    :func:`pack_codes` call each, which is what pays on many short runs.
     """
     values = np.asarray(values, dtype=np.uint64).ravel()
     counts = np.asarray(counts, dtype=np.int64)
@@ -283,7 +268,7 @@ def pack_fixed_segments(
     if not (run_bits & 7).any():
         return np.packbits(bits), bounds
     # Unaligned runs: shift each run's bits past the pad bits of its
-    # predecessors (pad bits stay zero, as pack_fixed leaves them).
+    # predecessors (pad bits stay zero, as pack_codes leaves them).
     padded = np.zeros(int(bounds[-1]) * 8, dtype=np.uint8)
     pad_shift = bounds[:-1] * 8 - (np.cumsum(run_bits) - run_bits)
     padded[np.arange(bits.size) + np.repeat(pad_shift, run_bits)] = bits.ravel()

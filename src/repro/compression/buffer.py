@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dist.gpu import A100_LIKE, GpuModel
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite_nonnegative, check_positive
 
 __all__ = ["BufferCostModel", "BufferComparison"]
 
@@ -57,8 +57,7 @@ class BufferCostModel:
         chunks = [float(c) for c in chunk_bytes]
         if not chunks:
             raise ValueError("need at least one chunk")
-        if any(c < 0 for c in chunks):
-            raise ValueError("chunk sizes must be >= 0")
+        check_finite_nonnegative("chunk sizes", chunks)
         return chunks
 
     # ------------------------------------------------------------- compress

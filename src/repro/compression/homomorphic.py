@@ -42,11 +42,18 @@ the ``k = 1`` degeneracy at the byte level.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor, check_body_nbytes, frame_payload, parse_payload
+from repro.compression.base import (
+    Compressor,
+    _frame_layout,
+    check_body_nbytes,
+    frame_payload,
+    parse_payload,
+)
 from repro.compression.quantizer import quantize
 from repro.compression.serialization import CorruptPayloadError
 
@@ -95,29 +102,37 @@ class HomomorphicCompressor(Compressor):
         """
         header_a, body_a = parse_payload(payload_a)
         header_b, body_b = parse_payload(payload_b)
+        layouts, terms = [], 0
         for header in (header_a, header_b):
             _require(
                 header["codec"] == self.name,
                 f"agg_sum: payload codec {header['codec']!r} != {self.name!r}",
             )
-        shape = tuple(int(s) for s in header_a["shape"])
+            # Each operand is a frame: a field no encoder writes is corrupt.
+            layouts.append(_frame_layout(self.name, header))
+            terms += self._terms(header)
+        (shape, dtype), (shape_b, dtype_b) = layouts
+        _require(shape == shape_b, f"agg_sum: payload shapes differ: {shape} vs {shape_b}")
         _require(
-            shape == tuple(int(s) for s in header_b["shape"]),
-            f"agg_sum: payload shapes differ: {shape} vs "
-            f"{tuple(int(s) for s in header_b['shape'])}",
-        )
-        _require(
-            header_a["dtype"] == header_b["dtype"],
+            dtype == dtype_b,
             f"agg_sum: payload dtypes differ: {header_a['dtype']} vs {header_b['dtype']}",
         )
-        terms = int(header_a["terms"]) + int(header_b["terms"])
         _require(
             terms <= MAX_TERMS,
             f"agg_sum: {terms} aggregated leaves exceeds MAX_TERMS={MAX_TERMS}",
         )
         meta, body = self._agg_meta_body(header_a, body_a, header_b, body_b, shape)
         meta["terms"] = terms
-        return frame_payload(self.name, shape, np.dtype(header_a["dtype"]), meta, body)
+        return frame_payload(self.name, shape, dtype, meta, body)
+
+    def _terms(self, header: dict[str, Any]) -> int:
+        """The header's leaf count, an integer in ``[1, MAX_TERMS]``."""
+        terms = header["terms"]
+        if not (isinstance(terms, (int, np.integer)) and 1 <= terms <= MAX_TERMS):
+            raise CorruptPayloadError(
+                f"{self.name}: terms {terms!r} is not an integer in [1, {MAX_TERMS}]"
+            )
+        return int(terms)
 
     # ----------------------------------------------------------- subclass
 
@@ -191,8 +206,15 @@ class QuantSumCompressor(HomomorphicCompressor):
                 f"codes end at byte {count * cdtype.itemsize}"
             )
         codes = np.frombuffer(body, dtype=cdtype)
-        centres = codes.astype(np.float64) * float(header["scale"])
+        centres = codes.astype(np.float64) * self._scale(header)
         return centres.astype(dtype).reshape(shape)
+
+    def _scale(self, header: dict[str, Any]) -> float:
+        """The header's grid step ``2 * eb``, which must be finite and > 0."""
+        scale = header["scale"]
+        if not (isinstance(scale, (int, float)) and 0.0 < scale < math.inf):
+            raise CorruptPayloadError(f"{self.name}: scale {scale!r} is not finite and > 0")
+        return float(scale)
 
     def _code_dtype(self, header: dict[str, Any]) -> np.dtype:
         """The header's code dtype, which must be a signed integer."""
@@ -207,8 +229,9 @@ class QuantSumCompressor(HomomorphicCompressor):
         return cdtype
 
     def _agg_meta_body(self, header_a, body_a, header_b, body_b, shape):
+        scale = self._scale(header_a)
         _require(
-            float(header_a["scale"]) == float(header_b["scale"]),
+            scale == self._scale(header_b),
             f"agg_sum: {self.name} payloads must share a scale, got "
             f"{header_a['scale']!r} vs {header_b['scale']!r}",
         )
@@ -226,7 +249,7 @@ class QuantSumCompressor(HomomorphicCompressor):
         )
         total = codes_a.astype(np.int64) + codes_b.astype(np.int64)
         meta = {
-            "scale": float(header_a["scale"]),
+            "scale": scale,
             "cdtype": "",  # replaced below; narrowing depends on the sum
             "cmax": cmax,
         }

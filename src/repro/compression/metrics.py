@@ -12,20 +12,14 @@ sending ``N`` bytes takes ``N/(CR*B) + N/Tc + N/Td`` instead of ``N/B``.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.compression.base import Compressor
 from repro.utils.validation import check_positive
 
 __all__ = [
     "compression_ratio",
     "communication_speedup",
     "max_abs_error",
-    "CodecEvaluation",
-    "evaluate_codec",
 ]
 
 
@@ -67,47 +61,3 @@ def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
     if original.size == 0:
         return 0.0
     return float(np.abs(original - reconstructed).max())
-
-
-@dataclass(frozen=True)
-class CodecEvaluation:
-    """Measured behaviour of one codec on one batch."""
-
-    codec: str
-    ratio: float
-    max_error: float
-    compress_seconds: float
-    decompress_seconds: float
-    original_nbytes: int
-    compressed_nbytes: int
-
-    @property
-    def compress_throughput(self) -> float:
-        """Measured wall-clock compression throughput, bytes/s."""
-        return self.original_nbytes / max(self.compress_seconds, 1e-12)
-
-    @property
-    def decompress_throughput(self) -> float:
-        """Measured wall-clock decompression throughput, bytes/s."""
-        return self.original_nbytes / max(self.decompress_seconds, 1e-12)
-
-
-def evaluate_codec(
-    compressor: Compressor, array: np.ndarray, error_bound: float | None = None
-) -> CodecEvaluation:
-    """Round-trip ``array`` through ``compressor`` and measure everything."""
-    array = np.ascontiguousarray(array)
-    t0 = time.perf_counter()
-    payload = compressor.compress(array, error_bound)
-    t1 = time.perf_counter()
-    reconstructed = compressor.decompress(payload)
-    t2 = time.perf_counter()
-    return CodecEvaluation(
-        codec=compressor.name,
-        ratio=compression_ratio(array.nbytes, len(payload)),
-        max_error=max_abs_error(array, reconstructed),
-        compress_seconds=t1 - t0,
-        decompress_seconds=t2 - t1,
-        original_nbytes=array.nbytes,
-        compressed_nbytes=len(payload),
-    )

@@ -17,11 +17,12 @@ values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import check_positive
+from repro.compression.serialization import CorruptPayloadError
 
 __all__ = [
     "quantize",
@@ -42,9 +43,12 @@ def quantize(array: np.ndarray, error_bound: float) -> np.ndarray:
     """Quantize floats to int64 bin indices with absolute bound ``error_bound``.
 
     Raises ``ValueError`` on non-finite input: embedding lookups are always
-    finite, and silently quantizing NaN would corrupt training.
+    finite, and silently quantizing NaN would corrupt training.  So is a
+    bound that is not finite and > 0: an infinite one maps every value to
+    bin 0 and reconstructs NaN.
     """
-    check_positive("error_bound", error_bound)
+    if not 0.0 < error_bound < math.inf:
+        raise ValueError(f"error_bound must be finite and > 0, got {error_bound!r}")
     array = np.asarray(array)
     if not np.isfinite(array).all():
         raise ValueError("quantize: input contains NaN/inf")
@@ -61,7 +65,17 @@ def quantize(array: np.ndarray, error_bound: float) -> np.ndarray:
 def dequantize(codes: np.ndarray, error_bound, dtype: np.dtype) -> np.ndarray:
     """Invert :func:`quantize`: bin centres ``2 * error_bound * codes``,
     computed in float64 and cast to ``dtype``.  ``error_bound`` may be an
-    array broadcasting against ``codes`` (one bound per stream row)."""
+    array broadcasting against ``codes`` (one bound per stream row).
+
+    The bound is read from a frame header, so one that is not finite and
+    > 0 (no encoder writes it) raises ``CorruptPayloadError``.
+    """
+    if isinstance(error_bound, np.ndarray):
+        valid = bool(((error_bound > 0.0) & (error_bound < math.inf)).all())
+    else:
+        valid = isinstance(error_bound, (int, float)) and 0.0 < error_bound < math.inf
+    if not valid:
+        raise CorruptPayloadError(f"error bound {error_bound!r} is not finite and > 0")
     return (codes.astype(np.float64) * (2.0 * error_bound)).astype(dtype)
 
 

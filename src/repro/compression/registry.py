@@ -19,7 +19,6 @@ from repro.compression.baselines import (
     Fp16Compressor,
     FzGpuLikeCompressor,
     Lz4LikeCompressor,
-    ZfpLikeCompressor,
 )
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.homomorphic import CountSumCompressor, QuantSumCompressor
@@ -39,7 +38,6 @@ _FACTORIES: dict[str, Callable[[], Compressor]] = {
     DeflateLikeCompressor.name: DeflateLikeCompressor,
     CuszLikeCompressor.name: CuszLikeCompressor,
     FzGpuLikeCompressor.name: FzGpuLikeCompressor,
-    ZfpLikeCompressor.name: ZfpLikeCompressor,
     QuantSumCompressor.name: QuantSumCompressor,
     CountSumCompressor.name: CountSumCompressor,
 }

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.utils.units import MB
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite_nonnegative, check_positive
 
 __all__ = ["GpuModel", "A100_LIKE"]
 
@@ -67,8 +67,7 @@ class GpuModel:
         input achieves: ``n / (n + saturation_bytes)``, floored at
         :attr:`min_utilization`.  Monotonically increasing, ->1 for large
         inputs — so fusing chunks into one kernel raises utilization."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
+        check_finite_nonnegative("nbytes", nbytes)
         if nbytes == 0:
             return self.min_utilization
         return max(self.min_utilization, nbytes / (nbytes + self.saturation_bytes))
@@ -77,16 +76,14 @@ class GpuModel:
         """One kernel processing ``nbytes`` at a peak rate of
         ``peak_throughput`` bytes/s, derated by :meth:`utilization`."""
         check_positive("peak_throughput", peak_throughput)
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
+        check_finite_nonnegative("nbytes", nbytes)
         if nbytes == 0:
             return self.kernel_launch_overhead
         return self.kernel_launch_overhead + nbytes / (peak_throughput * self.utilization(nbytes))
 
     def memcpy_time(self, nbytes: float) -> float:
         """Device-to-device copy of ``nbytes`` (DMA engine, no launch)."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
+        check_finite_nonnegative("nbytes", nbytes)
         return nbytes / MEMCPY_BANDWIDTH
 
     # ------------------------------------------------------- training step

@@ -36,16 +36,16 @@ taken straight from the ledger's columns (:meth:`Timeline.columns`:
 ``start``, ``duration``, rank, stream and category codes, release edges)
 plus ``end = start + duration`` and the analysed-event mask (annotation
 spans on ``OBS_STREAM`` cover work already recorded and are not nodes);
-no :class:`~repro.dist.timeline.TimelineEvent` is built, except by
-:meth:`TimelineDag.reschedule`, whose callback takes one.  Built eagerly:
-every event's same-lane predecessor, from one ``(lane, start, index)``
-sort.  Release edges are *not* resolved up front: the walk filters them
-for the few dozen events it visits (:meth:`TimelineDag.release_edges`),
-so an extraction costs little more than reading the columns.  The first
-``reschedule`` / ``speedup_if`` adds, once, what only a forward pass
-needs: a dependency row per *distinct* edge tuple (``record_batch``
-shares them) and the exogenous start floors.  Times match within a
-tolerance, because parsed chrome traces round them to microseconds.
+no :class:`~repro.dist.timeline.TimelineEvent` is built, and the DAG keeps
+nothing of the timeline but those columns.  Built eagerly: every event's
+same-lane predecessor, from one ``(lane, start, index)`` sort.  Release
+edges are *not* resolved up front: the walk filters them for the few
+dozen events it visits (:meth:`TimelineDag.release_edges`), so an
+extraction costs little more than reading the columns.  The first
+``speedup_if`` adds, once, what only a forward pass needs: a dependency
+row per *distinct* edge tuple (``record_batch`` shares them) and the
+exogenous start floors.  Times match within a tolerance, because parsed
+chrome traces round them to microseconds.
 
 Analysis is strictly offline — nothing here runs unless asked, so the
 ``OBS.enabled`` zero-overhead contract is untouched.
@@ -56,11 +56,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.dist.timeline import OBS_STREAM, Timeline, TimelineEvent
+from repro.dist.timeline import OBS_STREAM, Timeline
 
 __all__ = [
     "IDLE_CATEGORY",
@@ -174,8 +174,8 @@ class CriticalPathResult:
 
 @dataclass(frozen=True)
 class _Plan:
-    """What :meth:`TimelineDag.reschedule` needs beyond the columns;
-    lists are indexed by ledger index."""
+    """What :meth:`TimelineDag.speedup_if`'s forward pass needs beyond the
+    columns; lists are indexed by ledger index."""
 
     order: list[int]  # ledger indices in (start, end, index) order
     rows: list[list[int]]  # row id -> ledger indices of one edge tuple
@@ -189,7 +189,6 @@ class TimelineDag:
     when).  Events recorded after construction are not part of it."""
 
     def __init__(self, timeline: Timeline):
-        self._timeline = timeline
         columns = timeline.columns()
         n = len(columns.rank)
         self._columns = columns
@@ -223,9 +222,6 @@ class TimelineDag:
     @property
     def makespan(self) -> float:
         return self._makespan
-
-    def __len__(self) -> int:
-        return len(self._ids)
 
     def release_edges(self, index: int) -> tuple[int, ...]:
         """Event ``index``'s explicit releasers: its recorded
@@ -280,7 +276,7 @@ class TimelineDag:
     # -------------------------------------------------------------- what-ifs
 
     def _planned(self) -> _Plan:
-        """The scaling-independent half of a reschedule, built on first use."""
+        """The scaling-independent half of a what-if, built on first use."""
         if self._plan is not None:
             return self._plan
         all_edges, n, ids = self._edges, len(self._edges), self._ids
@@ -350,27 +346,15 @@ class TimelineDag:
                 makespan = finish
         return makespan
 
-    def reschedule(self, scale: Callable[[TimelineEvent], float]) -> float:
-        """Forward-simulate the DAG with per-event duration scaling and
-        return the new makespan.
-
-        Constraints honored: stream order, recorded release edges, and
-        exogenous start floors where no dependency explains an event's
-        start (open-loop arrivals and fault delays keep their clock).
-        ``scale(event) == 1.0`` for every event reproduces the original
-        makespan exactly.
-        """
-        events = self._timeline.events  # the callback takes event objects
-        factors = [1.0] * len(self._edges)
-        for index in self._ids.tolist():
-            factor = factors[index] = float(scale(events[index]))
-            if not math.isfinite(factor) or factor < 0.0:
-                raise ValueError(f"scale must be finite and >= 0, got {factor!r}")
-        return self._forward(factors)
-
     def speedup_if(self, category: str, factor: float) -> SpeedupEstimate:
         """Predicted makespan if every ``category`` event ran ``factor``
-        times faster (``factor < 1`` models a slowdown)."""
+        times faster (``factor < 1`` models a slowdown).
+
+        The forward pass honours stream order, recorded release edges, and
+        exogenous start floors where no dependency explains an event's
+        start (open-loop arrivals and fault delays keep their clock).
+        ``factor == 1.0`` reproduces the original makespan exactly.
+        """
         factor = float(factor)
         if not math.isfinite(factor) or factor <= 0.0:
             raise ValueError(f"factor must be finite and > 0, got {factor!r}")

@@ -479,7 +479,7 @@ def _critpath_rows() -> Iterator[Row]:
     # world has — 16 x 8 hierarchical ranks, 8 chunks, 4 rounds each closed
     # by an all-reduce: 13 312 events, 8 704 of them carrying release edges
     # — where the walk visits ~50 events and ``speedup_if`` (timed from a
-    # fresh DAG: columns + plan + one forward pass) reschedules all of
+    # fresh DAG: columns + plan + one forward pass) re-times all of
     # them. ---
     big_nodes, big_gpus, big_chunks = 16, 8, 8
     big_ranks = big_nodes * big_gpus

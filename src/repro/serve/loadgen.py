@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.data.synthetic import SyntheticClickDataset
 from repro.utils.rng import spawn_rng
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 
 __all__ = ["Request", "RequestLoadGenerator"]
 
@@ -64,8 +64,7 @@ class RequestLoadGenerator:
     def generate(self, n_requests: int) -> list[Request]:
         """The next ``n_requests`` arrivals (consecutive calls continue the
         trace; a fresh generator with the same seed replays it)."""
-        check_positive("n_requests", n_requests)
-        n = int(n_requests)
+        n = check_count("n_requests", n_requests, 1)
         rng = spawn_rng(self.seed, "arrivals", self._round)
         gaps = rng.exponential(1.0 / self.qps, size=n)
         arrivals = self._clock + np.cumsum(gaps)

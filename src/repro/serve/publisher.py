@@ -57,7 +57,7 @@ from repro.obs.runtime import OBS
 from repro.serve.replica import InferenceReplica
 from repro.serve.shard_server import DEFAULT_ROWS_PER_BLOCK, EmbeddingShardServer
 from repro.train.sharding import ShardingPlan
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.train.hybrid import HybridParallelTrainer
@@ -574,13 +574,11 @@ def build_serving_tier(
     adaptive pipeline present, each table's shard codec and storage bound
     come from the controller at iteration 0.
     """
-    check_positive("n_shard_ranks", n_shard_ranks)
-    check_positive("n_replicas", n_replicas)
+    n_shard_ranks = check_count("n_shard_ranks", n_shard_ranks, 1)
+    n_replicas = check_count("n_replicas", n_replicas, 1)
     model = trainer.model
-    sharding = ShardingPlan.size_balanced(
-        list(model.config.table_cardinalities), int(n_shard_ranks)
-    )
-    empty = [r for r in range(int(n_shard_ranks)) if not sharding.tables_of(r)]
+    sharding = ShardingPlan.size_balanced(list(model.config.table_cardinalities), n_shard_ranks)
+    empty = [r for r in range(n_shard_ranks) if not sharding.tables_of(r)]
     if empty:
         raise ValueError(
             f"{model.config.n_tables} tables cannot populate {n_shard_ranks} shard "
@@ -594,11 +592,11 @@ def build_serving_tier(
             controller,
             rows_per_block=rows_per_block,
         )
-        for rank in range(int(n_shard_ranks))
+        for rank in range(n_shard_ranks)
     )
     replicas = tuple(
         InferenceReplica(i, servers, sharding, cache_rows, keep_stale=keep_stale)
-        for i in range(int(n_replicas))
+        for i in range(n_replicas)
     )
     publisher = DeltaPublisher(
         trainer,

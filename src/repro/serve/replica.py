@@ -26,6 +26,7 @@ import numpy as np
 from repro.obs.runtime import OBS
 from repro.serve.shard_server import EmbeddingShardServer, ShardPull
 from repro.train.sharding import ShardingPlan
+from repro.utils.validation import check_count
 
 __all__ = ["GatherResult", "InferenceReplica"]
 
@@ -91,8 +92,7 @@ class InferenceReplica:
         *,
         keep_stale: bool = False,
     ):
-        if cache_rows < 0:
-            raise ValueError(f"cache_rows must be >= 0, got {cache_rows}")
+        cache_rows = check_count("cache_rows", cache_rows, 0)
         if sharding.n_ranks != len(servers):
             raise ValueError(
                 f"sharding spans {sharding.n_ranks} shard ranks but {len(servers)} "
@@ -111,7 +111,7 @@ class InferenceReplica:
         # share one embedding dim
         self._dim = servers[sharding.owner_of(0)].dim(0)
         self.sharding = sharding
-        self.cache_rows = int(cache_rows)
+        self.cache_rows = cache_rows
         self.keep_stale = bool(keep_stale)
         self._cache: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
         self._stale: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()

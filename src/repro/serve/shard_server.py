@@ -48,7 +48,7 @@ import numpy as np
 from repro.compression.registry import decompress_any, get_compressor
 from repro.compression.vector_lz import VectorLZCompressor
 from repro.obs.runtime import OBS
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_finite_nonnegative
 
 __all__ = [
     "ShardPull",
@@ -110,12 +110,10 @@ class _CompressedTable:
             raise ValueError(
                 f"table {table_id}: expected (rows, dim) values, got shape {values.shape}"
             )
-        if error_bound < 0:
-            raise ValueError(f"table {table_id}: error_bound must be >= 0, got {error_bound}")
-        check_positive("rows_per_block", rows_per_block)
+        check_finite_nonnegative(f"table {table_id}: error_bound", error_bound)
         self.table_id = table_id
         self.cardinality, self.dim = values.shape
-        self.rows_per_block = int(rows_per_block)
+        self.rows_per_block = check_count("rows_per_block", rows_per_block, 1)
         self.error_bound = float(error_bound)
         self.codec_name = codec_name
         self._codec = get_compressor(codec_name)

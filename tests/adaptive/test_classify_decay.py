@@ -30,6 +30,10 @@ class TestErrorBoundLevels:
         with pytest.raises(ValueError, match="ordered"):
             ErrorBoundLevels(large=0.01, medium=0.03, small=0.05)
 
+    def test_infinite_large_level_rejected(self):
+        with pytest.raises(ValueError, match="large must be finite"):
+            ErrorBoundLevels(large=float("inf"))
+
     def test_for_category(self):
         levels = ErrorBoundLevels()
         assert levels.for_category("small") == 0.01

@@ -1,5 +1,8 @@
 """Frozen reference implementations, kept test-only as differential oracles.
 
+* :func:`pack_fixed` — fixed-width packing as one :func:`pack_codes` call
+  with every length ``width``: the oracle of the fixed-width readers and
+  of ``pack_fixed_segments``.
 * :func:`reference_vector_lz_encode` — the per-slice vector-LZ encoder
   (dictionary scan + one ``pack_fixed`` per section) that the batched
   ``vector_lz_encode_stack`` replaced; ``test_vector_lz_batch.py`` pins the
@@ -18,7 +21,7 @@ import zlib
 
 import numpy as np
 
-from repro.compression.bitstream import pack_fixed
+from repro.compression.bitstream import pack_codes
 from repro.compression.serialization import CHECKSUM_MAGIC
 from repro.compression.vector_lz import (
     DEFAULT_WINDOW,
@@ -26,6 +29,12 @@ from repro.compression.vector_lz import (
     _width_for,
     find_vector_matches,
 )
+
+
+def pack_fixed(values: np.ndarray, width: int) -> tuple[np.ndarray, int]:
+    """Pack unsigned integers at a fixed bit width ``>= 1`` (MSB-first)."""
+    values = np.asarray(values, dtype=np.uint64).ravel()
+    return pack_codes(values, np.full(values.shape, width, dtype=np.int64))
 
 
 def reference_vector_lz_encode(codes: np.ndarray, window: int = DEFAULT_WINDOW) -> VectorLZEncoded:

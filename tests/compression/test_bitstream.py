@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from repro.compression.bitstream import (
     bits_to_bytes,
     pack_codes,
-    pack_fixed,
+    pack_fixed_segments,
     unpack_fixed,
     unpack_fixed_segments,
 )
 from repro.compression.serialization import CorruptPayloadError
+from tests.compression.reference_codecs import pack_fixed
 
 
 class TestBitsToBytes:
@@ -81,17 +82,17 @@ class TestFixedWidth:
         np.testing.assert_array_equal(unpack_fixed(packed, 5, 8), values)
 
     def test_width_zero_all_zero(self):
-        packed, total = pack_fixed(np.zeros(4, dtype=np.uint64), 0)
-        assert total == 0
+        packed, bounds = pack_fixed_segments(np.zeros(4, dtype=np.uint64), 0, [4])
+        assert packed.size == 0 and bounds.tolist() == [0, 0]
         np.testing.assert_array_equal(unpack_fixed(packed, 4, 0), np.zeros(4))
 
     def test_width_zero_nonzero_rejected(self):
-        with pytest.raises(ValueError):
-            pack_fixed(np.array([1], dtype=np.uint64), 0)
+        with pytest.raises(ValueError, match="width 0 requires all-zero values"):
+            pack_fixed_segments(np.array([1], dtype=np.uint64), 0, [1])
 
     def test_value_too_wide_rejected(self):
-        with pytest.raises(ValueError):
-            pack_fixed(np.array([8], dtype=np.uint64), 3)
+        with pytest.raises(ValueError, match="does not fit in 3 bits"):
+            pack_fixed_segments(np.array([8], dtype=np.uint64), 3, [1])
 
     def test_short_stream_rejected(self):
         packed, _ = pack_fixed(np.array([1, 2], dtype=np.uint64), 4)

@@ -68,6 +68,17 @@ class TestBufferCostModel:
         with pytest.raises(ValueError):
             model.serial_decompression_seconds([-1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_chunk_rejected_not_priced(self, model, bad):
+        for price in (
+            model.fused_compression_seconds,
+            model.chunked_compression_seconds,
+            model.serial_decompression_seconds,
+            model.parallel_decompression_seconds,
+        ):
+            with pytest.raises(ValueError, match="chunk sizes must be finite and >= 0"):
+                price([MB, bad])
+
     def test_chunked_compression_copies_each_compressed_chunk(self, model):
         chunks = [16.0 * MB, 3.0 * MB]
         expected = 0.0

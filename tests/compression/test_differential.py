@@ -32,7 +32,6 @@ from repro.compression.bitstream import (
     _reference_pack_codes,
     _reference_unpack_fixed,
     pack_codes,
-    pack_fixed,
     unpack_fixed,
 )
 from repro.compression.huffman import (
@@ -53,6 +52,7 @@ from repro.compression.vector_lz import (
 )
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.vector_lz import VectorLZCompressor
+from tests.compression.reference_codecs import pack_fixed
 
 
 class TestBitstreamDifferential:

@@ -14,7 +14,6 @@ from repro.compression import (
     communication_speedup,
     compression_ratio,
     decompress_any,
-    evaluate_codec,
     get_compressor,
     max_abs_error,
     register_compressor,
@@ -169,12 +168,3 @@ class TestMetrics:
     def test_max_abs_error_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             max_abs_error(np.zeros(3), np.zeros(4))
-
-    def test_evaluate_codec_fields(self, gaussian_batch):
-        ev = evaluate_codec(get_compressor("entropy"), gaussian_batch, 0.01)
-        assert ev.codec == "entropy"
-        assert ev.ratio > 1.0
-        assert 0 < ev.max_error <= 0.01 + 1e-6
-        assert ev.compress_throughput > 0
-        assert ev.decompress_throughput > 0
-        assert ev.original_nbytes == gaussian_batch.nbytes

@@ -54,6 +54,13 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(np.zeros(3), -0.1)
 
+    @pytest.mark.parametrize("bound", [np.inf, np.nan])
+    def test_rejects_non_finite_bound(self, bound):
+        """An infinite bound maps every value to bin 0, which reconstructs
+        as NaN (``0 * inf``)."""
+        with pytest.raises(ValueError, match="error_bound must be finite and > 0"):
+            quantize(np.zeros(3), bound)
+
     def test_negative_values(self):
         codes = quantize(np.array([-0.1, -0.02, 0.02, 0.1]), 0.01)
         assert codes[0] < 0 < codes[3]

@@ -18,9 +18,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.compression import agg_sum, available_compressors, decompress_any, get_compressor
+from repro.compression import (
+    agg_sum,
+    available_compressors,
+    decompress_any,
+    get_compressor,
+    homomorphic_codecs,
+)
 from repro.compression.base import MAGIC, frame_payload, parse_payload
 from repro.compression.baselines.lz_generic import lz77_encode_bytes
+from repro.compression.homomorphic import MAX_TERMS
 from repro.compression.huffman import DEFAULT_CHUNK_SYMBOLS, huffman_encode
 from repro.compression.serialization import CorruptPayloadError
 from tests.conftest import make_hot_batch
@@ -31,8 +38,6 @@ from tests.conftest import make_hot_batch
 FLIPPED_BITS = [
     ("entropy", 178),  # KeyError('dtype'): the flip renames a header key
     ("vector_lz", 888),  # KeyError('offset_width')
-    ("zfp_like", 564),  # KeyError('n_blocks')
-    ("zfp_like", 211),  # AssertionError: decoded shape (64, 32, 4) != (64, 32)
     ("vector_lz", 396),  # MemoryError: a flipped shape field asked for 17.6 TB of flag bits
 ]
 
@@ -429,7 +434,7 @@ class TestBodyLengthRaisesCorruptPayloadError:
     ``ValueError``; the body length is now checked against the header's
     shape first, naming the codec and both sizes."""
 
-    @pytest.mark.parametrize("name", ["count_sum", "fp16", "fp8", "lz4_like", "zfp_like"])
+    @pytest.mark.parametrize("name", ["count_sum", "fp16", "fp8", "lz4_like"])
     @pytest.mark.parametrize("change", ["truncate", "extend"])
     def test_one_byte_off(self, name, change):
         payload = _census_payload(name)
@@ -490,8 +495,6 @@ class TestCountsAndWidthsRaiseCorruptPayloadError:
                 r"^fzgpu_like: 1000000 blocks of .* do not fit 256 packed bytes",
             ),
             ("fzgpu_like", {"body_cut": 1}, r"^fzgpu_like: .* plane bytes cannot hold"),
-            ("zfp_like", {"n_blocks": 513}, r"^zfp_like: 2052 values cannot fill shape"),
-            ("zfp_like", {"pad": 4}, r"^zfp_like: pad 4 is outside \[0, 4\)"),
         ],
         ids=[
             "entropy-chunk-counts",
@@ -499,8 +502,6 @@ class TestCountsAndWidthsRaiseCorruptPayloadError:
             "fzgpu-n-values",
             "fzgpu-blocks-per-plane",
             "fzgpu-plane-bytes",
-            "zfp-n-blocks",
-            "zfp-pad",
         ],
     )
     def test_header_count(self, name, change, match):
@@ -731,6 +732,75 @@ class TestHostileHuffman:
             decompress_any(_reframe(payload, shape=(1 << 40, 6)))
         with pytest.raises(CorruptPayloadError, match="code_min .* is not an int64"):
             decompress_any(_reframe(payload, code_min=-(1 << 64)))
+
+
+#: every registered codec that takes an error bound
+ERROR_BOUNDED = [name for name in available_compressors() if get_compressor(name).error_bounded]
+BAD_BOUNDS = [np.inf, np.nan, -0.01, 0.0]
+
+
+def _unit_normal_batch() -> np.ndarray:
+    return np.random.default_rng(7).normal(size=(8, 4)).astype(np.float32)
+
+
+class TestErrorBoundsAreFiniteAndPositive:
+    """An infinite bound once encoded (every value to bin 0, decoded as
+    NaN), and a frame whose bound header says inf, NaN, a negative or zero
+    decoded without error to inf, NaN or values up to 4.6 off.  Both sides
+    now require a bound that is finite and > 0."""
+
+    @pytest.mark.parametrize("bound", BAD_BOUNDS)
+    @pytest.mark.parametrize("name", ERROR_BOUNDED)
+    def test_encoder_rejects_the_bound(self, name, bound):
+        with pytest.raises(ValueError, match=rf"^{name}: requires a finite, positive error_bound"):
+            get_compressor(name).compress(_unit_normal_batch(), bound)
+
+    @pytest.mark.parametrize("bound", BAD_BOUNDS)
+    @pytest.mark.parametrize("name", ERROR_BOUNDED)
+    def test_decoder_rejects_the_header_bound(self, name, bound):
+        payload = get_compressor(name).compress(_unit_normal_batch(), 1e-2)
+        header, _ = parse_payload(payload)
+        field = "scale" if header["codec"] == "quant_sum" else "eb"
+        with pytest.raises(CorruptPayloadError, match="is not finite and > 0"):
+            decompress_any(_reframe(payload, **{field: bound}))
+
+
+class TestAggSumOperandsAreFrames:
+    """A ``quant_sum`` leaf re-framed with ``terms = -5`` once aggregated
+    into a payload claiming ``terms = -4`` (a negative composed bound), and
+    an operand with a 3-D header shape aggregated although
+    ``decompress_any`` rejects that frame.  Each operand's layout and leaf
+    count are now read as a frame's; a mismatch between two well-formed
+    operands stays the caller's misuse."""
+
+    CORRUPT = {
+        "terms-negative": {"terms": -5},
+        "terms-zero": {"terms": 0},
+        "terms-fraction": {"terms": 2.5},
+        "terms-past-max": {"terms": MAX_TERMS + 1},
+        "shape-3d": {"shape": (2, 4, 4)},
+    }
+
+    @pytest.mark.parametrize("change", sorted(CORRUPT))
+    @pytest.mark.parametrize("name", homomorphic_codecs())
+    def test_a_corrupt_operand_raises_corrupt_payload_error(self, name, change):
+        leaf = get_compressor(name).compress(_unit_normal_batch(), 1e-2 if name == "quant_sum" else None)
+        bad = _reframe(leaf, **self.CORRUPT[change])
+        for pair in ((leaf, bad), (bad, leaf)):
+            with pytest.raises(CorruptPayloadError, match=rf"^{name}: "):
+                agg_sum(*pair)
+
+    @pytest.mark.parametrize("name", homomorphic_codecs())
+    def test_well_formed_operands_that_do_not_add_up_are_misuse(self, name):
+        codec = get_compressor(name)
+        bound = 1e-2 if name == "quant_sum" else None
+        leaf = codec.compress(_unit_normal_batch(), bound)
+        wide = codec.compress(np.zeros((8, 5), np.float32), bound)
+        heavy = _reframe(leaf, terms=MAX_TERMS // 2 + 1)
+        for pair, match in (((leaf, wide), "shapes differ"), ((heavy, heavy), "exceeds MAX_TERMS")):
+            with pytest.raises(ValueError, match=match) as raised:
+                agg_sum(*pair)
+            assert type(raised.value) is ValueError
 
 
 if __name__ == "__main__":

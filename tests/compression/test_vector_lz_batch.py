@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.compression import vector_lz
 from repro.compression.base import MAGIC, frame_payload, parse_payload
 from repro.compression.bitstream import (
-    pack_fixed,
     pack_fixed_segments,
     unpack_fixed,
     unpack_fixed_segments,
@@ -33,7 +32,7 @@ from repro.compression.vector_lz import (
     vector_lz_encode,
     vector_lz_encode_stack,
 )
-from tests.compression.reference_codecs import reference_vector_lz_encode
+from tests.compression.reference_codecs import pack_fixed, reference_vector_lz_encode
 
 
 def _reference_compress(array: np.ndarray, error_bound: float, window: int) -> bytes:

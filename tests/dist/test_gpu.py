@@ -59,6 +59,15 @@ class TestKernelPricing:
         with pytest.raises(ValueError):
             A100_LIKE.throughput_kernel_time(MB, 0.0)
 
+    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf")])
+    def test_non_finite_bytes_rejected_not_priced(self, nbytes):
+        with pytest.raises(ValueError, match="nbytes must be finite and >= 0"):
+            A100_LIKE.throughput_kernel_time(nbytes, 1e9)
+        with pytest.raises(ValueError, match="nbytes must be finite and >= 0"):
+            A100_LIKE.memcpy_time(nbytes)
+        with pytest.raises(ValueError, match="nbytes must be finite and >= 0"):
+            A100_LIKE.utilization(nbytes)
+
     def test_memcpy_linear_no_launch(self):
         gpu = A100_LIKE
         assert gpu.memcpy_time(0) == 0.0

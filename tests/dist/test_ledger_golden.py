@@ -20,7 +20,7 @@ all-to-all must keep its times when its bookkeeping changes.
 Six event digests were re-recorded once more when ``ClusterSimulator``
 began recording every dependency as a release edge (lane tails, see
 ``repro.dist.simulator``); their ``TIMING_GOLDEN`` entries did not move,
-and :func:`test_identity_reschedule_reproduces_makespan` pins that the
+and :func:`test_identity_speedup_if_reproduces_makespan` pins that the
 recorded edges explain every start.
 
 Run ``python tests/dist/test_ledger_golden.py`` to print the digests of
@@ -453,11 +453,12 @@ def test_schedule_matches_timing_digest(name):
 
 
 @pytest.mark.parametrize("name", sorted(WORLDS))
-def test_identity_reschedule_reproduces_makespan(name):
+def test_identity_speedup_if_reproduces_makespan(name):
     """Recorded edges explain every start, and a fault delay is a floor:
-    re-scheduling the unscaled DAG lands on the makespan exactly."""
+    re-timing the DAG with nothing sped up lands on the makespan exactly."""
     sim = WORLDS[name]()
-    assert TimelineDag.from_timeline(sim.timeline).reschedule(lambda e: 1.0) == sim.makespan()
+    estimate = TimelineDag.from_timeline(sim.timeline).speedup_if(EventCategory.COMPRESS, 1.0)
+    assert estimate.predicted_makespan == sim.makespan()
 
 
 def test_fault_world_actually_bites():

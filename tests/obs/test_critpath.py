@@ -7,7 +7,7 @@ The two acceptance properties of ``repro.obs.critpath``:
   ``attribution_exact()`` (done in :class:`fractions.Fraction`) sums to
   ``Fraction(makespan)`` identically — no float luck.
 * **Exactness** — the simulator records every dependency it creates, so
-  on any fault-free program ``reschedule(lambda e: 1.0)`` reproduces the
+  on any fault-free program ``speedup_if(category, 1.0)`` reproduces the
   makespan exactly, and ``speedup_if(category, factor)`` equals actually
   re-running the program with that category's seconds scaled (to float
   rounding: the DAG multiplies by ``1/factor`` where the re-run divides).
@@ -255,7 +255,6 @@ class TestSpeedupIf:
         sim = _run(NetworkModel(bandwidth=5e9, latency=1e-6),
                    compress, decompress, sizes, 3)
         dag = TimelineDag.from_timeline(sim.timeline)
-        assert dag.reschedule(lambda e: 1.0) == sim.makespan()
         estimate = dag.speedup_if(EventCategory.COMPRESS, 1.0)
         assert estimate.predicted_makespan == sim.makespan()
         assert estimate.speedup == 1.0
@@ -276,13 +275,6 @@ class TestSpeedupIf:
         for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 dag.speedup_if(EventCategory.COMPRESS, bad)
-
-    def test_invalid_scale_rejected(self):
-        tl = Timeline()
-        tl.record(0, EventCategory.COMPRESS, 0.0, 1.0)
-        dag = TimelineDag.from_timeline(tl)
-        with pytest.raises(ValueError):
-            dag.reschedule(lambda e: -0.5)
 
 
 class TestRendering:
@@ -472,7 +464,7 @@ class TestExactness:
         program = _program(ops, n, seed)
         sim = _execute(program, network, n)
         dag = TimelineDag.from_timeline(sim.timeline)
-        assert dag.reschedule(lambda e: 1.0) == sim.makespan()
+        assert dag.speedup_if(category, 1.0).predicted_makespan == sim.makespan()
         predicted = dag.speedup_if(category, factor).predicted_makespan
         rerun = _execute(program, network, n, {category: factor}).makespan()
         assert predicted == pytest.approx(rerun, rel=1e-9)
@@ -486,7 +478,7 @@ class TestExactness:
             sim.compute([seconds] * 3, "compute")
         dag = TimelineDag.from_timeline(sim.timeline)
         assert sim.makespan() == 10.0
-        assert dag.reschedule(lambda e: 1.0) == 10.0
+        assert dag.speedup_if(EventCategory.ALLTOALL_BWD, 1.0).predicted_makespan == 10.0
         assert dag.speedup_if(EventCategory.ALLTOALL_BWD, 2.0).predicted_makespan == 5.0
 
     def test_request_keeps_its_arrival_floor(self):

@@ -3,7 +3,7 @@
 ``tests/obs/reference_critpath.py`` is the object-per-event ``TimelineDag``
 the columns replaced, copied verbatim.  Every ledger below must give
 ``==`` results on both — ``CriticalPathResult`` (steps, floats and all)
-and every rescheduled makespan — so the rewrite cannot move a report, a
+and every what-if makespan — so the rewrite cannot move a report, a
 highlight lane or a what-if by one ulp:
 
 * simulator ledgers: flat / hierarchical / oversubscribed fabrics x 1-8
@@ -37,6 +37,7 @@ from tests.obs.test_critpath import fabric_and_ranks
 from tests.serve.test_serving_sim import build_tier
 
 WHAT_IFS = [
+    (EventCategory.COMPRESS, 1.0),  # the identity: nothing sped up
     (EventCategory.COMPRESS, 2.0),
     (EventCategory.ALLTOALL_FWD, 2.0),
     (EventCategory.DECOMPRESS, 0.5),
@@ -56,13 +57,9 @@ def assert_same_analysis(timeline: Timeline, what_ifs=WHAT_IFS) -> None:
         assert step.event_index is None or type(step.event_index) is int
     dag = TimelineDag.from_timeline(timeline)
     oracle = reference.TimelineDag.from_timeline(timeline)
-    assert len(dag) == len(oracle)
     assert dag.makespan == oracle.makespan
     for category, factor in what_ifs:
         assert dag.speedup_if(category, factor) == oracle.speedup_if(category, factor)
-    by_rank = lambda event: 0.25 + 0.5 * (event.rank % 3)  # noqa: E731
-    assert dag.reschedule(by_rank) == oracle.reschedule(by_rank)
-    assert dag.reschedule(lambda event: 1.0) == oracle.reschedule(lambda event: 1.0)
     for index, node in oracle._nodes.items():
         assert dag.release_edges(index) == node.explicit
 

@@ -75,12 +75,7 @@ KEEP_FUNCTIONS: dict[str, str] = {
         "error factory: reached only on a header without a field"
     ),
     "repro.obs.schema:_fail": "error factory: reached only on an invalid snapshot",
-    "repro.compression.metrics:evaluate_codec": "MEMBER_ALLOWLIST: the capacity planner's codec axis",
     "repro.compression.registry:register_compressor": "MEMBER_ALLOWLIST: the registry's extension point",
-    "repro.obs.critpath:TimelineDag.reschedule": "MEMBER_ALLOWLIST: the capacity planner's what-if pricing",
-    "repro.compression.metrics:CodecEvaluation.compress_throughput": "read of evaluate_codec's result",
-    "repro.compression.metrics:CodecEvaluation.decompress_throughput": "read of evaluate_codec's result",
-    "repro.obs.critpath:TimelineDag.__len__": "rides on TimelineDag.reschedule",
     "repro.profiling.perfbench:append_run": "the --append writer, run by hand",
     "repro.obs.report:_archived_critical_path_summary": "the report CLI without --trace",
     "repro.obs:__dir__": "module introspection of the lazy exports",

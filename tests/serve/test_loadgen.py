@@ -81,3 +81,8 @@ class TestValidation:
     def test_positive_count_required(self, dataset):
         with pytest.raises(ValueError):
             RequestLoadGenerator(dataset, qps=10.0).generate(0)
+
+    @pytest.mark.parametrize("n_requests", [2.7, float("nan"), float("inf")])
+    def test_fractional_count_rejected_not_truncated(self, dataset, n_requests):
+        with pytest.raises(ValueError, match="n_requests must be an integer >= 1"):
+            RequestLoadGenerator(dataset, qps=100.0).generate(n_requests)

@@ -256,6 +256,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="cannot populate"):
             build_serving_tier(trainer, N_TABLES + 1, 1, cache_rows=0)
 
+    @pytest.mark.parametrize(
+        "n_shard_ranks, n_replicas, match",
+        [(2.5, 1, "n_shard_ranks"), (2, 1.5, "n_replicas"), (float("nan"), 1, "n_shard_ranks")],
+    )
+    def test_fractional_counts_rejected_not_truncated(
+        self, trainer, n_shard_ranks, n_replicas, match
+    ):
+        with pytest.raises(ValueError, match=rf"{match} must be an integer >= 1"):
+            build_serving_tier(trainer, n_shard_ranks, n_replicas, cache_rows=0)
+
     def test_sharding_required_without_replicas(self, trainer):
         tier = build_serving_tier(trainer, 2, 1, cache_rows=0)
         with pytest.raises(ValueError, match="sharding"):

@@ -134,3 +134,9 @@ class TestValidation:
         _, servers, sharding = make_tier()
         with pytest.raises(ValueError, match="cache_rows"):
             InferenceReplica(0, servers, sharding, cache_rows=-1)
+
+    @pytest.mark.parametrize("cache_rows", [float("nan"), 2.5, float("inf")])
+    def test_non_integer_cache_rejected(self, cache_rows):
+        _, servers, sharding = make_tier()
+        with pytest.raises(ValueError, match="cache_rows must be an integer >= 0"):
+            InferenceReplica(0, servers, sharding, cache_rows=cache_rows)

@@ -267,6 +267,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least one table"):
             EmbeddingShardServer({})
 
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError, match="error_bound"):
-            EmbeddingShardServer({0: make_table()}, error_bounds=-1.0)
+    @pytest.mark.parametrize("bound", [-1.0, float("nan")])
+    def test_negative_or_nan_bound_rejected(self, bound):
+        """A NaN bound once failed ``bound > 0`` and built a lossless shard
+        that reported ``error_bound = nan``."""
+        with pytest.raises(ValueError, match="error_bound must be finite and >= 0"):
+            EmbeddingShardServer({0: make_table()}, error_bounds=bound)
+
+    @pytest.mark.parametrize("rows_per_block", [2.5, 0, float("nan")])
+    def test_block_rows_must_be_a_whole_count(self, rows_per_block):
+        with pytest.raises(ValueError, match="rows_per_block must be an integer >= 1"):
+            EmbeddingShardServer({0: make_table()}, rows_per_block=rows_per_block)

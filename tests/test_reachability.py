@@ -69,12 +69,6 @@ MEMBER_ALLOWLIST: dict[str, str] = {
     "repro.compression.registry:register_compressor": (
         "the registry's extension point: tests register fake codecs through it"
     ),
-    "repro.compression.metrics:evaluate_codec": (
-        "the capacity planner (ROADMAP direction 2(b)) measures its codec-throughput axis with it"
-    ),
-    "repro.obs.critpath:TimelineDag.reschedule": (
-        "the capacity planner (ROADMAP direction 2(b)) prices its what-if points with it"
-    ),
 }
 
 #: unpassed parameter (``module:Qualified.name(parameter)``) -> why it stays
@@ -103,10 +97,6 @@ PARAMETER_ALLOWLIST: dict[str, str] = {
     "repro.train.pipeline:CompressionPipeline(compress_backward)": (
         "ROADMAP direction 5's switch for compressing the backward exchange;"
         " test_exchange_golden.py pins both exchanges' digests"
-    ),
-    "repro.compression.metrics:evaluate_codec(error_bound)": (
-        "rides on evaluate_codec's MEMBER_ALLOWLIST entry: the capacity planner"
-        " measures codecs at its own bounds"
     ),
     "repro.train.hybrid:HybridParallelTrainer(sharding)": (
         "tests inject a table placement (round_robin_plan) to pin exchanges"

@@ -69,7 +69,7 @@ import pytest
 
 from repro.adaptive import AdaptiveController, OfflineAnalyzer, StepwiseDecay
 from repro.data import CRITEO_KAGGLE, SyntheticClickDataset, scaled_spec
-from repro.dist import ClusterSimulator
+from repro.dist import ClusterSimulator, EventCategory
 from repro.model import DLRM, DLRMConfig
 from repro.obs.critpath import TimelineDag
 from repro.obs.runtime import capture
@@ -192,12 +192,13 @@ def test_exchange_reproduces_golden(compress_backward, overlap):
 
 
 @pytest.mark.parametrize("compress_backward, overlap", CASES)
-def test_identity_reschedule_reproduces_makespan(compress_backward, overlap):
+def test_identity_speedup_if_reproduces_makespan(compress_backward, overlap):
     """Every dependency of a trainer step is a recorded edge: equal-cost
-    per-rank kernels are not read as collectives, and the unscaled DAG
-    re-schedules to the makespan exactly."""
+    per-rank kernels are not read as collectives, and the DAG re-timed
+    with nothing sped up lands on the makespan exactly."""
     sim = _train(compress_backward, overlap)[0].simulator
-    assert TimelineDag.from_timeline(sim.timeline).reschedule(lambda e: 1.0) == sim.makespan()
+    estimate = TimelineDag.from_timeline(sim.timeline).speedup_if(EventCategory.COMPRESS, 1.0)
+    assert estimate.predicted_makespan == sim.makespan()
 
 
 if __name__ == "__main__":
