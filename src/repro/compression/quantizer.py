@@ -27,6 +27,7 @@ from repro.compression.serialization import CorruptPayloadError
 __all__ = [
     "quantize",
     "dequantize",
+    "check_error_bound",
     "QuantizedBatch",
     "quantize_batch",
     "DEFAULT_MAX_ALPHABET",
@@ -62,6 +63,13 @@ def quantize(array: np.ndarray, error_bound: float) -> np.ndarray:
     return scaled.astype(np.int64)
 
 
+def check_error_bound(error_bound: object) -> None:
+    """Raise ``CorruptPayloadError`` unless ``error_bound``, read from a
+    frame header, is a finite number > 0 (no encoder writes another)."""
+    if not (isinstance(error_bound, (int, float)) and 0.0 < error_bound < math.inf):
+        raise CorruptPayloadError(f"error bound {error_bound!r} is not finite and > 0")
+
+
 def dequantize(codes: np.ndarray, error_bound, dtype: np.dtype) -> np.ndarray:
     """Invert :func:`quantize`: bin centres ``2 * error_bound * codes``,
     computed in float64 and cast to ``dtype``.  ``error_bound`` may be an
@@ -70,11 +78,9 @@ def dequantize(codes: np.ndarray, error_bound, dtype: np.dtype) -> np.ndarray:
     The bound is read from a frame header, so one that is not finite and
     > 0 (no encoder writes it) raises ``CorruptPayloadError``.
     """
-    if isinstance(error_bound, np.ndarray):
-        valid = bool(((error_bound > 0.0) & (error_bound < math.inf)).all())
-    else:
-        valid = isinstance(error_bound, (int, float)) and 0.0 < error_bound < math.inf
-    if not valid:
+    if not isinstance(error_bound, np.ndarray):
+        check_error_bound(error_bound)
+    elif not bool(((error_bound > 0.0) & (error_bound < math.inf)).all()):
         raise CorruptPayloadError(f"error bound {error_bound!r} is not finite and > 0")
     return (codes.astype(np.float64) * (2.0 * error_bound)).astype(dtype)
 

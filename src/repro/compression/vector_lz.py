@@ -39,7 +39,7 @@ from repro.compression.bitstream import (
     pack_fixed_segments,
     unpack_fixed_segments,
 )
-from repro.compression.quantizer import dequantize, quantize
+from repro.compression.quantizer import check_error_bound, dequantize, quantize
 from repro.compression.serialization import CorruptPayloadError, unpack_meta
 
 __all__ = [
@@ -370,14 +370,26 @@ def _reference_vector_lz_decode(encoded: VectorLZEncoded) -> np.ndarray:
     return out
 
 
+#: the header fields a frame's layout is computed from
+_INT_FIELDS = (
+    "code_min", "n_matches", "offset_width", "literal_width", "flags_len", "offsets_len", "window",
+)
+
+
 def _parsed_stream(header: dict[str, Any], body: memoryview, n: int, d: int) -> VectorLZEncoded:
     """The three sections of one parsed vector-LZ frame, as views of ``body``.
 
     Every decode path reads a frame through here, so this is where a frame
     whose header the bytes cannot back is rejected, before anything
-    unpacks: the match count must lie in ``[0, n]``, both widths in
-    ``[1, 57]``, ``code_min`` an int64, and the offset and literal
-    sections must hold the bits the header declares for them."""
+    unpacks: every count, width and length field must be an ``int``
+    (not a ``bool``), ``eb`` finite and > 0, the match count in ``[0, n]``,
+    both widths in ``[1, 57]``, ``code_min`` an int64, and the offset and
+    literal sections must hold the bits the header declares for them."""
+    for key in _INT_FIELDS:
+        value = header.get(key)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise CorruptPayloadError(f"corrupt vector-LZ stream: {key} {value!r} is not an int")
+    check_error_bound(header.get("eb"))
     flags_len, offsets_len = header["flags_len"], header["offsets_len"]
     if flags_len < 0 or offsets_len < 0 or flags_len + offsets_len > len(body):
         raise CorruptPayloadError(

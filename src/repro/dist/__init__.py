@@ -28,7 +28,6 @@ from repro.dist.timeline import (
     COMPUTE_STREAM,
     EventCategory,
     Timeline,
-    TimelineEvent,
 )
 
 __all__ = [
@@ -46,6 +45,5 @@ __all__ = [
     "LinkSpec",
     "NetworkModel",
     "Timeline",
-    "TimelineEvent",
     "Topology",
 ]

@@ -1,12 +1,13 @@
 """Per-rank event timeline: what every simulated GPU did, and when.
 
 :class:`Timeline` is the ledger behind every breakdown figure (Figs. 1 and
-12): each simulated operation appends a :class:`TimelineEvent` tagged with
-its rank, an :class:`EventCategory`, the *stream* it ran on (``compute``
-for device kernels, ``comm`` for wire occupancy — per-rank streams are how
-the simulator models compression overlapping the exchange), a start time,
-and a duration.  The profiling layer aggregates these into
-category->seconds mappings and overlap-efficiency reports.
+12): each simulated operation appends one entry — its rank, an
+:class:`EventCategory`, the *stream* it ran on (``compute`` for device
+kernels, ``comm`` for wire occupancy — per-rank streams are how the
+simulator models compression overlapping the exchange), a start time, a
+duration, optional args and the release edges that name what it waited
+on.  The profiling layer aggregates these into category->seconds mappings
+and overlap-efficiency reports.
 
 :class:`EventCategory` enumerates the 15 stages of one hybrid-parallel
 DLRM iteration, in execution order — the forward pass, the 4-stage
@@ -22,13 +23,16 @@ digests hash the order.  :meth:`Timeline.record_batch` appends many
 events in one validated call in exactly the order it is given (the
 communicator's chunk pipeline appends each stage rank-major).
 
-The ledger is stored as columns, not as one object per event: each
-batch keeps the rank / start / duration arrays it was validated as, its
+The ledger is stored as columns, and that is its one form: each batch
+keeps the rank / start / duration arrays it was validated as, its
 category and stream once, one args snapshot per distinct mapping and its
-edge tuples.  The simulator and the critical-path analysis read those
-columns (``len``, :meth:`Timeline.lane`, :meth:`Timeline.columns`);
-:attr:`Timeline.events` materialises :class:`TimelineEvent` objects only
-for a reader that asks for them.
+edge tuples.  Every reader reads those columns (``len``,
+:meth:`Timeline.lane`, :meth:`Timeline.columns`, :meth:`Timeline.args`),
+and every entry was validated on the way in (:meth:`Timeline.record`,
+:meth:`Timeline.record_batch`): its times are finite and its release
+edges name earlier entries.  :attr:`Timeline.events` builds
+:class:`TimelineEvent` objects afresh on each read and is kept only for
+readers outside the library that count them.
 
 Timelines also carry *counter samples* (:class:`CounterSample`) — named
 scalar tracks such as queue depth or bytes on wire — which export as
@@ -43,9 +47,9 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,7 +126,8 @@ MAX_SECONDS = sys.float_info.max / 1e6
 
 @dataclass(frozen=True, eq=True)
 class TimelineEvent:
-    """One simulated operation on one rank's clock.
+    """One simulated operation on one rank's clock, as
+    :attr:`Timeline.events` builds it from the ledger's columns.
 
     ``args`` carries optional structured labels (e.g. ``{"exchange": 3,
     "chunk": 1, "chunks": 8}`` for one chunk of a pipelined exchange);
@@ -241,24 +246,10 @@ class _Part:
     args: list[Mapping[str, object] | None]
     release_edges: list[tuple[int, ...] | None]
 
-    def events(self, first: int) -> Iterator[TimelineEvent]:
-        """This part's events from its position ``first`` on, each with
-        its own copy of its args snapshot."""
-        rank, start, duration = (
-            c[first:].tolist() if isinstance(c, np.ndarray) else c[first:]
-            for c in (self.rank, self.start, self.duration)
-        )
-        n = len(rank)
-        return map(
-            TimelineEvent,
-            rank,
-            repeat(self.category, n),
-            start,
-            duration,
-            repeat(self.stream, n),
-            (None if a is None else dict(a) for a in self.args[first:]),
-            self.release_edges[first:],
-        )
+
+def _as_list(column: np.ndarray | list) -> list:
+    """A part's column as a list of Python scalars."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 class Timeline:
@@ -266,16 +257,15 @@ class Timeline:
 
     The ledger is held as columns: one part per :meth:`record_batch`
     call, keeping the arrays it validated, and one per run of consecutive
-    :meth:`record` calls on one category and stream.  ``len``,
-    :meth:`lane` and :meth:`columns` read the parts; :attr:`events`
-    builds :class:`TimelineEvent` objects only when it is read.
+    :meth:`record` calls on one category and stream.  Every query reads
+    the parts; :attr:`events` builds :class:`TimelineEvent` objects from
+    them on each read.
     """
 
     def __init__(self) -> None:
         self._parts: list[_Part] = []
         self._firsts: list[int] = []  # ledger index of each part's first event
         self._count = 0
-        self._events: list[TimelineEvent] = []  # the materialised prefix
         self.counters: list[CounterSample] = []
         #: all-to-all exchanges recorded so far: the next one's ``exchange`` id
         self.exchanges = 0
@@ -285,45 +275,19 @@ class Timeline:
 
     @property
     def events(self) -> list[TimelineEvent]:
-        """Every event in recording order; a ledger index is a position
-        in this list.  Built on first read and extended by later reads
-        with what was recorded since, so treat it as read-only."""
-        done = len(self._events)
-        if done < self._count:
-            at = bisect_right(self._firsts, done) - 1
-            for part, first in zip(self._parts[at:], self._firsts[at:]):
-                self._events.extend(part.events(max(done - first, 0)))
-        return self._events
-
-    @classmethod
-    def from_events(cls, events: Iterable[TimelineEvent]) -> "Timeline":
-        """A ledger holding ``events`` exactly as given, unvalidated: a
-        window of another ledger (whose release edges name indices of the
-        whole), or a hand-assembled one."""
-        timeline = cls()
-        timeline._events = list(events)
-        for event in timeline._events:
-            timeline._append(event)
-        return timeline
-
-    def _append(self, event: TimelineEvent) -> None:
-        """Append one event's fields to the open run of single records."""
-        part = self._parts[-1] if self._parts else None
-        if (
-            part is None
-            or type(part.rank) is not list
-            or part.category is not event.category
-            or part.stream is not event.stream
-        ):
-            part = _Part([], [], [], event.category, event.stream, [], [])
-            self._parts.append(part)
-            self._firsts.append(self._count)
-        part.rank.append(event.rank)
-        part.start.append(event.start)
-        part.duration.append(event.duration)
-        part.args.append(event.args)
-        part.release_edges.append(event.release_edges)
-        self._count += 1
+        """Every event in recording order, built from the columns afresh
+        on each read (nothing is cached); a ledger index is a position in
+        this list.  It stays only for the benchmark workloads that count
+        it (``len(timeline)`` is the same number); read ``len``,
+        :meth:`columns` and :meth:`args` instead."""
+        args = iter(self.args())
+        return [
+            TimelineEvent(rank, part.category, start, duration, part.stream, next(args), edges)
+            for part in self._parts
+            for rank, start, duration, edges in zip(
+                *map(_as_list, (part.rank, part.start, part.duration)), part.release_edges
+            )
+        ]
 
     def lane(self, index: int) -> tuple[int, str]:
         """The ``(rank, stream)`` of the event at ledger ``index``."""
@@ -334,8 +298,7 @@ class Timeline:
         return int(part.rank[index - self._firsts[at]]), part.stream
 
     def columns(self) -> LedgerColumns:
-        """The ledger as :class:`LedgerColumns`, built from the parts
-        without materialising an event."""
+        """The ledger as :class:`LedgerColumns`, built from the parts."""
         parts = self._parts
         if not parts:
             empty = np.zeros(0, dtype=np.int64)
@@ -356,6 +319,12 @@ class Timeline:
             release_edges=list(chain.from_iterable(part.release_edges for part in parts)),
         )
 
+    def args(self) -> list[dict[str, object] | None]:
+        """Each event's args in ledger order: its own copy of the snapshot
+        it was recorded with, or ``None``.  A read of its own, apart from
+        :meth:`columns`, so the critical path never pays for the copies."""
+        return [None if a is None else dict(a) for part in self._parts for a in part.args]
+
     def record(
         self,
         rank: int,
@@ -365,8 +334,8 @@ class Timeline:
         stream: str = COMPUTE_STREAM,
         args: Mapping[str, object] | None = None,
         release_edges: Sequence[int] | None = None,
-    ) -> TimelineEvent:
-        """Append one event and return it.
+    ) -> None:
+        """Append one event.
 
         ``start`` and ``duration`` must be finite and ``>= 0`` (a NaN or
         infinite time would silently poison every critical-path walk).  ``release_edges`` must name already-recorded
@@ -374,17 +343,24 @@ class Timeline:
         dependency edges only ever point backwards.  ``args`` is copied.
         """
         _check_event(rank, start, duration)
-        event = TimelineEvent(
-            rank=int(rank),
-            category=category,
-            start=float(start),
-            duration=float(duration),
-            stream=str(stream),
-            args=dict(args) if args else None,
-            release_edges=_checked_edges(release_edges, self._count),
-        )
-        self._append(event)
-        return event
+        edges = _checked_edges(release_edges, self._count)
+        stream = str(stream)
+        part = self._parts[-1] if self._parts else None
+        if (
+            part is None
+            or type(part.rank) is not list
+            or part.category is not category
+            or part.stream is not stream
+        ):
+            part = _Part([], [], [], category, stream, [], [])
+            self._parts.append(part)
+            self._firsts.append(self._count)
+        part.rank.append(int(rank))
+        part.start.append(float(start))
+        part.duration.append(float(duration))
+        part.args.append(dict(args) if args else None)
+        part.release_edges.append(edges)
+        self._count += 1
 
     def record_batch(
         self,
@@ -465,29 +441,27 @@ class Timeline:
 
     # ------------------------------------------------------------- queries
 
-    def events_for_rank(self, rank: int) -> list[TimelineEvent]:
-        return [e for e in self.events if e.rank == rank]
-
-    def ranks(self) -> list[int]:
-        return sorted({e.rank for e in self.events})
-
-    def streams(self) -> list[str]:
-        """Stream names present in the ledger, compute lane first."""
-        return sorted({e.stream for e in self.events}, key=lambda s: (s != COMPUTE_STREAM, s))
-
     def total_by_category(self, rank: int | None = None) -> dict[str, float]:
         """Category -> total seconds, for one rank or summed over all.
 
         Annotation spans on :data:`OBS_STREAM` cover work already recorded
-        on the real streams, so they are excluded here.
+        on the real streams, so they are excluded here.  Seconds are added
+        one at a time in ledger order, and each key is the category object
+        of its first counted event.
         """
         totals: dict[str, float] = {}
-        for e in self.events:
-            if rank is not None and e.rank != rank:
+        for part in self._parts:
+            if part.stream == OBS_STREAM:
                 continue
-            if e.stream == OBS_STREAM:
-                continue
-            totals[e.category] = totals.get(e.category, 0.0) + e.duration
+            durations = part.duration
+            if rank is not None:
+                durations = np.asarray(durations)[np.asarray(part.rank) == rank]
+                if not len(durations):
+                    continue
+            total = totals.get(part.category, 0.0)
+            for seconds in _as_list(durations):  # not sum(): 3.12 compensates it
+                total += seconds
+            totals[part.category] = total
         return totals
 
     # ------------------------------------------------------------- export
@@ -504,15 +478,12 @@ class Timeline:
         written out as JSON, directly in ``chrome://tracing`` or
         https://ui.perfetto.dev.
         """
-        streams = self.streams()
+        columns = self.columns()
+        # Lanes are numbered rank-major, compute stream first.
+        streams = sorted(columns.streams, key=lambda s: (s != COMPUTE_STREAM, s))
         n_streams = max(1, len(streams))
-        stream_index = {stream: i for i, stream in enumerate(streams)}
-
-        def lane(rank: int, stream: str) -> int:
-            if n_streams == 1:
-                return rank
-            return rank * n_streams + stream_index[stream]
-
+        position = np.array([streams.index(s) for s in columns.streams], dtype=np.int64)
+        tids = columns.rank * n_streams + position[columns.stream]
         trace_events: list[dict] = [
             {
                 "name": "process_name",
@@ -522,43 +493,42 @@ class Timeline:
                 "args": {"name": process_name},
             }
         ]
-        streams_by_rank: dict[int, set[str]] = {}
-        for e in self.events:
-            streams_by_rank.setdefault(e.rank, set()).add(e.stream)
-        for rank in self.ranks():
-            for stream in streams:
-                if stream not in streams_by_rank[rank]:
-                    continue
-                label = f"rank {rank}" if n_streams == 1 else f"rank {rank} [{stream}]"
-                trace_events.append(
-                    {
-                        "name": "thread_name",
-                        "ph": "M",
-                        "pid": 0,
-                        "tid": lane(rank, stream),
-                        "args": {"name": label},
-                    }
-                )
-        for e in self.events:
+        for tid in np.unique(tids).tolist():
+            rank, stream = divmod(tid, n_streams)
+            label = f"rank {rank}" if n_streams == 1 else f"rank {rank} [{streams[stream]}]"
+            trace_events.append(
+                {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid, "args": {"name": label}}
+            )
+        names = [str(category) for category in columns.categories]
+        for rank, category, stream, start, duration, tid, edges, args in zip(
+            columns.rank.tolist(),
+            columns.category.tolist(),
+            columns.stream.tolist(),
+            columns.start.tolist(),
+            columns.duration.tolist(),
+            tids.tolist(),
+            columns.release_edges,
+            self.args(),
+        ):
             entry = {
-                "name": str(e.category),
+                "name": names[category],
                 "cat": "sim",
                 "ph": "X",
                 "pid": 0,
-                "tid": lane(e.rank, e.stream),
-                "ts": e.start * 1e6,
-                "dur": e.duration * 1e6,
+                "tid": tid,
+                "ts": start * 1e6,
+                "dur": duration * 1e6,
                 # Non-standard members (viewers ignore them): the exact
                 # (rank, stream) identity and the dependency edges, so
                 # `from_chrome_trace` round-trips the ledger without
                 # parsing lane labels.
-                "rank": e.rank,
-                "stream": e.stream,
+                "rank": rank,
+                "stream": columns.streams[stream],
             }
-            if e.release_edges is not None:
-                entry["release_edges"] = list(e.release_edges)
-            if e.args:
-                entry["args"] = dict(e.args)
+            if edges is not None:
+                entry["release_edges"] = list(edges)
+            if args is not None:
+                entry["args"] = args
             trace_events.append(entry)
         for sample in self.counters:
             trace_events.append(

@@ -36,12 +36,14 @@ taken straight from the ledger's columns (:meth:`Timeline.columns`:
 ``start``, ``duration``, rank, stream and category codes, release edges)
 plus ``end = start + duration`` and the analysed-event mask (annotation
 spans on ``OBS_STREAM`` cover work already recorded and are not nodes);
-no :class:`~repro.dist.timeline.TimelineEvent` is built, and the DAG keeps
-nothing of the timeline but those columns.  Built eagerly: every event's
-same-lane predecessor, from one ``(lane, start, index)`` sort.  Release
-edges are *not* resolved up front: the walk filters them for the few
-dozen events it visits (:meth:`TimelineDag.release_edges`), so an
-extraction costs little more than reading the columns.  The first
+the DAG keeps nothing of the timeline but those columns.  The ledger
+validated every entry as it was recorded, so each release edge already
+names an earlier event; the DAG only drops the edges that name an
+annotation span.  Built eagerly: every event's same-lane predecessor,
+from one ``(lane, start, index)`` sort.  Release edges are *not* resolved
+up front: the walk filters them for the few dozen events it visits
+(:meth:`TimelineDag.release_edges`), so an extraction costs little more
+than reading the columns.  The first
 ``speedup_if`` adds, once, what only a forward pass needs: a dependency
 row per *distinct* edge tuple (``record_batch`` shares them) and the
 exogenous start floors.  Times match within a tolerance, because parsed
@@ -214,7 +216,7 @@ class TimelineDag:
     @classmethod
     def from_timeline(cls, timeline: Timeline) -> "TimelineDag":
         """Reconstruct the DAG of ``timeline``'s ledger as recorded so far,
-        from its columns (no :class:`TimelineEvent` is built)."""
+        from its columns."""
         return cls(timeline)
 
     # --------------------------------------------------------------- queries
@@ -225,12 +227,10 @@ class TimelineDag:
 
     def release_edges(self, index: int) -> tuple[int, ...]:
         """Event ``index``'s explicit releasers: its recorded
-        ``release_edges`` that name an analysed event recorded before it.
-        Anything else a hand-assembled ledger may carry (negative, past
-        the end, forward, itself, an annotation span) is dropped — never
-        raised, never wrapped round to another event."""
+        ``release_edges`` (the ledger checked that each names an earlier
+        event) that name an analysed event, not an annotation span."""
         node = self._node
-        return tuple(i for i in self._edges[index] or () if 0 <= i < index and node[i])
+        return tuple(i for i in self._edges[index] or () if node[i])
 
     # --------------------------------------------------------- critical path
 
@@ -279,25 +279,22 @@ class TimelineDag:
         """The scaling-independent half of a what-if, built on first use."""
         if self._plan is not None:
             return self._plan
-        all_edges, n, ids = self._edges, len(self._edges), self._ids
+        all_edges, ids = self._edges, self._ids
         start, end, node = self._start, self._end, self._node.tolist()
         rows: list[list[int]] = []
-        shared: dict[int, tuple[int, int]] = {}
-        deps = np.full(n, -1, dtype=np.int64)
+        shared: dict[int, int] = {}
+        deps = np.full(len(all_edges), -1, dtype=np.int64)
         for index in ids.tolist():
             edges = all_edges[index]
             if not edges:
                 continue
-            # One row per shared tuple (record_batch shares them), unless
-            # that would keep an entry recorded at or after ``index``.
-            hit = shared.get(id(edges))
-            if hit is None:
-                rows.append([i for i in edges if 0 <= i < n and node[i]])
-                hit = shared[id(edges)] = (len(rows) - 1, max(rows[-1], default=-1))
-            row, top = hit
-            if top >= index:
-                rows.append([i for i in rows[row] if i < index])
-                row = len(rows) - 1
+            # One row per shared tuple (record_batch shares them): the
+            # ledger checked it against its first user, so every entry is
+            # recorded before each event that shares it.
+            row = shared.get(id(edges))
+            if row is None:
+                rows.append([i for i in edges if node[i]])
+                row = shared[id(edges)] = len(rows) - 1
             deps[index] = row
 
         ends = end.tolist()
@@ -317,9 +314,10 @@ class TimelineDag:
     def _forward(self, factors: Sequence[float]) -> float:
         """Forward-simulate with event ``i``'s duration times ``factors[i]``.
 
-        An unprocessed end is ``-inf``: a dependency processed *after* its
-        dependent (hand-assembled ledgers only) constrains nothing, and a
-        row's latest end is reused only once every entry of it is final."""
+        Events are processed in start order, so a releaser recorded earlier
+        may be processed after the event it released when it starts later.
+        Its end is ``-inf`` until then and constrains nothing, and a row's
+        latest end is reused only once every entry of it is final."""
         plan = self._planned()
         rows, deps, floor = plan.rows, plan.deps, plan.floor
         lane_pred, duration = self._lane_pred.tolist(), self._duration.tolist()

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.dist.timeline import OBS_STREAM, EventCategory, Timeline
 from repro.utils.tables import format_table
+from repro.utils.validation import check_count
 
 __all__ = [
     "CATEGORY_LABELS",
@@ -94,18 +97,7 @@ def breakdown_report(
     return format_table(["Stage", "Time", "Share"], rows, title=title)
 
 
-def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Sorted, disjoint union of ``(start, end)`` intervals."""
-    merged: list[tuple[float, float]] = []
-    for s, e in sorted(intervals):
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return merged
-
-
-def overlap_efficiency(timeline: Timeline) -> float:
+def overlap_efficiency(timeline: Timeline, *, first: int = 0) -> float:
     """The share of wire time hidden behind compute, cluster-wide: total
     double-booked seconds over total communication seconds, clamped to
     [0, 1] — 0 for a fully sequential run, approaching 1 when the whole
@@ -115,21 +107,33 @@ def overlap_efficiency(timeline: Timeline) -> float:
     its event durations) minus its busy seconds (the union of their
     intervals): time during which at least two of its streams ran at
     once.  Concurrency *across* ranks is parallelism, not overlap, so each
-    rank is measured on its own before the sums.
+    rank is measured on its own before the sums.  Only the ledger from
+    index ``first`` on is measured (one trainer step's window, say).
     """
-    total_overlap = 0.0
-    total_comm = 0.0
-    for rank in timeline.ranks():
-        # Annotation spans (obs stream) cover work already on the real
-        # streams; counting them would fabricate overlap.
-        events = [e for e in timeline.events_for_rank(rank) if e.stream != OBS_STREAM]
-        charged = sum(e.duration for e in events)
-        merged = _merge_intervals([(e.start, e.end) for e in events])
-        busy = sum((end - start for start, end in merged), 0.0)
+    first = check_count("first", first, 0)
+    columns = timeline.columns()
+    # Annotation spans (obs stream) cover work already on the real
+    # streams; counting them would fabricate overlap.
+    real = np.array([name != OBS_STREAM for name in columns.streams], dtype=bool)
+    wire = np.array([name in EventCategory.COMMUNICATION for name in columns.categories], dtype=bool)
+    kept = first + np.flatnonzero(real[columns.stream[first:]])
+    ranks = columns.rank[kept]
+    total_overlap = total_comm = 0.0
+    for rank in np.unique(ranks).tolist():
+        events = kept[ranks == rank]  # in ledger order
+        start, duration = columns.start[events], columns.duration[events]
+        end = start + duration
+        # Builtin sums over Python floats in ledger order, as a loop over
+        # the events adds them.
+        charged = sum(duration.tolist())
+        # The union of the intervals, sorted by (start, end): one opens a
+        # new merged run when it starts after every earlier one ended.
+        order = np.lexsort((end, start))
+        starts, reach = start[order], np.maximum.accumulate(end[order])
+        opens = np.flatnonzero(np.r_[True, starts[1:] > reach[:-1]])
+        busy = sum((reach[np.r_[opens[1:] - 1, -1]] - starts[opens]).tolist(), 0.0)
         total_overlap += max(0.0, charged - busy)
-        total_comm += sum(
-            e.duration for e in events if e.category in EventCategory.COMMUNICATION
-        )
+        total_comm += sum(duration[wire[columns.category[events]]].tolist())
     if total_comm == 0:
         return 0.0
     return min(1.0, total_overlap / total_comm)

@@ -83,7 +83,7 @@ class ShardPull:
     pull, while the host decodes the whole block only on its first pull
     after each (re-)encode: re-pricing it moves
     ``serve.simulator.sim_p99_ms`` and the serving golden digests, so it is
-    its own change with its own before/after (ROADMAP direction 3(c)).
+    its own change with its own before/after (ROADMAP direction 7(c)).
     """
 
     table_id: int

@@ -471,7 +471,7 @@ class HybridParallelTrainer:
         timeline.record_counter(
             "train_wire_bytes", step_end, float(self.forward_wire_bytes)
         )
-        efficiency = overlap_efficiency(Timeline.from_events(timeline.events[events_before:]))
+        efficiency = overlap_efficiency(timeline, first=events_before)
         reg = OBS.registry
         if OBS.slo_hub is not None:
             OBS.slo_hub.feed("train_step", step_end, step_end - step_start)

@@ -677,6 +677,24 @@ class TestHostileVectorLZSections:
         with pytest.raises(CorruptPayloadError, match="stream too short"):
             decompress_any(_reframe(payload, shape=(1 << 40, 6)))
 
+    @pytest.mark.parametrize("field, value", [("eb", "x"), ("code_min", 1.5), ("window", "w")])
+    def test_header_fields_are_typed_on_every_decode_path(self, field, value):
+        """One slice of a stack re-framed with an untyped header field is
+        rejected alike by the stacked decode (beside a good slice and
+        alone) and by ``decompress_any``."""
+        rng = np.random.default_rng(12)
+        stack = rng.normal(0.0, 0.1, size=(2, 4, 6))[:, rng.integers(0, 4, size=24)].astype(np.float32)
+        codec = get_compressor("vector_lz")
+        bad, good = codec.compress_stack(stack, 0.01)
+        bad = _reframe(bad, **{field: value})
+        for decode in (
+            lambda: codec.decompress_stack([bad, good]),
+            lambda: codec.decompress_stack([bad]),
+            lambda: decompress_any(bad),
+        ):
+            with pytest.raises(CorruptPayloadError):
+                decode()
+
 
 #: rows of six values for the hostile-Huffman payload: one row more than a
 #: chunk of symbols fills, so the payload has two chunks

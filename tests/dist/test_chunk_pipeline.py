@@ -102,21 +102,21 @@ class TestChunkEvents:
         for rank in range(4):
             wire = [
                 e
-                for e in sim.timeline.events_for_rank(rank)
-                if e.category == EventCategory.ALLTOALL_FWD
+                for e in events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
+                if e.rank == rank
             ]
             assert len(wire) == k
             assert all(e.stream == COMM_STREAM for e in wire)
             assert sorted(e.args["chunk"] for e in wire) == list(range(k))
             compress = [
                 e
-                for e in sim.timeline.events_for_rank(rank)
-                if e.category == EventCategory.COMPRESS
+                for e in events_in(sim.timeline, EventCategory.COMPRESS)
+                if e.rank == rank
             ]
             decode = [
                 e
-                for e in sim.timeline.events_for_rank(rank)
-                if e.category == EventCategory.DECOMPRESS
+                for e in events_in(sim.timeline, EventCategory.DECOMPRESS)
+                if e.rank == rank
             ]
             assert len(compress) == k and len(decode) == k
             assert all(e.stream == COMPUTE_STREAM for e in compress + decode)
@@ -133,8 +133,8 @@ class TestChunkEvents:
         for rank, k in enumerate(chunks):
             wire = [
                 e
-                for e in sim.timeline.events_for_rank(rank)
-                if e.category == EventCategory.ALLTOALL_FWD
+                for e in events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
+                if e.rank == rank
             ]
             assert len(wire) == k
 
@@ -189,8 +189,8 @@ class TestChunkEvents:
             wire = sorted(
                 (
                     e
-                    for e in sim.timeline.events_for_rank(rank)
-                    if e.category == EventCategory.ALLTOALL_FWD
+                    for e in events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
+                    if e.rank == rank
                 ),
                 key=lambda e: e.args["chunk"],
             )
@@ -358,8 +358,8 @@ class TestVariableChunkPricingLaws:
         for rank in range(n):
             rank_wire = sum(
                 e.duration
-                for e in sim.timeline.events_for_rank(rank)
-                if e.category == EventCategory.ALLTOALL_FWD
+                for e in events_in(sim.timeline, EventCategory.ALLTOALL_FWD)
+                if e.rank == rank
             )
             assert rank_wire == pytest.approx(wire, rel=1e-9, abs=1e-15)
 

@@ -48,22 +48,37 @@ from repro.faults import FaultInjector, FaultPlan, LinkFault, StragglerFault
 from repro.obs.critpath import TimelineDag
 
 
+def ledger_rows(timeline) -> list[tuple]:
+    """``(rank, category, start.hex(), duration.hex(), stream, sorted args
+    or None, release_edges)`` per event in recording order, read off the
+    ledger's columns and its args."""
+    columns = timeline.columns()
+    return [
+        (
+            rank,
+            str(columns.categories[category]),
+            start.hex(),
+            duration.hex(),
+            columns.streams[stream],
+            sorted(args.items()) if args else None,
+            edges,
+        )
+        for rank, category, start, duration, stream, args, edges in zip(
+            columns.rank.tolist(),
+            columns.category.tolist(),
+            columns.start.tolist(),
+            columns.duration.tolist(),
+            columns.stream.tolist(),
+            timeline.args(),
+            columns.release_edges,
+        )
+    ]
+
+
 def ledger_digest(sim: ClusterSimulator) -> str:
     h = hashlib.blake2b(digest_size=16)
-    for e in sim.timeline.events:
-        h.update(
-            repr(
-                (
-                    e.rank,
-                    str(e.category),
-                    e.start.hex(),
-                    e.duration.hex(),
-                    e.stream,
-                    sorted(e.args.items()) if e.args else None,
-                    e.release_edges,
-                )
-            ).encode()
-        )
+    for row in ledger_rows(sim.timeline):
+        h.update(repr(row).encode())
     for stream in sorted(sim._streams):
         h.update(repr((stream, [c.hex() for c in sim._streams[stream]])).encode())
     if sim.fault_injector is not None:
@@ -73,10 +88,7 @@ def ledger_digest(sim: ClusterSimulator) -> str:
 
 def timing_digest(sim: ClusterSimulator) -> str:
     h = hashlib.blake2b(digest_size=16)
-    for line in sorted(
-        repr((e.rank, str(e.category), e.start.hex(), e.duration.hex(), e.stream))
-        for e in sim.timeline.events
-    ):
+    for line in sorted(repr(row[:5]) for row in ledger_rows(sim.timeline)):
         h.update(line.encode())
     for stream in sorted(sim._streams):
         h.update(repr((stream, [c.hex() for c in sim._streams[stream]])).encode())

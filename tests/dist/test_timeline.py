@@ -18,8 +18,9 @@ import repro.dist.timeline
 from repro.dist import EventCategory, Timeline
 from repro.dist.timeline import MAX_SECONDS, OBS_STREAM, TimelineEvent
 from repro.obs.critpath import TimelineDag, extract_critical_path
-from repro.profiling.breakdown import CATEGORY_LABELS
+from repro.profiling.breakdown import CATEGORY_LABELS, overlap_efficiency
 from tests.conftest import events_in
+from tests.obs import reference_critpath as reference
 
 
 class TestEventCategory:
@@ -56,12 +57,13 @@ class TestEventCategory:
 class TestTimeline:
     def test_record_and_query(self):
         tl = Timeline()
-        e = tl.record(0, EventCategory.COMPRESS, 1.0, 0.5)
-        assert e.end == pytest.approx(1.5)
+        assert tl.record(0, EventCategory.COMPRESS, 1.0, 0.5) is None
         assert len(tl) == 1
-        assert tl.events_for_rank(0) == [e]
-        assert tl.events_for_rank(1) == []
+        (e,) = tl.events
+        assert e.end == pytest.approx(1.5)
         assert events_in(tl, EventCategory.COMPRESS) == [e]
+        assert tl.total_by_category(rank=0) == {EventCategory.COMPRESS: 0.5}
+        assert tl.total_by_category(rank=1) == {}
 
     def test_per_rank_aggregation(self):
         tl = Timeline()
@@ -88,11 +90,23 @@ class TestTimeline:
         tl.record(1, EventCategory.COMPRESS, 5.0, 2.5)
         assert [(e.rank, e.end) for e in tl.events] == [(0, 1.0), (1, 7.5)]
 
-    def test_ranks(self):
+    def test_category_totals_key_by_first_counted_use(self):
+        """Keys come in first-use order, each the category object of the
+        first event counted (a plain string and its enum member are one
+        key), and annotation spans count for nothing."""
         tl = Timeline()
-        tl.record(3, EventCategory.COMPRESS, 0.0, 1.0)
-        tl.record(1, EventCategory.COMPRESS, 0.0, 1.0)
-        assert tl.ranks() == [1, 3]
+        tl.record(0, EventCategory.TRAIN_STEP, 0.0, 9.0, stream=OBS_STREAM)
+        tl.record(1, "compress", 0.0, 1.0)
+        tl.record_batch([0, 1], EventCategory.ALLTOALL_FWD, [1.0, 1.0], [0.5, 0.25], "comm")
+        tl.record(0, EventCategory.COMPRESS, 2.0, 2.0)
+        tl.record(1, EventCategory.COMPRESS, 4.0, 0.5)
+        totals = tl.total_by_category()
+        assert totals == {"compress": 3.5, "alltoall_fwd": 0.75}
+        assert [type(key) for key in totals] == [str, EventCategory]
+        rank0 = tl.total_by_category(rank=0)
+        assert list(rank0) == ["alltoall_fwd", "compress"]
+        assert all(type(key) is EventCategory for key in rank0)
+        assert tl.total_by_category(rank=7) == {}
 
     def test_validation(self):
         tl = Timeline()
@@ -273,29 +287,51 @@ def _one_by_one(entries, category, stream, recorded: int) -> list[TimelineEvent]
     return events
 
 
-def _assert_same_columns(got: Timeline, want: Timeline) -> None:
-    got_columns, want_columns = got.columns(), want.columns()
-    for name in ("rank", "start", "duration", "stream", "category"):
-        np.testing.assert_array_equal(getattr(got_columns, name), getattr(want_columns, name))
-        assert getattr(got_columns, name).dtype == getattr(want_columns, name).dtype
-    assert got_columns.streams == want_columns.streams
-    assert got_columns.categories == want_columns.categories
-    assert got_columns.release_edges == want_columns.release_edges
+def _assert_columns_hold(timeline: Timeline, expected: list[TimelineEvent]) -> None:
+    """``timeline``'s columns and args read back as ``expected``, field
+    for field, with the columns' dtypes and first-use code tables."""
+    columns = timeline.columns()
+    assert columns.rank.dtype == columns.stream.dtype == columns.category.dtype == np.int64
+    assert columns.start.dtype == columns.duration.dtype == np.float64
+    assert columns.rank.tolist() == [e.rank for e in expected]
+    assert columns.start.tolist() == [e.start for e in expected]
+    assert columns.duration.tolist() == [e.duration for e in expected]
+    assert columns.streams == tuple(dict.fromkeys(e.stream for e in expected))
+    assert columns.categories == tuple(dict.fromkeys(e.category for e in expected))
+    assert [columns.streams[i] for i in columns.stream.tolist()] == [e.stream for e in expected]
+    assert [columns.categories[i] for i in columns.category.tolist()] == [
+        e.category for e in expected
+    ]
+    assert columns.release_edges == [e.release_edges for e in expected]
+    assert timeline.args() == [e.args for e in expected]
+
+
+def _totals_event_by_event(
+    events: list[TimelineEvent], rank: int | None = None
+) -> dict[str, float]:
+    """``total_by_category`` as one loop over event objects."""
+    totals: dict[str, float] = {}
+    for e in events:
+        if (rank is None or e.rank == rank) and e.stream != OBS_STREAM:
+            totals[e.category] = totals.get(e.category, 0.0) + e.duration
+    return totals
 
 
 class TestColumnLedger:
-    """The ledger is stored as columns: every way of appending to it must
-    read back as the events ``Timeline.from_events`` holds when given
-    them built one by one."""
+    """The ledger is stored as columns, its one form: every way of
+    appending to it must read back as the events built one by one, and
+    every reader of the columns must agree with a loop over those
+    events."""
 
     @settings(max_examples=300, deadline=None)
     @given(ops=_LAW_OPS)
     def test_any_interleaving_equals_the_events_built_one_by_one(self, ops):
-        """Law: ``len``, the materialised ``events``, the columns and the
-        ``TimelineDag`` of any interleaving of ``record``, ``record_batch``
-        and ``record_counter`` equal those of ``from_events`` over the
-        events built one by one; a rejected call leaves the ledger
-        untouched; the caller's args mappings are snapshotted."""
+        """Law: ``len``, ``events``, the columns, ``args``, the category
+        totals and the critical path of any interleaving of ``record``,
+        ``record_batch`` and ``record_counter`` equal those of the events
+        built one by one (the path as the object-per-event reference
+        analyser finds it); a rejected call leaves the ledger untouched;
+        the caller's args mappings are snapshotted."""
         tl, expected, counters, given_args = Timeline(), [], [], []
         for op in ops:
             if op[0] == "counter":
@@ -329,24 +365,26 @@ class TestColumnLedger:
             except ValueError:
                 assert want is None
                 assert len(tl) == len(expected)
-                _assert_same_columns(tl, Timeline.from_events(expected))
+                _assert_columns_hold(tl, expected)
                 continue
             assert want is not None
             expected.extend(want)
             assert len(tl) == len(expected)
         for args in given_args:  # the ledger holds snapshots, not the caller's maps
             args["a"] = "mutated"
-        reference = Timeline.from_events(expected)
-        _assert_same_columns(tl, reference)
-        assert len(tl) == len(reference) == len(expected)
+        _assert_columns_hold(tl, expected)
+        assert len(tl) == len(expected)
         assert tl.events == expected
         assert tl.counters == counters
-        dag, want_dag = TimelineDag.from_timeline(tl), TimelineDag.from_timeline(reference)
-        np.testing.assert_array_equal(dag._end, want_dag._end)
-        np.testing.assert_array_equal(dag._node, want_dag._node)
-        np.testing.assert_array_equal(dag._lane_pred, want_dag._lane_pred)
-        assert dag.critical_path() == want_dag.critical_path()
-        assert dag.speedup_if(EventCategory.COMPRESS, 2.0) == want_dag.speedup_if(EventCategory.COMPRESS, 2.0)
+        for rank in (None, 0, 1):
+            totals, want = tl.total_by_category(rank), _totals_event_by_event(expected, rank)
+            assert totals == want
+            assert [(type(k), v.hex()) for k, v in totals.items()] == [
+                (type(k), v.hex()) for k, v in want.items()
+            ]
+        dag, oracle = TimelineDag.from_timeline(tl), reference.TimelineDag.from_timeline(tl)
+        assert dag.critical_path() == oracle.critical_path()
+        assert dag.speedup_if(EventCategory.COMPRESS, 2.0) == oracle.speedup_if(EventCategory.COMPRESS, 2.0)
 
     def test_lane_reads_the_columns(self):
         tl = Timeline()
@@ -357,12 +395,15 @@ class TestColumnLedger:
         with pytest.raises(IndexError):
             tl.lane(4)
 
-    def test_charging_and_analysing_an_exchange_builds_no_event(self, monkeypatch):
-        """The count behind the exchange engine's wall time: a chunked
-        exchange, an all-reduce, the critical path over them and the
-        ``len`` / ``lane`` / ``columns`` reads construct no
-        ``TimelineEvent``; reading ``events`` builds each one once."""
+    def test_only_reading_events_builds_an_event(self, monkeypatch):
+        """The ledger has one form: charging a chunked exchange and an
+        all-reduce, an OBS-on ``train_step``, the chrome-trace export, the
+        category totals, the overlap efficiency, the critical path and the
+        ``len`` / ``lane`` / ``columns`` / ``args`` reads construct no
+        ``TimelineEvent``; every read of ``events`` builds each one anew."""
         from repro.dist import ClusterSimulator
+        from repro.obs.runtime import capture
+        from tests.obs.test_instrumentation import make_trainer
 
         built = []
 
@@ -382,13 +423,20 @@ class TestColumnLedger:
                 chunks_per_rank=[3, 1, 4, 2],
             )
             sim.comm.all_reduce_bytes(1 << 16)
-        assert extract_critical_path(sim.timeline).makespan == sim.makespan()
-        lanes = [sim.timeline.lane(i) for i in range(len(sim.timeline))]
-        assert len(sim.timeline.columns().rank) == len(lanes)
+        with capture():
+            trainer = make_trainer(overlap=True, pipeline_chunks=2)
+            trainer.train_step(32, iteration=0)
+        for timeline in (sim.timeline, trainer.simulator.timeline):
+            assert extract_critical_path(timeline).makespan > 0.0
+            assert timeline.to_chrome_trace()["traceEvents"]
+            assert timeline.total_by_category(rank=0)
+            assert overlap_efficiency(timeline, first=len(timeline) // 2) >= 0.0
+            lanes = [timeline.lane(i) for i in range(len(timeline))]
+            assert len(timeline.columns().rank) == len(timeline.args()) == len(lanes)
         assert built == []
         assert len(sim.timeline.events) == len(built) == len(sim.timeline) > 0
         sim.timeline.events
-        assert len(built) == len(sim.timeline)
+        assert len(built) == 2 * len(sim.timeline)
 
     @pytest.mark.parametrize("module", [repro.dist.simulator, repro.dist.comm])
     def test_simulator_and_communicator_never_read_events(self, module):
@@ -515,13 +563,28 @@ class TestStreamLanes:
 
     def test_event_stream_defaults_to_compute(self):
         tl = Timeline()
-        event = tl.record(0, EventCategory.COMPRESS, 0.0, 1.0)
-        assert event.stream == "compute"
-        assert tl.streams() == ["compute"]
+        tl.record(0, EventCategory.COMPRESS, 0.0, 1.0)
+        tl.record_batch([1], EventCategory.COMPRESS, [0.0], [1.0])
+        assert tl.columns().streams == ("compute",)
+        assert [lane["args"]["name"] for lane in tl.to_chrome_trace()["traceEvents"][1:3]] == [
+            "rank 0",
+            "rank 1",
+        ]
 
-    def test_streams_listed_compute_first(self):
-        tl = self._overlapped_ledger()
-        assert tl.streams() == ["compute", "comm"]
+    def test_lanes_number_compute_first(self):
+        """Lanes go rank-major, and within a rank the compute stream
+        comes first, then the others by name, whatever order they were
+        first recorded in."""
+        tl = Timeline()
+        tl.record(1, EventCategory.OPTIMIZER, 0.0, 1.0, stream="aux")
+        tl.record(0, EventCategory.ALLTOALL_FWD, 0.0, 1.0, stream="comm")
+        tl.record(1, EventCategory.COMPRESS, 0.0, 1.0)
+        lanes = [
+            (e["tid"], e["args"]["name"])
+            for e in tl.to_chrome_trace()["traceEvents"]
+            if e["name"] == "thread_name"
+        ]
+        assert lanes == [(2, "rank 0 [comm]"), (3, "rank 1 [compute]"), (4, "rank 1 [aux]")]
 
     def test_overlapped_streams_get_distinct_tid_lanes(self):
         """The satellite fix: concurrent per-rank streams must not share a
@@ -666,8 +729,8 @@ class TestReleaseEdges:
     def test_edges_must_point_backwards(self):
         tl = Timeline()
         tl.record(0, EventCategory.COMPRESS, 0.0, 1.0)
-        e = tl.record(0, EventCategory.ALLTOALL_FWD, 1.0, 1.0, release_edges=[0])
-        assert e.release_edges == (0,)
+        tl.record(0, EventCategory.ALLTOALL_FWD, 1.0, 1.0, release_edges=[0])
+        assert tl.columns().release_edges == [None, (0,)]
         with pytest.raises(ValueError):
             tl.record(0, EventCategory.DECOMPRESS, 2.0, 1.0, release_edges=[5])
         with pytest.raises(ValueError):
@@ -676,10 +739,9 @@ class TestReleaseEdges:
     def test_edges_deduplicate_and_empty_collapses_to_none(self):
         tl = Timeline()
         tl.record(0, EventCategory.COMPRESS, 0.0, 1.0)
-        e = tl.record(0, EventCategory.ALLTOALL_FWD, 1.0, 1.0, release_edges=[0, 0])
-        assert e.release_edges == (0,)
-        plain = tl.record(0, EventCategory.DECOMPRESS, 2.0, 1.0, release_edges=[])
-        assert plain.release_edges is None
+        tl.record(0, EventCategory.ALLTOALL_FWD, 1.0, 1.0, release_edges=[0, 0])
+        tl.record(0, EventCategory.DECOMPRESS, 2.0, 1.0, release_edges=[])
+        assert tl.columns().release_edges == [None, (0,), None]
 
     def _overlapped_sim(self):
         from repro.dist import ClusterSimulator
@@ -696,20 +758,21 @@ class TestReleaseEdges:
 
     def test_communicator_populates_edges(self):
         sim = self._overlapped_sim()
-        with_edges = [e for e in sim.timeline.events if e.release_edges]
+        events = sim.timeline.events
+        with_edges = [e for e in events if e.release_edges]
         assert with_edges, "overlapped exchange must record release edges"
-        for i, e in enumerate(sim.timeline.events):
+        for i, e in enumerate(events):
             for dep in e.release_edges or ():
                 assert 0 <= dep < i  # strictly backwards
                 # A releaser finishes before (or exactly when) its
                 # dependent starts.
-                assert sim.timeline.events[dep].end <= e.start + 1e-12
+                assert events[dep].end <= e.start + 1e-12
 
     def test_edges_survive_the_chrome_trace_round_trip(self):
         sim = self._overlapped_sim()
         trace = sim.timeline.to_chrome_trace()
         rebuilt = Timeline.from_chrome_trace(trace)
-        assert len(rebuilt.events) == len(sim.timeline.events)
+        assert len(rebuilt) == len(sim.timeline)
         for original, back in zip(sim.timeline.events, rebuilt.events):
             assert back.rank == original.rank
             assert back.category == original.category

@@ -165,10 +165,11 @@ class TestReleaseEdges:
         sim = _run(NetworkModel(bandwidth=1e9, latency=1e-6),
                    compress, decompress, sizes, 3)
         dag = TimelineDag.from_timeline(sim.timeline)
-        edged = [i for i, e in enumerate(sim.timeline.events) if e.release_edges]
+        edges = sim.timeline.columns().release_edges
+        edged = [i for i, recorded in enumerate(edges) if recorded]
         assert edged
         for index in edged:
-            assert dag.release_edges(index) == sim.timeline.events[index].release_edges
+            assert dag.release_edges(index) == edges[index]
 
     def test_edges_naming_skipped_spans_are_dropped(self):
         from repro.dist import COMM_STREAM

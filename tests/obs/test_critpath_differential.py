@@ -12,10 +12,11 @@ highlight lane or a what-if by one ulp:
 * the same ledgers after a chrome-trace round trip (times move by float
   rounding and only the eps-tolerant matching keeps the DAG together);
 * a ``ServingSimulator`` trace (open-loop arrivals: idle steps, floors);
-* the nine worlds of ``tests/dist/test_ledger_golden.py``, faults included;
-* hand-assembled ledgers: edges that are negative, past the end, forward,
-  self-referential or name an annotation span; shared edge tuples; tied
-  times; back-to-back collectives with identical spans.
+* the worlds of ``tests/dist/test_ledger_golden.py``, faults included;
+* ledgers recorded by hand through ``record`` / ``record_batch``: edges
+  that name an annotation span, edge tuples shared by a batch, a releaser
+  that starts after the event it releases, tied times, back-to-back
+  collectives with identical spans.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.data import SyntheticClickDataset, make_uniform_spec
 from repro.dist import COMM_STREAM, COMPUTE_STREAM, ClusterSimulator, EventCategory, Timeline
-from repro.dist.timeline import OBS_STREAM, TimelineEvent
+from repro.dist.timeline import OBS_STREAM
 from repro.model import DLRM, DLRMConfig
 from repro.obs.critpath import IDLE_CATEGORY, TimelineDag, extract_critical_path
 from repro.serve import RequestLoadGenerator, ServingSimulator
@@ -142,81 +143,51 @@ class TestSimulatorLedgers:
         assert IDLE_CATEGORY in extract_critical_path(trace).by_category()
 
 
-# -------------------------------------------------- hand-assembled ledgers
+# ------------------------------------------------------ hand-recorded ledgers
 
 
-def ledger(*events: TimelineEvent) -> Timeline:
-    """A ``Timeline`` assembled without ``record``: no edge validation."""
-    return Timeline.from_events(events)
+def batch(timeline: Timeline, category, stream, spans, edges=None) -> None:
+    """Record ``spans`` (``(rank, start, duration)`` each) as one
+    ``record_batch`` whose entries all share the one ``edges`` sequence."""
+    ranks, starts, durations = zip(*spans)
+    timeline.record_batch(
+        ranks, category, starts, durations, stream, release_edges=[edges] * len(spans)
+    )
 
 
-def event(rank, category, start, duration, stream=COMPUTE_STREAM, edges=None) -> TimelineEvent:
-    return TimelineEvent(rank, category, float(start), float(duration), stream, None, edges)
+class TestRecordedEdges:
+    """Ledgers recorded by hand through ``record`` / ``record_batch``: the
+    ledger has checked that every edge names an earlier event (the DAG
+    drops only the edges that name an annotation span:
+    ``test_critpath.py::TestReleaseEdges`` and the arbitrary ledgers
+    below)."""
 
-
-class TestEdgeHygiene:
-    """``Timeline.from_events`` stores events unvalidated (``train/hybrid.py``
-    builds window timelines from a slice of a ledger), so an edge may name
-    anything.  Such edges are dropped — never raised, never wrapped round
-    to another event."""
-
-    def test_invalid_edges_are_dropped_not_wrapped(self):
-        timeline = ledger(
-            event(0, "compress", 0.0, 1.0),
-            event(0, "train_step", 0.0, 9.0, OBS_STREAM),
-            event(1, "compress", 0.0, 3.0),
-            # negative (would alias the last event), past the end, forward,
-            # itself, an annotation span — and one real releaser
-            event(0, "alltoall_fwd", 1.0, 1.0, COMM_STREAM, (-1, -7, 99, 6, 4, 3, 1, 0)),
-            event(1, "decompress", 3.0, 1.0, COMPUTE_STREAM, (3,)),
-            event(2, "decompress", 5.0, 1.0, COMPUTE_STREAM, (-1,)),
-            event(2, "optimizer", 6.0, 2.0),
-        )
+    def test_one_tuple_shared_by_several_events(self):
+        """``record_batch`` stores one tuple for every entry that shares an
+        edge sequence: each event keeps all of it, and the what-if builds
+        one dependency row for it."""
+        timeline = Timeline()
+        batch(timeline, "compress", COMPUTE_STREAM, [(0, 0.0, 1.0), (2, 0.0, 2.0), (3, 0.0, 0.5)])
+        timeline.record(1, "compress", 0.0, 3.0, OBS_STREAM)
+        batch(timeline, "alltoall_fwd", COMM_STREAM, [(r, 2.0, 1.0) for r in range(4)], (0, 1, 3))
+        columns = timeline.columns()
+        assert len({id(edges) for edges in columns.release_edges[4:]}) == 1
         dag = TimelineDag.from_timeline(timeline)
-        assert dag.release_edges(3) == (0,)
-        assert dag.release_edges(4) == (3,)
-        assert dag.release_edges(5) == ()  # -1 must not alias event 6
-        assert dag.release_edges(0) == ()  # an event without edges
-        assert_same_analysis(timeline)
-
-    def test_window_timeline_keeps_only_edges_that_resolve(self):
-        """The ``train/hybrid.py`` pattern: a slice of a full ledger whose
-        edges still name full-ledger indices."""
-        sim = WORLDS["ragged_chunks"]()
-        events = sim.timeline.events
-        window = ledger(*events[len(events) // 3 :])
-        assert any(e.release_edges for e in window.events)
-        assert_same_analysis(window)
-
-    def test_one_tuple_shared_by_an_earlier_and_a_later_event(self):
-        """A shared tuple is forward for its first user and backward for
-        its second: each keeps exactly the entries recorded before it."""
-        shared = (0, 2, 4)
-        timeline = ledger(
-            event(0, "compress", 0.0, 1.0),
-            event(1, "alltoall_fwd", 1.0, 1.0, COMM_STREAM, shared),
-            event(2, "compress", 0.0, 2.0),
-            event(3, "alltoall_fwd", 2.0, 1.0, COMM_STREAM, shared),
-            event(0, "compress", 1.0, 2.0),
-            event(2, "decompress", 3.0, 1.0, COMPUTE_STREAM, shared),
-        )
-        dag = TimelineDag.from_timeline(timeline)
-        assert [dag.release_edges(i) for i in (1, 3, 5)] == [(0,), (0, 2), (0, 2, 4)]
-        assert_same_analysis(timeline)
+        assert [dag.release_edges(i) for i in range(4, 8)] == [(0, 1)] * 4
+        dag.speedup_if("compress", 2.0)
+        assert len(dag._plan.rows) == 1
+        assert_same_analysis(timeline, [("compress", 2.0), ("alltoall_fwd", 0.5)])
 
     def test_releaser_scheduled_after_the_event_it_releases(self):
         """Event 3's releaser (event 1) is recorded earlier but starts
         later, so a forward pass reaches it second and must ignore it —
         while event 4, sharing the very same edge tuple, must wait for it
         once its own lane (the optimizer span) is sped up."""
-        shared = (0, 1)
-        timeline = ledger(
-            event(0, "compress", 0.0, 1.0),
-            event(1, "compress", 4.0, 1.0),
-            event(3, "optimizer", 0.0, 5.0),
-            event(2, "decompress", 1.0, 1.0, COMPUTE_STREAM, shared),
-            event(3, "decompress", 5.0, 1.0, COMPUTE_STREAM, shared),
-        )
+        timeline = Timeline()
+        timeline.record(0, "compress", 0.0, 1.0)
+        timeline.record(1, "compress", 4.0, 1.0)
+        timeline.record(3, "optimizer", 0.0, 5.0)
+        batch(timeline, "decompress", COMPUTE_STREAM, [(2, 1.0, 1.0), (3, 5.0, 1.0)], (0, 1))
         assert_same_analysis(timeline, [("optimizer", 2.0), ("compress", 2.0)])
         assert TimelineDag.from_timeline(timeline).speedup_if("optimizer", 2.0).predicted_makespan == 6.0
 
@@ -227,15 +198,14 @@ class TestEdgeHygiene:
         collective), and what follows by every member of the last.
         Nothing groups identical spans, and rank 0's decode waits on the
         slowest compress through both."""
-        released = (0, 1, 2)  # every rank's compress
-        first = (3, 4, 5)
-        second = (6, 7, 8)
-        timeline = ledger(
-            *(event(rank, "compress", 0.0, 1.0 + rank / 2) for rank in range(3)),
-            *(event(rank, "allreduce", 2.0, 1.0, COMM_STREAM, released) for rank in range(3)),
-            *(event(rank, "allreduce", 3.0, 1.0, COMM_STREAM, first) for rank in range(3)),
-            # rank 0 owns the makespan only if it waited for the slowest rank
-            *(event(rank, "decompress", 4.0, 20.0 - 9 * rank, COMM_STREAM, second) for rank in range(3)),
+        timeline = Timeline()
+        batch(timeline, "compress", COMPUTE_STREAM, [(rank, 0.0, 1.0 + rank / 2) for rank in range(3)])
+        batch(timeline, "allreduce", COMM_STREAM, [(rank, 2.0, 1.0) for rank in range(3)], (0, 1, 2))
+        batch(timeline, "allreduce", COMM_STREAM, [(rank, 3.0, 1.0) for rank in range(3)], (3, 4, 5))
+        # rank 0 owns the makespan only if it waited for the slowest rank
+        batch(
+            timeline, "decompress", COMM_STREAM,
+            [(rank, 4.0, 20.0 - 9 * rank) for rank in range(3)], (6, 7, 8),
         )
         assert_same_analysis(timeline)
         dag = TimelineDag.from_timeline(timeline)
@@ -244,7 +214,9 @@ class TestEdgeHygiene:
 
     def test_empty_and_annotation_only_ledgers(self):
         assert_same_analysis(Timeline())
-        assert_same_analysis(ledger(event(0, "train_step", 0.0, 1.0, OBS_STREAM)))
+        timeline = Timeline()
+        timeline.record(0, "train_step", 0.0, 1.0, OBS_STREAM)
+        assert_same_analysis(timeline)
 
 
 GRID = st.integers(0, 6).map(lambda k: k * 0.5)
@@ -253,25 +225,23 @@ GRID = st.integers(0, 6).map(lambda k: k * 0.5)
 @st.composite
 def arbitrary_ledgers(draw):
     """Small ledgers on a coarse time grid (so ends coincide and keys tie),
-    with runs of identical spans and edges drawn from a range wider than
-    the ledger, some tuples shared between events."""
+    with runs of identical spans recorded as one batch whose entries share
+    one edge sequence, drawn from the events recorded before the run."""
     n = draw(st.integers(1, 14))
-    pool = draw(
-        st.lists(
-            st.lists(st.integers(-3, n + 2), max_size=4).map(tuple), min_size=1, max_size=3
-        )
-    )
-    events: list[TimelineEvent] = []
-    while len(events) < n:
+    timeline = Timeline()
+    while len(timeline) < n:
         stream = draw(st.sampled_from([COMPUTE_STREAM, COMM_STREAM, OBS_STREAM]))
         category = draw(st.sampled_from(["compress", EventCategory.COMPRESS, "allreduce"]))
         start, duration = draw(GRID), draw(GRID)
-        edges = draw(st.sampled_from([None, None, *pool]))
+        edges = None
+        if len(timeline) and draw(st.booleans()):
+            edges = draw(st.lists(st.integers(0, len(timeline) - 1), max_size=4))
         copies = draw(st.sampled_from([1, 1, 1, 2, 3, 4]))
         first_rank = draw(st.integers(0, 2))
-        for k in range(copies):  # a run of identical spans on ranks r, r+1, ... mod 3
-            events.append(event((first_rank + k) % 3, category, start, duration, stream, edges))
-    return ledger(*events)
+        # a run of identical spans on ranks r, r+1, ... mod 3
+        spans = [((first_rank + k) % 3, start, duration) for k in range(copies)]
+        batch(timeline, category, stream, spans, edges)
+    return timeline
 
 
 class TestArbitraryLedgers:

@@ -89,6 +89,10 @@ KEEP_FUNCTIONS: dict[str, str] = {
     "repro.dist.comm:_payload_nbytes": (
         "the mixed/nested-buffer sizer: the ledger golden's payload_shapes world pins it"
     ),
+    "repro.dist.timeline:TimelineEvent.end": (
+        "read by the tests and the frozen reference analyser; goes with TimelineEvent "
+        "once bench_e2e counts len(timeline) (ROADMAP direction 8)"
+    ),
 }
 
 #: defaulted parameter (``module:qualname(parameter)``) that no root varies -> why it stays

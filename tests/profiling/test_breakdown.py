@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist.timeline import COMM_STREAM, EventCategory, Timeline
+from repro.dist.timeline import COMM_STREAM, COMPUTE_STREAM, OBS_STREAM, EventCategory, Timeline
 from repro.profiling import (
     breakdown_report,
     breakdown_rows,
@@ -148,3 +148,73 @@ class TestOverlapEfficiency:
             chunks_per_rank=[8, 8],
         )
         assert 0.0 < overlap_efficiency(sim.timeline) <= 1.0
+
+
+def overlap_event_by_event(events) -> float:
+    """``overlap_efficiency`` as one loop over event objects per rank:
+    the definition the column reader must reproduce bit for bit."""
+    total_overlap = total_comm = 0.0
+    for rank in sorted({e.rank for e in events}):
+        mine = [e for e in events if e.rank == rank and e.stream != OBS_STREAM]
+        charged = sum(e.duration for e in mine)
+        merged: list[tuple[float, float]] = []
+        for s, e in sorted((e.start, e.end) for e in mine):
+            if merged and s <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
+            else:
+                merged.append((s, e))
+        busy = sum((e - s for s, e in merged), 0.0)
+        total_overlap += max(0.0, charged - busy)
+        total_comm += sum(e.duration for e in mine if e.category in EventCategory.COMMUNICATION)
+    return 0.0 if total_comm == 0 else min(1.0, total_overlap / total_comm)
+
+
+# One ledger operation: a single record or a batch of one category and
+# stream, annotation spans included; times on a coarse grid so intervals
+# touch and nest, or arbitrary floats so the sums round.
+_GRID = st.integers(0, 12).map(lambda k: k / 4)
+_FLOATS = st.floats(min_value=0.0, max_value=1e3)
+_SPAN = st.tuples(st.integers(0, 3), st.one_of(_GRID, _FLOATS), st.one_of(_GRID, _FLOATS))
+_KIND = st.tuples(
+    st.sampled_from(
+        [EventCategory.COMPRESS, EventCategory.ALLTOALL_FWD, EventCategory.METADATA, "custom"]
+    ),
+    st.sampled_from([COMPUTE_STREAM, COMM_STREAM, OBS_STREAM, "aux"]),
+)
+_OPS = st.lists(
+    st.tuples(st.booleans(), _KIND, st.lists(_SPAN, min_size=1, max_size=5)), max_size=8
+)
+
+
+def _recorded(ops) -> Timeline:
+    timeline = Timeline()
+    for single, (category, stream), spans in ops:
+        if single:
+            for rank, start, duration in spans:
+                timeline.record(rank, category, start, duration, stream)
+        else:
+            ranks, starts, durations = zip(*spans)
+            timeline.record_batch(ranks, category, starts, durations, stream)
+    return timeline
+
+
+class TestOverlapWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_OPS)
+    def test_a_window_equals_a_fresh_ledger_of_its_events(self, ops):
+        """Law: for every ``k``, ``overlap_efficiency(timeline, first=k)``
+        equals it over a fresh ``Timeline`` holding only events ``k..``,
+        recorded anew, and each equals the loop over event objects."""
+        timeline = _recorded(ops)
+        events = timeline.events
+        for k in range(len(timeline) + 2):
+            fresh = Timeline()
+            for e in events[k:]:
+                fresh.record(e.rank, e.category, e.start, e.duration, e.stream)
+            got = overlap_efficiency(timeline, first=k)
+            assert got.hex() == overlap_efficiency(fresh).hex()
+            assert got.hex() == overlap_event_by_event(events[k:]).hex()
+
+    def test_a_negative_window_start_is_rejected(self):
+        with pytest.raises(ValueError, match="first"):
+            overlap_efficiency(Timeline(), first=-1)

@@ -74,6 +74,7 @@ from repro.model import DLRM, DLRMConfig
 from repro.obs.critpath import TimelineDag
 from repro.obs.runtime import capture
 from repro.train import CompressionPipeline, HybridParallelTrainer
+from tests.dist.test_ledger_golden import ledger_rows
 
 N_RANKS, BATCH, STEPS = 8, 256, 4
 ENTROPY_TABLES = (3, 17)
@@ -138,18 +139,7 @@ def run_case(compress_backward: bool | None, overlap) -> dict[str, str]:
     trainer, pipe, posted, registry, losses = _train(compress_backward, overlap)
     sim = trainer.simulator
     timeline = sim.timeline
-    ledger = [
-        (
-            e.rank,
-            str(e.category),
-            e.start.hex(),
-            e.duration.hex(),
-            e.stream,
-            sorted(e.args.items()) if e.args else None,
-            e.release_edges,
-        )
-        for e in timeline.events
-    ]
+    ledger = ledger_rows(timeline)
     clocks = [(s, [c.hex() for c in sim._streams[s]]) for s in sorted(sim._streams)]
     stats = sorted(
         (s.iteration, s.table_id, s.codec, s.error_bound.hex(), s.original_nbytes, s.compressed_nbytes)
