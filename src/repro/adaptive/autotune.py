@@ -21,7 +21,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 
 __all__ = ["TrialResult", "AutoTuneResult", "autotune_global_error_bound"]
 
@@ -86,8 +86,7 @@ def autotune_global_error_bound(
     check_positive("lower", lower)
     if not lower < upper:
         raise ValueError(f"need lower < upper, got [{lower}, {upper}]")
-    if max_trials < 2:
-        raise ValueError(f"max_trials must be >= 2, got {max_trials}")
+    check_count("max_trials", max_trials, 2)
 
     floor = baseline_accuracy - accuracy_tolerance
     trials: list[TrialResult] = []

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count
 
 __all__ = [
     "DecaySchedule",
@@ -50,8 +50,7 @@ class DecaySchedule(ABC):
         """Error-bound scale at ``iteration`` (relative to the base bound)."""
 
     def __call__(self, iteration: int) -> float:
-        if iteration < 0:
-            raise ValueError(f"iteration must be >= 0, got {iteration}")
+        check_count("iteration", iteration, 0)
         value = self.multiplier(iteration)
         assert value >= 1.0 - 1e-12, f"schedule produced multiplier {value} < 1"
         return value
@@ -68,11 +67,10 @@ class _PhasedDecay(DecaySchedule):
     """Shared validation for schedules with an initial decay phase."""
 
     def __init__(self, initial_scale: float, phase_iterations: int):
-        check_positive("phase_iterations", phase_iterations)
-        if initial_scale < 1.0:
-            raise ValueError(f"initial_scale must be >= 1, got {initial_scale}")
+        if not 1.0 <= initial_scale < math.inf:
+            raise ValueError(f"initial_scale must be finite and >= 1, got {initial_scale!r}")
         self.initial_scale = float(initial_scale)
-        self.phase_iterations = int(phase_iterations)
+        self.phase_iterations = check_count("phase_iterations", phase_iterations, 1)
 
     def _progress(self, iteration: int) -> float:
         """Fraction of the initial phase completed, clipped to [0, 1]."""
@@ -84,8 +82,7 @@ class StepwiseDecay(_PhasedDecay):
 
     def __init__(self, initial_scale: float, phase_iterations: int, n_steps: int = 4):
         super().__init__(initial_scale, phase_iterations)
-        check_positive("n_steps", n_steps)
-        self.n_steps = int(n_steps)
+        self.n_steps = check_count("n_steps", n_steps, 1)
 
     def multiplier(self, iteration: int) -> float:
         if iteration >= self.phase_iterations:

@@ -14,6 +14,11 @@ Lossless codecs ignore the error bound argument; fixed-rate codecs (FP16,
 FP8) ignore it too but remain lossy.  The payload begins with a magic byte,
 a codec-name string and the original dtype/shape, followed by codec-specific
 metadata and the body.
+
+A header comes from outside the program, so a decoder reads each numeric
+field through :func:`header_int`, :func:`header_float` or
+:func:`header_array`: a field of the wrong type raises ``CorruptPayloadError``
+naming the codec and the key.  Ranges are checked beside the read.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ __all__ = [
     "MAGIC",
     "check_body_nbytes",
     "check_element_count",
+    "header_int",
+    "header_float",
+    "header_array",
 ]
 
 MAGIC = 0xDC  # "DLRM Compression" frame marker
@@ -121,6 +129,38 @@ def check_element_count(codec: str, count: int, shape: tuple[int, ...]) -> None:
         )
 
 
+#: the range of an int64, the widest integer any decoder computes with
+_INT64_MIN, _INT64_END = -(1 << 63), 1 << 63
+
+
+def header_int(codec: str, header: dict[str, Any], key: str) -> int:
+    """Header field ``key`` of a ``codec`` frame: an ``int`` (not a
+    ``bool``) that fits int64, as every count, width, length and offset an
+    encoder writes is."""
+    value = header[key]
+    if type(value) is not int or not _INT64_MIN <= value < _INT64_END:
+        raise CorruptPayloadError(f"{codec}: {key} {value!r} is not an int64")
+    return value
+
+
+def header_float(codec: str, header: dict[str, Any], key: str) -> float:
+    """Header field ``key`` of a ``codec`` frame as a ``float``: the field
+    must be a ``float`` or an ``int`` that fits int64."""
+    value = header[key]
+    if type(value) is float or type(value) is int and _INT64_MIN <= value < _INT64_END:
+        return float(value)
+    raise CorruptPayloadError(f"{codec}: {key} {value!r} is not a number")
+
+
+def header_array(codec: str, header: dict[str, Any], key: str) -> np.ndarray:
+    """Header field ``key`` of a ``codec`` frame: a 1-D integer
+    ``ndarray``, as every shape, length table and chunk table is."""
+    value = header[key]
+    if not (type(value) is np.ndarray and value.ndim == 1 and value.dtype.kind in "iu"):
+        raise CorruptPayloadError(f"{codec}: {key} {value!r} is not a 1-D integer array")
+    return value
+
+
 #: the dtypes an encoder frames (:meth:`Compressor.compress` takes no other)
 _FRAME_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -135,10 +175,7 @@ def _frame_layout(codec: str, header: dict[str, Any]) -> tuple[tuple[int, ...], 
         raise CorruptPayloadError(f"{codec}: malformed dtype {header['dtype']!r}: {exc}") from None
     if dtype not in _FRAME_DTYPES:
         raise CorruptPayloadError(f"{codec}: dtype {header['dtype']!r} is not float32 or float64")
-    shape = header["shape"]
-    if not (isinstance(shape, np.ndarray) and shape.ndim == 1 and shape.dtype.kind in "iu"):
-        raise CorruptPayloadError(f"{codec}: malformed shape {shape!r}")
-    dims = tuple(shape.tolist())
+    dims = tuple(header_array(codec, header, "shape").tolist())
     if len(dims) != 2:
         raise CorruptPayloadError(f"{codec}: shape {dims} is not a 2-D batch")
     if min(dims) < 0:

@@ -23,12 +23,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor, check_element_count
-from repro.compression.huffman import (
-    HuffmanEncoded,
-    huffman_decode,
-    huffman_encode,
-)
+from repro.compression.base import Compressor, check_element_count, header_int
+from repro.compression.huffman import huffman_decode, huffman_encode, huffman_sections, read_huffman_sections
 from repro.compression.quantizer import dequantize, quantize
 
 __all__ = ["lorenzo_residuals_2d", "inverse_lorenzo_2d", "CuszLikeCompressor"]
@@ -71,9 +67,7 @@ class CuszLikeCompressor(Compressor):
         meta = {
             "eb": float(error_bound),
             "res_min": res_min,
-            "code_lengths": encoded.code_lengths.astype(np.uint8),
-            "chunk_bit_offsets": encoded.chunk_bit_offsets.astype(np.uint64),
-            "chunk_symbol_counts": encoded.chunk_symbol_counts.astype(np.int64),
+            **huffman_sections(encoded),
             "total_symbols": int(encoded.total_symbols),
         }
         return meta, encoded.payload
@@ -81,14 +75,9 @@ class CuszLikeCompressor(Compressor):
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
-        encoded = HuffmanEncoded(
-            payload=np.frombuffer(body, dtype=np.uint8),
-            code_lengths=header["code_lengths"].astype(np.int64),
-            chunk_bit_offsets=header["chunk_bit_offsets"],
-            chunk_symbol_counts=header["chunk_symbol_counts"],
-            total_symbols=header["total_symbols"],
-        )
-        check_element_count(self.name, encoded.total_symbols, shape)
+        total_symbols = header_int(self.name, header, "total_symbols")
+        check_element_count(self.name, total_symbols, shape)
+        encoded = read_huffman_sections(self.name, header, body, total_symbols)
         shifted = huffman_decode(encoded).reshape(shape)
-        residuals = shifted + header["res_min"]
+        residuals = shifted + header_int(self.name, header, "res_min")
         return dequantize(inverse_lorenzo_2d(residuals), header["eb"], dtype)

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor, check_element_count
+from repro.compression.base import Compressor, check_element_count, header_int
 from repro.compression.quantizer import dequantize, quantize
 from repro.compression.serialization import CorruptPayloadError
 
@@ -179,10 +179,10 @@ class FzGpuLikeCompressor(Compressor):
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
-        n = header["n_values"]
-        block_bytes = header["block_bytes"]
-        n_blocks = header["n_blocks_per_plane"]
-        bitmap_len = header["bitmap_len"]
+        n, block_bytes, n_blocks, bitmap_len = (
+            header_int(self.name, header, key)
+            for key in ("n_values", "block_bytes", "n_blocks_per_plane", "bitmap_len")
+        )
         # Every size the planes are allocated from follows from n.
         check_element_count(self.name, n, shape)
         packed_len = (n + 7) // 8

@@ -26,12 +26,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor, check_body_nbytes
-from repro.compression.huffman import (
-    HuffmanEncoded,
-    huffman_decode,
-    huffman_encode,
-)
+from repro.compression.base import Compressor, check_body_nbytes, header_int
+from repro.compression.huffman import huffman_decode, huffman_encode, huffman_sections, read_huffman_sections
 from repro.compression.serialization import CorruptPayloadError
 
 __all__ = ["lz77_encode_bytes", "lz77_decode_bytes", "Lz4LikeCompressor", "DeflateLikeCompressor"]
@@ -327,7 +323,7 @@ class Lz4LikeCompressor(Compressor):
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
-        raw = lz77_decode_bytes(body, header["raw_size"], self.name)
+        raw = lz77_decode_bytes(body, header_int(self.name, header, "raw_size"), self.name)
         check_body_nbytes(self.name, raw, shape, dtype.itemsize)
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
@@ -347,23 +343,15 @@ class DeflateLikeCompressor(Compressor):
             "raw_size": len(raw),
             "lz_size": len(lz_stream),
             "window": DEFAULT_BYTE_WINDOW,
-            "code_lengths": encoded.code_lengths.astype(np.uint8),
-            "chunk_bit_offsets": encoded.chunk_bit_offsets.astype(np.uint64),
-            "chunk_symbol_counts": encoded.chunk_symbol_counts.astype(np.int64),
+            **huffman_sections(encoded),
         }
         return meta, encoded.payload
 
     def _decompress_body(
         self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
-        encoded = HuffmanEncoded(
-            payload=np.frombuffer(body, dtype=np.uint8),
-            code_lengths=header["code_lengths"].astype(np.int64),
-            chunk_bit_offsets=header["chunk_bit_offsets"],
-            chunk_symbol_counts=header["chunk_symbol_counts"],
-            total_symbols=header["lz_size"],
-        )
+        encoded = read_huffman_sections(self.name, header, body, header_int(self.name, header, "lz_size"))
         lz_stream = huffman_decode(encoded).astype(np.uint8).tobytes()
-        raw = lz77_decode_bytes(lz_stream, header["raw_size"], self.name)
+        raw = lz77_decode_bytes(lz_stream, header_int(self.name, header, "raw_size"), self.name)
         check_body_nbytes(self.name, raw, shape, dtype.itemsize)
         return np.frombuffer(raw, dtype=dtype).reshape(shape)

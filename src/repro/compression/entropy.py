@@ -16,10 +16,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.base import Compressor, check_element_count
-from repro.compression.huffman import HuffmanEncoded, huffman_decode, huffman_encode
+from repro.compression.base import Compressor, check_element_count, header_int
+from repro.compression.huffman import huffman_decode, huffman_encode, huffman_sections, read_huffman_sections
 from repro.compression.quantizer import dequantize, quantize_batch
-from repro.compression.serialization import CorruptPayloadError
 
 __all__ = ["EntropyCompressor"]
 
@@ -43,10 +42,7 @@ class EntropyCompressor(Compressor):
         meta = {
             "eb": batch.error_bound,
             "code_min": batch.code_min,
-            # uint8 is plenty: lengths are capped at DEFAULT_MAX_CODE_LENGTH (15).
-            "code_lengths": encoded.code_lengths.astype(np.uint8),
-            "chunk_bit_offsets": encoded.chunk_bit_offsets.astype(np.uint64),
-            "chunk_symbol_counts": encoded.chunk_symbol_counts.astype(np.int64),
+            **huffman_sections(encoded),
             "total_symbols": int(encoded.total_symbols),
         }
         # The bitstream array goes to the framer as a buffer part — one copy
@@ -60,16 +56,8 @@ class EntropyCompressor(Compressor):
         shape: tuple[int, ...],
         dtype: np.dtype,
     ) -> np.ndarray:
-        encoded = HuffmanEncoded(
-            payload=np.frombuffer(body, dtype=np.uint8),
-            code_lengths=header["code_lengths"].astype(np.int64),
-            chunk_bit_offsets=header["chunk_bit_offsets"],
-            chunk_symbol_counts=header["chunk_symbol_counts"],
-            total_symbols=header["total_symbols"],
-        )
-        code_min = header["code_min"]
-        check_element_count(self.name, encoded.total_symbols, shape)
-        if not -(1 << 63) <= code_min < (1 << 63):
-            raise CorruptPayloadError(f"corrupt Huffman stream: code_min {code_min} is not an int64")
-        symbols = huffman_decode(encoded).reshape(shape)
-        return dequantize(symbols + code_min, header["eb"], dtype)
+        total_symbols = header_int(self.name, header, "total_symbols")
+        check_element_count(self.name, total_symbols, shape)
+        code_min = header_int(self.name, header, "code_min")
+        symbols = huffman_decode(read_huffman_sections(self.name, header, body, total_symbols))
+        return dequantize(symbols.reshape(shape) + code_min, header["eb"], dtype)

@@ -52,6 +52,8 @@ from repro.compression.base import (
     _frame_layout,
     check_body_nbytes,
     frame_payload,
+    header_float,
+    header_int,
     parse_payload,
 )
 from repro.compression.quantizer import quantize
@@ -127,12 +129,12 @@ class HomomorphicCompressor(Compressor):
 
     def _terms(self, header: dict[str, Any]) -> int:
         """The header's leaf count, an integer in ``[1, MAX_TERMS]``."""
-        terms = header["terms"]
-        if not (isinstance(terms, (int, np.integer)) and 1 <= terms <= MAX_TERMS):
+        terms = header_int(self.name, header, "terms")
+        if not 1 <= terms <= MAX_TERMS:
             raise CorruptPayloadError(
                 f"{self.name}: terms {terms!r} is not an integer in [1, {MAX_TERMS}]"
             )
-        return int(terms)
+        return terms
 
     # ----------------------------------------------------------- subclass
 
@@ -211,10 +213,10 @@ class QuantSumCompressor(HomomorphicCompressor):
 
     def _scale(self, header: dict[str, Any]) -> float:
         """The header's grid step ``2 * eb``, which must be finite and > 0."""
-        scale = header["scale"]
-        if not (isinstance(scale, (int, float)) and 0.0 < scale < math.inf):
+        scale = header_float(self.name, header, "scale")
+        if not 0.0 < scale < math.inf:
             raise CorruptPayloadError(f"{self.name}: scale {scale!r} is not finite and > 0")
-        return float(scale)
+        return scale
 
     def _code_dtype(self, header: dict[str, Any]) -> np.dtype:
         """The header's code dtype, which must be a signed integer."""
@@ -235,7 +237,7 @@ class QuantSumCompressor(HomomorphicCompressor):
             f"agg_sum: {self.name} payloads must share a scale, got "
             f"{header_a['scale']!r} vs {header_b['scale']!r}",
         )
-        cmax = int(header_a["cmax"]) + int(header_b["cmax"])
+        cmax = header_int(self.name, header_a, "cmax") + header_int(self.name, header_b, "cmax")
         _require(
             cmax < _GUARD_LIMIT,
             f"agg_sum: composed code magnitude bound {cmax} would risk int64 overflow",
@@ -329,10 +331,11 @@ class CountSumCompressor(HomomorphicCompressor):
         meta = {"terms": 1, "w0": w0, "wlen": wlen, "sexp": grid, "lmax": lmax}
         return meta, limbs
 
-    def _window(self, header: dict[str, Any]) -> tuple[int, int]:
-        """The header's limb window ``(w0, wlen)``, checked against the
-        frame dtype's grid before anything shifts or allocates."""
-        sexp, w0, wlen = int(header["sexp"]), int(header["w0"]), int(header["wlen"])
+    def _window(self, header: dict[str, Any]) -> tuple[int, int, int]:
+        """The header's grid exponent and limb window ``(sexp, w0, wlen)``,
+        checked against the frame dtype's grid before anything shifts or
+        allocates."""
+        sexp, w0, wlen = (header_int(self.name, header, key) for key in ("sexp", "w0", "wlen"))
         grid = _GRID_EXP.get(np.dtype(header["dtype"]).newbyteorder("<").str)
         if sexp != grid:
             raise CorruptPayloadError(
@@ -342,7 +345,7 @@ class CountSumCompressor(HomomorphicCompressor):
             raise CorruptPayloadError(
                 f"{self.name}: limb window [{w0}, {w0 + wlen}) is outside [0, {_MAX_LIMBS[sexp]})"
             )
-        return w0, wlen
+        return sexp, w0, wlen
 
     def _parse_limbs(self, wlen: int, body: memoryview, count: int) -> np.ndarray:
         check_body_nbytes(self.name, body, (wlen, count), 8)
@@ -356,19 +359,19 @@ class CountSumCompressor(HomomorphicCompressor):
         dtype: np.dtype,
     ) -> np.ndarray:
         count = int(np.prod(shape, dtype=np.int64))
-        w0, wlen = self._window(header)
+        sexp, w0, wlen = self._window(header)
         if wlen == 0 or count == 0:
             return np.zeros(shape, dtype=dtype)
         limbs = self._parse_limbs(wlen, body, count)
-        exp = _LIMB_BITS * w0 + int(header["sexp"])
+        exp = _LIMB_BITS * w0 + sexp
         # Fast path: the whole integer fits int64 — one correctly-rounded
         # int64 -> float64 conversion plus an exact power-of-two scale.
         # (Restricted to the float32 grid: its values can never land in the
         # float64 subnormal range, so ldexp introduces no second rounding.)
         if (
-            int(header["sexp"]) == _GRID_EXP["<f4"]
+            sexp == _GRID_EXP["<f4"]
             and wlen <= 2
-            and int(header["lmax"]) < (1 << 29)
+            and header_int(self.name, header, "lmax") < (1 << 29)
         ):
             total = limbs[0].copy()
             if wlen == 2:
@@ -398,19 +401,17 @@ class CountSumCompressor(HomomorphicCompressor):
         return out.astype(dtype).reshape(shape)
 
     def _agg_meta_body(self, header_a, body_a, header_b, body_b, shape):
-        _require(
-            int(header_a["sexp"]) == int(header_b["sexp"]),
-            f"agg_sum: {self.name} payloads must share a grid exponent",
-        )
-        lmax = int(header_a["lmax"]) + int(header_b["lmax"])
+        # Both operands share a dtype, so _window's grid check makes their
+        # grid exponents equal.
+        sexp, w0_a, wlen_a = self._window(header_a)
+        _, w0_b, wlen_b = self._window(header_b)
+        lmax = header_int(self.name, header_a, "lmax") + header_int(self.name, header_b, "lmax")
         _require(
             lmax < _GUARD_LIMIT,
             f"agg_sum: composed limb magnitude bound {lmax} would risk int64 overflow",
         )
         count = int(np.prod(shape, dtype=np.int64))
-        w0_a, wlen_a = self._window(header_a)
-        w0_b, wlen_b = self._window(header_b)
-        meta = {"sexp": int(header_a["sexp"]), "lmax": lmax}
+        meta = {"sexp": sexp, "lmax": lmax}
         if wlen_a == 0 and wlen_b == 0:
             meta.update(w0=0, wlen=0)
             return meta, b""

@@ -17,6 +17,10 @@ Encoding is fully vectorized (see :mod:`repro.compression.bitstream`);
 decoding computes speculative flat-peek-table lookups at every bit offset
 vectorized (the gap-array technique of GPU Huffman decoders) and then only
 walks the per-chunk jump chain sequentially.
+
+Every Huffman-coded codec frames its length and chunk tables with
+:func:`huffman_sections` and reads them back, typed, with
+:func:`read_huffman_sections`; the bitstream is the frame body.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compression.base import header_array
 from repro.compression.bitstream import _reference_pack_codes, pack_codes, padded_stream, word_table
 from repro.compression.serialization import CorruptPayloadError
+from repro.utils.validation import check_count
 
 __all__ = [
     "huffman_code_lengths",
@@ -38,6 +44,8 @@ __all__ = [
     "HuffmanEncoded",
     "huffman_encode",
     "huffman_decode",
+    "huffman_sections",
+    "read_huffman_sections",
     "DEFAULT_MAX_CODE_LENGTH",
     "DEFAULT_CHUNK_SYMBOLS",
 ]
@@ -145,8 +153,7 @@ def limit_code_lengths(lengths: np.ndarray, freqs: np.ndarray, max_length: int) 
     """
     lengths = np.asarray(lengths, dtype=np.int64).copy()
     freqs = np.asarray(freqs, dtype=np.int64)
-    if max_length < 1:
-        raise ValueError(f"max_length must be >= 1, got {max_length}")
+    check_count("max_length", max_length, 1)
     if lengths.size > (1 << max_length):
         raise ValueError(
             f"alphabet of {lengths.size} symbols cannot fit in {max_length}-bit codes"
@@ -261,6 +268,31 @@ class HuffmanEncoded:
     chunk_bit_offsets: np.ndarray  # uint64, start bit of each chunk
     chunk_symbol_counts: np.ndarray  # int64
     total_symbols: int
+
+
+def huffman_sections(encoded: HuffmanEncoded) -> dict[str, np.ndarray]:
+    """The header fields a frame ships ``encoded``'s codebook and chunk
+    table in (the bitstream itself is the frame body)."""
+    return {
+        # uint8 is plenty: lengths are capped at DEFAULT_MAX_CODE_LENGTH (15).
+        "code_lengths": encoded.code_lengths.astype(np.uint8),
+        "chunk_bit_offsets": encoded.chunk_bit_offsets.astype(np.uint64),
+        "chunk_symbol_counts": encoded.chunk_symbol_counts.astype(np.int64),
+    }
+
+
+def read_huffman_sections(
+    codec: str, header: dict, body: memoryview, total_symbols: int
+) -> HuffmanEncoded:
+    """The stream a ``codec`` frame written with :func:`huffman_sections`
+    carries: its sections read typed from ``header``, its bits ``body``."""
+    return HuffmanEncoded(
+        payload=np.frombuffer(body, dtype=np.uint8),
+        code_lengths=header_array(codec, header, "code_lengths").astype(np.int64),
+        chunk_bit_offsets=header_array(codec, header, "chunk_bit_offsets"),
+        chunk_symbol_counts=header_array(codec, header, "chunk_symbol_counts"),
+        total_symbols=total_symbols,
+    )
 
 
 def huffman_encode(symbols: np.ndarray, alphabet_size: int) -> HuffmanEncoded:

@@ -34,13 +34,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.compression.base import MAGIC, Compressor, _frame_layout, frame_payload
+from repro.compression.base import MAGIC, Compressor, _frame_layout, frame_payload, header_int
 from repro.compression.bitstream import (
     pack_fixed_segments,
     unpack_fixed_segments,
 )
 from repro.compression.quantizer import check_error_bound, dequantize, quantize
 from repro.compression.serialization import CorruptPayloadError, unpack_meta
+from repro.utils.validation import check_count
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -90,8 +91,7 @@ def find_vector_matches(codes: np.ndarray, window: int) -> tuple[np.ndarray, np.
     encoder reproduces it with sorted row hashes and falls back to it for
     any slice where a hash collision is detected.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    check_count("window", window, 1)
     keys = _row_keys(codes)
     n = len(keys)
     is_match = np.zeros(n, dtype=bool)
@@ -128,8 +128,7 @@ def _find_stack_matches(codes: np.ndarray, window: int) -> tuple[np.ndarray, np.
     that turns out to differ (a collision) may hide an identical row further
     back, so that slice is redone with the exact dictionary scan.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    check_count("window", window, 1)
     n_slices, n, d = codes.shape
     is_match = np.zeros((n_slices, n), dtype=bool)
     offsets = np.zeros((n_slices, n), dtype=np.int64)
@@ -370,27 +369,21 @@ def _reference_vector_lz_decode(encoded: VectorLZEncoded) -> np.ndarray:
     return out
 
 
-#: the header fields a frame's layout is computed from
-_INT_FIELDS = (
-    "code_min", "n_matches", "offset_width", "literal_width", "flags_len", "offsets_len", "window",
-)
-
-
 def _parsed_stream(header: dict[str, Any], body: memoryview, n: int, d: int) -> VectorLZEncoded:
     """The three sections of one parsed vector-LZ frame, as views of ``body``.
 
     Every decode path reads a frame through here, so this is where a frame
     whose header the bytes cannot back is rejected, before anything
-    unpacks: every count, width and length field must be an ``int``
-    (not a ``bool``), ``eb`` finite and > 0, the match count in ``[0, n]``,
-    both widths in ``[1, 57]``, ``code_min`` an int64, and the offset and
-    literal sections must hold the bits the header declares for them."""
-    for key in _INT_FIELDS:
-        value = header.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise CorruptPayloadError(f"corrupt vector-LZ stream: {key} {value!r} is not an int")
-    check_error_bound(header.get("eb"))
-    flags_len, offsets_len = header["flags_len"], header["offsets_len"]
+    unpacks: every count, width and length field is read typed
+    (:func:`~repro.compression.base.header_int`), ``eb`` must be finite
+    and > 0, the match count in ``[0, n]``, both widths in ``[1, 57]``,
+    and the offset and literal sections must hold the bits the header
+    declares for them."""
+    keys = ("flags_len", "offsets_len", "n_matches", "offset_width", "literal_width", "window")
+    flags_len, offsets_len, n_matches, offset_width, literal_width, window = (
+        header_int("vector_lz", header, key) for key in keys
+    )
+    check_error_bound(header["eb"])
     if flags_len < 0 or offsets_len < 0 or flags_len + offsets_len > len(body):
         raise CorruptPayloadError(
             f"corrupt vector-LZ stream: header declares {flags_len} + {offsets_len} "
@@ -401,19 +394,14 @@ def _parsed_stream(header: dict[str, Any], body: memoryview, n: int, d: int) -> 
             f"corrupt vector-LZ stream too short: {n} rows need {(n + 7) // 8} "
             f"flag bytes, header declares {flags_len}"
         )
-    if not -(1 << 63) <= header["code_min"] < (1 << 63):
-        raise CorruptPayloadError(
-            f"corrupt vector-LZ stream: code_min {header['code_min']} is not an int64"
-        )
-    n_matches = header["n_matches"]
     if not 0 <= n_matches <= n:
         raise CorruptPayloadError(
             f"corrupt vector-LZ stream: vector_lz header declares {n_matches} matches in {n} rows"
         )
     literals_len = len(body) - flags_len - offsets_len
     sections = (
-        ("offset", header["offset_width"], n_matches, offsets_len),
-        ("literal", header["literal_width"], (n - n_matches) * d, literals_len),
+        ("offset", offset_width, n_matches, offsets_len),
+        ("literal", literal_width, (n - n_matches) * d, literals_len),
     )
     for section, width, count, present in sections:
         if not 1 <= width <= 57:
@@ -434,9 +422,9 @@ def _parsed_stream(header: dict[str, Any], body: memoryview, n: int, d: int) -> 
         n_rows=n,
         n_matches=n_matches,
         dim=d,
-        window=header["window"],
-        offset_width=header["offset_width"],
-        literal_width=header["literal_width"],
+        window=window,
+        offset_width=offset_width,
+        literal_width=literal_width,
     )
 
 
@@ -454,9 +442,7 @@ class VectorLZCompressor(Compressor):
     error_bounded = True
 
     def __init__(self, window: int = DEFAULT_WINDOW):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = int(window)
+        self.window = check_count("window", window, 1)
 
     # ------------------------------------------------------------- encode
 
@@ -542,15 +528,16 @@ class VectorLZCompressor(Compressor):
     ) -> np.ndarray:
         """Decode S parsed ``(n, d)`` frames into one ``(S, n, d)`` array."""
         encoded = [_parsed_stream(header, body, n, d) for header, body in zip(headers, bodies)]
+        code_mins = [header_int(self.name, header, "code_min") for header in headers]
         if n == 0:
             return np.zeros((len(encoded), 0, d), dtype=dtype)
         literal_rows, literal_of_row = _resolve_stack(encoded)
         # Dequantize the literals only: every output row is a copy of one.
         if len(headers) == 1:
-            code_min, eb = headers[0]["code_min"], headers[0]["eb"]
+            code_min, eb = code_mins[0], headers[0]["eb"]
         else:  # per-stream constants, repeated over each stream's literals
             n_literals = [n - e.n_matches for e in encoded]
-            code_min = np.array([header["code_min"] for header in headers], dtype=np.int64)
+            code_min = np.array(code_mins, dtype=np.int64)
             eb = np.array([header["eb"] for header in headers], dtype=np.float64)
             code_min = np.repeat(code_min, n_literals)[:, None]
             eb = np.repeat(eb, n_literals)[:, None]

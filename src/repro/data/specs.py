@@ -27,6 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.utils.validation import check_count, check_finite_nonnegative, check_positive
+
 __all__ = [
     "TableSpec",
     "DatasetSpec",
@@ -70,19 +72,15 @@ class TableSpec:
     n_clusters: int = 0
 
     def __post_init__(self) -> None:
-        if self.cardinality < 1:
-            raise ValueError(f"table {self.table_id}: cardinality must be >= 1")
-        if self.zipf_exponent < 0:
-            raise ValueError(f"table {self.table_id}: zipf_exponent must be >= 0")
-        if self.value_scale <= 0:
-            raise ValueError(f"table {self.table_id}: value_scale must be > 0")
+        check_count(f"table {self.table_id}: cardinality", self.cardinality, 1)
+        check_finite_nonnegative(f"table {self.table_id}: zipf_exponent", self.zipf_exponent)
+        check_positive(f"table {self.table_id}: value_scale", self.value_scale)
         if self.value_distribution not in ("normal", "uniform", "laplace"):
             raise ValueError(
                 f"table {self.table_id}: value_distribution must be 'normal', "
                 f"'uniform' or 'laplace', got {self.value_distribution!r}"
             )
-        if self.n_clusters < 0:
-            raise ValueError(f"table {self.table_id}: n_clusters must be >= 0")
+        check_count(f"table {self.table_id}: n_clusters", self.n_clusters, 0)
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,7 @@ class DatasetSpec:
     n_dense: int = 13
 
     def __post_init__(self) -> None:
-        if self.n_dense < 0:
-            raise ValueError("n_dense must be >= 0")
+        check_count("n_dense", self.n_dense, 0)
         ids = [t.table_id for t in self.tables]
         if ids != list(range(len(ids))):
             raise ValueError("table ids must be consecutive from 0")
@@ -163,8 +160,7 @@ def scaled_spec(spec: DatasetSpec, max_cardinality: int) -> DatasetSpec:
     keeps its spread (Fig. 6's property): tables at or below the cap are
     untouched; larger ones compress the excess log-range into the cap.
     """
-    if max_cardinality < 2:
-        raise ValueError(f"max_cardinality must be >= 2, got {max_cardinality}")
+    check_count("max_cardinality", max_cardinality, 2)
     original_max = max(t.cardinality for t in spec.tables)
     if original_max <= max_cardinality:
         return spec

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.data.specs import DatasetSpec
 from repro.utils.rng import RngPool
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_finite_nonnegative
 
 __all__ = ["MiniBatch", "zipf_probabilities", "SyntheticClickDataset"]
 
@@ -44,9 +44,8 @@ def zipf_probabilities(cardinality: int, exponent: float) -> np.ndarray:
 
     ``exponent=0`` degenerates to uniform.
     """
-    check_positive("cardinality", cardinality)
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
+    check_count("cardinality", cardinality, 1)
+    check_finite_nonnegative("exponent", exponent)
     ranks = np.arange(1, cardinality + 1, dtype=np.float64)
     weights = ranks**-exponent
     return weights / weights.sum()
@@ -109,8 +108,7 @@ class SyntheticClickDataset:
             for t in spec.tables
         ]
         self._teacher_scale = float(teacher_scale)
-        if dense_weight < 0:
-            raise ValueError("dense_weight must be >= 0")
+        check_finite_nonnegative("dense_weight", dense_weight)
         self._dense_weight = float(dense_weight)
         self._bias = float(teacher_rng.normal(0.0, 0.1))
 
@@ -127,7 +125,7 @@ class SyntheticClickDataset:
         The same ``(seed, batch_index, batch_size)`` always yields the same
         batch, so multi-rank simulations can regenerate shards cheaply.
         """
-        check_positive("batch_size", batch_size)
+        check_count("batch_size", batch_size, 1)
         rng = self._pool.fork("batch", batch_index * 100003 + batch_size)
         dense = rng.normal(0.0, 1.0, size=(batch_size, self.spec.n_dense)).astype(np.float32)
         sparse = np.empty((batch_size, self.spec.n_tables), dtype=np.int64)

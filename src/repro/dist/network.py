@@ -70,7 +70,7 @@ class LinkSpec:
 
     def __post_init__(self) -> None:
         check_positive("bandwidth", self.bandwidth)
-        check_positive("latency", self.latency, strict=False)
+        check_finite_nonnegative("latency", self.latency)
 
     def oversubscribed(self, factor: float) -> "LinkSpec":
         """The same link class behind a ``factor``:1 oversubscribed switch
@@ -127,11 +127,10 @@ class Topology:
             raise ValueError(
                 f"latency matrix shape {lat.shape} != bandwidth matrix shape {bw.shape}"
             )
-        # Negated so NaN fails too, as in LinkSpec's check_positive.
+        # Negated so NaN fails too, as in check_positive.
         if not (bw > 0).all():
             raise ValueError("bandwidth matrix entries must all be > 0")
-        if not (lat >= 0).all():
-            raise ValueError("latency matrix entries must all be >= 0")
+        check_finite_nonnegative("latency matrix entries", lat)
         n = bw.shape[0]
         if node_ids is None:
             node_ids = np.zeros(n, dtype=np.int64)
@@ -382,7 +381,7 @@ class NetworkModel:
 
     def __post_init__(self) -> None:
         check_positive("bandwidth", self.bandwidth)
-        check_positive("latency", self.latency, strict=False)
+        check_finite_nonnegative("latency", self.latency)
 
     @classmethod
     def from_topology(cls, topology: Topology) -> "NetworkModel":

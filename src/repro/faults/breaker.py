@@ -17,6 +17,8 @@ pull degrades instantly instead of queueing behind a dead node.
 
 from __future__ import annotations
 
+from repro.utils.validation import check_positive
+
 __all__ = ["CircuitBreaker"]
 
 
@@ -30,10 +32,7 @@ class CircuitBreaker:
     FAILURE_THRESHOLD = 3
 
     def __init__(self, *, reset_timeout_seconds: float = 0.25) -> None:
-        if reset_timeout_seconds <= 0:
-            raise ValueError(
-                f"reset_timeout_seconds must be > 0, got {reset_timeout_seconds!r}"
-            )
+        check_positive("reset_timeout_seconds", reset_timeout_seconds)
         self.reset_timeout_seconds = float(reset_timeout_seconds)
         self._state = self.CLOSED
         self._consecutive_failures = 0

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.dist.timeline import EventCategory
 from repro.obs.runtime import OBS
+from repro.utils.validation import check_count
 
 __all__ = ["TrainerCheckpoint"]
 
@@ -58,14 +59,13 @@ class TrainerCheckpoint:
         A CHECKPOINT memcpy of the state bytes is charged to every rank's
         compute stream at the current clock.
         """
-        if iteration < 0:
-            raise ValueError(f"iteration must be >= 0, got {iteration!r}")
+        iteration = check_count("iteration", iteration, 0)
         params = tuple(p.data.copy() for p in trainer.model.parameters())
         grads = tuple(p.grad.copy() for p in trainer.model.parameters())
         pipeline = copy.deepcopy(trainer.pipeline) if trainer.pipeline is not None else None
         nbytes = int(sum(a.nbytes for a in params) + sum(a.nbytes for a in grads))
         snapshot = cls(
-            iteration=int(iteration),
+            iteration=iteration,
             params=params,
             grads=grads,
             pipeline=pipeline,

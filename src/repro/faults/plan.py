@@ -24,7 +24,10 @@ paper's compression pipeline:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from repro.utils.validation import check_count, check_finite_nonnegative, check_positive
 
 __all__ = [
     "LinkFault",
@@ -35,13 +38,6 @@ __all__ = [
     "LinkState",
     "FaultPlan",
 ]
-
-
-def _check_window(name: str, start: float, duration: float) -> None:
-    if start < 0:
-        raise ValueError(f"{name}: start must be >= 0, got {start!r}")
-    if duration <= 0:
-        raise ValueError(f"{name}: duration must be > 0, got {duration!r}")
 
 
 @dataclass(frozen=True)
@@ -65,15 +61,13 @@ class LinkFault:
     outage: bool = False
 
     def __post_init__(self) -> None:
-        _check_window("LinkFault", self.start, self.duration)
+        check_finite_nonnegative("LinkFault: start", self.start)
+        check_positive("LinkFault: duration", self.duration)
         if not 0 < self.bandwidth_factor <= 1.0:
             raise ValueError(
                 f"LinkFault: bandwidth_factor must be in (0, 1], got {self.bandwidth_factor!r}"
             )
-        if self.extra_latency < 0:
-            raise ValueError(
-                f"LinkFault: extra_latency must be >= 0, got {self.extra_latency!r}"
-            )
+        check_finite_nonnegative("LinkFault: extra_latency", self.extra_latency)
 
     @property
     def end(self) -> float:
@@ -93,12 +87,12 @@ class StragglerFault:
     slowdown: float
 
     def __post_init__(self) -> None:
-        _check_window("StragglerFault", self.start, self.duration)
-        if self.rank < 0:
-            raise ValueError(f"StragglerFault: rank must be >= 0, got {self.rank!r}")
-        if self.slowdown < 1.0:
+        check_count("StragglerFault: rank", self.rank, 0)
+        check_finite_nonnegative("StragglerFault: start", self.start)
+        check_positive("StragglerFault: duration", self.duration)
+        if not 1.0 <= self.slowdown < math.inf:
             raise ValueError(
-                f"StragglerFault: slowdown must be >= 1, got {self.slowdown!r}"
+                f"StragglerFault: slowdown must be finite and >= 1, got {self.slowdown!r}"
             )
 
     @property
@@ -118,11 +112,9 @@ class ShardCrashFault:
     duration: float
 
     def __post_init__(self) -> None:
-        _check_window("ShardCrashFault", self.start, self.duration)
-        if self.shard_rank < 0:
-            raise ValueError(
-                f"ShardCrashFault: shard_rank must be >= 0, got {self.shard_rank!r}"
-            )
+        check_count("ShardCrashFault: shard_rank", self.shard_rank, 0)
+        check_finite_nonnegative("ShardCrashFault: start", self.start)
+        check_positive("ShardCrashFault: duration", self.duration)
 
     @property
     def end(self) -> float:
@@ -149,11 +141,9 @@ class CorruptionFault:
     attempt: int = 0
 
     def __post_init__(self) -> None:
-        if self.round_index < 0 or self.table_index < 0 or self.attempt < 0:
-            raise ValueError(
-                "CorruptionFault: round_index/table_index/attempt must be >= 0, got "
-                f"{(self.round_index, self.table_index, self.attempt)!r}"
-            )
+        check_count("CorruptionFault: round_index", self.round_index, 0)
+        check_count("CorruptionFault: table_index", self.table_index, 0)
+        check_count("CorruptionFault: attempt", self.attempt, 0)
 
 
 @dataclass(frozen=True)
@@ -164,12 +154,8 @@ class RankFailureFault:
     at_iteration: int
 
     def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError(f"RankFailureFault: rank must be >= 0, got {self.rank!r}")
-        if self.at_iteration < 0:
-            raise ValueError(
-                f"RankFailureFault: at_iteration must be >= 0, got {self.at_iteration!r}"
-            )
+        check_count("RankFailureFault: rank", self.rank, 0)
+        check_count("RankFailureFault: at_iteration", self.at_iteration, 0)
 
 
 @dataclass(frozen=True)

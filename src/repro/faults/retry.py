@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.utils.rng import spawn_rng
+from repro.utils.validation import check_count, check_finite_nonnegative, check_positive
 
 __all__ = ["RetryPolicy"]
 
@@ -47,16 +48,9 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
-        if self.timeout_seconds <= 0:
-            raise ValueError(
-                f"timeout_seconds must be > 0, got {self.timeout_seconds!r}"
-            )
-        if self.base_backoff_seconds < 0:
-            raise ValueError(
-                f"base_backoff_seconds must be >= 0, got {self.base_backoff_seconds!r}"
-            )
+        check_count("max_attempts", self.max_attempts, 1)
+        check_positive("timeout_seconds", self.timeout_seconds)  # inf: never times out
+        check_finite_nonnegative("base_backoff_seconds", self.base_backoff_seconds)
 
     def backoff_seconds(self, attempt: int, *key: object) -> float:
         """Deterministic wait before (0-based) retry ``attempt``.

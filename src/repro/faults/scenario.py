@@ -39,6 +39,7 @@ from pathlib import Path
 
 from repro.obs.registry import MetricsRegistry, RegistrySnapshot
 from repro.obs.runtime import capture, enable
+from repro.utils.validation import check_count
 
 __all__ = [
     "ChaosInvariantViolation",
@@ -133,10 +134,8 @@ def run_day_in_the_life_under_faults(
     from repro.serve.loadgen import RequestLoadGenerator
     from repro.serve.simulator import ServingSimulator
 
-    if n_iterations < 2:
-        raise ValueError(f"n_iterations must be >= 2, got {n_iterations}")
-    if n_requests < 1:
-        raise ValueError(f"n_requests must be >= 1, got {n_requests}")
+    check_count("n_iterations", n_iterations, 2)
+    check_count("n_requests", n_requests, 1)
 
     publish_rounds = 2
     total_iterations = n_iterations + publish_rounds

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.data.specs import DatasetSpec
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count
 
 __all__ = ["CLUSTER_JITTER", "DLRMConfig"]
 
@@ -36,13 +36,12 @@ class DLRMConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_positive("n_dense", self.n_dense)
-        check_positive("embedding_dim", self.embedding_dim)
+        check_count("n_dense", self.n_dense, 1)
+        check_count("embedding_dim", self.embedding_dim, 1)
         if not self.table_cardinalities:
             raise ValueError("need at least one embedding table")
         for i, cardinality in enumerate(self.table_cardinalities):
-            if cardinality < 1:
-                raise ValueError(f"table {i}: cardinality must be >= 1, got {cardinality}")
+            check_count(f"table {i}: cardinality", cardinality, 1)
         n = len(self.table_cardinalities)
         for field_name in ("table_value_scales", "table_value_distributions", "table_cluster_counts"):
             value = getattr(self, field_name)

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.nn.init import clustered_embedding, embedding_init
 from repro.nn.param import Parameter
+from repro.utils.validation import check_count
 
 __all__ = ["EmbeddingTable"]
 
@@ -37,10 +38,8 @@ class EmbeddingTable:
         n_clusters: int = 0,
         jitter: float = 0.0,
     ):
-        if cardinality < 1 or dim < 1:
-            raise ValueError(f"cardinality and dim must be >= 1, got {cardinality}, {dim}")
-        self.cardinality = int(cardinality)
-        self.dim = int(dim)
+        self.cardinality = check_count("cardinality", cardinality, 1)
+        self.dim = check_count("dim", dim, 1)
         self._init = (float(scale), distribution)
         if n_clusters > 0:
             data = clustered_embedding(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.validation import check_count, check_finite_nonnegative, check_positive
+
 __all__ = [
     "xavier_uniform",
     "uniform_embedding",
@@ -23,8 +25,8 @@ __all__ = [
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Glorot/Xavier uniform init for a (fan_in, fan_out) weight matrix."""
-    if fan_in < 1 or fan_out < 1:
-        raise ValueError(f"fan_in/fan_out must be >= 1, got {fan_in}, {fan_out}")
+    check_count("fan_in", fan_in, 1)
+    check_count("fan_out", fan_out, 1)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
@@ -35,8 +37,7 @@ def uniform_embedding(rng: np.random.Generator, cardinality: int, dim: int, scal
     Produces the broad, flat value histograms of the paper's "EMB Table 5"
     regime (hard for entropy coding).
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    check_positive("scale", scale)
     return rng.uniform(-scale, scale, size=(cardinality, dim))
 
 
@@ -45,8 +46,7 @@ def normal_embedding(rng: np.random.Generator, cardinality: int, dim: int, scale
 
     Produces concentrated value histograms (observation ❸).
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    check_positive("scale", scale)
     return rng.normal(0.0, scale, size=(cardinality, dim))
 
 
@@ -59,8 +59,7 @@ def laplace_embedding(rng: np.random.Generator, cardinality: int, dim: int, scal
     regime where the paper's optimized Huffman wins decisively over
     fixed-width literals ("EMB Table 1" of Fig. 13).
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    check_positive("scale", scale)
     return rng.laplace(0.0, scale / np.sqrt(2.0), size=(cardinality, dim))
 
 
@@ -100,12 +99,9 @@ def clustered_embedding(
     *vector homogenization* (observation ❷).  Cluster sizes are skewed
     (Zipf-ish) so homogenization strength varies within a table.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    if n_clusters < 1:
-        raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
-    if jitter < 0:
-        raise ValueError(f"jitter must be >= 0, got {jitter}")
+    check_positive("scale", scale)
+    check_count("n_clusters", n_clusters, 1)
+    check_finite_nonnegative("jitter", jitter)
     centroids = embedding_init(rng, n_clusters, dim, scale, distribution)
     weights = 1.0 / np.arange(1, n_clusters + 1, dtype=np.float64)
     assignment = rng.choice(n_clusters, size=cardinality, p=weights / weights.sum())

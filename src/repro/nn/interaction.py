@@ -44,6 +44,8 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
+from repro.utils.validation import check_count
+
 __all__ = ["BLOCK_ROWS", "DotInteraction"]
 
 #: rows per block of the forward and backward passes (see the module docstring)
@@ -54,10 +56,8 @@ class DotInteraction:
     """Pairwise dot interaction with manual backward."""
 
     def __init__(self, n_features: int, dim: int):
-        if n_features < 1 or dim < 1:
-            raise ValueError(f"n_features and dim must be >= 1, got {n_features}, {dim}")
-        self.n_features = int(n_features)  # T+1 (dense slot + T tables)
-        self.dim = int(dim)
+        self.n_features = check_count("n_features", n_features, 1)  # T+1 (dense slot + T tables)
+        self.dim = check_count("dim", dim, 1)
         rows, cols = np.tril_indices(self.n_features, k=-1)
         # Pair p = (rows[p], cols[p]) sits at flat position rows*F + cols of P.
         self._tril_flat = rows * self.n_features + cols

@@ -27,6 +27,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+from repro.utils.validation import check_count, check_positive
+
 __all__ = [
     "DEFAULT_BUCKETS",
     "UNIT_BUCKETS",
@@ -51,15 +53,17 @@ _LABEL_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
 
 def exponential_buckets(start: float, factor: float, count: int) -> tuple[float, ...]:
     """``count`` upper bounds starting at ``start``, each ``factor`` apart."""
-    if start <= 0 or factor <= 1 or count < 1:
-        raise ValueError("need start > 0, factor > 1, count >= 1")
+    check_positive("start", start)
+    if not factor > 1:
+        raise ValueError(f"factor must be > 1, got {factor!r}")
+    check_count("count", count, 1)
     return tuple(start * factor**i for i in range(count))
 
 
 def linear_buckets(start: float, width: float, count: int) -> tuple[float, ...]:
     """``count`` upper bounds ``start, start+width, ...`` (for bounded ranges)."""
-    if width <= 0 or count < 1:
-        raise ValueError("need width > 0, count >= 1")
+    check_positive("width", width)
+    check_count("count", count, 1)
     return tuple(start + width * i for i in range(count))
 
 

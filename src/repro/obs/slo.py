@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.obs.runtime import OBS
+from repro.utils.validation import check_finite_nonnegative
 
 __all__ = [
     "SLOSpec",
@@ -75,9 +76,7 @@ class SLOSpec:
         if not 0.0 < self.objective <= 1.0:
             raise ValueError(f"objective must be in (0, 1], got {self.objective!r}")
         for field_name in ("threshold", "fast_window", "slow_window"):
-            value = getattr(self, field_name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{field_name} must be finite and >= 0, got {value!r}")
+            check_finite_nonnegative(field_name, getattr(self, field_name))
         if self.fast_window > self.slow_window:
             raise ValueError(
                 f"fast_window ({self.fast_window}) must not exceed "

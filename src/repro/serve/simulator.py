@@ -47,6 +47,7 @@ from repro.obs.runtime import OBS
 from repro.serve.loadgen import Request
 from repro.serve.replica import InferenceReplica
 from repro.serve.shard_server import ShardPull
+from repro.utils.validation import check_positive
 
 __all__ = ["ServingReport", "ServingSimulator"]
 
@@ -164,8 +165,8 @@ class ServingSimulator:
             )
             if not same_servers or replica.sharding != first.sharding:
                 raise ValueError("all replicas must share one shard-server tier")
-        if hedge_delay is not None and hedge_delay <= 0:
-            raise ValueError(f"hedge_delay must be > 0, got {hedge_delay!r}")
+        if hedge_delay is not None:
+            check_positive("hedge_delay", hedge_delay)
         self.replicas = tuple(replicas)
         self.config = config
         self.network = network if network is not None else NetworkModel()

@@ -73,7 +73,7 @@ from repro.train.metrics import TrainingHistory
 from repro.train.pipeline import CompressionPipeline
 from repro.train.reference import EVAL_BATCHES, evaluate_model
 from repro.train.sharding import ShardingPlan
-from repro.utils.validation import check_in, check_positive
+from repro.utils.validation import check_count, check_in, check_positive
 
 __all__ = ["HybridParallelTrainer", "HybridTrainingReport"]
 
@@ -131,11 +131,6 @@ class HybridParallelTrainer:
             raise ValueError(
                 f"overlap must be False, True, or 'cross_stage', got {overlap!r}"
             )
-        check_positive("pipeline_chunks", pipeline_chunks)
-        if int(pipeline_chunks) != pipeline_chunks:
-            raise ValueError(
-                f"pipeline_chunks must be an integer, got {pipeline_chunks!r}"
-            )
         self.model = model
         self.dataset = dataset
         self.simulator = simulator
@@ -143,7 +138,7 @@ class HybridParallelTrainer:
         self.pipeline = pipeline
         self.overlap = bool(overlap)
         self.cross_stage = overlap == "cross_stage"
-        self.pipeline_chunks = int(pipeline_chunks)
+        self.pipeline_chunks = check_count("pipeline_chunks", pipeline_chunks, 1)
         self.allreduce_algorithm = allreduce_algorithm
         self.allreduce_codec = allreduce_codec
         n_tables = model.config.n_tables
@@ -378,7 +373,7 @@ class HybridParallelTrainer:
 
     def train_step(self, global_batch_size: int, iteration: int) -> float:
         """One hybrid-parallel iteration; returns the global-batch loss."""
-        check_positive("global_batch_size", global_batch_size)
+        check_count("global_batch_size", global_batch_size, 1)
         if global_batch_size % self.n_ranks:
             raise ValueError(
                 f"global batch {global_batch_size} not divisible by {self.n_ranks} ranks"
@@ -501,7 +496,7 @@ class HybridParallelTrainer:
         eval_every: int = 0,
     ) -> HybridTrainingReport:
         """Run the simulated training loop and collect the full report."""
-        check_positive("n_iterations", n_iterations)
+        check_count("n_iterations", n_iterations, 1)
         history = TrainingHistory()
         for iteration in range(n_iterations):
             loss = self.train_step(global_batch_size, iteration)

@@ -21,7 +21,7 @@ from repro.model.dlrm import DLRM
 from repro.nn.loss import bce_grad, bce_with_logits
 from repro.nn.optim import SGD
 from repro.train.metrics import TrainingHistory, binary_accuracy, roc_auc
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 
 __all__ = ["LookupTransform", "ReferenceTrainer", "evaluate_model"]
 
@@ -95,8 +95,8 @@ class ReferenceTrainer:
         eval_batches: int = EVAL_BATCHES,
     ) -> TrainingHistory:
         """Run ``n_iterations`` steps, optionally evaluating periodically."""
-        check_positive("n_iterations", n_iterations)
-        check_positive("batch_size", batch_size)
+        check_count("n_iterations", n_iterations, 1)
+        check_count("batch_size", batch_size, 1)
         history = TrainingHistory()
         for iteration in range(n_iterations):
             loss = self.train_step(batch_size, iteration)

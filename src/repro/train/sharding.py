@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.validation import check_count
+
 __all__ = ["ShardingPlan"]
 
 
@@ -17,8 +19,7 @@ class ShardingPlan:
     n_ranks: int
 
     def __post_init__(self) -> None:
-        if self.n_ranks < 1:
-            raise ValueError(f"n_ranks must be >= 1, got {self.n_ranks}")
+        check_count("n_ranks", self.n_ranks, 1)
         by_rank: list[list[int]] = [[] for _ in range(self.n_ranks)]
         for table_id, owner in enumerate(self.owners):
             if not 0 <= owner < self.n_ranks:

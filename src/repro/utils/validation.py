@@ -1,7 +1,11 @@
 """Small argument-validation helpers used across the library.
 
 These raise early with actionable messages instead of letting NumPy produce
-confusing downstream failures.
+confusing downstream failures, each naming the argument.  A count goes
+through :func:`check_count`, a finite value >= 0 through
+:func:`check_finite_nonnegative` and a value > 0 where infinity is legal
+through :func:`check_positive`; a range with an upper bound stays a chained
+comparison at its site, negated (``if not lo <= x <= hi``) so NaN fails.
 """
 
 from __future__ import annotations
@@ -13,12 +17,11 @@ import numpy as np
 __all__ = ["check_positive", "check_finite_nonnegative", "check_count", "check_in", "check_shape"]
 
 
-def check_positive(name: str, value: float, *, strict: bool = True) -> None:
-    """Raise ``ValueError`` unless ``value`` is > 0 (or >= 0 if not strict)."""
-    if strict and not value > 0:
+def check_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is > 0 (``inf`` passes; NaN,
+    which ``x <= 0`` lets through, fails)."""
+    if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
-    if not strict and not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 def check_finite_nonnegative(name: str, value: object) -> None:
