@@ -47,6 +47,7 @@ from repro.dist import (
     Topology,
 )
 from repro.model import DLRM
+from repro.nn.param import PRICED_ITEMSIZE
 from repro.obs.critpath import TimelineDag
 from repro.train import CompressionPipeline, HybridParallelTrainer
 from repro.utils import format_table
@@ -247,8 +248,8 @@ def test_ablation_homomorphic_allreduce(kaggle_world, benchmark):
     fabrics = (
         (INTER_FABRICS[2],) if smoke else INTER_FABRICS
     )  # smoke: ib-oversub-4x only
-    dense_nbytes = sum(
-        p.data.nbytes for p in DLRM(kaggle_world.config).mlp_parameters()
+    dense_nbytes = PRICED_ITEMSIZE * sum(
+        p.data.size for p in DLRM(kaggle_world.config).mlp_parameters()
     )
 
     rows = []

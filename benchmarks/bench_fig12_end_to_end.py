@@ -62,9 +62,10 @@ def test_fig12_end_to_end_breakdown(cluster_runs, benchmark):
     # fewer bytes on every hop.
     from repro.compression.registry import get_compressor
     from repro.model import DLRM as _DLRM
+    from repro.nn.param import PRICED_ITEMSIZE
 
-    mlp_nbytes = sum(
-        p.data.nbytes for p in _DLRM(cluster_runs.config).mlp_parameters()
+    mlp_nbytes = PRICED_ITEMSIZE * sum(
+        p.data.size for p in _DLRM(cluster_runs.config).mlp_parameters()
     )
     grad_rng = np.random.default_rng(12)
     grad = np.asarray(

@@ -18,9 +18,9 @@ deliberately **not** restored: they meter real traffic, and the traffic of
 the lost iterations genuinely happened before the failure.
 
 Snapshot and reload both charge real time: a CHECKPOINT (or RESTORE)
-memcpy of the state bytes on every rank's compute stream, priced by the
-GPU model, so checkpoint cadence shows up in the makespan like it would
-in production.
+memcpy of the state on every rank's compute stream, priced by the GPU
+model at :data:`~repro.nn.param.PRICED_ITEMSIZE` bytes per element, so
+checkpoint cadence shows up in the makespan like it would in production.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dist.timeline import EventCategory
+from repro.nn.param import PRICED_ITEMSIZE
 from repro.obs.runtime import OBS
 from repro.utils.validation import check_count
 
@@ -113,4 +114,5 @@ class TrainerCheckpoint:
     def _charge(self, trainer, category: str) -> None:
         """Price a snapshot/reload as a state-sized memcpy on every rank."""
         sim = trainer.simulator
-        sim.compute([sim.gpu.memcpy_time(self.nbytes)] * sim.n_ranks, category)
+        priced = sum(a.size for a in self.params + self.grads) * PRICED_ITEMSIZE
+        sim.compute([sim.gpu.memcpy_time(priced)] * sim.n_ranks, category)

@@ -99,7 +99,7 @@ class DLRM:
         Returns ``(d_bottom_out, d_emb_rows)`` — the latter are the lookup
         gradients that travel through the backward all-to-all.
         """
-        d_interacted = self.top_mlp.backward(np.asarray(dlogits, dtype=np.float64).reshape(-1, 1))
+        d_interacted = self.top_mlp.backward(np.asarray(dlogits).reshape(-1, 1))
         dz = self.interaction.backward(d_interacted)
         d_bottom = dz[:, 0, :]
         d_emb = [dz[:, 1 + j, :] for j in range(self.config.n_tables)]

@@ -1,11 +1,13 @@
 """Embedding table with sparse gradient accumulation.
 
-Lookups return float32 rows — the wire format of DLRM all-to-all traffic
-and the input to the compressors.  Gradients are scattered back as a
-sorted segment reduce — stable argsort of the ids, ``np.add.reduceat`` over
-each run of equal ids, one fancy ``+=`` on the now-unique rows — so
-duplicate ids within a batch accumulate correctly, in batch order (the
-sparse-gradient semantics of a real embedding bag).
+Lookups return the table's rows in its own dtype — float32, the wire
+format of DLRM all-to-all traffic and the input to the compressors — as a
+fresh array (fancy indexing copies), so nothing casts or copies them again
+on the way to the wire.  Gradients are accumulated in the table's dtype,
+scattered back as a sorted segment reduce — stable argsort of the ids,
+``np.add.reduceat`` over each run of equal ids, one fancy ``+=`` on the
+now-unique rows — so duplicate ids within a batch accumulate correctly, in
+batch order (the sparse-gradient semantics of a real embedding bag).
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ class EmbeddingTable:
         return indices.astype(np.int64)
 
     def lookup(self, indices: np.ndarray) -> np.ndarray:
-        """Gather rows for ``indices``; float32, the all-to-all wire format."""
+        """Gather rows for ``indices`` (a copy, in the table's dtype)."""
         indices = self._check_indices(indices)
-        return self.weight.data[indices].astype(np.float32)
+        return self.weight.data[indices]
 
     def accumulate_grad(self, indices: np.ndarray, grad_rows: np.ndarray) -> None:
         """Scatter-add ``grad_rows`` into the table gradient.
@@ -74,7 +76,7 @@ class EmbeddingTable:
         embedding gradients.
         """
         indices = self._check_indices(indices)
-        grad_rows = np.asarray(grad_rows, dtype=np.float64)
+        grad_rows = np.asarray(grad_rows, dtype=self.weight.grad.dtype)
         if grad_rows.shape != (indices.size, self.dim):
             raise ValueError(
                 f"grad_rows must be ({indices.size}, {self.dim}), got {grad_rows.shape}"

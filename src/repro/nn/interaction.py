@@ -15,26 +15,34 @@ gathered in one ``take`` through an ``F*F`` index map that sends ``(i, j)``
 and ``(j, i)`` to the same pair column of ``dout`` (the diagonal, which the
 forward never reads, is zeroed afterwards).
 
-**Row blocks.**  The whole float64 stack ``(batch, F, dim)`` is never
-built: at the paper's shape (batch 4096, 27 features, dim 64) it is 56 MB,
-and its products and ``dP + dP^T`` are 24 MB more each.  Both passes walk
-:data:`BLOCK_ROWS` rows at a time instead, casting that block's slots into
-one reused float64 ``z`` and running the same per-sample GEMMs on it; the
-forward writes into one preallocated ``(batch, output_dim)`` output and the
-backward straight into one preallocated ``(batch, F, dim)`` gradient.  Each
-sample's GEMM sees the operands, layout and BLAS call it saw in the full
-stack, so every output is bit-identical to the unblocked computation.
+Every buffer — the block stack ``z``, the output and the gradient — is
+allocated in the features' common dtype (``np.result_type``), so the
+model's float32 features run float32 GEMMs and a float64 caller (a
+finite-difference check) gets the same code in float64.
 
-:data:`BLOCK_ROWS` = 256 was measured inside the step: forward +
-backward of ``DLRM``'s interaction stage (top MLP included) on one
-``train_baseline`` step's inputs (batch 4096, 27 features, dim 64), one
-BLAS thread on a 2-CPU host, block sizes interleaved, median of 41:
-64 to 512 rows all take 112-118 ms (the host's quartiles span ~30 ms),
-1024 rows 129 ms and the whole batch in one block 163 ms.  Of the equally
-fast sizes 256 is the middle one; its float64 ``z`` is 3.5 MB.
+**Row blocks.**  The whole stack ``(batch, F, dim)`` is never built: at
+the paper's shape (batch 4096, 27 features, dim 64) it is 28 MB in
+float32, and its products and ``dP + dP^T`` are 12 MB more each.  Both
+passes walk :data:`BLOCK_ROWS` rows at a time instead, copying that
+block's slots into one reused ``z`` and running the same per-sample GEMMs
+on it; the forward writes into one preallocated ``(batch, output_dim)``
+output and the backward straight into one preallocated ``(batch, F,
+dim)`` gradient.  Each sample's GEMM sees the operands, layout and BLAS
+call it saw in the full stack, so every output is bit-identical to the
+unblocked computation.
+
+:data:`BLOCK_ROWS` = 256 was measured inside the step, in float32:
+forward + backward of ``DLRM``'s interaction stage (top MLP included) on
+one ``train_baseline`` step's inputs (batch 4096, 27 features, dim 64),
+one BLAS thread on a 2-CPU host, block sizes interleaved, median of 41,
+three runs: 32 to 256 rows all take 93-105 ms (the host's quartiles span
+~15-20 ms), 16 rows 108 ms, 512 rows 114 ms, 1024 rows 130-134 ms and
+the whole batch in one block 145-148 ms.  256 is the largest of the
+equally fast sizes (the fewest Python-level blocks); its float32 ``z`` is
+1.8 MB.
 
 The forward keeps references to the feature arrays, not a copy, and the
-backward re-casts each block from them, so callers must not write into
+backward re-reads each block from them, so callers must not write into
 the features between ``forward`` and ``backward``.
 """
 
@@ -75,10 +83,13 @@ class DotInteraction:
 
     def _blocks(self, features: list[np.ndarray]) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield ``(rows, z)`` per block: the block's row slice and its
-        float64 ``(rows, F, dim)`` stack, cast slot by slot into one reused
-        buffer (so assignment is never left to broadcast)."""
+        ``(rows, F, dim)`` stack in the features' common dtype, copied slot
+        by slot into one reused buffer (so assignment is never left to
+        broadcast)."""
         batch = features[0].shape[0]
-        buffer = np.empty((min(batch, BLOCK_ROWS), self.n_features, self.dim))
+        buffer = np.empty(
+            (min(batch, BLOCK_ROWS), self.n_features, self.dim), dtype=np.result_type(*features)
+        )
         for start in range(0, batch, BLOCK_ROWS):
             rows = slice(start, min(start + BLOCK_ROWS, batch))
             z = buffer[: rows.stop - start]
@@ -101,7 +112,7 @@ class DotInteraction:
                 f"expected {self.n_features} arrays of one (batch, {self.dim}) shape, "
                 f"got {shapes}"
             )
-        out = np.empty((shapes[0][0], self.output_dim))
+        out = np.empty((shapes[0][0], self.output_dim), dtype=np.result_type(*features))
         out[:, : self.dim] = features[0]
         for rows, z in self._blocks(features):
             products = np.matmul(z, z.transpose(0, 2, 1)).reshape(len(z), self.n_features**2)
@@ -119,7 +130,7 @@ class DotInteraction:
         if dout.shape != (batch, self.output_dim):
             raise ValueError(f"expected dout ({batch}, {self.output_dim}), got {dout.shape}")
         # P = Z Z^T with only lower-tri read; dZ = (dP + dP^T) Z.
-        dz = np.empty((batch, self.n_features, self.dim))
+        dz = np.empty((batch, self.n_features, self.dim), dtype=np.result_type(*features))
         for rows, z in self._blocks(features):
             dP_sym = dout[rows].take(self._sym_flat, axis=1)
             dP_sym[:, :: self.n_features + 1] = 0.0

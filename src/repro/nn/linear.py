@@ -19,7 +19,7 @@ class Linear:
         self._cache: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.weight.data.dtype)
         if x.ndim != 2 or x.shape[1] != self.weight.shape[0]:
             raise ValueError(
                 f"Linear expected (batch, {self.weight.shape[0]}), got {x.shape}"

@@ -46,10 +46,9 @@ class MLP:
                 self.layers.append(ReLU())
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
-            out = layer.forward(out)
-        return out
+            x = layer.forward(x)
+        return x
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         grad = dout

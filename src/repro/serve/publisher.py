@@ -22,7 +22,7 @@ on their own lossy storage), so the end-to-end staleness of a served row
 is at most ``publication bound + shard-storage bound``.
 
 **Only what crossed its bound ships.**  A table whose delta already meets
-the contract — ``max|float32(current) - published| <= bound``, with the
+the contract — ``max|current - published| <= bound``, with the
 bound 0 in raw mode — is skipped: no compress, decode, CRC, payload,
 ``set_table`` or replica invalidation, and its published state and shard
 blocks stay bit for bit as they were.  Every table moves every training
@@ -245,7 +245,7 @@ class DeltaPublisher:
         # Explicit copies — the trainer updates weights in place, and an
         # aliased snapshot would make every delta read as zero.
         self._published = [
-            np.array(trainer.model.tables[t].weight.data, dtype=np.float32, copy=True)
+            trainer.model.tables[t].weight.data.copy()
             for t in range(n_tables)
         ]
         self.reports: list[PublicationReport] = []
@@ -260,7 +260,7 @@ class DeltaPublisher:
         publishing; grows as the trainer moves on)."""
         worst = 0.0
         for t, published in enumerate(self._published):
-            current = self.trainer.model.tables[t].weight.data.astype(np.float32)
+            current = self.trainer.model.tables[t].weight.data
             worst = max(worst, float(np.max(np.abs(current - published), initial=0.0)))
         return worst
 
@@ -301,21 +301,17 @@ class DeltaPublisher:
                 if self.compress:
                     # Compressed mode stores only the payload and
                     # `applied`, so the skip scan allocates nothing: the
-                    # float32 cast happens inside the subtract, into a
-                    # reused per-table scratch.  Only a shipped table
-                    # needs the float32 `current` (for its error, below).
-                    current = None
+                    # subtract writes into a reused per-table scratch.
+                    current = weight
                     delta = self._delta_scratch.get(table_id)
                     if delta is None or delta.shape != weight.shape:
-                        delta = np.empty(weight.shape, dtype=np.float32)
+                        delta = np.empty_like(weight)
                         self._delta_scratch[table_id] = delta
-                    np.subtract(weight, self._published[table_id], out=delta, dtype=np.float32)
+                    np.subtract(weight, self._published[table_id], out=delta)
                     codec_name = pipeline.controller.compressor_name(table_id)
                     bound = pipeline.controller.error_bound(table_id, iteration)
                 else:
-                    current = np.array(  # stored as published state below
-                        weight, dtype=np.float32, copy=True
-                    )
+                    current = weight.copy()  # stored as published state below
                     delta = current - self._published[table_id]
                     codec_name = "raw"
                     bound = 0.0
@@ -333,7 +329,6 @@ class DeltaPublisher:
                             codec = self._codecs[codec_name] = get_compressor(codec_name)
                         payload = codec.compress(delta, bound)
                         applied = self._published[table_id] + decompress_any(payload)
-                        current = np.asarray(weight, dtype=np.float32)
                     else:
                         payload = delta.tobytes()
                         applied = current

@@ -319,10 +319,7 @@ class EmbeddingShardServer:
         Without one, every table is stored with the hybrid codec at the
         constructor's default bound."""
         table_ids = [int(t) for t in table_ids]
-        values = {
-            t: np.ascontiguousarray(model.tables[t].weight.data, dtype=np.float32)
-            for t in table_ids
-        }
+        values = {t: model.tables[t].weight.data for t in table_ids}
         if controller is not None:
             bounds = {t: controller.error_bound(t, 0) for t in table_ids}
             names = {t: controller.compressor_name(t) for t in table_ids}

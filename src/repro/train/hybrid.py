@@ -69,6 +69,7 @@ from repro.obs.registry import UNIT_BUCKETS
 from repro.obs.runtime import OBS
 from repro.nn.loss import bce_grad, bce_with_logits
 from repro.nn.optim import SGD
+from repro.nn.param import PRICED_ITEMSIZE
 from repro.train.metrics import TrainingHistory
 from repro.train.pipeline import CompressionPipeline
 from repro.train.reference import EVAL_BATCHES, evaluate_model
@@ -148,9 +149,7 @@ class HybridParallelTrainer:
         if self.sharding.n_tables != n_tables or self.sharding.n_ranks != simulator.n_ranks:
             raise ValueError("sharding plan does not match model/simulator layout")
         self._opt = SGD(model.parameters(), lr=lr)
-        self._mlp_param_bytes = int(
-            sum(p.data.size for p in model.mlp_parameters()) * 4
-        )
+        self._mlp_param_bytes = sum(p.data.nbytes for p in model.mlp_parameters())
         self.forward_wire_bytes = 0
         self.forward_raw_bytes = 0
 
@@ -307,7 +306,7 @@ class HybridParallelTrainer:
         if self.pipeline is not None and self.pipeline.compress_backward:
             # Self-describing gradient payloads: no stage-② round.
             grads, _ = self._compressed_exchange(
-                [np.ascontiguousarray(g, dtype=np.float32) for g in d_emb],
+                [np.ascontiguousarray(g) for g in d_emb],
                 iteration,
                 owner_sends=False,
                 metadata=False,
@@ -342,8 +341,8 @@ class HybridParallelTrainer:
         sum exactly to the gradient — each element has exactly one nonzero
         leaf — so ``count_sum`` reproduces it bit for bit and ``quant_sum``
         stays within the composed bound.  Encode/decode device time is
-        priced as one gradient-sized memcpy per rank (quantize / limb
-        kernels are memory-bound).
+        priced as one gradient-sized memcpy per rank at ``PRICED_ITEMSIZE``
+        bytes per element (quantize / limb kernels are memory-bound).
         """
         params = self.model.mlp_parameters()
         grads = np.concatenate([p.grad.ravel() for p in params])
@@ -353,7 +352,7 @@ class HybridParallelTrainer:
             shard = np.zeros_like(grads)
             shard[rank::n] = grads[rank::n]
             shards.append(shard)
-        codec_seconds = self.simulator.gpu.memcpy_time(grads.nbytes)
+        codec_seconds = self.simulator.gpu.memcpy_time(grads.size * PRICED_ITEMSIZE)
         totals = self.comm.compressed_all_reduce(
             shards,
             codec=self.allreduce_codec,
@@ -426,7 +425,7 @@ class HybridParallelTrainer:
             )
         else:
             self._homomorphic_dense_sync()
-        param_bytes = sum(p.data.nbytes for p in self.model.parameters())
+        param_bytes = sum(p.data.size for p in self.model.parameters()) * PRICED_ITEMSIZE
         optimizer = gpu.memcpy_time(param_bytes / self.n_ranks)
         self.simulator.compute([optimizer] * self.n_ranks, EventCategory.OPTIMIZER)
         self._opt.step()

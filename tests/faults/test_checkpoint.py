@@ -10,6 +10,7 @@ from repro.dist import ClusterSimulator
 from repro.dist.timeline import EventCategory
 from repro.faults import TrainerCheckpoint
 from repro.model import DLRM, DLRMConfig
+from repro.nn.param import PRICED_ITEMSIZE
 from repro.train import CompressionPipeline, HybridParallelTrainer
 from tests.conftest import events_in
 
@@ -92,9 +93,16 @@ def test_checkpoint_and_restore_are_charged():
     assert snapshot.nbytes > 0
 
 
+def priced_state_bytes(trainer) -> int:
+    """The state bytes a snapshot or reload is charged for: every element of
+    the parameters and pending gradients at ``PRICED_ITEMSIZE`` bytes."""
+    return sum(2 * p.data.size for p in trainer.model.parameters()) * PRICED_ITEMSIZE
+
+
 def test_snapshot_size_is_parameters_plus_gradients():
     """SGD keeps no optimizer state, so a snapshot is exactly the parameter
-    and pending-gradient bytes, and each charge is one memcpy of them."""
+    and pending-gradient bytes; each charge is one memcpy of its elements,
+    priced at ``PRICED_ITEMSIZE`` bytes each."""
     trainer = build_trainer()
     run_to(trainer, 1)
     params = list(trainer.model.parameters())
@@ -102,7 +110,8 @@ def test_snapshot_size_is_parameters_plus_gradients():
     assert snapshot.nbytes == sum(p.data.nbytes + p.grad.nbytes for p in params)
     charged = events_in(trainer.simulator.timeline, EventCategory.CHECKPOINT)
     assert len(charged) == trainer.simulator.n_ranks
-    assert {e.duration for e in charged} == {trainer.simulator.gpu.memcpy_time(snapshot.nbytes)}
+    expected = trainer.simulator.gpu.memcpy_time(priced_state_bytes(trainer))
+    assert {e.duration for e in charged} == {expected}
 
 
 def test_restore_charges_one_memcpy_per_rank():
@@ -112,7 +121,8 @@ def test_restore_charges_one_memcpy_per_rank():
     snapshot.restore(trainer)
     charged = events_in(trainer.simulator.timeline, EventCategory.RESTORE)
     assert sorted(e.rank for e in charged) == list(range(trainer.simulator.n_ranks))
-    assert {e.duration for e in charged} == {trainer.simulator.gpu.memcpy_time(snapshot.nbytes)}
+    expected = trainer.simulator.gpu.memcpy_time(priced_state_bytes(trainer))
+    assert {e.duration for e in charged} == {expected}
 
 
 def test_restore_rejects_mismatched_trainer():

@@ -8,7 +8,7 @@ import pytest
 from repro.data import SyntheticClickDataset, make_uniform_spec
 from repro.model import DLRM, DLRMConfig
 from repro.nn import bce_grad, bce_with_logits
-from tests.nn.gradcheck import numerical_gradient, relative_error
+from tests.nn.gradcheck import as_float64, numerical_gradient, relative_error
 from tests.nn.test_interaction_blocks import stack, stacked_backward, stacked_forward
 
 
@@ -90,9 +90,9 @@ class TestForward:
             model.forward_interaction(bottom, [np.zeros((6, 4))])
 
     def test_interaction_input_equals_stacked_features(self, tiny_config, tiny_batch):
-        """The interaction reads each feature cast to float64: forward and
-        backward equal the unblocked oracle over ``np.stack`` of float64
-        casts, bit for bit."""
+        """The interaction reads each feature as it is (float32, the
+        model's dtype): forward and backward equal the unblocked oracle over
+        ``np.stack`` of the features, bit for bit."""
         dense, sparse, labels = tiny_batch
         model = DLRM(tiny_config)
         bottom = np.asfortranarray(model.forward_dense(dense))  # non-contiguous rows
@@ -104,7 +104,7 @@ class TestForward:
         z = stack([bottom, *rows])
         oracle = DLRM(tiny_config)
         np.testing.assert_array_equal(logits, oracle.top_mlp.forward(stacked_forward(z)).ravel())
-        d_interacted = oracle.top_mlp.backward(np.asarray(dlogits, dtype=np.float64).reshape(-1, 1))
+        d_interacted = oracle.top_mlp.backward(dlogits.reshape(-1, 1))
         dz = stacked_backward(z, d_interacted)
         np.testing.assert_array_equal(d_bottom, dz[:, 0, :])
         for j, grad in enumerate(d_emb):
@@ -133,7 +133,7 @@ def backward(model: DLRM, dlogits: np.ndarray, sparse: np.ndarray) -> None:
 class TestBackward:
     def test_full_gradcheck_mlp_weight(self, tiny_config, tiny_batch):
         dense, sparse, labels = tiny_batch
-        model = DLRM(tiny_config)
+        model = as_float64(DLRM(tiny_config))
         w = model.bottom_mlp.parameters()[0]
 
         def loss_of(wv):
@@ -149,7 +149,7 @@ class TestBackward:
 
     def test_full_gradcheck_embedding(self, tiny_config, tiny_batch):
         dense, sparse, labels = tiny_batch
-        model = DLRM(tiny_config)
+        model = as_float64(DLRM(tiny_config))
         w = model.tables[0].weight
 
         def loss_of(wv):
@@ -161,8 +161,8 @@ class TestBackward:
         for p in model.parameters():
             p.zero_grad()
         backward(model, bce_grad(logits, labels), sparse)
-        # float32 lookups in the forward pass put a floor on the agreement
-        # achievable by float64 central differences.
+        # The bound dates from float32 lookups inside a float64 model; the
+        # float64 oracle looks up float64 rows and lands near 6e-8.
         assert relative_error(w.grad, numeric) < 1e-2
 
     def test_unused_rows_get_zero_grad(self, tiny_config, tiny_batch):

@@ -1,4 +1,11 @@
-"""Finite-difference gradient checking helpers."""
+"""Finite-difference gradient checking helpers.
+
+The model stores float32, whose rounding is far above the truncation error
+of a central difference.  Every layer follows the dtype of its parameters
+or inputs, so a check first casts the module under test to float64 with
+:func:`as_float64`: the same layer code then runs as a float64 oracle, and
+the checks keep their float64 tolerances.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,16 @@ from collections.abc import Callable
 
 import numpy as np
 
-__all__ = ["numerical_gradient", "relative_error"]
+__all__ = ["as_float64", "numerical_gradient", "relative_error"]
+
+
+def as_float64(module):
+    """Cast every parameter of ``module`` (its ``data`` and ``grad``) to
+    float64 in place; returns ``module``."""
+    for param in module.parameters():
+        param.data = param.data.astype(np.float64)
+        param.grad = param.grad.astype(np.float64)
+    return module
 
 
 def numerical_gradient(

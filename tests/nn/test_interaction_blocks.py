@@ -1,7 +1,8 @@
 """Laws of the row-blocked ``DotInteraction``.
 
 The interaction walks ``BLOCK_ROWS`` rows at a time and never builds the
-whole float64 ``(batch, F, dim)`` stack.  Every sample's GEMM keeps its
+whole ``(batch, F, dim)`` stack; it computes in the features' common dtype
+(float32 in the model).  Every sample's GEMM keeps its
 operands, layout and BLAS call, so the blocked passes equal the unblocked
 computation over one stack — :func:`stacked_forward` /
 :func:`stacked_backward` below — bit for bit, at every batch size around
@@ -32,8 +33,8 @@ def slots(z: np.ndarray) -> list[np.ndarray]:
 
 
 def stack(features: list[np.ndarray]) -> np.ndarray:
-    """Every feature cast to float64 in one ``(batch, F, dim)`` stack."""
-    return np.stack([np.asarray(feature, dtype=np.float64) for feature in features], axis=1)
+    """Every feature in one ``(batch, F, dim)`` stack of their common dtype."""
+    return np.stack(features, axis=1, dtype=np.result_type(*features))
 
 
 def stacked_forward(z: np.ndarray) -> np.ndarray:
@@ -82,8 +83,8 @@ def test_blocked_equals_stacked(batch, n_features, dim, layout, seed):
     features = make_features(rng, batch, n_features, dim, layout)
     before = [feature.copy() for feature in features]
     inter = DotInteraction(n_features, dim)
-    dout = rng.normal(size=(batch, inter.output_dim))
     z = stack(features)
+    dout = rng.normal(size=(batch, inter.output_dim)).astype(z.dtype)
 
     out = inter.forward(features)
     assert all(kept is feature for kept, feature in zip(inter._cache, features))
@@ -91,7 +92,7 @@ def test_blocked_equals_stacked(batch, n_features, dim, layout, seed):
 
     np.testing.assert_array_equal(out, stacked_forward(z))
     np.testing.assert_array_equal(dz, stacked_backward(z, dout))
-    assert out.dtype == dz.dtype == np.float64
+    assert out.dtype == dz.dtype == z.dtype
     for feature, original in zip(features, before):
         np.testing.assert_array_equal(feature, original)
 

@@ -2,10 +2,14 @@
 
 ``DotInteraction`` used ``einsum`` plus a scatter + transpose-add for
 ``dP + dP^T``; ``EmbeddingTable.accumulate_grad`` used ``np.add.at``.  Those
-formulations live on here as oracles.  The new kernels add the same terms
-in a different order, so results agree to a few ulps of the largest value
-involved — the tolerance below, fixed from float64 eps (2.2e-16) times the
-longest sum in the sweep (< 1e3 terms) — and are bit-stable run to run.
+formulations live on here as oracles, in float64.  The new kernels add the
+same terms in a different order, so results agree to a few ulps of the
+largest value involved — the tolerance below, fixed from float64 eps
+(2.2e-16) times the longest sum in the sweep (< 1e3 terms) — and are
+bit-stable run to run.  The kernels compute in their inputs' dtype (the
+interaction) or their table's (the gradient scatter, whose tables the
+tests cast to float64 with ``as_float64``); a float32 interaction is held
+to the same tolerance scaled by float32's eps.
 """
 
 from __future__ import annotations
@@ -16,17 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import SGD, DotInteraction, EmbeddingTable
-from tests.nn.gradcheck import numerical_gradient, relative_error
+from tests.nn.gradcheck import as_float64, numerical_gradient, relative_error
 from tests.nn.test_interaction_blocks import slots
 
 RTOL = 1e-12
 
 
-def assert_close(actual: np.ndarray, expected: np.ndarray) -> None:
+def assert_close(actual: np.ndarray, expected: np.ndarray, dtype=np.float64) -> None:
+    """``actual`` is ``dtype`` and within RTOL (scaled from float64's eps to
+    ``dtype``'s) of the float64 ``expected``."""
     assert actual.shape == expected.shape
-    assert actual.dtype == expected.dtype == np.float64
+    assert actual.dtype == dtype
+    assert expected.dtype == np.float64
+    rtol = RTOL * np.finfo(dtype).eps / np.finfo(np.float64).eps
     scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
-    assert float(np.abs(actual - expected).max(initial=0.0)) <= RTOL * scale
+    assert float(np.abs(actual - expected).max(initial=0.0)) <= rtol * scale
 
 
 # ------------------------------------------------------------------ oracles
@@ -79,8 +87,8 @@ class TestDotInteraction:
         out_shape = (batch, inter.output_dim)
         dout = rng.normal(size=out_shape) if contiguous else strided(rng, out_shape)
 
-        assert_close(inter.forward(slots(z)), einsum_forward(z))
-        assert_close(inter.backward(dout), einsum_backward(z, dout))
+        assert_close(inter.forward(slots(z)), einsum_forward(z), dtype)
+        assert_close(inter.backward(dout), einsum_backward(z, dout), dtype)
 
     def test_single_feature_has_no_pairs(self):
         z = np.random.default_rng(0).normal(size=(3, 1, 4))
@@ -150,7 +158,7 @@ class TestAccumulateGrad:
         # grad_rows are the dz[:, 1 + j, :] views backward_interaction returns.
         dz = rng.normal(size=(batch, 3, dim))
         for name, ids in id_patterns(rng, batch, cardinality).items():
-            table = EmbeddingTable(cardinality, dim, np.random.default_rng(0))
+            table = as_float64(EmbeddingTable(cardinality, dim, np.random.default_rng(0)))
             expected = np.zeros_like(table.weight.grad)
             for j in (0, 2):  # two calls before one optimizer step
                 table.accumulate_grad(ids.astype(id_dtype), dz[:, j, :])
@@ -166,7 +174,7 @@ class TestAccumulateGrad:
         rng = np.random.default_rng(5)
         ids = rng.integers(0, 6, size=30)
         rows = rng.normal(size=(30, 4)).astype(np.float32)
-        table = EmbeddingTable(6, 4, np.random.default_rng(0))
+        table = as_float64(EmbeddingTable(6, 4, np.random.default_rng(0)))
         table.accumulate_grad(ids, rows)
         expected = np.zeros((6, 4))
         add_at(expected, ids, rows)

@@ -25,7 +25,7 @@ from repro.nn.init import (
     uniform_embedding,
     xavier_uniform,
 )
-from tests.nn.gradcheck import numerical_gradient, relative_error
+from tests.nn.gradcheck import as_float64, numerical_gradient, relative_error
 from tests.nn.test_interaction_blocks import slots
 
 
@@ -82,7 +82,7 @@ class TestLinear:
 
     def test_gradcheck_weight_and_input(self):
         rng = np.random.default_rng(1)
-        layer = Linear(5, 3, rng)
+        layer = as_float64(Linear(5, 3, rng))
         x = rng.normal(size=(4, 5))
         target = rng.normal(size=(4, 3))
 
@@ -142,7 +142,7 @@ class TestActivationsAndMLP:
 
     def test_mlp_gradcheck(self):
         rng = np.random.default_rng(2)
-        mlp = MLP([3, 4, 2], rng, final_activation="none")
+        mlp = as_float64(MLP([3, 4, 2], rng, final_activation="none"))
         x = rng.normal(size=(3, 3))
         target = rng.normal(size=(3, 2))
         w = mlp.parameters()[0]

@@ -44,13 +44,18 @@ exchange posted per-destination row views through
 ``Communicator.all_to_all``; it is now charged from its byte matrix, like
 the backward one, and must reproduce them.
 
-``params`` depends on the BLAS thread count.  Under
-``OPENBLAS_NUM_THREADS=1`` — which ``bench_e2e/run.py`` sets for itself —
-the six ``compress_backward`` in {False, None} cases miss on ``params``
-alone: against a 2-thread run, three (False) or five (None) embedding
-tables differ in at most five entries each, by |delta| <= 1.4e-17, and the
-losses are equal.  With 2, 3, 4 or 8 threads every case passes.  Run this file in a shell with the default thread
-count, never in a benchmark shell, and never re-record from one.
+``losses``, ``params`` and ``ledger`` of all nine cases were re-recorded
+once when the model moved from float64 to float32 (``Parameter`` stores
+float32 and every layer follows it).  ``ledger`` moved only through the
+``loss`` each TRAIN_STEP event carries: with that argument dropped, the
+ledger digest of every case equals the float64 parent's.  Every other
+digest — ``timing``, ``sendbufs``, ``forward_wire_bytes``, ``obs`` and
+``stats`` — did not move: the float32 steps post the same payload bytes.
+
+In float64, ``params`` depended on the BLAS thread count (six cases missed
+by ~1e-17 under ``OPENBLAS_NUM_THREADS=1``).  In float32 every case passes
+with 1, 2, 3, 4 and 8 threads.  Still record only from a shell with the
+default thread count.
 
 Run ``python tests/train/test_exchange_golden.py`` to print the digests of
 the current checkout (only ever paste them here from a commit whose
@@ -164,15 +169,15 @@ def run_case(compress_backward: bool | None, overlap) -> dict[str, str]:
 CASES = [(cb, ov) for cb in (False, True, None) for ov in (False, True, "cross_stage")]
 
 GOLDEN: dict[tuple[bool, object], dict[str, str]] = {
-    (False, False): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '064a7ca6ea87d4ed1e81b3fe309785df', 'timing': '19b274d1b3af7cf5b217ca20f6a2df15', 'obs': '7d732424fbd403e82d3fe6455761cc6a', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
-    (False, True): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '28927d73a9f830add2bb3cbea7a3b311', 'timing': '0ac463c006db5e9c6ca45364895e2579', 'obs': '2788b006ba5c05b9d3052506eeecf54f', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
-    (False, 'cross_stage'): {'losses': 'c92f4b0575bc9a4d4eacc3467e409835', 'params': '5f49f3c74d241b1968c2caf40e314501', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '816d36440d1ace6b3e0658174d8d79f1', 'timing': '9556953cc3bfb84d9527233d31ac0fbb', 'obs': '6bdb6246993c2bbee98cfe468e69aff6', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
-    (True, False): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '548cda6a2b61ebb2473a65164eea5082', 'timing': '629003cfbedf961445593bd66cb228d1', 'obs': 'f61433605555037d81255a7a6d20950b', 'stats': '3de8ac84549fb894792459ac625d31d1'},
-    (True, True): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '28af9dc24e2c9d845959ff6f662bac78', 'timing': '46a2bc25082d0779d543a0a8f1aef3aa', 'obs': '973cbc4486fee857c539f90c86f719e8', 'stats': '3de8ac84549fb894792459ac625d31d1'},
-    (True, 'cross_stage'): {'losses': '29607c3b5327a1d266d40b85b82c0ecb', 'params': '698aad4c75a6c8b78a3c3740732290c8', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '5aacd1b9d4606cf4dd7cebbeee4b119d', 'timing': '0491b35af860cc2f11d94fe9c13d0e41', 'obs': '3fdfb6a5edf54ef4e492dc6947385160', 'stats': '3de8ac84549fb894792459ac625d31d1'},
-    (None, False): {'losses': '58dd0703ff44e79b1a0635018c2d553d', 'params': '878ad27a7d334108007fff98ab2504ac', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': '1fa281d8404850b0674ece0be56dbb02', 'timing': '6d56a70e676140d9b34bac72330b54ba', 'obs': '113e1380632a822d83c806703b0681fe', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
-    (None, True): {'losses': '58dd0703ff44e79b1a0635018c2d553d', 'params': '878ad27a7d334108007fff98ab2504ac', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': '1fa281d8404850b0674ece0be56dbb02', 'timing': '6d56a70e676140d9b34bac72330b54ba', 'obs': '113e1380632a822d83c806703b0681fe', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
-    (None, 'cross_stage'): {'losses': '58dd0703ff44e79b1a0635018c2d553d', 'params': '878ad27a7d334108007fff98ab2504ac', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': 'd72a0447e2433569985d9e654d4c417b', 'timing': '8c8c6eea598d0f4b57036aae500c7364', 'obs': '53fef44cb44913c480009c5f0e5f26a5', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
+    (False, False): {'losses': '6f4b2b73e6065c592d19478f3c7af0cb', 'params': '0a9fac35471b45da7e0567050718b725', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '49b2f33e873ed0f49698b5b7a8adfff8', 'timing': '19b274d1b3af7cf5b217ca20f6a2df15', 'obs': '7d732424fbd403e82d3fe6455761cc6a', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
+    (False, True): {'losses': '6f4b2b73e6065c592d19478f3c7af0cb', 'params': '0a9fac35471b45da7e0567050718b725', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '8ab6b562e4cfbb1733423bc37e17e393', 'timing': '0ac463c006db5e9c6ca45364895e2579', 'obs': '2788b006ba5c05b9d3052506eeecf54f', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
+    (False, 'cross_stage'): {'losses': '6f4b2b73e6065c592d19478f3c7af0cb', 'params': '0a9fac35471b45da7e0567050718b725', 'forward_wire_bytes': '325edfacacbbb481853ce9db0d3d9f74', 'sendbufs': '264a62a0a422fd813514c22626f9d557', 'ledger': '171595ea62e580dff12f4aa0b1766101', 'timing': '9556953cc3bfb84d9527233d31ac0fbb', 'obs': '6bdb6246993c2bbee98cfe468e69aff6', 'stats': '98660084a4ecb6990fdea7056e3934fe'},
+    (True, False): {'losses': '733f56c60615e4bc42ac0e04e0d22c28', 'params': 'bc9e927d962fcfa66cf5e2ee23489a32', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': 'ce6f29f8f5938c29b8454ebccce58fdc', 'timing': '629003cfbedf961445593bd66cb228d1', 'obs': 'f61433605555037d81255a7a6d20950b', 'stats': '3de8ac84549fb894792459ac625d31d1'},
+    (True, True): {'losses': '733f56c60615e4bc42ac0e04e0d22c28', 'params': 'bc9e927d962fcfa66cf5e2ee23489a32', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '8985c6d9ef34f8924ce28a8e0ccf1d30', 'timing': '46a2bc25082d0779d543a0a8f1aef3aa', 'obs': '973cbc4486fee857c539f90c86f719e8', 'stats': '3de8ac84549fb894792459ac625d31d1'},
+    (True, 'cross_stage'): {'losses': '733f56c60615e4bc42ac0e04e0d22c28', 'params': 'bc9e927d962fcfa66cf5e2ee23489a32', 'forward_wire_bytes': '2c5b3c2b1b461fa7e261d38bf9b7e77a', 'sendbufs': '5ca57128250e415828f0faf2bc121d8a', 'ledger': '41e120dd5f02f28a6a66ba57ed33ee40', 'timing': '0491b35af860cc2f11d94fe9c13d0e41', 'obs': '3fdfb6a5edf54ef4e492dc6947385160', 'stats': '3de8ac84549fb894792459ac625d31d1'},
+    (None, False): {'losses': 'f628df8944d6c72584f40744d7d18e18', 'params': '005e4a073f7ca54d89e5e14daf7d7f0b', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': '4ee548433fea1d544a9e80a634766f5b', 'timing': '6d56a70e676140d9b34bac72330b54ba', 'obs': '113e1380632a822d83c806703b0681fe', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
+    (None, True): {'losses': 'f628df8944d6c72584f40744d7d18e18', 'params': '005e4a073f7ca54d89e5e14daf7d7f0b', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': '4ee548433fea1d544a9e80a634766f5b', 'timing': '6d56a70e676140d9b34bac72330b54ba', 'obs': '113e1380632a822d83c806703b0681fe', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
+    (None, 'cross_stage'): {'losses': 'f628df8944d6c72584f40744d7d18e18', 'params': '005e4a073f7ca54d89e5e14daf7d7f0b', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': '690f3f060f71d7cccc963a9503a671bb', 'timing': '8c8c6eea598d0f4b57036aae500c7364', 'obs': '53fef44cb44913c480009c5f0e5f26a5', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
 }
 
 
