@@ -74,7 +74,6 @@ def test_every_kernel_covered_on_every_shape(records):
         ("checksum", "verify"),
         ("serve_degraded", "pull"),
         ("homomorphic_allreduce", "agg_quant"),
-        ("homomorphic_allreduce", "agg_count"),
     }
     assert keys == expected
     fabric = {(r.codec, r.op) for r in records if r.shape_name not in PAPER_SHAPES}

@@ -15,14 +15,7 @@ from repro.compression.baselines import (
     Lz4LikeCompressor,
 )
 from repro.compression.entropy import EntropyCompressor
-from repro.compression.homomorphic import (
-    CountSumCompressor,
-    HomomorphicCompressor,
-    QuantSumCompressor,
-    agg_fold,
-    agg_sum,
-    homomorphic_codecs,
-)
+from repro.compression.homomorphic import QuantSumCompressor, agg_fold, agg_sum
 from repro.compression.hybrid import HybridCompressor
 from repro.compression.metrics import (
     communication_speedup,
@@ -55,12 +48,9 @@ __all__ = [
     "DeflateLikeCompressor",
     "CuszLikeCompressor",
     "FzGpuLikeCompressor",
-    "HomomorphicCompressor",
     "QuantSumCompressor",
-    "CountSumCompressor",
     "agg_sum",
     "agg_fold",
-    "homomorphic_codecs",
     "quantize",
     "quantize_batch",
     "QuantizedBatch",

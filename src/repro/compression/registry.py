@@ -21,7 +21,7 @@ from repro.compression.baselines import (
     Lz4LikeCompressor,
 )
 from repro.compression.entropy import EntropyCompressor
-from repro.compression.homomorphic import CountSumCompressor, QuantSumCompressor
+from repro.compression.homomorphic import QuantSumCompressor
 from repro.compression.hybrid import HybridCompressor
 from repro.compression.serialization import CorruptPayloadError
 from repro.compression.vector_lz import VectorLZCompressor
@@ -39,7 +39,6 @@ _FACTORIES: dict[str, Callable[[], Compressor]] = {
     CuszLikeCompressor.name: CuszLikeCompressor,
     FzGpuLikeCompressor.name: FzGpuLikeCompressor,
     QuantSumCompressor.name: QuantSumCompressor,
-    CountSumCompressor.name: CountSumCompressor,
 }
 
 

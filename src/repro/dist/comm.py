@@ -684,8 +684,7 @@ class Communicator:
     def compressed_all_reduce(
         self,
         arrays: Sequence[np.ndarray],
-        codec: str = "quant_sum",
-        error_bound: float | None = None,
+        error_bound: float,
         *,
         algorithm: str = "ring",
         encode_seconds: Sequence[float] | None = None,
@@ -693,15 +692,15 @@ class Communicator:
     ) -> list[np.ndarray]:
         """All-reduce whose payloads are aggregated *in compressed space*.
 
-        Each rank encodes its contribution once with a homomorphic codec
-        (``"quant_sum"`` / ``"count_sum"``), intermediate hops sum the
+        Each rank encodes its contribution once with the homomorphic
+        ``quant_sum`` codec at ``error_bound``, intermediate hops sum the
         payloads directly via :func:`repro.compression.agg_sum` — no
         decode anywhere in the reduction — and the final aggregate is
         decoded exactly once per rank.  The decoded total is therefore
-        independent of hop count and fold order (bit-identical for
-        ``count_sum``; within the closed-form composed bound
-        ``n_ranks * error_bound`` for ``quant_sum``), and the wire carries
-        compressed bytes end to end.
+        independent of hop count and fold order, within the closed-form
+        composed bound ``n_ranks * error_bound`` of the exact sum (and
+        exact when every input sits on the grid ``2 * error_bound``), and
+        the wire carries compressed bytes end to end.
 
         Timing: the collective is priced at the *largest* payload seen on
         any hop under the chosen schedule (``"ring"``, ``"hierarchical"``,
@@ -711,8 +710,7 @@ class Communicator:
 
         Returns one decoded total per rank (fresh arrays, original shape).
         """
-        from repro.compression.homomorphic import agg_fold
-        from repro.compression.registry import get_compressor
+        from repro.compression.homomorphic import QuantSumCompressor, agg_fold
 
         n = self.n_ranks
         if len(arrays) != n:
@@ -727,16 +725,10 @@ class Communicator:
             )
         # Before any encoding: a bad schedule must not cost a compress.
         check_in("algorithm", algorithm, ALLREDUCE_ALGORITHMS)
-        compressor = get_compressor(codec)
-        if not getattr(compressor, "homomorphic", False):
-            raise ValueError(
-                f"codec {codec!r} is not homomorphic; compressed_all_reduce needs "
-                "payloads that sum in compressed space (e.g. 'quant_sum', 'count_sum')"
-            )
+        compressor = QuantSumCompressor()
         shape = arrays[0].shape
         flat = [np.ascontiguousarray(a).reshape(1, -1) for a in arrays]
-        bound = error_bound if compressor.error_bounded else None
-        leaves = [compressor.compress(a, bound) for a in flat]
+        leaves = [compressor.compress(a, error_bound) for a in flat]
         final = agg_fold(leaves)
 
         sim = self.simulator
@@ -756,11 +748,11 @@ class Communicator:
             reg.counter(
                 "comm_homomorphic_aggregated_bytes_total",
                 "compressed payload bytes summed without decoding",
-            ).inc(sum(len(p) for p in leaves), codec=codec, algorithm=algorithm)
+            ).inc(sum(len(p) for p in leaves), codec=compressor.name, algorithm=algorithm)
             reg.counter(
                 "comm_homomorphic_hops_saved_total",
                 "decode-sum-recode round-trips removed by in-network aggregation",
-            ).inc(n - 1, codec=codec, algorithm=algorithm)
+            ).inc(n - 1, codec=compressor.name, algorithm=algorithm)
 
         total = compressor.decompress(final).reshape(shape)
         return [total.copy() for _ in range(n)]

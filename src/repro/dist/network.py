@@ -300,7 +300,7 @@ class Topology:
         """In-network (switch-hosted) aggregation-tree all-reduce.
 
         Only meaningful for payloads that *sum in compressed space* (the
-        homomorphic codecs): the fabric's switches host one aggregator per
+        homomorphic codec): the fabric's switches host one aggregator per
         node plus a spine.  Each leaf sends its whole payload up one hop
         to its node's aggregator (all ports concurrent, summation at wire
         speed), node aggregates go up one more hop to the spine

@@ -322,7 +322,7 @@ def _codec_rows(shape_name: str, rows: int, dim: int) -> Iterator[Row]:
     )
 
     # --- homomorphic aggregation: one in-network all-reduce hop.  The
-    # agg rows sum two payloads *in compressed space*; the reference
+    # agg row sums two payloads *in compressed space*; the reference
     # is the decode-sum-recode discipline a non-homomorphic codec
     # forces on every intermediate hop, so the speedup column reads
     # as the per-hop saving of in-network aggregation. ---
@@ -336,16 +336,6 @@ def _codec_rows(shape_name: str, rows: int, dim: int) -> Iterator[Row]:
 
     yield row(
         "homomorphic_allreduce", "agg_quant", lambda: agg_sum(q_payload, q_payload), _quant_hop
-    )
-    count = get_compressor("count_sum")
-    c_payload = count.compress(half, None)
-
-    def _count_hop():
-        total = count.decompress(c_payload) + count.decompress(c_payload)
-        return count.compress(total, None)
-
-    yield row(
-        "homomorphic_allreduce", "agg_count", lambda: agg_sum(c_payload, c_payload), _count_hop
     )
 
 

@@ -33,16 +33,15 @@ numerics are bit-identical in every mode, only the charge schedule moves).
 with the topology-aware hierarchical schedule (``"switch"`` with the
 in-network aggregation tree, meaningful alongside ``allreduce_codec=``).
 
-``allreduce_codec="count_sum"`` / ``"quant_sum"`` routes the dense
-gradient all-reduce through
-:meth:`~repro.dist.comm.Communicator.compressed_all_reduce`: each rank
-encodes a disjoint strided shard of the global MLP gradient (rank ``r``
-owns elements ``r::n``, so the shards sum *exactly* to the gradient), the
-payloads aggregate in compressed space with no intermediate decode, and
-the decoded total lands back in ``param.grad`` before the optimizer step.
-With the lossless ``count_sum`` the parameters stay bit-identical to the
-uncompressed path; with ``quant_sum`` they stay within the composed bound
-``lr_effective * n_ranks * ALLREDUCE_ERROR_BOUND`` per step.
+``allreduce_codec="quant_sum"`` routes the dense gradient all-reduce
+through :meth:`~repro.dist.comm.Communicator.compressed_all_reduce`: each
+rank encodes a disjoint strided shard of the global MLP gradient (rank
+``r`` owns elements ``r::n``, so the shards sum *exactly* to the
+gradient), the payloads aggregate in compressed space with no intermediate
+decode, and the decoded total lands back in ``param.grad`` before the
+optimizer step.  Each element has exactly one nonzero leaf, so each
+gradient element equals its own quantize-dequantize at
+``ALLREDUCE_ERROR_BOUND``, in every overlap mode and schedule.
 
 **Numerics vs. timing.**  All ranks of the simulation share one
 :class:`~repro.model.dlrm.DLRM` parameter set: replicated data-parallel
@@ -125,9 +124,7 @@ class HybridParallelTrainer:
         check_positive("lr", lr)
         check_in("allreduce_algorithm", allreduce_algorithm, ALLREDUCE_ALGORITHMS)
         if allreduce_codec is not None:
-            from repro.compression.homomorphic import homomorphic_codecs
-
-            check_in("allreduce_codec", allreduce_codec, homomorphic_codecs())
+            check_in("allreduce_codec", allreduce_codec, ("quant_sum",))
         if overlap not in (False, True, "cross_stage"):
             raise ValueError(
                 f"overlap must be False, True, or 'cross_stage', got {overlap!r}"
@@ -339,10 +336,10 @@ class HybridParallelTrainer:
         disjoint strided shards: rank ``r`` encodes a payload holding
         elements ``r::n`` of the gradient (zeros elsewhere).  The shards
         sum exactly to the gradient — each element has exactly one nonzero
-        leaf — so ``count_sum`` reproduces it bit for bit and ``quant_sum``
-        stays within the composed bound.  Encode/decode device time is
-        priced as one gradient-sized memcpy per rank at ``PRICED_ITEMSIZE``
-        bytes per element (quantize / limb kernels are memory-bound).
+        leaf, and a zero encodes to code 0 — so each element comes back as
+        its own quantize-dequantize.  Encode/decode device time is priced
+        as one gradient-sized memcpy per rank at ``PRICED_ITEMSIZE`` bytes
+        per element (the quantize kernels are memory-bound).
         """
         params = self.model.mlp_parameters()
         grads = np.concatenate([p.grad.ravel() for p in params])
@@ -355,7 +352,6 @@ class HybridParallelTrainer:
         codec_seconds = self.simulator.gpu.memcpy_time(grads.size * PRICED_ITEMSIZE)
         totals = self.comm.compressed_all_reduce(
             shards,
-            codec=self.allreduce_codec,
             error_bound=ALLREDUCE_ERROR_BOUND,
             algorithm=self.allreduce_algorithm,
             encode_seconds=[codec_seconds] * n,

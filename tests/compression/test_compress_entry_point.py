@@ -116,7 +116,6 @@ RECORDED_STATE = {"hybrid": b"[0, 0]", "entropy": b"[]"}
 #: sha256 over the four ``_stateless_batches`` payloads; the recorder
 #: produced the same digest for ``compress`` and ``compress_into``
 GOLDEN_STATELESS: dict[str, str] = {
-    "count_sum": "cc3fe2a91fdafd848c6ddeb39f35661beb61c67eb9b184612be1abdacf8b89bc",
     "cusz_like": "8ac63160131acc88d81f62830edc70cdfc393e6d6805588bb1f72a12cd38c426",
     "deflate_like": "eca283ab7337ca526ab189dec51025aae59d66115f9dd0f2057c5b045d60ee2b",
     "entropy": "c2de665c63d0efd03a4995991d39479cd31378045e19be357c3ef48dd9af7c6b",
@@ -303,7 +302,7 @@ class TestNoPool:
 
         arrays = [np.ones((2, 3), dtype=np.float32)] * 2
         with pytest.raises(TypeError, match="pool"):
-            ClusterSimulator(2).comm.compressed_all_reduce(arrays, "count_sum", pool=None)
+            ClusterSimulator(2).comm.compressed_all_reduce(arrays, ERROR_BOUND, pool=None)
 
     def test_shard_server_rejects_pool(self):
         from repro.serve.shard_server import EmbeddingShardServer

@@ -1,4 +1,4 @@
-"""Property laws of the homomorphic codec family.
+"""Property laws of the homomorphic ``quant_sum`` codec.
 
 The whole point of ``agg_sum`` is an algebra: payloads form a commutative
 semigroup under aggregation, decode is a homomorphism onto (approximate)
@@ -6,8 +6,8 @@ elementwise sums, and the error bound composes in closed form.  Every one
 of those claims is a Hypothesis law here — the same treatment the chunk
 pipeline got:
 
-* ``decode(agg_sum(e(a), e(b)))`` within the composed bound of ``a + b``
-  (bit-exact for ``count_sum``, which must equal ``float32(fsum(...))``);
+* ``decode(agg_sum(e(a), e(b)))`` within the composed bound of ``a + b``,
+  and bit for bit the exact sum when every leaf sits on the grid;
 * ``agg_sum`` commutative and associative *at the byte level*;
 * k-ary fold results independent of fold order and hop count (any fold
   tree yields identical payload bytes, hence identical decodes);
@@ -22,7 +22,6 @@ result.
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -30,38 +29,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import (
-    agg_fold,
-    agg_sum,
-    get_compressor,
-    homomorphic_codecs,
-)
+from repro.compression import agg_fold, agg_sum, get_compressor
 from repro.compression.base import parse_payload
 from repro.dist import ClusterSimulator
 
 
 def composed_bound(payload) -> float:
     """Closed-form worst-case |decode(payload) - exact sum of its leaves|:
-    half a bin per aggregated leaf for ``quant_sum``, exactly ``0.0`` for
-    ``count_sum``."""
+    half a bin per aggregated leaf."""
     header, _ = parse_payload(payload)
-    if header["codec"] == "count_sum":
-        return 0.0
     return int(header["terms"]) * float(header["scale"]) / 2.0
 
 
-# Bounded so a fold of <= 8 leaves can never leave float32 range (inf is a
-# representable-but-degenerate sum); subnormals and huge exponents are in.
-finite32 = st.floats(
-    min_value=-(2.0**100),
-    max_value=2.0**100,
-    allow_nan=False,
-    allow_infinity=False,
-    width=32,
-)
-finite64 = st.floats(
-    min_value=-(2.0**600), max_value=2.0**600, allow_nan=False, allow_infinity=False
-)
 # quant_sum's codes live in int64: keep |x| / (2 eb) well inside that range
 # (the codec *refuses* values beyond it, which its own test pins).
 quantable32 = st.floats(
@@ -71,7 +50,7 @@ bounds = st.floats(min_value=1e-4, max_value=1.0, allow_nan=False, allow_infinit
 
 
 @st.composite
-def leaf_batch(draw, max_leaves: int = 6, elements=finite32, dtype=np.float32):
+def leaf_batch(draw, max_leaves: int = 6, elements=quantable32, dtype=np.float32):
     rows = draw(st.integers(1, 3))
     cols = draw(st.integers(1, 4))
     k = draw(st.integers(2, max_leaves))
@@ -95,22 +74,6 @@ def _random_fold(payloads: list[bytes], seed: int) -> bytes:
         b = work.pop(j)
         work.append(agg_sum(a, b))
     return bytes(work[0])
-
-
-def _fsum_total(leaves: list[np.ndarray]) -> np.ndarray:
-    """Elementwise ``float32(fsum(...))`` — the correctly-rounded sum."""
-    stacked = np.stack([leaf.astype(np.float64) for leaf in leaves])
-    flat = stacked.reshape(len(leaves), -1)
-    total = np.array(
-        [math.fsum(flat[:, i].tolist()) for i in range(flat.shape[1])], dtype=np.float64
-    )
-    return total.reshape(leaves[0].shape).astype(np.float32)
-
-
-def test_registry_exposes_both_codecs():
-    assert homomorphic_codecs() == ("count_sum", "quant_sum")
-    for name in homomorphic_codecs():
-        assert getattr(get_compressor(name), "homomorphic", False)
 
 
 class TestQuantSumLaws:
@@ -174,96 +137,42 @@ class TestQuantSumLaws:
         )
         assert np.all(np.abs(decoded - exact) <= eb + slack)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32))
+    def test_grid_values_fold_to_the_exact_sum(self, k, seed):
+        """Leaves ``j * 2 * eb`` encode to the codes ``j`` with no rounding,
+        so any fold tree decodes to the exact sum, bit for bit."""
+        eb = 2.0**-10
+        qs = get_compressor("quant_sum")
+        rng = np.random.default_rng(seed)
+        leaves = [
+            (rng.integers(-999, 1000, size=(3, 4)) * (2 * eb)).astype(np.float32)
+            for _ in range(k)
+        ]
+        tree = _random_fold([qs.compress(leaf, eb) for leaf in leaves], seed)
+        exact = np.sum([leaf.astype(np.float64) for leaf in leaves], axis=0)
+        np.testing.assert_array_equal(qs.decompress(tree), exact.astype(np.float32))
+
     def test_scale_mismatch_refused(self):
         qs = get_compressor("quant_sum")
         table = np.ones((2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="scale"):
             agg_sum(qs.compress(table, 1e-3), qs.compress(table, 1e-2))
 
-    def test_cross_codec_aggregation_refused(self):
+    @pytest.mark.parametrize("other", ["fp16", "vector_lz"])
+    def test_cross_codec_aggregation_refused(self, other):
         table = np.ones((2, 2), dtype=np.float32)
         qp = get_compressor("quant_sum").compress(table, 1e-3)
-        cp = get_compressor("count_sum").compress(table)
-        with pytest.raises(ValueError, match="codec"):
-            agg_sum(qp, cp)
-        with pytest.raises(ValueError, match="homomorphic"):
-            agg_sum(get_compressor("fp16").compress(table), qp)
-
-
-class TestCountSumLaws:
-    """Lossless fixed-point accumulators: the strong (bitwise) laws."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(leaf_batch(max_leaves=2))
-    def test_pairwise_bit_exact(self, leaves):
-        cs = get_compressor("count_sum")
-        a, b = leaves[0], leaves[1]
-        decoded = cs.decompress(agg_sum(cs.compress(a), cs.compress(b)))
-        # float64 addition of two exactly-represented floats is correctly
-        # rounded, so it equals the codec's exact-integer reconstruction.
-        expected = (a.astype(np.float64) + b.astype(np.float64)).astype(np.float32)
-        np.testing.assert_array_equal(decoded, expected)
-
-    @settings(max_examples=60, deadline=None)
-    @given(leaf_batch(), st.integers(0, 2**32))
-    def test_fold_any_order_equals_fsum(self, leaves, seed):
-        cs = get_compressor("count_sum")
-        payloads = [cs.compress(leaf) for leaf in leaves]
-        chain = agg_fold(payloads)
-        assert bytes(chain) == _random_fold(payloads, seed)
-        assert bytes(chain) == bytes(agg_fold(payloads[::-1]))
-        assert composed_bound(chain) == 0.0
-        np.testing.assert_array_equal(cs.decompress(chain), _fsum_total(leaves))
-
-    @settings(max_examples=40, deadline=None)
-    @given(leaf_batch(max_leaves=3))
-    def test_commutative_and_associative_bytes(self, leaves):
-        cs = get_compressor("count_sum")
-        pa, pb = cs.compress(leaves[0]), cs.compress(leaves[1])
-        assert agg_sum(pa, pb) == agg_sum(pb, pa)
-        if len(leaves) >= 3:
-            pc = cs.compress(leaves[2])
-            assert agg_sum(agg_sum(pa, pb), pc) == agg_sum(pa, agg_sum(pb, pc))
-
-    @settings(max_examples=60, deadline=None)
-    @given(leaf_batch(max_leaves=2))
-    def test_roundtrip_identity_bit_exact(self, leaves):
-        cs = get_compressor("count_sum")
-        payload = cs.compress(leaves[0])
-        assert agg_fold([payload]) == bytes(payload)
-        np.testing.assert_array_equal(cs.decompress(payload), leaves[0])
-
-    @settings(max_examples=30, deadline=None)
-    @given(leaf_batch(max_leaves=4, elements=finite64, dtype=np.float64))
-    def test_float64_grid_exact(self, leaves):
-        cs = get_compressor("count_sum")
-        chain = agg_fold([cs.compress(leaf) for leaf in leaves])
-        flat = np.stack(leaves).reshape(len(leaves), -1)
-        expected = np.array(
-            [math.fsum(flat[:, i].tolist()) for i in range(flat.shape[1])]
-        ).reshape(leaves[0].shape)
-        np.testing.assert_array_equal(cs.decompress(chain), expected)
-
-    def test_aggregating_zero_windows(self):
-        cs = get_compressor("count_sum")
-        zeros = np.zeros((3, 2), dtype=np.float32)
-        table = np.full((3, 2), 0.75, dtype=np.float32)
-        for payload in (
-            agg_sum(cs.compress(zeros), cs.compress(table)),
-            agg_sum(cs.compress(table), cs.compress(zeros)),
-            agg_sum(cs.compress(zeros), cs.compress(zeros)),
-        ):
-            decoded = cs.decompress(payload)
-            assert decoded.shape == (3, 2)
-        np.testing.assert_array_equal(
-            cs.decompress(agg_sum(cs.compress(zeros), cs.compress(table))), table
-        )
+        foreign = get_compressor(other).compress(table, 1e-3 if other == "vector_lz" else None)
+        match = rf"payload codec '{other}' != 'quant_sum'"
+        for pair in ((qp, foreign), (foreign, qp)):
+            with pytest.raises(ValueError, match=match):
+                agg_sum(*pair)
 
 
 class TestHeadersAnEncoderWrites:
     """The header checks that reject hostile frames accept every header an
-    encoder writes: each code width ``quant_sum`` narrows to, and
-    ``count_sum`` limb windows that reach the top of their grid."""
+    encoder writes: each code width ``quant_sum`` narrows to."""
 
     @pytest.mark.parametrize("peak", [100, 30_000, 2_000_000_000, 2**40])
     def test_every_code_width_decodes(self, peak):
@@ -272,31 +181,16 @@ class TestHeadersAnEncoderWrites:
         payload = qs.compress(table, 0.01)
         np.testing.assert_array_equal(qs.decompress(payload), table)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_the_extremes_of_a_dtype_round_trip_and_aggregate(self, dtype):
-        """The largest finite value fills its grid's top limb; the smallest
-        subnormal sits on the grid's first."""
-        cs = get_compressor("count_sum")
-        info = np.finfo(dtype)
-        table = np.array([[info.max, info.smallest_subnormal, -info.max]], dtype=dtype)
-        payload = cs.compress(table)
-        np.testing.assert_array_equal(cs.decompress(payload), table)
-        tiny = np.full_like(table, info.smallest_subnormal)
-        total = cs.decompress(agg_sum(payload, cs.compress(tiny)))
-        np.testing.assert_array_equal(total, table + tiny)
-
 
 class TestDecodeOwnership:
     """Decode allocates its result: no decoded array aliases the payload,
     another decode, or another rank's all-reduce total."""
 
-    @pytest.mark.parametrize("codec", homomorphic_codecs())
-    def test_decode_returns_a_fresh_writable_array(self, codec):
-        compressor = get_compressor(codec)
+    def test_decode_returns_a_fresh_writable_array(self):
+        compressor = get_compressor("quant_sum")
         rng = np.random.default_rng(11)
         table = np.asarray(rng.normal(0.0, 2.0, size=(9, 7)), dtype=np.float32)
-        eb = 1e-3 if compressor.error_bounded else None
-        payload = compressor.compress(table, eb)
+        payload = compressor.compress(table, 1e-3)
         first, second = compressor.decompress(payload), compressor.decompress(payload)
         np.testing.assert_array_equal(first, second)
         assert first.flags.writeable
@@ -305,13 +199,12 @@ class TestDecodeOwnership:
         first[...] = 0.0
         np.testing.assert_array_equal(compressor.decompress(payload), second)
 
-    @pytest.mark.parametrize("codec", homomorphic_codecs())
-    def test_all_reduce_totals_are_independent_arrays(self, codec):
-        compressor = get_compressor(codec)
+    def test_all_reduce_totals_are_independent_arrays(self):
+        compressor = get_compressor("quant_sum")
         rng = np.random.default_rng(5)
         arrays = [np.asarray(rng.normal(size=(6, 4)), dtype=np.float32) for _ in range(3)]
-        eb = 1e-3 if compressor.error_bounded else None
-        totals = ClusterSimulator(3).comm.compressed_all_reduce(arrays, codec, eb)
+        eb = 1e-3
+        totals = ClusterSimulator(3).comm.compressed_all_reduce(arrays, eb)
         expected = compressor.decompress(
             agg_fold([compressor.compress(a.reshape(1, -1), eb) for a in arrays])
         ).reshape(6, 4)

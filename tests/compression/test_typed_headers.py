@@ -6,7 +6,7 @@ each wrong-typed value of that field's kind — ``1.5``, ``'x'`` or
 an array — the re-framed payload goes through every decode path of its
 codec: ``decompress_any``, ``VectorLZCompressor.decompress_stack`` (alone
 and beside a clean frame) and :func:`agg_sum` in both operand orders for
-the homomorphic codecs (its result decoded by ``decompress_any``).  Each
+the homomorphic ``quant_sum`` (its result decoded by ``decompress_any``).  Each
 path either raises ``CorruptPayloadError`` or, when it reads nothing of
 that field, decodes bit-identically to the clean payload: never an untyped
 exception and never a silently different decode.
@@ -23,7 +23,7 @@ import pytest
 
 from repro.compression import available_compressors, decompress_any, get_compressor
 from repro.compression.base import frame_payload, parse_payload
-from repro.compression.homomorphic import agg_sum, homomorphic_codecs
+from repro.compression.homomorphic import agg_sum
 from repro.compression.serialization import CorruptPayloadError
 
 ERROR_BOUND = 1e-2
@@ -71,7 +71,7 @@ def _decode_paths(name: str, good: bytes):
             ("decompress_stack alone", lambda p: codec.decompress_stack([p])[0]),
             ("decompress_stack beside a clean frame", lambda p: codec.decompress_stack([p, good])[0]),
         ]
-    if name in homomorphic_codecs():
+    if name == "quant_sum":
         paths += [
             ("agg_sum(bad, good)", lambda p: decompress_any(agg_sum(p, good))),
             ("agg_sum(good, bad)", lambda p: decompress_any(agg_sum(good, p))),

@@ -13,9 +13,9 @@ including oversubscribed inter links), under every schedule:
   single-rank collective is free;
 * the in-network ``"switch"`` tree beats the hierarchical schedule when
   the payload is latency-bound;
-* numerics ride along: ``count_sum`` totals are bit-identical to
-  correctly-rounded sums on every fabric and algorithm, and the obs
-  counters account aggregated bytes and saved hops.
+* numerics ride along: on inputs that sit on the codec's grid the totals
+  are bit-identical to the exact sums on every fabric and algorithm, and
+  the obs counters account aggregated bytes and saved hops.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from repro.dist import (
     Topology,
 )
 from repro.dist.network import ALLREDUCE_ALGORITHMS as ALGORITHMS
+
+#: error bound of the grid-aligned laws: every value ``k * 2**-9`` sits on
+#: the grid ``2 * EB``, so it encodes to the code ``k`` with no rounding
+EB = 2.0**-10
 
 
 @st.composite
@@ -63,6 +67,16 @@ def _arrays(n: int, seed: int, size: int = 257) -> list[np.ndarray]:
     ]
 
 
+def _grid_arrays(n: int, seed: int, size: int = 37) -> list[np.ndarray]:
+    """``n`` arrays of grid values ``k * 2 * EB`` with ``|k| < 1000``: every
+    partial sum is exact in float32, so the all-reduce must be too."""
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.integers(-999, 1000, size=size) * (2 * EB)).astype(np.float32)
+        for _ in range(n)
+    ]
+
+
 def _makespan(network, arrays, **kwargs) -> float:
     sim = ClusterSimulator(len(arrays), network=network)
     sim.comm.compressed_all_reduce(arrays, **kwargs)
@@ -74,17 +88,14 @@ class TestMakespanLaws:
     @given(
         fabric_and_ranks(),
         st.sampled_from(ALGORITHMS),
-        st.sampled_from(["count_sum", "quant_sum"]),
         st.integers(0, 2**31),
         st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=2e-3)),
         st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=2e-3)),
     )
-    def test_codec_time_is_paid_once_not_per_hop(
-        self, fabric, algorithm, codec, seed, enc, dec
-    ):
+    def test_codec_time_is_paid_once_not_per_hop(self, fabric, algorithm, seed, enc, dec):
         network, n = fabric
         arrays = _arrays(n, seed)
-        kwargs = dict(codec=codec, error_bound=1e-3, algorithm=algorithm)
+        kwargs = dict(error_bound=1e-3, algorithm=algorithm)
         wire_only = _makespan(network, arrays, **kwargs)
         with_codec = _makespan(
             network, arrays, encode_seconds=[enc] * n, decode_seconds=[dec] * n, **kwargs
@@ -92,8 +103,8 @@ class TestMakespanLaws:
         assert with_codec == pytest.approx(wire_only + enc + dec, rel=1e-12, abs=1e-15)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**31), st.sampled_from(["count_sum", "quant_sum"]))
-    def test_monotone_in_rank_count(self, seed, codec):
+    @given(st.integers(0, 2**31))
+    def test_monotone_in_rank_count(self, seed):
         network = NetworkModel(bandwidth=1e9, latency=1e-6)
         rng = np.random.default_rng(seed)
         base = np.asarray(rng.normal(0.0, 2.0, size=129), dtype=np.float32)
@@ -103,7 +114,6 @@ class TestMakespanLaws:
                 _makespan(
                     network,
                     [base.copy() for _ in range(n)],
-                    codec=codec,
                     error_bound=1e-3,
                 )
             )
@@ -116,21 +126,19 @@ class TestMakespanLaws:
             Topology.hierarchical(4, 8, NVLINK_LIKE, IB_HDR_LIKE)
         )
         arrays = _arrays(32, 0, size=16)
-        plain = _makespan(network, arrays, codec="count_sum", algorithm="hierarchical")
-        switched = _makespan(network, arrays, codec="count_sum", algorithm="switch")
+        plain = _makespan(network, arrays, error_bound=EB, algorithm="hierarchical")
+        switched = _makespan(network, arrays, error_bound=EB, algorithm="switch")
         assert switched < plain
 
 
 class TestNumericsOnFabrics:
     @settings(max_examples=25, deadline=None)
     @given(fabric_and_ranks(), st.sampled_from(ALGORITHMS), st.integers(0, 2**31))
-    def test_count_sum_bit_identical_everywhere(self, fabric, algorithm, seed):
+    def test_grid_values_bit_identical_everywhere(self, fabric, algorithm, seed):
         network, n = fabric
-        arrays = _arrays(n, seed, size=37)
+        arrays = _grid_arrays(n, seed)
         sim = ClusterSimulator(n, network=network)
-        results = sim.comm.compressed_all_reduce(
-            arrays, codec="count_sum", algorithm=algorithm
-        )
+        results = sim.comm.compressed_all_reduce(arrays, EB, algorithm=algorithm)
         expected = np.array(
             [math.fsum(float(a[i]) for a in arrays) for i in range(37)],
             dtype=np.float64,
@@ -145,9 +153,7 @@ class TestNumericsOnFabrics:
         eb = 1e-3
         arrays = _arrays(n, seed, size=37)
         sim = ClusterSimulator(n, network=network)
-        results = sim.comm.compressed_all_reduce(
-            arrays, codec="quant_sum", error_bound=eb
-        )
+        results = sim.comm.compressed_all_reduce(arrays, eb)
         exact = np.sum([a.astype(np.float64) for a in arrays], axis=0)
         for result in results:
             assert np.max(np.abs(result.astype(np.float64) - exact)) <= n * eb * (
@@ -157,7 +163,7 @@ class TestNumericsOnFabrics:
     def test_single_rank_is_identity(self):
         sim = ClusterSimulator(1)
         table = np.asarray([[1.25, -3.5, 0.0]], dtype=np.float32)
-        (result,) = sim.comm.compressed_all_reduce([table], codec="count_sum")
+        (result,) = sim.comm.compressed_all_reduce([table], EB)
         np.testing.assert_array_equal(result, table)
         assert sim.makespan() == 0.0
 
@@ -165,19 +171,19 @@ class TestNumericsOnFabrics:
         sim = ClusterSimulator(2)
         table = np.ones((2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="expected 2 arrays"):
-            sim.comm.compressed_all_reduce([table])
+            sim.comm.compressed_all_reduce([table], EB)
         with pytest.raises(ValueError, match="share a shape"):
-            sim.comm.compressed_all_reduce([table, np.ones((3, 2), np.float32)])
-        with pytest.raises(ValueError, match="homomorphic"):
-            sim.comm.compressed_all_reduce([table, table], codec="hybrid")
+            sim.comm.compressed_all_reduce([table, np.ones((3, 2), np.float32)], EB)
         with pytest.raises(ValueError, match="algorithm"):
-            sim.comm.compressed_all_reduce([table, table], algorithm="mesh")
+            sim.comm.compressed_all_reduce([table, table], EB, algorithm="mesh")
+        with pytest.raises(ValueError, match="finite, positive error_bound"):
+            sim.comm.compressed_all_reduce([table, table], 0.0)
 
     def test_mixed_dtypes_rejected(self):
         sim = ClusterSimulator(2)
         table = np.ones((2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match=r"share a dtype, got \['float32', 'float64'\]"):
-            sim.comm.compressed_all_reduce([table, table.astype(np.float64)])
+            sim.comm.compressed_all_reduce([table, table.astype(np.float64)], EB)
 
 
 class TestObsCounters:
@@ -188,17 +194,17 @@ class TestObsCounters:
         sim = ClusterSimulator(n)
         arrays = _arrays(n, 3, size=64)
         with capture() as registry:
-            sim.comm.compressed_all_reduce(arrays, codec="count_sum")
-            sim.comm.compressed_all_reduce(arrays, codec="count_sum")
+            sim.comm.compressed_all_reduce(arrays, EB)
+            sim.comm.compressed_all_reduce(arrays, EB)
             snapshot = registry.snapshot()
         aggregated = snapshot.counter_value(
             "comm_homomorphic_aggregated_bytes_total",
-            codec="count_sum",
+            codec="quant_sum",
             algorithm="ring",
         )
         hops_saved = snapshot.counter_value(
             "comm_homomorphic_hops_saved_total",
-            codec="count_sum",
+            codec="quant_sum",
             algorithm="ring",
         )
         assert aggregated > 0

@@ -67,7 +67,6 @@ KEEP_FUNCTIONS: dict[str, str] = {
     "repro.compression.hybrid:HybridCompressor._decompress_body": (
         "abstract-hook override: hybrid decodes through its own frame"
     ),
-    "repro.compression.homomorphic:HomomorphicCompressor._agg_meta_body": "abstract hook",
     "repro.compression.base:_wrong_codec_error": "error factory: reached only on a foreign frame",
     "repro.compression.baselines.lz_generic:_corrupt": "error factory: reached only on bad input",
     "repro.compression.serialization:_truncated": "error factory: reached only on bad input",
@@ -124,9 +123,6 @@ KEEP_PARAMETERS: dict[str, str] = {
     ),
     "repro.dist.simulator:ClusterSimulator.compute(stream)": (
         "the ledger golden's extra-stream world pins a second stream"
-    ),
-    "repro.dist.comm:Communicator.compressed_all_reduce(codec)": (
-        "count_sum is the lossless oracle of the aggregation laws"
     ),
 }
 

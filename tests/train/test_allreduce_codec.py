@@ -1,18 +1,21 @@
 """Regression: the trainer's ``allreduce_codec=`` knob is bit-for-bound.
 
 The dense-gradient all-reduce may be routed through the homomorphic
-codecs (``Communicator.compressed_all_reduce``).  This suite pins the
-numerics contract of that knob against the seed dense path:
+``quant_sum`` codec (``Communicator.compressed_all_reduce``).  This suite
+pins the numerics contract of that knob against the seed dense path:
 
 * ``allreduce_codec=None`` (the default) is the seed path — explicitly
   passing ``None`` changes nothing, byte for byte;
-* ``allreduce_codec="count_sum"`` is *lossless*: model parameters and
-  losses are bit-identical to the dense path after N steps, across every
-  overlap mode and all-reduce algorithm;
-* ``allreduce_codec="quant_sum"`` stays within the closed-form composed
-  bound: after S steps at learning rate lr on n ranks with error bound
-  eb, every parameter sits within ``S * lr * n * eb`` of its dense twin;
-* a non-homomorphic codec is refused at construction time.
+* ``allreduce_codec="quant_sum"`` is exact up to one quantization: after
+  one step every MLP gradient is bit for bit the quantize-dequantize
+  ``float32(rint(g / (2 eb)) * 2 eb)`` of the dense path's gradient ``g``
+  (integer codes, so ``-0.0`` comes back as ``+0.0``),
+  across every overlap mode and all-reduce algorithm, and after N steps
+  parameters and losses are bit-identical across all of them;
+* it stays within the closed-form composed bound: after S steps at
+  learning rate lr on n ranks with error bound eb, every parameter sits
+  within ``S * lr * n * eb`` of its dense twin;
+* any other codec is refused at construction time.
 """
 
 from __future__ import annotations
@@ -33,15 +36,43 @@ LR = 0.2
 STEPS = 3
 
 
-def _run(config, dataset, plan, *, overlap=False, network=None, steps=STEPS, **kw):
+def _trainer(config, dataset, plan, *, overlap=False, network=None, **kw):
     sim = ClusterSimulator(N_RANKS, network=network)
     pipeline = CompressionPipeline(AdaptiveController(plan))
-    trainer = HybridParallelTrainer(
+    return HybridParallelTrainer(
         DLRM(config), dataset, sim, pipeline=pipeline, lr=LR, overlap=overlap, **kw
     )
+
+
+def _run(config, dataset, plan, *, steps=STEPS, **kw):
+    trainer = _trainer(config, dataset, plan, **kw)
     losses = [trainer.train_step(32 * N_RANKS, it) for it in range(steps)]
     params = [p.data.copy() for p in trainer.model.parameters()]
-    return sim, params, losses
+    return trainer.simulator, params, losses
+
+
+def _first_step_grads(config, dataset, plan, **kw) -> list[np.ndarray]:
+    """Every MLP gradient of step 0 as the optimizer receives it (the
+    optimizer zeroes gradients once it has applied them)."""
+    trainer = _trainer(config, dataset, plan, **kw)
+    grads = []
+    step = trainer._opt.step
+
+    def snapshot_then_step():
+        grads.extend(p.grad.copy() for p in trainer.model.mlp_parameters())
+        step()
+
+    trainer._opt.step = snapshot_then_step
+    trainer.train_step(32 * N_RANKS, 0)
+    return grads
+
+
+def _quantize_dequantize(grad: np.ndarray) -> np.ndarray:
+    """``float32(rint(g / (2 eb)) * 2 eb)`` through integer codes, so a
+    tiny negative gradient comes back as ``+0.0`` like the codec's."""
+    scale = 2.0 * ALLREDUCE_ERROR_BOUND
+    codes = np.rint(grad.astype(np.float64) / scale).astype(np.int64)
+    return (codes * scale).astype(grad.dtype)
 
 
 @pytest.fixture(scope="module")
@@ -64,39 +95,80 @@ class TestSeedEquivalence:
         for got, want in zip(params, dense_params):
             assert got.tobytes() == want.tobytes()
 
+
+
+class TestQuantSumIsOneQuantization:
     @pytest.mark.parametrize("overlap", [False, True, "cross_stage"])
     @pytest.mark.parametrize("algorithm", ALLREDUCE_ALGORITHMS)
-    def test_count_sum_bit_identical_to_dense(self, workflow, overlap, algorithm):
+    def test_gradient_is_the_dense_gradients_quantize_dequantize(
+        self, workflow, overlap, algorithm
+    ):
         dataset, config, plan = workflow
-        _, dense_params, dense_losses = _run(config, dataset, plan, overlap=overlap)
+        dense = _first_step_grads(config, dataset, plan, overlap=overlap)
+        quant = _first_step_grads(
+            config,
+            dataset,
+            plan,
+            overlap=overlap,
+            allreduce_codec="quant_sum",
+            allreduce_algorithm=algorithm,
+        )
+        assert len(quant) == len(dense) > 0
+        for got, want in zip(quant, dense):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == _quantize_dequantize(want).tobytes()
+
+    @pytest.fixture(scope="class")
+    def quant_run(self, workflow):
+        dataset, config, plan = workflow
+        return _run(config, dataset, plan, allreduce_codec="quant_sum")
+
+    @pytest.mark.parametrize("overlap", [False, True, "cross_stage"])
+    @pytest.mark.parametrize("algorithm", ALLREDUCE_ALGORITHMS)
+    def test_bit_identical_across_overlap_and_algorithm(
+        self, workflow, quant_run, overlap, algorithm
+    ):
+        dataset, config, plan = workflow
+        _, want_params, want_losses = quant_run
         _, params, losses = _run(
             config,
             dataset,
             plan,
             overlap=overlap,
-            allreduce_codec="count_sum",
+            allreduce_codec="quant_sum",
             allreduce_algorithm=algorithm,
         )
-        assert losses == dense_losses
-        for got, want in zip(params, dense_params):
+        assert losses == want_losses
+        for got, want in zip(params, want_params):
             assert got.tobytes() == want.tobytes()
 
-    def test_count_sum_bit_identical_on_switch_fabric(self, workflow):
+    def test_bit_identical_on_switch_fabric(self, workflow, quant_run):
         dataset, config, plan = workflow
         network = NetworkModel.from_topology(
             Topology.hierarchical(2, 2, NVLINK_LIKE, IB_HDR_LIKE)
         )
-        _, dense_params, dense_losses = _run(config, dataset, plan)
+        dense = _first_step_grads(config, dataset, plan)
+        quant = _first_step_grads(
+            config,
+            dataset,
+            plan,
+            network=network,
+            allreduce_codec="quant_sum",
+            allreduce_algorithm="switch",
+        )
+        for got, want in zip(quant, dense):
+            assert got.tobytes() == _quantize_dequantize(want).tobytes()
+        _, want_params, want_losses = quant_run
         _, params, losses = _run(
             config,
             dataset,
             plan,
             network=network,
-            allreduce_codec="count_sum",
+            allreduce_codec="quant_sum",
             allreduce_algorithm="switch",
         )
-        assert losses == dense_losses
-        for got, want in zip(params, dense_params):
+        assert losses == want_losses
+        for got, want in zip(params, want_params):
             assert got.tobytes() == want.tobytes()
 
 
@@ -134,16 +206,14 @@ class TestQuantSumBound:
         exact = np.sum(np.stack(shards).astype(np.float64), axis=0)
 
         def worst_delta(eb):
-            (total, *_) = ClusterSimulator(N_RANKS).comm.compressed_all_reduce(
-                shards, "quant_sum", eb
-            )
+            (total, *_) = ClusterSimulator(N_RANKS).comm.compressed_all_reduce(shards, eb)
             return float(np.max(np.abs(total.astype(np.float64) - exact)))
 
         assert worst_delta(1e-5) < worst_delta(1e-2) <= N_RANKS * 1e-2 * (1 + 1e-6)
 
 
 class TestValidation:
-    def test_non_homomorphic_codec_rejected(self, workflow):
+    def test_other_codecs_rejected(self, workflow):
         dataset, config, plan = workflow
         sim = ClusterSimulator(N_RANKS)
         with pytest.raises(ValueError, match="allreduce_codec"):
