@@ -106,16 +106,22 @@ class QuantSumCompressor(Compressor):
         shape: tuple[int, ...],
         dtype: np.dtype,
     ) -> np.ndarray:
-        count = int(np.prod(shape, dtype=np.int64))
+        centres = self._codes(header, body, shape).astype(np.float64) * self._scale(header)
+        return centres.astype(dtype).reshape(shape)
+
+    def _codes(
+        self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...]
+    ) -> np.ndarray:
+        """The body read as the header's codes, one per element of ``shape``
+        (counted in Python integers, so no declared shape wraps to 0)."""
+        count = math.prod(shape)
         cdtype = self._code_dtype(header)
         if len(body) != count * cdtype.itemsize:
             raise CorruptPayloadError(
                 f"{self.name}: body holds {len(body)} bytes, but {count} {cdtype.str} "
                 f"codes end at byte {count * cdtype.itemsize}"
             )
-        codes = np.frombuffer(body, dtype=cdtype)
-        centres = codes.astype(np.float64) * self._scale(header)
-        return centres.astype(dtype).reshape(shape)
+        return np.frombuffer(body, dtype=cdtype)
 
     def _scale(self, header: dict[str, Any]) -> float:
         """The header's grid step ``2 * eb``, which must be finite and > 0."""
@@ -144,6 +150,13 @@ class QuantSumCompressor(Compressor):
                 f"{self.name}: terms {terms!r} is not an integer in [1, {MAX_TERMS}]"
             )
         return terms
+
+    def _cmax(self, header: dict[str, Any]) -> int:
+        """The header's code magnitude bound, an integer ``>= 0``."""
+        cmax = header_int(self.name, header, "cmax")
+        if cmax < 0:
+            raise CorruptPayloadError(f"{self.name}: cmax {cmax!r} is negative")
+        return cmax
 
     def agg_payloads(self, payload_a, payload_b) -> bytes:
         """Sum two payloads without decoding either; returns a framed payload.
@@ -182,18 +195,13 @@ class QuantSumCompressor(Compressor):
             f"agg_sum: {self.name} payloads must share a scale, got "
             f"{header_a['scale']!r} vs {header_b['scale']!r}",
         )
-        cmax = header_int(self.name, header_a, "cmax") + header_int(self.name, header_b, "cmax")
+        cmax = self._cmax(header_a) + self._cmax(header_b)
         _require(
             cmax < _GUARD_LIMIT,
             f"agg_sum: composed code magnitude bound {cmax} would risk int64 overflow",
         )
-        count = int(np.prod(shape, dtype=np.int64))
-        codes_a = np.frombuffer(body_a, dtype=self._code_dtype(header_a))
-        codes_b = np.frombuffer(body_b, dtype=self._code_dtype(header_b))
-        _require(
-            codes_a.size == count and codes_b.size == count,
-            f"agg_sum: {self.name} body size mismatch",
-        )
+        codes_a = self._codes(header_a, body_a, shape)
+        codes_b = self._codes(header_b, body_b, shape)
         narrow = _narrowest_int(codes_a.astype(np.int64) + codes_b.astype(np.int64))
         meta = {"scale": scale, "cdtype": narrow.dtype.str, "cmax": cmax, "terms": terms}
         return frame_payload(self.name, shape, dtype, meta, narrow)

@@ -22,6 +22,7 @@ result.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -29,8 +30,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import agg_fold, agg_sum, get_compressor
-from repro.compression.base import parse_payload
+from repro.compression import agg_fold, agg_sum, available_compressors, get_compressor
+from repro.compression.base import frame_payload, parse_payload
+from repro.compression.homomorphic import MAX_TERMS
 from repro.dist import ClusterSimulator
 
 
@@ -61,6 +63,35 @@ def leaf_batch(draw, max_leaves: int = 6, elements=quantable32, dtype=np.float32
         ).reshape(rows, cols)
         for _ in range(k)
     ]
+
+
+#: error bound of the grid laws: a value ``j * 2**-9`` encodes to the code ``j``
+GRID_EB = 2.0**-10
+
+#: (dtype, largest |j|) of the grid laws: every partial sum of up to 8
+#: leaves is exact in the dtype (float32 below 2**24, float64 below 2**53)
+GRID_PEAKS = [(np.float32, 999), (np.float64, 2**40)]
+
+#: the code width a sum of two peaks of each narrower width widens to
+WIDER = {np.int8: np.int16, np.int16: np.int32, np.int32: np.int64}
+
+
+def _grid_leaves(k: int, seed: int, dtype, peak: int) -> list[np.ndarray]:
+    """``k`` (3, 4) leaves of grid values ``j * 2 * GRID_EB``, ``|j| <= peak``."""
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.integers(-peak, peak + 1, size=(3, 4)) * (2 * GRID_EB)).astype(dtype)
+        for _ in range(k)
+    ]
+
+
+def _with_terms(payload: bytes, terms: int) -> bytes:
+    """``payload`` framed anew with its ``terms`` header set to ``terms``."""
+    header, body = parse_payload(payload)
+    meta = {k: v for k, v in header.items() if k not in ("codec", "dtype", "shape")}
+    meta["terms"] = terms
+    shape = tuple(header["shape"].tolist())
+    return frame_payload(header["codec"], shape, np.dtype(header["dtype"]), meta, bytes(body))
 
 
 def _random_fold(payloads: list[bytes], seed: int) -> bytes:
@@ -137,21 +168,86 @@ class TestQuantSumLaws:
         )
         assert np.all(np.abs(decoded - exact) <= eb + slack)
 
+    @pytest.mark.parametrize("dtype, peak", GRID_PEAKS)
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 8), st.integers(0, 2**32))
-    def test_grid_values_fold_to_the_exact_sum(self, k, seed):
+    @given(k=st.integers(2, 8), seed=st.integers(0, 2**32))
+    def test_grid_values_fold_to_the_exact_sum(self, dtype, peak, k, seed):
         """Leaves ``j * 2 * eb`` encode to the codes ``j`` with no rounding,
         so any fold tree decodes to the exact sum, bit for bit."""
-        eb = 2.0**-10
         qs = get_compressor("quant_sum")
-        rng = np.random.default_rng(seed)
-        leaves = [
-            (rng.integers(-999, 1000, size=(3, 4)) * (2 * eb)).astype(np.float32)
-            for _ in range(k)
+        leaves = _grid_leaves(k, seed, dtype, peak)
+        tree = _random_fold([qs.compress(leaf, GRID_EB) for leaf in leaves], seed)
+        exact = [
+            math.fsum(float(leaf.flat[i]) for leaf in leaves) for i in range(leaves[0].size)
         ]
-        tree = _random_fold([qs.compress(leaf, eb) for leaf in leaves], seed)
-        exact = np.sum([leaf.astype(np.float64) for leaf in leaves], axis=0)
-        np.testing.assert_array_equal(qs.decompress(tree), exact.astype(np.float32))
+        decoded = qs.decompress(tree)
+        assert decoded.dtype == dtype
+        np.testing.assert_array_equal(decoded, np.array(exact, dtype=dtype).reshape(3, 4))
+
+    @pytest.mark.parametrize("dtype, peak", GRID_PEAKS)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_grid_values_round_trip_bit_exact(self, dtype, peak, seed):
+        qs = get_compressor("quant_sum")
+        (leaf,) = _grid_leaves(1, seed, dtype, peak)
+        decoded = qs.decompress(qs.compress(leaf, GRID_EB))
+        assert decoded.dtype == dtype
+        assert decoded.tobytes() == leaf.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_zero_leaves_fold_to_positive_zeros(self, k):
+        """Zeros of either sign encode to the code 0, in one byte each, and
+        any number of them sums to ``+0.0`` with a code bound of 0."""
+        qs = get_compressor("quant_sum")
+        leaves = [np.full((3, 4), -0.0 if i % 2 else 0.0, dtype=np.float32) for i in range(k)]
+        total = agg_fold([qs.compress(leaf, 1e-3) for leaf in leaves])
+        header, body = parse_payload(total)
+        assert (int(header["terms"]), int(header["cmax"]), header["cdtype"]) == (k, 0, "|i1")
+        assert bytes(body) == bytes(12)
+        assert qs.decompress(total).tobytes() == np.zeros((3, 4), np.float32).tobytes()
+
+    @pytest.mark.parametrize("narrow", [np.int8, np.int16, np.int32])
+    def test_a_sum_past_a_code_width_widens_and_stays_exact(self, narrow):
+        """Two leaves at the peak of one code width sum into the next, and
+        the opposite peaks cancel back into one byte per code."""
+        qs = get_compressor("quant_sum")
+        peak = int(np.iinfo(narrow).max)
+        eb = 0.5  # the grid step is 1: the codes are the values themselves
+        up = np.array([[peak, -peak, 0.0]], dtype=np.float64)
+        leaf, mirror = qs.compress(up, eb), qs.compress(-up, eb)
+        assert parse_payload(leaf)[0]["cdtype"] == np.dtype(narrow).str
+        wide = agg_sum(leaf, leaf)
+        header, _ = parse_payload(wide)
+        assert header["cdtype"] == np.dtype(WIDER[narrow]).str
+        assert int(header["cmax"]) == 2 * peak
+        np.testing.assert_array_equal(qs.decompress(wide), 2 * up)
+        cancelled = agg_sum(leaf, mirror)
+        assert parse_payload(cancelled)[0]["cdtype"] == "|i1"
+        np.testing.assert_array_equal(qs.decompress(cancelled), np.zeros_like(up))
+
+    def test_a_composed_code_bound_past_the_guard_is_refused(self):
+        """Each leaf's codes fit int64, but the bound of their sum reaches
+        ``2**62``: the aggregate is refused before any code is added."""
+        qs = get_compressor("quant_sum")
+        leaf = qs.compress(np.array([[2.0**61, 1.0]]), 0.5)
+        assert int(parse_payload(leaf)[0]["cmax"]) == 2**61
+        with pytest.raises(ValueError, match=r"bound 4611686018427387904 would risk int64 overflow"):
+            agg_sum(leaf, leaf)
+
+    def test_a_value_past_the_int64_code_range_is_refused(self):
+        qs = get_compressor("quant_sum")
+        with pytest.raises(ValueError, match="exceeds the int64 code range; raise error_bound"):
+            qs.compress(np.array([[2.0**62, 0.0]]), 0.5)
+
+    def test_max_terms_leaves_aggregate_and_one_more_is_refused(self):
+        qs = get_compressor("quant_sum")
+        leaf = qs.compress(np.ones((2, 2), dtype=np.float32), 1e-3)
+        half = _with_terms(leaf, MAX_TERMS // 2)
+        full = agg_sum(half, half)
+        assert int(parse_payload(full)[0]["terms"]) == MAX_TERMS
+        assert composed_bound(full) == pytest.approx(MAX_TERMS * 1e-3)
+        with pytest.raises(ValueError, match="exceeds MAX_TERMS"):
+            agg_sum(full, leaf)
 
     def test_scale_mismatch_refused(self):
         qs = get_compressor("quant_sum")
@@ -159,12 +255,16 @@ class TestQuantSumLaws:
         with pytest.raises(ValueError, match="scale"):
             agg_sum(qs.compress(table, 1e-3), qs.compress(table, 1e-2))
 
-    @pytest.mark.parametrize("other", ["fp16", "vector_lz"])
+    @pytest.mark.parametrize(
+        "other", [name for name in available_compressors() if name != "quant_sum"]
+    )
     def test_cross_codec_aggregation_refused(self, other):
         table = np.ones((2, 2), dtype=np.float32)
         qp = get_compressor("quant_sum").compress(table, 1e-3)
-        foreign = get_compressor(other).compress(table, 1e-3 if other == "vector_lz" else None)
-        match = rf"payload codec '{other}' != 'quant_sum'"
+        codec = get_compressor(other)
+        foreign = codec.compress(table, 1e-3 if codec.error_bounded else None)
+        # ``hybrid`` frames each block under the codec it picks
+        match = rf"payload codec '{parse_payload(foreign)[0]['codec']}' != 'quant_sum'"
         for pair in ((qp, foreign), (foreign, qp)):
             with pytest.raises(ValueError, match=match):
                 agg_sum(*pair)
@@ -186,12 +286,14 @@ class TestDecodeOwnership:
     """Decode allocates its result: no decoded array aliases the payload,
     another decode, or another rank's all-reduce total."""
 
-    def test_decode_returns_a_fresh_writable_array(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_decode_returns_a_fresh_writable_array(self, dtype):
         compressor = get_compressor("quant_sum")
         rng = np.random.default_rng(11)
-        table = np.asarray(rng.normal(0.0, 2.0, size=(9, 7)), dtype=np.float32)
+        table = np.asarray(rng.normal(0.0, 2.0, size=(9, 7)), dtype=dtype)
         payload = compressor.compress(table, 1e-3)
         first, second = compressor.decompress(payload), compressor.decompress(payload)
+        assert first.dtype == dtype
         np.testing.assert_array_equal(first, second)
         assert first.flags.writeable
         assert not np.shares_memory(first, second)
@@ -199,10 +301,11 @@ class TestDecodeOwnership:
         first[...] = 0.0
         np.testing.assert_array_equal(compressor.decompress(payload), second)
 
-    def test_all_reduce_totals_are_independent_arrays(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_all_reduce_totals_are_independent_arrays(self, dtype):
         compressor = get_compressor("quant_sum")
         rng = np.random.default_rng(5)
-        arrays = [np.asarray(rng.normal(size=(6, 4)), dtype=np.float32) for _ in range(3)]
+        arrays = [np.asarray(rng.normal(size=(6, 4)), dtype=dtype) for _ in range(3)]
         eb = 1e-3
         totals = ClusterSimulator(3).comm.compressed_all_reduce(arrays, eb)
         expected = compressor.decompress(
@@ -210,6 +313,7 @@ class TestDecodeOwnership:
         ).reshape(6, 4)
         assert len(totals) == 3
         for i, total in enumerate(totals):
+            assert total.dtype == dtype
             np.testing.assert_array_equal(total, expected)
             assert not any(np.shares_memory(total, a) for a in arrays)
             assert not any(np.shares_memory(total, other) for other in totals[i + 1 :])

@@ -9,6 +9,7 @@ never returns a wrong-shaped array) for a family of corruptions.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -511,23 +512,80 @@ class TestCountsAndWidthsRaiseCorruptPayloadError:
             decompress_any(_recount(name, code_lengths=lengths))
 
 
-def _quant_sum_frame(cdtype: str, itemsize: int) -> bytes:
-    """A ``quant_sum`` frame of one (4, 8) float32 block whose header
-    declares code dtype ``cdtype`` over a body of ``itemsize``-byte codes."""
-    meta = {"scale": 0.02, "terms": 1, "cdtype": cdtype, "cmax": 0}
-    return frame_payload("quant_sum", (4, 8), np.dtype(np.float32), meta, bytes(32 * itemsize))
+def _quant_sum_frame(
+    cdtype: str, itemsize: int, shape: tuple[int, int] = (4, 8), cmax: int = 0, codes: int = 32
+) -> bytes:
+    """A ``quant_sum`` frame of a float32 block of ``shape`` whose header
+    declares code dtype ``cdtype`` and code bound ``cmax`` over a body of
+    ``codes`` ``itemsize``-byte codes (32 by default: the (4, 8) block's)."""
+    meta = {"scale": 0.02, "terms": 1, "cdtype": cdtype, "cmax": cmax}
+    return frame_payload("quant_sum", shape, np.dtype(np.float32), meta, bytes(codes * itemsize))
 
+
+def _agg_beside_a_clean_leaf(hostile: bytes) -> np.ndarray:
+    """``hostile`` aggregated with a clean (4, 8) leaf, then decoded."""
+    return decompress_any(agg_sum(_quant_sum_frame("|i1", 1), hostile))
+
+
+#: code dtypes no encoder writes: unsigned, bool, float, complex, object,
+#: bytes, datetime, timedelta, a structure and a width NumPy lacks
+HOSTILE_CDTYPES = [
+    ("not-a-dtype", 1),
+    ("<f2", 2),
+    ("<u4", 4),
+    ("|b1", 1),
+    ("<c8", 8),
+    ("|O", 8),
+    ("|S4", 4),
+    ("<M8[s]", 8),
+    ("<m8[s]", 8),
+    ("[('a', '<i4')]", 4),
+    ("<i16", 16),
+]
+
+#: declared shapes -> the one-byte codes their body holds: 10**18 elements
+#: over 32 bytes, and 2**64 elements (which an int64 count wraps to 0) over
+#: an empty body
+HUGE_SHAPES = {"10**9 x 10**9": ((10**9, 10**9), 32), "2**32 x 2**32": ((2**32, 2**32), 0)}
 
 #: hostile ``quant_sum`` headers -> what the decode must raise, before the
 #: body is read as codes
 HOSTILE_HEADERS = {
-    "cdtype=not-a-dtype": (
-        lambda: decompress_any(_quant_sum_frame("not-a-dtype", 1)),
-        r"quant_sum: code dtype 'not-a-dtype' is not a signed integer",
+    **{
+        f"cdtype={cdtype}": (
+            lambda cdtype=cdtype, itemsize=itemsize: decompress_any(
+                _quant_sum_frame(cdtype, itemsize)
+            ),
+            rf"quant_sum: code dtype {re.escape(repr(cdtype))} is not a signed integer",
+        )
+        for cdtype, itemsize in HOSTILE_CDTYPES
+    },
+    **{
+        f"shape={label}": (
+            lambda shape=shape, codes=codes: decompress_any(
+                _quant_sum_frame("|i1", 1, shape, codes=codes)
+            ),
+            rf"quant_sum: body holds {codes} bytes, but {math.prod(shape)} \|i1 codes end",
+        )
+        for label, (shape, codes) in HUGE_SHAPES.items()
+    },
+    **{
+        f"agg_sum shape={label}": (
+            lambda shape=shape, codes=codes: agg_sum(
+                _quant_sum_frame("|i1", 1, shape, codes=codes),
+                _quant_sum_frame("|i1", 1, shape, codes=codes),
+            ),
+            rf"quant_sum: body holds {codes} bytes, but {math.prod(shape)} \|i1 codes end",
+        )
+        for label, (shape, codes) in HUGE_SHAPES.items()
+    },
+    "agg_sum cdtype=|O": (
+        lambda: _agg_beside_a_clean_leaf(_quant_sum_frame("|O", 8)),
+        r"quant_sum: code dtype '\|O' is not a signed integer",
     ),
-    "cdtype=<f2": (
-        lambda: decompress_any(_quant_sum_frame("<f2", 2)),
-        r"quant_sum: code dtype '<f2' is not a signed integer",
+    "agg_sum cmax=-2**62": (
+        lambda: _agg_beside_a_clean_leaf(_quant_sum_frame("|i1", 1, cmax=-(2**62))),
+        r"quant_sum: cmax -4611686018427387904 is negative",
     ),
 }
 
@@ -564,8 +622,11 @@ def hostile_outcomes() -> dict[str, str]:
 
 
 class TestHostileHomomorphicHeaders:
-    """A ``quant_sum`` header whose code dtype no encoder writes is rejected
-    before the body is read as codes; each case runs in a subprocess under
+    """A ``quant_sum`` header whose code dtype, shape or code bound no
+    encoder writes is rejected before the body is read as codes, on decode
+    and on :func:`agg_sum` alike (a shape of 2**64 elements once wrapped an
+    int64 count to 0, so its empty body passed the length check and the
+    decode raised an untyped ``ValueError``); each case runs in a subprocess under
     ``RLIMIT_AS`` and a :data:`HOSTILE_SECONDS` alarm."""
 
     @pytest.fixture(scope="class")

@@ -15,7 +15,8 @@ including oversubscribed inter links), under every schedule:
   the payload is latency-bound;
 * numerics ride along: on inputs that sit on the codec's grid the totals
   are bit-identical to the exact sums on every fabric and algorithm, and
-  the obs counters account aggregated bytes and saved hops.
+  the obs counters account aggregated bytes and saved hops;
+* a refused call charges nothing.
 """
 
 from __future__ import annotations
@@ -75,6 +76,25 @@ def _grid_arrays(n: int, seed: int, size: int = 37) -> list[np.ndarray]:
         (rng.integers(-999, 1000, size=size) * (2 * EB)).astype(np.float32)
         for _ in range(n)
     ]
+
+
+_TABLE = np.ones((2, 2), dtype=np.float32)
+
+#: refused two-rank calls -> (arrays, keyword arguments, error)
+REFUSALS = {
+    "one array": ([_TABLE], {"error_bound": EB}, "expected 2 arrays"),
+    "two shapes": ([_TABLE, np.ones((3, 2), np.float32)], {"error_bound": EB}, "share a shape"),
+    "two dtypes": ([_TABLE, _TABLE.astype(np.float64)], {"error_bound": EB}, "share a dtype"),
+    "unknown algorithm": ([_TABLE, _TABLE], {"error_bound": EB, "algorithm": "mesh"}, "algorithm"),
+    **{
+        f"error_bound={bound}": (
+            [_TABLE, _TABLE],
+            {"error_bound": bound},
+            "finite, positive error_bound",
+        )
+        for bound in (math.inf, math.nan, -EB, 0.0)
+    },
+}
 
 
 def _makespan(network, arrays, **kwargs) -> float:
@@ -160,11 +180,52 @@ class TestNumericsOnFabrics:
                 1 + 1e-9
             ) + 1e-12
 
-    def test_single_rank_is_identity(self):
+    @settings(max_examples=15, deadline=None)
+    @given(fabric_and_ranks(), st.sampled_from(ALGORITHMS), st.integers(0, 2**31))
+    def test_float64_grid_values_bit_identical_everywhere(self, fabric, algorithm, seed):
+        """float64 inputs come back float64, exact for grid codes up to 2**40
+        (every partial sum stays below 2**53)."""
+        network, n = fabric
+        rng = np.random.default_rng(seed)
+        arrays = [rng.integers(-(2**40), 2**40, size=37) * (2 * EB) for _ in range(n)]
+        results = ClusterSimulator(n, network=network).comm.compressed_all_reduce(
+            arrays, EB, algorithm=algorithm
+        )
+        expected = np.array([math.fsum(float(a[i]) for a in arrays) for i in range(37)])
+        for result in results:
+            assert result.dtype == np.float64
+            np.testing.assert_array_equal(result, expected)
+
+    def test_every_algorithm_decodes_the_same_totals(self):
+        """The schedule prices the wire; the totals are one fold's decode."""
+        arrays = _arrays(4, 7, size=61)
+        totals = {
+            algorithm: ClusterSimulator(4).comm.compressed_all_reduce(
+                arrays, 1e-3, algorithm=algorithm
+            )[0].tobytes()
+            for algorithm in ALGORITHMS
+        }
+        assert len(set(totals.values())) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_single_rank_is_identity(self, algorithm, dtype):
         sim = ClusterSimulator(1)
-        table = np.asarray([[1.25, -3.5, 0.0]], dtype=np.float32)
-        (result,) = sim.comm.compressed_all_reduce([table], EB)
+        table = np.asarray([[1.25, -3.5, 0.0]], dtype=dtype)
+        (result,) = sim.comm.compressed_all_reduce([table], EB, algorithm=algorithm)
+        assert result.dtype == dtype
         np.testing.assert_array_equal(result, table)
+        assert sim.makespan() == 0.0
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_a_refused_call_charges_nothing(self, case):
+        """Every argument is checked before anything is charged: a refused
+        all-reduce leaves the ledger empty and the clocks at 0."""
+        sim = ClusterSimulator(2)
+        arrays, kwargs, match = REFUSALS[case]
+        with pytest.raises(ValueError, match=match):
+            sim.comm.compressed_all_reduce(arrays, **kwargs)
+        assert len(sim.timeline) == 0
         assert sim.makespan() == 0.0
 
     def test_validation_errors(self):
@@ -187,25 +248,29 @@ class TestNumericsOnFabrics:
 
 
 class TestObsCounters:
-    def test_aggregated_bytes_and_hops_saved(self):
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_aggregated_bytes_and_hops_saved(self, algorithm):
+        from repro.compression import get_compressor
         from repro.obs.runtime import capture
 
         n = 4
         sim = ClusterSimulator(n)
         arrays = _arrays(n, 3, size=64)
         with capture() as registry:
-            sim.comm.compressed_all_reduce(arrays, EB)
-            sim.comm.compressed_all_reduce(arrays, EB)
+            sim.comm.compressed_all_reduce(arrays, EB, algorithm=algorithm)
+            sim.comm.compressed_all_reduce(arrays, EB, algorithm=algorithm)
             snapshot = registry.snapshot()
         aggregated = snapshot.counter_value(
             "comm_homomorphic_aggregated_bytes_total",
             codec="quant_sum",
-            algorithm="ring",
+            algorithm=algorithm,
         )
         hops_saved = snapshot.counter_value(
             "comm_homomorphic_hops_saved_total",
             codec="quant_sum",
-            algorithm="ring",
+            algorithm=algorithm,
         )
-        assert aggregated > 0
+        codec = get_compressor("quant_sum")
+        leaf_bytes = sum(len(codec.compress(a.reshape(1, -1), EB)) for a in arrays)
+        assert aggregated == 2 * leaf_bytes  # every call sums each leaf once
         assert hops_saved == 2 * (n - 1)  # every call saves n - 1 round-trips

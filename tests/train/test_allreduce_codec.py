@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.adaptive import AdaptiveController
+from repro.compression import available_compressors
 from repro.dist import IB_HDR_LIKE, NVLINK_LIKE, ClusterSimulator, NetworkModel, Topology
 from repro.dist.network import ALLREDUCE_ALGORITHMS
 from repro.model import DLRM
@@ -213,17 +214,20 @@ class TestQuantSumBound:
 
 
 class TestValidation:
-    def test_other_codecs_rejected(self, workflow):
+    @pytest.mark.parametrize(
+        "codec", [name for name in available_compressors() if name != "quant_sum"]
+    )
+    def test_other_codecs_rejected(self, workflow, codec):
         dataset, config, plan = workflow
         sim = ClusterSimulator(N_RANKS)
-        with pytest.raises(ValueError, match="allreduce_codec"):
+        with pytest.raises(ValueError, match=rf"allreduce_codec.*'{codec}'"):
             HybridParallelTrainer(
                 DLRM(config),
                 dataset,
                 sim,
                 pipeline=CompressionPipeline(AdaptiveController(plan)),
                 lr=LR,
-                allreduce_codec="hybrid",
+                allreduce_codec=codec,
             )
 
     def test_unknown_algorithm_rejected(self, workflow):
