@@ -52,7 +52,7 @@ def _evaluate(world) -> dict[str, dict[str, float]]:
             payload = codec.compress(batch, ERROR_BOUND if codec.error_bounded else None)
             original += batch.nbytes
             compressed += len(payload)
-            leg = parse_payload(payload)[0]["codec"] if name == "hybrid" else name
+            leg = parse_payload(payload)[0].codec if name == "hybrid" else name
             throughput = PAPER_A100_PROFILE.for_codec(leg)
             transfer_seconds += (
                 len(payload) / BANDWIDTH

@@ -11,25 +11,26 @@ baseline — share one contract:
   within the error bound (lossy codecs).
 
 Lossless codecs ignore the error bound argument; fixed-rate codecs (FP16,
-FP8) ignore it too but remain lossy.  The payload begins with a magic byte,
-a codec-name string and the original dtype/shape, followed by codec-specific
-metadata and the body.
-
-A header comes from outside the program, so a decoder reads each numeric
-field through :func:`header_int`, :func:`header_float` or
-:func:`header_array`: a field of the wrong type raises ``CorruptPayloadError``
-naming the codec and the key.  Ranges are checked beside the read.
+FP8) ignore it too but remain lossy.  The payload begins with the fixed
+26-byte prelude of :mod:`~repro.compression.serialization` (magic byte,
+codec name, dtype code, the two dimensions), then the codec's *tail* — one
+``struct.Struct`` of its own fields, :attr:`Compressor.tail` — then the
+body.  ``_compress_body`` returns the tail values and ``_decompress_body``
+receives them unpacked; a frame that ends inside its tail raises
+``CorruptPayloadError``, and each codec checks its fields' ranges before
+it allocates anything from them.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from abc import ABC, abstractmethod
 from typing import Any
 
 import numpy as np
 
-from repro.compression.serialization import CorruptPayloadError, pack_meta, unpack_meta
+from repro.compression.serialization import MAGIC, CorruptPayloadError, Prelude, pack_meta, unpack_meta
 
 __all__ = [
     "Compressor",
@@ -38,13 +39,7 @@ __all__ = [
     "parse_payload",
     "MAGIC",
     "check_body_nbytes",
-    "check_element_count",
-    "header_int",
-    "header_float",
-    "header_array",
 ]
-
-MAGIC = 0xDC  # "DLRM Compression" frame marker
 
 #: body types a codec may return: a single buffer or a list of buffer parts
 #: (each part is anything exposing the buffer protocol — bytes, memoryview,
@@ -69,22 +64,11 @@ def _as_buffer(part) -> memoryview | bytes:
 
 
 def frame_parts(
-    codec: str,
-    array_shape: tuple[int, ...],
-    array_dtype: np.dtype,
-    meta: dict[str, Any],
-    body,
+    codec: str, array_shape: tuple[int, int], array_dtype: np.dtype, tail: bytes, body
 ) -> list:
-    """Header + body as a list of buffer parts (no concatenation yet)."""
-    header = {
-        "codec": codec,
-        "dtype": np.dtype(array_dtype).str,
-        "shape": np.asarray(array_shape, dtype=np.int64),
-        **meta,
-    }
-    packed = bytearray([MAGIC])
-    packed += pack_meta(header)
-    parts: list = [bytes(packed)]
+    """Prelude + packed ``tail`` + body as a list of buffer parts (no
+    concatenation yet)."""
+    parts: list = [pack_meta(codec, array_dtype, array_shape) + tail]
     if isinstance(body, (list, tuple)):
         parts.extend(_as_buffer(p) for p in body)
     else:
@@ -93,19 +77,14 @@ def frame_parts(
 
 
 def frame_payload(
-    codec: str,
-    array_shape: tuple[int, ...],
-    array_dtype: np.dtype,
-    meta: dict[str, Any],
-    body,
+    codec: str, array_shape: tuple[int, int], array_dtype: np.dtype, tail: bytes, body
 ) -> bytes:
     """Assemble the standard self-describing payload.
 
     ``body`` may be a single buffer or a sequence of buffer parts; either
-    way the payload is assembled with one copy (``bytes.join`` over views),
-    byte-identical to the historical ``header + body`` concatenation.
+    way the payload is assembled with one copy (``bytes.join`` over views).
     """
-    return b"".join(frame_parts(codec, array_shape, array_dtype, meta, body))
+    return b"".join(frame_parts(codec, array_shape, array_dtype, tail, body))
 
 
 def check_body_nbytes(codec: str, body, shape: tuple[int, ...], itemsize: int) -> None:
@@ -115,72 +94,6 @@ def check_body_nbytes(codec: str, body, shape: tuple[int, ...], itemsize: int) -
     expected = math.prod(shape) * itemsize
     if len(body) != expected:
         raise CorruptPayloadError(f"{codec}: body holds {len(body)} bytes, expected {expected}")
-
-
-def check_element_count(codec: str, count: int, shape: tuple[int, ...]) -> None:
-    """Raise :class:`CorruptPayloadError` unless ``count`` values — a
-    header's element count, checked before anything is allocated from it —
-    fill ``shape`` exactly; NumPy's own ``reshape`` error names neither the
-    codec nor the sizes."""
-    expected = math.prod(shape)
-    if count != expected:
-        raise CorruptPayloadError(
-            f"{codec}: {count} values cannot fill shape {shape} of {expected} values"
-        )
-
-
-#: the range of an int64, the widest integer any decoder computes with
-_INT64_MIN, _INT64_END = -(1 << 63), 1 << 63
-
-
-def header_int(codec: str, header: dict[str, Any], key: str) -> int:
-    """Header field ``key`` of a ``codec`` frame: an ``int`` (not a
-    ``bool``) that fits int64, as every count, width, length and offset an
-    encoder writes is."""
-    value = header[key]
-    if type(value) is not int or not _INT64_MIN <= value < _INT64_END:
-        raise CorruptPayloadError(f"{codec}: {key} {value!r} is not an int64")
-    return value
-
-
-def header_float(codec: str, header: dict[str, Any], key: str) -> float:
-    """Header field ``key`` of a ``codec`` frame as a ``float``: the field
-    must be a ``float`` or an ``int`` that fits int64."""
-    value = header[key]
-    if type(value) is float or type(value) is int and _INT64_MIN <= value < _INT64_END:
-        return float(value)
-    raise CorruptPayloadError(f"{codec}: {key} {value!r} is not a number")
-
-
-def header_array(codec: str, header: dict[str, Any], key: str) -> np.ndarray:
-    """Header field ``key`` of a ``codec`` frame: a 1-D integer
-    ``ndarray``, as every shape, length table and chunk table is."""
-    value = header[key]
-    if not (type(value) is np.ndarray and value.ndim == 1 and value.dtype.kind in "iu"):
-        raise CorruptPayloadError(f"{codec}: {key} {value!r} is not a 1-D integer array")
-    return value
-
-
-#: the dtypes an encoder frames (:meth:`Compressor.compress` takes no other)
-_FRAME_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-
-def _frame_layout(codec: str, header: dict[str, Any]) -> tuple[tuple[int, ...], np.dtype]:
-    """The ``(shape, dtype)`` a frame declares.  An encoder writes a float32
-    or float64 dtype and the two non-negative dimensions of its 2-D batch;
-    anything else is corrupt."""
-    try:
-        dtype = np.dtype(header["dtype"])
-    except (TypeError, ValueError, SyntaxError) as exc:
-        raise CorruptPayloadError(f"{codec}: malformed dtype {header['dtype']!r}: {exc}") from None
-    if dtype not in _FRAME_DTYPES:
-        raise CorruptPayloadError(f"{codec}: dtype {header['dtype']!r} is not float32 or float64")
-    dims = tuple(header_array(codec, header, "shape").tolist())
-    if len(dims) != 2:
-        raise CorruptPayloadError(f"{codec}: shape {dims} is not a 2-D batch")
-    if min(dims) < 0:
-        raise CorruptPayloadError(f"{codec}: negative shape {dims}")
-    return dims, dtype
 
 
 def _wrong_codec_error(codec: str, expected: str) -> ValueError:
@@ -197,26 +110,22 @@ def _wrong_codec_error(codec: str, expected: str) -> ValueError:
     )
 
 
-def parse_payload(payload: bytes | memoryview) -> tuple[dict[str, Any], memoryview]:
-    """Split a framed payload into ``(header, body_view)``.
-
-    Every call parses afresh and returns its own header (arrays included);
-    a corrupt frame raises on every call."""
+def parse_payload(payload: bytes | memoryview) -> tuple[Prelude, memoryview]:
+    """Split a framed payload into ``(prelude, body_view)``; the body view
+    starts with the codec's tail.  Every call parses afresh; a corrupt
+    prelude raises on every call."""
     view = memoryview(payload)
-    if len(view) == 0:
-        raise CorruptPayloadError("empty payload")
-    if view[0] != MAGIC:
-        raise CorruptPayloadError(f"bad magic byte 0x{view[0]:02x}, expected 0x{MAGIC:02x}")
-    header, pos = unpack_meta(view, 1)
-    return header, view[pos:]
+    prelude, pos = unpack_meta(view)
+    return prelude, view[pos:]
 
 
 class Compressor(ABC):
     """Abstract base for batch-of-embedding-vector compressors.
 
-    Subclasses set :attr:`name` (registry key) and :attr:`lossy`, and
-    implement ``_compress_body`` / ``_decompress_body`` over the framed
-    metadata.  The public entry points validate inputs and handle framing.
+    Subclasses set :attr:`name` (registry key), :attr:`lossy` and
+    :attr:`tail`, and implement ``_compress_body`` / ``_decompress_body``
+    over the tail values.  The public entry points validate inputs and
+    handle framing.
     """
 
     #: registry key, e.g. ``"hybrid"`` or ``"fp16"``
@@ -225,6 +134,8 @@ class Compressor(ABC):
     lossy: bool = True
     #: whether the codec honours the ``error_bound`` argument
     error_bounded: bool = False
+    #: the codec's own header fields, packed at the front of its body
+    tail: struct.Struct = struct.Struct("<")
 
     def _validate(self, array: np.ndarray, error_bound: float | None) -> np.ndarray:
         array = np.ascontiguousarray(array)
@@ -244,31 +155,37 @@ class Compressor(ABC):
         codec keeps state between calls: the bytes depend on ``array`` and
         ``error_bound`` alone."""
         array = self._validate(array, error_bound)
-        meta, body = self._compress_body(array, error_bound)
-        return b"".join(frame_parts(self.name, array.shape, array.dtype, meta, body))
+        tail, body = self._compress_body(array, error_bound)
+        return b"".join(frame_parts(self.name, array.shape, array.dtype, self.tail.pack(*tail), body))
 
     def decompress(self, payload: bytes | memoryview) -> np.ndarray:
         """Reconstruct the batch from a payload produced by :meth:`compress`."""
-        header, body = parse_payload(payload)
-        if header["codec"] != self.name:
-            raise _wrong_codec_error(header["codec"], self.name)
-        return self._decode_frame(header, body)
+        prelude, body = parse_payload(payload)
+        if prelude.codec != self.name:
+            raise _wrong_codec_error(prelude.codec, self.name)
+        return self._decode_frame(prelude, body)
 
-    def _decode_frame(self, header: dict[str, Any], body: memoryview) -> np.ndarray:
-        """Decode an already-parsed frame of this codec (no second header
+    def _read_tail(self, body: memoryview) -> tuple:
+        """The tail values at the front of a frame's ``body``."""
+        if len(body) < self.tail.size:
+            raise CorruptPayloadError(
+                f"{self.name}: frame ends {len(body)} bytes into its {self.tail.size}-byte tail"
+            )
+        return self.tail.unpack_from(body)
+
+    def _decode_frame(self, prelude: Prelude, body: memoryview) -> np.ndarray:
+        """Decode an already-parsed frame of this codec (no second prelude
         parse: :func:`~repro.compression.registry.decompress_any` parses to
         find the codec, then dispatches here)."""
-        shape, dtype = _frame_layout(self.name, header)
-        array = self._decompress_body(header, body, shape, dtype)
-        if array.shape != shape:
-            raise CorruptPayloadError(f"{self.name}: decoded shape {array.shape} != {shape}")
+        tail = self._read_tail(body)
+        array = self._decompress_body(tail, body[self.tail.size :], prelude.shape, prelude.dtype)
+        if array.shape != prelude.shape:
+            raise CorruptPayloadError(f"{self.name}: decoded shape {array.shape} != {prelude.shape}")
         return array
 
     @abstractmethod
-    def _compress_body(
-        self, array: np.ndarray, error_bound: float | None
-    ) -> tuple[dict[str, Any], Any]:
-        """Return ``(codec_meta, body)`` for a validated input.
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[tuple, Any]:
+        """Return ``(tail values, body)`` for a validated input.
 
         ``body`` is a single buffer (bytes/memoryview/contiguous ndarray)
         or a list of such parts; the framer joins parts with one copy.
@@ -276,13 +193,9 @@ class Compressor(ABC):
 
     @abstractmethod
     def _decompress_body(
-        self,
-        header: dict[str, Any],
-        body: memoryview,
-        shape: tuple[int, ...],
-        dtype: np.dtype,
+        self, tail: tuple, body: memoryview, shape: tuple[int, int], dtype: np.dtype
     ) -> np.ndarray:
-        """Reconstruct the array from header + body."""
+        """Reconstruct the array from the unpacked tail and the body after it."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r} lossy={self.lossy}>"

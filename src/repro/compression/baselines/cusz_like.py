@@ -19,11 +19,12 @@ exactly that effect.
 
 from __future__ import annotations
 
-from typing import Any
+import math
+import struct
 
 import numpy as np
 
-from repro.compression.base import Compressor, check_element_count, header_int
+from repro.compression.base import Compressor
 from repro.compression.huffman import huffman_decode, huffman_encode, huffman_sections, read_huffman_sections
 from repro.compression.quantizer import dequantize, quantize
 
@@ -56,28 +57,22 @@ class CuszLikeCompressor(Compressor):
     name = "cusz_like"
     lossy = True
     error_bounded = True
+    #: error bound, smallest residual, code-length table entries
+    tail = struct.Struct("<dqI")
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[tuple, list]:
         codes = quantize(array, float(error_bound))
         residuals = lorenzo_residuals_2d(codes)
         res_min = int(residuals.min()) if residuals.size else 0
         shifted = (residuals - res_min).ravel()
         alphabet = int(shifted.max()) + 1 if shifted.size else 1
         encoded = huffman_encode(shifted, alphabet)
-        meta = {
-            "eb": float(error_bound),
-            "res_min": res_min,
-            **huffman_sections(encoded),
-            "total_symbols": int(encoded.total_symbols),
-        }
-        return meta, encoded.payload
+        return (float(error_bound), res_min, encoded.code_lengths.size), huffman_sections(encoded)
 
     def _decompress_body(
-        self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
+        self, tail: tuple, body: memoryview, shape: tuple[int, int], dtype: np.dtype
     ) -> np.ndarray:
-        total_symbols = header_int(self.name, header, "total_symbols")
-        check_element_count(self.name, total_symbols, shape)
-        encoded = read_huffman_sections(self.name, header, body, total_symbols)
-        shifted = huffman_decode(encoded).reshape(shape)
-        residuals = shifted + header_int(self.name, header, "res_min")
-        return dequantize(inverse_lorenzo_2d(residuals), header["eb"], dtype)
+        eb, res_min, n_lengths = tail
+        encoded = read_huffman_sections(self.name, body, n_lengths, math.prod(shape))
+        residuals = huffman_decode(encoded).reshape(shape) + res_min
+        return dequantize(inverse_lorenzo_2d(residuals), eb, dtype)

@@ -9,8 +9,6 @@ representable value, implemented exactly via the 256-entry value table.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.compression.base import Compressor, check_body_nbytes
@@ -76,11 +74,11 @@ class Fp16Compressor(Compressor):
     lossy = True
     error_bounded = False
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
-        return {}, array.astype(np.float16)
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[tuple, np.ndarray]:
+        return (), array.astype(np.float16)
 
     def _decompress_body(
-        self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
+        self, tail: tuple, body: memoryview, shape: tuple[int, int], dtype: np.dtype
     ) -> np.ndarray:
         check_body_nbytes(self.name, body, shape, 2)
         return np.frombuffer(body, dtype=np.float16).reshape(shape).astype(dtype)
@@ -93,11 +91,11 @@ class Fp8Compressor(Compressor):
     lossy = True
     error_bounded = False
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
-        return {}, float32_to_e4m3(array.astype(np.float32))
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[tuple, np.ndarray]:
+        return (), float32_to_e4m3(array.astype(np.float32))
 
     def _decompress_body(
-        self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
+        self, tail: tuple, body: memoryview, shape: tuple[int, int], dtype: np.dtype
     ) -> np.ndarray:
         check_body_nbytes(self.name, body, shape, 1)
         codes = np.frombuffer(body, dtype=np.uint8).reshape(shape)

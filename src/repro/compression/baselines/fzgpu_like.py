@@ -13,11 +13,12 @@ fixed-size blocks, and an all-zero-block bitmap elides empty blocks.
 
 from __future__ import annotations
 
-from typing import Any
+import math
+import struct
 
 import numpy as np
 
-from repro.compression.base import Compressor, check_element_count, header_int
+from repro.compression.base import Compressor
 from repro.compression.quantizer import dequantize, quantize
 from repro.compression.serialization import CorruptPayloadError
 
@@ -155,8 +156,10 @@ class FzGpuLikeCompressor(Compressor):
     name = "fzgpu_like"
     lossy = True
     error_bounded = True
+    #: error bound (every plane and block size follows from the shape)
+    tail = struct.Struct("<d")
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[tuple, list]:
         codes = quantize(array, float(error_bound))
         unsigned = zigzag_encode(codes.ravel())
         if unsigned.size and int(unsigned.max()) >= (1 << _PLANES):
@@ -164,33 +167,23 @@ class FzGpuLikeCompressor(Compressor):
                 "fzgpu_like: quantized magnitudes exceed 16-bit planes; "
                 "use a larger error bound or a different codec"
             )
-        n = unsigned.size
-        bitmap, payload, n_blocks_per_plane = pack_bitplanes(unsigned, DEFAULT_BLOCK_BYTES)
-        body = [bitmap, payload]
-        meta = {
-            "eb": float(error_bound),
-            "n_values": n,
-            "block_bytes": DEFAULT_BLOCK_BYTES,
-            "n_blocks_per_plane": n_blocks_per_plane,
-            "bitmap_len": int(bitmap.size),
-        }
-        return meta, body
+        bitmap, payload, _ = pack_bitplanes(unsigned, DEFAULT_BLOCK_BYTES)
+        return (float(error_bound),), [bitmap, payload]
 
     def _decompress_body(
-        self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
+        self, tail: tuple, body: memoryview, shape: tuple[int, int], dtype: np.dtype
     ) -> np.ndarray:
-        n, block_bytes, n_blocks, bitmap_len = (
-            header_int(self.name, header, key)
-            for key in ("n_values", "block_bytes", "n_blocks_per_plane", "bitmap_len")
-        )
-        # Every size the planes are allocated from follows from n.
-        check_element_count(self.name, n, shape)
-        packed_len = (n + 7) // 8
-        if not 0 <= n_blocks * block_bytes - packed_len < block_bytes:
+        (eb,) = tail
+        # Every size the planes are allocated from follows from the shape;
+        # the block bitmap it implies must be present first.
+        n = math.prod(shape)
+        n_blocks = -(-((n + 7) // 8) // DEFAULT_BLOCK_BYTES)
+        bitmap_len = (_PLANES * n_blocks + 7) // 8
+        if bitmap_len > len(body):
             raise CorruptPayloadError(
-                f"{self.name}: {n_blocks} blocks of {block_bytes} bytes per plane "
-                f"do not fit {packed_len} packed bytes"
+                f"{self.name}: body holds {len(body)} bytes, the block bitmap of {n} values "
+                f"needs {bitmap_len}"
             )
         raw = np.frombuffer(body, dtype=np.uint8)
-        unsigned = unpack_bitplanes(raw[:bitmap_len], raw[bitmap_len:], n, block_bytes, n_blocks)
-        return dequantize(zigzag_decode(unsigned).reshape(shape), header["eb"], dtype)
+        unsigned = unpack_bitplanes(raw[:bitmap_len], raw[bitmap_len:], n, DEFAULT_BLOCK_BYTES, n_blocks)
+        return dequantize(zigzag_decode(unsigned).reshape(shape), eb, dtype)

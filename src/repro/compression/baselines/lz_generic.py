@@ -22,11 +22,12 @@ library's canonical Huffman coder, modelling Deflate's LZ + Huffman split.
 
 from __future__ import annotations
 
-from typing import Any
+import math
+import struct
 
 import numpy as np
 
-from repro.compression.base import Compressor, check_body_nbytes, header_int
+from repro.compression.base import Compressor
 from repro.compression.huffman import huffman_decode, huffman_encode, huffman_sections, read_huffman_sections
 from repro.compression.serialization import CorruptPayloadError
 
@@ -316,15 +317,13 @@ class Lz4LikeCompressor(Compressor):
     lossy = False
     error_bounded = False
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
-        raw = array.tobytes()
-        return {"raw_size": len(raw), "window": DEFAULT_BYTE_WINDOW}, lz77_encode_bytes(raw)
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[tuple, bytes]:
+        return (), lz77_encode_bytes(array.tobytes())
 
     def _decompress_body(
-        self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
+        self, tail: tuple, body: memoryview, shape: tuple[int, int], dtype: np.dtype
     ) -> np.ndarray:
-        raw = lz77_decode_bytes(body, header_int(self.name, header, "raw_size"), self.name)
-        check_body_nbytes(self.name, raw, shape, dtype.itemsize)
+        raw = lz77_decode_bytes(body, math.prod(shape) * dtype.itemsize, self.name)
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
@@ -334,24 +333,19 @@ class DeflateLikeCompressor(Compressor):
     name = "deflate_like"
     lossy = False
     error_bounded = False
+    #: LZ77 stream bytes (its code-length table has one entry per byte value)
+    tail = struct.Struct("<Q")
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
-        raw = array.tobytes()
-        lz_stream = lz77_encode_bytes(raw)
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[tuple, list]:
+        lz_stream = lz77_encode_bytes(array.tobytes())
         encoded = huffman_encode(np.frombuffer(lz_stream, dtype=np.uint8), 256)
-        meta = {
-            "raw_size": len(raw),
-            "lz_size": len(lz_stream),
-            "window": DEFAULT_BYTE_WINDOW,
-            **huffman_sections(encoded),
-        }
-        return meta, encoded.payload
+        return (len(lz_stream),), huffman_sections(encoded)
 
     def _decompress_body(
-        self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
+        self, tail: tuple, body: memoryview, shape: tuple[int, int], dtype: np.dtype
     ) -> np.ndarray:
-        encoded = read_huffman_sections(self.name, header, body, header_int(self.name, header, "lz_size"))
+        (lz_size,) = tail
+        encoded = read_huffman_sections(self.name, body, 256, lz_size)
         lz_stream = huffman_decode(encoded).astype(np.uint8).tobytes()
-        raw = lz77_decode_bytes(lz_stream, header_int(self.name, header, "raw_size"), self.name)
-        check_body_nbytes(self.name, raw, shape, dtype.itemsize)
+        raw = lz77_decode_bytes(lz_stream, math.prod(shape) * dtype.itemsize, self.name)
         return np.frombuffer(raw, dtype=dtype).reshape(shape)

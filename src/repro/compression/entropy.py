@@ -12,11 +12,12 @@ own symbol frequencies, and the payload ships that book's code-length table.
 
 from __future__ import annotations
 
-from typing import Any
+import math
+import struct
 
 import numpy as np
 
-from repro.compression.base import Compressor, check_element_count, header_int
+from repro.compression.base import Compressor
 from repro.compression.huffman import huffman_decode, huffman_encode, huffman_sections, read_huffman_sections
 from repro.compression.quantizer import dequantize, quantize_batch
 
@@ -35,29 +36,20 @@ class EntropyCompressor(Compressor):
     name = "entropy"
     lossy = True
     error_bounded = True
+    #: error bound, smallest code, code-length table entries
+    tail = struct.Struct("<dqI")
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[tuple, list]:
         batch = quantize_batch(array, float(error_bound))
         encoded = huffman_encode(batch.codes, batch.alphabet_size)
-        meta = {
-            "eb": batch.error_bound,
-            "code_min": batch.code_min,
-            **huffman_sections(encoded),
-            "total_symbols": int(encoded.total_symbols),
-        }
-        # The bitstream array goes to the framer as a buffer part — one copy
-        # into the framed payload, no tobytes() round-trip.
-        return meta, encoded.payload
+        # The sections go to the framer as buffer parts — one copy into the
+        # framed payload, no tobytes() round-trip.
+        tail = (batch.error_bound, batch.code_min, encoded.code_lengths.size)
+        return tail, huffman_sections(encoded)
 
     def _decompress_body(
-        self,
-        header: dict[str, Any],
-        body: memoryview,
-        shape: tuple[int, ...],
-        dtype: np.dtype,
+        self, tail: tuple, body: memoryview, shape: tuple[int, int], dtype: np.dtype
     ) -> np.ndarray:
-        total_symbols = header_int(self.name, header, "total_symbols")
-        check_element_count(self.name, total_symbols, shape)
-        code_min = header_int(self.name, header, "code_min")
-        symbols = huffman_decode(read_huffman_sections(self.name, header, body, total_symbols))
-        return dequantize(symbols.reshape(shape) + code_min, header["eb"], dtype)
+        eb, code_min, n_lengths = tail
+        encoded = read_huffman_sections(self.name, body, n_lengths, math.prod(shape))
+        return dequantize(huffman_decode(encoded).reshape(shape) + code_min, eb, dtype)

@@ -25,18 +25,11 @@ composition, and the ``k = 1`` degeneracy at the byte level.
 from __future__ import annotations
 
 import math
-from typing import Any
+import struct
 
 import numpy as np
 
-from repro.compression.base import (
-    Compressor,
-    _frame_layout,
-    frame_payload,
-    header_float,
-    header_int,
-    parse_payload,
-)
+from repro.compression.base import Compressor, frame_payload, parse_payload
 from repro.compression.quantizer import quantize
 from repro.compression.serialization import CorruptPayloadError
 
@@ -49,6 +42,9 @@ MAX_TERMS = 1 << 29
 #: overflow guard ceiling for composed code magnitude bounds
 _GUARD_LIMIT = 1 << 62
 
+#: the code dtypes a frame declares, narrowest first, indexed by their code
+_CODE_DTYPES = tuple(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64))
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -58,7 +54,7 @@ def _require(condition: bool, message: str) -> None:
 def _narrowest_int(codes: np.ndarray) -> np.ndarray:
     """Store integer codes in the narrowest signed dtype that fits."""
     peak = int(np.abs(codes).max()) if codes.size else 0
-    for candidate in (np.int8, np.int16, np.int32):
+    for candidate in _CODE_DTYPES[:-1]:
         if peak <= np.iinfo(candidate).max:
             return codes.astype(candidate)
     return codes.astype(np.int64)
@@ -77,10 +73,10 @@ class QuantSumCompressor(Compressor):
     name = "quant_sum"
     lossy = True
     error_bounded = True
+    #: grid step ``2 * eb``, aggregated leaves, code dtype code, code magnitude bound
+    tail = struct.Struct("<dIBQ")
 
-    def _compress_body(
-        self, array: np.ndarray, error_bound: float | None
-    ) -> tuple[dict[str, Any], Any]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[tuple, np.ndarray]:
         if array.size:
             peak = float(np.abs(array).max()) / (2.0 * float(error_bound))
             _require(
@@ -91,31 +87,24 @@ class QuantSumCompressor(Compressor):
         codes = quantize(array, error_bound)
         narrow = _narrowest_int(codes)
         cmax = int(np.abs(codes).max()) if codes.size else 0
-        meta = {
-            "scale": 2.0 * float(error_bound),
-            "terms": 1,
-            "cdtype": narrow.dtype.str,
-            "cmax": cmax,
-        }
-        return meta, narrow
+        return (2.0 * float(error_bound), 1, _CODE_DTYPES.index(narrow.dtype), cmax), narrow
 
     def _decompress_body(
-        self,
-        header: dict[str, Any],
-        body: memoryview,
-        shape: tuple[int, ...],
-        dtype: np.dtype,
+        self, tail: tuple, body: memoryview, shape: tuple[int, int], dtype: np.dtype
     ) -> np.ndarray:
-        centres = self._codes(header, body, shape).astype(np.float64) * self._scale(header)
+        scale, _, code, _ = tail
+        centres = self._codes(code, body, shape).astype(np.float64) * self._scale(scale)
         return centres.astype(dtype).reshape(shape)
 
-    def _codes(
-        self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        """The body read as the header's codes, one per element of ``shape``
-        (counted in Python integers, so no declared shape wraps to 0)."""
-        count = math.prod(shape)
-        cdtype = self._code_dtype(header)
+    def _codes(self, code: int, body: memoryview, shape: tuple[int, int]) -> np.ndarray:
+        """The body read as codes of the dtype ``code`` names, one per
+        element of ``shape`` (counted in Python integers, so no declared
+        shape wraps to 0)."""
+        if code >= len(_CODE_DTYPES):
+            raise CorruptPayloadError(
+                f"{self.name}: code dtype code {code} is not one of 0..{len(_CODE_DTYPES) - 1}"
+            )
+        cdtype, count = _CODE_DTYPES[code], math.prod(shape)
         if len(body) != count * cdtype.itemsize:
             raise CorruptPayloadError(
                 f"{self.name}: body holds {len(body)} bytes, but {count} {cdtype.str} "
@@ -123,88 +112,66 @@ class QuantSumCompressor(Compressor):
             )
         return np.frombuffer(body, dtype=cdtype)
 
-    def _scale(self, header: dict[str, Any]) -> float:
-        """The header's grid step ``2 * eb``, which must be finite and > 0."""
-        scale = header_float(self.name, header, "scale")
+    def _scale(self, scale: float) -> float:
+        """The tail's grid step ``2 * eb``, which must be finite and > 0."""
         if not 0.0 < scale < math.inf:
             raise CorruptPayloadError(f"{self.name}: scale {scale!r} is not finite and > 0")
         return scale
 
-    def _code_dtype(self, header: dict[str, Any]) -> np.dtype:
-        """The header's code dtype, which must be a signed integer."""
-        try:
-            cdtype = np.dtype(header["cdtype"])
-        except (TypeError, ValueError):
-            cdtype = None
-        if cdtype is None or cdtype.kind != "i":
-            raise CorruptPayloadError(
-                f"{self.name}: code dtype {header['cdtype']!r} is not a signed integer"
-            )
-        return cdtype
-
-    def _terms(self, header: dict[str, Any]) -> int:
-        """The header's leaf count, an integer in ``[1, MAX_TERMS]``."""
-        terms = header_int(self.name, header, "terms")
+    def _operand(self, payload) -> tuple:
+        """``(prelude, scale, terms, cmax, codes)`` of one :meth:`agg_payloads`
+        operand, read as a frame: a field no encoder writes is corrupt, and
+        so are codes past the ``cmax`` the frame declares for them."""
+        prelude, body = parse_payload(payload)
+        _require(
+            prelude.codec == self.name,
+            f"agg_sum: payload codec {prelude.codec!r} != {self.name!r}",
+        )
+        scale, terms, code, cmax = self._read_tail(body)
         if not 1 <= terms <= MAX_TERMS:
-            raise CorruptPayloadError(
-                f"{self.name}: terms {terms!r} is not an integer in [1, {MAX_TERMS}]"
-            )
-        return terms
-
-    def _cmax(self, header: dict[str, Any]) -> int:
-        """The header's code magnitude bound, an integer ``>= 0``."""
-        cmax = header_int(self.name, header, "cmax")
-        if cmax < 0:
-            raise CorruptPayloadError(f"{self.name}: cmax {cmax!r} is negative")
-        return cmax
+            raise CorruptPayloadError(f"{self.name}: terms {terms} is not in [1, {MAX_TERMS}]")
+        if cmax >= _GUARD_LIMIT:
+            raise CorruptPayloadError(f"{self.name}: cmax {cmax} is not below 2**62")
+        codes = self._codes(code, body[self.tail.size :], prelude.shape)
+        peak = max(int(codes.max()), -int(codes.min())) if codes.size else 0
+        if peak > cmax:
+            raise CorruptPayloadError(f"{self.name}: a code of magnitude {peak} exceeds cmax {cmax}")
+        return prelude, self._scale(scale), terms, cmax, codes
 
     def agg_payloads(self, payload_a, payload_b) -> bytes:
         """Sum two payloads without decoding either; returns a framed payload.
 
         Both must be ``quant_sum`` frames of identical shape, dtype and
-        scale.  The result's ``terms`` header counts the aggregated leaves,
+        scale.  The result's ``terms`` field counts the aggregated leaves,
         so its worst-case error is ``terms * scale / 2``.  It is a pure
         function of the *multiset* of leaves that went into the operands —
         byte-identical for any association order — so intermediate ranks and
-        in-network aggregators never decode.
+        in-network aggregators never decode.  Each operand's codes are
+        checked against its ``cmax``, so the composed bound holds for the
+        sum and the int64 addition cannot wrap.
         """
-        header_a, body_a = parse_payload(payload_a)
-        header_b, body_b = parse_payload(payload_b)
-        layouts, terms = [], 0
-        for header in (header_a, header_b):
-            _require(
-                header["codec"] == self.name,
-                f"agg_sum: payload codec {header['codec']!r} != {self.name!r}",
-            )
-            # Each operand is a frame: a field no encoder writes is corrupt.
-            layouts.append(_frame_layout(self.name, header))
-            terms += self._terms(header)
-        (shape, dtype), (shape_b, dtype_b) = layouts
-        _require(shape == shape_b, f"agg_sum: payload shapes differ: {shape} vs {shape_b}")
-        _require(
-            dtype == dtype_b,
-            f"agg_sum: payload dtypes differ: {header_a['dtype']} vs {header_b['dtype']}",
-        )
+        prelude_a, scale, terms_a, cmax_a, codes_a = self._operand(payload_a)
+        prelude_b, scale_b, terms_b, cmax_b, codes_b = self._operand(payload_b)
+        shape, dtype = prelude_a.shape, prelude_a.dtype
+        _require(shape == prelude_b.shape, f"agg_sum: payload shapes differ: {shape} vs {prelude_b.shape}")
+        _require(dtype == prelude_b.dtype, f"agg_sum: payload dtypes differ: {dtype} vs {prelude_b.dtype}")
+        terms = terms_a + terms_b
         _require(
             terms <= MAX_TERMS,
             f"agg_sum: {terms} aggregated leaves exceeds MAX_TERMS={MAX_TERMS}",
         )
-        scale = self._scale(header_a)
         _require(
-            scale == self._scale(header_b),
-            f"agg_sum: {self.name} payloads must share a scale, got "
-            f"{header_a['scale']!r} vs {header_b['scale']!r}",
+            scale == scale_b,
+            f"agg_sum: {self.name} payloads must share a scale, got {scale!r} vs {scale_b!r}",
         )
-        cmax = self._cmax(header_a) + self._cmax(header_b)
+        cmax = cmax_a + cmax_b
         _require(
             cmax < _GUARD_LIMIT,
             f"agg_sum: composed code magnitude bound {cmax} would risk int64 overflow",
         )
-        codes_a = self._codes(header_a, body_a, shape)
-        codes_b = self._codes(header_b, body_b, shape)
         narrow = _narrowest_int(codes_a.astype(np.int64) + codes_b.astype(np.int64))
-        meta = {"scale": scale, "cdtype": narrow.dtype.str, "cmax": cmax, "terms": terms}
-        return frame_payload(self.name, shape, dtype, meta, narrow)
+        tail = self.tail.pack(scale, terms, _CODE_DTYPES.index(narrow.dtype), cmax)
+        return frame_payload(self.name, shape, dtype, tail, narrow)
 
 
 # ---------------------------------------------------------------- module API

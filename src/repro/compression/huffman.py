@@ -18,9 +18,10 @@ decoding computes speculative flat-peek-table lookups at every bit offset
 vectorized (the gap-array technique of GPU Huffman decoders) and then only
 walks the per-chunk jump chain sequentially.
 
-Every Huffman-coded codec frames its length and chunk tables with
-:func:`huffman_sections` and reads them back, typed, with
-:func:`read_huffman_sections`; the bitstream is the frame body.
+Every Huffman-coded codec frames its length table, chunk-offset table and
+bitstream as body sections with :func:`huffman_sections` and reads them
+back with :func:`read_huffman_sections`; its tail records the length
+table's size, and the chunk table's follows from the symbol count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.base import header_array
 from repro.compression.bitstream import _reference_pack_codes, pack_codes, padded_stream, word_table
 from repro.compression.serialization import CorruptPayloadError
 from repro.utils.validation import check_count
@@ -52,9 +52,6 @@ __all__ = [
 
 DEFAULT_MAX_CODE_LENGTH = 15
 DEFAULT_CHUNK_SYMBOLS = 4096
-#: the widest code a decoder peeks: a window at any in-byte offset must sit
-#: in the one 64-bit word ``word_table`` builds (57 + 7 bits)
-_MAX_PEEK_BITS = 57
 
 
 def _reference_huffman_code_lengths(freqs: np.ndarray) -> np.ndarray:
@@ -270,27 +267,38 @@ class HuffmanEncoded:
     total_symbols: int
 
 
-def huffman_sections(encoded: HuffmanEncoded) -> dict[str, np.ndarray]:
-    """The header fields a frame ships ``encoded``'s codebook and chunk
-    table in (the bitstream itself is the frame body)."""
-    return {
-        # uint8 is plenty: lengths are capped at DEFAULT_MAX_CODE_LENGTH (15).
-        "code_lengths": encoded.code_lengths.astype(np.uint8),
-        "chunk_bit_offsets": encoded.chunk_bit_offsets.astype(np.uint64),
-        "chunk_symbol_counts": encoded.chunk_symbol_counts.astype(np.int64),
-    }
+def huffman_sections(encoded: HuffmanEncoded) -> list[np.ndarray]:
+    """The body sections a frame ships ``encoded`` in: its code-length
+    table (one byte per symbol: lengths are capped at
+    :data:`DEFAULT_MAX_CODE_LENGTH`), its chunk bit offsets (``<u8``) and
+    its bitstream."""
+    return [
+        encoded.code_lengths.astype(np.uint8),
+        encoded.chunk_bit_offsets.astype("<u8"),
+        encoded.payload,
+    ]
 
 
 def read_huffman_sections(
-    codec: str, header: dict, body: memoryview, total_symbols: int
+    codec: str, body: memoryview, n_lengths: int, total_symbols: int
 ) -> HuffmanEncoded:
-    """The stream a ``codec`` frame written with :func:`huffman_sections`
-    carries: its sections read typed from ``header``, its bits ``body``."""
+    """The stream of ``total_symbols`` symbols a ``codec`` body written
+    with :func:`huffman_sections` carries, given its ``n_lengths``-entry
+    code-length table.  The two tables must fit the body before anything
+    is allocated from either count."""
+    n_chunks = -(-total_symbols // DEFAULT_CHUNK_SYMBOLS)
+    tables = n_lengths + 8 * n_chunks
+    if tables > len(body):
+        raise CorruptPayloadError(
+            f"{codec}: body holds {len(body)} bytes, its {n_lengths} code lengths and "
+            f"{n_chunks} chunk offsets need {tables}"
+        )
+    raw = np.frombuffer(body, dtype=np.uint8)
     return HuffmanEncoded(
-        payload=np.frombuffer(body, dtype=np.uint8),
-        code_lengths=header_array(codec, header, "code_lengths").astype(np.int64),
-        chunk_bit_offsets=header_array(codec, header, "chunk_bit_offsets"),
-        chunk_symbol_counts=header_array(codec, header, "chunk_symbol_counts"),
+        payload=raw[tables:],
+        code_lengths=raw[:n_lengths].astype(np.int64),
+        chunk_bit_offsets=np.frombuffer(body, dtype="<u8", count=n_chunks, offset=n_lengths),
+        chunk_symbol_counts=_chunk_layout(total_symbols),
         total_symbols=total_symbols,
     )
 
@@ -366,9 +374,8 @@ def huffman_encode(symbols: np.ndarray, alphabet_size: int) -> HuffmanEncoded:
 
 def _chunk_layout(n_symbols: int) -> np.ndarray:
     """Per-chunk symbol counts: full chunks plus a short tail."""
-    n_chunks = (n_symbols + DEFAULT_CHUNK_SYMBOLS - 1) // DEFAULT_CHUNK_SYMBOLS
-    chunk_counts = np.full(n_chunks, DEFAULT_CHUNK_SYMBOLS, dtype=np.int64)
-    chunk_counts[-1] = n_symbols - DEFAULT_CHUNK_SYMBOLS * (n_chunks - 1)
+    chunk_counts = np.full(-(-n_symbols // DEFAULT_CHUNK_SYMBOLS), DEFAULT_CHUNK_SYMBOLS, dtype=np.int64)
+    chunk_counts[-1:] = n_symbols - DEFAULT_CHUNK_SYMBOLS * (chunk_counts.size - 1)
     return chunk_counts
 
 
@@ -440,10 +447,10 @@ def _peek_tables(code_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]
     """
     # The table has 2**max_len entries: check the width before allocating.
     max_len = int(code_lengths.max())
-    if max_len > _MAX_PEEK_BITS:
+    if max_len > DEFAULT_MAX_CODE_LENGTH:
         raise CorruptPayloadError(
-            f"corrupt Huffman stream: a {max_len}-bit code is wider than the "
-            f"{_MAX_PEEK_BITS}-bit peek window"
+            f"corrupt Huffman stream: a {max_len}-bit code is longer than the "
+            f"{DEFAULT_MAX_CODE_LENGTH}-bit codes an encoder writes"
         )
     used = np.flatnonzero(code_lengths)
     dense_book = HuffmanCodebook(
@@ -451,8 +458,8 @@ def _peek_tables(code_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]
     )
     table_sym, table_len = dense_book.peek_table()
     # int32 symbols (a full alphabet ships one length byte per symbol, so a
-    # payload under 2 GiB cannot name a wider one) and uint8 lengths (max 57
-    # bits) keep the per-bit-offset gathers cheap.
+    # payload under 2 GiB cannot name a wider one) and uint8 lengths keep
+    # the per-bit-offset gathers cheap.
     sym_dtype = np.int32 if code_lengths.size <= np.iinfo(np.int32).max else np.int64
     return used.astype(sym_dtype)[table_sym], table_len.astype(np.uint8), max_len
 

@@ -13,8 +13,6 @@ and the error bound.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.compression.base import Compressor, parse_payload, _wrong_codec_error
@@ -53,12 +51,12 @@ class HybridCompressor(Compressor):
         return out
 
     def decompress(self, payload: bytes | memoryview) -> np.ndarray:
-        header, body = parse_payload(payload)
-        inner = header["codec"]
+        prelude, body = parse_payload(payload)
+        inner = prelude.codec
         if inner == self._lz.name:
-            result = self._lz._decode_frame(header, body)
+            result = self._lz._decode_frame(prelude, body)
         elif inner == self._entropy.name:
-            result = self._entropy._decode_frame(header, body)
+            result = self._entropy._decode_frame(prelude, body)
         else:
             raise _wrong_codec_error(inner, self.name)
         if OBS.enabled:
@@ -69,10 +67,10 @@ class HybridCompressor(Compressor):
 
     # The public compress/decompress are overridden wholesale (the payload is
     # delegated to the winning sub-codec), so the body hooks are unused.
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], bytes]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[tuple, bytes]:
         raise NotImplementedError("HybridCompressor delegates framing to its sub-codecs")
 
     def _decompress_body(
-        self, header: dict[str, Any], body: memoryview, shape: tuple[int, ...], dtype: np.dtype
+        self, tail: tuple, body: memoryview, shape: tuple[int, int], dtype: np.dtype
     ) -> np.ndarray:
         raise NotImplementedError("HybridCompressor delegates framing to its sub-codecs")

@@ -74,18 +74,18 @@ def available_compressors() -> tuple[str, ...]:
 def decompress_any(payload: bytes | memoryview) -> np.ndarray:
     """Decode a bare codec frame produced by any registered codec.
 
-    The header is parsed once: the codec it names decodes from the parsed
-    ``(header, body)``.  A CRC32 envelope is not a codec frame: verify it
+    The prelude is parsed once: the codec it names decodes from the parsed
+    ``(prelude, body)``.  A CRC32 envelope is not a codec frame: verify it
     with :func:`~repro.compression.serialization.verify_checksum_frame`
     first, or it raises ``CorruptPayloadError`` (bad magic byte), as does a
     frame naming a codec that is not registered (a flipped bit in its
     name, say).
     """
-    header, body = parse_payload(payload)
-    codec = header["codec"]
+    prelude, body = parse_payload(payload)
+    codec = prelude.codec
     decoder = _DECODERS.get(codec)
     if decoder is None:
         if codec not in _FACTORIES:
             raise CorruptPayloadError(f"payload codec {codec!r} is not registered")
         decoder = _DECODERS[codec] = _FACTORIES[codec]()
-    return decoder._decode_frame(header, body)
+    return decoder._decode_frame(prelude, body)

@@ -1,25 +1,26 @@
-"""Compact binary serialization for compressor headers.
+"""The fixed frame header every codec payload starts with.
 
-Every codec in this library produces a *self-describing* byte payload:
-the compressed ratio accounting includes the real header cost, not just the
-entropy-coded body.  Headers are dictionaries of simple typed values packed
-with a small tag-length-value format:
+Every codec in this library produces a *self-describing* byte payload: the
+compressed ratio accounting includes the real header cost, not just the
+entropy-coded body.  A frame is one fixed little-endian layout:
 
-==========  =============================================
-tag         value encoding
-==========  =============================================
-``I``       signed integer, zig-zag varint
-``F``       float64, 8 bytes little-endian
-``S``       UTF-8 string, varint length prefix
-``B``       raw bytes, varint length prefix
-``A``       ndarray: dtype string, ndim, shape, raw bytes
-==========  =============================================
+==========  =======  ================================================
+offset      type     field
+==========  =======  ================================================
+0           ``B``    :data:`MAGIC`
+1           ``16s``  codec name, ASCII, NUL-padded
+17          ``B``    dtype code: 0 = float32, 1 = float64
+18          ``I``    rows
+22          ``I``    columns
+26          codec    the codec's tail: one ``struct`` of its own fields
+..          codec    the codec's body sections
+==========  =======  ================================================
 
-Keys are packed as varint-length-prefixed UTF-8.  The format is sequential
-and order-preserving; no alignment padding.  :func:`unpack_meta` checks
-every declared length against the bytes present, so a truncated or
-bit-flipped header either parses or raises :class:`CorruptPayloadError`
-naming the byte offset — never an untyped error, never a short value.
+The 26-byte *prelude* is packed by :func:`pack_meta` and read by
+:func:`unpack_meta`, each one precompiled :data:`PRELUDE`.  A codec
+declares its tail as a ``struct.Struct`` (``Compressor.tail``), so every
+field has exactly one type, set by the format: a frame either parses to
+well-typed values or is too short, and a decoder checks only ranges.
 
 **Checksummed frames (opt-in).**  Codec payloads are self-describing but
 carry no integrity check — a flipped bit on a faulty fabric decodes into
@@ -35,37 +36,47 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "MAGIC",
+    "PRELUDE",
+    "FRAME_DTYPES",
+    "Prelude",
     "pack_meta",
     "unpack_meta",
-    "write_varint",
-    "read_varint",
     "CorruptPayloadError",
     "CHECKSUM_MAGIC",
     "frame_with_checksum",
     "verify_checksum_frame",
 ]
 
+#: frame marker of a codec payload
+MAGIC = 0xD1
 
 #: frame marker of a CRC32-checksummed payload envelope (distinct from the
-#: codec frame's ``MAGIC`` 0xDC, so the two framings cannot be confused)
+#: codec frame's :data:`MAGIC`, so the two framings cannot be confused)
 CHECKSUM_MAGIC = 0xC5
+
+#: magic, codec name, dtype code, rows, columns
+PRELUDE = struct.Struct("<B16sBII")
+
+#: the dtypes a frame declares, indexed by their code
+FRAME_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+_DTYPE_CODES = {dtype: code for code, dtype in enumerate(FRAME_DTYPES)}
 
 
 class CorruptPayloadError(ValueError):
     """A payload's bytes cannot be what an encoder wrote.
 
     Raised when a checksummed frame fails CRC32 verification (the message
-    reports the stored vs computed digest) and when a header does not
-    parse: a varint, string, byte, array or dtype field that is truncated
-    or malformed (the message names the byte offset).  Also raised when a
-    codec reads a header field that is absent (the message names the key),
-    when a body decodes to a shape other than the header declares, and when
-    ``decompress_any`` meets a codec name that is not registered.  An
+    reports the stored vs computed digest), when a frame has the wrong
+    magic byte, ends inside its prelude or tail, or declares a dtype code
+    outside :data:`FRAME_DTYPES`, when a tail field is out of its range,
+    when a body decodes to a shape other than the prelude declares, and
+    when ``decompress_any`` meets a codec name that is not registered.  An
     unframed payload is never rejected for lacking a checksum — integrity
     is opt-in.
     """
@@ -142,182 +153,42 @@ def verify_checksum_frame(data: bytes | bytearray | memoryview) -> memoryview:
     return body
 
 
-def write_varint(out: bytearray, value: int) -> None:
-    """Append an unsigned LEB128 varint to ``out``."""
-    if value < 0:
-        raise ValueError(f"varint must be non-negative, got {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+class Prelude(NamedTuple):
+    """The fixed fields every frame starts with."""
+
+    codec: str
+    dtype: np.dtype
+    shape: tuple[int, int]
 
 
-def read_varint(data: bytes | memoryview, pos: int) -> tuple[int, int]:
-    """Read an unsigned LEB128 varint at ``pos``; return ``(value, new_pos)``."""
-    start = pos
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise CorruptPayloadError(f"truncated varint at byte {start}")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 70:
-            raise CorruptPayloadError(f"varint too long at byte {start}")
-
-
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value >= -(2**63) else (value << 1) ^ -1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
-def _pack_value(out: bytearray, value: Any) -> None:
-    if isinstance(value, bool):
-        raise TypeError("bool meta values are ambiguous; use int 0/1")
-    if isinstance(value, (int, np.integer)):
-        out.append(ord("I"))
-        write_varint(out, _zigzag(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(ord("F"))
-        out.extend(struct.pack("<d", float(value)))
-    elif isinstance(value, str):
-        encoded = value.encode("utf-8")
-        out.append(ord("S"))
-        write_varint(out, len(encoded))
-        out.extend(encoded)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        view = memoryview(value)
-        out.append(ord("B"))
-        write_varint(out, view.nbytes)
-        out.extend(view)
-    elif isinstance(value, np.ndarray):
-        out.append(ord("A"))
-        dtype_str = value.dtype.str.encode("ascii")
-        write_varint(out, len(dtype_str))
-        out.extend(dtype_str)
-        write_varint(out, value.ndim)
-        for dim in value.shape:
-            write_varint(out, dim)
-        contiguous = np.ascontiguousarray(value)
-        raw = memoryview(contiguous).cast("B") if contiguous.nbytes else b""
-        write_varint(out, len(raw))
-        out.extend(raw)
-    else:
-        raise TypeError(f"unsupported meta value type: {type(value).__name__}")
-
-
-def _truncated(data: memoryview, pos: int, length: int, field: str) -> CorruptPayloadError:
-    return CorruptPayloadError(
-        f"truncated {field} at byte {pos}: {length} bytes declared, {len(data) - pos} present"
-    )
-
-
-def _field_end(data: memoryview, pos: int, length: int, field: str) -> int:
-    """End offset of a ``length``-byte ``field`` starting at ``pos``,
-    checked against the bytes present."""
-    end = pos + length
-    if end > len(data):
-        raise _truncated(data, pos, length, field)
-    return end
-
-
-def _read_text(
-    data: memoryview, pos: int, length: int, field: str, encoding: str = "utf-8"
-) -> tuple[str, int]:
-    """The ``length``-byte ``field`` at ``pos`` decoded, and its end offset
-    (the bounds check is inlined: keys and strings are most of a header)."""
-    end = pos + length
-    if end > len(data):
-        raise _truncated(data, pos, length, field)
+def pack_meta(codec: str, dtype: np.dtype, shape: tuple[int, int]) -> bytes:
+    """The :data:`PRELUDE` of a ``codec`` frame of a 2-D ``dtype`` batch."""
+    name = codec.encode("ascii")
+    if len(name) > 16:
+        raise ValueError(f"codec name {codec!r} is longer than 16 bytes")
     try:
-        return str(data[pos:end], encoding), end
-    except UnicodeDecodeError:
-        raise CorruptPayloadError(f"{field} at byte {pos} is not {encoding}") from None
+        return PRELUDE.pack(MAGIC, name, _DTYPE_CODES[np.dtype(dtype)], *shape)
+    except (KeyError, struct.error):
+        raise ValueError(f"{codec}: a {dtype} batch of shape {shape} does not fit a frame") from None
 
 
-def _unpack_value(data: memoryview, pos: int) -> tuple[Any, int]:
-    if pos >= len(data):
-        raise CorruptPayloadError(f"truncated header: no value tag at byte {pos}")
-    tag = chr(data[pos])
-    pos += 1
-    if tag == "I":
-        raw, pos = read_varint(data, pos)
-        return _unzigzag(raw), pos
-    if tag == "F":
-        end = _field_end(data, pos, 8, "float")
-        (value,) = struct.unpack_from("<d", data, pos)
-        return value, end
-    if tag == "S":
-        length, pos = read_varint(data, pos)
-        return _read_text(data, pos, length, "string")
-    if tag == "B":
-        length, pos = read_varint(data, pos)
-        end = _field_end(data, pos, length, "bytes")
-        return bytes(data[pos:end]), end
-    if tag == "A":
-        start = pos - 1
-        dlen, pos = read_varint(data, pos)
-        dtype_str, pos = _read_text(data, pos, dlen, "array dtype", "ascii")
-        ndim, pos = read_varint(data, pos)
-        shape = []
-        for _ in range(ndim):
-            dim, pos = read_varint(data, pos)
-            shape.append(dim)
-        blen, pos = read_varint(data, pos)
-        end = _field_end(data, pos, blen, "array body")
-        try:
-            array = np.frombuffer(data[pos:end], dtype=np.dtype(dtype_str)).reshape(shape)
-        except (TypeError, ValueError, SyntaxError) as exc:
-            raise CorruptPayloadError(f"malformed array at byte {start}: {exc}") from None
-        return array.copy(), end
-    raise CorruptPayloadError(f"unknown meta tag {tag!r} at byte {pos - 1}")
+def unpack_meta(data: bytes | memoryview) -> tuple[Prelude, int]:
+    """The :class:`Prelude` at the start of a frame, and where it ends.
 
-
-def pack_meta(meta: dict[str, Any]) -> bytes:
-    """Serialize a header dictionary to compact bytes."""
-    out = bytearray()
-    write_varint(out, len(meta))
-    for key, value in meta.items():
-        encoded_key = key.encode("utf-8")
-        write_varint(out, len(encoded_key))
-        out.extend(encoded_key)
-        _pack_value(out, value)
-    return bytes(out)
-
-
-class _Header(dict):
-    """A parsed header.  A codec reads the fields its encoder always
-    writes, so a missing one means the bytes were corrupted."""
-
-    __slots__ = ()
-
-    def __missing__(self, key: str):
-        raise CorruptPayloadError(f"header has no {key!r} field")
-
-
-def unpack_meta(data: bytes | memoryview, pos: int = 0) -> tuple[dict[str, Any], int]:
-    """Deserialize a header at ``pos``; return ``(meta, new_pos)``.
-
-    Raises :class:`CorruptPayloadError` (a ``ValueError``) naming the byte
-    offset when any field is truncated or malformed.  Indexing the returned
-    header by a key it does not hold raises :class:`CorruptPayloadError`
-    naming the key."""
-    view = memoryview(data)
-    count, pos = read_varint(view, pos)
-    meta: dict[str, Any] = _Header()
-    for _ in range(count):
-        klen, pos = read_varint(view, pos)
-        key, pos = _read_text(view, pos, klen, "key")
-        meta[key], pos = _unpack_value(view, pos)
-    return meta, pos
+    Raises :class:`CorruptPayloadError` when ``data`` is empty, has the
+    wrong magic byte, ends inside the prelude or declares a dtype code
+    outside :data:`FRAME_DTYPES`.  The codec name is read as Latin-1, so
+    any bytes give a name; one no codec registers is the caller's to
+    reject."""
+    if len(data) == 0:
+        raise CorruptPayloadError("empty payload")
+    if data[0] != MAGIC:
+        raise CorruptPayloadError(f"bad magic byte 0x{data[0]:02x}, expected 0x{MAGIC:02x}")
+    if len(data) < PRELUDE.size:
+        raise CorruptPayloadError(
+            f"truncated frame: {len(data)} bytes, the prelude needs {PRELUDE.size}"
+        )
+    _, name, code, rows, cols = PRELUDE.unpack_from(data)
+    if code >= len(FRAME_DTYPES):
+        raise CorruptPayloadError(f"dtype code {code} at byte 17 is not float32 (0) or float64 (1)")
+    return Prelude(name.rstrip(b"\0").decode("latin-1"), FRAME_DTYPES[code], (rows, cols)), PRELUDE.size

@@ -28,13 +28,14 @@ is the ``S = 1`` case of the same code.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.compression.base import MAGIC, Compressor, _frame_layout, frame_payload, header_int
+from repro.compression.base import MAGIC, Compressor, frame_payload
 from repro.compression.bitstream import (
     pack_fixed_segments,
     unpack_fixed_segments,
@@ -170,7 +171,6 @@ class VectorLZEncoded:
     n_rows: int
     n_matches: int
     dim: int
-    window: int
     offset_width: int
     literal_width: int
 
@@ -210,7 +210,6 @@ def _encode_stack(codes: np.ndarray, window: int) -> list[VectorLZEncoded]:
             n_rows=n,
             n_matches=int(n_matches[s]),
             dim=d,
-            window=window,
             offset_width=offset_width,
             literal_width=literal_widths[s],
         )
@@ -286,7 +285,7 @@ def _resolve_stack(encoded: Sequence[VectorLZEncoded]) -> tuple[np.ndarray, np.n
         s = next(s for s in range(n_streams) if marked[s] != n_matches[s])
         raise CorruptPayloadError(
             f"corrupt vector-LZ stream: flag map marks {marked[s]} matches, "
-            f"header declares {n_matches[s]}"
+            f"tail declares {n_matches[s]}"
         )
     n_literals = [n - m for m in n_matches]
     literal_values = _unpack_sections(
@@ -369,41 +368,27 @@ def _reference_vector_lz_decode(encoded: VectorLZEncoded) -> np.ndarray:
     return out
 
 
-def _parsed_stream(header: dict[str, Any], body: memoryview, n: int, d: int) -> VectorLZEncoded:
+def _parsed_stream(tail: tuple, body: memoryview, n: int, d: int) -> VectorLZEncoded:
     """The three sections of one parsed vector-LZ frame, as views of ``body``.
 
     Every decode path reads a frame through here, so this is where a frame
-    whose header the bytes cannot back is rejected, before anything
-    unpacks: every count, width and length field is read typed
-    (:func:`~repro.compression.base.header_int`), ``eb`` must be finite
-    and > 0, the match count in ``[0, n]``, both widths in ``[1, 57]``,
-    and the offset and literal sections must hold the bits the header
-    declares for them."""
-    keys = ("flags_len", "offsets_len", "n_matches", "offset_width", "literal_width", "window")
-    flags_len, offsets_len, n_matches, offset_width, literal_width, window = (
-        header_int("vector_lz", header, key) for key in keys
-    )
-    check_error_bound(header["eb"])
-    if flags_len < 0 or offsets_len < 0 or flags_len + offsets_len > len(body):
+    whose tail the bytes cannot back is rejected, before anything unpacks:
+    ``eb`` must be finite and > 0, the match count in ``[0, n]``, both
+    widths in ``[1, 57]``, and the body must hold the flag bits of ``n``
+    rows and the bits the tail declares for the offsets and literals."""
+    eb, _, n_matches, offset_width, literal_width = tail
+    check_error_bound(eb)
+    if n_matches > n:
         raise CorruptPayloadError(
-            f"corrupt vector-LZ stream: header declares {flags_len} + {offsets_len} "
-            f"flag and offset bytes, body holds {len(body)}"
+            f"corrupt vector-LZ stream: vector_lz tail declares {n_matches} matches in {n} rows"
         )
-    if flags_len < (n + 7) // 8:  # before unpacking n flag bits allocates
-        raise CorruptPayloadError(
-            f"corrupt vector-LZ stream too short: {n} rows need {(n + 7) // 8} "
-            f"flag bytes, header declares {flags_len}"
-        )
-    if not 0 <= n_matches <= n:
-        raise CorruptPayloadError(
-            f"corrupt vector-LZ stream: vector_lz header declares {n_matches} matches in {n} rows"
-        )
-    literals_len = len(body) - flags_len - offsets_len
     sections = (
-        ("offset", offset_width, n_matches, offsets_len),
-        ("literal", literal_width, (n - n_matches) * d, literals_len),
+        ("flag", 1, n),
+        ("offset", offset_width, n_matches),
+        ("literal", literal_width, (n - n_matches) * d),
     )
-    for section, width, count, present in sections:
+    bounds, present = [0], len(body)
+    for section, width, count in sections:
         if not 1 <= width <= 57:
             raise CorruptPayloadError(
                 f"corrupt vector-LZ stream: vector_lz {section} width {width} is not in [1, 57]"
@@ -414,15 +399,16 @@ def _parsed_stream(header: dict[str, Any], body: memoryview, n: int, d: int) -> 
                 f"corrupt vector-LZ stream too short: vector_lz {section} section needs "
                 f"{needed} bytes, has {present}"
             )
+        present -= needed
+        bounds.append(bounds[-1] + needed)
     raw = np.frombuffer(body, dtype=np.uint8)
     return VectorLZEncoded(
-        flags=raw[:flags_len],
-        offsets=raw[flags_len : flags_len + offsets_len],
-        literals=raw[flags_len + offsets_len :],
+        flags=raw[: bounds[1]],
+        offsets=raw[bounds[1] : bounds[2]],
+        literals=raw[bounds[2] :],
         n_rows=n,
         n_matches=n_matches,
         dim=d,
-        window=window,
         offset_width=offset_width,
         literal_width=literal_width,
     )
@@ -440,15 +426,19 @@ class VectorLZCompressor(Compressor):
     name = "vector_lz"
     lossy = True
     error_bounded = True
+    #: error bound, smallest code, match count, offset and literal bit widths
+    #: (the flag and offset sections' lengths follow from these and the shape)
+    tail = struct.Struct("<dqIBB")
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         self.window = check_count("window", window, 1)
 
     # ------------------------------------------------------------- encode
 
-    def _encode_bodies(self, stack: np.ndarray, error_bound: float) -> list[tuple[dict[str, Any], list]]:
-        """``(meta, body parts)`` for every slice of a validated ``(S, n, d)``
-        stack; each slice is quantized against its own ``code_min``."""
+    def _encode_bodies(self, stack: np.ndarray, error_bound: float) -> list[tuple[tuple, list]]:
+        """``(tail values, body parts)`` for every slice of a validated
+        ``(S, n, d)`` stack; each slice is quantized against its own
+        ``code_min``."""
         codes = quantize(stack, error_bound)
         n_slices = codes.shape[0]
         code_min = np.zeros(n_slices, dtype=np.int64)
@@ -471,23 +461,14 @@ class VectorLZCompressor(Compressor):
             codes = np.subtract(codes, code_min[:, None, None], dtype=narrow, casting="unsafe")
         bodies = []
         for slice_min, encoded in zip(code_min.tolist(), _encode_stack(codes, self.window)):
-            meta = {
-                "eb": error_bound,
-                "code_min": slice_min,
-                "window": encoded.window,
-                "n_matches": encoded.n_matches,
-                "offset_width": encoded.offset_width,
-                "literal_width": encoded.literal_width,
-                "flags_len": int(encoded.flags.size),
-                "offsets_len": int(encoded.offsets.size),
-            }
+            tail = (error_bound, slice_min, encoded.n_matches, encoded.offset_width, encoded.literal_width)
             # Hand the three sections to the framer as parts: the payload is
             # assembled with one copy instead of tobytes() per section plus a
-            # concatenation (byte layout unchanged).
-            bodies.append((meta, [encoded.flags, encoded.offsets, encoded.literals]))
+            # concatenation.
+            bodies.append((tail, [encoded.flags, encoded.offsets, encoded.literals]))
         return bodies
 
-    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[dict[str, Any], list]:
+    def _compress_body(self, array: np.ndarray, error_bound: float | None) -> tuple[tuple, list]:
         return self._encode_bodies(array[None], float(error_bound))[0]
 
     def compress_stack(self, stack: np.ndarray, error_bound: float | None = None) -> list[bytes]:
@@ -505,40 +486,34 @@ class VectorLZCompressor(Compressor):
             )
         n_slices, n, d = stack.shape
         self._validate(stack.reshape(n_slices * n, d), error_bound)  # dtype + bound rules
-        shape = (n, d)
         return [
-            frame_payload(self.name, shape, stack.dtype, meta, body)
-            for meta, body in self._encode_bodies(stack, float(error_bound))
+            frame_payload(self.name, (n, d), stack.dtype, self.tail.pack(*tail), body)
+            for tail, body in self._encode_bodies(stack, float(error_bound))
         ]
 
     # ------------------------------------------------------------- decode
 
     def _decompress_body(
-        self,
-        header: dict[str, Any],
-        body: memoryview,
-        shape: tuple[int, ...],
-        dtype: np.dtype,
+        self, tail: tuple, body: memoryview, shape: tuple[int, int], dtype: np.dtype
     ) -> np.ndarray:
         n, d = shape
-        return self._decode_bodies([header], [body], n, d, dtype)[0]
+        return self._decode_bodies([tail], [body], n, d, dtype)[0]
 
     def _decode_bodies(
-        self, headers: list[dict[str, Any]], bodies: list, n: int, d: int, dtype: np.dtype
+        self, tails: list[tuple], bodies: list, n: int, d: int, dtype: np.dtype
     ) -> np.ndarray:
         """Decode S parsed ``(n, d)`` frames into one ``(S, n, d)`` array."""
-        encoded = [_parsed_stream(header, body, n, d) for header, body in zip(headers, bodies)]
-        code_mins = [header_int(self.name, header, "code_min") for header in headers]
+        encoded = [_parsed_stream(tail, body, n, d) for tail, body in zip(tails, bodies)]
         if n == 0:
             return np.zeros((len(encoded), 0, d), dtype=dtype)
         literal_rows, literal_of_row = _resolve_stack(encoded)
         # Dequantize the literals only: every output row is a copy of one.
-        if len(headers) == 1:
-            code_min, eb = code_mins[0], headers[0]["eb"]
+        if len(tails) == 1:
+            eb, code_min = tails[0][:2]
         else:  # per-stream constants, repeated over each stream's literals
             n_literals = [n - e.n_matches for e in encoded]
-            code_min = np.array(code_mins, dtype=np.int64)
-            eb = np.array([header["eb"] for header in headers], dtype=np.float64)
+            eb = np.array([tail[0] for tail in tails], dtype=np.float64)
+            code_min = np.array([tail[1] for tail in tails], dtype=np.int64)
             code_min = np.repeat(code_min, n_literals)[:, None]
             eb = np.repeat(eb, n_literals)[:, None]
         values = dequantize(literal_rows + code_min, eb, dtype)
@@ -554,20 +529,21 @@ class VectorLZCompressor(Compressor):
         payload no codec wrote.  A vector-LZ frame whose layout is corrupt
         raises here, as ``decompress_any`` does.
         """
-        headers, bodies, layouts = [], [], set()
+        bodies, layouts = [], set()
         for payload in payloads:
             view = memoryview(payload)
             # A payload that is no codec frame is declined, not an error
             # here — hence no parse_payload, which raises on it.
             if len(view) == 0 or view[0] != MAGIC:
                 return None
-            header, pos = unpack_meta(view, 1)
-            if header.get("codec") != self.name:
+            prelude, pos = unpack_meta(view)
+            if prelude.codec != self.name:
                 return None
-            layouts.add(_frame_layout(self.name, header))
-            headers.append(header)
+            layouts.add((prelude.shape, prelude.dtype))
             bodies.append(view[pos:])
         if len(layouts) != 1:
             return None
         ((n, d), dtype) = layouts.pop()
-        return list(self._decode_bodies(headers, bodies, n, d, dtype))
+        tails = [self._read_tail(body) for body in bodies]
+        bodies = [body[self.tail.size :] for body in bodies]
+        return list(self._decode_bodies(tails, bodies, n, d, dtype))

@@ -59,7 +59,6 @@ def reference_vector_lz_encode(codes: np.ndarray, window: int = DEFAULT_WINDOW) 
         n_rows=n,
         n_matches=int(is_match.sum()),
         dim=d,
-        window=window,
         offset_width=offset_width,
         literal_width=literal_width,
     )

@@ -9,7 +9,10 @@ interleaved over twelve rounds; they were re-recorded at ``06298b5`` from
 that commit's own output with its per-table Huffman codebook cache forced
 to miss, the behaviour once the cache was deleted.  The recorder hashed
 each payload followed by the codec's state as text: :data:`RECORDED_STATE`
-replays it.
+replays it.  Both tables were re-recorded once more when frames moved from
+a varint header dictionary to a fixed prelude and per-codec tail: every
+payload's header bytes changed, and every decoded array stayed
+bit-identical.
 
 Every codec is stateless: a payload depends on the array and the error
 bound alone, so encoding other arrays in between never changes it.
@@ -116,22 +119,22 @@ RECORDED_STATE = {"hybrid": b"[0, 0]", "entropy": b"[]"}
 #: sha256 over the four ``_stateless_batches`` payloads; the recorder
 #: produced the same digest for ``compress`` and ``compress_into``
 GOLDEN_STATELESS: dict[str, str] = {
-    "cusz_like": "8ac63160131acc88d81f62830edc70cdfc393e6d6805588bb1f72a12cd38c426",
-    "deflate_like": "eca283ab7337ca526ab189dec51025aae59d66115f9dd0f2057c5b045d60ee2b",
-    "entropy": "c2de665c63d0efd03a4995991d39479cd31378045e19be357c3ef48dd9af7c6b",
-    "fp16": "1a09858da6f8efdf5203ad67cdc0c99f920428f670e2db9c82483436a038278a",
-    "fp8": "32932d8a546d039d2a71bf0b16c05e331293b3d3f8864f2f358fb5b29e86291c",
-    "fzgpu_like": "100f2cc7cf6bb731bf4d1a1c01a600c4902cee14c3c48457e29ff213d8f18bcd",
-    "hybrid": "c502fa8b4a6936cbea4748cc92a77e2a3f45ffd70a7ade0f81d93275a4683f12",
-    "lz4_like": "f53a436dd783f45f0b8cb753146ecab0909d307e694d8ce0efa2c1054b1f3a7a",
-    "quant_sum": "1722299d0b829f846b9974909f85b98f0ceaddfdd548188590151753420e0f6e",
-    "vector_lz": "03054039b2d5c00ca341e17fe6c4685c16ff8d6d8c1f62fb563487a073c73091",
+    "cusz_like": "2269f678c9f3cb05a00dbf5d41c420c932452de153bd9d406c74709e0b3fe688",
+    "deflate_like": "3c5857204acc4d3d7cfaf3857969883b5b155908a605c02869d50c0cecfdc786",
+    "entropy": "623209a6db7f5a4f6df24462e3c1f10b8292fd4d9d7ff7b95864701b29fdd833",
+    "fp16": "f7325a5290900f94ee958ae41fc8ca315046440f56c063e7ce909ce562657b08",
+    "fp8": "d57bfa06aa021f2838759aae889211d6a383a43e6180b237bac60a1a3a36ae10",
+    "fzgpu_like": "3a498189c6f4cf79c1e7430cbfd4ff34b2ba08b580f538abb7dbb9a05468339b",
+    "hybrid": "83447c4e7a8b4cceb82ed8600ff193fcfa3f6f199db3f642d4d8f826c1ce9825",
+    "lz4_like": "a5d51263d93497fe333f151a39b7c6748ce187c566efbc6fff52e00d21e2e0de",
+    "quant_sum": "a93ad71e8655296615df55e897ff675e3c1d626e26fa1e9ceb38b74be1ea0a5d",
+    "vector_lz": "885cf2d784cd6d3d96e64187ab02862ab30f632499e18a2d995abd7a790334fb",
 }
 
 #: sha256 over 12 rounds x 3 interleaved tables of payload + recorded state
 GOLDEN_INTERLEAVED: dict[str, str] = {
-    "hybrid": "8d97459d158c3e6d9b5ef4211a9edbe11ffc38f5aa0d6b32b4d0b9ca7cadc815",
-    "entropy": "3506254aff3c4be2cb4b288856a3646816f9aca33bf032aa1fa18ebc4e84102e",
+    "hybrid": "fb4ef3f624657dda5a2115f9d949a499894a65c4e2cbd14d65da3cfc38916fbf",
+    "entropy": "0ed645973a95397d90d60e94cd2b02c7e31e3a8c141fcb93ab9220d9379fe71b",
 }
 
 

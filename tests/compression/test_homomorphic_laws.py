@@ -31,16 +31,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import agg_fold, agg_sum, available_compressors, get_compressor
-from repro.compression.base import frame_payload, parse_payload
-from repro.compression.homomorphic import MAX_TERMS
+from repro.compression.base import parse_payload
+from repro.compression.homomorphic import _CODE_DTYPES, MAX_TERMS
+from repro.compression.serialization import CorruptPayloadError
 from repro.dist import ClusterSimulator
+from tests.compression.frames import build, reframe, split
+
+
+def tail(payload) -> dict:
+    """The tail fields of a ``quant_sum`` frame."""
+    return split(payload)[1]
+
+
+def code_dtype(payload) -> np.dtype:
+    """The dtype of a ``quant_sum`` frame's codes."""
+    return _CODE_DTYPES[tail(payload)["code_dtype"]]
 
 
 def composed_bound(payload) -> float:
     """Closed-form worst-case |decode(payload) - exact sum of its leaves|:
     half a bin per aggregated leaf."""
-    header, _ = parse_payload(payload)
-    return int(header["terms"]) * float(header["scale"]) / 2.0
+    fields = tail(payload)
+    return fields["terms"] * fields["scale"] / 2.0
 
 
 # quant_sum's codes live in int64: keep |x| / (2 eb) well inside that range
@@ -85,15 +97,6 @@ def _grid_leaves(k: int, seed: int, dtype, peak: int) -> list[np.ndarray]:
     ]
 
 
-def _with_terms(payload: bytes, terms: int) -> bytes:
-    """``payload`` framed anew with its ``terms`` header set to ``terms``."""
-    header, body = parse_payload(payload)
-    meta = {k: v for k, v in header.items() if k not in ("codec", "dtype", "shape")}
-    meta["terms"] = terms
-    shape = tuple(header["shape"].tolist())
-    return frame_payload(header["codec"], shape, np.dtype(header["dtype"]), meta, bytes(body))
-
-
 def _random_fold(payloads: list[bytes], seed: int) -> bytes:
     """Fold with a random binary tree: models an arbitrary hop graph."""
     rng = random.Random(seed)
@@ -135,8 +138,7 @@ class TestQuantSumLaws:
         reversed_chain = agg_fold(payloads[::-1])
         assert bytes(chain) == tree == bytes(reversed_chain)
         k = len(leaves)
-        header, _ = parse_payload(chain)
-        assert int(header["terms"]) == k
+        assert tail(chain)["terms"] == k
         assert composed_bound(chain) == pytest.approx(k * eb)
         decoded = qs.decompress(chain).astype(np.float64)
         exact = np.sum([leaf.astype(np.float64) for leaf in leaves], axis=0)
@@ -201,9 +203,9 @@ class TestQuantSumLaws:
         qs = get_compressor("quant_sum")
         leaves = [np.full((3, 4), -0.0 if i % 2 else 0.0, dtype=np.float32) for i in range(k)]
         total = agg_fold([qs.compress(leaf, 1e-3) for leaf in leaves])
-        header, body = parse_payload(total)
-        assert (int(header["terms"]), int(header["cmax"]), header["cdtype"]) == (k, 0, "|i1")
-        assert bytes(body) == bytes(12)
+        _, fields, body = split(total)
+        assert (fields["terms"], fields["cmax"], code_dtype(total)) == (k, 0, np.int8)
+        assert body == bytes(12)
         assert qs.decompress(total).tobytes() == np.zeros((3, 4), np.float32).tobytes()
 
     @pytest.mark.parametrize("narrow", [np.int8, np.int16, np.int32])
@@ -215,14 +217,13 @@ class TestQuantSumLaws:
         eb = 0.5  # the grid step is 1: the codes are the values themselves
         up = np.array([[peak, -peak, 0.0]], dtype=np.float64)
         leaf, mirror = qs.compress(up, eb), qs.compress(-up, eb)
-        assert parse_payload(leaf)[0]["cdtype"] == np.dtype(narrow).str
+        assert code_dtype(leaf) == narrow
         wide = agg_sum(leaf, leaf)
-        header, _ = parse_payload(wide)
-        assert header["cdtype"] == np.dtype(WIDER[narrow]).str
-        assert int(header["cmax"]) == 2 * peak
+        assert code_dtype(wide) == WIDER[narrow]
+        assert tail(wide)["cmax"] == 2 * peak
         np.testing.assert_array_equal(qs.decompress(wide), 2 * up)
         cancelled = agg_sum(leaf, mirror)
-        assert parse_payload(cancelled)[0]["cdtype"] == "|i1"
+        assert code_dtype(cancelled) == np.int8
         np.testing.assert_array_equal(qs.decompress(cancelled), np.zeros_like(up))
 
     def test_a_composed_code_bound_past_the_guard_is_refused(self):
@@ -230,7 +231,7 @@ class TestQuantSumLaws:
         ``2**62``: the aggregate is refused before any code is added."""
         qs = get_compressor("quant_sum")
         leaf = qs.compress(np.array([[2.0**61, 1.0]]), 0.5)
-        assert int(parse_payload(leaf)[0]["cmax"]) == 2**61
+        assert tail(leaf)["cmax"] == 2**61
         with pytest.raises(ValueError, match=r"bound 4611686018427387904 would risk int64 overflow"):
             agg_sum(leaf, leaf)
 
@@ -242,9 +243,9 @@ class TestQuantSumLaws:
     def test_max_terms_leaves_aggregate_and_one_more_is_refused(self):
         qs = get_compressor("quant_sum")
         leaf = qs.compress(np.ones((2, 2), dtype=np.float32), 1e-3)
-        half = _with_terms(leaf, MAX_TERMS // 2)
+        half = reframe(leaf, terms=MAX_TERMS // 2)
         full = agg_sum(half, half)
-        assert int(parse_payload(full)[0]["terms"]) == MAX_TERMS
+        assert tail(full)["terms"] == MAX_TERMS
         assert composed_bound(full) == pytest.approx(MAX_TERMS * 1e-3)
         with pytest.raises(ValueError, match="exceeds MAX_TERMS"):
             agg_sum(full, leaf)
@@ -264,10 +265,43 @@ class TestQuantSumLaws:
         codec = get_compressor(other)
         foreign = codec.compress(table, 1e-3 if codec.error_bounded else None)
         # ``hybrid`` frames each block under the codec it picks
-        match = rf"payload codec '{parse_payload(foreign)[0]['codec']}' != 'quant_sum'"
+        match = rf"payload codec '{parse_payload(foreign)[0].codec}' != 'quant_sum'"
         for pair in ((qp, foreign), (foreign, qp)):
             with pytest.raises(ValueError, match=match):
                 agg_sum(*pair)
+
+
+class TestCodeBoundIsChecked:
+    """``agg_sum`` once took an operand's ``cmax`` on its word: codes of
+    ``2**62`` under ``cmax = 0`` passed the composed guard, and their int64
+    sum wrapped to zeros.  Each operand's codes are now checked against its
+    ``cmax``."""
+
+    def _lying(self, cmax: int) -> bytes:
+        codes = np.full((2, 2), 2**62, dtype="<i8")
+        fields = {"scale": 1.0, "terms": 1, "code_dtype": 3, "cmax": cmax}
+        return build("quant_sum", (2, 2), fields, codes.tobytes(), dtype_code=1)
+
+    def test_codes_past_their_cmax_are_corrupt(self):
+        lying = self._lying(0)
+        np.testing.assert_array_equal(get_compressor("quant_sum").decompress(lying), np.full((2, 2), 2.0**62))
+        with pytest.raises(CorruptPayloadError, match="magnitude 4611686018427387904 exceeds cmax 0"):
+            agg_sum(lying, lying)
+
+    def test_a_cmax_past_the_guard_is_corrupt(self):
+        with pytest.raises(CorruptPayloadError, match="cmax 4611686018427387904 is not below 2"):
+            agg_sum(self._lying(2**62), self._lying(2**62))
+
+    def test_an_honest_cmax_is_refused_as_misuse(self):
+        """The same codes under their true bound are well formed; their
+        sum would pass ``2**62``, so the aggregate is the caller's misuse."""
+        honest = build(
+            "quant_sum", (2, 2), {"scale": 1.0, "terms": 1, "code_dtype": 3, "cmax": 2**61},
+            np.full((2, 2), 2**61, dtype="<i8").tobytes(), dtype_code=1,
+        )
+        with pytest.raises(ValueError, match="would risk int64 overflow") as raised:
+            agg_sum(honest, honest)
+        assert type(raised.value) is ValueError
 
 
 class TestHeadersAnEncoderWrites:

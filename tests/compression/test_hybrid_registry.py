@@ -50,8 +50,8 @@ class TestHybrid:
         for batch in (hot_batch, gaussian_batch):
             lz = len(VectorLZCompressor().compress(batch, 0.01))
             entropy = len(EntropyCompressor().compress(batch, 0.01))
-            header, _ = parse_payload(hybrid.compress(batch, 0.01))
-            assert header["codec"] == ("vector_lz" if lz <= entropy else "entropy")
+            prelude, _ = parse_payload(hybrid.compress(batch, 0.01))
+            assert prelude.codec == ("vector_lz" if lz <= entropy else "entropy")
 
     def test_decompress_either_leg(self, hot_batch, gaussian_batch):
         hybrid = HybridCompressor()
@@ -108,7 +108,7 @@ class TestRegistry:
             CuszLikeCompressor().decompress(payload)
 
     def test_decompress_any_parses_once_with_one_decoder(self, gaussian_batch, monkeypatch):
-        """The header is parsed to find the codec and the same parse feeds
+        """The prelude is parsed to find the codec and the same parse feeds
         the decode, through one cached decoder instance per codec name."""
         from repro.compression import base, hybrid, registry
 
@@ -126,7 +126,7 @@ class TestRegistry:
             del calls[:]
             first = decompress_any(payload)
             assert len(calls) == 1, name
-            inner = parse_payload(payload)[0]["codec"]
+            inner = parse_payload(payload)[0].codec
             decoder = registry._DECODERS[inner]
             np.testing.assert_array_equal(decompress_any(payload), first)
             assert registry._DECODERS[inner] is decoder

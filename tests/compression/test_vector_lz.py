@@ -107,7 +107,7 @@ class TestEncodeDecode:
 
         codes = np.arange(8 * 300).reshape(300, 8) % (8 * 260)
         default = vector_lz_encode(codes)
-        assert default.window == DEFAULT_WINDOW
+        assert default.offset_width == DEFAULT_WINDOW.bit_length()
         assert default.flags.tobytes() == encode(codes, DEFAULT_WINDOW).flags.tobytes()
         assert default.n_matches == 0  # each repeat is 260 rows back, past the window
         assert encode(codes, 260).n_matches == 40

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import vector_lz
-from repro.compression.base import MAGIC, frame_payload, parse_payload
+from repro.compression.base import frame_payload
 from repro.compression.bitstream import (
     pack_fixed_segments,
     unpack_fixed,
@@ -25,13 +25,14 @@ from repro.compression.bitstream import (
 )
 from repro.compression.quantizer import quantize
 from repro.compression.registry import decompress_any
-from repro.compression.serialization import CorruptPayloadError, pack_meta
+from repro.compression.serialization import CorruptPayloadError
 from repro.compression.vector_lz import (
     VectorLZCompressor,
     vector_lz_decode_stack,
     vector_lz_encode,
     vector_lz_encode_stack,
 )
+from tests.compression.frames import reframe, split
 from tests.compression.reference_codecs import pack_fixed, reference_vector_lz_encode
 
 
@@ -40,18 +41,11 @@ def _reference_compress(array: np.ndarray, error_bound: float, window: int) -> b
     codes = quantize(array, error_bound)  # no alphabet cap, like vector-LZ's own
     code_min = int(codes.min()) if codes.size else 0
     encoded = reference_vector_lz_encode(codes - code_min, window)
-    meta = {
-        "eb": float(error_bound),
-        "code_min": code_min,
-        "window": encoded.window,
-        "n_matches": encoded.n_matches,
-        "offset_width": encoded.offset_width,
-        "literal_width": encoded.literal_width,
-        "flags_len": int(encoded.flags.size),
-        "offsets_len": int(encoded.offsets.size),
-    }
+    tail = VectorLZCompressor.tail.pack(
+        float(error_bound), code_min, encoded.n_matches, encoded.offset_width, encoded.literal_width
+    )
     body = [encoded.flags, encoded.offsets, encoded.literals]
-    return frame_payload("vector_lz", array.shape, array.dtype, meta, body)
+    return frame_payload("vector_lz", array.shape, array.dtype, tail, body)
 
 
 def _stack(rng, n_slices, n, d, n_distinct, scale, dtype=np.float32) -> np.ndarray:
@@ -108,15 +102,15 @@ class TestBatchIdentity:
         # A row's nearest twin further back than the window is a literal
         # again, yet still refreshes the "last seen" position.
         payloads = _assert_identical(stack, 0.01, window=3)
-        assert any(parse_payload(p)[0]["n_matches"] < 123 for p in payloads)
+        assert any(split(p)[1]["n_matches"] < 123 for p in payloads)
 
     def test_all_identical_and_all_distinct_rows(self):
         same = np.full((3, 64, 16), 0.25, dtype=np.float32)
         for payload in _assert_identical(same, 0.01, window=255):
-            assert parse_payload(payload)[0]["n_matches"] == 63
+            assert split(payload)[1]["n_matches"] == 63
         distinct = np.arange(3 * 64 * 16, dtype=np.float32).reshape(3, 64, 16)
         for payload in _assert_identical(distinct, 0.25, window=255):
-            assert parse_payload(payload)[0]["n_matches"] == 0
+            assert split(payload)[1]["n_matches"] == 0
 
     def test_float64_input(self):
         stack = _stack(np.random.default_rng(5), 3, 32, 7, 6, 0.1, dtype=np.float64)
@@ -128,7 +122,7 @@ class TestBatchIdentity:
         # and exceed one byte, and 7 * width is not a multiple of 8.
         stack = _stack(np.random.default_rng(6), 5, 24, 7, 20, scale=1.0)
         payloads = _assert_identical(stack, 1e-4, window=255)
-        widths = {parse_payload(p)[0]["literal_width"] for p in payloads}
+        widths = {split(p)[1]["literal_width"] for p in payloads}
         assert len(widths) > 1 and max(widths) > 8
 
     def test_views_and_non_contiguous_stack(self):
@@ -203,13 +197,8 @@ class TestBatchErrors:
         assert codec.decompress_stack([b"", lz]) is None
 
 
-def _reframe(payload: bytes, **overrides) -> bytes:
-    """Rebuild a vector-LZ frame with header fields and/or body replaced."""
-    header, body = parse_payload(payload)
-    body = overrides.pop("body", bytes(body))
-    meta = {k: v for k, v in header.items() if k not in ("codec", "dtype", "shape")}
-    meta.update(overrides)
-    return frame_payload("vector_lz", tuple(header["shape"]), np.dtype(header["dtype"]), meta, body)
+#: flag bytes of a 16-row frame
+FLAGS_LEN = 2
 
 
 class TestHostilePayloads:
@@ -221,15 +210,14 @@ class TestHostilePayloads:
     def test_back_reference_may_not_leave_its_slice(self):
         codec = VectorLZCompressor()
         payloads = self._payloads()
-        header, body = parse_payload(payloads[1])
-        flags_len, n_matches = header["flags_len"], header["n_matches"]
-        assert n_matches > 0
+        _, tail, body = split(payloads[1])
+        assert tail["n_matches"] > 0
         # Point the first match of slice 1 far before its own row 0: in the
         # global row index that lands inside slice 0.
         body = bytearray(body)
-        first_match = int(np.flatnonzero(np.unpackbits(np.frombuffer(body[:flags_len], np.uint8)))[0])
-        body[flags_len] = first_match + 5
-        hostile = _reframe(payloads[1], body=bytes(body))
+        first_match = int(np.flatnonzero(np.unpackbits(np.frombuffer(body[:FLAGS_LEN], np.uint8)))[0])
+        body[FLAGS_LEN] = first_match + 5
+        hostile = reframe(payloads[1], body=bytes(body))
         with pytest.raises(ValueError, match="back-reference before row 0"):
             decompress_any(hostile)
         with pytest.raises(ValueError, match="back-reference before row 0"):
@@ -244,21 +232,21 @@ class TestHostilePayloads:
                 decompress_any(short)
             with pytest.raises(ValueError, match="stream too short"):
                 codec.decompress_stack([payloads[0], payloads[1], short])
-        header, body = parse_payload(payloads[0])
-        assert header["n_matches"] > 1
-        # Offsets section declared one byte shorter than its matches need.
-        clipped = _reframe(payloads[0], offsets_len=header["offsets_len"] - 1)
+        _, tail, _ = split(payloads[0])
+        assert tail["n_matches"] > 1
+        # Offsets declared wider than the bytes present hold.
+        clipped = reframe(payloads[0], offset_width=57)
         with pytest.raises(ValueError, match="stream too short"):
             decompress_any(clipped)
         with pytest.raises(ValueError, match="stream too short"):
             codec.decompress_stack([clipped, payloads[1]])
 
-    def test_flag_count_must_match_header(self):
+    def test_flag_count_must_match_tail(self):
         codec = VectorLZCompressor()
         payloads = self._payloads()
-        header, body = parse_payload(payloads[0])
+        _, tail, body = split(payloads[0])
         # Padded so the literal section holds the extra row the lie declares.
-        lying = _reframe(payloads[0], n_matches=header["n_matches"] - 1, body=bytes(body) + bytes(64))
+        lying = reframe(payloads[0], n_matches=tail["n_matches"] - 1, body=body + bytes(64))
         with pytest.raises(CorruptPayloadError, match="flag map marks"):
             decompress_any(lying)
         with pytest.raises(CorruptPayloadError, match="flag map marks"):
@@ -267,31 +255,28 @@ class TestHostilePayloads:
     def test_self_reference_is_unresolvable(self):
         codec = VectorLZCompressor()
         payloads = self._payloads()
-        header, body = parse_payload(payloads[0])
+        _, _, body = split(payloads[0])
         body = bytearray(body)
-        body[header["flags_len"]] = 0  # offset 0: the row copies itself
-        looping = _reframe(payloads[0], body=bytes(body))
+        body[FLAGS_LEN] = 0  # offset 0: the row copies itself
+        looping = reframe(payloads[0], body=bytes(body))
         with pytest.raises(ValueError, match="unresolvable match chain"):
             decompress_any(looping)
         with pytest.raises(ValueError, match="unresolvable match chain"):
             codec.decompress_stack([looping, payloads[1]])
 
-
-    @pytest.mark.parametrize("field,value", [("dtype", "<f2"), ("dtype", "<i4"), ("dtype", "zz"), ("shape", 16)])
-    def test_a_frame_layout_is_checked_like_decompress_any(self, field, value):
+    @pytest.mark.parametrize("code", [2, 255])
+    def test_a_frame_layout_is_checked_like_decompress_any(self, code):
         """Reframed at float16 or int32, the stack once decoded silently to
-        that dtype; at dtype ``zz``, or with an integer for its shape, it
-        leaked a ``TypeError``.  Each frame's layout is now checked as
-        ``decompress_any`` checks it."""
+        that dtype; at dtype ``zz`` it leaked a ``TypeError``.  A dtype code
+        outside the table is corrupt on both paths."""
         codec = VectorLZCompressor()
         payloads = self._payloads()
-        header, body = parse_payload(payloads[1])
-        header[field] = value  # packed verbatim: frame_payload would coerce it
-        hostile = bytes([MAGIC]) + pack_meta(header) + bytes(body)
-        with pytest.raises(CorruptPayloadError, match="^vector_lz: "):
+        hostile = reframe(payloads[1], dtype_code=code)
+        with pytest.raises(CorruptPayloadError, match=f"dtype code {code} at byte 17"):
             decompress_any(hostile)
-        with pytest.raises(CorruptPayloadError, match="^vector_lz: "):
+        with pytest.raises(CorruptPayloadError, match=f"dtype code {code} at byte 17"):
             codec.decompress_stack([payloads[0], hostile, payloads[2]])
+
 
 class TestSegmentPacking:
     @settings(max_examples=80, deadline=None)

@@ -14,7 +14,10 @@ fault-bent) and the traced ledger of the serving golden
 
 The values were recorded at ``c2326d5``, whose readers built one
 ``TimelineEvent`` per ledger entry, before they were ported to read the
-ledger's columns; they are never re-recorded in a refactor.  Run
+ledger's columns; they are never re-recorded in a refactor.  The serving
+entry alone was re-recorded once, when codec frames moved from a varint
+header dictionary to a fixed prelude and per-codec tail: its blocks pull
+fewer bytes, which reaches the request latencies priced on them.  Run
 ``python tests/dist/test_export_golden.py`` to print the values of the
 current checkout.
 """
@@ -230,12 +233,12 @@ GOLDEN: dict[str, dict[str, object]] = {
         "overlap": "0x1.fdf135c329e4dp-3",
     },
     "serving_trace": {
-        "chrome_trace": "7f203f6ac3c7fcb5720853c57902b908",
+        "chrome_trace": "817ff8be7ceb2da4cc3513e62882ae46",
         "rank0": [
-            ("serve_request", "0x1.8854c2c26a3b9p-8"),
+            ("serve_request", "0x1.882f91cca7ac6p-8"),
         ],
         "all": [
-            ("serve_request", "0x1.8894d070243f9p-7"),
+            ("serve_request", "0x1.886f73f542f82p-7"),
         ],
         "overlap": "0x0.0p+0",
     },

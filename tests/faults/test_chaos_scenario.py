@@ -59,13 +59,17 @@ class TestInvariants:
         staleness was re-recorded (0.0054786354303359985 before) when the
         publish-interleaved steps began evicting rows, so that every table
         crosses its bound and ships: an evicted row's delta is quantised
-        at the table's bound, so the residual now sits just under it."""
+        at the table's bound, so the residual now sits just under it.  Both
+        makespans moved in their last bit (0.0005392657237192049 and
+        0.0007165795443413493 before) when codec frames moved to a fixed
+        prelude and per-codec tail: the publications priced inside them
+        ship fewer bytes."""
         default = run_day_in_the_life_under_faults()
         assert default.stale_rows > 0
         assert default.stale_rows + default.degraded_rows == 327
         assert (default.impaired_requests, default.fresh_requests) == (109, 91)
-        assert default.healthy_train_makespan == 0.0005392657237192049
-        assert default.faulty_train_makespan == 0.0007165795443413493
+        assert default.healthy_train_makespan == 0.0005392657237192048
+        assert default.faulty_train_makespan == 0.0007165795443413494
         assert default.staleness_after_last_success == 0.04906092584133148
 
     def test_scenario_is_deterministic(self, result):

@@ -93,11 +93,15 @@ class TestScenarioHelpersShared:
         writer moved out of the two scenario bodies.  The wire bytes were
         re-recorded (3684 before, all six tables shipping all-zero codes)
         when the publication began skipping tables within their bound: the
-        three tables with evicted rows ship, the other three do not."""
+        three tables with evicted rows ship, the other three do not.  The
+        wire bytes and the p99 were re-recorded again (1892 and
+        5.513712608802351e-05 before) when codec frames moved to a fixed
+        prelude and per-codec tail: each shipped and pulled block carries a
+        smaller header."""
         default = run_day_in_the_life()
         assert default.train_makespan == 0.0002696328618596025
-        assert default.publish_wire_nbytes == 1892
-        assert default.serve_p99_latency == 5.513712608802351e-05
+        assert default.publish_wire_nbytes == 1544
+        assert default.serve_p99_latency == 5.505749800789389e-05
 
     def test_artifact_sets(self, result, tmp_path):
         run = (result.snapshot, result.trace, result.report)

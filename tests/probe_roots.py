@@ -69,10 +69,6 @@ KEEP_FUNCTIONS: dict[str, str] = {
     ),
     "repro.compression.base:_wrong_codec_error": "error factory: reached only on a foreign frame",
     "repro.compression.baselines.lz_generic:_corrupt": "error factory: reached only on bad input",
-    "repro.compression.serialization:_truncated": "error factory: reached only on bad input",
-    "repro.compression.serialization:_Header.__missing__": (
-        "error factory: reached only on a header without a field"
-    ),
     "repro.obs.schema:_fail": "error factory: reached only on an invalid snapshot",
     "repro.compression.registry:register_compressor": "MEMBER_ALLOWLIST: the registry's extension point",
     "repro.profiling.perfbench:append_run": "the --append writer, run by hand",

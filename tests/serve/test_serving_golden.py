@@ -23,7 +23,11 @@ latencies priced on them.  They were re-recorded a second time, at
 encoder-pin cache (``serving_codec("hybrid")`` without ``pin_refresh``) —
 the behaviour once every codec became stateless.  Each block now keeps the
 smaller of both legs instead of a replayed winner, so fewer bytes are
-pulled again.
+pulled again.  They were re-recorded a third time when codec frames moved
+from a varint header dictionary to a fixed prelude and per-codec tail:
+every block carries a smaller header, so fewer bytes are pulled and the
+latencies priced on them moved; every integer count of the fault-configured
+worlds but ``pulled_compressed_nbytes`` stayed the same.
 
 There is no copy of the old bodies to compare against.  Run
 ``python tests/serve/test_serving_golden.py`` to print the values of the
@@ -167,20 +171,20 @@ HEALTHY_WORLDS = {
 }
 
 HEALTHY_DIGESTS = {
-    "flat/cache=0": "f99d3e96476d04ab09f0cfc008fedc65",
-    "flat/cache=32": "9b23cce164c63f3ebaedfb46559b449c",
-    "flat/cache=4096": "469c539cb7effd634737748f6081cc3e",
-    "flat/4-shards/3-replicas": "13be8a015a70cabe9fad8d1071b8fd74",
-    "hier/cache=0": "2a9acd939a94aafa7766120ec7d33a1a",
-    "hier/cache=64": "f1b435c8c1368e5c3c72a3d9147eed9f",
-    "flat/available_at=scalar": "9a4f3bb2bba2dbc711bf9d1de30845ed",
-    "hier/available_at=per-replica": "980308b672a937f72516623c60b14edb",
+    "flat/cache=0": "edf6b9f7a4467ca217ba71d14a6bfd67",
+    "flat/cache=32": "08a97457b9e0477c3312a0104c0d4f2c",
+    "flat/cache=4096": "266a33edf154d356eebde0c792273440",
+    "flat/4-shards/3-replicas": "e0b89886c7913f156ec2873f85cc6d8a",
+    "hier/cache=0": "db0097336a7a9b09cbc6acf35445a0d7",
+    "hier/cache=64": "e39a6aecbf25de2d5cd54aab766dee19",
+    "flat/available_at=scalar": "3566b6ae4c79422b70287e241d69a34a",
+    "hier/available_at=per-replica": "36727a6b269a0b39ff45938d73e1be41",
 }
 #: (report, SERVE_REQUEST events + both counter tracks)
-TRACED_DIGESTS = ("980308b672a937f72516623c60b14edb", "acef567e234caca0b38d5e1467b20884")
-SERVICE_SECONDS_DIGEST = "6d6e7141b479b242a3eb8c746795b293"
+TRACED_DIGESTS = ("36727a6b269a0b39ff45938d73e1be41", "197182e1c7263813df548c500b8979f9")
+SERVICE_SECONDS_DIGEST = "3e0205551692136974343c3e49b845f0"
 #: (report, serve_* families of the snapshot)
-OBS_DIGESTS = ("9b23cce164c63f3ebaedfb46559b449c", "902dfae40e5aa1b2b3ea4ec5f02582e5")
+OBS_DIGESTS = ("08a97457b9e0477c3312a0104c0d4f2c", "296cb2adde70d76b2ce8f536ebb0e2bd")
 
 
 def run_healthy(world, name, **run_kwargs):
@@ -297,20 +301,20 @@ FAULTY_REPORTS: dict[str, dict] = {
         "n_replicas": 2,
         "cache_rows": 0,
         "offered_qps": 1707.4091621589173,
-        "sustained_qps": 1718.0408075451464,
-        "p50_latency": 4.203576651663765e-05,
-        "p99_latency": 0.010468302877973682,
-        "mean_latency": 0.0011167587395141266,
+        "sustained_qps": 1718.0424981519932,
+        "p50_latency": 4.1946592380123424e-05,
+        "p99_latency": 0.01046821673063553,
+        "mean_latency": 0.0011166178800791245,
         "max_latency": 0.011967899584943558,
         "cache_hit_rate": 0.0,
         "hits": 0,
         "misses": 900,
         "mean_fanout": 1.0,
         "blocks_pulled": 450,
-        "pulled_compressed_nbytes": 219547,
+        "pulled_compressed_nbytes": 162633,
         "pulled_raw_nbytes": 913408,
-        "makespan": 0.08730875270322025,
-        "replica_busy_seconds": (0.02007722305020379, 0.028147067545643584),
+        "makespan": 0.08730866678871274,
+        "replica_busy_seconds": (0.020070778065156808, 0.02814088053694977),
         "replica_requests": (75, 75),
         "stale_rows": 0,
         "degraded_rows": 450,
@@ -327,20 +331,20 @@ FAULTY_REPORTS: dict[str, dict] = {
         "n_replicas": 2,
         "cache_rows": 256,
         "offered_qps": 1707.4091621589173,
-        "sustained_qps": 1718.1214780657479,
-        "p50_latency": 3.79330653574126e-05,
-        "p99_latency": 0.006700123461841352,
-        "mean_latency": 0.00033941220970524843,
-        "max_latency": 0.006986596599591019,
+        "sustained_qps": 1718.1216510826941,
+        "p50_latency": 3.79230815794121e-05,
+        "p99_latency": 0.006700096490739591,
+        "mean_latency": 0.0003393917668022066,
+        "max_latency": 0.006986569628489258,
         "cache_hit_rate": 0.6666666666666666,
         "hits": 600,
         "misses": 300,
         "mean_fanout": 1.3466666666666667,
         "blocks_pulled": 300,
-        "pulled_compressed_nbytes": 145438,
+        "pulled_compressed_nbytes": 107518,
         "pulled_raw_nbytes": 602112,
-        "makespan": 0.08730465331756938,
-        "replica_busy_seconds": (0.009803086056536311, 0.009553996517268739),
+        "makespan": 0.08730464452588428,
+        "replica_busy_seconds": (0.00980209714097369, 0.009552955447641934),
         "replica_requests": (75, 75),
         "stale_rows": 0,
         "degraded_rows": 0,
@@ -357,20 +361,20 @@ FAULTY_REPORTS: dict[str, dict] = {
         "n_replicas": 2,
         "cache_rows": 64,
         "offered_qps": 1707.4091621589173,
-        "sustained_qps": 1718.1455476304982,
-        "p50_latency": 3.702555110712824e-05,
+        "sustained_qps": 1718.1460883237207,
+        "p50_latency": 3.696524797042709e-05,
         "p99_latency": 0.007805664541740991,
-        "mean_latency": 0.000569660245298624,
+        "mean_latency": 0.0005696110280049642,
         "max_latency": 0.009758276141858596,
         "cache_hit_rate": 0.5844444444444444,
         "hits": 526,
         "misses": 374,
         "mean_fanout": 1.1466666666666667,
         "blocks_pulled": 280,
-        "pulled_compressed_nbytes": 135627,
+        "pulled_compressed_nbytes": 100088,
         "pulled_raw_nbytes": 560128,
-        "makespan": 0.0873034302634405,
-        "replica_busy_seconds": (0.016421367199876608, 0.010734986296842655),
+        "makespan": 0.08730340278942456,
+        "replica_busy_seconds": (0.016418385337823332, 0.01073176741319414),
         "replica_requests": (75, 75),
         "stale_rows": 37,
         "degraded_rows": 57,

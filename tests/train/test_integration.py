@@ -74,8 +74,8 @@ class TestFullWorkflow:
         for table_id in range(spec.n_tables):
             rows = model.lookup(table_id, batch.sparse[:, table_id])
             payload = pipeline.compress_slice(table_id, rows, 0)
-            header, _ = parse_payload(payload)
-            assert header["codec"] == plan.compressor_for(table_id)
+            prelude, _ = parse_payload(payload)
+            assert prelude.codec == plan.compressor_for(table_id)
 
     def test_simulated_time_scales_with_ranks(self, workflow):
         """More ranks shrink the per-rank wire volume but add latency."""

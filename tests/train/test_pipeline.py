@@ -72,8 +72,8 @@ class TestCompressDecompress:
 
         pipeline = CompressionPipeline(controller)
         payload = pipeline.compress_slice(0, make_hot_batch(rng, batch=32), 0)
-        header, _ = parse_payload(payload)
-        assert header["codec"] == controller.compressor_name(0)
+        prelude, _ = parse_payload(payload)
+        assert prelude.codec == controller.compressor_name(0)
 
 
 def _forced_controller(rng) -> AdaptiveController:
