@@ -72,7 +72,6 @@ def test_every_kernel_covered_on_every_shape(records):
         ("fzgpu_like", "unpack"),
         ("checksum", "frame"),
         ("checksum", "verify"),
-        ("serve_degraded", "pull"),
         ("homomorphic_allreduce", "agg_quant"),
     }
     assert keys == expected

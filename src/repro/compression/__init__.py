@@ -29,11 +29,7 @@ from repro.compression.registry import (
     get_compressor,
     register_compressor,
 )
-from repro.compression.serialization import (
-    CorruptPayloadError,
-    frame_with_checksum,
-    verify_checksum_frame,
-)
+from repro.compression.serialization import CorruptPayloadError
 from repro.compression.vector_lz import VectorLZCompressor
 
 __all__ = [
@@ -62,6 +58,4 @@ __all__ = [
     "available_compressors",
     "decompress_any",
     "CorruptPayloadError",
-    "frame_with_checksum",
-    "verify_checksum_frame",
 ]

@@ -12,13 +12,14 @@ baseline — share one contract:
 
 Lossless codecs ignore the error bound argument; fixed-rate codecs (FP16,
 FP8) ignore it too but remain lossy.  The payload begins with the fixed
-26-byte prelude of :mod:`~repro.compression.serialization` (magic byte,
-codec name, dtype code, the two dimensions), then the codec's *tail* — one
-``struct.Struct`` of its own fields, :attr:`Compressor.tail` — then the
-body.  ``_compress_body`` returns the tail values and ``_decompress_body``
-receives them unpacked; a frame that ends inside its tail raises
-``CorruptPayloadError``, and each codec checks its fields' ranges before
-it allocates anything from them.
+30-byte prelude of :mod:`~repro.compression.serialization` (magic byte,
+codec name, dtype code, the two dimensions, the frame's CRC32), then the
+codec's *tail* — one ``struct.Struct`` of its own fields,
+:attr:`Compressor.tail` — then the body.  ``_compress_body`` returns the
+tail values and ``_decompress_body`` receives them unpacked; a frame whose
+CRC32 fails or that ends inside its tail raises ``CorruptPayloadError``,
+and each codec checks its fields' ranges before it allocates anything
+from them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.serialization import MAGIC, CorruptPayloadError, Prelude, pack_meta, unpack_meta
+from repro.compression.serialization import (
+    MAGIC,
+    CorruptPayloadError,
+    Prelude,
+    frame_with_checksum,
+    pack_meta,
+    unpack_meta,
+)
 
 __all__ = [
     "Compressor",
@@ -67,13 +75,13 @@ def frame_parts(
     codec: str, array_shape: tuple[int, int], array_dtype: np.dtype, tail: bytes, body
 ) -> list:
     """Prelude + packed ``tail`` + body as a list of buffer parts (no
-    concatenation yet)."""
+    concatenation yet), the prelude's CRC32 filled over all of them."""
     parts: list = [pack_meta(codec, array_dtype, array_shape) + tail]
     if isinstance(body, (list, tuple)):
         parts.extend(_as_buffer(p) for p in body)
     else:
         parts.append(_as_buffer(body))
-    return parts
+    return frame_with_checksum(parts)
 
 
 def frame_payload(

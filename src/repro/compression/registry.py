@@ -72,14 +72,12 @@ def available_compressors() -> tuple[str, ...]:
 
 
 def decompress_any(payload: bytes | memoryview) -> np.ndarray:
-    """Decode a bare codec frame produced by any registered codec.
+    """Decode a codec frame produced by any registered codec.
 
-    The prelude is parsed once: the codec it names decodes from the parsed
-    ``(prelude, body)``.  A CRC32 envelope is not a codec frame: verify it
-    with :func:`~repro.compression.serialization.verify_checksum_frame`
-    first, or it raises ``CorruptPayloadError`` (bad magic byte), as does a
-    frame naming a codec that is not registered (a flipped bit in its
-    name, say).
+    The prelude is parsed, and the frame's CRC32 checked, once: the codec
+    it names decodes from the parsed ``(prelude, body)``.  A frame that
+    fails its CRC32 raises ``CorruptPayloadError``, as does one naming a
+    codec that is not registered.
     """
     prelude, body = parse_payload(payload)
     codec = prelude.codec

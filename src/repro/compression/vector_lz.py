@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.compression.base import MAGIC, Compressor, frame_payload
+from repro.compression.base import Compressor, frame_payload
 from repro.compression.bitstream import (
     pack_fixed_segments,
     unpack_fixed_segments,
@@ -524,18 +524,14 @@ class VectorLZCompressor(Compressor):
 
         Returns the S arrays ``decompress`` would return for each payload,
         or ``None`` when the batch is not one stack (another codec's frame,
-        a bytes string that is no codec frame, ragged shapes or dtypes) —
-        the caller then decodes payload by payload, which raises on a
-        payload no codec wrote.  A vector-LZ frame whose layout is corrupt
-        raises here, as ``decompress_any`` does.
+        ragged shapes or dtypes) — the caller then decodes payload by
+        payload.  A payload that fails its prelude or CRC32, or a vector-LZ
+        frame whose layout is corrupt, raises here, as ``decompress_any``
+        does.
         """
         bodies, layouts = [], set()
         for payload in payloads:
             view = memoryview(payload)
-            # A payload that is no codec frame is declined, not an error
-            # here — hence no parse_payload, which raises on it.
-            if len(view) == 0 or view[0] != MAGIC:
-                return None
             prelude, pos = unpack_meta(view)
             if prelude.codec != self.name:
                 return None

@@ -17,7 +17,7 @@ paper's compression pipeline:
 * :class:`ShardCrashFault` — a serving shard node is down for a window and
   restarts at its end (pulls fail fast, then recover).
 * :class:`CorruptionFault` — a publication payload is corrupted in transit
-  on a given round/attempt (detected by the CRC32 checksum frame).
+  on a given round/attempt (detected by the CRC32 in every frame's prelude).
 * :class:`RankFailureFault` — a trainer rank dies *before* running a given
   iteration, forcing a checkpoint restore.
 """

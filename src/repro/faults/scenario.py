@@ -247,7 +247,6 @@ def run_day_in_the_life_under_faults(
             n_replicas=2,
             cache_rows=64,
             retry_policy=retry_policy,
-            checksum=True,
             fault_injector=injector,
             keep_stale=True,
         )

@@ -66,11 +66,7 @@ from repro.compression.hybrid import HybridCompressor
 from repro.compression.quantizer import quantize_batch
 from repro.compression.homomorphic import agg_sum
 from repro.compression.registry import decompress_any, get_compressor
-from repro.compression.serialization import (
-    _reference_verify_checksum_frame,
-    frame_with_checksum,
-    verify_checksum_frame,
-)
+from repro.compression.serialization import PRELUDE, frame_with_checksum, verify_checksum_frame
 from repro.obs import runtime as obs_runtime
 from repro.obs.registry import MetricsRegistry
 from repro.compression.vector_lz import (
@@ -264,24 +260,11 @@ def _codec_rows(shape_name: str, rows: int, dim: int) -> Iterator[Row]:
     hybrid_payload = hybrid.compress(batch, eb)
     yield row("hybrid", "decompress", lambda: hybrid.decompress(hybrid_payload), None)
 
-    # --- CRC32 checksum envelope (the fault-tolerance framing): what
-    # integrity costs on top of the codec.  verify returns a view of the
-    # body; its reference is the frozen strip that copies it out.  The
-    # serve_degraded/pull row is one faultable shard pull — verify the
-    # envelope, then decode the body it returns — against the bare decode,
-    # so the speedup column reads as the degraded-fabric overhead. ---
-    framed_payload = frame_with_checksum(hybrid_payload)
-    yield row("checksum", "frame", lambda: frame_with_checksum(hybrid_payload), None)
-    yield row(
-        "checksum", "verify",
-        lambda: verify_checksum_frame(framed_payload),
-        lambda: _reference_verify_checksum_frame(framed_payload),
-    )
-
-    def _degraded_pull():
-        return decompress_any(verify_checksum_frame(framed_payload))
-
-    yield row("serve_degraded", "pull", _degraded_pull, lambda: hybrid.decompress(hybrid_payload))
+    # --- the frame's CRC32: what integrity costs inside every encode
+    # (the fill) and every decode (the check), on the hybrid payload ---
+    crc_parts = [bytearray(hybrid_payload[: PRELUDE.size]), hybrid_payload[PRELUDE.size :]]
+    yield row("checksum", "frame", lambda: frame_with_checksum(crc_parts), None)
+    yield row("checksum", "verify", lambda: verify_checksum_frame(memoryview(hybrid_payload)), None)
 
     # --- hybrid codec with the observability runtime enabled: prices
     # what instrumentation costs on the hot path.  Reference: the

@@ -43,13 +43,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.adaptive.selection import PAPER_A100_PROFILE
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, frame_payload
 from repro.compression.registry import decompress_any, get_compressor
-from repro.compression.serialization import (
-    CorruptPayloadError,
-    frame_with_checksum,
-    verify_checksum_frame,
-)
+from repro.compression.serialization import CorruptPayloadError, unpack_meta
 from repro.dist.network import NetworkModel
 from repro.dist.simulator import ClusterSimulator
 from repro.dist.timeline import OBS_STREAM, EventCategory
@@ -160,7 +156,12 @@ class DeltaPublisher:
     compress:
         ``True`` ships error-bounded deltas under the adaptive
         controller's per-table codec/bound (requires the trainer's
-        pipeline); ``False`` ships raw float32 deltas (exact, heavy).
+        pipeline); ``False`` ships raw float32 deltas (exact, heavy), each
+        as a frame whose prelude names ``raw``, with an empty tail and the
+        delta's bytes as its body.  Either way every payload is a frame,
+        and delivery checks its CRC32 (in
+        :func:`~repro.compression.serialization.unpack_meta`), so
+        in-transit corruption is *detected* (→ retry) instead of applied.
     retry_policy:
         Optional :class:`~repro.faults.retry.RetryPolicy`.  When set, a
         publication round whose payloads fail verification is retried —
@@ -170,12 +171,6 @@ class DeltaPublisher:
         per-round staleness bound holds across any number of failed
         rounds (the next delta is still computed against what the shards
         actually hold).
-    checksum:
-        Wrap every payload in the CRC32 envelope
-        (:func:`~repro.compression.serialization.frame_with_checksum`) so
-        in-transit corruption is *detected* (→ retry) instead of decoded
-        into garbage.  Required when the fault injector schedules
-        corruption faults.
     fault_injector:
         Optional :class:`~repro.faults.injector.FaultInjector`; attached
         to the publication fabric (outages/degraded links stretch the
@@ -193,7 +188,6 @@ class DeltaPublisher:
         network: NetworkModel | None = None,
         compress: bool = True,
         retry_policy=None,
-        checksum: bool = False,
         fault_injector=None,
     ):
         if sharding is None:
@@ -216,23 +210,12 @@ class DeltaPublisher:
             raise ValueError(
                 f"serving sharding covers {sharding.n_tables} tables, model has {n_tables}"
             )
-        if (
-            fault_injector is not None
-            and fault_injector.plan.corruptions
-            and not checksum
-        ):
-            raise ValueError(
-                "the fault plan schedules payload corruption but checksum=False; "
-                "without the CRC32 envelope corruption would be applied silently "
-                "— pass checksum=True"
-            )
         self.trainer = trainer
         self.servers = tuple(servers)
         self.replicas = tuple(replicas)
         self.sharding = sharding
         self.compress = bool(compress)
         self.retry_policy = retry_policy
-        self.checksum = bool(checksum)
         self.fault_injector = fault_injector
         self.simulator = ClusterSimulator(1 + len(servers), network=network)
         self.simulator.fault_injector = fault_injector
@@ -330,10 +313,8 @@ class DeltaPublisher:
                         payload = codec.compress(delta, bound)
                         applied = self._published[table_id] + decompress_any(payload)
                     else:
-                        payload = delta.tobytes()
+                        payload = frame_payload(codec_name, delta.shape, delta.dtype, b"", delta)
                         applied = current
-                    if self.checksum:
-                        payload = frame_with_checksum(payload)
                     pristine.append(payload)
                     shipped.append(len(table_records))
                     placements.append(shard_rank)
@@ -418,12 +399,11 @@ class DeltaPublisher:
             # metadata/payload/shard-decode window of this attempt.
             wire_seconds = sim.makespan() - attempt_start - stage1
             bad = 0
-            if self.checksum:
-                for payload in delivered:
-                    try:
-                        verify_checksum_frame(payload)
-                    except CorruptPayloadError:
-                        bad += 1
+            for payload in delivered:
+                try:
+                    unpack_meta(payload)
+                except CorruptPayloadError:
+                    bad += 1
             corrupted_total += bad
             if bad == 0:
                 succeeded = True
@@ -557,7 +537,7 @@ def build_serving_tier(
     publication_network: NetworkModel | None = None,
     compress_publication: bool = True,
     retry_policy=None,
-    checksum: bool = False,
+    checksum: bool = True,
     fault_injector=None,
     keep_stale: bool = False,
 ) -> ServingTier:
@@ -568,7 +548,13 @@ def build_serving_tier(
     baseline matches what the shards actually hold.  With the trainer's
     adaptive pipeline present, each table's shard codec and storage bound
     come from the controller at iteration 0.
+
+    ``checksum`` may only be ``True``: every frame carries its CRC32, so
+    no unchecked publication exists.  The keyword survives only because
+    the benchmark harness passes it; ROADMAP direction 0 deletes it.
     """
+    if checksum is not True:
+        raise ValueError(f"checksum={checksum!r}: every frame carries a CRC32; pass True or omit it")
     n_shard_ranks = check_count("n_shard_ranks", n_shard_ranks, 1)
     n_replicas = check_count("n_replicas", n_replicas, 1)
     model = trainer.model
@@ -601,7 +587,6 @@ def build_serving_tier(
         network=publication_network,
         compress=compress_publication,
         retry_policy=retry_policy,
-        checksum=checksum,
         fault_injector=fault_injector,
     )
     return ServingTier(servers=servers, replicas=replicas, publisher=publisher, sharding=sharding)

@@ -46,6 +46,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.compression.registry import decompress_any, get_compressor
+from repro.compression.serialization import CorruptPayloadError
 from repro.compression.vector_lz import VectorLZCompressor
 from repro.obs.runtime import OBS
 from repro.utils.validation import check_count, check_finite_nonnegative
@@ -187,10 +188,15 @@ class _CompressedTable:
     def _block_rows(self, block_id: int) -> np.ndarray:
         """The decoded rows of one block: the whole block is decoded (one
         ``decompress_any``, one ``parse_payload``) on its first read after
-        each (re-)encode and kept, read-only, until its payload changes."""
+        each (re-)encode and kept, read-only, until its payload changes.  A
+        corrupt block names its table and row block."""
         rows = self._decoded[block_id]
         if rows is None:
-            rows = decompress_any(self.blocks[block_id])
+            try:
+                rows = decompress_any(self.blocks[block_id])
+            except CorruptPayloadError as exc:
+                message = f"table {self.table_id}, row block {block_id}: {exc}"
+                raise CorruptPayloadError(message) from exc
             rows.flags.writeable = False
             self._decoded[block_id] = rows
         return rows

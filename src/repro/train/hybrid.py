@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.compression.serialization import CorruptPayloadError
 from repro.data.synthetic import SyntheticClickDataset
 from repro.dist.network import ALLREDUCE_ALGORITHMS
 from repro.dist.simulator import ClusterSimulator
@@ -276,11 +277,15 @@ class HybridParallelTrainer:
             overlap_compute_seconds=overlap_compute,
         )
         # Stage ④ numerics: one batched decode per table keeps codec
-        # caches hot across its slices.
-        decoded = [
-            np.concatenate(pipeline.decompress_batch(by_table[t]), axis=0)
-            for t in range(len(rows))
-        ]
+        # caches hot across its slices.  A corrupt slice names its table
+        # and iteration.
+        decoded = []
+        for t in range(len(rows)):
+            try:
+                arrays = pipeline.decompress_batch(by_table[t])
+            except CorruptPayloadError as exc:
+                raise CorruptPayloadError(f"table {t}, iteration {iteration}: {exc}") from exc
+            decoded.append(np.concatenate(arrays, axis=0))
         return decoded, sum(map(len, payloads))
 
     def _backward_exchange(

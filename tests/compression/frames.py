@@ -1,21 +1,28 @@
 """The frame builder of the hostile-frame tests.
 
 A codec frame is the fixed prelude (``serialization.PRELUDE``: magic,
-codec name, dtype code, rows, columns), the codec's tail
+codec name, dtype code, rows, columns, CRC32), the codec's tail
 (``Compressor.tail``) and its body.  :func:`split` takes a frame apart,
 naming the tail fields; :func:`build` packs one from parts with any field
 set to any value its type holds, including the ones no encoder writes (a
 dtype code outside the table, a zero or 2**32 - 1 dimension, a tail field
 at its type's extreme); :func:`reframe` replaces some fields of a frame.
+Both write a valid CRC32 (:func:`seal`), so a hostile field reaches the
+range check that is meant to catch it, not the checksum.
 """
 
 from __future__ import annotations
 
+import struct
+import zlib
 from typing import Any
 
 from repro.compression.base import MAGIC, parse_payload
 from repro.compression.registry import get_compressor
 from repro.compression.serialization import FRAME_DTYPES, PRELUDE
+
+#: where a frame's CRC32 field starts: bytes 26-29 are the prelude's last four
+CRC_AT = 26
 
 #: every registered codec's tail fields, in ``Compressor.tail`` order
 #: (``hybrid`` ships its winning leg's frame, so it has none of its own)
@@ -31,6 +38,16 @@ TAIL_FIELDS: dict[str, tuple[str, ...]] = {
     "quant_sum": ("scale", "terms", "code_dtype", "cmax"),
     "vector_lz": ("eb", "code_min", "n_matches", "offset_width", "literal_width"),
 }
+
+
+def seal(frame: bytes) -> bytes:
+    """``frame`` with the CRC32 of every byte but its CRC field written
+    there (computed here from ``zlib``, not by the library); a frame that
+    ends inside its prelude has no CRC field and comes back as it is."""
+    if len(frame) < PRELUDE.size:
+        return bytes(frame)
+    crc = zlib.crc32(frame[PRELUDE.size :], zlib.crc32(frame[:CRC_AT]))
+    return bytes(frame[:CRC_AT]) + struct.pack("<I", crc) + bytes(frame[PRELUDE.size :])
 
 
 def split(payload: bytes) -> tuple[dict[str, Any], dict[str, Any], bytes]:
@@ -55,10 +72,9 @@ def build(
 ) -> bytes:
     """A frame packed field by field: ``tail`` names every field of the
     tail of the registered codec ``codec``."""
-    struct = get_compressor(codec).tail
     values = [tail[field] for field in TAIL_FIELDS[codec]]
-    prelude = PRELUDE.pack(magic, codec.encode("latin-1"), dtype_code, *shape)
-    return prelude + struct.pack(*values) + bytes(body)
+    prelude = PRELUDE.pack(magic, codec.encode("latin-1"), dtype_code, *shape, 0)
+    return seal(prelude + get_compressor(codec).tail.pack(*values) + bytes(body))
 
 
 def reframe(payload: bytes, **changes) -> bytes:

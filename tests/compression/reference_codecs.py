@@ -7,22 +7,15 @@
   (dictionary scan + one ``pack_fixed`` per section) that the batched
   ``vector_lz_encode_stack`` replaced; ``test_vector_lz_batch.py`` pins the
   batched payloads to it byte for byte.
-* :func:`reference_frame_with_checksum` — the seed checksum envelope
-  (copies the body twice); ``test_serialization.py`` pins the zero-copy
-  ``frame_with_checksum`` to it.
 
 Do not "fix" or speed these up: they are the behaviour being compared to.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
-
 import numpy as np
 
 from repro.compression.bitstream import pack_codes
-from repro.compression.serialization import CHECKSUM_MAGIC
 from repro.compression.vector_lz import (
     DEFAULT_WINDOW,
     VectorLZEncoded,
@@ -62,9 +55,3 @@ def reference_vector_lz_encode(codes: np.ndarray, window: int = DEFAULT_WINDOW) 
         offset_width=offset_width,
         literal_width=literal_width,
     )
-
-
-def reference_frame_with_checksum(payload: bytes | bytearray | memoryview) -> bytes:
-    """The seed checksum envelope (copies the body twice)."""
-    body = bytes(payload)
-    return bytes([CHECKSUM_MAGIC]) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF) + body

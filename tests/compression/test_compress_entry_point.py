@@ -12,7 +12,10 @@ each payload followed by the codec's state as text: :data:`RECORDED_STATE`
 replays it.  Both tables were re-recorded once more when frames moved from
 a varint header dictionary to a fixed prelude and per-codec tail: every
 payload's header bytes changed, and every decoded array stayed
-bit-identical.
+bit-identical.  They were re-recorded once more when the CRC32 joined the
+prelude, from the parent commit's payloads with the four CRC bytes
+inserted at byte 26 (the digests of the new encoder's payloads are the
+same): every other byte is unchanged.
 
 Every codec is stateless: a payload depends on the array and the error
 bound alone, so encoding other arrays in between never changes it.
@@ -32,7 +35,7 @@ from repro.compression.base import Compressor
 from repro.compression.entropy import EntropyCompressor
 from repro.compression.hybrid import HybridCompressor
 from repro.compression.registry import available_compressors, decompress_any, get_compressor
-from repro.compression.serialization import CorruptPayloadError, frame_with_checksum, verify_checksum_frame
+from repro.compression.serialization import CorruptPayloadError, frame_with_checksum
 
 SEED = 20240914
 ERROR_BOUND = 1e-2
@@ -119,22 +122,22 @@ RECORDED_STATE = {"hybrid": b"[0, 0]", "entropy": b"[]"}
 #: sha256 over the four ``_stateless_batches`` payloads; the recorder
 #: produced the same digest for ``compress`` and ``compress_into``
 GOLDEN_STATELESS: dict[str, str] = {
-    "cusz_like": "2269f678c9f3cb05a00dbf5d41c420c932452de153bd9d406c74709e0b3fe688",
-    "deflate_like": "3c5857204acc4d3d7cfaf3857969883b5b155908a605c02869d50c0cecfdc786",
-    "entropy": "623209a6db7f5a4f6df24462e3c1f10b8292fd4d9d7ff7b95864701b29fdd833",
-    "fp16": "f7325a5290900f94ee958ae41fc8ca315046440f56c063e7ce909ce562657b08",
-    "fp8": "d57bfa06aa021f2838759aae889211d6a383a43e6180b237bac60a1a3a36ae10",
-    "fzgpu_like": "3a498189c6f4cf79c1e7430cbfd4ff34b2ba08b580f538abb7dbb9a05468339b",
-    "hybrid": "83447c4e7a8b4cceb82ed8600ff193fcfa3f6f199db3f642d4d8f826c1ce9825",
-    "lz4_like": "a5d51263d93497fe333f151a39b7c6748ce187c566efbc6fff52e00d21e2e0de",
-    "quant_sum": "a93ad71e8655296615df55e897ff675e3c1d626e26fa1e9ceb38b74be1ea0a5d",
-    "vector_lz": "885cf2d784cd6d3d96e64187ab02862ab30f632499e18a2d995abd7a790334fb",
+    "cusz_like": "caff7de308d6622bda345df2798948927eec1b4259b720b8d2fa84dd1816f942",
+    "deflate_like": "d3262fd47a2aaddf1def5b536a17f4cf2e8e57373b4dabc9c10ce2378ed7f8f4",
+    "entropy": "68826cf382d693135ebfb1b593b17edb9a2c41bc4d035d5566d35e035824e29b",
+    "fp16": "f0c4f5b6a8a39016bb15437dab201a015f5a2e3a06485aaced709ffda676770a",
+    "fp8": "69f340a5fdba063522b9d417ceac711d53942a71127aa03f31b0a52c07849580",
+    "fzgpu_like": "af63ede3043a504ac60430058f71839ab299eecebd89d6dd8164795d196ee006",
+    "hybrid": "fa934e54465b340a5b369e09801d1f5f6ed278fcd1131c7e49a2e38fcc32a2c1",
+    "lz4_like": "d5505b825dadee27b4559edcb987d680a59aa699a379ed7fdcc94ce24818f2ea",
+    "quant_sum": "c28f27e7b33f44c6f5f3ddedea1a264b4b5d734c4c81d81b81ae1e8c851be144",
+    "vector_lz": "e8c527b95c1b8899acd9eeef73681a692759b3b211528bd78583e9f4d8c60d61",
 }
 
 #: sha256 over 12 rounds x 3 interleaved tables of payload + recorded state
 GOLDEN_INTERLEAVED: dict[str, str] = {
-    "hybrid": "fb4ef3f624657dda5a2115f9d949a499894a65c4e2cbd14d65da3cfc38916fbf",
-    "entropy": "0ed645973a95397d90d60e94cd2b02c7e31e3a8c141fcb93ab9220d9379fe71b",
+    "hybrid": "438f79fbe2dfe4fd2dd534fe467558b78a6c217b305b8fa6f3f3f286cc3b1e02",
+    "entropy": "7ab16a73cf64c8d1cf907fe45b68950a18ef7b036386a02c96172b2010a57657",
 }
 
 
@@ -195,24 +198,24 @@ class TestStateless:
 
 class TestOneEntryPoint:
     @pytest.mark.parametrize("name", available_compressors())
-    def test_payloads_survive_the_checksum_envelope(self, name):
-        """The ``bytes`` that ``compress`` returns are what goes on the wire:
-        framed, verified and decoded, they give the unframed decode; the
-        envelope itself is no codec frame."""
+    def test_compressed_bytes_are_the_checked_wire_frame(self, name):
+        """The ``bytes`` that ``compress`` returns are what goes on the
+        wire: they decode as they are, from any buffer, and one flipped
+        bit past the magic byte fails their CRC32."""
         codec = get_compressor(name)
         bound = ERROR_BOUND if codec.error_bounded else None
         for batch in _stateless_batches():
             payload = codec.compress(batch, bound)
-            framed = frame_with_checksum(payload)
-            assert type(payload) is bytes and type(framed) is bytes
-            assert bytes(verify_checksum_frame(framed)) == payload
+            assert type(payload) is bytes
             plain = decompress_any(payload)
             assert plain.shape == batch.shape
-            through_wire = decompress_any(verify_checksum_frame(framed))
-            assert through_wire.dtype == plain.dtype
-            np.testing.assert_array_equal(through_wire, plain)
-            with pytest.raises(CorruptPayloadError, match="bad magic"):
-                decompress_any(framed)
+            through_view = decompress_any(memoryview(bytearray(payload)))
+            assert through_view.dtype == plain.dtype
+            np.testing.assert_array_equal(through_view, plain)
+            flipped = bytearray(payload)
+            flipped[len(payload) // 2] ^= 0x10
+            with pytest.raises(CorruptPayloadError, match="checksum mismatch"):
+                decompress_any(bytes(flipped))
 
     @pytest.mark.parametrize("kind", INTERLEAVED_KINDS)
     def test_interleaved_payloads_decode_without_the_encoder(self, kind):
@@ -295,10 +298,8 @@ class TestNoPool:
             get_compressor(name).compress(_table_batch("dup", 0), ERROR_BOUND, pool=None)
 
     def test_frame_with_checksum_rejects_pool(self):
-        from repro.compression.serialization import frame_with_checksum
-
         with pytest.raises(TypeError, match="pool"):
-            frame_with_checksum(b"payload", pool=None)
+            frame_with_checksum([bytearray(30)], pool=None)
 
     def test_compressed_all_reduce_rejects_pool(self):
         from repro.dist import ClusterSimulator

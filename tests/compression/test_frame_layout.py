@@ -1,8 +1,8 @@
 """The frame-layout law: every field of a frame has one type, set by the format.
 
 A frame is the fixed prelude of ``repro.compression.serialization`` (magic,
-codec name, dtype code, rows, columns) and the codec's own tail struct
-(``Compressor.tail``).  A field can only hold a value of its type, so what
+codec name, dtype code, rows, columns, CRC32) and the codec's own tail
+struct (``Compressor.tail``).  A field can only hold a value of its type, so what
 is left to check is its range.  For every registered codec this law builds
 frames that are truncated inside the header, flip a bit of the magic byte,
 name a codec no one registers, carry a dtype code (or a ``quant_sum`` code
@@ -23,7 +23,9 @@ goes through every decode path:
 
 The header-level corruptions (a truncation, a magic flip, an unregistered
 name, a code outside its table) raise ``CorruptPayloadError`` through
-``decompress_any`` outright.
+``decompress_any`` outright.  Every hostile frame carries a valid CRC32
+(``frames.seal``), so each reaches the range check meant to catch it; the
+CRC itself has its own law in ``test_corruption_law.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import pytest
 from repro.compression import agg_sum, available_compressors, decompress_any, get_compressor
 from repro.compression.base import MAGIC, parse_payload
 from repro.compression.serialization import PRELUDE, CorruptPayloadError
-from tests.compression.frames import TAIL_FIELDS, build, reframe, split
+from tests.compression.frames import TAIL_FIELDS, build, reframe, seal, split
 
 ERROR_BOUND = 1e-2
 CODECS = available_compressors()
@@ -129,11 +131,11 @@ def _cases():
         prelude, tail, body = split(payload)
         codec = prelude["codec"]  # hybrid ships its winning leg's frame
         for cut in range(_header_size(payload)):
-            yield name, f"cut-{cut}", "corrupt", lambda p=payload, cut=cut: p[:cut]
+            yield name, f"cut-{cut}", "corrupt", lambda p=payload, cut=cut: seal(p[:cut])
         for bit in range(8):
-            yield name, f"magic-bit-{bit}", "corrupt", lambda p=payload, bit=bit: bytes([MAGIC ^ 1 << bit]) + p[1:]
+            yield name, f"magic-bit-{bit}", "corrupt", lambda p=payload, bit=bit: seal(bytes([MAGIC ^ 1 << bit]) + p[1:])
         for label, raw in (("empty", b""), ("flipped", bytes([ord(codec[0]) ^ 4]) + codec[1:].encode()), ("high", b"\xff" * 16)):
-            yield name, f"name-{label}", "corrupt", lambda p=payload, raw=raw: p[:1] + raw.ljust(16, b"\0") + p[17:]
+            yield name, f"name-{label}", "corrupt", lambda p=payload, raw=raw: seal(p[:1] + raw.ljust(16, b"\0") + p[17:])
         for code in (2, 255):
             yield name, f"dtype-code-{code}", "corrupt", lambda p=payload, code=code: reframe(p, dtype_code=code)
         for axis in (0, 1):

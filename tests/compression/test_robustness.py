@@ -32,18 +32,19 @@ from repro.compression.huffman import (
     read_huffman_sections,
 )
 from repro.compression.serialization import CorruptPayloadError
-from tests.compression.frames import build, reframe, split
+from tests.compression.frames import build, reframe, seal, split
 from tests.conftest import make_hot_batch
 
 
 #: single-bit flips of one 64x32 float32 block (54 normal(0, 0.1) rows, then
 #: the first 10 again; eb 1e-2) in the fixed header: the dtype code (0 -> 2),
 #: the high bit of the row count (64 -> 2**31 + 64 rows: a flag section of
-#: 256 MiB) and a bit of vector-LZ's offset width (8 -> 72)
+#: 256 MiB) and a bit of vector-LZ's offset width (8 -> 72).  Each flipped
+#: frame is re-sealed with a valid CRC32, so the flip meets its range check.
 FLIPPED_BITS = [
     ("entropy", 17 * 8 + 1),
     ("vector_lz", 21 * 8 + 7),
-    ("vector_lz", 46 * 8 + 6),
+    ("vector_lz", 50 * 8 + 6),
 ]
 
 
@@ -69,7 +70,7 @@ def payloads():
 class TestCorruptPayloads:
     def test_bad_magic_rejected_every_codec(self, payloads):
         for name, (codec, payload, _) in payloads.items():
-            mangled = bytes([MAGIC ^ 0xFF]) + payload[1:]
+            mangled = seal(bytes([MAGIC ^ 0xFF]) + payload[1:])
             with pytest.raises(ValueError, match="magic"):
                 codec.decompress(mangled)
 
@@ -82,7 +83,7 @@ class TestCorruptPayloads:
         """Truncated payloads raise; they never return a wrong result."""
         for name, (codec, payload, batch) in payloads.items():
             cut = max(1, int(len(payload) * fraction))
-            truncated = payload[:cut]
+            truncated = seal(payload[:cut])
             try:
                 result = codec.decompress(truncated)
             except Exception:
@@ -96,23 +97,24 @@ class TestCorruptPayloads:
         # Flip a byte inside the header region (just past the magic byte).
         mangled = bytearray(payload)
         mangled[1] ^= 0xFF
-        with pytest.raises(Exception):
-            codec.decompress(bytes(mangled))
+        with pytest.raises(CorruptPayloadError, match="is not registered"):
+            codec.decompress(seal(mangled))
 
     def test_header_prefixes_and_bit_flips_parse_or_raise_value_error(self, payloads):
         """Every prefix and every single-bit flip of each registered codec's
-        prelude bytes: ``parse_payload`` returns a prelude or raises
-        ``ValueError`` (``CorruptPayloadError`` is one) — never an
-        ``IndexError``, ``struct.error`` or ``TypeError`` out of the parser."""
+        prelude bytes, re-sealed with a valid CRC32: ``parse_payload``
+        returns a prelude or raises ``ValueError`` (``CorruptPayloadError``
+        is one) — never an ``IndexError``, ``struct.error`` or
+        ``TypeError`` out of the parser."""
         leaks = []
         for name, (_, payload, _) in payloads.items():
             body_start = len(payload) - len(parse_payload(payload)[1])
-            mangled = [(f"cut {cut}", payload[:cut]) for cut in range(body_start)]
+            mangled = [(f"cut {cut}", seal(payload[:cut])) for cut in range(body_start)]
             for at in range(body_start):
                 for bit in range(8):
                     flipped = bytearray(payload)
                     flipped[at] ^= 1 << bit
-                    mangled.append((f"flip {at}.{bit}", bytes(flipped)))
+                    mangled.append((f"flip {at}.{bit}", seal(flipped)))
             for how, data in mangled:
                 try:
                     parse_payload(data)
@@ -144,7 +146,7 @@ class TestCorruptPayloads:
             mangled = bytearray(payload)
             mangled[body_start + offset] ^= 0x55
             try:
-                result = codec.decompress(bytes(mangled))
+                result = codec.decompress(seal(mangled))
             except Exception:
                 continue
             assert result.shape == batch.shape
@@ -152,8 +154,9 @@ class TestCorruptPayloads:
     @pytest.mark.parametrize("name", ["vector_lz", "entropy"])
     def test_body_corruption_decodes_or_raises_typed(self, payloads, name):
         """Seeded sweep of body bit flips and overwritten bytes over the
-        paper's two codecs: the prelude and tail parse, so every outcome is
-        the decoder's own — the declared shape or ``CorruptPayloadError``."""
+        paper's two codecs, each re-sealed with a valid CRC32: the prelude
+        and tail parse, so every outcome is the decoder's own — the declared
+        shape or ``CorruptPayloadError``."""
         _, payload, batch = payloads[name]
         body_start = len(payload) - len(split(payload)[2])
         rng = np.random.default_rng(7)
@@ -164,7 +167,7 @@ class TestCorruptPayloads:
                 flipped = mangled[at] ^ (1 << int(rng.integers(8)))
                 mangled[at] = int(rng.integers(256)) if trial % 2 else flipped
             try:
-                decoded = decompress_any(bytes(mangled))
+                decoded = decompress_any(seal(mangled))
             except CorruptPayloadError:
                 continue
             assert decoded.shape == batch.shape, trial
@@ -207,8 +210,8 @@ class TestFlippedBitsRaiseCorruptPayloadError:
         rows = rng.normal(0.0, 0.1, size=(54, 32)).astype(np.float32)
         payload = bytearray(get_compressor(name).compress(np.concatenate([rows, rows[:10]]), 1e-2))
         payload[bit // 8] ^= 1 << (bit % 8)
-        with pytest.raises(CorruptPayloadError):
-            decompress_any(bytes(payload))
+        with pytest.raises(CorruptPayloadError, match="^(dtype code|corrupt vector-LZ stream)"):
+            decompress_any(seal(payload))
 
 
 def _vector_lz_frame(flags: bytes = b"\x20", offsets: bytes = b"\x01", **tail) -> bytes:
@@ -254,7 +257,7 @@ class TestTruncatedVectorLZ:
     @pytest.mark.parametrize("path", ["full", "stack"])
     @pytest.mark.parametrize("cut", [1, 8, 40])
     def test_cut_raises_the_typed_error(self, payload, cut, path):
-        short = payload[:-cut]
+        short = seal(payload[:-cut])
         _, tail, body = split(payload)
         offsets_len = (tail["n_matches"] * tail["offset_width"] + 7) // 8
         present = len(body) - 64 // 8 - offsets_len - cut
@@ -305,7 +308,7 @@ class TestLZ77AndQuantSumBodiesRaiseCorruptPayloadError:
         start = len(payload) - len(parse_payload(payload)[1])
         _flips_decode_or_raise_typed(
             "lz4_like",
-            (payload[:i] + bytes([payload[i] ^ 0xFF]) + payload[i + 1 :] for i in range(start, len(payload))),
+            (seal(payload[:i] + bytes([payload[i] ^ 0xFF]) + payload[i + 1 :]) for i in range(start, len(payload))),
         )
 
     def test_lz4_like_truncate(self):
@@ -313,7 +316,7 @@ class TestLZ77AndQuantSumBodiesRaiseCorruptPayloadError:
         start = len(payload) - len(parse_payload(payload)[1])
         for cut in range(start, len(payload)):
             with pytest.raises(CorruptPayloadError, match=r"lz4_like: corrupt LZ77 stream at byte \d+"):
-                decompress_any(payload[:cut])
+                decompress_any(seal(payload[:cut]))
 
     def test_deflate_like_flip(self):
         raw = _lz_rows().tobytes()
@@ -348,7 +351,7 @@ class TestLZ77AndQuantSumBodiesRaiseCorruptPayloadError:
         for cut in range(1, body + 1):
             message = f"quant_sum: body holds {body - cut} bytes, but 512 \\|i1 codes end at byte 512"
             with pytest.raises(CorruptPayloadError, match=message):
-                decompress_any(payload[:-cut])
+                decompress_any(seal(payload[:-cut]))
 
 
 class TestUnregisteredCodecRaisesCorruptPayloadError:
@@ -362,10 +365,11 @@ class TestUnregisteredCodecRaisesCorruptPayloadError:
         at = payload.index(framed_as.encode(), 1) + 1
         renamed = bytearray(payload)
         renamed[at] ^= 0x02
-        bogus = parse_payload(bytes(renamed))[0].codec
+        renamed = seal(renamed)
+        bogus = parse_payload(renamed)[0].codec
         assert bogus not in available_compressors()
         with pytest.raises(CorruptPayloadError, match=re.escape(repr(bogus))):
-            decompress_any(bytes(renamed))
+            decompress_any(renamed)
 
 
 def _census_payload(name: str) -> bytes:
@@ -389,7 +393,7 @@ class TestFrameDtypeRaisesCorruptPayloadError:
             flipped = bytearray(payload)
             flipped[17] ^= 1 << bit
             try:
-                decoded = decompress_any(bytes(flipped))
+                decoded = decompress_any(seal(flipped))
             except CorruptPayloadError:
                 continue
             assert decoded.shape == (64, 32) and decoded.dtype == np.float64, bit
@@ -405,7 +409,7 @@ class TestBodyLengthRaisesCorruptPayloadError:
     @pytest.mark.parametrize("change", ["truncate", "extend"])
     def test_one_byte_off(self, name, change):
         payload = _census_payload(name)
-        mangled = payload[:-1] if change == "truncate" else payload + b"\0"
+        mangled = seal(payload[:-1] if change == "truncate" else payload + b"\0")
         with pytest.raises(CorruptPayloadError, match=rf"^{name}: "):
             decompress_any(mangled)
 
@@ -449,7 +453,7 @@ class TestSectionsRaiseCorruptPayloadError:
     def test_plane_bytes_past_the_body(self):
         payload = _census_payload("fzgpu_like")
         with pytest.raises(CorruptPayloadError, match=r"^fzgpu_like: .* plane bytes cannot hold"):
-            decompress_any(payload[:-1])
+            decompress_any(seal(payload[:-1]))
 
     @pytest.mark.parametrize("name", ["entropy", "cusz_like"])
     @pytest.mark.parametrize("length", [16, 58])

@@ -1,22 +1,27 @@
-"""Tests for the fixed frame prelude and the checksum envelope."""
+"""Tests for the fixed frame prelude and the CRC32 it carries."""
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.compression import EntropyCompressor, decompress_any
-from repro.compression.base import MAGIC, parse_payload
+from repro.compression import EntropyCompressor, available_compressors, decompress_any, get_compressor
+from repro.compression.base import MAGIC, frame_parts, frame_payload, parse_payload
 from repro.compression.serialization import (
     FRAME_DTYPES,
     PRELUDE,
     CorruptPayloadError,
     Prelude,
+    frame_with_checksum,
     pack_meta,
     unpack_meta,
+    verify_checksum_frame,
 )
+from tests.compression.frames import CRC_AT, seal
 
 names = st.text(alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=16)
 dimensions = st.integers(min_value=0, max_value=2**32 - 1)
@@ -26,8 +31,8 @@ class TestPrelude:
     @given(names, st.sampled_from(FRAME_DTYPES), dimensions, dimensions)
     def test_roundtrip_property(self, codec, dtype, rows, cols):
         packed = pack_meta(codec, dtype, (rows, cols))
-        assert len(packed) == PRELUDE.size == 26
-        prelude, end = unpack_meta(packed)
+        assert len(packed) == PRELUDE.size == 30
+        prelude, end = unpack_meta(seal(packed))
         assert prelude == Prelude(codec, dtype, (rows, cols))
         assert end == PRELUDE.size
 
@@ -38,9 +43,13 @@ class TestPrelude:
         assert packed[17] == 1
         assert packed[18:22] == bytes([4, 3, 2, 1])
         assert packed[22:26] == bytes([7, 0, 0, 0])
+        assert packed[26:30] == bytes(4)  # the CRC32, filled by the framer
+        framed = b"".join(frame_parts("vector_lz", (0x01020304, 7), np.dtype(np.float64), b"", b""))
+        assert framed[:26] == packed[:26]
+        assert int.from_bytes(framed[26:30], "little") == zlib.crc32(framed[:26])
 
     def test_a_prelude_is_read_at_the_front_of_a_longer_buffer(self):
-        packed = pack_meta("fp16", np.dtype(np.float32), (3, 4)) + b"body"
+        packed = seal(pack_meta("fp16", np.dtype(np.float32), (3, 4)) + b"body")
         prelude, end = unpack_meta(packed)
         assert prelude == Prelude("fp16", np.dtype(np.float32), (3, 4))
         assert packed[end:] == b"body"
@@ -50,7 +59,7 @@ class TestPrelude:
         with pytest.raises(CorruptPayloadError, match="empty payload"):
             unpack_meta(packed[:0])
         for cut in range(1, PRELUDE.size):
-            with pytest.raises(CorruptPayloadError, match=f"truncated frame: {cut} bytes, the prelude needs 26"):
+            with pytest.raises(CorruptPayloadError, match=f"truncated frame: {cut} bytes, the prelude needs 30"):
                 unpack_meta(packed[:cut])
 
     @pytest.mark.parametrize("code", [2, 3, 255])
@@ -58,17 +67,17 @@ class TestPrelude:
         packed = bytearray(pack_meta("entropy", np.dtype(np.float32), (64, 32)))
         packed[17] = code
         with pytest.raises(CorruptPayloadError, match=f"dtype code {code} at byte 17 is not float32"):
-            unpack_meta(bytes(packed))
+            unpack_meta(seal(packed))
 
     def test_any_name_bytes_parse_to_a_name(self):
         """The name field holds 16 raw bytes: each parses (NUL padding
         stripped), and one no codec registers is the registry's to reject."""
         packed = bytearray(pack_meta("entropy", np.dtype(np.float32), (1, 1)))
         packed[1:17] = bytes(range(0xF0, 0x100))
-        prelude, _ = unpack_meta(bytes(packed))
+        prelude, _ = unpack_meta(seal(packed))
         assert prelude.codec == bytes(range(0xF0, 0x100)).decode("latin-1")
         with pytest.raises(CorruptPayloadError, match="is not registered"):
-            decompress_any(bytes(packed))
+            decompress_any(seal(packed))
 
     def test_a_name_or_batch_the_layout_cannot_hold_is_refused(self):
         with pytest.raises(ValueError, match="longer than 16 bytes"):
@@ -126,144 +135,69 @@ class TestParsePayload:
         assert parse_payload(buffer)[0] == Prelude("entropy", np.dtype(np.float64), (5, 2))
 
 
-class TestChecksumFrame:
-    """The opt-in CRC32 envelope (satellite of the fault-injection PR)."""
+class TestFrameChecksum:
+    """Every frame carries a CRC32 of all its bytes but the CRC field:
+    ``frame_parts`` fills it and ``unpack_meta`` checks it before reading
+    any other field."""
 
-    def test_roundtrip(self):
-        from repro.compression.serialization import (
-            CHECKSUM_MAGIC,
-            frame_with_checksum,
-            verify_checksum_frame,
-        )
+    @pytest.mark.parametrize("name", available_compressors())
+    def test_every_codec_writes_the_crc_of_its_frame(self, name):
+        codec = get_compressor(name)
+        rows = np.random.default_rng(1).normal(0.0, 0.1, size=(32, 8)).astype(np.float32)
+        payload = codec.compress(rows, 1e-2 if codec.error_bounded else None)
+        assert seal(payload) == payload
 
-        body = b"compressed delta payload"
-        framed = frame_with_checksum(body)
-        assert framed[0] == CHECKSUM_MAGIC
-        assert len(framed) == len(body) + 5
-        assert verify_checksum_frame(framed) == body
+    @given(st.lists(st.binary(max_size=64), max_size=4), st.binary(max_size=8))
+    def test_the_crc_covers_every_part_and_the_tail(self, parts, tail):
+        framed = frame_payload("fp16", (3, 4), np.dtype(np.float32), tail, parts)
+        assert framed == seal(framed)
+        assert framed[PRELUDE.size :] == tail + b"".join(parts)
 
-    def test_empty_body_roundtrips(self):
-        from repro.compression.serialization import frame_with_checksum, verify_checksum_frame
+    @given(st.binary(min_size=1, max_size=64))
+    def test_any_buffer_type_frames_as_its_bytes(self, body):
+        expected = frame_payload("raw", (1, len(body)), np.dtype(np.float32), b"", body)
+        for part in (bytearray(body), memoryview(body), np.frombuffer(body, dtype=np.uint8)):
+            assert frame_payload("raw", (1, len(body)), np.dtype(np.float32), b"", part) == expected
 
-        assert verify_checksum_frame(frame_with_checksum(b"")) == b""
+    def test_a_typed_array_frames_its_raw_bytes(self):
+        array = np.arange(12, dtype=np.float32).reshape(3, 4)
+        framed = frame_payload("raw", array.shape, array.dtype, b"", array)
+        assert framed[PRELUDE.size :] == array.tobytes() and framed == seal(framed)
 
-    @pytest.mark.parametrize("position", [5, 10, 23])
-    def test_bit_flip_detected(self, position):
-        from repro.compression.serialization import (
-            CorruptPayloadError,
-            frame_with_checksum,
-            verify_checksum_frame,
-        )
+    def test_the_fill_writes_only_the_crc_field(self):
+        parts = [pack_meta("fp16", np.dtype(np.float32), (1, 1)) + b"tail", memoryview(b"body")]
+        before = bytes(parts[0])
+        assert frame_with_checksum(parts) is parts
+        assert parts[0][:CRC_AT] == before[:CRC_AT] and parts[0][PRELUDE.size :] == b"tail"
+        assert bytes(parts[0]) + b"body" == seal(before + b"body")
 
-        framed = bytearray(frame_with_checksum(bytes(range(32))))
-        framed[position] ^= 0x40
+    @given(st.binary(max_size=64), st.data())
+    def test_every_single_bit_flip_is_corrupt(self, body, data):
+        framed = frame_payload("fp16", (1, len(body)), np.dtype(np.float32), b"", body)
+        bit = data.draw(st.integers(8, len(framed) * 8 - 1))  # past the magic byte
+        flipped = bytearray(framed)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(CorruptPayloadError, match="checksum mismatch: stored CRC32"):
+            unpack_meta(bytes(flipped))
+
+    def test_the_check_runs_before_the_dtype_code_is_read(self):
+        packed = bytearray(pack_meta("entropy", np.dtype(np.float32), (64, 32)))
+        packed[17] = 255
+        with pytest.raises(CorruptPayloadError, match="checksum mismatch"):
+            unpack_meta(bytes(packed))
+
+    def test_a_damaged_crc_field_is_corrupt(self):
+        framed = bytearray(_entropy_payload())
+        framed[CRC_AT + 2] ^= 0x01
+        with pytest.raises(CorruptPayloadError, match=f"over {len(framed) - 4} bytes"):
+            parse_payload(bytes(framed))
         with pytest.raises(CorruptPayloadError, match="CRC32"):
-            verify_checksum_frame(bytes(framed))
+            verify_checksum_frame(memoryview(framed))
 
-    def test_damaged_digest_detected(self):
-        from repro.compression.serialization import (
-            CorruptPayloadError,
-            frame_with_checksum,
-            verify_checksum_frame,
-        )
-
-        framed = bytearray(frame_with_checksum(b"payload"))
-        framed[2] ^= 0x01  # inside the stored digest
-        with pytest.raises(CorruptPayloadError):
-            verify_checksum_frame(bytes(framed))
-
-    def test_unframed_payload_rejected_as_value_error(self):
-        from repro.compression.serialization import CorruptPayloadError, verify_checksum_frame
-
-        with pytest.raises(ValueError) as err:
-            verify_checksum_frame(b"no envelope here")
-        assert not isinstance(err.value, CorruptPayloadError)
-
-    @given(st.binary(max_size=256))
-    def test_roundtrip_property(self, body):
-        from repro.compression.serialization import frame_with_checksum, verify_checksum_frame
-
-        assert verify_checksum_frame(frame_with_checksum(body)) == body
-
-    def test_decompress_any_decodes_bare_frames_only(self):
-        """An envelope is verified by its receiver, then decoded; handed to
-        the decoder as it is, it is no codec frame."""
-        import numpy as np
-
-        from repro.compression import HybridCompressor, decompress_any
-        from repro.compression.serialization import frame_with_checksum, verify_checksum_frame
-
-        data = np.linspace(-1.0, 1.0, 512, dtype=np.float32).reshape(64, 8)
-        payload = HybridCompressor().compress(data, 1e-2)
-        framed = frame_with_checksum(payload)
-        assert np.array_equal(decompress_any(payload), decompress_any(verify_checksum_frame(framed)))
-        with pytest.raises(CorruptPayloadError, match="bad magic byte 0xc5"):
-            decompress_any(framed)
-
-
-class TestZeroCopyFraming:
-    """Differential: zero-copy framing vs the frozen seed implementation in
-    ``reference_codecs`` (the raw-speed PR's byte-compatibility contract)."""
-
-    @given(st.binary(max_size=512))
-    def test_frame_matches_reference(self, body):
-        from repro.compression.serialization import frame_with_checksum
-        from tests.compression.reference_codecs import reference_frame_with_checksum
-
-        assert frame_with_checksum(body) == reference_frame_with_checksum(body)
-
-    @given(st.binary(min_size=1, max_size=512))
-    def test_frame_accepts_any_buffer_type(self, body):
-        from repro.compression.serialization import frame_with_checksum
-        from tests.compression.reference_codecs import reference_frame_with_checksum
-
-        expected = reference_frame_with_checksum(body)
-        assert frame_with_checksum(bytearray(body)) == expected
-        assert frame_with_checksum(memoryview(body)) == expected
-        assert frame_with_checksum(np.frombuffer(body, dtype=np.uint8)) == expected
-
-    @given(st.binary(max_size=512))
-    def test_frame_is_a_bytes_copy_of_the_body(self, body):
-        """The frame owns its bytes: changing the source buffer after
-        framing leaves the frame, and its checksum, intact."""
-        from repro.compression.serialization import frame_with_checksum, verify_checksum_frame
-        from tests.compression.reference_codecs import reference_frame_with_checksum
-
-        source = bytearray(body)
-        framed = frame_with_checksum(source)
-        assert type(framed) is bytes
-        source[:] = bytes(len(source))  # zero it in place
-        source.extend(b"tail")
-        assert framed == reference_frame_with_checksum(body)
-        assert bytes(verify_checksum_frame(framed)) == body
-
-    @given(
-        st.integers(1, 6).flatmap(
-            lambda cols: st.lists(
-                st.lists(st.floats(width=32), min_size=cols, max_size=cols),
-                min_size=1,
-                max_size=6,
-            )
-        )
-    )
-    def test_frame_of_a_typed_array_frames_its_raw_bytes(self, rows):
-        """A multi-byte, multi-dimensional buffer is framed as its raw
-        bytes, as a codec's float32 body would be."""
-        from repro.compression.serialization import frame_with_checksum
-        from tests.compression.reference_codecs import reference_frame_with_checksum
-
-        array = np.array(rows, dtype=np.float32).reshape(len(rows), -1)
-        assert frame_with_checksum(array) == reference_frame_with_checksum(array.tobytes())
-
-    @given(st.binary(max_size=512))
-    def test_verify_matches_reference_and_is_a_view(self, body):
-        from repro.compression.serialization import (
-            _reference_verify_checksum_frame,
-            frame_with_checksum,
-            verify_checksum_frame,
-        )
-
-        framed = frame_with_checksum(body)
-        got = verify_checksum_frame(framed)
-        assert isinstance(got, memoryview)  # no body copy on the hot path
-        assert bytes(got) == _reference_verify_checksum_frame(framed) == body
+    def test_a_prelude_alone_checks_too(self):
+        """A frame of no tail and no body (an empty batch of a codec
+        without a tail) is still checked."""
+        framed = frame_payload("fp16", (0, 4), np.dtype(np.float32), b"", b"")
+        assert len(framed) == PRELUDE.size
+        assert unpack_meta(framed) == (Prelude("fp16", np.dtype(np.float32), (0, 4)), PRELUDE.size)
+        assert np.array_equal(decompress_any(framed), np.zeros((0, 4), np.float32))

@@ -32,7 +32,7 @@ from repro.compression.vector_lz import (
     vector_lz_encode,
     vector_lz_encode_stack,
 )
-from tests.compression.frames import reframe, split
+from tests.compression.frames import reframe, seal, split
 from tests.compression.reference_codecs import pack_fixed, reference_vector_lz_encode
 
 
@@ -184,7 +184,6 @@ class TestBatchErrors:
 
     def test_non_stack_batches_decline(self):
         from repro.compression.entropy import EntropyCompressor
-        from repro.compression.serialization import frame_with_checksum
 
         codec = VectorLZCompressor()
         rows = _stack(np.random.default_rng(10), 1, 16, 4, 5, 0.1)[0]
@@ -193,8 +192,16 @@ class TestBatchErrors:
         assert codec.decompress_stack([EntropyCompressor().compress(rows, 0.01), lz]) is None
         assert codec.decompress_stack([lz, codec.compress(rows[:8], 0.01)]) is None
         assert codec.decompress_stack([lz, codec.compress(rows.astype(np.float64), 0.01)]) is None
-        assert codec.decompress_stack([frame_with_checksum(lz), lz]) is None
-        assert codec.decompress_stack([b"", lz]) is None
+
+    @pytest.mark.parametrize("junk", [b"", b"\xc5", b"\xc5" + bytes(40)])
+    def test_a_payload_that_is_no_frame_is_corrupt(self, junk):
+        """Every payload is a frame, so bytes that are none (empty, or led
+        by another magic byte) are corrupt here as in ``decompress_any``."""
+        codec = VectorLZCompressor()
+        lz = codec.compress(_stack(np.random.default_rng(10), 1, 16, 4, 5, 0.1)[0], 0.01)
+        for batch in ([junk, lz], [lz, junk]):
+            with pytest.raises(CorruptPayloadError):
+                codec.decompress_stack(batch)
 
 
 #: flag bytes of a 16-row frame
@@ -227,7 +234,7 @@ class TestHostilePayloads:
         codec = VectorLZCompressor()
         payloads = self._payloads()
         for cut in (1, 3):
-            short = payloads[2][:-cut]  # literal section loses its tail
+            short = seal(payloads[2][:-cut])  # literal section loses its tail
             with pytest.raises(ValueError, match="stream too short"):
                 decompress_any(short)
             with pytest.raises(ValueError, match="stream too short"):

@@ -17,7 +17,10 @@ The values were recorded at ``c2326d5``, whose readers built one
 ledger's columns; they are never re-recorded in a refactor.  The serving
 entry alone was re-recorded once, when codec frames moved from a varint
 header dictionary to a fixed prelude and per-codec tail: its blocks pull
-fewer bytes, which reaches the request latencies priced on them.  Run
+fewer bytes, which reaches the request latencies priced on them.  It was
+re-recorded a second time when the CRC32 joined the prelude, from the
+parent commit with its prelude packed in the new layout and its CRC
+filled: each block pulls 4 bytes more.  Run
 ``python tests/dist/test_export_golden.py`` to print the values of the
 current checkout.
 """
@@ -233,12 +236,12 @@ GOLDEN: dict[str, dict[str, object]] = {
         "overlap": "0x1.fdf135c329e4dp-3",
     },
     "serving_trace": {
-        "chrome_trace": "817ff8be7ceb2da4cc3513e62882ae46",
+        "chrome_trace": "c5f802c6bf595e4269c3fc8672bf4e48",
         "rank0": [
-            ("serve_request", "0x1.882f91cca7ac6p-8"),
+            ("serve_request", "0x1.8830bd51c664ap-8"),
         ],
         "all": [
-            ("serve_request", "0x1.886f73f542f82p-7"),
+            ("serve_request", "0x1.8870a0c20fc52p-7"),
         ],
         "overlap": "0x0.0p+0",
     },

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.compression import CorruptPayloadError, frame_with_checksum, verify_checksum_frame
+from repro.compression import CorruptPayloadError, parse_payload
+from repro.compression.base import frame_payload
+from repro.compression.serialization import PRELUDE
 from repro.dist import ClusterSimulator
 from repro.dist.timeline import COMM_STREAM, COMPUTE_STREAM, OBS_STREAM, EventCategory, Timeline
 from repro.faults import (
@@ -153,22 +156,37 @@ class TestInjectorAdjustments:
 
 
 class TestCorruption:
+    DELTA = np.arange(8, dtype=np.float32).reshape(1, 8)
+
     def test_corrupt_payload_is_deterministic_and_detected(self):
         injector = FaultInjector(FaultPlan(), seed=4)
-        framed = frame_with_checksum(b"embedding delta payload bytes")
+        framed = frame_payload("raw", self.DELTA.shape, self.DELTA.dtype, b"", self.DELTA)
         damaged = injector.corrupt_payload(framed, "pub", 0, 1)
         assert damaged != framed
         assert damaged == FaultInjector(FaultPlan(), seed=4).corrupt_payload(framed, "pub", 0, 1)
-        assert damaged[:5] == framed[:5]  # envelope prefix untouched
         with pytest.raises(CorruptPayloadError):
-            verify_checksum_frame(damaged)
-        assert verify_checksum_frame(framed) == b"embedding delta payload bytes"
+            parse_payload(damaged)
+        assert bytes(parse_payload(framed)[1]) == self.DELTA.tobytes()
+
+    def test_damage_may_land_anywhere_in_the_frame(self):
+        """The CRC32 covers every byte, so the injector spares none: over a
+        few keys its flips reach the prelude as well as the body, and every
+        damaged frame fails its check."""
+        injector = FaultInjector(FaultPlan(), seed=4)
+        framed = frame_payload("raw", self.DELTA.shape, self.DELTA.dtype, b"", self.DELTA)
+        regions = set()
+        for key in range(40):
+            damaged = injector.corrupt_payload(framed, "pub", key)
+            changed = [i for i, (a, b) in enumerate(zip(framed, damaged)) if a != b]
+            regions |= {i < PRELUDE.size for i in changed}
+            with pytest.raises(CorruptPayloadError):
+                parse_payload(damaged)
+        assert regions == {True, False}
 
     def test_empty_payload_rejected_short_payload_still_damaged(self):
         injector = FaultInjector(FaultPlan())
         with pytest.raises(ValueError):
             injector.corrupt_payload(b"")
-        # shorter than the envelope prefix: flips land past a clamped offset
         assert injector.corrupt_payload(b"abc") != b"abc"
 
 

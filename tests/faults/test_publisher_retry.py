@@ -46,7 +46,6 @@ def faulty_tier(trainer, corruptions, max_attempts=3, keep_stale=False):
         n_replicas=1,
         cache_rows=64,
         retry_policy=RetryPolicy(max_attempts=max_attempts, seed=5),
-        checksum=True,
         fault_injector=injector,
         keep_stale=keep_stale,
     )
@@ -185,35 +184,32 @@ class TestFailedRounds:
 
 
 class TestConfiguration:
-    def test_corruption_plan_requires_checksum(self, trainer):
-        injector = FaultInjector(
-            FaultPlan(corruptions=(CorruptionFault(round_index=0),))
-        )
-        with pytest.raises(ValueError, match="checksum"):
-            build_serving_tier(
-                trainer,
-                n_shard_ranks=2,
-                n_replicas=1,
-                cache_rows=64,
-                retry_policy=RetryPolicy(seed=0),
-                checksum=False,
-                fault_injector=injector,
-            )
+    def test_an_unchecked_tier_cannot_be_built(self, trainer):
+        """Every frame carries its CRC32, so ``checksum`` takes only
+        ``True`` (or its default); ``False`` is refused, with or without a
+        corruption plan."""
+        injector = FaultInjector(FaultPlan(corruptions=(CorruptionFault(round_index=0),)))
+        for fault_injector in (None, injector):
+            with pytest.raises(ValueError, match="every frame carries a CRC32"):
+                build_serving_tier(
+                    trainer, 2, 1, cache_rows=64, checksum=False, fault_injector=fault_injector
+                )
+        tier = build_serving_tier(trainer, 2, 1, cache_rows=64, checksum=True)
+        assert not hasattr(tier.publisher, "checksum")
 
-    def test_checksummed_publication_matches_plain_numerics(self, trainer):
-        """The CRC32 envelope is framing only — published state is
-        identical with and without it."""
-        plain_tier = build_serving_tier(trainer, n_shard_ranks=2, n_replicas=1, cache_rows=64)
-        framed_tier = build_serving_tier(
-            trainer, n_shard_ranks=2, n_replicas=1, cache_rows=64, checksum=True
+    def test_corrupted_raw_publication_is_retried_and_exact(self, trainer):
+        """Raw deltas ship as ``raw`` frames, so the same CRC32 check
+        catches their corruption: the round retries and then applies the
+        trainer's tables exactly."""
+        injector = FaultInjector(
+            FaultPlan(corruptions=(CorruptionFault(round_index=0, table_index=0, attempt=0),)), seed=5
         )
-        for round_index in range(2):
-            trainer.train_step(64, iteration=round_index)
-            evict_rows(trainer.model, range(N_TABLES), 3, 0, round_index)
-            plain_tier.publisher.publish(iteration=round_index)
-            framed_tier.publisher.publish(iteration=round_index)
+        tier = build_serving_tier(
+            trainer, 2, 1, cache_rows=64, compress_publication=False,
+            retry_policy=RetryPolicy(max_attempts=2, seed=5), fault_injector=injector,
+        )
+        trainer.train_step(64, iteration=0)
+        report = tier.publisher.publish(iteration=0)
+        assert report.succeeded and report.attempts == 2 and report.corrupted_payloads == 1
         for t in range(N_TABLES):
-            assert np.array_equal(
-                plain_tier.publisher.published_table(t),
-                framed_tier.publisher.published_table(t),
-            )
+            assert np.array_equal(tier.publisher.published_table(t), trainer.model.tables[t].weight.data)

@@ -97,11 +97,14 @@ class TestScenarioHelpersShared:
         wire bytes and the p99 were re-recorded again (1892 and
         5.513712608802351e-05 before) when codec frames moved to a fixed
         prelude and per-codec tail: each shipped and pulled block carries a
-        smaller header."""
+        smaller header.  Both were re-recorded once more (1544 and
+        5.505749800789389e-05 before) when the CRC32 joined the prelude:
+        each of the three shipped payloads and each pulled block is 4 bytes
+        longer; the parent with the new prelude gives the same values."""
         default = run_day_in_the_life()
         assert default.train_makespan == 0.0002696328618596025
-        assert default.publish_wire_nbytes == 1544
-        assert default.serve_p99_latency == 5.505749800789389e-05
+        assert default.publish_wire_nbytes == 1556
+        assert default.serve_p99_latency == 5.506029197561773e-05
 
     def test_artifact_sets(self, result, tmp_path):
         run = (result.snapshot, result.trace, result.report)

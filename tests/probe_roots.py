@@ -102,6 +102,10 @@ KEEP_PARAMETERS: dict[str, str] = {
     "repro.adaptive.decay:StepwiseDecay.__init__(n_steps)": "bench_e2e passes it (benchmark-owned code)",
     "repro.dist.network:Topology.hierarchical(intra_link)": "bench_e2e passes it (benchmark-owned code)",
     "repro.train.reference:evaluate_model(batch_size)": "bench_e2e passes it (benchmark-owned code)",
+    "repro.serve.publisher:build_serving_tier(checksum)": (
+        "bench_e2e passes True, its only legal value (benchmark-owned code); "
+        "ROADMAP direction 0 deletes the keyword"
+    ),
     "repro.train.hybrid:HybridParallelTrainer.__init__(sharding)": (
         "PARAMETER_ALLOWLIST: tests inject a table placement"
     ),

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.adaptive import AdaptiveController, OfflineAnalyzer
 from repro.adaptive.offline import CompressionPlan
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, frame_payload
 from repro.compression.registry import get_compressor
 from repro.compression.hybrid import HybridCompressor
 from repro.data import SyntheticClickDataset, make_uniform_spec
@@ -90,6 +90,8 @@ class CallCounts:
             (Compressor, "compress"),
             (HybridCompressor, "compress"),
             (publisher_module, "decompress_any"),
+            (publisher_module, "frame_payload"),
+            (publisher_module, "unpack_meta"),
             (EmbeddingShardServer, "set_table"),
             (comm, "compressed_all_to_all"),
             (comm, "all_to_all"),
@@ -116,9 +118,7 @@ class TestWithinBoundRoundDoesNoWork:
     @pytest.mark.parametrize("compress", [True, False], ids=["compressed", "raw"])
     def test_zero_calls_into_every_stage(self, monkeypatch, compress):
         trainer = make_trainer()
-        tier = build_serving_tier(
-            trainer, 2, 2, cache_rows=64, compress_publication=compress, checksum=True
-        )
+        tier = build_serving_tier(trainer, 2, 2, cache_rows=64, compress_publication=compress)
         if compress:
             trainer.train_step(64, iteration=0)  # a few steps stay within the bound
         counts = CallCounts(monkeypatch, tier)
@@ -128,7 +128,7 @@ class TestWithinBoundRoundDoesNoWork:
 
     def test_report_and_fabric_of_an_empty_round(self):
         trainer = make_trainer()
-        tier = build_serving_tier(trainer, 2, 1, cache_rows=64, checksum=True)
+        tier = build_serving_tier(trainer, 2, 1, cache_rows=64)
         trainer.train_step(64, iteration=0)
         report = tier.publisher.publish(iteration=0)
         assert len(report.tables) == N_TABLES
@@ -151,7 +151,7 @@ class TestWithinBoundRoundDoesNoWork:
 class TestOnlyShippedTablesAreApplied:
     def test_one_table_past_its_bound_ships_alone(self, monkeypatch):
         trainer = make_trainer()
-        tier = build_serving_tier(trainer, 2, 2, cache_rows=64, checksum=True)
+        tier = build_serving_tier(trainer, 2, 2, cache_rows=64)
         trainer.train_step(64, iteration=0)
         moved = record_order(tier)[2]
         evict_rows(trainer.model, [moved], 3, 0, 0)
@@ -237,15 +237,12 @@ def straddling_delta(
 @given(
     mode=st.sampled_from(["vector_lz", "entropy", "hybrid", "raw"]),
     bounds=st.lists(st.floats(0.005, 0.05), min_size=N_TABLES, max_size=N_TABLES),
-    checksum=st.booleans(),
     rounds=rounds_strategy,
 )
-def test_skip_law(mode, bounds, checksum, rounds):
+def test_skip_law(mode, bounds, rounds):
     compress = mode != "raw"
     trainer = make_trainer([mode if compress else "vector_lz"] * N_TABLES, bounds)
-    tier = build_serving_tier(
-        trainer, 2, 1, cache_rows=64, compress_publication=compress, checksum=checksum
-    )
+    tier = build_serving_tier(trainer, 2, 1, cache_rows=64, compress_publication=compress)
     publisher = tier.publisher
     comm = publisher.simulator.comm
     shipped_payloads: list[list[bytes]] = []
@@ -289,11 +286,11 @@ def test_skip_law(mode, bounds, checksum, rounds):
                 assert publisher.published_table(t).tobytes() == before[t].tobytes()
                 assert [bytes(b) for b in servers[t]._table(t).blocks] == blocks[t]
                 continue
-            expected = deltas[t].tobytes()
             if compress:
                 expected = get_compressor(mode).compress(deltas[t], bound)
-            framed = publisher_module.frame_with_checksum(expected) if checksum else expected
-            assert by_table[t] == framed
+            else:
+                expected = frame_payload("raw", deltas[t].shape, deltas[t].dtype, b"", deltas[t])
+            assert by_table[t] == expected
         # the contract, after every round, for every table
         for record in report.tables:
             t = record.table_id

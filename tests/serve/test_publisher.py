@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.adaptive import AdaptiveController, OfflineAnalyzer
-from repro.compression import decompress_any
-from repro.compression.serialization import CHECKSUM_MAGIC, verify_checksum_frame
+from repro.compression import decompress_any, parse_payload
+from repro.compression.serialization import PRELUDE
 from repro.data import SyntheticClickDataset, make_uniform_spec
 from repro.dist import ClusterSimulator
 from repro.model import DLRM, DLRMConfig
@@ -129,10 +129,11 @@ class TestWireAccounting:
         trainer.train_step(64, iteration=0)
         compressed = compressed_tier.publisher.publish(iteration=0)
         raw = raw_tier.publisher.publish(iteration=0)
-        assert compressed.raw_nbytes == raw.raw_nbytes == raw.wire_nbytes
+        # a raw delta ships as one frame: its float32 bytes after a prelude
+        assert compressed.raw_nbytes == raw.raw_nbytes == raw.wire_nbytes - N_TABLES * PRELUDE.size
         assert compressed.wire_nbytes < raw.wire_nbytes
         assert compressed.compression_ratio > 2.0
-        assert raw.compression_ratio == pytest.approx(1.0)
+        assert raw.compression_ratio == pytest.approx(1.0, abs=1e-2)
 
     def test_wire_priced_through_the_communicator(self, trainer):
         tier = build_serving_tier(trainer, 2, 1, cache_rows=0)
@@ -179,13 +180,12 @@ def capture_shipped(monkeypatch, publisher):
 
 class TestWirePayloads:
     @pytest.mark.parametrize("compress", [True, False], ids=["compressed", "raw"])
-    @pytest.mark.parametrize("checksum", [False, True], ids=["plain", "framed"])
-    def test_shipped_payloads_are_bytes_that_decode_to_the_applied_delta(
-        self, trainer, monkeypatch, compress, checksum
+    def test_shipped_payloads_are_frames_that_decode_to_the_applied_delta(
+        self, trainer, monkeypatch, compress
     ):
-        tier = build_serving_tier(
-            trainer, 2, 1, cache_rows=0, compress_publication=compress, checksum=checksum
-        )
+        """Both modes ship frames whose CRC32 checks: a codec's, or a
+        ``raw`` one whose body is the exact float32 delta."""
+        tier = build_serving_tier(trainer, 2, 1, cache_rows=0, compress_publication=compress)
         publisher = tier.publisher
         shipped = capture_shipped(monkeypatch, publisher)
         for round_index in range(2):
@@ -199,12 +199,13 @@ class TestWirePayloads:
                 t = record.table_id
                 assert type(payload) is bytes
                 assert len(payload) == record.wire_nbytes
-                assert (payload[0] == CHECKSUM_MAGIC) == checksum
-                body = verify_checksum_frame(payload) if checksum else payload
+                prelude, body = parse_payload(payload)
                 after = publisher.published_table(t)
+                assert prelude.shape == after.shape and prelude.dtype == np.float32
                 if compress:
-                    np.testing.assert_array_equal(before[t] + decompress_any(body), after)
+                    np.testing.assert_array_equal(before[t] + decompress_any(payload), after)
                 else:
+                    assert prelude.codec == "raw"
                     delta = np.frombuffer(body, dtype=np.float32).reshape(after.shape)
                     np.testing.assert_array_equal(delta, trainer_table(trainer, t) - before[t])
                     np.testing.assert_array_equal(after, trainer_table(trainer, t))
@@ -250,7 +251,7 @@ class TestValidation:
         tier = build_serving_tier(bare, 2, 1, cache_rows=0, compress_publication=False)
         evict_rows(bare.model, range(N_TABLES), 3, 0, 0)
         report = tier.publisher.publish()
-        assert report.wire_nbytes == report.raw_nbytes
+        assert report.wire_nbytes == report.raw_nbytes + N_TABLES * PRELUDE.size
 
     def test_too_many_shard_ranks(self, trainer):
         with pytest.raises(ValueError, match="cannot populate"):

@@ -27,7 +27,12 @@ pulled again.  They were re-recorded a third time when codec frames moved
 from a varint header dictionary to a fixed prelude and per-codec tail:
 every block carries a smaller header, so fewer bytes are pulled and the
 latencies priced on them moved; every integer count of the fault-configured
-worlds but ``pulled_compressed_nbytes`` stayed the same.
+worlds but ``pulled_compressed_nbytes`` stayed the same.  They were
+re-recorded a fourth time when the CRC32 joined the prelude, from the
+parent commit with its prelude packed in the new layout and its CRC filled
+(the new tree reproduces every value): each block is 4 bytes longer, so
+``pulled_compressed_nbytes`` rose by 4 per pulled block and the latencies
+priced on it moved; every other integer stayed the same.
 
 There is no copy of the old bodies to compare against.  Run
 ``python tests/serve/test_serving_golden.py`` to print the values of the
@@ -171,20 +176,20 @@ HEALTHY_WORLDS = {
 }
 
 HEALTHY_DIGESTS = {
-    "flat/cache=0": "edf6b9f7a4467ca217ba71d14a6bfd67",
-    "flat/cache=32": "08a97457b9e0477c3312a0104c0d4f2c",
-    "flat/cache=4096": "266a33edf154d356eebde0c792273440",
-    "flat/4-shards/3-replicas": "e0b89886c7913f156ec2873f85cc6d8a",
-    "hier/cache=0": "db0097336a7a9b09cbc6acf35445a0d7",
-    "hier/cache=64": "e39a6aecbf25de2d5cd54aab766dee19",
-    "flat/available_at=scalar": "3566b6ae4c79422b70287e241d69a34a",
-    "hier/available_at=per-replica": "36727a6b269a0b39ff45938d73e1be41",
+    "flat/cache=0": "8776c4efb53e34056d7817b9797babbd",
+    "flat/cache=32": "69f45304740ae1083103fa3d8db80b2b",
+    "flat/cache=4096": "d515d54c9133b546e2abe489a97307cc",
+    "flat/4-shards/3-replicas": "a462ee28bb9de6bce79eb8cafb941662",
+    "hier/cache=0": "6fd8b1bb04cb96d641667eed2669a41c",
+    "hier/cache=64": "3e591c5d29215f9fec7091ea28971d36",
+    "flat/available_at=scalar": "c1151df144e322fbb471cb60fa03e4a0",
+    "hier/available_at=per-replica": "29a9a428e66aa3163bd916e7a320d65d",
 }
 #: (report, SERVE_REQUEST events + both counter tracks)
-TRACED_DIGESTS = ("36727a6b269a0b39ff45938d73e1be41", "197182e1c7263813df548c500b8979f9")
-SERVICE_SECONDS_DIGEST = "3e0205551692136974343c3e49b845f0"
+TRACED_DIGESTS = ("29a9a428e66aa3163bd916e7a320d65d", "1115683f438b2fd1cf98c67667dff7a2")
+SERVICE_SECONDS_DIGEST = "7253f2ee61c55724711851e9eaaf6043"
 #: (report, serve_* families of the snapshot)
-OBS_DIGESTS = ("08a97457b9e0477c3312a0104c0d4f2c", "296cb2adde70d76b2ce8f536ebb0e2bd")
+OBS_DIGESTS = ("69f45304740ae1083103fa3d8db80b2b", "1d417b28030c427ad3724034e87d8044")
 
 
 def run_healthy(world, name, **run_kwargs):
@@ -301,20 +306,20 @@ FAULTY_REPORTS: dict[str, dict] = {
         "n_replicas": 2,
         "cache_rows": 0,
         "offered_qps": 1707.4091621589173,
-        "sustained_qps": 1718.0424981519932,
-        "p50_latency": 4.1946592380123424e-05,
-        "p99_latency": 0.01046821673063553,
-        "mean_latency": 0.0011166178800791245,
+        "sustained_qps": 1718.0424431728563,
+        "p50_latency": 4.194938634784727e-05,
+        "p99_latency": 0.010468219524603254,
+        "mean_latency": 0.0011166223504274827,
         "max_latency": 0.011967899584943558,
         "cache_hit_rate": 0.0,
         "hits": 0,
         "misses": 900,
         "mean_fanout": 1.0,
         "blocks_pulled": 450,
-        "pulled_compressed_nbytes": 162633,
+        "pulled_compressed_nbytes": 164433,
         "pulled_raw_nbytes": 913408,
-        "makespan": 0.08730866678871274,
-        "replica_busy_seconds": (0.020070778065156808, 0.02814088053694977),
+        "makespan": 0.08730866958268046,
+        "replica_busy_seconds": (0.02007098202480065, 0.02814107611469044),
         "replica_requests": (75, 75),
         "stale_rows": 0,
         "degraded_rows": 450,
@@ -331,20 +336,20 @@ FAULTY_REPORTS: dict[str, dict] = {
         "n_replicas": 2,
         "cache_rows": 256,
         "offered_qps": 1707.4091621589173,
-        "sustained_qps": 1718.1216510826941,
-        "p50_latency": 3.79230815794121e-05,
-        "p99_latency": 0.006700096490739591,
-        "mean_latency": 0.0003393917668022066,
-        "max_latency": 0.006986569628489258,
+        "sustained_qps": 1718.1216452177123,
+        "p50_latency": 3.7923379602636254e-05,
+        "p99_latency": 0.006700097384809263,
+        "mean_latency": 0.0003393924184796564,
+        "max_latency": 0.006986570522558929,
         "cache_hit_rate": 0.6666666666666666,
         "hits": 600,
         "misses": 300,
         "mean_fanout": 1.3466666666666667,
         "blocks_pulled": 300,
-        "pulled_compressed_nbytes": 107518,
+        "pulled_compressed_nbytes": 108718,
         "pulled_raw_nbytes": 602112,
-        "makespan": 0.08730464452588428,
-        "replica_busy_seconds": (0.00980209714097369, 0.009552955447641934),
+        "makespan": 0.08730464482390751,
+        "replica_busy_seconds": (0.0098021284334122, 0.009552988528219784),
         "replica_requests": (75, 75),
         "stale_rows": 0,
         "degraded_rows": 0,
@@ -361,20 +366,20 @@ FAULTY_REPORTS: dict[str, dict] = {
         "n_replicas": 2,
         "cache_rows": 64,
         "offered_qps": 1707.4091621589173,
-        "sustained_qps": 1718.1460883237207,
-        "p50_latency": 3.696524797042709e-05,
+        "sustained_qps": 1718.1460699951313,
+        "p50_latency": 3.6967110615576323e-05,
         "p99_latency": 0.007805664541740991,
-        "mean_latency": 0.0005696110280049642,
+        "mean_latency": 0.000569612574000438,
         "max_latency": 0.009758276141858596,
         "cache_hit_rate": 0.5844444444444444,
         "hits": 526,
         "misses": 374,
         "mean_fanout": 1.1466666666666667,
         "blocks_pulled": 280,
-        "pulled_compressed_nbytes": 100088,
+        "pulled_compressed_nbytes": 101208,
         "pulled_raw_nbytes": 560128,
-        "makespan": 0.08730340278942456,
-        "replica_busy_seconds": (0.016418385337823332, 0.01073176741319414),
+        "makespan": 0.08730340372074713,
+        "replica_busy_seconds": (0.01641847940140337, 0.010731868927354773),
         "replica_requests": (75, 75),
         "stale_rows": 37,
         "degraded_rows": 57,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compression import decompress_any, get_compressor
+from repro.compression import CorruptPayloadError, decompress_any, get_compressor
 from repro.model import DLRM, DLRMConfig
 from repro.serve import EmbeddingShardServer
 from tests.conftest import decoded_table
@@ -250,6 +250,22 @@ class TestUpdates:
         server = EmbeddingShardServer({0: make_table()})
         with pytest.raises(ValueError, match="expected shape"):
             server.set_table(0, np.zeros((3, 3), dtype=np.float32))
+
+
+class TestCorruptBlockNamesItsContext:
+    def test_a_pull_error_names_the_table_and_row_block(self):
+        """A stored block whose bytes were damaged fails its CRC32 on its
+        first pull; the error names the table and row block and chains the
+        codec's error."""
+        server = EmbeddingShardServer({3: make_table()}, error_bounds=1e-2, rows_per_block=32)
+        table = server._table(3)
+        damaged = bytearray(table.blocks[2])
+        damaged[len(damaged) // 2] ^= 0x04
+        table.blocks[2] = bytes(damaged)
+        server.pull(3, np.array([0, 31]))  # other blocks still serve
+        with pytest.raises(CorruptPayloadError, match=r"^table 3, row block 2: .*checksum mismatch") as raised:
+            server.pull(3, np.array([70]))
+        assert isinstance(raised.value.__cause__, CorruptPayloadError)
 
 
 class TestValidation:

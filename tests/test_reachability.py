@@ -110,6 +110,11 @@ PARAMETER_ALLOWLIST: dict[str, str] = {
         "bench_e2e's train world passes it at its default, and bench_e2e changes"
         " only with the benchmark; no other root sets it"
     ),
+    "repro.serve.publisher:build_serving_tier(checksum)": (
+        "bench_e2e's publish_serve world passes checksum=True, its only legal value"
+        " (every frame carries a CRC32), and bench_e2e changes only with the"
+        " benchmark; ROADMAP direction 0 deletes the keyword"
+    ),
     "repro.dist.network:Topology.hierarchical(intra_link)": (
         "bench_e2e's exchange world passes it at its default, and bench_e2e changes"
         " only with the benchmark; no other root sets it"

@@ -42,7 +42,11 @@ re-recorded once more when codec frames moved from a varint header
 dictionary to a fixed prelude and per-codec tail: smaller headers reach the
 posted bytes, the wire bytes, the simulated exchange times, the obs
 counters and the stats.  ``losses`` and ``params`` did not move, and
-neither did any digest of the uncompressed cases.
+neither did any digest of the uncompressed cases.  The same digests were
+re-recorded once more when the CRC32 joined the prelude (4 bytes per
+frame), from the parent commit with its prelude packed in the new layout
+and its CRC filled; the new tree reproduces them.  Again ``losses``,
+``params`` and the uncompressed cases did not move.
 
 The three ``compress_backward=None`` cases train the same world with
 ``pipeline=None``, so both exchanges are uncompressed.  Their digests were
@@ -176,12 +180,12 @@ def run_case(compress_backward: bool | None, overlap) -> dict[str, str]:
 CASES = [(cb, ov) for cb in (False, True, None) for ov in (False, True, "cross_stage")]
 
 GOLDEN: dict[tuple[bool, object], dict[str, str]] = {
-    (False, False): {'losses': '6f4b2b73e6065c592d19478f3c7af0cb', 'params': '0a9fac35471b45da7e0567050718b725', 'forward_wire_bytes': '274ea5a2abbce4d09f5693bf22441bbd', 'sendbufs': 'e09f9a1d954ef5969c95ec45e2fb2fbd', 'ledger': '2eed0d225f199c43d44517e15a9bf8a0', 'timing': '2bab8487b6b79148ecb555a85b2f0900', 'obs': '5632b2d47fd30fa43c75e02f15055bee', 'stats': 'a0251baa7b597b8f1d61e8f89d98068a'},
-    (False, True): {'losses': '6f4b2b73e6065c592d19478f3c7af0cb', 'params': '0a9fac35471b45da7e0567050718b725', 'forward_wire_bytes': '274ea5a2abbce4d09f5693bf22441bbd', 'sendbufs': 'e09f9a1d954ef5969c95ec45e2fb2fbd', 'ledger': '9553824118cdad6ea8ddc45713e004f2', 'timing': '344fd1177d549f2c347141a0f733e6d2', 'obs': 'd362b4959051416683ec7011b31dc65e', 'stats': 'a0251baa7b597b8f1d61e8f89d98068a'},
-    (False, 'cross_stage'): {'losses': '6f4b2b73e6065c592d19478f3c7af0cb', 'params': '0a9fac35471b45da7e0567050718b725', 'forward_wire_bytes': '274ea5a2abbce4d09f5693bf22441bbd', 'sendbufs': 'e09f9a1d954ef5969c95ec45e2fb2fbd', 'ledger': 'faab11eb8cd55b8d7fc67c003299322d', 'timing': 'af33492f658a1f4aaa59d53b235d88f5', 'obs': '0046eafb7da8319f88150dc96fb79cba', 'stats': 'a0251baa7b597b8f1d61e8f89d98068a'},
-    (True, False): {'losses': '733f56c60615e4bc42ac0e04e0d22c28', 'params': 'bc9e927d962fcfa66cf5e2ee23489a32', 'forward_wire_bytes': '4a7c14898de3b705f4c30aeea7343060', 'sendbufs': 'a808a292c2d516cb945fdcffb480c0da', 'ledger': 'cc898526ad3298be6a82df52d57cd651', 'timing': '93aa6008ea7a66d89cf03a75ac782817', 'obs': '796bff777523d037a28c17443c5fd89e', 'stats': '3bba7442b94ecdc23cd844606ab82efa'},
-    (True, True): {'losses': '733f56c60615e4bc42ac0e04e0d22c28', 'params': 'bc9e927d962fcfa66cf5e2ee23489a32', 'forward_wire_bytes': '4a7c14898de3b705f4c30aeea7343060', 'sendbufs': 'a808a292c2d516cb945fdcffb480c0da', 'ledger': '3c24c414032358a610bf931f14ab066c', 'timing': '5fa3d7ebfb0a4f5a7ad8350e79239094', 'obs': '004743850992f0509008a8191123928e', 'stats': '3bba7442b94ecdc23cd844606ab82efa'},
-    (True, 'cross_stage'): {'losses': '733f56c60615e4bc42ac0e04e0d22c28', 'params': 'bc9e927d962fcfa66cf5e2ee23489a32', 'forward_wire_bytes': '4a7c14898de3b705f4c30aeea7343060', 'sendbufs': 'a808a292c2d516cb945fdcffb480c0da', 'ledger': 'd8ed53adbca09782ac4a50e8d4d5050f', 'timing': 'aff8bdc2cafbe86486f17726f3e9b00f', 'obs': 'c8fd4edd7504ba8c65e5d7611269b2ed', 'stats': '3bba7442b94ecdc23cd844606ab82efa'},
+    (False, False): {'losses': '6f4b2b73e6065c592d19478f3c7af0cb', 'params': '0a9fac35471b45da7e0567050718b725', 'forward_wire_bytes': 'fa52c1e06c1ca20e90c05f16170e7980', 'sendbufs': '7f0efda05f3341e7ac163b512ba68dc8', 'ledger': '5616ea14c15f7b10779260bfd19717c9', 'timing': 'a4ccbf4206b2906fcc0fa124d9794148', 'obs': 'ed459a9c30973cde8bf7ff0c10e9c988', 'stats': 'a2c319c4729dfc4a8fbe885ebc4cec00'},
+    (False, True): {'losses': '6f4b2b73e6065c592d19478f3c7af0cb', 'params': '0a9fac35471b45da7e0567050718b725', 'forward_wire_bytes': 'fa52c1e06c1ca20e90c05f16170e7980', 'sendbufs': '7f0efda05f3341e7ac163b512ba68dc8', 'ledger': 'a38d262bb24d620dda62e3ddf34994ad', 'timing': 'eb850bded2645d4fc03b17d0a4bbcd03', 'obs': '1a739b2d5d221d4b18232e34bb11a270', 'stats': 'a2c319c4729dfc4a8fbe885ebc4cec00'},
+    (False, 'cross_stage'): {'losses': '6f4b2b73e6065c592d19478f3c7af0cb', 'params': '0a9fac35471b45da7e0567050718b725', 'forward_wire_bytes': 'fa52c1e06c1ca20e90c05f16170e7980', 'sendbufs': '7f0efda05f3341e7ac163b512ba68dc8', 'ledger': 'de7153868ca69499d24c411d31c04e07', 'timing': '70d99b3cd994a5621d1b46666e44aca0', 'obs': '8a8ec1f8c10566f4e45620d7e70ae765', 'stats': 'a2c319c4729dfc4a8fbe885ebc4cec00'},
+    (True, False): {'losses': '733f56c60615e4bc42ac0e04e0d22c28', 'params': 'bc9e927d962fcfa66cf5e2ee23489a32', 'forward_wire_bytes': '171c7d60f0d2c22f363a1509ff918d6a', 'sendbufs': '32670503bc6af3cc0b3b8990e731e8d3', 'ledger': '57ddb16bd49248a919d08dd81696bbb1', 'timing': 'd5623784fe06bdd52372e9d8a6467ce0', 'obs': 'f3e4cb482455b601e4a28df1c545d1e6', 'stats': '00923b8b73577031136bf0b9d56eeb5d'},
+    (True, True): {'losses': '733f56c60615e4bc42ac0e04e0d22c28', 'params': 'bc9e927d962fcfa66cf5e2ee23489a32', 'forward_wire_bytes': '171c7d60f0d2c22f363a1509ff918d6a', 'sendbufs': '32670503bc6af3cc0b3b8990e731e8d3', 'ledger': 'e0e517080fbb60cba319aacb60b5eea8', 'timing': '619d0412c8a0f33954620762c0b9066a', 'obs': 'cf10e7253fc3b7e9bb73b9b13baa0b1f', 'stats': '00923b8b73577031136bf0b9d56eeb5d'},
+    (True, 'cross_stage'): {'losses': '733f56c60615e4bc42ac0e04e0d22c28', 'params': 'bc9e927d962fcfa66cf5e2ee23489a32', 'forward_wire_bytes': '171c7d60f0d2c22f363a1509ff918d6a', 'sendbufs': '32670503bc6af3cc0b3b8990e731e8d3', 'ledger': '051baef1d90dccfe55e34c49604d37d8', 'timing': '6fb05ac4a108ff94556d74e5fb718131', 'obs': 'edf63f5dcc57b44dda90590c2d3009d2', 'stats': '00923b8b73577031136bf0b9d56eeb5d'},
     (None, False): {'losses': 'f628df8944d6c72584f40744d7d18e18', 'params': '005e4a073f7ca54d89e5e14daf7d7f0b', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': '4ee548433fea1d544a9e80a634766f5b', 'timing': '6d56a70e676140d9b34bac72330b54ba', 'obs': '113e1380632a822d83c806703b0681fe', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
     (None, True): {'losses': 'f628df8944d6c72584f40744d7d18e18', 'params': '005e4a073f7ca54d89e5e14daf7d7f0b', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': '4ee548433fea1d544a9e80a634766f5b', 'timing': '6d56a70e676140d9b34bac72330b54ba', 'obs': '113e1380632a822d83c806703b0681fe', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},
     (None, 'cross_stage'): {'losses': 'f628df8944d6c72584f40744d7d18e18', 'params': '005e4a073f7ca54d89e5e14daf7d7f0b', 'forward_wire_bytes': '9b6080e759ac2a7d76c64820c465986c', 'sendbufs': 'cae66941d9efbd404e4d88758ea67670', 'ledger': '690f3f060f71d7cccc963a9503a671bb', 'timing': '8c8c6eea598d0f4b57036aae500c7364', 'obs': '53fef44cb44913c480009c5f0e5f26a5', 'stats': '7ebb3c7c2a87b1a2f8a7ed729ecb040d'},

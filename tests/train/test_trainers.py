@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.adaptive import AdaptiveController, OfflineAnalyzer, StepwiseDecay
+from repro.compression import CorruptPayloadError
 from repro.data import CRITEO_KAGGLE, SyntheticClickDataset, make_uniform_spec, scaled_spec
 from repro.dist import ClusterSimulator, EventCategory
 from repro.model import DLRM, DLRMConfig
@@ -112,6 +113,30 @@ class TestReferenceTrainer:
         noisy = ReferenceTrainer(DLRM(config), dataset, lr=0.2, lookup_transform=lossy)
         h_noisy = noisy.train(20, 64)
         np.testing.assert_allclose(h_exact.losses, h_noisy.losses, atol=1e-4)
+
+
+class TestCorruptSliceNamesItsContext:
+    def test_stage_four_error_names_the_table_and_iteration(self, small_world, monkeypatch):
+        """A slice damaged between stage ① and stage ④ fails its CRC32; the
+        trainer's error names the table and iteration and chains the
+        codec's error."""
+        _, dataset, config = small_world
+        pipeline = CompressionPipeline(AdaptiveController(_make_plan(dataset, config)))
+        trainer = HybridParallelTrainer(DLRM(config), dataset, ClusterSimulator(2), pipeline=pipeline, lr=0.2)
+        real = pipeline.compress_slices
+
+        def damaging(slices, iteration):
+            payloads = real(slices, iteration)
+            target = [i for i, (table_id, _) in enumerate(slices) if table_id == 4][-1]
+            flipped = bytearray(payloads[target])
+            flipped[-1] ^= 0x01
+            payloads[target] = bytes(flipped)
+            return payloads
+
+        monkeypatch.setattr(pipeline, "compress_slices", damaging)
+        with pytest.raises(CorruptPayloadError, match=r"^table 4, iteration 3: .*checksum mismatch") as raised:
+            trainer.train_step(64, iteration=3)
+        assert isinstance(raised.value.__cause__, CorruptPayloadError)
 
 
 class TestHybridTrainer:
